@@ -49,7 +49,6 @@ fn main() {
     let fig16 = ex::fig16_pipeline(scale);
     ex::print_tables(&fig16);
     ex::save_json("fig16", &fig16);
-    ex::print_tables(&ex::fig17_service(&load("fig17")));
     let fig18 = ex::fig18_hotpath(scale);
     ex::print_tables(&fig18);
     ex::save_json("fig18", &fig18);

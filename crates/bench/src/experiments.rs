@@ -1025,359 +1025,6 @@ pub fn fig16_pipeline(scale: ExperimentScale) -> Vec<Table> {
 }
 
 // ---------------------------------------------------------------------------
-// Fig. 17 — the online placement service over TCP
-// ---------------------------------------------------------------------------
-
-/// Fig. 17: throughput and per-request placement latency of the online
-/// placement service (not a figure of the paper). The Fig. 5 workload is
-/// replayed as a live request stream over the line-delimited-JSON TCP path,
-/// under the discrete clock (sync and pipelined engines) and the
-/// free-running real-time clock — and every cell's schedule is asserted
-/// **byte-identical** to an offline replay of the same request sequence,
-/// the guarantee that makes the service a drop-in front-end for the batch
-/// engine.
-///
-/// Latency semantics differ by clock: under `RealTime` a response flushes
-/// as soon as the scheduler commits, so the percentiles measure true
-/// request-to-placement service latency; under `Discrete` the stream
-/// itself is the clock, so a placement can only flush once later requests
-/// (or the closing stream) move simulated time past its scheduling round —
-/// the percentiles then measure replay pacing, not service speed.
-///
-/// The workload, simulation shape, and scheduler configuration come from
-/// `scenarios/fig17.spec`; the sweep overrides only the clock and engine
-/// per cell (the spec's own clock is the offline reference's).
-pub fn fig17_service(scenario: &Scenario) -> Vec<Table> {
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::TcpStream;
-    use std::time::Instant;
-    use waterwise_cluster::{ClockMode, EngineMode, Simulator};
-    use waterwise_core::build_scheduler;
-    use waterwise_service::{PlacementService, ServiceConfig, TcpPlacementServer};
-    use waterwise_traces::{JobSpec, TraceGenerator};
-
-    let jobs: Vec<JobSpec> = TraceGenerator::new(scenario.config.trace.clone()).generate();
-    let simulation = scenario.config.simulation.clone();
-    let telemetry = scenario.config.telemetry;
-    let make_scheduler = || {
-        build_scheduler(
-            SchedulerKind::WaterWise,
-            SyntheticTelemetry::generate(telemetry).shared(),
-            FootprintEstimator::new(simulation.datacenter),
-            &scenario.config.waterwise,
-            None,
-        )
-    };
-
-    // The offline reference schedule for the decision-identity asserts.
-    let offline = Simulator::new(
-        simulation.clone(),
-        SyntheticTelemetry::generate(telemetry).shared(),
-    )
-    .expect("valid simulation config")
-    .run(&jobs, make_scheduler().as_mut())
-    .expect("offline reference campaign must run");
-    // Pick the real-time scale so the simulated campaign compresses into a
-    // few wall-clock seconds regardless of the trace length.
-    let real_time_scale = (offline.makespan.value() / 2.0).max(1000.0);
-
-    let cells: [(&str, ClockMode, EngineMode); 3] = [
-        ("discrete", ClockMode::Discrete, EngineMode::Sync),
-        (
-            "discrete",
-            ClockMode::Discrete,
-            EngineMode::Pipelined { workers: 2 },
-        ),
-        (
-            "real-time",
-            ClockMode::RealTime {
-                scale: real_time_scale,
-            },
-            EngineMode::Pipelined { workers: 2 },
-        ),
-    ];
-
-    let mut table = Table::new(
-        "Fig. 17 — online placement service over TCP (Fig. 5 workload)",
-        &[
-            "clock",
-            "engine",
-            "requests",
-            "wall (s)",
-            "req/s",
-            "placed",
-            "lat p50 (ms)",
-            "lat p95 (ms)",
-            "lat p99 (ms)",
-            "identical",
-        ],
-    );
-
-    for (clock_label, clock, engine) in cells {
-        let config = ServiceConfig::new(simulation.clone().with_engine_mode(engine), telemetry)
-            .with_clock(clock);
-        let service = PlacementService::new(config).expect("valid service config");
-        let server = TcpPlacementServer::bind("127.0.0.1:0").expect("bind ephemeral port");
-        let addr = server.local_addr().expect("bound address");
-
-        let session_started = Instant::now();
-        let (report, latencies) = std::thread::scope(|scope| {
-            let jobs = &jobs;
-            let client = scope.spawn(move || {
-                let stream = TcpStream::connect(addr).expect("connect to service");
-                let mut writer = stream.try_clone().expect("clone stream");
-                // Reading must overlap writing or the two directions
-                // deadlock on full socket buffers; the reader also carries
-                // the per-request latency bookkeeping.
-                let send_times = std::sync::Mutex::new(
-                    std::collections::HashMap::<u64, Instant>::with_capacity(jobs.len()),
-                );
-                std::thread::scope(|inner| {
-                    let send_times = &send_times;
-                    let reader = inner.spawn(move || {
-                        let mut latencies: Vec<f64> = Vec::with_capacity(jobs.len());
-                        for line in BufReader::new(stream).lines() {
-                            let line = line.expect("read response line");
-                            let Some(id) = waterwise_service::wire::placement_job_id(&line) else {
-                                continue;
-                            };
-                            if let Some(sent) =
-                                send_times.lock().expect("send-time map lock").remove(&id)
-                            {
-                                latencies.push(sent.elapsed().as_secs_f64() * 1e3);
-                            }
-                        }
-                        latencies
-                    });
-                    for spec in jobs.iter() {
-                        send_times
-                            .lock()
-                            .expect("send-time map lock")
-                            .insert(spec.id.0, Instant::now());
-                        writeln!(writer, "{}", waterwise_service::wire::encode_request(spec))
-                            .expect("send request");
-                    }
-                    writer.flush().expect("flush requests");
-                    stream_half_close(&writer);
-                    reader.join().expect("response reader panicked")
-                })
-            });
-            let report = server
-                .serve_connection(&service, make_scheduler().as_mut())
-                .expect("serving session must complete");
-            (report, client.join().expect("client panicked"))
-        });
-        let wall = session_started.elapsed().as_secs_f64();
-
-        // The decision-identity contract: the schedule served online is
-        // exactly the schedule an offline replay of the same request
-        // sequence produces.
-        assert_eq!(
-            report.accepted,
-            jobs.len(),
-            "every request admitted ({clock_label}, {})",
-            engine.label()
-        );
-        match clock {
-            ClockMode::Discrete => {
-                assert_eq!(report.trace, jobs, "discrete stamps must keep the trace");
-                assert_eq!(
-                    report.report.outcomes,
-                    offline.outcomes,
-                    "online ({clock_label}, {}) diverged from the offline replay",
-                    engine.label()
-                );
-            }
-            ClockMode::RealTime { .. } => {
-                // Stamps depend on wall timing; the *recorded* trace is the
-                // replayable artifact.
-                let replay = Simulator::new(
-                    simulation.clone(),
-                    SyntheticTelemetry::generate(telemetry).shared(),
-                )
-                .expect("valid simulation config")
-                .run(&report.trace, make_scheduler().as_mut())
-                .expect("replay campaign must run");
-                assert_eq!(
-                    report.report.outcomes, replay.outcomes,
-                    "online (real-time) diverged from the replay of its recorded trace"
-                );
-            }
-        }
-
-        table.row(&[
-            clock_label.to_string(),
-            engine.label(),
-            report.accepted.to_string(),
-            fmt2(wall),
-            fmt2(report.accepted as f64 / wall.max(1e-9)),
-            report.served.to_string(),
-            fmt2(percentile(&latencies, 50.0)),
-            fmt2(percentile(&latencies, 95.0)),
-            fmt2(percentile(&latencies, 99.0)),
-            "yes".to_string(),
-        ]);
-    }
-
-    // The multi-session cell: the same workload split round-robin across
-    // four concurrent tenant clients multiplexed onto ONE persistent engine
-    // run (streaming admission, deficit-round-robin drain). "identical"
-    // here is the journal contract: the admission journal of the live
-    // concurrent run replays offline to the byte-identical schedule.
-    {
-        use waterwise_service::{AdmissionConfig, AdmissionMode, ClusterHost, TcpClusterServer};
-
-        const SESSIONS: usize = 4;
-        let engine = EngineMode::Pipelined { workers: 2 };
-        let service = PlacementService::new(
-            ServiceConfig::new(simulation.clone().with_engine_mode(engine), telemetry)
-                .with_clock(ClockMode::Discrete),
-        )
-        .expect("valid service config");
-        let host = ClusterHost::start_with_service(
-            service,
-            AdmissionConfig {
-                tenant_inflight_quota: jobs.len().max(1),
-                mode: AdmissionMode::Streaming {
-                    close_after_sessions: Some(SESSIONS),
-                },
-                ..AdmissionConfig::default()
-            },
-            make_scheduler(),
-        )
-        .expect("host must start");
-        let server = TcpClusterServer::bind("127.0.0.1:0").expect("bind ephemeral port");
-        let addr = server.local_addr().expect("bound address");
-        let streams: Vec<Vec<&JobSpec>> = (0..SESSIONS)
-            .map(|s| jobs.iter().skip(s).step_by(SESSIONS).collect())
-            .collect();
-
-        let session_started = Instant::now();
-        let latencies: Vec<f64> = std::thread::scope(|scope| {
-            let serving = scope.spawn(|| server.serve_sessions(&host, SESSIONS));
-            let clients: Vec<_> = streams
-                .iter()
-                .enumerate()
-                .map(|(s, stream)| {
-                    scope.spawn(move || {
-                        let socket = TcpStream::connect(addr).expect("connect to service");
-                        let mut writer = socket.try_clone().expect("clone stream");
-                        let send_times = std::sync::Mutex::new(std::collections::HashMap::<
-                            u64,
-                            Instant,
-                        >::with_capacity(
-                            stream.len()
-                        ));
-                        std::thread::scope(|inner| {
-                            let send_times = &send_times;
-                            let reader = inner.spawn(move || {
-                                let mut latencies: Vec<f64> = Vec::with_capacity(stream.len());
-                                for line in BufReader::new(socket).lines() {
-                                    let line = line.expect("read response line");
-                                    let Some(id) = waterwise_service::wire::placement_job_id(&line)
-                                    else {
-                                        continue;
-                                    };
-                                    if let Some(sent) =
-                                        send_times.lock().expect("send-time map lock").remove(&id)
-                                    {
-                                        latencies.push(sent.elapsed().as_secs_f64() * 1e3);
-                                    }
-                                }
-                                latencies
-                            });
-                            for spec in stream.iter() {
-                                send_times
-                                    .lock()
-                                    .expect("send-time map lock")
-                                    .insert(spec.id.0, Instant::now());
-                                writeln!(
-                                    writer,
-                                    "{}",
-                                    waterwise_service::wire::encode_tenant_request(
-                                        &format!("tenant-{s}"),
-                                        spec
-                                    )
-                                )
-                                .expect("send request");
-                            }
-                            writer.flush().expect("flush requests");
-                            stream_half_close(&writer);
-                            let latencies = reader.join().expect("response reader panicked");
-                            assert_eq!(
-                                latencies.len(),
-                                stream.len(),
-                                "tenant-{s}: every request must be placed"
-                            );
-                            latencies
-                        })
-                    })
-                })
-                .collect();
-            let latencies = clients
-                .into_iter()
-                .flat_map(|c| c.join().expect("client panicked"))
-                .collect();
-            serving
-                .join()
-                .expect("server panicked")
-                .expect("sessions must serve");
-            latencies
-        });
-        let wall = session_started.elapsed().as_secs_f64();
-        let report = host.shutdown().expect("host shutdown");
-        assert_eq!(report.accepted, jobs.len(), "every request admitted");
-        assert_eq!(report.served, jobs.len(), "every placement delivered");
-
-        // journal == replay: the concurrent run's admission journal,
-        // replayed offline on a fresh engine, reproduces the schedule
-        // byte for byte.
-        let replay_service = PlacementService::new(
-            ServiceConfig::new(simulation.clone(), telemetry).with_clock(ClockMode::Discrete),
-        )
-        .expect("valid service config");
-        let replay = report
-            .journal
-            .replay(&replay_service, make_scheduler().as_mut())
-            .expect("journal must replay");
-        assert_eq!(
-            report.report.outcomes, replay.report.report.outcomes,
-            "offline journal replay diverged from the live multi-session run"
-        );
-        assert_eq!(report.schedule_digest(), replay.schedule_digest());
-
-        table.row(&[
-            "discrete".to_string(),
-            format!("{} x{SESSIONS} sessions", engine.label()),
-            report.accepted.to_string(),
-            fmt2(wall),
-            fmt2(report.accepted as f64 / wall.max(1e-9)),
-            report.served.to_string(),
-            fmt2(percentile(&latencies, 50.0)),
-            fmt2(percentile(&latencies, 95.0)),
-            fmt2(percentile(&latencies, 99.0)),
-            "yes".to_string(),
-        ]);
-    }
-    vec![table]
-}
-
-fn stream_half_close(stream: &std::net::TcpStream) {
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-}
-
-/// Nearest-rank percentile (p in 0..=100) of unsorted samples; 0 when empty.
-fn percentile(samples: &[f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
-// ---------------------------------------------------------------------------
 // Fig. 18 — scheduler hot path: sharded preparation + dual-simplex restarts
 // ---------------------------------------------------------------------------
 

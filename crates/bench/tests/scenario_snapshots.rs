@@ -4,8 +4,9 @@
 //! rendering ([`Snapshot`]) compared byte-for-byte against the committed
 //! golden under `tests/snapshots/<scenario>.snap`. These tests replace the
 //! former `golden_figures.rs` percentage-table regressions (Figs. 5 and 8)
-//! and the in-bench identity asserts of Fig. 17: any schedule or summary
-//! drift fails with a line-level diff naming the drifted snapshot file.
+//! and the in-bench identity asserts of the retired Fig. 17 study: any
+//! schedule or summary drift fails with a line-level diff naming the
+//! drifted snapshot file.
 //!
 //! Blessing: `UPDATE_SNAPSHOTS=1 cargo test -p waterwise-bench` rewrites the
 //! goldens; commit the resulting diff. CI guards that the variable is never
@@ -149,7 +150,10 @@ fn fig17_scenario_online_sessions_match_offline_golden() {
     use std::net::TcpStream;
     use waterwise_cluster::{ClockMode, Simulator};
     use waterwise_core::build_scheduler;
-    use waterwise_service::{PlacementService, ServiceConfig, TcpPlacementServer};
+    use waterwise_service::{
+        AdmissionConfig, AdmissionMode, ClusterHost, PlacementService, ServiceConfig,
+        TcpClusterServer,
+    };
     use waterwise_sustain::FootprintEstimator;
     use waterwise_telemetry::SyntheticTelemetry;
     use waterwise_traces::TraceGenerator;
@@ -176,16 +180,28 @@ fn fig17_scenario_online_sessions_match_offline_golden() {
     .run(&jobs, make_scheduler().as_mut())
     .expect("offline reference campaign must run");
 
-    // The former in-bench identity asserts, now under `cargo test`: a live
-    // TCP session under the discrete clock must reproduce the offline
-    // schedule byte for byte, under both engines.
+    // A live TCP session on a one-session host under the discrete clock
+    // must reproduce the offline schedule byte for byte, under both
+    // engines.
     for engine in [EngineMode::Sync, EngineMode::Pipelined { workers: 2 }] {
         let config = ServiceConfig::new(simulation.clone().with_engine_mode(engine), telemetry)
             .with_clock(ClockMode::Discrete);
         let service = PlacementService::new(config).expect("valid service config");
-        let server = TcpPlacementServer::bind("127.0.0.1:0").expect("bind ephemeral port");
+        let host = ClusterHost::start_with_service(
+            service,
+            AdmissionConfig {
+                tenant_inflight_quota: jobs.len().max(1),
+                mode: AdmissionMode::Streaming {
+                    close_after_sessions: Some(1),
+                },
+                ..AdmissionConfig::default()
+            },
+            make_scheduler(),
+        )
+        .expect("host must start");
+        let server = TcpClusterServer::bind("127.0.0.1:0").expect("bind ephemeral port");
         let addr = server.local_addr().expect("bound address");
-        let report = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let jobs = &jobs;
             let client = scope.spawn(move || {
                 let stream = TcpStream::connect(addr).expect("connect to service");
@@ -207,12 +223,12 @@ fn fig17_scenario_online_sessions_match_offline_golden() {
                     reader.join().expect("response reader panicked");
                 });
             });
-            let report = server
-                .serve_connection(&service, make_scheduler().as_mut())
+            server
+                .serve_sessions(&host, 1)
                 .expect("serving session must complete");
             client.join().expect("client panicked");
-            report
         });
+        let report = host.shutdown().expect("host shutdown");
         assert_eq!(report.accepted, jobs.len(), "every request admitted");
         assert_eq!(
             report.report.outcomes,

@@ -2,11 +2,11 @@
 //!
 //! An offline replay needs no clock: event timestamps come from the trace
 //! and the engine dispatches them as fast as it can. The online driver
-//! ([`crate::Simulator::run_online`]) serves a *live* arrival source, so it
-//! must decide two things the trace used to decide for it: what submit time
-//! an incoming job is stamped with, and when a queued event is safe to
-//! dispatch (no earlier arrival can still show up). [`ClockMode`] picks the
-//! time authority for both.
+//! ([`crate::Simulator::run_online_sequenced`]) serves a *live* arrival
+//! source, so it must decide two things the trace used to decide for it:
+//! what submit time an incoming job is stamped with, and when a queued
+//! event is safe to dispatch (no earlier arrival can still show up).
+//! [`ClockMode`] picks the time authority for both.
 
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};

@@ -538,9 +538,22 @@ impl<P: ConditionsProvider> Simulator<P> {
     /// preloaded trace: jobs received over `arrivals` are injected into the
     /// running event loop, and every enacted placement is reported over
     /// `placements` as it commits. See [`online`] for the pacing rules
-    /// ([`clock::ClockMode`]), the determinism guarantee (the recorded
-    /// trace replays offline to the byte-identical schedule), and a usage
-    /// example.
+    /// ([`clock::ClockMode`]) and the determinism guarantee (the recorded
+    /// trace replays offline to the byte-identical schedule).
+    ///
+    /// Each arrival carries a caller-allocated low-band sequence number
+    /// ([`online::SequencedJob`]) that breaks exact-timestamp ties, so tie
+    /// order never depends on which thread's submission happened to reach
+    /// the channel first: `waterwise-service` partitions the band per
+    /// session (`session << 32 | request index`), and the identical
+    /// schedule is reproduced by re-injecting the journaled `(spec, seq)`
+    /// pairs in any order. A single feeder simply numbers its arrivals
+    /// `0, 1, 2, …` in receipt order.
+    ///
+    /// Sequences must be unique and strictly below
+    /// [`online::ONLINE_ARRIVAL_SEQ_LIMIT`]; violations fail the run with
+    /// [`SimulationError::ArrivalSeqOutOfBand`] /
+    /// [`SimulationError::ArrivalSeqReused`].
     ///
     /// Dispatches on the configured [`EngineMode`] exactly like
     /// [`Simulator::run`]: under `Sync` the scheduler solves inline on the
@@ -555,91 +568,6 @@ impl<P: ConditionsProvider> Simulator<P> {
     /// scrubbed-summary identity with offline replays holds regardless
     /// because [`CampaignSummary::without_wall_clock`] drops the pipeline
     /// stats.
-    ///
-    /// ```
-    /// use waterwise_cluster::{
-    ///     ClockMode, Scheduler, SchedulingContext, SchedulingDecision, SimulationConfig,
-    ///     Simulator,
-    /// };
-    /// use waterwise_sustain::{KilowattHours, Seconds};
-    /// use waterwise_telemetry::{Region, SyntheticTelemetry};
-    /// use waterwise_traces::{Benchmark, JobId, JobSpec};
-    ///
-    /// struct Home;
-    /// impl Scheduler for Home {
-    ///     fn name(&self) -> &str {
-    ///         "home"
-    ///     }
-    ///     fn schedule(&mut self, ctx: &SchedulingContext<'_>) -> SchedulingDecision {
-    ///         SchedulingDecision::from_pairs(
-    ///             ctx.pending.iter().map(|p| (p.spec.id, p.spec.home_region)),
-    ///         )
-    ///     }
-    /// }
-    ///
-    /// let simulator = Simulator::new(
-    ///     SimulationConfig::paper_default(40, 0.5),
-    ///     SyntheticTelemetry::with_seed(1),
-    /// )
-    /// .unwrap();
-    /// let (jobs_tx, jobs_rx) = std::sync::mpsc::sync_channel(8);
-    /// let (notice_tx, notice_rx) = std::sync::mpsc::sync_channel(8);
-    /// jobs_tx
-    ///     .send(JobSpec {
-    ///         id: JobId(1),
-    ///         benchmark: Benchmark::Dedup,
-    ///         submit_time: Seconds::new(5.0),
-    ///         home_region: Region::Oregon,
-    ///         actual_execution_time: Seconds::new(120.0),
-    ///         actual_energy: KilowattHours::new(0.01),
-    ///         estimated_execution_time: Seconds::new(120.0),
-    ///         estimated_energy: KilowattHours::new(0.01),
-    ///         package_bytes: 1,
-    ///     })
-    ///     .unwrap();
-    /// drop(jobs_tx); // closing the source lets the run drain and return
-    ///
-    /// let online = simulator
-    ///     .run_online(&mut Home, jobs_rx, notice_tx, ClockMode::Discrete)
-    ///     .unwrap();
-    /// let notice = notice_rx.recv().unwrap();
-    /// assert_eq!(notice.region, Region::Oregon);
-    /// assert_eq!(online.report.outcomes.len(), 1);
-    /// // The recorded trace replays offline to the identical schedule.
-    /// let replay = simulator.run(&online.trace, &mut Home).unwrap();
-    /// assert_eq!(replay.outcomes, online.report.outcomes);
-    /// ```
-    pub fn run_online(
-        &self,
-        scheduler: &mut dyn Scheduler,
-        arrivals: std::sync::mpsc::Receiver<JobSpec>,
-        placements: std::sync::mpsc::SyncSender<online::PlacementNotice>,
-        clock: clock::ClockMode,
-    ) -> Result<online::OnlineReport, SimulationError> {
-        online::run_online(self, scheduler, arrivals, placements, clock)
-    }
-
-    /// Run one online campaign whose arrivals carry caller-allocated
-    /// low-band sequence numbers ([`online::SequencedJob`]) instead of
-    /// receipt-order ones.
-    ///
-    /// [`Simulator::run_online`] breaks exact-timestamp ties by receipt
-    /// order, which is fine for a single ingestion thread but racy when a
-    /// multi-session admission layer funnels concurrent tenants into one
-    /// engine: whichever session's submission happened to win the queue
-    /// would win the tie, and the schedule would depend on thread timing.
-    /// Here the admission layer allocates each arrival's sequence itself —
-    /// e.g. `waterwise-service` partitions the band per session
-    /// (`session << 32 | request index`) — so tie order is a pure function
-    /// of the allocated sequences and the identical schedule is reproduced
-    /// by re-injecting the journaled `(spec, seq)` pairs in any order.
-    ///
-    /// Sequences must be unique and strictly below
-    /// [`online::ONLINE_ARRIVAL_SEQ_LIMIT`]; violations fail the run with
-    /// [`SimulationError::ArrivalSeqOutOfBand`] /
-    /// [`SimulationError::ArrivalSeqReused`]. Everything else — clock
-    /// pacing, the watermark rule, monotone stamps, engine modes — behaves
-    /// exactly as in [`Simulator::run_online`].
     pub fn run_online_sequenced(
         &self,
         scheduler: &mut dyn Scheduler,

@@ -4,29 +4,33 @@
 //! Offline replays preload the whole trace into the event queue before the
 //! first event dispatches. The online driver instead starts from an empty
 //! job table and *injects* jobs while the campaign runs: an
-//! `mpsc::Receiver<JobSpec>` is the arrival source, every enacted placement
-//! is reported over a bounded [`PlacementNotice`] channel as it commits,
-//! and the run ends when the source closes and every admitted job has
-//! completed. `waterwise-service` builds the request/response front-ends
-//! (in-process channels, a line-delimited-JSON TCP listener) on top of this
-//! driver; see `docs/ONLINE_SERVICE.md` for the operator-facing view.
+//! `mpsc::Receiver<SequencedJob>` is the arrival source, every enacted
+//! placement is reported over a bounded [`PlacementNotice`] channel as it
+//! commits, and the run ends when the source closes and every admitted job
+//! has completed. `waterwise-service` builds the request/response
+//! front-end (the multi-session host and its line-delimited-JSON TCP
+//! listener) on top of this driver; see `docs/ONLINE_SERVICE.md` for the
+//! operator-facing view.
 //!
 //! # The identity discipline
 //!
 //! The driver's contract is that going online changes *when* work is
 //! revealed to the engine, never *what* the engine computes: replaying an
 //! online run's recorded trace ([`OnlineReport::trace`]) through
-//! [`Simulator::run`] produces the byte-identical schedule. Three
-//! mechanisms enforce it:
+//! [`Simulator::run`] produces the byte-identical schedule whenever the
+//! caller's sequences increase in receipt order (a single session; see
+//! [`OnlineReport::trace`] for the general case). Three mechanisms enforce
+//! it:
 //!
 //! 1. **Split sequence bands.** In an offline replay every arrival enters
 //!    the queue before the first round, so on exact timestamp ties arrivals
 //!    always order ahead of round/decision events. The online driver cannot
-//!    rely on push order — arrivals are pushed throughout the run — so it
-//!    stamps them from a dedicated low sequence band (`0, 1, 2, …` in
-//!    receipt order) and floors the regular band at `ONLINE_ROUND_SEQ_BASE`
-//!    (2^48). Relative order within each band matches the offline replay,
-//!    and the low band wins every cross-band tie, exactly as offline.
+//!    rely on push order — arrivals are pushed throughout the run — so
+//!    they carry caller-allocated sequences from a dedicated low band
+//!    ([`SequencedJob::seq`]) and the regular band is floored at
+//!    `ONLINE_ROUND_SEQ_BASE` (2^48). Relative order within each band
+//!    matches the offline replay, and the low band wins every cross-band
+//!    tie, exactly as offline.
 //! 2. **The watermark rule.** A queued event dispatches only when no
 //!    earlier (or equally-timed) arrival can still be injected:
 //!    [`ClockMode::Discrete`] requires a strictly later injection (or the
@@ -40,8 +44,8 @@
 //!
 //! The guarantee is property-tested in `waterwise-service`
 //! (`tests/online_equivalence.rs`) across Sync and Pipelined engine modes
-//! and asserted again inside the `fig17_service` benchmark over the TCP
-//! path.
+//! and asserted again over the TCP path by the `fig17` golden-snapshot
+//! test in `waterwise-bench`.
 
 use super::clock::{ClockMode, SimClock};
 use super::pipeline::{solver_stage, SolveRequest, SolveResponse};
@@ -52,24 +56,24 @@ use crate::error::SimulationError;
 use crate::metrics::{CampaignSummary, JobOutcome, OverheadSample, PipelineStats};
 use crate::scheduler::{Scheduler, SchedulingContext, SolverActivity};
 use std::collections::BTreeSet;
-use std::sync::mpsc::{Receiver, RecvError, RecvTimeoutError, SyncSender, TryRecvError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::time::{Duration, Instant};
 use waterwise_sustain::Seconds;
 use waterwise_telemetry::{ConditionsProvider, Region};
 use waterwise_traces::{JobId, JobSpec};
 
 /// Floor of the sequence band used for round/decision/completion events in
-/// an online run. Arrivals are stamped from the low band (`0, 1, 2, …` in
-/// receipt order), so they win every exact-timestamp tie against the high
-/// band — the ordering an offline replay produces by pushing all arrivals
-/// first. 2^48 events is far beyond any campaign; the bands cannot collide.
+/// an online run. Arrivals carry sequences from the low band, so they win
+/// every exact-timestamp tie against the high band — the ordering an
+/// offline replay produces by pushing all arrivals first. 2^48 events is
+/// far beyond any campaign; the bands cannot collide.
 pub(crate) const ONLINE_ROUND_SEQ_BASE: u64 = 1 << 48;
 
-/// Exclusive upper bound of the low (arrival) sequence band for
-/// caller-sequenced online runs ([`Simulator::run_online_sequenced`]).
-/// Every caller-allocated arrival sequence must be strictly below this
-/// value or the arrival would collide with the round/decision band and the
-/// run is rejected with [`SimulationError::ArrivalSeqOutOfBand`].
+/// Exclusive upper bound of the low (arrival) sequence band of an online
+/// run ([`Simulator::run_online_sequenced`]). Every caller-allocated
+/// arrival sequence must be strictly below this value or the arrival would
+/// collide with the round/decision band and the run is rejected with
+/// [`SimulationError::ArrivalSeqOutOfBand`].
 ///
 /// The admission layer in `waterwise-service` partitions this band per
 /// session (`session << 32 | request`), which makes exact-timestamp tie
@@ -112,7 +116,7 @@ pub struct PlacementNotice {
     pub solver: Option<SolverActivity>,
 }
 
-/// A job injected into a caller-sequenced online run
+/// A job injected into an online run
 /// ([`Simulator::run_online_sequenced`]) together with its caller-allocated
 /// low-band arrival sequence.
 ///
@@ -138,15 +142,16 @@ pub struct OnlineReport {
     /// run's.
     pub report: SimulationReport,
     /// Every admitted job in receipt order, with the submit times they
-    /// were stamped with — replaying this trace through
+    /// were stamped with. When the sequences increased in receipt order
+    /// (one session feeding the run), replaying this trace through
     /// [`Simulator::run`] reproduces [`OnlineReport::report`]'s schedule
     /// byte-identically.
     ///
-    /// For caller-sequenced runs ([`Simulator::run_online_sequenced`])
-    /// receipt order and sequence order may differ, so an offline replay
-    /// must re-inject the trace through `run_online_sequenced` with the
-    /// same per-arrival sequences (the service's admission journal records
-    /// them) rather than through [`Simulator::run`].
+    /// When receipt order and sequence order differ (concurrent sessions
+    /// with private bands), an offline replay must re-inject the trace
+    /// through `run_online_sequenced` with the same per-arrival sequences
+    /// (the service's admission journal records them) rather than through
+    /// [`Simulator::run`].
     pub trace: Vec<JobSpec>,
 }
 
@@ -161,80 +166,13 @@ enum SolveBackend<'s> {
     },
 }
 
-/// The arrival source of an online run: either a plain [`JobSpec`] channel
-/// (the driver assigns low-band sequences `0, 1, 2, …` in receipt order) or
-/// a caller-sequenced channel (the caller allocated each arrival's low-band
-/// sequence up front, e.g. from per-session bands).
-enum ArrivalStream {
-    Auto(Receiver<JobSpec>),
-    Sequenced(Receiver<SequencedJob>),
-}
-
-impl ArrivalStream {
-    fn try_recv(&self) -> Result<(JobSpec, Option<u64>), TryRecvError> {
-        match self {
-            ArrivalStream::Auto(rx) => rx.try_recv().map(|spec| (spec, None)),
-            ArrivalStream::Sequenced(rx) => rx.try_recv().map(|job| (job.spec, Some(job.seq))),
-        }
-    }
-
-    fn recv(&self) -> Result<(JobSpec, Option<u64>), RecvError> {
-        match self {
-            ArrivalStream::Auto(rx) => rx.recv().map(|spec| (spec, None)),
-            ArrivalStream::Sequenced(rx) => rx.recv().map(|job| (job.spec, Some(job.seq))),
-        }
-    }
-
-    fn recv_timeout(&self, wait: Duration) -> Result<(JobSpec, Option<u64>), RecvTimeoutError> {
-        match self {
-            ArrivalStream::Auto(rx) => rx.recv_timeout(wait).map(|spec| (spec, None)),
-            ArrivalStream::Sequenced(rx) => {
-                rx.recv_timeout(wait).map(|job| (job.spec, Some(job.seq)))
-            }
-        }
-    }
-}
-
-/// Run one online campaign. See [`Simulator::run_online`] for the public
-/// contract and [`self`] (module docs) for the identity discipline.
-pub(crate) fn run_online<P: ConditionsProvider>(
-    sim: &Simulator<P>,
-    scheduler: &mut dyn Scheduler,
-    arrivals: Receiver<JobSpec>,
-    placements: SyncSender<PlacementNotice>,
-    clock: ClockMode,
-) -> Result<OnlineReport, SimulationError> {
-    run_online_stream(
-        sim,
-        scheduler,
-        ArrivalStream::Auto(arrivals),
-        placements,
-        clock,
-    )
-}
-
-/// Run one caller-sequenced online campaign. See
-/// [`Simulator::run_online_sequenced`] for the public contract.
+/// Run one online campaign. See [`Simulator::run_online_sequenced`] for
+/// the public contract and [`self`] (module docs) for the identity
+/// discipline.
 pub(crate) fn run_online_sequenced<P: ConditionsProvider>(
     sim: &Simulator<P>,
     scheduler: &mut dyn Scheduler,
     arrivals: Receiver<SequencedJob>,
-    placements: SyncSender<PlacementNotice>,
-    clock: ClockMode,
-) -> Result<OnlineReport, SimulationError> {
-    run_online_stream(
-        sim,
-        scheduler,
-        ArrivalStream::Sequenced(arrivals),
-        placements,
-        clock,
-    )
-}
-
-fn run_online_stream<P: ConditionsProvider>(
-    sim: &Simulator<P>,
-    scheduler: &mut dyn Scheduler,
-    arrivals: ArrivalStream,
     placements: SyncSender<PlacementNotice>,
     clock: ClockMode,
 ) -> Result<OnlineReport, SimulationError> {
@@ -271,18 +209,15 @@ fn run_online_stream<P: ConditionsProvider>(
 struct OnlineDriver<'a, P> {
     sim: &'a Simulator<P>,
     state: SimState,
-    arrivals: ArrivalStream,
+    arrivals: Receiver<SequencedJob>,
     placements: SyncSender<PlacementNotice>,
     /// `None` for [`ClockMode::Discrete`], a started clock for `RealTime`.
     clock: Option<SimClock>,
     /// Whether the arrival source can still produce requests.
     open: bool,
-    /// Next low-band sequence number (receipt order of arrivals), used when
-    /// the stream does not carry caller-allocated sequences.
-    arrival_seq: u64,
-    /// Caller-allocated sequences seen so far (sequenced streams only):
-    /// a reused sequence would make the exact-tie order between the twins
-    /// ambiguous, so the run is rejected instead.
+    /// Caller-allocated sequences seen so far: a reused sequence would
+    /// make the exact-tie order between the twins ambiguous, so the run is
+    /// rejected instead.
     used_seqs: BTreeSet<u64>,
     /// Largest submit time stamped so far — the `Discrete` watermark.
     last_stamp: f64,
@@ -298,7 +233,7 @@ struct OnlineDriver<'a, P> {
 impl<'a, P: ConditionsProvider> OnlineDriver<'a, P> {
     fn new(
         sim: &'a Simulator<P>,
-        arrivals: ArrivalStream,
+        arrivals: Receiver<SequencedJob>,
         placements: SyncSender<PlacementNotice>,
         clock: ClockMode,
     ) -> Self {
@@ -316,7 +251,6 @@ impl<'a, P: ConditionsProvider> OnlineDriver<'a, P> {
             placements,
             clock,
             open: true,
-            arrival_seq: 0,
             used_seqs: BTreeSet::new(),
             last_stamp: f64::NEG_INFINITY,
             committed_time: f64::NEG_INFINITY,
@@ -339,28 +273,17 @@ impl<'a, P: ConditionsProvider> OnlineDriver<'a, P> {
         self.last_stamp.max(above_committed)
     }
 
-    /// Admit one injected job: stamp (or validate) its submit time and
-    /// enqueue its arrival from the low sequence band. `seq` is the
-    /// caller-allocated arrival sequence on sequenced streams (validated
-    /// against the band limit and for uniqueness); `None` assigns the next
-    /// receipt-order sequence.
-    fn ingest(&mut self, mut spec: JobSpec, seq: Option<u64>) -> Result<(), SimulationError> {
-        let arrival_seq = match seq {
-            None => {
-                let next = self.arrival_seq;
-                self.arrival_seq += 1;
-                next
-            }
-            Some(seq) => {
-                if seq >= ONLINE_ARRIVAL_SEQ_LIMIT {
-                    return Err(SimulationError::ArrivalSeqOutOfBand { job: spec.id, seq });
-                }
-                if !self.used_seqs.insert(seq) {
-                    return Err(SimulationError::ArrivalSeqReused { job: spec.id, seq });
-                }
-                seq
-            }
-        };
+    /// Admit one injected job: validate its caller-allocated arrival
+    /// sequence (band limit, uniqueness), stamp (or validate) its submit
+    /// time, and enqueue its arrival from the low sequence band.
+    fn ingest(&mut self, job: SequencedJob) -> Result<(), SimulationError> {
+        let SequencedJob { mut spec, seq } = job;
+        if seq >= ONLINE_ARRIVAL_SEQ_LIMIT {
+            return Err(SimulationError::ArrivalSeqOutOfBand { job: spec.id, seq });
+        }
+        if !self.used_seqs.insert(seq) {
+            return Err(SimulationError::ArrivalSeqReused { job: spec.id, seq });
+        }
         let floor = self.stamp_floor();
         let stamp = match &self.clock {
             None => {
@@ -380,7 +303,7 @@ impl<'a, P: ConditionsProvider> OnlineDriver<'a, P> {
                 stamp
             }
         };
-        self.state.push_job(spec, arrival_seq)?;
+        self.state.push_job(spec, seq)?;
         self.last_stamp = stamp;
         Ok(())
     }
@@ -390,7 +313,7 @@ impl<'a, P: ConditionsProvider> OnlineDriver<'a, P> {
     fn drain_injections(&mut self) -> Result<(), SimulationError> {
         while self.open {
             match self.arrivals.try_recv() {
-                Ok((spec, seq)) => self.ingest(spec, seq)?,
+                Ok(job) => self.ingest(job)?,
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => self.open = false,
             }
@@ -401,7 +324,7 @@ impl<'a, P: ConditionsProvider> OnlineDriver<'a, P> {
     /// Block until the source produces a request (ingested) or closes.
     fn await_source(&mut self) -> Result<(), SimulationError> {
         match self.arrivals.recv() {
-            Ok((spec, seq)) => self.ingest(spec, seq),
+            Ok(job) => self.ingest(job),
             Err(_) => {
                 self.open = false;
                 Ok(())
@@ -467,7 +390,7 @@ impl<'a, P: ConditionsProvider> OnlineDriver<'a, P> {
                     Some(clock) => {
                         let wait = clock.wall_until(time);
                         match self.arrivals.recv_timeout(wait) {
-                            Ok((spec, seq)) => self.ingest(spec, seq)?,
+                            Ok(job) => self.ingest(job)?,
                             Err(RecvTimeoutError::Timeout) => {}
                             Err(RecvTimeoutError::Disconnected) => self.open = false,
                         }

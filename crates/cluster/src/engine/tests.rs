@@ -503,8 +503,22 @@ fn pipelined_commit_wait_never_exceeds_reported_stall_totals() {
 mod online_driver {
     use super::*;
     use crate::engine::clock::ClockMode;
-    use crate::engine::online::OnlineReport;
-    use crate::engine::online::PlacementNotice;
+    use crate::engine::online::{OnlineReport, PlacementNotice, SequencedJob};
+    use std::sync::mpsc::Receiver;
+
+    /// Buffer `jobs` as a closed arrival stream, each sequenced by its
+    /// receipt index — what a single feeder hands the driver.
+    fn sequenced_stream(jobs: &[JobSpec]) -> Receiver<SequencedJob> {
+        let (tx, rx) = std::sync::mpsc::sync_channel(jobs.len().max(1));
+        for (index, spec) in jobs.iter().cloned().enumerate() {
+            tx.send(SequencedJob {
+                spec,
+                seq: index as u64,
+            })
+            .unwrap();
+        }
+        rx
+    }
 
     /// Feed `jobs` through the online driver in submission order (the whole
     /// stream is buffered up front, which a bounded channel permits because
@@ -516,13 +530,10 @@ mod online_driver {
         jobs: &[JobSpec],
         clock: ClockMode,
     ) -> (OnlineReport, Vec<PlacementNotice>) {
-        let (tx, rx) = std::sync::mpsc::sync_channel(jobs.len().max(1));
         let (notice_tx, notice_rx) = std::sync::mpsc::sync_channel(jobs.len() + 4);
-        for job in jobs {
-            tx.send(job.clone()).unwrap();
-        }
-        drop(tx);
-        let report = sim.run_online(scheduler, rx, notice_tx, clock).unwrap();
+        let report = sim
+            .run_online_sequenced(scheduler, sequenced_stream(jobs), notice_tx, clock)
+            .unwrap();
         let notices: Vec<_> = notice_rx.iter().collect();
         (report, notices)
     }
@@ -612,30 +623,25 @@ mod online_driver {
     #[test]
     fn discrete_rejects_out_of_order_and_duplicate_injections() {
         let sim = simulator(10, 0.5);
-        let (tx, rx) = std::sync::mpsc::sync_channel(4);
         let (notice_tx, _notice_rx) = std::sync::mpsc::sync_channel(4);
         let mut early = hand_built_job(100.0, 60.0);
         early.id = JobId(1);
         let mut late = hand_built_job(50.0, 60.0);
         late.id = JobId(2);
-        tx.send(early).unwrap();
-        tx.send(late).unwrap();
-        drop(tx);
+        let rx = sequenced_stream(&[early, late]);
         let err = sim
-            .run_online(&mut HomeScheduler, rx, notice_tx, ClockMode::Discrete)
+            .run_online_sequenced(&mut HomeScheduler, rx, notice_tx, ClockMode::Discrete)
             .unwrap_err();
         assert!(matches!(
             err,
             SimulationError::OutOfOrderArrival { job: JobId(2), .. }
         ));
 
-        let (tx, rx) = std::sync::mpsc::sync_channel(4);
         let (notice_tx, _notice_rx) = std::sync::mpsc::sync_channel(4);
-        tx.send(hand_built_job(10.0, 60.0)).unwrap();
-        tx.send(hand_built_job(20.0, 60.0)).unwrap(); // same JobId(0)
-        drop(tx);
+        // Both hand-built jobs carry JobId(0).
+        let rx = sequenced_stream(&[hand_built_job(10.0, 60.0), hand_built_job(20.0, 60.0)]);
         let err = sim
-            .run_online(&mut HomeScheduler, rx, notice_tx, ClockMode::Discrete)
+            .run_online_sequenced(&mut HomeScheduler, rx, notice_tx, ClockMode::Discrete)
             .unwrap_err();
         assert!(matches!(
             err,
@@ -646,13 +652,11 @@ mod online_driver {
     #[test]
     fn dropped_notice_receiver_is_a_typed_error() {
         let sim = simulator(10, 0.5);
-        let (tx, rx) = std::sync::mpsc::sync_channel(4);
         let (notice_tx, notice_rx) = std::sync::mpsc::sync_channel(4);
         drop(notice_rx);
-        tx.send(hand_built_job(10.0, 60.0)).unwrap();
-        drop(tx);
+        let rx = sequenced_stream(&[hand_built_job(10.0, 60.0)]);
         let err = sim
-            .run_online(&mut HomeScheduler, rx, notice_tx, ClockMode::Discrete)
+            .run_online_sequenced(&mut HomeScheduler, rx, notice_tx, ClockMode::Discrete)
             .unwrap_err();
         assert!(matches!(
             err,
@@ -663,11 +667,14 @@ mod online_driver {
     #[test]
     fn empty_online_run_produces_an_empty_report() {
         let sim = simulator(10, 0.5);
-        let (tx, rx) = std::sync::mpsc::sync_channel::<JobSpec>(1);
         let (notice_tx, _notice_rx) = std::sync::mpsc::sync_channel(1);
-        drop(tx);
         let online = sim
-            .run_online(&mut HomeScheduler, rx, notice_tx, ClockMode::Discrete)
+            .run_online_sequenced(
+                &mut HomeScheduler,
+                sequenced_stream(&[]),
+                notice_tx,
+                ClockMode::Discrete,
+            )
             .unwrap();
         assert!(online.report.outcomes.is_empty());
         assert!(online.trace.is_empty());

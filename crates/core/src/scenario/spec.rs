@@ -37,8 +37,8 @@ pub struct Scenario {
     /// bit-exactly (the duration in [`CampaignConfig::trace`] is derived
     /// from it).
     pub days: f64,
-    /// Clock mode for the online service paths (`placement_server`,
-    /// `fig17`); offline campaigns ignore it.
+    /// Clock mode for the online service (`placement_server`); offline
+    /// campaigns ignore it.
     pub clock: ClockMode,
     /// The assembled campaign configuration.
     pub config: CampaignConfig,

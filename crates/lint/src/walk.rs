@@ -12,6 +12,9 @@
 //! - `crates/lint/tests/fixtures/` — deliberately violating fixture files
 //!   (covered by the `tests/` rule but called out because a lint that lints
 //!   its own counterexamples would deadlock development);
+//! - the top-level `benchmark/` directory — the perf ledger is a package of
+//!   its own outside the root workspace, and a measuring harness whose job
+//!   is to read `nproc` and the wall clock;
 //! - files named `tests.rs` — the workspace convention for an out-of-line
 //!   `#[cfg(test)] mod tests;` (the gating attribute lives in the parent
 //!   `mod.rs`, which a per-file pass cannot see).
@@ -41,7 +44,11 @@ pub fn workspace_files(root: &Path) -> io::Result<Vec<String>> {
             };
             let kind = entry.file_type()?;
             if kind.is_dir() {
-                if !SKIP_DIRS.contains(&name.as_str()) && !name.starts_with('.') {
+                let outside_workspace = rel_dir.as_os_str().is_empty() && name == "benchmark";
+                if !SKIP_DIRS.contains(&name.as_str())
+                    && !name.starts_with('.')
+                    && !outside_workspace
+                {
                     stack.push(rel);
                 }
             } else if kind.is_file() && name.ends_with(".rs") && name != "tests.rs" {
@@ -73,6 +80,10 @@ mod tests {
             "out-of-line #[cfg(test)] test modules must be skipped"
         );
         assert!(!files.iter().any(|f| f.starts_with("examples/")));
+        assert!(
+            !files.iter().any(|f| f.starts_with("benchmark/")),
+            "the standalone perf ledger is outside the root workspace"
+        );
         let mut sorted = files.clone();
         sorted.sort();
         assert_eq!(files, sorted, "walk order must be deterministic");

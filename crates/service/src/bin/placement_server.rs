@@ -7,15 +7,15 @@
 //! — and individual environment variables override knobs on top of it;
 //! see `docs/ONLINE_SERVICE.md` for the operator's guide.
 //!
-//! Two serving shapes:
-//!
-//! - **default**: one client session at a time, each session an
-//!   independent campaign with a fresh scheduler;
-//! - **multi-session** (`WATERWISE_MULTI_SESSION=<n>`): one persistent
-//!   engine run hosting `n` *concurrent* client sessions with per-tenant
-//!   admission control; on completion the host prints the campaign
-//!   summary and (with `WATERWISE_JOURNAL=<path>`) writes the admission
-//!   journal, replayable via [`waterwise_service::Journal`].
+//! One serving shape: each engine run is a [`ClusterHost`] hosting
+//! `WATERWISE_MULTI_SESSION` *concurrent* client sessions (default 1) with
+//! per-tenant admission control and a fresh scheduler; runs share the
+//! (optionally persistent) solution cache, so later runs start warm. When
+//! a run's sessions have all ended it prints the campaign summary and
+//! (with `WATERWISE_JOURNAL=<path>`) writes the admission journal,
+//! replayable via [`waterwise_service::Journal`]. The server exits after
+//! `WATERWISE_SESSIONS` sessions in total — by default after one run when
+//! `WATERWISE_MULTI_SESSION` is set, never otherwise.
 //!
 //! | Variable | Overrides | Meaning |
 //! |---|---|---|
@@ -26,15 +26,15 @@
 //! | `WATERWISE_SERVERS` | `[simulation] servers_per_region` | Servers per region. |
 //! | `WATERWISE_TOLERANCE` | `[simulation] delay_tolerance` | Delay tolerance (fraction of execution time). |
 //! | `WATERWISE_SEED` | `[scenario] seed` | Trace + telemetry seed. |
-//! | `WATERWISE_SESSIONS` | — | Single-session mode: serve this many sessions, then exit. |
-//! | `WATERWISE_MULTI_SESSION` | — | Host this many concurrent sessions on one engine run. |
-//! | `WATERWISE_ADMISSION` | — | Multi-session drain mode: `streaming` (default) or `gated`. |
+//! | `WATERWISE_SESSIONS` | — | Serve this many sessions in total, then exit. |
+//! | `WATERWISE_MULTI_SESSION` | — | Concurrent sessions per engine run (default 1). |
+//! | `WATERWISE_ADMISSION` | — | Drain mode: `streaming` (default) or `gated`. |
 //! | `WATERWISE_TENANT_QUOTA` | — | Per-tenant in-flight quota (default 64). |
 //! | `WATERWISE_DRR_QUANTUM` | — | Deficit-round-robin quantum (default 8). |
-//! | `WATERWISE_JOURNAL` | — | Multi-session: write the admission journal to this path. |
+//! | `WATERWISE_JOURNAL` | — | Write each finished run's admission journal to this path. |
 //! | `WATERWISE_CACHE_PATH` | `[campaign] cache_path` | Warm-load the solution cache from this snapshot at startup and persist it back at shutdown. |
-//! | `WATERWISE_JOURNAL_PATH` | — | Multi-session: *stream* the admission journal to this file as entries are admitted (crash durability). |
-//! | `WATERWISE_RESUME` | — | `1`/`true`: replay a recovered `WATERWISE_JOURNAL_PATH` journal at startup, rebuilding warm state before new sessions. |
+//! | `WATERWISE_JOURNAL_PATH` | — | *Stream* the current run's admission journal to this file as entries are admitted (crash durability). |
+//! | `WATERWISE_RESUME` | — | `1`/`true`: the first run replays a recovered `WATERWISE_JOURNAL_PATH` journal at startup, rebuilding warm state before new sessions. |
 
 use std::path::{Path, PathBuf};
 use waterwise_cluster::{ClockMode, EngineMode};
@@ -43,7 +43,7 @@ use waterwise_core::{
 };
 use waterwise_service::{
     AdmissionConfig, AdmissionMode, ClusterHost, HostPersistence, Journal, PlacementService,
-    ServiceConfig, TcpClusterServer, TcpPlacementServer,
+    ServiceConfig, TcpClusterServer,
 };
 use waterwise_sustain::FootprintEstimator;
 
@@ -51,9 +51,9 @@ fn env_opt<T: std::str::FromStr>(key: &str) -> Option<T> {
     std::env::var(key).ok().and_then(|v| v.parse().ok())
 }
 
-/// Print the failure and exit with the operator-error status. The serving
-/// loops report per-session errors instead; this is for startup-time
-/// misconfiguration (bad spec, unbindable address).
+/// Print the failure and exit with the operator-error status. A failed run
+/// is reported and the server keeps going; this is for startup-time
+/// misconfiguration (bad spec, unbindable address, unusable journal).
 fn exit_with(message: std::fmt::Arguments<'_>) -> ! {
     eprintln!("{message}");
     std::process::exit(2);
@@ -156,17 +156,19 @@ fn finish_autosave(guard: Option<CacheAutosave>) {
 }
 
 /// Journal durability from the environment: `WATERWISE_JOURNAL_PATH`
-/// streams the admission journal to disk; `WATERWISE_RESUME=1` first
-/// replays whatever journal survived at that path.
-fn persistence_setup() -> HostPersistence {
+/// streams the run's admission journal to disk; `WATERWISE_RESUME=1` has
+/// the server's first run (`resume`) replay whatever journal survived at
+/// that path.
+fn persistence_setup(resume: bool) -> HostPersistence {
     let mut persistence = HostPersistence::default();
     let Some(path) = std::env::var_os("WATERWISE_JOURNAL_PATH").map(PathBuf::from) else {
         return persistence;
     };
-    let resume = matches!(
-        std::env::var("WATERWISE_RESUME").as_deref(),
-        Ok("1") | Ok("true")
-    );
+    let resume = resume
+        && matches!(
+            std::env::var("WATERWISE_RESUME").as_deref(),
+            Ok("1") | Ok("true")
+        );
     if resume && path.exists() {
         match Journal::load(&path) {
             Ok(journal) => {
@@ -183,7 +185,7 @@ fn persistence_setup() -> HostPersistence {
     persistence.with_journal_path(path)
 }
 
-/// The multi-session admission policy from the environment.
+/// The admission policy from the environment.
 fn admission_config(concurrent: usize) -> AdmissionConfig {
     let mut config = AdmissionConfig {
         mode: AdmissionMode::Streaming {
@@ -205,14 +207,21 @@ fn admission_config(concurrent: usize) -> AdmissionConfig {
     config
 }
 
-/// Host `concurrent` simultaneous sessions on one persistent engine run.
-fn serve_multi_session(
-    service: PlacementService,
+/// One engine run: host `concurrent` simultaneous sessions on a fresh
+/// [`ClusterHost`] until every one of them has ended, then report. Returns
+/// whether the run's engine finished cleanly.
+fn serve_run(
+    server: &TcpClusterServer,
+    config: &ServiceConfig,
     scenario: &Scenario,
-    addr: &str,
+    cache: Option<SolutionCacheHandle>,
     concurrent: usize,
-) {
-    let (cache, autosave) = cache_setup(scenario);
+    first_run: bool,
+) -> bool {
+    let service = match PlacementService::new(config.clone()) {
+        Ok(service) => service,
+        Err(error) => exit_with(format_args!("invalid service configuration: {error}")),
+    };
     let scheduler = build_scheduler(
         SchedulerKind::WaterWise,
         service.telemetry(),
@@ -221,37 +230,27 @@ fn serve_multi_session(
         cache,
     );
     let admission = admission_config(concurrent);
-    let persistence = persistence_setup();
+    let persistence = persistence_setup(first_run);
     let host = match ClusterHost::start_persistent(service, admission, scheduler, persistence) {
         Ok(host) => host,
         Err(error) => exit_with(format_args!("failed to start cluster host: {error}")),
     };
-    let server = match TcpClusterServer::bind(addr) {
-        Ok(server) => server,
-        Err(error) => exit_with(format_args!("failed to bind {addr}: {error}")),
-    };
-    match server.local_addr() {
-        Ok(local) => eprintln!(
-            "placement_server hosting {concurrent} concurrent sessions on {local} \
-             (scenario {}, seed {})",
-            scenario.name, scenario.seed,
-        ),
-        Err(error) => exit_with(format_args!("listener has no local address: {error}")),
-    }
     if let Err(error) = server.serve_sessions(&host, concurrent) {
-        eprintln!("multi-session serve ended with a session failure: {error}");
+        eprintln!("serve ended with a session failure: {error}");
     }
     match host.shutdown() {
         Ok(report) => {
             eprintln!(
                 "host done: {} sessions, {} tenants, accepted {}, rejected {}, served {}, \
-                 makespan {:.0} s, digest {:016x}",
+                 makespan {:.0} s, total {:.1} gCO2 / {:.1} L, digest {:016x}",
                 report.sessions,
                 report.tenants.len(),
                 report.accepted,
                 report.rejected,
                 report.served,
                 report.report.makespan.value(),
+                report.report.summary.total_carbon.value(),
+                report.report.summary.total_water.value(),
                 report.schedule_digest(),
             );
             if let Some(path) = std::env::var_os("WATERWISE_JOURNAL") {
@@ -264,10 +263,13 @@ fn serve_multi_session(
                     Err(error) => eprintln!("failed to write journal: {error}"),
                 }
             }
+            true
         }
-        Err(error) => exit_with(format_args!("host failed: {error}")),
+        Err(error) => {
+            eprintln!("host failed: {error}");
+            false
+        }
     }
-    finish_autosave(autosave);
 }
 
 fn main() {
@@ -293,28 +295,27 @@ fn main() {
     }
     let engine = simulation.engine;
     let clock = clock_override().unwrap_or(scenario.clock);
-    let telemetry = scenario.config.telemetry;
-    let addr = std::env::var("WATERWISE_ADDR").unwrap_or_else(|_| "127.0.0.1:7878".to_string());
-    let sessions: usize = env_opt("WATERWISE_SESSIONS").unwrap_or(usize::MAX);
-
-    let service =
-        match PlacementService::new(ServiceConfig::new(simulation, telemetry).with_clock(clock)) {
-            Ok(service) => service,
-            Err(error) => exit_with(format_args!("invalid service configuration: {error}")),
-        };
-
-    if let Some(concurrent) = env_opt::<usize>("WATERWISE_MULTI_SESSION") {
-        serve_multi_session(service, &scenario, &addr, concurrent.max(1));
-        return;
+    if let Err(error) = simulation.validate() {
+        exit_with(format_args!("invalid service configuration: {error}"));
     }
+    let config = ServiceConfig::new(simulation, scenario.config.telemetry).with_clock(clock);
+    let addr = std::env::var("WATERWISE_ADDR").unwrap_or_else(|_| "127.0.0.1:7878".to_string());
+    let multi_session = env_opt::<usize>("WATERWISE_MULTI_SESSION");
+    let concurrent = multi_session.unwrap_or(1).max(1);
+    // Naming a concurrency asks for exactly one run of that many sessions;
+    // the plain invocation keeps serving clients until killed.
+    let sessions: usize = env_opt("WATERWISE_SESSIONS")
+        .or(multi_session.map(|_| concurrent))
+        .unwrap_or(usize::MAX);
 
-    let server = match TcpPlacementServer::bind(&addr) {
+    let server = match TcpClusterServer::bind(&addr) {
         Ok(server) => server,
         Err(error) => exit_with(format_args!("failed to bind {addr}: {error}")),
     };
     match server.local_addr() {
         Ok(local) => eprintln!(
-            "placement_server listening on {local} (scenario {}, clock {}, engine {}, seed {})",
+            "placement_server listening on {local}, {concurrent} concurrent session(s) per run \
+             (scenario {}, clock {}, engine {}, seed {})",
             scenario.name,
             clock.label(),
             engine.label(),
@@ -324,30 +325,19 @@ fn main() {
     }
 
     let (cache, autosave) = cache_setup(&scenario);
-    for session in 0..sessions {
-        // One fresh WaterWise scheduler per session: sessions are
-        // independent campaigns — but they share the (optionally
-        // persistent) solution cache, so later sessions start warm.
-        let mut scheduler = build_scheduler(
-            SchedulerKind::WaterWise,
-            service.telemetry(),
-            FootprintEstimator::new(service.config().simulation.datacenter),
-            &scenario.config.waterwise,
-            cache.clone(),
-        );
-        match server.serve_connection(&service, scheduler.as_mut()) {
-            Ok(report) => eprintln!(
-                "session {session}: accepted {}, rejected {}, served {}, \
-                 makespan {:.0} s, total {:.1} gCO2 / {:.1} L",
-                report.accepted,
-                report.rejected,
-                report.served,
-                report.report.makespan.value(),
-                report.report.summary.total_carbon.value(),
-                report.report.summary.total_water.value(),
-            ),
-            Err(error) => eprintln!("session {session} failed: {error}"),
-        }
+    let mut served = 0usize;
+    let mut failed = false;
+    while served < sessions {
+        let batch = concurrent.min(sessions - served);
+        // Runs are independent campaigns over a fresh engine — but they
+        // share the (optionally persistent) solution cache, so later runs
+        // start warm.
+        let first_run = served == 0;
+        failed |= !serve_run(&server, &config, &scenario, cache.clone(), batch, first_run);
+        served += batch;
     }
     finish_autosave(autosave);
+    if failed {
+        std::process::exit(2);
+    }
 }

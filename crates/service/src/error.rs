@@ -9,10 +9,11 @@ use waterwise_traces::JobId;
 /// Everything that can go wrong while serving placement requests.
 ///
 /// The service distinguishes *per-request* failures (a malformed line, a
-/// duplicate id), which are reported back to the client and do not stop the
-/// service, from *run-level* failures (the engine rejecting the stream, a
-/// dead response sink, transport I/O), which terminate
-/// [`crate::PlacementService::serve`] with one of these variants.
+/// duplicate id, a quota rejection), which are reported back to the client
+/// and do not stop the service, from *run-level* failures (the engine
+/// rejecting the stream, transport I/O), which end the host run
+/// ([`crate::ClusterHost::shutdown`]) or the TCP serve call with one of
+/// these variants.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServiceError {
     /// The simulation configuration backing the service is invalid.
@@ -27,27 +28,23 @@ pub enum ServiceError {
     Io(String),
     /// A request line could not be parsed into a [`crate::PlacementRequest`].
     /// The TCP front-end reports this back to the client on the connection
-    /// and keeps serving; it only becomes a run-level error for sources
-    /// that cannot continue past garbage.
+    /// and keeps serving.
     MalformedRequest {
-        /// 1-based line number on the connection (0 for non-line sources).
+        /// 1-based line number on the connection (0 for in-process
+        /// submissions).
         line: usize,
         /// What was wrong with it.
         message: String,
     },
-    /// A request reused the id of an earlier request in the same session.
+    /// A request reused the id of an earlier request on the same host run.
     /// The request is dropped (and reported back to the client where the
     /// transport allows) before it can poison the engine.
     DuplicateRequest {
         /// The reused id.
         id: JobId,
     },
-    /// The caller dropped the response receiver while placements were still
-    /// being made; the service shuts down instead of silently discarding
-    /// answers.
-    ResponseSinkClosed,
-    /// The service already stopped accepting requests (the engine ended or
-    /// failed), so a [`crate::RequestSender::submit`] had no receiver.
+    /// The host already stopped accepting requests (admission closed, the
+    /// session ended its stream, or the engine ended or failed).
     ServiceStopped,
     /// A tenant hit its bounded in-flight quota on the multi-session host:
     /// the request was shed *before* the admission queue instead of letting
@@ -108,9 +105,6 @@ impl fmt::Display for ServiceError {
             }
             ServiceError::DuplicateRequest { id } => {
                 write!(f, "duplicate request id {id} in this session")
-            }
-            ServiceError::ResponseSinkClosed => {
-                write!(f, "response sink hung up while placements were pending")
             }
             ServiceError::ServiceStopped => {
                 write!(f, "the placement service is no longer accepting requests")
@@ -196,9 +190,6 @@ mod tests {
         }
         .to_string()
         .contains("line 3"));
-        assert!(ServiceError::ResponseSinkClosed
-            .to_string()
-            .contains("sink"));
         let io: ServiceError = std::io::Error::new(std::io::ErrorKind::BrokenPipe, "gone").into();
         assert!(io.to_string().contains("gone"));
     }

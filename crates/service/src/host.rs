@@ -1,8 +1,7 @@
-//! The multi-tenant persistent placement host.
+//! The multi-tenant persistent placement host — the one serving path.
 //!
-//! Where [`crate::PlacementService::serve`] runs one source-to-drain
-//! session per call, a [`ClusterHost`] keeps **one** engine run alive
-//! across many concurrent sessions: it owns the persistent
+//! A [`ClusterHost`] keeps **one** engine run alive across its sessions —
+//! a single client is simply a one-session host: it owns the persistent
 //! [`crate::PlacementService`] (simulated cluster, telemetry, and — via
 //! the engine — the scheduler's warmed solution cache and solver
 //! workspace) and multiplexes sessions onto it through a shared
@@ -120,7 +119,10 @@ pub struct HostReport {
     /// identical in structure to an offline run's.
     pub report: SimulationReport,
     /// Every admitted job in engine receipt order with its stamped
-    /// submit time.
+    /// submit time. For a one-session host, replaying this trace offline
+    /// through [`waterwise_cluster::Simulator::run`] reproduces `report`'s
+    /// schedule byte-identically (concurrent sessions need the journal's
+    /// sequences — see [`HostReport::journal`]).
     pub trace: Vec<JobSpec>,
     /// The admission journal: replaying it offline
     /// ([`crate::Journal::replay`]) reproduces `report`'s schedule

@@ -1,19 +1,13 @@
-//! The placement service: glue between a [`RequestSource`] and the online
-//! engine driver.
+//! The placement service: the simulated cluster, its telemetry, and the
+//! response enrichment a [`crate::ClusterHost`] serves sessions against.
 
 use crate::error::ServiceError;
 use crate::request::PlacementResponse;
-use crate::source::RequestSource;
-use crate::sync::{join_or_resume, lock_clean};
-use std::collections::{HashMap, HashSet};
-use std::sync::mpsc::SyncSender;
-use std::sync::{Arc, Mutex};
-use waterwise_cluster::{
-    ClockMode, PlacementNotice, Scheduler, SimulationConfig, SimulationReport, Simulator,
-};
+use std::sync::Arc;
+use waterwise_cluster::{ClockMode, PlacementNotice, SimulationConfig, Simulator};
 use waterwise_sustain::{FootprintEstimator, JobResourceUsage, KilowattHours, Seconds};
 use waterwise_telemetry::{ConditionsProvider, SyntheticTelemetry, TelemetryConfig};
-use waterwise_traces::{JobId, JobSpec};
+use waterwise_traces::JobSpec;
 
 /// Configuration of one placement service instance.
 #[derive(Debug, Clone)]
@@ -27,13 +21,13 @@ pub struct ServiceConfig {
     /// The time authority: [`ClockMode::Discrete`] for deterministic
     /// replay, [`ClockMode::RealTime`] for live pacing.
     pub clock: ClockMode,
-    /// Bounded depth of the ingestion channel into the engine. A full
-    /// channel blocks the ingestion thread, which backpressures the
-    /// request source.
+    /// Bounded depth of the arrival channel into the engine. A full
+    /// channel blocks the host's feeder thread; admitted requests then
+    /// wait in the admission queue.
     pub ingest_queue: usize,
-    /// Bounded depth of the engine→response enrichment channel. A full
-    /// channel blocks the engine's commit step, which backpressures the
-    /// whole pipeline.
+    /// Bounded depth of the engine→router notice channel and of each
+    /// session's response outbox. A full channel blocks the engine's
+    /// commit step, which backpressures the whole pipeline.
     pub notice_queue: usize,
 }
 
@@ -75,72 +69,14 @@ impl ServiceConfig {
     }
 }
 
-/// What a completed serving session reports.
-#[derive(Debug, Clone)]
-pub struct ServiceReport {
-    /// The campaign-level simulation report, identical in structure to an
-    /// offline run's.
-    pub report: SimulationReport,
-    /// Every admitted job in receipt order with its stamped submit time —
-    /// replaying this trace offline through [`Simulator::run`] reproduces
-    /// `report`'s schedule byte-identically.
-    pub trace: Vec<JobSpec>,
-    /// Requests admitted into the engine.
-    pub accepted: usize,
-    /// Requests rejected before the engine (duplicate ids).
-    pub rejected: usize,
-    /// Placement responses delivered.
-    pub served: usize,
-}
-
-/// An online placement front-end over the WaterWise simulation engine.
+/// The simulated cluster behind the online placement front-end.
 ///
-/// One service instance owns the simulated cluster and its telemetry; each
-/// [`PlacementService::serve`] call runs one serving *session*: requests
-/// are pulled from a [`RequestSource`], injected into the engine as
-/// arrivals, and answered with enriched [`PlacementResponse`]s (region,
-/// slot, projected carbon/water footprint, deadline feasibility) as the
-/// scheduler commits placements. The session ends when the source ends and
-/// every admitted job has completed.
-///
-/// ```
-/// use waterwise_service::{channel_source, PlacementRequest, PlacementService, ServiceConfig};
-/// use waterwise_sustain::{KilowattHours, Seconds};
-/// use waterwise_telemetry::Region;
-/// use waterwise_traces::{Benchmark, JobId, JobSpec};
-/// use waterwise_core::{build_scheduler, SchedulerKind, WaterWiseConfig};
-/// use waterwise_sustain::FootprintEstimator;
-///
-/// let service = PlacementService::new(ServiceConfig::small_demo(42)).unwrap();
-/// let mut scheduler = build_scheduler(
-///     SchedulerKind::WaterWise,
-///     service.telemetry(),
-///     FootprintEstimator::new(service.config().simulation.datacenter),
-///     &WaterWiseConfig::default(),
-///     None,
-/// );
-///
-/// let (sender, source) = channel_source(8);
-/// for id in 0..3 {
-///     sender.submit(PlacementRequest::new(JobSpec {
-///         id: JobId(id),
-///         benchmark: Benchmark::Blackscholes,
-///         submit_time: Seconds::new(10.0 * id as f64),
-///         home_region: Region::Milan,
-///         actual_execution_time: Seconds::new(300.0),
-///         actual_energy: KilowattHours::new(0.02),
-///         estimated_execution_time: Seconds::new(300.0),
-///         estimated_energy: KilowattHours::new(0.02),
-///         package_bytes: 1 << 20,
-///     })).unwrap();
-/// }
-/// drop(sender); // end of stream: the session drains and returns
-///
-/// let (report, responses) = service.serve_collect(source, scheduler.as_mut()).unwrap();
-/// assert_eq!(report.accepted, 3);
-/// assert_eq!(responses.len(), 3);
-/// assert!(responses.iter().all(|r| r.projection.total_carbon().value() > 0.0));
-/// ```
+/// One service instance owns the simulated cluster and its telemetry. It
+/// serves nothing by itself: a [`crate::ClusterHost`] runs one engine
+/// campaign over it and multiplexes sessions onto that run (see the
+/// host's docs for a worked example), enriching every engine placement
+/// notice into a [`PlacementResponse`] (region, slot, projected
+/// carbon/water footprint, deadline feasibility).
 pub struct PlacementService {
     config: ServiceConfig,
     telemetry: Arc<SyntheticTelemetry>,
@@ -166,7 +102,7 @@ impl PlacementService {
     }
 
     /// The ground-truth telemetry provider (shareable; hand clones to the
-    /// schedulers you build for [`PlacementService::serve`]).
+    /// scheduler you build for the host).
     pub fn telemetry(&self) -> Arc<SyntheticTelemetry> {
         self.telemetry.clone()
     }
@@ -176,132 +112,8 @@ impl PlacementService {
         self.simulator.estimator()
     }
 
-    /// Run one serving session: pull requests from `source` until it ends,
-    /// place them with `scheduler`, and deliver every placement over
-    /// `responses` as it commits. Blocks until the session drains (every
-    /// admitted job completed); returns the campaign report plus the
-    /// recorded trace.
-    ///
-    /// Duplicate-id requests are rejected before the engine (counted in
-    /// [`ServiceReport::rejected`] and reported through
-    /// [`RequestSource::reject`]); a closed `responses` receiver, a source
-    /// error, or an engine failure terminates the session with a typed
-    /// [`ServiceError`].
-    pub fn serve<S: RequestSource>(
-        &self,
-        source: S,
-        scheduler: &mut dyn Scheduler,
-        responses: SyncSender<PlacementResponse>,
-    ) -> Result<ServiceReport, ServiceError> {
-        let (job_tx, job_rx) = std::sync::mpsc::sync_channel::<JobSpec>(self.config.ingest_queue);
-        let (notice_tx, notice_rx) =
-            std::sync::mpsc::sync_channel::<PlacementNotice>(self.config.notice_queue);
-        // Request specs by id, parked between ingestion and enrichment (the
-        // notice identifies the job; the response needs its estimates).
-        let in_flight: Mutex<HashMap<JobId, JobSpec>> = Mutex::new(HashMap::new());
-
-        let interrupter = source.interrupter();
-        std::thread::scope(|scope| {
-            let ingestion = scope.spawn({
-                let in_flight = &in_flight;
-                let mut source = source;
-                move || -> Result<(usize, usize), ServiceError> {
-                    let mut seen: HashSet<JobId> = HashSet::new();
-                    let (mut accepted, mut rejected) = (0usize, 0usize);
-                    while let Some(request) = source.next()? {
-                        let id = request.spec.id;
-                        if !seen.insert(id) {
-                            rejected += 1;
-                            source.reject(&request, &ServiceError::DuplicateRequest { id });
-                            continue;
-                        }
-                        lock_clean(in_flight).insert(id, request.spec.clone());
-                        if job_tx.send(request.spec).is_err() {
-                            // The engine stopped (its error surfaces from
-                            // run_online); stop pulling requests.
-                            break;
-                        }
-                        accepted += 1;
-                    }
-                    Ok((accepted, rejected))
-                }
-            });
-
-            let enrichment = scope.spawn({
-                let in_flight = &in_flight;
-                let responses = &responses;
-                move || -> Result<usize, ServiceError> {
-                    let mut served = 0usize;
-                    for notice in notice_rx.iter() {
-                        let spec = lock_clean(in_flight).remove(&notice.job);
-                        // Every notice stems from an ingested request, so
-                        // the spec is always present; tolerate its absence
-                        // rather than poisoning the session.
-                        let Some(spec) = spec else { continue };
-                        let response = self.enrich(notice, &spec);
-                        responses
-                            .send(response)
-                            .map_err(|_| ServiceError::ResponseSinkClosed)?;
-                        served += 1;
-                    }
-                    Ok(served)
-                }
-            });
-
-            // The engine runs on the calling thread. `notice_tx` moves into
-            // it and drops on return, which ends the enrichment thread;
-            // `job_tx` lives on the ingestion thread, whose sends fail once
-            // the engine returns.
-            let engine_result =
-                self.simulator
-                    .run_online(scheduler, job_rx, notice_tx, self.config.clock);
-            if engine_result.is_err() {
-                // A failed engine can no longer consume requests; unblock a
-                // source still waiting for its next one so the session can
-                // report the failure instead of hanging.
-                if let Some(interrupt) = &interrupter {
-                    interrupt();
-                }
-            }
-            let ingestion_result = join_or_resume(ingestion);
-            let enrichment_result = join_or_resume(enrichment);
-
-            // Error priority: the source's own failure, then a closed
-            // response sink (the root cause behind the engine's
-            // PlacementSinkDisconnected), then the engine.
-            let (accepted, rejected) = ingestion_result?;
-            let served = enrichment_result?;
-            let online = engine_result?;
-            Ok(ServiceReport {
-                report: online.report,
-                trace: online.trace,
-                accepted,
-                rejected,
-                served,
-            })
-        })
-    }
-
-    /// [`PlacementService::serve`] with responses collected into a vector —
-    /// the convenient shape for tests, benchmarks, and offline-identity
-    /// checks. The internal response channel still applies bounded
-    /// backpressure; the collector thread just drains it continuously.
-    pub fn serve_collect<S: RequestSource>(
-        &self,
-        source: S,
-        scheduler: &mut dyn Scheduler,
-    ) -> Result<(ServiceReport, Vec<PlacementResponse>), ServiceError> {
-        let (tx, rx) = std::sync::mpsc::sync_channel(self.config.notice_queue.max(64));
-        std::thread::scope(|scope| {
-            let collector = scope.spawn(move || rx.iter().collect::<Vec<_>>());
-            let report = self.serve(source, scheduler, tx);
-            let responses = join_or_resume(collector);
-            Ok((report?, responses))
-        })
-    }
-
-    /// The simulator backing the service — the multi-session host drives
-    /// its persistent engine run (and journal replays) through this.
+    /// The simulator backing the service — the host drives its engine
+    /// run (and journal replays) through this.
     pub(crate) fn simulator(&self) -> &Simulator<Arc<SyntheticTelemetry>> {
         &self.simulator
     }

@@ -1,27 +1,29 @@
 //! The line-delimited-JSON TCP front-end, built on `std::net` only.
 //!
-//! One connection is one serving session: the client writes one request
-//! per line ([`crate::wire::parse_request`]), the server writes one
-//! response per line as placements commit (`{"type":"placement",...}`),
-//! plus in-band `{"type":"error",...}` lines for requests that never reach
-//! the engine (malformed lines, duplicate ids — the session keeps going).
-//! The client ends the session by half-closing its write side (or closing
-//! the connection); the server then drains every admitted job, flushes the
-//! remaining responses, and closes. See `docs/ONLINE_SERVICE.md` for the
-//! full protocol, a worked example, and the shutdown semantics.
+//! One connection is one session on a [`ClusterHost`]: the client writes
+//! one request per line ([`crate::wire::parse_tenant_request`]), the server
+//! writes one response per line as placements commit
+//! (`{"type":"placement",...}`), plus in-band `{"type":"error",...}` lines
+//! for requests that never reach the engine (malformed lines, duplicate
+//! ids, quota rejections — the session keeps going). The client ends the
+//! session by half-closing its write side (or closing the connection); the
+//! server then drains every admitted job, flushes the remaining responses,
+//! and closes. See `docs/ONLINE_SERVICE.md` for the full protocol, a worked
+//! example, and the shutdown semantics.
 
 use crate::admission::TenantId;
 use crate::error::ServiceError;
 use crate::host::{ClusterHost, HostSession};
-use crate::request::PlacementRequest;
-use crate::service::{PlacementService, ServiceReport};
-use crate::source::RequestSource;
 use crate::sync::{join_or_resume, lock_clean};
 use crate::wire;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
-use waterwise_cluster::Scheduler;
+
+/// Longest request line the server buffers. A well-formed request is a
+/// few hundred bytes; a longer line is answered `malformed` and skipped
+/// rather than buffered without limit.
+const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// The typed `code` field of in-band error lines, by failure class.
 pub(crate) fn error_code_for(error: &ServiceError) -> &'static str {
@@ -31,111 +33,6 @@ pub(crate) fn error_code_for(error: &ServiceError) -> &'static str {
         ServiceError::AdmissionRejected { .. } => "admission_rejected",
         ServiceError::ServiceStopped | ServiceError::SessionLimit { .. } => "session_closed",
         _ => "error",
-    }
-}
-
-/// A TCP listener serving the placement wire protocol.
-///
-/// Bind to port 0 for an ephemeral port (the pattern used by the CI smoke
-/// test and the `fig17_service` benchmark):
-///
-/// ```no_run
-/// use waterwise_core::{build_scheduler, SchedulerKind, WaterWiseConfig};
-/// use waterwise_service::{PlacementService, ServiceConfig, TcpPlacementServer};
-/// use waterwise_sustain::FootprintEstimator;
-///
-/// let service = PlacementService::new(ServiceConfig::small_demo(42)).unwrap();
-/// let server = TcpPlacementServer::bind("127.0.0.1:0").unwrap();
-/// println!("serving on {}", server.local_addr().unwrap());
-/// let mut scheduler = build_scheduler(
-///     SchedulerKind::WaterWise,
-///     service.telemetry(),
-///     FootprintEstimator::new(service.config().simulation.datacenter),
-///     &WaterWiseConfig::default(),
-///     None,
-/// );
-/// // Blocks until a client connects, streams requests, and hangs up.
-/// let report = server.serve_connection(&service, scheduler.as_mut()).unwrap();
-/// println!("placed {} jobs", report.served);
-/// ```
-pub struct TcpPlacementServer {
-    listener: TcpListener,
-}
-
-impl TcpPlacementServer {
-    /// Bind the listener.
-    pub fn bind(addr: impl ToSocketAddrs) -> Result<Self, ServiceError> {
-        Ok(Self {
-            listener: TcpListener::bind(addr)?,
-        })
-    }
-
-    /// The bound address (useful with an ephemeral port).
-    pub fn local_addr(&self) -> Result<SocketAddr, ServiceError> {
-        Ok(self.listener.local_addr()?)
-    }
-
-    /// Accept one client connection and serve it to completion: requests
-    /// are read off the socket, responses and in-band errors are written
-    /// back, and the call returns when the client ends its request stream
-    /// and the session drains. Serve several clients by calling this in a
-    /// loop (sessions are sequential by design — one engine, one
-    /// campaign per session).
-    pub fn serve_connection(
-        &self,
-        service: &PlacementService,
-        scheduler: &mut dyn Scheduler,
-    ) -> Result<ServiceReport, ServiceError> {
-        let (stream, _peer) = self.listener.accept()?;
-        let writer = Arc::new(Mutex::new(stream.try_clone()?));
-        let source = TcpSource {
-            reader: BufReader::new(stream.try_clone()?),
-            stream,
-            writer: writer.clone(),
-            line: 0,
-        };
-        let (response_tx, response_rx) =
-            std::sync::mpsc::sync_channel(service.config().notice_queue.max(1));
-        std::thread::scope(|scope| {
-            let response_writer = scope.spawn({
-                let writer = writer.clone();
-                move || -> Result<(), ServiceError> {
-                    for response in response_rx.iter() {
-                        let line = wire::encode_response(&response);
-                        let mut guard = lock_clean(&writer);
-                        guard.write_all(line.as_bytes())?;
-                        guard.write_all(b"\n")?;
-                        guard.flush()?;
-                    }
-                    Ok(())
-                }
-            });
-            let report = service.serve(source, scheduler, response_tx);
-            let written = join_or_resume(response_writer);
-            let report = report?;
-            // A broken client pipe surfaces as ResponseSinkClosed through
-            // `serve` (the writer drops the receiver); only report a write
-            // failure that `serve` itself did not notice.
-            written?;
-            Ok(report)
-        })
-    }
-}
-
-/// [`RequestSource`] over one accepted TCP connection.
-struct TcpSource {
-    reader: BufReader<TcpStream>,
-    /// The connection itself, kept for the interrupter's shutdown.
-    stream: TcpStream,
-    /// Shared with the response writer: in-band error lines interleave
-    /// with placement lines, each written atomically under the lock.
-    writer: Arc<Mutex<TcpStream>>,
-    line: usize,
-}
-
-impl TcpSource {
-    fn write_error(&self, code: &str, job: Option<waterwise_traces::JobId>, message: &str) {
-        write_error_line(&self.writer, code, job, message);
     }
 }
 
@@ -155,19 +52,19 @@ pub(crate) fn write_error_line(
     let _ = guard.flush();
 }
 
-/// The multi-session TCP front-end: concurrent client connections served
-/// against one [`ClusterHost`] (one persistent engine run, shared
-/// admission queue, per-tenant quotas and fairness).
+/// The TCP front-end: client connections served concurrently against one
+/// [`ClusterHost`] (one engine run, shared admission queue, per-tenant
+/// quotas and fairness). A single client is a one-session host.
 ///
-/// The wire protocol is the single-session one plus an optional `tenant`
-/// string field per request: absent, a request is admitted under its
-/// connection's default tenant (`client-<accept index>`). Per-request
-/// failures — malformed lines, duplicate ids, quota rejections
-/// (`"code":"admission_rejected"`) — are answered in-band and the session
-/// keeps going; a client ends its session by half-closing, and its
-/// remaining responses are flushed before the server closes the
-/// connection. An abrupt disconnect discards that session's undelivered
-/// responses without disturbing the other sessions or the host.
+/// Requests may carry an optional `tenant` string field: absent, a request
+/// is admitted under its connection's default tenant
+/// (`client-<accept index>`). Per-request failures — malformed lines,
+/// duplicate ids, quota rejections (`"code":"admission_rejected"`) — are
+/// answered in-band and the session keeps going; a client ends its session
+/// by half-closing, and its remaining responses are flushed before the
+/// server closes the connection. An abrupt disconnect discards that
+/// session's undelivered responses without disturbing the other sessions
+/// or the host.
 pub struct TcpClusterServer {
     listener: TcpListener,
 }
@@ -287,6 +184,35 @@ fn serve_host_session(
     Ok(())
 }
 
+/// One read of the per-connection request stream.
+enum LineRead {
+    /// A complete line (newline stripped) is in the buffer.
+    Line,
+    /// The line exceeded [`MAX_LINE_BYTES`]; it was discarded through its
+    /// newline and the buffer holds only its head.
+    TooLong,
+    /// End of stream: the client half-closed its write side.
+    Eof,
+}
+
+/// Read bytes up to the next `\n` into `line` (newline stripped), holding
+/// at most [`MAX_LINE_BYTES`] of it: the rest of a longer line is skipped
+/// unbuffered. A final line without a newline still counts as a line.
+fn read_bounded_line(reader: &mut impl BufRead, line: &mut Vec<u8>) -> std::io::Result<LineRead> {
+    line.clear();
+    let limit = MAX_LINE_BYTES as u64 + 1; // the line plus its newline
+    if reader.by_ref().take(limit).read_until(b'\n', line)? == 0 {
+        return Ok(LineRead::Eof);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+    } else if line.len() as u64 == limit {
+        reader.skip_until(b'\n')?;
+        return Ok(LineRead::TooLong);
+    }
+    Ok(LineRead::Line)
+}
+
 /// The per-connection read loop: parse, submit, report failures in-band.
 /// Returns at EOF or on a transport error (both end the request stream).
 fn read_session_requests(
@@ -294,16 +220,34 @@ fn read_session_requests(
     reader: &mut BufReader<TcpStream>,
     writer: &Arc<Mutex<TcpStream>>,
 ) {
+    let malformed = |line_no: usize, message: String| {
+        let error = ServiceError::MalformedRequest {
+            line: line_no,
+            message,
+        };
+        write_error_line(writer, error_code_for(&error), None, &error.to_string());
+    };
     let mut line_no = 0usize;
+    let mut line = Vec::new();
     loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // EOF: client half-closed its write side.
-            Ok(_) => {}
+        let read = match read_bounded_line(reader, &mut line) {
+            Ok(LineRead::Eof) => return, // Client half-closed its write side.
+            Ok(read) => read,
             Err(_) => return, // Abrupt disconnect: treat as end of stream.
-        }
+        };
         line_no += 1;
-        let trimmed = line.trim();
+        if matches!(read, LineRead::TooLong) {
+            malformed(
+                line_no,
+                format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+            );
+            continue;
+        }
+        let Ok(text) = std::str::from_utf8(&line) else {
+            malformed(line_no, "request line is not valid UTF-8".to_string());
+            continue;
+        };
+        let trimmed = text.trim();
         if trimmed.is_empty() {
             continue; // Blank lines are keep-alive no-ops.
         }
@@ -322,63 +266,7 @@ fn read_session_requests(
                     }
                 }
             }
-            Err(message) => {
-                let error = ServiceError::MalformedRequest {
-                    line: line_no,
-                    message,
-                };
-                write_error_line(writer, error_code_for(&error), None, &error.to_string());
-            }
+            Err(message) => malformed(line_no, message),
         }
-    }
-}
-
-impl RequestSource for TcpSource {
-    fn next(&mut self) -> Result<Option<PlacementRequest>, ServiceError> {
-        loop {
-            let mut line = String::new();
-            match self.reader.read_line(&mut line) {
-                Ok(0) => return Ok(None), // EOF: client half-closed.
-                Ok(_) => {}
-                // The interrupter shuts the socket down to unblock this
-                // read; either way the stream is over.
-                Err(_) => return Ok(None),
-            }
-            self.line += 1;
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue; // Blank lines are keep-alive no-ops.
-            }
-            match wire::parse_request(trimmed) {
-                Ok(request) => return Ok(Some(request)),
-                Err(message) => {
-                    // Malformed input is a per-request failure: answer it
-                    // in-band and keep the session alive.
-                    let error = ServiceError::MalformedRequest {
-                        line: self.line,
-                        message,
-                    };
-                    self.write_error(error_code_for(&error), None, &error.to_string());
-                }
-            }
-        }
-    }
-
-    fn reject(&mut self, request: &PlacementRequest, error: &ServiceError) {
-        self.write_error(
-            error_code_for(error),
-            Some(request.spec.id),
-            &error.to_string(),
-        );
-    }
-
-    fn interrupter(&self) -> Option<Box<dyn Fn() + Send>> {
-        let stream = match self.stream.try_clone() {
-            Ok(stream) => stream,
-            Err(_) => return None,
-        };
-        Some(Box::new(move || {
-            let _ = stream.shutdown(Shutdown::Both);
-        }))
     }
 }

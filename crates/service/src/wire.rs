@@ -316,8 +316,9 @@ pub(crate) fn request_from_fields(
 /// Encode a job spec as a request line (without the trailing newline) —
 /// the inverse of [`parse_request`], using the split actual/estimated keys
 /// so estimate error survives the round trip. Trace-replay clients (the
-/// `fig17_service` benchmark, load generators) build their streams with
-/// this so there is exactly one wire codec: the one the service parses.
+/// perf ledger's `serve_tcp` workload, load generators) build their
+/// streams with this so there is exactly one wire codec: the one the
+/// service parses.
 ///
 /// ```
 /// use waterwise_service::wire;
@@ -344,8 +345,7 @@ pub fn encode_request(spec: &JobSpec) -> String {
 }
 
 /// [`encode_request`] with the multi-tenant host's `tenant` field — the
-/// stream shape multi-session clients (and the `fig17_service` benchmark's
-/// tenant cells) write.
+/// stream shape multi-tenant clients write.
 pub fn encode_tenant_request(tenant: &str, spec: &JobSpec) -> String {
     format!(
         "{{\"tenant\":{},{}}}",

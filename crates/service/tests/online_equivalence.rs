@@ -1,6 +1,6 @@
 //! The service-level determinism contract: **a request stream fed through
-//! the in-process [`RequestSource`] yields a schedule byte-identical to the
-//! same stream replayed as an offline trace**, across Sync and Pipelined
+//! a one-session [`ClusterHost`] yields a schedule byte-identical to the
+//! host's recorded trace replayed offline**, across Sync and Pipelined
 //! engine modes.
 //!
 //! Like the engine-level pipeline tests, the generated streams are
@@ -17,8 +17,8 @@ use waterwise_cluster::{
 };
 use waterwise_core::{build_scheduler, SchedulerKind, WaterWiseConfig};
 use waterwise_service::{
-    channel_source, PlacementRequest, PlacementResponse, PlacementService, ServiceConfig,
-    ServiceReport,
+    AdmissionConfig, AdmissionMode, ClusterHost, HostConfig, HostReport, PlacementResponse,
+    ServiceConfig,
 };
 use waterwise_sustain::{FootprintEstimator, KilowattHours, Seconds};
 use waterwise_telemetry::{Region, SyntheticTelemetry, TelemetryConfig, ALL_REGIONS};
@@ -90,49 +90,57 @@ fn simulation_config(servers: usize, engine: EngineMode) -> SimulationConfig {
     SimulationConfig::paper_default(servers, 0.5).with_engine_mode(engine)
 }
 
-/// Feed `jobs` (already sorted by submit time) through the in-process
-/// source of a service with the given engine mode.
+/// Feed `jobs` (already sorted by submit time) through the one session of
+/// a host with the given engine mode: quota sized to the stream, and the
+/// host closes itself when its one session ends.
 fn serve_stream(
     jobs: &[JobSpec],
     servers: usize,
     engine: EngineMode,
-    variant: usize,
-) -> (ServiceReport, Vec<PlacementResponse>) {
-    let config = ServiceConfig::new(
+    scheduler: Box<dyn Scheduler>,
+) -> (HostReport, Vec<PlacementResponse>) {
+    let config = HostConfig::new(ServiceConfig::new(
         simulation_config(servers, engine),
         TelemetryConfig {
             seed: TELEMETRY_SEED,
             ..TelemetryConfig::default()
         },
-    );
-    let service = PlacementService::new(config).unwrap();
-    let (sender, source) = channel_source(4);
-    std::thread::scope(|scope| {
-        scope.spawn(move || {
-            for spec in jobs.iter().cloned() {
-                if sender.submit(PlacementRequest::new(spec)).is_err() {
-                    break;
-                }
-            }
-        });
-        service
-            .serve_collect(source, &mut VariedScheduler { variant, round: 0 })
-            .unwrap()
-    })
+    ))
+    .with_admission(AdmissionConfig {
+        tenant_inflight_quota: jobs.len().max(1),
+        mode: AdmissionMode::Streaming {
+            close_after_sessions: Some(1),
+        },
+        ..AdmissionConfig::default()
+    });
+    let host = ClusterHost::start(config, scheduler).unwrap();
+    let session = host.open_session("client").unwrap();
+    let outbox = session.take_responses().unwrap();
+    let responses = std::thread::scope(|scope| {
+        let collector = scope.spawn(move || outbox.iter().collect::<Vec<_>>());
+        for spec in jobs.iter().cloned() {
+            session.submit(spec).unwrap();
+        }
+        session.finish();
+        collector.join().unwrap()
+    });
+    (host.shutdown().unwrap(), responses)
 }
 
-fn replay_offline(jobs: &[JobSpec], servers: usize, variant: usize) -> SimulationReport {
+fn replay_offline(
+    jobs: &[JobSpec],
+    servers: usize,
+    scheduler: &mut dyn Scheduler,
+) -> SimulationReport {
     let simulator = Simulator::new(
         simulation_config(servers, EngineMode::Sync),
         SyntheticTelemetry::with_seed(TELEMETRY_SEED),
     )
     .unwrap();
-    simulator
-        .run(jobs, &mut VariedScheduler { variant, round: 0 })
-        .unwrap()
+    simulator.run(jobs, scheduler).unwrap()
 }
 
-fn assert_identical(online: &ServiceReport, offline: &SimulationReport) {
+fn assert_identical(online: &HostReport, offline: &SimulationReport) {
     assert_eq!(
         online.report.outcomes, offline.outcomes,
         "schedule diverged"
@@ -184,8 +192,14 @@ proptest! {
         } else {
             EngineMode::Pipelined { workers }
         };
-        let (online, responses) = serve_stream(&jobs, servers, engine, variant);
-        let offline = replay_offline(&jobs, servers, variant);
+        let (online, responses) = serve_stream(
+            &jobs,
+            servers,
+            engine,
+            Box::new(VariedScheduler { variant, round: 0 }),
+        );
+        let offline =
+            replay_offline(&online.trace, servers, &mut VariedScheduler { variant, round: 0 });
 
         prop_assert_eq!(&online.trace, &jobs, "discrete stamps must keep the stream");
         assert_identical(&online, &offline);
@@ -234,36 +248,11 @@ fn waterwise_scheduler_is_byte_identical_online_across_engine_modes() {
         )
     };
 
-    let simulator = Simulator::new(
-        simulation_config(servers, EngineMode::Sync),
-        SyntheticTelemetry::with_seed(TELEMETRY_SEED),
-    )
-    .unwrap();
-    let offline = simulator.run(&jobs, make_scheduler().as_mut()).unwrap();
+    let offline = replay_offline(&jobs, servers, make_scheduler().as_mut());
 
     for engine in [EngineMode::Sync, EngineMode::Pipelined { workers: 2 }] {
-        let config = ServiceConfig::new(
-            simulation_config(servers, engine),
-            TelemetryConfig {
-                seed: TELEMETRY_SEED,
-                ..TelemetryConfig::default()
-            },
-        );
-        let service = PlacementService::new(config).unwrap();
-        let (sender, source) = channel_source(4);
-        let (report, responses) = std::thread::scope(|scope| {
-            let jobs = &jobs;
-            scope.spawn(move || {
-                for spec in jobs.iter().cloned() {
-                    if sender.submit(PlacementRequest::new(spec)).is_err() {
-                        break;
-                    }
-                }
-            });
-            service
-                .serve_collect(source, make_scheduler().as_mut())
-                .unwrap()
-        });
+        let (report, responses) = serve_stream(&jobs, servers, engine, make_scheduler());
+        assert_eq!(report.trace, jobs);
         assert_eq!(report.report.outcomes, offline.outcomes);
         assert_eq!(report.report.makespan, offline.makespan);
         assert_eq!(responses.len(), jobs.len());

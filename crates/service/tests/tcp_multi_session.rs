@@ -1,21 +1,22 @@
-//! TCP integration battery for the multi-session host: concurrent
-//! clients on one persistent engine, in-band typed admission errors,
-//! malformed/duplicate lines mid-concurrency, per-session half-close
-//! drain while other sessions continue, and abrupt disconnects that must
-//! not poison the host.
+//! TCP integration battery for the host: a lone client on a one-session
+//! host (the single-client serving shape), concurrent clients on one
+//! persistent engine, in-band typed admission errors, malformed /
+//! duplicate / non-UTF-8 / over-long lines, per-session half-close drain
+//! while other sessions continue, and abrupt disconnects that must not
+//! poison the host.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use waterwise_cluster::{
-    EngineMode, Scheduler, SchedulingContext, SchedulingDecision, SimulationConfig,
+    EngineMode, Scheduler, SchedulingContext, SchedulingDecision, SimulationConfig, Simulator,
 };
 use waterwise_service::{
-    wire, AdmissionConfig, AdmissionMode, ClusterHost, PlacementService, ServiceConfig,
+    wire, AdmissionConfig, AdmissionMode, ClusterHost, HostReport, PlacementService, ServiceConfig,
     TcpClusterServer, TenantId,
 };
 use waterwise_sustain::{KilowattHours, Seconds};
-use waterwise_telemetry::{Region, TelemetryConfig};
+use waterwise_telemetry::{Region, SyntheticTelemetry, TelemetryConfig};
 use waterwise_traces::{Benchmark, JobId, JobSpec};
 
 const TELEMETRY_SEED: u64 = 11;
@@ -69,11 +70,11 @@ fn start_host(mode: AdmissionMode, quota: usize, engine: EngineMode) -> ClusterH
 }
 
 /// One test client: write every line, half-close, read every reply line.
-fn run_client(addr: SocketAddr, lines: &[String]) -> Vec<String> {
+fn run_client(addr: SocketAddr, lines: &[impl AsRef<[u8]>]) -> Vec<String> {
     let mut stream = TcpStream::connect(addr).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     for line in lines {
-        stream.write_all(line.as_bytes()).unwrap();
+        stream.write_all(line.as_ref()).unwrap();
         stream.write_all(b"\n").unwrap();
     }
     stream.flush().unwrap();
@@ -91,6 +92,31 @@ fn run_client(addr: SocketAddr, lines: &[String]) -> Vec<String> {
     }
 }
 
+/// Serve `lines` from one client on a one-session host with the given
+/// quota and engine; returns the client's replies and the host's report.
+fn serve_lone_client(
+    quota: usize,
+    engine: EngineMode,
+    lines: &[impl AsRef<[u8]>],
+) -> (Vec<String>, HostReport) {
+    let host = start_host(
+        AdmissionMode::Streaming {
+            close_after_sessions: Some(1),
+        },
+        quota,
+        engine,
+    );
+    let server = TcpClusterServer::bind("127.0.0.1:0").unwrap();
+    let addr = server.local_addr().unwrap();
+    let replies = std::thread::scope(|scope| {
+        let serving = scope.spawn(|| server.serve_sessions(&host, 1));
+        let replies = run_client(addr, lines);
+        serving.join().unwrap().unwrap();
+        replies
+    });
+    (replies, host.shutdown().unwrap())
+}
+
 fn placements(replies: &[String]) -> Vec<u64> {
     replies
         .iter()
@@ -100,6 +126,113 @@ fn placements(replies: &[String]) -> Vec<u64> {
 
 fn error_codes(replies: &[String]) -> Vec<String> {
     replies.iter().filter_map(|l| wire::error_code(l)).collect()
+}
+
+/// One client on a one-session host — the single-client serving shape.
+/// A malformed line and a duplicate id are answered in-band, a blank line
+/// is a keep-alive, the half-close drains every admitted job, and the
+/// recorded trace replays offline to the byte-identical schedule.
+#[test]
+fn lone_client_session_serves_requests_and_shuts_down_cleanly() {
+    let lines = vec![
+        wire::encode_request(&job(1, 0.0, 300.0)),
+        wire::encode_request(&job(2, 30.0, 300.0)),
+        wire::encode_request(&job(3, 60.0, 300.0)),
+        "this is not json".to_string(),
+        wire::encode_request(&job(2, 90.0, 300.0)), // duplicate id
+        String::new(),                              // blank keep-alive line
+        wire::encode_request(&job(4, 120.0, 300.0)),
+    ];
+    let (replies, report) = serve_lone_client(64, EngineMode::Pipelined { workers: 2 }, &lines);
+    let mut codes = error_codes(&replies);
+    codes.sort_unstable();
+    assert_eq!(
+        codes,
+        vec!["duplicate", "malformed"],
+        "replies: {replies:?}"
+    );
+    let mut placed = placements(&replies);
+    placed.sort_unstable();
+    assert_eq!(placed, vec![1, 2, 3, 4], "replies: {replies:?}");
+    assert_eq!((report.accepted, report.rejected, report.served), (4, 1, 4));
+    assert_eq!(report.report.outcomes.len(), 4);
+
+    // The recorded trace replays offline to the byte-identical schedule.
+    let offline = Simulator::new(
+        SimulationConfig::paper_default(4, 0.5),
+        SyntheticTelemetry::with_seed(TELEMETRY_SEED),
+    )
+    .unwrap()
+    .run(&report.trace, &mut HomeScheduler)
+    .unwrap();
+    assert_eq!(report.report.outcomes, offline.outcomes);
+}
+
+/// A request line that is not UTF-8, or longer than the server will
+/// buffer, is answered in-band as `malformed` with its line number; the
+/// rest of it is discarded through the next newline and the session keeps
+/// going.
+#[test]
+fn non_utf8_and_over_long_lines_are_answered_in_band() {
+    let lines: Vec<Vec<u8>> = vec![
+        wire::encode_request(&job(1, 0.0, 60.0)).into_bytes(),
+        vec![b'{', 0xff, 0xfe, b'}'],
+        vec![b'x'; 200 * 1024],
+        wire::encode_request(&job(2, 30.0, 60.0)).into_bytes(),
+    ];
+    let (replies, report) = serve_lone_client(64, EngineMode::Sync, &lines);
+    assert_eq!(
+        error_codes(&replies),
+        vec!["malformed"; 2],
+        "replies: {replies:?}"
+    );
+    let errors: Vec<&String> = replies
+        .iter()
+        .filter(|l| wire::error_code(l).is_some())
+        .collect();
+    assert!(
+        errors[0].contains("line 2") && errors[0].contains("UTF-8"),
+        "{errors:?}"
+    );
+    assert!(
+        errors[1].contains("line 3") && errors[1].contains("exceeds"),
+        "{errors:?}"
+    );
+    let mut placed = placements(&replies);
+    placed.sort_unstable();
+    assert_eq!(placed, vec![1, 2]);
+    assert_eq!((report.accepted, report.rejected, report.served), (2, 0, 2));
+}
+
+/// A lone client over its tenant quota is shed in-band (the multi-tenant
+/// contract, not a blocked socket): under the discrete clock nothing can
+/// be placed while every request carries the same stamp, so ids 3–5 are
+/// rejected deterministically. The session keeps answering afterwards and
+/// every accepted job is placed once the stream ends.
+#[test]
+fn lone_client_over_its_quota_is_shed_in_band_and_keeps_its_session() {
+    let mut lines: Vec<String> = (1..=5u64)
+        .map(|id| wire::encode_request(&job(id, 0.0, 60.0)))
+        .collect();
+    // Still served after the rejections: a reused id gets its own answer.
+    lines.push(wire::encode_request(&job(1, 0.0, 60.0)));
+    let (replies, report) = serve_lone_client(2, EngineMode::Sync, &lines);
+    assert_eq!(
+        error_codes(&replies),
+        vec![
+            "admission_rejected",
+            "admission_rejected",
+            "admission_rejected",
+            "duplicate"
+        ],
+        "replies: {replies:?}"
+    );
+    let mut placed = placements(&replies);
+    placed.sort_unstable();
+    assert_eq!(placed, vec![1, 2]);
+    assert_eq!((report.accepted, report.rejected, report.served), (2, 4, 2));
+    let stats = &report.tenants[&TenantId::from("client-0")];
+    assert_eq!((stats.accepted, stats.rejected, stats.served), (2, 4, 2));
 }
 
 /// Four concurrent tenant clients on one engine run: every request
