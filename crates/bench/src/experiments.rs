@@ -866,165 +866,6 @@ pub fn fig15_solcache(scale: ExperimentScale) -> Vec<Table> {
 }
 
 // ---------------------------------------------------------------------------
-// Fig. 16 — pipelined engine: sync vs pipelined wall-clock and stalls
-// ---------------------------------------------------------------------------
-
-/// Fig. 16: the pipelined simulation engine versus the synchronous engine
-/// on the Fig. 5 workload, across scheduling horizons and campaign-matrix
-/// sizes.
-///
-/// Every `(shape, horizon)` cell is replayed under `EngineMode::Sync` and
-/// under pipelined engines with 1, 2, and 4 workers; the experiment
-/// **asserts byte-identical schedules across all modes** (the pipeline's
-/// determinism contract) and reports, per mode:
-///
-/// * end-to-end wall-clock and the speedup over sync — a genuine speedup
-///   requires ≥ 2 hardware threads, since the pipeline overlaps solver,
-///   event, and accounting work on separate threads (a single-core host
-///   timeslices them and reports ≈ 1.0×);
-/// * the event-path stall: how long the event stage was blocked on decision
-///   commits (sync blocks for every full solve by construction), which is
-///   the latency a live placement frontend would see;
-/// * how many arrival events were ingested *during* solves (the overlap
-///   that keeps arrival intake live while the MILP runs).
-pub fn fig16_pipeline(scale: ExperimentScale) -> Vec<Table> {
-    use std::time::Instant;
-    use waterwise_core::EngineMode;
-
-    let horizons: [Option<usize>; 3] = [None, Some(40), Some(10)];
-    let modes = [
-        EngineMode::Sync,
-        EngineMode::Pipelined { workers: 1 },
-        EngineMode::Pipelined { workers: 2 },
-        EngineMode::Pipelined { workers: 4 },
-    ];
-    // Matrix shapes: the single Fig. 5 cell, and a 2×2 tolerance × seed
-    // sweep of the same workload.
-    let shapes: [(&str, Vec<(f64, u64)>); 2] = [
-        ("1x1", vec![(0.5, scale.seed)]),
-        (
-            "2x2",
-            [0.25, 0.75]
-                .iter()
-                .flat_map(|&tol| [scale.seed, scale.seed + 1].map(|seed| (tol, seed)))
-                .collect(),
-        ),
-    ];
-
-    let mut table = Table::new(
-        "Fig. 16 — pipelined vs sync engine on the Fig. 5 workload",
-        &[
-            "shape",
-            "horizon",
-            "mode",
-            "cells",
-            "wall (ms)",
-            "speedup",
-            "solver busy (ms)",
-            "event stall (ms)",
-            "stall frac",
-            "arrivals overlapped",
-        ],
-    );
-
-    for (shape, cells) in &shapes {
-        for &horizon in &horizons {
-            let configs = |engine: EngineMode| -> Vec<CampaignConfig> {
-                cells
-                    .iter()
-                    .map(|&(tol, seed)| {
-                        let mut config = CampaignConfig::paper_default(scale.days, tol, seed);
-                        config.waterwise = config.waterwise.clone().with_horizon(horizon);
-                        config.with_engine_mode(engine)
-                    })
-                    .collect()
-            };
-            let mut reference: Option<(Vec<Vec<waterwise_cluster::JobOutcome>>, f64)> = None;
-            for &mode in &modes {
-                // Prepare the campaigns (trace + telemetry generation)
-                // *outside* the timer: that cost is engine-independent and
-                // would otherwise bias every speedup toward 1.0×. The timer
-                // covers only the engine replays.
-                let campaigns: Vec<Campaign> =
-                    configs(mode).into_iter().map(Campaign::new).collect();
-                let started = Instant::now();
-                let outcomes: Vec<_> = campaigns
-                    .iter()
-                    .map(|campaign| {
-                        campaign
-                            .run(SchedulerKind::WaterWise)
-                            .expect("campaign must run")
-                    })
-                    .collect();
-                let wall = started.elapsed().as_secs_f64();
-
-                let schedules: Vec<_> =
-                    outcomes.iter().map(|o| o.report.outcomes.clone()).collect();
-                let mut solver_busy = 0.0;
-                let mut stall = 0.0;
-                let mut overlapped = 0usize;
-                for outcome in &outcomes {
-                    match &outcome.summary.pipeline {
-                        Some(stats) => {
-                            solver_busy += stats.solver_busy.value();
-                            stall += stats.commit_wait.value();
-                            overlapped += stats.overlapped_arrivals;
-                        }
-                        None => {
-                            // The sync engine stalls the event path for
-                            // every full inline solve.
-                            let busy: f64 = outcome
-                                .report
-                                .overhead
-                                .iter()
-                                .map(|s| s.wall_clock.value())
-                                .sum();
-                            solver_busy += busy;
-                            stall += busy;
-                        }
-                    }
-                }
-                // The determinism contract, asserted end to end: every
-                // engine mode must reproduce the sync schedules byte for
-                // byte.
-                let speedup = match &reference {
-                    None => {
-                        reference = Some((schedules, wall));
-                        1.0
-                    }
-                    Some((baseline, sync_wall)) => {
-                        assert_eq!(
-                            baseline,
-                            &schedules,
-                            "{} changed a schedule (shape {shape}, horizon {horizon:?})",
-                            mode.label()
-                        );
-                        sync_wall / wall
-                    }
-                };
-                table.row(&[
-                    shape.to_string(),
-                    horizon.map_or("none".to_string(), |h| h.to_string()),
-                    mode.label(),
-                    cells.len().to_string(),
-                    fmt2(wall * 1e3),
-                    format!("{:.2}x", speedup),
-                    fmt2(solver_busy * 1e3),
-                    fmt2(stall * 1e3),
-                    pct(if solver_busy > 0.0 {
-                        stall / solver_busy * 100.0
-                    } else {
-                        0.0
-                    }),
-                    overlapped.to_string(),
-                ]);
-            }
-        }
-    }
-    vec![table]
-}
-
-// ---------------------------------------------------------------------------
 // Fig. 18 — scheduler hot path: sharded preparation + dual-simplex restarts
 // ---------------------------------------------------------------------------
 
@@ -1765,26 +1606,6 @@ mod tests {
         // Overhead must be well under 5% of the execution footprint.
         let rendered = tables[0].render();
         assert!(!rendered.contains("inf"));
-    }
-
-    #[test]
-    fn fig16_covers_every_shape_horizon_and_mode_and_overlaps_arrivals() {
-        // The byte-identity contract is asserted *inside* the experiment;
-        // this test checks the table shape and the occupancy reporting.
-        let tables = fig16_pipeline(tiny());
-        let table = &tables[0];
-        // 2 shapes × 3 horizons × 4 engine modes.
-        assert_eq!(table.len(), 24);
-        for row in table.rows() {
-            assert!(row[5].ends_with('x'), "speedup cell malformed: {row:?}");
-        }
-        // Sync rows stall the event path for every full solve...
-        assert_eq!(table.cell(0, 2), "sync");
-        assert_eq!(table.cell(0, 9), "0");
-        // ...while pipelined rows keep ingesting arrivals during solves.
-        assert_eq!(table.cell(1, 2), "pipelined(1)");
-        let overlapped: usize = table.cell(1, 9).parse().unwrap();
-        assert!(overlapped > 0, "pipelined row overlapped no arrivals");
     }
 
     #[test]

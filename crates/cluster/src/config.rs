@@ -8,11 +8,11 @@ use waterwise_telemetry::{Region, ALL_REGIONS};
 
 /// How the engine executes one campaign.
 ///
-/// Both modes replay the trace through the same deterministic core and are
-/// guaranteed to produce **byte-identical schedules, outcomes, and
+/// Both modes run the same event loop over the same deterministic core and
+/// are guaranteed to produce **byte-identical schedules, outcomes, and
 /// summaries** (wall-clock measurements aside); the mode only decides
-/// whether scheduler solves and footprint accounting run inline on the
-/// event loop or on dedicated pipeline stages.
+/// whether scheduler solves run inline on the event loop or on a dedicated
+/// solver-stage thread.
 ///
 /// ```
 /// use waterwise_cluster::EngineMode;
@@ -28,22 +28,22 @@ use waterwise_telemetry::{Region, ALL_REGIONS};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum EngineMode {
     /// Everything runs inline on the caller's thread: each scheduling-round
-    /// solve and each job's footprint accounting block event processing
-    /// (the reference behavior).
+    /// solve blocks event processing (the reference behavior).
     #[default]
     Sync,
     /// The engine runs as a pipeline: a dedicated *solver stage* thread owns
     /// the scheduler and receives round snapshots over a bounded channel
     /// (decisions are committed back in strict slot order), arrival events
     /// ahead of the commit barrier are ingested while a solve is in flight,
-    /// and footprint accounting is sharded across `workers − 1` accounting
-    /// threads (with one worker, accounting stays on the event thread).
+    /// and footprint accounting stays on the event thread.
     ///
-    /// `workers` counts the auxiliary threads in total; `workers: 0` is
-    /// normalized to [`EngineMode::Sync`] — see [`EngineMode::normalized`].
+    /// Any `workers ≥ 1` means exactly that one solver-stage thread;
+    /// `workers: 0` is normalized to [`EngineMode::Sync`] — see
+    /// [`EngineMode::normalized`].
     Pipelined {
-        /// Total auxiliary threads: one solver stage plus
-        /// `workers − 1` footprint-accounting shards.
+        /// Requested auxiliary threads. Only zero vs non-zero matters: the
+        /// pipeline always runs one solver stage; the count survives in
+        /// [`EngineMode::label`].
         workers: usize,
     },
 }

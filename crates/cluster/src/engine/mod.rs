@@ -7,40 +7,41 @@
 //! deployment (the scheduler code is identical in both worlds — it only sees
 //! the [`SchedulingContext`]).
 //!
-//! # Execution modes
+//! # One loop, two solve backends
 //!
-//! The engine runs in one of two modes, selected by
-//! [`crate::config::EngineMode`] on the simulation configuration:
+//! Every run — an offline replay of a preloaded trace ([`Simulator::run`])
+//! or a live session fed over a channel
+//! ([`Simulator::run_online_sequenced`]) — is dispatched by the one event
+//! loop in the [`online`] submodule over the private `SimState` core. An
+//! offline replay is that loop started with the whole trace already queued
+//! and the arrival source already closed. [`crate::config::EngineMode`]
+//! only selects where a round's scheduler solve executes:
 //!
-//! * **Sync** — the reference behavior: scheduler solves and footprint
-//!   accounting run inline on the event loop, one event at a time.
-//! * **Pipelined** — the event loop, the scheduler (the *solver stage*),
-//!   and footprint accounting run as separate stages connected by bounded
-//!   channels; see the `pipeline` submodule for the stage layout and the
-//!   commit protocol.
+//! * **Sync** — inline on the event loop, one event at a time.
+//! * **Pipelined** — on a dedicated solver-stage thread connected by
+//!   bounded channels, while the event loop keeps ingesting arrivals ahead
+//!   of the commit barrier; see [`online`] for the commit protocol.
 //!
-//! Both modes drive the *same* deterministic core (the private `SimState`)
-//! and are guaranteed to produce byte-identical schedules and summaries;
-//! the mode only changes which thread executes each piece of work. The
-//! guarantee is enforced by the unit tests below, by the property tests in
-//! `tests/pipeline_equivalence.rs`, and by campaign-level integration
-//! tests.
+//! Footprint accounting always runs inline. Both modes are guaranteed to
+//! produce byte-identical schedules and summaries; the mode only changes
+//! which thread executes the solve. The guarantee is enforced by the unit
+//! tests below, by the property tests in `tests/pipeline_equivalence.rs`,
+//! and by campaign-level integration tests.
 
 pub mod clock;
 pub mod online;
-pub(crate) mod pipeline;
 pub(crate) mod queue;
 #[cfg(test)]
 mod tests;
 
-use crate::config::{EngineMode, SimulationConfig};
+use crate::config::SimulationConfig;
 use crate::error::SimulationError;
 use crate::metrics::{CampaignSummary, JobOutcome, OverheadSample};
 use crate::scheduler::{
     PendingJob, Scheduler, SchedulingContext, SchedulingDecision, SolverActivity,
 };
 use crate::state::{RegionRuntime, RegionView};
-use queue::{Event, EventQueue, QueuedEvent};
+use queue::{Event, EventQueue};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 use waterwise_sustain::{FootprintEstimator, JobResourceUsage, Seconds};
@@ -87,26 +88,6 @@ pub(crate) struct JobRuntime {
     pub(crate) transfer_time: f64,
     pub(crate) start_time: f64,
     pub(crate) completion_time: f64,
-    pub(crate) started: bool,
-    pub(crate) completed: bool,
-}
-
-/// Everything footprint accounting needs about one completed job, copied out
-/// of the engine state so the pipelined driver can compute the
-/// [`JobOutcome`] on an accounting shard while the event loop keeps moving.
-///
-/// The record carries the job's full spec (not an index into a shared
-/// slice): the online driver grows the engine's job table while the
-/// campaign runs, so accounting must never hold a reference into it.
-#[derive(Debug, Clone)]
-pub(crate) struct CompletionRecord {
-    /// Position of this completion in completion order (the index of the
-    /// outcome in [`SimulationReport::outcomes`]).
-    pub(crate) index: usize,
-    /// The completed job's trace record.
-    pub(crate) spec: JobSpec,
-    /// The job's final runtime bookkeeping.
-    pub(crate) runtime: JobRuntime,
 }
 
 /// One placement enacted by [`SimState::commit_round`], reported back to the
@@ -125,19 +106,17 @@ pub(crate) struct EnactedPlacement {
 }
 
 /// The mode-independent engine core: event queue, region/job bookkeeping,
-/// and the slot commit logic. Both the synchronous driver
-/// ([`Simulator::run`] with [`EngineMode::Sync`]) and the pipelined driver
-/// ([`pipeline::run_pipelined`]) drive exactly this state machine, which is
-/// what makes their schedules byte-identical by construction: every state
-/// transition an engine mode may take lives here, and the drivers only
-/// choose *which thread* performs the scheduler solve and the footprint
-/// accounting.
+/// and the slot commit logic. The one event loop ([`online`]) drives
+/// exactly this state machine under either solve backend, which is what
+/// makes their schedules byte-identical by construction: every state
+/// transition an engine mode may take lives here, and the backend only
+/// chooses *which thread* performs the scheduler solve.
 pub(crate) struct SimState {
     pub(crate) jobs: Vec<JobSpec>,
-    /// Every job id admitted so far; rejects duplicates both in offline
-    /// traces (up front) and in online injections (per request). Ordered
-    /// containers by the DET001 discipline: nothing schedule-affecting may
-    /// iterate in hash order, and membership checks cost the same either way.
+    /// Every job id admitted so far; rejects duplicates in offline traces
+    /// and live injections alike. Ordered containers by the DET001
+    /// discipline: nothing schedule-affecting may iterate in hash order,
+    /// and membership checks cost the same either way.
     seen_ids: BTreeSet<JobId>,
     participating: Vec<Region>,
     regions: Vec<RegionRuntime>,
@@ -151,48 +130,37 @@ pub(crate) struct SimState {
     pub(crate) pending: Vec<(usize, f64, u32)>,
     pub(crate) overhead: Vec<OverheadSample>,
     pub(crate) completed: usize,
-    /// Completions recorded so far (the next [`CompletionRecord::index`]).
-    pub(crate) completions: usize,
     pub(crate) last_time: f64,
     first_time: f64,
 }
 
 impl SimState {
-    /// Validate the trace, enqueue every arrival plus the first scheduling
-    /// round, and build the initial region state.
+    /// An engine state preloaded with a whole trace: every job admitted
+    /// through [`SimState::push_job`] with its trace index as the arrival
+    /// sequence. The regular sequence band is floored at the trace length
+    /// first, so on exact timestamp ties every arrival orders ahead of
+    /// round/decision events — the same split a live run makes at
+    /// `ONLINE_ROUND_SEQ_BASE`. A duplicate id would leave one twin pending
+    /// forever (assignments are keyed by job id), so the malformed trace is
+    /// rejected here with a typed error.
     pub(crate) fn new(
         config: &SimulationConfig,
-        jobs: Vec<JobSpec>,
+        jobs: &[JobSpec],
     ) -> Result<Self, SimulationError> {
-        // Assignments are keyed by job id; a duplicate would leave one twin
-        // pending forever (the round loop would never drain), so reject the
-        // malformed trace up front with a typed error.
-        let mut seen_ids: BTreeSet<JobId> = BTreeSet::new();
-        for job in &jobs {
-            if !seen_ids.insert(job.id) {
-                return Err(SimulationError::DuplicateJobId { id: job.id });
-            }
-        }
-
         let mut state = Self::empty(config);
-        state.seen_ids = seen_ids;
-        state.runtimes = vec![JobRuntime::default(); jobs.len()];
+        state.queue.reserve(jobs.len() as u64);
+        state.queue.reserve_events(jobs.len() + 1);
+        state.jobs.reserve(jobs.len());
+        state.runtimes.reserve(jobs.len());
         for (i, job) in jobs.iter().enumerate() {
-            state
-                .queue
-                .push(job.submit_time.value(), Event::Arrival(i))?;
+            state.push_job(job.clone(), i as u64)?;
         }
-        let first_time = jobs.first().map(|j| j.submit_time.value()).unwrap_or(0.0);
-        state.queue.push(first_time, Event::Round)?;
-        state.jobs = jobs;
-        state.last_time = first_time;
-        state.first_time = first_time;
         Ok(state)
     }
 
     /// An engine state with no jobs and no queued events — the starting
-    /// point of the online driver, which injects arrivals while the
-    /// campaign runs ([`SimState::push_job`]) instead of preloading a trace.
+    /// point of a live run, which injects arrivals while the campaign runs
+    /// ([`SimState::push_job`]) instead of preloading a trace.
     pub(crate) fn empty(config: &SimulationConfig) -> Self {
         let participating = config.region_list();
         let regions: Vec<RegionRuntime> = config
@@ -218,24 +186,21 @@ impl SimState {
             pending: Vec::new(),
             overhead: Vec::new(),
             completed: 0,
-            completions: 0,
             last_time: 0.0,
             first_time: 0.0,
         }
     }
 
-    /// Admit a dynamically injected job: validate its id, grow the runtime
-    /// table, and enqueue its arrival with the caller-chosen sequence
-    /// number (the online driver stamps arrivals from a dedicated low
-    /// sequence band so they order ahead of round/decision events on exact
-    /// timestamp ties, exactly as a preloaded trace would). The first
-    /// admitted job also bootstraps the periodic round chain at its own
-    /// submit time, mirroring [`SimState::new`].
+    /// Admit one job: validate its id, grow the runtime table, and enqueue
+    /// its arrival with the caller-chosen sequence number (arrivals are
+    /// stamped from a dedicated low sequence band so they order ahead of
+    /// round/decision events on exact timestamp ties). The first admitted
+    /// job also bootstraps the periodic round chain at its own submit time.
     pub(crate) fn push_job(
         &mut self,
         spec: JobSpec,
         arrival_seq: u64,
-    ) -> Result<usize, SimulationError> {
+    ) -> Result<(), SimulationError> {
         if !self.seen_ids.insert(spec.id) {
             return Err(SimulationError::DuplicateJobId { id: spec.id });
         }
@@ -250,7 +215,7 @@ impl SimState {
         }
         self.runtimes.push(JobRuntime::default());
         self.jobs.push(spec);
-        Ok(index)
+        Ok(())
     }
 
     /// A job arrived at its home region's decision controller.
@@ -281,13 +246,13 @@ impl SimState {
     /// taken and `seq_base` the sequence block reserved at that moment (see
     /// [`EventQueue::reserve`]). The decision's `Ready` events are stamped
     /// with `seq_base + k` and the next round with `seq_base + snapshot_len`
-    /// — the exact keys a synchronous inline commit hands out — so the
-    /// pipelined driver may ingest arrivals between snapshot and commit
-    /// without perturbing event order. Assignments are matched against the
+    /// — the exact keys an inline commit hands out — so the staged solve
+    /// backend may ingest arrivals between snapshot and commit without
+    /// perturbing event order. Assignments are matched against the
     /// snapshot prefix of the pending pool only: a decision can never reach
     /// jobs that arrived after its snapshot, in either engine mode.
-    /// Returns the placements actually enacted (in decision order), so the
-    /// online driver can notify the requests they answer; offline replays
+    /// Returns the placements actually enacted (in decision order), so a
+    /// live run can notify the requests they answer; offline replays
     /// discard the list.
     pub(crate) fn commit_round(
         &mut self,
@@ -304,7 +269,6 @@ impl SimState {
             .map(|&(i, _, deferrals)| (self.jobs[i].id, (i, deferrals)))
             .collect();
         let mut enacted: Vec<EnactedPlacement> = Vec::new();
-        let mut assigned: Vec<usize> = Vec::new();
         for a in &decision.assignments {
             let Some(&(i, deferrals)) = by_id.get(&a.job) else {
                 continue; // Unknown or already-scheduled job id: ignore.
@@ -327,10 +291,9 @@ impl SimState {
             self.regions[slot].inbound += 1;
             self.queue.push_with_seq(
                 now + transfer_time,
-                seq_base + assigned.len() as u64,
+                seq_base + enacted.len() as u64,
                 Event::Ready(i),
             )?;
-            assigned.push(i);
             enacted.push(EnactedPlacement {
                 job: i,
                 region: a.region,
@@ -338,14 +301,16 @@ impl SimState {
                 deferrals,
             });
         }
-        // Drop the assigned jobs from the pool; jobs that were *offered*
-        // this round (the snapshot prefix) and stayed count one more
-        // deferral. Arrivals ingested after the snapshot are untouched.
+        // Drop the assigned jobs from the pool (a pooled job has a region
+        // iff this commit just gave it one); jobs that were *offered* this
+        // round (the snapshot prefix) and stayed count one more deferral.
+        // Arrivals ingested after the snapshot are untouched.
+        let runtimes = &self.runtimes;
         let mut position = 0usize;
         self.pending.retain_mut(|entry| {
             let offered = position < snapshot_len;
             position += 1;
-            if assigned.contains(&entry.0) {
+            if runtimes[entry.0].assigned_region.is_some() {
                 return false;
             }
             if offered {
@@ -381,7 +346,6 @@ impl SimState {
         self.regions[slot].inbound = self.regions[slot].inbound.saturating_sub(1);
         if self.regions[slot].busy < self.regions[slot].servers {
             self.regions[slot].busy += 1;
-            self.runtimes[i].started = true;
             self.runtimes[i].start_time = time;
             self.queue.push(
                 time + self.jobs[i].actual_execution_time.value(),
@@ -394,12 +358,12 @@ impl SimState {
     }
 
     /// A job finished executing: free the server (or admit the next queued
-    /// job) and return the record footprint accounting needs.
+    /// job) and return the final runtime footprint accounting needs.
     pub(crate) fn handle_complete(
         &mut self,
         i: usize,
         time: f64,
-    ) -> Result<CompletionRecord, SimulationError> {
+    ) -> Result<JobRuntime, SimulationError> {
         let region =
             self.runtimes[i]
                 .assigned_region
@@ -409,18 +373,10 @@ impl SimState {
                 })?;
         let slot = self.region_slot[&region];
         self.regions[slot].advance_to(time);
-        self.runtimes[i].completed = true;
         self.runtimes[i].completion_time = time;
         self.completed += 1;
-        let record = CompletionRecord {
-            index: self.completions,
-            spec: self.jobs[i].clone(),
-            runtime: self.runtimes[i],
-        };
-        self.completions += 1;
         // Free the server and admit the next queued job, if any.
         if let Some(next) = self.regions[slot].queue.pop_front() {
-            self.runtimes[next].started = true;
             self.runtimes[next].start_time = time;
             self.queue.push(
                 time + self.jobs[next].actual_execution_time.value(),
@@ -429,7 +385,7 @@ impl SimState {
         } else {
             self.regions[slot].busy -= 1;
         }
-        Ok(record)
+        Ok(self.runtimes[i])
     }
 
     /// Whether the campaign is finished: every job completed, nothing
@@ -462,19 +418,29 @@ impl SimState {
     }
 }
 
-/// Run one `Scheduler::schedule` call, timing it and attributing the solver
-/// work spent during the call (cold vs warm solves, pivots, nodes, cache
-/// traffic). Both engine drivers record exactly this measurement per round,
-/// so the per-round `OverheadSample::solver` deltas cannot diverge between
-/// modes.
+/// Run one `Scheduler::schedule` call over a round snapshot, timing it and
+/// attributing the solver work spent during the call (cold vs warm solves,
+/// pivots, nodes, cache traffic). Both solve backends record exactly this
+/// measurement per round, so the per-round `OverheadSample::solver` deltas
+/// cannot diverge between modes.
 pub(crate) fn timed_schedule(
     scheduler: &mut dyn Scheduler,
-    ctx: &SchedulingContext<'_>,
+    now: f64,
+    pending: &[PendingJob],
+    regions: &[RegionView],
+    config: &SimulationConfig,
 ) -> (SchedulingDecision, f64, Option<SolverActivity>) {
+    let ctx = SchedulingContext {
+        now: Seconds::new(now),
+        pending,
+        regions,
+        delay_tolerance: config.delay_tolerance,
+        transfer: &config.transfer,
+    };
     let before = scheduler.solver_activity();
     // lint:allow(DET002: OverheadSample wall_clock timing capture; scrubbed from schedules by without_wall_clock)
     let started = Instant::now();
-    let decision = scheduler.schedule(ctx);
+    let decision = scheduler.schedule(&ctx);
     let elapsed = started.elapsed().as_secs_f64();
     let solver = match (before, scheduler.solver_activity()) {
         (Some(before), Some(after)) => Some(after.delta_since(&before)),
@@ -512,26 +478,27 @@ impl<P: ConditionsProvider> Simulator<P> {
     /// Run the campaign: replay `jobs` (sorted by submit time) under
     /// `scheduler` and return the full report.
     ///
-    /// Dispatches on the configured [`EngineMode`] (after
-    /// [`EngineMode::normalized`], so a zero-worker pipeline runs
-    /// synchronously). The produced schedule is byte-identical across
+    /// This is the engine's one event loop ([`online`]) started with the
+    /// whole trace preloaded and the arrival source already closed: no
+    /// channel, clock or placement sink exists on this path. The
+    /// configured [`EngineMode`](crate::config::EngineMode) (after
+    /// `normalized`, so a zero-worker pipeline solves inline) only picks
+    /// the solve backend; the produced schedule is byte-identical across
     /// modes.
     ///
     /// Fails if the trace contains duplicate job ids, if the trace or
     /// transfer model would produce an event with a non-finite timestamp
     /// (see [`SimulationError::NonFiniteEventTime`]), or — pipelined mode
-    /// only — if a pipeline stage dies or violates the commit protocol.
+    /// only — if the solver stage dies or violates the commit protocol. A
+    /// panic inside `scheduler` propagates with its own payload in both
+    /// modes.
     pub fn run(
         &self,
         jobs: &[JobSpec],
         scheduler: &mut dyn Scheduler,
     ) -> Result<SimulationReport, SimulationError> {
-        match self.config.engine.normalized() {
-            EngineMode::Sync => self.run_sync(jobs, scheduler),
-            EngineMode::Pipelined { workers } => {
-                pipeline::run_pipelined(self, jobs, scheduler, workers)
-            }
-        }
+        let report = online::OnlineDriver::offline(self, jobs)?.run(scheduler)?;
+        Ok(report.report)
     }
 
     /// Run a campaign against a *live* arrival source instead of a
@@ -555,18 +522,17 @@ impl<P: ConditionsProvider> Simulator<P> {
     /// [`SimulationError::ArrivalSeqOutOfBand`] /
     /// [`SimulationError::ArrivalSeqReused`].
     ///
-    /// Dispatches on the configured [`EngineMode`] exactly like
+    /// Picks the solve backend from the configured
+    /// [`EngineMode`](crate::config::EngineMode) exactly like
     /// [`Simulator::run`]: under `Sync` the scheduler solves inline on the
     /// event loop, under `Pipelined` it runs on the dedicated solver stage
     /// and arrivals — queued *and* newly injected — are ingested while a
-    /// solve is in flight. The online pipeline always runs exactly one
-    /// auxiliary thread (the solver stage) with footprint accounting
-    /// inline, whatever worker count the mode names — so
-    /// [`crate::PipelineStats`] reports `workers: 1, accounting_shards: 0`
-    /// for any online `Pipelined { workers: n ≥ 1 }` run. Schedules are
-    /// unaffected (accounting placement never changes outcomes), and the
-    /// scrubbed-summary identity with offline replays holds regardless
-    /// because [`CampaignSummary::without_wall_clock`] drops the pipeline
+    /// solve is in flight. The pipeline always runs exactly one auxiliary
+    /// thread (the solver stage) with footprint accounting inline,
+    /// whatever worker count the mode names — so [`crate::PipelineStats`]
+    /// reports `workers: 1` for any `Pipelined { workers: n ≥ 1 }` run,
+    /// and the scrubbed-summary identity with `Sync` runs holds because
+    /// [`crate::CampaignSummary::without_wall_clock`] drops the pipeline
     /// stats.
     pub fn run_online_sequenced(
         &self,
@@ -575,7 +541,7 @@ impl<P: ConditionsProvider> Simulator<P> {
         placements: std::sync::mpsc::SyncSender<online::PlacementNotice>,
         clock: clock::ClockMode,
     ) -> Result<online::OnlineReport, SimulationError> {
-        online::run_online_sequenced(self, scheduler, arrivals, placements, clock)
+        online::OnlineDriver::live(self, arrivals, placements, clock).run(scheduler)
     }
 
     /// The conditions provider the engine accounts footprints with.
@@ -583,79 +549,10 @@ impl<P: ConditionsProvider> Simulator<P> {
         &self.provider
     }
 
-    /// The synchronous driver: every stage of the slot lifecycle runs
-    /// inline on the caller's thread.
-    fn run_sync(
-        &self,
-        jobs: &[JobSpec],
-        scheduler: &mut dyn Scheduler,
-    ) -> Result<SimulationReport, SimulationError> {
-        let mut state = SimState::new(&self.config, jobs.to_vec())?;
-        let mut outcomes: Vec<JobOutcome> = Vec::with_capacity(jobs.len());
-
-        while let Some(QueuedEvent { time, event, .. }) = state.queue.pop() {
-            state.last_time = time;
-            match event {
-                Event::Arrival(i) => state.handle_arrival(i, time),
-                Event::Round => {
-                    if !state.pending.is_empty() {
-                        let (pending_jobs, views) = state.snapshot();
-                        let batch = pending_jobs.len();
-                        let seq_base = state.queue.reserve(batch as u64 + 1);
-                        let ctx = SchedulingContext {
-                            now: Seconds::new(time),
-                            pending: &pending_jobs,
-                            regions: &views,
-                            delay_tolerance: state.tolerance,
-                            transfer: &self.config.transfer,
-                        };
-                        let (decision, elapsed, solver) = timed_schedule(scheduler, &ctx);
-                        state.overhead.push(OverheadSample {
-                            sim_time: Seconds::new(time),
-                            wall_clock: Seconds::new(elapsed),
-                            // The inline solve blocks the event loop for its
-                            // full duration.
-                            commit_wait: Seconds::new(elapsed),
-                            batch_size: batch,
-                            solver,
-                        });
-                        state.commit_round(&decision, batch, seq_base, time, &self.config)?;
-                    } else if state.completed < jobs.len() {
-                        state.queue.push(time + state.interval, Event::Round)?;
-                    }
-                }
-                Event::Ready(i) => state.handle_ready(i, time)?,
-                Event::Complete(i) => {
-                    let record = state.handle_complete(i, time)?;
-                    outcomes.push(self.record_outcome(
-                        &record.spec,
-                        &record.runtime,
-                        state.tolerance,
-                    )?);
-                }
-            }
-            if state.should_stop() {
-                // Drain any remaining Round events implicitly by stopping.
-                break;
-            }
-        }
-
-        let (makespan, mean_utilization) = state.finalize();
-        let summary = CampaignSummary::from_outcomes(&outcomes, &state.overhead, mean_utilization);
-        Ok(SimulationReport {
-            scheduler_name: scheduler.name().to_string(),
-            outcomes,
-            overhead: state.overhead,
-            summary,
-            makespan: Seconds::new(makespan),
-        })
-    }
-
     /// Footprint accounting for one completed job: estimate the execution
     /// and transfer footprints under the conditions at the job's start time
     /// and derive the service-time verdicts. Pure with respect to engine
-    /// state, which is what lets the pipelined driver run it on accounting
-    /// shards.
+    /// state.
     pub(crate) fn record_outcome(
         &self,
         job: &JobSpec,

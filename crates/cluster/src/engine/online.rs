@@ -1,16 +1,50 @@
-//! The online engine driver: live arrival injection into a running
-//! campaign.
+//! The engine's one event loop: it dispatches every run, offline or live.
 //!
-//! Offline replays preload the whole trace into the event queue before the
-//! first event dispatches. The online driver instead starts from an empty
+//! A *live* run ([`Simulator::run_online_sequenced`]) starts from an empty
 //! job table and *injects* jobs while the campaign runs: an
 //! `mpsc::Receiver<SequencedJob>` is the arrival source, every enacted
 //! placement is reported over a bounded [`PlacementNotice`] channel as it
 //! commits, and the run ends when the source closes and every admitted job
 //! has completed. `waterwise-service` builds the request/response
 //! front-end (the multi-session host and its line-delimited-JSON TCP
-//! listener) on top of this driver; see `docs/ONLINE_SERVICE.md` for the
+//! listener) on top of it; see `docs/ONLINE_SERVICE.md` for the
 //! operator-facing view.
+//!
+//! An *offline* replay ([`Simulator::run`]) is the same loop started with
+//! the whole trace preloaded into the event queue and the source already
+//! closed: there is no channel, clock or placement sink, every queued
+//! event is dispatchable, and the loop stops at the same event a live
+//! session over the same trace stops at.
+//!
+//! # Solve backends and the commit protocol
+//!
+//! ```text
+//!  event loop (caller thread)           solver stage (1 thread, `Pipelined` only)
+//!  ┌──────────────────────────┐  snapshots   ┌─────────────────────────┐
+//!  │ pop events, keep region/ │ ───────────► │ owns the scheduler,     │
+//!  │ job state, account       │  bounded(1)  │ solves one slot at a    │
+//!  │ footprints, commit       │ ◄─────────── │ time, returns decision  │
+//!  │ decisions in slot order  │  decisions   │ + per-round solver work │
+//!  └──────────────────────────┘              └─────────────────────────┘
+//! ```
+//!
+//! A round snapshots the pending pool, reserves its decision events' queue
+//! keys (`EventQueue::reserve`), solves, and commits. Under
+//! [`EngineMode::Sync`] the solve runs inline.
+//! Under [`EngineMode::Pipelined`] it runs on the solver stage, and its
+//! decisions are committed strictly in slot order — every request is
+//! tagged with a slot counter and an out-of-order response is refused
+//! ([`SimulationError::PipelineCommitOrder`]). While slot `t`'s solve is in
+//! flight the loop keeps ingesting *arrival* events ahead of the commit
+//! barrier (the next round's position in the event order): arrivals only
+//! append to the pending pool, which the slot-`t` decision cannot touch
+//! (commits match assignments against the snapshot prefix only), so the
+//! overlap commutes with the commit. Every other event type waits for the
+//! commit, because decision effects (`Ready` events, possibly at the very
+//! same timestamp for home-region placements) may interleave anywhere
+//! after the round. The reserved keys make the late commit stamp exactly
+//! what an inline commit would have, so both backends replay
+//! byte-identically (`tests/pipeline_equivalence.rs`).
 //!
 //! # The identity discipline
 //!
@@ -24,7 +58,7 @@
 //!
 //! 1. **Split sequence bands.** In an offline replay every arrival enters
 //!    the queue before the first round, so on exact timestamp ties arrivals
-//!    always order ahead of round/decision events. The online driver cannot
+//!    always order ahead of round/decision events. A live run cannot
 //!    rely on push order — arrivals are pushed throughout the run — so
 //!    they carry caller-allocated sequences from a dedicated low band
 //!    ([`SequencedJob::seq`]) and the regular band is floored at
@@ -48,13 +82,13 @@
 //! test in `waterwise-bench`.
 
 use super::clock::{ClockMode, SimClock};
-use super::pipeline::{solver_stage, SolveRequest, SolveResponse};
 use super::queue::{Event, QueuedEvent};
 use super::{timed_schedule, SimState, SimulationReport, Simulator};
-use crate::config::EngineMode;
+use crate::config::{EngineMode, SimulationConfig};
 use crate::error::SimulationError;
 use crate::metrics::{CampaignSummary, JobOutcome, OverheadSample, PipelineStats};
-use crate::scheduler::{Scheduler, SchedulingContext, SolverActivity};
+use crate::scheduler::{PendingJob, Scheduler, SchedulingDecision, SolverActivity};
+use crate::state::RegionView;
 use std::collections::BTreeSet;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::time::{Duration, Instant};
@@ -82,7 +116,7 @@ pub(crate) const ONLINE_ROUND_SEQ_BASE: u64 = 1 << 48;
 /// engine.
 pub const ONLINE_ARRIVAL_SEQ_LIMIT: u64 = ONLINE_ROUND_SEQ_BASE;
 
-/// How long the staged (pipelined) online driver waits on the solver-stage
+/// How long the staged (pipelined) backend waits on the solver-stage
 /// response channel between ingestion sweeps while a solve is in flight.
 const SOLVE_POLL_INTERVAL: Duration = Duration::from_micros(500);
 
@@ -155,66 +189,78 @@ pub struct OnlineReport {
     pub trace: Vec<JobSpec>,
 }
 
-/// Where a round's solve executes, mirroring [`EngineMode`] for the online
-/// loop: inline on the event loop (`Sync`) or on the dedicated solver-stage
-/// thread (`Pipelined`).
+/// Where a round's solve executes, mirroring [`EngineMode`]: inline on
+/// the event loop (`Sync`) or on the dedicated solver-stage thread
+/// (`Pipelined`).
 enum SolveBackend<'s> {
     Inline(&'s mut dyn Scheduler),
     Staged {
         requests: SyncSender<SolveRequest>,
         responses: Receiver<SolveResponse>,
+        /// Occupancy counters, reported as [`CampaignSummary::pipeline`].
+        stats: PipelineStats,
     },
 }
 
-/// Run one online campaign. See [`Simulator::run_online_sequenced`] for
-/// the public contract and [`self`] (module docs) for the identity
-/// discipline.
-pub(crate) fn run_online_sequenced<P: ConditionsProvider>(
-    sim: &Simulator<P>,
+/// A round snapshot shipped to the solver stage.
+struct SolveRequest {
+    slot: usize,
+    now: f64,
+    pending: Vec<PendingJob>,
+    views: Vec<RegionView>,
+}
+
+/// The solver stage's answer for one slot.
+struct SolveResponse {
+    slot: usize,
+    decision: SchedulingDecision,
+    wall: f64,
+    solver: Option<SolverActivity>,
+}
+
+/// The solver stage: owns the scheduler for the campaign's lifetime,
+/// solving one snapshot at a time in slot order. Exits when the event loop
+/// hangs up either side of the channel pair.
+fn solver_stage(
+    requests: Receiver<SolveRequest>,
+    responses: SyncSender<SolveResponse>,
+    config: &SimulationConfig,
     scheduler: &mut dyn Scheduler,
-    arrivals: Receiver<SequencedJob>,
-    placements: SyncSender<PlacementNotice>,
-    clock: ClockMode,
-) -> Result<OnlineReport, SimulationError> {
-    let scheduler_name = scheduler.name().to_string();
-    let mut driver = OnlineDriver::new(sim, arrivals, placements, clock.normalized());
-    match sim.config().engine.normalized() {
-        EngineMode::Sync => driver.run(SolveBackend::Inline(scheduler), scheduler_name),
-        EngineMode::Pipelined { .. } => std::thread::scope(|scope| {
-            let (req_tx, req_rx) = std::sync::mpsc::sync_channel::<SolveRequest>(1);
-            let (resp_tx, resp_rx) = std::sync::mpsc::sync_channel::<SolveResponse>(1);
-            let delay_tolerance = sim.config().delay_tolerance;
-            let transfer = &sim.config().transfer;
-            scope
-                .spawn(move || solver_stage(req_rx, resp_tx, delay_tolerance, transfer, scheduler));
-            driver.stats = Some(PipelineStats {
-                workers: 1,
-                accounting_shards: 0,
-                ..PipelineStats::default()
-            });
-            // `req_tx` moves into the backend and drops when `run` returns
-            // (on success or error), hanging up the solver stage so the
-            // scope can join it.
-            driver.run(
-                SolveBackend::Staged {
-                    requests: req_tx,
-                    responses: resp_rx,
-                },
-                scheduler_name,
-            )
-        }),
+) {
+    while let Ok(request) = requests.recv() {
+        let (decision, wall, solver) = timed_schedule(
+            scheduler,
+            request.now,
+            &request.pending,
+            &request.views,
+            config,
+        );
+        let response = SolveResponse {
+            slot: request.slot,
+            decision,
+            wall,
+            solver,
+        };
+        if responses.send(response).is_err() {
+            break; // Event loop hung up (error path); exit cleanly.
+        }
     }
 }
 
-struct OnlineDriver<'a, P> {
+/// The engine driver: the [`SimState`] core plus, for a live run, the
+/// arrival source, its watermark bookkeeping and the placement sink. See
+/// [`Simulator::run`] / [`Simulator::run_online_sequenced`] for the public
+/// contracts and [`self`] (module docs) for the identity discipline.
+pub(crate) struct OnlineDriver<'a, P> {
     sim: &'a Simulator<P>,
     state: SimState,
-    arrivals: Receiver<SequencedJob>,
-    placements: SyncSender<PlacementNotice>,
-    /// `None` for [`ClockMode::Discrete`], a started clock for `RealTime`.
+    /// The live arrival source while it can still produce requests; `None`
+    /// once it has closed, and from the start for an offline replay.
+    arrivals: Option<Receiver<SequencedJob>>,
+    /// Where enacted placements are reported; `None` for an offline replay.
+    placements: Option<SyncSender<PlacementNotice>>,
+    /// A started clock for [`ClockMode::RealTime`], `None` otherwise.
     clock: Option<SimClock>,
-    /// Whether the arrival source can still produce requests.
-    open: bool,
     /// Caller-allocated sequences seen so far: a reused sequence would
     /// make the exact-tie order between the twins ambiguous, so the run is
     /// rejected instead.
@@ -225,13 +271,21 @@ struct OnlineDriver<'a, P> {
     /// or the replay could order the arrival ahead of committed effects.
     committed_time: f64,
     outcomes: Vec<JobOutcome>,
-    /// Pipeline counters, `Some` iff the solve backend is staged.
-    stats: Option<PipelineStats>,
     slot: usize,
 }
 
 impl<'a, P: ConditionsProvider> OnlineDriver<'a, P> {
-    fn new(
+    /// A driver over a preloaded trace and a closed source.
+    pub(crate) fn offline(
+        sim: &'a Simulator<P>,
+        jobs: &[JobSpec],
+    ) -> Result<Self, SimulationError> {
+        let state = SimState::new(sim.config(), jobs)?;
+        Ok(Self::over(sim, state, None, None, None))
+    }
+
+    /// A driver over an empty job table fed by `arrivals`.
+    pub(crate) fn live(
         sim: &'a Simulator<P>,
         arrivals: Receiver<SequencedJob>,
         placements: SyncSender<PlacementNotice>,
@@ -240,23 +294,69 @@ impl<'a, P: ConditionsProvider> OnlineDriver<'a, P> {
         let mut state = SimState::empty(sim.config());
         // Floor the regular sequence band; arrivals use the low band.
         state.queue.reserve(ONLINE_ROUND_SEQ_BASE);
-        let clock = match clock {
+        let clock = match clock.normalized() {
             ClockMode::Discrete => None,
             ClockMode::RealTime { scale } => Some(SimClock::start(scale)),
         };
+        Self::over(sim, state, Some(arrivals), Some(placements), clock)
+    }
+
+    fn over(
+        sim: &'a Simulator<P>,
+        state: SimState,
+        arrivals: Option<Receiver<SequencedJob>>,
+        placements: Option<SyncSender<PlacementNotice>>,
+        clock: Option<SimClock>,
+    ) -> Self {
         Self {
             sim,
+            outcomes: Vec::with_capacity(state.jobs.len()),
             state,
             arrivals,
             placements,
             clock,
-            open: true,
             used_seqs: BTreeSet::new(),
             last_stamp: f64::NEG_INFINITY,
             committed_time: f64::NEG_INFINITY,
-            outcomes: Vec::new(),
-            stats: None,
             slot: 0,
+        }
+    }
+
+    /// Run the campaign to completion under `scheduler`, solving inline or
+    /// on a solver-stage thread as the configured [`EngineMode`] says.
+    pub(crate) fn run(
+        self,
+        scheduler: &mut dyn Scheduler,
+    ) -> Result<OnlineReport, SimulationError> {
+        let scheduler_name = scheduler.name().to_string();
+        let config = self.sim.config();
+        match config.engine.normalized() {
+            EngineMode::Sync => self.drive(SolveBackend::Inline(scheduler), scheduler_name),
+            EngineMode::Pipelined { .. } => std::thread::scope(|scope| {
+                let (requests, req_rx) = std::sync::mpsc::sync_channel::<SolveRequest>(1);
+                let (resp_tx, responses) = std::sync::mpsc::sync_channel::<SolveResponse>(1);
+                let stage = scope.spawn(move || solver_stage(req_rx, resp_tx, config, scheduler));
+                // The loop consumes the backend, so the request sender is
+                // gone when it returns (on success or error) and the stage
+                // exits. A join error carries the scheduler's own panic:
+                // re-raise it with its original payload, as an inline solve
+                // would have.
+                let result = self.drive(
+                    SolveBackend::Staged {
+                        requests,
+                        responses,
+                        stats: PipelineStats {
+                            workers: 1,
+                            ..PipelineStats::default()
+                        },
+                    },
+                    scheduler_name,
+                );
+                if let Err(payload) = stage.join() {
+                    std::panic::resume_unwind(payload);
+                }
+                result
+            }),
         }
     }
 
@@ -311,31 +411,38 @@ impl<'a, P: ConditionsProvider> OnlineDriver<'a, P> {
     /// Ingest every request currently sitting in the channel without
     /// blocking. Notices the source closing.
     fn drain_injections(&mut self) -> Result<(), SimulationError> {
-        while self.open {
-            match self.arrivals.try_recv() {
+        while let Some(arrivals) = &self.arrivals {
+            match arrivals.try_recv() {
                 Ok(job) => self.ingest(job)?,
                 Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => self.open = false,
+                Err(TryRecvError::Disconnected) => self.arrivals = None,
             }
         }
         Ok(())
     }
 
-    /// Block until the source produces a request (ingested) or closes.
-    fn await_source(&mut self) -> Result<(), SimulationError> {
-        match self.arrivals.recv() {
-            Ok(job) => self.ingest(job),
-            Err(_) => {
-                self.open = false;
-                Ok(())
-            }
+    /// Block until the source produces a request (ingested), closes, or —
+    /// when `limit` is given — that much wall time has passed.
+    fn await_source(&mut self, limit: Option<Duration>) -> Result<(), SimulationError> {
+        let Some(arrivals) = &self.arrivals else {
+            return Ok(());
+        };
+        let received = match limit {
+            None => arrivals.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            Some(limit) => arrivals.recv_timeout(limit),
+        };
+        match received {
+            Ok(job) => self.ingest(job)?,
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => self.arrivals = None,
         }
+        Ok(())
     }
 
     /// Whether an event at `time` is safe to dispatch: no earlier (or
     /// equally-timed) arrival can still be injected.
     fn dispatchable(&self, time: f64) -> bool {
-        if !self.open {
+        if self.arrivals.is_none() {
             return true;
         }
         match &self.clock {
@@ -346,60 +453,36 @@ impl<'a, P: ConditionsProvider> OnlineDriver<'a, P> {
         }
     }
 
-    /// Whether every admitted job has been fully processed (the offline
-    /// engine's stop condition). While the source is open this means
-    /// "idle", not "done".
-    fn drained(&self) -> bool {
-        self.state.completed == self.state.jobs.len()
-            && self.state.pending.is_empty()
-            && self.state.queue.only_rounds_left()
-    }
-
-    fn run(
+    /// The one event-dispatch loop.
+    fn drive(
         mut self,
         mut backend: SolveBackend<'_>,
         scheduler_name: String,
     ) -> Result<OnlineReport, SimulationError> {
         loop {
             self.drain_injections()?;
-            if self.drained() {
-                // Idle: nothing the engine may legally dispatch. Offline
-                // replays stop exactly here (trailing rounds are never
-                // popped), so to keep makespans identical the online
-                // driver must not dispatch them either — it waits for the
-                // source instead, and stops when it closes.
-                if !self.open {
-                    break;
+            // Every admitted job fully processed and only trailing rounds
+            // queued: a closed source means done, an open one means idle.
+            // The trailing rounds are never popped in either case, so a
+            // live session and the replay of its recorded trace report the
+            // same makespan.
+            let time = match self.state.queue.peek() {
+                Some(top) if !self.state.should_stop() => top.time,
+                _ if self.arrivals.is_none() => break,
+                _ => {
+                    self.await_source(None)?;
+                    continue;
                 }
-                self.await_source()?;
-                continue;
-            }
-            let Some(&QueuedEvent { time, .. }) = self.state.queue.peek() else {
-                // Pending work with an empty queue cannot happen (the round
-                // chain re-arms while jobs are incomplete); treat it like
-                // drained for robustness.
-                if !self.open {
-                    break;
-                }
-                self.await_source()?;
-                continue;
             };
             if !self.dispatchable(time) {
-                match &self.clock {
-                    None => self.await_source()?,
-                    Some(clock) => {
-                        let wait = clock.wall_until(time);
-                        match self.arrivals.recv_timeout(wait) {
-                            Ok(job) => self.ingest(job)?,
-                            Err(RecvTimeoutError::Timeout) => {}
-                            Err(RecvTimeoutError::Disconnected) => self.open = false,
-                        }
-                    }
-                }
+                // `Discrete` waits for a strictly later injection,
+                // `RealTime` at most until the wall clock reaches `time`.
+                let limit = self.clock.as_ref().map(|clock| clock.wall_until(time));
+                self.await_source(limit)?;
                 continue;
             }
-            // The dispatchability check above peeked a queued event; an
-            // empty pop just re-enters the watermark wait (DET003).
+            // The peek above proved the queue is non-empty; an empty pop
+            // just re-enters the watermark wait (DET003).
             let Some(QueuedEvent { time, event, .. }) = self.state.queue.pop() else {
                 continue;
             };
@@ -411,11 +494,10 @@ impl<'a, P: ConditionsProvider> OnlineDriver<'a, P> {
                     if !self.state.pending.is_empty() {
                         self.solve_and_commit(time, &mut backend)?;
                     } else if self.state.completed < self.state.jobs.len() {
-                        // Same re-arm condition as the offline drivers; an
-                        // idle round can only be dispatched while admitted
-                        // jobs are incomplete (a fully-drained engine
-                        // parks in the idle branch of `run` instead), so
-                        // the recorded trace re-arms identically offline.
+                        // An idle round is only dispatched while admitted
+                        // jobs are incomplete (a fully-drained engine parks
+                        // in the idle branch above instead), so a recorded
+                        // trace re-arms identically when replayed.
                         self.state
                             .queue
                             .push(time + self.state.interval, Event::Round)?;
@@ -427,23 +509,20 @@ impl<'a, P: ConditionsProvider> OnlineDriver<'a, P> {
                 }
                 Event::Complete(i) => {
                     self.committed_time = self.committed_time.max(time);
-                    let record = self.state.handle_complete(i, time)?;
+                    let runtime = self.state.handle_complete(i, time)?;
                     self.outcomes.push(self.sim.record_outcome(
-                        &record.spec,
-                        &record.runtime,
+                        &self.state.jobs[i],
+                        &runtime,
                         self.state.tolerance,
                     )?);
                 }
-            }
-            if !self.open && self.state.should_stop() {
-                break;
             }
         }
 
         let (makespan, mean_utilization) = self.state.finalize();
         let mut summary =
             CampaignSummary::from_outcomes(&self.outcomes, &self.state.overhead, mean_utilization);
-        if let Some(stats) = self.stats {
+        if let SolveBackend::Staged { stats, .. } = backend {
             summary = summary.with_pipeline(stats);
         }
         Ok(OnlineReport {
@@ -470,19 +549,15 @@ impl<'a, P: ConditionsProvider> OnlineDriver<'a, P> {
         let seq_base = self.state.queue.reserve(batch as u64 + 1);
         let (decision, wall, commit_wait, solver) = match backend {
             SolveBackend::Inline(scheduler) => {
-                let ctx = SchedulingContext {
-                    now: Seconds::new(now),
-                    pending: &pending_jobs,
-                    regions: &views,
-                    delay_tolerance: self.state.tolerance,
-                    transfer: &self.sim.config().transfer,
-                };
-                let (decision, elapsed, solver) = timed_schedule(&mut **scheduler, &ctx);
+                let config = self.sim.config();
+                let (decision, elapsed, solver) =
+                    timed_schedule(&mut **scheduler, now, &pending_jobs, &views, config);
                 (decision, elapsed, elapsed, solver)
             }
             SolveBackend::Staged {
                 requests,
                 responses,
+                stats,
             } => {
                 let slot = self.slot;
                 requests
@@ -493,9 +568,7 @@ impl<'a, P: ConditionsProvider> OnlineDriver<'a, P> {
                         views,
                     })
                     .map_err(|_| SimulationError::SolverStageDisconnected { slot })?;
-                if let Some(stats) = &mut self.stats {
-                    stats.solve_requests += 1;
-                }
+                stats.solve_requests += 1;
                 // The commit barrier: the key the next round will carry.
                 let barrier = (now + self.state.interval, seq_base + batch as u64);
                 // lint:allow(DET002: commit_wait timing capture; scrubbed from schedules by without_wall_clock)
@@ -522,9 +595,7 @@ impl<'a, P: ConditionsProvider> OnlineDriver<'a, P> {
                         self.state.last_time = arrival.time;
                         if let Event::Arrival(i) = arrival.event {
                             self.state.handle_arrival(i, arrival.time);
-                            if let Some(stats) = &mut self.stats {
-                                stats.overlapped_arrivals += 1;
-                            }
+                            stats.overlapped_arrivals += 1;
                         }
                     }
                     match responses.recv_timeout(SOLVE_POLL_INTERVAL) {
@@ -542,10 +613,8 @@ impl<'a, P: ConditionsProvider> OnlineDriver<'a, P> {
                         got: resp.slot,
                     });
                 }
-                if let Some(stats) = &mut self.stats {
-                    stats.commit_wait = Seconds::new(stats.commit_wait.value() + commit_wait);
-                    stats.solver_busy = Seconds::new(stats.solver_busy.value() + resp.wall);
-                }
+                stats.commit_wait = Seconds::new(stats.commit_wait.value() + commit_wait);
+                stats.solver_busy = Seconds::new(stats.solver_busy.value() + resp.wall);
                 (resp.decision, resp.wall, commit_wait, resp.solver)
             }
         };
@@ -561,6 +630,10 @@ impl<'a, P: ConditionsProvider> OnlineDriver<'a, P> {
                 .commit_round(&decision, batch, seq_base, now, self.sim.config())?;
         let slot = self.slot;
         self.slot += 1;
+        // Offline replays have no sink and build no notices.
+        let Some(placements) = &self.placements else {
+            return Ok(());
+        };
         for placement in enacted {
             let spec = &self.state.jobs[placement.job];
             let notice = PlacementNotice {
@@ -574,7 +647,7 @@ impl<'a, P: ConditionsProvider> OnlineDriver<'a, P> {
                 deferrals: placement.deferrals,
                 solver,
             };
-            self.placements
+            placements
                 .send(notice)
                 .map_err(|_| SimulationError::PlacementSinkDisconnected { job: spec.id })?;
         }

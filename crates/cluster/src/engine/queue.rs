@@ -1,16 +1,15 @@
-//! The discrete-event queue shared by the synchronous and pipelined engine
-//! drivers.
+//! The discrete-event queue under the engine's one event loop.
 //!
 //! Events are ordered by `(time, sequence)` — a min-heap on the timestamp
 //! with the insertion sequence as the tie-breaker, so events at equal
-//! simulated times dispatch in the order they were scheduled. Both engine
-//! drivers must produce *identical* `(time, sequence)` keys for every event
-//! or their replay order (and therefore the whole campaign) could diverge on
-//! exact timestamp ties. Because the pipelined driver pushes a round's
-//! decision events *after* it has already ingested later arrivals (the solve
-//! overlaps arrival processing), it cannot rely on push order alone; instead
-//! both drivers [`EventQueue::reserve`] a sequence block at the round
-//! snapshot and stamp the decision's events with
+//! simulated times dispatch in the order they were scheduled. Both solve
+//! backends must produce *identical* `(time, sequence)` keys for every
+//! event or their replay order (and therefore the whole campaign) could
+//! diverge on exact timestamp ties. Because the staged backend pushes a
+//! round's decision events *after* the loop has already ingested later
+//! arrivals (the solve overlaps arrival processing), push order alone is
+//! not enough; instead every round [`EventQueue::reserve`]s a sequence
+//! block at its snapshot and stamps the decision's events with
 //! [`EventQueue::push_with_seq`], which keeps the keys byte-identical across
 //! engine modes regardless of when the pushes physically happen.
 
@@ -86,7 +85,7 @@ pub(crate) struct EventQueue {
     /// Queued events that are *not* periodic rounds, maintained at
     /// push/pop so the engine's stop condition
     /// ([`EventQueue::only_rounds_left`]) is O(1) instead of a heap scan —
-    /// the online driver evaluates it once per loop iteration.
+    /// the event loop evaluates it once per iteration.
     non_round_events: usize,
 }
 
@@ -98,11 +97,17 @@ impl EventQueue {
         self.push_with_seq(time, seq, event)
     }
 
+    /// Pre-size the heap for `additional` more events, so preloading a
+    /// whole trace grows it once instead of by repeated doubling.
+    pub(crate) fn reserve_events(&mut self, additional: usize) {
+        self.heap.reserve(additional);
+    }
+
     /// Reserve a block of `n` consecutive sequence numbers and return the
     /// first. Paired with [`EventQueue::push_with_seq`], this lets a round
     /// stamp its decision events with the keys they would have received in a
     /// strictly synchronous replay even when the physical pushes happen
-    /// after later events were already ingested (the pipelined driver's
+    /// after later events were already ingested (the staged backend's
     /// arrival overlap).
     pub(crate) fn reserve(&mut self, n: u64) -> u64 {
         let first = self.seq;
@@ -147,9 +152,8 @@ impl EventQueue {
         self.heap.peek()
     }
 
-    /// Whether only periodic `Round` events remain queued. O(1): evaluated
-    /// after every event in both the offline and online drivers' stop
-    /// conditions.
+    /// Whether only periodic `Round` events remain queued. O(1): part of
+    /// the stop condition the event loop checks before every dispatch.
     pub(crate) fn only_rounds_left(&self) -> bool {
         self.non_round_events == 0
     }

@@ -1,7 +1,9 @@
-//! Engine unit tests: the synchronous reference behavior, the pipelined
-//! mode's byte-identity to it, and both modes' error paths.
+//! Engine unit tests: the inline-solve reference behavior, the staged
+//! (pipelined) backend's byte-identity to it, both modes' error paths, and
+//! the live source's identity with an offline replay.
 
 use super::*;
+use crate::config::EngineMode;
 use crate::scheduler::Assignment;
 use waterwise_telemetry::SyntheticTelemetry;
 use waterwise_traces::{TraceConfig, TraceGenerator};
@@ -73,6 +75,15 @@ fn simulator(servers: usize, tolerance: f64) -> Simulator<SyntheticTelemetry> {
         SyntheticTelemetry::with_seed(1),
     )
     .unwrap()
+}
+
+/// One simulator per solve backend (inline, staged): typed errors must not
+/// depend on where the solve runs.
+fn both_engines(servers: usize, tolerance: f64) -> [Simulator<SyntheticTelemetry>; 2] {
+    [
+        simulator(servers, tolerance),
+        pipelined_simulator(servers, tolerance, 2),
+    ]
 }
 
 fn pipelined_simulator(
@@ -194,31 +205,33 @@ fn empty_trace_is_handled() {
 #[test]
 fn nan_submit_time_is_rejected_at_insertion() {
     let jobs = vec![hand_built_job(f64::NAN, 100.0)];
-    let err = simulator(10, 0.5)
-        .run(&jobs, &mut HomeScheduler)
-        .unwrap_err();
-    assert!(matches!(
-        err,
-        SimulationError::NonFiniteEventTime { time, ref event }
-            if time.is_nan() && event.contains("arrival")
-    ));
+    for sim in both_engines(10, 0.5) {
+        let err = sim.run(&jobs, &mut HomeScheduler).unwrap_err();
+        assert!(matches!(
+            err,
+            SimulationError::NonFiniteEventTime { time, ref event }
+                if time.is_nan() && event.contains("arrival")
+        ));
+    }
 }
 
 #[test]
 fn non_finite_execution_time_is_rejected_at_insertion() {
+    // Raised after the round's solve, so the staged backend also proves it
+    // hangs up and joins its solver stage on the error path.
     for bad in [f64::NAN, f64::INFINITY] {
         let jobs = vec![hand_built_job(0.0, bad)];
-        let err = simulator(10, 0.5)
-            .run(&jobs, &mut HomeScheduler)
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                SimulationError::NonFiniteEventTime { ref event, .. }
-                    if event.contains("completion")
-            ),
-            "execution time {bad} should be rejected, got {err:?}"
-        );
+        for sim in both_engines(10, 0.5) {
+            let err = sim.run(&jobs, &mut HomeScheduler).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    SimulationError::NonFiniteEventTime { ref event, .. }
+                        if event.contains("completion")
+                ),
+                "execution time {bad} should be rejected, got {err:?}"
+            );
+        }
     }
 }
 
@@ -231,13 +244,14 @@ fn duplicate_job_ids_fail_the_campaign_with_a_typed_error() {
     let mut b = hand_built_job(10.0, 60.0);
     a.id = JobId(7);
     b.id = JobId(7);
-    let err = simulator(10, 0.5)
-        .run(&[a, b], &mut HomeScheduler)
-        .unwrap_err();
-    assert!(matches!(
-        err,
-        SimulationError::DuplicateJobId { id: JobId(7) }
-    ));
+    let jobs = [a, b];
+    for sim in both_engines(10, 0.5) {
+        let err = sim.run(&jobs, &mut HomeScheduler).unwrap_err();
+        assert!(matches!(
+            err,
+            SimulationError::DuplicateJobId { id: JobId(7) }
+        ));
+    }
 }
 
 #[test]
@@ -324,14 +338,9 @@ fn pipelined_engine_matches_sync_byte_for_byte() {
                 .unwrap();
             assert_reports_identical(&sync, &pipelined);
             let stats = pipelined.summary.pipeline.expect("pipelined stats");
-            assert_eq!(stats.workers, workers);
-            assert_eq!(stats.accounting_shards, workers - 1);
+            // One solver stage, whatever worker count the mode named.
+            assert_eq!(stats.workers, 1);
             assert_eq!(stats.solve_requests, pipelined.overhead.len());
-            if workers > 1 {
-                assert_eq!(stats.accounted_jobs, jobs.len());
-            } else {
-                assert_eq!(stats.accounted_jobs, 0);
-            }
         }
     }
 }
@@ -394,39 +403,6 @@ fn zero_worker_pipeline_clamps_to_sync() {
     for sample in &report.overhead {
         assert_eq!(sample.commit_wait, sample.wall_clock);
     }
-}
-
-#[test]
-fn pipelined_duplicate_job_ids_fail_with_the_same_typed_error() {
-    let mut a = hand_built_job(0.0, 50.0);
-    let mut b = hand_built_job(10.0, 60.0);
-    a.id = JobId(7);
-    b.id = JobId(7);
-    let err = pipelined_simulator(10, 0.5, 2)
-        .run(&[a, b], &mut HomeScheduler)
-        .unwrap_err();
-    assert!(matches!(
-        err,
-        SimulationError::DuplicateJobId { id: JobId(7) }
-    ));
-}
-
-#[test]
-fn pipelined_non_finite_times_fail_with_the_same_typed_error() {
-    let err = pipelined_simulator(10, 0.5, 2)
-        .run(&[hand_built_job(f64::NAN, 100.0)], &mut HomeScheduler)
-        .unwrap_err();
-    assert!(matches!(
-        err,
-        SimulationError::NonFiniteEventTime { time, .. } if time.is_nan()
-    ));
-    let err = pipelined_simulator(10, 0.5, 2)
-        .run(&[hand_built_job(0.0, f64::INFINITY)], &mut HomeScheduler)
-        .unwrap_err();
-    assert!(matches!(
-        err,
-        SimulationError::NonFiniteEventTime { ref event, .. } if event.contains("completion")
-    ));
 }
 
 #[test]
@@ -497,8 +473,43 @@ fn pipelined_commit_wait_never_exceeds_reported_stall_totals() {
     assert!(stats.stall_fraction() >= 0.0 && stats.stall_fraction() <= 1.0);
 }
 
+#[test]
+fn scheduler_panic_keeps_its_payload_in_both_engine_modes() {
+    /// Places like [`HomeScheduler`] until its third round, then panics.
+    struct PanickingScheduler {
+        rounds: u32,
+    }
+    impl Scheduler for PanickingScheduler {
+        fn name(&self) -> &str {
+            "panicking"
+        }
+        fn schedule(&mut self, ctx: &SchedulingContext<'_>) -> SchedulingDecision {
+            self.rounds += 1;
+            if self.rounds == 3 {
+                panic!("scheduler exploded on round 3");
+            }
+            HomeScheduler.schedule(ctx)
+        }
+    }
+    let jobs = small_trace(43);
+    for sim in both_engines(50, 0.5) {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.run(&jobs, &mut PanickingScheduler { rounds: 0 })
+        }))
+        .expect_err("the scheduler's panic must propagate");
+        // The staged backend must re-raise the solver stage's own payload,
+        // not the scope's generic "a scoped thread panicked".
+        assert_eq!(
+            payload.downcast_ref::<&str>().copied(),
+            Some("scheduler exploded on round 3"),
+            "engine mode {:?}",
+            sim.config().engine
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
-// Online driver: live injection must be decision-identical to offline replay.
+// Live source: live injection must be decision-identical to offline replay.
 
 mod online_driver {
     use super::*;
@@ -567,6 +578,37 @@ mod online_driver {
     }
 
     #[test]
+    fn offline_replay_is_the_live_loop_over_a_closed_source() {
+        // Every submit, round, readiness (home placements transfer in zero
+        // time) and completion lands on a multiple of the 60 s scheduling
+        // interval, and two Oregon servers force queueing: the densest
+        // exact-timestamp ties the two sequence layouts (offline: arrivals
+        // 0..n then rounds; live: low band vs 2^48 floor) must agree on.
+        let jobs: Vec<JobSpec> = (0..48u64)
+            .map(|i| {
+                let mut job = hand_built_job((i / 6) as f64 * 60.0, (1 + i % 4) as f64 * 60.0);
+                job.id = JobId(1000 - i);
+                job
+            })
+            .collect();
+        for sim in both_engines(2, 0.5) {
+            let offline = sim.run(&jobs, &mut HomeScheduler).unwrap();
+            let (online, notices) =
+                run_online_with(&sim, &mut HomeScheduler, &jobs, ClockMode::Discrete);
+            assert_eq!(online.trace, jobs);
+            assert_eq!(notices.len(), jobs.len());
+            assert_eq!(online.report.scheduler_name, offline.scheduler_name);
+            // Outcomes, makespan, scrubbed summary, `overhead.len()` and
+            // every deterministic per-round field.
+            assert_reports_identical(&offline, &online.report);
+            assert_eq!(
+                online.report.summary.pipeline.is_some(),
+                offline.summary.pipeline.is_some()
+            );
+        }
+    }
+
+    #[test]
     fn discrete_online_run_matches_offline_replay_pipelined_engine() {
         let jobs = small_trace(13);
         let sync_sim = simulator(40, 0.5);
@@ -590,10 +632,9 @@ mod online_driver {
                 .pipeline
                 .expect("staged online run reports pipeline stats");
             assert!(stats.solve_requests > 0);
-            // The online pipeline is always one solver stage + inline
-            // accounting, whatever worker count the mode named.
+            // The pipeline is always one solver stage + inline accounting,
+            // whatever worker count the mode named.
             assert_eq!(stats.workers, 1);
-            assert_eq!(stats.accounting_shards, 0);
         }
     }
 

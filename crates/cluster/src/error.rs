@@ -94,20 +94,12 @@ pub enum SimulationError {
     /// The pipelined engine's solver stage hung up before delivering a
     /// slot's decision. This only happens when the stage died abnormally
     /// (e.g. the scheduler panicked mid-solve); the error fails the one
-    /// affected campaign, and the panic — if any — still propagates when
-    /// the engine joins the stage, exactly as it would have from an inline
-    /// synchronous solve.
+    /// affected campaign, and the panic — if any — is re-raised with its
+    /// own payload when the engine joins the stage, exactly as it would
+    /// have propagated from an inline synchronous solve.
     SolverStageDisconnected {
         /// The scheduling slot whose decision never arrived.
         slot: usize,
-    },
-    /// A pipelined-engine accounting shard hung up before accepting a
-    /// completion record. Like [`SimulationError::SolverStageDisconnected`],
-    /// this only happens when the shard died abnormally; the error fails the
-    /// one affected campaign.
-    AccountingStageDisconnected {
-        /// Completion index of the record that could not be shipped.
-        index: usize,
     },
     /// The pipelined engine received a decision out of slot order. The
     /// commit protocol applies decisions strictly in slot order, so this is
@@ -134,16 +126,6 @@ pub enum SimulationError {
         time: f64,
         /// The smallest admissible submit time at the point of injection.
         watermark: f64,
-    },
-    /// The pipelined engine's deterministic merge found a completion index
-    /// that no accounting shard returned an outcome for. Completion records
-    /// are indexed contiguously at dispatch, so this is an engine-invariant
-    /// violation (a shard dropped a record without erroring); reporting it
-    /// as a typed error fails the one affected campaign instead of
-    /// panicking the whole parallel run — the PR 3 de-panicking discipline.
-    MissingCompletionRecord {
-        /// The completion index no shard accounted for.
-        index: usize,
     },
     /// The online caller dropped the placement-notice receiver while the
     /// campaign was still placing jobs. Placements are the service's
@@ -196,12 +178,6 @@ impl fmt::Display for SimulationError {
                     "pipelined solver stage hung up before delivering slot {slot}"
                 )
             }
-            SimulationError::AccountingStageDisconnected { index } => {
-                write!(
-                    f,
-                    "pipelined accounting shard hung up before accepting completion {index}"
-                )
-            }
             SimulationError::PipelineCommitOrder { expected, got } => {
                 write!(
                     f,
@@ -217,12 +193,6 @@ impl fmt::Display for SimulationError {
                     f,
                     "out-of-order online arrival: {job} submitted at {time} s, \
                      but the discrete watermark already passed {watermark} s"
-                )
-            }
-            SimulationError::MissingCompletionRecord { index } => {
-                write!(
-                    f,
-                    "pipelined merge missing an outcome for completion index {index}"
                 )
             }
             SimulationError::PlacementSinkDisconnected { job } => {
@@ -256,10 +226,8 @@ impl std::error::Error for SimulationError {
             | SimulationError::UnassignedJob { .. }
             | SimulationError::DuplicateJobId { .. }
             | SimulationError::SolverStageDisconnected { .. }
-            | SimulationError::AccountingStageDisconnected { .. }
             | SimulationError::PipelineCommitOrder { .. }
             | SimulationError::OutOfOrderArrival { .. }
-            | SimulationError::MissingCompletionRecord { .. }
             | SimulationError::PlacementSinkDisconnected { .. }
             | SimulationError::ArrivalSeqOutOfBand { .. }
             | SimulationError::ArrivalSeqReused { .. } => None,

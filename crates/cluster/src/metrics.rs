@@ -93,24 +93,20 @@ pub struct OverheadSample {
 /// The wall-clock fields are measurements and therefore never repeat
 /// exactly; [`CampaignSummary::without_wall_clock`] drops the whole struct
 /// so byte-identity comparisons across engine modes stay meaningful. The
-/// *counter* fields (`solve_requests`, `overlapped_arrivals`,
-/// `accounted_jobs`) are deterministic for a fixed seed: the event stage
+/// *counter* fields (`solve_requests`, `overlapped_arrivals`) are
+/// deterministic for a fixed seed in an offline replay: the event loop
 /// always ingests every arrival ahead of the commit barrier, whether or not
 /// the solver stage finished first.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct PipelineStats {
-    /// Auxiliary worker threads the mode requested (solver stage +
-    /// accounting shards).
+    /// Auxiliary worker threads that ran: always 1, the solver stage
+    /// (footprint accounting is inline whatever count the mode names).
     pub workers: usize,
-    /// Footprint-accounting shards that ran (`workers − 1`).
-    pub accounting_shards: usize,
     /// Round snapshots shipped to the solver stage.
     pub solve_requests: usize,
     /// Arrival events ingested while a solve was in flight (ahead of the
     /// commit barrier) instead of stalling behind it.
     pub overlapped_arrivals: usize,
-    /// Job outcomes whose footprint accounting ran on an accounting shard.
-    pub accounted_jobs: usize,
     /// Total wall-clock the solver stage spent inside `Scheduler::schedule`.
     pub solver_busy: Seconds,
     /// Total wall-clock the event stage spent blocked on decision commits.
@@ -514,11 +510,9 @@ mod tests {
     #[test]
     fn pipeline_stats_overlap_and_stall_fraction() {
         let stats = PipelineStats {
-            workers: 2,
-            accounting_shards: 1,
+            workers: 1,
             solve_requests: 10,
             overlapped_arrivals: 40,
-            accounted_jobs: 100,
             solver_busy: Seconds::new(2.0),
             commit_wait: Seconds::new(0.5),
         };

@@ -47,8 +47,14 @@ use waterwise_service::{
 };
 use waterwise_sustain::FootprintEstimator;
 
+/// An environment override: unset keeps the default, a value that does not
+/// parse is a startup error naming the variable — never a silent default.
 fn env_opt<T: std::str::FromStr>(key: &str) -> Option<T> {
-    std::env::var(key).ok().and_then(|v| v.parse().ok())
+    let raw = std::env::var_os(key)?;
+    match raw.to_str().and_then(|value| value.parse().ok()) {
+        Some(value) => Some(value),
+        None => exit_with(format_args!("invalid {key}: cannot parse {raw:?}")),
+    }
 }
 
 /// Print the failure and exit with the operator-error status. A failed run
@@ -99,17 +105,24 @@ fn load_scenario_or_exit() -> Scenario {
     }
 }
 
+/// `WATERWISE_CLOCK`: `discrete` or `real-time:<scale>`; anything else is a
+/// startup error.
 fn clock_override() -> Option<ClockMode> {
-    let raw = std::env::var("WATERWISE_CLOCK").ok()?;
-    if raw == "discrete" {
+    let raw = std::env::var_os("WATERWISE_CLOCK")?;
+    let value = raw.to_str().unwrap_or_default();
+    if value == "discrete" {
         return Some(ClockMode::Discrete);
     }
-    let scale = raw
+    let scale = value
         .strip_prefix("real-time:")
-        .or_else(|| raw.strip_prefix("realtime:"))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(60.0);
-    Some(ClockMode::RealTime { scale })
+        .or_else(|| value.strip_prefix("realtime:"))
+        .and_then(|s| s.parse().ok());
+    match scale {
+        Some(scale) => Some(ClockMode::RealTime { scale }),
+        None => exit_with(format_args!(
+            "invalid WATERWISE_CLOCK: expected `discrete` or `real-time:<scale>`, got {raw:?}"
+        )),
+    }
 }
 
 /// The solution-cache persistence setup: `WATERWISE_CACHE_PATH` (falling
