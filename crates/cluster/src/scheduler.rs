@@ -137,9 +137,8 @@ pub struct SolverActivity {
     /// to a cold solve; `dual_restarts - basis_reuse_hits` counts the cold
     /// fallbacks (pivot cap hit or incompatible snapshot).
     pub basis_reuse_hits: usize,
-    /// Standard-form rows whose right-hand side actually moved across all
-    /// dual restarts — the sparse delta a restart replays instead of a full
-    /// re-solve.
+    /// Variables whose bound moved across dual restarts — the sparse delta a
+    /// restart replays instead of a full re-solve.
     pub bound_flips: usize,
     /// Solution-cache lookups whose exact fingerprint matched (the solve was
     /// skipped entirely). Zero for schedulers without a cache.

@@ -366,12 +366,11 @@ impl WaterWiseScheduler {
 
         // Decision variables x[m][n].
         let mut x: Vec<Vec<Var>> = Vec::with_capacity(jobs.len());
-        for (m, job) in jobs.iter().enumerate() {
+        for job in jobs {
             let row: Vec<Var> = (0..n_regions)
                 .map(|n| model.add_binary(format!("x_{}_{}", job.spec.id.0, n)))
                 .collect();
             x.push(row);
-            let _ = m;
         }
         // Penalty variables P[m] for the softened delay constraint.
         let penalties: Vec<Option<Var>> = jobs

@@ -104,7 +104,7 @@ fn hint_within_bounds(hint: &[f64], bounds: &[(f64, f64)], tol: f64) -> bool {
 }
 
 /// Drop a node's share of the parent basis; the last holder recycles the
-/// tableau rows into the workspace pool.
+/// tableau buffer into the workspace pool.
 fn release_snapshot(snapshot: Option<Rc<BasisSnapshot>>, workspace: Option<&mut SolverWorkspace>) {
     if let Some(rc) = snapshot {
         if let (Ok(snapshot), Some(ws)) = (Rc::try_unwrap(rc), workspace) {
@@ -327,7 +327,7 @@ pub fn solve_warm(
     }
 
     // Nodes abandoned by an early break still hold basis snapshots; recycle
-    // their rows before reporting (the emptiness check feeds the status).
+    // their buffers before reporting (the emptiness check feeds the status).
     let work_remaining = !heap.is_empty();
     for mut node in heap.drain() {
         release_snapshot(node.snapshot.take(), workspace.as_deref_mut());
@@ -743,7 +743,7 @@ mod tests {
     }
 
     #[test]
-    fn dual_restart_snapshots_are_recycled_into_the_row_pool() {
+    fn dual_restart_snapshots_are_recycled_into_the_buffer_pool() {
         let m = knapsack_model();
         let mut ws = crate::workspace::SolverWorkspace::new();
         let sol = m
@@ -756,10 +756,10 @@ mod tests {
             .unwrap();
         assert!(sol.status.has_solution());
         // Every captured snapshot must end up back in the pool: after the
-        // search no rows may be stranded in dropped snapshots.
+        // search no tableau may be stranded in dropped snapshots.
         assert!(
-            ws.pooled_rows() > 0,
-            "tableau rows should be recycled via snapshots"
+            ws.pooled_buffers() > 0,
+            "tableau buffers should be recycled via snapshots"
         );
     }
 

@@ -53,7 +53,7 @@
 
 use crate::branch_bound::BranchBoundConfig;
 use crate::cache::{CacheExport, ExportedEntry, Fnv, SolutionCache};
-use crate::simplex::SimplexConfig;
+use crate::simplex::{SimplexConfig, KERNEL_REVISION};
 use crate::solution::SolveStatus;
 use std::fmt;
 use std::fs;
@@ -186,8 +186,16 @@ impl std::error::Error for CachePersistError {}
 /// Hash the solver configuration fields that [`crate::ModelFingerprint`]
 /// folds into every exact hash: a snapshot saved under one configuration
 /// must not satisfy exact lookups under another, so the save/load gate
-/// covers exactly the same fields, in the same order, with the same hash.
+/// covers exactly the same fields, in the same order, with the same hash —
+/// followed by the kernel revision byte, because "exact" is a claim about bits
+/// and a different kernel may round the same optimum differently.
 pub fn solver_config_hash(simplex: &SimplexConfig, bb: &BranchBoundConfig) -> u64 {
+    let mut hash = config_fields_hash(simplex, bb);
+    hash.write_u8(KERNEL_REVISION);
+    hash.finish()
+}
+
+fn config_fields_hash(simplex: &SimplexConfig, bb: &BranchBoundConfig) -> Fnv {
     let mut hash = Fnv::new();
     hash.write_usize(simplex.max_iterations);
     hash.write_f64(simplex.tolerance);
@@ -196,7 +204,7 @@ pub fn solver_config_hash(simplex: &SimplexConfig, bb: &BranchBoundConfig) -> u6
     hash.write_f64(bb.integrality_tolerance);
     hash.write_f64(bb.absolute_gap);
     hash.write_u8(bb.use_dual_restart as u8);
-    hash.finish()
+    hash
 }
 
 /// Encode the cache into snapshot bytes (header + content + checksum).
@@ -643,5 +651,15 @@ mod tests {
         let mut b = bb;
         b.use_dual_restart = !b.use_dual_restart;
         assert_ne!(base, solver_config_hash(&simplex, &b));
+
+        // The kernel revision rides behind the seven fields: a file written
+        // by another kernel fails the gate under an unchanged configuration.
+        let fields = config_fields_hash(&simplex, &bb);
+        assert_ne!(base, fields.finish(), "fields alone are not enough");
+        for (revision, same) in [(KERNEL_REVISION, true), (KERNEL_REVISION - 1, false)] {
+            let mut hash = fields;
+            hash.write_u8(revision);
+            assert_eq!(hash.finish() == base, same, "revision {revision}");
+        }
     }
 }

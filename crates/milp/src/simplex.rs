@@ -1,16 +1,24 @@
-//! Dense two-phase primal simplex for linear programs.
+//! Dense bounded-variable primal simplex for linear programs.
 //!
 //! The solver operates on an [`LpProblem`] in "model form": arbitrary finite
 //! or infinite variable bounds and `<=` / `>=` / `==` constraints. It
-//! converts the problem to standard form internally:
+//! converts the problem to a bounded standard form internally:
 //!
 //! * variables with a finite lower bound are shifted so the solver variable
-//!   is non-negative;
+//!   starts at zero, and keep a finite upper bound *implicitly* — one column,
+//!   no bound row, no slack;
 //! * variables bounded only from above are mirrored;
 //! * free variables are split into a difference of two non-negative
 //!   variables;
-//! * finite upper bounds become explicit constraint rows;
 //! * `>=` and `==` rows receive artificial variables driven out in phase 1.
+//!
+//! The tableau is one contiguous row-major buffer with exactly one row per
+//! constraint. A non-basic variable sitting at its upper bound is held by
+//! *complementing* its column (`y = u - y'`: negate the column, move `u`
+//! times it to the rhs), so every non-basic column variable is at zero and
+//! the pivoting rules read as in the textbook method. The ratio test has two
+//! extra cases: a basic variable may leave at its upper bound, and the
+//! entering variable may reach its own bound first (a flip, no pivot).
 //!
 //! Entering-variable selection uses Dantzig's rule with an automatic switch
 //! to Bland's rule after a stall, which guarantees termination on degenerate
@@ -20,35 +28,40 @@
 //!
 //! [`solve_with_hint`] accepts a prior primal point (e.g. the previous
 //! scheduling slot's solution). The solver uses it to build a *crash basis*:
-//! guided pivots bring the hint's support columns into the basis under the
-//! standard ratio test (so primal feasibility of the extended problem is
-//! preserved), preferring to evict artificial variables on ties. When the
-//! crash drives every artificial to zero, phase 1 is skipped entirely and
-//! phase 2 starts at (or next to) the hinted vertex; otherwise the solver
-//! falls back to a normal phase 1 from the crashed basis. The result is
-//! always the same optimum a cold solve finds — only the pivot path differs.
+//! guided steps bring the hint's support columns into the basis (or to their
+//! upper bound) under the ratio test, so primal feasibility of the extended
+//! problem is preserved, preferring to evict artificial variables on ties.
+//! When the crash drives every artificial to zero, phase 1 is skipped
+//! entirely and phase 2 starts at (or next to) the hinted vertex; otherwise
+//! the solver falls back to a normal phase 1 from the crashed basis. The
+//! result is always the same optimum a cold solve finds — only the pivot
+//! path differs.
 //!
 //! # Dual-simplex restarts
 //!
 //! Branch & bound re-solves the *same* LP with tightened variable bounds at
-//! every child node. In the standard form built here, a bound change is a
-//! pure right-hand-side change: constraint rows shift by `coeff · Δlower`
-//! (or `Δupper` for mirrored variables) and explicit bound rows move to
-//! `upper − lower`, while the coefficient matrix, the column layout, and the
-//! phase-2 reduced costs are untouched. The parent node's optimal basis
-//! therefore stays *dual feasible* for the child, and
+//! every child node. A bound change leaves the coefficient matrix, the
+//! column layout and the phase-2 reduced costs untouched, so the parent
+//! node's optimal basis stays *dual feasible* for the child.
 //! [`solve_dual_from_snapshot`] restores it from a [`BasisSnapshot`]
-//! (captured by [`solve_with_basis_capture`]), replays only the sparse rhs
-//! delta, and runs the dual simplex — leaving row with the most negative
-//! rhs, entering column by the dual ratio test — instead of a cold
-//! two-phase solve. Restarts are gated by a per-variable bound-class check
-//! (a bound turning finite would add rows) and by a pivot cap ~10× below
-//! the cold auto cap; both failure modes surface as typed outcomes so the
-//! caller can fall back to a cold solve explicitly.
+//! (captured by [`solve_with_basis_capture`]): a non-basic variable whose
+//! resting bound moved by `Δ` shifts the rhs by `Δ` times its column, a
+//! basic one is left where it is, and the dual simplex — leaving row with
+//! the largest bound violation, entering column by the dual ratio test —
+//! repairs whatever now lies outside its bounds instead of a cold two-phase
+//! solve. Restarts are gated by a per-variable bound-class check (a bound
+//! turning finite or infinite changes the column mapping) and by a pivot cap
+//! ~10× below the cold auto cap; both failure modes surface as typed
+//! outcomes so the caller can fall back to a cold solve explicitly.
 
 use crate::model::Sense;
 use crate::workspace::SolverWorkspace;
 use serde::{Deserialize, Serialize};
+
+/// Bumped whenever a kernel change may alter the bits of an optimum (its
+/// last ulp, or which of several tied vertices is returned). Persisted
+/// "exact" solutions are only replayed under the revision that wrote them.
+pub(crate) const KERNEL_REVISION: u8 = 2;
 
 /// A constraint in "model form" for the LP solver.
 #[derive(Debug, Clone, PartialEq)]
@@ -128,102 +141,63 @@ pub enum SimplexOutcome {
     },
 }
 
-/// Where a standard-form row came from, recorded at construction time so a
-/// dual restart can recompute the row's rhs under changed variable bounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RowSource {
-    /// The `index`-th model constraint of the [`LpProblem`].
-    Constraint(usize),
-    /// The explicit upper-bound row of original variable `var`
-    /// (`y_var <= upper - lower` in shifted solver space).
-    Bound {
-        /// Original variable index.
-        var: usize,
-    },
-}
-
 /// Bound-finiteness class of an original variable. The class fully
-/// determines how the variable maps onto solver columns (and whether it owns
-/// an explicit bound row), so two problems with equal classes per variable
-/// share the same standard-form coefficient matrix — only the rhs differs.
+/// determines how the variable maps onto solver columns, so two problems
+/// with equal classes per variable share the same coefficient matrix — only
+/// the rhs and the implicit column bounds differ.
 fn bound_class(lower: f64, upper: f64) -> u8 {
     match (lower.is_finite(), upper.is_finite()) {
-        (true, true) => 0,   // shifted + bound row
+        (true, true) => 0,   // shifted, implicit upper bound
         (true, false) => 1,  // shifted only
         (false, true) => 2,  // mirrored
         (false, false) => 3, // split
     }
 }
 
-/// Construction-time metadata needed to re-target a final tableau at new
-/// variable bounds (see [`BasisSnapshot`]).
-#[derive(Debug, Clone, Default)]
-struct SnapshotMeta {
-    /// Provenance of each row, in tableau order.
-    sources: Vec<RowSource>,
-    /// Whether the row's rhs sign was flipped during normalization.
-    flipped: Vec<bool>,
-    /// The initial basic column of each row (slack for `<=` rows, artificial
-    /// for `>=`/`==` rows). Column `unit_cols[r]` of `B^-1` is exactly the
-    /// `r`-th column of the current inverse, which is what lets the rhs
-    /// delta be replayed without refactorizing.
-    unit_cols: Vec<usize>,
-    /// Standard-form rhs (post sign-normalization) the tableau was last
-    /// solved against.
-    b0: Vec<f64>,
-    /// Per-variable [`bound_class`] at capture time.
-    classes: Vec<u8>,
-}
-
 /// A final simplex basis captured after an optimal solve, reusable to
 /// warm-restart the *same* LP under changed variable bounds with the dual
 /// simplex (see [`solve_dual_from_snapshot`]).
 ///
-/// The snapshot owns the final tableau rows; recycle them into a
+/// The snapshot owns the final tableau buffer; recycle it into a
 /// [`SolverWorkspace`] with [`SolverWorkspace::recycle_snapshot`] once the
 /// snapshot is no longer needed.
 #[derive(Debug, Clone, Default)]
 pub struct BasisSnapshot {
-    /// Final tableau, `rows x (cols + 1)`, last column rhs.
-    rows: Vec<Vec<f64>>,
+    /// Final tableau, row-major `rows x (cols + 1)`, last column rhs.
+    a: Vec<f64>,
     /// Basic column of each row.
     basis: Vec<usize>,
+    /// Columns held in complemented form (see [`Tableau::complemented`]).
+    complemented: Vec<bool>,
     non_artificial_cols: usize,
     cols: usize,
-    structural_cols: usize,
-    meta: SnapshotMeta,
+    /// Variable bounds the tableau was solved against.
+    lower: Vec<f64>,
+    upper: Vec<f64>,
 }
 
 impl BasisSnapshot {
-    /// Number of tableau rows held by the snapshot.
+    /// Number of tableau rows held by the snapshot (one per constraint).
     pub fn rows(&self) -> usize {
-        self.rows.len()
+        self.basis.len()
     }
 
     /// Whether this snapshot can be restored against `problem`: same
     /// variable count, same constraint count, and the same bound-finiteness
     /// class for every variable (a bound turning finite or infinite changes
-    /// the standard-form column/row layout, which a restart cannot express).
+    /// how the variable maps onto columns, which a restart cannot express).
     pub fn compatible_with(&self, problem: &LpProblem) -> bool {
-        if problem.num_vars != self.meta.classes.len() {
-            return false;
-        }
-        let constraint_rows = self
-            .meta
-            .sources
-            .iter()
-            .filter(|s| matches!(s, RowSource::Constraint(_)))
-            .count();
-        if problem.constraints.len() != constraint_rows {
-            return false;
-        }
-        (0..problem.num_vars)
-            .all(|i| bound_class(problem.lower[i], problem.upper[i]) == self.meta.classes[i])
+        problem.num_vars == self.lower.len()
+            && problem.constraints.len() == self.rows()
+            && (0..problem.num_vars).all(|i| {
+                bound_class(problem.lower[i], problem.upper[i])
+                    == bound_class(self.lower[i], self.upper[i])
+            })
     }
 
-    /// Move this snapshot's row buffers out (used by workspace recycling).
-    pub(crate) fn into_rows(self) -> Vec<Vec<f64>> {
-        self.rows
+    /// Move this snapshot's tableau buffer out (used by workspace recycling).
+    pub(crate) fn into_buffer(self) -> Vec<f64> {
+        self.a
     }
 }
 
@@ -251,10 +225,10 @@ pub enum DualOutcome {
     Incompatible,
 }
 
-/// How an original variable maps onto solver (non-negative) variables.
+/// How an original variable maps onto solver variables (all resting at 0).
 #[derive(Debug, Clone, Copy)]
 enum VarMap {
-    /// `x = lower + y[col]`
+    /// `x = lower + y[col]`, `y[col] <= upper - lower` held implicitly.
     Shifted { col: usize, lower: f64 },
     /// `x = upper - y[col]` (upper bound finite, lower infinite)
     Mirrored { col: usize, upper: f64 },
@@ -262,42 +236,131 @@ enum VarMap {
     Split { pos: usize, neg: usize },
 }
 
+/// Map every original variable onto solver columns; also returns the number
+/// of structural columns used. Depends only on the bound classes.
+fn map_variables(problem: &LpProblem) -> (Vec<VarMap>, usize) {
+    let mut var_map = Vec::with_capacity(problem.num_vars);
+    let mut next_col = 0usize;
+    for i in 0..problem.num_vars {
+        let (lower, upper) = (problem.lower[i], problem.upper[i]);
+        if lower.is_finite() {
+            var_map.push(VarMap::Shifted {
+                col: next_col,
+                lower,
+            });
+            next_col += 1;
+        } else if upper.is_finite() {
+            var_map.push(VarMap::Mirrored {
+                col: next_col,
+                upper,
+            });
+            next_col += 1;
+        } else {
+            var_map.push(VarMap::Split {
+                pos: next_col,
+                neg: next_col + 1,
+            });
+            next_col += 2;
+        }
+    }
+    (var_map, next_col)
+}
+
+/// Implicit upper bound of every solver column: `upper - lower` for shifted
+/// variables, infinite for everything else (slacks and artificials too).
+fn column_bounds(problem: &LpProblem, var_map: &[VarMap], total_cols: usize) -> Vec<f64> {
+    let mut bounds = vec![f64::INFINITY; total_cols];
+    for (i, map) in var_map.iter().enumerate() {
+        if let VarMap::Shifted { col, lower } = *map {
+            bounds[col] = problem.upper[i] - lower;
+        }
+    }
+    bounds
+}
+
 struct Tableau {
-    /// `rows x (cols + 1)` matrix; the last column is the rhs.
-    a: Vec<Vec<f64>>,
+    /// Row-major `rows x stride` matrix; the last entry of a row is its rhs.
+    a: Vec<f64>,
+    /// Row length, `cols + 1`.
+    stride: usize,
     /// Column index of the basic variable of each row.
     basis: Vec<usize>,
     /// Number of structural + slack/surplus columns (artificials follow).
     non_artificial_cols: usize,
     /// Total number of columns (excluding rhs).
     cols: usize,
+    /// Upper bound of each column's variable (its lower bound is 0).
+    upper: Vec<f64>,
+    /// Columns whose variable is currently held as its complement
+    /// `upper - y`, so that a variable resting at its upper bound still
+    /// reads as a non-basic at zero. Complementing keeps the bound.
+    complemented: Vec<bool>,
 }
 
 impl Tableau {
     fn rows(&self) -> usize {
-        self.a.len()
+        self.basis.len()
+    }
+
+    fn row(&self, row: usize) -> &[f64] {
+        &self.a[row * self.stride..(row + 1) * self.stride]
+    }
+
+    fn at(&self, row: usize, col: usize) -> f64 {
+        self.a[row * self.stride + col]
     }
 
     fn rhs(&self, row: usize) -> f64 {
-        self.a[row][self.cols]
+        self.at(row, self.cols)
+    }
+
+    /// Sum of the basic artificial variables (phase-1 infeasibility).
+    fn artificial_sum(&self) -> f64 {
+        (0..self.rows())
+            .filter(|&r| self.basis[r] >= self.non_artificial_cols)
+            .map(|r| self.rhs(r))
+            .sum()
+    }
+
+    /// Tie-break rank of column `col`'s variable, or of its complement when
+    /// `complement` is set. A variable and its complement are two variables
+    /// to the pivoting rules (anti-cycling needs one fixed order over both):
+    /// the complement ranks where the slack of an explicit bound row would,
+    /// after every constraint slack and ahead of the artificials. With that
+    /// order the solver takes, step for step, the path it would take on the
+    /// same LP with its bounds written out as rows — implicit bounds change
+    /// what a solve costs, not which vertex a tie lands on.
+    fn rank(&self, col: usize, complement: bool) -> usize {
+        if self.complemented[col] != complement {
+            self.non_artificial_cols + col
+        } else if col >= self.non_artificial_cols {
+            self.cols + col
+        } else {
+            col
+        }
+    }
+
+    /// Columns `< limit` in [`Tableau::rank`] order.
+    fn ranked_cols(&self, limit: usize) -> impl Iterator<Item = usize> + '_ {
+        let held = move |flag| (0..limit).filter(move |&c| self.complemented[c] == flag);
+        held(false).chain(held(true))
     }
 
     /// Perform a pivot on (row, col): normalize the pivot row and eliminate
-    /// the column from all other rows and the objective row.
-    fn pivot(&mut self, row: usize, col: usize, obj_row: &mut [f64], obj_val: &mut f64) {
-        let pivot_value = self.a[row][col];
-        debug_assert!(pivot_value.abs() > 0.0);
-        let inv = 1.0 / pivot_value;
-        for value in self.a[row].iter_mut() {
+    /// the column from all other rows and from the objective row, if any.
+    fn pivot(&mut self, row: usize, col: usize, obj_row: Option<&mut [f64]>) {
+        let stride = self.stride;
+        let (before, rest) = self.a.split_at_mut(row * stride);
+        let (pivot_row, after) = rest.split_at_mut(stride);
+        debug_assert!(pivot_row[col].abs() > 0.0);
+        let inv = 1.0 / pivot_row[col];
+        for value in pivot_row.iter_mut() {
             *value *= inv;
         }
-        // Split borrows: copy the pivot row once (cols is small relative to
-        // the full tableau and this keeps the inner loop simple and fast).
-        let pivot_row = self.a[row].clone();
-        for (r, target) in self.a.iter_mut().enumerate() {
-            if r == row {
-                continue;
-            }
+        let others = before
+            .chunks_exact_mut(stride)
+            .chain(after.chunks_exact_mut(stride));
+        for target in others.chain(obj_row) {
             let factor = target[col];
             if factor != 0.0 {
                 for (t, p) in target.iter_mut().zip(pivot_row.iter()) {
@@ -305,14 +368,42 @@ impl Tableau {
                 }
             }
         }
-        let factor = obj_row[col];
-        if factor != 0.0 {
-            for (o, p) in obj_row.iter_mut().zip(pivot_row.iter()) {
-                *o -= factor * p;
-            }
-            *obj_val -= factor * pivot_row[self.cols];
-        }
         self.basis[row] = col;
+    }
+
+    /// Re-express column `col`'s variable as `delta` less than it was: every
+    /// rhs gives up `delta` times the column.
+    fn shift_column(&mut self, col: usize, delta: f64) {
+        let cols = self.cols;
+        for target in self.a.chunks_exact_mut(self.stride) {
+            target[cols] -= delta * target[col];
+        }
+    }
+
+    /// Move non-basic column `col` to its other bound: substitute
+    /// `y = upper - y'`, after which `y'` is the non-basic at zero.
+    fn complement_column(&mut self, col: usize, obj_row: Option<&mut [f64]>) {
+        let (cols, upper) = (self.cols, self.upper[col]);
+        for target in self.a.chunks_exact_mut(self.stride).chain(obj_row) {
+            target[cols] -= upper * target[col];
+            target[col] = -target[col];
+        }
+        self.complemented[col] ^= true;
+    }
+
+    /// Substitute `y = upper - y'` for the basic variable of `row`. Its
+    /// column is a unit vector, so only this row changes: `y + Σ a·z = b`
+    /// becomes `y' - Σ a·z = upper - b`.
+    fn complement_basic(&mut self, row: usize) {
+        let col = self.basis[row];
+        let (cols, upper) = (self.cols, self.upper[col]);
+        let target = &mut self.a[row * self.stride..(row + 1) * self.stride];
+        for value in target.iter_mut() {
+            *value = -*value;
+        }
+        target[col] = -target[col];
+        target[cols] += upper;
+        self.complemented[col] ^= true;
     }
 }
 
@@ -335,9 +426,9 @@ pub fn solve_with_hint(
 }
 
 /// Like [`solve_with_hint`], but when the solve ends at an optimum the final
-/// basis is captured as a [`BasisSnapshot`] (the tableau rows move into the
-/// snapshot instead of being recycled). Branch & bound uses the snapshot to
-/// dual-restart child-node LPs via [`solve_dual_from_snapshot`].
+/// basis is captured as a [`BasisSnapshot`] (the tableau buffer moves into
+/// the snapshot instead of being recycled). Branch & bound uses the snapshot
+/// to dual-restart child-node LPs via [`solve_dual_from_snapshot`].
 pub fn solve_with_basis_capture(
     problem: &LpProblem,
     config: &SimplexConfig,
@@ -350,11 +441,12 @@ pub fn solve_with_basis_capture(
 /// Re-solve `problem` starting from a previously captured basis with the
 /// dual simplex. `problem` must be the same LP as the one the snapshot was
 /// captured from *except for variable bounds* (this is exactly the branch &
-/// bound child-node situation); bound changes only move the standard-form
-/// rhs, so the snapshot basis stays dual-feasible and typically re-optimizes
-/// in a handful of pivots. Returns [`DualOutcome::Incompatible`] when the
-/// bound shape changed and [`DualOutcome::PivotLimit`] when the (reduced)
-/// dual pivot cap is exhausted — in both cases the caller should solve cold.
+/// bound child-node situation); bound changes only move the rhs and the
+/// implicit column bounds, so the snapshot basis stays dual-feasible and
+/// typically re-optimizes in a handful of pivots. Returns
+/// [`DualOutcome::Incompatible`] when the bound shape changed and
+/// [`DualOutcome::PivotLimit`] when the (reduced) dual pivot cap is
+/// exhausted — in both cases the caller should solve cold.
 ///
 /// Successful restarts are recorded on the workspace as warm solves plus a
 /// `dual_restarts`/`basis_reuse_hits` pair; failed attempts count only a
@@ -380,11 +472,11 @@ struct Solver<'a> {
     config: SimplexConfig,
     var_map: Vec<VarMap>,
     tableau: Tableau,
-    /// Costs on solver columns (for phase 2), plus the constant offset from
-    /// bound shifts.
+    /// Costs on solver columns in their uncomplemented form (for phase 2).
     solver_costs: Vec<f64>,
     structural_cols: usize,
     num_artificials: usize,
+    /// Pivots plus bound flips performed so far.
     iterations: usize,
     max_iterations: usize,
     hint: Option<&'a [f64]>,
@@ -393,9 +485,16 @@ struct Solver<'a> {
     warm_applied: bool,
     /// Whether a hint was offered but the crash failed to clear phase 1.
     hint_rejected: bool,
-    /// Construction-time row provenance, kept so the final basis can be
-    /// captured as a [`BasisSnapshot`].
-    meta: SnapshotMeta,
+}
+
+/// What stops an entering variable on its way up from zero.
+enum Step {
+    /// The basic variable of `row` reaches zero, or its upper bound when
+    /// `at_upper` is set, and leaves the basis.
+    Pivot { row: usize, at_upper: bool },
+    /// The entering variable reaches its own upper bound first: it stays
+    /// non-basic and its column is complemented.
+    Flip,
 }
 
 impl<'a> Solver<'a> {
@@ -403,198 +502,117 @@ impl<'a> Solver<'a> {
         problem: &'a LpProblem,
         config: &SimplexConfig,
         hint: Option<&'a [f64]>,
-        workspace: Option<&'a mut SolverWorkspace>,
+        mut workspace: Option<&'a mut SolverWorkspace>,
     ) -> Self {
-        // --- 1. Map original variables to non-negative solver variables. ---
-        let mut var_map = Vec::with_capacity(problem.num_vars);
-        let mut next_col = 0usize;
-        // Extra rows from finite upper bounds on shifted variables, as
-        // `(solver column, original variable, upper - lower)`.
-        let mut bound_rows: Vec<(usize, usize, f64)> = Vec::new();
-        for i in 0..problem.num_vars {
-            let lo = problem.lower[i];
-            let hi = problem.upper[i];
-            if lo.is_finite() {
-                var_map.push(VarMap::Shifted {
-                    col: next_col,
-                    lower: lo,
-                });
-                if hi.is_finite() {
-                    bound_rows.push((next_col, i, hi - lo));
-                }
-                next_col += 1;
-            } else if hi.is_finite() {
-                var_map.push(VarMap::Mirrored {
-                    col: next_col,
-                    upper: hi,
-                });
-                next_col += 1;
-            } else {
-                var_map.push(VarMap::Split {
-                    pos: next_col,
-                    neg: next_col + 1,
-                });
-                next_col += 2;
-            }
-        }
-        let structural_cols = next_col;
+        // --- 1. Map original variables to solver variables resting at 0. ---
+        let (var_map, structural_cols) = map_variables(problem);
 
-        // --- 2. Transform constraints into solver-variable space. ---
-        // Each row: dense coefficients over structural columns + rhs + sense.
-        struct Row {
-            coeffs: Vec<f64>,
-            sense: Sense,
-            rhs: f64,
-            source: RowSource,
-        }
-        let mut rows: Vec<Row> = Vec::with_capacity(problem.constraints.len() + bound_rows.len());
-        for (ci, c) in problem.constraints.iter().enumerate() {
-            let mut coeffs = vec![0.0; structural_cols];
+        // --- 2. Shift each rhs into solver space; a negative one flips its
+        // row's sign and sense. Count slack and artificial columns. ---
+        let m = problem.constraints.len();
+        let mut rows: Vec<(f64, Sense)> = Vec::with_capacity(m);
+        let (mut num_slack, mut num_artificial) = (0usize, 0usize);
+        for c in &problem.constraints {
             let mut rhs = c.rhs;
             for &(var, coeff) in &c.coeffs {
                 match var_map[var] {
-                    VarMap::Shifted { col, lower } => {
-                        coeffs[col] += coeff;
-                        rhs -= coeff * lower;
-                    }
-                    VarMap::Mirrored { col, upper } => {
-                        coeffs[col] -= coeff;
-                        rhs -= coeff * upper;
-                    }
-                    VarMap::Split { pos, neg } => {
-                        coeffs[pos] += coeff;
-                        coeffs[neg] -= coeff;
-                    }
+                    VarMap::Shifted { lower, .. } => rhs -= coeff * lower,
+                    VarMap::Mirrored { upper, .. } => rhs -= coeff * upper,
+                    VarMap::Split { .. } => {}
                 }
             }
-            rows.push(Row {
-                coeffs,
-                sense: c.sense,
-                rhs,
-                source: RowSource::Constraint(ci),
-            });
+            let sense = match c.sense {
+                Sense::LessEqual if rhs < 0.0 => Sense::GreaterEqual,
+                Sense::GreaterEqual if rhs < 0.0 => Sense::LessEqual,
+                sense => sense,
+            };
+            num_slack += usize::from(sense != Sense::Equal);
+            num_artificial += usize::from(sense != Sense::LessEqual);
+            rows.push((rhs, sense));
         }
-        for &(col, var, ub) in &bound_rows {
-            let mut coeffs = vec![0.0; structural_cols];
-            coeffs[col] = 1.0;
-            rows.push(Row {
-                coeffs,
-                sense: Sense::LessEqual,
-                rhs: ub,
-                source: RowSource::Bound { var },
-            });
-        }
-
-        // --- 3. Normalize rhs signs and count slack/artificial columns. ---
-        let mut flipped = vec![false; rows.len()];
-        for (r, row) in rows.iter_mut().enumerate() {
-            if row.rhs < 0.0 {
-                for c in row.coeffs.iter_mut() {
-                    *c = -*c;
-                }
-                row.rhs = -row.rhs;
-                row.sense = match row.sense {
-                    Sense::LessEqual => Sense::GreaterEqual,
-                    Sense::GreaterEqual => Sense::LessEqual,
-                    Sense::Equal => Sense::Equal,
-                };
-                flipped[r] = true;
-            }
-        }
-        let num_slack = rows
-            .iter()
-            .filter(|r| matches!(r.sense, Sense::LessEqual | Sense::GreaterEqual))
-            .count();
-        let num_artificial = rows
-            .iter()
-            .filter(|r| matches!(r.sense, Sense::GreaterEqual | Sense::Equal))
-            .count();
         let non_artificial_cols = structural_cols + num_slack;
         let total_cols = non_artificial_cols + num_artificial;
 
-        // --- 4. Build the tableau (rows pooled via the workspace). ---
-        let mut workspace = workspace;
-        let m = rows.len();
-        let mut a: Vec<Vec<f64>> = (0..m)
-            .map(|_| match workspace.as_deref_mut() {
-                Some(ws) => ws.take_row(total_cols + 1),
-                None => vec![0.0; total_cols + 1],
-            })
-            .collect();
+        // --- 3. Write the sparse rows straight into the pooled tableau. ---
+        let stride = total_cols + 1;
+        let mut a = match workspace.as_deref_mut() {
+            Some(ws) => ws.take_buffer(m * stride),
+            None => vec![0.0; m * stride],
+        };
         let mut basis = vec![0usize; m];
         let mut slack_cursor = structural_cols;
         let mut artificial_cursor = non_artificial_cols;
-        // The initial basic column of each row is a +1 unit column (slack
-        // for `<=`, artificial for `>=`/`==`): tableau column `unit_cols[r]`
-        // always holds the r-th column of B^-1, used by dual restarts.
-        let mut unit_cols = vec![0usize; m];
-        for (r, row) in rows.iter().enumerate() {
-            a[r][..structural_cols].copy_from_slice(&row.coeffs);
-            a[r][total_cols] = row.rhs;
-            match row.sense {
-                Sense::LessEqual => {
-                    a[r][slack_cursor] = 1.0;
-                    basis[r] = slack_cursor;
-                    unit_cols[r] = slack_cursor;
-                    slack_cursor += 1;
+        let filled = a.chunks_exact_mut(stride).zip(&problem.constraints);
+        for (r, ((row, c), &(rhs, sense))) in filled.zip(&rows).enumerate() {
+            let sign = if rhs < 0.0 { -1.0 } else { 1.0 };
+            for &(var, coeff) in &c.coeffs {
+                let coeff = sign * coeff;
+                match var_map[var] {
+                    VarMap::Shifted { col, .. } => row[col] += coeff,
+                    VarMap::Mirrored { col, .. } => row[col] -= coeff,
+                    VarMap::Split { pos, neg } => {
+                        row[pos] += coeff;
+                        row[neg] -= coeff;
+                    }
                 }
-                Sense::GreaterEqual => {
-                    a[r][slack_cursor] = -1.0;
-                    slack_cursor += 1;
-                    a[r][artificial_cursor] = 1.0;
-                    basis[r] = artificial_cursor;
-                    unit_cols[r] = artificial_cursor;
-                    artificial_cursor += 1;
-                }
-                Sense::Equal => {
-                    a[r][artificial_cursor] = 1.0;
-                    basis[r] = artificial_cursor;
-                    unit_cols[r] = artificial_cursor;
-                    artificial_cursor += 1;
-                }
+            }
+            row[total_cols] = sign * rhs;
+            // The initial basic column of a row is a +1 unit column: its
+            // slack for `<=`, its artificial for `>=`/`==`.
+            if sense != Sense::Equal {
+                row[slack_cursor] = if sense == Sense::LessEqual { 1.0 } else { -1.0 };
+                basis[r] = slack_cursor;
+                slack_cursor += 1;
+            }
+            if sense != Sense::LessEqual {
+                row[artificial_cursor] = 1.0;
+                basis[r] = artificial_cursor;
+                artificial_cursor += 1;
             }
         }
 
-        // --- 5. Phase-2 costs on solver columns. ---
-        let solver_costs = build_solver_costs(problem, &var_map, total_cols);
-
-        let max_iterations = if config.max_iterations == 0 {
-            2_000 + 40 * (m + total_cols)
-        } else {
-            config.max_iterations
+        let tableau = Tableau {
+            a,
+            stride,
+            basis,
+            non_artificial_cols,
+            cols: total_cols,
+            upper: column_bounds(problem, &var_map, total_cols),
+            complemented: vec![false; total_cols],
         };
-
-        let meta = SnapshotMeta {
-            sources: rows.iter().map(|r| r.source).collect(),
-            flipped,
-            unit_cols,
-            b0: rows.iter().map(|r| r.rhs).collect(),
-            classes: (0..problem.num_vars)
-                .map(|i| bound_class(problem.lower[i], problem.upper[i]))
-                .collect(),
-        };
-
-        Self {
+        let mut solver = Self {
             problem,
             config: *config,
+            solver_costs: build_solver_costs(problem, &var_map, total_cols),
             var_map,
-            tableau: Tableau {
-                a,
-                basis,
-                non_artificial_cols,
-                cols: total_cols,
-            },
-            solver_costs,
+            tableau,
             structural_cols,
             num_artificials: num_artificial,
             iterations: 0,
-            max_iterations,
+            max_iterations: config.max_iterations,
             hint,
             workspace,
             warm_applied: false,
             hint_rejected: false,
-            meta,
+        };
+        if config.max_iterations == 0 {
+            solver.max_iterations = 2_000 + 40 * solver.logical_size();
         }
+        solver
+    }
+
+    /// Rows plus columns of the equivalent explicit-bound standard form, in
+    /// which every finitely bounded variable owns a bound row and a slack.
+    /// The auto pivot budgets scale with it, not with the tableau held.
+    fn logical_size(&self) -> usize {
+        let t = &self.tableau;
+        let bounded = t.upper.iter().filter(|u| u.is_finite()).count();
+        t.rows() + t.cols + 2 * bounded
+    }
+
+    /// An empty bound box (`upper < lower`) admits no point at all.
+    fn has_empty_box(&self) -> bool {
+        self.tableau.upper.iter().any(|&u| u < 0.0)
     }
 
     fn run(mut self, capture: bool) -> (SimplexOutcome, Option<BasisSnapshot>) {
@@ -609,28 +627,29 @@ impl<'a> Solver<'a> {
             if self.hint_rejected {
                 ws.record_rejected_hint();
             }
-            ws.recycle_rows(self.tableau.a.drain(..));
+            ws.recycle_buffer(std::mem::take(&mut self.tableau.a));
         }
         (outcome, snapshot)
     }
 
-    /// Move the final tableau into a [`BasisSnapshot`] (zero-copy: the rows
-    /// leave the solver instead of being recycled into the workspace).
+    /// Move the final tableau into a [`BasisSnapshot`] (zero-copy: the
+    /// buffer leaves the solver instead of being recycled).
     fn take_snapshot(&mut self) -> BasisSnapshot {
         BasisSnapshot {
-            rows: std::mem::take(&mut self.tableau.a),
+            a: std::mem::take(&mut self.tableau.a),
             basis: self.tableau.basis.clone(),
+            complemented: self.tableau.complemented.clone(),
             non_artificial_cols: self.tableau.non_artificial_cols,
             cols: self.tableau.cols,
-            structural_cols: self.structural_cols,
-            meta: std::mem::take(&mut self.meta),
+            lower: self.problem.lower.clone(),
+            upper: self.problem.upper.clone(),
         }
     }
 
-    /// Rebuild a solver positioned at the snapshot's final basis, with the
-    /// rhs re-targeted at `problem`'s (possibly changed) variable bounds.
-    /// The caller must have verified [`BasisSnapshot::compatible_with`].
-    /// Returns the solver and the number of rows whose rhs actually moved.
+    /// Rebuild a solver positioned at the snapshot's final basis, re-targeted
+    /// at `problem`'s (possibly changed) variable bounds. The caller must
+    /// have verified [`BasisSnapshot::compatible_with`]. Returns the solver
+    /// and the number of variables whose bounds moved.
     fn from_snapshot(
         problem: &'a LpProblem,
         config: &SimplexConfig,
@@ -639,143 +658,76 @@ impl<'a> Solver<'a> {
     ) -> (Self, usize) {
         // Equal bound classes guarantee this reproduces the snapshot's
         // column layout exactly (only the shift/mirror offsets differ).
-        let mut var_map = Vec::with_capacity(problem.num_vars);
-        let mut next_col = 0usize;
-        for i in 0..problem.num_vars {
-            let lo = problem.lower[i];
-            let hi = problem.upper[i];
-            if lo.is_finite() {
-                var_map.push(VarMap::Shifted {
-                    col: next_col,
-                    lower: lo,
-                });
-                next_col += 1;
-            } else if hi.is_finite() {
-                var_map.push(VarMap::Mirrored {
-                    col: next_col,
-                    upper: hi,
-                });
-                next_col += 1;
-            } else {
-                var_map.push(VarMap::Split {
-                    pos: next_col,
-                    neg: next_col + 1,
-                });
-                next_col += 2;
-            }
-        }
-        debug_assert_eq!(next_col, snapshot.structural_cols);
-
-        // Recompute the standard-form rhs under the new bounds, reusing the
-        // snapshot's sign-normalization pattern (the coefficient signs were
-        // already flipped at capture time, so the rhs must flip with them).
-        let m = snapshot.rows.len();
+        let (var_map, structural_cols) = map_variables(problem);
         let total_cols = snapshot.cols;
-        let mut b_child = Vec::with_capacity(m);
-        for (r, source) in snapshot.meta.sources.iter().enumerate() {
-            let mut rhs = match *source {
-                RowSource::Constraint(j) => {
-                    let c = &problem.constraints[j];
-                    let mut rhs = c.rhs;
-                    for &(var, coeff) in &c.coeffs {
-                        match var_map[var] {
-                            VarMap::Shifted { lower, .. } => rhs -= coeff * lower,
-                            VarMap::Mirrored { upper, .. } => rhs -= coeff * upper,
-                            VarMap::Split { .. } => {}
-                        }
-                    }
-                    rhs
-                }
-                RowSource::Bound { var } => problem.upper[var] - problem.lower[var],
-            };
-            if snapshot.meta.flipped[r] {
-                rhs = -rhs;
-            }
-            b_child.push(rhs);
-        }
+        let mut tableau = Tableau {
+            a: match workspace.as_deref_mut() {
+                Some(ws) => ws.copy_buffer(&snapshot.a),
+                None => snapshot.a.clone(),
+            },
+            stride: total_cols + 1,
+            basis: snapshot.basis.clone(),
+            non_artificial_cols: snapshot.non_artificial_cols,
+            cols: total_cols,
+            upper: column_bounds(problem, &var_map, total_cols),
+            complemented: snapshot.complemented.clone(),
+        };
 
-        // Copy the snapshot tableau into pooled row buffers.
-        let mut a: Vec<Vec<f64>> = snapshot
-            .rows
-            .iter()
-            .map(|src| {
-                let mut row = match workspace.as_deref_mut() {
-                    Some(ws) => ws.take_row(total_cols + 1),
-                    None => vec![0.0; total_cols + 1],
-                };
-                row.copy_from_slice(src);
-                row
-            })
-            .collect();
-
-        // Replay the rhs delta through the basis inverse: adding `delta` to
-        // the original rhs of row `r` adds `delta * B^-1 e_r` to the
-        // transformed rhs column, and `B^-1 e_r` is exactly tableau column
-        // `unit_cols[r]` (the row's initial +1 unit column).
+        // Each column variable is measured from the bound it rests at: the
+        // lower one, or the upper one when mirrored or complemented. Where
+        // that bound moved, the variable reads correspondingly less and the
+        // rhs follows. For a basic variable this touches its own row only;
+        // the dual loop then repairs any bound it ends up violating.
         let mut bound_flips = 0usize;
-        for r in 0..m {
-            let delta = b_child[r] - snapshot.meta.b0[r];
-            if delta == 0.0 {
+        for (i, map) in var_map.iter().enumerate() {
+            let (lower, upper) = (problem.lower[i], problem.upper[i]);
+            if lower == snapshot.lower[i] && upper == snapshot.upper[i] {
                 continue;
             }
             bound_flips += 1;
-            let unit = snapshot.meta.unit_cols[r];
-            for row in a.iter_mut() {
-                let factor = row[unit];
-                if factor != 0.0 {
-                    row[total_cols] += delta * factor;
+            let (col, delta) = match *map {
+                VarMap::Shifted { col, .. } if !tableau.complemented[col] => {
+                    (col, lower - snapshot.lower[i])
                 }
+                VarMap::Shifted { col, .. } | VarMap::Mirrored { col, .. } => {
+                    (col, snapshot.upper[i] - upper)
+                }
+                VarMap::Split { .. } => continue,
+            };
+            if delta != 0.0 {
+                tableau.shift_column(col, delta);
             }
         }
 
-        let solver_costs = build_solver_costs(problem, &var_map, total_cols);
-
-        // Satellite-3 cap fix: a dual restart expects ~10x fewer pivots
-        // than a cold two-phase solve, so the "auto" budget scales at 1/10th
-        // of the cold formula. Exceeding it surfaces as a typed
-        // [`DualOutcome::PivotLimit`] instead of a silent cold fallback.
-        let max_iterations = if config.max_iterations == 0 {
-            200 + 4 * (m + total_cols)
-        } else {
-            config.max_iterations
-        };
-
-        let meta = SnapshotMeta {
-            sources: snapshot.meta.sources.clone(),
-            flipped: snapshot.meta.flipped.clone(),
-            unit_cols: snapshot.meta.unit_cols.clone(),
-            b0: b_child,
-            classes: snapshot.meta.classes.clone(),
-        };
-
-        let solver = Self {
+        let mut solver = Self {
             problem,
             config: *config,
+            solver_costs: build_solver_costs(problem, &var_map, total_cols),
             var_map,
-            tableau: Tableau {
-                a,
-                basis: snapshot.basis.clone(),
-                non_artificial_cols: snapshot.non_artificial_cols,
-                cols: total_cols,
-            },
-            solver_costs,
-            structural_cols: snapshot.structural_cols,
-            num_artificials: total_cols - snapshot.non_artificial_cols,
+            num_artificials: total_cols - tableau.non_artificial_cols,
+            tableau,
+            structural_cols,
             iterations: 0,
-            max_iterations,
+            max_iterations: config.max_iterations,
             hint: None,
             workspace,
             warm_applied: true,
             hint_rejected: false,
-            meta,
         };
+        // A dual restart expects ~10x fewer pivots than a cold two-phase
+        // solve, so the "auto" budget scales at 1/10th of the cold formula.
+        // Exceeding it surfaces as a typed [`DualOutcome::PivotLimit`]
+        // instead of a silent cold fallback.
+        if config.max_iterations == 0 {
+            solver.max_iterations = 200 + 4 * solver.logical_size();
+        }
         (solver, bound_flips)
     }
 
     /// Dual-simplex loop from a restored basis: the basis is dual feasible
     /// by construction (costs and columns are unchanged from the parent
-    /// solve), so only primal feasibility — negative rhs entries introduced
-    /// by the bound delta — needs to be repaired.
+    /// solve), so only primal feasibility — basic variables the bound change
+    /// pushed below zero or above their upper bound — needs to be repaired.
     fn run_dual(mut self, bound_flips: usize) -> DualOutcome {
         let phase = self.run_dual_phases();
         let snapshot = if let DualPhase::Done(SimplexOutcome::Optimal { .. }) = &phase {
@@ -793,7 +745,7 @@ impl<'a> Solver<'a> {
                     ws.record_dual_restart(false, bound_flips);
                 }
             }
-            ws.recycle_rows(self.tableau.a.drain(..));
+            ws.recycle_buffer(std::mem::take(&mut self.tableau.a));
         }
         match phase {
             DualPhase::Done(outcome) => DualOutcome::Finished(outcome, snapshot),
@@ -805,57 +757,69 @@ impl<'a> Solver<'a> {
     }
 
     fn run_dual_phases(&mut self) -> DualPhase {
+        if self.has_empty_box() {
+            return DualPhase::Done(SimplexOutcome::Infeasible { iterations: 0 });
+        }
         let tol = self.config.tolerance;
         let limit_cols = self.tableau.non_artificial_cols;
-        let costs = self.solver_costs.clone();
-        let (mut obj_row, mut obj_val) = self.reduced_costs(&costs);
+        let z = self.tableau.cols;
+        let mut obj_row = self.reduced_costs(&self.phase2_costs());
         let mut stall = 0usize;
-        let mut last_obj = obj_val;
+        let mut last_obj = obj_row[z];
         loop {
             if self.iterations >= self.max_iterations {
                 return DualPhase::PivotLimit;
             }
-            // Leaving row: most negative rhs, ties to the smallest basis
-            // column; after a stall, smallest basis column among all
-            // infeasible rows (Bland-style) to guarantee termination.
+            // Leaving row: largest bound violation (a negative rhs, or one
+            // above the basic variable's upper bound), ties to the smallest
+            // rank; after a stall, smallest rank among all infeasible rows
+            // (Bland-style) to guarantee termination.
             let use_bland = stall >= self.config.stall_threshold;
-            let mut leaving: Option<usize> = None;
+            let mut leaving: Option<(usize, usize)> = None;
             let mut most_negative = f64::INFINITY;
             for r in 0..self.tableau.rows() {
-                let rhs = self.tableau.rhs(r);
-                if rhs >= -tol {
+                let (rhs, basic) = (self.tableau.rhs(r), self.tableau.basis[r]);
+                let room = rhs.min(self.tableau.upper[basic] - rhs);
+                if room >= -tol {
                     continue;
                 }
+                // A variable above its upper bound is its complement below
+                // zero, and it is the complement that leaves.
+                let rank = self.tableau.rank(basic, rhs > 0.0);
                 let better = match leaving {
                     None => true,
-                    Some(l) => {
+                    Some((_, best_rank)) => {
                         if use_bland {
-                            self.tableau.basis[r] < self.tableau.basis[l]
-                        } else if rhs < most_negative - tol {
+                            rank < best_rank
+                        } else if room < most_negative - tol {
                             true
-                        } else if rhs < most_negative + tol {
-                            self.tableau.basis[r] < self.tableau.basis[l]
+                        } else if room < most_negative + tol {
+                            rank < best_rank
                         } else {
                             false
                         }
                     }
                 };
                 if better {
-                    most_negative = rhs;
-                    leaving = Some(r);
+                    most_negative = room;
+                    leaving = Some((r, rank));
                 }
             }
-            let Some(row) = leaving else {
+            let Some((row, _)) = leaving else {
                 break; // primal feasible again
             };
+            if self.tableau.rhs(row) > 0.0 {
+                self.tableau.complement_basic(row);
+            }
             // Dual ratio test: entering column minimizes
             // `obj_row[c] / -a[row][c]` over negative entries of the leaving
-            // row (non-artificial columns only). Ascending scan with strict
-            // improvement keeps ties on the smallest column index.
+            // row (non-artificial columns only). Rank-order scan with strict
+            // improvement keeps ties on the smallest rank.
             let mut entering: Option<usize> = None;
             let mut best_ratio = f64::INFINITY;
-            for c in 0..limit_cols {
-                let a_rc = self.tableau.a[row][c];
+            let leaving_row = self.tableau.row(row);
+            for c in self.tableau.ranked_cols(limit_cols) {
+                let a_rc = leaving_row[c];
                 if a_rc < -tol {
                     let ratio = obj_row[c] / (-a_rc);
                     if entering.is_none() || ratio < best_ratio - tol {
@@ -873,24 +837,20 @@ impl<'a> Solver<'a> {
                     iterations: self.iterations,
                 });
             };
-            self.tableau.pivot(row, col, &mut obj_row, &mut obj_val);
+            self.tableau.pivot(row, col, Some(&mut obj_row));
             self.iterations += 1;
-            if (obj_val - last_obj).abs() <= tol {
+            if (obj_row[z] - last_obj).abs() <= tol {
                 stall += 1;
             } else {
                 stall = 0;
-                last_obj = obj_val;
+                last_obj = obj_row[z];
             }
         }
         // Guard: a basic artificial sitting at a positive value means the
-        // restored point is not feasible for the *original* rows (this can
-        // happen when a redundant row's rhs moved); the dual loop cannot
-        // certify anything from here, so hand back to a cold solve.
-        let artificial_sum: f64 = (0..self.tableau.rows())
-            .filter(|&r| self.tableau.basis[r] >= limit_cols)
-            .map(|r| self.tableau.rhs(r))
-            .sum();
-        if artificial_sum > 1e-6 {
+        // restored point is not feasible for the *original* rows; the dual
+        // loop cannot certify anything from here, so hand back to a cold
+        // solve.
+        if self.tableau.artificial_sum() > 1e-6 {
             return DualPhase::Guard;
         }
         // Primal polish: bound changes cannot create negative reduced costs
@@ -898,34 +858,21 @@ impl<'a> Solver<'a> {
         // immediately; it is a numerical backstop. Under the auto budget it
         // gets cold-cap headroom; an explicit user cap stays hard.
         if self.config.max_iterations == 0 {
-            self.max_iterations =
-                self.iterations + 2_000 + 40 * (self.tableau.rows() + self.tableau.cols);
+            self.max_iterations = self.iterations + 2_000 + 40 * self.logical_size();
         }
-        match self.optimize(&mut obj_row, &mut obj_val, limit_cols) {
-            LoopResult::Optimal => {}
-            LoopResult::Unbounded => {
-                return DualPhase::Done(SimplexOutcome::Unbounded {
-                    iterations: self.iterations,
-                });
-            }
-            LoopResult::IterationLimit => return DualPhase::PivotLimit,
+        match self.optimize(&mut obj_row, limit_cols) {
+            LoopResult::Optimal => DualPhase::Done(self.optimum()),
+            LoopResult::Unbounded => DualPhase::Done(SimplexOutcome::Unbounded {
+                iterations: self.iterations,
+            }),
+            LoopResult::IterationLimit => DualPhase::PivotLimit,
         }
-        let values = self.extract_values();
-        let objective = self
-            .problem
-            .costs
-            .iter()
-            .zip(values.iter())
-            .map(|(c, v)| c * v)
-            .sum();
-        DualPhase::Done(SimplexOutcome::Optimal {
-            objective,
-            values,
-            iterations: self.iterations,
-        })
     }
 
     fn run_phases(&mut self) -> SimplexOutcome {
+        if self.has_empty_box() {
+            return SimplexOutcome::Infeasible { iterations: 0 };
+        }
         let tol = self.config.tolerance;
 
         // ---- Phase 0: crash a basis from the warm-start hint, if any. ----
@@ -948,28 +895,16 @@ impl<'a> Solver<'a> {
         if self.num_artificials > 0 && !skip_phase1 {
             let cols = self.tableau.cols;
             let mut phase1_costs = vec![0.0; cols];
-            for c in self.tableau.non_artificial_cols..cols {
-                phase1_costs[c] = 1.0;
+            phase1_costs[self.tableau.non_artificial_cols..].fill(1.0);
+            let mut obj_row = self.reduced_costs(&phase1_costs);
+            // Phase 1 is bounded below by 0; an "unbounded" verdict is
+            // numerical noise and falls through to the feasibility check.
+            if let LoopResult::IterationLimit = self.optimize(&mut obj_row, cols) {
+                return SimplexOutcome::IterationLimit {
+                    iterations: self.iterations,
+                };
             }
-            let (mut obj_row, mut obj_val) = self.reduced_costs(&phase1_costs);
-            match self.optimize(&mut obj_row, &mut obj_val, cols) {
-                LoopResult::Optimal => {}
-                LoopResult::Unbounded => {
-                    // Phase 1 is bounded below by 0; treat as numerical noise.
-                }
-                LoopResult::IterationLimit => {
-                    return SimplexOutcome::IterationLimit {
-                        iterations: self.iterations,
-                    };
-                }
-            }
-            // Sum of artificials at optimum = -obj_val? obj_val tracks
-            // `z = c_B B^-1 b` negated through pivots; recompute directly.
-            let artificial_sum: f64 = (0..self.tableau.rows())
-                .filter(|&r| self.tableau.basis[r] >= self.tableau.non_artificial_cols)
-                .map(|r| self.tableau.rhs(r))
-                .sum();
-            if artificial_sum > 1e-6 {
+            if self.tableau.artificial_sum() > 1e-6 {
                 return SimplexOutcome::Infeasible {
                     iterations: self.iterations,
                 };
@@ -979,45 +914,27 @@ impl<'a> Solver<'a> {
 
         // ---- Phase 2: minimize the real objective over non-artificial columns. ----
         let limit_cols = self.tableau.non_artificial_cols;
-        let costs = self.solver_costs.clone();
-        let (mut obj_row, mut obj_val) = self.reduced_costs(&costs);
-        match self.optimize(&mut obj_row, &mut obj_val, limit_cols) {
-            LoopResult::Optimal => {}
-            LoopResult::Unbounded => {
-                return SimplexOutcome::Unbounded {
-                    iterations: self.iterations,
-                };
-            }
-            LoopResult::IterationLimit => {
-                return SimplexOutcome::IterationLimit {
-                    iterations: self.iterations,
-                };
-            }
-        }
-
-        let values = self.extract_values();
-        let objective = self
-            .problem
-            .costs
-            .iter()
-            .zip(values.iter())
-            .map(|(c, v)| c * v)
-            .sum();
-        SimplexOutcome::Optimal {
-            objective,
-            values,
-            iterations: self.iterations,
+        let mut obj_row = self.reduced_costs(&self.phase2_costs());
+        match self.optimize(&mut obj_row, limit_cols) {
+            LoopResult::Optimal => self.optimum(),
+            LoopResult::Unbounded => SimplexOutcome::Unbounded {
+                iterations: self.iterations,
+            },
+            LoopResult::IterationLimit => SimplexOutcome::IterationLimit {
+                iterations: self.iterations,
+            },
         }
     }
 
     /// Build a crash basis from a prior primal point: bring the hint's
-    /// support columns into the basis with ratio-test pivots (feasibility of
-    /// the extended problem is preserved throughout), preferring to evict
-    /// artificial variables on ties. Returns `true` when every artificial
-    /// ended at zero, i.e. phase 1 can be skipped.
+    /// support columns into the basis (or onto their upper bound) with
+    /// ratio-test steps (feasibility of the extended problem is preserved
+    /// throughout), preferring to evict artificial variables on ties.
+    /// Returns `true` when every artificial ended at zero, i.e. phase 1 can
+    /// be skipped.
     fn warm_crash(&mut self, hint: &[f64]) -> bool {
         let tol = self.config.tolerance;
-        // Map the hint into non-negative solver-variable space.
+        // Map the hint into solver-variable space.
         let mut y = vec![0.0; self.tableau.cols];
         for (i, map) in self.var_map.iter().enumerate() {
             let x = hint.get(i).copied().unwrap_or(0.0);
@@ -1041,58 +958,23 @@ impl<'a> Solver<'a> {
         for &b in &self.tableau.basis {
             in_basis[b] = true;
         }
-        let mut dummy_obj = vec![0.0; self.tableau.cols + 1];
-        let mut dummy_val = 0.0;
         for col in support {
             if in_basis[col] || self.iterations >= self.max_iterations {
                 continue;
             }
-            // Standard ratio test; ties prefer evicting an artificial, then
-            // the smallest basis column index (Bland) for determinism.
-            let mut leaving: Option<usize> = None;
-            let mut best_ratio = f64::INFINITY;
-            let mut leaving_artificial = false;
-            for r in 0..self.tableau.rows() {
-                let a_rc = self.tableau.a[r][col];
-                if a_rc <= tol {
-                    continue;
+            // Ties prefer evicting an artificial, then the smallest basis
+            // column index (Bland) for determinism.
+            if let Some(step) = self.ratio_test(col, true) {
+                if let Step::Pivot { row, .. } = step {
+                    in_basis[self.tableau.basis[row]] = false;
+                    in_basis[col] = true;
                 }
-                let ratio = self.tableau.rhs(r) / a_rc;
-                let is_artificial = self.tableau.basis[r] >= self.tableau.non_artificial_cols;
-                let better = match leaving {
-                    None => true,
-                    Some(l) => {
-                        if ratio < best_ratio - tol {
-                            true
-                        } else if ratio < best_ratio + tol {
-                            (is_artificial && !leaving_artificial)
-                                || (is_artificial == leaving_artificial
-                                    && self.tableau.basis[r] < self.tableau.basis[l])
-                        } else {
-                            false
-                        }
-                    }
-                };
-                if better {
-                    best_ratio = ratio;
-                    leaving = Some(r);
-                    leaving_artificial = is_artificial;
-                }
-            }
-            if let Some(row) = leaving {
-                in_basis[self.tableau.basis[row]] = false;
-                self.tableau.pivot(row, col, &mut dummy_obj, &mut dummy_val);
-                in_basis[col] = true;
-                self.iterations += 1;
+                self.apply(col, step, None);
             }
         }
         // Only called when artificials exist (see `run_phases`).
         debug_assert!(self.num_artificials > 0);
-        let artificial_sum: f64 = (0..self.tableau.rows())
-            .filter(|&r| self.tableau.basis[r] >= self.tableau.non_artificial_cols)
-            .map(|r| self.tableau.rhs(r))
-            .sum();
-        if artificial_sum <= 1e-6 {
+        if self.tableau.artificial_sum() <= 1e-6 {
             self.evict_basic_artificials(tol);
             true
         } else {
@@ -1100,35 +982,109 @@ impl<'a> Solver<'a> {
         }
     }
 
-    /// Compute the reduced-cost row `c_j - c_B B^-1 A_j` and objective value
-    /// `c_B B^-1 b` for the current basis.
-    fn reduced_costs(&self, costs: &[f64]) -> (Vec<f64>, f64) {
+    /// Phase-2 costs on the columns as currently held: a complemented
+    /// column `y = upper - y'` prices `y'` at the negated cost.
+    fn phase2_costs(&self) -> Vec<f64> {
+        let costs = self.solver_costs.iter().zip(&self.tableau.complemented);
+        costs.map(|(&c, &flip)| if flip { -c } else { c }).collect()
+    }
+
+    /// Compute the reduced-cost row `c_j - c_B B^-1 A_j` for the current
+    /// basis; its last entry is the negated objective value `-c_B B^-1 b`.
+    fn reduced_costs(&self, costs: &[f64]) -> Vec<f64> {
         let t = &self.tableau;
-        let mut row = vec![0.0; t.cols + 1];
+        let mut row = vec![0.0; t.stride];
         row[..t.cols].copy_from_slice(costs);
-        let mut obj_val = 0.0;
         for r in 0..t.rows() {
             let cb = costs[t.basis[r]];
             if cb != 0.0 {
-                for c in 0..=t.cols {
-                    row[c] -= cb * t.a[r][c];
+                for (o, a) in row.iter_mut().zip(t.row(r)) {
+                    *o -= cb * a;
                 }
-                obj_val += cb * t.rhs(r);
             }
         }
-        (row, obj_val)
+        row
+    }
+
+    /// Bounded ratio test for entering column `col`: the first of (a) a
+    /// basic variable falling to zero, (b) a basic variable rising to its
+    /// upper bound, (c) the entering variable reaching its own upper bound.
+    /// Ties go to the smallest rank of the variable that would leave (in
+    /// (b) and (c) that is the complement), after artificial basics when
+    /// `prefer_artificial` is set. `None` means nothing stops the variable.
+    fn ratio_test(&self, col: usize, prefer_artificial: bool) -> Option<Step> {
+        struct Stop {
+            ratio: f64,
+            step: Step,
+            rank: usize,
+            artificial: bool,
+        }
+        let t = &self.tableau;
+        let tol = self.config.tolerance;
+        let rows = (0..t.rows()).filter_map(|row| {
+            let (a_rc, basic) = (t.at(row, col), t.basis[row]);
+            let at_upper = a_rc < -tol && t.upper[basic].is_finite();
+            let ratio = if a_rc > tol {
+                t.rhs(row) / a_rc
+            } else if at_upper {
+                (t.upper[basic] - t.rhs(row)) / -a_rc
+            } else {
+                return None;
+            };
+            Some(Stop {
+                ratio,
+                step: Step::Pivot { row, at_upper },
+                rank: t.rank(basic, at_upper),
+                artificial: prefer_artificial && basic >= t.non_artificial_cols,
+            })
+        });
+        let own_bound = t.upper[col].is_finite().then(|| Stop {
+            ratio: t.upper[col],
+            step: Step::Flip,
+            rank: t.rank(col, true),
+            artificial: false,
+        });
+        let mut best: Option<Stop> = None;
+        for stop in rows.chain(own_bound) {
+            let better = match &best {
+                None => true,
+                Some(b) if stop.ratio < b.ratio - tol => true,
+                Some(b) if stop.ratio < b.ratio + tol => {
+                    (stop.artificial && !b.artificial)
+                        || (stop.artificial == b.artificial && stop.rank < b.rank)
+                }
+                Some(_) => false,
+            };
+            if better {
+                best = Some(stop);
+            }
+        }
+        best.map(|stop| stop.step)
+    }
+
+    /// Carry out a ratio-test verdict for entering column `col`. A bound
+    /// flip counts toward the pivot budget like a pivot.
+    fn apply(&mut self, col: usize, step: Step, obj_row: Option<&mut [f64]>) {
+        match step {
+            Step::Pivot { row, at_upper } => {
+                // Leaving at the upper bound is leaving at zero once the
+                // basic variable is complemented.
+                if at_upper {
+                    self.tableau.complement_basic(row);
+                }
+                self.tableau.pivot(row, col, obj_row);
+            }
+            Step::Flip => self.tableau.complement_column(col, obj_row),
+        }
+        self.iterations += 1;
     }
 
     /// Primal simplex loop over columns `< limit_cols`.
-    fn optimize(
-        &mut self,
-        obj_row: &mut [f64],
-        obj_val: &mut f64,
-        limit_cols: usize,
-    ) -> LoopResult {
+    fn optimize(&mut self, obj_row: &mut [f64], limit_cols: usize) -> LoopResult {
         let tol = self.config.tolerance;
+        let z = self.tableau.cols;
         let mut stall = 0usize;
-        let mut last_obj = *obj_val;
+        let mut last_obj = obj_row[z];
         loop {
             if self.iterations >= self.max_iterations {
                 return LoopResult::IterationLimit;
@@ -1138,7 +1094,7 @@ impl<'a> Solver<'a> {
             let use_bland = stall >= self.config.stall_threshold;
             let mut entering: Option<usize> = None;
             let mut best = -tol;
-            for c in 0..limit_cols {
+            for c in self.tableau.ranked_cols(limit_cols) {
                 let rc = obj_row[c];
                 if rc < -tol {
                     if use_bland {
@@ -1154,34 +1110,15 @@ impl<'a> Solver<'a> {
             let Some(col) = entering else {
                 return LoopResult::Optimal;
             };
-            // Ratio test (Bland tie-break: smallest basis column index).
-            let mut leaving: Option<usize> = None;
-            let mut best_ratio = f64::INFINITY;
-            for r in 0..self.tableau.rows() {
-                let a_rc = self.tableau.a[r][col];
-                if a_rc > tol {
-                    let ratio = self.tableau.rhs(r) / a_rc;
-                    let better = ratio < best_ratio - tol
-                        || (ratio < best_ratio + tol
-                            && leaving
-                                .map(|l| self.tableau.basis[r] < self.tableau.basis[l])
-                                .unwrap_or(true));
-                    if better {
-                        best_ratio = ratio;
-                        leaving = Some(r);
-                    }
-                }
-            }
-            let Some(row) = leaving else {
+            let Some(step) = self.ratio_test(col, false) else {
                 return LoopResult::Unbounded;
             };
-            self.tableau.pivot(row, col, obj_row, obj_val);
-            self.iterations += 1;
-            if (*obj_val - last_obj).abs() <= tol {
+            self.apply(col, step, Some(obj_row));
+            if (obj_row[z] - last_obj).abs() <= tol {
                 stall += 1;
             } else {
                 stall = 0;
-                last_obj = *obj_val;
+                last_obj = obj_row[z];
             }
         }
     }
@@ -1190,17 +1127,15 @@ impl<'a> Solver<'a> {
     /// value zero) out of the basis, or neutralize redundant rows.
     fn evict_basic_artificials(&mut self, tol: f64) {
         let non_art = self.tableau.non_artificial_cols;
-        let rows = self.tableau.rows();
-        let mut dummy_obj = vec![0.0; self.tableau.cols + 1];
-        let mut dummy_val = 0.0;
-        for r in 0..rows {
+        for r in 0..self.tableau.rows() {
             if self.tableau.basis[r] < non_art {
                 continue;
             }
             // Find any non-artificial column with a usable pivot element.
-            let col = (0..non_art).find(|&c| self.tableau.a[r][c].abs() > tol);
+            let t = &self.tableau;
+            let col = t.ranked_cols(non_art).find(|&c| t.at(r, c).abs() > tol);
             if let Some(c) = col {
-                self.tableau.pivot(r, c, &mut dummy_obj, &mut dummy_val);
+                self.tableau.pivot(r, c, None);
                 self.iterations += 1;
             }
             // If no pivot column exists the row is redundant (all zeros);
@@ -1209,21 +1144,44 @@ impl<'a> Solver<'a> {
         }
     }
 
-    /// Read the original-variable values out of the final tableau.
-    fn extract_values(&self) -> Vec<f64> {
+    /// The optimal outcome at the current basis: original-variable values
+    /// read out of the tableau and the objective evaluated on them.
+    fn optimum(&self) -> SimplexOutcome {
         let t = &self.tableau;
         let mut solver_values = vec![0.0; t.cols];
         for r in 0..t.rows() {
-            solver_values[t.basis[r]] = t.rhs(r).max(0.0);
+            let col = t.basis[r];
+            solver_values[col] = t.rhs(r).max(0.0).min(t.upper[col]);
         }
-        self.var_map
+        for (value, (&upper, &flip)) in solver_values
+            .iter_mut()
+            .zip(t.upper.iter().zip(&t.complemented))
+        {
+            if flip {
+                *value = upper - *value;
+            }
+        }
+        let values: Vec<f64> = self
+            .var_map
             .iter()
             .map(|m| match *m {
                 VarMap::Shifted { col, lower } => lower + solver_values[col],
                 VarMap::Mirrored { col, upper } => upper - solver_values[col],
                 VarMap::Split { pos, neg } => solver_values[pos] - solver_values[neg],
             })
-            .collect()
+            .collect();
+        let objective = self
+            .problem
+            .costs
+            .iter()
+            .zip(values.iter())
+            .map(|(c, v)| c * v)
+            .sum();
+        SimplexOutcome::Optimal {
+            objective,
+            values,
+            iterations: self.iterations,
+        }
     }
 }
 
@@ -1517,7 +1475,7 @@ mod tests {
     }
 
     #[test]
-    fn workspace_rows_are_reused_across_solves() {
+    fn workspace_buffer_is_reused_across_solves() {
         let p = LpProblem {
             num_vars: 2,
             costs: vec![-3.0, -5.0],
@@ -1531,7 +1489,7 @@ mod tests {
         };
         let mut ws = SolverWorkspace::new();
         let first = solve_with_hint(&p, &SimplexConfig::default(), None, Some(&mut ws));
-        assert_eq!(ws.pooled_rows(), 3, "three tableau rows must be recycled");
+        assert_eq!(ws.pooled_buffers(), 1, "the tableau must be recycled");
         let second = solve_with_hint(&p, &SimplexConfig::default(), None, Some(&mut ws));
         assert_eq!(first, second, "workspace reuse must not change results");
         assert_eq!(ws.stats().cold_solves, 2);
@@ -1683,6 +1641,174 @@ mod tests {
             }
             other => panic!("expected PivotLimit or a correct optimum, got {other:?}"),
         }
+    }
+
+    /// Both cold and restarted optima of `child`, asserted equal.
+    fn assert_dual_matches_cold(child: &LpProblem, snapshot: &BasisSnapshot) {
+        let config = SimplexConfig::default();
+        let cold = solve(child, &config);
+        let DualOutcome::Finished(dual, _) =
+            solve_dual_from_snapshot(child, &config, snapshot, None)
+        else {
+            panic!("expected a finished dual restart");
+        };
+        match (&cold, &dual) {
+            (
+                SimplexOutcome::Optimal {
+                    objective: co,
+                    values: cv,
+                    ..
+                },
+                SimplexOutcome::Optimal {
+                    objective: wo,
+                    values: wv,
+                    ..
+                },
+            ) => {
+                assert!((co - wo).abs() < 1e-9, "cold {co} vs dual {wo}");
+                for (c, w) in cv.iter().zip(wv) {
+                    assert!((c - w).abs() < 1e-9, "cold {cv:?} vs dual {wv:?}");
+                }
+            }
+            (SimplexOutcome::Infeasible { .. }, SimplexOutcome::Infeasible { .. }) => {}
+            other => panic!("verdicts diverge: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn dual_restart_moves_either_bound_of_a_variable_in_any_basis_state() {
+        // The fixture's optimum holds one variable in each state: x0 rests
+        // at its upper bound (non-basic, complemented), x1 = 4/7 is basic,
+        // x2 rests at its lower bound.
+        let parent = dual_fixture();
+        let (outcome, snapshot) =
+            solve_with_basis_capture(&parent, &SimplexConfig::default(), None, None);
+        let SimplexOutcome::Optimal { values, .. } = outcome else {
+            panic!("parent must be optimal");
+        };
+        let snapshot = snapshot.unwrap();
+        assert!((values[0] - 1.0).abs() < 1e-12 && values[2].abs() < 1e-12);
+        assert!((values[1] - 4.0 / 7.0).abs() < 1e-12);
+        assert_eq!(snapshot.complemented[..3], [true, false, false]);
+        assert!(snapshot.basis.contains(&1));
+        assert!(!snapshot.basis.contains(&0) && !snapshot.basis.contains(&2));
+
+        for var in 0..3 {
+            let mut tightened = parent.clone();
+            tightened.upper[var] = 0.25;
+            assert_dual_matches_cold(&tightened, &snapshot);
+            let mut raised = parent.clone();
+            raised.lower[var] = 0.75;
+            assert_dual_matches_cold(&raised, &snapshot);
+            let mut fixed = parent.clone();
+            (fixed.lower[var], fixed.upper[var]) = (0.5, 0.5);
+            assert_dual_matches_cold(&fixed, &snapshot);
+        }
+    }
+
+    #[test]
+    fn optimum_with_a_non_basic_variable_at_its_upper_bound() {
+        // min -x - y s.t. x + y <= 10, x in [0, 3], y in [1, 4]: both
+        // variables stop at their upper bounds and the slack stays basic.
+        let p = LpProblem {
+            num_vars: 2,
+            costs: vec![-1.0, -1.0],
+            lower: vec![0.0, 1.0],
+            upper: vec![3.0, 4.0],
+            constraints: vec![constraint(&[(0, 1.0), (1, 1.0)], Sense::LessEqual, 10.0)],
+        };
+        let (outcome, snapshot) =
+            solve_with_basis_capture(&p, &SimplexConfig::default(), None, None);
+        let SimplexOutcome::Optimal {
+            objective,
+            values,
+            iterations,
+        } = outcome
+        else {
+            panic!("expected optimal, got {outcome:?}");
+        };
+        assert_eq!(values, vec![3.0, 4.0]);
+        assert_eq!(objective, -7.0);
+        assert_eq!(iterations, 2, "two bound flips, each counted once");
+        let snapshot = snapshot.unwrap();
+        assert_eq!(snapshot.basis, vec![2], "the slack never left the basis");
+        assert_eq!(snapshot.complemented, vec![true, true, false]);
+    }
+
+    #[test]
+    fn assignment_tableau_has_one_row_per_constraint() {
+        // 120 jobs x 5 regions, the `campaign_alibaba` round shape: 600
+        // binaries under 120 assignment, 5 capacity and 120 delay rows.
+        let (jobs, regions) = (120usize, 5usize);
+        let var = |j: usize, r: usize| j * regions + r;
+        let cost = |j: usize, r: usize| 1.0 + ((j * 31 + r * 17) % 23) as f64 / 7.0;
+        let mut constraints = Vec::new();
+        for j in 0..jobs {
+            let row: Vec<_> = (0..regions).map(|r| (var(j, r), 1.0)).collect();
+            constraints.push(constraint(&row, Sense::Equal, 1.0));
+        }
+        for r in 0..regions {
+            let row: Vec<_> = (0..jobs).map(|j| (var(j, r), 1.0)).collect();
+            constraints.push(constraint(&row, Sense::LessEqual, 40.0));
+        }
+        for j in 0..jobs {
+            let row: Vec<_> = (0..regions)
+                .map(|r| (var(j, r), 0.1 * (1 + (j + r) % 4) as f64))
+                .collect();
+            constraints.push(constraint(&row, Sense::LessEqual, 0.35));
+        }
+        let p = LpProblem {
+            num_vars: jobs * regions,
+            costs: (0..jobs * regions)
+                .map(|i| cost(i / regions, i % regions))
+                .collect(),
+            lower: vec![0.0; jobs * regions],
+            upper: vec![1.0; jobs * regions],
+            constraints,
+        };
+        let mut ws = SolverWorkspace::new();
+        let (outcome, snapshot) =
+            solve_with_basis_capture(&p, &SimplexConfig::default(), None, Some(&mut ws));
+        let SimplexOutcome::Optimal { values, .. } = outcome else {
+            panic!("expected optimal, got {outcome:?}");
+        };
+        for j in 0..jobs {
+            let assigned: f64 = (0..regions).map(|r| values[var(j, r)]).sum();
+            assert!((assigned - 1.0).abs() < 1e-9);
+        }
+        let snapshot = snapshot.unwrap();
+        assert_eq!(snapshot.rows(), p.constraints.len(), "no bound rows");
+        assert_eq!(snapshot.rows(), 245);
+        // 600 structural + 125 slack + 120 artificial columns, and the rhs.
+        assert_eq!(snapshot.a.len(), 245 * (600 + 125 + 120 + 1));
+    }
+
+    #[test]
+    fn auto_pivot_budgets_count_the_implicit_bounds() {
+        // Written out with a row and a slack per bounded variable, the
+        // fixture is 5 rows x 9 columns (3 structural, 2 + 3 slacks, 1
+        // artificial); the budgets must scale with that, not with the 2 x 6
+        // tableau actually held.
+        let p = dual_fixture();
+        let config = SimplexConfig::default();
+        let cold = Solver::new(&p, &config, None, None);
+        assert_eq!((cold.tableau.rows(), cold.tableau.cols), (2, 6));
+        assert_eq!(cold.max_iterations, 2_000 + 40 * (5 + 9));
+        let (_, snapshot) = solve_with_basis_capture(&p, &config, None, None);
+        let (dual, _) = Solver::from_snapshot(&p, &config, snapshot.as_ref().unwrap(), None);
+        assert_eq!(dual.max_iterations, 200 + 4 * (5 + 9));
+    }
+
+    #[test]
+    fn empty_bound_box_is_infeasible() {
+        let mut p = dual_fixture();
+        let (_, snapshot) = solve_with_basis_capture(&p, &SimplexConfig::default(), None, None);
+        (p.lower[1], p.upper[1]) = (0.75, 0.25);
+        assert!(matches!(
+            solve_default(&p),
+            SimplexOutcome::Infeasible { .. }
+        ));
+        assert_dual_matches_cold(&p, &snapshot.unwrap());
     }
 
     #[test]

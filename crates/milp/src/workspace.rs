@@ -3,7 +3,7 @@
 //! A [`SolverWorkspace`] serves two purposes:
 //!
 //! * **Allocation reuse** — the dense simplex tableau is the dominant
-//!   allocation of a solve; the workspace pools the row vectors so a
+//!   allocation of a solve; the workspace pools whole tableau buffers so a
 //!   scheduler re-solving every slot does not pay a fresh `m × n` allocation
 //!   per round.
 //! * **Warm-start accounting** — every simplex run that goes through a
@@ -44,8 +44,8 @@ pub struct WarmStats {
     /// to a cold solve. `dual_restarts - basis_reuse_hits` is the number of
     /// cold fallbacks (pivot cap hit or snapshot incompatible).
     pub basis_reuse_hits: usize,
-    /// Standard-form rows whose rhs actually moved across all dual restarts
-    /// — the sparse work a restart replays instead of a full re-solve.
+    /// Variables whose bound moved across dual restarts — the sparse work a
+    /// restart replays instead of a full re-solve.
     pub bound_flips: usize,
 }
 
@@ -103,8 +103,8 @@ impl WarmStats {
 /// ```
 #[derive(Debug, Default)]
 pub struct SolverWorkspace {
-    /// Pool of tableau rows returned by finished solves.
-    row_pool: Vec<Vec<f64>>,
+    /// Pool of tableau buffers returned by finished solves.
+    buffer_pool: Vec<Vec<f64>>,
     stats: WarmStats,
     /// Optional shared solution cache consulted by [`crate::Model::solve_warm`]
     /// before any cold/warm solving.
@@ -168,32 +168,34 @@ impl SolverWorkspace {
         }
     }
 
-    /// Take a row buffer of exactly `width` zeros from the pool (or allocate
-    /// a fresh one).
-    pub(crate) fn take_row(&mut self, width: usize) -> Vec<f64> {
-        match self.row_pool.pop() {
-            Some(mut row) => {
-                row.clear();
-                row.resize(width, 0.0);
-                row
-            }
-            None => vec![0.0; width],
+    /// Take a tableau buffer of exactly `len` zeros from the pool (or
+    /// allocate a fresh one).
+    pub(crate) fn take_buffer(&mut self, len: usize) -> Vec<f64> {
+        let mut buffer = self.buffer_pool.pop().unwrap_or_default();
+        buffer.clear();
+        buffer.resize(len, 0.0);
+        buffer
+    }
+
+    /// Copy `source` into a pooled tableau buffer (or a fresh one).
+    pub(crate) fn copy_buffer(&mut self, source: &[f64]) -> Vec<f64> {
+        let mut buffer = self.buffer_pool.pop().unwrap_or_default();
+        buffer.clear();
+        buffer.extend_from_slice(source);
+        buffer
+    }
+
+    /// Return a tableau buffer to the pool for the next solve.
+    pub(crate) fn recycle_buffer(&mut self, buffer: Vec<f64>) {
+        // Cap the pool so a burst of branch & bound snapshots doesn't pin
+        // memory forever; a buffer that was moved out has nothing to keep.
+        const MAX_POOLED_BUFFERS: usize = 8;
+        if buffer.capacity() > 0 && self.buffer_pool.len() < MAX_POOLED_BUFFERS {
+            self.buffer_pool.push(buffer);
         }
     }
 
-    /// Return row buffers to the pool for the next solve.
-    pub(crate) fn recycle_rows(&mut self, rows: impl IntoIterator<Item = Vec<f64>>) {
-        // Cap the pool so a one-off giant solve doesn't pin memory forever.
-        const MAX_POOLED_ROWS: usize = 4096;
-        for row in rows {
-            if self.row_pool.len() >= MAX_POOLED_ROWS {
-                break;
-            }
-            self.row_pool.push(row);
-        }
-    }
-
-    /// Return a finished [`BasisSnapshot`]'s tableau rows to the pool.
+    /// Return a finished [`BasisSnapshot`]'s tableau buffer to the pool.
     ///
     /// Branch & bound captures a snapshot per explored node and shares it
     /// with both children; once the last child has consumed it, recycling
@@ -220,21 +222,21 @@ impl SolverWorkspace {
     /// let mut ws = SolverWorkspace::new();
     /// let (_, snapshot) =
     ///     solve_with_basis_capture(&problem, &SimplexConfig::default(), None, Some(&mut ws));
-    /// // The optimal basis was captured, so its rows were *not* recycled...
+    /// // The optimal basis was captured, so its tableau was *not* recycled...
     /// let snapshot = snapshot.expect("optimal solve captures a basis");
-    /// assert_eq!(ws.pooled_rows(), 0);
+    /// assert_eq!(snapshot.rows(), 1, "one row per constraint, none per bound");
+    /// assert_eq!(ws.pooled_buffers(), 0);
     /// // ...until the snapshot is explicitly returned to the pool.
-    /// let rows = snapshot.rows();
     /// ws.recycle_snapshot(snapshot);
-    /// assert_eq!(ws.pooled_rows(), rows);
+    /// assert_eq!(ws.pooled_buffers(), 1);
     /// ```
     pub fn recycle_snapshot(&mut self, snapshot: BasisSnapshot) {
-        self.recycle_rows(snapshot.into_rows());
+        self.recycle_buffer(snapshot.into_buffer());
     }
 
-    /// Number of pooled row buffers (exposed for tests).
-    pub fn pooled_rows(&self) -> usize {
-        self.row_pool.len()
+    /// Number of pooled tableau buffers (exposed for tests).
+    pub fn pooled_buffers(&self) -> usize {
+        self.buffer_pool.len()
     }
 
     pub(crate) fn record_dual_restart(&mut self, reused: bool, bound_flips: usize) {
@@ -265,15 +267,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rows_are_recycled_and_zeroed() {
+    fn buffers_are_recycled_and_zeroed() {
         let mut ws = SolverWorkspace::new();
-        let mut row = ws.take_row(4);
-        row[2] = 7.0;
-        ws.recycle_rows([row]);
-        assert_eq!(ws.pooled_rows(), 1);
-        let row = ws.take_row(6);
-        assert_eq!(row, vec![0.0; 6]);
-        assert_eq!(ws.pooled_rows(), 0);
+        let mut buffer = ws.take_buffer(4);
+        buffer[2] = 7.0;
+        ws.recycle_buffer(buffer);
+        assert_eq!(ws.pooled_buffers(), 1);
+        let copy = ws.copy_buffer(&[1.0, 2.0]);
+        assert_eq!(copy, vec![1.0, 2.0]);
+        ws.recycle_buffer(copy);
+        let buffer = ws.take_buffer(6);
+        assert_eq!(buffer, vec![0.0; 6]);
+        assert_eq!(ws.pooled_buffers(), 0);
+        // A buffer that was moved out (no allocation) is not worth pooling.
+        ws.recycle_buffer(Vec::new());
+        assert_eq!(ws.pooled_buffers(), 0);
     }
 
     #[test]

@@ -333,6 +333,70 @@ proptest! {
         prop_assert_eq!(cold_ws.stats().dual_restarts, 0);
     }
 
+    /// Self-oracle for the implicit variable bounds: a model solved as given
+    /// and the same model with every finite upper bound written out as an
+    /// explicit `<=` row over an unbounded-above variable must agree on the
+    /// verdict, the objective and (for the MILP) every integer value.
+    #[test]
+    fn implicit_upper_bounds_match_explicit_bound_rows(
+        vars in prop::collection::vec((-4.0f64..4.0, -3.0f64..3.0, 0.5f64..6.0), 2..6),
+        rows in prop::collection::vec(
+            (prop::collection::vec(-2.0f64..2.0, 5), 0u32..3, 0.0f64..1.0), 1..4),
+        integer_mask in 0u32..64,
+    ) {
+        for integral in [false, true] {
+            let build = |explicit: bool| {
+                let mut m = Model::new("prop-bounds");
+                let mut handles = Vec::new();
+                for (i, &(_, lo, width)) in vars.iter().enumerate() {
+                    let is_integer = integral && integer_mask & (1 << i) != 0;
+                    let (kind, lo, hi) = if is_integer {
+                        (waterwise_milp::VarKind::Integer, lo.floor(), lo.floor() + width.ceil())
+                    } else {
+                        (waterwise_milp::VarKind::Continuous, lo, lo + width)
+                    };
+                    let upper = if explicit { f64::INFINITY } else { hi };
+                    let v = m.add_var(format!("x{i}"), kind, lo, upper);
+                    if explicit {
+                        m.add_constraint(format!("ub{i}"), LinExpr::from(v), Sense::LessEqual, hi);
+                    }
+                    handles.push((v, lo, hi));
+                }
+                for (r, (coeffs, sense, frac)) in rows.iter().enumerate() {
+                    // Place the rhs inside the row's range over the box, so
+                    // the row cuts it without (usually) emptying it.
+                    let mut expr = LinExpr::zero();
+                    let (mut min, mut max) = (0.0, 0.0);
+                    for (&(v, lo, hi), &c) in handles.iter().zip(coeffs) {
+                        expr.add_term(v, c);
+                        min += (c * lo).min(c * hi);
+                        max += (c * lo).max(c * hi);
+                    }
+                    let sense = [Sense::LessEqual, Sense::GreaterEqual, Sense::Equal][*sense as usize];
+                    m.add_constraint(format!("r{r}"), expr, sense, min + (max - min) * frac);
+                }
+                let mut obj = LinExpr::zero();
+                for (&(v, _, _), &(cost, _, _)) in handles.iter().zip(&vars) {
+                    obj.add_term(v, cost);
+                }
+                m.minimize(obj);
+                m
+            };
+            let implicit = build(false).solve().unwrap();
+            let explicit = build(true).solve().unwrap();
+            prop_assert_eq!(implicit.status, explicit.status);
+            if implicit.status.has_solution() {
+                prop_assert!((implicit.objective - explicit.objective).abs() < 1e-9,
+                    "implicit {} vs explicit {}", implicit.objective, explicit.objective);
+                for (i, (a, b)) in implicit.values.iter().zip(&explicit.values).enumerate() {
+                    if integral && integer_mask & (1 << i) != 0 {
+                        prop_assert_eq!(a, b, "integer x{} differs", i);
+                    }
+                }
+            }
+        }
+    }
+
     /// Assignment problems with adequate capacity always produce a feasible,
     /// fully integral assignment.
     #[test]
