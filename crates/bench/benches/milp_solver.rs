@@ -2,28 +2,45 @@
 //!
 //! Supports the Fig. 13 overhead claim: the assignment MILP WaterWise builds
 //! (jobs × regions binary variables, assignment + capacity + delay rows)
-//! solves in milliseconds at realistic batch sizes.
+//! builds in microseconds and solves in milliseconds at realistic batch
+//! sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use waterwise_milp::{LinExpr, Model, Sense};
+use waterwise_milp::{LinExpr, Model, Sense, Var};
 
-/// Build a WaterWise-shaped assignment MILP with `jobs` jobs and 5 regions.
+/// Build a WaterWise-shaped assignment MILP with `jobs` jobs and 5 regions
+/// the way `WaterWiseScheduler::solve_assignment` builds its own: variable
+/// `x[m][n]` is index `m * regions + n`, rows are pre-sized and filled with
+/// `add_term`, and only the assignment and capacity rows are named.
 fn assignment_model(jobs: usize) -> Model {
     let regions = 5usize;
+    let x = |m: usize, n: usize| Var::from_index(m * regions + n);
     let mut model = Model::new("bench-assignment");
-    let mut vars = Vec::with_capacity(jobs * regions);
+    model.reserve(jobs * regions, 2 * jobs + regions);
+    for _ in 0..jobs * regions {
+        model.add_binary("");
+    }
+    let mut objective = LinExpr::with_capacity(jobs * regions);
     for m in 0..jobs {
         for n in 0..regions {
-            vars.push(model.add_binary(format!("x_{m}_{n}")));
+            // Deterministic pseudo-random costs in [0, 1).
+            let cost = (((m * 2654435761 + n * 40503) % 1000) as f64) / 1000.0;
+            objective.add_term(x(m, n), cost);
         }
     }
-    let x = |m: usize, n: usize| vars[m * regions + n];
+    model.minimize(objective);
     for m in 0..jobs {
-        let expr = LinExpr::sum((0..regions).map(|n| LinExpr::from(x(m, n))));
+        let mut expr = LinExpr::with_capacity(regions);
+        for n in 0..regions {
+            expr.add_term(x(m, n), 1.0);
+        }
         model.add_constraint(format!("assign_{m}"), expr, Sense::Equal, 1.0);
     }
     for n in 0..regions {
-        let expr = LinExpr::sum((0..jobs).map(|m| LinExpr::from(x(m, n))));
+        let mut expr = LinExpr::with_capacity(jobs);
+        for m in 0..jobs {
+            expr.add_term(x(m, n), 1.0);
+        }
         model.add_constraint(
             format!("cap_{n}"),
             expr,
@@ -31,19 +48,14 @@ fn assignment_model(jobs: usize) -> Model {
             (jobs as f64 / 2.0).ceil(),
         );
     }
-    let mut objective = LinExpr::zero();
     for m in 0..jobs {
-        for n in 0..regions {
-            // Deterministic pseudo-random costs in [0, 1).
-            let cost = (((m * 2654435761 + n * 40503) % 1000) as f64) / 1000.0;
-            objective.add_term(x(m, n), cost);
-        }
         // Delay-tolerance-style row: a weighted sum bounded by a constant.
-        let expr =
-            LinExpr::sum((0..regions).map(|n| LinExpr::from(x(m, n)) * ((n as f64 + 1.0) * 0.01)));
-        model.add_constraint(format!("delay_{m}"), expr, Sense::LessEqual, 0.5);
+        let mut expr = LinExpr::with_capacity(regions);
+        for n in 0..regions {
+            expr.add_term(x(m, n), (n as f64 + 1.0) * 0.01);
+        }
+        model.add_constraint("", expr, Sense::LessEqual, 0.5);
     }
-    model.minimize(objective);
     model
 }
 
@@ -58,6 +70,17 @@ fn bench_milp(c: &mut Criterion) {
                 assert!(solution.status.has_solution());
                 solution.objective
             })
+        });
+    }
+    group.finish();
+
+    // The front-end on its own: what the scheduler pays per round before the
+    // first pivot.
+    let mut group = c.benchmark_group("milp_assignment_build");
+    group.sample_size(10);
+    for &jobs in &[8usize, 16, 32, 64] {
+        group.bench_with_input(BenchmarkId::from_parameter(jobs), &jobs, |b, &jobs| {
+            b.iter(|| assignment_model(jobs).num_constraints())
         });
     }
     group.finish();

@@ -349,6 +349,12 @@ impl WaterWiseScheduler {
 
     /// Build and solve the MILP for the selected jobs. `soften` enables the
     /// penalty relaxation of Eq. 12/13.
+    ///
+    /// Variable `x[m][n]` is index `m * n_regions + n`; the soft model's
+    /// penalty `P[m]` follows at `jobs.len() * n_regions + m`. Variables and
+    /// delay rows go unnamed (a fault in one is reported by index); the
+    /// assignment and capacity rows carry the job ids and region names, which
+    /// is what lets the solution cache's structural key tell batches apart.
     fn solve_assignment(
         &mut self,
         jobs: &[&PendingJob],
@@ -358,55 +364,50 @@ impl WaterWiseScheduler {
         soften: bool,
     ) -> Option<Vec<Assignment>> {
         let n_regions = regions.len();
+        let n_x = jobs.len() * n_regions;
+        let x = |m: usize, n: usize| Var::from_index(m * n_regions + n);
+        let penalty = |m: usize| Var::from_index(n_x + m);
+        let n_penalties = if soften { jobs.len() } else { 0 };
         let mut model = Model::new(if soften {
             "waterwise-soft"
         } else {
             "waterwise-hard"
         });
-
-        // Decision variables x[m][n].
-        let mut x: Vec<Vec<Var>> = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            let row: Vec<Var> = (0..n_regions)
-                .map(|n| model.add_binary(format!("x_{}_{}", job.spec.id.0, n)))
-                .collect();
-            x.push(row);
+        model.reserve(n_x + n_penalties, 2 * jobs.len() + n_regions);
+        for _ in 0..n_x {
+            model.add_binary("");
         }
-        // Penalty variables P[m] for the softened delay constraint.
-        let penalties: Vec<Option<Var>> = jobs
-            .iter()
-            .map(|job| {
-                if soften {
-                    Some(model.add_non_negative(format!("p_{}", job.spec.id.0)))
-                } else {
-                    None
-                }
-            })
-            .collect();
+        for _ in 0..n_penalties {
+            model.add_non_negative("");
+        }
 
         // Objective (Eq. 8 / Eq. 12) from the precomputed per-job numerics
         // (shared with the warm-start hint and the soft fallback).
-        let mut objective = LinExpr::zero();
-        for (m, _) in jobs.iter().enumerate() {
-            for n in 0..n_regions {
-                objective.add_term(x[m][n], numerics[m].coeffs[n]);
+        let mut objective = LinExpr::with_capacity(n_x + n_penalties);
+        for (m, numbers) in numerics.iter().enumerate() {
+            for (n, &coeff) in numbers.coeffs.iter().enumerate() {
+                objective.add_term(x(m, n), coeff);
             }
         }
-        if soften {
-            for p in penalties.iter().flatten() {
-                objective.add_term(*p, self.config.soft_penalty);
-            }
+        for m in 0..n_penalties {
+            objective.add_term(penalty(m), self.config.soft_penalty);
         }
         model.minimize(objective);
 
         // Eq. 9: each job is assigned to exactly one region.
         for (m, job) in jobs.iter().enumerate() {
-            let expr = LinExpr::sum((0..n_regions).map(|n| LinExpr::from(x[m][n])));
+            let mut expr = LinExpr::with_capacity(n_regions);
+            for n in 0..n_regions {
+                expr.add_term(x(m, n), 1.0);
+            }
             model.add_constraint(format!("assign_{}", job.spec.id.0), expr, Sense::Equal, 1.0);
         }
         // Eq. 10: regional capacity.
         for (n, view) in ctx.regions.iter().enumerate() {
-            let expr = LinExpr::sum((0..jobs.len()).map(|m| LinExpr::from(x[m][n])));
+            let mut expr = LinExpr::with_capacity(jobs.len());
+            for m in 0..jobs.len() {
+                expr.add_term(x(m, n), 1.0);
+            }
             model.add_constraint(
                 format!("cap_{}", view.region.name()),
                 expr,
@@ -416,24 +417,19 @@ impl WaterWiseScheduler {
         }
         // Eq. 11 / Eq. 13: delay tolerance on the transfer-latency ratio,
         // tightened by the time the job has already spent waiting.
-        for (m, job) in jobs.iter().enumerate() {
-            let mut expr = LinExpr::zero();
-            for n in 0..n_regions {
-                expr.add_term(x[m][n], numerics[m].latency_ratio[n]);
+        for (m, numbers) in numerics.iter().enumerate() {
+            let mut expr = LinExpr::with_capacity(n_regions + 1);
+            for (n, &ratio) in numbers.latency_ratio.iter().enumerate() {
+                expr.add_term(x(m, n), ratio);
             }
-            if let Some(p) = penalties[m] {
-                expr.add_term(p, -1.0);
+            if soften {
+                expr.add_term(penalty(m), -1.0);
             }
-            model.add_constraint(
-                format!("delay_{}", job.spec.id.0),
-                expr,
-                Sense::LessEqual,
-                numerics[m].remaining_tolerance,
-            );
+            model.add_constraint("", expr, Sense::LessEqual, numbers.remaining_tolerance);
         }
 
         let hint = if self.config.warm_start {
-            self.build_hint(jobs, ctx, &model, &x, &penalties, numerics, soften)
+            self.build_hint(jobs, ctx, numerics, soften)
         } else {
             None
         };
@@ -454,48 +450,40 @@ impl WaterWiseScheduler {
         }
         let mut assignments = Vec::with_capacity(jobs.len());
         for (m, job) in jobs.iter().enumerate() {
-            let mut chosen: Option<Region> = None;
-            for (n, region) in regions.iter().enumerate() {
-                if solution.is_one(x[m][n]) {
-                    chosen = Some(*region);
-                    break;
-                }
-            }
-            if let Some(region) = chosen {
+            let chosen = (0..n_regions).find(|&n| solution.is_one(x(m, n)));
+            if let Some(n) = chosen {
                 // Carried forward as the next slot's warm-start hint should
                 // the job remain pending (e.g. the engine rejects the
                 // placement); pruned at the end of `schedule` once the job
                 // leaves the pending pool.
-                self.carried.insert(job.spec.id, region);
+                self.carried.insert(job.spec.id, regions[n]);
                 assignments.push(Assignment {
                     job: job.spec.id,
-                    region,
+                    region: regions[n],
                 });
             }
         }
         Some(assignments)
     }
 
-    /// Build the warm-start hint for the current model: the previous slot's
-    /// region choice where one is carried and still feasible, completed
-    /// greedily (cheapest feasible region per job under remaining capacity).
-    /// Returns `None` when no complete feasible candidate exists — the solve
-    /// then starts cold, exactly as without warm starting.
-    #[allow(clippy::too_many_arguments)]
+    /// Build the warm-start hint for the current model (variable layout as in
+    /// [`Self::solve_assignment`]): the previous slot's region choice where
+    /// one is carried and still feasible, completed greedily (cheapest
+    /// feasible region per job under remaining capacity). Returns `None` when
+    /// no complete feasible candidate exists — the solve then starts cold,
+    /// exactly as without warm starting.
     fn build_hint(
         &self,
         jobs: &[&PendingJob],
         ctx: &SchedulingContext<'_>,
-        model: &Model,
-        x: &[Vec<Var>],
-        penalties: &[Option<Var>],
         numerics: &[JobNumerics],
         soften: bool,
     ) -> Option<Vec<f64>> {
-        let n_regions = x.first()?.len();
+        let n_regions = ctx.regions.len();
+        let n_x = jobs.len() * n_regions;
         let mut capacity_left: Vec<usize> =
             ctx.regions.iter().map(|v| v.remaining_capacity()).collect();
-        let mut hint = vec![0.0; model.num_vars()];
+        let mut hint = vec![0.0; if soften { n_x + jobs.len() } else { n_x }];
         for (m, job) in jobs.iter().enumerate() {
             let numbers = &numerics[m];
             let feasible = |n: usize, capacity_left: &[usize]| {
@@ -518,9 +506,9 @@ impl WaterWiseScheduler {
                     })
             })?;
             capacity_left[chosen] -= 1;
-            hint[x[m][chosen].index()] = 1.0;
-            if let Some(p) = penalties[m] {
-                hint[p.index()] =
+            hint[m * n_regions + chosen] = 1.0;
+            if soften {
+                hint[n_x + m] =
                     (numbers.latency_ratio[chosen] - numbers.remaining_tolerance).max(0.0);
             }
         }
@@ -618,8 +606,10 @@ impl Scheduler for WaterWiseScheduler {
         // stays pending and its carried region seeds the next hint;
         // otherwise the job disappears from `pending` and the entry is
         // dropped here next round.
+        let mut pending_ids: Vec<JobId> = ctx.pending.iter().map(|p| p.spec.id).collect();
+        pending_ids.sort_unstable();
         self.carried
-            .retain(|id, _| ctx.pending.iter().any(|p| p.spec.id == *id));
+            .retain(|id, _| pending_ids.binary_search(id).is_ok());
         SchedulingDecision { assignments }
     }
 
@@ -971,6 +961,49 @@ mod tests {
         assert_eq!(activity.cache_exact_hits, stats.exact_hits);
         assert_eq!(activity.cache_hint_hits, stats.hint_hits);
         assert_eq!(activity.cache_misses, stats.misses);
+    }
+
+    #[test]
+    fn cache_fingerprint_sees_job_identity_without_variable_names() {
+        // Two batches with bit-identical numerics but different job ids are
+        // different models to the cache (the `assign_{job}` row names carry
+        // the ids): neither an exact hit nor a hint. The first batch again
+        // is the first model again.
+        let mut fixture = context_fixture(13, 33);
+        for p in &mut fixture.pending {
+            p.received_at = Seconds::from_hours(6.0);
+        }
+        let mut renumbered = context_fixture(13, 33);
+        for p in &mut renumbered.pending {
+            p.received_at = Seconds::from_hours(6.0);
+            p.spec.id = JobId(p.spec.id.0 + 1000);
+        }
+        let mut sched = scheduler().with_cache(waterwise_milp::SolutionCache::shared());
+        let first = sched.schedule(&ctx_from(&fixture, 6.0, 0.5));
+        let other = sched.schedule(&ctx_from(&renumbered, 6.0, 0.5));
+        let cache = sched.stats().cache;
+        assert_eq!(
+            (cache.misses, cache.hint_hits, cache.exact_hits),
+            (2, 0, 0),
+            "{cache:?}"
+        );
+        let again = sched.schedule(&ctx_from(&fixture, 6.0, 0.5));
+        let cache = sched.stats().cache;
+        assert_eq!(
+            (cache.misses, cache.hint_hits, cache.exact_hits),
+            (2, 0, 1),
+            "{cache:?}"
+        );
+        assert_eq!(sched.stats().soft_fallbacks, 0);
+        assert_eq!(first, again);
+        let regions = |d: &SchedulingDecision| -> Vec<Region> {
+            d.assignments.iter().map(|a| a.region).collect()
+        };
+        assert_eq!(
+            regions(&first),
+            regions(&other),
+            "same numerics, same placement"
+        );
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! enumeration.
 
 use crate::error::MilpError;
-use crate::model::{DualLp, Model};
-use crate::simplex::{BasisSnapshot, SimplexConfig};
+use crate::model::{Direction, Model};
+use crate::simplex::{self, BasisSnapshot, BoundedLp, DualOutcome, SimplexConfig};
 use crate::solution::{Solution, SolveStatus};
 use crate::workspace::SolverWorkspace;
 use serde::{Deserialize, Serialize};
@@ -48,12 +48,14 @@ impl Default for BranchBoundConfig {
     }
 }
 
-/// A pending node: bound overrides for integer branching plus the parent LP
-/// bound used for best-first ordering. The parent's final basis rides along
-/// (shared by both children) so the node LP can dual-restart.
+/// A pending node: its own variable bounds (the model's, tightened by the
+/// branching above it) plus the parent LP bound used for best-first ordering.
+/// The parent's final basis rides along (shared by both children) so the
+/// node LP can dual-restart.
 #[derive(Debug, Clone)]
 struct Node {
-    bounds: Vec<(f64, f64)>,
+    lower: Vec<f64>,
+    upper: Vec<f64>,
     parent_bound: f64,
     depth: usize,
     snapshot: Option<Rc<BasisSnapshot>>,
@@ -96,11 +98,20 @@ pub fn solve(
     solve_warm(model, simplex_config, config, None, None)
 }
 
-/// `true` when every hint value lies inside the node's bound box.
-fn hint_within_bounds(hint: &[f64], bounds: &[(f64, f64)], tol: f64) -> bool {
-    hint.iter()
-        .zip(bounds)
-        .all(|(&v, &(lo, hi))| v >= lo - tol && v <= hi + tol)
+impl Node {
+    /// `true` when every hint value lies inside the node's bound box.
+    fn contains(&self, hint: &[f64], tol: f64) -> bool {
+        let bounds = self.lower.iter().zip(&self.upper);
+        hint.iter()
+            .zip(bounds)
+            .all(|(&v, (&lo, &hi))| v >= lo - tol && v <= hi + tol)
+    }
+
+    /// `true` when branching emptied a variable's box: trivially infeasible,
+    /// and not worth a tableau.
+    fn is_empty(&self) -> bool {
+        self.lower.iter().zip(&self.upper).any(|(lo, hi)| lo > hi)
+    }
 }
 
 /// Drop a node's share of the parent basis; the last holder recycles the
@@ -135,18 +146,17 @@ pub fn solve_warm(
     mut workspace: Option<&mut SolverWorkspace>,
 ) -> Result<Solution, MilpError> {
     let integer_vars = model.integer_var_indices();
-    let maximize = matches!(
-        model.objective(),
-        Some((crate::model::Direction::Maximize, _))
-    );
+    let maximize = matches!(model.objective(), Some((Direction::Maximize, _)));
     // Internal key: objective mapped so that smaller is better.
     let key = |objective: f64| if maximize { -objective } else { objective };
 
-    let root_bounds: Vec<(f64, f64)> = model.vars().iter().map(|v| (v.lower, v.upper)).collect();
-
+    // Every node solves the model's own rows and costs, by reference; only
+    // the bounds are the node's.
+    let lp = model.lp();
     let mut heap = BinaryHeap::new();
     heap.push(Node {
-        bounds: root_bounds,
+        lower: lp.lower.clone(),
+        upper: lp.upper.clone(),
         parent_bound: f64::NEG_INFINITY,
         depth: 0,
         snapshot: None,
@@ -203,40 +213,38 @@ pub fn solve_warm(
             continue;
         }
         nodes_explored += 1;
+        if node.is_empty() {
+            release_snapshot(node.snapshot.take(), workspace.as_deref_mut());
+            continue;
+        }
+        let node_lp = BoundedLp {
+            problem: lp,
+            lower: &node.lower,
+            upper: &node.upper,
+        };
         // Dual-first: restart from the parent's final basis when one rode
         // along. A typed fallback (pivot cap, incompatible bound shape)
         // drops to the cold path below; its wasted pivots are visible via
         // `dual_restarts - basis_reuse_hits`, not in the pivot totals.
-        let mut dual_result: Option<(Solution, Option<BasisSnapshot>)> = None;
-        if config.use_dual_restart {
-            if let Some(snapshot) = node.snapshot.as_deref() {
-                match model.solve_lp_relaxation_dual(
-                    simplex_config,
-                    Some(&node.bounds),
-                    snapshot,
-                    workspace.as_deref_mut(),
-                )? {
-                    DualLp::Finished(solution, captured) => {
-                        dual_result = Some((solution, captured));
-                    }
-                    DualLp::Fallback => {}
-                }
+        let restart = node.snapshot.as_deref().filter(|_| config.use_dual_restart);
+        let dual_result = restart.and_then(|snapshot| {
+            match simplex::dual_restart(node_lp, simplex_config, snapshot, workspace.as_deref_mut())
+            {
+                DualOutcome::Finished(outcome, captured) => Some((outcome, captured)),
+                DualOutcome::PivotLimit { .. } | DualOutcome::Incompatible => None,
             }
-        }
+        });
         release_snapshot(node.snapshot.take(), workspace.as_deref_mut());
-        let (relaxation, captured) = match dual_result {
-            Some(pair) => pair,
-            None => {
-                let node_hint = hint.filter(|h| hint_within_bounds(h, &node.bounds, 1e-9));
-                model.solve_lp_relaxation_captured(
-                    simplex_config,
-                    Some(&node.bounds),
-                    node_hint,
-                    workspace.as_deref_mut(),
-                    config.use_dual_restart,
-                )?
-            }
-        };
+        let (outcome, captured) = dual_result.unwrap_or_else(|| {
+            simplex::solve_bounded(
+                node_lp,
+                simplex_config,
+                hint.filter(|h| node.contains(h, 1e-9)),
+                workspace.as_deref_mut(),
+                config.use_dual_restart,
+            )
+        });
+        let relaxation = model.lp_solution(outcome);
         total_iterations += relaxation.simplex_iterations;
         match relaxation.status {
             SolveStatus::Infeasible => continue,
@@ -303,25 +311,19 @@ pub fn solve_warm(
             }
             Some((vi, value)) => {
                 let floor = value.floor();
-                let mut down = node.bounds.clone();
-                down[vi].1 = down[vi].1.min(floor);
-                let mut up = node.bounds.clone();
-                up[vi].0 = up[vi].0.max(floor + 1.0);
                 // Both children share the parent's final basis; whichever is
                 // explored last (or pruned) releases it back to the pool.
-                let shared = captured.map(Rc::new);
-                heap.push(Node {
-                    bounds: down,
+                let mut up = Node {
                     parent_bound: node_key,
                     depth: node.depth + 1,
-                    snapshot: shared.clone(),
-                });
-                heap.push(Node {
-                    bounds: up,
-                    parent_bound: node_key,
-                    depth: node.depth + 1,
-                    snapshot: shared,
-                });
+                    snapshot: captured.map(Rc::new),
+                    ..node
+                };
+                let mut down = up.clone();
+                down.upper[vi] = down.upper[vi].min(floor);
+                up.lower[vi] = up.lower[vi].max(floor + 1.0);
+                heap.push(down);
+                heap.push(up);
             }
         }
     }

@@ -9,8 +9,10 @@
 //! [`SolutionCache`] exploits that:
 //!
 //! * Every model is reduced to a [`ModelFingerprint`] with two components:
-//!   a **structural key** (variable names/kinds/bounds, constraint names,
-//!   senses, sparsity pattern, and *quantized* constraint coefficients) and
+//!   a **structural key** (model, variable and constraint names — whichever
+//!   of them the builder gave; the scheduler names its model and its
+//!   `assign_{job}` / `cap_{region}` rows — kinds, bounds, senses, sparsity
+//!   pattern, and *quantized* constraint coefficients) and
 //!   an **exact hash** covering every coefficient bit, right-hand side, the
 //!   objective, and the solver configuration.
 //! * The cache maps structural keys to a small bucket of recently solved
@@ -180,6 +182,27 @@ pub struct ModelFingerprint {
     pub exact: u64,
 }
 
+/// The two hashes of a fingerprint under construction.
+struct Hashes {
+    key: Fnv,
+    exact: Fnv,
+}
+
+impl Hashes {
+    /// Structure: goes into both hashes.
+    fn structure(&mut self, write: impl Fn(&mut Fnv)) {
+        write(&mut self.key);
+        write(&mut self.exact);
+    }
+
+    /// Structure up to quantization: coarse in the key, every bit in the
+    /// exact hash.
+    fn coefficient(&mut self, value: f64) {
+        self.key.write_i64(quantize(value));
+        self.exact.write_f64(value);
+    }
+}
+
 impl ModelFingerprint {
     /// Fingerprint `model` as solved under the given configurations.
     pub fn of(
@@ -187,54 +210,43 @@ impl ModelFingerprint {
         simplex_config: &SimplexConfig,
         bb_config: &BranchBoundConfig,
     ) -> ModelFingerprint {
-        let mut key = Fnv::new();
-        let mut exact = Fnv::new();
+        let mut h = Hashes {
+            key: Fnv::new(),
+            exact: Fnv::new(),
+        };
+        let lp = model.lp();
 
-        key.write_str(&model.name);
-        exact.write_str(&model.name);
-
-        key.write_usize(model.num_vars());
-        exact.write_usize(model.num_vars());
-        for var in model.vars() {
-            key.write_str(&var.name);
-            exact.write_str(&var.name);
+        h.structure(|f| f.write_str(&model.name));
+        h.structure(|f| f.write_usize(model.num_vars()));
+        for (i, var) in model.vars().iter().enumerate() {
             let kind = match var.kind {
                 VarKind::Continuous => 0u8,
                 VarKind::Integer => 1,
                 VarKind::Binary => 2,
             };
-            key.write_u8(kind);
-            exact.write_u8(kind);
-            key.write_i64(quantize(var.lower));
-            key.write_i64(quantize(var.upper));
-            exact.write_f64(var.lower);
-            exact.write_f64(var.upper);
+            h.structure(|f| f.write_str(&var.name));
+            h.structure(|f| f.write_u8(kind));
+            h.coefficient(lp.lower[i]);
+            h.coefficient(lp.upper[i]);
         }
 
-        key.write_usize(model.num_constraints());
-        exact.write_usize(model.num_constraints());
-        for constraint in model.constraints() {
-            key.write_str(&constraint.name);
-            exact.write_str(&constraint.name);
+        h.structure(|f| f.write_usize(model.num_constraints()));
+        for (constraint, name) in lp.constraints.iter().zip(model.constraint_names()) {
             let sense = match constraint.sense {
                 Sense::LessEqual => 0u8,
                 Sense::GreaterEqual => 1,
                 Sense::Equal => 2,
             };
-            key.write_u8(sense);
-            exact.write_u8(sense);
-            key.write_usize(constraint.expr.len());
-            exact.write_usize(constraint.expr.len());
-            for (index, coeff) in constraint.expr.iter_terms() {
-                key.write_usize(index);
-                key.write_i64(quantize(coeff));
-                exact.write_usize(index);
-                exact.write_f64(coeff);
+            h.structure(|f| f.write_str(name));
+            h.structure(|f| f.write_u8(sense));
+            h.structure(|f| f.write_usize(constraint.coeffs.len()));
+            for &(index, coeff) in &constraint.coeffs {
+                h.structure(|f| f.write_usize(index));
+                h.coefficient(coeff);
             }
-            // The rhs (and the folded constant term) belong to the varying
-            // "data" half of the model: exact hash only.
-            exact.write_f64(constraint.rhs);
-            exact.write_f64(constraint.expr.constant_term());
+            // The rhs (the expression's constant folded in) belongs to the
+            // varying "data" half of the model: exact hash only.
+            h.exact.write_f64(constraint.rhs);
         }
 
         if let Some((direction, objective)) = model.objective() {
@@ -242,33 +254,30 @@ impl ModelFingerprint {
                 Direction::Minimize => 0u8,
                 Direction::Maximize => 1,
             };
-            key.write_u8(dir);
-            exact.write_u8(dir);
-            key.write_usize(objective.len());
-            exact.write_usize(objective.len());
+            h.structure(|f| f.write_u8(dir));
+            h.structure(|f| f.write_usize(objective.len()));
             for (index, coeff) in objective.iter_terms() {
                 // Objective *sparsity* is structure; the coefficient values
                 // are what weight sweeps change, so they stay exact-only.
-                key.write_usize(index);
-                exact.write_usize(index);
-                exact.write_f64(coeff);
+                h.structure(|f| f.write_usize(index));
+                h.exact.write_f64(coeff);
             }
-            exact.write_f64(objective.constant_term());
+            h.exact.write_f64(objective.constant_term());
         }
 
         // A stored solution is only bit-reproducible under the same solver
         // configuration, so the configs are part of the exact hash.
-        exact.write_usize(simplex_config.max_iterations);
-        exact.write_f64(simplex_config.tolerance);
-        exact.write_usize(simplex_config.stall_threshold);
-        exact.write_usize(bb_config.max_nodes);
-        exact.write_f64(bb_config.integrality_tolerance);
-        exact.write_f64(bb_config.absolute_gap);
-        exact.write_u8(bb_config.use_dual_restart as u8);
+        h.exact.write_usize(simplex_config.max_iterations);
+        h.exact.write_f64(simplex_config.tolerance);
+        h.exact.write_usize(simplex_config.stall_threshold);
+        h.exact.write_usize(bb_config.max_nodes);
+        h.exact.write_f64(bb_config.integrality_tolerance);
+        h.exact.write_f64(bb_config.absolute_gap);
+        h.exact.write_u8(bb_config.use_dual_restart as u8);
 
         ModelFingerprint {
-            key: key.finish(),
-            exact: exact.finish(),
+            key: h.key.finish(),
+            exact: h.exact.finish(),
         }
     }
 }

@@ -14,16 +14,16 @@ pub enum MilpError {
     },
     /// A variable's lower bound exceeds its upper bound.
     InvalidBounds {
-        /// Variable name.
+        /// Variable name, or `#index` for a variable added without one.
         name: String,
         /// Lower bound.
         lower: f64,
         /// Upper bound.
         upper: f64,
     },
-    /// A coefficient, bound, or right-hand side is NaN.
+    /// A coefficient or right-hand side is NaN or infinite, or a bound is NaN.
     NonFiniteCoefficient {
-        /// Where the NaN was found.
+        /// Where it was found (an unnamed variable or row reads `#index`).
         context: String,
     },
     /// No objective was set before calling `solve`.

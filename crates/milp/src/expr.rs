@@ -4,9 +4,12 @@
 //! [`LinExpr`] is a sparse linear combination of variables plus a constant
 //! term, built with ordinary `+`, `-`, and `*` operators so that model
 //! construction reads like the mathematical formulation in the paper.
+//!
+//! The terms are one `Vec<(index, coefficient)>` kept sorted by index with
+//! duplicates merged — the form a constraint row has inside the solver, so
+//! [`crate::Model::add_constraint`] moves the vector into the row it solves.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
 /// A handle to a decision variable in a [`crate::Model`].
@@ -14,6 +17,15 @@ use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 pub struct Var(pub(crate) usize);
 
 impl Var {
+    /// The handle of the `index`-th variable added to a model, for callers
+    /// that lay their variables out arithmetically (`job * regions + region`)
+    /// instead of keeping the handles [`crate::Model::add_var`] returned.
+    /// An index the model does not own is rejected when the model is solved
+    /// ([`crate::MilpError::UnknownVariable`]).
+    pub fn from_index(index: usize) -> Self {
+        Var(index)
+    }
+
     /// The variable's index within its model.
     pub fn index(self) -> usize {
         self.0
@@ -23,8 +35,9 @@ impl Var {
 /// A sparse linear expression: `Σ coeff_i · var_i + constant`.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct LinExpr {
-    /// Coefficients keyed by variable index (kept sorted for determinism).
-    terms: BTreeMap<usize, f64>,
+    /// `(variable index, coefficient)` pairs, sorted by index, one per
+    /// variable.
+    terms: Vec<(usize, f64)>,
     /// Constant offset.
     constant: f64,
 }
@@ -35,32 +48,50 @@ impl LinExpr {
         Self::default()
     }
 
+    /// The zero expression with room for `terms` terms, so that a row built
+    /// with [`LinExpr::add_term`] allocates once.
+    pub fn with_capacity(terms: usize) -> Self {
+        Self {
+            terms: Vec::with_capacity(terms),
+            constant: 0.0,
+        }
+    }
+
     /// A constant expression.
     pub fn constant(value: f64) -> Self {
         Self {
-            terms: BTreeMap::new(),
+            terms: Vec::new(),
             constant: value,
         }
     }
 
     /// A single-term expression `coeff * var`.
     pub fn term(var: Var, coeff: f64) -> Self {
-        let mut terms = BTreeMap::new();
-        if coeff != 0.0 {
-            terms.insert(var.0, coeff);
-        }
-        Self {
-            terms,
-            constant: 0.0,
-        }
+        let mut expr = Self::zero();
+        expr.add_term(var, coeff);
+        expr
     }
 
-    /// Add `coeff * var` to this expression in place.
+    /// Add `coeff * var` to this expression in place. A coefficient that
+    /// cancels to exactly zero drops its term. Appending in ascending index
+    /// order is O(1); anything else is a binary search plus a shift.
     pub fn add_term(&mut self, var: Var, coeff: f64) {
-        let entry = self.terms.entry(var.0).or_insert(0.0);
-        *entry += coeff;
-        if *entry == 0.0 {
-            self.terms.remove(&var.0);
+        let index = var.0;
+        let at = match self.terms.last() {
+            Some(&(last, _)) if last >= index => {
+                self.terms.binary_search_by_key(&index, |&(i, _)| i)
+            }
+            _ => Err(self.terms.len()),
+        };
+        match at {
+            Ok(pos) => {
+                self.terms[pos].1 += coeff;
+                if self.terms[pos].1 == 0.0 {
+                    self.terms.remove(pos);
+                }
+            }
+            Err(pos) if coeff != 0.0 => self.terms.insert(pos, (index, coeff)),
+            Err(_) => {}
         }
     }
 
@@ -76,12 +107,15 @@ impl LinExpr {
 
     /// The coefficient of `var` (0 if absent).
     pub fn coefficient(&self, var: Var) -> f64 {
-        self.terms.get(&var.0).copied().unwrap_or(0.0)
+        match self.terms.binary_search_by_key(&var.0, |&(i, _)| i) {
+            Ok(pos) => self.terms[pos].1,
+            Err(_) => 0.0,
+        }
     }
 
     /// Iterate `(variable index, coefficient)` pairs in index order.
     pub fn iter_terms(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.terms.iter().map(|(&i, &c)| (i, c))
+        self.terms.iter().copied()
     }
 
     /// Number of non-zero terms.
@@ -96,22 +130,17 @@ impl LinExpr {
 
     /// Largest variable index referenced, if any.
     pub fn max_var_index(&self) -> Option<usize> {
-        self.terms.keys().next_back().copied()
+        self.terms.last().map(|&(i, _)| i)
     }
 
     /// `true` if every coefficient and the constant are finite.
     pub fn is_finite(&self) -> bool {
-        self.constant.is_finite() && self.terms.values().all(|c| c.is_finite())
+        self.constant.is_finite() && self.terms.iter().all(|(_, c)| c.is_finite())
     }
 
     /// Evaluate the expression at a point given by a dense value vector.
     pub fn evaluate(&self, values: &[f64]) -> f64 {
-        self.constant
-            + self
-                .terms
-                .iter()
-                .map(|(&i, &c)| c * values.get(i).copied().unwrap_or(0.0))
-                .sum::<f64>()
+        self.constant + evaluate_terms(&self.terms, values)
     }
 
     /// Sum a sequence of expressions.
@@ -122,6 +151,19 @@ impl LinExpr {
         }
         acc
     }
+
+    /// The sorted term list and the constant, moved out.
+    pub(crate) fn into_parts(self) -> (Vec<(usize, f64)>, f64) {
+        (self.terms, self.constant)
+    }
+}
+
+/// `Σ coeff · values[index]` over a term list (a missing value reads as 0).
+pub(crate) fn evaluate_terms(terms: &[(usize, f64)], values: &[f64]) -> f64 {
+    terms
+        .iter()
+        .map(|&(i, c)| c * values.get(i).copied().unwrap_or(0.0))
+        .sum::<f64>()
 }
 
 impl From<Var> for LinExpr {
@@ -147,11 +189,7 @@ impl Add for LinExpr {
 impl AddAssign for LinExpr {
     fn add_assign(&mut self, rhs: LinExpr) {
         for (i, c) in rhs.terms {
-            let entry = self.terms.entry(i).or_insert(0.0);
-            *entry += c;
-            if *entry == 0.0 {
-                self.terms.remove(&i);
-            }
+            self.add_term(Var(i), c);
         }
         self.constant += rhs.constant;
     }
@@ -174,7 +212,7 @@ impl SubAssign for LinExpr {
 impl Neg for LinExpr {
     type Output = LinExpr;
     fn neg(mut self) -> LinExpr {
-        for c in self.terms.values_mut() {
+        for (_, c) in &mut self.terms {
             *c = -*c;
         }
         self.constant = -self.constant;
@@ -188,7 +226,7 @@ impl Mul<f64> for LinExpr {
         if rhs == 0.0 {
             return LinExpr::zero();
         }
-        for c in self.terms.values_mut() {
+        for (_, c) in &mut self.terms {
             *c *= rhs;
         }
         self.constant *= rhs;
@@ -278,6 +316,18 @@ mod tests {
         let e = v(0) * 2.0 + v(0) * -2.0;
         assert!(e.is_empty());
         assert_eq!(e.coefficient(v(0)), 0.0);
+    }
+
+    #[test]
+    fn terms_stay_sorted_and_merged_in_any_insertion_order() {
+        let mut e = LinExpr::with_capacity(4);
+        for (i, c) in [(5, 1.0), (2, 2.0), (9, 3.0), (2, 0.5), (5, -1.0), (0, 0.0)] {
+            e.add_term(v(i), c);
+        }
+        let (terms, constant) = e.into_parts();
+        assert_eq!(terms, vec![(2, 2.5), (9, 3.0)]);
+        assert_eq!(constant, 0.0);
+        assert_eq!(Var::from_index(7), v(7));
     }
 
     #[test]

@@ -6,8 +6,13 @@
 //!
 //! The solver is deliberately small and dependency-free:
 //!
-//! * [`model`] — a builder-style API for variables, linear expressions,
-//!   constraints, and the objective, similar in spirit to PuLP.
+//! * [`expr`] — variable handles and linear expressions: a sorted, merged
+//!   `(index, coefficient)` term list behind `+`, `-`, `*` and `add_term`.
+//! * [`model`] — a builder-style API for variables, constraints, and the
+//!   objective, similar in spirit to PuLP. The model owns the [`LpProblem`]
+//!   it solves: a constraint's term list moves into its row once, and the
+//!   simplex reads those rows in place at the root and at every
+//!   branch-and-bound node.
 //! * [`simplex`] — a dense, two-phase primal simplex for the LP relaxation,
 //!   with Bland's-rule anti-cycling, infeasibility/unboundedness detection,
 //!   and dual-simplex warm restarts from captured basis snapshots
@@ -62,7 +67,7 @@ pub use branch_bound::BranchBoundConfig;
 pub use cache::{CacheLookup, CacheStats, ModelFingerprint, SolutionCache, SolutionCacheHandle};
 pub use error::MilpError;
 pub use expr::{LinExpr, Var};
-pub use model::{Constraint, Model, Sense, VarKind};
+pub use model::{Model, Sense, VarKind};
 pub use persist::{solver_config_hash, CacheAutosave, CachePersistError};
 pub use simplex::{
     solve_dual_from_snapshot, solve_with_basis_capture, BasisSnapshot, DualOutcome, LpConstraint,

@@ -1,27 +1,21 @@
 //! The model builder: variables, constraints, objective, and the `solve`
 //! entry points.
+//!
+//! A [`Model`] owns the [`LpProblem`] it solves: `add_var` appends a bound
+//! pair, `add_constraint` moves the expression's sorted term list into an
+//! [`LpConstraint`] row (constant folded into the rhs) and `minimize` /
+//! `maximize` write the cost vector signed for minimization. The simplex
+//! reads those rows in place — at the root and, with a node's own bounds
+//! alongside, at every branch-and-bound node; nothing is rebuilt per solve.
 
 use crate::branch_bound::{self, BranchBoundConfig};
 use crate::cache::{CacheLookup, ModelFingerprint};
 use crate::error::MilpError;
 use crate::expr::{LinExpr, Var};
-use crate::simplex::{self, BasisSnapshot, DualOutcome, SimplexConfig, SimplexOutcome};
+use crate::simplex::{self, LpConstraint, LpProblem, SimplexConfig, SimplexOutcome};
 use crate::solution::{Solution, SolveStatus};
 use crate::workspace::SolverWorkspace;
 use serde::{Deserialize, Serialize};
-
-/// Result of attempting a dual-restart LP solve at a branch & bound node.
-// One short-lived value per node solve, consumed immediately — the size gap
-// to the unit variant never multiplies across a collection.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum DualLp {
-    /// The restart ran to a definitive verdict; the solution (and optionally
-    /// the re-captured basis) is as trustworthy as a cold solve's.
-    Finished(Solution, Option<BasisSnapshot>),
-    /// The restart was abandoned (pivot cap or incompatible snapshot); the
-    /// caller must solve the node cold.
-    Fallback,
-}
 
 /// The kind of a decision variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -54,41 +48,34 @@ pub enum Direction {
     Maximize,
 }
 
-/// Metadata for one decision variable.
+impl Direction {
+    /// Factor that turns the objective into a minimization.
+    fn sign(self) -> f64 {
+        match self {
+            Direction::Minimize => 1.0,
+            Direction::Maximize => -1.0,
+        }
+    }
+}
+
+/// Metadata for one decision variable; its bounds live in the model's LP
+/// ([`Model::bounds`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VarInfo {
-    /// Human-readable name (used in diagnostics).
+    /// Human-readable name (used in diagnostics and the cache key; may be
+    /// empty, diagnostics then name the variable by index).
     pub name: String,
     /// Continuous / integer / binary.
     pub kind: VarKind,
-    /// Lower bound (may be `-inf`).
-    pub lower: f64,
-    /// Upper bound (may be `+inf`).
-    pub upper: f64,
 }
 
-/// A linear constraint `expr (<=|>=|==) rhs`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Constraint {
-    /// Human-readable name (used in diagnostics).
-    pub name: String,
-    /// Left-hand-side expression (constant folded into the rhs at solve time).
-    pub expr: LinExpr,
-    /// Direction of the constraint.
-    pub sense: Sense,
-    /// Right-hand side.
-    pub rhs: f64,
-}
-
-impl Constraint {
-    /// `true` if the given point satisfies the constraint within `tol`.
-    pub fn is_satisfied(&self, values: &[f64], tol: f64) -> bool {
-        let lhs = self.expr.evaluate(values);
-        match self.sense {
-            Sense::LessEqual => lhs <= self.rhs + tol,
-            Sense::GreaterEqual => lhs >= self.rhs - tol,
-            Sense::Equal => (lhs - self.rhs).abs() <= tol,
-        }
+/// How diagnostics refer to a variable or row: by name, or by index when the
+/// caller left the name empty.
+fn label(name: &str, index: usize) -> String {
+    if name.is_empty() {
+        format!("#{index}")
+    } else {
+        name.to_string()
     }
 }
 
@@ -98,7 +85,10 @@ pub struct Model {
     /// Model name (used in diagnostics).
     pub name: String,
     vars: Vec<VarInfo>,
-    constraints: Vec<Constraint>,
+    /// Name of each row of `lp.constraints`.
+    constraint_names: Vec<String>,
+    /// The LP relaxation, in the form the simplex reads.
+    lp: LpProblem,
     objective: Option<(Direction, LinExpr)>,
 }
 
@@ -108,9 +98,26 @@ impl Model {
         Self {
             name: name.into(),
             vars: Vec::new(),
-            constraints: Vec::new(),
+            constraint_names: Vec::new(),
+            lp: LpProblem {
+                num_vars: 0,
+                costs: Vec::new(),
+                lower: Vec::new(),
+                upper: Vec::new(),
+                constraints: Vec::new(),
+            },
             objective: None,
         }
+    }
+
+    /// Make room for `vars` more variables and `constraints` more rows.
+    pub fn reserve(&mut self, vars: usize, constraints: usize) {
+        self.vars.reserve(vars);
+        self.lp.costs.reserve(vars);
+        self.lp.lower.reserve(vars);
+        self.lp.upper.reserve(vars);
+        self.constraint_names.reserve(constraints);
+        self.lp.constraints.reserve(constraints);
     }
 
     /// Add a decision variable and return its handle.
@@ -127,13 +134,20 @@ impl Model {
             VarKind::Binary => (lower.max(0.0), upper.min(1.0)),
             _ => (lower, upper),
         };
+        let var = Var(self.vars.len());
         self.vars.push(VarInfo {
             name: name.into(),
             kind,
-            lower,
-            upper,
         });
-        Var(self.vars.len() - 1)
+        self.lp.num_vars += 1;
+        self.lp.lower.push(lower);
+        self.lp.upper.push(upper);
+        // Zero unless an objective set earlier already names this index.
+        let cost = self.objective.as_ref().map_or(0.0, |(direction, expr)| {
+            direction.sign() * expr.coefficient(var)
+        });
+        self.lp.costs.push(cost);
+        var
     }
 
     /// Convenience: add a binary (0/1) variable.
@@ -146,7 +160,9 @@ impl Model {
         self.add_var(name, VarKind::Continuous, 0.0, f64::INFINITY)
     }
 
-    /// Add a constraint `expr (<=|>=|==) rhs`.
+    /// Add a constraint `expr (<=|>=|==) rhs`. The expression's term list
+    /// becomes the stored row as is; its constant moves to the right-hand
+    /// side.
     pub fn add_constraint(
         &mut self,
         name: impl Into<String>,
@@ -154,22 +170,34 @@ impl Model {
         sense: Sense,
         rhs: f64,
     ) {
-        self.constraints.push(Constraint {
-            name: name.into(),
-            expr: expr.into(),
+        let (coeffs, constant) = expr.into().into_parts();
+        self.constraint_names.push(name.into());
+        self.lp.constraints.push(LpConstraint {
+            coeffs,
             sense,
-            rhs,
+            rhs: rhs - constant,
         });
     }
 
     /// Set a minimization objective.
     pub fn minimize(&mut self, expr: impl Into<LinExpr>) {
-        self.objective = Some((Direction::Minimize, expr.into()));
+        self.set_objective(Direction::Minimize, expr.into());
     }
 
     /// Set a maximization objective.
     pub fn maximize(&mut self, expr: impl Into<LinExpr>) {
-        self.objective = Some((Direction::Maximize, expr.into()));
+        self.set_objective(Direction::Maximize, expr.into());
+    }
+
+    fn set_objective(&mut self, direction: Direction, expr: LinExpr) {
+        self.lp.costs.fill(0.0);
+        for (i, c) in expr.iter_terms() {
+            // An index past the last variable is reported by `validate`.
+            if let Some(cost) = self.lp.costs.get_mut(i) {
+                *cost = direction.sign() * c;
+            }
+        }
+        self.objective = Some((direction, expr));
     }
 
     /// Number of variables.
@@ -179,7 +207,7 @@ impl Model {
 
     /// Number of constraints.
     pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
+        self.lp.constraints.len()
     }
 
     /// Variable metadata.
@@ -192,14 +220,31 @@ impl Model {
         &self.vars
     }
 
-    /// All constraints.
-    pub fn constraints(&self) -> &[Constraint] {
-        &self.constraints
+    /// `(lower, upper)` bounds of a variable (either may be infinite).
+    pub fn bounds(&self, var: Var) -> (f64, f64) {
+        (self.lp.lower[var.index()], self.lp.upper[var.index()])
+    }
+
+    /// All constraint rows, as stored and solved: terms sorted by variable
+    /// index, the expression's constant folded into `rhs`.
+    pub fn constraints(&self) -> &[LpConstraint] {
+        &self.lp.constraints
+    }
+
+    /// The name each row of [`Model::constraints`] was added under.
+    pub fn constraint_names(&self) -> &[String] {
+        &self.constraint_names
     }
 
     /// The objective, if one has been set.
     pub fn objective(&self) -> Option<(&Direction, &LinExpr)> {
         self.objective.as_ref().map(|(d, e)| (d, e))
+    }
+
+    /// The LP relaxation (integrality dropped, maximization mapped to
+    /// minimization) the solver works on.
+    pub(crate) fn lp(&self) -> &LpProblem {
+        &self.lp
     }
 
     /// `true` if the model contains integer or binary variables.
@@ -219,50 +264,47 @@ impl Model {
             .collect()
     }
 
-    /// Validate the model: bounds, finite coefficients, variable indices.
+    /// Validate the model: bounds, finite coefficients and right-hand sides,
+    /// variable indices. Formats nothing unless it found a fault.
     pub fn validate(&self) -> Result<(), MilpError> {
-        for v in &self.vars {
-            if v.lower.is_nan() || v.upper.is_nan() {
+        for (i, v) in self.vars.iter().enumerate() {
+            let (lower, upper) = (self.lp.lower[i], self.lp.upper[i]);
+            if lower.is_nan() || upper.is_nan() {
                 return Err(MilpError::NonFiniteCoefficient {
-                    context: format!("bounds of variable `{}`", v.name),
+                    context: format!("bounds of variable `{}`", label(&v.name, i)),
                 });
             }
-            if v.lower > v.upper {
+            if lower > upper {
                 return Err(MilpError::InvalidBounds {
-                    name: v.name.clone(),
-                    lower: v.lower,
-                    upper: v.upper,
+                    name: label(&v.name, i),
+                    lower,
+                    upper,
                 });
             }
         }
-        let check_expr = |expr: &LinExpr, ctx: &str| -> Result<(), MilpError> {
-            if !expr.is_finite() {
-                return Err(MilpError::NonFiniteCoefficient {
-                    context: ctx.to_string(),
-                });
-            }
-            if let Some(max) = expr.max_var_index() {
-                if max >= self.vars.len() {
-                    return Err(MilpError::UnknownVariable {
-                        index: max,
-                        model_vars: self.vars.len(),
-                    });
-                }
-            }
-            Ok(())
+        let non_finite = |context: String| Err(MilpError::NonFiniteCoefficient { context });
+        let unknown = |max: Option<usize>| match max {
+            Some(index) if index >= self.vars.len() => Err(MilpError::UnknownVariable {
+                index,
+                model_vars: self.vars.len(),
+            }),
+            _ => Ok(()),
         };
-        for c in &self.constraints {
-            check_expr(&c.expr, &format!("constraint `{}`", c.name))?;
-            if c.rhs.is_nan() {
-                return Err(MilpError::NonFiniteCoefficient {
-                    context: format!("rhs of constraint `{}`", c.name),
-                });
+        let rows = self.lp.constraints.iter().zip(&self.constraint_names);
+        for (i, (c, name)) in rows.enumerate() {
+            if !c.coeffs.iter().all(|(_, coeff)| coeff.is_finite()) {
+                return non_finite(format!("constraint `{}`", label(name, i)));
             }
+            if !c.rhs.is_finite() {
+                return non_finite(format!("rhs of constraint `{}`", label(name, i)));
+            }
+            unknown(c.coeffs.last().map(|&(index, _)| index))?;
         }
-        match &self.objective {
-            Some((_, expr)) => check_expr(expr, "objective"),
-            None => Err(MilpError::MissingObjective),
+        let (_, objective) = self.objective.as_ref().ok_or(MilpError::MissingObjective)?;
+        if !objective.is_finite() {
+            return non_finite("objective".to_string());
         }
+        unknown(objective.max_var_index())
     }
 
     /// Check whether a candidate point is feasible for all constraints and
@@ -270,14 +312,17 @@ impl Model {
     pub fn is_feasible(&self, values: &[f64], tol: f64) -> bool {
         for (i, v) in self.vars.iter().enumerate() {
             let x = values.get(i).copied().unwrap_or(0.0);
-            if x < v.lower - tol || x > v.upper + tol {
+            if x < self.lp.lower[i] - tol || x > self.lp.upper[i] + tol {
                 return false;
             }
             if matches!(v.kind, VarKind::Integer | VarKind::Binary) && (x - x.round()).abs() > tol {
                 return false;
             }
         }
-        self.constraints.iter().all(|c| c.is_satisfied(values, tol))
+        self.lp
+            .constraints
+            .iter()
+            .all(|c| c.is_satisfied(values, tol))
     }
 
     /// Rank a warm-start candidate: smaller is better. Infeasible points
@@ -289,8 +334,7 @@ impl Model {
             return f64::INFINITY;
         }
         match &self.objective {
-            Some((Direction::Minimize, expr)) => expr.evaluate(values),
-            Some((Direction::Maximize, expr)) => -expr.evaluate(values),
+            Some((direction, expr)) => direction.sign() * expr.evaluate(values),
             None => 0.0,
         }
     }
@@ -310,7 +354,7 @@ impl Model {
         if self.has_integer_vars() {
             branch_bound::solve(self, simplex_config, bb_config)
         } else {
-            self.solve_lp_relaxation(simplex_config, None, None, None)
+            Ok(self.solve_lp(simplex_config, None, None))
         }
     }
 
@@ -400,7 +444,7 @@ impl Model {
         let solution = if self.has_integer_vars() {
             branch_bound::solve_warm(self, simplex_config, bb_config, hint, Some(workspace))?
         } else {
-            self.solve_lp_relaxation(simplex_config, None, hint, Some(workspace))?
+            self.solve_lp(simplex_config, hint, Some(workspace))
         };
         if let Some(fingerprint) = fingerprint {
             // Only certified optima are cached: a budget-limited incumbent
@@ -413,165 +457,53 @@ impl Model {
         Ok(solution)
     }
 
-    /// Solve the LP relaxation (integrality dropped), optionally with
-    /// per-variable bound overrides, a warm-start hint, and a reusable
-    /// workspace — used by branch & bound.
-    pub(crate) fn solve_lp_relaxation(
+    /// Solve a model without integer variables: its LP, as stored.
+    fn solve_lp(
         &self,
         config: &SimplexConfig,
-        bound_overrides: Option<&[(f64, f64)]>,
         hint: Option<&[f64]>,
         workspace: Option<&mut SolverWorkspace>,
-    ) -> Result<Solution, MilpError> {
-        self.solve_lp_relaxation_captured(config, bound_overrides, hint, workspace, false)
-            .map(|(solution, _)| solution)
-    }
-
-    /// Like [`Model::solve_lp_relaxation`], but when `capture` is set the
-    /// final simplex basis of an optimal solve is returned as a
-    /// [`BasisSnapshot`] for dual restarts at child branch & bound nodes.
-    pub(crate) fn solve_lp_relaxation_captured(
-        &self,
-        config: &SimplexConfig,
-        bound_overrides: Option<&[(f64, f64)]>,
-        hint: Option<&[f64]>,
-        workspace: Option<&mut SolverWorkspace>,
-        capture: bool,
-    ) -> Result<(Solution, Option<BasisSnapshot>), MilpError> {
-        let problem = match self.build_lp(bound_overrides)? {
-            Ok(problem) => problem,
-            Err(trivial) => return Ok((trivial, None)),
-        };
-        let (outcome, snapshot) = if capture {
-            simplex::solve_with_basis_capture(&problem, config, hint, workspace)
-        } else {
-            (
-                simplex::solve_with_hint(&problem, config, hint, workspace),
-                None,
-            )
-        };
-        Ok((self.lp_solution(outcome), snapshot))
-    }
-
-    /// Attempt a dual-restart LP relaxation solve from a parent node's basis
-    /// snapshot. Returns [`DualLp::Fallback`] when the snapshot cannot be
-    /// used (the caller then solves cold); a finished restart's solution is
-    /// equivalent to a cold solve's.
-    pub(crate) fn solve_lp_relaxation_dual(
-        &self,
-        config: &SimplexConfig,
-        bound_overrides: Option<&[(f64, f64)]>,
-        snapshot: &BasisSnapshot,
-        workspace: Option<&mut SolverWorkspace>,
-    ) -> Result<DualLp, MilpError> {
-        let problem = match self.build_lp(bound_overrides)? {
-            Ok(problem) => problem,
-            Err(trivial) => return Ok(DualLp::Finished(trivial, None)),
-        };
-        Ok(
-            match simplex::solve_dual_from_snapshot(&problem, config, snapshot, workspace) {
-                DualOutcome::Finished(outcome, captured) => {
-                    DualLp::Finished(self.lp_solution(outcome), captured)
-                }
-                DualOutcome::PivotLimit { .. } | DualOutcome::Incompatible => DualLp::Fallback,
-            },
-        )
-    }
-
-    /// Build the standard-form LP relaxation (integrality dropped,
-    /// maximization mapped to minimization). The inner `Err` carries the
-    /// trivially-infeasible solution produced when branching empties a
-    /// variable's bound box.
-    fn build_lp(
-        &self,
-        bound_overrides: Option<&[(f64, f64)]>,
-    ) -> Result<Result<simplex::LpProblem, Solution>, MilpError> {
-        let (direction, objective) = self.objective.as_ref().ok_or(MilpError::MissingObjective)?;
-        let sign = match direction {
-            Direction::Minimize => 1.0,
-            Direction::Maximize => -1.0,
-        };
-        let mut costs = vec![0.0; self.vars.len()];
-        for (i, c) in objective.iter_terms() {
-            costs[i] = sign * c;
-        }
-        let mut lower: Vec<f64> = self.vars.iter().map(|v| v.lower).collect();
-        let mut upper: Vec<f64> = self.vars.iter().map(|v| v.upper).collect();
-        if let Some(overrides) = bound_overrides {
-            for (i, (lo, hi)) in overrides.iter().enumerate() {
-                lower[i] = lower[i].max(*lo);
-                upper[i] = upper[i].min(*hi);
-                if lower[i] > upper[i] {
-                    // Branching produced an empty box: trivially infeasible.
-                    return Ok(Err(Solution {
-                        status: SolveStatus::Infeasible,
-                        objective: f64::INFINITY,
-                        values: vec![0.0; self.vars.len()],
-                        simplex_iterations: 0,
-                        nodes_explored: 0,
-                    }));
-                }
-            }
-        }
-        Ok(Ok(simplex::LpProblem {
-            num_vars: self.vars.len(),
-            costs,
-            lower,
-            upper,
-            constraints: self
-                .constraints
-                .iter()
-                .map(|c| simplex::LpConstraint {
-                    coeffs: c.expr.iter_terms().collect(),
-                    sense: c.sense,
-                    rhs: c.rhs - c.expr.constant_term(),
-                })
-                .collect(),
-        }))
+    ) -> Solution {
+        self.lp_solution(simplex::solve_with_hint(&self.lp, config, hint, workspace))
     }
 
     /// Map a simplex outcome back into model space (objective re-evaluated
     /// in the model's own direction).
-    fn lp_solution(&self, outcome: SimplexOutcome) -> Solution {
-        let (direction, objective) = self
-            .objective
-            .as_ref()
-            // lint:allow(DET003: lp_solution is private and only reachable through solve, which errors on a missing objective before building the LP)
-            .expect("build_lp already required an objective");
-        match outcome {
+    pub(crate) fn lp_solution(&self, outcome: SimplexOutcome) -> Solution {
+        let (status, objective, values, iterations) = match outcome {
             SimplexOutcome::Optimal {
                 values, iterations, ..
-            } => Solution {
-                status: SolveStatus::Optimal,
-                objective: objective.evaluate(&values),
-                values,
-                simplex_iterations: iterations,
-                nodes_explored: 1,
-            },
-            SimplexOutcome::Infeasible { iterations } => Solution {
-                status: SolveStatus::Infeasible,
-                objective: f64::INFINITY,
-                values: vec![0.0; self.vars.len()],
-                simplex_iterations: iterations,
-                nodes_explored: 1,
-            },
-            SimplexOutcome::Unbounded { iterations } => Solution {
-                status: SolveStatus::Unbounded,
-                objective: match direction {
-                    Direction::Minimize => f64::NEG_INFINITY,
-                    Direction::Maximize => f64::INFINITY,
-                },
-                values: vec![0.0; self.vars.len()],
-                simplex_iterations: iterations,
-                nodes_explored: 1,
-            },
-            SimplexOutcome::IterationLimit { iterations } => Solution {
-                status: SolveStatus::IterationLimit,
-                objective: f64::NAN,
-                values: vec![0.0; self.vars.len()],
-                simplex_iterations: iterations,
-                nodes_explored: 1,
-            },
+            } => {
+                let objective = self
+                    .objective
+                    .as_ref()
+                    .map_or(0.0, |(_, expr)| expr.evaluate(&values));
+                (SolveStatus::Optimal, objective, Some(values), iterations)
+            }
+            SimplexOutcome::Infeasible { iterations } => {
+                (SolveStatus::Infeasible, f64::INFINITY, None, iterations)
+            }
+            SimplexOutcome::Unbounded { iterations } => {
+                // Unbounded below as a minimization, so in the model's own
+                // direction it runs away toward `-sign`.
+                let sign = self.objective.as_ref().map_or(1.0, |(d, _)| d.sign());
+                (
+                    SolveStatus::Unbounded,
+                    sign * f64::NEG_INFINITY,
+                    None,
+                    iterations,
+                )
+            }
+            SimplexOutcome::IterationLimit { iterations } => {
+                (SolveStatus::IterationLimit, f64::NAN, None, iterations)
+            }
+        };
+        Solution {
+            status,
+            objective,
+            values: values.unwrap_or_else(|| vec![0.0; self.vars.len()]),
+            simplex_iterations: iterations,
+            nodes_explored: 1,
         }
     }
 }
@@ -703,6 +635,72 @@ mod tests {
             m.solve(),
             Err(MilpError::NonFiniteCoefficient { .. })
         ));
+    }
+
+    #[test]
+    fn validation_rejects_every_non_finite_rhs() {
+        for rhs in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let mut m = Model::new("rhs");
+            let x = m.add_non_negative("x");
+            m.add_constraint("ok", x * 1.0, Sense::LessEqual, 4.0);
+            m.add_constraint("cap", x * 1.0, Sense::LessEqual, rhs);
+            m.minimize(x * 1.0);
+            match m.solve() {
+                Err(MilpError::NonFiniteCoefficient { context }) => {
+                    assert_eq!(context, "rhs of constraint `cap`", "rhs {rhs}")
+                }
+                other => panic!("rhs {rhs} must be rejected, got {other:?}"),
+            }
+        }
+        // A constant folded into the rhs is covered by the same check.
+        let mut m = Model::new("folded");
+        let x = m.add_non_negative("x");
+        m.add_constraint("c", x * 1.0 + f64::INFINITY, Sense::LessEqual, 1.0);
+        m.minimize(x * 1.0);
+        assert!(matches!(
+            m.validate(),
+            Err(MilpError::NonFiniteCoefficient { .. })
+        ));
+    }
+
+    #[test]
+    fn validation_names_unnamed_rows_and_variables_by_index() {
+        let mut m = Model::new("unnamed");
+        let x = m.add_binary("");
+        for _ in 0..7 {
+            m.add_constraint("", x * 1.0, Sense::LessEqual, 1.0);
+        }
+        m.add_constraint("", x * 1.0, Sense::LessEqual, f64::NAN);
+        m.minimize(x * 1.0);
+        let message = m.validate().unwrap_err().to_string();
+        assert!(message.contains("rhs of constraint `#7`"), "{message}");
+
+        let mut m = Model::new("unnamed");
+        m.add_binary("");
+        m.add_var("", VarKind::Continuous, 2.0, 1.0);
+        m.minimize(LinExpr::zero());
+        match m.validate() {
+            Err(MilpError::InvalidBounds { name, .. }) => assert_eq!(name, "#1"),
+            other => panic!("expected invalid bounds, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn constraints_are_stored_as_the_rows_the_solver_reads() {
+        let mut m = Model::new("rows");
+        let x = m.add_non_negative("x");
+        let y = m.add_non_negative("y");
+        m.add_constraint("c", y * 2.0 + x + 3.0 - y, Sense::LessEqual, 5.0);
+        assert_eq!(m.constraint_names(), ["c"]);
+        let row = &m.constraints()[0];
+        assert_eq!(row.coeffs, vec![(0, 1.0), (1, 1.0)]);
+        assert_eq!((row.sense, row.rhs), (Sense::LessEqual, 2.0));
+        // Costs are signed for minimization, and an objective set before a
+        // variable exists still prices it.
+        m.maximize(x * 3.0 + Var::from_index(2) * 4.0);
+        let z = m.add_non_negative("z");
+        assert_eq!(m.lp().costs, vec![-3.0, 0.0, -4.0]);
+        assert_eq!(m.bounds(z), (0.0, f64::INFINITY));
     }
 
     #[test]

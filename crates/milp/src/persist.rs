@@ -656,7 +656,10 @@ mod tests {
         // by another kernel fails the gate under an unchanged configuration.
         let fields = config_fields_hash(&simplex, &bb);
         assert_ne!(base, fields.finish(), "fields alone are not enough");
-        for (revision, same) in [(KERNEL_REVISION, true), (KERNEL_REVISION - 1, false)] {
+        // Revision 3: the scheduler's fingerprints lost their variable names,
+        // so a revision-2 file could load but never hit — it must not load.
+        assert_eq!(KERNEL_REVISION, 3);
+        for (revision, same) in [(3u8, true), (2, false), (1, false)] {
             let mut hash = fields;
             hash.write_u8(revision);
             assert_eq!(hash.finish() == base, same, "revision {revision}");

@@ -54,17 +54,21 @@
 //! ~10× below the cold auto cap; both failure modes surface as typed
 //! outcomes so the caller can fall back to a cold solve explicitly.
 
+use crate::expr::evaluate_terms;
 use crate::model::Sense;
 use crate::workspace::SolverWorkspace;
 use serde::{Deserialize, Serialize};
 
-/// Bumped whenever a kernel change may alter the bits of an optimum (its
-/// last ulp, or which of several tied vertices is returned). Persisted
-/// "exact" solutions are only replayed under the revision that wrote them.
-pub(crate) const KERNEL_REVISION: u8 = 2;
+/// Bumped whenever a cache file written by an older build must not load: a
+/// kernel change that may alter the bits of an optimum (its last ulp, or
+/// which of several tied vertices is returned), or a change to what the
+/// scheduler's models hash to, after which every old entry would occupy
+/// capacity and never hit (revision 3: variables and delay rows lost their
+/// names).
+pub(crate) const KERNEL_REVISION: u8 = 3;
 
 /// A constraint in "model form" for the LP solver.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LpConstraint {
     /// Sparse coefficients as `(variable index, coefficient)`.
     pub coeffs: Vec<(usize, f64)>,
@@ -74,8 +78,20 @@ pub struct LpConstraint {
     pub rhs: f64,
 }
 
+impl LpConstraint {
+    /// `true` if the given point satisfies the constraint within `tol`.
+    pub fn is_satisfied(&self, values: &[f64], tol: f64) -> bool {
+        let lhs = evaluate_terms(&self.coeffs, values);
+        match self.sense {
+            Sense::LessEqual => lhs <= self.rhs + tol,
+            Sense::GreaterEqual => lhs >= self.rhs - tol,
+            Sense::Equal => (lhs - self.rhs).abs() <= tol,
+        }
+    }
+}
+
 /// A linear program in model form (always a minimization).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LpProblem {
     /// Number of decision variables.
     pub num_vars: usize,
@@ -87,6 +103,26 @@ pub struct LpProblem {
     pub upper: Vec<f64>,
     /// Constraints.
     pub constraints: Vec<LpConstraint>,
+}
+
+/// An LP's rows and costs under the caller's own variable bounds: how a
+/// branch-and-bound node reaches the solver without a copy of the problem.
+#[derive(Clone, Copy)]
+pub(crate) struct BoundedLp<'a> {
+    pub(crate) problem: &'a LpProblem,
+    pub(crate) lower: &'a [f64],
+    pub(crate) upper: &'a [f64],
+}
+
+impl<'a> From<&'a LpProblem> for BoundedLp<'a> {
+    /// The problem under its own bounds.
+    fn from(problem: &'a LpProblem) -> Self {
+        BoundedLp {
+            problem,
+            lower: &problem.lower,
+            upper: &problem.upper,
+        }
+    }
 }
 
 /// Simplex configuration.
@@ -187,11 +223,15 @@ impl BasisSnapshot {
     /// class for every variable (a bound turning finite or infinite changes
     /// how the variable maps onto columns, which a restart cannot express).
     pub fn compatible_with(&self, problem: &LpProblem) -> bool {
-        problem.num_vars == self.lower.len()
-            && problem.constraints.len() == self.rows()
-            && (0..problem.num_vars).all(|i| {
-                bound_class(problem.lower[i], problem.upper[i])
-                    == bound_class(self.lower[i], self.upper[i])
+        self.fits(problem.into())
+    }
+
+    fn fits(&self, lp: BoundedLp<'_>) -> bool {
+        lp.lower.len() == self.lower.len()
+            && lp.upper.len() == self.upper.len()
+            && lp.problem.constraints.len() == self.rows()
+            && (0..lp.lower.len()).all(|i| {
+                bound_class(lp.lower[i], lp.upper[i]) == bound_class(self.lower[i], self.upper[i])
             })
     }
 
@@ -238,11 +278,10 @@ enum VarMap {
 
 /// Map every original variable onto solver columns; also returns the number
 /// of structural columns used. Depends only on the bound classes.
-fn map_variables(problem: &LpProblem) -> (Vec<VarMap>, usize) {
-    let mut var_map = Vec::with_capacity(problem.num_vars);
+fn map_variables(lp: BoundedLp<'_>) -> (Vec<VarMap>, usize) {
+    let mut var_map = Vec::with_capacity(lp.lower.len());
     let mut next_col = 0usize;
-    for i in 0..problem.num_vars {
-        let (lower, upper) = (problem.lower[i], problem.upper[i]);
+    for (&lower, &upper) in lp.lower.iter().zip(lp.upper) {
         if lower.is_finite() {
             var_map.push(VarMap::Shifted {
                 col: next_col,
@@ -268,11 +307,11 @@ fn map_variables(problem: &LpProblem) -> (Vec<VarMap>, usize) {
 
 /// Implicit upper bound of every solver column: `upper - lower` for shifted
 /// variables, infinite for everything else (slacks and artificials too).
-fn column_bounds(problem: &LpProblem, var_map: &[VarMap], total_cols: usize) -> Vec<f64> {
+fn column_bounds(upper: &[f64], var_map: &[VarMap], total_cols: usize) -> Vec<f64> {
     let mut bounds = vec![f64::INFINITY; total_cols];
-    for (i, map) in var_map.iter().enumerate() {
+    for (map, &upper) in var_map.iter().zip(upper) {
         if let VarMap::Shifted { col, lower } = *map {
-            bounds[col] = problem.upper[i] - lower;
+            bounds[col] = upper - lower;
         }
     }
     bounds
@@ -421,8 +460,7 @@ pub fn solve_with_hint(
     hint: Option<&[f64]>,
     workspace: Option<&mut SolverWorkspace>,
 ) -> SimplexOutcome {
-    let (outcome, _) = Solver::new(problem, config, hint, workspace).run(false);
-    outcome
+    solve_bounded(problem.into(), config, hint, workspace, false).0
 }
 
 /// Like [`solve_with_hint`], but when the solve ends at an optimum the final
@@ -435,7 +473,19 @@ pub fn solve_with_basis_capture(
     hint: Option<&[f64]>,
     workspace: Option<&mut SolverWorkspace>,
 ) -> (SimplexOutcome, Option<BasisSnapshot>) {
-    Solver::new(problem, config, hint, workspace).run(true)
+    solve_bounded(problem.into(), config, hint, workspace, true)
+}
+
+/// The primal entry every cold or hinted solve goes through; `capture` as in
+/// [`solve_with_basis_capture`].
+pub(crate) fn solve_bounded(
+    lp: BoundedLp<'_>,
+    config: &SimplexConfig,
+    hint: Option<&[f64]>,
+    workspace: Option<&mut SolverWorkspace>,
+    capture: bool,
+) -> (SimplexOutcome, Option<BasisSnapshot>) {
+    Solver::new(lp, config, hint, workspace).run(capture)
 }
 
 /// Re-solve `problem` starting from a previously captured basis with the
@@ -455,20 +505,30 @@ pub fn solve_dual_from_snapshot(
     problem: &LpProblem,
     config: &SimplexConfig,
     snapshot: &BasisSnapshot,
+    workspace: Option<&mut SolverWorkspace>,
+) -> DualOutcome {
+    dual_restart(problem.into(), config, snapshot, workspace)
+}
+
+/// [`solve_dual_from_snapshot`] under the caller's own bounds.
+pub(crate) fn dual_restart(
+    lp: BoundedLp<'_>,
+    config: &SimplexConfig,
+    snapshot: &BasisSnapshot,
     mut workspace: Option<&mut SolverWorkspace>,
 ) -> DualOutcome {
-    if !snapshot.compatible_with(problem) {
+    if !snapshot.fits(lp) {
         if let Some(ws) = workspace.as_deref_mut() {
             ws.record_dual_restart(false, 0);
         }
         return DualOutcome::Incompatible;
     }
-    let (solver, bound_flips) = Solver::from_snapshot(problem, config, snapshot, workspace);
+    let (solver, bound_flips) = Solver::from_snapshot(lp, config, snapshot, workspace);
     solver.run_dual(bound_flips)
 }
 
 struct Solver<'a> {
-    problem: &'a LpProblem,
+    lp: BoundedLp<'a>,
     config: SimplexConfig,
     var_map: Vec<VarMap>,
     tableau: Tableau,
@@ -499,13 +559,14 @@ enum Step {
 
 impl<'a> Solver<'a> {
     fn new(
-        problem: &'a LpProblem,
+        lp: BoundedLp<'a>,
         config: &SimplexConfig,
         hint: Option<&'a [f64]>,
         mut workspace: Option<&'a mut SolverWorkspace>,
     ) -> Self {
+        let problem = lp.problem;
         // --- 1. Map original variables to solver variables resting at 0. ---
-        let (var_map, structural_cols) = map_variables(problem);
+        let (var_map, structural_cols) = map_variables(lp);
 
         // --- 2. Shift each rhs into solver space; a negative one flips its
         // row's sign and sense. Count slack and artificial columns. ---
@@ -577,11 +638,11 @@ impl<'a> Solver<'a> {
             basis,
             non_artificial_cols,
             cols: total_cols,
-            upper: column_bounds(problem, &var_map, total_cols),
+            upper: column_bounds(lp.upper, &var_map, total_cols),
             complemented: vec![false; total_cols],
         };
         let mut solver = Self {
-            problem,
+            lp,
             config: *config,
             solver_costs: build_solver_costs(problem, &var_map, total_cols),
             var_map,
@@ -641,8 +702,8 @@ impl<'a> Solver<'a> {
             complemented: self.tableau.complemented.clone(),
             non_artificial_cols: self.tableau.non_artificial_cols,
             cols: self.tableau.cols,
-            lower: self.problem.lower.clone(),
-            upper: self.problem.upper.clone(),
+            lower: self.lp.lower.to_vec(),
+            upper: self.lp.upper.to_vec(),
         }
     }
 
@@ -651,14 +712,14 @@ impl<'a> Solver<'a> {
     /// have verified [`BasisSnapshot::compatible_with`]. Returns the solver
     /// and the number of variables whose bounds moved.
     fn from_snapshot(
-        problem: &'a LpProblem,
+        lp: BoundedLp<'a>,
         config: &SimplexConfig,
         snapshot: &BasisSnapshot,
         mut workspace: Option<&'a mut SolverWorkspace>,
     ) -> (Self, usize) {
         // Equal bound classes guarantee this reproduces the snapshot's
         // column layout exactly (only the shift/mirror offsets differ).
-        let (var_map, structural_cols) = map_variables(problem);
+        let (var_map, structural_cols) = map_variables(lp);
         let total_cols = snapshot.cols;
         let mut tableau = Tableau {
             a: match workspace.as_deref_mut() {
@@ -669,7 +730,7 @@ impl<'a> Solver<'a> {
             basis: snapshot.basis.clone(),
             non_artificial_cols: snapshot.non_artificial_cols,
             cols: total_cols,
-            upper: column_bounds(problem, &var_map, total_cols),
+            upper: column_bounds(lp.upper, &var_map, total_cols),
             complemented: snapshot.complemented.clone(),
         };
 
@@ -680,7 +741,7 @@ impl<'a> Solver<'a> {
         // the dual loop then repairs any bound it ends up violating.
         let mut bound_flips = 0usize;
         for (i, map) in var_map.iter().enumerate() {
-            let (lower, upper) = (problem.lower[i], problem.upper[i]);
+            let (lower, upper) = (lp.lower[i], lp.upper[i]);
             if lower == snapshot.lower[i] && upper == snapshot.upper[i] {
                 continue;
             }
@@ -700,9 +761,9 @@ impl<'a> Solver<'a> {
         }
 
         let mut solver = Self {
-            problem,
+            lp,
             config: *config,
-            solver_costs: build_solver_costs(problem, &var_map, total_cols),
+            solver_costs: build_solver_costs(lp.problem, &var_map, total_cols),
             var_map,
             num_artificials: total_cols - tableau.non_artificial_cols,
             tableau,
@@ -1171,6 +1232,7 @@ impl<'a> Solver<'a> {
             })
             .collect();
         let objective = self
+            .lp
             .problem
             .costs
             .iter()
@@ -1791,11 +1853,12 @@ mod tests {
         // tableau actually held.
         let p = dual_fixture();
         let config = SimplexConfig::default();
-        let cold = Solver::new(&p, &config, None, None);
+        let cold = Solver::new((&p).into(), &config, None, None);
         assert_eq!((cold.tableau.rows(), cold.tableau.cols), (2, 6));
         assert_eq!(cold.max_iterations, 2_000 + 40 * (5 + 9));
         let (_, snapshot) = solve_with_basis_capture(&p, &config, None, None);
-        let (dual, _) = Solver::from_snapshot(&p, &config, snapshot.as_ref().unwrap(), None);
+        let (dual, _) =
+            Solver::from_snapshot((&p).into(), &config, snapshot.as_ref().unwrap(), None);
         assert_eq!(dual.max_iterations, 200 + 4 * (5 + 9));
     }
 

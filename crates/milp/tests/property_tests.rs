@@ -397,6 +397,74 @@ proptest! {
         }
     }
 
+    /// However an expression was put together, the model stores one row for
+    /// it — terms sorted by index, duplicates merged, exact cancellations
+    /// gone, the constant folded into the rhs — and solves to one solution.
+    #[test]
+    fn stored_rows_do_not_depend_on_how_the_expression_was_built(
+        coeffs in prop::collection::vec(0.25f64..4.0, 3..7),
+        extra in 0.25f64..4.0,
+        constant in -2.0f64..2.0,
+        cap_frac in 0.3f64..0.9,
+        seed in 0u64..1000,
+    ) {
+        let n = coeffs.len();
+        // One term per variable, a second term on variable 1 (merged) and the
+        // exact negation of variable 0's (cancelled).
+        let mut terms: Vec<(usize, f64)> = coeffs.iter().copied().enumerate().collect();
+        terms.push((1, extra));
+        terms.push((0, -coeffs[0]));
+        let rhs = coeffs.iter().sum::<f64>() * cap_frac;
+
+        let build = |expr_of: &dyn Fn(&[waterwise_milp::Var]) -> LinExpr| {
+            let mut m = Model::new("prop-storage");
+            let vars: Vec<_> = (0..n).map(|_| m.add_binary("")).collect();
+            m.add_constraint("cap", expr_of(&vars), Sense::LessEqual, rhs);
+            let mut value = LinExpr::zero();
+            for (i, &v) in vars.iter().enumerate() {
+                value.add_term(v, 1.0 + i as f64 * 0.5);
+            }
+            m.maximize(value);
+            m
+        };
+        let with_operators = build(&|vars| {
+            let (last, head) = terms.split_last().unwrap();
+            let sum = head.iter().fold(LinExpr::zero(), |acc, &(i, c)| acc + vars[i] * c);
+            // `last` is the negated term: written as a subtraction.
+            sum - vars[last.0] * -last.1 + constant
+        });
+        let with_sum = build(&|vars| {
+            LinExpr::sum(terms.iter().map(|&(i, c)| LinExpr::term(vars[i], c))) + constant
+        });
+        let with_add_term = build(&|vars| {
+            let mut shuffled = terms.clone();
+            let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            for i in (1..shuffled.len()).rev() {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                shuffled.swap(i, (state >> 33) as usize % (i + 1));
+            }
+            let mut expr = LinExpr::with_capacity(shuffled.len());
+            for (i, c) in shuffled {
+                expr.add_term(vars[i], c);
+            }
+            expr.add_constant(constant);
+            expr
+        });
+
+        let row = &with_operators.constraints()[0];
+        let mut expected: Vec<(usize, f64)> = coeffs.iter().copied().enumerate().skip(1).collect();
+        expected[0].1 += extra;
+        prop_assert_eq!(&row.coeffs, &expected);
+        prop_assert_eq!(row.rhs, rhs - constant);
+        prop_assert_eq!(with_sum.constraints(), with_operators.constraints());
+        prop_assert_eq!(with_add_term.constraints(), with_operators.constraints());
+
+        let solution = with_operators.solve().unwrap();
+        prop_assert!(solution.status.has_solution());
+        prop_assert_eq!(&with_sum.solve().unwrap(), &solution);
+        prop_assert_eq!(&with_add_term.solve().unwrap(), &solution);
+    }
+
     /// Assignment problems with adequate capacity always produce a feasible,
     /// fully integral assignment.
     #[test]
