@@ -11,7 +11,7 @@ use waterwise_milp::{LinExpr, Model, Sense, Var};
 /// Build a WaterWise-shaped assignment MILP with `jobs` jobs and 5 regions
 /// the way `WaterWiseScheduler::solve_assignment` builds its own: variable
 /// `x[m][n]` is index `m * regions + n`, rows are pre-sized and filled with
-/// `add_term`, and only the assignment and capacity rows are named.
+/// `add_term`, and nothing is named.
 fn assignment_model(jobs: usize) -> Model {
     let regions = 5usize;
     let x = |m: usize, n: usize| Var::from_index(m * regions + n);
@@ -34,19 +34,14 @@ fn assignment_model(jobs: usize) -> Model {
         for n in 0..regions {
             expr.add_term(x(m, n), 1.0);
         }
-        model.add_constraint(format!("assign_{m}"), expr, Sense::Equal, 1.0);
+        model.add_constraint("", expr, Sense::Equal, 1.0);
     }
     for n in 0..regions {
         let mut expr = LinExpr::with_capacity(jobs);
         for m in 0..jobs {
             expr.add_term(x(m, n), 1.0);
         }
-        model.add_constraint(
-            format!("cap_{n}"),
-            expr,
-            Sense::LessEqual,
-            (jobs as f64 / 2.0).ceil(),
-        );
+        model.add_constraint("", expr, Sense::LessEqual, (jobs as f64 / 2.0).ceil());
     }
     for m in 0..jobs {
         // Delay-tolerance-style row: a weighted sum bounded by a constant.

@@ -771,11 +771,15 @@ pub fn fig14_warmstart(scenario: &Scenario) -> Vec<Table> {
 // not a figure of the paper)
 // ---------------------------------------------------------------------------
 
-/// Fig. 15: MILP solution-cache effectiveness on a tolerance × weight
-/// campaign matrix (the Fig. 5 / Fig. 8 sweep axes), comparing three modes:
-/// no cache, one cache per campaign cell, and a single cache shared across
-/// the whole `run_matrix` sweep. Schedules are asserted byte-identical
-/// across all three modes; only solver work and cache traffic differ.
+/// Fig. 15: what the MILP solution cache does on a tolerance × weight
+/// campaign matrix (the Fig. 5 / Fig. 8 sweep axes). A first sweep costs the
+/// same solves and pivots with no cache, one cache per campaign cell, or one
+/// cache shared across the whole `run_matrix` sweep — no two of its models
+/// are bit-identical, and the scheduler's carried hint is all the warm start
+/// there is. Running the sweep again against the warmed shared handle replays
+/// every model still resident and solves nothing. Each row's schedules are
+/// asserted byte-identical to the cache-off row with the same scheduler
+/// hints (warm == cold is not a cache property and is not asserted here).
 pub fn fig15_solcache(scale: ExperimentScale) -> Vec<Table> {
     let tolerances = [0.25, 0.50, 1.00];
     let lambdas = [0.3, 0.5, 0.7];
@@ -796,7 +800,8 @@ pub fn fig15_solcache(scale: ExperimentScale) -> Vec<Table> {
     };
 
     let mut table = Table::new(
-        "Fig. 15 — MILP solution cache across a 3×3 tolerance/weight matrix",
+        "Fig. 15 — solution cache on a 3×3 tolerance/weight matrix: \
+         no mode changes a schedule; a re-run against the warmed shared cache replays",
         &[
             "mode",
             "sched hints",
@@ -805,24 +810,31 @@ pub fn fig15_solcache(scale: ExperimentScale) -> Vec<Table> {
             "pivots/solve",
             "lookups",
             "exact hits",
-            "hint hits",
             "hit rate",
             "evictions",
         ],
     );
-    // One handle shared by every `shared` row: the second (cold-scheduler)
-    // sweep replays bit-identical models against the warmed cache, so its
-    // exact hits skip those solves entirely.
+    // The two `shared` rows with carried hints use one handle: the second
+    // sweep meets every model of the first, bit for bit. The cold scheduler
+    // gets a handle of its own — a solution stored by a warm-started solve
+    // is the warm schedule's, and this figure does not lean on warm == cold.
     let shared = SolutionCache::shared();
     let rows = [
-        (SolutionCacheMode::Off, true),
-        (SolutionCacheMode::PerCampaign, true),
-        (SolutionCacheMode::Shared(shared.clone()), true),
-        (SolutionCacheMode::Off, false),
-        (SolutionCacheMode::Shared(shared), false),
+        (SolutionCacheMode::Off, true, ""),
+        (SolutionCacheMode::PerCampaign, true, ""),
+        (SolutionCacheMode::Shared(shared.clone()), true, ""),
+        (SolutionCacheMode::Shared(shared), true, ", re-run"),
+        (SolutionCacheMode::Off, false, ""),
+        (
+            SolutionCacheMode::Shared(SolutionCache::shared()),
+            false,
+            "",
+        ),
     ];
-    let mut reference: Option<Vec<Vec<waterwise_cluster::JobOutcome>>> = None;
-    for (mode, warm_start) in &rows {
+    // The cache-off schedules per `warm_start` (false, true).
+    let mut reference: [Option<Vec<Vec<waterwise_cluster::JobOutcome>>>; 2] = [None, None];
+    for (mode, warm_start, pass) in &rows {
+        let label = format!("{}{pass}", mode.label());
         let matrix = Campaign::run_matrix(
             &configs(mode, *warm_start),
             &[SchedulerKind::WaterWise],
@@ -837,27 +849,20 @@ pub fn fig15_solcache(scale: ExperimentScale) -> Vec<Table> {
                 schedules.push(outcome.report.outcomes.clone());
             }
         }
-        // The determinism guarantee, checked end to end: every cache mode —
-        // and the warm/cold scheduler split — must reproduce the cache-free
-        // schedules byte for byte.
-        match &reference {
-            None => reference = Some(schedules),
-            Some(baseline) => assert_eq!(
-                baseline,
-                &schedules,
-                "{} mode changed a schedule",
-                mode.label()
-            ),
+        // The determinism guarantee, checked end to end: every cache mode
+        // must reproduce the cache-free schedules byte for byte.
+        match &mut reference[usize::from(*warm_start)] {
+            slot @ None => *slot = Some(schedules),
+            Some(baseline) => assert_eq!(baseline, &schedules, "{label} mode changed a schedule"),
         }
         table.row(&[
-            mode.label().to_string(),
+            label,
             if *warm_start { "carried" } else { "none" }.to_string(),
             matrix.len().to_string(),
             total.solves.to_string(),
             fmt2(total.pivots_per_solve()),
             total.cache_lookups().to_string(),
             total.cache_exact_hits.to_string(),
-            total.cache_hint_hits.to_string(),
             pct(total.cache_hit_fraction() * 100.0),
             total.cache_evictions.to_string(),
         ]);
@@ -1637,35 +1642,25 @@ mod tests {
     }
 
     #[test]
-    fn fig15_shared_cache_hits_at_least_30_percent() {
+    fn fig15_first_sweep_costs_the_same_and_the_rerun_replays() {
         let tables = fig15_solcache(tiny());
         let table = &tables[0];
-        assert_eq!(table.len(), 5, "three cache modes plus two cold rows");
+        assert_eq!(table.len(), 6, "four carried-hint rows plus two cold rows");
         assert_eq!(table.cell(0, 0), "off");
         assert_eq!(table.cell(0, 5), "0", "off mode must not touch a cache");
-        // Shared mode: hit rate over the 3×3 matrix must reach the 30%
-        // warm-hint target.
-        assert_eq!(table.cell(2, 0), "shared");
-        let hit_rate: f64 = table
-            .cell(2, 8)
-            .trim_end_matches('%')
-            .parse()
-            .expect("hit rate cell must be a percentage");
-        assert!(
-            hit_rate >= 30.0,
-            "shared-matrix hit rate {hit_rate}% below the 30% target"
-        );
-        // The cold re-sweep replays bit-identical models against the warmed
-        // shared cache: exact hits must skip solves outright.
-        assert_eq!(table.cell(4, 0), "shared");
-        let exact: usize = table.cell(4, 6).parse().unwrap();
-        assert!(exact > 0, "pre-warmed cache produced no exact hits");
-        let cold_solves: usize = table.cell(3, 3).parse().unwrap();
-        let cached_solves: usize = table.cell(4, 3).parse().unwrap();
-        assert!(
-            cached_solves < cold_solves,
-            "exact hits must reduce solve count ({cached_solves} vs {cold_solves})"
-        );
+        // A first sweep spends the same solver work under every mode.
+        for row in [1, 2] {
+            assert_eq!(table.cell(row, 3), table.cell(0, 3), "solves, row {row}");
+            assert_eq!(table.cell(row, 4), table.cell(0, 4), "pivots, row {row}");
+        }
+        assert_eq!(table.cell(5, 3), table.cell(4, 3), "cold solves");
+        // The re-run meets a cache holding every model of the sweep (the
+        // tiny scale evicts nothing): all lookups replay, nothing is solved.
+        assert_eq!(table.cell(3, 0), "shared, re-run");
+        assert_eq!(table.cell(2, 8), "0", "the tiny sweep must fit the cache");
+        assert_eq!(table.cell(3, 3), "0", "a replayed sweep solves nothing");
+        assert_eq!(table.cell(3, 6), table.cell(3, 5), "every lookup is a hit");
+        assert_ne!(table.cell(3, 5), "0");
     }
 
     #[test]

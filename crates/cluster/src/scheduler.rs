@@ -143,7 +143,10 @@ pub struct SolverActivity {
     /// Solution-cache lookups whose exact fingerprint matched (the solve was
     /// skipped entirely). Zero for schedulers without a cache.
     pub cache_exact_hits: usize,
-    /// Solution-cache lookups that supplied a warm-start hint.
+    /// Always zero: the solution cache no longer offers warm-start hints (a
+    /// lookup replays a bit-identical model or misses), so nothing
+    /// increments this. The field stays because the frozen perf ledger
+    /// (`benchmark/`) reads it for its `milp.cache` hint-hit column.
     pub cache_hint_hits: usize,
     /// Solution-cache lookups that found nothing.
     pub cache_misses: usize,

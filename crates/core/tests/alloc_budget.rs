@@ -73,14 +73,15 @@ fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// The median `campaign_borg` round: 13 pending jobs, five regions.
 const JOBS: usize = 13;
 
-/// Allocation requests one such round may make: the 15 per job the CI ledger
-/// gate holds `campaign_borg` to. Measured, the round makes 146 — 3 per job
-/// in `prepare_numerics`, 4 for a job's `assign_` row, its name and its delay
-/// row, ~25 per solve that do not grow with the batch, the rest the five
-/// `cap_` rows, the hint, the decision and the carried-region map. The
-/// builder this replaced (a `String` per variable and row, a `BTreeMap` node
-/// per term, every row copied again for the solver) made 456.
-const BUDGET: u64 = 15 * JOBS as u64;
+/// Allocation requests one such round may make: the 11 per job the CI ledger
+/// gate holds `campaign_borg` to. Measured, the round makes 123 — 3 per job
+/// in `prepare_numerics`, 2 for a job's assignment row and its delay row,
+/// ~25 per solve that do not grow with the batch, the rest the five capacity
+/// rows, the hint, the decision and the carried-region map. With the
+/// `assign_{job}` / `cap_{region}` row names the cache key used to need it
+/// made 146; the builder before that (a `String` per variable and row, a
+/// `BTreeMap` node per term, every row copied again for the solver) 456.
+const BUDGET: u64 = 11 * JOBS as u64;
 
 #[test]
 fn one_scheduling_round_stays_within_its_allocation_budget() {

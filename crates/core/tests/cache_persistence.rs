@@ -123,9 +123,8 @@ fn corrupt_snapshot_is_a_typed_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A snapshot saved under different solver settings refuses to load:
-/// warm-start hints from a differently-configured solver would silently
-/// change solve trajectories.
+/// A snapshot saved under different solver settings refuses to load: its
+/// solutions are exact only for the solver that produced them.
 #[test]
 fn solver_config_mismatch_is_a_typed_error() {
     let dir = scratch("mismatch");

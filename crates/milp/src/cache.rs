@@ -1,58 +1,45 @@
 //! Cross-solve (and cross-campaign) solution caching.
 //!
-//! The WaterWise scheduler re-solves a near-identical assignment MILP every
-//! scheduling slot, and campaign sweeps (`run_matrix`) re-solve the *same*
-//! slot models across neighboring configuration cells — adjacent delay
-//! tolerances or objective weights leave the model *structure* (variables,
-//! constraint sparsity, senses, latency-ratio coefficients) untouched and
-//! only move the objective coefficients and right-hand sides. A
-//! [`SolutionCache`] exploits that:
+//! A [`SolutionCache`] is a map from a model's bits to its solution. It pays
+//! where the same model is solved twice: re-running a sweep against a warmed
+//! shared handle, repeating a campaign, or resuming a host from a snapshot
+//! on disk ([`crate::persist`]).
 //!
-//! * Every model is reduced to a [`ModelFingerprint`] with two components:
-//!   a **structural key** (model, variable and constraint names — whichever
-//!   of them the builder gave; the scheduler names its model and its
-//!   `assign_{job}` / `cap_{region}` rows — kinds, bounds, senses, sparsity
-//!   pattern, and *quantized* constraint coefficients) and
-//!   an **exact hash** covering every coefficient bit, right-hand side, the
-//!   objective, and the solver configuration.
-//! * The cache maps structural keys to a small bucket of recently solved
-//!   variants (one per exact hash), so a sweep's neighboring cells — which
-//!   share the key but differ in objective/rhs data — can coexist instead
-//!   of overwriting each other.
-//! * A lookup whose exact hash matches the stored one is an **exact hit**:
-//!   the model (and solver configuration) is bit-for-bit the one that
-//!   produced the stored optimum, so the stored solution *is* the solution
-//!   and the solve is skipped entirely.
-//! * A lookup that matches only the structural key is a **hint hit**: the
-//!   stored values are offered to the solver as a warm-start hint. Hints are
-//!   advisory by construction — [`crate::branch_bound::solve_warm`] validates
-//!   them against the current model and only ever uses them to seed a bound
-//!   and crash a basis — so a stale or mismatched entry can cost pivots but
-//!   never change the returned optimum. (As with any warm start, an *exact*
-//!   objective tie between two optimal vertices may resolve toward the
-//!   hinted one; models with continuous real-world coefficients do not tie
-//!   exactly.)
+//! * Every model is reduced to a [`ModelFingerprint`]: one 64-bit FNV-1a
+//!   hash over exactly what determines the solution — variable kinds and
+//!   bounds, every row's sense, terms and right-hand side, the objective,
+//!   and the solver configuration ([`solver_config_hash`]). Names are not
+//!   hashed and nothing is rounded.
+//! * A lookup whose fingerprint is resident is a **hit**: the model and the
+//!   configuration are bit-for-bit the ones that produced the stored
+//!   optimum, so the stored solution *is* the solution and the solve is
+//!   skipped. Anything else is a miss and the solve runs with whatever hint
+//!   the caller brought — the cache offers none of its own.
+//! * Collisions: at most 4 096 entries are resident by default, so a probe
+//!   for a model that is *not* resident matches some entry's 64-bit hash
+//!   with probability ≤ 4 096 / 2⁶⁴ ≈ 2·10⁻¹⁶; a stored solution of the
+//!   wrong length is additionally refused (and counted as a miss).
 //!
 //! The cache is `Sync` and sharded: reads take a per-shard `RwLock` read
 //! guard, so concurrent campaign workers probing different (or identical)
-//! keys do not serialize against each other. Share one handle across a
-//! `run_matrix` sweep by attaching clones of a [`SolutionCacheHandle`] to
+//! fingerprints do not serialize against each other. Share one handle across
+//! a `run_matrix` sweep by attaching clones of a [`SolutionCacheHandle`] to
 //! each worker's [`crate::SolverWorkspace`].
 
 use crate::branch_bound::BranchBoundConfig;
 use crate::model::{Direction, Model, Sense, VarKind};
-use crate::simplex::SimplexConfig;
+use crate::simplex::{SimplexConfig, KERNEL_REVISION};
 use crate::solution::{Solution, SolveStatus};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// A cache shard: fingerprint key → exact-variant bucket. A `BTreeMap` by
-/// the DET001 discipline — the capacity-eviction scan iterates the shard,
-/// and hash order must never pick the victim (stamps break ties exactly,
-/// but the scan order itself stays deterministic this way).
-type Shard = BTreeMap<u64, Vec<CacheEntry>>;
+/// A cache shard: fingerprint → entry. A `BTreeMap` by the DET001
+/// discipline — the capacity-eviction scan iterates the shard, and hash
+/// order must never pick the victim (stamps break ties exactly, but the scan
+/// order itself stays deterministic this way).
+type Shard = BTreeMap<u64, CacheEntry>;
 
 /// Read-lock a shard, recovering from poisoning. A poisoned shard only
 /// means another thread panicked while holding the lock; entries are
@@ -77,23 +64,12 @@ const SHARDS: usize = 16;
 /// Default total entry capacity across all shards.
 ///
 /// Sized from the observed shape of a persisted campaign sweep (the
-/// `fig15`/`fig19` 3×3 tolerance-by-weight matrix at a quarter day): each
-/// cell re-solves the same few dozen structural keys, and the nine cells
-/// write up to nine exact variants per key, so a full sweep occupies on the
-/// order of several hundred entries. The previous 1024-entry default left a
-/// warmed snapshot evicting its own tail once two sweeps shared a handle;
-/// 4096 keeps a saved-and-reloaded sweep fully resident (a snapshot of that
-/// size is a few hundred KiB on disk) while still bounding a long-lived
-/// host.
+/// `fig15`/`fig19` 3×3 tolerance-by-weight matrix at a quarter day): nine
+/// cells of a few hundred slot models each occupy about three thousand
+/// entries, so 4096 keeps a saved-and-reloaded sweep fully resident (a
+/// snapshot of that size is a few hundred KiB on disk) while still bounding
+/// a long-lived host.
 const DEFAULT_CAPACITY: usize = 4096;
-
-/// Maximum exact-hash variants retained per structural key. Sized to cover a
-/// typical sweep axis (a 3×3 weight/tolerance matrix writes nine variants
-/// per key) with headroom — which is also what makes a persisted snapshot
-/// useful: every axis cell of the saved sweep reloads as an exact hit
-/// instead of only the most recent one. The oldest variant is evicted
-/// beyond this.
-pub const VARIANTS_PER_KEY: usize = 16;
 
 /// 64-bit FNV-1a, the workspace's dependency-free hash. Shared with the
 /// persistence codec ([`crate::persist`]), whose content checksum must be
@@ -121,21 +97,10 @@ impl Fnv {
         self.write_u64(value as u64);
     }
 
-    pub(crate) fn write_i64(&mut self, value: i64) {
-        self.write_u64(value as u64);
-    }
-
     pub(crate) fn write_f64(&mut self, value: f64) {
-        // `to_bits` distinguishes -0.0 from 0.0 and every NaN payload; exact
-        // hashes must be exactly as strict as `f64` equality-of-bits.
+        // `to_bits` distinguishes -0.0 from 0.0 and every NaN payload: the
+        // hash is exactly as strict as `f64` equality-of-bits.
         self.write_u64(value.to_bits());
-    }
-
-    pub(crate) fn write_str(&mut self, s: &str) {
-        self.write_usize(s.len());
-        for byte in s.as_bytes() {
-            self.write_u8(*byte);
-        }
     }
 
     pub(crate) fn finish(self) -> u64 {
@@ -143,65 +108,32 @@ impl Fnv {
     }
 }
 
-/// Quantize a coefficient onto a coarse grid (2⁻¹² ≈ 2.4e-4 resolution) for
-/// the structural key, so telemetry-scale drift between near-identical
-/// models does not fragment the key space. Non-finite values map to
-/// sentinels.
-fn quantize(value: f64) -> i64 {
-    if value.is_nan() {
-        return i64::MIN + 1;
-    }
-    if value == f64::INFINITY {
-        return i64::MAX;
-    }
-    if value == f64::NEG_INFINITY {
-        return i64::MIN;
-    }
-    let scaled = (value * 4096.0).round();
-    if scaled >= (i64::MAX - 2) as f64 {
-        i64::MAX - 1
-    } else if scaled <= (i64::MIN + 2) as f64 {
-        i64::MIN + 2
-    } else {
-        scaled as i64
-    }
+/// Hash of the solver configuration a solution is reproducible under: the
+/// seven simplex / branch-and-bound settings, then the kernel revision byte,
+/// because "exact" is a claim about bits and a different kernel may round the
+/// same optimum differently. It is the last word of every
+/// [`ModelFingerprint`] and the gate [`SolutionCache::load`] checks a
+/// snapshot against, so a solution stored under one configuration never
+/// answers a lookup under another.
+pub fn solver_config_hash(simplex: &SimplexConfig, bb: &BranchBoundConfig) -> u64 {
+    let mut hash = Fnv::new();
+    hash.write_usize(simplex.max_iterations);
+    hash.write_f64(simplex.tolerance);
+    hash.write_usize(simplex.stall_threshold);
+    hash.write_usize(bb.max_nodes);
+    hash.write_f64(bb.integrality_tolerance);
+    hash.write_f64(bb.absolute_gap);
+    hash.write_u8(bb.use_dual_restart as u8);
+    hash.write_u8(KERNEL_REVISION);
+    hash.finish()
 }
 
-/// The canonical fingerprint of a model + solver configuration.
-///
-/// `key` addresses the cache (structure + quantized constraint
-/// coefficients; objective values and right-hand sides excluded so sweeps
-/// over weights/tolerances collide on purpose). `exact` covers every bit of
-/// the model and the solver configuration; only an `exact` match allows the
-/// stored solution to be trusted as *the* solution.
+/// The fingerprint of a model + solver configuration: one hash over every
+/// bit that determines the solution, and nothing else. Two models that differ
+/// only in names share it; the caller maps values back to its own entities
+/// by position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct ModelFingerprint {
-    /// Structural cache key (see type-level docs).
-    pub key: u64,
-    /// Exact content hash of the full model and solver configuration.
-    pub exact: u64,
-}
-
-/// The two hashes of a fingerprint under construction.
-struct Hashes {
-    key: Fnv,
-    exact: Fnv,
-}
-
-impl Hashes {
-    /// Structure: goes into both hashes.
-    fn structure(&mut self, write: impl Fn(&mut Fnv)) {
-        write(&mut self.key);
-        write(&mut self.exact);
-    }
-
-    /// Structure up to quantization: coarse in the key, every bit in the
-    /// exact hash.
-    fn coefficient(&mut self, value: f64) {
-        self.key.write_i64(quantize(value));
-        self.exact.write_f64(value);
-    }
-}
+pub struct ModelFingerprint(pub u64);
 
 impl ModelFingerprint {
     /// Fingerprint `model` as solved under the given configurations.
@@ -210,88 +142,60 @@ impl ModelFingerprint {
         simplex_config: &SimplexConfig,
         bb_config: &BranchBoundConfig,
     ) -> ModelFingerprint {
-        let mut h = Hashes {
-            key: Fnv::new(),
-            exact: Fnv::new(),
-        };
+        let mut h = Fnv::new();
         let lp = model.lp();
 
-        h.structure(|f| f.write_str(&model.name));
-        h.structure(|f| f.write_usize(model.num_vars()));
+        h.write_usize(model.num_vars());
         for (i, var) in model.vars().iter().enumerate() {
-            let kind = match var.kind {
-                VarKind::Continuous => 0u8,
+            h.write_u8(match var.kind {
+                VarKind::Continuous => 0,
                 VarKind::Integer => 1,
                 VarKind::Binary => 2,
-            };
-            h.structure(|f| f.write_str(&var.name));
-            h.structure(|f| f.write_u8(kind));
-            h.coefficient(lp.lower[i]);
-            h.coefficient(lp.upper[i]);
+            });
+            h.write_f64(lp.lower[i]);
+            h.write_f64(lp.upper[i]);
         }
 
-        h.structure(|f| f.write_usize(model.num_constraints()));
-        for (constraint, name) in lp.constraints.iter().zip(model.constraint_names()) {
-            let sense = match constraint.sense {
-                Sense::LessEqual => 0u8,
+        h.write_usize(lp.constraints.len());
+        for constraint in &lp.constraints {
+            h.write_u8(match constraint.sense {
+                Sense::LessEqual => 0,
                 Sense::GreaterEqual => 1,
                 Sense::Equal => 2,
-            };
-            h.structure(|f| f.write_str(name));
-            h.structure(|f| f.write_u8(sense));
-            h.structure(|f| f.write_usize(constraint.coeffs.len()));
+            });
+            h.write_usize(constraint.coeffs.len());
             for &(index, coeff) in &constraint.coeffs {
-                h.structure(|f| f.write_usize(index));
-                h.coefficient(coeff);
+                h.write_usize(index);
+                h.write_f64(coeff);
             }
-            // The rhs (the expression's constant folded in) belongs to the
-            // varying "data" half of the model: exact hash only.
-            h.exact.write_f64(constraint.rhs);
+            h.write_f64(constraint.rhs);
         }
 
         if let Some((direction, objective)) = model.objective() {
-            let dir = match direction {
-                Direction::Minimize => 0u8,
+            h.write_u8(match direction {
+                Direction::Minimize => 0,
                 Direction::Maximize => 1,
-            };
-            h.structure(|f| f.write_u8(dir));
-            h.structure(|f| f.write_usize(objective.len()));
+            });
+            h.write_usize(objective.len());
             for (index, coeff) in objective.iter_terms() {
-                // Objective *sparsity* is structure; the coefficient values
-                // are what weight sweeps change, so they stay exact-only.
-                h.structure(|f| f.write_usize(index));
-                h.exact.write_f64(coeff);
+                h.write_usize(index);
+                h.write_f64(coeff);
             }
-            h.exact.write_f64(objective.constant_term());
+            h.write_f64(objective.constant_term());
         }
 
-        // A stored solution is only bit-reproducible under the same solver
-        // configuration, so the configs are part of the exact hash.
-        h.exact.write_usize(simplex_config.max_iterations);
-        h.exact.write_f64(simplex_config.tolerance);
-        h.exact.write_usize(simplex_config.stall_threshold);
-        h.exact.write_usize(bb_config.max_nodes);
-        h.exact.write_f64(bb_config.integrality_tolerance);
-        h.exact.write_f64(bb_config.absolute_gap);
-        h.exact.write_u8(bb_config.use_dual_restart as u8);
-
-        ModelFingerprint {
-            key: h.key.finish(),
-            exact: h.exact.finish(),
-        }
+        h.write_u64(solver_config_hash(simplex_config, bb_config));
+        ModelFingerprint(h.finish())
     }
 }
 
 /// Counters describing how a cache (or one workspace's view of it) was used.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
-    /// Lookups whose exact hash matched: the stored solution was returned
-    /// and the solve skipped entirely.
+    /// Lookups whose fingerprint was resident: the stored solution was
+    /// returned and the solve skipped entirely.
     pub exact_hits: usize,
-    /// Lookups that matched the structural key only: the stored values were
-    /// offered to the solver as a warm-start hint.
-    pub hint_hits: usize,
-    /// Lookups that found no entry for the structural key.
+    /// Lookups that found no (usable) entry for the fingerprint.
     pub misses: usize,
     /// Solutions written into the cache.
     pub insertions: usize,
@@ -302,17 +206,16 @@ pub struct CacheStats {
 impl CacheStats {
     /// Total lookups performed.
     pub fn lookups(&self) -> usize {
-        self.exact_hits + self.hint_hits + self.misses
+        self.exact_hits + self.misses
     }
 
-    /// Fraction of lookups that hit (exact or hint); 0 when no lookup
-    /// happened.
+    /// Fraction of lookups that hit; 0 when no lookup happened.
     pub fn hit_fraction(&self) -> f64 {
         let lookups = self.lookups();
         if lookups == 0 {
             0.0
         } else {
-            (self.exact_hits + self.hint_hits) as f64 / lookups as f64
+            self.exact_hits as f64 / lookups as f64
         }
     }
 
@@ -321,18 +224,17 @@ impl CacheStats {
     pub fn delta_since(&self, earlier: &CacheStats) -> CacheStats {
         CacheStats {
             exact_hits: self.exact_hits.saturating_sub(earlier.exact_hits),
-            hint_hits: self.hint_hits.saturating_sub(earlier.hint_hits),
             misses: self.misses.saturating_sub(earlier.misses),
             insertions: self.insertions.saturating_sub(earlier.insertions),
             evictions: self.evictions.saturating_sub(earlier.evictions),
         }
     }
 
-    pub(crate) fn record_lookup(&mut self, lookup: &CacheLookup) {
-        match lookup {
-            CacheLookup::Exact(_) => self.exact_hits += 1,
-            CacheLookup::Hint(_) => self.hint_hits += 1,
-            CacheLookup::Miss => self.misses += 1,
+    pub(crate) fn record_lookup(&mut self, hit: bool) {
+        if hit {
+            self.exact_hits += 1;
+        } else {
+            self.misses += 1;
         }
     }
 
@@ -344,39 +246,22 @@ impl CacheStats {
     }
 }
 
-/// The outcome of one cache probe.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CacheLookup {
-    /// Exact fingerprint match: this *is* the solution of the probed model.
-    Exact(Solution),
-    /// Structural match only: prior incumbent values, usable as a warm-start
-    /// hint but not as a solution.
-    Hint(Vec<f64>),
-    /// No entry under the structural key.
-    Miss,
-}
-
 #[derive(Debug, Clone)]
 struct CacheEntry {
-    exact: u64,
     status: SolveStatus,
     objective: f64,
     values: Vec<f64>,
     stamp: u64,
 }
 
-/// A deterministic, sharded model-fingerprint → incumbent-solution cache.
-///
-/// Each structural key holds up to [`VARIANTS_PER_KEY`] recently solved
-/// exact variants; a lookup returns the variant whose exact hash matches
-/// (exact hit) or the most recently stored variant's values as a hint.
+/// A deterministic, sharded model-fingerprint → solution cache.
 ///
 /// Determinism guarantee: with the cache attached, schedules (solver
-/// results) are byte-identical to cache-free solving. Exact hits return the
-/// stored solution of a bit-identical model + configuration, and hint hits
-/// only warm-start the solver, which is hint-invariant for solves that run
-/// to optimality (see [`crate::Model::solve_warm`]). Only the amount of
-/// solver work — and therefore the statistics — depends on the cache.
+/// results) are byte-identical to cache-free solving. A hit returns the
+/// stored solution of a bit-identical model + configuration; a miss solves
+/// exactly as a cache-free workspace would (see [`crate::Model::solve_warm`]).
+/// Only the amount of solver work — and therefore the statistics — depends
+/// on the cache.
 ///
 /// ```
 /// use waterwise_milp::{
@@ -407,7 +292,6 @@ pub struct SolutionCache {
     shard_capacity: usize,
     stamp: AtomicU64,
     exact_hits: AtomicUsize,
-    hint_hits: AtomicUsize,
     misses: AtomicUsize,
     insertions: AtomicUsize,
     evictions: AtomicUsize,
@@ -435,7 +319,6 @@ impl SolutionCache {
             shard_capacity,
             stamp: AtomicU64::new(0),
             exact_hits: AtomicUsize::new(0),
-            hint_hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             insertions: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
@@ -453,91 +336,50 @@ impl SolutionCache {
         SolutionCache::new().into_handle()
     }
 
-    fn shard(&self, key: u64) -> &RwLock<Shard> {
-        &self.shards[(key as usize) & (SHARDS - 1)]
+    fn shard(&self, fingerprint: u64) -> &RwLock<Shard> {
+        &self.shards[(fingerprint as usize) & (SHARDS - 1)]
     }
 
-    /// Probe the cache. Read-locks a single shard.
-    pub fn lookup(&self, fingerprint: ModelFingerprint) -> CacheLookup {
-        let shard = read_shard(self.shard(fingerprint.key));
-        let result = match shard.get(&fingerprint.key) {
-            Some(bucket) => {
-                if let Some(entry) = bucket.iter().find(|e| e.exact == fingerprint.exact) {
-                    CacheLookup::Exact(Solution {
-                        status: entry.status,
-                        objective: entry.objective,
-                        values: entry.values.clone(),
-                        simplex_iterations: 0,
-                        nodes_explored: 0,
-                    })
-                } else if let Some(latest) = bucket.iter().max_by_key(|e| e.stamp) {
-                    CacheLookup::Hint(latest.values.clone())
-                } else {
-                    CacheLookup::Miss
-                }
-            }
-            None => CacheLookup::Miss,
+    /// Probe the cache for the solution of a model with `num_vars`
+    /// variables. Read-locks a single shard. A resident entry of any other
+    /// length can only be a hash collision and is a miss.
+    pub fn lookup(&self, fingerprint: ModelFingerprint, num_vars: usize) -> Option<Solution> {
+        let solution = read_shard(self.shard(fingerprint.0))
+            .get(&fingerprint.0)
+            .filter(|entry| entry.values.len() == num_vars)
+            .map(|entry| Solution {
+                status: entry.status,
+                objective: entry.objective,
+                values: entry.values.clone(),
+                simplex_iterations: 0,
+                nodes_explored: 0,
+            });
+        let counter = if solution.is_some() {
+            &self.exact_hits
+        } else {
+            &self.misses
         };
-        match &result {
-            CacheLookup::Exact(_) => self.exact_hits.fetch_add(1, Ordering::Relaxed),
-            CacheLookup::Hint(_) => self.hint_hits.fetch_add(1, Ordering::Relaxed),
-            CacheLookup::Miss => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        result
+        counter.fetch_add(1, Ordering::Relaxed);
+        solution
     }
 
-    /// Store (or refresh) the incumbent solution for `fingerprint`. Returns
-    /// `true` if an unrelated entry was evicted to make room (per-key
-    /// variant overflow or shard capacity).
+    /// Store (or refresh) the solution for `fingerprint`. Returns `true` if
+    /// the oldest entry of a full shard was evicted to make room.
     pub fn insert(&self, fingerprint: ModelFingerprint, solution: &Solution) -> bool {
-        let stamp = self.stamp.fetch_add(1, Ordering::Relaxed);
         let entry = CacheEntry {
-            exact: fingerprint.exact,
             status: solution.status,
             objective: solution.objective,
             values: solution.values.clone(),
-            stamp,
+            stamp: self.stamp.fetch_add(1, Ordering::Relaxed),
         };
-        let mut shard = write_shard(self.shard(fingerprint.key));
-        let mut evicted = false;
-        let bucket = shard.entry(fingerprint.key).or_default();
-        if let Some(existing) = bucket.iter_mut().find(|e| e.exact == fingerprint.exact) {
-            // Bit-identical model re-solved: refresh in place, no eviction.
-            *existing = entry;
-        } else {
-            bucket.push(entry);
-            if bucket.len() > VARIANTS_PER_KEY {
-                if let Some(oldest) = bucket
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.stamp)
-                    .map(|(i, _)| i)
-                {
-                    bucket.remove(oldest);
-                    evicted = true;
-                }
-            }
-            if !evicted {
-                let total: usize = shard.values().map(Vec::len).sum();
-                if total > self.shard_capacity {
-                    // Evict the globally oldest entry of this shard.
-                    if let Some((key, index)) = shard
-                        .iter()
-                        .flat_map(|(k, b)| b.iter().enumerate().map(move |(i, e)| (*k, i, e.stamp)))
-                        .min_by_key(|&(_, _, s)| s)
-                        .map(|(k, i, _)| (k, i))
-                    {
-                        // The key was just found by the scan above; a miss
-                        // here only skips one eviction (DET003: no panic).
-                        if let Some(bucket) = shard.get_mut(&key) {
-                            bucket.remove(index);
-                            if bucket.is_empty() {
-                                shard.remove(&key);
-                            }
-                            evicted = true;
-                        }
-                    }
-                }
+        let mut shard = write_shard(self.shard(fingerprint.0));
+        // A bit-identical model re-solved refreshes in place, no eviction.
+        let is_new = shard.insert(fingerprint.0, entry).is_none();
+        let evicted = is_new && shard.len() > self.shard_capacity;
+        if evicted {
+            let oldest = shard.iter().min_by_key(|(_, e)| e.stamp).map(|(k, _)| *k);
+            if let Some(oldest) = oldest {
+                shard.remove(&oldest);
             }
         }
         drop(shard);
@@ -548,12 +390,9 @@ impl SolutionCache {
         evicted
     }
 
-    /// Number of cached entries (exact variants) across all shards.
+    /// Number of cached entries across all shards.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| read_shard(s).values().map(Vec::len).sum::<usize>())
-            .sum()
+        self.shards.iter().map(|s| read_shard(s).len()).sum()
     }
 
     /// `true` when no entry is cached.
@@ -577,7 +416,6 @@ impl SolutionCache {
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             exact_hits: self.exact_hits.load(Ordering::Relaxed),
-            hint_hits: self.hint_hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             insertions: self.insertions.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
@@ -585,25 +423,21 @@ impl SolutionCache {
     }
 
     /// Flatten the cache into a deterministic entry stream for the
-    /// persistence codec: shards in index order, keys in ascending
-    /// (`BTreeMap`) order within each shard, variants in bucket order.
-    /// [`SolutionCache::import`] rebuilds exactly this layout, so
-    /// export → import → export is byte-stable.
+    /// persistence codec: shards in index order, fingerprints in ascending
+    /// (`BTreeMap`) order within each shard. [`SolutionCache::import`]
+    /// rebuilds exactly this layout, so export → import → export is
+    /// byte-stable.
     pub(crate) fn export(&self) -> CacheExport {
         let mut entries = Vec::new();
         for shard in &self.shards {
-            let shard = read_shard(shard);
-            for (key, bucket) in shard.iter() {
-                for entry in bucket {
-                    entries.push(ExportedEntry {
-                        key: *key,
-                        exact: entry.exact,
-                        status: entry.status,
-                        objective: entry.objective,
-                        values: entry.values.clone(),
-                        stamp: entry.stamp,
-                    });
-                }
+            for (fingerprint, entry) in read_shard(shard).iter() {
+                entries.push(ExportedEntry {
+                    fingerprint: *fingerprint,
+                    status: entry.status,
+                    objective: entry.objective,
+                    values: entry.values.clone(),
+                    stamp: entry.stamp,
+                });
             }
         }
         CacheExport {
@@ -613,26 +447,43 @@ impl SolutionCache {
         }
     }
 
-    /// Rebuild a cache from an exported snapshot. Entries are placed
-    /// directly into their buckets (shard routing is a pure function of the
-    /// key, and bucket order follows the stream), bypassing [`Self::insert`]
-    /// so stored stamps survive verbatim and no insertion/eviction counters
-    /// move. Usage counters start at zero: they describe *this process's*
-    /// cache traffic, not the lifetime of the snapshot.
-    pub(crate) fn import(export: CacheExport) -> SolutionCache {
+    /// Rebuild a cache from an exported snapshot, or say what about the
+    /// snapshot cannot be a cache: a repeated fingerprint, or a shard holding
+    /// more entries than the declared capacity allows (which no sequence of
+    /// [`Self::insert`]s produces, and which eviction — one entry per
+    /// insertion — would never work off). Entries go straight into their
+    /// shards, bypassing `insert`, so stored stamps survive verbatim and no
+    /// insertion/eviction counters move. Usage counters start at zero: they
+    /// describe *this process's* cache traffic, not the lifetime of the
+    /// snapshot.
+    pub(crate) fn import(export: CacheExport) -> Result<SolutionCache, String> {
         let cache = SolutionCache::with_capacity(export.capacity);
         for entry in export.entries {
-            let mut shard = write_shard(cache.shard(entry.key));
-            shard.entry(entry.key).or_default().push(CacheEntry {
-                exact: entry.exact,
-                status: entry.status,
-                objective: entry.objective,
-                values: entry.values,
-                stamp: entry.stamp,
-            });
+            let mut shard = write_shard(cache.shard(entry.fingerprint));
+            let repeated = shard.insert(
+                entry.fingerprint,
+                CacheEntry {
+                    status: entry.status,
+                    objective: entry.objective,
+                    values: entry.values,
+                    stamp: entry.stamp,
+                },
+            );
+            if repeated.is_some() {
+                return Err(format!(
+                    "fingerprint {:#018x} is stored twice",
+                    entry.fingerprint
+                ));
+            }
+            if shard.len() > cache.shard_capacity {
+                return Err(format!(
+                    "more than {} entries in one shard of a cache declared to hold {}",
+                    cache.shard_capacity, export.capacity
+                ));
+            }
         }
         cache.stamp.store(export.next_stamp, Ordering::Relaxed);
-        cache
+        Ok(cache)
     }
 }
 
@@ -647,17 +498,15 @@ pub(crate) struct CacheExport {
     /// The stamp counter's next value; restoring it keeps recency-based
     /// eviction ordering consistent across a save/load cycle.
     pub(crate) next_stamp: u64,
-    /// Every cached variant, in export order (see [`SolutionCache::export`]).
+    /// Every cached entry, in export order (see [`SolutionCache::export`]).
     pub(crate) entries: Vec<ExportedEntry>,
 }
 
-/// One cached exact variant, flattened for serialization.
+/// One cached solution, flattened for serialization.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ExportedEntry {
-    /// Structural cache key the variant is bucketed under.
-    pub(crate) key: u64,
-    /// Exact content hash of the model + solver configuration.
-    pub(crate) exact: u64,
+    /// Fingerprint of the model + solver configuration it solves.
+    pub(crate) fingerprint: u64,
     /// Solve status of the stored solution.
     pub(crate) status: SolveStatus,
     /// Stored objective value.
@@ -687,122 +536,73 @@ mod tests {
         ModelFingerprint::of(m, &SimplexConfig::default(), &BranchBoundConfig::default())
     }
 
-    #[test]
-    fn identical_models_share_the_full_fingerprint() {
-        let a = fingerprint(&assignment_model(1.0, 3.0));
-        let b = fingerprint(&assignment_model(1.0, 3.0));
-        assert_eq!(a, b);
+    fn solution_of(values: Vec<f64>) -> Solution {
+        Solution {
+            status: SolveStatus::Optimal,
+            objective: 0.0,
+            values,
+            simplex_iterations: 0,
+            nodes_explored: 0,
+        }
     }
 
     #[test]
-    fn objective_and_rhs_changes_keep_the_key_but_move_the_exact_hash() {
-        let base = fingerprint(&assignment_model(1.0, 3.0));
-        let other_weights = fingerprint(&assignment_model(7.0, 3.0));
-        let other_rhs = fingerprint(&assignment_model(1.0, 2.5));
+    fn the_default_configuration_hash_is_pinned() {
+        // Snapshots on disk carry this word: a reordered field list or a new
+        // `KERNEL_REVISION` (3: the bounded-variable kernel) moves it, and
+        // every existing snapshot then fails `ConfigMismatch` — on purpose,
+        // acknowledged here.
+        assert_eq!(KERNEL_REVISION, 3);
         assert_eq!(
-            base.key, other_weights.key,
-            "objective values are not structural"
+            solver_config_hash(&SimplexConfig::default(), &BranchBoundConfig::default()),
+            0x104d_a594_b47f_e320
         );
-        assert_ne!(base.exact, other_weights.exact);
-        assert_eq!(base.key, other_rhs.key, "rhs values are not structural");
-        assert_ne!(base.exact, other_rhs.exact);
     }
 
     #[test]
-    fn structural_changes_move_the_key() {
-        let base = fingerprint(&assignment_model(1.0, 3.0));
-        let mut renamed = assignment_model(1.0, 3.0);
-        renamed.name = "other".to_string();
-        assert_ne!(base.key, fingerprint(&renamed).key);
-
-        let mut extra_var = assignment_model(1.0, 3.0);
-        extra_var.add_binary("x2");
-        assert_ne!(base.key, fingerprint(&extra_var).key);
-
-        let mut different_coeff = Model::new("cache-test");
-        let x = different_coeff.add_binary("x0");
-        let y = different_coeff.add_binary("x1");
-        different_coeff.add_constraint("pick", LinExpr::from(x) + y, Sense::Equal, 1.0);
-        // Constraint coefficient 2.0 -> 3.0: beyond quantization, structural.
-        different_coeff.add_constraint("cap", LinExpr::from(x) * 3.0 + y, Sense::LessEqual, 3.0);
-        different_coeff.minimize(LinExpr::from(x) + LinExpr::from(y) * 2.0);
-        assert_ne!(base.key, fingerprint(&different_coeff).key);
-    }
-
-    #[test]
-    fn quantization_absorbs_sub_grid_drift() {
-        let mut drifted = Model::new("cache-test");
-        let x = drifted.add_binary("x0");
-        let y = drifted.add_binary("x1");
-        drifted.add_constraint("pick", LinExpr::from(x) + y, Sense::Equal, 1.0);
-        drifted.add_constraint(
-            "cap",
-            LinExpr::from(x) * (2.0 + 1e-8) + y,
-            Sense::LessEqual,
-            3.0,
-        );
-        drifted.minimize(LinExpr::from(x) + LinExpr::from(y) * 2.0);
-        let base = fingerprint(&assignment_model(1.0, 3.0));
-        let drifted = fingerprint(&drifted);
-        assert_eq!(base.key, drifted.key);
-        assert_ne!(base.exact, drifted.exact);
-    }
-
-    #[test]
-    fn lookup_distinguishes_exact_hint_and_miss() {
+    fn lookup_hits_the_resident_fingerprint_and_nothing_else() {
         let cache = SolutionCache::new();
         let model = assignment_model(1.0, 3.0);
         let fp = fingerprint(&model);
-        assert_eq!(cache.lookup(fp), CacheLookup::Miss);
+        assert_eq!(cache.lookup(fp, 2), None);
 
         let solution = model.solve().unwrap();
         cache.insert(fp, &solution);
-        match cache.lookup(fp) {
-            CacheLookup::Exact(stored) => {
-                assert_eq!(stored.values, solution.values);
-                assert_eq!(stored.status, solution.status);
-                assert_eq!(stored.simplex_iterations, 0, "exact hits do no work");
-            }
-            other => panic!("expected exact hit, got {other:?}"),
-        }
+        let stored = cache.lookup(fp, 2).expect("resident fingerprint");
+        assert_eq!(stored.values, solution.values);
+        assert_eq!(stored.status, solution.status);
+        assert_eq!(stored.simplex_iterations, 0, "hits do no work");
 
-        // Same structure, different objective: hint, not exact.
-        let neighbor = fingerprint(&assignment_model(5.0, 3.0));
-        assert_eq!(neighbor.key, fp.key);
-        match cache.lookup(neighbor) {
-            CacheLookup::Hint(values) => assert_eq!(values, solution.values),
-            other => panic!("expected hint hit, got {other:?}"),
-        }
+        // Same shape, different objective or rhs: a different model.
+        assert_eq!(
+            cache.lookup(fingerprint(&assignment_model(5.0, 3.0)), 2),
+            None
+        );
+        assert_eq!(
+            cache.lookup(fingerprint(&assignment_model(1.0, 2.5)), 2),
+            None
+        );
+        // A stored solution of the wrong length is a collision, not a hit.
+        assert_eq!(cache.lookup(fp, 3), None);
 
         let stats = cache.stats();
-        assert_eq!(stats.exact_hits, 1);
-        assert_eq!(stats.hint_hits, 1);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.insertions, 1);
-        assert!((stats.hit_fraction() - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(
+            (stats.exact_hits, stats.misses, stats.insertions),
+            (1, 4, 1)
+        );
+        assert!((stats.hit_fraction() - 0.2).abs() < 1e-12);
     }
 
     #[test]
     fn eviction_under_capacity_is_bounded_and_counted() {
         let cache = SolutionCache::with_capacity(SHARDS); // one entry per shard
         assert_eq!(cache.capacity(), SHARDS);
-        let solution = Solution {
-            status: SolveStatus::Optimal,
-            objective: 0.0,
-            values: vec![1.0],
-            simplex_iterations: 0,
-            nodes_explored: 0,
-        };
-        // Many distinct keys; some will land on full shards and evict.
+        let solution = solution_of(vec![1.0]);
+        // Many distinct fingerprints; each shard keeps only its newest.
         for k in 0..(4 * SHARDS as u64) {
-            let fp = ModelFingerprint { key: k, exact: k };
-            cache.insert(fp, &solution);
+            cache.insert(ModelFingerprint(k), &solution);
         }
-        assert!(
-            cache.len() <= cache.capacity(),
-            "len {} exceeds capacity",
-            cache.len()
-        );
+        assert_eq!(cache.len(), cache.capacity());
         let stats = cache.stats();
         assert_eq!(stats.insertions, 4 * SHARDS);
         assert_eq!(
@@ -810,78 +610,20 @@ mod tests {
             3 * SHARDS,
             "each shard evicts its overflow"
         );
-        // Re-inserting a bit-identical fingerprint refreshes in place: no
-        // eviction. (Key 4*SHARDS-1 was the last insert, so it is resident.)
-        let before = cache.stats().evictions;
+        assert_eq!(cache.lookup(ModelFingerprint(0), 1), None, "oldest went");
+        // Re-inserting a resident fingerprint refreshes in place: no
+        // eviction. A new one on the same (full) shard does evict.
         let last = 4 * SHARDS as u64 - 1;
-        let existing = ModelFingerprint {
-            key: last,
-            exact: last,
-        };
-        assert!(!cache.insert(existing, &solution));
-        assert_eq!(cache.stats().evictions, before);
-        // A *new* exact variant of that key, with the shard at capacity,
-        // does evict.
-        let variant = ModelFingerprint {
-            key: last,
-            exact: 99,
-        };
-        assert!(cache.insert(variant, &solution));
-        assert!(cache.len() <= cache.capacity());
-    }
-
-    #[test]
-    fn per_key_variant_overflow_evicts_the_oldest_variant() {
-        let cache = SolutionCache::new(); // ample total capacity
-        let key = 5u64;
-        let mk = |exact: u64, value: f64| {
-            let solution = Solution {
-                status: SolveStatus::Optimal,
-                objective: value,
-                values: vec![value],
-                simplex_iterations: 0,
-                nodes_explored: 0,
-            };
-            (ModelFingerprint { key, exact }, solution)
-        };
-        for exact in 0..(VARIANTS_PER_KEY as u64 + 3) {
-            let (fp, solution) = mk(exact, exact as f64);
-            cache.insert(fp, &solution);
-        }
-        assert_eq!(cache.len(), VARIANTS_PER_KEY, "bucket must stay bounded");
-        assert_eq!(cache.stats().evictions, 3, "each overflow evicts one");
-        // The oldest variants are gone (hint only); recent ones hit exactly.
-        assert!(matches!(
-            cache.lookup(ModelFingerprint { key, exact: 0 }),
-            CacheLookup::Hint(_)
-        ));
-        let newest = VARIANTS_PER_KEY as u64 + 2;
-        match cache.lookup(ModelFingerprint { key, exact: newest }) {
-            CacheLookup::Exact(solution) => assert_eq!(solution.values, vec![newest as f64]),
-            other => panic!("expected exact hit, got {other:?}"),
-        }
-        // The hint is the most recently inserted variant's values.
-        match cache.lookup(ModelFingerprint {
-            key,
-            exact: u64::MAX,
-        }) {
-            CacheLookup::Hint(values) => assert_eq!(values, vec![newest as f64]),
-            other => panic!("expected hint, got {other:?}"),
-        }
+        assert!(!cache.insert(ModelFingerprint(last), &solution));
+        assert_eq!(cache.stats().evictions, 3 * SHARDS);
+        assert!(cache.insert(ModelFingerprint(last + SHARDS as u64), &solution));
+        assert_eq!(cache.len(), cache.capacity());
     }
 
     #[test]
     fn clear_empties_but_keeps_counters() {
         let cache = SolutionCache::new();
-        let fp = ModelFingerprint { key: 1, exact: 1 };
-        let solution = Solution {
-            status: SolveStatus::Optimal,
-            objective: 0.0,
-            values: vec![],
-            simplex_iterations: 0,
-            nodes_explored: 0,
-        };
-        cache.insert(fp, &solution);
+        cache.insert(ModelFingerprint(1), &solution_of(vec![]));
         assert!(!cache.is_empty());
         cache.clear();
         assert!(cache.is_empty());
@@ -896,12 +638,12 @@ mod tests {
         };
         let earlier = CacheStats {
             exact_hits: 5,
-            hint_hits: 2,
+            misses: 2,
             ..CacheStats::default()
         };
         let delta = later.delta_since(&earlier);
         assert_eq!(delta.exact_hits, 0, "reset counters must not underflow");
-        assert_eq!(delta.hint_hits, 0);
+        assert_eq!(delta.misses, 0);
         assert_eq!(CacheStats::default().hit_fraction(), 0.0);
     }
 }

@@ -24,8 +24,8 @@
 //! * [`workspace`] — reusable allocations and cold/warm solve accounting for
 //!   rolling-horizon (repeated) solves; see [`Model::solve_warm`].
 //! * [`cache`] — a sharded, thread-safe model-fingerprint → solution cache
-//!   shared across repeated (and concurrent) campaigns; exact fingerprint
-//!   matches skip the solve, structural matches warm-start it.
+//!   shared across repeated (and concurrent) campaigns; a bit-identical
+//!   model skips the solve.
 //! * [`persist`] — a versioned, checksummed on-disk snapshot codec for the
 //!   cache with crash-safe (temp file + fsync + atomic rename) writes, so
 //!   warm state survives process restarts.
@@ -64,11 +64,13 @@ pub mod solution;
 pub mod workspace;
 
 pub use branch_bound::BranchBoundConfig;
-pub use cache::{CacheLookup, CacheStats, ModelFingerprint, SolutionCache, SolutionCacheHandle};
+pub use cache::{
+    solver_config_hash, CacheStats, ModelFingerprint, SolutionCache, SolutionCacheHandle,
+};
 pub use error::MilpError;
 pub use expr::{LinExpr, Var};
 pub use model::{Model, Sense, VarKind};
-pub use persist::{solver_config_hash, CacheAutosave, CachePersistError};
+pub use persist::{CacheAutosave, CachePersistError};
 pub use simplex::{
     solve_dual_from_snapshot, solve_with_basis_capture, BasisSnapshot, DualOutcome, LpConstraint,
     LpProblem, SimplexConfig, SimplexOutcome,

@@ -9,7 +9,7 @@
 //! alongside, at every branch-and-bound node; nothing is rebuilt per solve.
 
 use crate::branch_bound::{self, BranchBoundConfig};
-use crate::cache::{CacheLookup, ModelFingerprint};
+use crate::cache::ModelFingerprint;
 use crate::error::MilpError;
 use crate::expr::{LinExpr, Var};
 use crate::simplex::{self, LpConstraint, LpProblem, SimplexConfig, SimplexOutcome};
@@ -62,8 +62,8 @@ impl Direction {
 /// ([`Model::bounds`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VarInfo {
-    /// Human-readable name (used in diagnostics and the cache key; may be
-    /// empty, diagnostics then name the variable by index).
+    /// Human-readable name (used in diagnostics; may be empty, diagnostics
+    /// then name the variable by index).
     pub name: String,
     /// Continuous / integer / binary.
     pub kind: VarKind,
@@ -325,20 +325,6 @@ impl Model {
             .all(|c| c.is_satisfied(values, tol))
     }
 
-    /// Rank a warm-start candidate: smaller is better. Infeasible points
-    /// rank behind every feasible one (the solver would reject them and
-    /// fall back cold), feasible points by objective value oriented so that
-    /// improving the objective improves the rank.
-    fn hint_preference(&self, values: &[f64]) -> f64 {
-        if !self.is_feasible(values, 1e-6) {
-            return f64::INFINITY;
-        }
-        match &self.objective {
-            Some((direction, expr)) => direction.sign() * expr.evaluate(values),
-            None => 0.0,
-        }
-    }
-
     /// Solve with default configuration.
     pub fn solve(&self) -> Result<Solution, MilpError> {
         self.solve_with(&SimplexConfig::default(), &BranchBoundConfig::default())
@@ -367,12 +353,11 @@ impl Model {
     /// finds — warm starting changes only the amount of work spent.
     ///
     /// When the workspace carries a [`crate::SolutionCache`], the model is
-    /// fingerprinted and the cache consulted first: an exact fingerprint
-    /// match returns the stored solution without solving (the cached entry
-    /// was produced by a bit-identical model and configuration), while a
-    /// structural match only contributes its values as the warm-start hint
-    /// — never trusted as optimal. Solutions solved to optimality are
-    /// published back into the cache.
+    /// fingerprinted and the cache consulted first: a resident fingerprint
+    /// returns the stored solution without solving (the cached entry was
+    /// produced by a bit-identical model and configuration); otherwise the
+    /// solve runs with the caller's `hint`, exactly as without a cache, and
+    /// a solution solved to optimality is published back into the cache.
     ///
     /// ```
     /// use waterwise_milp::{
@@ -413,34 +398,11 @@ impl Model {
             .cache()
             .is_some()
             .then(|| ModelFingerprint::of(self, simplex_config, bb_config));
-        let mut cached_hint: Option<Vec<f64>> = None;
         if let Some(fingerprint) = fingerprint {
-            match workspace.cache_lookup(fingerprint) {
-                CacheLookup::Exact(solution) => return Ok(solution),
-                CacheLookup::Hint(values) if values.len() == self.num_vars() => {
-                    cached_hint = Some(values);
-                }
-                CacheLookup::Hint(_) | CacheLookup::Miss => {}
+            if let Some(solution) = workspace.cache_lookup(fingerprint, self.num_vars()) {
+                return Ok(solution);
             }
         }
-        // Two candidate hints can coexist: the caller's (for example a
-        // carried-forward prior assignment, tailored to this objective) and
-        // the cache's (the optimum of a structurally identical model that
-        // may have been solved under *different* objective data). Keep the
-        // one that scores better on this model's own objective — the solver
-        // validates the survivor before use, so the choice affects work,
-        // never results.
-        let hint = match (&cached_hint, hint) {
-            (Some(cached), Some(caller)) => {
-                if self.hint_preference(cached) <= self.hint_preference(caller) {
-                    Some(cached.as_slice())
-                } else {
-                    Some(caller)
-                }
-            }
-            (Some(cached), None) => Some(cached.as_slice()),
-            (None, caller) => caller,
-        };
         let solution = if self.has_integer_vars() {
             branch_bound::solve_warm(self, simplex_config, bb_config, hint, Some(workspace))?
         } else {

@@ -5,21 +5,20 @@
 //! module gives the cache a durable form so a restarted host resumes warm
 //! instead of cold-starting every rolling-horizon solve.
 //!
-//! # File format (`waterwise-cache/1`)
+//! # File format (`waterwise-cache/2`)
 //!
 //! A snapshot is a single flat binary file in the same hand-rolled
 //! little-endian style as the service wire codec — the workspace's compat
 //! serde layer is a no-op, so nothing here round-trips through it:
 //!
 //! ```text
-//! "waterwise-cache/1\n"                      ASCII header (version gate)
+//! "waterwise-cache/2\n"                      ASCII header (version gate)
 //! config_hash:  u64 LE                       solver-configuration hash
 //! capacity:     u64 LE                       total entry capacity
 //! next_stamp:   u64 LE                       recency-stamp counter
 //! entry_count:  u64 LE
 //! entry_count × {
-//!     key:        u64 LE                     structural fingerprint key
-//!     exact:      u64 LE                     exact fingerprint hash
+//!     fingerprint: u64 LE                    ModelFingerprint of the model
 //!     status:     u8                         SolveStatus discriminant (0–4)
 //!     objective:  u64 LE                     f64 bits
 //!     stamp:      u64 LE                     insertion recency stamp
@@ -31,9 +30,11 @@
 //! ```
 //!
 //! Entries are written in the cache's canonical export order (shard index,
-//! then ascending key, then bucket order), which [`SolutionCache::load`]
-//! reproduces exactly — so save → load → save emits byte-identical files,
-//! and a reloaded cache evicts in the same order the original would have.
+//! then ascending fingerprint), which [`SolutionCache::load`] reproduces
+//! exactly — so save → load → save emits byte-identical files, and a
+//! reloaded cache evicts in the same order the original would have.
+//! Version 1 stored a second, structural hash per entry; this build refuses
+//! such a file as [`CachePersistError::UnsupportedVersion`].
 //!
 //! # Crash safety and failure typing
 //!
@@ -44,16 +45,16 @@
 //!
 //! [`SolutionCache::load`] refuses to hand back garbage. Every failure is a
 //! typed [`CachePersistError`] naming the offending path: a foreign or
-//! future-versioned file, a truncated file, a flipped byte (checksum), or a
+//! other-versioned file, a truncated file, a flipped byte (checksum), a
 //! snapshot produced under a different solver configuration
-//! ([`solver_config_hash`]) whose stored "exact" solutions would not be
-//! exact here. The checksum is verified *before* the configuration check,
-//! so corruption is always reported as corruption even if the flipped byte
-//! happens to land in the config-hash field.
+//! ([`crate::solver_config_hash`]) whose stored "exact" solutions would not be
+//! exact here, or checksum-valid content that cannot be a cache (more
+//! entries than the declared capacity holds, a fingerprint stored twice).
+//! The checksum is verified *before* the configuration check, so corruption
+//! is always reported as corruption even if the flipped byte happens to land
+//! in the config-hash field.
 
-use crate::branch_bound::BranchBoundConfig;
 use crate::cache::{CacheExport, ExportedEntry, Fnv, SolutionCache};
-use crate::simplex::{SimplexConfig, KERNEL_REVISION};
 use crate::solution::SolveStatus;
 use std::fmt;
 use std::fs;
@@ -61,7 +62,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Header line identifying a cache snapshot and its format version.
-pub const CACHE_HEADER: &str = "waterwise-cache/1\n";
+pub const CACHE_HEADER: &str = "waterwise-cache/2\n";
 
 /// Why a cache snapshot could not be saved or loaded. Every variant names
 /// the offending path so operators can find (and delete or restore) the
@@ -113,13 +114,14 @@ pub enum CachePersistError {
     ConfigMismatch {
         /// File that was rejected.
         path: PathBuf,
-        /// Configuration hash this process expects ([`solver_config_hash`]).
+        /// Configuration hash this process expects ([`crate::solver_config_hash`]).
         expected: u64,
         /// Configuration hash stored in the file.
         found: u64,
     },
-    /// The content is internally inconsistent (e.g. an unknown solve-status
-    /// discriminant) despite a matching checksum.
+    /// The content is internally inconsistent (an unknown solve-status
+    /// discriminant, more entries than the declared capacity holds, a
+    /// fingerprint stored twice) despite a matching checksum.
     Invalid {
         /// File that was rejected.
         path: PathBuf,
@@ -183,30 +185,6 @@ impl fmt::Display for CachePersistError {
 
 impl std::error::Error for CachePersistError {}
 
-/// Hash the solver configuration fields that [`crate::ModelFingerprint`]
-/// folds into every exact hash: a snapshot saved under one configuration
-/// must not satisfy exact lookups under another, so the save/load gate
-/// covers exactly the same fields, in the same order, with the same hash —
-/// followed by the kernel revision byte, because "exact" is a claim about bits
-/// and a different kernel may round the same optimum differently.
-pub fn solver_config_hash(simplex: &SimplexConfig, bb: &BranchBoundConfig) -> u64 {
-    let mut hash = config_fields_hash(simplex, bb);
-    hash.write_u8(KERNEL_REVISION);
-    hash.finish()
-}
-
-fn config_fields_hash(simplex: &SimplexConfig, bb: &BranchBoundConfig) -> Fnv {
-    let mut hash = Fnv::new();
-    hash.write_usize(simplex.max_iterations);
-    hash.write_f64(simplex.tolerance);
-    hash.write_usize(simplex.stall_threshold);
-    hash.write_usize(bb.max_nodes);
-    hash.write_f64(bb.integrality_tolerance);
-    hash.write_f64(bb.absolute_gap);
-    hash.write_u8(bb.use_dual_restart as u8);
-    hash
-}
-
 /// Encode the cache into snapshot bytes (header + content + checksum).
 /// Exposed so tests can corrupt snapshots surgically; [`SolutionCache::save`]
 /// is the durable path.
@@ -222,8 +200,7 @@ fn encode_export(export: &CacheExport, config_hash: u64) -> Vec<u8> {
     push_u64(&mut bytes, export.next_stamp);
     push_u64(&mut bytes, export.entries.len() as u64);
     for entry in &export.entries {
-        push_u64(&mut bytes, entry.key);
-        push_u64(&mut bytes, entry.exact);
+        push_u64(&mut bytes, entry.fingerprint);
         bytes.push(status_code(entry.status));
         push_u64(&mut bytes, entry.objective.to_bits());
         push_u64(&mut bytes, entry.stamp);
@@ -287,8 +264,7 @@ pub fn decode_cache(
     let entry_count = cursor.u64()?;
     let mut entries = Vec::new();
     for _ in 0..entry_count {
-        let key = cursor.u64()?;
-        let exact = cursor.u64()?;
+        let fingerprint = cursor.u64()?;
         let status = status_from_code(cursor.u8()?, cursor.offset - 1, path)?;
         let objective = f64::from_bits(cursor.u64()?);
         let stamp = cursor.u64()?;
@@ -298,8 +274,7 @@ pub fn decode_cache(
             values.push(f64::from_bits(cursor.u64()?));
         }
         entries.push(ExportedEntry {
-            key,
-            exact,
+            fingerprint,
             status,
             objective,
             values,
@@ -315,11 +290,15 @@ pub fn decode_cache(
             ),
         });
     }
-    Ok(SolutionCache::import(CacheExport {
+    SolutionCache::import(CacheExport {
         capacity,
         next_stamp,
         entries,
-    }))
+    })
+    .map_err(|message| CachePersistError::Invalid {
+        path: path.to_path_buf(),
+        message,
+    })
 }
 
 impl SolutionCache {
@@ -328,7 +307,7 @@ impl SolutionCache {
     /// atomically renamed into place — a crash mid-save leaves the previous
     /// snapshot (or no file) intact, never a torn one.
     ///
-    /// `config_hash` must be [`solver_config_hash`] of the configuration the
+    /// `config_hash` must be [`crate::solver_config_hash`] of the configuration the
     /// cached solutions were produced under; [`SolutionCache::load`] refuses
     /// snapshots whose hash differs from the loader's.
     pub fn save(&self, path: &Path, config_hash: u64) -> Result<(), CachePersistError> {
@@ -570,13 +549,7 @@ mod tests {
                 simplex_iterations: 3,
                 nodes_explored: 1,
             };
-            cache.insert(
-                ModelFingerprint {
-                    key: k,
-                    exact: k * 11,
-                },
-                &solution,
-            );
+            cache.insert(ModelFingerprint(k * 11), &solution);
         }
         cache
     }
@@ -620,49 +593,6 @@ mod tests {
                 assert_eq!(found, 42);
             }
             other => panic!("expected config mismatch, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn solver_config_hash_tracks_every_fingerprinted_field() {
-        let simplex = SimplexConfig::default();
-        let bb = BranchBoundConfig::default();
-        let base = solver_config_hash(&simplex, &bb);
-        assert_eq!(base, solver_config_hash(&simplex, &bb), "deterministic");
-
-        let mut s = simplex;
-        s.max_iterations += 1;
-        assert_ne!(base, solver_config_hash(&s, &bb));
-        let mut s = simplex;
-        s.tolerance *= 2.0;
-        assert_ne!(base, solver_config_hash(&s, &bb));
-        let mut s = simplex;
-        s.stall_threshold += 1;
-        assert_ne!(base, solver_config_hash(&s, &bb));
-        let mut b = bb;
-        b.max_nodes += 1;
-        assert_ne!(base, solver_config_hash(&simplex, &b));
-        let mut b = bb;
-        b.integrality_tolerance *= 2.0;
-        assert_ne!(base, solver_config_hash(&simplex, &b));
-        let mut b = bb;
-        b.absolute_gap += 1.0;
-        assert_ne!(base, solver_config_hash(&simplex, &b));
-        let mut b = bb;
-        b.use_dual_restart = !b.use_dual_restart;
-        assert_ne!(base, solver_config_hash(&simplex, &b));
-
-        // The kernel revision rides behind the seven fields: a file written
-        // by another kernel fails the gate under an unchanged configuration.
-        let fields = config_fields_hash(&simplex, &bb);
-        assert_ne!(base, fields.finish(), "fields alone are not enough");
-        // Revision 3: the scheduler's fingerprints lost their variable names,
-        // so a revision-2 file could load but never hit — it must not load.
-        assert_eq!(KERNEL_REVISION, 3);
-        for (revision, same) in [(3u8, true), (2, false), (1, false)] {
-            let mut hash = fields;
-            hash.write_u8(revision);
-            assert_eq!(hash.finish() == base, same, "revision {revision}");
         }
     }
 }

@@ -12,7 +12,7 @@
 //!   basis), and how many pivots it spent. The cold-vs-warm split is what the
 //!   Fig. 14 overhead experiment and the scheduler's `SolveStats` report.
 
-use crate::cache::{CacheLookup, CacheStats, ModelFingerprint, SolutionCacheHandle};
+use crate::cache::{CacheStats, ModelFingerprint, SolutionCacheHandle};
 use crate::simplex::BasisSnapshot;
 use crate::solution::Solution;
 use serde::{Deserialize, Serialize};
@@ -149,15 +149,15 @@ impl SolverWorkspace {
     }
 
     /// Probe the attached cache for `fingerprint`, recording the outcome in
-    /// this workspace's local counters. Returns `Miss` when no cache is
-    /// attached.
-    pub(crate) fn cache_lookup(&mut self, fingerprint: ModelFingerprint) -> CacheLookup {
-        let Some(cache) = &self.cache else {
-            return CacheLookup::Miss;
-        };
-        let lookup = cache.lookup(fingerprint);
-        self.cache_stats.record_lookup(&lookup);
-        lookup
+    /// this workspace's local counters. `None` without a cache attached.
+    pub(crate) fn cache_lookup(
+        &mut self,
+        fingerprint: ModelFingerprint,
+        num_vars: usize,
+    ) -> Option<Solution> {
+        let solution = self.cache.as_ref()?.lookup(fingerprint, num_vars);
+        self.cache_stats.record_lookup(solution.is_some());
+        solution
     }
 
     /// Publish a solution into the attached cache (no-op without one).

@@ -1,17 +1,18 @@
 //! Persistence battery for the solution-cache snapshot codec: property-based
-//! save↔load roundtrips (byte-equal re-encode, every bucket/variant/stamp
-//! preserved) and the file-level corruption negatives (truncation, flipped
-//! bytes, foreign/future headers, solver-config mismatches) — each of which
-//! must surface as its own typed [`CachePersistError`], never a panic and
-//! never a silently garbled cache.
+//! save↔load roundtrips (byte-equal re-encode, every entry and stamp
+//! preserved) and the file-level negatives (truncation, flipped bytes,
+//! foreign/other-version headers, solver-config mismatches, counts that
+//! contradict the declared capacity) — each of which must surface as its own
+//! typed [`CachePersistError`], never a panic and never a silently garbled
+//! cache.
 
 use proptest::prelude::*;
 use std::fs;
 use std::path::{Path, PathBuf};
 use waterwise_milp::persist::{decode_cache, encode_cache, CACHE_HEADER};
 use waterwise_milp::{
-    solver_config_hash, BranchBoundConfig, CacheAutosave, CacheLookup, CachePersistError,
-    ModelFingerprint, SimplexConfig, Solution, SolutionCache, SolveStatus,
+    solver_config_hash, BranchBoundConfig, CacheAutosave, CachePersistError, ModelFingerprint,
+    SimplexConfig, Solution, SolutionCache, SolveStatus,
 };
 
 /// A scratch directory unique to this test binary's process.
@@ -31,11 +32,12 @@ fn status_of(code: u64) -> SolveStatus {
     }
 }
 
-/// Build a cache from generated (key, exact, status, values) tuples. Keys
-/// are folded onto a small space so buckets accumulate multiple variants.
-fn build_cache(entries: &[(u64, u64, u64, Vec<f64>)]) -> SolutionCache {
+/// Build a cache from generated (fingerprint, status, values) tuples.
+/// Fingerprints are folded onto a small space so some repeat (a refresh in
+/// place) and shards hold several entries.
+fn build_cache(entries: &[(u64, u64, Vec<f64>)]) -> SolutionCache {
     let cache = SolutionCache::with_capacity(256);
-    for (key, exact, status_code, values) in entries {
+    for (fingerprint, status_code, values) in entries {
         let solution = Solution {
             status: status_of(*status_code),
             objective: values.iter().sum(),
@@ -43,11 +45,7 @@ fn build_cache(entries: &[(u64, u64, u64, Vec<f64>)]) -> SolutionCache {
             simplex_iterations: 2,
             nodes_explored: 1,
         };
-        let fingerprint = ModelFingerprint {
-            key: key % 23,
-            exact: *exact,
-        };
-        cache.insert(fingerprint, &solution);
+        cache.insert(ModelFingerprint(fingerprint % 97), &solution);
     }
     cache
 }
@@ -62,7 +60,7 @@ proptest! {
     #[test]
     fn save_load_reencode_is_byte_equal(
         entries in prop::collection::vec(
-            (0u64..1000, 0u64..1_000_000, 0u64..5, prop::collection::vec(-10.0f64..10.0, 1..6)),
+            (0u64..1000, 0u64..5, prop::collection::vec(-10.0f64..10.0, 1..6)),
             0..40,
         ),
     ) {
@@ -70,8 +68,8 @@ proptest! {
         let config = default_config_hash();
         let bytes = encode_cache(&cache, config);
         let loaded = decode_cache(&bytes, config, Path::new("mem")).expect("roundtrip decode");
-        // Byte-equal re-encode means every bucket, variant, value, stamp,
-        // and the stamp counter itself survived verbatim.
+        // Byte-equal re-encode means every entry, value, stamp, and the
+        // stamp counter itself survived verbatim.
         prop_assert_eq!(encode_cache(&loaded, config), bytes);
         prop_assert_eq!(loaded.len(), cache.len());
         prop_assert_eq!(loaded.capacity(), cache.capacity());
@@ -80,25 +78,28 @@ proptest! {
     #[test]
     fn loaded_cache_answers_exactly_like_the_original(
         entries in prop::collection::vec(
-            (0u64..100, 0u64..1000, 0u64..5, prop::collection::vec(-5.0f64..5.0, 1..4)),
+            (0u64..1000, 0u64..5, prop::collection::vec(-5.0f64..5.0, 1..4)),
             1..25,
         ),
-        probes in prop::collection::vec((0u64..100, 0u64..1000), 1..20),
+        probes in prop::collection::vec((0u64..97, 1usize..4), 1..40),
     ) {
         let cache = build_cache(&entries);
         let config = default_config_hash();
         let bytes = encode_cache(&cache, config);
         let loaded = decode_cache(&bytes, config, Path::new("mem")).expect("roundtrip decode");
-        for (key, exact) in probes {
-            let fingerprint = ModelFingerprint { key: key % 23, exact };
-            prop_assert_eq!(cache.lookup(fingerprint), loaded.lookup(fingerprint));
+        for (fingerprint, num_vars) in probes {
+            let fingerprint = ModelFingerprint(fingerprint);
+            prop_assert_eq!(
+                cache.lookup(fingerprint, num_vars),
+                loaded.lookup(fingerprint, num_vars)
+            );
         }
     }
 
     #[test]
     fn any_flipped_payload_byte_is_a_checksum_error(
         entries in prop::collection::vec(
-            (0u64..50, 0u64..100, 0u64..5, prop::collection::vec(-1.0f64..1.0, 1..3)),
+            (0u64..1000, 0u64..5, prop::collection::vec(-1.0f64..1.0, 1..3)),
             1..10,
         ),
         position in 0.0f64..1.0,
@@ -126,18 +127,24 @@ fn save_then_load_from_disk_roundtrips() {
     let dir = scratch("roundtrip");
     let path = dir.join("cache.snapshot");
     let cache = build_cache(&[
-        (1, 10, 0, vec![1.0, 0.0]),
-        (1, 11, 1, vec![0.5]),
-        (7, 70, 0, vec![-0.0, f64::MAX]),
+        (10, 0, vec![1.0, 0.0]),
+        (11, 1, vec![0.5]),
+        (70, 0, vec![-0.0, f64::MAX]),
     ]);
     let config = default_config_hash();
     cache.save(&path, config).expect("save");
     let loaded = SolutionCache::load(&path, config).expect("load");
     assert_eq!(encode_cache(&loaded, config), encode_cache(&cache, config));
-    match loaded.lookup(ModelFingerprint { key: 1, exact: 11 }) {
-        CacheLookup::Exact(solution) => assert_eq!(solution.values, vec![0.5]),
-        other => panic!("expected exact hit after reload, got {other:?}"),
-    }
+    let replayed = loaded
+        .lookup(ModelFingerprint(11), 1)
+        .expect("hit after reload");
+    assert_eq!(replayed.values, vec![0.5]);
+    // Save → load → save stays byte-identical on disk.
+    let first = fs::read(&path).expect("read back");
+    loaded
+        .save(&path, config)
+        .expect("re-save the loaded cache");
+    assert_eq!(fs::read(&path).expect("read back"), first);
     // Saving over an existing snapshot replaces it atomically.
     cache.save(&path, config).expect("re-save over existing");
     assert!(SolutionCache::load(&path, config).is_ok());
@@ -158,7 +165,7 @@ fn truncated_snapshot_is_a_typed_error() {
     let dir = scratch("truncated");
     let path = dir.join("cache.snapshot");
     let config = default_config_hash();
-    let cache = build_cache(&[(1, 10, 0, vec![1.0, 2.0, 3.0]), (2, 20, 1, vec![4.0])]);
+    let cache = build_cache(&[(10, 0, vec![1.0, 2.0, 3.0]), (20, 1, vec![4.0])]);
     cache.save(&path, config).expect("save");
     let full = fs::read(&path).expect("read back");
     // Every proper prefix must fail typed, never panic or yield a partial
@@ -195,7 +202,7 @@ fn flipped_byte_on_disk_is_a_checksum_error() {
     let dir = scratch("flip");
     let path = dir.join("cache.snapshot");
     let config = default_config_hash();
-    build_cache(&[(1, 10, 0, vec![1.0])])
+    build_cache(&[(10, 0, vec![1.0])])
         .save(&path, config)
         .expect("save");
     let mut bytes = fs::read(&path).expect("read back");
@@ -212,21 +219,78 @@ fn flipped_byte_on_disk_is_a_checksum_error() {
 }
 
 #[test]
-fn wrong_version_header_is_a_typed_error() {
+fn other_version_headers_are_a_typed_error() {
     let dir = scratch("version");
     let path = dir.join("cache.snapshot");
-    fs::write(&path, b"waterwise-cache/2\nfuture bytes").expect("write");
-    match SolutionCache::load(&path, default_config_hash()) {
-        Err(CachePersistError::UnsupportedVersion {
-            path: reported,
-            found,
-        }) => {
-            assert_eq!(reported, path);
-            assert!(found.starts_with("waterwise-cache/2"), "found {found:?}");
+    assert_eq!(CACHE_HEADER, "waterwise-cache/2\n");
+    // `/1` carried a second hash per entry; `/3` is from the future.
+    for header in ["waterwise-cache/1\n", "waterwise-cache/3\n"] {
+        fs::write(&path, [header.as_bytes(), b"other bytes"].concat()).expect("write");
+        match SolutionCache::load(&path, default_config_hash()) {
+            Err(CachePersistError::UnsupportedVersion {
+                path: reported,
+                found,
+            }) => {
+                assert_eq!(reported, path);
+                assert_eq!(found, header);
+            }
+            other => panic!("expected unsupported version, got {other:?}"),
         }
-        other => panic!("expected unsupported version, got {other:?}"),
     }
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// Overwrite the `u64` at `offset` of a real snapshot and re-checksum it, so
+/// the decoder sees a file that is intact and says something else.
+fn patch_u64(bytes: &mut [u8], offset: usize, value: u64) {
+    bytes[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
+    let end = bytes.len() - 8;
+    let mut checksum = 0xcbf2_9ce4_8422_2325u64; // FNV-1a over the content
+    for byte in &bytes[CACHE_HEADER.len()..end] {
+        checksum = (checksum ^ u64::from(*byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    bytes[end..].copy_from_slice(&checksum.to_le_bytes());
+}
+
+fn expect_invalid(bytes: &[u8], needle: &str) {
+    match decode_cache(bytes, default_config_hash(), Path::new("mem")) {
+        Err(CachePersistError::Invalid { message, .. }) => {
+            assert!(message.contains(needle), "{message}")
+        }
+        other => panic!("expected an invalid snapshot, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_snapshot_over_its_declared_capacity_is_invalid() {
+    // 64 entries (4 per shard) under capacity 256 is a cache; the same 64
+    // under a declared capacity of 16 (1 per shard) never was one.
+    let entries: Vec<_> = (0..64).map(|k| (k, 0, vec![k as f64])).collect();
+    let mut bytes = encode_cache(&build_cache(&entries), default_config_hash());
+    let loaded = decode_cache(&bytes, default_config_hash(), Path::new("mem")).expect("intact");
+    assert_eq!((loaded.len(), loaded.capacity()), (64, 256));
+    let capacity_at = CACHE_HEADER.len() + 8;
+    patch_u64(&mut bytes, capacity_at, 16);
+    expect_invalid(&bytes, "declared to hold 16");
+}
+
+#[test]
+fn a_snapshot_repeating_a_fingerprint_is_invalid() {
+    // Two one-value entries are 41 bytes each; name the first one's
+    // fingerprint in the second.
+    let mut bytes = encode_cache(
+        &build_cache(&[(10, 0, vec![1.0]), (20, 0, vec![2.0])]),
+        default_config_hash(),
+    );
+    let first_entry_at = CACHE_HEADER.len() + 4 * 8;
+    let entry_len = 8 + 1 + 8 + 8 + 8 + 8;
+    let first = u64::from_le_bytes(
+        bytes[first_entry_at..first_entry_at + 8]
+            .try_into()
+            .unwrap(),
+    );
+    patch_u64(&mut bytes, first_entry_at + entry_len, first);
+    expect_invalid(&bytes, "stored twice");
 }
 
 #[test]
@@ -246,7 +310,7 @@ fn solver_config_mismatch_is_a_typed_error() {
     let dir = scratch("config");
     let path = dir.join("cache.snapshot");
     let saved_config = default_config_hash();
-    build_cache(&[(1, 10, 0, vec![1.0])])
+    build_cache(&[(10, 0, vec![1.0])])
         .save(&path, saved_config)
         .expect("save");
     let mut other_bb = BranchBoundConfig::default();
@@ -273,7 +337,7 @@ fn solver_config_mismatch_is_a_typed_error() {
 fn no_temp_files_survive_a_successful_save() {
     let dir = scratch("tempfiles");
     let path = dir.join("cache.snapshot");
-    build_cache(&[(1, 10, 0, vec![1.0])])
+    build_cache(&[(10, 0, vec![1.0])])
         .save(&path, default_config_hash())
         .expect("save");
     let leftovers: Vec<_> = fs::read_dir(&dir)
@@ -296,7 +360,7 @@ fn autosave_guard_saves_on_drop_and_on_finish() {
 
     let drop_path = dir.join("dropped.snapshot");
     {
-        let cache = build_cache(&[(3, 30, 0, vec![2.0])]).into_handle();
+        let cache = build_cache(&[(30, 0, vec![2.0])]).into_handle();
         let _guard = CacheAutosave::new(cache, drop_path.clone(), config);
         assert!(!drop_path.exists(), "guard must not save before drop");
     }
@@ -304,7 +368,7 @@ fn autosave_guard_saves_on_drop_and_on_finish() {
     assert_eq!(reloaded.len(), 1);
 
     let finish_path = dir.join("finished.snapshot");
-    let cache = build_cache(&[(4, 40, 1, vec![5.0]), (4, 41, 0, vec![6.0])]).into_handle();
+    let cache = build_cache(&[(40, 1, vec![5.0]), (41, 0, vec![6.0])]).into_handle();
     let guard = CacheAutosave::new(cache.clone(), finish_path.clone(), config);
     guard.finish().expect("finish save");
     let reloaded = SolutionCache::load(&finish_path, config).expect("finish-path load");
