@@ -9,12 +9,11 @@
 //!    manager** keeps only the most urgent `Σ cap(n)` jobs, ranked by the
 //!    urgency score of Eq. 14 (ascending — smaller means closer to a
 //!    violation).
-//! 3. Builds the MILP of Eq. 8 with the assignment (Eq. 9), capacity
-//!    (Eq. 10), and delay-tolerance (Eq. 11) constraints and solves it with
-//!    the pure-Rust solver in `waterwise-milp`.
+//! 3. Builds the MILP of Eq. 8–11 (`assignment_model`) and solves it with the
+//!    pure-Rust solver in `waterwise-milp`.
 //! 4. If the hard-constrained model is infeasible, re-solves with **soft
-//!    constraints** (Eq. 12–13): per-job penalty variables relax the delay
-//!    constraint at a cost `σ` in the objective.
+//!    constraints** (Eq. 12–13): overshooting a job's delay tolerance costs
+//!    `σ` per unit in the objective instead of being forbidden.
 
 use crate::experiment::{run_indexed, Parallelism};
 use crate::objective::{candidate_footprints, Normalizer, ObjectiveWeights};
@@ -26,7 +25,7 @@ use waterwise_cluster::{
 };
 use waterwise_milp::{
     BranchBoundConfig, CacheStats, LinExpr, Model, Sense, SimplexConfig, SolutionCacheHandle,
-    SolverWorkspace, Var, WarmStats,
+    SolverWorkspace, Var, VarKind, WarmStats,
 };
 use waterwise_sustain::FootprintEstimator;
 use waterwise_telemetry::{ConditionsProvider, Region};
@@ -183,6 +182,75 @@ struct JobNumerics {
     latency_ratio: Vec<f64>,
     /// `TOL% − waited/exec`, clamped at zero (Eq. 11 rhs).
     remaining_tolerance: f64,
+}
+
+impl JobNumerics {
+    /// Whether region `n` satisfies Eq. 11 for this job: the one comparison
+    /// bounds, costs and hint all read, so they cannot disagree by an ulp.
+    fn admits(&self, n: usize) -> bool {
+        self.latency_ratio[n] <= self.remaining_tolerance
+    }
+
+    /// By how much region `n` overshoots the job's remaining tolerance (what
+    /// Eq. 13 forces on `P[m]` there); zero exactly where it is admitted.
+    fn violation(&self, n: usize) -> f64 {
+        if self.admits(n) {
+            0.0
+        } else {
+            self.latency_ratio[n] - self.remaining_tolerance
+        }
+    }
+}
+
+/// The round's MILP over binaries `x[m][n]` (index `m * n_regions + n`):
+/// Eq. 8's cost, Eq. 9 (one equality per job), Eq. 10 (one unit-coefficient
+/// capacity row per region). Under Eq. 9 exactly one `x[m][·]` is one, so
+/// Eq. 11 (`Σ_n ratio[m][n]·x[m][n] ≤ tol[m]`) only says `x[m][n] = 0`
+/// wherever [`JobNumerics::admits`] fails — the hard model (`soft_penalty`
+/// `None`) fixes those by their upper bound — and Eq. 13 makes `P[m]` the
+/// chosen region's [`JobNumerics::violation`], so the soft model adds
+/// `σ·violation` to each `x[m][n]`'s cost (Eq. 12). What is left is a
+/// transportation problem: every vertex of its relaxation is integral and
+/// branch-and-bound ends at the root. Nothing is named (faults cite indices).
+fn assignment_model(
+    numerics: &[JobNumerics],
+    capacities: &[usize],
+    soft_penalty: Option<f64>,
+) -> Model {
+    let n_regions = capacities.len();
+    let n_x = numerics.len() * n_regions;
+    let x = |m: usize, n: usize| Var::from_index(m * n_regions + n);
+    let mut model = Model::new("waterwise-assignment");
+    model.reserve(n_x, numerics.len() + n_regions);
+    let mut objective = LinExpr::with_capacity(n_x);
+    for (m, numbers) in numerics.iter().enumerate() {
+        for (n, &coeff) in numbers.coeffs.iter().enumerate() {
+            let (upper, cost) = match soft_penalty {
+                Some(sigma) => (1.0, coeff + sigma * numbers.violation(n)),
+                None => (if numbers.admits(n) { 1.0 } else { 0.0 }, coeff),
+            };
+            model.add_var("", VarKind::Binary, 0.0, upper);
+            objective.add_term(x(m, n), cost);
+        }
+    }
+    model.minimize(objective);
+    // Eq. 9: each job is assigned to exactly one region.
+    for m in 0..numerics.len() {
+        let mut expr = LinExpr::with_capacity(n_regions);
+        for n in 0..n_regions {
+            expr.add_term(x(m, n), 1.0);
+        }
+        model.add_constraint("", expr, Sense::Equal, 1.0);
+    }
+    // Eq. 10: regional capacity.
+    for (n, &capacity) in capacities.iter().enumerate() {
+        let mut expr = LinExpr::with_capacity(numerics.len());
+        for m in 0..numerics.len() {
+            expr.add_term(x(m, n), 1.0);
+        }
+        model.add_constraint("", expr, Sense::LessEqual, capacity as f64);
+    }
+    model
 }
 
 /// The WaterWise scheduler.
@@ -347,87 +415,21 @@ impl WaterWiseScheduler {
         })
     }
 
-    /// Build and solve the MILP for the selected jobs. `soften` enables the
-    /// penalty relaxation of Eq. 12/13.
-    ///
-    /// Variable `x[m][n]` is index `m * n_regions + n`; the soft model's
-    /// penalty `P[m]` follows at `jobs.len() * n_regions + m`. Variables and
-    /// rows go unnamed (a fault in one is reported by index), and the
-    /// solution is read back by position — which is what lets the solution
-    /// cache replay a bit-identical batch under other job ids.
+    /// Build and solve the round's MILP ([`assignment_model`]) for the
+    /// selected jobs; `soft_penalty` selects the relaxation of Eq. 12/13.
+    /// The solution is read back by position — which is what lets the
+    /// solution cache replay a bit-identical batch under other job ids.
     fn solve_assignment(
         &mut self,
         jobs: &[&PendingJob],
         ctx: &SchedulingContext<'_>,
-        regions: &[Region],
         numerics: &[JobNumerics],
-        soften: bool,
+        soft_penalty: Option<f64>,
     ) -> Option<Vec<Assignment>> {
-        let n_regions = regions.len();
-        let n_x = jobs.len() * n_regions;
-        let x = |m: usize, n: usize| Var::from_index(m * n_regions + n);
-        let penalty = |m: usize| Var::from_index(n_x + m);
-        let n_penalties = if soften { jobs.len() } else { 0 };
-        let mut model = Model::new(if soften {
-            "waterwise-soft"
-        } else {
-            "waterwise-hard"
-        });
-        model.reserve(n_x + n_penalties, 2 * jobs.len() + n_regions);
-        for _ in 0..n_x {
-            model.add_binary("");
-        }
-        for _ in 0..n_penalties {
-            model.add_non_negative("");
-        }
-
-        // Objective (Eq. 8 / Eq. 12) from the precomputed per-job numerics
-        // (shared with the warm-start hint and the soft fallback).
-        let mut objective = LinExpr::with_capacity(n_x + n_penalties);
-        for (m, numbers) in numerics.iter().enumerate() {
-            for (n, &coeff) in numbers.coeffs.iter().enumerate() {
-                objective.add_term(x(m, n), coeff);
-            }
-        }
-        for m in 0..n_penalties {
-            objective.add_term(penalty(m), self.config.soft_penalty);
-        }
-        model.minimize(objective);
-
-        // Eq. 9: each job is assigned to exactly one region.
-        for m in 0..jobs.len() {
-            let mut expr = LinExpr::with_capacity(n_regions);
-            for n in 0..n_regions {
-                expr.add_term(x(m, n), 1.0);
-            }
-            model.add_constraint("", expr, Sense::Equal, 1.0);
-        }
-        // Eq. 10: regional capacity.
-        for (n, view) in ctx.regions.iter().enumerate() {
-            let mut expr = LinExpr::with_capacity(jobs.len());
-            for m in 0..jobs.len() {
-                expr.add_term(x(m, n), 1.0);
-            }
-            model.add_constraint("", expr, Sense::LessEqual, view.remaining_capacity() as f64);
-        }
-        // Eq. 11 / Eq. 13: delay tolerance on the transfer-latency ratio,
-        // tightened by the time the job has already spent waiting.
-        for (m, numbers) in numerics.iter().enumerate() {
-            let mut expr = LinExpr::with_capacity(n_regions + 1);
-            for (n, &ratio) in numbers.latency_ratio.iter().enumerate() {
-                expr.add_term(x(m, n), ratio);
-            }
-            if soften {
-                expr.add_term(penalty(m), -1.0);
-            }
-            model.add_constraint("", expr, Sense::LessEqual, numbers.remaining_tolerance);
-        }
-
-        let hint = if self.config.warm_start {
-            self.build_hint(jobs, ctx, numerics, soften)
-        } else {
-            None
-        };
+        let n_regions = ctx.regions.len();
+        let capacities: Vec<usize> = ctx.regions.iter().map(|v| v.remaining_capacity()).collect();
+        let model = assignment_model(numerics, &capacities, soft_penalty);
+        let hint = self.build_hint(jobs, ctx, numerics, capacities, soft_penalty.is_some());
         let solution = model
             .solve_warm(
                 &self.config.simplex,
@@ -445,16 +447,18 @@ impl WaterWiseScheduler {
         }
         let mut assignments = Vec::with_capacity(jobs.len());
         for (m, job) in jobs.iter().enumerate() {
-            let chosen = (0..n_regions).find(|&n| solution.is_one(x(m, n)));
+            let chosen =
+                (0..n_regions).find(|&n| solution.is_one(Var::from_index(m * n_regions + n)));
             if let Some(n) = chosen {
                 // Carried forward as the next slot's warm-start hint should
                 // the job remain pending (e.g. the engine rejects the
                 // placement); pruned at the end of `schedule` once the job
                 // leaves the pending pool.
-                self.carried.insert(job.spec.id, regions[n]);
+                let region = ctx.regions[n].region;
+                self.carried.insert(job.spec.id, region);
                 assignments.push(Assignment {
                     job: job.spec.id,
-                    region: regions[n],
+                    region,
                 });
             }
         }
@@ -462,28 +466,28 @@ impl WaterWiseScheduler {
     }
 
     /// Build the warm-start hint for the current model (variable layout as in
-    /// [`Self::solve_assignment`]): the previous slot's region choice where
-    /// one is carried and still feasible, completed greedily (cheapest
-    /// feasible region per job under remaining capacity). Returns `None` when
-    /// no complete feasible candidate exists — the solve then starts cold,
-    /// exactly as without warm starting.
+    /// [`assignment_model`]): the previous slot's region choice where one is
+    /// carried and still feasible, completed greedily (cheapest feasible
+    /// region per job under `capacity_left`). Returns `None` when no complete
+    /// feasible candidate exists or warm starting is off — the solve then
+    /// starts cold.
     fn build_hint(
         &self,
         jobs: &[&PendingJob],
         ctx: &SchedulingContext<'_>,
         numerics: &[JobNumerics],
+        mut capacity_left: Vec<usize>,
         soften: bool,
     ) -> Option<Vec<f64>> {
+        if !self.config.warm_start {
+            return None;
+        }
         let n_regions = ctx.regions.len();
-        let n_x = jobs.len() * n_regions;
-        let mut capacity_left: Vec<usize> =
-            ctx.regions.iter().map(|v| v.remaining_capacity()).collect();
-        let mut hint = vec![0.0; if soften { n_x + jobs.len() } else { n_x }];
+        let mut hint = vec![0.0; jobs.len() * n_regions];
         for (m, job) in jobs.iter().enumerate() {
             let numbers = &numerics[m];
             let feasible = |n: usize, capacity_left: &[usize]| {
-                capacity_left[n] > 0
-                    && (soften || numbers.latency_ratio[n] <= numbers.remaining_tolerance + 1e-12)
+                capacity_left[n] > 0 && (soften || numbers.admits(n))
             };
             let carried = self
                 .carried
@@ -502,10 +506,6 @@ impl WaterWiseScheduler {
             })?;
             capacity_left[chosen] -= 1;
             hint[m * n_regions + chosen] = 1.0;
-            if soften {
-                hint[n_x + m] =
-                    (numbers.latency_ratio[chosen] - numbers.remaining_tolerance).max(0.0);
-            }
         }
         Some(hint)
     }
@@ -585,15 +585,13 @@ impl Scheduler for WaterWiseScheduler {
         // (Algorithm 1, lines 8–11). The fallback reuses the numerics.
         // lint:allow(DET002: solve_seconds timing capture; scrubbed from schedules by without_wall_clock)
         let solve_start = Instant::now();
-        let hard = self.solve_assignment(&selected, ctx, &regions, &numerics, false);
-        let assignments = match hard {
-            Some(a) => a,
-            None => {
-                self.stats.soft_fallbacks += 1;
-                self.solve_assignment(&selected, ctx, &regions, &numerics, true)
-                    .unwrap_or_default()
-            }
-        };
+        let hard = self.solve_assignment(&selected, ctx, &numerics, None);
+        let assignments = hard.unwrap_or_else(|| {
+            self.stats.soft_fallbacks += 1;
+            let sigma = Some(self.config.soft_penalty);
+            self.solve_assignment(&selected, ctx, &numerics, sigma)
+                .unwrap_or_default()
+        });
         self.stats.solve_seconds += solve_start.elapsed().as_secs_f64();
         // Prune carried-forward choices for jobs that already left the
         // pending pool. Entries for jobs assigned *this* round survive one
@@ -747,6 +745,64 @@ mod tests {
             .assignments
             .iter()
             .all(|a| a.region == waterwise_telemetry::Region::Milan));
+    }
+
+    fn numerics(coeffs: &[f64], latency_ratio: &[f64], remaining_tolerance: f64) -> JobNumerics {
+        JobNumerics {
+            coeffs: coeffs.to_vec(),
+            latency_ratio: latency_ratio.to_vec(),
+            remaining_tolerance,
+        }
+    }
+
+    #[test]
+    fn soft_model_picks_the_least_violating_region_when_costs_tie() {
+        // Three equally cheap regions, none admissible: only the folded
+        // penalty `σ·violation` tells them apart.
+        let job = numerics(&[0.4, 0.4, 0.4], &[0.9, 0.3, 0.6], 0.1);
+        assert!((0..3).all(|n| !job.admits(n)));
+        let sigma = WaterWiseConfig::default().soft_penalty;
+        let solution = assignment_model(&[job], &[1, 1, 1], Some(sigma))
+            .solve()
+            .unwrap();
+        assert_eq!(solution.status, waterwise_milp::SolveStatus::Optimal);
+        assert_eq!(solution.values, [0.0, 1.0, 0.0]);
+        assert!((solution.objective - (0.4 + sigma * (0.3 - 0.1))).abs() < 1e-12);
+        assert_eq!(solution.nodes_explored, 1);
+    }
+
+    #[test]
+    fn admissible_regions_are_never_charged() {
+        // A ratio exactly at the tolerance is admissible: bound 1 in the
+        // hard model, no penalty in the soft one — even when a pricier
+        // penalty-free region competes with a cheaper violating one.
+        let job = numerics(&[0.5, 0.2], &[0.25, 0.26], 0.25);
+        assert!(job.admits(0) && !job.admits(1));
+        assert_eq!(job.violation(0), 0.0);
+        let hard = assignment_model(std::slice::from_ref(&job), &[1, 1], None);
+        assert_eq!(hard.bounds(Var::from_index(0)), (0.0, 1.0));
+        assert_eq!(hard.bounds(Var::from_index(1)), (0.0, 0.0));
+        let soft = assignment_model(&[job], &[1, 1], Some(100.0));
+        assert_eq!(soft.bounds(Var::from_index(1)), (0.0, 1.0));
+        assert_eq!(soft.solve().unwrap().values, [1.0, 0.0]);
+    }
+
+    #[test]
+    fn a_job_with_every_region_fixed_makes_the_hard_model_infeasible() {
+        // Eq. 9 is an equality: a job whose arcs are all fixed at zero cannot
+        // be left out of the hard model, so the whole round softens — as it
+        // did when Eq. 11 was a row.
+        let free = numerics(&[0.3, 0.6], &[0.0, 0.2], 0.5);
+        let stuck = numerics(&[0.3, 0.6], &[0.7, 0.9], 0.5);
+        let hard = assignment_model(&[free.clone(), stuck.clone()], &[2, 2], None);
+        assert_eq!((hard.num_vars(), hard.num_constraints()), (4, 2 + 2));
+        let solution = hard.solve().unwrap();
+        assert_eq!(solution.status, waterwise_milp::SolveStatus::Infeasible);
+        assert_eq!(solution.nodes_explored, 1);
+        let soft = assignment_model(&[free, stuck], &[2, 2], Some(10.0))
+            .solve()
+            .unwrap();
+        assert_eq!(soft.values, [1.0, 0.0, 1.0, 0.0]);
     }
 
     #[test]
@@ -1029,5 +1085,167 @@ mod tests {
         }
         let ctx = ctx_from(&fixture, 1.0, 0.5);
         assert!(scheduler().schedule(&ctx).assignments.is_empty());
+    }
+
+    /// The round's MILP as the paper writes it — Eq. 11/13 as one weighted
+    /// row per job, Eq. 12's penalty as a variable `P[m]` per job after the
+    /// `x` block. The oracle [`assignment_model`] is held to; lives only here.
+    fn paper_literal_model(
+        numerics: &[JobNumerics],
+        capacities: &[usize],
+        soft_penalty: Option<f64>,
+    ) -> Model {
+        let n_regions = capacities.len();
+        let x = |m: usize, n: usize| Var::from_index(m * n_regions + n);
+        let penalty = |m: usize| Var::from_index(numerics.len() * n_regions + m);
+        let mut model = Model::new("paper-literal");
+        for _ in 0..numerics.len() * n_regions {
+            model.add_binary("");
+        }
+        let mut objective = LinExpr::zero();
+        for (m, numbers) in numerics.iter().enumerate() {
+            for (n, &coeff) in numbers.coeffs.iter().enumerate() {
+                objective.add_term(x(m, n), coeff);
+            }
+        }
+        if let Some(sigma) = soft_penalty {
+            for m in 0..numerics.len() {
+                model.add_non_negative("");
+                objective.add_term(penalty(m), sigma);
+            }
+        }
+        model.minimize(objective);
+        for (m, numbers) in numerics.iter().enumerate() {
+            let assign = LinExpr::sum((0..n_regions).map(|n| LinExpr::from(x(m, n))));
+            model.add_constraint("", assign, Sense::Equal, 1.0);
+            let mut delay = LinExpr::zero();
+            for (n, &ratio) in numbers.latency_ratio.iter().enumerate() {
+                delay.add_term(x(m, n), ratio);
+            }
+            if soft_penalty.is_some() {
+                delay.add_term(penalty(m), -1.0);
+            }
+            model.add_constraint("", delay, Sense::LessEqual, numbers.remaining_tolerance);
+        }
+        for (n, &capacity) in capacities.iter().enumerate() {
+            let load = LinExpr::sum((0..numerics.len()).map(|m| LinExpr::from(x(m, n))));
+            model.add_constraint("", load, Sense::LessEqual, capacity as f64);
+        }
+        model
+    }
+
+    use proptest::prelude::*;
+
+    /// Batch size up to which the paper-literal MILP is solved to proven
+    /// optimality in the property test below.
+    const ORACLE_JOBS: usize = 12;
+
+    /// A random batch in the shape `prepare_numerics` hands the model, and
+    /// its regions' capacities (`fill` × the batch size, split by `shares`).
+    fn random_round(
+        n_jobs: usize,
+        n_regions: usize,
+        (loose, homes, fill): (bool, bool, f64),
+        draws: &[(f64, f64, f64)],
+        shares: &[f64],
+    ) -> (Vec<JobNumerics>, Vec<usize>) {
+        let batch = (0..n_jobs)
+            .map(|m| {
+                let row = &draws[m * 8..m * 8 + n_regions];
+                let mut latency_ratio: Vec<f64> = row.iter().map(|d| d.1).collect();
+                if homes {
+                    latency_ratio[m * 5 % n_regions] = 0.0;
+                }
+                let coeffs: Vec<f64> = row.iter().map(|d| d.0).collect();
+                numerics(&coeffs, &latency_ratio, if loose { 0.5 } else { row[0].2 })
+            })
+            .collect();
+        let share_sum: f64 = shares[..n_regions].iter().sum();
+        let capacities = shares[..n_regions]
+            .iter()
+            .map(|s| (fill * n_jobs as f64 * s / share_sum).round() as usize)
+            .collect();
+        (batch, capacities)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Arc bounds + folded penalty == weighted rows + penalty variables,
+        /// and the former never branches.
+        #[test]
+        fn transportation_form_matches_the_paper_literal_milp_at_the_root(
+            shape in (1usize..61, 1usize..9),
+            // Tolerance 0.5 for every job, or per job and mostly tight.
+            loose in 0usize..2,
+            // Whether every job has a zero-latency home region.
+            homes in 0usize..2,
+            // Total capacity as a fraction of the batch: < 1 cannot place
+            // every job (Eq. 9 fails in both forms), ≈ 1 binds, > 1 is slack.
+            fill in 0.8f64..2.2,
+            draws in prop::collection::vec((0.05f64..1.0, 0.0f64..0.7, 0.0f64..0.3), 60 * 8),
+            shares in prop::collection::vec(0.2f64..1.0, 8),
+        ) {
+            use waterwise_milp::SolveStatus::{Infeasible, Optimal};
+            let (n_jobs, n_regions) = shape;
+            let regime = (loose == 1, homes == 1, fill);
+            let simplex = SimplexConfig::default();
+            // No dual restarts for the oracle: an open node then holds two
+            // bound vectors, not a tableau.
+            let to_optimality = BranchBoundConfig {
+                max_nodes: 20_000,
+                use_dual_restart: false,
+                ..BranchBoundConfig::default()
+            };
+            for soft_penalty in [None, Some(10.0)] {
+                // Integral at the root at every size ...
+                let (batch, capacities) = random_round(n_jobs, n_regions, regime, &draws, &shares);
+                let model = assignment_model(&batch, &capacities, soft_penalty);
+                prop_assert_eq!(model.num_vars(), n_jobs * n_regions);
+                prop_assert_eq!(model.num_constraints(), n_jobs + n_regions);
+                let solution = model.solve().unwrap();
+                prop_assert_eq!(solution.nodes_explored, 1);
+                prop_assert!(matches!(solution.status, Optimal | Infeasible));
+
+                // ... and equal to the literal MILP wherever branch-and-bound
+                // can finish that one: its relaxation is weak enough that
+                // 20 000 nodes do not settle 31 jobs × 5 regions under binding
+                // capacity, so the oracle sees the first ORACLE_JOBS jobs.
+                let n_jobs = n_jobs.min(ORACLE_JOBS);
+                let (batch, capacities) = random_round(n_jobs, n_regions, regime, &draws, &shares);
+                let ours = assignment_model(&batch, &capacities, soft_penalty).solve().unwrap();
+                prop_assert_eq!(ours.nodes_explored, 1);
+                let literal = paper_literal_model(&batch, &capacities, soft_penalty);
+                let theirs = literal.solve_with(&simplex, &to_optimality).unwrap();
+                prop_assert!(
+                    matches!(theirs.status, Optimal | Infeasible),
+                    "the oracle ran out of nodes: {:?}", theirs.status
+                );
+                prop_assert_eq!(ours.status, theirs.status);
+                if theirs.status == Infeasible {
+                    continue;
+                }
+                prop_assert!(
+                    (ours.objective - theirs.objective).abs() < 1e-7,
+                    "objective {} vs the literal model's {}", ours.objective, theirs.objective
+                );
+                // Our assignment, with each `P[m]` at the violation it incurs,
+                // is a feasible point of the literal model at the same cost.
+                let mut point = ours.values.clone();
+                let mut cost = 0.0;
+                for (m, numbers) in batch.iter().enumerate() {
+                    let chosen = (0..n_regions)
+                        .find(|&n| ours.values[m * n_regions + n] == 1.0)
+                        .expect("an integral assignment row");
+                    cost += numbers.coeffs[chosen];
+                    if let Some(sigma) = soft_penalty {
+                        point.push(numbers.violation(chosen));
+                        cost += sigma * numbers.violation(chosen);
+                    }
+                }
+                prop_assert!(literal.is_feasible(&point, 1e-9));
+                prop_assert!((cost - theirs.objective).abs() < 1e-7);
+            }
+        }
     }
 }

@@ -73,15 +73,16 @@ fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// The median `campaign_borg` round: 13 pending jobs, five regions.
 const JOBS: usize = 13;
 
-/// Allocation requests one such round may make: the 11 per job the CI ledger
-/// gate holds `campaign_borg` to. Measured, the round makes 123 — 3 per job
-/// in `prepare_numerics`, 2 for a job's assignment row and its delay row,
-/// ~25 per solve that do not grow with the batch, the rest the five capacity
-/// rows, the hint, the decision and the carried-region map. With the
-/// `assign_{job}` / `cap_{region}` row names the cache key used to need it
-/// made 146; the builder before that (a `String` per variable and row, a
-/// `BTreeMap` node per term, every row copied again for the solver) 456.
-const BUDGET: u64 = 11 * JOBS as u64;
+/// Allocation requests one such round may make: the 10 per job the CI ledger
+/// gate holds `campaign_borg` to. Measured, the round makes 110 — 3 per job
+/// in `prepare_numerics`, 1 for a job's assignment row, ~25 per solve that do
+/// not grow with the batch, the rest the five capacity rows, the hint, the
+/// decision and the carried-region map. With a delay row per job (Eq. 11
+/// before it became arc bounds) it made 123; with the `assign_{job}` /
+/// `cap_{region}` row names the cache key used to need, 146; the builder
+/// before that (a `String` per variable and row, a `BTreeMap` node per term,
+/// every row copied again for the solver) 456.
+const BUDGET: u64 = 10 * JOBS as u64;
 
 #[test]
 fn one_scheduling_round_stays_within_its_allocation_budget() {

@@ -549,13 +549,13 @@ mod tests {
     #[test]
     fn the_default_configuration_hash_is_pinned() {
         // Snapshots on disk carry this word: a reordered field list or a new
-        // `KERNEL_REVISION` (3: the bounded-variable kernel) moves it, and
-        // every existing snapshot then fails `ConfigMismatch` — on purpose,
-        // acknowledged here.
-        assert_eq!(KERNEL_REVISION, 3);
+        // `KERNEL_REVISION` (4: the scheduler's transportation-form models)
+        // moves it, and every existing snapshot then fails `ConfigMismatch`
+        // — on purpose, acknowledged here.
+        assert_eq!(KERNEL_REVISION, 4);
         assert_eq!(
             solver_config_hash(&SimplexConfig::default(), &BranchBoundConfig::default()),
-            0x104d_a594_b47f_e320
+            0x104d_ac94_b47f_ef05
         );
     }
 

@@ -64,8 +64,9 @@ use serde::{Deserialize, Serialize};
 /// which of several tied vertices is returned), or a change to what the
 /// scheduler's models hash to, after which every old entry would occupy
 /// capacity and never hit (revision 3: variables and delay rows lost their
-/// names).
-pub(crate) const KERNEL_REVISION: u8 = 3;
+/// names; revision 4: the scheduler's models lost the delay rows and penalty
+/// variables themselves).
+pub(crate) const KERNEL_REVISION: u8 = 4;
 
 /// A constraint in "model form" for the LP solver.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -1799,8 +1800,9 @@ mod tests {
 
     #[test]
     fn assignment_tableau_has_one_row_per_constraint() {
-        // 120 jobs x 5 regions, the `campaign_alibaba` round shape: 600
-        // binaries under 120 assignment, 5 capacity and 120 delay rows.
+        // 120 jobs x 5 regions, a `campaign_alibaba` round: 600 binaries
+        // under 120 assignment and 5 capacity rows, plus 120 weighted rows
+        // (the scheduler carried Eq. 11 as such until it became arc bounds).
         let (jobs, regions) = (120usize, 5usize);
         let var = |j: usize, r: usize| j * regions + r;
         let cost = |j: usize, r: usize| 1.0 + ((j * 31 + r * 17) % 23) as f64 / 7.0;

@@ -421,6 +421,8 @@ fn solution_cache_modes_are_byte_identical_across_a_matrix_and_hit() {
         SolutionCacheMode::Shared(shared.clone()),
         SolutionCacheMode::Shared(shared.clone()),
     ];
+    const FIRST_SWEEP_LOOKUPS: usize = 631;
+    const FIRST_SWEEP_REPEATS: usize = 312;
     let mut reference: Option<Vec<_>> = None;
     let mut warmed = waterwise::core::CacheStats::default();
     for (pass, mode) in modes.iter().enumerate() {
@@ -446,7 +448,31 @@ fn solution_cache_modes_are_byte_identical_across_a_matrix_and_hit() {
         if pass == 2 {
             warmed = shared.stats();
             assert_eq!(warmed.evictions, 0, "the sweep must fit the cache");
-            assert_eq!(warmed.lookups(), warmed.misses, "a first sweep only misses");
+            // A tolerance enters the model only through the arcs it fixes
+            // (out-of-tolerance `x[m][n]` get upper bound 0; there is no
+            // per-job tolerance row), so cells with equal λ build bit-identical
+            // models until a tolerance first excludes a region, and a first
+            // shared sweep already meets models a sibling cell published.
+            // Every lookup either replays, or is solved and published, or is
+            // the one hard model proved infeasible (never published).
+            assert_eq!(
+                warmed.exact_hits + warmed.insertions + 1,
+                warmed.lookups(),
+                "a lookup neither replayed, nor published, nor the one infeasible model: {warmed:?}"
+            );
+            // Pinned on the resident count, which does not depend on how the
+            // parallel sweep interleaves: two workers meeting one model at the
+            // same instant both solve and publish it (one entry, one hit fewer).
+            let repeats = warmed.lookups() - 1 - shared.len();
+            assert_eq!(
+                (warmed.lookups(), repeats),
+                (FIRST_SWEEP_LOOKUPS, FIRST_SWEEP_REPEATS),
+                "lookups whose model a sibling cell of equal λ had already met"
+            );
+            assert!(
+                (1..=repeats).contains(&warmed.exact_hits),
+                "a first shared sweep replays some of its repeats: {warmed:?}"
+            );
         }
         if pass == 3 {
             // The re-run meets every model of the first sweep, bit for bit.
@@ -457,7 +483,11 @@ fn solution_cache_modes_are_byte_identical_across_a_matrix_and_hit() {
             // nowhere.
             let rerun = shared.stats().delta_since(&warmed);
             assert_eq!(rerun.lookups(), warmed.lookups());
-            assert_eq!(rerun.exact_hits, warmed.insertions);
+            assert_eq!(
+                rerun.exact_hits,
+                warmed.exact_hits + warmed.insertions,
+                "the re-run replays every published model, each time it is met"
+            );
             assert_eq!(rerun.insertions, 0);
             assert_eq!(rerun.misses, 1, "tolerance 0.25, λ 0.7 has one such round");
             for outcome in matrix.iter().flatten() {
@@ -468,6 +498,27 @@ fn solution_cache_modes_are_byte_identical_across_a_matrix_and_hit() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn every_round_of_the_tight_tolerance_campaign_is_root_integral() {
+    // The ledger's `campaign_tight` (Borg, 2 days, tolerance 0.10, seed 42):
+    // with Eq. 11 written as one weighted row per job this trace explored
+    // 37 022 nodes in its 2 789 rounds and hit the 10 000-node cap in three.
+    // As arc bounds the model is a transportation problem, so each solve —
+    // hard, or hard then soft — ends at the root of branch-and-bound.
+    let config = CampaignConfig::paper_default(2.0, 0.10, 42);
+    let max_nodes = config.waterwise.branch_bound.max_nodes;
+    let outcome = Campaign::new(config).run(SchedulerKind::WaterWise).unwrap();
+    let total = outcome.summary.solver;
+    assert!(total.solves > 2_000, "{total:?}");
+    assert_eq!(total.nodes, total.solves, "a solve branched: {total:?}");
+    assert_eq!(total.dual_restarts, 0, "{total:?}");
+    for (round, sample) in outcome.report.overhead.iter().enumerate() {
+        let solver = sample.solver.expect("WaterWise reports solver activity");
+        assert_eq!(solver.nodes, solver.solves, "round {round}: {solver:?}");
+        assert!(solver.nodes < max_nodes, "round {round} hit the node cap");
     }
 }
 
