@@ -688,11 +688,14 @@ pub fn fig13_overhead(scale: ExperimentScale) -> Vec<Table> {
 // overhead study; not a figure of the paper)
 // ---------------------------------------------------------------------------
 
-/// Fig. 14: cold versus warm-started rolling-horizon solving on the Fig. 5
-/// workload, across sliding-window (horizon) lengths. Reports simplex pivots
-/// per solve — total and on the steady-state slots (the last three quarters
-/// of the campaign's rounds) — warm-start coverage, decision latency, and
-/// the steady-state pivot speedup of warm over cold.
+/// Fig. 14: cold versus hinted rolling-horizon solving on the Fig. 5
+/// workload, across sliding-window (horizon) lengths. Reports how many rounds
+/// reached the solver at all (a hinted round whose assignment is certified
+/// builds no model: on an unpressured trace that is nearly every one, and the
+/// cold row's `solved` equals its `rounds`), simplex pivots per solve — total
+/// and on the steady-state slots (the last three quarters of the solved
+/// rounds) — warm-start coverage, decision latency, and the campaign's
+/// total pivots cold over hinted.
 ///
 /// The workload comes from `scenarios/fig14.spec`; the sweep overrides the
 /// scenario's warm-start flag and horizon per cell.
@@ -703,17 +706,16 @@ pub fn fig14_warmstart(scenario: &Scenario) -> Vec<Table> {
             "horizon",
             "mode",
             "rounds",
+            "solved",
             "pivots/solve",
             "steady pivots/solve",
             "warm solve %",
             "mean decision (ms)",
-            "steady pivot speedup",
+            "pivot cut",
         ],
     );
     for horizon in [Some(16), Some(32), Some(64), None] {
-        // NaN until the cold run actually reports steady-state pivots, so a
-        // skipped or empty cold row can never yield a bogus speedup.
-        let mut cold_steady_pivots = f64::NAN;
+        let mut cold_pivots = 0usize;
         for warm in [false, true] {
             let mut config = scenario.config.clone();
             config.waterwise.warm_start = warm;
@@ -721,15 +723,14 @@ pub fn fig14_warmstart(scenario: &Scenario) -> Vec<Table> {
             let outcome = Campaign::new(config)
                 .run(SchedulerKind::WaterWise)
                 .expect("campaign must run");
+            let rounds = outcome.report.overhead.len();
+            // Rounds that became a MILP; a warm row can have none.
             let samples: Vec<_> = outcome
                 .report
                 .overhead
                 .iter()
                 .filter(|s| s.solver.is_some_and(|a| a.solves > 0))
                 .collect();
-            if samples.is_empty() {
-                continue;
-            }
             let activity_over = |range: &[&waterwise_cluster::OverheadSample]| {
                 let mut total = waterwise_cluster::SolverActivity::default();
                 for s in range {
@@ -743,17 +744,21 @@ pub fn fig14_warmstart(scenario: &Scenario) -> Vec<Table> {
             // Steady state: skip the warm-up quarter of the rounds.
             let steady = activity_over(&samples[samples.len() / 4..]);
             let steady_pivots = steady.pivots_per_solve();
-            if !warm {
-                cold_steady_pivots = steady_pivots;
-            }
-            let speedup = if warm && steady_pivots > 0.0 && cold_steady_pivots.is_finite() {
-                format!("{:.2}x", cold_steady_pivots / steady_pivots)
-            } else {
-                "-".to_string()
+            // Whole-campaign pivots, cold over hinted: per-solve ratios would
+            // set every cold round against the few hard ones the warm run
+            // still solves.
+            let speedup = match (warm, total.simplex_pivots) {
+                (false, pivots) => {
+                    cold_pivots = pivots;
+                    "-".to_string()
+                }
+                (true, 0) => "no solve".to_string(),
+                (true, pivots) => format!("{:.1}x", cold_pivots as f64 / pivots as f64),
             };
             table.row(&[
                 horizon.map_or("capacity".to_string(), |h| h.to_string()),
                 if warm { "warm" } else { "cold" }.to_string(),
+                rounds.to_string(),
                 samples.len().to_string(),
                 fmt2(total.pivots_per_solve()),
                 fmt2(steady_pivots),
@@ -772,15 +777,19 @@ pub fn fig14_warmstart(scenario: &Scenario) -> Vec<Table> {
 // ---------------------------------------------------------------------------
 
 /// Fig. 15: what the MILP solution cache does on a tolerance × weight
-/// campaign matrix (the Fig. 5 / Fig. 8 sweep axes). Within one campaign no
-/// two models are bit-identical, so a cache per cell costs the same solves
-/// and pivots as none. Across cells they can be: a tolerance reaches the
-/// model only through the arcs it fixes, so cells of equal λ build the same
-/// model until a tolerance first excludes a region, and a sweep sharing one
-/// cache replays what a sibling cell published (lookups = solves + hits; a
-/// parallel sweep turns a hit into a second solve when two cells meet a
-/// model at the same instant). Running the sweep again against the warmed
-/// shared handle replays every model still resident and solves nothing.
+/// campaign matrix (the Fig. 5 / Fig. 8 sweep axes). The cache sees the
+/// rounds that become a model: with carried hints that is only those whose
+/// hint is not certified (none below ~0.5 d of this trace, a few percent
+/// above), without hints every round — hence the two cold rows. Within one
+/// campaign no two models are bit-identical, so a cache per cell costs the
+/// same solves and pivots as none. Across cells they can be: a tolerance
+/// reaches the model only through the arcs it fixes, so cells of equal λ
+/// build the same model until a tolerance first excludes a region, and a
+/// sweep sharing one cache replays what a sibling cell published (lookups =
+/// solves + hits; a parallel sweep turns a hit into a second solve when two
+/// cells meet a model at the same instant). Running the sweep again against
+/// the warmed shared handle replays every model still resident and solves
+/// nothing.
 /// Each row's schedules are asserted byte-identical to the cache-off row
 /// with the same scheduler hints (warm == cold is not a cache property and
 /// is not asserted here).
@@ -1457,13 +1466,27 @@ impl Fig19Run {
     }
 }
 
+/// Servers per region of the Fig. 19 sweeps, whatever the scenario says.
+/// Only a round whose hinted assignment is not certified becomes a model and
+/// reaches the solution cache, and at the scenario's own 280 servers every
+/// round is certified: there would be no snapshot to persist. At 40 (the
+/// demo campaigns' size) some rounds bind without the cluster overloading —
+/// further down hard models are proved infeasible, which is never published,
+/// and the resumed sweep would re-prove half its lookups.
+const FIG19_SERVERS_PER_REGION: usize = 40;
+
 /// One Fig. 19 sweep against the snapshot at `cache_path`: build the
 /// campaign with [`Campaign::try_new`] (warm-loading the snapshot if it
-/// exists), run WaterWise once, persist the cache back, and report the
-/// sweep's digest, cache traffic, and latency.
+/// exists) on [`FIG19_SERVERS_PER_REGION`] servers, run WaterWise once,
+/// persist the cache back, and report the sweep's digest, cache traffic,
+/// and latency.
 fn fig19_sweep(scenario: &Scenario, cache_path: &Path, label: &str) -> Fig19Run {
     use std::time::Instant;
-    let config = scenario.config.clone().with_cache_path(cache_path);
+    let config = scenario
+        .config
+        .clone()
+        .with_servers_per_region(FIG19_SERVERS_PER_REGION)
+        .with_cache_path(cache_path);
     let campaign = Campaign::try_new(config).expect("fig19 campaign must build");
     let cache = campaign
         .solution_cache()
@@ -1511,7 +1534,8 @@ pub fn fig19_resumed(scenario: &Scenario, cache_path: &Path) -> Fig19Run {
     let run = fig19_sweep(scenario, cache_path, "resumed");
     assert!(
         run.cache_entries > 0,
-        "the resumed sweep loaded an empty snapshot"
+        "the resumed sweep loaded an empty snapshot: no round of the cold sweep reached \
+         the solver (certified rounds publish nothing; the workload must bind capacity)"
     );
     run
 }
@@ -1527,7 +1551,8 @@ pub fn fig19_tables(cold: &Fig19Run, resumed: &Fig19Run) -> Vec<Table> {
     assert_eq!(cold.jobs, resumed.jobs, "sweeps scheduled different jobs");
     assert!(
         resumed.exact_hit_rate() >= 0.9,
-        "resumed sweep exact-hit rate {:.1}% is below the 90% floor ({} / {} lookups)",
+        "resumed sweep exact-hit rate {:.1}% is below the 90% floor ({} / {} lookups; \
+         lookups are the rounds whose hint was not certified)",
         resumed.exact_hit_rate() * 100.0,
         resumed.exact_hits,
         resumed.lookups,
@@ -1668,22 +1693,34 @@ mod tests {
                 count(off, 3),
                 "row {shared}: every lookup is a solve or a replay of a sibling cell's"
             );
-            // FIRST_SWEEP_REPEATS lookups meet a model a sibling cell built
-            // too; a parallel sweep replays all of them unless two workers
-            // reach one at the same instant (then both solve it).
-            assert!(
-                (1..=FIRST_SWEEP_REPEATS).contains(&count(shared, 6)),
-                "row {shared}: {} first-sweep hits",
-                count(shared, 6)
-            );
         }
+        // FIRST_SWEEP_REPEATS lookups meet a model a sibling cell built too;
+        // a parallel sweep replays all of them unless two workers reach one
+        // at the same instant (then both solve it). Pinned on the cold rows:
+        // with carried hints only rounds whose hint is not certified become
+        // a model, and at this scale (280 servers a region, half an hour of
+        // trace) every round is certified — the hinted rows used to solve
+        // and look up each round, now they have nothing to replay.
+        assert!(
+            (1..=FIRST_SWEEP_REPEATS).contains(&count(5, 6)),
+            "row 5: {} first-sweep hits",
+            count(5, 6)
+        );
+        assert_eq!(count(0, 3), 0, "a hinted round was not certified");
+        assert_ne!(count(4, 3), 0, "without hints every round is a solve");
         // The re-run meets a cache holding every model of the sweep (the
         // tiny scale evicts nothing): all lookups replay, nothing is solved.
+        // (With lookups to replay: `solution_cache_modes_are_byte_identical_
+        // across_a_matrix_and_hit`, on 40-server regions that do bind.)
         assert_eq!(table.cell(3, 0), "shared, re-run");
         assert_eq!(table.cell(2, 8), "0", "the tiny sweep must fit the cache");
         assert_eq!(table.cell(3, 3), "0", "a replayed sweep solves nothing");
         assert_eq!(table.cell(3, 6), table.cell(3, 5), "every lookup is a hit");
-        assert_ne!(table.cell(3, 5), "0");
+        assert_eq!(
+            table.cell(3, 5),
+            table.cell(2, 5),
+            "the re-run meets the sweep's models"
+        );
     }
 
     #[test]

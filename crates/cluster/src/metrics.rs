@@ -83,7 +83,8 @@ pub struct OverheadSample {
     /// Number of pending jobs offered in the round.
     pub batch_size: usize,
     /// Solver work spent in this round (`None` for schedulers that do not
-    /// run an optimization solver).
+    /// run an optimization solver; the zero delta for a round such a
+    /// scheduler decided without one).
     pub solver: Option<SolverActivity>,
 }
 

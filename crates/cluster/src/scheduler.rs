@@ -120,7 +120,9 @@ impl SchedulingDecision {
 /// [`Scheduler::solver_activity`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SolverActivity {
-    /// Simplex runs performed (across all branch-and-bound nodes).
+    /// MILP solves: simplex runs performed (across all branch-and-bound
+    /// nodes). A round the scheduler decides without building a model — a
+    /// WaterWise round whose hint is certified — adds nothing here or below.
     pub solves: usize,
     /// Simplex runs that were warm-started (crash basis, phase 1 skipped).
     pub warm_solves: usize,

@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 use waterwise_cluster::PendingJob;
-use waterwise_sustain::{FootprintEstimator, JobResourceUsage, Seconds};
+use waterwise_sustain::{FootprintEstimator, JobResourceUsage, RegionConditions, Seconds};
 use waterwise_telemetry::{ConditionsProvider, Region};
 
 /// The configurable objective weights of Eq. 7 / Eq. 8.
@@ -85,11 +85,21 @@ pub fn candidate_footprints<P: ConditionsProvider + ?Sized>(
     estimator: &FootprintEstimator,
     at: Seconds,
 ) -> Vec<CandidateFootprint> {
+    let conditions = regions.iter().map(|&r| (r, provider.conditions(r, at)));
+    footprints_under(job, conditions, estimator)
+}
+
+/// [`candidate_footprints`] against conditions already looked up — every job
+/// of a scheduling round shares the round's instant, so WaterWise asks the
+/// provider once per region, not once per job × region.
+pub(crate) fn footprints_under(
+    job: &PendingJob,
+    conditions: impl Iterator<Item = (Region, RegionConditions)>,
+    estimator: &FootprintEstimator,
+) -> Vec<CandidateFootprint> {
     let usage = JobResourceUsage::new(job.spec.estimated_energy, job.spec.estimated_execution_time);
-    regions
-        .iter()
-        .map(|&region| {
-            let conditions = provider.conditions(region, at);
+    conditions
+        .map(|(region, conditions)| {
             let breakdown = estimator.estimate(usage, conditions);
             CandidateFootprint {
                 region,

@@ -9,14 +9,14 @@
 //!    manager** keeps only the most urgent `Σ cap(n)` jobs, ranked by the
 //!    urgency score of Eq. 14 (ascending — smaller means closer to a
 //!    violation).
-//! 3. Builds the MILP of Eq. 8–11 (`assignment_model`) and solves it with the
-//!    pure-Rust solver in `waterwise-milp`.
+//! 3. Decides Eq. 8–11: the hinted assignment where `certified` shows the
+//!    solver would return it, else the MILP (`assignment_model`) it solves.
 //! 4. If the hard-constrained model is infeasible, re-solves with **soft
 //!    constraints** (Eq. 12–13): overshooting a job's delay tolerance costs
 //!    `σ` per unit in the objective instead of being forbidden.
 
 use crate::experiment::{run_indexed, Parallelism};
-use crate::objective::{candidate_footprints, Normalizer, ObjectiveWeights};
+use crate::objective::{footprints_under, Normalizer, ObjectiveWeights};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -58,10 +58,10 @@ pub struct WaterWiseConfig {
     pub simplex: SimplexConfig,
     /// Branch-and-bound configuration forwarded to the solver.
     pub branch_bound: BranchBoundConfig,
-    /// Warm-start each slot's MILP from the carried-forward previous
-    /// assignment plus a greedy completion (rolling-horizon mode). The
-    /// schedule produced is identical to cold solving; only the solver work
-    /// differs (see `SolveStats::warm`).
+    /// Hint each slot with the carried-forward previous assignment plus a
+    /// greedy completion: certified rounds return it, the rest warm-start the
+    /// MILP from it. Off, every round solves cold — the same schedule, more
+    /// solver work (see `SolveStats::{certified_rounds, warm}`).
     pub warm_start: bool,
     /// Optional sliding-window cap on how many jobs enter one MILP. `None`
     /// bounds the window by the remaining cluster capacity only (the paper's
@@ -137,10 +137,14 @@ impl WaterWiseConfig {
 /// overhead experiment, Fig. 13).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SolveStats {
-    /// Rounds in which the MILP was solved.
+    /// Rounds in which the assignment problem of Eq. 8–11 was decided.
     pub rounds: usize,
     /// Rounds that required the soft-constrained fallback.
     pub soft_fallbacks: usize,
+    /// Rounds decided without a model: the hinted assignment passed the
+    /// optimality certificate, so neither solver nor solution cache saw them.
+    /// `rounds - certified_rounds` is what reached `Model::solve_warm`.
+    pub certified_rounds: usize,
     /// Rounds in which the slack manager had to drop jobs.
     pub slack_truncations: usize,
     /// Total simplex iterations across all solves.
@@ -200,6 +204,13 @@ impl JobNumerics {
             self.latency_ratio[n] - self.remaining_tolerance
         }
     }
+
+    /// The cost of `x[m][n]`: Eq. 8's coefficient, plus Eq. 12's `σ·P[m]`
+    /// folded in when soft. The one expression model and certificate share.
+    fn cost(&self, n: usize, soft_penalty: Option<f64>) -> f64 {
+        let coeff = self.coeffs[n];
+        soft_penalty.map_or(coeff, |sigma| coeff + sigma * self.violation(n))
+    }
 }
 
 /// The round's MILP over binaries `x[m][n]` (index `m * n_regions + n`):
@@ -224,13 +235,10 @@ fn assignment_model(
     model.reserve(n_x, numerics.len() + n_regions);
     let mut objective = LinExpr::with_capacity(n_x);
     for (m, numbers) in numerics.iter().enumerate() {
-        for (n, &coeff) in numbers.coeffs.iter().enumerate() {
-            let (upper, cost) = match soft_penalty {
-                Some(sigma) => (1.0, coeff + sigma * numbers.violation(n)),
-                None => (if numbers.admits(n) { 1.0 } else { 0.0 }, coeff),
-            };
-            model.add_var("", VarKind::Binary, 0.0, upper);
-            objective.add_term(x(m, n), cost);
+        for n in 0..n_regions {
+            let free = soft_penalty.is_some() || numbers.admits(n);
+            model.add_var("", VarKind::Binary, 0.0, if free { 1.0 } else { 0.0 });
+            objective.add_term(x(m, n), numbers.cost(n, soft_penalty));
         }
     }
     model.minimize(objective);
@@ -251,6 +259,43 @@ fn assignment_model(
         model.add_constraint("", expr, Sense::LessEqual, capacity as f64);
     }
     model
+}
+
+/// Whether solving [`assignment_model`] from the hint `chosen[m]` = job `m`'s
+/// region would return that hint — decided in O(J·R) without the model. The
+/// hint's crash basis is {`x[m][chosen[m]]` in job row `m`, the slack in each
+/// capacity row}, with duals `u_m = cost(m, chosen[m])`, `v_n = 0`: phase 2
+/// first prices `x[m][n]` at `cost(m, n) − cost(m, chosen[m])` against `−tol`,
+/// as here, and no column below it means no pivot. A fixed arc (hard model,
+/// `!admits(n)`) below it only flips at ratio 0 while region `n` keeps a free
+/// slot. A capacity that needs a price or a non-finite cost goes to the
+/// solver: `v_n ≠ 0` proves optimality, not *which* tied vertex it returns.
+fn certified(
+    numerics: &[JobNumerics],
+    capacities: &[usize],
+    soft_penalty: Option<f64>,
+    chosen: &[usize],
+    tol: f64,
+) -> bool {
+    let mut free = capacities.to_vec();
+    chosen.iter().for_each(|&n| free[n] -= 1);
+    numerics.iter().zip(chosen).all(|(numbers, &hinted)| {
+        let at_hint = numbers.cost(hinted, soft_penalty);
+        (0..capacities.len()).all(|n| {
+            let cost = numbers.cost(n, soft_penalty);
+            let flips = soft_penalty.is_none() && !numbers.admits(n) && free[n] >= 1;
+            cost.is_finite() && (cost - at_hint >= -tol || flips)
+        })
+    })
+}
+
+/// The assignment `chosen` as the 0/1 point of [`assignment_model`]'s layout.
+fn one_hot(chosen: &[usize], n_regions: usize) -> Vec<f64> {
+    let mut dense = vec![0.0; chosen.len() * n_regions];
+    for (m, &n) in chosen.iter().enumerate() {
+        dense[m * n_regions + n] = 1.0;
+    }
+    dense
 }
 
 /// The WaterWise scheduler.
@@ -384,10 +429,13 @@ impl WaterWiseScheduler {
         let estimator = &self.estimator;
         let weights = &self.config.weights;
         let workers = self.config.parallelism.worker_count(jobs.len());
+        // Every job of the round is estimated at `ctx.now`: one lookup per region.
+        let lookup = |&region: &Region| (region, provider.conditions(region, ctx.now));
+        let conditions: Vec<_> = regions.iter().map(lookup).collect();
         run_indexed(jobs.len(), workers, |m| {
             let job = jobs[m];
             // Candidate footprints and the per-job normalizer (Eq. 7).
-            let candidates = candidate_footprints(job, regions, provider, estimator, ctx.now);
+            let candidates = footprints_under(job, conditions.iter().copied(), estimator);
             let normalizer = Normalizer::from_candidates(&candidates);
             let exec = job.spec.estimated_execution_time.value().max(1.0);
             let waited = job.waiting_time(ctx.now).value();
@@ -415,10 +463,10 @@ impl WaterWiseScheduler {
         })
     }
 
-    /// Build and solve the round's MILP ([`assignment_model`]) for the
-    /// selected jobs; `soft_penalty` selects the relaxation of Eq. 12/13.
-    /// The solution is read back by position — which is what lets the
-    /// solution cache replay a bit-identical batch under other job ids.
+    /// Decide the selected jobs' assignment (`soft_penalty` selects Eq. 12/13's
+    /// relaxation): capacities → hint → [`certified`] → only if not,
+    /// [`assignment_model`] → `solve_warm` → one read-back by position, which
+    /// lets the solution cache replay a bit-identical batch under other job ids.
     fn solve_assignment(
         &mut self,
         jobs: &[&PendingJob],
@@ -428,28 +476,41 @@ impl WaterWiseScheduler {
     ) -> Option<Vec<Assignment>> {
         let n_regions = ctx.regions.len();
         let capacities: Vec<usize> = ctx.regions.iter().map(|v| v.remaining_capacity()).collect();
-        let model = assignment_model(numerics, &capacities, soft_penalty);
-        let hint = self.build_hint(jobs, ctx, numerics, capacities, soft_penalty.is_some());
-        let solution = model
-            .solve_warm(
-                &self.config.simplex,
-                &self.config.branch_bound,
-                hint.as_deref(),
-                &mut self.workspace,
-            )
-            .ok()?;
-        self.stats.simplex_iterations += solution.simplex_iterations;
-        self.stats.nodes += solution.nodes_explored;
-        self.stats.warm = self.workspace.stats();
-        self.stats.cache = self.workspace.cache_stats();
-        if !solution.status.has_solution() {
-            return None;
-        }
+        let hint = self.build_hint(jobs, ctx, numerics, &capacities, soft_penalty.is_some());
+        let tol = self.config.simplex.tolerance;
+        let chosen: Vec<Option<usize>> = match hint {
+            Some(chosen) if certified(numerics, &capacities, soft_penalty, &chosen, tol) => {
+                // A soft round built the hard model first: it is not counted.
+                self.stats.certified_rounds += usize::from(soft_penalty.is_none());
+                chosen.into_iter().map(Some).collect()
+            }
+            hint => {
+                let model = assignment_model(numerics, &capacities, soft_penalty);
+                let hint = hint.map(|chosen| one_hot(&chosen, n_regions));
+                let solution = model
+                    .solve_warm(
+                        &self.config.simplex,
+                        &self.config.branch_bound,
+                        hint.as_deref(),
+                        &mut self.workspace,
+                    )
+                    .ok()?;
+                self.stats.simplex_iterations += solution.simplex_iterations;
+                self.stats.nodes += solution.nodes_explored;
+                self.stats.warm = self.workspace.stats();
+                self.stats.cache = self.workspace.cache_stats();
+                if !solution.status.has_solution() {
+                    return None;
+                }
+                let x = |m: usize, n: usize| Var::from_index(m * n_regions + n);
+                (0..jobs.len())
+                    .map(|m| (0..n_regions).find(|&n| solution.is_one(x(m, n))))
+                    .collect()
+            }
+        };
         let mut assignments = Vec::with_capacity(jobs.len());
-        for (m, job) in jobs.iter().enumerate() {
-            let chosen =
-                (0..n_regions).find(|&n| solution.is_one(Var::from_index(m * n_regions + n)));
-            if let Some(n) = chosen {
+        for (job, n) in jobs.iter().zip(chosen) {
+            if let Some(n) = n {
                 // Carried forward as the next slot's warm-start hint should
                 // the job remain pending (e.g. the engine rejects the
                 // placement); pruned at the end of `schedule` once the job
@@ -465,25 +526,24 @@ impl WaterWiseScheduler {
         Some(assignments)
     }
 
-    /// Build the warm-start hint for the current model (variable layout as in
-    /// [`assignment_model`]): the previous slot's region choice where one is
-    /// carried and still feasible, completed greedily (cheapest feasible
-    /// region per job under `capacity_left`). Returns `None` when no complete
-    /// feasible candidate exists or warm starting is off — the solve then
-    /// starts cold.
+    /// The hinted assignment, one region index per job: the previous slot's
+    /// choice where carried and still feasible, else the cheapest feasible
+    /// region under the capacity left. `None` when no complete feasible
+    /// candidate exists or warm starting is off: the round then solves cold.
     fn build_hint(
         &self,
         jobs: &[&PendingJob],
         ctx: &SchedulingContext<'_>,
         numerics: &[JobNumerics],
-        mut capacity_left: Vec<usize>,
+        capacities: &[usize],
         soften: bool,
-    ) -> Option<Vec<f64>> {
+    ) -> Option<Vec<usize>> {
         if !self.config.warm_start {
             return None;
         }
         let n_regions = ctx.regions.len();
-        let mut hint = vec![0.0; jobs.len() * n_regions];
+        let mut capacity_left = capacities.to_vec();
+        let mut hint = Vec::with_capacity(jobs.len());
         for (m, job) in jobs.iter().enumerate() {
             let numbers = &numerics[m];
             let feasible = |n: usize, capacity_left: &[usize]| {
@@ -505,7 +565,7 @@ impl WaterWiseScheduler {
                     })
             })?;
             capacity_left[chosen] -= 1;
-            hint[m * n_regions + chosen] = 1.0;
+            hint.push(chosen);
         }
         Some(hint)
     }
@@ -656,6 +716,22 @@ mod tests {
         }
     }
 
+    /// `n` jobs received at hour 6 over regions of `servers` slots each. With
+    /// few enough slots the cheapest region cannot take every job that wants
+    /// it, so a capacity row needs a price: the hint is not certified and the
+    /// round reaches the MILP (and the cache) — what the solver-side tests
+    /// below need now that an unpressured round builds no model.
+    fn capacity_bound_fixture(n: usize, seed: u64, servers: usize) -> ContextFixture {
+        let mut fixture = context_fixture(n, seed);
+        for p in &mut fixture.pending {
+            p.received_at = Seconds::from_hours(6.0);
+        }
+        for v in &mut fixture.regions {
+            v.total_servers = servers;
+        }
+        fixture
+    }
+
     #[test]
     fn assigns_every_job_when_capacity_allows() {
         let mut fixture = context_fixture(12, 3);
@@ -741,6 +817,12 @@ mod tests {
         // The soft model still assigns the jobs (at a penalty).
         assert_eq!(decision.assignments.len(), 6);
         assert!(sched.stats().soft_fallbacks >= 1);
+        // No job has a feasible region, so the hard round has no hint: it is
+        // not certified, solves cold and is proved infeasible. The soft hint
+        // is certified, but the round already reached the solver once.
+        assert_eq!(sched.stats().certified_rounds, 0);
+        let activity = sched.solver_activity().unwrap();
+        assert_eq!((activity.solves, activity.warm_solves), (1, 0));
         assert!(decision
             .assignments
             .iter()
@@ -838,11 +920,10 @@ mod tests {
     #[test]
     fn warm_start_produces_identical_decisions_to_cold() {
         // Several rounds over the same fixture with evolving time: warm and
-        // cold schedulers must agree on every single placement.
-        let mut fixture = context_fixture(18, 21);
-        for p in &mut fixture.pending {
-            p.received_at = Seconds::from_hours(6.0);
-        }
+        // cold schedulers must agree on every single placement. 20 slots for
+        // 18 jobs: with 50-server regions every warm round is certified and
+        // the warm side of this comparison would never solve.
+        let fixture = capacity_bound_fixture(18, 21, 4);
         let provider: Arc<dyn ConditionsProvider> = Arc::new(SyntheticTelemetry::with_seed(3));
         let mut warm = WaterWiseScheduler::new(
             provider.clone(),
@@ -860,13 +941,21 @@ mod tests {
             let b = cold.schedule(&ctx);
             assert_eq!(a, b, "warm and cold schedules diverged at hour {hour}");
         }
+        assert_eq!(
+            warm.stats().certified_rounds,
+            0,
+            "capacity binds every round"
+        );
+        assert_eq!(cold.stats().certified_rounds, 0, "no hint, no certificate");
         let warm_stats = warm.stats().warm;
         let cold_stats = cold.stats().warm;
         assert!(warm_stats.warm_solves > 0, "warm path never engaged");
         assert_eq!(cold_stats.warm_solves, 0);
+        // The rounds a crash used to halve are the certified ones, which no
+        // longer pivot at all; under binding capacity it still saves phase 1.
         assert!(
-            warm_stats.warm_pivots * 2 <= cold_stats.cold_pivots + cold_stats.warm_pivots,
-            "warm pivots {} should be at most half of cold pivots {}",
+            warm_stats.warm_pivots < cold_stats.cold_pivots + cold_stats.warm_pivots,
+            "warm pivots {} should be fewer than cold pivots {}",
             warm_stats.warm_pivots,
             cold_stats.cold_pivots
         );
@@ -982,10 +1071,8 @@ mod tests {
 
     #[test]
     fn attached_cache_never_changes_decisions_and_reports_traffic() {
-        let mut fixture = context_fixture(14, 29);
-        for p in &mut fixture.pending {
-            p.received_at = Seconds::from_hours(6.0);
-        }
+        // 15 slots for 14 jobs: a certified round never consults the cache.
+        let fixture = capacity_bound_fixture(14, 29, 3);
         let provider: Arc<dyn ConditionsProvider> = Arc::new(SyntheticTelemetry::with_seed(3));
         let mut plain = WaterWiseScheduler::new(
             provider.clone(),
@@ -1017,14 +1104,12 @@ mod tests {
     fn bit_identical_batches_replay_across_job_ids() {
         // Two batches with bit-identical numerics but different job ids are
         // one model to the cache (nothing in it is named): the second is an
-        // exact hit, read back by position onto its own ids.
-        let mut fixture = context_fixture(13, 33);
-        for p in &mut fixture.pending {
-            p.received_at = Seconds::from_hours(6.0);
-        }
-        let mut renumbered = context_fixture(13, 33);
+        // exact hit, read back by position onto its own ids. 15 slots for 13
+        // jobs, so that the batch is a model at all (a certified round is
+        // decided before the cache is asked).
+        let fixture = capacity_bound_fixture(13, 33, 3);
+        let mut renumbered = capacity_bound_fixture(13, 33, 3);
         for p in &mut renumbered.pending {
-            p.received_at = Seconds::from_hours(6.0);
             p.spec.id = JobId(p.spec.id.0 + 1000);
         }
         let mut sched = scheduler().with_cache(waterwise_milp::SolutionCache::shared());
@@ -1048,24 +1133,176 @@ mod tests {
         let cache = sched.stats().cache;
         assert_eq!((cache.misses, cache.exact_hits), (1, 2), "{cache:?}");
         assert_eq!(sched.stats().soft_fallbacks, 0);
+        assert_eq!(sched.stats().certified_rounds, 0);
         assert_eq!(first, again);
     }
 
     #[test]
     fn solver_activity_reports_cumulative_work() {
-        let fixture = context_fixture(10, 25);
-        let ctx = ctx_from(&fixture, 6.0, 0.5);
+        // A certified round is no solver work: the activity stays at zero.
+        let roomy = context_fixture(10, 25);
         let mut sched = scheduler();
         assert_eq!(sched.solver_activity().unwrap(), SolverActivity::default());
+        sched.schedule(&ctx_from(&roomy, 6.0, 0.5));
+        assert_eq!(sched.stats().certified_rounds, 1);
+        assert_eq!(sched.solver_activity().unwrap(), SolverActivity::default());
+        // 10 slots for 10 jobs: the capacity rows bind and the MILP runs.
+        let fixture = capacity_bound_fixture(10, 25, 2);
+        let ctx = ctx_from(&fixture, 6.0, 0.5);
         sched.schedule(&ctx);
+        assert_eq!(sched.stats().certified_rounds, 1);
         let activity = sched.solver_activity().unwrap();
-        assert!(activity.solves > 0);
+        assert_eq!(activity.solves, 1);
         assert!(activity.simplex_pivots > 0);
         assert_eq!(
             activity.simplex_pivots,
             sched.stats().simplex_iterations,
             "workspace pivots and solution iterations must agree"
         );
+    }
+
+    /// What the MILP path answers for a hint: [`assignment_model`] solved
+    /// from it on a fresh workspace, as `solve_assignment` would.
+    fn solved_from(
+        numerics: &[JobNumerics],
+        capacities: &[usize],
+        soft_penalty: Option<f64>,
+        chosen: &[usize],
+    ) -> waterwise_milp::Solution {
+        assignment_model(numerics, capacities, soft_penalty)
+            .solve_warm(
+                &SimplexConfig::default(),
+                &BranchBoundConfig::default(),
+                Some(&one_hot(chosen, capacities.len())),
+                &mut SolverWorkspace::new(),
+            )
+            .unwrap()
+    }
+
+    #[test]
+    fn the_certificate_draws_its_lines_where_the_kernel_does() {
+        let tol = SimplexConfig::default().tolerance;
+        // One job hinted to region 0 at cost 0: region 1's reduced cost is
+        // its cost. Returns the certificate's verdict and the solver's answer.
+        let verdict = |rival_cost: f64, rival_ratio: f64, soft_penalty: Option<f64>| {
+            let job = numerics(&[0.0, rival_cost], &[0.25, rival_ratio], 0.25);
+            let accepted = certified(std::slice::from_ref(&job), &[1, 1], soft_penalty, &[0], tol);
+            (
+                accepted,
+                solved_from(&[job], &[1, 1], soft_penalty, &[0]).values,
+            )
+        };
+        let (stays, moves) = (vec![1.0, 0.0], vec![0.0, 1.0]);
+        // The hinted region sits exactly at the tolerance: admitted. A rival
+        // at `−tol` is not *below* `−tol`, so nothing enters ...
+        assert_eq!(verdict(-tol, 0.0, None), (true, stays.clone()));
+        assert_eq!(verdict(-tol, 0.0, Some(10.0)), (true, stays.clone()));
+        // ... at `−2·tol` it does, and the solver moves the job.
+        assert_eq!(verdict(-2.0 * tol, 0.0, None), (false, moves.clone()));
+        // A cheaper rival exactly at the tolerance is a free arc, not a fixed
+        // one: it is never waved through as a flip.
+        assert_eq!(verdict(-1.0, 0.25, None), (false, moves.clone()));
+        // Past the tolerance it is fixed at zero and, its region having a
+        // free slot, only flips: the hard model keeps the hint, the soft one
+        // (where the arc is free and the penalty tiny) does not.
+        let past = 0.25 + f64::EPSILON;
+        assert_eq!(verdict(-1.0, past, None), (true, stays));
+        assert_eq!(verdict(-1.0, past, Some(10.0)), (false, moves));
+
+        // The same fixed arc into a region the hint filled: the flip ties
+        // with the full region's slack at ratio 0, so the round is solved.
+        let settled = numerics(&[0.5, 0.0], &[0.0, 0.0], 0.25);
+        let tempted = numerics(&[0.0, -1.0], &[0.0, 0.9], 0.25);
+        let batch = [settled, tempted];
+        assert!(!certified(&batch, &[1, 1], None, &[1, 0], tol));
+        assert!(certified(&batch, &[1, 2], None, &[1, 0], tol));
+        assert_eq!(
+            solved_from(&batch, &[1, 2], None, &[1, 0]).values,
+            one_hot(&[1, 0], 2)
+        );
+    }
+
+    #[test]
+    fn a_non_finite_cost_is_never_certified_and_reaches_validate() {
+        let tol = SimplexConfig::default().tolerance;
+        for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for soft_penalty in [None, Some(10.0)] {
+                // At the hinted region, at a free rival, and at a fixed rival
+                // whose region has room (which a finite cost would flip).
+                for (at, ratio) in [(0, 0.0), (1, 0.0), (1, 0.9)] {
+                    let mut job = numerics(&[0.1, 0.2], &[0.0, ratio], 0.5);
+                    job.coeffs[at] = poison;
+                    let batch = [job];
+                    assert!(
+                        !certified(&batch, &[2, 2], soft_penalty, &[0], tol),
+                        "{poison} at region {at} (ratio {ratio}, soft {soft_penalty:?}) certified"
+                    );
+                    let model = assignment_model(&batch, &[2, 2], soft_penalty);
+                    assert!(matches!(
+                        model.validate(),
+                        Err(waterwise_milp::MilpError::NonFiniteCoefficient { .. })
+                    ));
+                }
+            }
+        }
+
+        // End to end: a provider whose reading for one region is NaN. Every
+        // job's cost there is NaN; both models are refused by `validate` as
+        // before (no solve, no placement) instead of the hint being returned.
+        struct Poisoned(SyntheticTelemetry);
+        impl ConditionsProvider for Poisoned {
+            fn conditions(
+                &self,
+                region: Region,
+                at: Seconds,
+            ) -> waterwise_sustain::RegionConditions {
+                let mut conditions = self.0.conditions(region, at);
+                if region == Region::Milan {
+                    conditions.carbon_intensity = waterwise_sustain::CarbonIntensity::new(f64::NAN);
+                }
+                conditions
+            }
+        }
+        let fixture = context_fixture(8, 35);
+        let mut sched =
+            WaterWiseScheduler::with_defaults(Arc::new(Poisoned(SyntheticTelemetry::with_seed(3))));
+        let decision = sched.schedule(&ctx_from(&fixture, 6.0, 0.5));
+        assert!(decision.assignments.is_empty());
+        let stats = sched.stats();
+        assert_eq!(
+            (stats.rounds, stats.certified_rounds, stats.soft_fallbacks),
+            (1, 0, 1)
+        );
+        assert_eq!(sched.solver_activity().unwrap().solves, 0);
+    }
+
+    #[test]
+    fn without_warm_start_no_round_is_certified() {
+        // Roomy regions: the default scheduler certifies every round, the
+        // all-MILP reference solves every one, and they place alike.
+        let fixture = capacity_bound_fixture(16, 37, 50);
+        let provider: Arc<dyn ConditionsProvider> = Arc::new(SyntheticTelemetry::with_seed(3));
+        let mut default = WaterWiseScheduler::with_defaults(provider.clone());
+        let mut reference = WaterWiseScheduler::new(
+            provider,
+            FootprintEstimator::paper_default(),
+            WaterWiseConfig::default().with_warm_start(false),
+        );
+        for hour in [6.0, 6.5, 8.0] {
+            let ctx = ctx_from(&fixture, hour, 0.5);
+            assert_eq!(
+                default.schedule(&ctx),
+                reference.schedule(&ctx),
+                "hour {hour}"
+            );
+        }
+        assert_eq!(default.stats().certified_rounds, 3);
+        assert_eq!(
+            default.solver_activity().unwrap(),
+            SolverActivity::default()
+        );
+        assert_eq!(reference.stats().certified_rounds, 0);
+        assert_eq!(reference.solver_activity().unwrap().solves, 3);
     }
 
     #[test]
@@ -1245,6 +1482,113 @@ mod tests {
                 }
                 prop_assert!(literal.is_feasible(&point, 1e-9));
                 prop_assert!((cost - theirs.objective).abs() < 1e-7);
+            }
+        }
+    }
+
+    /// A hint of the shape `build_hint` makes: job `m`'s carried region
+    /// (`carried[m]`, when it names one) if still feasible, else the cheapest
+    /// feasible region under the capacity left, ties to the lowest index.
+    fn greedy_hint(
+        batch: &[JobNumerics],
+        capacities: &[usize],
+        soften: bool,
+        carried: &[usize],
+    ) -> Option<Vec<usize>> {
+        let mut left = capacities.to_vec();
+        let mut hint = Vec::with_capacity(batch.len());
+        for (numbers, &carried) in batch.iter().zip(carried) {
+            let feasible = |n: usize, left: &[usize]| left[n] > 0 && (soften || numbers.admits(n));
+            let cheapest = || {
+                (0..left.len())
+                    .filter(|&n| feasible(n, &left))
+                    .min_by(|&a, &b| {
+                        numbers.coeffs[a]
+                            .total_cmp(&numbers.coeffs[b])
+                            .then(a.cmp(&b))
+                    })
+            };
+            let chosen = Some(carried)
+                .filter(|&n| n < left.len() && feasible(n, &left))
+                .or_else(cheapest)?;
+            left[chosen] -= 1;
+            hint.push(chosen);
+        }
+        Some(hint)
+    }
+
+    /// Cases of the property below, and how its (case, model) instances fell.
+    const CERTIFICATE_CASES: usize = 256;
+    static ACCEPTED: AtomicUsize = AtomicUsize::new(0);
+    static REJECTED: AtomicUsize = AtomicUsize::new(0);
+    static UNHINTED: AtomicUsize = AtomicUsize::new(0);
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(CERTIFICATE_CASES as u32))]
+
+        /// Certified == solved: whenever the certificate accepts a hint, the
+        /// MILP path started from that hint returns exactly the hint.
+        #[test]
+        fn a_certified_hint_is_what_the_milp_returns(
+            shape in (1usize..61, 1usize..9),
+            loose in 0usize..2,
+            // 0: no zero-latency home region, and a tight hard round has no hint.
+            homes in 0usize..4,
+            fill in 0.8f64..2.2,
+            // 0: `fill` × the batch is the total, split by `shares` (some
+            // region binds); else every region holds that many (rarely binds).
+            roomy in 0usize..3,
+            // 1: costs on a coarse grid (equal-cost regions); 2: that, and
+            // every odd job a copy of the job before it (duplicate jobs).
+            ties in 0usize..3,
+            // A carried region per job (≥ 8 = none), used in a sixth of the cases:
+            // rarely the argmin, and skipped where full or out of tolerance.
+            carry in 0usize..6,
+            carried in prop::collection::vec(0usize..24, 60),
+            draws in prop::collection::vec((0.05f64..1.0, 0.0f64..0.7, 0.0f64..0.3), 60 * 8),
+            shares in prop::collection::vec(0.2f64..1.0, 8),
+        ) {
+            let (n_jobs, n_regions) = shape;
+            let regime = (loose == 1, homes != 0, fill);
+            let (mut batch, mut capacities) =
+                random_round(n_jobs, n_regions, regime, &draws, &shares);
+            if roomy != 0 {
+                capacities.fill((fill * n_jobs as f64).round() as usize);
+            }
+            if ties >= 1 {
+                for coeff in batch.iter_mut().flat_map(|job| job.coeffs.iter_mut()) {
+                    *coeff = (*coeff * 4.0).round() / 4.0;
+                }
+            }
+            if ties == 2 {
+                for m in (1..n_jobs).step_by(2) {
+                    batch[m] = batch[m - 1].clone();
+                }
+            }
+            let carried = if carry == 0 { carried } else { vec![usize::MAX; 60] };
+            let tol = SimplexConfig::default().tolerance;
+            for soft_penalty in [None, Some(10.0)] {
+                let hint = greedy_hint(&batch, &capacities, soft_penalty.is_some(), &carried);
+                let Some(hint) = hint else {
+                    UNHINTED.fetch_add(1, Relaxed);
+                    continue;
+                };
+                if !certified(&batch, &capacities, soft_penalty, &hint, tol) {
+                    REJECTED.fetch_add(1, Relaxed);
+                    continue;
+                }
+                ACCEPTED.fetch_add(1, Relaxed);
+                let solution = solved_from(&batch, &capacities, soft_penalty, &hint);
+                prop_assert_eq!(solution.status, waterwise_milp::SolveStatus::Optimal);
+                prop_assert_eq!(solution.nodes_explored, 1);
+                prop_assert_eq!(solution.values, one_hot(&hint, n_regions));
+            }
+            // The last case checks that the generator exercised both sides.
+            let (yes, no) = (ACCEPTED.load(Relaxed), REJECTED.load(Relaxed));
+            if yes + no + UNHINTED.load(Relaxed) == 2 * CERTIFICATE_CASES {
+                let third = 2 * CERTIFICATE_CASES / 3;
+                prop_assert!(yes >= third && no >= third, "{yes} certified, {no} hinted but not");
             }
         }
     }
