@@ -13,9 +13,10 @@
 //! or a live session fed over a channel
 //! ([`Simulator::run_online_sequenced`]) — is dispatched by the one event
 //! loop in the [`online`] submodule over the private `SimState` core. An
-//! offline replay is that loop started with the whole trace already queued
-//! and the arrival source already closed. [`crate::config::EngineMode`]
-//! only selects where a round's scheduler solve executes:
+//! offline replay is that loop started with the whole trace already admitted
+//! (its arrivals reach the event queue one at a time, in submit order) and
+//! the arrival source already closed. [`crate::config::EngineMode`] only
+//! selects where a round's scheduler solve executes:
 //!
 //! * **Sync** — inline on the event loop, one event at a time.
 //! * **Pipelined** — on a dedicated solver-stage thread connected by
@@ -41,11 +42,12 @@ use crate::scheduler::{
     PendingJob, Scheduler, SchedulingContext, SchedulingDecision, SolverActivity,
 };
 use crate::state::{RegionRuntime, RegionView};
-use queue::{Event, EventQueue};
-use std::collections::{BTreeMap, BTreeSet};
+use queue::{Event, EventQueue, QueuedEvent};
+use std::collections::BTreeSet;
+use std::ops::Range;
 use std::time::Instant;
 use waterwise_sustain::{FootprintEstimator, JobResourceUsage, Seconds};
-use waterwise_telemetry::{ConditionsProvider, Region};
+use waterwise_telemetry::{ConditionsProvider, Region, ALL_REGIONS};
 use waterwise_traces::{JobId, JobSpec};
 
 /// The result of simulating one campaign with one scheduler.
@@ -92,7 +94,7 @@ pub(crate) struct JobRuntime {
 
 /// One placement enacted by [`SimState::commit_round`], reported back to the
 /// driver so the online service can answer the request that produced it.
-/// Offline replays ignore these.
+/// Offline replays build none.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EnactedPlacement {
     /// Index of the job in the engine's job table.
@@ -113,21 +115,35 @@ pub(crate) struct EnactedPlacement {
 /// chooses *which thread* performs the scheduler solve.
 pub(crate) struct SimState {
     pub(crate) jobs: Vec<JobSpec>,
-    /// Every job id admitted so far; rejects duplicates in offline traces
-    /// and live injections alike. Ordered containers by the DET001
-    /// discipline: nothing schedule-affecting may iterate in hash order,
-    /// and membership checks cost the same either way.
+    /// Every job id admitted by a live injection; rejects duplicates. (A
+    /// preloaded trace is checked by one sort in [`SimState::new`].) An
+    /// ordered container by the DET001 discipline: nothing
+    /// schedule-affecting may iterate in hash order, and membership checks
+    /// cost the same either way.
     seen_ids: BTreeSet<JobId>,
-    participating: Vec<Region>,
+    /// The preloaded jobs whose arrivals the queue has not been handed yet.
+    /// A preloaded trace is held in arrival order — `jobs[i]` *is* arrival
+    /// `i` — so instead of a second copy of it in the queue, one arrival is
+    /// queued at a time (see [`SimState::pop_event`]). Empty in a live run.
+    unqueued: Range<usize>,
     regions: Vec<RegionRuntime>,
-    region_slot: BTreeMap<Region, usize>,
+    /// Slot in `regions` of every participating region, on
+    /// [`Region::index`].
+    region_slot: [Option<usize>; ALL_REGIONS.len()],
     pub(crate) queue: EventQueue,
     pub(crate) interval: f64,
     pub(crate) tolerance: f64,
     runtimes: Vec<JobRuntime>,
-    /// Pending pool: job indices with the time the controller received them
-    /// and the number of rounds the job has been deferred.
-    pub(crate) pending: Vec<(usize, f64, u32)>,
+    /// Pending pool, kept in the form the scheduler sees (received time,
+    /// rounds deferred so far) so a round lends it instead of rebuilding it.
+    pub(crate) pending: Vec<PendingJob>,
+    /// `pending[k]`'s index in the job table.
+    pending_index: Vec<usize>,
+    /// Per-round scratch, reused so a round allocates nothing: the region
+    /// views lent to the scheduler, and the snapshot's `(job id, pool
+    /// position)` pairs sorted by id for matching a decision's assignments.
+    views: Vec<RegionView>,
+    offered: Vec<(JobId, usize)>,
     pub(crate) overhead: Vec<OverheadSample>,
     pub(crate) completed: usize,
     pub(crate) last_time: f64,
@@ -135,26 +151,41 @@ pub(crate) struct SimState {
 }
 
 impl SimState {
-    /// An engine state preloaded with a whole trace: every job admitted
-    /// through [`SimState::push_job`] with its trace index as the arrival
-    /// sequence. The regular sequence band is floored at the trace length
-    /// first, so on exact timestamp ties every arrival orders ahead of
-    /// round/decision events — the same split a live run makes at
+    /// An engine state preloaded with a whole trace, replayed in
+    /// `(submit time, trace index)` order: the state's copy of an unsorted
+    /// trace is stably sorted once, here, so every arrival's sequence is its
+    /// position in that order. The regular sequence band is floored at the
+    /// trace length, so on exact timestamp ties every arrival orders ahead
+    /// of round/decision events — the same split a live run makes at
     /// `ONLINE_ROUND_SEQ_BASE`. A duplicate id would leave one twin pending
-    /// forever (assignments are keyed by job id), so the malformed trace is
+    /// forever (assignments are keyed by job id) and a non-finite submit
+    /// time has no place in the event order, so a malformed trace is
     /// rejected here with a typed error.
     pub(crate) fn new(
         config: &SimulationConfig,
         jobs: &[JobSpec],
     ) -> Result<Self, SimulationError> {
-        let mut state = Self::empty(config);
-        state.queue.reserve(jobs.len() as u64);
-        state.queue.reserve_events(jobs.len() + 1);
-        state.jobs.reserve(jobs.len());
-        state.runtimes.reserve(jobs.len());
-        for (i, job) in jobs.iter().enumerate() {
-            state.push_job(job.clone(), i as u64)?;
+        if let Some(id) = duplicate_id(jobs) {
+            return Err(SimulationError::DuplicateJobId { id });
         }
+        let submit = |job: &JobSpec| job.submit_time.value();
+        if let Some(i) = jobs.iter().position(|job| !submit(job).is_finite()) {
+            return Err(SimulationError::NonFiniteEventTime {
+                time: submit(&jobs[i]),
+                event: Event::Arrival(i).describe(),
+            });
+        }
+        let mut state = Self::empty(config);
+        state.jobs = jobs.to_vec();
+        // Checked first: a stable sort allocates its scratch (half the trace)
+        // before it notices there is nothing to do.
+        if !jobs.is_sorted_by(|a, b| submit(a).total_cmp(&submit(b)).is_le()) {
+            state.jobs.sort_by(|a, b| submit(a).total_cmp(&submit(b)));
+        }
+        state.runtimes = vec![JobRuntime::default(); jobs.len()];
+        state.unqueued = 0..jobs.len();
+        state.queue.reserve(jobs.len() as u64);
+        state.queue_next_preloaded()?;
         Ok(state)
     }
 
@@ -162,21 +193,20 @@ impl SimState {
     /// point of a live run, which injects arrivals while the campaign runs
     /// ([`SimState::push_job`]) instead of preloading a trace.
     pub(crate) fn empty(config: &SimulationConfig) -> Self {
-        let participating = config.region_list();
         let regions: Vec<RegionRuntime> = config
             .regions
             .iter()
             .map(|(r, servers)| RegionRuntime::new(*r, *servers))
             .collect();
-        let region_slot: BTreeMap<Region, usize> = regions
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.region, i))
-            .collect();
+        let mut region_slot = [None; ALL_REGIONS.len()];
+        for (slot, r) in regions.iter().enumerate() {
+            region_slot[r.region.index()] = Some(slot);
+        }
         Self {
             jobs: Vec::new(),
             seen_ids: BTreeSet::new(),
-            participating,
+            unqueued: 0..0,
+            views: Vec::with_capacity(regions.len()),
             regions,
             region_slot,
             queue: EventQueue::default(),
@@ -184,6 +214,8 @@ impl SimState {
             tolerance: config.delay_tolerance,
             runtimes: Vec::new(),
             pending: Vec::new(),
+            pending_index: Vec::new(),
+            offered: Vec::new(),
             overhead: Vec::new(),
             completed: 0,
             last_time: 0.0,
@@ -191,11 +223,10 @@ impl SimState {
         }
     }
 
-    /// Admit one job: validate its id, grow the runtime table, and enqueue
-    /// its arrival with the caller-chosen sequence number (arrivals are
-    /// stamped from a dedicated low sequence band so they order ahead of
-    /// round/decision events on exact timestamp ties). The first admitted
-    /// job also bootstraps the periodic round chain at its own submit time.
+    /// Admit one injected job: validate its id, grow the runtime table, and
+    /// enqueue its arrival with the caller-chosen sequence number (arrivals
+    /// are stamped from a dedicated low sequence band so they order ahead of
+    /// round/decision events on exact timestamp ties).
     pub(crate) fn push_job(
         &mut self,
         spec: JobSpec,
@@ -204,39 +235,63 @@ impl SimState {
         if !self.seen_ids.insert(spec.id) {
             return Err(SimulationError::DuplicateJobId { id: spec.id });
         }
-        let index = self.jobs.len();
-        let time = spec.submit_time.value();
-        self.queue
-            .push_with_seq(time, arrival_seq, Event::Arrival(index))?;
-        if index == 0 {
-            self.queue.push(time, Event::Round)?;
-            self.first_time = time;
-            self.last_time = time;
-        }
+        self.queue_arrival(self.jobs.len(), spec.submit_time.value(), arrival_seq)?;
         self.runtimes.push(JobRuntime::default());
         self.jobs.push(spec);
         Ok(())
     }
 
-    /// A job arrived at its home region's decision controller.
-    pub(crate) fn handle_arrival(&mut self, i: usize, time: f64) {
-        self.pending.push((i, time, 0));
+    /// Enqueue the arrival of job `index`. The first job's arrival also
+    /// bootstraps the periodic round chain at its own submit time.
+    fn queue_arrival(&mut self, index: usize, time: f64, seq: u64) -> Result<(), SimulationError> {
+        self.queue.push_with_seq(time, seq, Event::Arrival(index))?;
+        if index == 0 {
+            self.queue.push(time, Event::Round)?;
+            self.first_time = time;
+            self.last_time = time;
+        }
+        Ok(())
     }
 
-    /// Snapshot the scheduler-visible state for a round: the pending jobs
-    /// (with received times and deferral counts) and the per-region views.
-    pub(crate) fn snapshot(&self) -> (Vec<PendingJob>, Vec<RegionView>) {
-        let pending_jobs = self
-            .pending
-            .iter()
-            .map(|&(i, received, deferrals)| PendingJob {
-                spec: self.jobs[i].clone(),
-                received_at: Seconds::new(received),
-                deferrals,
-            })
-            .collect();
-        let views = self.regions.iter().map(|r| r.view()).collect();
-        (pending_jobs, views)
+    /// Hand the queue the next arrival of the preloaded trace, if any is
+    /// left.
+    fn queue_next_preloaded(&mut self) -> Result<(), SimulationError> {
+        if let Some(i) = self.unqueued.next() {
+            self.queue_arrival(i, self.jobs[i].submit_time.value(), i as u64)?;
+        }
+        Ok(())
+    }
+
+    /// Remove and return the earliest queued event. A preloaded arrival is
+    /// succeeded in the queue by the next one, which by the trace's order
+    /// cannot dispatch before it — the queue sees the trace as an ordered
+    /// stream without ever holding more than its head.
+    pub(crate) fn pop_event(&mut self) -> Result<Option<QueuedEvent>, SimulationError> {
+        let popped = self.queue.pop();
+        if popped.is_some_and(|queued| matches!(queued.event, Event::Arrival(_))) {
+            self.queue_next_preloaded()?;
+        }
+        Ok(popped)
+    }
+
+    /// A job arrived at its home region's decision controller.
+    pub(crate) fn handle_arrival(&mut self, i: usize, time: f64) {
+        self.pending.push(PendingJob {
+            spec: self.jobs[i].clone(),
+            received_at: Seconds::new(time),
+            deferrals: 0,
+        });
+        self.pending_index.push(i);
+    }
+
+    /// The scheduler-visible state for a round: the pending jobs (with
+    /// received times and deferral counts) and the per-region views. Lent,
+    /// not built — only the staged backend copies it, to ship it across
+    /// threads.
+    pub(crate) fn snapshot(&mut self) -> (&[PendingJob], &[RegionView]) {
+        self.views.clear();
+        self.views.extend(self.regions.iter().map(|r| r.view()));
+        (&self.pending, &self.views)
     }
 
     /// Commit a round's decision: enact the placements, count a deferral for
@@ -251,9 +306,9 @@ impl SimState {
     /// perturbing event order. Assignments are matched against the
     /// snapshot prefix of the pending pool only: a decision can never reach
     /// jobs that arrived after its snapshot, in either engine mode.
-    /// Returns the placements actually enacted (in decision order), so a
-    /// live run can notify the requests they answer; offline replays
-    /// discard the list.
+    /// The placements actually enacted are appended to `enacted` (in
+    /// decision order) when the run has someone to notify of them; an
+    /// offline replay passes `None`.
     pub(crate) fn commit_round(
         &mut self,
         decision: &SchedulingDecision,
@@ -261,20 +316,26 @@ impl SimState {
         seq_base: u64,
         now: f64,
         config: &SimulationConfig,
-    ) -> Result<Vec<EnactedPlacement>, SimulationError> {
-        let by_id: BTreeMap<JobId, (usize, u32)> = self
-            .pending
-            .iter()
-            .take(snapshot_len)
-            .map(|&(i, _, deferrals)| (self.jobs[i].id, (i, deferrals)))
-            .collect();
-        let mut enacted: Vec<EnactedPlacement> = Vec::new();
+        mut enacted: Option<&mut Vec<EnactedPlacement>>,
+    ) -> Result<(), SimulationError> {
+        self.offered.clear();
+        if !decision.assignments.is_empty() {
+            let snapshot = self.pending.iter().take(snapshot_len);
+            self.offered
+                .extend(snapshot.enumerate().map(|(at, p)| (p.spec.id, at)));
+            self.offered.sort_unstable();
+        }
+        let mut placed = 0u64;
         for a in &decision.assignments {
-            let Some(&(i, deferrals)) = by_id.get(&a.job) else {
+            let Ok(hit) = self.offered.binary_search_by_key(&a.job, |&(id, _)| id) else {
                 continue; // Unknown or already-scheduled job id: ignore.
             };
-            if !self.participating.contains(&a.region) || self.runtimes[i].assigned_region.is_some()
-            {
+            let at = self.offered[hit].1;
+            let i = self.pending_index[at];
+            let Some(slot) = self.region_slot[a.region.index()] else {
+                continue; // Not a participating region.
+            };
+            if self.runtimes[i].assigned_region.is_some() {
                 continue;
             }
             let transfer_time = config
@@ -287,37 +348,37 @@ impl SimState {
                 .value();
             self.runtimes[i].assigned_region = Some(a.region);
             self.runtimes[i].transfer_time = transfer_time;
-            let slot = self.region_slot[&a.region];
             self.regions[slot].inbound += 1;
-            self.queue.push_with_seq(
-                now + transfer_time,
-                seq_base + enacted.len() as u64,
-                Event::Ready(i),
-            )?;
-            enacted.push(EnactedPlacement {
-                job: i,
-                region: a.region,
-                transfer_time,
-                deferrals,
-            });
+            self.queue
+                .push_with_seq(now + transfer_time, seq_base + placed, Event::Ready(i))?;
+            placed += 1;
+            if let Some(enacted) = enacted.as_deref_mut() {
+                enacted.push(EnactedPlacement {
+                    job: i,
+                    region: a.region,
+                    transfer_time,
+                    deferrals: self.pending[at].deferrals,
+                });
+            }
         }
         // Drop the assigned jobs from the pool (a pooled job has a region
         // iff this commit just gave it one); jobs that were *offered* this
         // round (the snapshot prefix) and stayed count one more deferral.
         // Arrivals ingested after the snapshot are untouched.
         let runtimes = &self.runtimes;
+        let pending_index = &self.pending_index;
         let mut position = 0usize;
-        self.pending.retain_mut(|entry| {
+        self.pending.retain_mut(|job| {
             let offered = position < snapshot_len;
+            let assigned = runtimes[pending_index[position]].assigned_region.is_some();
             position += 1;
-            if runtimes[entry.0].assigned_region.is_some() {
-                return false;
+            if offered && !assigned {
+                job.deferrals += 1;
             }
-            if offered {
-                entry.2 += 1;
-            }
-            true
+            !assigned
         });
+        self.pending_index
+            .retain(|&i| runtimes[i].assigned_region.is_none());
         if self.completed < self.jobs.len() {
             self.queue.push_with_seq(
                 now + self.interval,
@@ -325,23 +386,27 @@ impl SimState {
                 Event::Round,
             )?;
         }
-        Ok(enacted)
+        Ok(())
+    }
+
+    /// The `regions` slot of the region job `i` was assigned to, or the
+    /// typed error for an `event` that reached a job without one. Names the
+    /// job by its trace id, not the internal array index `Event::describe`
+    /// would render — the two only coincide for 0..n traces.
+    fn assigned_slot(&self, i: usize, event: &str) -> Result<usize, SimulationError> {
+        self.runtimes[i]
+            .assigned_region
+            .and_then(|region| self.region_slot[region.index()])
+            .ok_or_else(|| SimulationError::UnassignedJob {
+                job: self.jobs[i].id,
+                event: format!("{event} of job {}", self.jobs[i].id.0),
+            })
     }
 
     /// A job's package transfer completed: start it or queue it in its
     /// assigned region.
     pub(crate) fn handle_ready(&mut self, i: usize, time: f64) -> Result<(), SimulationError> {
-        // Name the job by its trace id, not the internal array index
-        // `Event::describe` would render — the two only coincide for 0..n
-        // traces.
-        let region =
-            self.runtimes[i]
-                .assigned_region
-                .ok_or_else(|| SimulationError::UnassignedJob {
-                    job: self.jobs[i].id,
-                    event: format!("readiness of job {}", self.jobs[i].id.0),
-                })?;
-        let slot = self.region_slot[&region];
+        let slot = self.assigned_slot(i, "readiness")?;
         self.regions[slot].advance_to(time);
         self.regions[slot].inbound = self.regions[slot].inbound.saturating_sub(1);
         if self.regions[slot].busy < self.regions[slot].servers {
@@ -364,14 +429,7 @@ impl SimState {
         i: usize,
         time: f64,
     ) -> Result<JobRuntime, SimulationError> {
-        let region =
-            self.runtimes[i]
-                .assigned_region
-                .ok_or_else(|| SimulationError::UnassignedJob {
-                    job: self.jobs[i].id,
-                    event: format!("completion of job {}", self.jobs[i].id.0),
-                })?;
-        let slot = self.region_slot[&region];
+        let slot = self.assigned_slot(i, "completion")?;
         self.regions[slot].advance_to(time);
         self.runtimes[i].completion_time = time;
         self.completed += 1;
@@ -416,6 +474,16 @@ impl SimState {
         };
         (makespan, mean_utilization)
     }
+}
+
+/// A job id the trace carries twice, if there is one: a sort and an adjacent
+/// scan instead of a set insert per job.
+fn duplicate_id(jobs: &[JobSpec]) -> Option<JobId> {
+    let mut ids: Vec<JobId> = jobs.iter().map(|job| job.id).collect();
+    ids.sort_unstable();
+    ids.windows(2)
+        .find(|pair| pair[0] == pair[1])
+        .map(|pair| pair[0])
 }
 
 /// Run one `Scheduler::schedule` call over a round snapshot, timing it and
@@ -475,11 +543,19 @@ impl<P: ConditionsProvider> Simulator<P> {
         &self.estimator
     }
 
-    /// Run the campaign: replay `jobs` (sorted by submit time) under
-    /// `scheduler` and return the full report.
+    /// Run the campaign: replay `jobs` under `scheduler` and return the full
+    /// report.
+    ///
+    /// `jobs` may come in any order. They are replayed in `(submit time,
+    /// position in jobs)` order — the report is that of the stably sorted
+    /// trace, and the campaign's clock and round chain start at its
+    /// earliest submit time. A trace already sorted by submit time (what
+    /// every generator in `waterwise-traces` and every recorded
+    /// [`online::OnlineReport::trace`] is) is taken as it stands; any other
+    /// costs one sort of the engine's private copy.
     ///
     /// This is the engine's one event loop ([`online`]) started with the
-    /// whole trace preloaded and the arrival source already closed: no
+    /// whole trace admitted and the arrival source already closed: no
     /// channel, clock or placement sink exists on this path. The
     /// configured [`EngineMode`](crate::config::EngineMode) (after
     /// `normalized`, so a zero-worker pipeline solves inline) only picks

@@ -11,10 +11,12 @@
 //! operator-facing view.
 //!
 //! An *offline* replay ([`Simulator::run`]) is the same loop started with
-//! the whole trace preloaded into the event queue and the source already
-//! closed: there is no channel, clock or placement sink, every queued
-//! event is dispatchable, and the loop stops at the same event a live
-//! session over the same trace stops at.
+//! the whole trace admitted up front and the source already closed: the
+//! event queue is handed the trace's arrivals one at a time, in submit
+//! order, so it holds the events in flight rather than the trace. There is
+//! no channel, clock or placement sink, every queued event is
+//! dispatchable, and the loop stops at the same event a live session over
+//! the same trace stops at.
 //!
 //! # Solve backends and the commit protocol
 //!
@@ -56,10 +58,11 @@
 //! [`OnlineReport::trace`] for the general case). Three mechanisms enforce
 //! it:
 //!
-//! 1. **Split sequence bands.** In an offline replay every arrival enters
-//!    the queue before the first round, so on exact timestamp ties arrivals
-//!    always order ahead of round/decision events. A live run cannot
-//!    rely on push order — arrivals are pushed throughout the run — so
+//! 1. **Split sequence bands.** In an offline replay every arrival's
+//!    sequence is its position in the trace and the first round's is the
+//!    trace length, so on exact timestamp ties arrivals always order ahead
+//!    of round/decision events. A live run cannot number its arrivals ahead
+//!    of time — they are injected throughout the run — so
 //!    they carry caller-allocated sequences from a dedicated low band
 //!    ([`SequencedJob::seq`]) and the regular band is floored at
 //!    `ONLINE_ROUND_SEQ_BASE` (2^48). Relative order within each band
@@ -83,7 +86,7 @@
 
 use super::clock::{ClockMode, SimClock};
 use super::queue::{Event, QueuedEvent};
-use super::{timed_schedule, SimState, SimulationReport, Simulator};
+use super::{timed_schedule, EnactedPlacement, SimState, SimulationReport, Simulator};
 use crate::config::{EngineMode, SimulationConfig};
 use crate::error::SimulationError;
 use crate::metrics::{CampaignSummary, JobOutcome, OverheadSample, PipelineStats};
@@ -271,6 +274,9 @@ pub(crate) struct OnlineDriver<'a, P> {
     /// or the replay could order the arrival ahead of committed effects.
     committed_time: f64,
     outcomes: Vec<JobOutcome>,
+    /// The placements the committing round enacted, for the sink; reused
+    /// across rounds and never filled by an offline replay.
+    enacted: Vec<EnactedPlacement>,
     slot: usize,
 }
 
@@ -318,6 +324,7 @@ impl<'a, P: ConditionsProvider> OnlineDriver<'a, P> {
             used_seqs: BTreeSet::new(),
             last_stamp: f64::NEG_INFINITY,
             committed_time: f64::NEG_INFINITY,
+            enacted: Vec::new(),
             slot: 0,
         }
     }
@@ -483,7 +490,7 @@ impl<'a, P: ConditionsProvider> OnlineDriver<'a, P> {
             }
             // The peek above proved the queue is non-empty; an empty pop
             // just re-enters the watermark wait (DET003).
-            let Some(QueuedEvent { time, event, .. }) = self.state.queue.pop() else {
+            let Some(QueuedEvent { time, event, .. }) = self.state.pop_event()? else {
                 continue;
             };
             self.state.last_time = time;
@@ -544,14 +551,13 @@ impl<'a, P: ConditionsProvider> OnlineDriver<'a, P> {
         now: f64,
         backend: &mut SolveBackend<'_>,
     ) -> Result<(), SimulationError> {
-        let (pending_jobs, views) = self.state.snapshot();
-        let batch = pending_jobs.len();
+        let batch = self.state.pending.len();
         let seq_base = self.state.queue.reserve(batch as u64 + 1);
         let (decision, wall, commit_wait, solver) = match backend {
             SolveBackend::Inline(scheduler) => {
-                let config = self.sim.config();
+                let (pending, views) = self.state.snapshot();
                 let (decision, elapsed, solver) =
-                    timed_schedule(&mut **scheduler, now, &pending_jobs, &views, config);
+                    timed_schedule(&mut **scheduler, now, pending, views, self.sim.config());
                 (decision, elapsed, elapsed, solver)
             }
             SolveBackend::Staged {
@@ -560,12 +566,14 @@ impl<'a, P: ConditionsProvider> OnlineDriver<'a, P> {
                 stats,
             } => {
                 let slot = self.slot;
+                // The one owned copy of a snapshot: it crosses threads.
+                let (pending, views) = self.state.snapshot();
                 requests
                     .send(SolveRequest {
                         slot,
                         now,
-                        pending: pending_jobs,
-                        views,
+                        pending: pending.to_vec(),
+                        views: views.to_vec(),
                     })
                     .map_err(|_| SimulationError::SolverStageDisconnected { slot })?;
                 stats.solve_requests += 1;
@@ -589,7 +597,7 @@ impl<'a, P: ConditionsProvider> OnlineDriver<'a, P> {
                         }
                         // The peek above proved the queue is non-empty; an
                         // empty pop just ends the overlap early (DET003).
-                        let Some(arrival) = self.state.queue.pop() else {
+                        let Some(arrival) = self.state.pop_event()? else {
                             break;
                         };
                         self.state.last_time = arrival.time;
@@ -625,16 +633,16 @@ impl<'a, P: ConditionsProvider> OnlineDriver<'a, P> {
             batch_size: batch,
             solver,
         });
-        let enacted =
-            self.state
-                .commit_round(&decision, batch, seq_base, now, self.sim.config())?;
+        // Offline replays have no sink and build no placements or notices.
+        let enacted = self.placements.is_some().then_some(&mut self.enacted);
+        self.state
+            .commit_round(&decision, batch, seq_base, now, self.sim.config(), enacted)?;
         let slot = self.slot;
         self.slot += 1;
-        // Offline replays have no sink and build no notices.
         let Some(placements) = &self.placements else {
             return Ok(());
         };
-        for placement in enacted {
+        for placement in self.enacted.drain(..) {
             let spec = &self.state.jobs[placement.job];
             let notice = PlacementNotice {
                 job: spec.id,

@@ -305,6 +305,79 @@ fn deferring_scheduler_eventually_everything_still_completes() {
 }
 
 // ---------------------------------------------------------------------------
+// Trace order
+// ---------------------------------------------------------------------------
+
+/// A Borg-like trace with its submit times snapped to the 60 s round grid
+/// (so arrivals tie with each other and with rounds), in an order that is
+/// neither sorted nor reversed.
+fn shuffled_trace(seed: u64) -> Vec<JobSpec> {
+    let mut jobs = small_trace(seed);
+    for job in &mut jobs {
+        job.submit_time = Seconds::new((job.submit_time.value() / 60.0).floor() * 60.0);
+    }
+    // A fixed scramble: order by a multiplicative hash of the (unique) ids.
+    jobs.sort_by_key(|job| (job.id.0 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    jobs
+}
+
+fn stable_sorted(jobs: &[JobSpec]) -> Vec<JobSpec> {
+    let mut twin = jobs.to_vec();
+    twin.sort_by(|a, b| a.submit_time.value().total_cmp(&b.submit_time.value()));
+    twin
+}
+
+#[test]
+fn a_shuffled_trace_replays_as_its_stable_sorted_twin() {
+    // `Simulator::run` takes a trace in any order and replays it in
+    // (submit time, trace index) order — which is the order of the stably
+    // sorted trace, ties included, so the two reports are the same report.
+    let shuffled = shuffled_trace(47);
+    let twin = stable_sorted(&shuffled);
+    assert!(
+        shuffled[0].submit_time > twin[0].submit_time,
+        "the fixture must not even start with its earliest job"
+    );
+    assert!(
+        twin.windows(2)
+            .any(|w| w[0].submit_time == w[1].submit_time),
+        "the fixture must tie arrivals"
+    );
+    for sim in both_engines(4, 0.5) {
+        let of_shuffled = sim.run(&shuffled, &mut HomeScheduler).unwrap();
+        let of_twin = sim.run(&twin, &mut HomeScheduler).unwrap();
+        assert_reports_identical(&of_twin, &of_shuffled);
+        assert_eq!(of_shuffled.summary.total_jobs, shuffled.len());
+    }
+}
+
+#[test]
+fn an_unsorted_trace_is_sorted_once_at_preload_not_by_the_queue() {
+    // The worst case for ordered inserts — every arrival ahead of all the
+    // ones before it — never reaches the queue: the state's copy of the
+    // trace is sorted at preload and the queue is handed its head alone.
+    let reversed: Vec<JobSpec> = stable_sorted(&shuffled_trace(53))
+        .into_iter()
+        .rev()
+        .collect();
+    let config = SimulationConfig::paper_default(10, 0.5);
+    let mut state = SimState::new(&config, &reversed).unwrap();
+    assert_eq!(state.jobs, stable_sorted(&reversed));
+    let first = state.jobs[0].submit_time.value();
+    let head = state.queue.pop().unwrap();
+    assert_eq!(
+        (head.time, head.seq, head.event),
+        (first, 0, Event::Arrival(0))
+    );
+    let round = state.queue.pop().unwrap();
+    assert_eq!((round.time, round.event), (first, Event::Round));
+    assert!(
+        state.queue.pop().is_none(),
+        "the trace beyond its head was queued"
+    );
+}
+
+// ---------------------------------------------------------------------------
 // Pipelined mode
 // ---------------------------------------------------------------------------
 

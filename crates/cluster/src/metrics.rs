@@ -175,27 +175,29 @@ impl CampaignSummary {
         mean_utilization: f64,
     ) -> Self {
         let total_jobs = outcomes.len();
-        let total_carbon = outcomes.iter().map(|o| o.total_carbon()).sum();
-        let total_water = outcomes.iter().map(|o| o.total_water()).sum();
-        let mean_service_stretch = if total_jobs == 0 {
-            1.0
-        } else {
-            outcomes.iter().map(|o| o.service_stretch()).sum::<f64>() / total_jobs as f64
-        };
-        let violation_fraction = if total_jobs == 0 {
-            0.0
-        } else {
-            outcomes.iter().filter(|o| o.violated_tolerance).count() as f64 / total_jobs as f64
-        };
-        let migration_fraction = if total_jobs == 0 {
-            0.0
-        } else {
-            outcomes.iter().filter(|o| o.migrated()).count() as f64 / total_jobs as f64
-        };
+        // One pass over the outcomes (tens of MB for a long campaign), each
+        // aggregate summed in outcome order from `-0.0`, the identity
+        // `Iterator::sum` starts from — the bits per-aggregate passes gave.
+        let (mut carbon, mut water, mut stretch, mut execution) =
+            (-0.0f64, -0.0f64, -0.0f64, -0.0f64);
+        let (mut violations, mut migrations) = (0usize, 0usize);
         let mut jobs_per_region = [0usize; 5];
         for o in outcomes {
+            carbon += o.total_carbon().value();
+            water += o.total_water().value();
+            stretch += o.service_stretch();
+            execution += o.execution_time.value();
+            violations += usize::from(o.violated_tolerance);
+            migrations += usize::from(o.migrated());
             jobs_per_region[o.executed_region.index()] += 1;
         }
+        let per_job = |total: f64, empty: f64| {
+            if total_jobs == 0 {
+                empty
+            } else {
+                total / total_jobs as f64
+            }
+        };
         let mean_decision_time = if overhead.is_empty() {
             Seconds::zero()
         } else {
@@ -203,15 +205,7 @@ impl CampaignSummary {
                 overhead.iter().map(|s| s.wall_clock.value()).sum::<f64>() / overhead.len() as f64,
             )
         };
-        let mean_execution = if total_jobs == 0 {
-            0.0
-        } else {
-            outcomes
-                .iter()
-                .map(|o| o.execution_time.value())
-                .sum::<f64>()
-                / total_jobs as f64
-        };
+        let mean_execution = per_job(execution, 0.0);
         let decision_overhead_fraction = if mean_execution <= 0.0 {
             0.0
         } else {
@@ -223,11 +217,11 @@ impl CampaignSummary {
         }
         Self {
             total_jobs,
-            total_carbon,
-            total_water,
-            mean_service_stretch,
-            violation_fraction,
-            migration_fraction,
+            total_carbon: Co2Grams::new(carbon),
+            total_water: Liters::new(water),
+            mean_service_stretch: per_job(stretch, 1.0),
+            violation_fraction: per_job(violations as f64, 0.0),
+            migration_fraction: per_job(migrations as f64, 0.0),
             jobs_per_region,
             mean_utilization,
             mean_decision_time,
@@ -367,6 +361,7 @@ pub fn saving_percent(baseline: f64, candidate: f64) -> f64 {
 mod tests {
     use super::*;
     use waterwise_sustain::{CarbonFootprint, WaterFootprint};
+    use waterwise_telemetry::ALL_REGIONS;
 
     fn outcome(job: u64, home: Region, executed: Region, carbon: f64, water: f64) -> JobOutcome {
         JobOutcome {
@@ -438,6 +433,62 @@ mod tests {
         assert!(saving_percent(0.0, 5.0).is_nan());
         assert!(saving_percent(f64::NAN, 5.0).is_nan());
         assert!(saving_percent(-1.0, 5.0).is_nan());
+    }
+
+    #[test]
+    fn one_pass_aggregates_carry_the_bits_of_per_aggregate_sums() {
+        // Magnitudes 1e-3..1e9 apart, so any change of summation order or
+        // starting value shows in the low bits.
+        let outcomes: Vec<JobOutcome> = (0..97u64)
+            .map(|i| {
+                let scale = 10f64.powi((i % 13) as i32 - 3);
+                let mut o = outcome(
+                    i,
+                    Region::Oregon,
+                    ALL_REGIONS[(i % 5) as usize],
+                    scale * 1.1,
+                    scale / 0.7,
+                );
+                o.execution_time = Seconds::new(3.0 + scale);
+                o.completion_time = Seconds::new(17.0 + 2.3 * scale);
+                o.violated_tolerance = i % 3 == 0;
+                o
+            })
+            .collect();
+        let round = OverheadSample {
+            sim_time: Seconds::zero(),
+            wall_clock: Seconds::new(0.25),
+            commit_wait: Seconds::new(0.25),
+            batch_size: 97,
+            solver: None,
+        };
+        for outcomes in [&outcomes[..], &[]] {
+            let s = CampaignSummary::from_outcomes(outcomes, &[round], 0.5);
+            let carbon: Co2Grams = outcomes.iter().map(|o| o.total_carbon()).sum();
+            let water: Liters = outcomes.iter().map(|o| o.total_water()).sum();
+            assert_eq!(s.total_carbon.value().to_bits(), carbon.value().to_bits());
+            assert_eq!(s.total_water.value().to_bits(), water.value().to_bits());
+            if outcomes.is_empty() {
+                continue;
+            }
+            let n = outcomes.len() as f64;
+            let stretch = outcomes.iter().map(|o| o.service_stretch()).sum::<f64>() / n;
+            assert_eq!(s.mean_service_stretch.to_bits(), stretch.to_bits());
+            let violated = outcomes.iter().filter(|o| o.violated_tolerance).count();
+            assert_eq!(
+                s.violation_fraction.to_bits(),
+                (violated as f64 / n).to_bits()
+            );
+            let migrated = outcomes.iter().filter(|o| o.migrated()).count();
+            assert_eq!(
+                s.migration_fraction.to_bits(),
+                (migrated as f64 / n).to_bits()
+            );
+            let execution = outcomes.iter().map(|o| o.execution_time.value());
+            let overhead = 0.25 / (execution.sum::<f64>() / n);
+            assert_eq!(s.decision_overhead_fraction.to_bits(), overhead.to_bits());
+            assert_eq!(s.jobs_per_region.iter().sum::<usize>(), outcomes.len());
+        }
     }
 
     #[test]

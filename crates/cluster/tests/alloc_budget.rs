@@ -1,0 +1,140 @@
+//! Allocation budget of the event loop itself.
+//!
+//! The file's only test, because it installs a counting `#[global_allocator]`
+//! for the whole test binary. Counting is per thread, so the harness's own
+//! threads never show up in the number, and it is suspended inside
+//! `Scheduler::schedule`, so the number is the engine's side of a round.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use waterwise_cluster::{
+    Scheduler, SchedulingContext, SchedulingDecision, SimulationConfig, Simulator,
+};
+use waterwise_telemetry::SyntheticTelemetry;
+use waterwise_traces::{TraceConfig, TraceGenerator};
+
+thread_local! {
+    /// `Some(n)` while this thread is being counted. Const-initialised and
+    /// without a destructor, so touching it never allocates.
+    static ALLOCATIONS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+struct CountingAlloc;
+
+impl CountingAlloc {
+    fn count() {
+        // `try_with`: a thread being torn down may allocate after its
+        // thread-locals are gone.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get().map(|n| n + 1)));
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter touches no allocator state
+// and never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::count();
+        // SAFETY: the caller's `layout` is passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::count();
+        // SAFETY: the caller's `layout` is passed through as received.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` and `layout` come from a matching `alloc` on this
+        // allocator, which is `System`'s own.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::count();
+        // SAFETY: `ptr`/`layout` come from a matching `alloc` on `System`
+        // and the caller guarantees `new_size` is valid for `layout.align()`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Allocation requests `f` makes on this thread.
+fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    ALLOCATIONS.with(|n| n.set(Some(0)));
+    let out = f();
+    let count = ALLOCATIONS.with(|n| n.take()).unwrap_or(0);
+    (out, count)
+}
+
+/// Every pending job to its home region, at once — and off the books: the
+/// decision it allocates is the scheduler's, not the engine's.
+struct HomeScheduler;
+
+impl Scheduler for HomeScheduler {
+    fn name(&self) -> &str {
+        "home"
+    }
+
+    fn schedule(&mut self, ctx: &SchedulingContext<'_>) -> SchedulingDecision {
+        let counted = ALLOCATIONS.with(|n| n.take());
+        let decision = SchedulingDecision::from_pairs(
+            ctx.pending.iter().map(|p| (p.spec.id, p.spec.home_region)),
+        );
+        ALLOCATIONS.with(|n| n.set(counted));
+        decision
+    }
+}
+
+/// Engine-side allocation requests of one offline Borg replay of `days`
+/// days, and the number of rounds that had work.
+fn replay(days: f64) -> (u64, usize) {
+    let jobs = TraceGenerator::new(TraceConfig::borg(days, 42)).generate();
+    let simulator = Simulator::new(
+        SimulationConfig::paper_default(280, 0.5),
+        SyntheticTelemetry::with_seed(42),
+    )
+    .unwrap();
+    let (report, allocations) = allocations_of(|| simulator.run(&jobs, &mut HomeScheduler));
+    let report = report.unwrap();
+    assert_eq!(report.outcomes.len(), jobs.len(), "every job completes");
+    (allocations, report.overhead.len())
+}
+
+/// Allocation requests a whole replay may make on the engine's side.
+/// Measured: 32 for the 70-round replay, 36 for the 550-round one — the job
+/// table, runtimes, outcomes and report buffers sized once from the trace,
+/// the id scan's scratch, and a few doublings of the heap, the pending pool,
+/// the region queues and the overhead samples. (With a `BTreeMap` of the
+/// pool, a snapshot `Vec` pair and an enacted list per round, and a set
+/// insert and heap slot per preloaded job, the same replays made thousands.)
+const RUN_BUDGET: u64 = 64;
+
+/// Allocation requests eight times the rounds may add: buffer doublings
+/// only, so logarithmic in the run's length. Measured: 4.
+const GROWTH_BUDGET: u64 = 16;
+
+#[test]
+fn the_event_loop_allocates_per_run_not_per_round() {
+    let (short, short_rounds) = replay(0.05);
+    let (long, long_rounds) = replay(0.4);
+    assert!(
+        short_rounds >= 50 && long_rounds >= 7 * short_rounds,
+        "fixture: {short_rounds} and {long_rounds} rounds"
+    );
+    for (allocations, rounds) in [(short, short_rounds), (long, long_rounds)] {
+        assert!(
+            allocations <= RUN_BUDGET,
+            "a {rounds}-round replay made {allocations} engine-side allocation \
+             requests, budget {RUN_BUDGET}"
+        );
+    }
+    assert!(
+        long <= short + GROWTH_BUDGET,
+        "{long_rounds} rounds made {long} allocation requests against {short} for \
+         {short_rounds}: something allocates per round (budget +{GROWTH_BUDGET})"
+    );
+}
