@@ -92,6 +92,34 @@ fn bench_decision(c: &mut Criterion) {
             },
         );
     }
+    // The steady state of a campaign — a certified round on a scheduler whose
+    // scratch an earlier round has already grown — at the median batch of
+    // `campaign_borg` (13) and of `campaign_alibaba` (120): the micro row of
+    // the ledger's `round_ms_p50`.
+    for &batch in &[13usize, 120] {
+        let pending = pending_batch(batch);
+        group.bench_with_input(
+            BenchmarkId::new("waterwise_certified_steady", batch),
+            &pending,
+            |b, pending| {
+                let ctx = SchedulingContext {
+                    now: Seconds::from_hours(6.0),
+                    pending,
+                    regions: &regions,
+                    delay_tolerance: 0.5,
+                    transfer: &transfer,
+                };
+                let mut scheduler = WaterWiseScheduler::with_defaults(provider.clone());
+                scheduler.schedule(&ctx);
+                assert_eq!(
+                    scheduler.stats().certified_rounds,
+                    1,
+                    "the round was solved"
+                );
+                b.iter(|| scheduler.schedule(&ctx).assignments.len())
+            },
+        );
+    }
     group.finish();
 }
 

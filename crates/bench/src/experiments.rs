@@ -778,7 +778,7 @@ pub fn fig14_warmstart(scenario: &Scenario) -> Vec<Table> {
 
 /// Fig. 15: what the MILP solution cache does on a tolerance × weight
 /// campaign matrix (the Fig. 5 / Fig. 8 sweep axes). The cache sees the
-/// rounds that become a model: with carried hints that is only those whose
+/// rounds that become a model: with the scheduler's hints that is only those whose
 /// hint is not certified (none below ~0.5 d of this trace, a few percent
 /// above), without hints every round — hence the two cold rows. Within one
 /// campaign no two models are bit-identical, so a cache per cell costs the
@@ -827,7 +827,7 @@ pub fn fig15_solcache(scale: ExperimentScale) -> Vec<Table> {
             "evictions",
         ],
     );
-    // The two `shared` rows with carried hints use one handle: the second
+    // The two hinted `shared` rows use one handle: the second
     // sweep meets every model of the first, bit for bit. The cold scheduler
     // gets a handle of its own — a solution stored by a warm-started solve
     // is the warm schedule's, and this figure does not lean on warm == cold.
@@ -870,7 +870,7 @@ pub fn fig15_solcache(scale: ExperimentScale) -> Vec<Table> {
         }
         table.row(&[
             label,
-            if *warm_start { "carried" } else { "none" }.to_string(),
+            if *warm_start { "greedy" } else { "none" }.to_string(),
             matrix.len().to_string(),
             total.solves.to_string(),
             fmt2(total.pivots_per_solve()),
@@ -1675,7 +1675,7 @@ mod tests {
         const FIRST_SWEEP_REPEATS: usize = 125;
         let tables = fig15_solcache(tiny());
         let table = &tables[0];
-        assert_eq!(table.len(), 6, "four carried-hint rows plus two cold rows");
+        assert_eq!(table.len(), 6, "four hinted rows plus two cold rows");
         assert_eq!(table.cell(0, 0), "off");
         assert_eq!(table.cell(0, 5), "0", "off mode must not touch a cache");
         // One campaign never meets a model twice: a cache of its own costs
@@ -1697,7 +1697,7 @@ mod tests {
         // FIRST_SWEEP_REPEATS lookups meet a model a sibling cell built too;
         // a parallel sweep replays all of them unless two workers reach one
         // at the same instant (then both solve it). Pinned on the cold rows:
-        // with carried hints only rounds whose hint is not certified become
+        // with hints only rounds whose hint is not certified become
         // a model, and at this scale (280 servers a region, half an hour of
         // trace) every round is certified — the hinted rows used to solve
         // and look up each round, now they have nothing to replay.

@@ -158,6 +158,14 @@ impl SimulationConfig {
         if let Some((region, _)) = self.regions.iter().find(|(_, s)| *s == 0) {
             return Err(ConfigError::EmptyRegion { region: *region });
         }
+        // The engine indexes its pools by region (`region_slot`): of two
+        // entries for one region only the last would be reachable.
+        let mut listed = [false; ALL_REGIONS.len()];
+        for (region, _) in &self.regions {
+            if std::mem::replace(&mut listed[region.index()], true) {
+                return Err(ConfigError::DuplicateRegion { region: *region });
+            }
+        }
         // The `is_finite` clauses reject NaN and infinities, which would
         // otherwise produce non-finite event times inside the engine.
         let interval = self.scheduling_interval.value();
@@ -236,6 +244,19 @@ mod tests {
             c.validate(),
             Err(ConfigError::EmptyRegion { region }) if region == c.regions[0].0
         ));
+
+        let mut c = SimulationConfig::default();
+        c.regions.push((Region::Madrid, 7));
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::DuplicateRegion {
+                region: Region::Madrid
+            })
+        );
+        assert_eq!(
+            c.validate().unwrap_err().to_string(),
+            "region Madrid is listed more than once"
+        );
 
         let mut c = SimulationConfig::default();
         c.embodied_perturbation = 0.0;

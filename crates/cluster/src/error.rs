@@ -19,6 +19,12 @@ pub enum ConfigError {
         /// The region with no servers.
         region: Region,
     },
+    /// A region is listed more than once: the engine keeps one pool per
+    /// region, so a second entry would orphan the first one's servers.
+    DuplicateRegion {
+        /// The region listed twice.
+        region: Region,
+    },
     /// The scheduling interval is zero or negative.
     NonPositiveSchedulingInterval {
         /// The offending interval in seconds.
@@ -42,6 +48,9 @@ impl fmt::Display for ConfigError {
             ConfigError::NoRegions => write!(f, "at least one region is required"),
             ConfigError::EmptyRegion { region } => {
                 write!(f, "region {region} needs at least one server")
+            }
+            ConfigError::DuplicateRegion { region } => {
+                write!(f, "region {region} is listed more than once")
             }
             ConfigError::NonPositiveSchedulingInterval { seconds } => {
                 write!(f, "scheduling interval must be positive, got {seconds} s")

@@ -102,15 +102,17 @@ impl TransferModel {
     /// package of `bytes` — the `L_avg` term of the slack manager's urgency
     /// score (Eq. 14).
     pub fn average_transfer_time(&self, from: Region, bytes: u64, regions: &[Region]) -> Seconds {
-        let others: Vec<&Region> = regions.iter().filter(|r| **r != from).collect();
-        if others.is_empty() {
+        // Counted, then summed over the same filter in the same order: called
+        // once per pending job in every truncated round, it must not allocate.
+        let others = || regions.iter().filter(|r| **r != from);
+        let count = others().count();
+        if count == 0 {
             return Seconds::zero();
         }
-        let total: f64 = others
-            .iter()
-            .map(|r| self.transfer_time(from, **r, bytes).value())
+        let total: f64 = others()
+            .map(|r| self.transfer_time(from, *r, bytes).value())
             .sum();
-        Seconds::new(total / others.len() as f64)
+        Seconds::new(total / count as f64)
     }
 }
 
@@ -197,5 +199,17 @@ mod tests {
         assert!(avg > 0.0);
         let only_self = m.average_transfer_time(Region::Oregon, 200 << 20, &[Region::Oregon]);
         assert_eq!(only_self.value(), 0.0);
+        // The mean over the other regions in list order, to the bit — whether
+        // or not the home region is in the list.
+        for regions in [&ALL_REGIONS[..], &ALL_REGIONS[..2], &ALL_REGIONS[3..]] {
+            let others: Vec<f64> = regions
+                .iter()
+                .filter(|r| **r != Region::Oregon)
+                .map(|r| m.transfer_time(Region::Oregon, *r, 200 << 20).value())
+                .collect();
+            let reference = others.iter().sum::<f64>() / others.len() as f64;
+            let avg = m.average_transfer_time(Region::Oregon, 200 << 20, regions);
+            assert_eq!(avg.value().to_bits(), reference.to_bits());
+        }
     }
 }

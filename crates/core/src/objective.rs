@@ -86,28 +86,31 @@ pub fn candidate_footprints<P: ConditionsProvider + ?Sized>(
     at: Seconds,
 ) -> Vec<CandidateFootprint> {
     let conditions = regions.iter().map(|&r| (r, provider.conditions(r, at)));
-    footprints_under(job, conditions, estimator)
+    let mut row = Vec::with_capacity(regions.len());
+    footprints_under(job, conditions, estimator, &mut row);
+    row
 }
 
-/// [`candidate_footprints`] against conditions already looked up — every job
-/// of a scheduling round shares the round's instant, so WaterWise asks the
-/// provider once per region, not once per job × region.
+/// [`candidate_footprints`] against conditions already looked up, written over
+/// `row` — every job of a scheduling round shares the round's instant and its
+/// candidate row, so WaterWise asks the provider once per region (not once per
+/// job × region) and allocates the row once per scheduler.
 pub(crate) fn footprints_under(
     job: &PendingJob,
     conditions: impl Iterator<Item = (Region, RegionConditions)>,
     estimator: &FootprintEstimator,
-) -> Vec<CandidateFootprint> {
+    row: &mut Vec<CandidateFootprint>,
+) {
     let usage = JobResourceUsage::new(job.spec.estimated_energy, job.spec.estimated_execution_time);
-    conditions
-        .map(|(region, conditions)| {
-            let breakdown = estimator.estimate(usage, conditions);
-            CandidateFootprint {
-                region,
-                carbon: breakdown.total_carbon().value(),
-                water: breakdown.total_water().value(),
-            }
-        })
-        .collect()
+    row.clear();
+    row.extend(conditions.map(|(region, conditions)| {
+        let breakdown = estimator.estimate(usage, conditions);
+        CandidateFootprint {
+            region,
+            carbon: breakdown.total_carbon().value(),
+            water: breakdown.total_water().value(),
+        }
+    }));
 }
 
 /// Per-job normalization denominators of Eq. 7: the footprint in the *worst*

@@ -16,8 +16,7 @@
 //!    `σ` per unit in the objective instead of being forbidden.
 
 use crate::experiment::{run_indexed, Parallelism};
-use crate::objective::{footprints_under, Normalizer, ObjectiveWeights};
-use std::collections::BTreeMap;
+use crate::objective::{footprints_under, CandidateFootprint, Normalizer, ObjectiveWeights};
 use std::sync::Arc;
 use std::time::Instant;
 use waterwise_cluster::{
@@ -27,9 +26,8 @@ use waterwise_milp::{
     BranchBoundConfig, CacheStats, LinExpr, Model, Sense, SimplexConfig, SolutionCacheHandle,
     SolverWorkspace, Var, VarKind, WarmStats,
 };
-use waterwise_sustain::FootprintEstimator;
+use waterwise_sustain::{FootprintEstimator, RegionConditions};
 use waterwise_telemetry::{ConditionsProvider, Region};
-use waterwise_traces::JobId;
 
 /// Configuration of the WaterWise decision controller.
 ///
@@ -58,10 +56,11 @@ pub struct WaterWiseConfig {
     pub simplex: SimplexConfig,
     /// Branch-and-bound configuration forwarded to the solver.
     pub branch_bound: BranchBoundConfig,
-    /// Hint each slot with the carried-forward previous assignment plus a
-    /// greedy completion: certified rounds return it, the rest warm-start the
-    /// MILP from it. Off, every round solves cold — the same schedule, more
-    /// solver work (see `SolveStats::{certified_rounds, warm}`).
+    /// Hint each slot with the greedy assignment (every job to its cheapest
+    /// feasible region under the capacity left): certified rounds return it,
+    /// the rest warm-start the MILP from it. Off, every round solves cold —
+    /// the same schedule, more solver work (see
+    /// `SolveStats::{certified_rounds, warm}`).
     pub warm_start: bool,
     /// Optional sliding-window cap on how many jobs enter one MILP. `None`
     /// bounds the window by the remaining cluster capacity only (the paper's
@@ -171,24 +170,19 @@ pub struct SolveStats {
 /// Everything the MILP needs to know about one job in one slot: objective
 /// coefficients (Eq. 7/8 plus the history-learner reference term), the
 /// latency/execution ratios of the delay constraint (Eq. 11), and the
-/// remaining delay tolerance after time already spent waiting.
-///
-/// A pure function of `(job, slot context)` — independent across jobs —
-/// which is what makes the preparation shardable across workers with a
-/// deterministic job-ordered merge (see [`WaterWiseConfig::parallelism`]).
-/// Computing it once per slot also means the soft-constraint fallback
-/// reuses the numbers instead of re-deriving them.
-#[derive(Debug, Clone)]
-struct JobNumerics {
+/// remaining delay tolerance after time already spent waiting. Job `m`'s row
+/// of a [`RoundNumerics`], borrowed; a pure function of `(job, slot context)`.
+#[derive(Debug, Clone, Copy)]
+struct JobNumerics<'a> {
     /// Objective coefficient per region (the cost of `x[m][n] = 1`).
-    coeffs: Vec<f64>,
+    coeffs: &'a [f64],
     /// `transfer_latency / execution_time` per region (Eq. 11 lhs).
-    latency_ratio: Vec<f64>,
+    latency_ratio: &'a [f64],
     /// `TOL% − waited/exec`, clamped at zero (Eq. 11 rhs).
     remaining_tolerance: f64,
 }
 
-impl JobNumerics {
+impl JobNumerics<'_> {
     /// Whether region `n` satisfies Eq. 11 for this job: the one comparison
     /// bounds, costs and hint all read, so they cannot disagree by an ulp.
     fn admits(&self, n: usize) -> bool {
@@ -213,6 +207,66 @@ impl JobNumerics {
     }
 }
 
+/// A round's numerics, flat: job `m`'s row is `[m·R, (m+1)·R)` of `coeffs` and
+/// `latency_ratio` (`R = n_regions`), its tolerance `remaining_tolerance[m]`.
+#[derive(Debug, Clone, Default)]
+struct RoundNumerics {
+    n_regions: usize,
+    coeffs: Vec<f64>,
+    latency_ratio: Vec<f64>,
+    remaining_tolerance: Vec<f64>,
+}
+
+impl RoundNumerics {
+    /// Forget the last round's rows; the next ones span `n_regions`.
+    fn reset(&mut self, n_regions: usize) {
+        self.n_regions = n_regions;
+        self.coeffs.clear();
+        self.latency_ratio.clear();
+        self.remaining_tolerance.clear();
+    }
+
+    fn len(&self) -> usize {
+        self.remaining_tolerance.len()
+    }
+
+    fn job(&self, m: usize) -> JobNumerics<'_> {
+        let row = m * self.n_regions..(m + 1) * self.n_regions;
+        JobNumerics {
+            coeffs: &self.coeffs[row.clone()],
+            latency_ratio: &self.latency_ratio[row],
+            remaining_tolerance: self.remaining_tolerance[m],
+        }
+    }
+
+    fn jobs(&self) -> impl Iterator<Item = JobNumerics<'_>> {
+        (0..self.len()).map(|m| self.job(m))
+    }
+}
+
+/// Every list a round works on, kept by the scheduler so that a round
+/// allocates nothing but the `Vec<Assignment>` it returns: `schedule` takes
+/// it, each step overwrites its own lists, and `schedule` puts it back.
+#[derive(Default)]
+struct RoundScratch {
+    /// Per region, in `ctx.regions` order: its name, free slots, conditions
+    /// at `ctx.now` and normalized history terms.
+    regions: Vec<Region>,
+    capacities: Vec<usize>,
+    conditions: Vec<(Region, RegionConditions)>,
+    history: Vec<(f64, f64)>,
+    /// The selected jobs as indices into `ctx.pending`, out of the slack
+    /// manager's `(pool index, urgency)` ranking; their numerics, filled
+    /// through one job's candidate row; their hinted region indices and the
+    /// slots a region keeps under those (`certified`'s `free` after them).
+    selected: Vec<usize>,
+    ranked: Vec<(usize, f64)>,
+    numerics: RoundNumerics,
+    candidates: Vec<CandidateFootprint>,
+    hint: Vec<usize>,
+    capacity_left: Vec<usize>,
+}
+
 /// The round's MILP over binaries `x[m][n]` (index `m * n_regions + n`):
 /// Eq. 8's cost, Eq. 9 (one equality per job), Eq. 10 (one unit-coefficient
 /// capacity row per region). Under Eq. 9 exactly one `x[m][·]` is one, so
@@ -224,7 +278,7 @@ impl JobNumerics {
 /// transportation problem: every vertex of its relaxation is integral and
 /// branch-and-bound ends at the root. Nothing is named (faults cite indices).
 fn assignment_model(
-    numerics: &[JobNumerics],
+    numerics: &RoundNumerics,
     capacities: &[usize],
     soft_penalty: Option<f64>,
 ) -> Model {
@@ -234,7 +288,7 @@ fn assignment_model(
     let mut model = Model::new("waterwise-assignment");
     model.reserve(n_x, numerics.len() + n_regions);
     let mut objective = LinExpr::with_capacity(n_x);
-    for (m, numbers) in numerics.iter().enumerate() {
+    for (m, numbers) in numerics.jobs().enumerate() {
         for n in 0..n_regions {
             let free = soft_penalty.is_some() || numbers.admits(n);
             model.add_var("", VarKind::Binary, 0.0, if free { 1.0 } else { 0.0 });
@@ -261,6 +315,33 @@ fn assignment_model(
     model
 }
 
+/// The hinted assignment, one region index per job into `hint`: each job, in
+/// batch order, to its cheapest feasible region under `capacity_left` (ties to
+/// the lowest index). `false` when some job has none: the round solves cold.
+fn build_hint(
+    numerics: &RoundNumerics,
+    capacities: &[usize],
+    soften: bool,
+    hint: &mut Vec<usize>,
+    capacity_left: &mut Vec<usize>,
+) -> bool {
+    capacities.clone_into(capacity_left);
+    hint.clear();
+    for numbers in numerics.jobs() {
+        let feasible = |&n: &usize| capacity_left[n] > 0 && (soften || numbers.admits(n));
+        let by_cost = |a: &usize, b: &usize| {
+            let order = numbers.coeffs[*a].partial_cmp(&numbers.coeffs[*b]);
+            order.unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(b))
+        };
+        let Some(chosen) = (0..capacities.len()).filter(feasible).min_by(by_cost) else {
+            return false;
+        };
+        capacity_left[chosen] -= 1;
+        hint.push(chosen);
+    }
+    true
+}
+
 /// Whether solving [`assignment_model`] from the hint `chosen[m]` = job `m`'s
 /// region would return that hint — decided in O(J·R) without the model. The
 /// hint's crash basis is {`x[m][chosen[m]]` in job row `m`, the slack in each
@@ -270,16 +351,18 @@ fn assignment_model(
 /// `!admits(n)`) below it only flips at ratio 0 while region `n` keeps a free
 /// slot. A capacity that needs a price or a non-finite cost goes to the
 /// solver: `v_n ≠ 0` proves optimality, not *which* tied vertex it returns.
+/// `free` is working memory: the slots left under `chosen`, counted here.
 fn certified(
-    numerics: &[JobNumerics],
+    numerics: &RoundNumerics,
     capacities: &[usize],
     soft_penalty: Option<f64>,
     chosen: &[usize],
     tol: f64,
+    free: &mut Vec<usize>,
 ) -> bool {
-    let mut free = capacities.to_vec();
+    capacities.clone_into(free);
     chosen.iter().for_each(|&n| free[n] -= 1);
-    numerics.iter().zip(chosen).all(|(numbers, &hinted)| {
+    numerics.jobs().zip(chosen).all(|(numbers, &hinted)| {
         let at_hint = numbers.cost(hinted, soft_penalty);
         (0..capacities.len()).all(|n| {
             let cost = numbers.cost(n, soft_penalty);
@@ -319,11 +402,9 @@ pub struct WaterWiseScheduler {
     /// Reusable solver allocations + warm-start accounting; persists across
     /// scheduling rounds because the engine reuses the scheduler instance.
     workspace: SolverWorkspace,
-    /// Previous slot's chosen region per still-pending job, carried forward
-    /// as the warm-start hint of the next solve. Keyed by a `BTreeMap` so
-    /// any future iteration is in job-id order by construction (DET001);
-    /// today only point lookups and retain touch it.
-    carried: BTreeMap<JobId, Region>,
+    /// The round's working lists, reused for the same reason; every round
+    /// overwrites what it reads, so no decision depends on an earlier one.
+    scratch: RoundScratch,
 }
 
 impl WaterWiseScheduler {
@@ -343,7 +424,7 @@ impl WaterWiseScheduler {
             config,
             stats: SolveStats::default(),
             workspace: SolverWorkspace::new(),
-            carried: BTreeMap::new(),
+            scratch: RoundScratch::default(),
         }
     }
 
@@ -393,214 +474,154 @@ impl WaterWiseScheduler {
         tol_budget - avg_transfer - waited
     }
 
-    /// The slack manager: keep the `limit` most urgent jobs.
-    fn slack_select<'j>(
-        &mut self,
-        jobs: &[&'j PendingJob],
-        ctx: &SchedulingContext<'_>,
-        regions: &[Region],
-        limit: usize,
-    ) -> Vec<&'j PendingJob> {
-        if jobs.len() <= limit {
-            return jobs.to_vec();
+    /// The slack manager (Algorithm 1, lines 5–7): select, as indices into
+    /// `ctx.pending`, the most urgent jobs the remaining capacity can start —
+    /// every job, in pool order, when they all fit. The rolling-horizon window
+    /// additionally caps the batch at `horizon`; the rest stay pending.
+    fn slack_select(&mut self, ctx: &SchedulingContext<'_>, round: &mut RoundScratch) {
+        let capacity: usize = round.capacities.iter().sum();
+        let horizon = self.config.horizon;
+        let limit = horizon.map_or(capacity, |h| h.max(1).min(capacity));
+        let (selected, ranked) = (&mut round.selected, &mut round.ranked);
+        selected.clear();
+        if ctx.pending.len() <= limit {
+            return selected.extend(0..ctx.pending.len());
         }
         self.stats.slack_truncations += 1;
-        let mut ranked: Vec<(&PendingJob, f64)> = jobs
-            .iter()
-            .map(|j| (*j, self.urgency(j, ctx, regions)))
-            .collect();
+        let urgency = |(i, job)| (i, self.urgency(job, ctx, &round.regions));
+        ranked.clear();
+        ranked.extend(ctx.pending.iter().enumerate().map(urgency));
         ranked.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        ranked.into_iter().take(limit).map(|(j, _)| j).collect()
+        selected.extend(ranked[..limit].iter().map(|&(i, _)| i));
     }
 
-    /// Compute [`JobNumerics`] for every selected job, sharded across the
-    /// worker pool named by [`WaterWiseConfig::parallelism`]. Jobs are
-    /// partitioned by index and merged back in job order, so the output —
-    /// and hence the schedule built from it — is byte-identical to the
-    /// serial computation.
-    fn prepare_numerics(
-        &self,
-        jobs: &[&PendingJob],
-        ctx: &SchedulingContext<'_>,
-        regions: &[Region],
-        history: &[(f64, f64)],
-    ) -> Vec<JobNumerics> {
-        let provider = self.provider.as_ref();
-        let estimator = &self.estimator;
-        let weights = &self.config.weights;
-        let workers = self.config.parallelism.worker_count(jobs.len());
+    /// Fill the round's [`RoundNumerics`], one row per selected job, through
+    /// one kernel: the serial path appends straight to the scratch, the worker
+    /// pool of [`WaterWiseConfig::parallelism`] to a batch per job (partitioned
+    /// by index), merged in job order — the same bytes, hence the same schedule.
+    fn prepare_numerics(&self, ctx: &SchedulingContext<'_>, round: &mut RoundScratch) {
+        let (estimator, weights) = (&self.estimator, &self.config.weights);
+        let (regions, history) = (&round.regions, &round.history);
         // Every job of the round is estimated at `ctx.now`: one lookup per region.
-        let lookup = |&region: &Region| (region, provider.conditions(region, ctx.now));
-        let conditions: Vec<_> = regions.iter().map(lookup).collect();
-        run_indexed(jobs.len(), workers, |m| {
-            let job = jobs[m];
+        let lookup = |&region: &Region| (region, self.provider.conditions(region, ctx.now));
+        round.conditions.clear();
+        round.conditions.extend(regions.iter().map(lookup));
+        let conditions = &round.conditions;
+        let fill_row = |pending: usize, candidates: &mut Vec<_>, rows: &mut RoundNumerics| {
+            let job = &ctx.pending[pending];
             // Candidate footprints and the per-job normalizer (Eq. 7).
-            let candidates = footprints_under(job, conditions.iter().copied(), estimator);
-            let normalizer = Normalizer::from_candidates(&candidates);
+            footprints_under(job, conditions.iter().copied(), estimator, candidates);
+            let normalizer = Normalizer::from_candidates(candidates);
             let exec = job.spec.estimated_execution_time.value().max(1.0);
             let waited = job.waiting_time(ctx.now).value();
-            let remaining_tolerance = (ctx.delay_tolerance - waited / exec).max(0.0);
-            let mut coeffs = Vec::with_capacity(regions.len());
-            let mut latency_ratio = Vec::with_capacity(regions.len());
             for (n, region) in regions.iter().enumerate() {
                 let mut coefficient = normalizer.objective_term(&candidates[n], weights);
                 // History-learner reference term (normalized trailing means).
                 let (carbon_ref, water_ref) = history[n];
                 coefficient += weights.lambda_ref
                     * (weights.lambda_co2 * carbon_ref + weights.lambda_h2o * water_ref);
-                coeffs.push(coefficient);
+                rows.coeffs.push(coefficient);
                 let latency = ctx
                     .transfer
                     .transfer_time(job.spec.home_region, *region, job.spec.package_bytes)
                     .value();
-                latency_ratio.push(latency / exec);
+                rows.latency_ratio.push(latency / exec);
             }
-            JobNumerics {
-                coeffs,
-                latency_ratio,
-                remaining_tolerance,
-            }
-        })
+            let remaining_tolerance = (ctx.delay_tolerance - waited / exec).max(0.0);
+            rows.remaining_tolerance.push(remaining_tolerance);
+        };
+        let (selected, numerics) = (&round.selected, &mut round.numerics);
+        numerics.reset(regions.len());
+        let workers = self.config.parallelism.worker_count(selected.len());
+        if workers <= 1 {
+            let row = &mut round.candidates;
+            return selected.iter().for_each(|&p| fill_row(p, row, numerics));
+        }
+        let rows = run_indexed(selected.len(), workers, |m| {
+            let mut row = RoundNumerics::default();
+            fill_row(selected[m], &mut Vec::new(), &mut row);
+            row
+        });
+        for row in rows {
+            numerics.coeffs.extend(row.coeffs);
+            numerics.latency_ratio.extend(row.latency_ratio);
+            numerics.remaining_tolerance.extend(row.remaining_tolerance);
+        }
     }
 
     /// Decide the selected jobs' assignment (`soft_penalty` selects Eq. 12/13's
-    /// relaxation): capacities → hint → [`certified`] → only if not,
-    /// [`assignment_model`] → `solve_warm` → one read-back by position, which
-    /// lets the solution cache replay a bit-identical batch under other job ids.
+    /// relaxation): hint → [`certified`] → only if not, [`assignment_model`] →
+    /// `solve_warm` → one read-back by position, which lets the solution
+    /// cache replay a bit-identical batch under other job ids.
     fn solve_assignment(
         &mut self,
-        jobs: &[&PendingJob],
         ctx: &SchedulingContext<'_>,
-        numerics: &[JobNumerics],
+        round: &mut RoundScratch,
         soft_penalty: Option<f64>,
     ) -> Option<Vec<Assignment>> {
-        let n_regions = ctx.regions.len();
-        let capacities: Vec<usize> = ctx.regions.iter().map(|v| v.remaining_capacity()).collect();
-        let hint = self.build_hint(jobs, ctx, numerics, &capacities, soft_penalty.is_some());
+        let (numerics, capacities) = (&round.numerics, &round.capacities[..]);
+        let (hint, left) = (&mut round.hint, &mut round.capacity_left);
+        let n_regions = capacities.len();
+        let soften = soft_penalty.is_some();
+        let hinted = self.config.warm_start && build_hint(numerics, capacities, soften, hint, left);
         let tol = self.config.simplex.tolerance;
-        let chosen: Vec<Option<usize>> = match hint {
-            Some(chosen) if certified(numerics, &capacities, soft_penalty, &chosen, tol) => {
-                // A soft round built the hard model first: it is not counted.
-                self.stats.certified_rounds += usize::from(soft_penalty.is_none());
-                chosen.into_iter().map(Some).collect()
+        let solution = if hinted && certified(numerics, capacities, soft_penalty, hint, tol, left) {
+            // A soft round built the hard model first: it is not counted.
+            self.stats.certified_rounds += usize::from(!soften);
+            None
+        } else {
+            let model = assignment_model(numerics, capacities, soft_penalty);
+            let dense = hinted.then(|| one_hot(hint, n_regions));
+            let (simplex, branch_bound) = (&self.config.simplex, &self.config.branch_bound);
+            let solution = model
+                .solve_warm(simplex, branch_bound, dense.as_deref(), &mut self.workspace)
+                .ok()?;
+            self.stats.simplex_iterations += solution.simplex_iterations;
+            self.stats.nodes += solution.nodes_explored;
+            self.stats.warm = self.workspace.stats();
+            self.stats.cache = self.workspace.cache_stats();
+            if !solution.status.has_solution() {
+                return None;
             }
-            hint => {
-                let model = assignment_model(numerics, &capacities, soft_penalty);
-                let hint = hint.map(|chosen| one_hot(&chosen, n_regions));
-                let solution = model
-                    .solve_warm(
-                        &self.config.simplex,
-                        &self.config.branch_bound,
-                        hint.as_deref(),
-                        &mut self.workspace,
-                    )
-                    .ok()?;
-                self.stats.simplex_iterations += solution.simplex_iterations;
-                self.stats.nodes += solution.nodes_explored;
-                self.stats.warm = self.workspace.stats();
-                self.stats.cache = self.workspace.cache_stats();
-                if !solution.status.has_solution() {
-                    return None;
-                }
-                let x = |m: usize, n: usize| Var::from_index(m * n_regions + n);
-                (0..jobs.len())
-                    .map(|m| (0..n_regions).find(|&n| solution.is_one(x(m, n))))
-                    .collect()
-            }
+            Some(solution)
         };
-        let mut assignments = Vec::with_capacity(jobs.len());
-        for (job, n) in jobs.iter().zip(chosen) {
-            if let Some(n) = n {
-                // Carried forward as the next slot's warm-start hint should
-                // the job remain pending (e.g. the engine rejects the
-                // placement); pruned at the end of `schedule` once the job
-                // leaves the pending pool.
-                let region = ctx.regions[n].region;
-                self.carried.insert(job.spec.id, region);
-                assignments.push(Assignment {
-                    job: job.spec.id,
-                    region,
-                });
+        let x = |m: usize, n: usize| Var::from_index(m * n_regions + n);
+        let mut assignments = Vec::with_capacity(round.selected.len());
+        for (m, &pending) in round.selected.iter().enumerate() {
+            let chosen = match &solution {
+                None => Some(hint[m]),
+                Some(solution) => (0..n_regions).find(|&n| solution.is_one(x(m, n))),
+            };
+            if let Some(n) = chosen {
+                let (job, region) = (ctx.pending[pending].spec.id, ctx.regions[n].region);
+                assignments.push(Assignment { job, region });
             }
         }
         Some(assignments)
     }
 
-    /// The hinted assignment, one region index per job: the previous slot's
-    /// choice where carried and still feasible, else the cheapest feasible
-    /// region under the capacity left. `None` when no complete feasible
-    /// candidate exists or warm starting is off: the round then solves cold.
-    fn build_hint(
-        &self,
-        jobs: &[&PendingJob],
-        ctx: &SchedulingContext<'_>,
-        numerics: &[JobNumerics],
-        capacities: &[usize],
-        soften: bool,
-    ) -> Option<Vec<usize>> {
-        if !self.config.warm_start {
-            return None;
-        }
-        let n_regions = ctx.regions.len();
-        let mut capacity_left = capacities.to_vec();
-        let mut hint = Vec::with_capacity(jobs.len());
-        for (m, job) in jobs.iter().enumerate() {
-            let numbers = &numerics[m];
-            let feasible = |n: usize, capacity_left: &[usize]| {
-                capacity_left[n] > 0 && (soften || numbers.admits(n))
-            };
-            let carried = self
-                .carried
-                .get(&job.spec.id)
-                .and_then(|region| ctx.regions.iter().position(|v| v.region == *region))
-                .filter(|&n| feasible(n, &capacity_left));
-            let chosen = carried.or_else(|| {
-                (0..n_regions)
-                    .filter(|&n| feasible(n, &capacity_left))
-                    .min_by(|&a, &b| {
-                        numbers.coeffs[a]
-                            .partial_cmp(&numbers.coeffs[b])
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(a.cmp(&b))
-                    })
-            })?;
-            capacity_left[chosen] -= 1;
-            hint.push(chosen);
-        }
-        Some(hint)
-    }
-
     /// Normalized trailing-window footprints per region, the `CO2_ref` /
-    /// `H2O_ref` history terms of Eq. 8.
-    fn history_terms(&self, ctx: &SchedulingContext<'_>, regions: &[Region]) -> Vec<(f64, f64)> {
-        let pue = self.estimator.params.pue;
-        let raw: Vec<(f64, f64)> = regions
-            .iter()
-            .map(|&r| {
-                let carbon = self
-                    .provider
-                    .trailing_carbon(r, ctx.now, self.config.history_window_hours)
-                    .value();
-                let water = self.provider.trailing_water_intensity(
-                    r,
-                    ctx.now,
-                    self.config.history_window_hours,
-                    pue,
-                );
-                (carbon, water)
-            })
-            .collect();
-        let max_carbon = raw
-            .iter()
-            .map(|(c, _)| *c)
-            .fold(f64::MIN_POSITIVE, f64::max);
-        let max_water = raw
-            .iter()
-            .map(|(_, w)| *w)
-            .fold(f64::MIN_POSITIVE, f64::max);
-        raw.iter()
-            .map(|(c, w)| (c / max_carbon, w / max_water))
-            .collect()
+    /// `H2O_ref` history terms of Eq. 8 (a handful of trailing means: serial).
+    fn history_terms(&self, ctx: &SchedulingContext<'_>, round: &mut RoundScratch) {
+        let (pue, window) = (self.estimator.params.pue, self.config.history_window_hours);
+        let trailing = |&r: &Region| {
+            let carbon = self.provider.trailing_carbon(r, ctx.now, window).value();
+            let water = self
+                .provider
+                .trailing_water_intensity(r, ctx.now, window, pue);
+            (carbon, water)
+        };
+        let history = &mut round.history;
+        history.clear();
+        history.extend(round.regions.iter().map(trailing));
+        let max_of = |pick: fn(&(f64, f64)) -> f64| {
+            history.iter().map(pick).fold(f64::MIN_POSITIVE, f64::max)
+        };
+        let (max_carbon, max_water) = (max_of(|h| h.0), max_of(|h| h.1));
+        for (carbon, water) in history.iter_mut() {
+            *carbon /= max_carbon;
+            *water /= max_water;
+        }
     }
 }
 
@@ -610,59 +631,38 @@ impl Scheduler for WaterWiseScheduler {
     }
 
     fn schedule(&mut self, ctx: &SchedulingContext<'_>) -> SchedulingDecision {
-        if ctx.pending.is_empty() || ctx.regions.is_empty() {
-            return SchedulingDecision::defer_all();
-        }
-        let regions = ctx.region_list();
-        let total_capacity = ctx.total_remaining_capacity();
-        if total_capacity == 0 {
-            // Nothing can start this round; everything stays pending.
+        if ctx.pending.is_empty() || ctx.total_remaining_capacity() == 0 {
+            // No job, or (no region, none free) nothing can start this round.
             return SchedulingDecision::defer_all();
         }
         self.stats.rounds += 1;
-
-        // Algorithm 1, lines 5–7: slack management when over capacity. The
-        // rolling-horizon window additionally caps the batch at the most
-        // urgent `horizon` jobs; the rest stay pending for later slots.
-        let window = self
-            .config
-            .horizon
-            .map_or(total_capacity, |h| h.max(1).min(total_capacity));
-        let all_jobs: Vec<&PendingJob> = ctx.pending.iter().collect();
-        let selected = self.slack_select(&all_jobs, ctx, &regions, window);
-
-        // Per-job numerics (candidate footprints, normalizers, objective
-        // coefficients — Eq. 7/8), sharded across the configured worker
-        // pool. The history terms are per-region (a handful of trailing
-        // means) and stay serial.
-        let history = self.history_terms(ctx, &regions);
+        let mut round = std::mem::take(&mut self.scratch);
+        let views = ctx.regions.iter();
+        round.regions.clear();
+        round.regions.extend(views.clone().map(|v| v.region));
+        round.capacities.clear();
+        let free = views.map(|v| v.remaining_capacity());
+        round.capacities.extend(free);
+        self.slack_select(ctx, &mut round);
+        // Eq. 7/8's per-job numerics, over the round's history terms.
+        self.history_terms(ctx, &mut round);
         // lint:allow(DET002: prepare_seconds timing capture; scrubbed from schedules by without_wall_clock)
         let prepare_start = Instant::now();
-        let numerics = self.prepare_numerics(&selected, ctx, &regions, &history);
+        self.prepare_numerics(ctx, &mut round);
         self.stats.prepare_seconds += prepare_start.elapsed().as_secs_f64();
-
         // Hard-constrained solve first; soften on infeasibility
         // (Algorithm 1, lines 8–11). The fallback reuses the numerics.
         // lint:allow(DET002: solve_seconds timing capture; scrubbed from schedules by without_wall_clock)
         let solve_start = Instant::now();
-        let hard = self.solve_assignment(&selected, ctx, &numerics, None);
+        let hard = self.solve_assignment(ctx, &mut round, None);
         let assignments = hard.unwrap_or_else(|| {
             self.stats.soft_fallbacks += 1;
             let sigma = Some(self.config.soft_penalty);
-            self.solve_assignment(&selected, ctx, &numerics, sigma)
+            self.solve_assignment(ctx, &mut round, sigma)
                 .unwrap_or_default()
         });
         self.stats.solve_seconds += solve_start.elapsed().as_secs_f64();
-        // Prune carried-forward choices for jobs that already left the
-        // pending pool. Entries for jobs assigned *this* round survive one
-        // more round on purpose: if the engine rejects a placement the job
-        // stays pending and its carried region seeds the next hint;
-        // otherwise the job disappears from `pending` and the entry is
-        // dropped here next round.
-        let mut pending_ids: Vec<JobId> = ctx.pending.iter().map(|p| p.spec.id).collect();
-        pending_ids.sort_unstable();
-        self.carried
-            .retain(|id, _| pending_ids.binary_search(id).is_ok());
+        self.scratch = round;
         SchedulingDecision { assignments }
     }
 
@@ -697,6 +697,7 @@ mod tests {
     use crate::sched::test_support::{context_fixture, ContextFixture};
     use waterwise_sustain::Seconds;
     use waterwise_telemetry::SyntheticTelemetry;
+    use waterwise_traces::JobId;
 
     fn scheduler() -> WaterWiseScheduler {
         WaterWiseScheduler::with_defaults(Arc::new(SyntheticTelemetry::with_seed(3)))
@@ -829,22 +830,32 @@ mod tests {
             .all(|a| a.region == waterwise_telemetry::Region::Milan));
     }
 
-    fn numerics(coeffs: &[f64], latency_ratio: &[f64], remaining_tolerance: f64) -> JobNumerics {
-        JobNumerics {
-            coeffs: coeffs.to_vec(),
-            latency_ratio: latency_ratio.to_vec(),
-            remaining_tolerance,
+    /// A batch in the flat layout, from one `(coeffs, latency_ratio,
+    /// remaining_tolerance)` row per job.
+    fn numerics(rows: &[(&[f64], &[f64], f64)]) -> RoundNumerics {
+        let mut batch = RoundNumerics::default();
+        batch.reset(rows.first().map_or(0, |row| row.0.len()));
+        for (coeffs, latency_ratio, remaining_tolerance) in rows {
+            assert_eq!(
+                (coeffs.len(), latency_ratio.len()),
+                (batch.n_regions, batch.n_regions)
+            );
+            batch.coeffs.extend_from_slice(coeffs);
+            batch.latency_ratio.extend_from_slice(latency_ratio);
+            batch.remaining_tolerance.push(*remaining_tolerance);
         }
+        batch
     }
 
     #[test]
     fn soft_model_picks_the_least_violating_region_when_costs_tie() {
         // Three equally cheap regions, none admissible: only the folded
         // penalty `σ·violation` tells them apart.
-        let job = numerics(&[0.4, 0.4, 0.4], &[0.9, 0.3, 0.6], 0.1);
+        let batch = numerics(&[(&[0.4, 0.4, 0.4], &[0.9, 0.3, 0.6], 0.1)]);
+        let job = batch.job(0);
         assert!((0..3).all(|n| !job.admits(n)));
         let sigma = WaterWiseConfig::default().soft_penalty;
-        let solution = assignment_model(&[job], &[1, 1, 1], Some(sigma))
+        let solution = assignment_model(&batch, &[1, 1, 1], Some(sigma))
             .solve()
             .unwrap();
         assert_eq!(solution.status, waterwise_milp::SolveStatus::Optimal);
@@ -858,13 +869,14 @@ mod tests {
         // A ratio exactly at the tolerance is admissible: bound 1 in the
         // hard model, no penalty in the soft one — even when a pricier
         // penalty-free region competes with a cheaper violating one.
-        let job = numerics(&[0.5, 0.2], &[0.25, 0.26], 0.25);
+        let batch = numerics(&[(&[0.5, 0.2], &[0.25, 0.26], 0.25)]);
+        let job = batch.job(0);
         assert!(job.admits(0) && !job.admits(1));
         assert_eq!(job.violation(0), 0.0);
-        let hard = assignment_model(std::slice::from_ref(&job), &[1, 1], None);
+        let hard = assignment_model(&batch, &[1, 1], None);
         assert_eq!(hard.bounds(Var::from_index(0)), (0.0, 1.0));
         assert_eq!(hard.bounds(Var::from_index(1)), (0.0, 0.0));
-        let soft = assignment_model(&[job], &[1, 1], Some(100.0));
+        let soft = assignment_model(&batch, &[1, 1], Some(100.0));
         assert_eq!(soft.bounds(Var::from_index(1)), (0.0, 1.0));
         assert_eq!(soft.solve().unwrap().values, [1.0, 0.0]);
     }
@@ -874,14 +886,15 @@ mod tests {
         // Eq. 9 is an equality: a job whose arcs are all fixed at zero cannot
         // be left out of the hard model, so the whole round softens — as it
         // did when Eq. 11 was a row.
-        let free = numerics(&[0.3, 0.6], &[0.0, 0.2], 0.5);
-        let stuck = numerics(&[0.3, 0.6], &[0.7, 0.9], 0.5);
-        let hard = assignment_model(&[free.clone(), stuck.clone()], &[2, 2], None);
+        let free = (&[0.3, 0.6][..], &[0.0, 0.2][..], 0.5);
+        let stuck = (&[0.3, 0.6][..], &[0.7, 0.9][..], 0.5);
+        let batch = numerics(&[free, stuck]);
+        let hard = assignment_model(&batch, &[2, 2], None);
         assert_eq!((hard.num_vars(), hard.num_constraints()), (4, 2 + 2));
         let solution = hard.solve().unwrap();
         assert_eq!(solution.status, waterwise_milp::SolveStatus::Infeasible);
         assert_eq!(solution.nodes_explored, 1);
-        let soft = assignment_model(&[free, stuck], &[2, 2], Some(10.0))
+        let soft = assignment_model(&batch, &[2, 2], Some(10.0))
             .solve()
             .unwrap();
         assert_eq!(soft.values, [1.0, 0.0, 1.0, 0.0]);
@@ -965,7 +978,7 @@ mod tests {
     fn sharded_preparation_matches_serial_byte_for_byte() {
         // The per-job numerics are pure and merged in job order, so every
         // parallelism setting must reproduce the serial schedule exactly —
-        // across several stateful rounds (carried hints included).
+        // across several rounds on one scheduler (the reused scratch included).
         let mut fixture = context_fixture(24, 31);
         for p in &mut fixture.pending {
             p.received_at = Seconds::from_hours(6.0);
@@ -1164,7 +1177,7 @@ mod tests {
     /// What the MILP path answers for a hint: [`assignment_model`] solved
     /// from it on a fresh workspace, as `solve_assignment` would.
     fn solved_from(
-        numerics: &[JobNumerics],
+        numerics: &RoundNumerics,
         capacities: &[usize],
         soft_penalty: Option<f64>,
         chosen: &[usize],
@@ -1185,11 +1198,11 @@ mod tests {
         // One job hinted to region 0 at cost 0: region 1's reduced cost is
         // its cost. Returns the certificate's verdict and the solver's answer.
         let verdict = |rival_cost: f64, rival_ratio: f64, soft_penalty: Option<f64>| {
-            let job = numerics(&[0.0, rival_cost], &[0.25, rival_ratio], 0.25);
-            let accepted = certified(std::slice::from_ref(&job), &[1, 1], soft_penalty, &[0], tol);
+            let job = numerics(&[(&[0.0, rival_cost], &[0.25, rival_ratio], 0.25)]);
+            let accepted = certified(&job, &[1, 1], soft_penalty, &[0], tol, &mut Vec::new());
             (
                 accepted,
-                solved_from(&[job], &[1, 1], soft_penalty, &[0]).values,
+                solved_from(&job, &[1, 1], soft_penalty, &[0]).values,
             )
         };
         let (stays, moves) = (vec![1.0, 0.0], vec![0.0, 1.0]);
@@ -1211,11 +1224,12 @@ mod tests {
 
         // The same fixed arc into a region the hint filled: the flip ties
         // with the full region's slack at ratio 0, so the round is solved.
-        let settled = numerics(&[0.5, 0.0], &[0.0, 0.0], 0.25);
-        let tempted = numerics(&[0.0, -1.0], &[0.0, 0.9], 0.25);
-        let batch = [settled, tempted];
-        assert!(!certified(&batch, &[1, 1], None, &[1, 0], tol));
-        assert!(certified(&batch, &[1, 2], None, &[1, 0], tol));
+        let settled = (&[0.5, 0.0][..], &[0.0, 0.0][..], 0.25);
+        let tempted = (&[0.0, -1.0][..], &[0.0, 0.9][..], 0.25);
+        let batch = numerics(&[settled, tempted]);
+        let free = &mut Vec::new();
+        assert!(!certified(&batch, &[1, 1], None, &[1, 0], tol, free));
+        assert!(certified(&batch, &[1, 2], None, &[1, 0], tol, free));
         assert_eq!(
             solved_from(&batch, &[1, 2], None, &[1, 0]).values,
             one_hot(&[1, 0], 2)
@@ -1230,11 +1244,10 @@ mod tests {
                 // At the hinted region, at a free rival, and at a fixed rival
                 // whose region has room (which a finite cost would flip).
                 for (at, ratio) in [(0, 0.0), (1, 0.0), (1, 0.9)] {
-                    let mut job = numerics(&[0.1, 0.2], &[0.0, ratio], 0.5);
-                    job.coeffs[at] = poison;
-                    let batch = [job];
+                    let mut batch = numerics(&[(&[0.1, 0.2], &[0.0, ratio], 0.5)]);
+                    batch.coeffs[at] = poison;
                     assert!(
-                        !certified(&batch, &[2, 2], soft_penalty, &[0], tol),
+                        !certified(&batch, &[2, 2], soft_penalty, &[0], tol, &mut Vec::new()),
                         "{poison} at region {at} (ratio {ratio}, soft {soft_penalty:?}) certified"
                     );
                     let model = assignment_model(&batch, &[2, 2], soft_penalty);
@@ -1328,7 +1341,7 @@ mod tests {
     /// row per job, Eq. 12's penalty as a variable `P[m]` per job after the
     /// `x` block. The oracle [`assignment_model`] is held to; lives only here.
     fn paper_literal_model(
-        numerics: &[JobNumerics],
+        numerics: &RoundNumerics,
         capacities: &[usize],
         soft_penalty: Option<f64>,
     ) -> Model {
@@ -1340,7 +1353,7 @@ mod tests {
             model.add_binary("");
         }
         let mut objective = LinExpr::zero();
-        for (m, numbers) in numerics.iter().enumerate() {
+        for (m, numbers) in numerics.jobs().enumerate() {
             for (n, &coeff) in numbers.coeffs.iter().enumerate() {
                 objective.add_term(x(m, n), coeff);
             }
@@ -1352,7 +1365,7 @@ mod tests {
             }
         }
         model.minimize(objective);
-        for (m, numbers) in numerics.iter().enumerate() {
+        for (m, numbers) in numerics.jobs().enumerate() {
             let assign = LinExpr::sum((0..n_regions).map(|n| LinExpr::from(x(m, n))));
             model.add_constraint("", assign, Sense::Equal, 1.0);
             let mut delay = LinExpr::zero();
@@ -1385,18 +1398,19 @@ mod tests {
         (loose, homes, fill): (bool, bool, f64),
         draws: &[(f64, f64, f64)],
         shares: &[f64],
-    ) -> (Vec<JobNumerics>, Vec<usize>) {
-        let batch = (0..n_jobs)
-            .map(|m| {
-                let row = &draws[m * 8..m * 8 + n_regions];
-                let mut latency_ratio: Vec<f64> = row.iter().map(|d| d.1).collect();
-                if homes {
-                    latency_ratio[m * 5 % n_regions] = 0.0;
-                }
-                let coeffs: Vec<f64> = row.iter().map(|d| d.0).collect();
-                numerics(&coeffs, &latency_ratio, if loose { 0.5 } else { row[0].2 })
-            })
-            .collect();
+    ) -> (RoundNumerics, Vec<usize>) {
+        let mut batch = RoundNumerics::default();
+        batch.reset(n_regions);
+        for m in 0..n_jobs {
+            let row = &draws[m * 8..m * 8 + n_regions];
+            batch.coeffs.extend(row.iter().map(|d| d.0));
+            batch.latency_ratio.extend(row.iter().map(|d| d.1));
+            if homes {
+                batch.latency_ratio[m * n_regions + m * 5 % n_regions] = 0.0;
+            }
+            let tolerance = if loose { 0.5 } else { row[0].2 };
+            batch.remaining_tolerance.push(tolerance);
+        }
         let share_sum: f64 = shares[..n_regions].iter().sum();
         let capacities = shares[..n_regions]
             .iter()
@@ -1470,7 +1484,7 @@ mod tests {
                 // is a feasible point of the literal model at the same cost.
                 let mut point = ours.values.clone();
                 let mut cost = 0.0;
-                for (m, numbers) in batch.iter().enumerate() {
+                for (m, numbers) in batch.jobs().enumerate() {
                     let chosen = (0..n_regions)
                         .find(|&n| ours.values[m * n_regions + n] == 1.0)
                         .expect("an integral assignment row");
@@ -1486,35 +1500,14 @@ mod tests {
         }
     }
 
-    /// A hint of the shape `build_hint` makes: job `m`'s carried region
-    /// (`carried[m]`, when it names one) if still feasible, else the cheapest
-    /// feasible region under the capacity left, ties to the lowest index.
+    /// [`build_hint`]'s hint for the batch, if every job has a feasible region.
     fn greedy_hint(
-        batch: &[JobNumerics],
+        batch: &RoundNumerics,
         capacities: &[usize],
         soften: bool,
-        carried: &[usize],
     ) -> Option<Vec<usize>> {
-        let mut left = capacities.to_vec();
-        let mut hint = Vec::with_capacity(batch.len());
-        for (numbers, &carried) in batch.iter().zip(carried) {
-            let feasible = |n: usize, left: &[usize]| left[n] > 0 && (soften || numbers.admits(n));
-            let cheapest = || {
-                (0..left.len())
-                    .filter(|&n| feasible(n, &left))
-                    .min_by(|&a, &b| {
-                        numbers.coeffs[a]
-                            .total_cmp(&numbers.coeffs[b])
-                            .then(a.cmp(&b))
-                    })
-            };
-            let chosen = Some(carried)
-                .filter(|&n| n < left.len() && feasible(n, &left))
-                .or_else(cheapest)?;
-            left[chosen] -= 1;
-            hint.push(chosen);
-        }
-        Some(hint)
+        let mut hint = Vec::new();
+        build_hint(batch, capacities, soften, &mut hint, &mut Vec::new()).then_some(hint)
     }
 
     /// Cases of the property below, and how its (case, model) instances fell.
@@ -1542,10 +1535,6 @@ mod tests {
             // 1: costs on a coarse grid (equal-cost regions); 2: that, and
             // every odd job a copy of the job before it (duplicate jobs).
             ties in 0usize..3,
-            // A carried region per job (≥ 8 = none), used in a sixth of the cases:
-            // rarely the argmin, and skipped where full or out of tolerance.
-            carry in 0usize..6,
-            carried in prop::collection::vec(0usize..24, 60),
             draws in prop::collection::vec((0.05f64..1.0, 0.0f64..0.7, 0.0f64..0.3), 60 * 8),
             shares in prop::collection::vec(0.2f64..1.0, 8),
         ) {
@@ -1557,24 +1546,26 @@ mod tests {
                 capacities.fill((fill * n_jobs as f64).round() as usize);
             }
             if ties >= 1 {
-                for coeff in batch.iter_mut().flat_map(|job| job.coeffs.iter_mut()) {
+                for coeff in &mut batch.coeffs {
                     *coeff = (*coeff * 4.0).round() / 4.0;
                 }
             }
             if ties == 2 {
                 for m in (1..n_jobs).step_by(2) {
-                    batch[m] = batch[m - 1].clone();
+                    let (from, to) = ((m - 1) * n_regions..m * n_regions, m * n_regions);
+                    batch.coeffs.copy_within(from.clone(), to);
+                    batch.latency_ratio.copy_within(from, to);
+                    batch.remaining_tolerance[m] = batch.remaining_tolerance[m - 1];
                 }
             }
-            let carried = if carry == 0 { carried } else { vec![usize::MAX; 60] };
             let tol = SimplexConfig::default().tolerance;
             for soft_penalty in [None, Some(10.0)] {
-                let hint = greedy_hint(&batch, &capacities, soft_penalty.is_some(), &carried);
+                let hint = greedy_hint(&batch, &capacities, soft_penalty.is_some());
                 let Some(hint) = hint else {
                     UNHINTED.fetch_add(1, Relaxed);
                     continue;
                 };
-                if !certified(&batch, &capacities, soft_penalty, &hint, tol) {
+                if !certified(&batch, &capacities, soft_penalty, &hint, tol, &mut Vec::new()) {
                     REJECTED.fetch_add(1, Relaxed);
                     continue;
                 }

@@ -9,8 +9,15 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use waterwise_sustain::{
     CarbonIntensity, CoolingModel, EwifDataset, LitersPerKwh, RegionConditions, Seconds,
-    WaterScarcityFactor, WaterUsageEffectiveness,
+    WaterIntensity, WaterScarcityFactor, WaterUsageEffectiveness,
 };
+
+/// The instants a trailing window samples, newest first: `at − 3600·k` for
+/// `k` in `0..window`, clamped at zero. One expression for the trait's
+/// defaults and every override that must agree with them to the bit.
+fn trailing_instants(at: Seconds, window: usize) -> impl Iterator<Item = Seconds> {
+    (0..window).map(move |k| Seconds::new((at.value() - k as f64 * 3600.0).max(0.0)))
+}
 
 /// Provides the environmental conditions of every region at any simulation
 /// time. Implementations must be cheap to query (the simulator asks for
@@ -29,8 +36,7 @@ pub trait ConditionsProvider: Send + Sync {
     fn trailing_carbon(&self, region: Region, at: Seconds, window_hours: usize) -> CarbonIntensity {
         let mut sum = 0.0;
         let window = window_hours.max(1);
-        for k in 0..window {
-            let t = Seconds::new((at.value() - k as f64 * 3600.0).max(0.0));
+        for t in trailing_instants(at, window) {
             sum += self.conditions(region, t).carbon_intensity.value();
         }
         CarbonIntensity::new(sum / window as f64)
@@ -48,8 +54,7 @@ pub trait ConditionsProvider: Send + Sync {
     ) -> f64 {
         let window = window_hours.max(1);
         let mut sum = 0.0;
-        for k in 0..window {
-            let t = Seconds::new((at.value() - k as f64 * 3600.0).max(0.0));
+        for t in trailing_instants(at, window) {
             let c = self.conditions(region, t);
             sum += c.water_intensity(pue).value();
         }
@@ -193,11 +198,68 @@ impl ConditionsProvider for SyntheticTelemetry {
             wsf: r.wsf,
         }
     }
+
+    // The two trailing means read their own series only — one read per
+    // sampled hour, not a whole `conditions` — at the defaults' instants, in
+    // their order and through their constructors, so the sums are the same
+    // bits (`series_trailing_means_equal_the_sampled_defaults`). A wrapper
+    // that rescales samples (`PerturbedProvider`) must keep the defaults:
+    // scaling a mean is not averaging scaled samples, to the last ulp.
+    fn trailing_carbon(&self, region: Region, at: Seconds, window_hours: usize) -> CarbonIntensity {
+        let window = window_hours.max(1);
+        let carbon = self.carbon_series(region);
+        let mut sum = 0.0;
+        for t in trailing_instants(at, window) {
+            sum += carbon.at(t);
+        }
+        CarbonIntensity::new(sum / window as f64)
+    }
+
+    fn trailing_water_intensity(
+        &self,
+        region: Region,
+        at: Seconds,
+        window_hours: usize,
+        pue: f64,
+    ) -> f64 {
+        let window = window_hours.max(1);
+        let (ewif, wue) = (self.ewif_series(region), self.wue_series(region));
+        let wsf = self.regions[region.index()].wsf;
+        let mut sum = 0.0;
+        for t in trailing_instants(at, window) {
+            let (wue, ewif) = (
+                WaterUsageEffectiveness::new(wue.at(t)),
+                LitersPerKwh::new(ewif.at(t)),
+            );
+            sum += WaterIntensity::from_components(wue, pue, ewif, wsf).value();
+        }
+        sum / window as f64
+    }
 }
 
 impl<P: ConditionsProvider + ?Sized> ConditionsProvider for Arc<P> {
     fn conditions(&self, region: Region, at: Seconds) -> RegionConditions {
         (**self).conditions(region, at)
+    }
+
+    // Forwarded, not defaulted: behind an `Arc` — how every scheduler and the
+    // simulator hold a provider — the defaults would shadow `P`'s overrides.
+    fn wsf(&self, region: Region) -> WaterScarcityFactor {
+        (**self).wsf(region)
+    }
+
+    fn trailing_carbon(&self, region: Region, at: Seconds, window_hours: usize) -> CarbonIntensity {
+        (**self).trailing_carbon(region, at, window_hours)
+    }
+
+    fn trailing_water_intensity(
+        &self,
+        region: Region,
+        at: Seconds,
+        window_hours: usize,
+        pue: f64,
+    ) -> f64 {
+        (**self).trailing_water_intensity(region, at, window_hours, pue)
     }
 }
 
@@ -367,6 +429,105 @@ mod tests {
         let b = wri.conditions(Region::Zurich, t);
         assert_ne!(a.ewif, b.ewif);
         assert_eq!(a.carbon_intensity, b.carbon_intensity);
+    }
+
+    /// `P` behind its `conditions` alone: every other method is the trait's
+    /// default, which is what an override has to reproduce.
+    struct Sampled<P>(P);
+
+    impl<P: ConditionsProvider> ConditionsProvider for Sampled<P> {
+        fn conditions(&self, region: Region, at: Seconds) -> RegionConditions {
+            self.0.conditions(region, at)
+        }
+    }
+
+    #[test]
+    fn series_trailing_means_equal_the_sampled_defaults() {
+        // Two days of telemetry: hour 60 wraps, and every window below
+        // reaches back past time zero (the clamp) from the early instants.
+        let hour = 3600.0_f64;
+        let instants = [
+            0.0,
+            0.4 * hour,
+            2.5 * hour,
+            (3.0 * hour).next_down(),
+            3.0 * hour,
+            (3.0 * hour).next_up(),
+            (17.0 * hour).next_down(),
+            (17.0 * hour).next_up(),
+            47.99 * hour,
+            60.0 * hour,
+            (96.0 * hour).next_down(),
+            1234.5 * hour,
+        ];
+        for dataset in [EwifDataset::Primary, EwifDataset::WorldResourcesInstitute] {
+            let series = SyntheticTelemetry::generate(TelemetryConfig {
+                seed: 13,
+                horizon_days: 2,
+                dataset,
+                ..TelemetryConfig::default()
+            });
+            let sampled = Sampled(series.clone());
+            let perturbed = PerturbedProvider::new(series.clone(), 1.1, 0.9);
+            let perturbed_sampled = Sampled(perturbed.clone());
+            for region in ALL_REGIONS {
+                for at in instants.map(Seconds::new) {
+                    for window in [0, 1, 10, 48] {
+                        let same = |a: &dyn ConditionsProvider, b: &dyn ConditionsProvider| {
+                            let carbon = |p: &dyn ConditionsProvider| {
+                                p.trailing_carbon(region, at, window).value().to_bits()
+                            };
+                            let water = |p: &dyn ConditionsProvider| {
+                                p.trailing_water_intensity(region, at, window, 1.2)
+                                    .to_bits()
+                            };
+                            carbon(a) == carbon(b) && water(a) == water(b)
+                        };
+                        assert!(
+                            same(&series, &sampled),
+                            "{dataset:?} {region} at {} s, window {window}",
+                            at.value()
+                        );
+                        // Scaling is per sample: it keeps the defaults.
+                        assert!(same(&perturbed, &perturbed_sampled));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_arc_forwards_every_override() {
+        // Answers no default can give: each shows its own method was reached.
+        struct Overrides;
+        impl ConditionsProvider for Overrides {
+            fn conditions(&self, _: Region, _: Seconds) -> RegionConditions {
+                RegionConditions {
+                    carbon_intensity: CarbonIntensity::new(1.0),
+                    ewif: LitersPerKwh::new(1.0),
+                    wue: WaterUsageEffectiveness::new(1.0),
+                    wsf: WaterScarcityFactor::new(0.25),
+                }
+            }
+            fn wsf(&self, _: Region) -> WaterScarcityFactor {
+                WaterScarcityFactor::new(0.75)
+            }
+            fn trailing_carbon(&self, _: Region, _: Seconds, _: usize) -> CarbonIntensity {
+                CarbonIntensity::new(-2.0)
+            }
+            fn trailing_water_intensity(&self, _: Region, _: Seconds, _: usize, _: f64) -> f64 {
+                -3.0
+            }
+        }
+        let shared: Arc<dyn ConditionsProvider> = Arc::new(Overrides);
+        let at = Seconds::from_hours(5.0);
+        assert_eq!(shared.conditions(Region::Milan, at).wsf.value(), 0.25);
+        assert_eq!(shared.wsf(Region::Milan).value(), 0.75);
+        assert_eq!(shared.trailing_carbon(Region::Milan, at, 10).value(), -2.0);
+        assert_eq!(
+            shared.trailing_water_intensity(Region::Milan, at, 10, 1.2),
+            -3.0
+        );
     }
 
     #[test]
