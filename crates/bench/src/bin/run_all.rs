@@ -1,6 +1,6 @@
 //! Runs every experiment in sequence (the full paper reproduction) and
 //! writes the machine-readable `BENCH_figNN.json` artifacts for the
-//! experiments that have them (Figs. 14, 18, 19).
+//! experiments that have them (Figs. 14, 19).
 //!
 //! Before anything runs, every scenario spec the sweep will load is
 //! re-validated; a malformed spec fails the whole suite immediately with
@@ -46,9 +46,6 @@ fn main() {
     ex::print_tables(&fig14);
     ex::save_json("fig14", &fig14);
     ex::print_tables(&ex::fig15_solcache(scale));
-    let fig18 = ex::fig18_hotpath(scale);
-    ex::print_tables(&fig18);
-    ex::save_json("fig18", &fig18);
     let fig19 = ex::fig19_persist(&load("server_resume"));
     ex::print_tables(&fig19);
     ex::save_json("fig19", &fig19);

@@ -884,321 +884,6 @@ pub fn fig15_solcache(scale: ExperimentScale) -> Vec<Table> {
 }
 
 // ---------------------------------------------------------------------------
-// Fig. 18 — scheduler hot path: sharded preparation + dual-simplex restarts
-// ---------------------------------------------------------------------------
-
-/// Fig. 18: the scheduler hot path under its two multicore levers (this
-/// reproduction's own study; not a figure of the paper).
-///
-/// **Table A** drives [`waterwise_core::WaterWiseScheduler`] directly on
-/// fixed slot batches and splits each slot's wall-clock into numerics
-/// preparation (candidate footprints, normalizers, objective coefficients)
-/// versus MILP build + solve, comparing serial against sharded preparation.
-/// Decisions are asserted byte-identical; on a single-core host the prepare
-/// speedup is ≈ 1.0× by construction (the pool falls back to one worker).
-///
-/// **Table B** measures dual-simplex restarts against cold per-node solves
-/// on a branch-and-bound-heavy knapsack battery. The campaign's assignment
-/// MILPs are almost always root-integral, so their search rarely branches;
-/// the battery makes the dual path's pivot savings visible on models that
-/// actually explore nodes, asserting identical solutions either way.
-///
-/// **Table C** replays the Fig. 5 campaign under every lever setting and
-/// both engine modes, asserts byte-identical schedules throughout, and
-/// reports the slot-time split between solver work and the rest of the
-/// engine (event processing + footprint accounting) plus the campaign's
-/// dual-restart counters.
-pub fn fig18_hotpath(scale: ExperimentScale) -> Vec<Table> {
-    use std::sync::Arc;
-    use std::time::Instant;
-    use waterwise_cluster::{PendingJob, RegionView, Scheduler, SchedulingContext, TransferModel};
-    use waterwise_core::{EngineMode, WaterWiseConfig, WaterWiseScheduler};
-
-    // -- Table A: per-slot prepare vs solve, serial vs sharded preparation --
-    let mut breakdown = Table::new(
-        "Fig. 18A — per-slot breakdown: numerics preparation vs MILP solve",
-        &[
-            "batch",
-            "timed slots",
-            "workers",
-            "prep serial (ms)",
-            "prep sharded (ms)",
-            "prep speedup",
-            "solve (ms)",
-            "prep share",
-        ],
-    );
-    let trace = Campaign::new(CampaignConfig::paper_default(scale.days, 0.5, scale.seed));
-    let specs = trace.jobs();
-    let transfer = TransferModel::paper_default();
-    let slots = 5usize;
-    for batch in [8usize, 24, 64] {
-        let batch = batch.min(specs.len());
-        if batch == 0 {
-            continue;
-        }
-        let provider: Arc<dyn ConditionsProvider> =
-            Arc::new(SyntheticTelemetry::with_seed(scale.seed));
-        let estimator = FootprintEstimator::paper_default();
-        let mut serial =
-            WaterWiseScheduler::new(provider.clone(), estimator, WaterWiseConfig::default());
-        let mut sharded = WaterWiseScheduler::new(
-            provider.clone(),
-            estimator,
-            WaterWiseConfig::default().with_parallelism(Parallelism::Auto),
-        );
-        let regions: Vec<RegionView> = ALL_REGIONS
-            .iter()
-            .map(|&region| RegionView {
-                region,
-                total_servers: batch,
-                busy_servers: 0,
-                queued_jobs: 0,
-                inbound_jobs: 0,
-            })
-            .collect();
-        let batches: Vec<Vec<PendingJob>> = (0..slots)
-            .map(|slot| {
-                let now = Seconds::from_hours(6.0 + 0.25 * slot as f64);
-                (0..batch)
-                    .map(|i| PendingJob {
-                        spec: specs[(slot * batch + i) % specs.len()].clone(),
-                        received_at: now,
-                        deferrals: 0,
-                    })
-                    .collect()
-            })
-            .collect();
-        // Each scheduler replays the slot sequence contiguously; slot 0 is
-        // an untimed warm-up (allocator + cache warm-up would otherwise
-        // dominate these sub-millisecond phases).
-        let replay = |scheduler: &mut WaterWiseScheduler| {
-            let mut decisions = Vec::with_capacity(slots);
-            let mut timed_from = scheduler.stats();
-            for (slot, pending) in batches.iter().enumerate() {
-                let ctx = SchedulingContext {
-                    now: Seconds::from_hours(6.0 + 0.25 * slot as f64),
-                    pending,
-                    regions: &regions,
-                    delay_tolerance: 0.5,
-                    transfer: &transfer,
-                };
-                decisions.push(scheduler.schedule(&ctx));
-                if slot == 0 {
-                    timed_from = scheduler.stats();
-                }
-            }
-            let stats = scheduler.stats();
-            (
-                decisions,
-                (stats.prepare_seconds - timed_from.prepare_seconds) * 1e3,
-                (stats.solve_seconds - timed_from.solve_seconds) * 1e3,
-            )
-        };
-        let (serial_decisions, serial_prep, solve) = replay(&mut serial);
-        let (sharded_decisions, sharded_prep, _) = replay(&mut sharded);
-        assert_eq!(
-            serial_decisions, sharded_decisions,
-            "sharded prepare changed a slot decision (batch {batch})"
-        );
-        // The deterministic solver work must match exactly; only the
-        // wall-clock split may differ.
-        assert_eq!(serial.stats().warm, sharded.stats().warm);
-        breakdown.row(&[
-            batch.to_string(),
-            (slots - 1).to_string(),
-            Parallelism::Auto.worker_count(batch).to_string(),
-            fmt2(serial_prep),
-            fmt2(sharded_prep),
-            format!("{:.2}x", serial_prep / sharded_prep.max(1e-9)),
-            fmt2(solve),
-            pct(serial_prep / (serial_prep + solve).max(1e-9) * 100.0),
-        ]);
-    }
-
-    // -- Table B: dual restarts vs cold node solves where B&B branches --
-    let mut battery = Table::new(
-        "Fig. 18B — dual-simplex restarts on a B&B-heavy knapsack battery",
-        &[
-            "vars",
-            "node solves",
-            "mode",
-            "nodes",
-            "pivots",
-            "pivots/node",
-            "dual restarts",
-            "reuse hits",
-            "bound flips",
-            "pivot reduction",
-        ],
-    );
-    let mut rng = scale.seed.wrapping_mul(0x2545F4914F6CDD1D) | 1;
-    let mut next_f = move |lo: f64, hi: f64| {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        lo + (hi - lo) * ((rng >> 11) as f64 / (1u64 << 53) as f64)
-    };
-    let mut total_dual_restarts = 0usize;
-    for n in [8usize, 12, 16] {
-        let values: Vec<f64> = (0..n).map(|_| next_f(1.0, 10.0)).collect();
-        let weights: Vec<f64> = (0..n).map(|_| next_f(1.0, 8.0)).collect();
-        let volumes: Vec<f64> = (0..n).map(|_| next_f(1.0, 6.0)).collect();
-        let build = || {
-            let mut m = waterwise_milp::Model::new(format!("fig18-knapsack-{n}"));
-            let vars: Vec<_> = (0..n).map(|i| m.add_binary(format!("x{i}"))).collect();
-            let mut value = waterwise_milp::LinExpr::zero();
-            let mut weight = waterwise_milp::LinExpr::zero();
-            let mut volume = waterwise_milp::LinExpr::zero();
-            for (i, &v) in vars.iter().enumerate() {
-                value.add_term(v, values[i]);
-                weight.add_term(v, weights[i]);
-                volume.add_term(v, volumes[i]);
-            }
-            let cap = |c: &[f64]| c.iter().sum::<f64>() * 0.45;
-            m.add_constraint(
-                "weight",
-                weight,
-                waterwise_milp::Sense::LessEqual,
-                cap(&weights),
-            );
-            m.add_constraint(
-                "volume",
-                volume,
-                waterwise_milp::Sense::LessEqual,
-                cap(&volumes),
-            );
-            m.maximize(value);
-            m
-        };
-        let simplex = waterwise_milp::SimplexConfig::default();
-        let mut reference: Option<waterwise_milp::Solution> = None;
-        let mut cold_pivots = 0usize;
-        for dual in [false, true] {
-            let bb = waterwise_milp::BranchBoundConfig {
-                use_dual_restart: dual,
-                ..Default::default()
-            };
-            let mut ws = waterwise_milp::SolverWorkspace::new();
-            let solution = build()
-                .solve_warm(&simplex, &bb, None, &mut ws)
-                .expect("knapsack battery must solve");
-            // The lever's contract: restarted and cold searches agree on
-            // the optimum exactly.
-            match &reference {
-                None => reference = Some(solution.clone()),
-                Some(cold) => {
-                    assert_eq!(cold.status, solution.status, "{n} vars");
-                    assert!(
-                        (cold.objective - solution.objective).abs() < 1e-9,
-                        "{n} vars: cold {} vs dual {}",
-                        cold.objective,
-                        solution.objective
-                    );
-                    assert_eq!(cold.values, solution.values, "{n} vars");
-                }
-            }
-            let stats = ws.stats();
-            let node_solves = stats.cold_solves + stats.warm_solves;
-            if !dual {
-                cold_pivots = solution.simplex_iterations;
-            }
-            total_dual_restarts += stats.dual_restarts;
-            battery.row(&[
-                n.to_string(),
-                node_solves.to_string(),
-                if dual { "dual restart" } else { "cold" }.to_string(),
-                solution.nodes_explored.to_string(),
-                solution.simplex_iterations.to_string(),
-                fmt2(solution.simplex_iterations as f64 / solution.nodes_explored.max(1) as f64),
-                stats.dual_restarts.to_string(),
-                stats.basis_reuse_hits.to_string(),
-                stats.bound_flips.to_string(),
-                if dual && cold_pivots > 0 {
-                    pct((cold_pivots as f64 - solution.simplex_iterations as f64)
-                        / cold_pivots as f64
-                        * 100.0)
-                } else {
-                    "-".to_string()
-                },
-            ]);
-        }
-    }
-    assert!(
-        total_dual_restarts > 0,
-        "the battery never branched — it no longer exercises dual restarts"
-    );
-
-    // -- Table C: campaign identity + slot-time split across levers/modes --
-    let mut campaign_table = Table::new(
-        "Fig. 18C — campaign slot-time split under the hot-path levers",
-        &[
-            "engine",
-            "lever",
-            "wall (ms)",
-            "solver (ms)",
-            "events+accounting (ms)",
-            "dual restarts",
-            "reuse hits",
-            "bound flips",
-        ],
-    );
-    let mut reference: Option<Vec<waterwise_cluster::JobOutcome>> = None;
-    for engine in [EngineMode::Sync, EngineMode::Pipelined { workers: 2 }] {
-        for lever in ["serial+dual", "sharded", "cold-nodes"] {
-            let mut config =
-                CampaignConfig::paper_default(scale.days, 0.5, scale.seed).with_engine_mode(engine);
-            match lever {
-                "sharded" => {
-                    config.waterwise = config.waterwise.clone().with_parallelism(Parallelism::Auto);
-                }
-                "cold-nodes" => config.waterwise.branch_bound.use_dual_restart = false,
-                _ => {}
-            }
-            // Trace/telemetry generation happens outside the timer; it is
-            // identical across rows and would only dilute the split.
-            let campaign = Campaign::new(config);
-            let started = Instant::now();
-            let outcome = campaign
-                .run(SchedulerKind::WaterWise)
-                .expect("campaign must run");
-            let wall = started.elapsed().as_secs_f64();
-            // Neither lever may change a single placement, in either
-            // engine mode.
-            match &reference {
-                None => reference = Some(outcome.report.outcomes.clone()),
-                Some(baseline) => assert_eq!(
-                    baseline, &outcome.report.outcomes,
-                    "{lever} changed the schedule under {engine:?}"
-                ),
-            }
-            let solver_busy = match &outcome.summary.pipeline {
-                Some(stats) => stats.solver_busy.value(),
-                None => outcome
-                    .report
-                    .overhead
-                    .iter()
-                    .map(|s| s.wall_clock.value())
-                    .sum(),
-            };
-            let solver = &outcome.summary.solver;
-            campaign_table.row(&[
-                engine.label(),
-                lever.to_string(),
-                fmt2(wall * 1e3),
-                fmt2(solver_busy * 1e3),
-                fmt2((wall - solver_busy).max(0.0) * 1e3),
-                solver.dual_restarts.to_string(),
-                solver.basis_reuse_hits.to_string(),
-                solver.bound_flips.to_string(),
-            ]);
-        }
-    }
-
-    vec![breakdown, battery, campaign_table]
-}
-
-// ---------------------------------------------------------------------------
 // Table 2 — service time and violations
 // ---------------------------------------------------------------------------
 
@@ -1640,34 +1325,6 @@ mod tests {
         // Overhead must be well under 5% of the execution footprint.
         let rendered = tables[0].render();
         assert!(!rendered.contains("inf"));
-    }
-
-    #[test]
-    fn fig18_splits_the_hot_path_and_exercises_dual_restarts() {
-        // Byte-identity (sharded vs serial slots, dual vs cold nodes and
-        // campaigns) is asserted *inside* the experiment; here we check the
-        // table shapes and that the knapsack battery actually branched.
-        let tables = fig18_hotpath(tiny());
-        assert_eq!(tables.len(), 3);
-        // Table A: one row per batch size, speedup cell well-formed.
-        assert!(!tables[0].is_empty());
-        for row in tables[0].rows() {
-            assert!(row[5].ends_with('x'), "speedup cell malformed: {row:?}");
-        }
-        // Table B: cold/dual row pairs for three model sizes, and the dual
-        // rows must record restarts (the battery's entire point).
-        assert_eq!(tables[1].len(), 6);
-        let mut restarts = 0usize;
-        for pair in tables[1].rows().chunks(2) {
-            assert_eq!(pair[0][2], "cold");
-            assert_eq!(pair[1][2], "dual restart");
-            assert_eq!(pair[0][6], "0", "cold rows must not attempt restarts");
-            restarts += pair[1][6].parse::<usize>().unwrap();
-        }
-        assert!(restarts > 0, "dual rows recorded no restarts");
-        // Table C: 2 engine modes × 3 levers.
-        assert_eq!(tables[2].len(), 6);
-        assert_eq!(tables[2].cell(0, 1), "serial+dual");
     }
 
     #[test]

@@ -132,15 +132,14 @@ pub struct SolverActivity {
     pub warm_pivots: usize,
     /// Branch-and-bound nodes explored.
     pub nodes: usize,
-    /// Dual-simplex restarts attempted from a parent node's basis snapshot
-    /// (branch & bound child nodes).
+    /// Dual-simplex restarts of branch-and-bound nodes: always 0; kept for
+    /// the frozen ledger (ROADMAP 3a).
     pub dual_restarts: usize,
-    /// Dual restarts that reached a definitive verdict without falling back
-    /// to a cold solve; `dual_restarts - basis_reuse_hits` counts the cold
-    /// fallbacks (pivot cap hit or incompatible snapshot).
+    /// Dual restarts that reused their parent's basis: always 0; kept for
+    /// the frozen ledger (ROADMAP 3a).
     pub basis_reuse_hits: usize,
-    /// Variables whose bound moved across dual restarts — the sparse delta a
-    /// restart replays instead of a full re-solve.
+    /// Variable bounds moved by dual restarts: always 0; kept for the
+    /// frozen ledger (ROADMAP 3a).
     pub bound_flips: usize,
     /// Solution-cache lookups whose exact fingerprint matched (the solve was
     /// skipped entirely). Zero for schedulers without a cache.

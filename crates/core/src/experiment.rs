@@ -805,45 +805,31 @@ mod tests {
 
     #[test]
     fn hot_path_levers_never_change_the_schedule_in_either_engine_mode() {
-        // The two hot-path levers — sharded numerics preparation and
-        // dual-simplex restarts in branch & bound — must be invisible in the
-        // produced schedule under both engine modes; only wall-clock
-        // measurements (scrubbed here) may differ.
+        // Sharded numerics preparation must be invisible in the produced
+        // schedule and the solver work under both engine modes; only
+        // wall-clock measurements (scrubbed here) may differ.
         for engine in [EngineMode::Sync, EngineMode::Pipelined { workers: 2 }] {
             let mut reference_config = CampaignConfig::small_demo(42);
             reference_config.simulation.engine = engine;
             let reference = Campaign::new(reference_config.clone())
                 .run(SchedulerKind::WaterWise)
                 .unwrap();
-            let mut sharded_config = reference_config.clone();
+            let mut sharded_config = reference_config;
             sharded_config.waterwise = sharded_config
                 .waterwise
                 .with_parallelism(Parallelism::Threads(3));
-            let mut cold_nodes_config = reference_config.clone();
-            cold_nodes_config.waterwise.branch_bound.use_dual_restart = false;
-            for (label, config) in [
-                ("sharded", sharded_config),
-                ("cold-nodes", cold_nodes_config),
-            ] {
-                let outcome = Campaign::new(config).run(SchedulerKind::WaterWise).unwrap();
-                assert_eq!(
-                    reference.report.outcomes, outcome.report.outcomes,
-                    "{label} changed the outcomes under {engine:?}"
-                );
-                // Disabling dual restarts legitimately changes the *solver
-                // work* counters (that is the lever), so the scrubbed-summary
-                // comparison normalizes them; everything else must match.
-                let scrub = |summary: &waterwise_cluster::CampaignSummary| {
-                    let mut s = summary.without_wall_clock();
-                    s.solver = waterwise_cluster::SolverActivity::default();
-                    s
-                };
-                assert_eq!(
-                    format!("{:?}", scrub(&reference.summary)),
-                    format!("{:?}", scrub(&outcome.summary)),
-                    "{label} changed the scrubbed summary under {engine:?}"
-                );
-            }
+            let sharded = Campaign::new(sharded_config)
+                .run(SchedulerKind::WaterWise)
+                .unwrap();
+            assert_eq!(
+                reference.report.outcomes, sharded.report.outcomes,
+                "sharded preparation changed the outcomes under {engine:?}"
+            );
+            assert_eq!(
+                format!("{:?}", reference.summary.without_wall_clock()),
+                format!("{:?}", sharded.summary.without_wall_clock()),
+                "sharded preparation changed the scrubbed summary under {engine:?}"
+            );
         }
     }
 

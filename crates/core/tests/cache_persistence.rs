@@ -135,7 +135,7 @@ fn solver_config_mismatch_is_a_typed_error() {
     assert!(campaign.save_cache().expect("save"));
 
     let mut other = config;
-    other.waterwise.branch_bound.use_dual_restart = !other.waterwise.branch_bound.use_dual_restart;
+    other.waterwise.branch_bound.max_nodes += 1;
     match Campaign::try_new(other).err() {
         Some(WaterWiseError::CachePersist(CachePersistError::ConfigMismatch {
             path: reported,

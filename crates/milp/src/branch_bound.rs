@@ -1,21 +1,19 @@
 //! Branch & bound on top of the LP relaxation.
 //!
 //! Nodes are explored best-first (by their parent's LP bound), branching on
-//! the most fractional integer variable. For the assignment-style MILPs built
-//! by the WaterWise scheduler, the LP relaxation is almost always integral and
-//! the search terminates at the root; the implementation nevertheless handles
-//! general bounded MILPs and is property-tested against brute-force
-//! enumeration.
+//! the most fractional integer variable. The WaterWise scheduler's MILP is a
+//! transportation problem whose LP relaxation is integral, so its search
+//! ends at the root; the implementation nevertheless handles general bounded
+//! MILPs and is tested against exhaustive enumeration.
 
 use crate::error::MilpError;
 use crate::model::{Direction, Model};
-use crate::simplex::{self, BasisSnapshot, BoundedLp, DualOutcome, SimplexConfig};
+use crate::simplex::{self, BoundedLp, SimplexConfig};
 use crate::solution::{Solution, SolveStatus};
 use crate::workspace::SolverWorkspace;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::rc::Rc;
 
 /// Branch & bound configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -28,13 +26,6 @@ pub struct BranchBoundConfig {
     /// Absolute optimality gap at which a node is pruned against the
     /// incumbent.
     pub absolute_gap: f64,
-    /// Reuse each explored node's final simplex basis to solve its children
-    /// with a dual-simplex restart instead of a cold two-phase solve.
-    /// Branching only tightens variable bounds, which keeps the parent basis
-    /// dual-feasible, so a child typically re-optimizes in a few pivots.
-    /// The result is the same solution either way (see the tied-optima
-    /// caveat on [`solve_warm`]); disable to force cold per-node solves.
-    pub use_dual_restart: bool,
 }
 
 impl Default for BranchBoundConfig {
@@ -43,22 +34,19 @@ impl Default for BranchBoundConfig {
             max_nodes: 10_000,
             integrality_tolerance: 1e-6,
             absolute_gap: 1e-9,
-            use_dual_restart: true,
         }
     }
 }
 
 /// A pending node: its own variable bounds (the model's, tightened by the
 /// branching above it) plus the parent LP bound used for best-first ordering.
-/// The parent's final basis rides along (shared by both children) so the
-/// node LP can dual-restart.
+/// Its LP is solved cold, or hinted when the hint lies in its bound box.
 #[derive(Debug, Clone)]
 struct Node {
     lower: Vec<f64>,
     upper: Vec<f64>,
     parent_bound: f64,
     depth: usize,
-    snapshot: Option<Rc<BasisSnapshot>>,
 }
 
 impl PartialEq for Node {
@@ -114,16 +102,6 @@ impl Node {
     }
 }
 
-/// Drop a node's share of the parent basis; the last holder recycles the
-/// tableau buffer into the workspace pool.
-fn release_snapshot(snapshot: Option<Rc<BasisSnapshot>>, workspace: Option<&mut SolverWorkspace>) {
-    if let Some(rc) = snapshot {
-        if let (Ok(snapshot), Some(ws)) = (Rc::try_unwrap(rc), workspace) {
-            ws.recycle_snapshot(snapshot);
-        }
-    }
-}
-
 /// Branch & bound with an optional warm start.
 ///
 /// `hint` is a candidate point carried over from a previous, similar solve
@@ -159,7 +137,6 @@ pub fn solve_warm(
         upper: lp.upper.clone(),
         parent_bound: f64::NEG_INFINITY,
         depth: 0,
-        snapshot: None,
     });
 
     let mut incumbent: Option<Solution> = None;
@@ -167,6 +144,9 @@ pub fn solve_warm(
     let mut nodes_explored = 0usize;
     let mut total_iterations = 0usize;
     let mut saw_unbounded_root = false;
+    // A node LP that ran out of pivots leaves its subtree without a bound:
+    // the search can then certify neither optimality nor infeasibility.
+    let mut saw_capped_node = false;
 
     // Only hints that are feasible for this model (constraints, bounds, and
     // integrality) are usable; anything else is silently dropped.
@@ -203,18 +183,16 @@ pub fn solve_warm(
         }
     };
 
-    while let Some(mut node) = heap.pop() {
+    while let Some(node) = heap.pop() {
         if nodes_explored >= config.max_nodes {
             break;
         }
         // Prune against the incumbent using the parent bound.
         if node.parent_bound > prune_threshold(incumbent_key, incumbent_from_hint) {
-            release_snapshot(node.snapshot.take(), workspace.as_deref_mut());
             continue;
         }
         nodes_explored += 1;
         if node.is_empty() {
-            release_snapshot(node.snapshot.take(), workspace.as_deref_mut());
             continue;
         }
         let node_lp = BoundedLp {
@@ -222,28 +200,12 @@ pub fn solve_warm(
             lower: &node.lower,
             upper: &node.upper,
         };
-        // Dual-first: restart from the parent's final basis when one rode
-        // along. A typed fallback (pivot cap, incompatible bound shape)
-        // drops to the cold path below; its wasted pivots are visible via
-        // `dual_restarts - basis_reuse_hits`, not in the pivot totals.
-        let restart = node.snapshot.as_deref().filter(|_| config.use_dual_restart);
-        let dual_result = restart.and_then(|snapshot| {
-            match simplex::dual_restart(node_lp, simplex_config, snapshot, workspace.as_deref_mut())
-            {
-                DualOutcome::Finished(outcome, captured) => Some((outcome, captured)),
-                DualOutcome::PivotLimit { .. } | DualOutcome::Incompatible => None,
-            }
-        });
-        release_snapshot(node.snapshot.take(), workspace.as_deref_mut());
-        let (outcome, captured) = dual_result.unwrap_or_else(|| {
-            simplex::solve_bounded(
-                node_lp,
-                simplex_config,
-                hint.filter(|h| node.contains(h, 1e-9)),
-                workspace.as_deref_mut(),
-                config.use_dual_restart,
-            )
-        });
+        let outcome = simplex::solve_bounded(
+            node_lp,
+            simplex_config,
+            hint.filter(|h| node.contains(h, 1e-9)),
+            workspace.as_deref_mut(),
+        );
         let relaxation = model.lp_solution(outcome);
         total_iterations += relaxation.simplex_iterations;
         match relaxation.status {
@@ -258,15 +220,15 @@ pub fn solve_warm(
                 }
                 continue;
             }
-            SolveStatus::IterationLimit => continue,
+            SolveStatus::IterationLimit => {
+                saw_capped_node = true;
+                continue;
+            }
             SolveStatus::Optimal | SolveStatus::Feasible => {}
         }
         let node_key = key(relaxation.objective);
         if node_key > prune_threshold(incumbent_key, incumbent_from_hint) {
             // Bound dominated by incumbent.
-            if let (Some(snapshot), Some(ws)) = (captured, workspace.as_deref_mut()) {
-                ws.recycle_snapshot(snapshot);
-            }
             continue;
         }
         // Find the most fractional integer variable.
@@ -283,10 +245,6 @@ pub fn solve_warm(
         }
         match branch_var {
             None => {
-                // Integral: no children, so the captured basis is not needed.
-                if let (Some(snapshot), Some(ws)) = (captured, workspace.as_deref_mut()) {
-                    ws.recycle_snapshot(snapshot);
-                }
                 // Candidate incumbent. A search-derived solution
                 // that ties a hint-derived incumbent takes precedence so the
                 // returned vertex matches what a cold solve would pick.
@@ -311,12 +269,9 @@ pub fn solve_warm(
             }
             Some((vi, value)) => {
                 let floor = value.floor();
-                // Both children share the parent's final basis; whichever is
-                // explored last (or pruned) releases it back to the pool.
                 let mut up = Node {
                     parent_bound: node_key,
                     depth: node.depth + 1,
-                    snapshot: captured.map(Rc::new),
                     ..node
                 };
                 let mut down = up.clone();
@@ -328,12 +283,7 @@ pub fn solve_warm(
         }
     }
 
-    // Nodes abandoned by an early break still hold basis snapshots; recycle
-    // their buffers before reporting (the emptiness check feeds the status).
     let work_remaining = !heap.is_empty();
-    for mut node in heap.drain() {
-        release_snapshot(node.snapshot.take(), workspace.as_deref_mut());
-    }
 
     if saw_unbounded_root {
         // A hint-seeded incumbent cannot rescue an unbounded relaxation: a
@@ -351,15 +301,15 @@ pub fn solve_warm(
         Some(mut sol) => {
             sol.simplex_iterations = total_iterations;
             sol.nodes_explored = nodes_explored;
-            // If we ran out of nodes with work remaining, we cannot certify
-            // optimality.
-            if nodes_explored >= config.max_nodes && work_remaining {
+            // If we ran out of nodes with work remaining, or a node's LP
+            // ran out of pivots, we cannot certify optimality.
+            if (nodes_explored >= config.max_nodes && work_remaining) || saw_capped_node {
                 sol.status = SolveStatus::Feasible;
             }
             Ok(sol)
         }
         None => {
-            let status = if nodes_explored >= config.max_nodes {
+            let status = if nodes_explored >= config.max_nodes || saw_capped_node {
                 SolveStatus::IterationLimit
             } else {
                 SolveStatus::Infeasible
@@ -707,45 +657,10 @@ mod tests {
     }
 
     #[test]
-    fn dual_restarts_match_cold_node_solves_exactly() {
-        // The knapsack relaxation is fractional at the root, so the search
-        // genuinely branches and children are solved via dual restart.
-        let m = knapsack_model();
-        let simplex = SimplexConfig::default();
-        let cold_config = BranchBoundConfig {
-            use_dual_restart: false,
-            ..BranchBoundConfig::default()
-        };
-        let dual_config = BranchBoundConfig::default();
-        let mut cold_ws = crate::workspace::SolverWorkspace::new();
-        let mut dual_ws = crate::workspace::SolverWorkspace::new();
-        let cold = m
-            .solve_warm(&simplex, &cold_config, None, &mut cold_ws)
-            .unwrap();
-        let dual = m
-            .solve_warm(&simplex, &dual_config, None, &mut dual_ws)
-            .unwrap();
-        assert_eq!(cold.status, dual.status);
-        assert_eq!(cold.values, dual.values, "schedule-identical solutions");
-        assert!((cold.objective - dual.objective).abs() < 1e-12);
-        assert_eq!(cold.nodes_explored, dual.nodes_explored);
-        // The cold run never attempts a restart; the dual run must have.
-        assert_eq!(cold_ws.stats().dual_restarts, 0);
-        let stats = dual_ws.stats();
-        assert!(stats.dual_restarts > 0, "expected dual restarts: {stats:?}");
-        assert_eq!(stats.basis_reuse_hits, stats.dual_restarts);
-        assert!(stats.bound_flips > 0);
-        // Restarted children must not cost more pivots than cold children.
-        assert!(
-            dual.simplex_iterations <= cold.simplex_iterations,
-            "dual {} vs cold {} pivots",
-            dual.simplex_iterations,
-            cold.simplex_iterations
-        );
-    }
-
-    #[test]
-    fn dual_restart_snapshots_are_recycled_into_the_buffer_pool() {
+    fn a_branching_search_ends_holding_one_tableau_buffer() {
+        // Nodes hold bounds only, so however far the search branches the
+        // workspace ends holding the one tableau buffer every node LP took
+        // and put back.
         let m = knapsack_model();
         let mut ws = crate::workspace::SolverWorkspace::new();
         let sol = m
@@ -757,12 +672,72 @@ mod tests {
             )
             .unwrap();
         assert!(sol.status.has_solution());
-        // Every captured snapshot must end up back in the pool: after the
-        // search no tableau may be stranded in dropped snapshots.
-        assert!(
-            ws.pooled_buffers() > 0,
-            "tableau buffers should be recycled via snapshots"
+        assert!(sol.nodes_explored >= 7, "{} nodes", sol.nodes_explored);
+        assert_eq!(ws.pooled_buffers(), 1);
+    }
+
+    /// `max values·x  s.t.  weights·x <= cap` over six binaries.
+    fn six_binary_knapsack(values: [f64; 6], weights: [f64; 6], cap: f64) -> Model {
+        let mut m = Model::new("kp6");
+        let vars: Vec<_> = (0..6).map(|i| m.add_binary(format!("x{i}"))).collect();
+        let term =
+            |coeffs: [f64; 6]| LinExpr::sum((0..6).map(|i| LinExpr::term(vars[i], coeffs[i])));
+        m.add_constraint("cap", term(weights), Sense::LessEqual, cap);
+        m.maximize(term(values));
+        m
+    }
+
+    fn pivot_cap(max_iterations: usize) -> SimplexConfig {
+        SimplexConfig {
+            max_iterations,
+            ..SimplexConfig::default()
+        }
+    }
+
+    #[test]
+    fn a_pivot_capped_root_is_an_iteration_limit_not_infeasible() {
+        // Feasible, with optimum 20 after 7 nodes; its root LP takes 6 pivots.
+        let m = six_binary_knapsack(
+            [3.0, 5.0, 6.0, 2.0, 4.0, 9.0],
+            [8.0, 3.0, 2.0, 9.0, 1.0, 7.0],
+            12.0,
         );
+        let bb = BranchBoundConfig::default();
+        for cap in 1..=5 {
+            let sol = m.solve_with(&pivot_cap(cap), &bb).unwrap();
+            assert_eq!(sol.status, SolveStatus::IterationLimit, "cap {cap}");
+            assert_eq!(sol.nodes_explored, 1, "cap {cap}");
+        }
+        for cap in [0, 6, 7, 8] {
+            let sol = m.solve_with(&pivot_cap(cap), &bb).unwrap();
+            assert_eq!(sol.status, SolveStatus::Optimal, "cap {cap}");
+            assert_eq!(sol.objective, 20.0, "cap {cap}");
+            assert_eq!(sol.nodes_explored, 7, "cap {cap}");
+        }
+    }
+
+    #[test]
+    fn a_pivot_capped_child_leaves_its_incumbent_uncertified_and_uncached() {
+        // At a 6-pivot cap the root and the node that finds the optimum 20
+        // solve, and a child LP then runs out of pivots.
+        let m = six_binary_knapsack(
+            [3.0, 5.0, 4.0, 4.0, 6.0, 9.0],
+            [4.0, 5.0, 5.0, 7.0, 8.0, 4.0],
+            17.0,
+        );
+        let bb = BranchBoundConfig::default();
+        let cache = crate::cache::SolutionCache::shared();
+        let mut ws = SolverWorkspace::new();
+        ws.attach_cache(cache.clone());
+        let capped = m.solve_warm(&pivot_cap(6), &bb, None, &mut ws).unwrap();
+        assert_eq!(capped.status, SolveStatus::Feasible);
+        assert_eq!(capped.objective, 20.0);
+        assert!(cache.is_empty(), "an uncertified incumbent was cached");
+        // Uncapped, the same search certifies it and publishes it.
+        let full = m.solve_warm(&pivot_cap(0), &bb, None, &mut ws).unwrap();
+        assert_eq!(full.status, SolveStatus::Optimal);
+        assert_eq!(full.values, capped.values);
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

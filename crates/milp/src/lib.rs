@@ -15,11 +15,10 @@
 //!   branch-and-bound node.
 //! * [`simplex`] — a dense, two-phase primal simplex for the LP relaxation,
 //!   with Bland's-rule anti-cycling, infeasibility/unboundedness detection,
-//!   and dual-simplex warm restarts from captured basis snapshots
-//!   ([`solve_dual_from_snapshot`]).
+//!   and warm starts from a prior primal point.
 //! * [`branch_bound`] — best-first branch & bound on fractional integer
-//!   variables, with incumbent pruning, a configurable gap/iteration
-//!   budget, and per-node dual restarts from the parent's final basis.
+//!   variables, with incumbent pruning and a configurable gap/node budget;
+//!   a node holds only its bounds and solves its LP cold or hinted.
 //! * [`solution`] — solve status and per-variable value extraction.
 //! * [`workspace`] — reusable allocations and cold/warm solve accounting for
 //!   rolling-horizon (repeated) solves; see [`Model::solve_warm`].
@@ -31,8 +30,8 @@
 //!   warm state survives process restarts.
 //!
 //! The scheduling MILPs WaterWise builds (binary assignment variables with
-//! per-job equality constraints and per-region capacity constraints) have LP
-//! relaxations that are almost always integral, so branch & bound typically
+//! per-job equality constraints and per-region capacity constraints) are
+//! transportation problems with integral LP relaxations, so branch & bound
 //! terminates at the root node; the solver nevertheless handles the general
 //! case and is extensively property-tested against brute-force enumeration.
 //!
@@ -71,9 +70,6 @@ pub use error::MilpError;
 pub use expr::{LinExpr, Var};
 pub use model::{Model, Sense, VarKind};
 pub use persist::{CacheAutosave, CachePersistError};
-pub use simplex::{
-    solve_dual_from_snapshot, solve_with_basis_capture, BasisSnapshot, DualOutcome, LpConstraint,
-    LpProblem, SimplexConfig, SimplexOutcome,
-};
+pub use simplex::{LpConstraint, LpProblem, SimplexConfig, SimplexOutcome};
 pub use solution::{Solution, SolveStatus};
 pub use workspace::{SolverWorkspace, WarmStats};

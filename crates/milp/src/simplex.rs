@@ -36,23 +36,6 @@
 //! the solver falls back to a normal phase 1 from the crashed basis. The
 //! result is always the same optimum a cold solve finds — only the pivot
 //! path differs.
-//!
-//! # Dual-simplex restarts
-//!
-//! Branch & bound re-solves the *same* LP with tightened variable bounds at
-//! every child node. A bound change leaves the coefficient matrix, the
-//! column layout and the phase-2 reduced costs untouched, so the parent
-//! node's optimal basis stays *dual feasible* for the child.
-//! [`solve_dual_from_snapshot`] restores it from a [`BasisSnapshot`]
-//! (captured by [`solve_with_basis_capture`]): a non-basic variable whose
-//! resting bound moved by `Δ` shifts the rhs by `Δ` times its column, a
-//! basic one is left where it is, and the dual simplex — leaving row with
-//! the largest bound violation, entering column by the dual ratio test —
-//! repairs whatever now lies outside its bounds instead of a cold two-phase
-//! solve. Restarts are gated by a per-variable bound-class check (a bound
-//! turning finite or infinite changes the column mapping) and by a pivot cap
-//! ~10× below the cold auto cap; both failure modes surface as typed
-//! outcomes so the caller can fall back to a cold solve explicitly.
 
 use crate::expr::evaluate_terms;
 use crate::model::Sense;
@@ -176,94 +159,6 @@ pub enum SimplexOutcome {
         /// Pivots performed.
         iterations: usize,
     },
-}
-
-/// Bound-finiteness class of an original variable. The class fully
-/// determines how the variable maps onto solver columns, so two problems
-/// with equal classes per variable share the same coefficient matrix — only
-/// the rhs and the implicit column bounds differ.
-fn bound_class(lower: f64, upper: f64) -> u8 {
-    match (lower.is_finite(), upper.is_finite()) {
-        (true, true) => 0,   // shifted, implicit upper bound
-        (true, false) => 1,  // shifted only
-        (false, true) => 2,  // mirrored
-        (false, false) => 3, // split
-    }
-}
-
-/// A final simplex basis captured after an optimal solve, reusable to
-/// warm-restart the *same* LP under changed variable bounds with the dual
-/// simplex (see [`solve_dual_from_snapshot`]).
-///
-/// The snapshot owns the final tableau buffer; recycle it into a
-/// [`SolverWorkspace`] with [`SolverWorkspace::recycle_snapshot`] once the
-/// snapshot is no longer needed.
-#[derive(Debug, Clone, Default)]
-pub struct BasisSnapshot {
-    /// Final tableau, row-major `rows x (cols + 1)`, last column rhs.
-    a: Vec<f64>,
-    /// Basic column of each row.
-    basis: Vec<usize>,
-    /// Columns held in complemented form (see [`Tableau::complemented`]).
-    complemented: Vec<bool>,
-    non_artificial_cols: usize,
-    cols: usize,
-    /// Variable bounds the tableau was solved against.
-    lower: Vec<f64>,
-    upper: Vec<f64>,
-}
-
-impl BasisSnapshot {
-    /// Number of tableau rows held by the snapshot (one per constraint).
-    pub fn rows(&self) -> usize {
-        self.basis.len()
-    }
-
-    /// Whether this snapshot can be restored against `problem`: same
-    /// variable count, same constraint count, and the same bound-finiteness
-    /// class for every variable (a bound turning finite or infinite changes
-    /// how the variable maps onto columns, which a restart cannot express).
-    pub fn compatible_with(&self, problem: &LpProblem) -> bool {
-        self.fits(problem.into())
-    }
-
-    fn fits(&self, lp: BoundedLp<'_>) -> bool {
-        lp.lower.len() == self.lower.len()
-            && lp.upper.len() == self.upper.len()
-            && lp.problem.constraints.len() == self.rows()
-            && (0..lp.lower.len()).all(|i| {
-                bound_class(lp.lower[i], lp.upper[i]) == bound_class(self.lower[i], self.upper[i])
-            })
-    }
-
-    /// Move this snapshot's tableau buffer out (used by workspace recycling).
-    pub(crate) fn into_buffer(self) -> Vec<f64> {
-        self.a
-    }
-}
-
-/// Outcome of a dual-simplex restart attempt from a [`BasisSnapshot`].
-// One short-lived value per restart attempt, matched immediately at the call
-// site — never stored in bulk, so the variant size gap is harmless.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum DualOutcome {
-    /// The restart ran to completion and produced a definitive verdict
-    /// (optimal, infeasible, or unbounded), optionally capturing the new
-    /// final basis for further restarts.
-    Finished(SimplexOutcome, Option<BasisSnapshot>),
-    /// The dual pivot budget (auto-scaled ~10x below the cold cap, see
-    /// [`SimplexConfig::max_iterations`]) was exhausted before convergence.
-    /// The caller should fall back to a cold solve; the pivots spent here
-    /// are reported but deliberately *not* recorded as a solve.
-    PivotLimit {
-        /// Dual pivots performed before hitting the cap.
-        iterations: usize,
-    },
-    /// The snapshot cannot be applied to this problem: a variable's
-    /// bound-finiteness class changed, the constraint set changed shape, or
-    /// a numerical guard tripped during the restart. Solve cold instead.
-    Incompatible,
 }
 
 /// How an original variable maps onto solver variables (all resting at 0).
@@ -411,15 +306,6 @@ impl Tableau {
         self.basis[row] = col;
     }
 
-    /// Re-express column `col`'s variable as `delta` less than it was: every
-    /// rhs gives up `delta` times the column.
-    fn shift_column(&mut self, col: usize, delta: f64) {
-        let cols = self.cols;
-        for target in self.a.chunks_exact_mut(self.stride) {
-            target[cols] -= delta * target[col];
-        }
-    }
-
     /// Move non-basic column `col` to its other bound: substitute
     /// `y = upper - y'`, after which `y'` is the non-basic at zero.
     fn complement_column(&mut self, col: usize, obj_row: Option<&mut [f64]>) {
@@ -461,71 +347,18 @@ pub fn solve_with_hint(
     hint: Option<&[f64]>,
     workspace: Option<&mut SolverWorkspace>,
 ) -> SimplexOutcome {
-    solve_bounded(problem.into(), config, hint, workspace, false).0
+    solve_bounded(problem.into(), config, hint, workspace)
 }
 
-/// Like [`solve_with_hint`], but when the solve ends at an optimum the final
-/// basis is captured as a [`BasisSnapshot`] (the tableau buffer moves into
-/// the snapshot instead of being recycled). Branch & bound uses the snapshot
-/// to dual-restart child-node LPs via [`solve_dual_from_snapshot`].
-pub fn solve_with_basis_capture(
-    problem: &LpProblem,
-    config: &SimplexConfig,
-    hint: Option<&[f64]>,
-    workspace: Option<&mut SolverWorkspace>,
-) -> (SimplexOutcome, Option<BasisSnapshot>) {
-    solve_bounded(problem.into(), config, hint, workspace, true)
-}
-
-/// The primal entry every cold or hinted solve goes through; `capture` as in
-/// [`solve_with_basis_capture`].
+/// The entry every cold or hinted solve goes through: [`solve_with_hint`]
+/// under the caller's own bounds.
 pub(crate) fn solve_bounded(
     lp: BoundedLp<'_>,
     config: &SimplexConfig,
     hint: Option<&[f64]>,
     workspace: Option<&mut SolverWorkspace>,
-    capture: bool,
-) -> (SimplexOutcome, Option<BasisSnapshot>) {
-    Solver::new(lp, config, hint, workspace).run(capture)
-}
-
-/// Re-solve `problem` starting from a previously captured basis with the
-/// dual simplex. `problem` must be the same LP as the one the snapshot was
-/// captured from *except for variable bounds* (this is exactly the branch &
-/// bound child-node situation); bound changes only move the rhs and the
-/// implicit column bounds, so the snapshot basis stays dual-feasible and
-/// typically re-optimizes in a handful of pivots. Returns
-/// [`DualOutcome::Incompatible`] when the bound shape changed and
-/// [`DualOutcome::PivotLimit`] when the (reduced) dual pivot cap is
-/// exhausted — in both cases the caller should solve cold.
-///
-/// Successful restarts are recorded on the workspace as warm solves plus a
-/// `dual_restarts`/`basis_reuse_hits` pair; failed attempts count only a
-/// `dual_restarts` attempt.
-pub fn solve_dual_from_snapshot(
-    problem: &LpProblem,
-    config: &SimplexConfig,
-    snapshot: &BasisSnapshot,
-    workspace: Option<&mut SolverWorkspace>,
-) -> DualOutcome {
-    dual_restart(problem.into(), config, snapshot, workspace)
-}
-
-/// [`solve_dual_from_snapshot`] under the caller's own bounds.
-pub(crate) fn dual_restart(
-    lp: BoundedLp<'_>,
-    config: &SimplexConfig,
-    snapshot: &BasisSnapshot,
-    mut workspace: Option<&mut SolverWorkspace>,
-) -> DualOutcome {
-    if !snapshot.fits(lp) {
-        if let Some(ws) = workspace.as_deref_mut() {
-            ws.record_dual_restart(false, 0);
-        }
-        return DualOutcome::Incompatible;
-    }
-    let (solver, bound_flips) = Solver::from_snapshot(lp, config, snapshot, workspace);
-    solver.run_dual(bound_flips)
+) -> SimplexOutcome {
+    Solver::new(lp, config, hint, workspace).run()
 }
 
 struct Solver<'a> {
@@ -677,258 +510,16 @@ impl<'a> Solver<'a> {
         self.tableau.upper.iter().any(|&u| u < 0.0)
     }
 
-    fn run(mut self, capture: bool) -> (SimplexOutcome, Option<BasisSnapshot>) {
+    fn run(mut self) -> SimplexOutcome {
         let outcome = self.run_phases();
-        let snapshot = if capture && matches!(outcome, SimplexOutcome::Optimal { .. }) {
-            Some(self.take_snapshot())
-        } else {
-            None
-        };
         if let Some(ws) = self.workspace.take() {
             ws.record_solve(self.warm_applied, self.iterations);
             if self.hint_rejected {
                 ws.record_rejected_hint();
             }
-            ws.recycle_buffer(std::mem::take(&mut self.tableau.a));
+            ws.recycle_buffer(self.tableau.a);
         }
-        (outcome, snapshot)
-    }
-
-    /// Move the final tableau into a [`BasisSnapshot`] (zero-copy: the
-    /// buffer leaves the solver instead of being recycled).
-    fn take_snapshot(&mut self) -> BasisSnapshot {
-        BasisSnapshot {
-            a: std::mem::take(&mut self.tableau.a),
-            basis: self.tableau.basis.clone(),
-            complemented: self.tableau.complemented.clone(),
-            non_artificial_cols: self.tableau.non_artificial_cols,
-            cols: self.tableau.cols,
-            lower: self.lp.lower.to_vec(),
-            upper: self.lp.upper.to_vec(),
-        }
-    }
-
-    /// Rebuild a solver positioned at the snapshot's final basis, re-targeted
-    /// at `problem`'s (possibly changed) variable bounds. The caller must
-    /// have verified [`BasisSnapshot::compatible_with`]. Returns the solver
-    /// and the number of variables whose bounds moved.
-    fn from_snapshot(
-        lp: BoundedLp<'a>,
-        config: &SimplexConfig,
-        snapshot: &BasisSnapshot,
-        mut workspace: Option<&'a mut SolverWorkspace>,
-    ) -> (Self, usize) {
-        // Equal bound classes guarantee this reproduces the snapshot's
-        // column layout exactly (only the shift/mirror offsets differ).
-        let (var_map, structural_cols) = map_variables(lp);
-        let total_cols = snapshot.cols;
-        let mut tableau = Tableau {
-            a: match workspace.as_deref_mut() {
-                Some(ws) => ws.copy_buffer(&snapshot.a),
-                None => snapshot.a.clone(),
-            },
-            stride: total_cols + 1,
-            basis: snapshot.basis.clone(),
-            non_artificial_cols: snapshot.non_artificial_cols,
-            cols: total_cols,
-            upper: column_bounds(lp.upper, &var_map, total_cols),
-            complemented: snapshot.complemented.clone(),
-        };
-
-        // Each column variable is measured from the bound it rests at: the
-        // lower one, or the upper one when mirrored or complemented. Where
-        // that bound moved, the variable reads correspondingly less and the
-        // rhs follows. For a basic variable this touches its own row only;
-        // the dual loop then repairs any bound it ends up violating.
-        let mut bound_flips = 0usize;
-        for (i, map) in var_map.iter().enumerate() {
-            let (lower, upper) = (lp.lower[i], lp.upper[i]);
-            if lower == snapshot.lower[i] && upper == snapshot.upper[i] {
-                continue;
-            }
-            bound_flips += 1;
-            let (col, delta) = match *map {
-                VarMap::Shifted { col, .. } if !tableau.complemented[col] => {
-                    (col, lower - snapshot.lower[i])
-                }
-                VarMap::Shifted { col, .. } | VarMap::Mirrored { col, .. } => {
-                    (col, snapshot.upper[i] - upper)
-                }
-                VarMap::Split { .. } => continue,
-            };
-            if delta != 0.0 {
-                tableau.shift_column(col, delta);
-            }
-        }
-
-        let mut solver = Self {
-            lp,
-            config: *config,
-            solver_costs: build_solver_costs(lp.problem, &var_map, total_cols),
-            var_map,
-            num_artificials: total_cols - tableau.non_artificial_cols,
-            tableau,
-            structural_cols,
-            iterations: 0,
-            max_iterations: config.max_iterations,
-            hint: None,
-            workspace,
-            warm_applied: true,
-            hint_rejected: false,
-        };
-        // A dual restart expects ~10x fewer pivots than a cold two-phase
-        // solve, so the "auto" budget scales at 1/10th of the cold formula.
-        // Exceeding it surfaces as a typed [`DualOutcome::PivotLimit`]
-        // instead of a silent cold fallback.
-        if config.max_iterations == 0 {
-            solver.max_iterations = 200 + 4 * solver.logical_size();
-        }
-        (solver, bound_flips)
-    }
-
-    /// Dual-simplex loop from a restored basis: the basis is dual feasible
-    /// by construction (costs and columns are unchanged from the parent
-    /// solve), so only primal feasibility — basic variables the bound change
-    /// pushed below zero or above their upper bound — needs to be repaired.
-    fn run_dual(mut self, bound_flips: usize) -> DualOutcome {
-        let phase = self.run_dual_phases();
-        let snapshot = if let DualPhase::Done(SimplexOutcome::Optimal { .. }) = &phase {
-            Some(self.take_snapshot())
-        } else {
-            None
-        };
-        if let Some(ws) = self.workspace.take() {
-            match &phase {
-                DualPhase::Done(_) => {
-                    ws.record_solve(true, self.iterations);
-                    ws.record_dual_restart(true, bound_flips);
-                }
-                DualPhase::PivotLimit | DualPhase::Guard => {
-                    ws.record_dual_restart(false, bound_flips);
-                }
-            }
-            ws.recycle_buffer(std::mem::take(&mut self.tableau.a));
-        }
-        match phase {
-            DualPhase::Done(outcome) => DualOutcome::Finished(outcome, snapshot),
-            DualPhase::PivotLimit => DualOutcome::PivotLimit {
-                iterations: self.iterations,
-            },
-            DualPhase::Guard => DualOutcome::Incompatible,
-        }
-    }
-
-    fn run_dual_phases(&mut self) -> DualPhase {
-        if self.has_empty_box() {
-            return DualPhase::Done(SimplexOutcome::Infeasible { iterations: 0 });
-        }
-        let tol = self.config.tolerance;
-        let limit_cols = self.tableau.non_artificial_cols;
-        let z = self.tableau.cols;
-        let mut obj_row = self.reduced_costs(&self.phase2_costs());
-        let mut stall = 0usize;
-        let mut last_obj = obj_row[z];
-        loop {
-            if self.iterations >= self.max_iterations {
-                return DualPhase::PivotLimit;
-            }
-            // Leaving row: largest bound violation (a negative rhs, or one
-            // above the basic variable's upper bound), ties to the smallest
-            // rank; after a stall, smallest rank among all infeasible rows
-            // (Bland-style) to guarantee termination.
-            let use_bland = stall >= self.config.stall_threshold;
-            let mut leaving: Option<(usize, usize)> = None;
-            let mut most_negative = f64::INFINITY;
-            for r in 0..self.tableau.rows() {
-                let (rhs, basic) = (self.tableau.rhs(r), self.tableau.basis[r]);
-                let room = rhs.min(self.tableau.upper[basic] - rhs);
-                if room >= -tol {
-                    continue;
-                }
-                // A variable above its upper bound is its complement below
-                // zero, and it is the complement that leaves.
-                let rank = self.tableau.rank(basic, rhs > 0.0);
-                let better = match leaving {
-                    None => true,
-                    Some((_, best_rank)) => {
-                        if use_bland {
-                            rank < best_rank
-                        } else if room < most_negative - tol {
-                            true
-                        } else if room < most_negative + tol {
-                            rank < best_rank
-                        } else {
-                            false
-                        }
-                    }
-                };
-                if better {
-                    most_negative = room;
-                    leaving = Some((r, rank));
-                }
-            }
-            let Some((row, _)) = leaving else {
-                break; // primal feasible again
-            };
-            if self.tableau.rhs(row) > 0.0 {
-                self.tableau.complement_basic(row);
-            }
-            // Dual ratio test: entering column minimizes
-            // `obj_row[c] / -a[row][c]` over negative entries of the leaving
-            // row (non-artificial columns only). Rank-order scan with strict
-            // improvement keeps ties on the smallest rank.
-            let mut entering: Option<usize> = None;
-            let mut best_ratio = f64::INFINITY;
-            let leaving_row = self.tableau.row(row);
-            for c in self.tableau.ranked_cols(limit_cols) {
-                let a_rc = leaving_row[c];
-                if a_rc < -tol {
-                    let ratio = obj_row[c] / (-a_rc);
-                    if entering.is_none() || ratio < best_ratio - tol {
-                        best_ratio = ratio;
-                        entering = Some(c);
-                    }
-                }
-            }
-            let Some(col) = entering else {
-                // The leaving row reads `sum(a_c * y_c) = rhs < 0` with every
-                // non-artificial `a_c >= 0` and `y >= 0` (artificials must be
-                // zero in any original-feasible point): a certificate of
-                // primal infeasibility.
-                return DualPhase::Done(SimplexOutcome::Infeasible {
-                    iterations: self.iterations,
-                });
-            };
-            self.tableau.pivot(row, col, Some(&mut obj_row));
-            self.iterations += 1;
-            if (obj_row[z] - last_obj).abs() <= tol {
-                stall += 1;
-            } else {
-                stall = 0;
-                last_obj = obj_row[z];
-            }
-        }
-        // Guard: a basic artificial sitting at a positive value means the
-        // restored point is not feasible for the *original* rows; the dual
-        // loop cannot certify anything from here, so hand back to a cold
-        // solve.
-        if self.tableau.artificial_sum() > 1e-6 {
-            return DualPhase::Guard;
-        }
-        // Primal polish: bound changes cannot create negative reduced costs
-        // (costs and columns are untouched), so this normally returns
-        // immediately; it is a numerical backstop. Under the auto budget it
-        // gets cold-cap headroom; an explicit user cap stays hard.
-        if self.config.max_iterations == 0 {
-            self.max_iterations = self.iterations + 2_000 + 40 * self.logical_size();
-        }
-        match self.optimize(&mut obj_row, limit_cols) {
-            LoopResult::Optimal => DualPhase::Done(self.optimum()),
-            LoopResult::Unbounded => DualPhase::Done(SimplexOutcome::Unbounded {
-                iterations: self.iterations,
-            }),
-            LoopResult::IterationLimit => DualPhase::PivotLimit,
-        }
+        outcome
     }
 
     fn run_phases(&mut self) -> SimplexOutcome {
@@ -1254,15 +845,7 @@ enum LoopResult {
     IterationLimit,
 }
 
-/// Internal verdict of [`Solver::run_dual`] before workspace recording.
-enum DualPhase {
-    Done(SimplexOutcome),
-    PivotLimit,
-    Guard,
-}
-
-/// Phase-2 costs on solver columns (shared by cold construction and
-/// snapshot restores; the mapping depends only on the bound classes).
+/// Phase-2 costs on solver columns in their uncomplemented form.
 fn build_solver_costs(problem: &LpProblem, var_map: &[VarMap], total_cols: usize) -> Vec<f64> {
     let mut solver_costs = vec![0.0; total_cols];
     for i in 0..problem.num_vars {
@@ -1558,9 +1141,9 @@ mod tests {
         assert_eq!(ws.stats().cold_solves, 2);
     }
 
-    /// Shared fixture for dual-restart tests: a bounded 3-variable LP whose
-    /// optimum moves when bounds tighten (the branch & bound child shape).
-    fn dual_fixture() -> LpProblem {
+    /// A 3-variable knapsack LP over the unit box, with a `>=` row that
+    /// needs an artificial.
+    fn bounded_fixture() -> LpProblem {
         LpProblem {
             num_vars: 3,
             costs: vec![-8.0, -11.0, -6.0],
@@ -1570,202 +1153,6 @@ mod tests {
                 constraint(&[(0, 5.0), (1, 7.0), (2, 4.0)], Sense::LessEqual, 9.0),
                 constraint(&[(0, 1.0), (1, 1.0), (2, 1.0)], Sense::GreaterEqual, 1.0),
             ],
-        }
-    }
-
-    #[test]
-    fn dual_restart_matches_cold_after_bound_tightening() {
-        let parent = dual_fixture();
-        let config = SimplexConfig::default();
-        let mut ws = SolverWorkspace::new();
-        let (outcome, snapshot) = solve_with_basis_capture(&parent, &config, None, Some(&mut ws));
-        assert!(matches!(outcome, SimplexOutcome::Optimal { .. }));
-        let snapshot = snapshot.expect("optimal solve captures a basis");
-
-        // Branch like B&B would: fix variable 1 down (upper 0) and up
-        // (lower 1), and check both children against cold solves.
-        for (lo, hi) in [(0.0, 0.0), (1.0, 1.0)] {
-            let mut child = parent.clone();
-            child.lower[1] = lo;
-            child.upper[1] = hi;
-            let cold = solve(&child, &config);
-            let dual = solve_dual_from_snapshot(&child, &config, &snapshot, Some(&mut ws));
-            let DualOutcome::Finished(warm, recaptured) = dual else {
-                panic!("expected a finished dual restart");
-            };
-            match (&cold, &warm) {
-                (
-                    SimplexOutcome::Optimal {
-                        objective: co,
-                        values: cv,
-                        ..
-                    },
-                    SimplexOutcome::Optimal {
-                        objective: wo,
-                        values: wv,
-                        ..
-                    },
-                ) => {
-                    assert!((co - wo).abs() < 1e-9, "cold {co} vs dual {wo}");
-                    for (c, w) in cv.iter().zip(wv) {
-                        assert!((c - w).abs() < 1e-9, "cold {cv:?} vs dual {wv:?}");
-                    }
-                }
-                other => panic!("expected two optima, got {other:?}"),
-            }
-            assert!(recaptured.is_some(), "optimal restart re-captures a basis");
-        }
-        let stats = ws.stats();
-        assert_eq!(stats.dual_restarts, 2);
-        assert_eq!(stats.basis_reuse_hits, 2);
-        assert!(stats.bound_flips >= 2, "bound changes must move rhs rows");
-        // Dual restarts are recorded as warm solves (the capture solve was
-        // the only cold one).
-        assert_eq!(stats.cold_solves, 1);
-        assert_eq!(stats.warm_solves, 2);
-    }
-
-    #[test]
-    fn dual_restart_certifies_infeasible_children() {
-        let parent = dual_fixture();
-        let config = SimplexConfig::default();
-        let (_, snapshot) = solve_with_basis_capture(&parent, &config, None, None);
-        let snapshot = snapshot.unwrap();
-        // Fix all three variables to 1: total weight 16 > 9, infeasible.
-        let mut child = parent.clone();
-        for i in 0..3 {
-            child.lower[i] = 1.0;
-        }
-        assert!(matches!(
-            solve(&child, &config),
-            SimplexOutcome::Infeasible { .. }
-        ));
-        let mut ws = SolverWorkspace::new();
-        match solve_dual_from_snapshot(&child, &config, &snapshot, Some(&mut ws)) {
-            DualOutcome::Finished(SimplexOutcome::Infeasible { .. }, recaptured) => {
-                assert!(recaptured.is_none(), "no basis capture without an optimum");
-            }
-            other => panic!("expected dual-certified infeasibility, got {other:?}"),
-        }
-        // Proving infeasibility without a cold solve still counts as reuse.
-        assert_eq!(ws.stats().basis_reuse_hits, 1);
-    }
-
-    #[test]
-    fn dual_restart_rejects_bound_class_changes() {
-        // Capture with an infinite upper bound, then make it finite: the
-        // standard form gains a bound row, which a restart cannot express.
-        let parent = LpProblem {
-            num_vars: 1,
-            costs: vec![1.0],
-            lower: vec![0.0],
-            upper: vec![f64::INFINITY],
-            constraints: vec![constraint(&[(0, 1.0)], Sense::GreaterEqual, 2.0)],
-        };
-        let config = SimplexConfig::default();
-        let (_, snapshot) = solve_with_basis_capture(&parent, &config, None, None);
-        let snapshot = snapshot.unwrap();
-        let mut child = parent.clone();
-        child.upper[0] = 5.0;
-        assert!(!snapshot.compatible_with(&child));
-        let mut ws = SolverWorkspace::new();
-        assert!(matches!(
-            solve_dual_from_snapshot(&child, &config, &snapshot, Some(&mut ws)),
-            DualOutcome::Incompatible
-        ));
-        // The attempt is counted, the miss is visible.
-        assert_eq!(ws.stats().dual_restarts, 1);
-        assert_eq!(ws.stats().basis_reuse_hits, 0);
-    }
-
-    #[test]
-    fn dual_restart_pivot_cap_is_typed_not_silent() {
-        let parent = dual_fixture();
-        let config = SimplexConfig::default();
-        let (_, snapshot) = solve_with_basis_capture(&parent, &config, None, None);
-        let snapshot = snapshot.unwrap();
-        let mut child = parent.clone();
-        child.lower[0] = 1.0; // forces at least one repair pivot
-        let starved = SimplexConfig {
-            max_iterations: 1,
-            ..config
-        };
-        // With a one-pivot budget the restart cannot finish repair + polish;
-        // the outcome must be the typed PivotLimit, never a wrong answer.
-        match solve_dual_from_snapshot(&child, &starved, &snapshot, None) {
-            DualOutcome::PivotLimit { iterations } => assert!(iterations <= 1),
-            DualOutcome::Finished(SimplexOutcome::Optimal { objective, .. }, _) => {
-                // Zero/one pivots may genuinely suffice; the answer must
-                // then match the cold optimum.
-                let SimplexOutcome::Optimal { objective: co, .. } = solve(&child, &config) else {
-                    panic!("cold child must be optimal");
-                };
-                assert!((objective - co).abs() < 1e-9);
-            }
-            other => panic!("expected PivotLimit or a correct optimum, got {other:?}"),
-        }
-    }
-
-    /// Both cold and restarted optima of `child`, asserted equal.
-    fn assert_dual_matches_cold(child: &LpProblem, snapshot: &BasisSnapshot) {
-        let config = SimplexConfig::default();
-        let cold = solve(child, &config);
-        let DualOutcome::Finished(dual, _) =
-            solve_dual_from_snapshot(child, &config, snapshot, None)
-        else {
-            panic!("expected a finished dual restart");
-        };
-        match (&cold, &dual) {
-            (
-                SimplexOutcome::Optimal {
-                    objective: co,
-                    values: cv,
-                    ..
-                },
-                SimplexOutcome::Optimal {
-                    objective: wo,
-                    values: wv,
-                    ..
-                },
-            ) => {
-                assert!((co - wo).abs() < 1e-9, "cold {co} vs dual {wo}");
-                for (c, w) in cv.iter().zip(wv) {
-                    assert!((c - w).abs() < 1e-9, "cold {cv:?} vs dual {wv:?}");
-                }
-            }
-            (SimplexOutcome::Infeasible { .. }, SimplexOutcome::Infeasible { .. }) => {}
-            other => panic!("verdicts diverge: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn dual_restart_moves_either_bound_of_a_variable_in_any_basis_state() {
-        // The fixture's optimum holds one variable in each state: x0 rests
-        // at its upper bound (non-basic, complemented), x1 = 4/7 is basic,
-        // x2 rests at its lower bound.
-        let parent = dual_fixture();
-        let (outcome, snapshot) =
-            solve_with_basis_capture(&parent, &SimplexConfig::default(), None, None);
-        let SimplexOutcome::Optimal { values, .. } = outcome else {
-            panic!("parent must be optimal");
-        };
-        let snapshot = snapshot.unwrap();
-        assert!((values[0] - 1.0).abs() < 1e-12 && values[2].abs() < 1e-12);
-        assert!((values[1] - 4.0 / 7.0).abs() < 1e-12);
-        assert_eq!(snapshot.complemented[..3], [true, false, false]);
-        assert!(snapshot.basis.contains(&1));
-        assert!(!snapshot.basis.contains(&0) && !snapshot.basis.contains(&2));
-
-        for var in 0..3 {
-            let mut tightened = parent.clone();
-            tightened.upper[var] = 0.25;
-            assert_dual_matches_cold(&tightened, &snapshot);
-            let mut raised = parent.clone();
-            raised.lower[var] = 0.75;
-            assert_dual_matches_cold(&raised, &snapshot);
-            let mut fixed = parent.clone();
-            (fixed.lower[var], fixed.upper[var]) = (0.5, 0.5);
-            assert_dual_matches_cold(&fixed, &snapshot);
         }
     }
 
@@ -1780,8 +1167,8 @@ mod tests {
             upper: vec![3.0, 4.0],
             constraints: vec![constraint(&[(0, 1.0), (1, 1.0)], Sense::LessEqual, 10.0)],
         };
-        let (outcome, snapshot) =
-            solve_with_basis_capture(&p, &SimplexConfig::default(), None, None);
+        let mut solver = Solver::new((&p).into(), &SimplexConfig::default(), None, None);
+        let outcome = solver.run_phases();
         let SimplexOutcome::Optimal {
             objective,
             values,
@@ -1793,9 +1180,12 @@ mod tests {
         assert_eq!(values, vec![3.0, 4.0]);
         assert_eq!(objective, -7.0);
         assert_eq!(iterations, 2, "two bound flips, each counted once");
-        let snapshot = snapshot.unwrap();
-        assert_eq!(snapshot.basis, vec![2], "the slack never left the basis");
-        assert_eq!(snapshot.complemented, vec![true, true, false]);
+        assert_eq!(
+            solver.tableau.basis,
+            vec![2],
+            "the slack never left the basis"
+        );
+        assert_eq!(solver.tableau.complemented, vec![true, true, false]);
     }
 
     #[test]
@@ -1830,9 +1220,8 @@ mod tests {
             upper: vec![1.0; jobs * regions],
             constraints,
         };
-        let mut ws = SolverWorkspace::new();
-        let (outcome, snapshot) =
-            solve_with_basis_capture(&p, &SimplexConfig::default(), None, Some(&mut ws));
+        let mut solver = Solver::new((&p).into(), &SimplexConfig::default(), None, None);
+        let outcome = solver.run_phases();
         let SimplexOutcome::Optimal { values, .. } = outcome else {
             panic!("expected optimal, got {outcome:?}");
         };
@@ -1840,40 +1229,33 @@ mod tests {
             let assigned: f64 = (0..regions).map(|r| values[var(j, r)]).sum();
             assert!((assigned - 1.0).abs() < 1e-9);
         }
-        let snapshot = snapshot.unwrap();
-        assert_eq!(snapshot.rows(), p.constraints.len(), "no bound rows");
-        assert_eq!(snapshot.rows(), 245);
+        assert_eq!(solver.tableau.rows(), p.constraints.len(), "no bound rows");
+        assert_eq!(solver.tableau.rows(), 245);
         // 600 structural + 125 slack + 120 artificial columns, and the rhs.
-        assert_eq!(snapshot.a.len(), 245 * (600 + 125 + 120 + 1));
+        assert_eq!(solver.tableau.a.len(), 245 * (600 + 125 + 120 + 1));
     }
 
     #[test]
     fn auto_pivot_budgets_count_the_implicit_bounds() {
         // Written out with a row and a slack per bounded variable, the
         // fixture is 5 rows x 9 columns (3 structural, 2 + 3 slacks, 1
-        // artificial); the budgets must scale with that, not with the 2 x 6
+        // artificial); the budget must scale with that, not with the 2 x 6
         // tableau actually held.
-        let p = dual_fixture();
-        let config = SimplexConfig::default();
-        let cold = Solver::new((&p).into(), &config, None, None);
+        let p = bounded_fixture();
+        let cold = Solver::new((&p).into(), &SimplexConfig::default(), None, None);
         assert_eq!((cold.tableau.rows(), cold.tableau.cols), (2, 6));
         assert_eq!(cold.max_iterations, 2_000 + 40 * (5 + 9));
-        let (_, snapshot) = solve_with_basis_capture(&p, &config, None, None);
-        let (dual, _) =
-            Solver::from_snapshot((&p).into(), &config, snapshot.as_ref().unwrap(), None);
-        assert_eq!(dual.max_iterations, 200 + 4 * (5 + 9));
     }
 
     #[test]
     fn empty_bound_box_is_infeasible() {
-        let mut p = dual_fixture();
-        let (_, snapshot) = solve_with_basis_capture(&p, &SimplexConfig::default(), None, None);
+        let mut p = bounded_fixture();
         (p.lower[1], p.upper[1]) = (0.75, 0.25);
-        assert!(matches!(
+        // Decided from the bounds alone, before any pivot.
+        assert_eq!(
             solve_default(&p),
-            SimplexOutcome::Infeasible { .. }
-        ));
-        assert_dual_matches_cold(&p, &snapshot.unwrap());
+            SimplexOutcome::Infeasible { iterations: 0 }
+        );
     }
 
     #[test]

@@ -223,7 +223,6 @@ proptest! {
             (simplex, BranchBoundConfig { max_nodes: bb.max_nodes + 1, ..bb }),
             (simplex, BranchBoundConfig { integrality_tolerance: bb.integrality_tolerance * 2.0, ..bb }),
             (simplex, BranchBoundConfig { absolute_gap: bb.absolute_gap + 1.0, ..bb }),
-            (simplex, BranchBoundConfig { use_dual_restart: !bb.use_dual_restart, ..bb }),
         ];
         for (field, (simplex, bb)) in configs.iter().enumerate() {
             prop_assert_ne!(

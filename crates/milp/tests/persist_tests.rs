@@ -313,8 +313,10 @@ fn solver_config_mismatch_is_a_typed_error() {
     build_cache(&[(10, 0, vec![1.0])])
         .save(&path, saved_config)
         .expect("save");
-    let mut other_bb = BranchBoundConfig::default();
-    other_bb.use_dual_restart = !other_bb.use_dual_restart;
+    let other_bb = BranchBoundConfig {
+        max_nodes: BranchBoundConfig::default().max_nodes + 1,
+        ..BranchBoundConfig::default()
+    };
     let other_config = solver_config_hash(&SimplexConfig::default(), &other_bb);
     match SolutionCache::load(&path, other_config) {
         Err(CachePersistError::ConfigMismatch {

@@ -5,11 +5,7 @@
 //! feasibility checking for LPs) and verify the solver agrees.
 
 use proptest::prelude::*;
-use waterwise_milp::{
-    solve_dual_from_snapshot, solve_with_basis_capture, BranchBoundConfig, DualOutcome, LinExpr,
-    LpConstraint, LpProblem, Model, Sense, SimplexConfig, SimplexOutcome, SolveStatus,
-    SolverWorkspace,
-};
+use waterwise_milp::{LinExpr, Model, Sense, SolveStatus, SolverWorkspace};
 
 /// Build a random binary minimization problem: `n` binary variables, a
 /// single knapsack-style capacity constraint, and a cost vector.
@@ -231,106 +227,6 @@ proptest! {
                 "cold {} vs warm {}", cold.objective, warm.objective);
             prop_assert!(m.is_feasible(&warm.values, 1e-6));
         }
-    }
-
-    /// A dual-simplex restart from a captured basis returns exactly the
-    /// verdict (and optimum) of a cold solve on bound-perturbed LPs — the
-    /// branch & bound child-node situation, over the same bounded-box shape
-    /// as the grid-probe battery above.
-    #[test]
-    fn dual_restart_equals_cold_on_bound_perturbed_lps(
-        costs in prop::collection::vec(-4.0f64..4.0, 3),
-        rows in prop::collection::vec(
-            (prop::collection::vec(0.05f64..2.0, 3), 1.0f64..15.0), 1..4),
-        upper in 2.0f64..8.0,
-        lo_frac in prop::collection::vec(0.0f64..1.0, 3),
-        hi_frac in prop::collection::vec(0.0f64..1.0, 3),
-    ) {
-        let parent = LpProblem {
-            num_vars: 3,
-            costs,
-            lower: vec![0.0; 3],
-            upper: vec![upper; 3],
-            constraints: rows
-                .iter()
-                .map(|(coeffs, rhs)| LpConstraint {
-                    coeffs: coeffs.iter().cloned().enumerate().collect(),
-                    sense: Sense::LessEqual,
-                    rhs: *rhs,
-                })
-                .collect(),
-        };
-        let config = SimplexConfig::default();
-        let mut ws = SolverWorkspace::new();
-        let (outcome, snapshot) =
-            solve_with_basis_capture(&parent, &config, None, Some(&mut ws));
-        prop_assert!(matches!(outcome, SimplexOutcome::Optimal { .. }));
-        let snapshot = snapshot.expect("optimal parent captures a basis");
-
-        // Tighten each variable's box (keeping it non-empty and the bound
-        // classes unchanged): exactly what branching does to a child node.
-        let mut child = parent.clone();
-        for i in 0..3 {
-            let lo = upper * lo_frac[i] * 0.9;
-            let hi = lo + (upper - lo) * hi_frac[i].max(0.05);
-            child.lower[i] = lo;
-            child.upper[i] = hi;
-        }
-        let cold = waterwise_milp::simplex::solve(&child, &config);
-        match solve_dual_from_snapshot(&child, &config, &snapshot, Some(&mut ws)) {
-            DualOutcome::Finished(dual, _) => match (&cold, &dual) {
-                (
-                    SimplexOutcome::Optimal { objective: co, values: cv, .. },
-                    SimplexOutcome::Optimal { objective: wo, values: wv, .. },
-                ) => {
-                    prop_assert!((co - wo).abs() < 1e-6, "cold {co} vs dual {wo}");
-                    for (c, w) in cv.iter().zip(wv) {
-                        prop_assert!((c - w).abs() < 1e-6, "cold {cv:?} vs dual {wv:?}");
-                    }
-                }
-                (SimplexOutcome::Infeasible { .. }, SimplexOutcome::Infeasible { .. }) => {}
-                other => prop_assert!(false, "verdicts diverge: {other:?}"),
-            },
-            // A typed fallback is allowed (the caller would solve cold); a
-            // wrong answer is not.
-            DualOutcome::PivotLimit { .. } | DualOutcome::Incompatible => {}
-        }
-    }
-
-    /// Branch & bound with dual restarts returns the same solution as with
-    /// per-node cold solves on random binary knapsacks.
-    #[test]
-    fn branch_bound_dual_restarts_match_cold_nodes(
-        costs in prop::collection::vec(0.1f64..10.0, 2..7),
-        weights_seed in prop::collection::vec(0.1f64..5.0, 2..7),
-        cap_frac in 0.3f64..1.0,
-    ) {
-        let n = costs.len().min(weights_seed.len());
-        let costs = &costs[..n];
-        let weights = &weights_seed[..n];
-        let total_weight: f64 = weights.iter().sum();
-        let capacity = total_weight * cap_frac;
-        let (m, _) = binary_problem(costs, weights, capacity);
-        let simplex = SimplexConfig::default();
-        let mut dual_ws = SolverWorkspace::new();
-        let mut cold_ws = SolverWorkspace::new();
-        let dual = m
-            .solve_warm(&simplex, &BranchBoundConfig::default(), None, &mut dual_ws)
-            .unwrap();
-        let cold_config = BranchBoundConfig {
-            use_dual_restart: false,
-            ..BranchBoundConfig::default()
-        };
-        let cold = m
-            .solve_warm(&simplex, &cold_config, None, &mut cold_ws)
-            .unwrap();
-        prop_assert_eq!(cold.status, dual.status);
-        if cold.status.has_solution() {
-            prop_assert!((cold.objective - dual.objective).abs() < 1e-9,
-                "cold {} vs dual {}", cold.objective, dual.objective);
-            prop_assert_eq!(&cold.values, &dual.values);
-        }
-        prop_assert_eq!(cold_ws.stats().dual_restarts, 0);
     }
 
     /// Self-oracle for the implicit variable bounds: a model solved as given

@@ -591,7 +591,6 @@ fn every_round_of_the_tight_tolerance_campaign_is_root_integral() {
     let total = outcome.summary.solver;
     assert!(total.solves > 2_000, "{total:?}");
     assert_eq!(total.nodes, total.solves, "a solve branched: {total:?}");
-    assert_eq!(total.dual_restarts, 0, "{total:?}");
     for (round, sample) in outcome.report.overhead.iter().enumerate() {
         let solver = sample.solver.expect("WaterWise reports solver activity");
         assert_eq!(solver.nodes, solver.solves, "round {round}: {solver:?}");
