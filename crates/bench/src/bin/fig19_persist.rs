@@ -13,9 +13,9 @@
 //!
 //! The workload is declarative: `scenarios/server_resume.spec` by
 //! default, or any spec file named via `WATERWISE_SCENARIO` — run on 40
-//! servers a region whatever the spec says, so that capacity binds and the
-//! cache has solves to carry (a round whose hint is certified builds no
-//! model; see `FIG19_SERVERS_PER_REGION`).
+//! servers a region whatever the spec says, and without warm starts, so that
+//! every round is a model the cache can carry (by default nearly every round
+//! is decided without one; see `FIG19_SERVERS_PER_REGION`).
 
 use std::path::PathBuf;
 use waterwise_bench::experiments as ex;

@@ -690,9 +690,10 @@ pub fn fig13_overhead(scale: ExperimentScale) -> Vec<Table> {
 
 /// Fig. 14: cold versus hinted rolling-horizon solving on the Fig. 5
 /// workload, across sliding-window (horizon) lengths. Reports how many rounds
-/// reached the solver at all (a hinted round whose assignment is certified
-/// builds no model: on an unpressured trace that is nearly every one, and the
-/// cold row's `solved` equals its `rounds`), simplex pivots per solve — total
+/// reached the solver at all (a hinted round whose assignment is certified,
+/// or whose optimum the transportation kernel proves unique, builds no model:
+/// on this trace that is every one, and the cold row's `solved` equals its
+/// `rounds`), simplex pivots per solve — total
 /// and on the steady-state slots (the last three quarters of the solved
 /// rounds) — warm-start coverage, decision latency, and the campaign's
 /// total pivots cold over hinted.
@@ -778,9 +779,10 @@ pub fn fig14_warmstart(scenario: &Scenario) -> Vec<Table> {
 
 /// Fig. 15: what the MILP solution cache does on a tolerance × weight
 /// campaign matrix (the Fig. 5 / Fig. 8 sweep axes). The cache sees the
-/// rounds that become a model: with the scheduler's hints that is only those whose
-/// hint is not certified (none below ~0.5 d of this trace, a few percent
-/// above), without hints every round — hence the two cold rows. Within one
+/// rounds that become a model: with the scheduler's hints only those with
+/// tied optima (the hint certifies, or the transportation kernel decides,
+/// every other round — all of them in this sweep), without hints every
+/// round — hence the two cold rows. Within one
 /// campaign no two models are bit-identical, so a cache per cell costs the
 /// same solves and pivots as none. Across cells they can be: a tolerance
 /// reaches the model only through the arcs it fixes, so cells of equal λ
@@ -1152,26 +1154,29 @@ impl Fig19Run {
 }
 
 /// Servers per region of the Fig. 19 sweeps, whatever the scenario says.
-/// Only a round whose hinted assignment is not certified becomes a model and
-/// reaches the solution cache, and at the scenario's own 280 servers every
-/// round is certified: there would be no snapshot to persist. At 40 (the
-/// demo campaigns' size) some rounds bind without the cluster overloading —
-/// further down hard models are proved infeasible, which is never published,
-/// and the resumed sweep would re-prove half its lookups.
+/// The sweeps run with `warm_start: false`, so that every round becomes a
+/// model and reaches the solution cache: by default the certified hint or the
+/// transportation kernel decides nearly every round without one, and there
+/// would be next to nothing to persist. At 40 (the demo campaigns' size) some
+/// rounds bind capacity, so the snapshot carries priced models too, without
+/// the cluster overloading — further down more hard models are proved
+/// infeasible, which is never published, and the resumed sweep would re-prove
+/// a growing share of its lookups.
 const FIG19_SERVERS_PER_REGION: usize = 40;
 
 /// One Fig. 19 sweep against the snapshot at `cache_path`: build the
 /// campaign with [`Campaign::try_new`] (warm-loading the snapshot if it
-/// exists) on [`FIG19_SERVERS_PER_REGION`] servers, run WaterWise once,
-/// persist the cache back, and report the sweep's digest, cache traffic,
-/// and latency.
+/// exists) on [`FIG19_SERVERS_PER_REGION`] servers without warm starts, run
+/// WaterWise once, persist the cache back, and report the sweep's digest,
+/// cache traffic, and latency.
 fn fig19_sweep(scenario: &Scenario, cache_path: &Path, label: &str) -> Fig19Run {
     use std::time::Instant;
-    let config = scenario
+    let mut config = scenario
         .config
         .clone()
         .with_servers_per_region(FIG19_SERVERS_PER_REGION)
         .with_cache_path(cache_path);
+    config.waterwise.warm_start = false;
     let campaign = Campaign::try_new(config).expect("fig19 campaign must build");
     let cache = campaign
         .solution_cache()
@@ -1219,8 +1224,8 @@ pub fn fig19_resumed(scenario: &Scenario, cache_path: &Path) -> Fig19Run {
     let run = fig19_sweep(scenario, cache_path, "resumed");
     assert!(
         run.cache_entries > 0,
-        "the resumed sweep loaded an empty snapshot: no round of the cold sweep reached \
-         the solver (certified rounds publish nothing; the workload must bind capacity)"
+        "the resumed sweep loaded an empty snapshot: no round of the cold sweep was \
+         solved to a published optimum"
     );
     run
 }
@@ -1237,7 +1242,7 @@ pub fn fig19_tables(cold: &Fig19Run, resumed: &Fig19Run) -> Vec<Table> {
     assert!(
         resumed.exact_hit_rate() >= 0.9,
         "resumed sweep exact-hit rate {:.1}% is below the 90% floor ({} / {} lookups; \
-         lookups are the rounds whose hint was not certified)",
+         every round of the sweep is a lookup)",
         resumed.exact_hit_rate() * 100.0,
         resumed.exact_hits,
         resumed.lookups,
@@ -1354,16 +1359,16 @@ mod tests {
         // FIRST_SWEEP_REPEATS lookups meet a model a sibling cell built too;
         // a parallel sweep replays all of them unless two workers reach one
         // at the same instant (then both solve it). Pinned on the cold rows:
-        // with hints only rounds whose hint is not certified become
-        // a model, and at this scale (280 servers a region, half an hour of
-        // trace) every round is certified — the hinted rows used to solve
-        // and look up each round, now they have nothing to replay.
+        // with hints only rounds with tied optima become a model, and at this
+        // scale (280 servers a region, half an hour of trace) there is none —
+        // the hinted rows used to solve and look up each round, now they have
+        // nothing to replay.
         assert!(
             (1..=FIRST_SWEEP_REPEATS).contains(&count(5, 6)),
             "row 5: {} first-sweep hits",
             count(5, 6)
         );
-        assert_eq!(count(0, 3), 0, "a hinted round was not certified");
+        assert_eq!(count(0, 3), 0, "a hinted round reached the solver");
         assert_ne!(count(4, 3), 0, "without hints every round is a solve");
         // The re-run meets a cache holding every model of the sweep (the
         // tiny scale evicts nothing): all lookups replay, nothing is solved.

@@ -439,9 +439,16 @@ fn server_resume_scenario_pins_a_save_restart_resume_cycle() {
 
     // Warmth is asserted where the cache has something to carry: the same
     // scenario on 40 servers a region, where some rounds bind capacity,
-    // reach the solver and are published.
-    let bound = scenario.config.clone().with_servers_per_region(40);
-    let (_, _, loaded, exact_hits) = cycle(bound, "bound.snapshot");
+    // solved without warm starts so that every round reaches the solver and
+    // is published (by default the transportation kernel decides the
+    // capacity-bound ones without a model). Its schedule is the default's.
+    let mut bound = scenario.config.clone().with_servers_per_region(40);
+    let default = Campaign::new(bound.clone())
+        .run(SchedulerKind::WaterWise)
+        .expect("default campaign must run");
+    bound.waterwise.warm_start = false;
+    let (cold, _, loaded, exact_hits) = cycle(bound, "bound.snapshot");
+    assert_eq!(default.report.outcomes, cold.report.outcomes);
     assert!(loaded > 0, "the snapshot must arrive warm");
     assert!(
         exact_hits >= loaded,

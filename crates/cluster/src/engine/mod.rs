@@ -476,9 +476,13 @@ impl SimState {
     }
 }
 
-/// A job id the trace carries twice, if there is one: a sort and an adjacent
-/// scan instead of a set insert per job.
+/// A job id the trace carries twice, if there is one. Strictly increasing ids
+/// (every generator's output) have none, which one scan shows; otherwise a
+/// sort and an adjacent scan instead of a set insert per job.
 fn duplicate_id(jobs: &[JobSpec]) -> Option<JobId> {
+    if jobs.windows(2).all(|pair| pair[0].id < pair[1].id) {
+        return None;
+    }
     let mut ids: Vec<JobId> = jobs.iter().map(|job| job.id).collect();
     ids.sort_unstable();
     ids.windows(2)

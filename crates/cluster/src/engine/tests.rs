@@ -255,6 +255,32 @@ fn duplicate_job_ids_fail_the_campaign_with_a_typed_error() {
 }
 
 #[test]
+fn duplicate_ids_are_found_in_any_order() {
+    let trace = |ids: &[u64]| -> Vec<JobSpec> {
+        let job = |(i, &id): (usize, &u64)| JobSpec {
+            id: JobId(id),
+            ..hand_built_job(i as f64, 60.0)
+        };
+        ids.iter().enumerate().map(job).collect()
+    };
+    // Strictly increasing ids (what every generator emits) have no twin.
+    assert_eq!(duplicate_id(&trace(&[0, 1, 5, 9])), None);
+    assert_eq!(duplicate_id(&trace(&[])), None);
+    // Out of order, with and without a twin that is not a neighbour.
+    assert_eq!(duplicate_id(&trace(&[4, 2, 9, 3])), None);
+    assert_eq!(duplicate_id(&trace(&[7, 3, 9, 7])), Some(JobId(7)));
+    assert_eq!(duplicate_id(&trace(&[1, 2, 2, 3])), Some(JobId(2)));
+    let jobs = trace(&[7, 3, 9, 7]);
+    for sim in both_engines(10, 0.5) {
+        let err = sim.run(&jobs, &mut HomeScheduler).unwrap_err();
+        assert!(matches!(
+            err,
+            SimulationError::DuplicateJobId { id: JobId(7) }
+        ));
+    }
+}
+
+#[test]
 fn invalid_config_surfaces_as_typed_error() {
     let err = Simulator::new(
         SimulationConfig::paper_default(0, 0.5),

@@ -122,7 +122,8 @@ impl SchedulingDecision {
 pub struct SolverActivity {
     /// MILP solves: simplex runs performed (across all branch-and-bound
     /// nodes). A round the scheduler decides without building a model — a
-    /// WaterWise round whose hint is certified — adds nothing here or below.
+    /// WaterWise round whose hint is certified, or whose optimum its
+    /// transportation kernel proves unique — adds nothing here or below.
     pub solves: usize,
     /// Simplex runs that were warm-started (crash basis, phase 1 skipped).
     pub warm_solves: usize,

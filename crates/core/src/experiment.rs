@@ -884,7 +884,10 @@ mod tests {
 
     #[test]
     fn solution_cache_modes_produce_byte_identical_outcomes() {
-        let base = CampaignConfig::small_demo(42);
+        // The all-MILP reference: by default the hint or the transportation
+        // kernel decides every round of this campaign and the cache sees none.
+        let mut base = CampaignConfig::small_demo(42);
+        base.waterwise.warm_start = false;
         let shared = SolutionCache::shared();
         let modes = [
             SolutionCacheMode::Off,
@@ -916,9 +919,11 @@ mod tests {
 
     #[test]
     fn per_campaign_cache_is_shared_across_schedulers_of_one_campaign() {
-        let campaign = Campaign::new(
-            CampaignConfig::small_demo(9).with_solution_cache(SolutionCacheMode::PerCampaign),
-        );
+        // Without warm starts every round reaches the solver, and the cache.
+        let mut config =
+            CampaignConfig::small_demo(9).with_solution_cache(SolutionCacheMode::PerCampaign);
+        config.waterwise.warm_start = false;
+        let campaign = Campaign::new(config);
         let cache = campaign.solution_cache().unwrap().clone();
         campaign.run(SchedulerKind::WaterWise).unwrap();
         let first = cache.stats();
@@ -964,12 +969,15 @@ mod tests {
 
     #[test]
     fn pipelined_engine_composes_with_solution_cache_and_warm_starts() {
-        // The solver stage owns the scheduler (workspace, carried hints,
-        // attached cache); cache traffic and warm-start accounting must
-        // flow through the pipeline exactly as they do inline.
-        let config = CampaignConfig::small_demo(9)
+        // The solver stage owns the scheduler (workspace, attached cache);
+        // cache traffic must flow through the pipeline exactly as it does
+        // inline. Solved cold with the cache on the pipeline, the schedule is
+        // the one the default inline scheduler (hint, kernel) commits — which
+        // on this campaign reaches neither solver nor cache.
+        let mut config = CampaignConfig::small_demo(9)
             .with_engine_mode(EngineMode::Pipelined { workers: 2 })
             .with_solution_cache(SolutionCacheMode::PerCampaign);
+        config.waterwise.warm_start = false;
         let campaign = Campaign::new(config);
         let outcome = campaign.run(SchedulerKind::WaterWise).unwrap();
         assert!(outcome.summary.solver.solves > 0);
@@ -978,6 +986,7 @@ mod tests {
             .run(SchedulerKind::WaterWise)
             .unwrap();
         assert_eq!(plain.report.outcomes, outcome.report.outcomes);
+        assert_eq!(plain.summary.solver.solves, 0);
     }
 
     #[test]

@@ -6,6 +6,7 @@ mod ecovisor;
 mod greedy_opt;
 mod least_load;
 mod round_robin;
+mod transport;
 mod waterwise;
 
 #[cfg(test)]

@@ -10,11 +10,14 @@
 //!    urgency score of Eq. 14 (ascending — smaller means closer to a
 //!    violation).
 //! 3. Decides Eq. 8–11: the hinted assignment where `certified` shows the
-//!    solver would return it, else the MILP (`assignment_model`) it solves.
+//!    solver would return it, else the transportation kernel's optimum where
+//!    it proves that optimum unique, else the MILP (`assignment_model`) it
+//!    solves.
 //! 4. If the hard-constrained model is infeasible, re-solves with **soft
 //!    constraints** (Eq. 12–13): overshooting a job's delay tolerance costs
 //!    `σ` per unit in the objective instead of being forbidden.
 
+use super::transport::{Transport, Verdict};
 use crate::experiment::{run_indexed, Parallelism};
 use crate::objective::{footprints_under, CandidateFootprint, Normalizer, ObjectiveWeights};
 use std::sync::Arc;
@@ -58,8 +61,9 @@ pub struct WaterWiseConfig {
     pub branch_bound: BranchBoundConfig,
     /// Hint each slot with the greedy assignment (every job to its cheapest
     /// feasible region under the capacity left): certified rounds return it,
-    /// the rest warm-start the MILP from it. Off, every round solves cold —
-    /// the same schedule, more solver work (see
+    /// the transportation kernel decides the rest unless their optimum is
+    /// tied, and tied rounds warm-start the MILP from it. Off, every round
+    /// solves cold — the same schedule, more solver work (see
     /// `SolveStats::{certified_rounds, warm}`).
     pub warm_start: bool,
     /// Optional sliding-window cap on how many jobs enter one MILP. `None`
@@ -141,7 +145,9 @@ pub struct SolveStats {
     /// Rounds that required the soft-constrained fallback.
     pub soft_fallbacks: usize,
     /// Rounds decided without a model: the hinted assignment passed the
-    /// optimality certificate, so neither solver nor solution cache saw them.
+    /// optimality certificate, or the transportation kernel proved its
+    /// optimum unique (after proving the hard round infeasible, if it
+    /// softened), so neither solver nor solution cache saw them.
     /// `rounds - certified_rounds` is what reached `Model::solve_warm`.
     pub certified_rounds: usize,
     /// Rounds in which the slack manager had to drop jobs.
@@ -265,6 +271,10 @@ struct RoundScratch {
     candidates: Vec<CandidateFootprint>,
     hint: Vec<usize>,
     capacity_left: Vec<usize>,
+    /// The transportation kernel's working memory.
+    transport: Transport,
+    /// Whether the round reached `solve_warm` (it is not certified then).
+    modelled: bool,
 }
 
 /// The round's MILP over binaries `x[m][n]` (index `m * n_regions + n`):
@@ -288,12 +298,9 @@ fn assignment_model(
     let mut model = Model::new("waterwise-assignment");
     model.reserve(n_x, numerics.len() + n_regions);
     let mut objective = LinExpr::with_capacity(n_x);
-    for (m, numbers) in numerics.jobs().enumerate() {
-        for n in 0..n_regions {
-            let free = soft_penalty.is_some() || numbers.admits(n);
-            model.add_var("", VarKind::Binary, 0.0, if free { 1.0 } else { 0.0 });
-            objective.add_term(x(m, n), numbers.cost(n, soft_penalty));
-        }
+    for (cost, open) in arcs(numerics, soft_penalty) {
+        let var = model.add_var("", VarKind::Binary, 0.0, if open { 1.0 } else { 0.0 });
+        objective.add_term(var, cost);
     }
     model.minimize(objective);
     // Eq. 9: each job is assigned to exactly one region.
@@ -349,9 +356,10 @@ fn build_hint(
 /// first prices `x[m][n]` at `cost(m, n) − cost(m, chosen[m])` against `−tol`,
 /// as here, and no column below it means no pivot. A fixed arc (hard model,
 /// `!admits(n)`) below it only flips at ratio 0 while region `n` keeps a free
-/// slot. A capacity that needs a price or a non-finite cost goes to the
-/// solver: `v_n ≠ 0` proves optimality, not *which* tied vertex it returns.
-/// `free` is working memory: the slots left under `chosen`, counted here.
+/// slot. A capacity that needs a price goes to the transportation kernel:
+/// `v_n ≠ 0` proves optimality, not *which* tied vertex the solver returns,
+/// so the kernel must also prove there is no tie. A non-finite cost goes to
+/// the solver. `free` is working memory: the slots left under `chosen`.
 fn certified(
     numerics: &RoundNumerics,
     capacities: &[usize],
@@ -369,6 +377,19 @@ fn certified(
             let flips = soft_penalty.is_none() && !numbers.admits(n) && free[n] >= 1;
             cost.is_finite() && (cost - at_hint >= -tol || flips)
         })
+    })
+}
+
+/// [`assignment_model`]'s arcs in its layout, for [`Transport::solve`]: each
+/// `x[m][n]`'s cost, and whether its upper bound is 1 rather than 0.
+fn arcs(
+    numerics: &RoundNumerics,
+    soft_penalty: Option<f64>,
+) -> impl Iterator<Item = (f64, bool)> + '_ {
+    let soften = soft_penalty.is_some();
+    numerics.jobs().flat_map(move |numbers| {
+        let arc = move |n| (numbers.cost(n, soft_penalty), soften || numbers.admits(n));
+        (0..numerics.n_regions).map(arc)
     })
 }
 
@@ -550,51 +571,77 @@ impl WaterWiseScheduler {
     }
 
     /// Decide the selected jobs' assignment (`soft_penalty` selects Eq. 12/13's
-    /// relaxation): hint → [`certified`] → only if not, [`assignment_model`] →
-    /// `solve_warm` → one read-back by position, which lets the solution
-    /// cache replay a bit-identical batch under other job ids.
+    /// relaxation): hint → [`certified`] → the transportation kernel → only on
+    /// a tie or a non-finite cost, [`assignment_model`] → `solve_warm` from the
+    /// hint → one read-back by position, which lets the solution cache replay
+    /// a bit-identical batch under other job ids. A round the kernel proves
+    /// infeasible returns `None` at once. Without `warm_start` every round
+    /// takes the model path, cold: the reference the other two are held to.
     fn solve_assignment(
         &mut self,
         ctx: &SchedulingContext<'_>,
         round: &mut RoundScratch,
         soft_penalty: Option<f64>,
     ) -> Option<Vec<Assignment>> {
-        let (numerics, capacities) = (&round.numerics, &round.capacities[..]);
-        let (hint, left) = (&mut round.hint, &mut round.capacity_left);
+        let RoundScratch {
+            selected,
+            numerics,
+            capacities,
+            hint,
+            capacity_left,
+            transport,
+            modelled,
+            ..
+        } = round;
         let n_regions = capacities.len();
         let soften = soft_penalty.is_some();
-        let hinted = self.config.warm_start && build_hint(numerics, capacities, soften, hint, left);
+        let warm = self.config.warm_start;
+        let hinted = warm && build_hint(numerics, capacities, soften, hint, capacity_left);
         let tol = self.config.simplex.tolerance;
-        let solution = if hinted && certified(numerics, capacities, soft_penalty, hint, tol, left) {
-            // A soft round built the hard model first: it is not counted.
-            self.stats.certified_rounds += usize::from(!soften);
-            None
-        } else {
-            let model = assignment_model(numerics, capacities, soft_penalty);
-            let dense = hinted.then(|| one_hot(hint, n_regions));
-            let (simplex, branch_bound) = (&self.config.simplex, &self.config.branch_bound);
-            let solution = model
-                .solve_warm(simplex, branch_bound, dense.as_deref(), &mut self.workspace)
-                .ok()?;
-            self.stats.simplex_iterations += solution.simplex_iterations;
-            self.stats.nodes += solution.nodes_explored;
-            self.stats.warm = self.workspace.stats();
-            self.stats.cache = self.workspace.cache_stats();
-            if !solution.status.has_solution() {
-                return None;
-            }
-            Some(solution)
-        };
-        let x = |m: usize, n: usize| Var::from_index(m * n_regions + n);
-        let mut assignments = Vec::with_capacity(round.selected.len());
-        for (m, &pending) in round.selected.iter().enumerate() {
-            let chosen = match &solution {
-                None => Some(hint[m]),
-                Some(solution) => (0..n_regions).find(|&n| solution.is_one(x(m, n))),
+        let decided =
+            if hinted && certified(numerics, capacities, soft_penalty, hint, tol, capacity_left) {
+                Some(&hint[..])
+            } else if warm {
+                match transport.solve(capacities, arcs(numerics, soft_penalty), tol) {
+                    Verdict::Unique(chosen) => Some(chosen),
+                    Verdict::Tied => None,
+                    Verdict::Infeasible => return None,
+                }
+            } else {
+                None
             };
-            if let Some(n) = chosen {
-                let (job, region) = (ctx.pending[pending].spec.id, ctx.regions[n].region);
-                assignments.push(Assignment { job, region });
+        let place = |m: usize, n: usize| Assignment {
+            job: ctx.pending[selected[m]].spec.id,
+            region: ctx.regions[n].region,
+        };
+        if let Some(chosen) = decided {
+            return Some(
+                chosen
+                    .iter()
+                    .enumerate()
+                    .map(|(m, &n)| place(m, n))
+                    .collect(),
+            );
+        }
+        *modelled = true;
+        let model = assignment_model(numerics, capacities, soft_penalty);
+        let dense = hinted.then(|| one_hot(hint, n_regions));
+        let (simplex, branch_bound) = (&self.config.simplex, &self.config.branch_bound);
+        let solution = model
+            .solve_warm(simplex, branch_bound, dense.as_deref(), &mut self.workspace)
+            .ok()?;
+        self.stats.simplex_iterations += solution.simplex_iterations;
+        self.stats.nodes += solution.nodes_explored;
+        self.stats.warm = self.workspace.stats();
+        self.stats.cache = self.workspace.cache_stats();
+        if !solution.status.has_solution() {
+            return None;
+        }
+        let x = |m: usize, n: usize| Var::from_index(m * n_regions + n);
+        let mut assignments = Vec::with_capacity(selected.len());
+        for m in 0..selected.len() {
+            if let Some(n) = (0..n_regions).find(|&n| solution.is_one(x(m, n))) {
+                assignments.push(place(m, n));
             }
         }
         Some(assignments)
@@ -654,6 +701,7 @@ impl Scheduler for WaterWiseScheduler {
         // (Algorithm 1, lines 8–11). The fallback reuses the numerics.
         // lint:allow(DET002: solve_seconds timing capture; scrubbed from schedules by without_wall_clock)
         let solve_start = Instant::now();
+        round.modelled = false;
         let hard = self.solve_assignment(ctx, &mut round, None);
         let assignments = hard.unwrap_or_else(|| {
             self.stats.soft_fallbacks += 1;
@@ -661,6 +709,7 @@ impl Scheduler for WaterWiseScheduler {
             self.solve_assignment(ctx, &mut round, sigma)
                 .unwrap_or_default()
         });
+        self.stats.certified_rounds += usize::from(!round.modelled);
         self.stats.solve_seconds += solve_start.elapsed().as_secs_f64();
         self.scratch = round;
         SchedulingDecision { assignments }
@@ -816,16 +865,26 @@ mod tests {
         // The soft model still assigns the jobs (at a penalty).
         assert_eq!(decision.assignments.len(), 6);
         assert!(sched.stats().soft_fallbacks >= 1);
-        // No job has a feasible region, so the hard round has no hint: it is
-        // not certified, solves cold and is proved infeasible. The soft hint
-        // is certified, but the round already reached the solver once.
-        assert_eq!(sched.stats().certified_rounds, 0);
-        let activity = sched.solver_activity().unwrap();
-        assert_eq!((activity.solves, activity.warm_solves), (1, 0));
+        // No job has a feasible region, so the hard round has no hint, and the
+        // kernel proves it infeasible without a model. The soft hint is then
+        // certified: the round never reaches the solver.
+        assert_eq!(sched.stats().certified_rounds, 1);
+        assert_eq!(sched.solver_activity().unwrap(), SolverActivity::default());
         assert!(decision
             .assignments
             .iter()
             .all(|a| a.region == waterwise_telemetry::Region::Milan));
+        // The all-MILP reference proves the hard model infeasible by a cold
+        // solve, then solves the soft one: the same placement.
+        let mut reference = WaterWiseScheduler::new(
+            Arc::new(SyntheticTelemetry::with_seed(3)),
+            FootprintEstimator::paper_default(),
+            WaterWiseConfig::default().with_warm_start(false),
+        );
+        assert_eq!(reference.schedule(&ctx), decision);
+        let activity = reference.solver_activity().unwrap();
+        assert_eq!((activity.solves, activity.warm_solves), (2, 0));
+        assert_eq!(reference.stats().soft_fallbacks, 1);
     }
 
     /// A batch in the flat layout, from one `(coeffs, latency_ratio,
@@ -932,8 +991,9 @@ mod tests {
     fn warm_start_produces_identical_decisions_to_cold() {
         // Several rounds over the same fixture with evolving time: warm and
         // cold schedulers must agree on every single placement. 20 slots for
-        // 18 jobs: with 50-server regions every warm round is certified and
-        // the warm side of this comparison would never solve.
+        // 18 jobs, so capacity binds every round (with 50-server regions
+        // every warm round is certified from the hint), and the comparison
+        // holds the transportation kernel to the cold solver.
         let fixture = capacity_bound_fixture(18, 21, 4);
         let provider: Arc<dyn ConditionsProvider> = Arc::new(SyntheticTelemetry::with_seed(3));
         let mut warm = WaterWiseScheduler::new(
@@ -952,24 +1012,13 @@ mod tests {
             let b = cold.schedule(&ctx);
             assert_eq!(a, b, "warm and cold schedules diverged at hour {hour}");
         }
-        assert_eq!(
-            warm.stats().certified_rounds,
-            0,
-            "capacity binds every round"
-        );
+        // No hint is certified (capacity needs a price); the kernel proves
+        // each round's optimum unique and decides it without a model.
+        assert_eq!(warm.stats().certified_rounds, 4);
+        assert_eq!(warm.solver_activity().unwrap(), SolverActivity::default());
         assert_eq!(cold.stats().certified_rounds, 0, "no hint, no certificate");
-        let warm_stats = warm.stats().warm;
         let cold_stats = cold.stats().warm;
-        assert!(warm_stats.warm_solves > 0, "warm path never engaged");
-        assert_eq!(cold_stats.warm_solves, 0);
-        // The rounds a crash used to halve are the certified ones, which no
-        // longer pivot at all; under binding capacity it still saves phase 1.
-        assert!(
-            warm_stats.warm_pivots < cold_stats.cold_pivots + cold_stats.warm_pivots,
-            "warm pivots {} should be fewer than cold pivots {}",
-            warm_stats.warm_pivots,
-            cold_stats.cold_pivots
-        );
+        assert_eq!((cold_stats.cold_solves, cold_stats.warm_solves), (4, 0));
     }
 
     #[test]
@@ -1136,24 +1185,35 @@ mod tests {
 
     #[test]
     fn solver_activity_reports_cumulative_work() {
-        // A certified round is no solver work: the activity stays at zero.
+        // A round decided without a model is no solver work: the activity
+        // stays at zero — for a certified hint, and for a round whose capacity
+        // rows bind (10 slots for 10 jobs) but whose optimum the kernel
+        // proves unique.
         let roomy = context_fixture(10, 25);
+        let bound = capacity_bound_fixture(10, 25, 2);
         let mut sched = scheduler();
         assert_eq!(sched.solver_activity().unwrap(), SolverActivity::default());
-        sched.schedule(&ctx_from(&roomy, 6.0, 0.5));
-        assert_eq!(sched.stats().certified_rounds, 1);
-        assert_eq!(sched.solver_activity().unwrap(), SolverActivity::default());
-        // 10 slots for 10 jobs: the capacity rows bind and the MILP runs.
-        let fixture = capacity_bound_fixture(10, 25, 2);
-        let ctx = ctx_from(&fixture, 6.0, 0.5);
-        sched.schedule(&ctx);
-        assert_eq!(sched.stats().certified_rounds, 1);
-        let activity = sched.solver_activity().unwrap();
-        assert_eq!(activity.solves, 1);
-        assert!(activity.simplex_pivots > 0);
+        for (fixture, certified) in [(&roomy, 1), (&bound, 2)] {
+            sched.schedule(&ctx_from(fixture, 6.0, 0.5));
+            assert_eq!(sched.stats().certified_rounds, certified);
+            assert_eq!(sched.solver_activity().unwrap(), SolverActivity::default());
+        }
+        // The all-MILP reference solves both, and its activity adds them up.
+        let mut reference = WaterWiseScheduler::new(
+            Arc::new(SyntheticTelemetry::with_seed(3)),
+            FootprintEstimator::paper_default(),
+            WaterWiseConfig::default().with_warm_start(false),
+        );
+        reference.schedule(&ctx_from(&roomy, 6.0, 0.5));
+        let first = reference.solver_activity().unwrap();
+        assert_eq!(first.solves, 1);
+        reference.schedule(&ctx_from(&bound, 6.0, 0.5));
+        let activity = reference.solver_activity().unwrap();
+        assert_eq!(activity.solves, 2);
+        assert!(activity.simplex_pivots > first.simplex_pivots);
         assert_eq!(
             activity.simplex_pivots,
-            sched.stats().simplex_iterations,
+            reference.stats().simplex_iterations,
             "workspace pivots and solution iterations must agree"
         );
     }
@@ -1527,19 +1587,7 @@ mod tests {
             if roomy != 0 {
                 capacities.fill((fill * n_jobs as f64).round() as usize);
             }
-            if ties >= 1 {
-                for coeff in &mut batch.coeffs {
-                    *coeff = (*coeff * 4.0).round() / 4.0;
-                }
-            }
-            if ties == 2 {
-                for m in (1..n_jobs).step_by(2) {
-                    let (from, to) = ((m - 1) * n_regions..m * n_regions, m * n_regions);
-                    batch.coeffs.copy_within(from.clone(), to);
-                    batch.latency_ratio.copy_within(from, to);
-                    batch.remaining_tolerance[m] = batch.remaining_tolerance[m - 1];
-                }
-            }
+            force_ties(&mut batch, ties);
             let tol = SimplexConfig::default().tolerance;
             for soft_penalty in [None, Some(10.0)] {
                 let hint = greedy_hint(&batch, &capacities, soft_penalty.is_some());
@@ -1562,6 +1610,132 @@ mod tests {
             if yes + no + UNHINTED.load(Relaxed) == 2 * CERTIFICATE_CASES {
                 let third = 2 * CERTIFICATE_CASES / 3;
                 prop_assert!(yes >= third && no >= third, "{yes} certified, {no} hinted but not");
+            }
+        }
+    }
+
+    /// `ties ≥ 1`: round every cost to a coarse grid (equal-cost regions);
+    /// `ties == 2`: also make every odd job a copy of the job before it.
+    fn force_ties(batch: &mut RoundNumerics, ties: usize) {
+        if ties >= 1 {
+            for coeff in &mut batch.coeffs {
+                *coeff = (*coeff * 4.0).round() / 4.0;
+            }
+        }
+        if ties == 2 {
+            let r = batch.n_regions;
+            for m in (1..batch.len()).step_by(2) {
+                let (from, to) = ((m - 1) * r..m * r, m * r);
+                batch.coeffs.copy_within(from.clone(), to);
+                batch.latency_ratio.copy_within(from, to);
+                batch.remaining_tolerance[m] = batch.remaining_tolerance[m - 1];
+            }
+        }
+    }
+
+    /// Whether some region is the cheapest open arc of more jobs than it
+    /// holds, so that its capacity row needs a price.
+    fn capacity_bound(batch: &RoundNumerics, capacities: &[usize], soft: Option<f64>) -> bool {
+        let mut wanted = vec![0; capacities.len()];
+        for numbers in batch.jobs() {
+            let open = (0..capacities.len()).filter(|&n| soft.is_some() || numbers.admits(n));
+            let by_cost =
+                |a: &usize, b: &usize| numbers.cost(*a, soft).total_cmp(&numbers.cost(*b, soft));
+            if let Some(n) = open.min_by(by_cost) {
+                wanted[n] += 1;
+            }
+        }
+        wanted.iter().zip(capacities).any(|(w, c)| w > c)
+    }
+
+    /// Cases of the kernel property below, and how its (case, model)
+    /// instances fell: capacity-bound, and by the kernel's verdict.
+    const KERNEL_CASES: usize = 256;
+    static BOUND: AtomicUsize = AtomicUsize::new(0);
+    static UNIQUE: AtomicUsize = AtomicUsize::new(0);
+    static TIED: AtomicUsize = AtomicUsize::new(0);
+    static INFEASIBLE: AtomicUsize = AtomicUsize::new(0);
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(KERNEL_CASES as u32))]
+
+        /// Kernel == solver: on every instance the kernel's optimum costs what
+        /// the MILP's does, it is infeasible exactly when the MILP is, and an
+        /// optimum it proves unique is the MILP's assignment — solved from the
+        /// hint, as `solve_assignment` does, and cold.
+        #[test]
+        fn the_priced_kernel_is_what_the_milp_returns(
+            shape in (1usize..61, 1usize..9),
+            loose in 0usize..2,
+            homes in 0usize..4,
+            // Below 1 the batch does not fit: Hall's condition fails in both
+            // models. Just above it, capacity binds.
+            fill in 0.8f64..1.6,
+            // 0: region 0 holds nothing.
+            full in 0usize..3,
+            ties in 0usize..3,
+            draws in prop::collection::vec((0.05f64..1.0, 0.0f64..0.7, 0.0f64..0.3), 60 * 8),
+            shares in prop::collection::vec(0.2f64..1.0, 8),
+        ) {
+            use waterwise_milp::SolveStatus::{Infeasible, Optimal};
+            let (n_jobs, n_regions) = shape;
+            let regime = (loose == 1, homes != 0, fill);
+            let (mut batch, mut capacities) =
+                random_round(n_jobs, n_regions, regime, &draws, &shares);
+            if full == 0 {
+                capacities[0] = 0;
+            }
+            force_ties(&mut batch, ties);
+            let (simplex, branch_bound) = (SimplexConfig::default(), BranchBoundConfig::default());
+            let mut transport = Transport::default();
+            for soft_penalty in [None, Some(10.0)] {
+                if capacity_bound(&batch, &capacities, soft_penalty) {
+                    BOUND.fetch_add(1, Relaxed);
+                }
+                let verdict = transport.solve(&capacities, arcs(&batch, soft_penalty), simplex.tolerance);
+                let (unique, infeasible) =
+                    (matches!(verdict, Verdict::Unique(_)), verdict == Verdict::Infeasible);
+                let model = assignment_model(&batch, &capacities, soft_penalty);
+                let hint = greedy_hint(&batch, &capacities, soft_penalty.is_some())
+                    .map(|hint| one_hot(&hint, n_regions));
+                let mut workspace = SolverWorkspace::new();
+                let warm = model
+                    .solve_warm(&simplex, &branch_bound, hint.as_deref(), &mut workspace)
+                    .unwrap();
+                let cold = model.solve().unwrap();
+                if !infeasible {
+                    let point = one_hot(transport.assignment(), n_regions);
+                    prop_assert!(model.is_feasible(&point, 0.0), "the kernel placed off the model");
+                }
+                prop_assert_eq!(warm.nodes_explored, 1);
+                prop_assert_eq!(cold.status, warm.status);
+                prop_assert_eq!(infeasible, warm.status == Infeasible, "{:?}", warm.status);
+                if infeasible {
+                    INFEASIBLE.fetch_add(1, Relaxed);
+                    continue;
+                }
+                prop_assert_eq!(warm.status, Optimal);
+                let chosen = transport.assignment();
+                let cost = |(m, &n): (usize, &usize)| batch.job(m).cost(n, soft_penalty);
+                let objective: f64 = chosen.iter().enumerate().map(cost).sum();
+                prop_assert!(
+                    (objective - warm.objective).abs() <= simplex.tolerance,
+                    "kernel {} vs solver {}", objective, warm.objective
+                );
+                if unique {
+                    UNIQUE.fetch_add(1, Relaxed);
+                    prop_assert_eq!(&warm.values, &one_hot(chosen, n_regions));
+                    prop_assert_eq!(&cold.values, &one_hot(chosen, n_regions));
+                } else {
+                    TIED.fetch_add(1, Relaxed);
+                }
+            }
+            // The last case checks what the generator exercised.
+            let verdicts = [&UNIQUE, &TIED, &INFEASIBLE].map(|count| count.load(Relaxed));
+            if verdicts.iter().sum::<usize>() == 2 * KERNEL_CASES {
+                let bound = BOUND.load(Relaxed);
+                prop_assert!(3 * bound >= 2 * KERNEL_CASES, "{bound} capacity-bound");
+                prop_assert!(verdicts.iter().all(|&n| n > 0), "unique, tied, infeasible: {verdicts:?}");
             }
         }
     }

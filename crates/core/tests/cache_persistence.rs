@@ -22,14 +22,24 @@ fn scratch(label: &str) -> PathBuf {
     dir
 }
 
+/// The demo campaign with a per-campaign cache, solved without warm starts:
+/// by default the hint or the transportation kernel decides every round of
+/// it without a model, so the cache would never be asked.
 fn base_config() -> CampaignConfig {
-    CampaignConfig::small_demo(42).with_solution_cache(SolutionCacheMode::PerCampaign)
+    let mut config =
+        CampaignConfig::small_demo(42).with_solution_cache(SolutionCacheMode::PerCampaign);
+    config.waterwise.warm_start = false;
+    config
 }
 
 /// Warm-loading the cache from disk reproduces the in-memory-warmed
-/// schedule byte for byte, under both the sync and the pipelined engine.
+/// schedule byte for byte, under both the sync and the pipelined engine —
+/// and both are the default scheduler's schedule.
 #[test]
 fn warmed_from_disk_matches_in_memory_warmed_schedules() {
+    let default = Campaign::new(CampaignConfig::small_demo(42))
+        .run(SchedulerKind::WaterWise)
+        .expect("default run");
     for (label, engine) in [
         ("sync", EngineMode::Sync),
         ("pipelined", EngineMode::Pipelined { workers: 2 }),
@@ -62,6 +72,10 @@ fn warmed_from_disk_matches_in_memory_warmed_schedules() {
             "{label}: disk-warmed schedule diverged from memory-warmed"
         );
         assert_eq!(in_memory.summary.total_jobs, from_disk.summary.total_jobs);
+        assert_eq!(
+            default.report.outcomes, from_disk.report.outcomes,
+            "{label}"
+        );
         assert!(
             cache.stats().exact_hits > 0,
             "{label}: the resumed run never hit the loaded entries"

@@ -238,29 +238,34 @@ fn waterwise_scheduler_is_byte_identical_online_across_engine_modes() {
         .collect();
     let servers = 2;
 
-    let make_scheduler = || {
-        build_scheduler(
-            SchedulerKind::WaterWise,
-            SyntheticTelemetry::with_seed(TELEMETRY_SEED).shared(),
-            FootprintEstimator::new(simulation_config(servers, EngineMode::Sync).datacenter),
-            &WaterWiseConfig::default(),
-            None,
-        )
-    };
+    // The default scheduler, and the all-MILP reference that solves every
+    // round (by default the hint or the transportation kernel decides them).
+    let default = WaterWiseConfig::default();
+    for config in [default.clone(), default.with_warm_start(false)] {
+        let make_scheduler = || {
+            build_scheduler(
+                SchedulerKind::WaterWise,
+                SyntheticTelemetry::with_seed(TELEMETRY_SEED).shared(),
+                FootprintEstimator::new(simulation_config(servers, EngineMode::Sync).datacenter),
+                &config,
+                None,
+            )
+        };
 
-    let offline = replay_offline(&jobs, servers, make_scheduler().as_mut());
+        let offline = replay_offline(&jobs, servers, make_scheduler().as_mut());
 
-    for engine in [EngineMode::Sync, EngineMode::Pipelined { workers: 2 }] {
-        let (report, responses) = serve_stream(&jobs, servers, engine, make_scheduler());
-        assert_eq!(report.trace, jobs);
-        assert_eq!(report.report.outcomes, offline.outcomes);
-        assert_eq!(report.report.makespan, offline.makespan);
-        assert_eq!(responses.len(), jobs.len());
-        // The MILP scheduler reports its per-round solver work in the
-        // response enrichment.
-        assert!(responses.iter().any(|r| r
-            .solver
-            .map(|s| s.solves + s.cache_misses > 0)
-            .unwrap_or(false)));
+        for engine in [EngineMode::Sync, EngineMode::Pipelined { workers: 2 }] {
+            let (report, responses) = serve_stream(&jobs, servers, engine, make_scheduler());
+            assert_eq!(report.trace, jobs);
+            assert_eq!(report.report.outcomes, offline.outcomes);
+            assert_eq!(report.report.makespan, offline.makespan);
+            assert_eq!(responses.len(), jobs.len());
+            // The MILP scheduler reports its per-round solver work in the
+            // response enrichment.
+            let solved = responses
+                .iter()
+                .any(|r| r.solver.is_some_and(|s| s.solves + s.cache_misses > 0));
+            assert_eq!(solved, !config.warm_start, "{engine:?}");
+        }
     }
 }

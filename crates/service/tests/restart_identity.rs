@@ -89,6 +89,9 @@ fn wave_two() -> Vec<(TenantId, JobSpec)> {
         .collect()
 }
 
+/// WaterWise without warm starts, so that every round is a model the cache
+/// stores: by default the hint or the transportation kernel decides these
+/// rounds without one, and a snapshot would carry nothing.
 fn waterwise_scheduler(
     service: &PlacementService,
     cache: SolutionCacheHandle,
@@ -97,7 +100,7 @@ fn waterwise_scheduler(
         SchedulerKind::WaterWise,
         service.telemetry(),
         FootprintEstimator::new(service.config().simulation.datacenter),
-        &WaterWiseConfig::default(),
+        &WaterWiseConfig::default().with_warm_start(false),
         Some(cache),
     )
 }
