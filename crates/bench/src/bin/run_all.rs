@@ -1,6 +1,6 @@
 //! Runs every experiment in sequence (the full paper reproduction) and
-//! writes the machine-readable `BENCH_figNN.json` artifacts for the
-//! experiments that have them (Figs. 14, 19).
+//! writes the machine-readable `BENCH_figNN.json` artifact for the
+//! experiment that has one (Fig. 14).
 //!
 //! Before anything runs, every scenario spec the sweep will load is
 //! re-validated; a malformed spec fails the whole suite immediately with
@@ -45,10 +45,6 @@ fn main() {
     let fig14 = ex::fig14_warmstart(&load("fig14"));
     ex::print_tables(&fig14);
     ex::save_json("fig14", &fig14);
-    ex::print_tables(&ex::fig15_solcache(scale));
-    let fig19 = ex::fig19_persist(&load("server_resume"));
-    ex::print_tables(&fig19);
-    ex::save_json("fig19", &fig19);
     ex::print_tables(&ex::table2_service_time(scale));
     ex::print_tables(&ex::table3_comm_overhead(scale));
     ex::print_tables(&ex::sens_perturbation(scale));

@@ -13,9 +13,12 @@
 //! set there, so drift can only be accepted deliberately.
 //!
 //! The determinism sweep re-runs each scenario across engine mode (sync /
-//! pipelined) × warm/cold solver starts × solution-cache mode and demands a
-//! byte-identical rendering from every cell — "snapshot == replay"
-//! (ARCHITECTURE.md invariant table).
+//! pipelined) × warm/cold solver starts and demands a byte-identical
+//! rendering from every cell — "snapshot == replay" (ARCHITECTURE.md
+//! invariant table).
+
+#[path = "../../service/tests/support/mod.rs"]
+mod support;
 
 use std::path::PathBuf;
 use waterwise_bench::experiments::{scenario_spec_path, validate_scenarios, SCENARIO_NAMES};
@@ -24,8 +27,7 @@ use waterwise_core::scenario::{
     SnapshotError,
 };
 use waterwise_core::{
-    load_spec, Campaign, CampaignConfig, EngineMode, ObjectiveWeights, Parallelism, Scenario,
-    SchedulerKind, SolutionCacheMode,
+    load_spec, Campaign, EngineMode, ObjectiveWeights, Parallelism, Scenario, SchedulerKind,
 };
 
 fn snapshots_dir() -> PathBuf {
@@ -168,7 +170,6 @@ fn fig17_scenario_online_sessions_match_offline_golden() {
             SyntheticTelemetry::generate(telemetry).shared(),
             FootprintEstimator::new(simulation.datacenter),
             &scenario.config.waterwise,
-            None,
         )
     };
 
@@ -287,7 +288,6 @@ fn server_multi_scenario_live_tcp_sessions_match_golden() {
             service.telemetry(),
             FootprintEstimator::new(simulation.datacenter),
             &scenario.config.waterwise,
-            None,
         )
     };
 
@@ -389,121 +389,134 @@ fn server_multi_scenario_live_tcp_sessions_match_golden() {
 
 #[test]
 fn server_resume_scenario_pins_a_save_restart_resume_cycle() {
+    use support::submit_wave;
+    use waterwise_cluster::ClockMode;
+    use waterwise_core::build_scheduler;
+    use waterwise_service::{
+        AdmissionConfig, AdmissionMode, ClusterHost, HostPersistence, Journal, PlacementService,
+        ServiceConfig, TenantId,
+    };
+    use waterwise_sustain::FootprintEstimator;
+    use waterwise_traces::TraceGenerator;
+
     let scenario = load("server_resume");
     let dir = std::env::temp_dir().join(format!("ww-resume-snap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let journal_path = dir.join("host.journal");
 
-    // One save → restart → resume cycle; returns both runs and what the
-    // restarted campaign's cache held on arrival and replayed afterwards.
-    let cycle = |config: CampaignConfig, file: &str| {
-        let cache_path = dir.join(file);
-        let _ = std::fs::remove_file(&cache_path);
-        let config = config.with_cache_path(&cache_path);
+    // The uninterrupted reference: the spec as an offline campaign.
+    let cold = Campaign::new(scenario.config.clone())
+        .run(SchedulerKind::WaterWise)
+        .expect("cold campaign must run");
 
-        // Cold half: sweep from an empty cache, persist the snapshot.
-        let cold_campaign = Campaign::try_new(config.clone()).expect("cold start");
-        let cold = cold_campaign
-            .run(SchedulerKind::WaterWise)
-            .expect("cold campaign must run");
-        assert!(cold_campaign.save_cache().expect("snapshot must save"));
-
-        // "Restart": a brand-new campaign whose only link to the cold run is
-        // the snapshot file on disk.
-        let resumed_campaign = Campaign::try_new(config).expect("warm load");
-        let cache = resumed_campaign
-            .solution_cache()
-            .expect("cache path implies a handle");
-        let loaded = cache.len();
-        let resumed = resumed_campaign
-            .run(SchedulerKind::WaterWise)
-            .expect("resumed campaign must run");
-
-        // resume == uninterrupted (ARCHITECTURE.md invariant table).
-        assert_eq!(
-            cold.report.outcomes, resumed.report.outcomes,
-            "resumed-from-disk schedule diverged from the cold run ({file})"
+    // The same trace through a host that streams its admission journal,
+    // stopped half-way and resumed from that journal. One tenant drains in
+    // submission order; the quota holds the whole trace in flight.
+    let wave: Vec<_> = TraceGenerator::new(scenario.config.trace.clone())
+        .generate()
+        .into_iter()
+        .map(|spec| (TenantId::from("client"), spec))
+        .collect();
+    let (head, tail) = wave.split_at(wave.len() / 2);
+    let start = |resume: Option<Journal>| {
+        let config = ServiceConfig::new(
+            scenario.config.simulation.clone(),
+            scenario.config.telemetry,
+        )
+        .with_clock(ClockMode::Discrete);
+        let service = PlacementService::new(config).expect("valid service config");
+        let scheduler = build_scheduler(
+            SchedulerKind::WaterWise,
+            service.telemetry(),
+            FootprintEstimator::new(scenario.config.simulation.datacenter),
+            &scenario.config.waterwise,
         );
-        (cold, resumed, loaded, cache.stats().exact_hits)
+        let mut persistence = HostPersistence::default().with_journal_path(&journal_path);
+        if let Some(journal) = resume {
+            persistence = persistence.with_resume(journal);
+        }
+        let admission = AdmissionConfig {
+            tenant_inflight_quota: wave.len(),
+            mode: AdmissionMode::Streaming {
+                close_after_sessions: None,
+            },
+            ..AdmissionConfig::default()
+        };
+        ClusterHost::start_persistent(service, admission, scheduler, persistence)
+            .expect("host must start")
     };
 
-    // The scenario as committed (280 servers a region): every round's hint
-    // is certified, no model is built, and the snapshot that crosses the
-    // restart is empty — this test used to assume each round publishes one.
-    // The schedules and the golden file are what it pins.
-    let (cold, resumed, loaded, _) = cycle(scenario.config.clone(), "cache.snapshot");
-    assert_eq!(loaded, 0, "a certified round published a model");
+    // The interrupted run: the head is on disk, then the host stops. Only
+    // the journal file crosses the restart.
+    let host = start(None);
+    let _head_responses = submit_wave(&host, head, &journal_path, 0);
+    host.shutdown().expect("interrupted host shutdown");
+    let recovered = Journal::load(&journal_path).expect("recover journal");
+    assert_eq!(recovered.entries.len(), head.len());
+
+    let host = start(Some(recovered));
+    let _tail_responses = submit_wave(&host, tail, &journal_path, head.len());
+    let resumed = host.shutdown().expect("resumed host shutdown");
+    assert_eq!(resumed.journal.entries.len(), wave.len());
+
+    // resume == uninterrupted (ARCHITECTURE.md invariant table).
+    assert_eq!(
+        cold.report.outcomes, resumed.report.outcomes,
+        "the journal-resumed host diverged from the uninterrupted campaign"
+    );
     let mut snap = Snapshot::new();
     add_outcome(&mut snap, "cold", &cold);
-    add_outcome(&mut snap, "resumed", &resumed);
+    snap.add_summary("resumed", &resumed.report.summary);
+    snap.add_schedule("resumed", &resumed.report.outcomes);
     assert_snapshot(&snapshots_dir(), "server_resume", &snap.render());
-
-    // Warmth is asserted where the cache has something to carry: the same
-    // scenario on 40 servers a region, where some rounds bind capacity,
-    // solved without warm starts so that every round reaches the solver and
-    // is published (by default the transportation kernel decides the
-    // capacity-bound ones without a model). Its schedule is the default's.
-    let mut bound = scenario.config.clone().with_servers_per_region(40);
-    let default = Campaign::new(bound.clone())
-        .run(SchedulerKind::WaterWise)
-        .expect("default campaign must run");
-    bound.waterwise.warm_start = false;
-    let (cold, _, loaded, exact_hits) = cycle(bound, "bound.snapshot");
-    assert_eq!(default.report.outcomes, cold.report.outcomes);
-    assert!(loaded > 0, "the snapshot must arrive warm");
-    assert!(
-        exact_hits >= loaded,
-        "the resumed sweep replayed {exact_hits} times from {loaded} loaded entries"
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------
-// Determinism sweep: engine mode × warm/cold × cache mode, per scenario
+// Determinism sweep: engine mode × warm/cold, per scenario
 // ---------------------------------------------------------------------------
 
-/// Replay the scenario's base campaign in every
-/// engine × warm/cold × cache-mode cell and demand a byte-identical
-/// snapshot rendering from each — the "snapshot == replay" invariant.
+/// Replay the scenario's base campaign in every engine × warm/cold cell and
+/// demand a byte-identical snapshot rendering from each — the
+/// "snapshot == replay" invariant.
 fn sweep_renders_byte_identical(name: &str) {
     let scenario = load(name);
     let mut reference: Option<(String, String)> = None;
     for engine in [EngineMode::Sync, EngineMode::Pipelined { workers: 2 }] {
         for warm in [true, false] {
-            for cache in [SolutionCacheMode::Off, SolutionCacheMode::PerCampaign] {
-                let mut config = scenario.config.clone().with_engine_mode(engine);
-                config.waterwise.warm_start = warm;
-                let config = config.with_solution_cache(cache.clone());
-                let outcome = Campaign::new(config)
-                    .run(SchedulerKind::WaterWise)
-                    .expect("campaign must run");
-                let mut snap = Snapshot::new();
-                add_outcome(&mut snap, "waterwise", &outcome);
-                let rendered = snap.render();
-                let cell = format!("{}/warm={warm}/{}", engine.label(), cache.label());
-                match &reference {
-                    None => reference = Some((rendered, cell)),
-                    Some((expected, reference_cell)) => assert_eq!(
-                        expected, &rendered,
-                        "scenario {name}: cell {cell} rendered differently from {reference_cell}"
-                    ),
-                }
+            let mut config = scenario.config.clone().with_engine_mode(engine);
+            config.waterwise.warm_start = warm;
+            let outcome = Campaign::new(config)
+                .run(SchedulerKind::WaterWise)
+                .expect("campaign must run");
+            let mut snap = Snapshot::new();
+            add_outcome(&mut snap, "waterwise", &outcome);
+            let rendered = snap.render();
+            let cell = format!("{}/warm={warm}", engine.label());
+            match &reference {
+                None => reference = Some((rendered, cell)),
+                Some((expected, reference_cell)) => assert_eq!(
+                    expected, &rendered,
+                    "scenario {name}: cell {cell} rendered differently from {reference_cell}"
+                ),
             }
         }
     }
 }
 
 #[test]
-fn fig05_sweep_is_byte_identical_across_engine_warm_cache() {
+fn fig05_sweep_is_byte_identical_across_engine_warm() {
     sweep_renders_byte_identical("fig05");
 }
 
 #[test]
-fn fig08_sweep_is_byte_identical_across_engine_warm_cache() {
+fn fig08_sweep_is_byte_identical_across_engine_warm() {
     sweep_renders_byte_identical("fig08");
 }
 
 #[test]
-fn fig14_sweep_is_byte_identical_across_engine_warm_cache() {
+fn fig14_sweep_is_byte_identical_across_engine_warm() {
     sweep_renders_byte_identical("fig14");
 }
 

@@ -290,8 +290,8 @@ impl CampaignSummary {
 /// IEEE-754 bit patterns. Two campaigns produce the same digest exactly when
 /// their schedules and accounting are byte-identical, which makes the digest
 /// the one-line form of the workspace's replay contract: sync vs pipelined
-/// engines, warm vs cold solves, every solution-cache mode, and online
-/// ingestion vs offline replay must all collide on it. Wall-clock
+/// engines, warm vs cold solves, with and without a solution cache, and
+/// online ingestion vs offline replay must all collide on it. Wall-clock
 /// measurements never enter the hash.
 ///
 /// ```
@@ -550,7 +550,6 @@ mod tests {
         assert_eq!(s.solver.cache_exact_hits, 1);
         assert_eq!(s.solver.cache_hint_hits, 1);
         assert_eq!(s.solver.cache_lookups(), 2);
-        assert!((s.solver.cache_hit_fraction() - 1.0).abs() < 1e-12);
         assert_eq!(s.solver.dual_restarts, 1);
         assert_eq!(s.solver.basis_reuse_hits, 1);
         assert_eq!(s.solver.bound_flips, 2);

@@ -202,17 +202,6 @@ impl SolverActivity {
         self.cache_exact_hits + self.cache_hint_hits + self.cache_misses
     }
 
-    /// Fraction of cache lookups that hit (exact or hint); 0 without
-    /// lookups.
-    pub fn cache_hit_fraction(&self) -> f64 {
-        let lookups = self.cache_lookups();
-        if lookups == 0 {
-            0.0
-        } else {
-            (self.cache_exact_hits + self.cache_hint_hits) as f64 / lookups as f64
-        }
-    }
-
     /// Fraction of simplex runs that were warm-started.
     pub fn warm_solve_fraction(&self) -> f64 {
         if self.solves == 0 {
@@ -336,7 +325,7 @@ mod tests {
     }
 
     #[test]
-    fn solver_activity_deltas_saturate_and_cache_fractions_guard_zero() {
+    fn solver_activity_deltas_saturate_and_cache_lookups_add_up() {
         let later = SolverActivity {
             solves: 1,
             cache_exact_hits: 2,
@@ -368,8 +357,7 @@ mod tests {
         assert_eq!(acc.basis_reuse_hits, 2);
         assert_eq!(acc.bound_flips, 7);
         assert_eq!(later.cache_lookups(), 4);
-        assert!((later.cache_hit_fraction() - 0.75).abs() < 1e-12);
-        assert_eq!(SolverActivity::default().cache_hit_fraction(), 0.0);
+        assert_eq!(SolverActivity::default().cache_lookups(), 0);
     }
 
     #[test]

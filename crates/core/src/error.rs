@@ -8,7 +8,7 @@
 
 use std::fmt;
 use waterwise_cluster::{ConfigError, SimulationError};
-use waterwise_milp::{CachePersistError, MilpError};
+use waterwise_milp::MilpError;
 
 /// Any failure while preparing or running a campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,9 +25,6 @@ pub enum WaterWiseError {
     Solver(MilpError),
     /// A declarative scenario spec failed to parse or validate.
     Scenario(crate::scenario::ScenarioError),
-    /// Loading or saving the on-disk solution-cache snapshot failed
-    /// (I/O, corruption, version skew, or a solver-config mismatch).
-    CachePersist(CachePersistError),
 }
 
 impl fmt::Display for WaterWiseError {
@@ -37,7 +34,6 @@ impl fmt::Display for WaterWiseError {
             WaterWiseError::Simulation(e) => write!(f, "simulation error: {e}"),
             WaterWiseError::Solver(e) => write!(f, "solver error: {e}"),
             WaterWiseError::Scenario(e) => write!(f, "scenario spec error: {e}"),
-            WaterWiseError::CachePersist(e) => write!(f, "cache persistence error: {e}"),
         }
     }
 }
@@ -49,7 +45,6 @@ impl std::error::Error for WaterWiseError {
             WaterWiseError::Simulation(e) => Some(e),
             WaterWiseError::Solver(e) => Some(e),
             WaterWiseError::Scenario(e) => Some(e),
-            WaterWiseError::CachePersist(e) => Some(e),
         }
     }
 }
@@ -75,12 +70,6 @@ impl From<SimulationError> for WaterWiseError {
 impl From<MilpError> for WaterWiseError {
     fn from(e: MilpError) -> Self {
         WaterWiseError::Solver(e)
-    }
-}
-
-impl From<CachePersistError> for WaterWiseError {
-    fn from(e: CachePersistError) -> Self {
-        WaterWiseError::CachePersist(e)
     }
 }
 

@@ -13,13 +13,11 @@ use crate::sched::{
     BaselineScheduler, EcovisorConfig, EcovisorScheduler, GreedyObjective, GreedyOptScheduler,
     LeastLoadScheduler, RoundRobinScheduler, WaterWiseConfig, WaterWiseScheduler,
 };
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use waterwise_cluster::{
     CampaignSummary, EngineMode, Scheduler, SimulationConfig, SimulationReport, Simulator,
 };
-use waterwise_milp::{solver_config_hash, CacheAutosave, SolutionCache, SolutionCacheHandle};
 use waterwise_sustain::FootprintEstimator;
 use waterwise_telemetry::{
     ConditionsProvider, PerturbedProvider, Region, SyntheticTelemetry, TelemetryConfig,
@@ -73,39 +71,6 @@ impl SchedulerKind {
 
 /// One row of a savings table: `(scheduler, carbon saving %, water saving %)`.
 pub type SavingsRow = (SchedulerKind, f64, f64);
-
-/// How (and whether) a campaign's solver-based schedulers use a MILP
-/// solution cache.
-///
-/// Whatever the mode, the produced schedules are byte-identical: cache
-/// entries either replay the exact solution of a bit-identical model or
-/// contribute a warm-start hint the solver validates before use (see
-/// `waterwise_milp::SolutionCache`). Only the amount of solver work — and
-/// the cache counters in [`CampaignSummary`] — depends on the mode.
-#[derive(Debug, Clone, Default)]
-pub enum SolutionCacheMode {
-    /// No cache; every slot MILP is solved from its own warm/cold path.
-    #[default]
-    Off,
-    /// One fresh cache per [`Campaign`], shared by every scheduler built
-    /// from it (exploits repeated slot models within one campaign).
-    PerCampaign,
-    /// An externally owned cache, shared across campaigns — attach clones
-    /// of one handle to every cell of a [`Campaign::run_matrix`] sweep so
-    /// neighboring configurations reuse each other's incumbents.
-    Shared(SolutionCacheHandle),
-}
-
-impl SolutionCacheMode {
-    /// Stable label used in experiment output.
-    pub fn label(&self) -> &'static str {
-        match self {
-            SolutionCacheMode::Off => "off",
-            SolutionCacheMode::PerCampaign => "per-campaign",
-            SolutionCacheMode::Shared(_) => "shared",
-        }
-    }
-}
 
 /// Degree of parallelism for multi-scheduler / multi-campaign runs.
 ///
@@ -233,18 +198,6 @@ pub struct CampaignConfig {
     /// How many schedulers/campaigns [`Campaign::run_all`] and
     /// [`Campaign::run_matrix`] evaluate concurrently.
     pub parallelism: Parallelism,
-    /// MILP solution caching for solver-based schedulers (WaterWise).
-    pub solution_cache: SolutionCacheMode,
-    /// On-disk snapshot path for the solution cache. When set,
-    /// [`Campaign::try_new`] warm-loads an existing snapshot (missing file
-    /// = cold start) and [`Campaign::save_cache`] /
-    /// [`Campaign::autosave_guard`] write back to it. Setting a path
-    /// implies caching even under [`SolutionCacheMode::Off`].
-    pub cache_path: Option<PathBuf>,
-    /// Arm a drop-guard ([`CacheAutosave`] via [`Campaign::autosave_guard`])
-    /// that persists the cache to [`CampaignConfig::cache_path`] when the
-    /// guard goes out of scope. No effect without a `cache_path`.
-    pub cache_autosave: bool,
 }
 
 impl CampaignConfig {
@@ -263,9 +216,6 @@ impl CampaignConfig {
             estimate_carbon_error: 1.0,
             estimate_water_error: 1.0,
             parallelism: Parallelism::default(),
-            solution_cache: SolutionCacheMode::default(),
-            cache_path: None,
-            cache_autosave: false,
         }
     }
 
@@ -336,34 +286,6 @@ impl CampaignConfig {
         self.simulation.engine = engine;
         self
     }
-
-    /// Override the MILP solution-cache mode.
-    pub fn with_solution_cache(mut self, mode: SolutionCacheMode) -> Self {
-        self.solution_cache = mode;
-        self
-    }
-
-    /// Persist the solution cache at `path`: [`Campaign::try_new`] loads an
-    /// existing snapshot from it, [`Campaign::save_cache`] writes back to
-    /// it. Implies caching even when `solution_cache` is
-    /// [`SolutionCacheMode::Off`].
-    pub fn with_cache_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.cache_path = Some(path.into());
-        self
-    }
-
-    /// Arm or disarm the drop-guard autosave ([`Campaign::autosave_guard`]).
-    pub fn with_cache_autosave(mut self, autosave: bool) -> Self {
-        self.cache_autosave = autosave;
-        self
-    }
-
-    /// The solver-configuration hash a cache snapshot for this campaign is
-    /// stamped with — snapshots only load back into a campaign whose
-    /// simplex and branch-and-bound settings fold to the same hash.
-    pub fn solver_config_hash(&self) -> u64 {
-        solver_config_hash(&self.waterwise.simplex, &self.waterwise.branch_bound)
-    }
 }
 
 /// The outcome of one campaign with one scheduler.
@@ -405,9 +327,6 @@ pub struct Campaign {
     config: CampaignConfig,
     telemetry: Arc<SyntheticTelemetry>,
     jobs: Vec<JobSpec>,
-    /// The resolved solution cache ([`SolutionCacheMode::PerCampaign`] gets
-    /// its own instance here; `Shared` clones the caller's handle).
-    solution_cache: Option<SolutionCacheHandle>,
 }
 
 impl Campaign {
@@ -415,81 +334,11 @@ impl Campaign {
     pub fn new(config: CampaignConfig) -> Self {
         let telemetry = SyntheticTelemetry::generate(config.telemetry).shared();
         let jobs = TraceGenerator::new(config.trace.clone()).generate();
-        let solution_cache = match &config.solution_cache {
-            SolutionCacheMode::Off => None,
-            SolutionCacheMode::PerCampaign => Some(SolutionCache::shared()),
-            SolutionCacheMode::Shared(handle) => Some(handle.clone()),
-        };
         Self {
             config,
             telemetry,
             jobs,
-            solution_cache,
         }
-    }
-
-    /// [`Campaign::new`] plus durable warm state: when
-    /// [`CampaignConfig::cache_path`] is set, an existing snapshot at that
-    /// path is loaded to pre-warm the solution cache.
-    ///
-    /// Semantics per cache mode:
-    /// - [`SolutionCacheMode::Off`] / [`SolutionCacheMode::PerCampaign`]:
-    ///   a path implies caching, so the campaign always gets a handle; an
-    ///   existing snapshot replaces it with the warm-loaded cache.
-    /// - [`SolutionCacheMode::Shared`]: the caller's handle is
-    ///   authoritative — it is kept as-is and the snapshot is *not* read
-    ///   (a shared handle may already be warm from other campaigns; mixing
-    ///   disk state into it would make runs order-dependent).
-    ///
-    /// A missing snapshot file is a cold start, not an error. A corrupt,
-    /// truncated, version-skewed, or config-mismatched snapshot is
-    /// [`WaterWiseError::CachePersist`] — never silently ignored.
-    pub fn try_new(config: CampaignConfig) -> Result<Self, WaterWiseError> {
-        let mut campaign = Self::new(config);
-        let Some(path) = campaign.config.cache_path.clone() else {
-            return Ok(campaign);
-        };
-        if campaign.solution_cache.is_none() {
-            campaign.solution_cache = Some(SolutionCache::shared());
-        }
-        let shared_mode = matches!(campaign.config.solution_cache, SolutionCacheMode::Shared(_));
-        if !shared_mode && path.exists() {
-            let loaded = SolutionCache::load(&path, campaign.config.solver_config_hash())?;
-            campaign.solution_cache = Some(loaded.into_handle());
-        }
-        Ok(campaign)
-    }
-
-    /// Snapshot the solution cache to [`CampaignConfig::cache_path`]
-    /// (crash-safe: temp file + fsync + atomic rename). Returns `Ok(true)`
-    /// if a snapshot was written, `Ok(false)` if the campaign has no cache
-    /// path or no cache handle.
-    pub fn save_cache(&self) -> Result<bool, WaterWiseError> {
-        match (&self.config.cache_path, &self.solution_cache) {
-            (Some(path), Some(cache)) => {
-                cache.save(path, self.config.solver_config_hash())?;
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
-    }
-
-    /// A drop-guard that persists the cache to
-    /// [`CampaignConfig::cache_path`] when dropped (or explicitly via
-    /// [`CacheAutosave::finish`], which surfaces write errors). `None`
-    /// unless [`CampaignConfig::cache_autosave`] is set and the campaign
-    /// has both a cache path and a cache handle.
-    pub fn autosave_guard(&self) -> Option<CacheAutosave> {
-        if !self.config.cache_autosave {
-            return None;
-        }
-        let path = self.config.cache_path.clone()?;
-        let cache = self.solution_cache.clone()?;
-        Some(CacheAutosave::new(
-            cache,
-            path,
-            self.config.solver_config_hash(),
-        ))
     }
 
     /// The campaign configuration.
@@ -510,14 +359,6 @@ impl Campaign {
     /// The shared telemetry provider (ground truth).
     pub fn telemetry(&self) -> &Arc<SyntheticTelemetry> {
         &self.telemetry
-    }
-
-    /// The resolved MILP solution cache, if caching is enabled. Its
-    /// [`SolutionCache::stats`] aggregate traffic across every scheduler
-    /// (and, for [`SolutionCacheMode::Shared`], every campaign) attached to
-    /// it.
-    pub fn solution_cache(&self) -> Option<&SolutionCacheHandle> {
-        self.solution_cache.as_ref()
     }
 
     /// The provider the *scheduler* sees: ground truth, optionally perturbed
@@ -543,7 +384,6 @@ impl Campaign {
             self.scheduler_provider(),
             FootprintEstimator::new(self.config.simulation.datacenter),
             &self.config.waterwise,
-            self.solution_cache.clone(),
         )
     }
 
@@ -641,11 +481,10 @@ impl Campaign {
 
 /// Build a standalone scheduler of the given kind from its raw ingredients
 /// — the conditions provider it estimates with, the footprint estimator
-/// matching the cluster's data-center parameters, the WaterWise
-/// configuration (ignored by the other kinds), and an optional MILP
-/// solution cache. [`Campaign::build_scheduler`] delegates here; the online
-/// placement service and the benchmark harness call it directly because
-/// they drive the simulator without preparing a full campaign.
+/// matching the cluster's data-center parameters, and the WaterWise
+/// configuration (ignored by the other kinds). [`Campaign::build_scheduler`]
+/// delegates here; the online placement service calls it directly because
+/// it drives the simulator without preparing a full campaign.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -659,7 +498,6 @@ impl Campaign {
 ///     provider,
 ///     FootprintEstimator::paper_default(),
 ///     &WaterWiseConfig::default(),
-///     None,
 /// );
 /// assert_eq!(scheduler.name(), "waterwise");
 /// ```
@@ -668,7 +506,6 @@ pub fn build_scheduler(
     provider: Arc<dyn ConditionsProvider>,
     estimator: FootprintEstimator,
     waterwise: &WaterWiseConfig,
-    solution_cache: Option<SolutionCacheHandle>,
 ) -> Box<dyn Scheduler> {
     match kind {
         SchedulerKind::Baseline => Box::new(BaselineScheduler::new()),
@@ -687,13 +524,11 @@ pub fn build_scheduler(
         SchedulerKind::Ecovisor => {
             Box::new(EcovisorScheduler::new(provider, EcovisorConfig::default()))
         }
-        SchedulerKind::WaterWise => {
-            let mut scheduler = WaterWiseScheduler::new(provider, estimator, waterwise.clone());
-            if let Some(cache) = solution_cache {
-                scheduler.attach_cache(cache);
-            }
-            Box::new(scheduler)
-        }
+        SchedulerKind::WaterWise => Box::new(WaterWiseScheduler::new(
+            provider,
+            estimator,
+            waterwise.clone(),
+        )),
     }
 }
 
@@ -883,62 +718,6 @@ mod tests {
     }
 
     #[test]
-    fn solution_cache_modes_produce_byte_identical_outcomes() {
-        // The all-MILP reference: by default the hint or the transportation
-        // kernel decides every round of this campaign and the cache sees none.
-        let mut base = CampaignConfig::small_demo(42);
-        base.waterwise.warm_start = false;
-        let shared = SolutionCache::shared();
-        let modes = [
-            SolutionCacheMode::Off,
-            SolutionCacheMode::PerCampaign,
-            SolutionCacheMode::Shared(shared.clone()),
-        ];
-        let outcomes: Vec<_> = modes
-            .iter()
-            .map(|mode| {
-                Campaign::new(base.clone().with_solution_cache(mode.clone()))
-                    .run(SchedulerKind::WaterWise)
-                    .unwrap()
-            })
-            .collect();
-        for (mode, outcome) in modes.iter().zip(&outcomes).skip(1) {
-            assert_eq!(
-                outcomes[0].report.outcomes,
-                outcome.report.outcomes,
-                "{} mode changed the schedule",
-                mode.label()
-            );
-        }
-        // The cached runs report their traffic through the summary.
-        assert_eq!(outcomes[0].summary.solver.cache_lookups(), 0);
-        assert!(outcomes[1].summary.solver.cache_lookups() > 0);
-        assert!(shared.stats().lookups() > 0, "shared handle saw no traffic");
-        assert!(shared.stats().insertions > 0);
-    }
-
-    #[test]
-    fn per_campaign_cache_is_shared_across_schedulers_of_one_campaign() {
-        // Without warm starts every round reaches the solver, and the cache.
-        let mut config =
-            CampaignConfig::small_demo(9).with_solution_cache(SolutionCacheMode::PerCampaign);
-        config.waterwise.warm_start = false;
-        let campaign = Campaign::new(config);
-        let cache = campaign.solution_cache().unwrap().clone();
-        campaign.run(SchedulerKind::WaterWise).unwrap();
-        let first = cache.stats();
-        assert!(first.insertions > 0);
-        // A second scheduler built from the same campaign probes the same
-        // cache and benefits from the first run's incumbents.
-        campaign.run(SchedulerKind::WaterWise).unwrap();
-        let second = cache.stats().delta_since(&first);
-        assert!(
-            second.exact_hits > 0,
-            "re-running the identical campaign must produce exact hits, got {second:?}"
-        );
-    }
-
-    #[test]
     fn engine_modes_produce_byte_identical_campaigns() {
         let base = CampaignConfig::small_demo(42);
         let sync = Campaign::new(base.clone())
@@ -968,20 +747,17 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_engine_composes_with_solution_cache_and_warm_starts() {
-        // The solver stage owns the scheduler (workspace, attached cache);
-        // cache traffic must flow through the pipeline exactly as it does
-        // inline. Solved cold with the cache on the pipeline, the schedule is
-        // the one the default inline scheduler (hint, kernel) commits — which
-        // on this campaign reaches neither solver nor cache.
-        let mut config = CampaignConfig::small_demo(9)
-            .with_engine_mode(EngineMode::Pipelined { workers: 2 })
-            .with_solution_cache(SolutionCacheMode::PerCampaign);
+    fn pipelined_engine_composes_with_warm_starts() {
+        // The solver stage owns the scheduler (and its workspace). Solved
+        // cold on the pipeline, the schedule is the one the default inline
+        // scheduler (hint, kernel) commits — which on this campaign reaches
+        // no solver.
+        let mut config =
+            CampaignConfig::small_demo(9).with_engine_mode(EngineMode::Pipelined { workers: 2 });
         config.waterwise.warm_start = false;
         let campaign = Campaign::new(config);
         let outcome = campaign.run(SchedulerKind::WaterWise).unwrap();
         assert!(outcome.summary.solver.solves > 0);
-        assert!(outcome.summary.solver.cache_lookups() > 0);
         let plain = Campaign::new(CampaignConfig::small_demo(9))
             .run(SchedulerKind::WaterWise)
             .unwrap();

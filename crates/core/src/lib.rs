@@ -38,10 +38,7 @@ pub mod sched;
 pub use error::WaterWiseError;
 pub use experiment::{
     build_scheduler, Campaign, CampaignConfig, CampaignOutcome, Parallelism, SchedulerKind,
-    SolutionCacheMode,
 };
-// Solution-cache handle types, re-exported so campaign drivers can build a
-// shared cache without depending on `waterwise-milp` directly.
 pub use objective::{CandidateFootprint, ObjectiveWeights};
 pub use scenario::{load_spec, parse_spec, Scenario, ScenarioError, Snapshot, SnapshotError};
 pub use sched::{
@@ -51,7 +48,6 @@ pub use sched::{
 // Engine-mode types, re-exported so campaign drivers can pick the pipelined
 // engine without depending on `waterwise-cluster` directly.
 pub use waterwise_cluster::{EngineMode, PipelineStats};
-pub use waterwise_milp::{
-    solver_config_hash, CacheAutosave, CachePersistError, CacheStats, SolutionCache,
-    SolutionCacheHandle,
-};
+// Solution-cache handle types, re-exported so a caller can attach a cache to
+// a `WaterWiseScheduler` without depending on `waterwise-milp` directly.
+pub use waterwise_milp::{SolutionCache, SolutionCacheHandle};

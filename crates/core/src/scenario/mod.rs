@@ -1,7 +1,7 @@
 //! Declarative scenario specs and golden-snapshot verification.
 //!
 //! The WaterWise experiments used to hand-code every scenario — trace shape,
-//! regions, telemetry horizon, objective weights, engine/cache/clock config —
+//! regions, telemetry horizon, objective weights, engine/clock config —
 //! in a bespoke Rust binary, and hand-roll every byte-identity assert. This
 //! module turns both into data:
 //!
@@ -17,8 +17,8 @@
 //!   `UPDATE_SNAPSHOTS=1` bless path ([`assert_snapshot`]).
 //!
 //! Together they enforce the repo's standing determinism invariant:
-//! the schedule a spec produces is byte-identical across engine modes,
-//! warm/cold solver starts, and cache modes — "snapshot == replay".
+//! the schedule a spec produces is byte-identical across engine modes and
+//! warm/cold solver starts — "snapshot == replay".
 
 pub mod snapshot;
 pub mod spec;

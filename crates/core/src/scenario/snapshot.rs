@@ -7,7 +7,7 @@
 //! deterministic view of a [`CampaignSummary`] by reusing
 //! [`CampaignSummary::without_wall_clock`] and additionally omitting the
 //! solver-activity counters: solver effort legitimately differs across
-//! warm/cold solves and cache modes while the *schedule contract* — every
+//! warm/cold solves while the *schedule contract* — every
 //! other field, plus the [`waterwise_cluster::schedule_digest`] — must stay
 //! byte-identical. That is exactly what a golden snapshot pins.
 //!

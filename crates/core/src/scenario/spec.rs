@@ -2,7 +2,7 @@
 //!
 //! A *scenario* is everything a campaign run needs, written down as data: the
 //! workload trace shape, the simulated cluster, synthetic telemetry,
-//! objective weights, the WaterWise solver knobs, and the engine/clock/cache
+//! objective weights, the WaterWise solver knobs, and the engine/clock
 //! execution modes. Specs live in `scenarios/*.spec` at the repository root
 //! and are loaded by the bench binaries (`--scenario` / `WATERWISE_SCENARIO`)
 //! and by `placement_server`; see `docs/SCENARIOS.md` for the grammar and a
@@ -15,7 +15,7 @@
 //! panics), and every error carries the offending line number so callers can
 //! report `path:line: message`.
 
-use crate::experiment::{CampaignConfig, Parallelism, SolutionCacheMode};
+use crate::experiment::{CampaignConfig, Parallelism};
 use crate::objective::ObjectiveWeights;
 use std::fmt;
 use std::path::Path;
@@ -70,8 +70,7 @@ impl Scenario {
     /// Render the scenario back to canonical spec text: every key explicit,
     /// sections in fixed order, floats in shortest-roundtrip form. Parsing
     /// the result yields an identical scenario (the property the roundtrip
-    /// tests pin). A runtime-only [`SolutionCacheMode::Shared`] handle has
-    /// no declarative form and renders as `off`.
+    /// tests pin).
     pub fn to_spec(&self) -> String {
         let c = &self.config;
         let mut out = String::with_capacity(1024);
@@ -183,13 +182,6 @@ impl Scenario {
         line(String::new());
         line("[campaign]".into());
         line(format!(
-            "solution_cache = {}",
-            match c.solution_cache {
-                SolutionCacheMode::Off | SolutionCacheMode::Shared(_) => "off",
-                SolutionCacheMode::PerCampaign => "per-campaign",
-            }
-        ));
-        line(format!(
             "parallelism = {}",
             parallelism_label(c.parallelism)
         ));
@@ -201,13 +193,6 @@ impl Scenario {
             "estimate_water_error = {:?}",
             c.estimate_water_error
         ));
-        line(format!(
-            "cache_path = {}",
-            c.cache_path
-                .as_ref()
-                .map_or_else(|| "none".to_string(), |p| p.display().to_string())
-        ));
-        line(format!("cache_autosave = {}", c.cache_autosave));
         out
     }
 }
@@ -452,12 +437,9 @@ struct RawSpec {
     ww_parallelism: Option<Parallelism>,
     history_window_hours: Option<usize>,
     soft_penalty: Option<f64>,
-    solution_cache: Option<SolutionCacheMode>,
     campaign_parallelism: Option<Parallelism>,
     estimate_carbon_error: Option<f64>,
     estimate_water_error: Option<f64>,
-    cache_path: Option<Option<std::path::PathBuf>>,
-    cache_autosave: Option<bool>,
 }
 
 /// Parse spec text into a [`Scenario`]. Strict: every line must be blank, a
@@ -750,31 +732,6 @@ fn set_key(
             }
             store(&mut raw.soft_penalty, sigma, key, line)
         }
-        (Section::Campaign, "solution_cache") => store(
-            &mut raw.solution_cache,
-            match value {
-                "off" => SolutionCacheMode::Off,
-                "per-campaign" => SolutionCacheMode::PerCampaign,
-                "shared" => {
-                    return Err(ScenarioError::InvalidValue {
-                        line,
-                        key: "solution_cache",
-                        message: "a shared cache holds a runtime handle and cannot be \
-                                  declared in a spec (off | per-campaign)"
-                            .to_string(),
-                    })
-                }
-                other => {
-                    return Err(ScenarioError::InvalidValue {
-                        line,
-                        key: "solution_cache",
-                        message: format!("unknown cache mode `{other}` (off | per-campaign)"),
-                    })
-                }
-            },
-            key,
-            line,
-        ),
         (Section::Campaign, "parallelism") => store(
             &mut raw.campaign_parallelism,
             parse_parallelism(value, line)?,
@@ -790,31 +747,6 @@ fn set_key(
         (Section::Campaign, "estimate_water_error") => store(
             &mut raw.estimate_water_error,
             parse_estimate_error(value, "estimate_water_error", line)?,
-            key,
-            line,
-        ),
-        // `none` is the explicit no-persistence sentinel: `#` starts a
-        // comment anywhere on a line, so a literal path is any other
-        // non-empty `#`-free string.
-        (Section::Campaign, "cache_path") => store(
-            &mut raw.cache_path,
-            match value {
-                "none" => None,
-                "" => {
-                    return Err(ScenarioError::InvalidValue {
-                        line,
-                        key: "cache_path",
-                        message: "expected `none` or a snapshot file path".to_string(),
-                    })
-                }
-                path => Some(std::path::PathBuf::from(path)),
-            },
-            key,
-            line,
-        ),
-        (Section::Campaign, "cache_autosave") => store(
-            &mut raw.cache_autosave,
-            parse_bool(value, "cache_autosave", line)?,
             key,
             line,
         ),
@@ -892,7 +824,6 @@ impl RawSpec {
         if let Some(sigma) = self.soft_penalty {
             config.waterwise.soft_penalty = sigma;
         }
-        config.solution_cache = self.solution_cache.unwrap_or(SolutionCacheMode::Off);
         config.parallelism = self.campaign_parallelism.unwrap_or(Parallelism::Auto);
         if let Some(error) = self.estimate_carbon_error {
             config.estimate_carbon_error = error;
@@ -900,8 +831,6 @@ impl RawSpec {
         if let Some(error) = self.estimate_water_error {
             config.estimate_water_error = error;
         }
-        config.cache_path = self.cache_path.unwrap_or(None);
-        config.cache_autosave = self.cache_autosave.unwrap_or(false);
         if let Some(regions) = self.regions {
             config = config.with_regions(&regions);
         }
@@ -1162,7 +1091,7 @@ mod tests {
                     delay_tolerance = 0.75\nengine = pipelined:3\nclock = real-time:120.5\n\
                     [objective]\nlambda_co2 = 0.3\n[waterwise]\nwarm_start = false\n\
                     horizon = 32\nparallelism = threads:2\n[campaign]\n\
-                    solution_cache = per-campaign\nparallelism = serial\n";
+                    parallelism = serial\n";
         let a = parse_spec(spec).unwrap();
         let b = parse_spec(&a.to_spec()).expect("canonical form parses");
         assert_eq!(format!("{a:?}"), format!("{b:?}"));

@@ -472,12 +472,6 @@ impl WaterWiseScheduler {
         self.workspace.attach_cache(cache);
     }
 
-    /// Builder form of [`WaterWiseScheduler::attach_cache`].
-    pub fn with_cache(mut self, cache: SolutionCacheHandle) -> Self {
-        self.attach_cache(cache);
-        self
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> &WaterWiseConfig {
         &self.config
@@ -1129,8 +1123,8 @@ mod tests {
             provider,
             FootprintEstimator::paper_default(),
             WaterWiseConfig::default(),
-        )
-        .with_cache(waterwise_milp::SolutionCache::shared());
+        );
+        cached.attach_cache(waterwise_milp::SolutionCache::shared());
         for hour in [6.0, 6.25, 6.5, 7.0] {
             let ctx = ctx_from(&fixture, hour, 0.5);
             let a = plain.schedule(&ctx);
@@ -1158,7 +1152,8 @@ mod tests {
         for p in &mut renumbered.pending {
             p.spec.id = JobId(p.spec.id.0 + 1000);
         }
-        let mut sched = scheduler().with_cache(waterwise_milp::SolutionCache::shared());
+        let mut sched = scheduler();
+        sched.attach_cache(waterwise_milp::SolutionCache::shared());
         let first = sched.schedule(&ctx_from(&fixture, 6.0, 0.5));
         let pivots = sched.stats().simplex_iterations;
         assert!(pivots > 0);

@@ -10,8 +10,8 @@
 //!    schedules — the property that makes a spec file, not its formatting,
 //!    the unit of reproducibility.
 //!
-//! `CampaignConfig` carries no `PartialEq` (it holds a solution-cache
-//! handle), so configs are compared via their exhaustive `Debug` rendering.
+//! `CampaignConfig` carries no `PartialEq`, so configs are compared via
+//! their exhaustive `Debug` rendering.
 
 use proptest::prelude::*;
 use waterwise_core::{parse_spec, Campaign, SchedulerKind};

@@ -64,15 +64,21 @@ fn unknown_section_is_rejected_by_name() {
 
 #[test]
 fn unknown_key_is_rejected_with_its_section() {
-    let err = with("[simulation]\nservers = 10\n").unwrap_err();
-    assert_eq!(
-        err,
-        ScenarioError::UnknownKey {
-            line: 7,
-            section: "simulation",
-            key: "servers".to_string()
-        }
-    );
+    for (extra, section, key) in [
+        ("[simulation]\nservers = 10\n", "simulation", "servers"),
+        // A retired key is an unknown one, not a silently ignored one.
+        ("[campaign]\ncache_path = x\n", "campaign", "cache_path"),
+    ] {
+        let err = with(extra).unwrap_err();
+        assert_eq!(
+            err,
+            ScenarioError::UnknownKey {
+                line: 7,
+                section,
+                key: key.to_string()
+            }
+        );
+    }
 }
 
 #[test]
@@ -270,20 +276,6 @@ fn unknown_benchmark_is_rejected() {
         ),
         "got {err:?}"
     );
-}
-
-#[test]
-fn shared_solution_cache_is_rejected_as_runtime_only() {
-    let err = with("[campaign]\nsolution_cache = shared\n").unwrap_err();
-    let ScenarioError::InvalidValue {
-        line: 7,
-        key: "solution_cache",
-        message,
-    } = err
-    else {
-        panic!("got unexpected error");
-    };
-    assert!(message.contains("runtime handle"), "message: {message}");
 }
 
 #[test]

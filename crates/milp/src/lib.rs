@@ -22,12 +22,8 @@
 //! * [`solution`] — solve status and per-variable value extraction.
 //! * [`workspace`] — reusable allocations and cold/warm solve accounting for
 //!   rolling-horizon (repeated) solves; see [`Model::solve_warm`].
-//! * [`cache`] — a sharded, thread-safe model-fingerprint → solution cache
-//!   shared across repeated (and concurrent) campaigns; a bit-identical
-//!   model skips the solve.
-//! * [`persist`] — a versioned, checksummed on-disk snapshot codec for the
-//!   cache with crash-safe (temp file + fsync + atomic rename) writes, so
-//!   warm state survives process restarts.
+//! * [`cache`] — a model-fingerprint → solution cache a workspace consults
+//!   before solving; a bit-identical model skips the solve.
 //!
 //! The scheduling MILPs WaterWise builds (binary assignment variables with
 //! per-job equality constraints and per-region capacity constraints) are
@@ -57,19 +53,15 @@ pub mod cache;
 pub mod error;
 pub mod expr;
 pub mod model;
-pub mod persist;
 pub mod simplex;
 pub mod solution;
 pub mod workspace;
 
 pub use branch_bound::BranchBoundConfig;
-pub use cache::{
-    solver_config_hash, CacheStats, ModelFingerprint, SolutionCache, SolutionCacheHandle,
-};
+pub use cache::{CacheStats, ModelFingerprint, SolutionCache, SolutionCacheHandle};
 pub use error::MilpError;
 pub use expr::{LinExpr, Var};
 pub use model::{Model, Sense, VarKind};
-pub use persist::{CacheAutosave, CachePersistError};
 pub use simplex::{LpConstraint, LpProblem, SimplexConfig, SimplexOutcome};
 pub use solution::{Solution, SolveStatus};
 pub use workspace::{SolverWorkspace, WarmStats};

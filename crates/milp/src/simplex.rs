@@ -42,15 +42,6 @@ use crate::model::Sense;
 use crate::workspace::SolverWorkspace;
 use serde::{Deserialize, Serialize};
 
-/// Bumped whenever a cache file written by an older build must not load: a
-/// kernel change that may alter the bits of an optimum (its last ulp, or
-/// which of several tied vertices is returned), or a change to what the
-/// scheduler's models hash to, after which every old entry would occupy
-/// capacity and never hit (revision 3: variables and delay rows lost their
-/// names; revision 4: the scheduler's models lost the delay rows and penalty
-/// variables themselves).
-pub(crate) const KERNEL_REVISION: u8 = 4;
-
 /// A constraint in "model form" for the LP solver.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LpConstraint {

@@ -115,11 +115,6 @@ impl SolverWorkspace {
         self.cache = Some(cache);
     }
 
-    /// Detach the solution cache, returning the handle if one was attached.
-    pub fn detach_cache(&mut self) -> Option<SolutionCacheHandle> {
-        self.cache.take()
-    }
-
     /// The attached solution cache, if any.
     pub fn cache(&self) -> Option<&SolutionCacheHandle> {
         self.cache.as_ref()

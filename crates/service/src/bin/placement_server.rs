@@ -9,9 +9,8 @@
 //!
 //! One serving shape: each engine run is a [`ClusterHost`] hosting
 //! `WATERWISE_MULTI_SESSION` *concurrent* client sessions (default 1) with
-//! per-tenant admission control and a fresh scheduler; runs share the
-//! (optionally persistent) solution cache, so later runs start warm. When
-//! a run's sessions have all ended it prints the campaign summary and
+//! per-tenant admission control and a fresh scheduler. When a run's
+//! sessions have all ended it prints the campaign summary and
 //! (with `WATERWISE_JOURNAL=<path>`) writes the admission journal,
 //! replayable via [`waterwise_service::Journal`]. The server exits after
 //! `WATERWISE_SESSIONS` sessions in total — by default after one run when
@@ -28,19 +27,16 @@
 //! | `WATERWISE_SEED` | `[scenario] seed` | Trace + telemetry seed. |
 //! | `WATERWISE_SESSIONS` | — | Serve this many sessions in total, then exit. |
 //! | `WATERWISE_MULTI_SESSION` | — | Concurrent sessions per engine run (default 1). |
-//! | `WATERWISE_ADMISSION` | — | Drain mode: `streaming` (default) or `gated`. |
+//! | `WATERWISE_ADMISSION` | — | Drain mode: `streaming` (default) or `gated`; anything else is a startup error. |
 //! | `WATERWISE_TENANT_QUOTA` | — | Per-tenant in-flight quota (default 64). |
 //! | `WATERWISE_DRR_QUANTUM` | — | Deficit-round-robin quantum (default 8). |
 //! | `WATERWISE_JOURNAL` | — | Write each finished run's admission journal to this path. |
-//! | `WATERWISE_CACHE_PATH` | `[campaign] cache_path` | Warm-load the solution cache from this snapshot at startup and persist it back at shutdown. |
 //! | `WATERWISE_JOURNAL_PATH` | — | *Stream* the current run's admission journal to this file as entries are admitted (crash durability). |
-//! | `WATERWISE_RESUME` | — | `1`/`true`: the first run replays a recovered `WATERWISE_JOURNAL_PATH` journal at startup, rebuilding warm state before new sessions. |
+//! | `WATERWISE_RESUME` | — | `1`/`true`: the first run replays a recovered `WATERWISE_JOURNAL_PATH` journal at startup, rebuilding the engine's state before new sessions; `0`/`false` (default): it does not. Anything else is a startup error. |
 
 use std::path::{Path, PathBuf};
 use waterwise_cluster::{ClockMode, EngineMode};
-use waterwise_core::{
-    build_scheduler, CacheAutosave, Scenario, SchedulerKind, SolutionCache, SolutionCacheHandle,
-};
+use waterwise_core::{build_scheduler, Scenario, SchedulerKind};
 use waterwise_service::{
     AdmissionConfig, AdmissionMode, ClusterHost, HostPersistence, Journal, PlacementService,
     ServiceConfig, TcpClusterServer,
@@ -54,6 +50,23 @@ fn env_opt<T: std::str::FromStr>(key: &str) -> Option<T> {
     match raw.to_str().and_then(|value| value.parse().ok()) {
         Some(value) => Some(value),
         None => exit_with(format_args!("invalid {key}: cannot parse {raw:?}")),
+    }
+}
+
+/// An environment switch: unset keeps the default, a value outside
+/// `choices` is a startup error naming the variable.
+fn env_choice<T: Copy>(key: &str, choices: &[(&str, T)]) -> Option<T> {
+    let raw = std::env::var_os(key)?;
+    let value = raw.to_str().unwrap_or_default();
+    match choices.iter().find(|(name, _)| *name == value) {
+        Some(&(_, choice)) => Some(choice),
+        None => {
+            let names: Vec<&str> = choices.iter().map(|(name, _)| *name).collect();
+            exit_with(format_args!(
+                "invalid {key}: expected one of {}, got {raw:?}",
+                names.join(" | ")
+            ))
+        }
     }
 }
 
@@ -125,63 +138,15 @@ fn clock_override() -> Option<ClockMode> {
     }
 }
 
-/// The solution-cache persistence setup: `WATERWISE_CACHE_PATH` (falling
-/// back to the spec's `[campaign] cache_path`) names a snapshot that is
-/// warm-loaded at startup (missing file = cold start, corrupt file =
-/// startup error) and written back by the returned autosave guard at
-/// shutdown.
-fn cache_setup(scenario: &Scenario) -> (Option<SolutionCacheHandle>, Option<CacheAutosave>) {
-    let path = std::env::var_os("WATERWISE_CACHE_PATH")
-        .map(PathBuf::from)
-        .or_else(|| scenario.config.cache_path.clone());
-    let Some(path) = path else {
-        return (None, None);
-    };
-    let config_hash = scenario.config.solver_config_hash();
-    let cache = if path.exists() {
-        match SolutionCache::load(&path, config_hash) {
-            Ok(cache) => {
-                eprintln!(
-                    "solution cache warm-loaded: {} entries from {}",
-                    cache.len(),
-                    path.display()
-                );
-                cache.into_handle()
-            }
-            Err(error) => exit_with(format_args!("failed to load cache snapshot: {error}")),
-        }
-    } else {
-        SolutionCache::shared()
-    };
-    let guard = CacheAutosave::new(cache.clone(), path, config_hash);
-    (Some(cache), Some(guard))
-}
-
-/// Finish the autosave guard, surfacing (but not dying on) write errors —
-/// the placements were already served; a failed snapshot only costs the
-/// next process its warm start.
-fn finish_autosave(guard: Option<CacheAutosave>) {
-    if let Some(guard) = guard {
-        if let Err(error) = guard.finish() {
-            eprintln!("failed to persist the solution cache: {error}");
-        }
-    }
-}
-
 /// Journal durability from the environment: `WATERWISE_JOURNAL_PATH`
-/// streams the run's admission journal to disk; `WATERWISE_RESUME=1` has
-/// the server's first run (`resume`) replay whatever journal survived at
-/// that path.
+/// streams the run's admission journal to disk; with `resume` (the first
+/// run under `WATERWISE_RESUME=1`) the run replays whatever journal
+/// survived at that path.
 fn persistence_setup(resume: bool) -> HostPersistence {
     let mut persistence = HostPersistence::default();
     let Some(path) = std::env::var_os("WATERWISE_JOURNAL_PATH").map(PathBuf::from) else {
         return persistence;
     };
-    let resume = resume
-        && matches!(
-            std::env::var("WATERWISE_RESUME").as_deref(),
-            Ok("1") | Ok("true")
-        );
     if resume && path.exists() {
         match Journal::load(&path) {
             Ok(journal) => {
@@ -198,8 +163,9 @@ fn persistence_setup(resume: bool) -> HostPersistence {
     persistence.with_journal_path(path)
 }
 
-/// The admission policy from the environment.
-fn admission_config(concurrent: usize) -> AdmissionConfig {
+/// The admission policy from the environment; `gated` is
+/// `WATERWISE_ADMISSION=gated`.
+fn admission_config(concurrent: usize, gated: bool) -> AdmissionConfig {
     let mut config = AdmissionConfig {
         mode: AdmissionMode::Streaming {
             close_after_sessions: Some(concurrent),
@@ -212,7 +178,7 @@ fn admission_config(concurrent: usize) -> AdmissionConfig {
     if let Some(quantum) = env_opt::<usize>("WATERWISE_DRR_QUANTUM") {
         config.drr_quantum = quantum;
     }
-    if std::env::var("WATERWISE_ADMISSION").as_deref() == Ok("gated") {
+    if gated {
         config.mode = AdmissionMode::Gated {
             sessions: concurrent,
         };
@@ -227,9 +193,9 @@ fn serve_run(
     server: &TcpClusterServer,
     config: &ServiceConfig,
     scenario: &Scenario,
-    cache: Option<SolutionCacheHandle>,
     concurrent: usize,
-    first_run: bool,
+    gated: bool,
+    resume: bool,
 ) -> bool {
     let service = match PlacementService::new(config.clone()) {
         Ok(service) => service,
@@ -240,10 +206,9 @@ fn serve_run(
         service.telemetry(),
         FootprintEstimator::new(service.config().simulation.datacenter),
         &scenario.config.waterwise,
-        cache,
     );
-    let admission = admission_config(concurrent);
-    let persistence = persistence_setup(first_run);
+    let admission = admission_config(concurrent, gated);
+    let persistence = persistence_setup(resume);
     let host = match ClusterHost::start_persistent(service, admission, scheduler, persistence) {
         Ok(host) => host,
         Err(error) => exit_with(format_args!("failed to start cluster host: {error}")),
@@ -308,6 +273,16 @@ fn main() {
     }
     let engine = simulation.engine;
     let clock = clock_override().unwrap_or(scenario.clock);
+    let gated = env_choice(
+        "WATERWISE_ADMISSION",
+        &[("streaming", false), ("gated", true)],
+    )
+    .unwrap_or(false);
+    let resume = env_choice(
+        "WATERWISE_RESUME",
+        &[("1", true), ("true", true), ("0", false), ("false", false)],
+    )
+    .unwrap_or(false);
     if let Err(error) = simulation.validate() {
         exit_with(format_args!("invalid service configuration: {error}"));
     }
@@ -337,19 +312,16 @@ fn main() {
         Err(error) => exit_with(format_args!("listener has no local address: {error}")),
     }
 
-    let (cache, autosave) = cache_setup(&scenario);
     let mut served = 0usize;
     let mut failed = false;
     while served < sessions {
         let batch = concurrent.min(sessions - served);
-        // Runs are independent campaigns over a fresh engine — but they
-        // share the (optionally persistent) solution cache, so later runs
-        // start warm.
-        let first_run = served == 0;
-        failed |= !serve_run(&server, &config, &scenario, cache.clone(), batch, first_run);
+        // Runs are independent campaigns over a fresh engine; only the first
+        // resumes a recovered journal.
+        let resume_run = resume && served == 0;
+        failed |= !serve_run(&server, &config, &scenario, batch, gated, resume_run);
         served += batch;
     }
-    finish_autosave(autosave);
     if failed {
         std::process::exit(2);
     }

@@ -3,7 +3,6 @@
 use std::fmt;
 use std::path::PathBuf;
 use waterwise_cluster::{ConfigError, SimulationError};
-use waterwise_core::CachePersistError;
 use waterwise_traces::JobId;
 
 /// Everything that can go wrong while serving placement requests.
@@ -82,10 +81,6 @@ pub enum ServiceError {
         /// Stringified OS error.
         message: String,
     },
-    /// A solution-cache snapshot failed to save or load (see the inner
-    /// error for which gate — header, checksum, solver config — rejected
-    /// it and which file it names).
-    CachePersist(CachePersistError),
     /// The host was asked to resume from a recovered journal under a
     /// configuration that cannot reproduce the original schedule.
     ResumeUnsupported {
@@ -132,7 +127,6 @@ impl fmt::Display for ServiceError {
             ServiceError::JournalIo { path, message } => {
                 write!(f, "journal i/o failure at {}: {message}", path.display())
             }
-            ServiceError::CachePersist(e) => write!(f, "cache persistence failure: {e}"),
             ServiceError::ResumeUnsupported { reason } => {
                 write!(f, "cannot resume from a recovered journal: {reason}")
             }
@@ -145,15 +139,8 @@ impl std::error::Error for ServiceError {
         match self {
             ServiceError::Config(e) => Some(e),
             ServiceError::Simulation(e) => Some(e),
-            ServiceError::CachePersist(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<CachePersistError> for ServiceError {
-    fn from(e: CachePersistError) -> Self {
-        ServiceError::CachePersist(e)
     }
 }
 

@@ -3,8 +3,8 @@
 //! A [`ClusterHost`] keeps **one** engine run alive across its sessions —
 //! a single client is simply a one-session host: it owns the persistent
 //! [`crate::PlacementService`] (simulated cluster, telemetry, and — via
-//! the engine — the scheduler's warmed solution cache and solver
-//! workspace) and multiplexes sessions onto it through a shared
+//! the engine — the scheduler and its solver workspace) and multiplexes
+//! sessions onto it through a shared
 //! [`crate::AdmissionConfig`]-governed admission queue. Sessions submit
 //! concurrently; requests drain tenant-fairly into a single
 //! `run_online_sequenced` engine call; placements route back to the
@@ -16,9 +16,9 @@
 //!   drained request (already stamped, sequenced, and journaled) into the
 //!   engine's bounded arrival channel;
 //! - the **engine** thread runs the simulator's online driver for the
-//!   whole host lifetime — one persistent run, so caches stay warm across
-//!   sessions and one MILP round batches whatever the admission queue
-//!   drained from *all* tenants since the last round;
+//!   whole host lifetime — one persistent run, so one scheduling round
+//!   batches whatever the admission queue drained from *all* tenants since
+//!   the last round;
 //! - the **router** receives placement notices, enriches them into
 //!   [`crate::PlacementResponse`]s, and delivers each to its session's
 //!   bounded outbox.
@@ -173,7 +173,6 @@ impl HostReport {
 ///     service.telemetry(),
 ///     FootprintEstimator::new(config.service.simulation.datacenter),
 ///     &WaterWiseConfig::default(),
-///     None,
 /// );
 /// let host = ClusterHost::start_with_service(service, config.admission, scheduler).unwrap();
 ///

@@ -248,7 +248,6 @@ fn waterwise_scheduler_is_byte_identical_online_across_engine_modes() {
                 SyntheticTelemetry::with_seed(TELEMETRY_SEED).shared(),
                 FootprintEstimator::new(simulation_config(servers, EngineMode::Sync).datacenter),
                 &config,
-                None,
             )
         };
 

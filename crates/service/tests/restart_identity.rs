@@ -1,28 +1,27 @@
-//! The durable-warm-state contract: **a host restarted from its recovered
-//! on-disk journal and cache snapshot behaves byte-identically to one that
-//! was never interrupted.**
+//! The durable-state contract: **a host restarted from its recovered
+//! on-disk journal behaves byte-identically to one that was never
+//! interrupted.**
 //!
 //! The headline test runs a multi-tenant host, "crashes" it after N
 //! admissions (capturing exactly what had reached disk, torn tail
-//! included), restarts from the recovered files, streams a second wave of
+//! included), restarts from the recovered journal, streams a second wave of
 //! requests, and asserts the combined schedule digest, the combined
 //! journal (in memory *and* on disk), and the per-tenant response sets
 //! all match an uninterrupted run over the same submissions.
 //!
 //! The negative battery pins the failure typing: unsupported resume
-//! configurations, corrupted journals, and corrupted cache snapshots each
-//! surface as their own [`ServiceError`] variant naming the offender —
-//! never a panic, never garbage state.
+//! configurations and corrupted journals each surface as their own
+//! [`ServiceError`] variant naming the offender — never a panic, never
+//! garbage state.
+
+mod support;
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::path::PathBuf;
+use support::{submit_wave, wait_for_journal_lines};
 use waterwise_cluster::{ClockMode, Scheduler, SimulationConfig};
-use waterwise_core::{
-    build_scheduler, solver_config_hash, CachePersistError, SchedulerKind, SolutionCache,
-    SolutionCacheHandle, WaterWiseConfig,
-};
+use waterwise_core::{build_scheduler, SchedulerKind, WaterWiseConfig};
 use waterwise_service::{
     AdmissionConfig, AdmissionMode, ClusterHost, HostPersistence, Journal, PlacementResponse,
     PlacementService, ServiceConfig, ServiceError, TenantId,
@@ -89,25 +88,14 @@ fn wave_two() -> Vec<(TenantId, JobSpec)> {
         .collect()
 }
 
-/// WaterWise without warm starts, so that every round is a model the cache
-/// stores: by default the hint or the transportation kernel decides these
-/// rounds without one, and a snapshot would carry nothing.
-fn waterwise_scheduler(
-    service: &PlacementService,
-    cache: SolutionCacheHandle,
-) -> Box<dyn Scheduler> {
+/// The default WaterWise scheduler over the service's telemetry.
+fn waterwise_scheduler(service: &PlacementService) -> Box<dyn Scheduler> {
     build_scheduler(
         SchedulerKind::WaterWise,
         service.telemetry(),
         FootprintEstimator::new(service.config().simulation.datacenter),
-        &WaterWiseConfig::default().with_warm_start(false),
-        Some(cache),
+        &WaterWiseConfig::default(),
     )
-}
-
-fn config_hash() -> u64 {
-    let config = WaterWiseConfig::default();
-    solver_config_hash(&config.simplex, &config.branch_bound)
 }
 
 fn streaming() -> AdmissionConfig {
@@ -117,51 +105,6 @@ fn streaming() -> AdmissionConfig {
         },
         ..AdmissionConfig::default()
     }
-}
-
-/// Wait until the journal file holds at least `lines` newline-terminated
-/// entries — the proof that admissions stream to disk as they happen, and
-/// the crash point of the interrupted run.
-fn wait_for_journal_lines(path: &Path, lines: usize) -> String {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let text = fs::read_to_string(path).unwrap_or_default();
-        if text.bytes().filter(|b| *b == b'\n').count() >= lines {
-            return text;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "journal {} never reached {lines} entries (has: {text:?})",
-            path.display(),
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-/// Submit one wave through one session and hand back the session's
-/// response outbox. Each submission is serialized against the journal
-/// file (submit, wait for its line, submit the next): the admission
-/// queue's deficit-round-robin drains whatever is queued *when the feeder
-/// looks*, so un-serialized concurrent submissions would make the drain
-/// order — and with it the watermark stamping — timing-dependent. The
-/// identity under test is "same admitted stream ⇒ same schedule", so the
-/// test pins the stream. `base_lines` is how many entries the journal
-/// already held. The default queue depth (256) holds a whole wave, so the
-/// responses can be collected after shutdown without backpressure.
-fn submit_wave(
-    host: &ClusterHost,
-    wave: &[(TenantId, JobSpec)],
-    journal_path: &Path,
-    base_lines: usize,
-) -> std::sync::mpsc::Receiver<PlacementResponse> {
-    let session = host.open_session("driver").expect("open session");
-    let responses = session.take_responses().expect("take responses");
-    for (index, (tenant, spec)) in wave.iter().enumerate() {
-        session.submit_as(tenant, spec.clone()).expect("submit");
-        wait_for_journal_lines(journal_path, base_lines + index + 1);
-    }
-    session.finish();
-    responses
 }
 
 /// Responses do not carry a tenant (the admission layer owns routing), so
@@ -197,13 +140,11 @@ fn one_entry_journal() -> Journal {
 fn restarted_host_is_byte_identical_to_uninterrupted_run() {
     let dir = scratch("identity");
     let journal_path = dir.join("host.journal");
-    let cache_path = dir.join("cache.snapshot");
 
     // ---- Interrupted run, part 1: stream wave one, then "crash". ----
     let (pre_responses, frozen_journal) = {
         let service = PlacementService::new(service_config()).expect("service");
-        let cache = SolutionCache::shared();
-        let scheduler = waterwise_scheduler(&service, cache.clone());
+        let scheduler = waterwise_scheduler(&service);
         let host = ClusterHost::start_persistent(
             service,
             streaming(),
@@ -217,12 +158,9 @@ fn restarted_host_is_byte_identical_to_uninterrupted_run() {
         // the "recovered" state.
         let frozen = wait_for_journal_lines(&journal_path, wave_one().len());
         // The doomed host must still drain (threads cannot be killed), so
-        // clean-join it and discard its report; only `frozen`, the cache
-        // snapshot, and the already-delivered responses survive the crash.
+        // clean-join it and discard its report; only `frozen` and the
+        // already-delivered responses survive the crash.
         host.shutdown().expect("host 1 shutdown");
-        cache
-            .save(&cache_path, config_hash())
-            .expect("cache snapshot");
         let delivered: Vec<PlacementResponse> = responses.iter().collect();
         (delivered, frozen)
     };
@@ -236,23 +174,16 @@ fn restarted_host_is_byte_identical_to_uninterrupted_run() {
     )
     .expect("write torn journal");
 
-    // ---- Interrupted run, part 2: restart from the recovered files. ----
+    // ---- Interrupted run, part 2: restart from the recovered journal. ----
     let recovered = Journal::load(&journal_path).expect("recover journal");
     assert_eq!(
         recovered.entries.len(),
         wave_one().len(),
         "torn tail must be shed, complete entries kept"
     );
-    let warmed = SolutionCache::load(&cache_path, config_hash())
-        .expect("recover cache snapshot")
-        .into_handle();
-    assert!(
-        !warmed.is_empty(),
-        "the snapshot must carry wave one's solves"
-    );
 
     let service = PlacementService::new(service_config()).expect("service");
-    let scheduler = waterwise_scheduler(&service, warmed.clone());
+    let scheduler = waterwise_scheduler(&service);
     let host = ClusterHost::start_persistent(
         service,
         streaming(),
@@ -266,15 +197,11 @@ fn restarted_host_is_byte_identical_to_uninterrupted_run() {
     let resumed_report = host.shutdown().expect("resumed shutdown");
     let post_responses: Vec<PlacementResponse> = responses.iter().collect();
     assert_eq!(post_responses.len(), wave_two().len());
-    assert!(
-        warmed.stats().exact_hits > 0,
-        "replaying the recovered head through a warmed cache must hit exactly"
-    );
 
     // ---- Uninterrupted baseline: both waves through one host life. ----
     let baseline_journal_path = dir.join("baseline.journal");
     let service = PlacementService::new(service_config()).expect("service");
-    let scheduler = waterwise_scheduler(&service, SolutionCache::shared());
+    let scheduler = waterwise_scheduler(&service);
     let host = ClusterHost::start_persistent(
         service,
         streaming(),
@@ -326,7 +253,7 @@ fn restarted_host_is_byte_identical_to_uninterrupted_run() {
     // And the combined journal still replays offline to the same bytes —
     // resume composes with the existing replay harness.
     let replay_service = PlacementService::new(service_config()).expect("service");
-    let mut replay_scheduler = waterwise_scheduler(&replay_service, SolutionCache::shared());
+    let mut replay_scheduler = waterwise_scheduler(&replay_service);
     let replay = resumed_report
         .journal
         .replay(&replay_service, replay_scheduler.as_mut())
@@ -339,7 +266,7 @@ fn restarted_host_is_byte_identical_to_uninterrupted_run() {
 #[test]
 fn resume_requires_streaming_admission() {
     let service = PlacementService::new(service_config()).expect("service");
-    let scheduler = waterwise_scheduler(&service, SolutionCache::shared());
+    let scheduler = waterwise_scheduler(&service);
     let result = ClusterHost::start_persistent(
         service,
         AdmissionConfig {
@@ -363,7 +290,7 @@ fn resume_requires_the_discrete_clock() {
     let service =
         PlacementService::new(service_config().with_clock(ClockMode::RealTime { scale: 1000.0 }))
             .expect("service");
-    let scheduler = waterwise_scheduler(&service, SolutionCache::shared());
+    let scheduler = waterwise_scheduler(&service);
     let result = ClusterHost::start_persistent(
         service,
         streaming(),
@@ -406,24 +333,5 @@ fn corrupt_complete_journal_line_is_typed_and_names_the_line() {
     fs::write(&path, format!("{good}{{\"seq\":12,\"tena")).expect("write torn");
     let recovered = Journal::load(&path).expect("torn tail must recover");
     assert_eq!(recovered.entries.len(), 1);
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn cache_corruption_surfaces_through_service_error_with_source() {
-    use std::error::Error as _;
-    let dir = scratch("cache-error");
-    let path = dir.join("cache.snapshot");
-    fs::write(&path, b"not a snapshot").expect("write");
-    let error = SolutionCache::load(&path, config_hash()).expect_err("must reject");
-    assert!(matches!(error, CachePersistError::BadHeader { .. }));
-    let service_error = ServiceError::from(error);
-    match &service_error {
-        ServiceError::CachePersist(inner) => {
-            assert!(inner.to_string().contains("cache.snapshot"))
-        }
-        other => panic!("expected CachePersist, got {other:?}"),
-    }
-    assert!(service_error.source().is_some());
     let _ = fs::remove_dir_all(&dir);
 }

@@ -391,124 +391,6 @@ fn decision_overhead_is_negligible() {
     );
 }
 
-#[test]
-fn solution_cache_modes_are_byte_identical_across_a_matrix_and_hit() {
-    use waterwise::core::{SolutionCache, SolutionCacheMode};
-    // The Fig. 15 setup end to end: a 3×3 tolerance × weight sweep, run
-    // with the cache off, per-campaign, shared across the whole matrix, and
-    // once more against the shared handle the previous sweep warmed.
-    let tolerances = [0.25, 0.50, 1.00];
-    let lambdas = [0.3, 0.5, 0.7];
-    // Only a round that becomes a model asks the cache, and by default the
-    // hint or the transportation kernel decides every round of this sweep
-    // without one. So the cache modes run on the all-MILP reference
-    // (`warm_start: false`), where all 631 rounds do, and each must commit
-    // the schedules of the default sweep.
-    let configs = |mode: &SolutionCacheMode, warm_start: bool| -> Vec<CampaignConfig> {
-        tolerances
-            .iter()
-            .flat_map(|&tol| {
-                lambdas.iter().map(move |&lambda| {
-                    CampaignConfig::small_demo(42)
-                        .with_delay_tolerance(tol)
-                        .with_weights(ObjectiveWeights::paper_default().with_carbon_weight(lambda))
-                })
-            })
-            .map(|config| {
-                let mut config = config.with_solution_cache(mode.clone());
-                config.waterwise.warm_start = warm_start;
-                config
-            })
-            .collect()
-    };
-    let sweep = |configs: &[CampaignConfig]| {
-        Campaign::run_matrix(configs, &[SchedulerKind::WaterWise], Parallelism::Auto).unwrap()
-    };
-    let schedules_of = |matrix: &[Vec<waterwise::core::CampaignOutcome>]| -> Vec<_> {
-        matrix
-            .iter()
-            .flat_map(|row| row.iter().map(|o| o.report.outcomes.clone()))
-            .collect()
-    };
-    let default_sweep = sweep(&configs(&SolutionCacheMode::Off, true));
-    let reference = schedules_of(&default_sweep);
-    for outcome in default_sweep.iter().flatten() {
-        assert_eq!(outcome.summary.solver.cache_lookups(), 0);
-    }
-    let shared = SolutionCache::shared();
-    let modes = [
-        SolutionCacheMode::Off,
-        SolutionCacheMode::PerCampaign,
-        SolutionCacheMode::Shared(shared.clone()),
-        SolutionCacheMode::Shared(shared.clone()),
-    ];
-    const FIRST_SWEEP_LOOKUPS: usize = 631;
-    const FIRST_SWEEP_REPEATS: usize = 312;
-    let mut warmed = waterwise::core::CacheStats::default();
-    for (pass, mode) in modes.iter().enumerate() {
-        let matrix = sweep(&configs(mode, false));
-        assert_eq!(
-            reference,
-            schedules_of(&matrix),
-            "{} cache mode changed a schedule",
-            mode.label()
-        );
-        if pass == 2 {
-            warmed = shared.stats();
-            assert_eq!(warmed.evictions, 0, "the sweep must fit the cache");
-            // A tolerance enters the model only through the arcs it fixes
-            // (out-of-tolerance `x[m][n]` get upper bound 0; there is no
-            // per-job tolerance row), so cells with equal λ build bit-identical
-            // models until a tolerance first excludes a region, and a first
-            // shared sweep already meets models a sibling cell published.
-            // Every lookup either replays, or is solved and published, or is
-            // the one hard model proved infeasible (never published).
-            assert_eq!(
-                warmed.exact_hits + warmed.insertions + 1,
-                warmed.lookups(),
-                "a lookup neither replayed, nor published, nor the one infeasible model: {warmed:?}"
-            );
-            // Pinned on the resident count, which does not depend on how the
-            // parallel sweep interleaves: two workers meeting one model at the
-            // same instant both solve and publish it (one entry, one hit fewer).
-            let repeats = warmed.lookups() - 1 - shared.len();
-            assert_eq!(
-                (warmed.lookups(), repeats),
-                (FIRST_SWEEP_LOOKUPS, FIRST_SWEEP_REPEATS),
-                "lookups whose model a sibling cell of equal λ had already met"
-            );
-            assert!(
-                (1..=repeats).contains(&warmed.exact_hits),
-                "a first shared sweep replays some of its repeats: {warmed:?}"
-            );
-        }
-        if pass == 3 {
-            // The re-run meets every model of the first sweep, bit for bit.
-            // Each one that sweep solved to optimality is replayed; the rest
-            // — a hard model proved infeasible, the one verdict that is not
-            // published (the round then softens) — is proved again, and
-            // nothing new is stored. A cell without such a round pivots
-            // nowhere.
-            let rerun = shared.stats().delta_since(&warmed);
-            assert_eq!(rerun.lookups(), warmed.lookups());
-            assert_eq!(
-                rerun.exact_hits,
-                warmed.exact_hits + warmed.insertions,
-                "the re-run replays every published model, each time it is met"
-            );
-            assert_eq!(rerun.insertions, 0);
-            assert_eq!(rerun.misses, 1, "tolerance 0.25, λ 0.7 has one such round");
-            for outcome in matrix.iter().flatten() {
-                let solver = outcome.summary.solver;
-                assert!(solver.cache_exact_hits > 0, "a cell replayed nothing");
-                if solver.cache_misses == 0 {
-                    assert_eq!(solver.simplex_pivots, 0);
-                }
-            }
-        }
-    }
-}
-
 /// WaterWise over the campaign's trace, on a scheduler the test keeps so that
 /// its `SolveStats` (rounds, certified rounds) can be read after the run —
 /// what `Campaign::run(SchedulerKind::WaterWise)` does with a boxed one.
