@@ -43,6 +43,7 @@ use crate::scheduler::{
 };
 use crate::state::{RegionRuntime, RegionView};
 use queue::{Event, EventQueue, QueuedEvent};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::ops::Range;
 use std::time::Instant;
@@ -113,8 +114,11 @@ pub(crate) struct EnactedPlacement {
 /// makes their schedules byte-identical by construction: every state
 /// transition an engine mode may take lives here, and the backend only
 /// chooses *which thread* performs the scheduler solve.
-pub(crate) struct SimState {
-    pub(crate) jobs: Vec<JobSpec>,
+pub(crate) struct SimState<'t> {
+    /// The job table. An offline replay borrows a trace that is already in
+    /// submit order and owns a sorted copy of any other; a live run owns the
+    /// table and appends to it.
+    pub(crate) jobs: Cow<'t, [JobSpec]>,
     /// Every job id admitted by a live injection; rejects duplicates. (A
     /// preloaded trace is checked by one sort in [`SimState::new`].) An
     /// ordered container by the DET001 discipline: nothing
@@ -150,20 +154,21 @@ pub(crate) struct SimState {
     first_time: f64,
 }
 
-impl SimState {
+impl<'t> SimState<'t> {
     /// An engine state preloaded with a whole trace, replayed in
-    /// `(submit time, trace index)` order: the state's copy of an unsorted
-    /// trace is stably sorted once, here, so every arrival's sequence is its
-    /// position in that order. The regular sequence band is floored at the
-    /// trace length, so on exact timestamp ties every arrival orders ahead
-    /// of round/decision events — the same split a live run makes at
-    /// `ONLINE_ROUND_SEQ_BASE`. A duplicate id would leave one twin pending
-    /// forever (assignments are keyed by job id) and a non-finite submit
-    /// time has no place in the event order, so a malformed trace is
-    /// rejected here with a typed error.
+    /// `(submit time, trace index)` order. A trace already in that order is
+    /// borrowed, not copied; any other is copied and the copy stably sorted
+    /// once, here, so every arrival's sequence is its position in that
+    /// order. The regular sequence band is floored at the trace length, so
+    /// on exact timestamp ties every arrival orders ahead of round/decision
+    /// events — the same split a live run makes at `ONLINE_ROUND_SEQ_BASE`.
+    /// A duplicate id would leave one twin pending forever (assignments are
+    /// keyed by job id) and a non-finite submit time has no place in the
+    /// event order, so a malformed trace is rejected here with a typed
+    /// error.
     pub(crate) fn new(
         config: &SimulationConfig,
-        jobs: &[JobSpec],
+        jobs: &'t [JobSpec],
     ) -> Result<Self, SimulationError> {
         if let Some(id) = duplicate_id(jobs) {
             return Err(SimulationError::DuplicateJobId { id });
@@ -172,16 +177,19 @@ impl SimState {
         if let Some(i) = jobs.iter().position(|job| !submit(job).is_finite()) {
             return Err(SimulationError::NonFiniteEventTime {
                 time: submit(&jobs[i]),
-                event: Event::Arrival(i).describe(),
+                event: Event::Arrival(i).describe(jobs),
             });
         }
         let mut state = Self::empty(config);
-        state.jobs = jobs.to_vec();
         // Checked first: a stable sort allocates its scratch (half the trace)
         // before it notices there is nothing to do.
-        if !jobs.is_sorted_by(|a, b| submit(a).total_cmp(&submit(b)).is_le()) {
-            state.jobs.sort_by(|a, b| submit(a).total_cmp(&submit(b)));
-        }
+        state.jobs = if jobs.is_sorted_by(|a, b| submit(a).total_cmp(&submit(b)).is_le()) {
+            Cow::Borrowed(jobs)
+        } else {
+            let mut sorted = jobs.to_vec();
+            sorted.sort_by(|a, b| submit(a).total_cmp(&submit(b)));
+            Cow::Owned(sorted)
+        };
         state.runtimes = vec![JobRuntime::default(); jobs.len()];
         state.unqueued = 0..jobs.len();
         state.queue.reserve(jobs.len() as u64);
@@ -203,7 +211,7 @@ impl SimState {
             region_slot[r.region.index()] = Some(slot);
         }
         Self {
-            jobs: Vec::new(),
+            jobs: Cow::Owned(Vec::new()),
             seen_ids: BTreeSet::new(),
             unqueued: 0..0,
             views: Vec::with_capacity(regions.len()),
@@ -235,18 +243,37 @@ impl SimState {
         if !self.seen_ids.insert(spec.id) {
             return Err(SimulationError::DuplicateJobId { id: spec.id });
         }
-        self.queue_arrival(self.jobs.len(), spec.submit_time.value(), arrival_seq)?;
+        let (index, time) = (self.jobs.len(), spec.submit_time.value());
+        // In the table first, so that a rejected arrival names its job.
+        self.jobs.to_mut().push(spec);
         self.runtimes.push(JobRuntime::default());
-        self.jobs.push(spec);
-        Ok(())
+        self.queue_arrival(index, time, arrival_seq)
+    }
+
+    /// Enqueue `event` at `time` with the next sequence number.
+    pub(crate) fn push(&mut self, time: f64, event: Event) -> Result<(), SimulationError> {
+        let seq = self.queue.reserve(1);
+        self.push_with_seq(time, seq, event)
+    }
+
+    /// Enqueue `event` at `(time, seq)`. A NaN or infinite `time` fails the
+    /// run with [`SimulationError::NonFiniteEventTime`], naming the job by
+    /// its trace id.
+    fn push_with_seq(&mut self, time: f64, seq: u64, event: Event) -> Result<(), SimulationError> {
+        self.queue.push_with_seq(time, seq, event).map_err(|_| {
+            SimulationError::NonFiniteEventTime {
+                time,
+                event: event.describe(&self.jobs),
+            }
+        })
     }
 
     /// Enqueue the arrival of job `index`. The first job's arrival also
     /// bootstraps the periodic round chain at its own submit time.
     fn queue_arrival(&mut self, index: usize, time: f64, seq: u64) -> Result<(), SimulationError> {
-        self.queue.push_with_seq(time, seq, Event::Arrival(index))?;
+        self.push_with_seq(time, seq, Event::Arrival(index))?;
         if index == 0 {
-            self.queue.push(time, Event::Round)?;
+            self.push(time, Event::Round)?;
             self.first_time = time;
             self.last_time = time;
         }
@@ -349,8 +376,7 @@ impl SimState {
             self.runtimes[i].assigned_region = Some(a.region);
             self.runtimes[i].transfer_time = transfer_time;
             self.regions[slot].inbound += 1;
-            self.queue
-                .push_with_seq(now + transfer_time, seq_base + placed, Event::Ready(i))?;
+            self.push_with_seq(now + transfer_time, seq_base + placed, Event::Ready(i))?;
             placed += 1;
             if let Some(enacted) = enacted.as_deref_mut() {
                 enacted.push(EnactedPlacement {
@@ -380,7 +406,7 @@ impl SimState {
         self.pending_index
             .retain(|&i| runtimes[i].assigned_region.is_none());
         if self.completed < self.jobs.len() {
-            self.queue.push_with_seq(
+            self.push_with_seq(
                 now + self.interval,
                 seq_base + snapshot_len as u64,
                 Event::Round,
@@ -390,9 +416,8 @@ impl SimState {
     }
 
     /// The `regions` slot of the region job `i` was assigned to, or the
-    /// typed error for an `event` that reached a job without one. Names the
-    /// job by its trace id, not the internal array index `Event::describe`
-    /// would render — the two only coincide for 0..n traces.
+    /// typed error for an `event` that reached a job without one, naming the
+    /// job by its trace id.
     fn assigned_slot(&self, i: usize, event: &str) -> Result<usize, SimulationError> {
         self.runtimes[i]
             .assigned_region
@@ -412,10 +437,8 @@ impl SimState {
         if self.regions[slot].busy < self.regions[slot].servers {
             self.regions[slot].busy += 1;
             self.runtimes[i].start_time = time;
-            self.queue.push(
-                time + self.jobs[i].actual_execution_time.value(),
-                Event::Complete(i),
-            )?;
+            let done = time + self.jobs[i].actual_execution_time.value();
+            self.push(done, Event::Complete(i))?;
         } else {
             self.regions[slot].queue.push_back(i);
         }
@@ -436,10 +459,8 @@ impl SimState {
         // Free the server and admit the next queued job, if any.
         if let Some(next) = self.regions[slot].queue.pop_front() {
             self.runtimes[next].start_time = time;
-            self.queue.push(
-                time + self.jobs[next].actual_execution_time.value(),
-                Event::Complete(next),
-            )?;
+            let done = time + self.jobs[next].actual_execution_time.value();
+            self.push(done, Event::Complete(next))?;
         } else {
             self.regions[slot].busy -= 1;
         }
@@ -555,8 +576,8 @@ impl<P: ConditionsProvider> Simulator<P> {
     /// trace, and the campaign's clock and round chain start at its
     /// earliest submit time. A trace already sorted by submit time (what
     /// every generator in `waterwise-traces` and every recorded
-    /// [`online::OnlineReport::trace`] is) is taken as it stands; any other
-    /// costs one sort of the engine's private copy.
+    /// [`online::OnlineReport::trace`] is) is borrowed as it stands, never
+    /// copied; any other costs one copy and one sort.
     ///
     /// This is the engine's one event loop ([`online`]) started with the
     /// whole trace admitted and the arrival source already closed: no
@@ -577,8 +598,8 @@ impl<P: ConditionsProvider> Simulator<P> {
         jobs: &[JobSpec],
         scheduler: &mut dyn Scheduler,
     ) -> Result<SimulationReport, SimulationError> {
-        let report = online::OnlineDriver::offline(self, jobs)?.run(scheduler)?;
-        Ok(report.report)
+        let (report, _replayed) = online::OnlineDriver::offline(self, jobs)?.run(scheduler)?;
+        Ok(report)
     }
 
     /// Run a campaign against a *live* arrival source instead of a
@@ -621,7 +642,12 @@ impl<P: ConditionsProvider> Simulator<P> {
         placements: std::sync::mpsc::SyncSender<online::PlacementNotice>,
         clock: clock::ClockMode,
     ) -> Result<online::OnlineReport, SimulationError> {
-        online::OnlineDriver::live(self, arrivals, placements, clock).run(scheduler)
+        let (report, trace) =
+            online::OnlineDriver::live(self, arrivals, placements, clock).run(scheduler)?;
+        Ok(online::OnlineReport {
+            report,
+            trace: trace.into_owned(),
+        })
     }
 
     /// The conditions provider the engine accounts footprints with.

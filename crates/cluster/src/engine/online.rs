@@ -89,9 +89,10 @@ use super::queue::{Event, QueuedEvent};
 use super::{timed_schedule, EnactedPlacement, SimState, SimulationReport, Simulator};
 use crate::config::{EngineMode, SimulationConfig};
 use crate::error::SimulationError;
-use crate::metrics::{CampaignSummary, JobOutcome, OverheadSample, PipelineStats};
+use crate::metrics::{JobOutcome, OutcomeFold, OverheadSample, PipelineStats};
 use crate::scheduler::{PendingJob, Scheduler, SchedulingDecision, SolverActivity};
 use crate::state::RegionView;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::time::{Duration, Instant};
@@ -254,9 +255,9 @@ fn solver_stage(
 /// arrival source, its watermark bookkeeping and the placement sink. See
 /// [`Simulator::run`] / [`Simulator::run_online_sequenced`] for the public
 /// contracts and [`self`] (module docs) for the identity discipline.
-pub(crate) struct OnlineDriver<'a, P> {
+pub(crate) struct OnlineDriver<'a, 't, P> {
     sim: &'a Simulator<P>,
-    state: SimState,
+    state: SimState<'t>,
     /// The live arrival source while it can still produce requests; `None`
     /// once it has closed, and from the start for an offline replay.
     arrivals: Option<Receiver<SequencedJob>>,
@@ -274,17 +275,19 @@ pub(crate) struct OnlineDriver<'a, P> {
     /// or the replay could order the arrival ahead of committed effects.
     committed_time: f64,
     outcomes: Vec<JobOutcome>,
+    /// The summary's per-job aggregates, folded as each outcome is pushed.
+    fold: OutcomeFold,
     /// The placements the committing round enacted, for the sink; reused
     /// across rounds and never filled by an offline replay.
     enacted: Vec<EnactedPlacement>,
     slot: usize,
 }
 
-impl<'a, P: ConditionsProvider> OnlineDriver<'a, P> {
+impl<'a, 't, P: ConditionsProvider> OnlineDriver<'a, 't, P> {
     /// A driver over a preloaded trace and a closed source.
     pub(crate) fn offline(
         sim: &'a Simulator<P>,
-        jobs: &[JobSpec],
+        jobs: &'t [JobSpec],
     ) -> Result<Self, SimulationError> {
         let state = SimState::new(sim.config(), jobs)?;
         Ok(Self::over(sim, state, None, None, None))
@@ -309,7 +312,7 @@ impl<'a, P: ConditionsProvider> OnlineDriver<'a, P> {
 
     fn over(
         sim: &'a Simulator<P>,
-        state: SimState,
+        state: SimState<'t>,
         arrivals: Option<Receiver<SequencedJob>>,
         placements: Option<SyncSender<PlacementNotice>>,
         clock: Option<SimClock>,
@@ -317,6 +320,7 @@ impl<'a, P: ConditionsProvider> OnlineDriver<'a, P> {
         Self {
             sim,
             outcomes: Vec::with_capacity(state.jobs.len()),
+            fold: OutcomeFold::default(),
             state,
             arrivals,
             placements,
@@ -331,10 +335,13 @@ impl<'a, P: ConditionsProvider> OnlineDriver<'a, P> {
 
     /// Run the campaign to completion under `scheduler`, solving inline or
     /// on a solver-stage thread as the configured [`EngineMode`] says.
+    /// Returns the report and the job table the run replayed: the caller's
+    /// trace itself when an offline replay borrowed it, so that only a live
+    /// run, which owns its table, pays for [`OnlineReport::trace`].
     pub(crate) fn run(
         self,
         scheduler: &mut dyn Scheduler,
-    ) -> Result<OnlineReport, SimulationError> {
+    ) -> Result<(SimulationReport, Cow<'t, [JobSpec]>), SimulationError> {
         let scheduler_name = scheduler.name().to_string();
         let config = self.sim.config();
         match config.engine.normalized() {
@@ -465,7 +472,7 @@ impl<'a, P: ConditionsProvider> OnlineDriver<'a, P> {
         mut self,
         mut backend: SolveBackend<'_>,
         scheduler_name: String,
-    ) -> Result<OnlineReport, SimulationError> {
+    ) -> Result<(SimulationReport, Cow<'t, [JobSpec]>), SimulationError> {
         loop {
             self.drain_injections()?;
             // Every admitted job fully processed and only trailing rounds
@@ -505,9 +512,7 @@ impl<'a, P: ConditionsProvider> OnlineDriver<'a, P> {
                         // jobs are incomplete (a fully-drained engine parks
                         // in the idle branch above instead), so a recorded
                         // trace re-arms identically when replayed.
-                        self.state
-                            .queue
-                            .push(time + self.state.interval, Event::Round)?;
+                        self.state.push(time + self.state.interval, Event::Round)?;
                     }
                 }
                 Event::Ready(i) => {
@@ -517,31 +522,30 @@ impl<'a, P: ConditionsProvider> OnlineDriver<'a, P> {
                 Event::Complete(i) => {
                     self.committed_time = self.committed_time.max(time);
                     let runtime = self.state.handle_complete(i, time)?;
-                    self.outcomes.push(self.sim.record_outcome(
+                    let outcome = self.sim.record_outcome(
                         &self.state.jobs[i],
                         &runtime,
                         self.state.tolerance,
-                    )?);
+                    )?;
+                    self.fold.add(&outcome);
+                    self.outcomes.push(outcome);
                 }
             }
         }
 
         let (makespan, mean_utilization) = self.state.finalize();
-        let mut summary =
-            CampaignSummary::from_outcomes(&self.outcomes, &self.state.overhead, mean_utilization);
+        let mut summary = self.fold.summary(&self.state.overhead, mean_utilization);
         if let SolveBackend::Staged { stats, .. } = backend {
             summary = summary.with_pipeline(stats);
         }
-        Ok(OnlineReport {
-            report: SimulationReport {
-                scheduler_name,
-                outcomes: self.outcomes,
-                overhead: self.state.overhead,
-                summary,
-                makespan: Seconds::new(makespan),
-            },
-            trace: self.state.jobs,
-        })
+        let report = SimulationReport {
+            scheduler_name,
+            outcomes: self.outcomes,
+            overhead: self.state.overhead,
+            summary,
+            makespan: Seconds::new(makespan),
+        };
+        Ok((report, self.state.jobs))
     }
 
     /// Solve one round (inline or on the solver stage) and commit its

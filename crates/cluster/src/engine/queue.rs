@@ -25,10 +25,19 @@
 //! [`EventQueue::pop`] takes the smaller of the two heads: by induction
 //! that is the global minimum, i.e. exactly what a single heap over every
 //! event would pop (`split_queue_pops_what_a_single_heap_would`).
+//!
+//! # Integer keys
+//!
+//! A heap entry is a three-word `Slot`: the time's bits mapped so that
+//! unsigned order is `f64::total_cmp` order, the sequence, and the event
+//! packed into one word — 24 bytes, compared as one `u128`, so a sift step
+//! is one integer comparison. The map is a bijection on the bits
+//! (`slots_round_trip_the_bits_of_every_finite_time_and_event`) and keeps the
+//! `(total_cmp, seq)` order (`slot_keys_order_as_total_cmp_then_seq`).
 
-use crate::error::SimulationError;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
+use waterwise_traces::JobSpec;
 
 /// A simulation event. The payload is the index of the job in the campaign's
 /// trace (not its [`waterwise_traces::JobId`]).
@@ -46,13 +55,17 @@ pub(crate) enum Event {
 }
 
 impl Event {
-    /// Human-readable description used in error reports.
-    pub(crate) fn describe(self) -> String {
+    /// Human-readable description used in error reports. Names the job by
+    /// its trace id, looked up in the engine's job table `jobs`, not by the
+    /// table index the event carries — the two only coincide for `0..n`
+    /// traces.
+    pub(crate) fn describe(self, jobs: &[JobSpec]) -> String {
+        let id = |i: usize| jobs[i].id.0;
         match self {
-            Event::Arrival(i) => format!("arrival of job {i}"),
+            Event::Arrival(i) => format!("arrival of job {}", id(i)),
             Event::Round => "scheduling round".to_string(),
-            Event::Ready(i) => format!("readiness of job {i}"),
-            Event::Complete(i) => format!("completion of job {i}"),
+            Event::Ready(i) => format!("readiness of job {}", id(i)),
+            Event::Complete(i) => format!("completion of job {}", id(i)),
         }
     }
 }
@@ -66,36 +79,129 @@ pub(crate) struct QueuedEvent {
 }
 
 impl QueuedEvent {
-    /// Whether this event dispatches before `other`: ascending
-    /// `(time, seq)`. (`Ord` is that order reversed — the earlier event is
-    /// the greater one — so that `BinaryHeap` pops the minimum.)
+    /// The dispatch key as one integer: ascending `(time, seq)` is ascending
+    /// key (`slot_keys_order_as_total_cmp_then_seq`).
+    fn key(&self) -> u128 {
+        Slot::key_of(time_key(self.time), self.seq)
+    }
+
+    /// Whether this event dispatches before `other`: ascending `(time, seq)`.
     fn before(&self, other: &Self) -> bool {
-        self.cmp(other).is_gt()
+        self.key() < other.key()
     }
 }
 
-impl PartialEq for QueuedEvent {
+/// `time`'s bits mapped so that unsigned order is [`f64::total_cmp`] order:
+/// bits with the sign set (`-0.0` included) are inverted whole, any others
+/// get the sign set. A bijection on `u64`; [`time_of`] inverts it.
+fn time_key(time: f64) -> u64 {
+    let bits = time.to_bits();
+    let negative = ((bits as i64) >> 63) as u64;
+    bits ^ (negative | 1 << 63)
+}
+
+/// The time whose [`time_key`] is `key`.
+fn time_of(key: u64) -> f64 {
+    let was_negative = ((!key as i64) >> 63) as u64;
+    f64::from_bits(key ^ (was_negative | 1 << 63))
+}
+
+/// Bits of a packed event below its variant tag: the job index.
+const INDEX_BITS: u32 = 62;
+
+/// `event` in one word: the variant in the top two bits, the job index below.
+fn pack(event: Event) -> u64 {
+    let (tag, index) = match event {
+        Event::Arrival(i) => (0, i),
+        Event::Round => (1, 0),
+        Event::Ready(i) => (2, i),
+        Event::Complete(i) => (3, i),
+    };
+    debug_assert!(
+        (index as u64) >> INDEX_BITS == 0,
+        "job index {index} overflows"
+    );
+    tag << INDEX_BITS | index as u64
+}
+
+/// The event [`pack`] folded into `packed`.
+fn unpack(packed: u64) -> Event {
+    let index = (packed & ((1 << INDEX_BITS) - 1)) as usize;
+    match packed >> INDEX_BITS {
+        0 => Event::Arrival(index),
+        1 => Event::Round,
+        2 => Event::Ready(index),
+        _ => Event::Complete(index),
+    }
+}
+
+/// A heap entry: a [`QueuedEvent`] as three words, its `(time, seq)` key
+/// compared as one `u128` instead of `f64::total_cmp` then `seq`.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// [`time_key`] of the event's time.
+    time: u64,
+    seq: u64,
+    /// [`pack`] of the event.
+    event: u64,
+}
+
+// Three words, not four: a `u128` field would align the slot to 16 bytes.
+const _: () = assert!(std::mem::size_of::<Slot>() <= 24);
+
+impl Slot {
+    fn key_of(time: u64, seq: u64) -> u128 {
+        u128::from(time) << 64 | u128::from(seq)
+    }
+
+    fn key(&self) -> u128 {
+        Self::key_of(self.time, self.seq)
+    }
+}
+
+impl From<QueuedEvent> for Slot {
+    fn from(queued: QueuedEvent) -> Self {
+        Self {
+            time: time_key(queued.time),
+            seq: queued.seq,
+            event: pack(queued.event),
+        }
+    }
+}
+
+impl From<Slot> for QueuedEvent {
+    fn from(slot: Slot) -> Self {
+        Self {
+            time: time_of(slot.time),
+            seq: slot.seq,
+            event: unpack(slot.event),
+        }
+    }
+}
+
+impl PartialEq for Slot {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key() == other.key()
     }
 }
-impl Eq for QueuedEvent {}
-impl Ord for QueuedEvent {
+impl Eq for Slot {}
+impl Ord for Slot {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse ordering to make BinaryHeap a min-heap on (time, seq).
-        // `total_cmp` keeps this a true total order; [`EventQueue::push`]
-        // guarantees no non-finite time is ever queued.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        // Reversed, so that `BinaryHeap` pops the smallest key.
+        other.key().cmp(&self.key())
     }
 }
-impl PartialOrd for QueuedEvent {
+impl PartialOrd for Slot {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
+
+/// An event refused by the queue because its time is NaN or infinite. The
+/// engine, which knows the job table, turns it into
+/// [`crate::SimulationError::NonFiniteEventTime`].
+#[derive(Debug)]
+pub(crate) struct NonFiniteTime;
 
 /// The event queue: an ordered arrival stream merged with a min-heap of the
 /// in-flight events, both on (time, sequence). Non-finite timestamps are
@@ -107,7 +213,7 @@ pub(crate) struct EventQueue {
     arrivals: VecDeque<QueuedEvent>,
     /// Queued `Round` / `Ready` / `Complete` events: what is in flight, not
     /// what the trace still holds.
-    heap: BinaryHeap<QueuedEvent>,
+    heap: BinaryHeap<Slot>,
     seq: u64,
     /// Queued events that are *not* periodic rounds, maintained at
     /// push/pop so the engine's stop condition
@@ -117,13 +223,6 @@ pub(crate) struct EventQueue {
 }
 
 impl EventQueue {
-    /// Enqueue `event` at `time` with the next sequence number, rejecting
-    /// NaN and infinite timestamps.
-    pub(crate) fn push(&mut self, time: f64, event: Event) -> Result<(), SimulationError> {
-        let seq = self.reserve(1);
-        self.push_with_seq(time, seq, event)
-    }
-
     /// Reserve a block of `n` consecutive sequence numbers and return the
     /// first. Paired with [`EventQueue::push_with_seq`], this lets a round
     /// stamp its decision events with the keys they would have received in a
@@ -143,12 +242,9 @@ impl EventQueue {
         time: f64,
         seq: u64,
         event: Event,
-    ) -> Result<(), SimulationError> {
+    ) -> Result<(), NonFiniteTime> {
         if !time.is_finite() {
-            return Err(SimulationError::NonFiniteEventTime {
-                time,
-                event: event.describe(),
-            });
+            return Err(NonFiniteTime);
         }
         if !matches!(event, Event::Round) {
             self.non_round_events += 1;
@@ -165,7 +261,7 @@ impl EventQueue {
             };
             self.arrivals.insert(at, queued);
         } else {
-            self.heap.push(queued);
+            self.heap.push(queued.into());
         }
         Ok(())
     }
@@ -174,7 +270,7 @@ impl EventQueue {
     /// (otherwise it is the top of the heap, if anything is queued at all).
     fn arrival_is_next(&self) -> bool {
         match (self.arrivals.front(), self.heap.peek()) {
-            (Some(arrival), Some(in_flight)) => arrival.before(in_flight),
+            (Some(arrival), Some(in_flight)) => arrival.key() < in_flight.key(),
             (arrival, _) => arrival.is_some(),
         }
     }
@@ -184,7 +280,7 @@ impl EventQueue {
         let popped = if self.arrival_is_next() {
             self.arrivals.pop_front()
         } else {
-            self.heap.pop()
+            self.heap.pop().map(QueuedEvent::from)
         };
         if let Some(event) = &popped {
             if !matches!(event.event, Event::Round) {
@@ -195,11 +291,11 @@ impl EventQueue {
     }
 
     /// The earliest queued event, without removing it.
-    pub(crate) fn peek(&self) -> Option<&QueuedEvent> {
+    pub(crate) fn peek(&self) -> Option<QueuedEvent> {
         if self.arrival_is_next() {
-            self.arrivals.front()
+            self.arrivals.front().copied()
         } else {
-            self.heap.peek()
+            self.heap.peek().copied().map(QueuedEvent::from)
         }
     }
 
@@ -213,6 +309,14 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl EventQueue {
+        /// Enqueue `event` at `time` with the next sequence number.
+        fn push(&mut self, time: f64, event: Event) -> Result<(), NonFiniteTime> {
+            let seq = self.reserve(1);
+            self.push_with_seq(time, seq, event)
+        }
+    }
 
     #[test]
     fn pops_in_time_then_seq_order() {
@@ -271,11 +375,38 @@ mod tests {
         assert!(q.only_rounds_left());
     }
 
+    /// A [`QueuedEvent`] under the order the queue used before its slots
+    /// were integers: `f64::total_cmp` on the time, then the sequence —
+    /// reversed, so that `BinaryHeap` pops the minimum.
+    struct ByTotalCmp(QueuedEvent);
+
+    impl PartialEq for ByTotalCmp {
+        fn eq(&self, other: &Self) -> bool {
+            self.cmp(other).is_eq()
+        }
+    }
+    impl Eq for ByTotalCmp {}
+    impl Ord for ByTotalCmp {
+        fn cmp(&self, other: &Self) -> Ordering {
+            other
+                .0
+                .time
+                .total_cmp(&self.0.time)
+                .then_with(|| other.0.seq.cmp(&self.0.seq))
+        }
+    }
+    impl PartialOrd for ByTotalCmp {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
     /// The queue this one replaced, kept as the reference model: every
-    /// event, arrivals included, in one min-heap on `(time, seq)`.
+    /// event, arrivals included, in one min-heap on `(time, seq)` under
+    /// [`ByTotalCmp`].
     #[derive(Default)]
     struct SingleHeap {
-        heap: BinaryHeap<QueuedEvent>,
+        heap: BinaryHeap<ByTotalCmp>,
         seq: u64,
         non_round_events: usize,
     }
@@ -294,12 +425,16 @@ mod tests {
             if !matches!(event, Event::Round) {
                 self.non_round_events += 1;
             }
-            self.heap.push(QueuedEvent { time, seq, event });
+            self.heap.push(ByTotalCmp(QueuedEvent { time, seq, event }));
             true
         }
 
+        fn peek(&self) -> Option<QueuedEvent> {
+            self.heap.peek().map(|top| top.0)
+        }
+
         fn pop(&mut self) -> Option<QueuedEvent> {
-            let popped = self.heap.pop();
+            let popped = self.heap.pop().map(|top| top.0);
             if popped.is_some_and(|q| !matches!(q.event, Event::Round)) {
                 self.non_round_events -= 1;
             }
@@ -308,14 +443,95 @@ mod tests {
     }
 
     /// What the two queues must agree on about one event.
-    fn key(queued: Option<&QueuedEvent>) -> Option<(u64, u64, Event)> {
+    fn observed(queued: Option<QueuedEvent>) -> Option<(u64, u64, Event)> {
         queued.map(|q| (q.time.to_bits(), q.seq, q.event))
+    }
+
+    /// Finite times across the whole range: both zeros, subnormals, the
+    /// smallest normals, ordinary values, and both extremes.
+    const EDGE_TIMES: [f64; 14] = [
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        5e-324,
+        -5e-324,
+        2.2e-308,
+        1.0,
+        -1.0,
+        60.0,
+        1e300,
+        -1e300,
+        f64::MAX,
+        f64::MIN,
+    ];
+
+    #[test]
+    fn slots_round_trip_the_bits_of_every_finite_time_and_event() {
+        let events = [
+            Event::Arrival(0),
+            Event::Round,
+            Event::Ready(7),
+            Event::Complete((1 << INDEX_BITS) - 1),
+        ];
+        for time in EDGE_TIMES {
+            assert_eq!(
+                time_of(time_key(time)).to_bits(),
+                time.to_bits(),
+                "{time:e}"
+            );
+            for (seq, event) in [0, 1, u64::MAX].into_iter().zip(events) {
+                let back = QueuedEvent::from(Slot::from(QueuedEvent { time, seq, event }));
+                assert_eq!(observed(Some(back)), Some((time.to_bits(), seq, event)));
+            }
+        }
+    }
+
+    #[test]
+    fn slot_keys_order_the_edge_times_as_total_cmp_does() {
+        for a in EDGE_TIMES {
+            for b in EDGE_TIMES {
+                assert_eq!(
+                    time_key(a).cmp(&time_key(b)),
+                    a.total_cmp(&b),
+                    "{a:e} vs {b:e}"
+                );
+            }
+        }
     }
 
     use proptest::prelude::*;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Unsigned key order is `(f64::total_cmp, seq)` order. Times are
+        /// drawn as raw bits, so every exponent and both signs are as likely
+        /// as any other (a non-finite draw stands in for zero); one draw in
+        /// three ties the times and one in three flips only the sign.
+        #[test]
+        fn slot_keys_order_as_total_cmp_then_seq(
+            draws in prop::collection::vec(
+                (0u64..u64::MAX, 0u64..u64::MAX, 0u64..4, 0u64..4, 0u64..3),
+                1..64,
+            ),
+        ) {
+            let finite = |bits: u64| Some(f64::from_bits(bits)).filter(|t| t.is_finite()).unwrap_or(0.0);
+            for (a_bits, b_bits, a_seq, b_seq, shape) in draws {
+                let a = finite(a_bits);
+                let b = match shape {
+                    0 => a,
+                    1 => -a,
+                    _ => finite(b_bits),
+                };
+                let x = QueuedEvent { time: a, seq: a_seq, event: Event::Ready(1) };
+                let y = QueuedEvent { time: b, seq: b_seq, event: Event::Complete(2) };
+                let expected = a.total_cmp(&b).then(a_seq.cmp(&b_seq));
+                prop_assert_eq!(x.key().cmp(&y.key()), expected);
+                prop_assert_eq!(Slot::from(x).cmp(&Slot::from(y)), expected.reverse());
+                prop_assert_eq!(observed(Some(Slot::from(x).into())), observed(Some(x)));
+            }
+        }
 
         /// Satellite of the split: any interleaving of pushes, reserved
         /// blocks landing late, out-of-order arrival sequences, rejected
@@ -394,16 +610,16 @@ mod tests {
                         push(&mut split, &mut single, bad, draw, event);
                     }
                     _ => {
-                        prop_assert_eq!(key(split.pop().as_ref()), key(single.pop().as_ref()));
+                        prop_assert_eq!(observed(split.pop()), observed(single.pop()));
                     }
                 }
-                prop_assert_eq!(key(split.peek()), key(single.heap.peek()));
+                prop_assert_eq!(observed(split.peek()), observed(single.peek()));
                 prop_assert_eq!(split.only_rounds_left(), single.non_round_events == 0);
             }
             // Drain: the whole remaining order, not just its head.
             loop {
                 let (a, b) = (split.pop(), single.pop());
-                prop_assert_eq!(key(a.as_ref()), key(b.as_ref()));
+                prop_assert_eq!(observed(a), observed(b));
                 prop_assert_eq!(split.only_rounds_left(), single.non_round_events == 0);
                 if a.is_none() {
                     break;

@@ -388,6 +388,7 @@ fn an_unsorted_trace_is_sorted_once_at_preload_not_by_the_queue() {
         .collect();
     let config = SimulationConfig::paper_default(10, 0.5);
     let mut state = SimState::new(&config, &reversed).unwrap();
+    assert!(matches!(state.jobs, Cow::Owned(_)));
     assert_eq!(state.jobs, stable_sorted(&reversed));
     let first = state.jobs[0].submit_time.value();
     let head = state.queue.pop().unwrap();
@@ -400,6 +401,17 @@ fn an_unsorted_trace_is_sorted_once_at_preload_not_by_the_queue() {
     assert!(
         state.queue.pop().is_none(),
         "the trace beyond its head was queued"
+    );
+}
+
+#[test]
+fn a_sorted_trace_is_borrowed_not_copied() {
+    let jobs = small_trace(59);
+    let config = SimulationConfig::paper_default(10, 0.5);
+    let state = SimState::new(&config, &jobs).unwrap();
+    assert!(
+        matches!(state.jobs, Cow::Borrowed(table) if std::ptr::eq(table, &jobs[..])),
+        "the engine copied a trace already in submit order"
     );
 }
 
@@ -483,6 +495,44 @@ fn pipelined_engine_overlaps_arrivals_with_solves() {
         again.summary.pipeline.unwrap().overlapped_arrivals,
         stats.overlapped_arrivals
     );
+}
+
+#[test]
+fn the_summary_folded_at_completion_is_from_outcomes_to_the_bit() {
+    // Pinning everything to two Zurich servers migrates, queues and
+    // violates: every aggregate of the summary is exercised.
+    let jobs = small_trace(61);
+    let bits = |s: &CampaignSummary| {
+        (
+            s.total_jobs,
+            [
+                s.total_carbon.value(),
+                s.total_water.value(),
+                s.mean_service_stretch,
+                s.violation_fraction,
+                s.migration_fraction,
+                s.mean_utilization,
+                s.mean_decision_time.value(),
+                s.decision_overhead_fraction,
+            ]
+            .map(f64::to_bits),
+            s.jobs_per_region,
+            s.solver,
+        )
+    };
+    for sim in both_engines(2, 0.25) {
+        let report = sim.run(&jobs, &mut PinScheduler(Region::Zurich)).unwrap();
+        let folded = &report.summary;
+        assert!(folded.violation_fraction > 0.0 && folded.migration_fraction > 0.0);
+        let refolded = CampaignSummary::from_outcomes(
+            &report.outcomes,
+            &report.overhead,
+            folded.mean_utilization,
+        );
+        assert_eq!(bits(folded), bits(&refolded), "{:?}", sim.config().engine);
+        let pipelined = matches!(sim.config().engine, EngineMode::Pipelined { .. });
+        assert_eq!(folded.pipeline.is_some(), pipelined);
+    }
 }
 
 #[test]

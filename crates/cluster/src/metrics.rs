@@ -167,30 +167,60 @@ pub struct CampaignSummary {
     pub pipeline: Option<PipelineStats>,
 }
 
-impl CampaignSummary {
-    /// Compute a summary from per-job outcomes plus engine-level statistics.
-    pub fn from_outcomes(
-        outcomes: &[JobOutcome],
+/// The per-job aggregates of a [`CampaignSummary`], folded one outcome at a
+/// time: every sum starts from `-0.0` (the identity `Iterator::sum` starts
+/// from) and adds in the order the outcomes are added. The engine adds each
+/// outcome as its job completes, so the summary needs no second pass over the
+/// outcomes; [`CampaignSummary::from_outcomes`] is the same fold over a
+/// slice, hence the same bits.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OutcomeFold {
+    jobs: usize,
+    carbon: f64,
+    water: f64,
+    stretch: f64,
+    execution: f64,
+    violations: usize,
+    migrations: usize,
+    jobs_per_region: [usize; 5],
+}
+
+impl Default for OutcomeFold {
+    fn default() -> Self {
+        Self {
+            jobs: 0,
+            carbon: -0.0,
+            water: -0.0,
+            stretch: -0.0,
+            execution: -0.0,
+            violations: 0,
+            migrations: 0,
+            jobs_per_region: [0; 5],
+        }
+    }
+}
+
+impl OutcomeFold {
+    /// Fold in the next outcome.
+    pub(crate) fn add(&mut self, o: &JobOutcome) {
+        self.jobs += 1;
+        self.carbon += o.total_carbon().value();
+        self.water += o.total_water().value();
+        self.stretch += o.service_stretch();
+        self.execution += o.execution_time.value();
+        self.violations += usize::from(o.violated_tolerance);
+        self.migrations += usize::from(o.migrated());
+        self.jobs_per_region[o.executed_region.index()] += 1;
+    }
+
+    /// The summary of the outcomes folded so far, with the engine-level
+    /// statistics.
+    pub(crate) fn summary(
+        &self,
         overhead: &[OverheadSample],
         mean_utilization: f64,
-    ) -> Self {
-        let total_jobs = outcomes.len();
-        // One pass over the outcomes (tens of MB for a long campaign), each
-        // aggregate summed in outcome order from `-0.0`, the identity
-        // `Iterator::sum` starts from — the bits per-aggregate passes gave.
-        let (mut carbon, mut water, mut stretch, mut execution) =
-            (-0.0f64, -0.0f64, -0.0f64, -0.0f64);
-        let (mut violations, mut migrations) = (0usize, 0usize);
-        let mut jobs_per_region = [0usize; 5];
-        for o in outcomes {
-            carbon += o.total_carbon().value();
-            water += o.total_water().value();
-            stretch += o.service_stretch();
-            execution += o.execution_time.value();
-            violations += usize::from(o.violated_tolerance);
-            migrations += usize::from(o.migrated());
-            jobs_per_region[o.executed_region.index()] += 1;
-        }
+    ) -> CampaignSummary {
+        let total_jobs = self.jobs;
         let per_job = |total: f64, empty: f64| {
             if total_jobs == 0 {
                 empty
@@ -205,7 +235,7 @@ impl CampaignSummary {
                 overhead.iter().map(|s| s.wall_clock.value()).sum::<f64>() / overhead.len() as f64,
             )
         };
-        let mean_execution = per_job(execution, 0.0);
+        let mean_execution = per_job(self.execution, 0.0);
         let decision_overhead_fraction = if mean_execution <= 0.0 {
             0.0
         } else {
@@ -215,20 +245,34 @@ impl CampaignSummary {
         for sample in overhead.iter().filter_map(|s| s.solver.as_ref()) {
             solver.accumulate(sample);
         }
-        Self {
+        CampaignSummary {
             total_jobs,
-            total_carbon: Co2Grams::new(carbon),
-            total_water: Liters::new(water),
-            mean_service_stretch: per_job(stretch, 1.0),
-            violation_fraction: per_job(violations as f64, 0.0),
-            migration_fraction: per_job(migrations as f64, 0.0),
-            jobs_per_region,
+            total_carbon: Co2Grams::new(self.carbon),
+            total_water: Liters::new(self.water),
+            mean_service_stretch: per_job(self.stretch, 1.0),
+            violation_fraction: per_job(self.violations as f64, 0.0),
+            migration_fraction: per_job(self.migrations as f64, 0.0),
+            jobs_per_region: self.jobs_per_region,
             mean_utilization,
             mean_decision_time,
             decision_overhead_fraction,
             solver,
             pipeline: None,
         }
+    }
+}
+
+impl CampaignSummary {
+    /// Compute a summary from per-job outcomes plus engine-level statistics:
+    /// the fold the engine makes as jobs complete, over a slice.
+    pub fn from_outcomes(
+        outcomes: &[JobOutcome],
+        overhead: &[OverheadSample],
+        mean_utilization: f64,
+    ) -> Self {
+        let mut fold = OutcomeFold::default();
+        outcomes.iter().for_each(|o| fold.add(o));
+        fold.summary(overhead, mean_utilization)
     }
 
     /// This summary with pipeline occupancy counters attached (builder form

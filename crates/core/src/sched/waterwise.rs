@@ -29,7 +29,7 @@ use waterwise_milp::{
     BranchBoundConfig, CacheStats, LinExpr, Model, Sense, SimplexConfig, SolutionCacheHandle,
     SolverWorkspace, Var, VarKind, WarmStats,
 };
-use waterwise_sustain::{FootprintEstimator, RegionConditions};
+use waterwise_sustain::{FootprintEstimator, RegionConditions, Seconds};
 use waterwise_telemetry::{ConditionsProvider, Region};
 
 /// Configuration of the WaterWise decision controller.
@@ -252,15 +252,22 @@ impl RoundNumerics {
 
 /// Every list a round works on, kept by the scheduler so that a round
 /// allocates nothing but the `Vec<Assignment>` it returns: `schedule` takes
-/// it, each step overwrites its own lists, and `schedule` puts it back.
+/// it, each step overwrites its own lists — the history terms only when their
+/// key has changed, as they are a pure function of it — and `schedule` puts
+/// it back. No decision depends on an earlier one.
 #[derive(Default)]
 struct RoundScratch {
     /// Per region, in `ctx.regions` order: its name, free slots, conditions
-    /// at `ctx.now` and normalized history terms.
+    /// at `ctx.now` and normalized history terms (taken at the start of the
+    /// hour that contains `ctx.now`).
     regions: Vec<Region>,
     capacities: Vec<usize>,
     conditions: Vec<(Region, RegionConditions)>,
     history: Vec<(f64, f64)>,
+    /// What `history` was computed for: the telemetry hour `⌊now/3600⌋` and
+    /// the regions. `history` is a pure function of this key, so a round
+    /// that finds it unchanged keeps `history` as it is.
+    history_key: Option<(f64, Vec<Region>)>,
     /// The selected jobs as indices into `ctx.pending`, out of the slack
     /// manager's `(pool index, urgency)` ranking; their numerics, filled
     /// through one job's candidate row; their hinted region indices and the
@@ -423,8 +430,11 @@ pub struct WaterWiseScheduler {
     /// Reusable solver allocations + warm-start accounting; persists across
     /// scheduling rounds because the engine reuses the scheduler instance.
     workspace: SolverWorkspace,
-    /// The round's working lists, reused for the same reason; every round
-    /// overwrites what it reads, so no decision depends on an earlier one.
+    /// The round's working lists, reused for the same reason. Every round
+    /// overwrites what it reads, except the history terms, which it keeps
+    /// only when their key (hour and regions) is the one they were computed
+    /// for — and they are a pure function of that key. So no decision
+    /// depends on an earlier one (`memoised_history_decides_as_recomputed`).
     scratch: RoundScratch,
 }
 
@@ -643,13 +653,28 @@ impl WaterWiseScheduler {
 
     /// Normalized trailing-window footprints per region, the `CO2_ref` /
     /// `H2O_ref` history terms of Eq. 8 (a handful of trailing means: serial).
+    ///
+    /// The means are taken at the start of the telemetry hour that contains
+    /// `ctx.now`, `H·3600` with `H = ⌊now/3600⌋`. For hourly telemetry that
+    /// is exact: every `now − 3600k` is computed exactly and falls in the
+    /// same hour as `H·3600 − 3600k`, so both instants sample the same hours
+    /// (`trailing_means_are_those_of_the_hours_start`). With the anchor the
+    /// terms are a pure function of `(H, regions)`, so they are recomputed
+    /// only when that key changes: once per hour, not once per round.
     fn history_terms(&self, ctx: &SchedulingContext<'_>, round: &mut RoundScratch) {
+        let hour = (ctx.now.value() / 3600.0).floor();
+        if let Some((at, regions)) = &round.history_key {
+            if *at == hour && *regions == round.regions {
+                return;
+            }
+        }
+        let anchor = Seconds::new(hour * 3600.0);
         let (pue, window) = (self.estimator.params.pue, self.config.history_window_hours);
         let trailing = |&r: &Region| {
-            let carbon = self.provider.trailing_carbon(r, ctx.now, window).value();
+            let carbon = self.provider.trailing_carbon(r, anchor, window).value();
             let water = self
                 .provider
-                .trailing_water_intensity(r, ctx.now, window, pue);
+                .trailing_water_intensity(r, anchor, window, pue);
             (carbon, water)
         };
         let history = &mut round.history;
@@ -663,6 +688,9 @@ impl WaterWiseScheduler {
             *carbon /= max_carbon;
             *water /= max_water;
         }
+        let key = round.history_key.get_or_insert_with(Default::default);
+        key.0 = hour;
+        round.regions.clone_into(&mut key.1);
     }
 }
 
@@ -736,7 +764,6 @@ pub fn paper_default_scheduler(provider: Arc<dyn ConditionsProvider>) -> WaterWi
 mod tests {
     use super::*;
     use crate::sched::test_support::{context_fixture, ContextFixture};
-    use waterwise_sustain::Seconds;
     use waterwise_telemetry::SyntheticTelemetry;
     use waterwise_traces::JobId;
 
@@ -1051,6 +1078,100 @@ mod tests {
                 sharded.stats().simplex_iterations
             );
         }
+    }
+
+    /// `SyntheticTelemetry` counting the trailing means it is asked for.
+    struct CountingTrailing {
+        inner: SyntheticTelemetry,
+        trailing: std::sync::atomic::AtomicUsize,
+    }
+
+    impl ConditionsProvider for CountingTrailing {
+        fn conditions(&self, region: Region, at: Seconds) -> RegionConditions {
+            self.inner.conditions(region, at)
+        }
+
+        fn trailing_carbon(
+            &self,
+            region: Region,
+            at: Seconds,
+            window_hours: usize,
+        ) -> waterwise_sustain::CarbonIntensity {
+            self.trailing
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.trailing_carbon(region, at, window_hours)
+        }
+
+        fn trailing_water_intensity(
+            &self,
+            region: Region,
+            at: Seconds,
+            window_hours: usize,
+            pue: f64,
+        ) -> f64 {
+            self.inner
+                .trailing_water_intensity(region, at, window_hours, pue)
+        }
+    }
+
+    /// A WaterWise scheduler that forgets its history terms before every
+    /// round: the per-round recomputation the memo replaced.
+    struct Recomputing(WaterWiseScheduler);
+
+    impl Scheduler for Recomputing {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+
+        fn schedule(&mut self, ctx: &SchedulingContext<'_>) -> SchedulingDecision {
+            self.0.scratch.history_key = None;
+            self.0.schedule(ctx)
+        }
+    }
+
+    #[test]
+    fn memoised_history_decides_as_recomputed() {
+        use waterwise_cluster::{schedule_digest, SimulationConfig, Simulator};
+        use waterwise_traces::{TraceConfig, TraceGenerator};
+        // A Borg day: 1 440 rounds across 24 hour boundaries, every one with
+        // a free server (a round without one never asks for history terms).
+        let jobs = TraceGenerator::new(TraceConfig::borg(1.0, 5)).generate();
+        let telemetry = SyntheticTelemetry::with_seed(5);
+        let simulator =
+            Simulator::new(SimulationConfig::paper_default(50, 0.5), telemetry.clone()).unwrap();
+        let run = |scheduler: &mut dyn Scheduler| simulator.run(&jobs, scheduler).unwrap();
+        let provider = |telemetry: &SyntheticTelemetry| {
+            Arc::new(CountingTrailing {
+                inner: telemetry.clone(),
+                trailing: Default::default(),
+            })
+        };
+        let (memo_side, recompute_side) = (provider(&telemetry), provider(&telemetry));
+        let mut memoised = WaterWiseScheduler::with_defaults(memo_side.clone());
+        let mut recomputing =
+            Recomputing(WaterWiseScheduler::with_defaults(recompute_side.clone()));
+        let (memo, reference) = (run(&mut memoised), run(&mut recomputing));
+        assert_eq!(memo.outcomes, reference.outcomes);
+        assert_eq!(
+            schedule_digest(&memo.outcomes),
+            schedule_digest(&reference.outcomes)
+        );
+        let rounds = memoised.stats().rounds;
+        assert_eq!(rounds, recomputing.0.stats().rounds);
+        // One trailing carbon mean per region per round against one per
+        // region per hour that had a round.
+        let count =
+            |side: &CountingTrailing| side.trailing.load(std::sync::atomic::Ordering::Relaxed);
+        let regions = waterwise_telemetry::ALL_REGIONS.len();
+        assert_eq!(count(&recompute_side), regions * rounds);
+        let hours: std::collections::BTreeSet<u64> = memo
+            .overhead
+            .iter()
+            .filter(|round| round.batch_size > 0)
+            .map(|round| (round.sim_time.value() / 3600.0) as u64)
+            .collect();
+        assert!(hours.len() >= 24 && rounds > 20 * hours.len(), "fixture");
+        assert_eq!(count(&memo_side), regions * hours.len());
     }
 
     #[test]

@@ -441,6 +441,31 @@ mod tests {
         }
     }
 
+    /// The start of the telemetry hour that contains `at`, `3600·⌊at/3600⌋`:
+    /// where the scheduler's history learner takes its trailing means.
+    fn hour_start(at: Seconds) -> Seconds {
+        Seconds::new((at.value() / 3600.0).floor() * 3600.0)
+    }
+
+    /// Whether `a` and `b` return the same bits for both trailing means of
+    /// `region` over `window` hours, `a` at `at` and `b` at `b_at`.
+    fn same_trailing_means(
+        a: &dyn ConditionsProvider,
+        b: &dyn ConditionsProvider,
+        region: Region,
+        (at, b_at): (Seconds, Seconds),
+        window: usize,
+    ) -> bool {
+        let carbon = |p: &dyn ConditionsProvider, at| {
+            p.trailing_carbon(region, at, window).value().to_bits()
+        };
+        let water = |p: &dyn ConditionsProvider, at| {
+            p.trailing_water_intensity(region, at, window, 1.2)
+                .to_bits()
+        };
+        carbon(a, at) == carbon(b, b_at) && water(a, at) == water(b, b_at)
+    }
+
     #[test]
     fn series_trailing_means_equal_the_sampled_defaults() {
         // Two days of telemetry: hour 60 wraps, and every window below
@@ -474,14 +499,7 @@ mod tests {
                 for at in instants.map(Seconds::new) {
                     for window in [0, 1, 10, 48] {
                         let same = |a: &dyn ConditionsProvider, b: &dyn ConditionsProvider| {
-                            let carbon = |p: &dyn ConditionsProvider| {
-                                p.trailing_carbon(region, at, window).value().to_bits()
-                            };
-                            let water = |p: &dyn ConditionsProvider| {
-                                p.trailing_water_intensity(region, at, window, 1.2)
-                                    .to_bits()
-                            };
-                            carbon(a) == carbon(b) && water(a) == water(b)
+                            same_trailing_means(a, b, region, (at, at), window)
                         };
                         assert!(
                             same(&series, &sampled),
@@ -490,7 +508,63 @@ mod tests {
                         );
                         // Scaling is per sample: it keeps the defaults.
                         assert!(same(&perturbed, &perturbed_sampled));
+                        // Hourly telemetry: the hour's start samples the
+                        // same hours as any instant inside it.
+                        let anchored = (at, hour_start(at));
+                        for provider in [&series as &dyn ConditionsProvider, &perturbed] {
+                            assert!(
+                                same_trailing_means(provider, provider, region, anchored, window),
+                                "{dataset:?} {region} at {} s, window {window}: not the \
+                                 hour's start",
+                                at.value()
+                            );
+                        }
                     }
+                }
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The scheduler's history anchor is exact for hourly telemetry:
+        /// trailing means at any `at` are, to the bit, those at the start of
+        /// its hour. `at` spans every magnitude up to 2^53 s — inside the
+        /// two-day horizon, past it (wrapping), and within an ulp of hour
+        /// boundaries where the mantissa runs out.
+        #[test]
+        fn trailing_means_are_those_of_the_hours_start(
+            draws in prop::collection::vec((0.0f64..1.0, 0u32..54, 0usize..5, 0usize..4, 0u64..3), 1..16),
+        ) {
+            let telemetry = |dataset| {
+                SyntheticTelemetry::generate(TelemetryConfig {
+                    seed: 17,
+                    horizon_days: 2,
+                    dataset,
+                    ..TelemetryConfig::default()
+                })
+            };
+            let primary = telemetry(EwifDataset::Primary);
+            let wri = telemetry(EwifDataset::WorldResourcesInstitute);
+            let perturbed = PerturbedProvider::new(primary.clone(), 0.9, 1.1);
+            for (fraction, exponent, region, window, nudge) in draws {
+                let at = fraction * 2f64.powi(exponent as i32);
+                // One draw in three just below the next hour boundary.
+                let at = match nudge {
+                    0 => (hour_start(Seconds::new(at)).value() + 3600.0).next_down(),
+                    _ => at,
+                };
+                let at = Seconds::new(at);
+                let (region, window) = (ALL_REGIONS[region], [0, 1, 10, 48][window]);
+                for provider in [&primary as &dyn ConditionsProvider, &wri, &perturbed] {
+                    prop_assert!(
+                        same_trailing_means(provider, provider, region, (at, hour_start(at)), window),
+                        "{region} at {} s, window {window}",
+                        at.value()
+                    );
                 }
             }
         }

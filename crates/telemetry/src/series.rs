@@ -33,7 +33,8 @@ impl HourlySeries {
         self.values.len()
     }
 
-    /// `true` if there is exactly one sample (constant series).
+    /// Always `false`: a series holds at least one sample (see
+    /// [`HourlySeries::new`]).
     pub fn is_empty(&self) -> bool {
         false
     }
@@ -95,17 +96,6 @@ impl HourlySeries {
         var.sqrt()
     }
 
-    /// Mean of the `window` samples ending at (and including) the hour that
-    /// contains `time` — used by the scheduler's history learner.
-    pub fn trailing_mean(&self, time: Seconds, window: usize) -> f64 {
-        let window = window.max(1);
-        let end = (time.value().max(0.0) / 3600.0).floor() as usize;
-        let sum: f64 = (0..window)
-            .map(|k| self.at_hour((end + self.values.len() * window).saturating_sub(k)))
-            .sum();
-        sum / window as f64
-    }
-
     /// Apply a multiplicative factor to every sample.
     pub fn scaled(&self, factor: f64) -> Self {
         Self::new(self.values.iter().map(|v| v * factor).collect())
@@ -146,14 +136,6 @@ mod tests {
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 8.0);
         assert!(s.std_dev() > 0.0);
-    }
-
-    #[test]
-    fn trailing_mean_covers_window() {
-        let s = HourlySeries::new(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        // At hour 4, a window of 3 covers hours 2, 3, 4 -> mean 4.
-        let m = s.trailing_mean(Seconds::from_hours(4.2), 3);
-        assert!((m - 4.0).abs() < 1e-12, "got {m}");
     }
 
     #[test]

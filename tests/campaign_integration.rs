@@ -509,6 +509,55 @@ fn malformed_trace_fails_with_a_typed_error_not_a_panic() {
     assert!(err.to_string().contains("duplicate"));
 }
 
+/// A hand-built Oregon job with the given id, submit time and execution time.
+fn job_with(id: u64, submit_time: f64, execution_time: f64) -> waterwise::traces::JobSpec {
+    use waterwise::sustain::{KilowattHours, Seconds};
+    use waterwise::traces::{Benchmark, JobId, JobSpec};
+    JobSpec {
+        id: JobId(id),
+        benchmark: Benchmark::Dedup,
+        submit_time: Seconds::new(submit_time),
+        home_region: Region::Oregon,
+        actual_execution_time: Seconds::new(execution_time),
+        actual_energy: KilowattHours::new(0.01),
+        estimated_execution_time: Seconds::new(60.0),
+        estimated_energy: KilowattHours::new(0.01),
+        package_bytes: 1,
+    }
+}
+
+/// The event a run over `jobs` under the baseline scheduler fails on with
+/// [`SimulationError::NonFiniteEventTime`](waterwise::cluster::SimulationError).
+fn non_finite_event_of(jobs: &[waterwise::traces::JobSpec]) -> String {
+    use waterwise::cluster::{SimulationConfig, SimulationError, Simulator};
+    use waterwise::core::BaselineScheduler;
+    use waterwise::telemetry::SyntheticTelemetry;
+    let simulator = Simulator::new(
+        SimulationConfig::paper_default(10, 0.5),
+        SyntheticTelemetry::with_seed(1),
+    )
+    .unwrap();
+    match simulator.run(jobs, &mut BaselineScheduler::new()) {
+        Err(SimulationError::NonFiniteEventTime { event, .. }) => event,
+        other => panic!("expected NonFiniteEventTime, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_non_finite_arrival_names_the_job_by_its_trace_id() {
+    // Rejected at preload: the second job of the caller's slice, id 101.
+    let jobs = [job_with(100, 0.0, 60.0), job_with(101, f64::NAN, 60.0)];
+    assert_eq!(non_finite_event_of(&jobs), "arrival of job 101");
+}
+
+#[test]
+fn an_overflowing_completion_names_the_job_by_its_trace_id() {
+    // Rejected in flight: the job starts at 1e300 s and its completion
+    // overflows to +inf. Its table index is 0, its id 7.
+    let jobs = [job_with(7, 1e300, f64::MAX)];
+    assert_eq!(non_finite_event_of(&jobs), "completion of job 7");
+}
+
 #[test]
 fn zero_horizon_campaign_still_completes_every_job() {
     // Regression: `with_horizon(Some(0))` used to stall every pending job
