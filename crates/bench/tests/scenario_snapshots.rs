@@ -12,10 +12,9 @@
 //! goldens; commit the resulting diff. CI guards that the variable is never
 //! set there, so drift can only be accepted deliberately.
 //!
-//! The determinism sweep re-runs each scenario across engine mode (sync /
-//! pipelined) × warm/cold solver starts and demands a byte-identical
-//! rendering from every cell — "snapshot == replay" (ARCHITECTURE.md
-//! invariant table).
+//! The determinism sweep re-runs each scenario with warm and cold solver
+//! starts and demands a byte-identical rendering from both — "snapshot ==
+//! replay" (ARCHITECTURE.md invariant table).
 
 #[path = "../../service/tests/support/mod.rs"]
 mod support;
@@ -26,9 +25,7 @@ use waterwise_core::scenario::{
     assert_snapshot, check_snapshot, orphaned_snapshots, snapshot_path, update_mode, Snapshot,
     SnapshotError,
 };
-use waterwise_core::{
-    load_spec, Campaign, EngineMode, ObjectiveWeights, Parallelism, Scenario, SchedulerKind,
-};
+use waterwise_core::{load_spec, Campaign, ObjectiveWeights, Parallelism, Scenario, SchedulerKind};
 
 fn snapshots_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -182,62 +179,56 @@ fn fig17_scenario_online_sessions_match_offline_golden() {
     .expect("offline reference campaign must run");
 
     // A live TCP session on a one-session host under the discrete clock
-    // must reproduce the offline schedule byte for byte, under both
-    // engines.
-    for engine in [EngineMode::Sync, EngineMode::Pipelined { workers: 2 }] {
-        let config = ServiceConfig::new(simulation.clone().with_engine_mode(engine), telemetry)
-            .with_clock(ClockMode::Discrete);
-        let service = PlacementService::new(config).expect("valid service config");
-        let host = ClusterHost::start_with_service(
-            service,
-            AdmissionConfig {
-                tenant_inflight_quota: jobs.len().max(1),
-                mode: AdmissionMode::Streaming {
-                    close_after_sessions: Some(1),
-                },
-                ..AdmissionConfig::default()
+    // must reproduce the offline schedule byte for byte.
+    let config = ServiceConfig::new(simulation.clone(), telemetry).with_clock(ClockMode::Discrete);
+    let service = PlacementService::new(config).expect("valid service config");
+    let host = ClusterHost::start_with_service(
+        service,
+        AdmissionConfig {
+            tenant_inflight_quota: jobs.len().max(1),
+            mode: AdmissionMode::Streaming {
+                close_after_sessions: Some(1),
             },
-            make_scheduler(),
-        )
-        .expect("host must start");
-        let server = TcpClusterServer::bind("127.0.0.1:0").expect("bind ephemeral port");
-        let addr = server.local_addr().expect("bound address");
-        std::thread::scope(|scope| {
-            let jobs = &jobs;
-            let client = scope.spawn(move || {
-                let stream = TcpStream::connect(addr).expect("connect to service");
-                let mut writer = stream.try_clone().expect("clone stream");
-                std::thread::scope(|inner| {
-                    // Drain responses concurrently or the two directions
-                    // deadlock on full socket buffers.
-                    let reader = inner.spawn(move || {
-                        for line in BufReader::new(stream).lines() {
-                            line.expect("read response line");
-                        }
-                    });
-                    for spec in jobs.iter() {
-                        writeln!(writer, "{}", waterwise_service::wire::encode_request(spec))
-                            .expect("send request");
+            ..AdmissionConfig::default()
+        },
+        make_scheduler(),
+    )
+    .expect("host must start");
+    let server = TcpClusterServer::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = server.local_addr().expect("bound address");
+    std::thread::scope(|scope| {
+        let jobs = &jobs;
+        let client = scope.spawn(move || {
+            let stream = TcpStream::connect(addr).expect("connect to service");
+            let mut writer = stream.try_clone().expect("clone stream");
+            std::thread::scope(|inner| {
+                // Drain responses concurrently or the two directions
+                // deadlock on full socket buffers.
+                let reader = inner.spawn(move || {
+                    for line in BufReader::new(stream).lines() {
+                        line.expect("read response line");
                     }
-                    writer.flush().expect("flush requests");
-                    let _ = writer.shutdown(std::net::Shutdown::Write);
-                    reader.join().expect("response reader panicked");
                 });
+                for spec in jobs.iter() {
+                    writeln!(writer, "{}", waterwise_service::wire::encode_request(spec))
+                        .expect("send request");
+                }
+                writer.flush().expect("flush requests");
+                let _ = writer.shutdown(std::net::Shutdown::Write);
+                reader.join().expect("response reader panicked");
             });
-            server
-                .serve_sessions(&host, 1)
-                .expect("serving session must complete");
-            client.join().expect("client panicked");
         });
-        let report = host.shutdown().expect("host shutdown");
-        assert_eq!(report.accepted, jobs.len(), "every request admitted");
-        assert_eq!(
-            report.report.outcomes,
-            offline.outcomes,
-            "online session ({}) diverged from the offline replay",
-            engine.label()
-        );
-    }
+        server
+            .serve_sessions(&host, 1)
+            .expect("serving session must complete");
+        client.join().expect("client panicked");
+    });
+    let report = host.shutdown().expect("host shutdown");
+    assert_eq!(report.accepted, jobs.len(), "every request admitted");
+    assert_eq!(
+        report.report.outcomes, offline.outcomes,
+        "online session diverged from the offline replay"
+    );
 
     let mut snap = Snapshot::new();
     snap.add_summary("offline", &offline.summary);
@@ -275,10 +266,9 @@ fn server_multi_scenario_live_tcp_sessions_match_golden() {
         })
         .collect();
 
-    let make_service = |engine| {
+    let make_service = || {
         PlacementService::new(
-            ServiceConfig::new(simulation.clone().with_engine_mode(engine), telemetry)
-                .with_clock(ClockMode::Discrete),
+            ServiceConfig::new(simulation.clone(), telemetry).with_clock(ClockMode::Discrete),
         )
         .expect("valid service config")
     };
@@ -303,88 +293,71 @@ fn server_multi_scenario_live_tcp_sessions_match_golden() {
         ..AdmissionConfig::default()
     };
 
-    let mut reference: Option<String> = None;
-    for engine in [EngineMode::Sync, EngineMode::Pipelined { workers: 2 }] {
-        let service = make_service(engine);
-        let scheduler = make_scheduler(&service);
-        let host = ClusterHost::start_with_service(service, admission.clone(), scheduler)
-            .expect("host must start");
-        let server = TcpClusterServer::bind("127.0.0.1:0").expect("bind ephemeral port");
-        let addr = server.local_addr().expect("bound address");
-        std::thread::scope(|scope| {
-            let serving = scope.spawn(|| server.serve_sessions(&host, tenants.len()));
-            let clients: Vec<_> = tenants
-                .iter()
-                .zip(&streams)
-                .map(|(tenant, stream)| {
-                    scope.spawn(move || {
-                        let mut socket = TcpStream::connect(addr).expect("connect");
-                        let reader = BufReader::new(socket.try_clone().expect("clone stream"));
-                        for spec in stream {
-                            writeln!(socket, "{}", wire::encode_tenant_request(tenant, spec))
-                                .expect("send request");
-                        }
-                        socket.flush().expect("flush requests");
-                        let _ = socket.shutdown(std::net::Shutdown::Write);
-                        reader
-                            .lines()
-                            .filter_map(|l| wire::placement_job_id(&l.expect("read line")))
-                            .count()
-                    })
+    let service = make_service();
+    let scheduler = make_scheduler(&service);
+    let host =
+        ClusterHost::start_with_service(service, admission, scheduler).expect("host must start");
+    let server = TcpClusterServer::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = server.local_addr().expect("bound address");
+    std::thread::scope(|scope| {
+        let serving = scope.spawn(|| server.serve_sessions(&host, tenants.len()));
+        let clients: Vec<_> = tenants
+            .iter()
+            .zip(&streams)
+            .map(|(tenant, stream)| {
+                scope.spawn(move || {
+                    let mut socket = TcpStream::connect(addr).expect("connect");
+                    let reader = BufReader::new(socket.try_clone().expect("clone stream"));
+                    for spec in stream {
+                        writeln!(socket, "{}", wire::encode_tenant_request(tenant, spec))
+                            .expect("send request");
+                    }
+                    socket.flush().expect("flush requests");
+                    let _ = socket.shutdown(std::net::Shutdown::Write);
+                    reader
+                        .lines()
+                        .filter_map(|l| wire::placement_job_id(&l.expect("read line")))
+                        .count()
                 })
-                .collect();
-            for (client, stream) in clients.into_iter().zip(&streams) {
-                assert_eq!(
-                    client.join().expect("client panicked"),
-                    stream.len(),
-                    "every request of every tenant must be placed"
-                );
-            }
-            serving.join().expect("server panicked").expect("sessions");
-        });
-        let report = host.shutdown().expect("host shutdown");
-        assert_eq!(report.accepted, jobs.len());
-        assert_eq!(report.served, jobs.len());
-        assert_eq!(report.sessions, tenants.len());
-
-        // journal == replay, byte for byte: the live run's admission
-        // journal replayed offline reproduces the schedule exactly.
-        let replay_service = make_service(EngineMode::Sync);
-        let mut replay_scheduler = make_scheduler(&replay_service);
-        let replay = report
-            .journal
-            .replay(&replay_service, replay_scheduler.as_mut())
-            .expect("journal must replay");
-        assert_eq!(
-            report.report.outcomes, replay.report.report.outcomes,
-            "offline journal replay diverged from the live multi-session run"
-        );
-        assert_eq!(report.schedule_digest(), replay.schedule_digest());
-
-        let mut snap = Snapshot::new();
-        snap.add_summary("host", &report.report.summary);
-        snap.add_schedule("host", &report.report.outcomes);
-        snap.entry("host.sessions", report.sessions);
-        snap.entry("host.accepted", report.accepted);
-        for (tenant, stats) in &report.tenants {
-            snap.entry(format!("tenant.{tenant}.served"), stats.served);
+            })
+            .collect();
+        for (client, stream) in clients.into_iter().zip(&streams) {
+            assert_eq!(
+                client.join().expect("client panicked"),
+                stream.len(),
+                "every request of every tenant must be placed"
+            );
         }
-        let rendered = snap.render();
-        match &reference {
-            None => reference = Some(rendered),
-            Some(expected) => assert_eq!(
-                expected,
-                &rendered,
-                "multi-session run diverged between engines ({})",
-                engine.label()
-            ),
-        }
-    }
-    assert_snapshot(
-        &snapshots_dir(),
-        "server_multi",
-        &reference.expect("at least one engine ran"),
+        serving.join().expect("server panicked").expect("sessions");
+    });
+    let report = host.shutdown().expect("host shutdown");
+    assert_eq!(report.accepted, jobs.len());
+    assert_eq!(report.served, jobs.len());
+    assert_eq!(report.sessions, tenants.len());
+
+    // journal == replay, byte for byte: the live run's admission
+    // journal replayed offline reproduces the schedule exactly.
+    let replay_service = make_service();
+    let mut replay_scheduler = make_scheduler(&replay_service);
+    let replay = report
+        .journal
+        .replay(&replay_service, replay_scheduler.as_mut())
+        .expect("journal must replay");
+    assert_eq!(
+        report.report.outcomes, replay.report.report.outcomes,
+        "offline journal replay diverged from the live multi-session run"
     );
+    assert_eq!(report.schedule_digest(), replay.schedule_digest());
+
+    let mut snap = Snapshot::new();
+    snap.add_summary("host", &report.report.summary);
+    snap.add_schedule("host", &report.report.outcomes);
+    snap.entry("host.sessions", report.sessions);
+    snap.entry("host.accepted", report.accepted);
+    for (tenant, stats) in &report.tenants {
+        snap.entry(format!("tenant.{tenant}.served"), stats.served);
+    }
+    assert_snapshot(&snapshots_dir(), "server_multi", &snap.render());
 }
 
 #[test]
@@ -474,49 +447,43 @@ fn server_resume_scenario_pins_a_save_restart_resume_cycle() {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism sweep: engine mode × warm/cold, per scenario
+// Determinism sweep: warm/cold, per scenario
 // ---------------------------------------------------------------------------
 
-/// Replay the scenario's base campaign in every engine × warm/cold cell and
-/// demand a byte-identical snapshot rendering from each — the
+/// Replay the scenario's base campaign with warm and with cold solver starts
+/// and demand a byte-identical snapshot rendering from both — the
 /// "snapshot == replay" invariant.
 fn sweep_renders_byte_identical(name: &str) {
     let scenario = load(name);
-    let mut reference: Option<(String, String)> = None;
-    for engine in [EngineMode::Sync, EngineMode::Pipelined { workers: 2 }] {
-        for warm in [true, false] {
-            let mut config = scenario.config.clone().with_engine_mode(engine);
-            config.waterwise.warm_start = warm;
-            let outcome = Campaign::new(config)
-                .run(SchedulerKind::WaterWise)
-                .expect("campaign must run");
-            let mut snap = Snapshot::new();
-            add_outcome(&mut snap, "waterwise", &outcome);
-            let rendered = snap.render();
-            let cell = format!("{}/warm={warm}", engine.label());
-            match &reference {
-                None => reference = Some((rendered, cell)),
-                Some((expected, reference_cell)) => assert_eq!(
-                    expected, &rendered,
-                    "scenario {name}: cell {cell} rendered differently from {reference_cell}"
-                ),
-            }
-        }
-    }
+    let render = |warm: bool| {
+        let mut config = scenario.config.clone();
+        config.waterwise.warm_start = warm;
+        let outcome = Campaign::new(config)
+            .run(SchedulerKind::WaterWise)
+            .expect("campaign must run");
+        let mut snap = Snapshot::new();
+        add_outcome(&mut snap, "waterwise", &outcome);
+        snap.render()
+    };
+    assert_eq!(
+        render(true),
+        render(false),
+        "scenario {name}: cold starts rendered differently from warm ones"
+    );
 }
 
 #[test]
-fn fig05_sweep_is_byte_identical_across_engine_warm() {
+fn fig05_sweep_is_byte_identical_warm_and_cold() {
     sweep_renders_byte_identical("fig05");
 }
 
 #[test]
-fn fig08_sweep_is_byte_identical_across_engine_warm() {
+fn fig08_sweep_is_byte_identical_warm_and_cold() {
     sweep_renders_byte_identical("fig08");
 }
 
 #[test]
-fn fig14_sweep_is_byte_identical_across_engine_warm() {
+fn fig14_sweep_is_byte_identical_warm_and_cold() {
     sweep_renders_byte_identical("fig14");
 }
 

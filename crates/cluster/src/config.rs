@@ -6,73 +6,21 @@ use serde::{Deserialize, Serialize};
 use waterwise_sustain::{DataCenterParams, Seconds};
 use waterwise_telemetry::{Region, ALL_REGIONS};
 
-/// How the engine executes one campaign.
+/// A retired engine-mode selector, kept only because the frozen perf
+/// ledger (`benchmark/`) still names it.
 ///
-/// Both modes run the same event loop over the same deterministic core and
-/// are guaranteed to produce **byte-identical schedules, outcomes, and
-/// summaries** (wall-clock measurements aside); the mode only decides
-/// whether scheduler solves run inline on the event loop or on a dedicated
-/// solver-stage thread.
-///
-/// ```
-/// use waterwise_cluster::EngineMode;
-///
-/// // A zero-worker pipeline cannot make progress; it normalizes to Sync.
-/// assert_eq!(EngineMode::Pipelined { workers: 0 }.normalized(), EngineMode::Sync);
-/// assert_eq!(
-///     EngineMode::Pipelined { workers: 3 }.normalized(),
-///     EngineMode::Pipelined { workers: 3 },
-/// );
-/// assert!(!EngineMode::default().is_pipelined());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+/// The engine has one solve path: every round solves inline on the event
+/// loop, whatever mode is passed. [`SimulationConfig::with_engine_mode`]
+/// accepts a mode and ignores it. ROADMAP item 1 deletes the name.
+#[derive(Debug, Clone, Copy)]
 pub enum EngineMode {
-    /// Everything runs inline on the caller's thread: each scheduling-round
-    /// solve blocks event processing (the reference behavior).
-    #[default]
+    /// The one inline path.
     Sync,
-    /// The engine runs as a pipeline: a dedicated *solver stage* thread owns
-    /// the scheduler and receives round snapshots over a bounded channel
-    /// (decisions are committed back in strict slot order), arrival events
-    /// ahead of the commit barrier are ingested while a solve is in flight,
-    /// and footprint accounting stays on the event thread.
-    ///
-    /// Any `workers ≥ 1` means exactly that one solver-stage thread;
-    /// `workers: 0` is normalized to [`EngineMode::Sync`] — see
-    /// [`EngineMode::normalized`].
+    /// Runs the same inline path as [`EngineMode::Sync`].
     Pipelined {
-        /// Requested auxiliary threads. Only zero vs non-zero matters: the
-        /// pipeline always runs one solver stage; the count survives in
-        /// [`EngineMode::label`].
+        /// Ignored.
         workers: usize,
     },
-}
-
-impl EngineMode {
-    /// Resolve degenerate configurations: `Pipelined { workers: 0 }` has no
-    /// thread to run the solver stage on, so it clamps to [`EngineMode::Sync`]
-    /// (mirroring how a zero-job scheduling horizon clamps to one job instead
-    /// of stalling forever). Every engine entry point normalizes before
-    /// dispatching.
-    pub fn normalized(self) -> Self {
-        match self {
-            EngineMode::Pipelined { workers: 0 } => EngineMode::Sync,
-            other => other,
-        }
-    }
-
-    /// Whether this mode (after normalization) runs the pipelined engine.
-    pub fn is_pipelined(self) -> bool {
-        matches!(self.normalized(), EngineMode::Pipelined { .. })
-    }
-
-    /// Stable label used in experiment output.
-    pub fn label(self) -> String {
-        match self.normalized() {
-            EngineMode::Sync => "sync".to_string(),
-            EngineMode::Pipelined { workers } => format!("pipelined({workers})"),
-        }
-    }
 }
 
 /// Configuration of one simulated campaign.
@@ -93,9 +41,6 @@ pub struct SimulationConfig {
     /// Multiplicative perturbation of the embodied footprints (the ±10%
     /// sensitivity analysis); 1.0 = unperturbed.
     pub embodied_perturbation: f64,
-    /// How the engine executes the campaign (synchronous or pipelined).
-    /// Schedules are byte-identical either way; see [`EngineMode`].
-    pub engine: EngineMode,
 }
 
 impl SimulationConfig {
@@ -116,13 +61,13 @@ impl SimulationConfig {
             datacenter: DataCenterParams::paper_default(),
             transfer: TransferModel::paper_default(),
             embodied_perturbation: 1.0,
-            engine: EngineMode::default(),
         }
     }
 
-    /// Override the engine execution mode.
-    pub fn with_engine_mode(mut self, engine: EngineMode) -> Self {
-        self.engine = engine;
+    /// This configuration unchanged: every [`EngineMode`] runs the one
+    /// inline path. Kept only because the frozen perf ledger calls it;
+    /// ROADMAP item 1 deletes the name.
+    pub fn with_engine_mode(self, _engine: EngineMode) -> Self {
         self
     }
 
@@ -264,27 +209,6 @@ mod tests {
             c.validate(),
             Err(ConfigError::NonPositiveEmbodiedPerturbation { .. })
         ));
-    }
-
-    #[test]
-    fn engine_mode_normalization_clamps_zero_workers_to_sync() {
-        assert_eq!(EngineMode::Sync.normalized(), EngineMode::Sync);
-        assert_eq!(
-            EngineMode::Pipelined { workers: 0 }.normalized(),
-            EngineMode::Sync
-        );
-        assert_eq!(
-            EngineMode::Pipelined { workers: 2 }.normalized(),
-            EngineMode::Pipelined { workers: 2 }
-        );
-        assert!(!EngineMode::Pipelined { workers: 0 }.is_pipelined());
-        assert!(EngineMode::Pipelined { workers: 1 }.is_pipelined());
-        assert_eq!(EngineMode::Pipelined { workers: 0 }.label(), "sync");
-        assert_eq!(EngineMode::Pipelined { workers: 4 }.label(), "pipelined(4)");
-        assert_eq!(SimulationConfig::default().engine, EngineMode::Sync);
-        let c = SimulationConfig::default().with_engine_mode(EngineMode::Pipelined { workers: 2 });
-        assert!(c.engine.is_pipelined());
-        assert!(c.validate().is_ok());
     }
 
     #[test]

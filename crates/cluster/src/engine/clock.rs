@@ -57,8 +57,9 @@ pub enum ClockMode {
 impl ClockMode {
     /// Resolve degenerate configurations: a non-finite or non-positive
     /// `RealTime` scale would freeze or reverse the clock, so it clamps to
-    /// 1.0 (mirroring how a zero-worker pipeline clamps to the synchronous
-    /// engine). The online driver normalizes before running.
+    /// 1.0. The online driver normalizes before running; the spec's `clock`
+    /// key and `placement_server`'s `WATERWISE_CLOCK` reject such a scale
+    /// before it gets here.
     pub fn normalized(self) -> Self {
         match self {
             ClockMode::RealTime { scale } if !scale.is_finite() || scale <= 0.0 => {

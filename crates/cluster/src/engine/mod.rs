@@ -7,7 +7,7 @@
 //! deployment (the scheduler code is identical in both worlds — it only sees
 //! the [`SchedulingContext`]).
 //!
-//! # One loop, two solve backends
+//! # One loop, one solve path
 //!
 //! Every run — an offline replay of a preloaded trace ([`Simulator::run`])
 //! or a live session fed over a channel
@@ -15,19 +15,8 @@
 //! loop in the [`online`] submodule over the private `SimState` core. An
 //! offline replay is that loop started with the whole trace already admitted
 //! (its arrivals reach the event queue one at a time, in submit order) and
-//! the arrival source already closed. [`crate::config::EngineMode`] only
-//! selects where a round's scheduler solve executes:
-//!
-//! * **Sync** — inline on the event loop, one event at a time.
-//! * **Pipelined** — on a dedicated solver-stage thread connected by
-//!   bounded channels, while the event loop keeps ingesting arrivals ahead
-//!   of the commit barrier; see [`online`] for the commit protocol.
-//!
-//! Footprint accounting always runs inline. Both modes are guaranteed to
-//! produce byte-identical schedules and summaries; the mode only changes
-//! which thread executes the solve. The guarantee is enforced by the unit
-//! tests below, by the property tests in `tests/pipeline_equivalence.rs`,
-//! and by campaign-level integration tests.
+//! the arrival source already closed. A round's scheduler solve and every
+//! job's footprint accounting run inline on that loop, one event at a time.
 
 pub mod clock;
 pub mod online;
@@ -108,12 +97,10 @@ pub(crate) struct EnactedPlacement {
     pub(crate) deferrals: u32,
 }
 
-/// The mode-independent engine core: event queue, region/job bookkeeping,
-/// and the slot commit logic. The one event loop ([`online`]) drives
-/// exactly this state machine under either solve backend, which is what
-/// makes their schedules byte-identical by construction: every state
-/// transition an engine mode may take lives here, and the backend only
-/// chooses *which thread* performs the scheduler solve.
+/// The engine core: event queue, region/job bookkeeping, and the slot
+/// commit logic. The one event loop ([`online`]) drives exactly this state
+/// machine, offline or live, so every state transition a run may take
+/// lives here.
 pub(crate) struct SimState<'t> {
     /// The job table. An offline replay borrows a trace that is already in
     /// submit order and owns a sorted copy of any other; a live run owns the
@@ -313,8 +300,7 @@ impl<'t> SimState<'t> {
 
     /// The scheduler-visible state for a round: the pending jobs (with
     /// received times and deferral counts) and the per-region views. Lent,
-    /// not built — only the staged backend copies it, to ship it across
-    /// threads.
+    /// not built.
     pub(crate) fn snapshot(&mut self) -> (&[PendingJob], &[RegionView]) {
         self.views.clear();
         self.views.extend(self.regions.iter().map(|r| r.view()));
@@ -327,12 +313,10 @@ impl<'t> SimState<'t> {
     /// `snapshot_len` is the pending-pool size when the round's snapshot was
     /// taken and `seq_base` the sequence block reserved at that moment (see
     /// [`EventQueue::reserve`]). The decision's `Ready` events are stamped
-    /// with `seq_base + k` and the next round with `seq_base + snapshot_len`
-    /// — the exact keys an inline commit hands out — so the staged solve
-    /// backend may ingest arrivals between snapshot and commit without
-    /// perturbing event order. Assignments are matched against the
-    /// snapshot prefix of the pending pool only: a decision can never reach
-    /// jobs that arrived after its snapshot, in either engine mode.
+    /// with `seq_base + k` and the next round with `seq_base + snapshot_len`.
+    /// Assignments are matched against the snapshot prefix of the pending
+    /// pool only: a decision can never reach jobs that arrived after its
+    /// snapshot.
     /// The placements actually enacted are appended to `enacted` (in
     /// decision order) when the run has someone to notify of them; an
     /// offline replay passes `None`.
@@ -513,9 +497,8 @@ fn duplicate_id(jobs: &[JobSpec]) -> Option<JobId> {
 
 /// Run one `Scheduler::schedule` call over a round snapshot, timing it and
 /// attributing the solver work spent during the call (cold vs warm solves,
-/// pivots, nodes, cache traffic). Both solve backends record exactly this
-/// measurement per round, so the per-round `OverheadSample::solver` deltas
-/// cannot diverge between modes.
+/// pivots, nodes, cache traffic): the per-round `OverheadSample::solver`
+/// delta.
 pub(crate) fn timed_schedule(
     scheduler: &mut dyn Scheduler,
     now: f64,
@@ -581,18 +564,12 @@ impl<P: ConditionsProvider> Simulator<P> {
     ///
     /// This is the engine's one event loop ([`online`]) started with the
     /// whole trace admitted and the arrival source already closed: no
-    /// channel, clock or placement sink exists on this path. The
-    /// configured [`EngineMode`](crate::config::EngineMode) (after
-    /// `normalized`, so a zero-worker pipeline solves inline) only picks
-    /// the solve backend; the produced schedule is byte-identical across
-    /// modes.
+    /// channel, clock or placement sink exists on this path.
     ///
-    /// Fails if the trace contains duplicate job ids, if the trace or
+    /// Fails if the trace contains duplicate job ids, or if the trace or
     /// transfer model would produce an event with a non-finite timestamp
-    /// (see [`SimulationError::NonFiniteEventTime`]), or — pipelined mode
-    /// only — if the solver stage dies or violates the commit protocol. A
-    /// panic inside `scheduler` propagates with its own payload in both
-    /// modes.
+    /// (see [`SimulationError::NonFiniteEventTime`]). A panic inside
+    /// `scheduler` propagates with its own payload.
     pub fn run(
         &self,
         jobs: &[JobSpec],
@@ -622,19 +599,6 @@ impl<P: ConditionsProvider> Simulator<P> {
     /// [`online::ONLINE_ARRIVAL_SEQ_LIMIT`]; violations fail the run with
     /// [`SimulationError::ArrivalSeqOutOfBand`] /
     /// [`SimulationError::ArrivalSeqReused`].
-    ///
-    /// Picks the solve backend from the configured
-    /// [`EngineMode`](crate::config::EngineMode) exactly like
-    /// [`Simulator::run`]: under `Sync` the scheduler solves inline on the
-    /// event loop, under `Pipelined` it runs on the dedicated solver stage
-    /// and arrivals — queued *and* newly injected — are ingested while a
-    /// solve is in flight. The pipeline always runs exactly one auxiliary
-    /// thread (the solver stage) with footprint accounting inline,
-    /// whatever worker count the mode names — so [`crate::PipelineStats`]
-    /// reports `workers: 1` for any `Pipelined { workers: n ≥ 1 }` run,
-    /// and the scrubbed-summary identity with `Sync` runs holds because
-    /// [`crate::CampaignSummary::without_wall_clock`] drops the pipeline
-    /// stats.
     pub fn run_online_sequenced(
         &self,
         scheduler: &mut dyn Scheduler,

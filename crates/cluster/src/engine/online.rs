@@ -18,35 +18,12 @@
 //! dispatchable, and the loop stops at the same event a live session over
 //! the same trace stops at.
 //!
-//! # Solve backends and the commit protocol
-//!
-//! ```text
-//!  event loop (caller thread)           solver stage (1 thread, `Pipelined` only)
-//!  ┌──────────────────────────┐  snapshots   ┌─────────────────────────┐
-//!  │ pop events, keep region/ │ ───────────► │ owns the scheduler,     │
-//!  │ job state, account       │  bounded(1)  │ solves one slot at a    │
-//!  │ footprints, commit       │ ◄─────────── │ time, returns decision  │
-//!  │ decisions in slot order  │  decisions   │ + per-round solver work │
-//!  └──────────────────────────┘              └─────────────────────────┘
-//! ```
+//! # One solve path
 //!
 //! A round snapshots the pending pool, reserves its decision events' queue
-//! keys (`EventQueue::reserve`), solves, and commits. Under
-//! [`EngineMode::Sync`] the solve runs inline.
-//! Under [`EngineMode::Pipelined`] it runs on the solver stage, and its
-//! decisions are committed strictly in slot order — every request is
-//! tagged with a slot counter and an out-of-order response is refused
-//! ([`SimulationError::PipelineCommitOrder`]). While slot `t`'s solve is in
-//! flight the loop keeps ingesting *arrival* events ahead of the commit
-//! barrier (the next round's position in the event order): arrivals only
-//! append to the pending pool, which the slot-`t` decision cannot touch
-//! (commits match assignments against the snapshot prefix only), so the
-//! overlap commutes with the commit. Every other event type waits for the
-//! commit, because decision effects (`Ready` events, possibly at the very
-//! same timestamp for home-region placements) may interleave anywhere
-//! after the round. The reserved keys make the late commit stamp exactly
-//! what an inline commit would have, so both backends replay
-//! byte-identically (`tests/pipeline_equivalence.rs`).
+//! keys (`EventQueue::reserve`), solves inline on the event loop, and
+//! commits. Commits match assignments against the snapshot prefix only, so a
+//! decision can never reach a job that arrived after its snapshot.
 //!
 //! # The identity discipline
 //!
@@ -80,22 +57,19 @@
 //!    cannot land ahead of effects the online run has already committed.
 //!
 //! The guarantee is property-tested in `waterwise-service`
-//! (`tests/online_equivalence.rs`) across Sync and Pipelined engine modes
-//! and asserted again over the TCP path by the `fig17` golden-snapshot
-//! test in `waterwise-bench`.
+//! (`tests/online_equivalence.rs`) and asserted again over the TCP path by
+//! the `fig17` golden-snapshot test in `waterwise-bench`.
 
 use super::clock::{ClockMode, SimClock};
 use super::queue::{Event, QueuedEvent};
 use super::{timed_schedule, EnactedPlacement, SimState, SimulationReport, Simulator};
-use crate::config::{EngineMode, SimulationConfig};
 use crate::error::SimulationError;
-use crate::metrics::{JobOutcome, OutcomeFold, OverheadSample, PipelineStats};
-use crate::scheduler::{PendingJob, Scheduler, SchedulingDecision, SolverActivity};
-use crate::state::RegionView;
+use crate::metrics::{JobOutcome, OutcomeFold, OverheadSample};
+use crate::scheduler::{Scheduler, SolverActivity};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use waterwise_sustain::Seconds;
 use waterwise_telemetry::{ConditionsProvider, Region};
 use waterwise_traces::{JobId, JobSpec};
@@ -119,10 +93,6 @@ pub(crate) const ONLINE_ROUND_SEQ_BASE: u64 = 1 << 48;
 /// the physical interleaving in which concurrent sessions reached the
 /// engine.
 pub const ONLINE_ARRIVAL_SEQ_LIMIT: u64 = ONLINE_ROUND_SEQ_BASE;
-
-/// How long the staged (pipelined) backend waits on the solver-stage
-/// response channel between ingestion sweeps while a solve is in flight.
-const SOLVE_POLL_INTERVAL: Duration = Duration::from_micros(500);
 
 /// One enacted placement, reported to the online caller as it commits.
 ///
@@ -191,64 +161,6 @@ pub struct OnlineReport {
     /// (the service's admission journal records them) rather than through
     /// [`Simulator::run`].
     pub trace: Vec<JobSpec>,
-}
-
-/// Where a round's solve executes, mirroring [`EngineMode`]: inline on
-/// the event loop (`Sync`) or on the dedicated solver-stage thread
-/// (`Pipelined`).
-enum SolveBackend<'s> {
-    Inline(&'s mut dyn Scheduler),
-    Staged {
-        requests: SyncSender<SolveRequest>,
-        responses: Receiver<SolveResponse>,
-        /// Occupancy counters, reported as [`CampaignSummary::pipeline`].
-        stats: PipelineStats,
-    },
-}
-
-/// A round snapshot shipped to the solver stage.
-struct SolveRequest {
-    slot: usize,
-    now: f64,
-    pending: Vec<PendingJob>,
-    views: Vec<RegionView>,
-}
-
-/// The solver stage's answer for one slot.
-struct SolveResponse {
-    slot: usize,
-    decision: SchedulingDecision,
-    wall: f64,
-    solver: Option<SolverActivity>,
-}
-
-/// The solver stage: owns the scheduler for the campaign's lifetime,
-/// solving one snapshot at a time in slot order. Exits when the event loop
-/// hangs up either side of the channel pair.
-fn solver_stage(
-    requests: Receiver<SolveRequest>,
-    responses: SyncSender<SolveResponse>,
-    config: &SimulationConfig,
-    scheduler: &mut dyn Scheduler,
-) {
-    while let Ok(request) = requests.recv() {
-        let (decision, wall, solver) = timed_schedule(
-            scheduler,
-            request.now,
-            &request.pending,
-            &request.views,
-            config,
-        );
-        let response = SolveResponse {
-            slot: request.slot,
-            decision,
-            wall,
-            solver,
-        };
-        if responses.send(response).is_err() {
-            break; // Event loop hung up (error path); exit cleanly.
-        }
-    }
 }
 
 /// The engine driver: the [`SimState`] core plus, for a live run, the
@@ -330,47 +242,6 @@ impl<'a, 't, P: ConditionsProvider> OnlineDriver<'a, 't, P> {
             committed_time: f64::NEG_INFINITY,
             enacted: Vec::new(),
             slot: 0,
-        }
-    }
-
-    /// Run the campaign to completion under `scheduler`, solving inline or
-    /// on a solver-stage thread as the configured [`EngineMode`] says.
-    /// Returns the report and the job table the run replayed: the caller's
-    /// trace itself when an offline replay borrowed it, so that only a live
-    /// run, which owns its table, pays for [`OnlineReport::trace`].
-    pub(crate) fn run(
-        self,
-        scheduler: &mut dyn Scheduler,
-    ) -> Result<(SimulationReport, Cow<'t, [JobSpec]>), SimulationError> {
-        let scheduler_name = scheduler.name().to_string();
-        let config = self.sim.config();
-        match config.engine.normalized() {
-            EngineMode::Sync => self.drive(SolveBackend::Inline(scheduler), scheduler_name),
-            EngineMode::Pipelined { .. } => std::thread::scope(|scope| {
-                let (requests, req_rx) = std::sync::mpsc::sync_channel::<SolveRequest>(1);
-                let (resp_tx, responses) = std::sync::mpsc::sync_channel::<SolveResponse>(1);
-                let stage = scope.spawn(move || solver_stage(req_rx, resp_tx, config, scheduler));
-                // The loop consumes the backend, so the request sender is
-                // gone when it returns (on success or error) and the stage
-                // exits. A join error carries the scheduler's own panic:
-                // re-raise it with its original payload, as an inline solve
-                // would have.
-                let result = self.drive(
-                    SolveBackend::Staged {
-                        requests,
-                        responses,
-                        stats: PipelineStats {
-                            workers: 1,
-                            ..PipelineStats::default()
-                        },
-                    },
-                    scheduler_name,
-                );
-                if let Err(payload) = stage.join() {
-                    std::panic::resume_unwind(payload);
-                }
-                result
-            }),
         }
     }
 
@@ -467,11 +338,14 @@ impl<'a, 't, P: ConditionsProvider> OnlineDriver<'a, 't, P> {
         }
     }
 
-    /// The one event-dispatch loop.
-    fn drive(
+    /// The one event-dispatch loop: run the campaign to completion under
+    /// `scheduler`. Returns the report and the job table the run replayed:
+    /// the caller's trace itself when an offline replay borrowed it, so that
+    /// only a live run, which owns its table, pays for
+    /// [`OnlineReport::trace`].
+    pub(crate) fn run(
         mut self,
-        mut backend: SolveBackend<'_>,
-        scheduler_name: String,
+        scheduler: &mut dyn Scheduler,
     ) -> Result<(SimulationReport, Cow<'t, [JobSpec]>), SimulationError> {
         loop {
             self.drain_injections()?;
@@ -506,7 +380,7 @@ impl<'a, 't, P: ConditionsProvider> OnlineDriver<'a, 't, P> {
                 Event::Round => {
                     self.committed_time = self.committed_time.max(time);
                     if !self.state.pending.is_empty() {
-                        self.solve_and_commit(time, &mut backend)?;
+                        self.solve_and_commit(time, scheduler)?;
                     } else if self.state.completed < self.state.jobs.len() {
                         // An idle round is only dispatched while admitted
                         // jobs are incomplete (a fully-drained engine parks
@@ -534,12 +408,9 @@ impl<'a, 't, P: ConditionsProvider> OnlineDriver<'a, 't, P> {
         }
 
         let (makespan, mean_utilization) = self.state.finalize();
-        let mut summary = self.fold.summary(&self.state.overhead, mean_utilization);
-        if let SolveBackend::Staged { stats, .. } = backend {
-            summary = summary.with_pipeline(stats);
-        }
+        let summary = self.fold.summary(&self.state.overhead, mean_utilization);
         let report = SimulationReport {
-            scheduler_name,
+            scheduler_name: scheduler.name().to_string(),
             outcomes: self.outcomes,
             overhead: self.state.overhead,
             summary,
@@ -548,92 +419,21 @@ impl<'a, 't, P: ConditionsProvider> OnlineDriver<'a, 't, P> {
         Ok((report, self.state.jobs))
     }
 
-    /// Solve one round (inline or on the solver stage) and commit its
-    /// decision, reporting every enacted placement.
+    /// Solve one round and commit its decision, reporting every enacted
+    /// placement.
     fn solve_and_commit(
         &mut self,
         now: f64,
-        backend: &mut SolveBackend<'_>,
+        scheduler: &mut dyn Scheduler,
     ) -> Result<(), SimulationError> {
         let batch = self.state.pending.len();
         let seq_base = self.state.queue.reserve(batch as u64 + 1);
-        let (decision, wall, commit_wait, solver) = match backend {
-            SolveBackend::Inline(scheduler) => {
-                let (pending, views) = self.state.snapshot();
-                let (decision, elapsed, solver) =
-                    timed_schedule(&mut **scheduler, now, pending, views, self.sim.config());
-                (decision, elapsed, elapsed, solver)
-            }
-            SolveBackend::Staged {
-                requests,
-                responses,
-                stats,
-            } => {
-                let slot = self.slot;
-                // The one owned copy of a snapshot: it crosses threads.
-                let (pending, views) = self.state.snapshot();
-                requests
-                    .send(SolveRequest {
-                        slot,
-                        now,
-                        pending: pending.to_vec(),
-                        views: views.to_vec(),
-                    })
-                    .map_err(|_| SimulationError::SolverStageDisconnected { slot })?;
-                stats.solve_requests += 1;
-                // The commit barrier: the key the next round will carry.
-                let barrier = (now + self.state.interval, seq_base + batch as u64);
-                // lint:allow(DET002: commit_wait timing capture; scrubbed from schedules by without_wall_clock)
-                let wait_started = Instant::now();
-                let resp = loop {
-                    // Overlap: while the solver stage works on this slot,
-                    // keep ingesting — live injections and queued arrivals
-                    // ahead of the barrier (they only append to the
-                    // pending pool, which this slot's commit cannot
-                    // touch). The watermark rule still gates every pop.
-                    self.drain_injections()?;
-                    while let Some(top) = self.state.queue.peek() {
-                        if !matches!(top.event, Event::Arrival(_))
-                            || (top.time, top.seq) >= barrier
-                            || !self.dispatchable(top.time)
-                        {
-                            break;
-                        }
-                        // The peek above proved the queue is non-empty; an
-                        // empty pop just ends the overlap early (DET003).
-                        let Some(arrival) = self.state.pop_event()? else {
-                            break;
-                        };
-                        self.state.last_time = arrival.time;
-                        if let Event::Arrival(i) = arrival.event {
-                            self.state.handle_arrival(i, arrival.time);
-                            stats.overlapped_arrivals += 1;
-                        }
-                    }
-                    match responses.recv_timeout(SOLVE_POLL_INTERVAL) {
-                        Ok(resp) => break resp,
-                        Err(RecvTimeoutError::Timeout) => continue,
-                        Err(RecvTimeoutError::Disconnected) => {
-                            return Err(SimulationError::SolverStageDisconnected { slot });
-                        }
-                    }
-                };
-                let commit_wait = wait_started.elapsed().as_secs_f64();
-                if resp.slot != slot {
-                    return Err(SimulationError::PipelineCommitOrder {
-                        expected: slot,
-                        got: resp.slot,
-                    });
-                }
-                stats.commit_wait = Seconds::new(stats.commit_wait.value() + commit_wait);
-                stats.solver_busy = Seconds::new(stats.solver_busy.value() + resp.wall);
-                (resp.decision, resp.wall, commit_wait, resp.solver)
-            }
-        };
+        let (pending, views) = self.state.snapshot();
+        let (decision, wall, solver) =
+            timed_schedule(scheduler, now, pending, views, self.sim.config());
         self.state.overhead.push(OverheadSample {
             sim_time: Seconds::new(now),
             wall_clock: Seconds::new(wall),
-            commit_wait: Seconds::new(commit_wait),
             batch_size: batch,
             solver,
         });

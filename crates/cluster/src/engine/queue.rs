@@ -2,16 +2,13 @@
 //!
 //! Events dispatch in ascending `(time, sequence)` order — the timestamp
 //! first, the sequence number as the tie-breaker, so events at equal
-//! simulated times dispatch in the order they were scheduled. Both solve
-//! backends must produce *identical* `(time, sequence)` keys for every
-//! event or their replay order (and therefore the whole campaign) could
-//! diverge on exact timestamp ties. Because the staged backend pushes a
-//! round's decision events *after* the loop has already ingested later
-//! arrivals (the solve overlaps arrival processing), push order alone is
-//! not enough; instead every round [`EventQueue::reserve`]s a sequence
-//! block at its snapshot and stamps the decision's events with
-//! [`EventQueue::push_with_seq`], which keeps the keys byte-identical across
-//! engine modes regardless of when the pushes physically happen.
+//! simulated times dispatch in the order they were scheduled. An offline
+//! replay and a live session must produce *identical* `(time, sequence)`
+//! keys for every event or their replay order (and therefore the whole
+//! campaign) could diverge on exact timestamp ties. Every round
+//! [`EventQueue::reserve`]s a sequence block at its snapshot and stamps the
+//! decision's events with [`EventQueue::push_with_seq`], so the keys depend
+//! on the snapshot alone, not on when the pushes physically happen.
 //!
 //! # Two sources, one order
 //!

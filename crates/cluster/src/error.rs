@@ -100,26 +100,6 @@ pub enum SimulationError {
         /// The id that appears more than once.
         id: JobId,
     },
-    /// The pipelined engine's solver stage hung up before delivering a
-    /// slot's decision. This only happens when the stage died abnormally
-    /// (e.g. the scheduler panicked mid-solve); the error fails the one
-    /// affected campaign, and the panic — if any — is re-raised with its
-    /// own payload when the engine joins the stage, exactly as it would
-    /// have propagated from an inline synchronous solve.
-    SolverStageDisconnected {
-        /// The scheduling slot whose decision never arrived.
-        slot: usize,
-    },
-    /// The pipelined engine received a decision out of slot order. The
-    /// commit protocol applies decisions strictly in slot order, so this is
-    /// an engine-invariant violation; reporting it as an error fails the one
-    /// affected campaign instead of silently committing a stale decision.
-    PipelineCommitOrder {
-        /// The slot whose decision the event stage was waiting for.
-        expected: usize,
-        /// The slot the solver stage actually delivered.
-        got: usize,
-    },
     /// An online injection under [`crate::ClockMode::Discrete`] carried a
     /// submit time at or before state the engine has already committed
     /// (an earlier stamp, or a dispatched round/ready/complete event at or
@@ -181,18 +161,6 @@ impl fmt::Display for SimulationError {
             SimulationError::DuplicateJobId { id } => {
                 write!(f, "trace contains duplicate id {id}")
             }
-            SimulationError::SolverStageDisconnected { slot } => {
-                write!(
-                    f,
-                    "pipelined solver stage hung up before delivering slot {slot}"
-                )
-            }
-            SimulationError::PipelineCommitOrder { expected, got } => {
-                write!(
-                    f,
-                    "pipeline commit protocol violated: expected slot {expected}, got {got}"
-                )
-            }
             SimulationError::OutOfOrderArrival {
                 job,
                 time,
@@ -234,8 +202,6 @@ impl std::error::Error for SimulationError {
             SimulationError::NonFiniteEventTime { .. }
             | SimulationError::UnassignedJob { .. }
             | SimulationError::DuplicateJobId { .. }
-            | SimulationError::SolverStageDisconnected { .. }
-            | SimulationError::PipelineCommitOrder { .. }
             | SimulationError::OutOfOrderArrival { .. }
             | SimulationError::PlacementSinkDisconnected { .. }
             | SimulationError::ArrivalSeqOutOfBand { .. }
@@ -300,20 +266,5 @@ mod tests {
         let duplicate = SimulationError::DuplicateJobId { id: JobId(4) };
         assert!(duplicate.to_string().contains("job-4"));
         assert!(duplicate.to_string().contains("duplicate"));
-    }
-
-    #[test]
-    fn pipeline_errors_name_the_slots() {
-        use std::error::Error;
-        let gone = SimulationError::SolverStageDisconnected { slot: 12 };
-        assert!(gone.to_string().contains("slot 12"));
-        assert!(gone.source().is_none());
-        let order = SimulationError::PipelineCommitOrder {
-            expected: 3,
-            got: 5,
-        };
-        assert!(order.to_string().contains("slot 3"));
-        assert!(order.to_string().contains('5'));
-        assert!(order.source().is_none());
     }
 }

@@ -37,9 +37,7 @@ pub use engine::clock::ClockMode;
 pub use engine::online::{OnlineReport, PlacementNotice, SequencedJob, ONLINE_ARRIVAL_SEQ_LIMIT};
 pub use engine::{SimulationReport, Simulator};
 pub use error::{ConfigError, SimulationError};
-pub use metrics::{
-    saving_percent, schedule_digest, CampaignSummary, JobOutcome, OverheadSample, PipelineStats,
-};
+pub use metrics::{saving_percent, schedule_digest, CampaignSummary, JobOutcome, OverheadSample};
 pub use network::TransferModel;
 pub use scheduler::{
     Assignment, PendingJob, Scheduler, SchedulingContext, SchedulingDecision, SolverActivity,

@@ -73,64 +73,12 @@ pub struct OverheadSample {
     pub sim_time: Seconds,
     /// Wall-clock time the scheduler took to decide.
     pub wall_clock: Seconds,
-    /// Wall-clock time the *event stage* spent blocked waiting for this
-    /// round's decision to commit. In the synchronous engine this equals
-    /// [`OverheadSample::wall_clock`] (the solve runs inline); in the
-    /// pipelined engine it is smaller whenever arrival ingestion overlapped
-    /// the solve — the per-round stall the pipeline removed from the event
-    /// path.
-    pub commit_wait: Seconds,
     /// Number of pending jobs offered in the round.
     pub batch_size: usize,
     /// Solver work spent in this round (`None` for schedulers that do not
     /// run an optimization solver; the zero delta for a round such a
     /// scheduler decided without one).
     pub solver: Option<SolverActivity>,
-}
-
-/// Occupancy and stall counters of one pipelined-engine run, reported
-/// through [`CampaignSummary::pipeline`] (`None` for synchronous runs).
-///
-/// The wall-clock fields are measurements and therefore never repeat
-/// exactly; [`CampaignSummary::without_wall_clock`] drops the whole struct
-/// so byte-identity comparisons across engine modes stay meaningful. The
-/// *counter* fields (`solve_requests`, `overlapped_arrivals`) are
-/// deterministic for a fixed seed in an offline replay: the event loop
-/// always ingests every arrival ahead of the commit barrier, whether or not
-/// the solver stage finished first.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct PipelineStats {
-    /// Auxiliary worker threads that ran: always 1, the solver stage
-    /// (footprint accounting is inline whatever count the mode names).
-    pub workers: usize,
-    /// Round snapshots shipped to the solver stage.
-    pub solve_requests: usize,
-    /// Arrival events ingested while a solve was in flight (ahead of the
-    /// commit barrier) instead of stalling behind it.
-    pub overlapped_arrivals: usize,
-    /// Total wall-clock the solver stage spent inside `Scheduler::schedule`.
-    pub solver_busy: Seconds,
-    /// Total wall-clock the event stage spent blocked on decision commits.
-    pub commit_wait: Seconds,
-}
-
-impl PipelineStats {
-    /// Wall-clock removed from the event path: solver busy time the event
-    /// stage did *not* spend blocked (zero when every solve fully stalled
-    /// the event loop, as in the synchronous engine).
-    pub fn overlap_seconds(&self) -> Seconds {
-        Seconds::new((self.solver_busy.value() - self.commit_wait.value()).max(0.0))
-    }
-
-    /// Fraction of solver busy time that stalled the event stage
-    /// (1.0 = fully synchronous behavior, lower is better overlap).
-    pub fn stall_fraction(&self) -> f64 {
-        if self.solver_busy.value() <= 0.0 {
-            0.0
-        } else {
-            (self.commit_wait.value() / self.solver_busy.value()).min(1.0)
-        }
-    }
 }
 
 /// Aggregated results of one campaign.
@@ -162,9 +110,6 @@ pub struct CampaignSummary {
     /// a solver). Deterministic for a fixed seed, unlike the wall-clock
     /// fields.
     pub solver: SolverActivity,
-    /// Pipeline occupancy/stall counters (`None` when the campaign ran on
-    /// the synchronous engine).
-    pub pipeline: Option<PipelineStats>,
 }
 
 /// The per-job aggregates of a [`CampaignSummary`], folded one outcome at a
@@ -257,7 +202,6 @@ impl OutcomeFold {
             mean_decision_time,
             decision_overhead_fraction,
             solver,
-            pipeline: None,
         }
     }
 }
@@ -275,29 +219,18 @@ impl CampaignSummary {
         fold.summary(overhead, mean_utilization)
     }
 
-    /// This summary with pipeline occupancy counters attached (builder form
-    /// used by the pipelined engine driver).
-    pub fn with_pipeline(mut self, stats: PipelineStats) -> Self {
-        self.pipeline = Some(stats);
-        self
-    }
-
     /// This summary with the wall-clock-derived fields
-    /// ([`CampaignSummary::mean_decision_time`],
-    /// [`CampaignSummary::decision_overhead_fraction`], and
-    /// [`CampaignSummary::pipeline`]) zeroed out.
+    /// ([`CampaignSummary::mean_decision_time`] and
+    /// [`CampaignSummary::decision_overhead_fraction`]) zeroed out.
     ///
     /// Every other field is a pure function of the seeded inputs, so two
     /// logically identical campaigns — e.g. serial versus parallel
-    /// `run_all`, synchronous versus pipelined engine mode, or two runs
-    /// with the same seed — compare byte-identical through this view
-    /// (wall-clock timings never repeat exactly, and pipeline occupancy is
-    /// a property of the execution mode, not of the schedule).
+    /// `run_all`, or two runs with the same seed — compare byte-identical
+    /// through this view (wall-clock timings never repeat exactly).
     pub fn without_wall_clock(&self) -> Self {
         Self {
             mean_decision_time: Seconds::zero(),
             decision_overhead_fraction: 0.0,
-            pipeline: None,
             ..self.clone()
         }
     }
@@ -333,9 +266,9 @@ impl CampaignSummary {
 /// violation flag — in outcome order, with floats folded in by their exact
 /// IEEE-754 bit patterns. Two campaigns produce the same digest exactly when
 /// their schedules and accounting are byte-identical, which makes the digest
-/// the one-line form of the workspace's replay contract: sync vs pipelined
-/// engines, warm vs cold solves, with and without a solution cache, and
-/// online ingestion vs offline replay must all collide on it. Wall-clock
+/// the one-line form of the workspace's replay contract: warm vs cold
+/// solves, with and without a solution cache, and online ingestion vs
+/// offline replay must all collide on it. Wall-clock
 /// measurements never enter the hash.
 ///
 /// ```
@@ -502,7 +435,6 @@ mod tests {
         let round = OverheadSample {
             sim_time: Seconds::zero(),
             wall_clock: Seconds::new(0.25),
-            commit_wait: Seconds::new(0.25),
             batch_size: 97,
             solver: None,
         };
@@ -551,7 +483,6 @@ mod tests {
             OverheadSample {
                 sim_time: Seconds::new(0.0),
                 wall_clock: Seconds::new(0.2),
-                commit_wait: Seconds::new(0.2),
                 batch_size: 10,
                 solver: Some(SolverActivity {
                     solves: 2,
@@ -565,7 +496,6 @@ mod tests {
             OverheadSample {
                 sim_time: Seconds::new(60.0),
                 wall_clock: Seconds::new(0.4),
-                commit_wait: Seconds::new(0.1),
                 batch_size: 20,
                 solver: Some(SolverActivity {
                     solves: 1,
@@ -600,45 +530,5 @@ mod tests {
         // The dual-restart counters are deterministic solver work, so the
         // wall-clock scrub must keep them intact.
         assert_eq!(s.without_wall_clock().solver, s.solver);
-    }
-
-    #[test]
-    fn pipeline_stats_overlap_and_stall_fraction() {
-        let stats = PipelineStats {
-            workers: 1,
-            solve_requests: 10,
-            overlapped_arrivals: 40,
-            solver_busy: Seconds::new(2.0),
-            commit_wait: Seconds::new(0.5),
-        };
-        assert!((stats.overlap_seconds().value() - 1.5).abs() < 1e-12);
-        assert!((stats.stall_fraction() - 0.25).abs() < 1e-12);
-        // Degenerate cases: no solver work at all, and a fully stalled run.
-        assert_eq!(PipelineStats::default().stall_fraction(), 0.0);
-        assert_eq!(PipelineStats::default().overlap_seconds().value(), 0.0);
-        let stalled = PipelineStats {
-            solver_busy: Seconds::new(1.0),
-            commit_wait: Seconds::new(1.2),
-            ..PipelineStats::default()
-        };
-        assert_eq!(stalled.stall_fraction(), 1.0);
-        assert_eq!(stalled.overlap_seconds().value(), 0.0);
-    }
-
-    #[test]
-    fn without_wall_clock_drops_pipeline_stats() {
-        let summary = CampaignSummary::from_outcomes(&[], &[], 0.0).with_pipeline(PipelineStats {
-            workers: 3,
-            ..PipelineStats::default()
-        });
-        assert!(summary.pipeline.is_some());
-        let scrubbed = summary.without_wall_clock();
-        assert!(scrubbed.pipeline.is_none());
-        // A synchronous summary and its pipelined twin must compare equal
-        // through the scrubbed view.
-        assert_eq!(
-            format!("{:?}", scrubbed),
-            format!("{:?}", CampaignSummary::from_outcomes(&[], &[], 0.0))
-        );
     }
 }

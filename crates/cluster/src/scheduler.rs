@@ -223,10 +223,10 @@ impl SolverActivity {
 
 /// A placement policy. Called once per scheduling round.
 ///
-/// `Send` is required so the pipelined engine can run the scheduler on its
-/// dedicated solver-stage thread; the engine presents the identical
-/// sequence of contexts in either mode, so stateful schedulers behave the
-/// same everywhere.
+/// `Send` is required so a scheduler can move to the thread that runs its
+/// campaign (a parallel campaign matrix, the service host's engine thread);
+/// the engine presents it the identical sequence of contexts wherever it
+/// runs, so stateful schedulers behave the same everywhere.
 ///
 /// ```
 /// use waterwise_cluster::{Scheduler, SchedulingContext, SchedulingDecision};

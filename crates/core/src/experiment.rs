@@ -112,9 +112,8 @@ impl Parallelism {
 }
 
 /// Cached [`std::thread::available_parallelism`]. On Linux the std call
-/// re-parses cgroup CPU quotas from the filesystem every time — tens of
-/// microseconds, which the per-slot scheduler hot path would pay on every
-/// `Parallelism::Auto` preparation otherwise.
+/// re-parses cgroup CPU quotas from the filesystem every time, and every
+/// worker-count decision in the process should see the same number.
 fn available_workers() -> usize {
     static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *WORKERS.get_or_init(|| {
@@ -127,9 +126,8 @@ fn available_workers() -> usize {
 
 /// Run `tasks` closures (identified by index) on a scoped worker pool and
 /// return their results in input order — the deterministic-merge primitive
-/// behind [`Campaign::run_all`], [`Campaign::run_matrix`], and the
-/// per-job numerics sharding of
-/// [`crate::sched::WaterWiseScheduler`]. Falls back to a plain serial map
+/// behind [`Campaign::run_all`] and [`Campaign::run_matrix`]. Falls back to
+/// a plain serial map
 /// when either the worker count or the task count is 1, so callers never
 /// pay thread-spawn overhead for degenerate inputs.
 pub(crate) fn run_indexed<T, F>(tasks: usize, workers: usize, task: F) -> Vec<T>
@@ -265,25 +263,10 @@ impl CampaignConfig {
         self
     }
 
-    /// Override the engine execution mode (synchronous vs pipelined).
-    ///
-    /// Schedules, outcomes, and summaries are byte-identical across modes;
-    /// the pipelined engine only changes *where* scheduler solves and
-    /// footprint accounting execute (dedicated stages instead of the event
-    /// loop), reported through
-    /// [`waterwise_cluster::CampaignSummary::pipeline`].
-    ///
-    /// ```
-    /// use waterwise_core::{Campaign, CampaignConfig, EngineMode, SchedulerKind};
-    ///
-    /// let config = CampaignConfig::small_demo(42)
-    ///     .with_engine_mode(EngineMode::Pipelined { workers: 2 });
-    /// let outcome = Campaign::new(config).run(SchedulerKind::WaterWise).unwrap();
-    /// let stats = outcome.summary.pipeline.expect("pipelined run reports stats");
-    /// assert!(stats.solve_requests > 0);
-    /// ```
-    pub fn with_engine_mode(mut self, engine: EngineMode) -> Self {
-        self.simulation.engine = engine;
+    /// This configuration unchanged: every [`EngineMode`] runs the engine's
+    /// one inline path. Kept only because the frozen perf ledger calls it;
+    /// ROADMAP item 1 deletes the name.
+    pub fn with_engine_mode(self, _engine: EngineMode) -> Self {
         self
     }
 }
@@ -639,36 +622,6 @@ mod tests {
     }
 
     #[test]
-    fn hot_path_levers_never_change_the_schedule_in_either_engine_mode() {
-        // Sharded numerics preparation must be invisible in the produced
-        // schedule and the solver work under both engine modes; only
-        // wall-clock measurements (scrubbed here) may differ.
-        for engine in [EngineMode::Sync, EngineMode::Pipelined { workers: 2 }] {
-            let mut reference_config = CampaignConfig::small_demo(42);
-            reference_config.simulation.engine = engine;
-            let reference = Campaign::new(reference_config.clone())
-                .run(SchedulerKind::WaterWise)
-                .unwrap();
-            let mut sharded_config = reference_config;
-            sharded_config.waterwise = sharded_config
-                .waterwise
-                .with_parallelism(Parallelism::Threads(3));
-            let sharded = Campaign::new(sharded_config)
-                .run(SchedulerKind::WaterWise)
-                .unwrap();
-            assert_eq!(
-                reference.report.outcomes, sharded.report.outcomes,
-                "sharded preparation changed the outcomes under {engine:?}"
-            );
-            assert_eq!(
-                format!("{:?}", reference.summary.without_wall_clock()),
-                format!("{:?}", sharded.summary.without_wall_clock()),
-                "sharded preparation changed the scrubbed summary under {engine:?}"
-            );
-        }
-    }
-
-    #[test]
     fn parallel_run_all_matches_serial_byte_for_byte() {
         let serial_campaign =
             Campaign::new(CampaignConfig::small_demo(42).with_parallelism(Parallelism::Serial));
@@ -718,42 +671,10 @@ mod tests {
     }
 
     #[test]
-    fn engine_modes_produce_byte_identical_campaigns() {
-        let base = CampaignConfig::small_demo(42);
-        let sync = Campaign::new(base.clone())
-            .run(SchedulerKind::WaterWise)
-            .unwrap();
-        for workers in [1, 3] {
-            let pipelined = Campaign::new(
-                base.clone()
-                    .with_engine_mode(EngineMode::Pipelined { workers }),
-            )
-            .run(SchedulerKind::WaterWise)
-            .unwrap();
-            assert_eq!(
-                sync.report.outcomes, pipelined.report.outcomes,
-                "pipelined({workers}) changed the schedule"
-            );
-            assert_eq!(
-                format!("{:?}", sync.summary.without_wall_clock()),
-                format!("{:?}", pipelined.summary.without_wall_clock()),
-            );
-            let stats = pipelined.summary.pipeline.expect("pipeline stats");
-            // One solver-stage thread, whatever count the mode named.
-            assert_eq!(stats.workers, 1);
-            assert!(stats.solve_requests > 0);
-        }
-        assert!(sync.summary.pipeline.is_none());
-    }
-
-    #[test]
-    fn pipelined_engine_composes_with_warm_starts() {
-        // The solver stage owns the scheduler (and its workspace). Solved
-        // cold on the pipeline, the schedule is the one the default inline
-        // scheduler (hint, kernel) commits — which on this campaign reaches
-        // no solver.
-        let mut config =
-            CampaignConfig::small_demo(9).with_engine_mode(EngineMode::Pipelined { workers: 2 });
+    fn cold_solves_commit_what_the_default_scheduler_commits() {
+        // Solved cold, the schedule is the one the default scheduler (hint,
+        // kernel) commits — which on this campaign reaches no solver.
+        let mut config = CampaignConfig::small_demo(9);
         config.waterwise.warm_start = false;
         let campaign = Campaign::new(config);
         let outcome = campaign.run(SchedulerKind::WaterWise).unwrap();
@@ -766,21 +687,20 @@ mod tests {
     }
 
     #[test]
-    fn a_failing_pipelined_cell_does_not_poison_a_matrix() {
+    fn a_failing_cell_does_not_poison_a_matrix() {
         // One cell with a broken config fails with a typed error; every
-        // other cell of the same parallel matrix completes normally,
-        // whether it runs the sync or the pipelined engine.
-        let good_sync = CampaignConfig::small_demo(5);
-        let mut bad =
-            CampaignConfig::small_demo(6).with_engine_mode(EngineMode::Pipelined { workers: 2 });
+        // other cell of the same matrix completes normally.
+        let mut bad = CampaignConfig::small_demo(6);
         bad.simulation.delay_tolerance = -1.0;
-        let good_pipelined =
-            CampaignConfig::small_demo(7).with_engine_mode(EngineMode::Pipelined { workers: 2 });
 
-        let results: Vec<_> = [good_sync, bad, good_pipelined]
-            .into_iter()
-            .map(|config| Campaign::new(config).run(SchedulerKind::Baseline))
-            .collect();
+        let results: Vec<_> = [
+            CampaignConfig::small_demo(5),
+            bad,
+            CampaignConfig::small_demo(7),
+        ]
+        .into_iter()
+        .map(|config| Campaign::new(config).run(SchedulerKind::Baseline))
+        .collect();
         assert!(results[0].is_ok());
         assert!(matches!(
             results[1],

@@ -40,14 +40,13 @@ pub use experiment::{
     build_scheduler, Campaign, CampaignConfig, CampaignOutcome, Parallelism, SchedulerKind,
 };
 pub use objective::{CandidateFootprint, ObjectiveWeights};
-pub use scenario::{load_spec, parse_spec, Scenario, ScenarioError, Snapshot, SnapshotError};
+pub use scenario::{
+    load_spec, parse_clock_mode, parse_spec, Scenario, ScenarioError, Snapshot, SnapshotError,
+};
 pub use sched::{
     BaselineScheduler, EcovisorScheduler, GreedyObjective, GreedyOptScheduler, LeastLoadScheduler,
     RoundRobinScheduler, WaterWiseConfig, WaterWiseScheduler,
 };
-// Engine-mode types, re-exported so campaign drivers can pick the pipelined
-// engine without depending on `waterwise-cluster` directly.
-pub use waterwise_cluster::{EngineMode, PipelineStats};
 // Solution-cache handle types, re-exported so a caller can attach a cache to
 // a `WaterWiseScheduler` without depending on `waterwise-milp` directly.
 pub use waterwise_milp::{SolutionCache, SolutionCacheHandle};

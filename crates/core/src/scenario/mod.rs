@@ -1,7 +1,7 @@
 //! Declarative scenario specs and golden-snapshot verification.
 //!
 //! The WaterWise experiments used to hand-code every scenario — trace shape,
-//! regions, telemetry horizon, objective weights, engine/clock config —
+//! regions, telemetry horizon, objective weights, clock config —
 //! in a bespoke Rust binary, and hand-roll every byte-identity assert. This
 //! module turns both into data:
 //!
@@ -17,8 +17,8 @@
 //!   `UPDATE_SNAPSHOTS=1` bless path ([`assert_snapshot`]).
 //!
 //! Together they enforce the repo's standing determinism invariant:
-//! the schedule a spec produces is byte-identical across engine modes and
-//! warm/cold solver starts — "snapshot == replay".
+//! the schedule a spec produces is byte-identical across warm/cold solver
+//! starts and between its offline and online runs — "snapshot == replay".
 
 pub mod snapshot;
 pub mod spec;
@@ -27,4 +27,4 @@ pub use snapshot::{
     assert_snapshot, check_snapshot, diff_lines, orphaned_snapshots, snapshot_path, update_mode,
     Snapshot, SnapshotCheck, SnapshotError,
 };
-pub use spec::{load_spec, parse_spec, Scenario, ScenarioError};
+pub use spec::{load_spec, parse_clock_mode, parse_spec, Scenario, ScenarioError};

@@ -56,8 +56,7 @@ impl Snapshot {
     /// Add the deterministic fields of `summary` under `prefix.`.
     ///
     /// Canonicalization reuses [`CampaignSummary::without_wall_clock`] (so
-    /// decision timings and pipeline occupancy can never leak into a
-    /// golden) and leaves out [`CampaignSummary::solver`], which measures
+    /// decision timings can never leak into a golden) and leaves out [`CampaignSummary::solver`], which measures
     /// solver *effort* — a property of warm starts and caches, not of the
     /// schedule the snapshot certifies.
     pub fn add_summary(&mut self, prefix: &str, summary: &CampaignSummary) {
@@ -336,7 +335,7 @@ pub fn orphaned_snapshots(dir: &Path, expected: &[&str]) -> Result<Vec<String>, 
 mod tests {
     use super::*;
     use std::collections::HashMap;
-    use waterwise_cluster::{PipelineStats, SolverActivity};
+    use waterwise_cluster::SolverActivity;
     use waterwise_sustain::{Co2Grams, Liters, Seconds};
 
     fn summary() -> CampaignSummary {
@@ -352,7 +351,6 @@ mod tests {
             mean_decision_time: Seconds::zero(),
             decision_overhead_fraction: 0.0,
             solver: SolverActivity::default(),
-            pipeline: None,
         }
     }
 
@@ -386,11 +384,6 @@ mod tests {
         let mut noisy = summary();
         noisy.mean_decision_time = Seconds::new(0.125);
         noisy.decision_overhead_fraction = 0.5;
-        noisy.pipeline = Some(PipelineStats {
-            workers: 4,
-            solve_requests: 9,
-            ..PipelineStats::default()
-        });
         noisy.solver.solves = 500;
         noisy.solver.simplex_pivots = 12_345;
         assert_eq!(

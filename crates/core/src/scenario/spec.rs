@@ -2,8 +2,8 @@
 //!
 //! A *scenario* is everything a campaign run needs, written down as data: the
 //! workload trace shape, the simulated cluster, synthetic telemetry,
-//! objective weights, the WaterWise solver knobs, and the engine/clock
-//! execution modes. Specs live in `scenarios/*.spec` at the repository root
+//! objective weights, the WaterWise solver knobs, and the service clock
+//! mode. Specs live in `scenarios/*.spec` at the repository root
 //! and are loaded by the bench binaries (`--scenario` / `WATERWISE_SCENARIO`)
 //! and by `placement_server`; see `docs/SCENARIOS.md` for the grammar and a
 //! worked example.
@@ -19,7 +19,7 @@ use crate::experiment::{CampaignConfig, Parallelism};
 use crate::objective::ObjectiveWeights;
 use std::fmt;
 use std::path::Path;
-use waterwise_cluster::{ClockMode, ConfigError, EngineMode};
+use waterwise_cluster::{ClockMode, ConfigError};
 use waterwise_sustain::Seconds;
 use waterwise_telemetry::Region;
 use waterwise_traces::{Benchmark, TraceConfig, TraceKind};
@@ -129,13 +129,6 @@ impl Scenario {
             c.simulation.scheduling_interval.value()
         ));
         line(format!(
-            "engine = {}",
-            match c.simulation.engine {
-                EngineMode::Sync => "sync".to_string(),
-                EngineMode::Pipelined { workers } => format!("pipelined:{workers}"),
-            }
-        ));
-        line(format!(
             "clock = {}",
             match self.clock {
                 ClockMode::Discrete => "discrete".to_string(),
@@ -169,10 +162,6 @@ impl Scenario {
             c.waterwise
                 .horizon
                 .map_or("capacity".to_string(), |h| h.to_string())
-        ));
-        line(format!(
-            "parallelism = {}",
-            parallelism_label(c.waterwise.parallelism)
         ));
         line(format!(
             "history_window_hours = {}",
@@ -424,7 +413,6 @@ struct RawSpec {
     servers_per_region: Option<usize>,
     delay_tolerance: Option<f64>,
     scheduling_interval_s: Option<f64>,
-    engine: Option<EngineMode>,
     clock: Option<ClockMode>,
     embodied_perturbation: Option<f64>,
     dataset: Option<waterwise_sustain::EwifDataset>,
@@ -434,7 +422,6 @@ struct RawSpec {
     lambda_ref: Option<f64>,
     warm_start: Option<bool>,
     horizon: Option<Option<usize>>,
-    ww_parallelism: Option<Parallelism>,
     history_window_hours: Option<usize>,
     soft_penalty: Option<f64>,
     campaign_parallelism: Option<Parallelism>,
@@ -606,9 +593,6 @@ fn set_key(
             key,
             line,
         ),
-        (Section::Simulation, "engine") => {
-            store(&mut raw.engine, parse_engine(value, line)?, key, line)
-        }
         (Section::Simulation, "clock") => {
             store(&mut raw.clock, parse_clock(value, line)?, key, line)
         }
@@ -704,12 +688,6 @@ fn set_key(
             key,
             line,
         ),
-        (Section::WaterWise, "parallelism") => store(
-            &mut raw.ww_parallelism,
-            parse_parallelism(value, line)?,
-            key,
-            line,
-        ),
         (Section::WaterWise, "history_window_hours") => {
             let hours = parse_usize(value, "history_window_hours", line)?;
             if hours == 0 {
@@ -793,7 +771,6 @@ impl RawSpec {
         if let Some(perturbation) = self.embodied_perturbation {
             config.simulation.embodied_perturbation = perturbation;
         }
-        config.simulation.engine = self.engine.unwrap_or(EngineMode::Sync);
         if let Some(dataset) = self.dataset {
             config.telemetry.dataset = dataset;
         }
@@ -814,9 +791,6 @@ impl RawSpec {
         }
         if let Some(horizon) = self.horizon {
             config.waterwise.horizon = horizon;
-        }
-        if let Some(parallelism) = self.ww_parallelism {
-            config.waterwise.parallelism = parallelism;
         }
         if let Some(hours) = self.history_window_hours {
             config.waterwise.history_window_hours = hours;
@@ -926,27 +900,21 @@ fn parse_estimate_error(value: &str, key: &'static str, line: usize) -> Result<f
     Ok(factor)
 }
 
-fn parse_engine(value: &str, line: usize) -> Result<EngineMode, ScenarioError> {
-    if value == "sync" {
-        return Ok(EngineMode::Sync);
-    }
-    if let Some(rest) = value.strip_prefix("pipelined:") {
-        let workers = parse_usize(rest, "engine", line)?;
-        if workers == 0 {
-            return Err(ScenarioError::OutOfRange {
-                line,
-                key: "engine",
-                message: "pipelined workers must be ≥ 1 (use `sync` for the synchronous engine)"
-                    .to_string(),
-            });
-        }
-        return Ok(EngineMode::Pipelined { workers });
-    }
-    Err(ScenarioError::InvalidValue {
-        line,
-        key: "engine",
-        message: format!("unknown engine mode `{value}` (sync | pipelined:<workers>)"),
-    })
+/// Parse a clock mode in the grammar of the `[simulation] clock` key:
+/// `discrete`, or `real-time:<scale>` (alias `realtime:`) with a finite,
+/// positive scale. `placement_server` reads `WATERWISE_CLOCK` through it, so
+/// the variable and the key accept the same values. A rejection is the
+/// reason, without a location.
+///
+/// ```
+/// use waterwise_cluster::ClockMode;
+/// use waterwise_core::parse_clock_mode;
+///
+/// assert_eq!(parse_clock_mode("realtime:60"), Ok(ClockMode::RealTime { scale: 60.0 }));
+/// assert!(parse_clock_mode("real-time:0").is_err());
+/// ```
+pub fn parse_clock_mode(value: &str) -> Result<ClockMode, String> {
+    parse_clock(value, 0).map_err(|err| err.message())
 }
 
 fn parse_clock(value: &str, line: usize) -> Result<ClockMode, ScenarioError> {
@@ -1088,10 +1056,9 @@ mod tests {
         let spec = "[scenario]\nname = rt\nseed = 11\n[trace]\nkind = alibaba\ndays = 0.03\n\
                     rate_multiplier = 2.0\nbenchmarks = dedup, canneal\n\
                     regions = Zurich, Oregon, Mumbai\n[simulation]\nservers_per_region = 64\n\
-                    delay_tolerance = 0.75\nengine = pipelined:3\nclock = real-time:120.5\n\
+                    delay_tolerance = 0.75\nclock = real-time:120.5\n\
                     [objective]\nlambda_co2 = 0.3\n[waterwise]\nwarm_start = false\n\
-                    horizon = 32\nparallelism = threads:2\n[campaign]\n\
-                    parallelism = serial\n";
+                    horizon = 32\n[campaign]\nparallelism = serial\n";
         let a = parse_spec(spec).unwrap();
         let b = parse_spec(&a.to_spec()).expect("canonical form parses");
         assert_eq!(format!("{a:?}"), format!("{b:?}"));

@@ -18,7 +18,7 @@
 //!    `σ` per unit in the objective instead of being forbidden.
 
 use super::transport::{Transport, Verdict};
-use crate::experiment::{run_indexed, Parallelism};
+use crate::experiment::Parallelism;
 use crate::objective::{footprints_under, CandidateFootprint, Normalizer, ObjectiveWeights};
 use std::sync::Arc;
 use std::time::Instant;
@@ -71,15 +71,6 @@ pub struct WaterWiseConfig {
     /// behavior); `Some(h)` additionally caps it at the `h` most urgent
     /// jobs, deferring the rest to later slots.
     pub horizon: Option<usize>,
-    /// Worker-pool sharding of the per-slot numerics preparation (candidate
-    /// footprints, normalizers, and objective coefficients, Eq. 7/8). Each
-    /// job's numerics are a pure function of the job and the slot context,
-    /// so shards merge in job order and the produced schedule is
-    /// byte-identical across settings; only wall-clock
-    /// [`SolveStats::prepare_seconds`] changes. Defaults to
-    /// [`Parallelism::Serial`] so campaigns that already parallelize at the
-    /// campaign level do not nest worker pools.
-    pub parallelism: Parallelism,
 }
 
 impl Default for WaterWiseConfig {
@@ -92,7 +83,6 @@ impl Default for WaterWiseConfig {
             branch_bound: BranchBoundConfig::default(),
             warm_start: true,
             horizon: None,
-            parallelism: Parallelism::Serial,
         }
     }
 }
@@ -120,18 +110,10 @@ impl WaterWiseConfig {
         self
     }
 
-    /// Shard the per-slot numerics preparation across a worker pool.
-    ///
-    /// ```
-    /// use waterwise_core::{Parallelism, WaterWiseConfig};
-    ///
-    /// let sharded = WaterWiseConfig::default().with_parallelism(Parallelism::Auto);
-    /// assert_eq!(sharded.parallelism, Parallelism::Auto);
-    /// // Serial is the default: nested pools are opt-in.
-    /// assert_eq!(WaterWiseConfig::default().parallelism, Parallelism::Serial);
-    /// ```
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
+    /// This configuration unchanged: the per-round numerics are prepared
+    /// serially, whatever [`Parallelism`] is passed. Kept only because the
+    /// frozen perf ledger calls it; ROADMAP item 1 deletes the name.
+    pub fn with_parallelism(self, _parallelism: Parallelism) -> Self {
         self
     }
 }
@@ -163,9 +145,7 @@ pub struct SolveStats {
     pub cache: CacheStats,
     /// Wall-clock seconds spent preparing per-job numerics (candidate
     /// footprints, normalizers, objective coefficients) ahead of the solves.
-    /// A timing measurement, not deterministic work: it varies run to run
-    /// and shrinks when [`WaterWiseConfig::parallelism`] shards the
-    /// preparation.
+    /// A timing measurement, not deterministic work: it varies run to run.
     pub prepare_seconds: f64,
     /// Wall-clock seconds spent building and solving the MILPs, including
     /// the soft-constrained fallback when it engages. Timing, like
@@ -520,19 +500,25 @@ impl WaterWiseScheduler {
         selected.extend(ranked[..limit].iter().map(|&(i, _)| i));
     }
 
-    /// Fill the round's [`RoundNumerics`], one row per selected job, through
-    /// one kernel: the serial path appends straight to the scratch, the worker
-    /// pool of [`WaterWiseConfig::parallelism`] to a batch per job (partitioned
-    /// by index), merged in job order — the same bytes, hence the same schedule.
+    /// Fill the round's [`RoundNumerics`], one row per selected job, in
+    /// selection order.
     fn prepare_numerics(&self, ctx: &SchedulingContext<'_>, round: &mut RoundScratch) {
         let (estimator, weights) = (&self.estimator, &self.config.weights);
-        let (regions, history) = (&round.regions, &round.history);
         // Every job of the round is estimated at `ctx.now`: one lookup per region.
         let lookup = |&region: &Region| (region, self.provider.conditions(region, ctx.now));
         round.conditions.clear();
-        round.conditions.extend(regions.iter().map(lookup));
-        let conditions = &round.conditions;
-        let fill_row = |pending: usize, candidates: &mut Vec<_>, rows: &mut RoundNumerics| {
+        round.conditions.extend(round.regions.iter().map(lookup));
+        let RoundScratch {
+            regions,
+            conditions,
+            history,
+            selected,
+            numerics,
+            candidates,
+            ..
+        } = round;
+        numerics.reset(regions.len());
+        for &pending in selected.iter() {
             let job = &ctx.pending[pending];
             // Candidate footprints and the per-job normalizer (Eq. 7).
             footprints_under(job, conditions.iter().copied(), estimator, candidates);
@@ -545,32 +531,15 @@ impl WaterWiseScheduler {
                 let (carbon_ref, water_ref) = history[n];
                 coefficient += weights.lambda_ref
                     * (weights.lambda_co2 * carbon_ref + weights.lambda_h2o * water_ref);
-                rows.coeffs.push(coefficient);
+                numerics.coeffs.push(coefficient);
                 let latency = ctx
                     .transfer
                     .transfer_time(job.spec.home_region, *region, job.spec.package_bytes)
                     .value();
-                rows.latency_ratio.push(latency / exec);
+                numerics.latency_ratio.push(latency / exec);
             }
             let remaining_tolerance = (ctx.delay_tolerance - waited / exec).max(0.0);
-            rows.remaining_tolerance.push(remaining_tolerance);
-        };
-        let (selected, numerics) = (&round.selected, &mut round.numerics);
-        numerics.reset(regions.len());
-        let workers = self.config.parallelism.worker_count(selected.len());
-        if workers <= 1 {
-            let row = &mut round.candidates;
-            return selected.iter().for_each(|&p| fill_row(p, row, numerics));
-        }
-        let rows = run_indexed(selected.len(), workers, |m| {
-            let mut row = RoundNumerics::default();
-            fill_row(selected[m], &mut Vec::new(), &mut row);
-            row
-        });
-        for row in rows {
-            numerics.coeffs.extend(row.coeffs);
-            numerics.latency_ratio.extend(row.latency_ratio);
-            numerics.remaining_tolerance.extend(row.remaining_tolerance);
+            numerics.remaining_tolerance.push(remaining_tolerance);
         }
     }
 
@@ -1040,44 +1009,6 @@ mod tests {
         assert_eq!(cold.stats().certified_rounds, 0, "no hint, no certificate");
         let cold_stats = cold.stats().warm;
         assert_eq!((cold_stats.cold_solves, cold_stats.warm_solves), (4, 0));
-    }
-
-    #[test]
-    fn sharded_preparation_matches_serial_byte_for_byte() {
-        // The per-job numerics are pure and merged in job order, so every
-        // parallelism setting must reproduce the serial schedule exactly —
-        // across several rounds on one scheduler (the reused scratch included).
-        let mut fixture = context_fixture(24, 31);
-        for p in &mut fixture.pending {
-            p.received_at = Seconds::from_hours(6.0);
-        }
-        let provider: Arc<dyn ConditionsProvider> = Arc::new(SyntheticTelemetry::with_seed(3));
-        for parallelism in [Parallelism::Auto, Parallelism::Threads(3)] {
-            let mut serial = WaterWiseScheduler::new(
-                provider.clone(),
-                FootprintEstimator::paper_default(),
-                WaterWiseConfig::default(),
-            );
-            let mut sharded = WaterWiseScheduler::new(
-                provider.clone(),
-                FootprintEstimator::paper_default(),
-                WaterWiseConfig::default().with_parallelism(parallelism),
-            );
-            for hour in [6.0, 6.5, 7.5] {
-                let ctx = ctx_from(&fixture, hour, 0.5);
-                let a = serial.schedule(&ctx);
-                let b = sharded.schedule(&ctx);
-                assert_eq!(a, b, "{parallelism:?} diverged from serial at hour {hour}");
-            }
-            // The deterministic solver work must match too; only wall-clock
-            // timing may differ between the runs.
-            assert_eq!(serial.stats().warm, sharded.stats().warm);
-            assert_eq!(serial.stats().nodes, sharded.stats().nodes);
-            assert_eq!(
-                serial.stats().simplex_iterations,
-                sharded.stats().simplex_iterations
-            );
-        }
     }
 
     /// `SyntheticTelemetry` counting the trailing means it is asked for.

@@ -14,7 +14,7 @@ use std::collections::BTreeSet;
 use waterwise_cluster::{
     Scheduler, SchedulingContext, SchedulingDecision, Simulator, SolverActivity,
 };
-use waterwise_core::{Campaign, CampaignConfig, EngineMode, SchedulerKind};
+use waterwise_core::{Campaign, CampaignConfig, SchedulerKind};
 use waterwise_traces::JobId;
 
 /// WaterWise, with every offer checked against the jobs it has assigned.
@@ -76,21 +76,16 @@ fn replay(config: CampaignConfig) -> usize {
 
 #[test]
 fn no_job_is_offered_again_after_a_round_assigned_it() {
-    for engine in [EngineMode::Sync, EngineMode::Pipelined { workers: 2 }] {
-        // Borg at the paper's 280 servers a region: nearly every round places
-        // everything it is offered.
-        let borg = CampaignConfig::paper_default(0.25, 0.5, 42).with_engine_mode(engine);
-        replay(borg);
-        // Twelve servers a region: capacity binds, the slack manager truncates
-        // and jobs are deferred from round to round — offered again because
-        // no round assigned them, never after one did.
-        let pressure = CampaignConfig::paper_default(0.1, 0.5, 42)
-            .with_servers_per_region(12)
-            .with_engine_mode(engine);
-        let deferred_offers = replay(pressure);
-        assert!(
-            deferred_offers > 0,
-            "{engine:?}: the capacity-pressure replay deferred nothing"
-        );
-    }
+    // Borg at the paper's 280 servers a region: nearly every round places
+    // everything it is offered.
+    replay(CampaignConfig::paper_default(0.25, 0.5, 42));
+    // Twelve servers a region: capacity binds, the slack manager truncates
+    // and jobs are deferred from round to round — offered again because no
+    // round assigned them, never after one did.
+    let pressure = CampaignConfig::paper_default(0.1, 0.5, 42).with_servers_per_region(12);
+    let deferred_offers = replay(pressure);
+    assert!(
+        deferred_offers > 0,
+        "the capacity-pressure replay deferred nothing"
+    );
 }

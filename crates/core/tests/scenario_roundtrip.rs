@@ -24,20 +24,20 @@ fn spec_text(
     tolerance: f64,
     lambda: f64,
     servers: usize,
-    workers: usize,
+    clock_scale: usize,
     horizon: Option<usize>,
     warm: bool,
 ) -> String {
-    let engine = if workers == 0 {
-        "sync".to_string()
+    let clock = if clock_scale == 0 {
+        "discrete".to_string()
     } else {
-        format!("pipelined:{workers}")
+        format!("real-time:{:?}", clock_scale as f64 * 30.5)
     };
     let horizon = horizon.map_or("capacity".to_string(), |h| h.to_string());
     format!(
         "[scenario]\nname = prop\nseed = {seed}\n\
          [trace]\nkind = borg\ndays = {days:?}\n\
-         [simulation]\nservers_per_region = {servers}\ndelay_tolerance = {tolerance:?}\nengine = {engine}\n\
+         [simulation]\nservers_per_region = {servers}\ndelay_tolerance = {tolerance:?}\nclock = {clock}\n\
          [objective]\nlambda_co2 = {lambda:?}\n\
          [waterwise]\nwarm_start = {warm}\nhorizon = {horizon}\n"
     )
@@ -58,12 +58,12 @@ proptest! {
         tolerance in 0.0f64..4.0,
         lambda in 0.0f64..1.0,
         servers in 1usize..500,
-        workers in 0usize..5,
+        clock_scale in 0usize..5,
         horizon_raw in 0usize..40,
         warm_raw in 0usize..2,
     ) {
         let horizon = if horizon_raw == 0 { None } else { Some(horizon_raw) };
-        let text = spec_text(seed, days, tolerance, lambda, servers, workers, horizon, warm_raw == 1);
+        let text = spec_text(seed, days, tolerance, lambda, servers, clock_scale, horizon, warm_raw == 1);
         let first = parse_spec(&text).expect("generated spec must parse");
         let reparsed = parse_spec(&first.to_spec()).expect("canonical form must parse");
         prop_assert_eq!(format!("{first:?}"), format!("{reparsed:?}"));
@@ -99,13 +99,13 @@ proptest! {
 fn textually_distinct_equal_specs_produce_byte_identical_schedules() {
     // Same scenario, spelled differently: reordered sections and keys,
     // comments, scientific notation, and an explicit default
-    // (`engine = sync`) on one side only.
+    // (`clock = discrete`) on one side only.
     let first = "[scenario]\nname = twin\nseed = 42\n\
                  [trace]\nkind = borg\ndays = 0.02\n\
                  [simulation]\nservers_per_region = 280\ndelay_tolerance = 0.5\n";
     let second = "# the same campaign, spelled differently\n\
                   [trace]\ndays = 2e-2\nkind = borg\n\
-                  [simulation]\nengine = sync\ndelay_tolerance = 5e-1\n\
+                  [simulation]\nclock = discrete\ndelay_tolerance = 5e-1\n\
                   servers_per_region = 280\n\
                   [scenario]\nseed = 42\nname = twin\n";
     assert_ne!(first, second, "the specs must be textually distinct");

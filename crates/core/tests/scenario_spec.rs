@@ -68,6 +68,16 @@ fn unknown_key_is_rejected_with_its_section() {
         ("[simulation]\nservers = 10\n", "simulation", "servers"),
         // A retired key is an unknown one, not a silently ignored one.
         ("[campaign]\ncache_path = x\n", "campaign", "cache_path"),
+        (
+            "[simulation]\nengine = pipelined:2\n",
+            "simulation",
+            "engine",
+        ),
+        (
+            "[waterwise]\nparallelism = threads:2\n",
+            "waterwise",
+            "parallelism",
+        ),
     ] {
         let err = with(extra).unwrap_err();
         assert_eq!(
@@ -164,34 +174,6 @@ fn lambda_outside_unit_interval_is_out_of_range() {
             "`{bad}` got {err:?}"
         );
     }
-}
-
-#[test]
-fn unknown_engine_label_and_zero_workers_are_rejected() {
-    let err = with("[simulation]\nengine = threads\n").unwrap_err();
-    assert!(
-        matches!(
-            err,
-            ScenarioError::InvalidValue {
-                line: 7,
-                key: "engine",
-                ..
-            }
-        ),
-        "got {err:?}"
-    );
-    let err = with("[simulation]\nengine = pipelined:0\n").unwrap_err();
-    assert!(
-        matches!(
-            err,
-            ScenarioError::OutOfRange {
-                line: 7,
-                key: "engine",
-                ..
-            }
-        ),
-        "got {err:?}"
-    );
 }
 
 #[test]

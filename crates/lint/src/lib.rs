@@ -2,8 +2,8 @@
 //! enforces the byte-identity discipline at the source level.
 //!
 //! Every PR since the seed stakes its correctness claim on byte-identical
-//! schedules (serial==parallel, warm==cold, sync==pipelined,
-//! online==offline, snapshot==replay), but until now those invariants were
+//! schedules (serial==parallel, warm==cold, online==offline,
+//! snapshot==replay), but until now those invariants were
 //! enforced only *dynamically* — by proptests and in-bench asserts that run
 //! after a nondeterminism bug has already been written. This crate moves
 //! the discipline to the source: a hand-rolled Rust lexer (no registry

@@ -4,7 +4,7 @@
 //!
 //! Every rule guards a *runtime byte-identity invariant* that the test
 //! battery enforces dynamically (serial==parallel, warm==cold,
-//! sync==pipelined, online==offline, snapshot==replay); the lint moves the
+//! online==offline, snapshot==replay); the lint moves the
 //! enforcement to the source level, before a nondeterminism bug is ever
 //! executed. See `docs/LINTING.md` for the rule table and
 //! `ARCHITECTURE.md` for the invariant each rule maps to.

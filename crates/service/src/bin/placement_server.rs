@@ -20,8 +20,7 @@
 //! |---|---|---|
 //! | `WATERWISE_ADDR` | — | Listen address, default `127.0.0.1:7878` (`:0` for ephemeral). |
 //! | `WATERWISE_SCENARIO` | the whole spec | Path of the scenario spec file. |
-//! | `WATERWISE_CLOCK` | `[simulation] clock` | `discrete` or `real-time:<scale>`. |
-//! | `WATERWISE_WORKERS` | `[simulation] engine` | `0` = synchronous engine, else pipelined workers. |
+//! | `WATERWISE_CLOCK` | `[simulation] clock` | `discrete` or `real-time:<scale>` (finite, positive scale), as in the spec. |
 //! | `WATERWISE_SERVERS` | `[simulation] servers_per_region` | Servers per region. |
 //! | `WATERWISE_TOLERANCE` | `[simulation] delay_tolerance` | Delay tolerance (fraction of execution time). |
 //! | `WATERWISE_SEED` | `[scenario] seed` | Trace + telemetry seed. |
@@ -35,8 +34,8 @@
 //! | `WATERWISE_RESUME` | — | `1`/`true`: the first run replays a recovered `WATERWISE_JOURNAL_PATH` journal at startup, rebuilding the engine's state before new sessions; `0`/`false` (default): it does not. Anything else is a startup error. |
 
 use std::path::{Path, PathBuf};
-use waterwise_cluster::{ClockMode, EngineMode};
-use waterwise_core::{build_scheduler, Scenario, SchedulerKind};
+use waterwise_cluster::ClockMode;
+use waterwise_core::{build_scheduler, parse_clock_mode, Scenario, SchedulerKind};
 use waterwise_service::{
     AdmissionConfig, AdmissionMode, ClusterHost, HostPersistence, Journal, PlacementService,
     ServiceConfig, TcpClusterServer,
@@ -118,23 +117,14 @@ fn load_scenario_or_exit() -> Scenario {
     }
 }
 
-/// `WATERWISE_CLOCK`: `discrete` or `real-time:<scale>`; anything else is a
-/// startup error.
+/// `WATERWISE_CLOCK`, in the grammar of the spec's `clock` key; a value it
+/// rejects (including a zero, negative or non-finite scale) is a startup
+/// error.
 fn clock_override() -> Option<ClockMode> {
     let raw = std::env::var_os("WATERWISE_CLOCK")?;
-    let value = raw.to_str().unwrap_or_default();
-    if value == "discrete" {
-        return Some(ClockMode::Discrete);
-    }
-    let scale = value
-        .strip_prefix("real-time:")
-        .or_else(|| value.strip_prefix("realtime:"))
-        .and_then(|s| s.parse().ok());
-    match scale {
-        Some(scale) => Some(ClockMode::RealTime { scale }),
-        None => exit_with(format_args!(
-            "invalid WATERWISE_CLOCK: expected `discrete` or `real-time:<scale>`, got {raw:?}"
-        )),
+    match parse_clock_mode(raw.to_str().unwrap_or_default()) {
+        Ok(clock) => Some(clock),
+        Err(reason) => exit_with(format_args!("invalid WATERWISE_CLOCK {raw:?}: {reason}")),
     }
 }
 
@@ -264,14 +254,6 @@ fn main() {
     if let Some(tolerance) = env_opt::<f64>("WATERWISE_TOLERANCE") {
         simulation.delay_tolerance = tolerance;
     }
-    if let Some(workers) = env_opt::<usize>("WATERWISE_WORKERS") {
-        simulation.engine = if workers == 0 {
-            EngineMode::Sync
-        } else {
-            EngineMode::Pipelined { workers }
-        };
-    }
-    let engine = simulation.engine;
     let clock = clock_override().unwrap_or(scenario.clock);
     let gated = env_choice(
         "WATERWISE_ADMISSION",
@@ -303,10 +285,9 @@ fn main() {
     match server.local_addr() {
         Ok(local) => eprintln!(
             "placement_server listening on {local}, {concurrent} concurrent session(s) per run \
-             (scenario {}, clock {}, engine {}, seed {})",
+             (scenario {}, clock {}, seed {})",
             scenario.name,
             clock.label(),
-            engine.label(),
             scenario.seed,
         ),
         Err(error) => exit_with(format_args!("listener has no local address: {error}")),

@@ -18,8 +18,8 @@ pub enum ServiceError {
     /// The simulation configuration backing the service is invalid.
     Config(ConfigError),
     /// The engine failed while replaying the live stream (duplicate ids
-    /// that slipped past validation, out-of-order discrete arrivals, a dead
-    /// pipeline stage, …).
+    /// that slipped past validation, out-of-order discrete arrivals, a
+    /// dropped placement sink, …).
     Simulation(SimulationError),
     /// A transport-level I/O failure (TCP accept/read/write). The inner
     /// string is the I/O error's message (`std::io::Error` is not `Clone`,

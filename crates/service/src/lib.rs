@@ -1,7 +1,7 @@
 //! # waterwise-service
 //!
 //! The online placement front-end of the WaterWise reproduction: live
-//! request ingestion into the (optionally pipelined) simulation engine.
+//! request ingestion into the simulation engine.
 //!
 //! The batch crates replay a whole trace and report a campaign summary;
 //! this crate turns the same engine into a *servable system*. There is one
@@ -30,8 +30,7 @@
 //! one-session run records its admitted jobs as a trace
 //! ([`HostReport::trace`]), and replaying that trace offline through
 //! [`waterwise_cluster::Simulator::run`] reproduces the exact same
-//! schedule — under either engine mode and either
-//! [`waterwise_cluster::ClockMode`] (`tests/online_equivalence.rs`, and
+//! schedule — under either [`waterwise_cluster::ClockMode`] (`tests/online_equivalence.rs`, and
 //! over TCP `tests/tcp_multi_session.rs` plus the `fig17` golden-snapshot
 //! test in `waterwise-bench`). Multi-session runs extend the discipline:
 //! tie order is pinned by per-session sequence bands, and replaying the

@@ -13,7 +13,7 @@ use waterwise_traces::JobSpec;
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// The simulated cluster the service places jobs onto (regions, server
-    /// counts, scheduling interval, delay tolerance, engine mode).
+    /// counts, scheduling interval, delay tolerance).
     pub simulation: SimulationConfig,
     /// The seeded telemetry both the scheduler and the footprint
     /// projections read.
@@ -59,12 +59,6 @@ impl ServiceConfig {
     /// Override the clock mode.
     pub fn with_clock(mut self, clock: ClockMode) -> Self {
         self.clock = clock;
-        self
-    }
-
-    /// Override the engine execution mode (synchronous or pipelined).
-    pub fn with_engine_mode(mut self, engine: waterwise_cluster::EngineMode) -> Self {
-        self.simulation.engine = engine;
         self
     }
 }

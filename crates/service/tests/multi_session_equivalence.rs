@@ -1,9 +1,8 @@
 //! The multi-session determinism contract: **N concurrent sessions
 //! racing onto one persistent host produce an admission journal whose
-//! offline replay is byte-identical to the live schedule**, across Sync
-//! and Pipelined engines — and, when every submit time ties exactly, the
-//! live schedule itself is independent of how the session threads
-//! interleaved.
+//! offline replay is byte-identical to the live schedule** — and, when
+//! every submit time ties exactly, the live schedule itself is independent
+//! of how the session threads interleaved.
 //!
 //! Tie-adversarial on purpose: submit times sit on a coarse grid (many
 //! exactly equal), so the only thing keeping the schedule stable is the
@@ -12,9 +11,7 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use waterwise_cluster::{
-    EngineMode, Scheduler, SchedulingContext, SchedulingDecision, SimulationConfig,
-};
+use waterwise_cluster::{Scheduler, SchedulingContext, SchedulingDecision, SimulationConfig};
 use waterwise_service::{
     AdmissionConfig, AdmissionMode, ClusterHost, HostReport, PlacementResponse, PlacementService,
     ServiceConfig, ServiceError, TenantId,
@@ -39,10 +36,10 @@ fn job(id: u64, submit: f64, exec: f64, home: Region, bytes: u64) -> JobSpec {
     }
 }
 
-/// The same deterministic scheduler family as the engine's pipeline
-/// equivalence tests: home placement, pinning, rotation, partial
-/// assignment, periodic deferral. Stateful on purpose — the live run and
-/// the journal replay must present it the identical context sequence.
+/// The same deterministic scheduler family as `online_equivalence.rs`:
+/// home placement, pinning, rotation, partial assignment, periodic
+/// deferral. Stateful on purpose — the live run and the journal replay
+/// must present it the identical context sequence.
 struct VariedScheduler {
     variant: usize,
     round: usize,
@@ -85,9 +82,9 @@ impl Scheduler for VariedScheduler {
     }
 }
 
-fn service_config(servers: usize, engine: EngineMode) -> ServiceConfig {
+fn service_config(servers: usize) -> ServiceConfig {
     ServiceConfig::new(
-        SimulationConfig::paper_default(servers, 0.5).with_engine_mode(engine),
+        SimulationConfig::paper_default(servers, 0.5),
         TelemetryConfig {
             seed: TELEMETRY_SEED,
             ..TelemetryConfig::default()
@@ -102,7 +99,6 @@ fn service_config(servers: usize, engine: EngineMode) -> ServiceConfig {
 fn run_live(
     sessions: &[Vec<JobSpec>],
     servers: usize,
-    engine: EngineMode,
     variant: usize,
     quota: usize,
 ) -> (
@@ -110,7 +106,7 @@ fn run_live(
     BTreeMap<TenantId, Vec<PlacementResponse>>,
     BTreeMap<TenantId, usize>,
 ) {
-    let service = PlacementService::new(service_config(servers, engine)).unwrap();
+    let service = PlacementService::new(service_config(servers)).unwrap();
     let host = ClusterHost::start_with_service(
         service,
         AdmissionConfig {
@@ -154,16 +150,15 @@ fn run_live(
     (host.shutdown().unwrap(), delivered, shed)
 }
 
-/// Replay the live run's journal offline (always on the Sync engine, so
-/// a Pipelined live run is also checked across engine modes) and assert
-/// byte-identity plus per-tenant response agreement.
+/// Replay the live run's journal offline and assert byte-identity plus
+/// per-tenant response agreement.
 fn assert_replay_identical(
     live: &HostReport,
     delivered: &BTreeMap<TenantId, Vec<PlacementResponse>>,
     servers: usize,
     variant: usize,
 ) {
-    let replay_service = PlacementService::new(service_config(servers, EngineMode::Sync)).unwrap();
+    let replay_service = PlacementService::new(service_config(servers)).unwrap();
     let mut scheduler = VariedScheduler { variant, round: 0 };
     let replay = live
         .journal
@@ -199,9 +194,9 @@ fn assert_replay_identical(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Concurrent interleaved sessions with exact-time ties, Sync and
-    /// Pipelined: the journal replays to the byte-identical schedule and
-    /// every tenant gets the same responses.
+    /// Concurrent interleaved sessions with exact-time ties: the journal
+    /// replays to the byte-identical schedule and every tenant gets the
+    /// same responses.
     #[test]
     fn journal_replay_is_byte_identical_to_live_multi_session_run(
         raw in prop::collection::vec(
@@ -210,7 +205,6 @@ proptest! {
         ),
         servers in 1usize..6,
         variant in 0usize..5,
-        workers in 0usize..3,
         tight_quota in 0usize..2,
     ) {
         // A tight quota exercises in-band shedding; a loose one keeps
@@ -242,13 +236,7 @@ proptest! {
                     .collect()
             })
             .collect();
-        let engine = if workers == 0 {
-            EngineMode::Sync
-        } else {
-            EngineMode::Pipelined { workers }
-        };
-
-        let (report, delivered, shed) = run_live(&sessions, servers, engine, variant, quota);
+        let (report, delivered, shed) = run_live(&sessions, servers, variant, quota);
 
         let submitted: usize = sessions.iter().map(Vec::len).sum();
         let rejected: usize = shed.values().sum();
@@ -276,7 +264,7 @@ proptest! {
 /// With every submit time tied exactly, the committed schedule is a pure
 /// function of `(session, request index)` — so a fully concurrent run and
 /// a strictly sequential one (session 0 submits everything, then session
-/// 1, ...) must commit the byte-identical schedule, in both engine modes.
+/// 1, ...) must commit the byte-identical schedule.
 #[test]
 fn all_ties_schedule_is_independent_of_session_interleaving() {
     let sessions: Vec<Vec<JobSpec>> = (0..4u64)
@@ -295,56 +283,54 @@ fn all_ties_schedule_is_independent_of_session_interleaving() {
         })
         .collect();
 
-    for engine in [EngineMode::Sync, EngineMode::Pipelined { workers: 2 }] {
-        // Concurrent: all four session threads race.
-        let (concurrent, _, _) = run_live(&sessions, 2, engine, 2, 64);
+    // Concurrent: all four session threads race.
+    let (concurrent, _, _) = run_live(&sessions, 2, 2, 64);
 
-        // Sequential: one session at a time submits its whole stream
-        // (the admission queue still sees four sessions; only the
-        // interleaving changes — maximally, from racy to serialized).
-        let service = PlacementService::new(service_config(2, engine)).unwrap();
-        let host = ClusterHost::start_with_service(
-            service,
-            AdmissionConfig {
-                tenant_inflight_quota: 64,
-                drr_quantum: 2,
-                mode: AdmissionMode::Streaming {
-                    close_after_sessions: Some(sessions.len()),
-                },
+    // Sequential: one session at a time submits its whole stream
+    // (the admission queue still sees four sessions; only the
+    // interleaving changes — maximally, from racy to serialized).
+    let service = PlacementService::new(service_config(2)).unwrap();
+    let host = ClusterHost::start_with_service(
+        service,
+        AdmissionConfig {
+            tenant_inflight_quota: 64,
+            drr_quantum: 2,
+            mode: AdmissionMode::Streaming {
+                close_after_sessions: Some(sessions.len()),
             },
-            Box::new(VariedScheduler {
-                variant: 2,
-                round: 0,
-            }),
-        )
-        .unwrap();
-        let opened: Vec<_> = sessions
-            .iter()
-            .enumerate()
-            .map(|(i, _)| host.open_session(format!("tenant-{i}")).unwrap())
-            .collect();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (session, jobs) in opened.into_iter().zip(&sessions) {
-                for spec in jobs {
-                    session.submit(spec.clone()).unwrap();
-                }
-                // Drain concurrently (responses only flush as other
-                // sessions advance time or the host auto-closes), but
-                // submit strictly sequentially.
-                handles.push(scope.spawn(move || session.drain()));
+        },
+        Box::new(VariedScheduler {
+            variant: 2,
+            round: 0,
+        }),
+    )
+    .unwrap();
+    let opened: Vec<_> = sessions
+        .iter()
+        .enumerate()
+        .map(|(i, _)| host.open_session(format!("tenant-{i}")).unwrap())
+        .collect();
+    std::thread::scope(|scope| {
+        let mut handles = Vec::new();
+        for (session, jobs) in opened.into_iter().zip(&sessions) {
+            for spec in jobs {
+                session.submit(spec.clone()).unwrap();
             }
-            for handle in handles {
-                handle.join().unwrap();
-            }
-        });
-        let sequential = host.shutdown().unwrap();
+            // Drain concurrently (responses only flush as other
+            // sessions advance time or the host auto-closes), but
+            // submit strictly sequentially.
+            handles.push(scope.spawn(move || session.drain()));
+        }
+        for handle in handles {
+            handle.join().unwrap();
+        }
+    });
+    let sequential = host.shutdown().unwrap();
 
-        assert_eq!(
-            concurrent.schedule_digest(),
-            sequential.schedule_digest(),
-            "tied-arrival schedule depended on session interleaving ({engine:?})"
-        );
-        assert_eq!(concurrent.report.outcomes, sequential.report.outcomes);
-    }
+    assert_eq!(
+        concurrent.schedule_digest(),
+        sequential.schedule_digest(),
+        "tied-arrival schedule depended on session interleaving"
+    );
+    assert_eq!(concurrent.report.outcomes, sequential.report.outcomes);
 }

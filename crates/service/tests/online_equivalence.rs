@@ -1,10 +1,9 @@
 //! The service-level determinism contract: **a request stream fed through
 //! a one-session [`ClusterHost`] yields a schedule byte-identical to the
-//! host's recorded trace replayed offline**, across Sync and Pipelined
-//! engine modes.
+//! host's recorded trace replayed offline**.
 //!
-//! Like the engine-level pipeline tests, the generated streams are
-//! adversarial for event ordering: submit times sit on a coarse grid so
+//! The generated streams are adversarial for event ordering: submit times
+//! sit on a coarse grid so
 //! arrivals collide exactly with scheduling rounds, decision `Ready`
 //! events, and completions — the ties where the online driver's split
 //! sequence bands and watermark rule are the only things keeping the
@@ -12,8 +11,7 @@
 
 use proptest::prelude::*;
 use waterwise_cluster::{
-    EngineMode, Scheduler, SchedulingContext, SchedulingDecision, SimulationConfig,
-    SimulationReport, Simulator,
+    Scheduler, SchedulingContext, SchedulingDecision, SimulationConfig, SimulationReport, Simulator,
 };
 use waterwise_core::{build_scheduler, SchedulerKind, WaterWiseConfig};
 use waterwise_service::{
@@ -40,10 +38,9 @@ fn job(id: u64, submit: f64, exec: f64, home: Region, bytes: u64) -> JobSpec {
     }
 }
 
-/// The same deterministic scheduler family as the engine's pipeline
-/// equivalence tests: home placement, pinning, rotation, partial
-/// assignment, periodic deferral. Stateful on purpose — the online and
-/// offline runs must present it the identical context sequence.
+/// A deterministic scheduler family: home placement, pinning, rotation,
+/// partial assignment, periodic deferral. Stateful on purpose — the online
+/// and offline runs must present it the identical context sequence.
 struct VariedScheduler {
     variant: usize,
     round: usize,
@@ -86,21 +83,20 @@ impl Scheduler for VariedScheduler {
     }
 }
 
-fn simulation_config(servers: usize, engine: EngineMode) -> SimulationConfig {
-    SimulationConfig::paper_default(servers, 0.5).with_engine_mode(engine)
+fn simulation_config(servers: usize) -> SimulationConfig {
+    SimulationConfig::paper_default(servers, 0.5)
 }
 
 /// Feed `jobs` (already sorted by submit time) through the one session of
-/// a host with the given engine mode: quota sized to the stream, and the
-/// host closes itself when its one session ends.
+/// a host: quota sized to the stream, and the host closes itself when its
+/// one session ends.
 fn serve_stream(
     jobs: &[JobSpec],
     servers: usize,
-    engine: EngineMode,
     scheduler: Box<dyn Scheduler>,
 ) -> (HostReport, Vec<PlacementResponse>) {
     let config = HostConfig::new(ServiceConfig::new(
-        simulation_config(servers, engine),
+        simulation_config(servers),
         TelemetryConfig {
             seed: TELEMETRY_SEED,
             ..TelemetryConfig::default()
@@ -133,7 +129,7 @@ fn replay_offline(
     scheduler: &mut dyn Scheduler,
 ) -> SimulationReport {
     let simulator = Simulator::new(
-        simulation_config(servers, EngineMode::Sync),
+        simulation_config(servers),
         SyntheticTelemetry::with_seed(TELEMETRY_SEED),
     )
     .unwrap();
@@ -166,13 +162,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Online == offline on tie-heavy request streams across scheduler
-    /// behaviors, engine modes, and capacity pressure.
+    /// behaviors and capacity pressure.
     #[test]
     fn online_ingestion_is_byte_identical_to_offline_replay(
         raw in prop::collection::vec((0u64..30, 1u64..20, 0usize..5, 1u64..200_000_000), 1..30),
         servers in 1usize..6,
         variant in 0usize..5,
-        workers in 0usize..3,
     ) {
         // Coarse grids (multiples of 30 s and 45 s) force exact-timestamp
         // collisions with the 60 s scheduling rounds. The stream must be
@@ -187,22 +182,15 @@ proptest! {
             .collect();
         jobs.sort_by(|a, b| a.submit_time.value().total_cmp(&b.submit_time.value()));
 
-        let engine = if workers == 0 {
-            EngineMode::Sync
-        } else {
-            EngineMode::Pipelined { workers }
-        };
-        let (online, responses) = serve_stream(
-            &jobs,
-            servers,
-            engine,
-            Box::new(VariedScheduler { variant, round: 0 }),
-        );
+        let (online, responses) =
+            serve_stream(&jobs, servers, Box::new(VariedScheduler { variant, round: 0 }));
         let offline =
             replay_offline(&online.trace, servers, &mut VariedScheduler { variant, round: 0 });
 
         prop_assert_eq!(&online.trace, &jobs, "discrete stamps must keep the stream");
         assert_identical(&online, &offline);
+        // Every job completes, whatever the scheduler deferred.
+        prop_assert_eq!(offline.summary.total_jobs, jobs.len());
         prop_assert_eq!(online.accepted, jobs.len());
         prop_assert_eq!(online.rejected, 0);
         prop_assert_eq!(online.served, jobs.len());
@@ -222,9 +210,9 @@ proptest! {
 
 /// The full WaterWise scheduler (MILP + warm starts) through the service:
 /// expensive, so a fixed stream rather than a property, but it covers the
-/// solver stage plus a stateful scheduler end-to-end in both engine modes.
+/// solver plus a stateful scheduler end-to-end.
 #[test]
-fn waterwise_scheduler_is_byte_identical_online_across_engine_modes() {
+fn waterwise_scheduler_is_byte_identical_online() {
     let jobs: Vec<JobSpec> = (0..10)
         .map(|i| {
             job(
@@ -246,25 +234,23 @@ fn waterwise_scheduler_is_byte_identical_online_across_engine_modes() {
             build_scheduler(
                 SchedulerKind::WaterWise,
                 SyntheticTelemetry::with_seed(TELEMETRY_SEED).shared(),
-                FootprintEstimator::new(simulation_config(servers, EngineMode::Sync).datacenter),
+                FootprintEstimator::new(simulation_config(servers).datacenter),
                 &config,
             )
         };
 
         let offline = replay_offline(&jobs, servers, make_scheduler().as_mut());
 
-        for engine in [EngineMode::Sync, EngineMode::Pipelined { workers: 2 }] {
-            let (report, responses) = serve_stream(&jobs, servers, engine, make_scheduler());
-            assert_eq!(report.trace, jobs);
-            assert_eq!(report.report.outcomes, offline.outcomes);
-            assert_eq!(report.report.makespan, offline.makespan);
-            assert_eq!(responses.len(), jobs.len());
-            // The MILP scheduler reports its per-round solver work in the
-            // response enrichment.
-            let solved = responses
-                .iter()
-                .any(|r| r.solver.is_some_and(|s| s.solves + s.cache_misses > 0));
-            assert_eq!(solved, !config.warm_start, "{engine:?}");
-        }
+        let (report, responses) = serve_stream(&jobs, servers, make_scheduler());
+        assert_eq!(report.trace, jobs);
+        assert_eq!(report.report.outcomes, offline.outcomes);
+        assert_eq!(report.report.makespan, offline.makespan);
+        assert_eq!(responses.len(), jobs.len());
+        // The MILP scheduler reports its per-round solver work in the
+        // response enrichment.
+        let solved = responses
+            .iter()
+            .any(|r| r.solver.is_some_and(|s| s.solves + s.cache_misses > 0));
+        assert_eq!(solved, !config.warm_start);
     }
 }

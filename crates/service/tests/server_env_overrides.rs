@@ -44,6 +44,11 @@ fn unparsable_overrides_fail_startup_naming_the_variable() {
         ("WATERWISE_TENANT_QUOTA", "6x4", &[][..]),
         ("WATERWISE_CLOCK", "real-time:abc", &[]),
         ("WATERWISE_CLOCK", "sometimes", &[]),
+        // Parses as a number, but no clock runs at that scale: the spec's
+        // `clock` grammar rejects it, so the variable does too.
+        ("WATERWISE_CLOCK", "real-time:0", &[]),
+        ("WATERWISE_CLOCK", "real-time:-5", &[]),
+        ("WATERWISE_CLOCK", "real-time:inf", &[]),
         ("WATERWISE_ADMISSION", "gatd", &[]),
         ("WATERWISE_RESUME", "yes", &with_journal[..]),
     ] {

@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use waterwise_cluster::{
-    EngineMode, Scheduler, SchedulingContext, SchedulingDecision, SimulationConfig, Simulator,
+    Scheduler, SchedulingContext, SchedulingDecision, SimulationConfig, Simulator,
 };
 use waterwise_service::{
     wire, AdmissionConfig, AdmissionMode, ClusterHost, HostReport, PlacementService, ServiceConfig,
@@ -48,9 +48,9 @@ impl Scheduler for HomeScheduler {
     }
 }
 
-fn start_host(mode: AdmissionMode, quota: usize, engine: EngineMode) -> ClusterHost {
+fn start_host(mode: AdmissionMode, quota: usize) -> ClusterHost {
     let config = ServiceConfig::new(
-        SimulationConfig::paper_default(4, 0.5).with_engine_mode(engine),
+        SimulationConfig::paper_default(4, 0.5),
         TelemetryConfig {
             seed: TELEMETRY_SEED,
             ..TelemetryConfig::default()
@@ -93,18 +93,13 @@ fn run_client(addr: SocketAddr, lines: &[impl AsRef<[u8]>]) -> Vec<String> {
 }
 
 /// Serve `lines` from one client on a one-session host with the given
-/// quota and engine; returns the client's replies and the host's report.
-fn serve_lone_client(
-    quota: usize,
-    engine: EngineMode,
-    lines: &[impl AsRef<[u8]>],
-) -> (Vec<String>, HostReport) {
+/// quota; returns the client's replies and the host's report.
+fn serve_lone_client(quota: usize, lines: &[impl AsRef<[u8]>]) -> (Vec<String>, HostReport) {
     let host = start_host(
         AdmissionMode::Streaming {
             close_after_sessions: Some(1),
         },
         quota,
-        engine,
     );
     let server = TcpClusterServer::bind("127.0.0.1:0").unwrap();
     let addr = server.local_addr().unwrap();
@@ -143,7 +138,7 @@ fn lone_client_session_serves_requests_and_shuts_down_cleanly() {
         String::new(),                              // blank keep-alive line
         wire::encode_request(&job(4, 120.0, 300.0)),
     ];
-    let (replies, report) = serve_lone_client(64, EngineMode::Pipelined { workers: 2 }, &lines);
+    let (replies, report) = serve_lone_client(64, &lines);
     let mut codes = error_codes(&replies);
     codes.sort_unstable();
     assert_eq!(
@@ -180,7 +175,7 @@ fn non_utf8_and_over_long_lines_are_answered_in_band() {
         vec![b'x'; 200 * 1024],
         wire::encode_request(&job(2, 30.0, 60.0)).into_bytes(),
     ];
-    let (replies, report) = serve_lone_client(64, EngineMode::Sync, &lines);
+    let (replies, report) = serve_lone_client(64, &lines);
     assert_eq!(
         error_codes(&replies),
         vec!["malformed"; 2],
@@ -216,7 +211,7 @@ fn lone_client_over_its_quota_is_shed_in_band_and_keeps_its_session() {
         .collect();
     // Still served after the rejections: a reused id gets its own answer.
     lines.push(wire::encode_request(&job(1, 0.0, 60.0)));
-    let (replies, report) = serve_lone_client(2, EngineMode::Sync, &lines);
+    let (replies, report) = serve_lone_client(2, &lines);
     assert_eq!(
         error_codes(&replies),
         vec![
@@ -240,70 +235,67 @@ fn lone_client_over_its_quota_is_shed_in_band_and_keeps_its_session() {
 /// the byte-identical schedule.
 #[test]
 fn four_concurrent_clients_share_one_engine_run() {
-    for engine in [EngineMode::Sync, EngineMode::Pipelined { workers: 2 }] {
-        let host = start_host(
-            AdmissionMode::Streaming {
-                close_after_sessions: Some(4),
-            },
-            64,
-            engine,
-        );
-        let server = TcpClusterServer::bind("127.0.0.1:0").unwrap();
-        let addr = server.local_addr().unwrap();
-        let per_client: Vec<Vec<String>> = (0..4u64)
-            .map(|c| {
-                (0..5u64)
-                    .map(|k| {
-                        wire::encode_tenant_request(
-                            &format!("tenant-{c}"),
-                            &job(c * 100 + k, 30.0 * k as f64, 90.0),
-                        )
-                    })
-                    .collect()
-            })
+    let host = start_host(
+        AdmissionMode::Streaming {
+            close_after_sessions: Some(4),
+        },
+        64,
+    );
+    let server = TcpClusterServer::bind("127.0.0.1:0").unwrap();
+    let addr = server.local_addr().unwrap();
+    let per_client: Vec<Vec<String>> = (0..4u64)
+        .map(|c| {
+            (0..5u64)
+                .map(|k| {
+                    wire::encode_tenant_request(
+                        &format!("tenant-{c}"),
+                        &job(c * 100 + k, 30.0 * k as f64, 90.0),
+                    )
+                })
+                .collect()
+        })
+        .collect();
+    let replies: Vec<Vec<String>> = std::thread::scope(|scope| {
+        let serving = scope.spawn(|| server.serve_sessions(&host, 4));
+        let clients: Vec<_> = per_client
+            .iter()
+            .map(|lines| scope.spawn(move || run_client(addr, lines)))
             .collect();
-        let replies: Vec<Vec<String>> = std::thread::scope(|scope| {
-            let serving = scope.spawn(|| server.serve_sessions(&host, 4));
-            let clients: Vec<_> = per_client
-                .iter()
-                .map(|lines| scope.spawn(move || run_client(addr, lines)))
-                .collect();
-            let replies = clients.into_iter().map(|c| c.join().unwrap()).collect();
-            serving.join().unwrap().unwrap();
-            replies
-        });
-        for (c, replies) in replies.iter().enumerate() {
-            let mut placed = placements(replies);
-            placed.sort_unstable();
-            let expected: Vec<u64> = (0..5u64).map(|k| c as u64 * 100 + k).collect();
-            assert_eq!(placed, expected, "client {c} placements ({engine:?})");
-            assert!(error_codes(replies).is_empty());
-        }
-        let report = host.shutdown().unwrap();
-        assert_eq!(report.sessions, 4);
-        assert_eq!(
-            (report.accepted, report.served, report.rejected),
-            (20, 20, 0)
-        );
-        assert_eq!(report.tenants.len(), 4);
-
-        // The live TCP run's journal replays offline byte-identically.
-        let replay_service = PlacementService::new(ServiceConfig::new(
-            SimulationConfig::paper_default(4, 0.5),
-            TelemetryConfig {
-                seed: TELEMETRY_SEED,
-                ..TelemetryConfig::default()
-            },
-        ))
-        .unwrap();
-        let replay = report
-            .journal
-            .replay(&replay_service, &mut HomeScheduler)
-            .unwrap();
-        assert_eq!(report.schedule_digest(), replay.schedule_digest());
-        let replayed: usize = replay.responses.values().map(Vec::len).sum();
-        assert_eq!(replayed, 20);
+        let replies = clients.into_iter().map(|c| c.join().unwrap()).collect();
+        serving.join().unwrap().unwrap();
+        replies
+    });
+    for (c, replies) in replies.iter().enumerate() {
+        let mut placed = placements(replies);
+        placed.sort_unstable();
+        let expected: Vec<u64> = (0..5u64).map(|k| c as u64 * 100 + k).collect();
+        assert_eq!(placed, expected, "client {c} placements");
+        assert!(error_codes(replies).is_empty());
     }
+    let report = host.shutdown().unwrap();
+    assert_eq!(report.sessions, 4);
+    assert_eq!(
+        (report.accepted, report.served, report.rejected),
+        (20, 20, 0)
+    );
+    assert_eq!(report.tenants.len(), 4);
+
+    // The live TCP run's journal replays offline byte-identically.
+    let replay_service = PlacementService::new(ServiceConfig::new(
+        SimulationConfig::paper_default(4, 0.5),
+        TelemetryConfig {
+            seed: TELEMETRY_SEED,
+            ..TelemetryConfig::default()
+        },
+    ))
+    .unwrap();
+    let replay = report
+        .journal
+        .replay(&replay_service, &mut HomeScheduler)
+        .unwrap();
+    assert_eq!(report.schedule_digest(), replay.schedule_digest());
+    let replayed: usize = replay.responses.values().map(Vec::len).sum();
+    assert_eq!(replayed, 20);
 }
 
 /// A tenant at its quota gets typed in-band `admission_rejected` lines,
@@ -311,7 +303,7 @@ fn four_concurrent_clients_share_one_engine_run() {
 /// so the queue depth is exactly the submission count).
 #[test]
 fn quota_exhaustion_is_reported_in_band_as_typed_errors() {
-    let host = start_host(AdmissionMode::Gated { sessions: 1 }, 2, EngineMode::Sync);
+    let host = start_host(AdmissionMode::Gated { sessions: 1 }, 2);
     let server = TcpClusterServer::bind("127.0.0.1:0").unwrap();
     let addr = server.local_addr().unwrap();
     let lines: Vec<String> = (1..=5u64)
@@ -352,7 +344,6 @@ fn malformed_and_duplicate_lines_do_not_kill_sessions() {
             close_after_sessions: Some(2),
         },
         64,
-        EngineMode::Sync,
     );
     let server = TcpClusterServer::bind("127.0.0.1:0").unwrap();
     let addr = server.local_addr().unwrap();
@@ -404,7 +395,6 @@ fn half_closed_session_drains_while_others_continue() {
             close_after_sessions: Some(2),
         },
         64,
-        EngineMode::Sync,
     );
     let server = TcpClusterServer::bind("127.0.0.1:0").unwrap();
     let addr = server.local_addr().unwrap();
@@ -502,7 +492,6 @@ fn abrupt_disconnect_does_not_poison_the_host() {
             close_after_sessions: Some(2),
         },
         64,
-        EngineMode::Pipelined { workers: 2 },
     );
     let server = TcpClusterServer::bind("127.0.0.1:0").unwrap();
     let addr = server.local_addr().unwrap();

@@ -572,72 +572,17 @@ fn zero_horizon_campaign_still_completes_every_job() {
 }
 
 #[test]
-fn engine_modes_are_byte_identical_across_a_matrix() {
-    use waterwise::core::EngineMode;
-    // The pipelined-engine determinism contract at the campaign-matrix
-    // level: a tolerance × horizon sweep replayed under the sync engine,
-    // and again under pipelined engines with different worker counts, must
-    // produce byte-identical schedules in every cell for every scheduler.
-    let configs = |engine: EngineMode| -> Vec<CampaignConfig> {
-        [0.25, 1.00]
-            .iter()
-            .flat_map(|&tol| {
-                [None, Some(5)].into_iter().map(move |horizon| {
-                    let mut config = CampaignConfig::small_demo(42).with_delay_tolerance(tol);
-                    config.waterwise = config.waterwise.clone().with_horizon(horizon);
-                    config.with_engine_mode(engine)
-                })
-            })
-            .collect()
-    };
-    let kinds = [
-        SchedulerKind::Baseline,
-        SchedulerKind::RoundRobin,
-        SchedulerKind::WaterWise,
-    ];
-    let reference =
-        Campaign::run_matrix(&configs(EngineMode::Sync), &kinds, Parallelism::Auto).unwrap();
-    for workers in [1, 2] {
-        let pipelined = Campaign::run_matrix(
-            &configs(EngineMode::Pipelined { workers }),
-            &kinds,
-            Parallelism::Auto,
-        )
-        .unwrap();
-        for (row_ref, row_pipe) in reference.iter().zip(&pipelined) {
-            for (cell_ref, cell_pipe) in row_ref.iter().zip(row_pipe) {
-                assert_eq!(
-                    cell_ref.report.outcomes, cell_pipe.report.outcomes,
-                    "pipelined({workers}) changed {:?}'s schedule",
-                    cell_ref.kind
-                );
-                assert_eq!(
-                    format!("{:?}", cell_ref.summary.without_wall_clock()),
-                    format!("{:?}", cell_pipe.summary.without_wall_clock()),
-                    "pipelined({workers}) changed {:?}'s summary",
-                    cell_ref.kind
-                );
-                assert!(cell_pipe.summary.pipeline.is_some());
-            }
-        }
-    }
-}
-
-#[test]
-fn pipelined_malformed_trace_fails_one_cell_without_poisoning_the_matrix() {
-    use waterwise::cluster::{EngineMode, SimulationConfig, SimulationError, Simulator};
-    // PR 3 taught the sync engine to reject malformed traces with typed
-    // errors instead of panicking; the pipelined engine must fail the same
-    // way — one bad cell errors, the other cells of the same parallel batch
-    // (sync and pipelined alike) complete untouched.
+fn a_malformed_trace_fails_one_cell_without_poisoning_the_matrix() {
+    use waterwise::cluster::{SimulationConfig, SimulationError, Simulator};
+    // A malformed trace fails its one cell with a typed error instead of a
+    // panic; the healthy cells of a parallel batch complete untouched.
     let campaign = small_campaign(5);
     let mut bad_jobs = campaign.jobs().to_vec();
     assert!(bad_jobs.len() >= 2);
     bad_jobs[1].id = bad_jobs[0].id;
 
-    let pipelined_config = SimulationConfig::paper_default(40, 0.5)
-        .with_engine_mode(EngineMode::Pipelined { workers: 2 });
-    let simulator = Simulator::new(pipelined_config.clone(), campaign.telemetry().clone()).unwrap();
+    let config = SimulationConfig::paper_default(40, 0.5);
+    let simulator = Simulator::new(config.clone(), campaign.telemetry().clone()).unwrap();
     let mut scheduler = campaign.build_scheduler(SchedulerKind::WaterWise);
     let err = simulator.run(&bad_jobs, scheduler.as_mut()).unwrap_err();
     assert!(
@@ -645,22 +590,18 @@ fn pipelined_malformed_trace_fails_one_cell_without_poisoning_the_matrix() {
         "expected DuplicateJobId, got {err:?}"
     );
 
-    // An unassigned-job style corruption — a NaN submit time — also fails
-    // with the same typed error the sync engine reports.
+    // A NaN submit time fails with its own typed error.
     let mut nan_jobs = campaign.jobs().to_vec();
     nan_jobs[0].submit_time = waterwise::sustain::Seconds::new(f64::NAN);
-    let simulator = Simulator::new(pipelined_config, campaign.telemetry().clone()).unwrap();
+    let simulator = Simulator::new(config, campaign.telemetry().clone()).unwrap();
     let mut scheduler = campaign.build_scheduler(SchedulerKind::WaterWise);
     let err = simulator.run(&nan_jobs, scheduler.as_mut()).unwrap_err();
     assert!(matches!(err, SimulationError::NonFiniteEventTime { .. }));
 
-    // The failures above must not poison healthy pipelined cells run in the
-    // same parallel batch.
+    // The failures above must not poison healthy cells run in a parallel
+    // batch.
     let healthy = Campaign::run_matrix(
-        &[
-            CampaignConfig::small_demo(5).with_engine_mode(EngineMode::Pipelined { workers: 2 }),
-            CampaignConfig::small_demo(6),
-        ],
+        &[CampaignConfig::small_demo(5), CampaignConfig::small_demo(6)],
         &[SchedulerKind::WaterWise],
         Parallelism::Auto,
     )
