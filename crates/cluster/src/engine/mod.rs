@@ -31,7 +31,7 @@ use crate::scheduler::{
     PendingJob, Scheduler, SchedulingContext, SchedulingDecision, SolverActivity,
 };
 use crate::state::{RegionRuntime, RegionView};
-use queue::{Event, EventQueue, QueuedEvent};
+use queue::{Event, EventQueue};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -115,7 +115,8 @@ pub(crate) struct SimState<'t> {
     /// The preloaded jobs whose arrivals the queue has not been handed yet.
     /// A preloaded trace is held in arrival order — `jobs[i]` *is* arrival
     /// `i` — so instead of a second copy of it in the queue, one arrival is
-    /// queued at a time (see [`SimState::pop_event`]). Empty in a live run.
+    /// queued at a time (see [`SimState::handle_arrival`]). Empty in a live
+    /// run.
     unqueued: Range<usize>,
     regions: Vec<RegionRuntime>,
     /// Slot in `regions` of every participating region, on
@@ -124,6 +125,8 @@ pub(crate) struct SimState<'t> {
     pub(crate) queue: EventQueue,
     pub(crate) interval: f64,
     pub(crate) tolerance: f64,
+    /// `runtimes[i]` is job `i`'s bookkeeping, pushed when its arrival is
+    /// queued: an event can only reach a job whose arrival came first.
     runtimes: Vec<JobRuntime>,
     /// Pending pool, kept in the form the scheduler sees (received time,
     /// rounds deferred so far) so a round lends it instead of rebuilding it.
@@ -132,7 +135,8 @@ pub(crate) struct SimState<'t> {
     pending_index: Vec<usize>,
     /// Per-round scratch, reused so a round allocates nothing: the region
     /// views lent to the scheduler, and the snapshot's `(job id, pool
-    /// position)` pairs sorted by id for matching a decision's assignments.
+    /// position)` pairs sorted by id, for a decision that does not list its
+    /// jobs in pool order (see [`SimState::locate`]).
     views: Vec<RegionView>,
     offered: Vec<(JobId, usize)>,
     pub(crate) overhead: Vec<OverheadSample>,
@@ -157,11 +161,33 @@ impl<'t> SimState<'t> {
         config: &SimulationConfig,
         jobs: &'t [JobSpec],
     ) -> Result<Self, SimulationError> {
-        if let Some(id) = duplicate_id(jobs) {
+        // One pass over the trace for the three facts preloading needs —
+        // ids strictly increase (so none repeats), every submit time is
+        // finite, the trace is in submit order — instead of one pass each.
+        // Only a trace that fails one pays for the search behind it.
+        let submit = |job: &JobSpec| job.submit_time.value();
+        let mut finite = jobs.first().is_none_or(|job| submit(job).is_finite());
+        let (mut ids_increase, mut in_order) = (true, true);
+        for pair in jobs.windows(2) {
+            let (a, b) = (&pair[0], &pair[1]);
+            finite &= submit(b).is_finite();
+            ids_increase &= a.id < b.id;
+            in_order &= submit(a).total_cmp(&submit(b)).is_le();
+        }
+        let duplicate = if ids_increase {
+            None
+        } else {
+            duplicate_id(jobs)
+        };
+        if let Some(id) = duplicate {
             return Err(SimulationError::DuplicateJobId { id });
         }
-        let submit = |job: &JobSpec| job.submit_time.value();
-        if let Some(i) = jobs.iter().position(|job| !submit(job).is_finite()) {
+        let non_finite = if finite {
+            None
+        } else {
+            jobs.iter().position(|job| !submit(job).is_finite())
+        };
+        if let Some(i) = non_finite {
             return Err(SimulationError::NonFiniteEventTime {
                 time: submit(&jobs[i]),
                 event: Event::Arrival(i).describe(jobs),
@@ -170,14 +196,14 @@ impl<'t> SimState<'t> {
         let mut state = Self::empty(config);
         // Checked first: a stable sort allocates its scratch (half the trace)
         // before it notices there is nothing to do.
-        state.jobs = if jobs.is_sorted_by(|a, b| submit(a).total_cmp(&submit(b)).is_le()) {
+        state.jobs = if in_order {
             Cow::Borrowed(jobs)
         } else {
             let mut sorted = jobs.to_vec();
             sorted.sort_by(|a, b| submit(a).total_cmp(&submit(b)));
             Cow::Owned(sorted)
         };
-        state.runtimes = vec![JobRuntime::default(); jobs.len()];
+        state.runtimes = Vec::with_capacity(jobs.len());
         state.unqueued = 0..jobs.len();
         state.queue.reserve(jobs.len() as u64);
         state.queue_next_preloaded()?;
@@ -271,31 +297,24 @@ impl<'t> SimState<'t> {
     /// left.
     fn queue_next_preloaded(&mut self) -> Result<(), SimulationError> {
         if let Some(i) = self.unqueued.next() {
+            self.runtimes.push(JobRuntime::default());
             self.queue_arrival(i, self.jobs[i].submit_time.value(), i as u64)?;
         }
         Ok(())
     }
 
-    /// Remove and return the earliest queued event. A preloaded arrival is
-    /// succeeded in the queue by the next one, which by the trace's order
-    /// cannot dispatch before it — the queue sees the trace as an ordered
-    /// stream without ever holding more than its head.
-    pub(crate) fn pop_event(&mut self) -> Result<Option<QueuedEvent>, SimulationError> {
-        let popped = self.queue.pop();
-        if popped.is_some_and(|queued| matches!(queued.event, Event::Arrival(_))) {
-            self.queue_next_preloaded()?;
-        }
-        Ok(popped)
-    }
-
-    /// A job arrived at its home region's decision controller.
-    pub(crate) fn handle_arrival(&mut self, i: usize, time: f64) {
+    /// A job arrived at its home region's decision controller. A preloaded
+    /// arrival is succeeded in the queue by the next one, which by the
+    /// trace's order cannot dispatch before it — the queue sees the trace as
+    /// an ordered stream without ever holding more than its head.
+    pub(crate) fn handle_arrival(&mut self, i: usize, time: f64) -> Result<(), SimulationError> {
         self.pending.push(PendingJob {
             spec: self.jobs[i].clone(),
             received_at: Seconds::new(time),
             deferrals: 0,
         });
         self.pending_index.push(i);
+        self.queue_next_preloaded()
     }
 
     /// The scheduler-visible state for a round: the pending jobs (with
@@ -316,7 +335,10 @@ impl<'t> SimState<'t> {
     /// with `seq_base + k` and the next round with `seq_base + snapshot_len`.
     /// Assignments are matched against the snapshot prefix of the pending
     /// pool only: a decision can never reach jobs that arrived after its
-    /// snapshot.
+    /// snapshot. A decision that lists its jobs in pool order (every
+    /// baseline, and WaterWise whenever its slack manager keeps the whole
+    /// pool) is matched by walking the pool beside it; see
+    /// [`SimState::locate`].
     /// The placements actually enacted are appended to `enacted` (in
     /// decision order) when the run has someone to notify of them; an
     /// offline replay passes `None`.
@@ -329,19 +351,12 @@ impl<'t> SimState<'t> {
         config: &SimulationConfig,
         mut enacted: Option<&mut Vec<EnactedPlacement>>,
     ) -> Result<(), SimulationError> {
-        self.offered.clear();
-        if !decision.assignments.is_empty() {
-            let snapshot = self.pending.iter().take(snapshot_len);
-            self.offered
-                .extend(snapshot.enumerate().map(|(at, p)| (p.spec.id, at)));
-            self.offered.sort_unstable();
-        }
+        let mut walk = Some(0);
         let mut placed = 0u64;
         for a in &decision.assignments {
-            let Ok(hit) = self.offered.binary_search_by_key(&a.job, |&(id, _)| id) else {
+            let Some(at) = self.locate(a.job, snapshot_len, &mut walk) else {
                 continue; // Unknown or already-scheduled job id: ignore.
             };
-            let at = self.offered[hit].1;
             let i = self.pending_index[at];
             let Some(slot) = self.region_slot[a.region.index()] else {
                 continue; // Not a participating region.
@@ -397,6 +412,39 @@ impl<'t> SimState<'t> {
             )?;
         }
         Ok(())
+    }
+
+    /// The position of `job` in the first `snapshot_len` jobs of the pool,
+    /// if it is there. `walk` is where the previous lookup left off while a
+    /// decision lists its jobs in pool order: the job is sought from there
+    /// on, so a decision in pool order costs one pass over the pool. At the
+    /// first job not found ahead — listed out of pool order, twice, or not
+    /// offered at all — `walk` becomes `None` and every lookup from then on
+    /// binary-searches the snapshot's `(id, position)` pairs, sorted once
+    /// here. Ids are unique in the pool, so both find the same position.
+    fn locate(
+        &mut self,
+        job: JobId,
+        snapshot_len: usize,
+        walk: &mut Option<usize>,
+    ) -> Option<usize> {
+        if let Some(from) = *walk {
+            let ahead = &self.pending[from..snapshot_len];
+            if let Some(k) = ahead.iter().position(|p| p.spec.id == job) {
+                *walk = Some(from + k + 1);
+                return Some(from + k);
+            }
+            *walk = None;
+            let snapshot = self.pending[..snapshot_len].iter().enumerate();
+            self.offered.clear();
+            self.offered.extend(snapshot.map(|(at, p)| (p.spec.id, at)));
+            self.offered.sort_unstable();
+        }
+        let hit = self
+            .offered
+            .binary_search_by_key(&job, |&(id, _)| id)
+            .ok()?;
+        Some(self.offered[hit].1)
     }
 
     /// The `regions` slot of the region job `i` was assigned to, or the
@@ -481,13 +529,10 @@ impl<'t> SimState<'t> {
     }
 }
 
-/// A job id the trace carries twice, if there is one. Strictly increasing ids
-/// (every generator's output) have none, which one scan shows; otherwise a
-/// sort and an adjacent scan instead of a set insert per job.
+/// A job id the trace carries twice, if there is one: a sort and an adjacent
+/// scan instead of a set insert per job. [`SimState::new`] asks only about a
+/// trace whose ids do not strictly increase; every generator's output does.
 fn duplicate_id(jobs: &[JobSpec]) -> Option<JobId> {
-    if jobs.windows(2).all(|pair| pair[0].id < pair[1].id) {
-        return None;
-    }
     let mut ids: Vec<JobId> = jobs.iter().map(|job| job.id).collect();
     ids.sort_unstable();
     ids.windows(2)

@@ -15,8 +15,8 @@
 //! event queue is handed the trace's arrivals one at a time, in submit
 //! order, so it holds the events in flight rather than the trace. There is
 //! no channel, clock or placement sink, every queued event is
-//! dispatchable, and the loop stops at the same event a live session over
-//! the same trace stops at.
+//! dispatchable — so the loop pops without peeking — and the loop stops at
+//! the same event a live session over the same trace stops at.
 //!
 //! # One solve path
 //!
@@ -338,6 +338,35 @@ impl<'a, 't, P: ConditionsProvider> OnlineDriver<'a, 't, P> {
         }
     }
 
+    /// The next event of a run whose source is open, once the watermark
+    /// proves it dispatchable; `None` after waiting on the source instead,
+    /// so that the loop looks again.
+    fn next_live_event(&mut self) -> Result<Option<QueuedEvent>, SimulationError> {
+        self.drain_injections()?;
+        // Every admitted job fully processed and only trailing rounds
+        // queued: a closed source means done, an open one means idle. The
+        // trailing rounds are never popped in either case, so a live session
+        // and the replay of its recorded trace report the same makespan.
+        let time = match self.state.queue.peek() {
+            Some(top) if !self.state.should_stop() => top.time,
+            _ => {
+                // A no-op if the drain saw the source close.
+                self.await_source(None)?;
+                return Ok(None);
+            }
+        };
+        if !self.dispatchable(time) {
+            // `Discrete` waits for a strictly later injection, `RealTime` at
+            // most until the wall clock reaches `time`.
+            let limit = self.clock.as_ref().map(|clock| clock.wall_until(time));
+            self.await_source(limit)?;
+            return Ok(None);
+        }
+        // The peek above proved the queue is non-empty; an empty pop just
+        // re-enters the watermark wait (DET003).
+        Ok(self.state.queue.pop())
+    }
+
     /// The one event-dispatch loop: run the campaign to completion under
     /// `scheduler`. Returns the report and the job table the run replayed:
     /// the caller's trace itself when an offline replay borrowed it, so that
@@ -348,63 +377,25 @@ impl<'a, 't, P: ConditionsProvider> OnlineDriver<'a, 't, P> {
         scheduler: &mut dyn Scheduler,
     ) -> Result<(SimulationReport, Cow<'t, [JobSpec]>), SimulationError> {
         loop {
-            self.drain_injections()?;
-            // Every admitted job fully processed and only trailing rounds
-            // queued: a closed source means done, an open one means idle.
-            // The trailing rounds are never popped in either case, so a
-            // live session and the replay of its recorded trace report the
-            // same makespan.
-            let time = match self.state.queue.peek() {
-                Some(top) if !self.state.should_stop() => top.time,
-                _ if self.arrivals.is_none() => break,
-                _ => {
-                    self.await_source(None)?;
-                    continue;
+            let next = if self.arrivals.is_none() {
+                // A closed source — every offline replay — leaves no
+                // watermark to consult: every queued event is
+                // dispatchable, so the loop pops without peeking, and stops
+                // where the open path would.
+                if self.state.should_stop() {
+                    break;
+                }
+                match self.state.queue.pop() {
+                    Some(next) => next,
+                    None => break,
+                }
+            } else {
+                match self.next_live_event()? {
+                    Some(next) => next,
+                    None => continue,
                 }
             };
-            if !self.dispatchable(time) {
-                // `Discrete` waits for a strictly later injection,
-                // `RealTime` at most until the wall clock reaches `time`.
-                let limit = self.clock.as_ref().map(|clock| clock.wall_until(time));
-                self.await_source(limit)?;
-                continue;
-            }
-            // The peek above proved the queue is non-empty; an empty pop
-            // just re-enters the watermark wait (DET003).
-            let Some(QueuedEvent { time, event, .. }) = self.state.pop_event()? else {
-                continue;
-            };
-            self.state.last_time = time;
-            match event {
-                Event::Arrival(i) => self.state.handle_arrival(i, time),
-                Event::Round => {
-                    self.committed_time = self.committed_time.max(time);
-                    if !self.state.pending.is_empty() {
-                        self.solve_and_commit(time, scheduler)?;
-                    } else if self.state.completed < self.state.jobs.len() {
-                        // An idle round is only dispatched while admitted
-                        // jobs are incomplete (a fully-drained engine parks
-                        // in the idle branch above instead), so a recorded
-                        // trace re-arms identically when replayed.
-                        self.state.push(time + self.state.interval, Event::Round)?;
-                    }
-                }
-                Event::Ready(i) => {
-                    self.committed_time = self.committed_time.max(time);
-                    self.state.handle_ready(i, time)?;
-                }
-                Event::Complete(i) => {
-                    self.committed_time = self.committed_time.max(time);
-                    let runtime = self.state.handle_complete(i, time)?;
-                    let outcome = self.sim.record_outcome(
-                        &self.state.jobs[i],
-                        &runtime,
-                        self.state.tolerance,
-                    )?;
-                    self.fold.add(&outcome);
-                    self.outcomes.push(outcome);
-                }
-            }
+            self.dispatch(next, scheduler)?;
         }
 
         let (makespan, mean_utilization) = self.state.finalize();
@@ -417,6 +408,44 @@ impl<'a, 't, P: ConditionsProvider> OnlineDriver<'a, 't, P> {
             makespan: Seconds::new(makespan),
         };
         Ok((report, self.state.jobs))
+    }
+
+    /// Dispatch one popped event.
+    fn dispatch(
+        &mut self,
+        QueuedEvent { time, event, .. }: QueuedEvent,
+        scheduler: &mut dyn Scheduler,
+    ) -> Result<(), SimulationError> {
+        self.state.last_time = time;
+        match event {
+            Event::Arrival(i) => self.state.handle_arrival(i, time)?,
+            Event::Round => {
+                self.committed_time = self.committed_time.max(time);
+                if !self.state.pending.is_empty() {
+                    self.solve_and_commit(time, scheduler)?;
+                } else if self.state.completed < self.state.jobs.len() {
+                    // An idle round is only dispatched while admitted jobs
+                    // are incomplete (a fully-drained engine stops or parks
+                    // instead), so a recorded trace re-arms identically
+                    // when replayed.
+                    self.state.push(time + self.state.interval, Event::Round)?;
+                }
+            }
+            Event::Ready(i) => {
+                self.committed_time = self.committed_time.max(time);
+                self.state.handle_ready(i, time)?;
+            }
+            Event::Complete(i) => {
+                self.committed_time = self.committed_time.max(time);
+                let runtime = self.state.handle_complete(i, time)?;
+                let outcome =
+                    self.sim
+                        .record_outcome(&self.state.jobs[i], &runtime, self.state.tolerance)?;
+                self.fold.add(&outcome);
+                self.outcomes.push(outcome);
+            }
+        }
+        Ok(())
     }
 
     /// Solve one round and commit its decision, reporting every enacted

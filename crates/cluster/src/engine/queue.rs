@@ -10,30 +10,39 @@
 //! decision's events with [`EventQueue::push_with_seq`], so the keys depend
 //! on the snapshot alone, not on when the pushes physically happen.
 //!
-//! # Two sources, one order
+//! # Three sources, one order
 //!
-//! Arrivals reach the queue already in dispatch order: an offline replay
-//! hands them over one at a time from its sorted trace, and a live run's
-//! stamps are monotone. So the queue keeps them in an ordered stream
-//! (append when in order, ordered insert for a live arrival that ties the
-//! last stamp with a smaller sequence) and only the events *in flight* —
-//! `Round`, `Ready`, `Complete` — in a binary heap. Keys are unique, each
-//! source yields its own events in ascending key order, and
-//! [`EventQueue::pop`] takes the smaller of the two heads: by induction
-//! that is the global minimum, i.e. exactly what a single heap over every
-//! event would pop (`split_queue_pops_what_a_single_heap_would`).
+//! Each kind of event reaches the queue in an order of its own, and each is
+//! kept where that order makes it cheap:
+//!
+//! - **Arrivals** come already in dispatch order: an offline replay hands
+//!   them over one at a time from its sorted trace, and a live run's stamps
+//!   are monotone. They go to an ordered stream, a sorted lane (a vector
+//!   consumed from the front) that appends them, and places in order a live
+//!   arrival that ties the last stamp with a smaller sequence.
+//! - **Transfers** (`Ready`) land seconds after the round that decided
+//!   them, and rounds advance, so a round's transfers sort at or near the
+//!   tail of those still in flight. They go to a second sorted lane, placed
+//!   by shifting the few slots that sort after them.
+//! - **Rounds and completions** land minutes to hours ahead in no useful
+//!   order, and stay in a min-heap — four children a node, so a pop sifts
+//!   through half the levels of a binary heap. A transfer there would sift
+//!   up to near the root and back down again.
+//!
+//! Keys are unique, each source yields its own events in ascending key
+//! order, and [`EventQueue::pop`] takes the smallest of the three heads: by
+//! induction that is the global minimum, i.e. exactly what a single heap
+//! over every event would pop (`split_queue_pops_what_a_single_heap_would`).
 //!
 //! # Integer keys
 //!
-//! A heap entry is a three-word `Slot`: the time's bits mapped so that
+//! Every source holds three-word `Slot`s: the time's bits mapped so that
 //! unsigned order is `f64::total_cmp` order, the sequence, and the event
-//! packed into one word — 24 bytes, compared as one `u128`, so a sift step
-//! is one integer comparison. The map is a bijection on the bits
-//! (`slots_round_trip_the_bits_of_every_finite_time_and_event`) and keeps the
-//! `(total_cmp, seq)` order (`slot_keys_order_as_total_cmp_then_seq`).
+//! packed into one word — 24 bytes, compared as one `u128`, so every step of
+//! a sift or a placement is one integer comparison. The map is a bijection on
+//! the bits (`slots_round_trip_the_bits_of_every_finite_time_and_event`) and
+//! keeps the `(total_cmp, seq)` order (`slot_keys_order_as_total_cmp_then_seq`).
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
 use waterwise_traces::JobSpec;
 
 /// A simulation event. The payload is the index of the job in the campaign's
@@ -73,19 +82,6 @@ pub(crate) struct QueuedEvent {
     pub(crate) time: f64,
     pub(crate) seq: u64,
     pub(crate) event: Event,
-}
-
-impl QueuedEvent {
-    /// The dispatch key as one integer: ascending `(time, seq)` is ascending
-    /// key (`slot_keys_order_as_total_cmp_then_seq`).
-    fn key(&self) -> u128 {
-        Slot::key_of(time_key(self.time), self.seq)
-    }
-
-    /// Whether this event dispatches before `other`: ascending `(time, seq)`.
-    fn before(&self, other: &Self) -> bool {
-        self.key() < other.key()
-    }
 }
 
 /// `time`'s bits mapped so that unsigned order is [`f64::total_cmp`] order:
@@ -132,8 +128,10 @@ fn unpack(packed: u64) -> Event {
     }
 }
 
-/// A heap entry: a [`QueuedEvent`] as three words, its `(time, seq)` key
-/// compared as one `u128` instead of `f64::total_cmp` then `seq`.
+/// A queue entry: a [`QueuedEvent`] as three words, its `(time, seq)` key
+/// compared as one `u128` instead of `f64::total_cmp` then `seq`. No finite
+/// time maps to `u64::MAX` (those are a NaN's bits), so no key is
+/// `u128::MAX`.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     /// [`time_key`] of the event's time.
@@ -147,12 +145,10 @@ struct Slot {
 const _: () = assert!(std::mem::size_of::<Slot>() <= 24);
 
 impl Slot {
-    fn key_of(time: u64, seq: u64) -> u128 {
-        u128::from(time) << 64 | u128::from(seq)
-    }
-
+    /// The dispatch key as one integer: ascending `(time, seq)` is ascending
+    /// key (`slot_keys_order_as_total_cmp_then_seq`).
     fn key(&self) -> u128 {
-        Self::key_of(self.time, self.seq)
+        u128::from(self.time) << 64 | u128::from(self.seq)
     }
 }
 
@@ -176,41 +172,148 @@ impl From<Slot> for QueuedEvent {
     }
 }
 
-impl PartialEq for Slot {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for Slot {}
-impl Ord for Slot {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed, so that `BinaryHeap` pops the smallest key.
-        other.key().cmp(&self.key())
-    }
-}
-impl PartialOrd for Slot {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// An event refused by the queue because its time is NaN or infinite. The
 /// engine, which knows the job table, turns it into
 /// [`crate::SimulationError::NonFiniteEventTime`].
 #[derive(Debug)]
 pub(crate) struct NonFiniteTime;
 
-/// The event queue: an ordered arrival stream merged with a min-heap of the
-/// in-flight events, both on (time, sequence). Non-finite timestamps are
-/// rejected at insertion, so neither order can be silently corrupted by a
-/// NaN comparing as "equal" to everything.
+/// Where a queued event waits: by its kind (see the module docs).
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    Arrivals,
+    Transfers,
+    Heap,
+}
+
+/// A sorted lane: queued slots in ascending key order, consumed from the
+/// front. The live slots are `slots[head..]`; the popped prefix is dropped
+/// when the lane empties, or compacted away once it is at least as long as
+/// what is left, so compaction moves each slot O(1) times.
+#[derive(Debug, Default)]
+struct Lane {
+    slots: Vec<Slot>,
+    head: usize,
+}
+
+impl Lane {
+    fn front(&self) -> Option<&Slot> {
+        self.slots.get(self.head)
+    }
+
+    fn pop_front(&mut self) -> Option<Slot> {
+        let slot = *self.slots.get(self.head)?;
+        self.head += 1;
+        if self.head == self.slots.len() {
+            self.slots.clear();
+            self.head = 0;
+        }
+        Some(slot)
+    }
+
+    /// Place `slot` by shifting the slots that sort after it up one, from
+    /// the tail: a slot lands at or near the tail (an arrival in stamp
+    /// order, a round's transfer behind the earlier ones), so few move.
+    fn insert(&mut self, slot: Slot) {
+        if self.head > 0 && 2 * self.head >= self.slots.len() {
+            self.slots.drain(..self.head);
+            self.head = 0;
+        }
+        let key = slot.key();
+        let mut at = self.slots.len();
+        self.slots.push(slot);
+        while at > self.head && self.slots[at - 1].key() > key {
+            self.slots[at] = self.slots[at - 1];
+            at -= 1;
+        }
+        self.slots[at] = slot;
+    }
+}
+
+/// A min-heap of slots on their keys with four children a node: half the
+/// depth of a binary heap, and the least of four children is found by a
+/// branch-free tournament. Keys are unique, so the pop order is the keys'
+/// order whatever the shape of the heap.
+#[derive(Debug, Default)]
+struct QuadHeap {
+    slots: Vec<Slot>,
+}
+
+impl QuadHeap {
+    fn peek(&self) -> Option<&Slot> {
+        self.slots.first()
+    }
+
+    fn push(&mut self, slot: Slot) {
+        let key = slot.key();
+        let mut at = self.slots.len();
+        self.slots.push(slot);
+        while at > 0 {
+            let parent = (at - 1) / 4;
+            if self.slots[parent].key() < key {
+                break;
+            }
+            self.slots[at] = self.slots[parent];
+            at = parent;
+        }
+        self.slots[at] = slot;
+    }
+
+    fn pop(&mut self) -> Option<Slot> {
+        let last = self.slots.pop()?;
+        let Some(&top) = self.slots.first() else {
+            return Some(last);
+        };
+        // Sift `last` down from the root's place.
+        let (slots, key) = (&mut self.slots[..], last.key());
+        let mut at = 0;
+        loop {
+            let first = 4 * at + 1;
+            let (child, least) = match slots.get(first..first + 4) {
+                Some(four) => least_of_four([four[0], four[1], four[2], four[3]]),
+                // The last parent: fewer than four children, or none.
+                None => {
+                    let few = slots.get(first..).unwrap_or_default().iter();
+                    match few.map(Slot::key).enumerate().min_by_key(|&(_, key)| key) {
+                        Some(least) => least,
+                        None => break,
+                    }
+                }
+            };
+            if least > key {
+                break;
+            }
+            slots[at] = slots[first + child];
+            at = first + child;
+        }
+        slots[at] = last;
+        Some(top)
+    }
+}
+
+/// The index of the least of four slots and its key, by two pairings and a
+/// final, each a select rather than a branch.
+fn least_of_four(four: [Slot; 4]) -> (usize, u128) {
+    let keys = [four[0].key(), four[1].key(), four[2].key(), four[3].key()];
+    let low = usize::from(keys[1] < keys[0]);
+    let high = 2 + usize::from(keys[3] < keys[2]);
+    let least = if keys[high] < keys[low] { high } else { low };
+    (least, keys[least])
+}
+
+/// The event queue: an ordered arrival stream and a sorted transfer lane
+/// merged with a min-heap of rounds and completions, all on (time,
+/// sequence). Non-finite timestamps are rejected at insertion, so no order
+/// can be silently corrupted by a NaN comparing as "equal" to everything.
 #[derive(Debug, Default)]
 pub(crate) struct EventQueue {
-    /// Queued `Arrival` events, ascending `(time, seq)`.
-    arrivals: VecDeque<QueuedEvent>,
-    /// Queued `Round` / `Ready` / `Complete` events: what is in flight, not
-    /// what the trace still holds.
-    heap: BinaryHeap<Slot>,
+    /// Queued `Arrival` events.
+    arrivals: Lane,
+    /// Queued `Ready` events: the transfers in flight.
+    transfers: Lane,
+    /// Queued `Round` / `Complete` events: what is in flight, not what the
+    /// trace still holds.
+    heap: QuadHeap,
     seq: u64,
     /// Queued events that are *not* periodic rounds, maintained at
     /// push/pop so the engine's stop condition
@@ -221,11 +324,10 @@ pub(crate) struct EventQueue {
 
 impl EventQueue {
     /// Reserve a block of `n` consecutive sequence numbers and return the
-    /// first. Paired with [`EventQueue::push_with_seq`], this lets a round
-    /// stamp its decision events with the keys they would have received in a
-    /// strictly synchronous replay even when the physical pushes happen
-    /// after later events were already ingested (the staged backend's
-    /// arrival overlap).
+    /// first. A round reserves its block at its snapshot and stamps its
+    /// decision's events with [`EventQueue::push_with_seq`], so their keys
+    /// depend on the snapshot alone; a live run reserves the arrivals' low
+    /// band up front, which floors the regular one.
     pub(crate) fn reserve(&mut self, n: u64) -> u64 {
         let first = self.seq;
         self.seq += n;
@@ -246,54 +348,57 @@ impl EventQueue {
         if !matches!(event, Event::Round) {
             self.non_round_events += 1;
         }
-        let queued = QueuedEvent { time, seq, event };
-        if matches!(event, Event::Arrival(_)) {
-            // In order unless a live session injects at the last stamp
-            // with a smaller sequence than one already queued.
-            let at = match self.arrivals.back() {
-                Some(last) if queued.before(last) => {
-                    self.arrivals.partition_point(|q| q.before(&queued))
-                }
-                _ => self.arrivals.len(),
-            };
-            self.arrivals.insert(at, queued);
-        } else {
-            self.heap.push(queued.into());
+        let slot = Slot::from(QueuedEvent { time, seq, event });
+        match event {
+            Event::Arrival(_) => self.arrivals.insert(slot),
+            Event::Ready(_) => self.transfers.insert(slot),
+            Event::Round | Event::Complete(_) => self.heap.push(slot),
         }
         Ok(())
     }
 
-    /// Whether the earliest queued event is the head of the arrival stream
-    /// (otherwise it is the top of the heap, if anything is queued at all).
-    fn arrival_is_next(&self) -> bool {
-        match (self.arrivals.front(), self.heap.peek()) {
-            (Some(arrival), Some(in_flight)) => arrival.key() < in_flight.key(),
-            (arrival, _) => arrival.is_some(),
-        }
+    /// The source whose head is the earliest queued event, if anything is
+    /// queued.
+    fn next_source(&self) -> Option<Source> {
+        let head = |slot: Option<&Slot>| slot.map_or(u128::MAX, Slot::key);
+        let arrival = head(self.arrivals.front());
+        let transfer = head(self.transfers.front());
+        let (source, key) = if arrival < transfer {
+            (Source::Arrivals, arrival)
+        } else {
+            (Source::Transfers, transfer)
+        };
+        let in_flight = head(self.heap.peek());
+        let (source, key) = if in_flight < key {
+            (Source::Heap, in_flight)
+        } else {
+            (source, key)
+        };
+        (key != u128::MAX).then_some(source)
     }
 
     /// Remove and return the earliest event.
     pub(crate) fn pop(&mut self) -> Option<QueuedEvent> {
-        let popped = if self.arrival_is_next() {
-            self.arrivals.pop_front()
-        } else {
-            self.heap.pop().map(QueuedEvent::from)
-        };
-        if let Some(event) = &popped {
-            if !matches!(event.event, Event::Round) {
-                self.non_round_events -= 1;
-            }
+        let slot = match self.next_source()? {
+            Source::Arrivals => self.arrivals.pop_front(),
+            Source::Transfers => self.transfers.pop_front(),
+            Source::Heap => self.heap.pop(),
+        }?;
+        let popped = QueuedEvent::from(slot);
+        if !matches!(popped.event, Event::Round) {
+            self.non_round_events -= 1;
         }
-        popped
+        Some(popped)
     }
 
     /// The earliest queued event, without removing it.
     pub(crate) fn peek(&self) -> Option<QueuedEvent> {
-        if self.arrival_is_next() {
-            self.arrivals.front().copied()
-        } else {
-            self.heap.peek().copied().map(QueuedEvent::from)
-        }
+        let slot = match self.next_source()? {
+            Source::Arrivals => self.arrivals.front(),
+            Source::Transfers => self.transfers.front(),
+            Source::Heap => self.heap.peek(),
+        }?;
+        Some(QueuedEvent::from(*slot))
     }
 
     /// Whether only periodic `Round` events remain queued. O(1): part of
@@ -306,6 +411,8 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
 
     impl EventQueue {
         /// Enqueue `event` at `time` with the next sequence number.
@@ -524,20 +631,21 @@ mod tests {
                 let x = QueuedEvent { time: a, seq: a_seq, event: Event::Ready(1) };
                 let y = QueuedEvent { time: b, seq: b_seq, event: Event::Complete(2) };
                 let expected = a.total_cmp(&b).then(a_seq.cmp(&b_seq));
-                prop_assert_eq!(x.key().cmp(&y.key()), expected);
-                prop_assert_eq!(Slot::from(x).cmp(&Slot::from(y)), expected.reverse());
+                prop_assert_eq!(Slot::from(x).key().cmp(&Slot::from(y).key()), expected);
                 prop_assert_eq!(observed(Some(Slot::from(x).into())), observed(Some(x)));
             }
         }
 
         /// Satellite of the split: any interleaving of pushes, reserved
-        /// blocks landing late, out-of-order arrival sequences, rejected
-        /// pushes, peeks and pops leaves the split queue and the single heap
-        /// agreeing on every popped `(time, seq, event)`, every peek and
-        /// every `only_rounds_left`.
+        /// blocks landing late, out-of-order arrival sequences, transfers
+        /// placed before, at and after the lane's tail or tying the heap's
+        /// top and the arrival stream's head, rejected pushes, peeks and
+        /// pops leaves the three-source queue and the single heap agreeing
+        /// on every popped `(time, seq, event)`, every peek and every
+        /// `only_rounds_left`.
         #[test]
         fn split_queue_pops_what_a_single_heap_would(
-            ops in prop::collection::vec((0usize..10, 0u64..4, 0u64..64), 1..120),
+            ops in prop::collection::vec((0usize..12, 0u64..4, 0u64..64), 1..120),
         ) {
             let mut split = EventQueue::default();
             let mut single = SingleHeap::default();
@@ -569,8 +677,8 @@ mod tests {
                         }
                     }
                     // A regular-band push: round, readiness, completion —
-                    // or an arrival, so that a tie between the two sources
-                    // is not always the arrival's to win.
+                    // or an arrival, so that a tie between sources is not
+                    // always the arrival's to win.
                     3 | 4 => {
                         let event = match draw % 4 {
                             0 => Event::Round,
@@ -605,6 +713,27 @@ mod tests {
                         let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][draw as usize % 3];
                         let event = if tick % 2 == 0 { Event::Arrival(step) } else { Event::Complete(step) };
                         push(&mut split, &mut single, bad, draw, event);
+                    }
+                    // A transfer against another source's head: the lane's
+                    // tail (most draws), the heap's top or the arrival
+                    // stream's head — a grid step before it, at its time
+                    // (a key tie on time, broken by the fresh sequence) or
+                    // a step after it.
+                    8 | 9 => {
+                        let anchor = match draw % 5 {
+                            0..=2 => split.transfers.slots.last(),
+                            3 => split.heap.peek(),
+                            _ => split.arrivals.front(),
+                        };
+                        let anchor = anchor.map_or(time, |slot| time_of(slot.time));
+                        let time = match tick {
+                            0 => anchor - 60.0,
+                            2 => anchor + 60.0,
+                            _ => anchor,
+                        };
+                        let seq = split.reserve(1);
+                        assert_eq!(seq, single.reserve(1));
+                        push(&mut split, &mut single, time, seq, Event::Ready(step));
                     }
                     _ => {
                         prop_assert_eq!(observed(split.pop()), observed(single.pop()));

@@ -475,6 +475,88 @@ fn a_decision_can_never_reach_jobs_that_arrived_after_its_snapshot() {
 }
 
 #[test]
+fn a_decision_commits_by_position_what_the_sorted_index_commits() {
+    /// How a scheduler lists the placements it decides.
+    #[derive(Debug, Clone, Copy)]
+    enum Form {
+        PoolOrder,
+        Reversed,
+        UnknownId,
+        DuplicatedId,
+        Subset,
+    }
+    /// Places each pending job (every other one as a `Subset`) in a region
+    /// picked by its id, listed in `form`. When `indexed`, the list opens
+    /// with an id no pool holds: the first lookup misses, so every lookup
+    /// after it goes through the sorted `(id, position)` index.
+    struct Lister {
+        form: Form,
+        indexed: bool,
+    }
+    impl Scheduler for Lister {
+        fn name(&self) -> &str {
+            "lister"
+        }
+        fn schedule(&mut self, ctx: &SchedulingContext<'_>) -> SchedulingDecision {
+            let region = |id: JobId| ctx.regions[id.0 as usize % ctx.regions.len()].region;
+            let place = |p: &PendingJob| Assignment {
+                job: p.spec.id,
+                region: region(p.spec.id),
+            };
+            let step = if matches!(self.form, Form::Subset) {
+                2
+            } else {
+                1
+            };
+            let mut assignments: Vec<Assignment> =
+                ctx.pending.iter().step_by(step).map(place).collect();
+            let unknown = Assignment {
+                job: JobId(u64::MAX),
+                region: ctx.regions[0].region,
+            };
+            let middle = assignments.len() / 2;
+            match self.form {
+                Form::Reversed => assignments.reverse(),
+                Form::UnknownId => assignments.insert(middle, unknown),
+                Form::DuplicatedId => assignments.insert(middle, assignments[middle]),
+                Form::PoolOrder | Form::Subset => {}
+            }
+            if self.indexed {
+                assignments.insert(0, unknown);
+            }
+            SchedulingDecision { assignments }
+        }
+    }
+    // Submit times on the round grid and three servers a region: rounds
+    // tie arrivals, home placements tie their round, and jobs queue, so the
+    // order a decision's transfers are stamped in shows in the schedule.
+    let jobs = stable_sorted(&shuffled_trace(71));
+    let sim = simulator(3, 0.5);
+    let digest = |form, indexed| {
+        let report = sim.run(&jobs, &mut Lister { form, indexed }).unwrap();
+        assert_eq!(report.summary.total_jobs, jobs.len(), "{form:?}");
+        crate::metrics::schedule_digest(&report.outcomes)
+    };
+    let forms = [
+        Form::PoolOrder,
+        Form::Reversed,
+        Form::UnknownId,
+        Form::DuplicatedId,
+        Form::Subset,
+    ];
+    for form in forms {
+        assert_eq!(digest(form, false), digest(form, true), "{form:?}");
+    }
+    // Padding a list in pool order with an unknown or a repeated id changes
+    // nothing; reversing it stamps the transfers in another order, which is
+    // another schedule — so the comparisons above are not vacuous.
+    let in_pool_order = digest(Form::PoolOrder, false);
+    assert_eq!(digest(Form::UnknownId, false), in_pool_order);
+    assert_eq!(digest(Form::DuplicatedId, false), in_pool_order);
+    assert_ne!(digest(Form::Reversed, false), in_pool_order);
+}
+
+#[test]
 fn scheduler_panic_keeps_its_payload() {
     /// Places like [`HomeScheduler`] until its third round, then panics.
     struct PanickingScheduler {

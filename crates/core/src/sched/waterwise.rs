@@ -496,7 +496,7 @@ impl WaterWiseScheduler {
         let urgency = |(i, job)| (i, self.urgency(job, ctx, &round.regions));
         ranked.clear();
         ranked.extend(ctx.pending.iter().enumerate().map(urgency));
-        ranked.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+        most_urgent_first(ranked, limit);
         selected.extend(ranked[..limit].iter().map(|&(i, _)| i));
     }
 
@@ -661,6 +661,23 @@ impl WaterWiseScheduler {
         key.0 = hour;
         round.regions.clone_into(&mut key.1);
     }
+}
+
+/// Move the `limit` most urgent of `ranked`'s `(pool index, urgency)` pairs
+/// to its front, most urgent first, leaving the rest in no particular order.
+/// Ties on urgency (`-0.0` ties `0.0`) go in pool order, which is where a
+/// stable sort of the whole pool on urgency alone puts them: the front is
+/// that sort's first `limit` (`most_urgent_first_is_the_stable_sorts_prefix`),
+/// found by one selection and a sort of the kept pairs.
+fn most_urgent_first(ranked: &mut [(usize, f64)], limit: usize) {
+    let order = |a: &(usize, f64), b: &(usize, f64)| {
+        let by_urgency = a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal);
+        by_urgency.then(a.0.cmp(&b.0))
+    };
+    if limit < ranked.len() {
+        ranked.select_nth_unstable_by(limit, order);
+    }
+    ranked[..limit].sort_unstable_by(order);
 }
 
 impl Scheduler for WaterWiseScheduler {
@@ -1508,6 +1525,32 @@ mod tests {
             .map(|s| (fill * n_jobs as f64 * s / share_sum).round() as usize)
             .collect();
         (batch, capacities)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The slack manager's selection keeps what the stable full sort it
+        /// replaced kept, in the same order. Urgencies come from five values,
+        /// `0.0` and `-0.0` among them, so most comparisons tie.
+        #[test]
+        fn most_urgent_first_is_the_stable_sorts_prefix(
+            draws in prop::collection::vec(0usize..5, 1..80),
+            cut in 0.0f64..1.0,
+        ) {
+            let values = [-30.0, -0.0, 0.0, 12.5, 1e9];
+            let ranked: Vec<(usize, f64)> =
+                draws.iter().enumerate().map(|(i, &d)| (i, values[d])).collect();
+            let limit = (cut * ranked.len() as f64) as usize;
+            let mut sorted = ranked.clone();
+            sorted.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+            let mut selected = ranked;
+            most_urgent_first(&mut selected, limit);
+            let bits = |pairs: &[(usize, f64)]| -> Vec<(usize, u64)> {
+                pairs.iter().map(|&(i, u)| (i, u.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(&selected[..limit]), bits(&sorted[..limit]));
+        }
     }
 
     proptest! {

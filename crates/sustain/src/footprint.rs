@@ -6,7 +6,7 @@
 //! footprint breakdown that both the scheduler's objective function and the
 //! evaluation metrics are built on.
 
-use crate::carbon::CarbonFootprint;
+use crate::carbon::{CarbonFootprint, OperationalCarbonModel};
 use crate::intensity::{CarbonIntensity, WaterIntensity};
 use crate::params::DataCenterParams;
 use crate::units::{Co2Grams, KilowattHours, Liters, LitersPerKwh, Seconds};
@@ -120,19 +120,38 @@ impl FootprintEstimator {
         Self::new(DataCenterParams::paper_default())
     }
 
-    /// Evaluate Eq. 1 + Eq. 5 for one job under the given conditions.
+    /// Evaluate Eq. 1 + Eq. 5 for one job under the given conditions: the
+    /// operational terms of [`FootprintEstimator::estimate_operational`]
+    /// plus the embodied ones, attributed by execution time.
     pub fn estimate(
         &self,
         usage: JobResourceUsage,
         conditions: RegionConditions,
     ) -> FootprintBreakdown {
-        let embodied_model = self.params.server.embodied_carbon_model();
-        let carbon = CarbonFootprint::of_job(
-            usage.energy,
-            conditions.carbon_intensity,
-            usage.execution_time,
-            &embodied_model,
-        );
+        let mut breakdown = self.estimate_operational(usage, conditions);
+        let server = &self.params.server;
+        breakdown.carbon.embodied = server
+            .embodied_carbon_model()
+            .attributed(usage.execution_time);
+        breakdown.water.embodied = server.embodied_water_attributed(usage.execution_time);
+        breakdown
+    }
+
+    /// Operational-only estimate: the embodied terms are zero and never
+    /// computed. Used for a migration's transfer footprint and by the
+    /// Ecovisor comparator, neither of which accounts embodied footprints.
+    pub fn estimate_operational(
+        &self,
+        usage: JobResourceUsage,
+        conditions: RegionConditions,
+    ) -> FootprintBreakdown {
+        let carbon = CarbonFootprint {
+            operational: OperationalCarbonModel::emissions(
+                usage.energy,
+                conditions.carbon_intensity,
+            ),
+            embodied: Co2Grams::zero(),
+        };
         let water = WaterFootprint {
             offsite: WaterFootprint::offsite(
                 self.params.pue,
@@ -141,25 +160,9 @@ impl FootprintEstimator {
                 conditions.wsf,
             ),
             onsite: WaterFootprint::onsite(usage.energy, conditions.wue, conditions.wsf),
-            embodied: self
-                .params
-                .server
-                .embodied_water_attributed(usage.execution_time),
+            embodied: Liters::zero(),
         };
         FootprintBreakdown { carbon, water }
-    }
-
-    /// Operational-only estimate (used by the Ecovisor comparator which does
-    /// not account for embodied footprints).
-    pub fn estimate_operational(
-        &self,
-        usage: JobResourceUsage,
-        conditions: RegionConditions,
-    ) -> FootprintBreakdown {
-        let mut breakdown = self.estimate(usage, conditions);
-        breakdown.carbon.embodied = Co2Grams::zero();
-        breakdown.water.embodied = Liters::zero();
-        breakdown
     }
 
     /// The paper's water intensity (Eq. 6) for a region under this PUE.
@@ -281,6 +284,13 @@ mod tests {
         assert_eq!(fp.carbon.embodied.value(), 0.0);
         assert_eq!(fp.water.embodied.value(), 0.0);
         assert!(fp.carbon.operational.value() > 0.0);
+        // The operational terms are the full estimate's, to the bit.
+        let full = est.estimate(usage(1.0, 1.0), conditions(200.0, 2.0, 3.0, 0.5));
+        let operational = |fp: FootprintBreakdown| {
+            let (carbon, water) = (fp.carbon.operational, fp.water);
+            [carbon.value(), water.offsite.value(), water.onsite.value()].map(f64::to_bits)
+        };
+        assert_eq!(operational(fp), operational(full));
     }
 
     #[test]

@@ -185,16 +185,19 @@ impl SyntheticTelemetry {
 }
 
 impl ConditionsProvider for SyntheticTelemetry {
+    // One hour index for the three reads: what each series' `at` would
+    // compute (`conditions_read_each_series_at_the_instant`).
     fn conditions(&self, region: Region, at: Seconds) -> RegionConditions {
         let r = &self.regions[region.index()];
+        let hour = HourlySeries::hour_of(at);
         let ewif = match self.config.dataset {
-            EwifDataset::Primary => r.grid.ewif_primary.at(at),
-            EwifDataset::WorldResourcesInstitute => r.grid.ewif_wri.at(at),
+            EwifDataset::Primary => &r.grid.ewif_primary,
+            EwifDataset::WorldResourcesInstitute => &r.grid.ewif_wri,
         };
         RegionConditions {
-            carbon_intensity: CarbonIntensity::new(r.grid.carbon_intensity.at(at)),
-            ewif: LitersPerKwh::new(ewif),
-            wue: WaterUsageEffectiveness::new(r.wue.at(at)),
+            carbon_intensity: CarbonIntensity::new(r.grid.carbon_intensity.at_hour(hour)),
+            ewif: LitersPerKwh::new(ewif.at_hour(hour)),
+            wue: WaterUsageEffectiveness::new(r.wue.at_hour(hour)),
             wsf: r.wsf,
         }
     }
@@ -466,12 +469,14 @@ mod tests {
         carbon(a, at) == carbon(b, b_at) && water(a, at) == water(b, b_at)
     }
 
-    #[test]
-    fn series_trailing_means_equal_the_sampled_defaults() {
-        // Two days of telemetry: hour 60 wraps, and every window below
-        // reaches back past time zero (the clamp) from the early instants.
+    /// Instants at which two days of telemetry are hardest to read right:
+    /// time zero, inside the first hours, an ulp either side of hour
+    /// boundaries, and beyond the horizon (hour 60 wraps). Every trailing
+    /// window of up to 48 hours reaches back past time zero (the clamp) from
+    /// the early ones.
+    fn edge_instants() -> [Seconds; 12] {
         let hour = 3600.0_f64;
-        let instants = [
+        [
             0.0,
             0.4 * hour,
             2.5 * hour,
@@ -484,7 +489,52 @@ mod tests {
             60.0 * hour,
             (96.0 * hour).next_down(),
             1234.5 * hour,
-        ];
+        ]
+        .map(Seconds::new)
+    }
+
+    #[test]
+    fn conditions_read_each_series_at_the_instant() {
+        for dataset in [EwifDataset::Primary, EwifDataset::WorldResourcesInstitute] {
+            let telemetry = SyntheticTelemetry::generate(TelemetryConfig {
+                seed: 13,
+                horizon_days: 2,
+                dataset,
+                ..TelemetryConfig::default()
+            });
+            for region in ALL_REGIONS {
+                for at in edge_instants() {
+                    let read = telemetry.conditions(region, at);
+                    let bits = |c: RegionConditions| {
+                        [
+                            c.carbon_intensity.value(),
+                            c.ewif.value(),
+                            c.wue.value(),
+                            c.wsf.value(),
+                        ]
+                        .map(f64::to_bits)
+                    };
+                    let per_series = RegionConditions {
+                        carbon_intensity: CarbonIntensity::new(
+                            telemetry.carbon_series(region).at(at),
+                        ),
+                        ewif: LitersPerKwh::new(telemetry.ewif_series(region).at(at)),
+                        wue: WaterUsageEffectiveness::new(telemetry.wue_series(region).at(at)),
+                        wsf: region.profile().wsf,
+                    };
+                    assert_eq!(
+                        bits(read),
+                        bits(per_series),
+                        "{dataset:?} {region} at {} s",
+                        at.value()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn series_trailing_means_equal_the_sampled_defaults() {
         for dataset in [EwifDataset::Primary, EwifDataset::WorldResourcesInstitute] {
             let series = SyntheticTelemetry::generate(TelemetryConfig {
                 seed: 13,
@@ -496,7 +546,7 @@ mod tests {
             let perturbed = PerturbedProvider::new(series.clone(), 1.1, 0.9);
             let perturbed_sampled = Sampled(perturbed.clone());
             for region in ALL_REGIONS {
-                for at in instants.map(Seconds::new) {
+                for at in edge_instants() {
                     for window in [0, 1, 10, 48] {
                         let same = |a: &dyn ConditionsProvider, b: &dyn ConditionsProvider| {
                             same_trailing_means(a, b, region, (at, at), window)

@@ -49,11 +49,17 @@ impl HourlySeries {
         self.values[hour % self.values.len()]
     }
 
+    /// The index of the hour that contains `time` (negative times clamp to
+    /// hour 0): what [`HourlySeries::at`] reads at, so that several series
+    /// of one clock can be read at one instant by computing it once.
+    pub fn hour_of(time: Seconds) -> usize {
+        (time.value().max(0.0) / 3600.0).floor() as usize
+    }
+
     /// Sample at a simulation time, using the hour that contains it
     /// (wrapping beyond the horizon).
     pub fn at(&self, time: Seconds) -> f64 {
-        let hour = (time.value().max(0.0) / 3600.0).floor() as usize;
-        self.at_hour(hour)
+        self.at_hour(Self::hour_of(time))
     }
 
     /// Linearly interpolated sample at a simulation time (wrapping).
