@@ -1,4 +1,4 @@
-//! Regenerates Fig. 1 of the WaterWise paper. See EXPERIMENTS.md.
+//! Regenerates Fig. 1 of the WaterWise paper. See the crate docs for scaling.
 
 fn main() {
     waterwise_bench::experiments::print_tables(

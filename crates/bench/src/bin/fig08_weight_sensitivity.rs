@@ -1,4 +1,4 @@
-//! Regenerates Fig. 8 of the WaterWise paper. See EXPERIMENTS.md.
+//! Regenerates Fig. 8 of the WaterWise paper. See the crate docs for scaling.
 //!
 //! The workload is declarative: `scenarios/fig08.spec` by default, or any
 //! spec file named via `--scenario <path>` / `WATERWISE_SCENARIO`.

@@ -1,4 +1,4 @@
-//! Regenerates Fig. 12 of the WaterWise paper. See EXPERIMENTS.md.
+//! Regenerates Fig. 12 of the WaterWise paper. See the crate docs for scaling.
 
 fn main() {
     let scale = waterwise_bench::ExperimentScale::from_env();

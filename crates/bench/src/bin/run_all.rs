@@ -1,6 +1,4 @@
-//! Runs every experiment in sequence (the full paper reproduction) and
-//! writes the machine-readable `BENCH_figNN.json` artifact for the
-//! experiment that has one (Fig. 14).
+//! Runs every experiment in sequence (the full paper reproduction).
 //!
 //! Before anything runs, every scenario spec the sweep will load is
 //! re-validated; a malformed spec fails the whole suite immediately with
@@ -42,9 +40,6 @@ fn main() {
     ex::print_tables(&ex::fig11_utilization(scale));
     ex::print_tables(&ex::fig12_region_availability(scale));
     ex::print_tables(&ex::fig13_overhead(scale));
-    let fig14 = ex::fig14_warmstart(&load("fig14"));
-    ex::print_tables(&fig14);
-    ex::save_json("fig14", &fig14);
     ex::print_tables(&ex::table2_service_time(scale));
     ex::print_tables(&ex::table3_comm_overhead(scale));
     ex::print_tables(&ex::sens_perturbation(scale));

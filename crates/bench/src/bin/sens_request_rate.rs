@@ -1,4 +1,4 @@
-//! Regenerates the Sec. 6 request-rate robustness study of the WaterWise paper. See EXPERIMENTS.md.
+//! Regenerates the Sec. 6 request-rate robustness study of the WaterWise paper. See the crate docs for scaling.
 
 fn main() {
     let scale = waterwise_bench::ExperimentScale::from_env();

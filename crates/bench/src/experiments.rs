@@ -22,18 +22,15 @@ pub struct ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// Read the scale from the environment.
+    /// Read the scale from the environment. A variable that is set but does
+    /// not parse exits the process with status 2, naming it and its value.
     pub fn from_env() -> Self {
-        let days: f64 = std::env::var("WATERWISE_DAYS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.25);
-        let days = days.max(0.01);
-        let seed = std::env::var("WATERWISE_SEED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(42);
-        Self { days, seed }
+        let defaults = Self::default();
+        let (days, seed) = env_scale();
+        Self {
+            days: days.unwrap_or(defaults.days).max(0.01),
+            seed: seed.unwrap_or(defaults.seed),
+        }
     }
 
     /// The Alibaba trace carries ~8.5× the jobs; scale its duration down so
@@ -59,16 +56,22 @@ pub fn print_tables(tables: &[Table]) {
     }
 }
 
-/// Write an experiment's tables to `BENCH_<name>.json` in the current
-/// directory (the machine-readable artifact archived by CI alongside the
-/// printed tables). Failures are reported on stderr but never abort the
-/// experiment — the printed tables remain the source of truth.
-pub fn save_json(name: &str, tables: &[Table]) {
-    let path = format!("BENCH_{name}.json");
-    match crate::table::write_json_report(tables, &path) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(err) => eprintln!("could not write {path}: {err}"),
+/// The `WATERWISE_DAYS` / `WATERWISE_SEED` overrides, `None` where unset.
+/// A variable that is set but does not parse is a startup error: the process
+/// exits with status 2 naming the variable and its value, rather than
+/// silently running the full-scale suite.
+fn env_scale() -> (Option<f64>, Option<u64>) {
+    fn env_opt<T: std::str::FromStr>(key: &str) -> Option<T> {
+        let raw = std::env::var_os(key)?;
+        match raw.to_str().and_then(|value| value.parse().ok()) {
+            Some(value) => Some(value),
+            None => {
+                eprintln!("invalid {key}: cannot parse {raw:?}");
+                std::process::exit(2);
+            }
+        }
     }
+    (env_opt("WATERWISE_DAYS"), env_opt("WATERWISE_SEED"))
 }
 
 fn tolerance_label(t: f64) -> String {
@@ -107,18 +110,14 @@ pub fn load_scenario(name: &str) -> Result<Scenario, ScenarioError> {
 }
 
 /// Apply explicit `WATERWISE_DAYS` / `WATERWISE_SEED` overrides to a loaded
-/// scenario; unset (or unparsable) variables leave the spec untouched.
+/// scenario; unset variables leave the spec untouched, and one that is set
+/// but does not parse exits the process with status 2.
 pub fn apply_env_scale(mut scenario: Scenario) -> Scenario {
-    if let Some(days) = std::env::var("WATERWISE_DAYS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
+    let (days, seed) = env_scale();
+    if let Some(days) = days {
         scenario = scenario.with_days(days);
     }
-    if let Some(seed) = std::env::var("WATERWISE_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
+    if let Some(seed) = seed {
         scenario = scenario.with_seed(seed);
     }
     scenario
@@ -676,95 +675,6 @@ pub fn fig13_overhead(scale: ExperimentScale) -> Vec<Table> {
                 format!("{:.0}", (lo - start) / 60.0),
                 fmt2(mean * 1000.0),
                 format!("{:.4}%", mean / mean_exec * 100.0),
-            ]);
-        }
-    }
-    vec![table]
-}
-
-// ---------------------------------------------------------------------------
-// Fig. 14 — warm-started rolling-horizon solves (this reproduction's own
-// overhead study; not a figure of the paper)
-// ---------------------------------------------------------------------------
-
-/// Fig. 14: cold versus hinted rolling-horizon solving on the Fig. 5
-/// workload, across sliding-window (horizon) lengths. Reports how many rounds
-/// reached the solver at all (a hinted round whose assignment is certified,
-/// or whose optimum the transportation kernel proves unique, builds no model:
-/// on this trace that is every one, and the cold row's `solved` equals its
-/// `rounds`), simplex pivots per solve — total
-/// and on the steady-state slots (the last three quarters of the solved
-/// rounds) — warm-start coverage, decision latency, and the campaign's
-/// total pivots cold over hinted.
-///
-/// The workload comes from `scenarios/fig14.spec`; the sweep overrides the
-/// scenario's warm-start flag and horizon per cell.
-pub fn fig14_warmstart(scenario: &Scenario) -> Vec<Table> {
-    let mut table = Table::new(
-        "Fig. 14 — cold vs warm-started solves (Borg-like trace, 50% tolerance)",
-        &[
-            "horizon",
-            "mode",
-            "rounds",
-            "solved",
-            "pivots/solve",
-            "steady pivots/solve",
-            "warm solve %",
-            "mean decision (ms)",
-            "pivot cut",
-        ],
-    );
-    for horizon in [Some(16), Some(32), Some(64), None] {
-        let mut cold_pivots = 0usize;
-        for warm in [false, true] {
-            let mut config = scenario.config.clone();
-            config.waterwise.warm_start = warm;
-            config.waterwise.horizon = horizon;
-            let outcome = Campaign::new(config)
-                .run(SchedulerKind::WaterWise)
-                .expect("campaign must run");
-            let rounds = outcome.report.overhead.len();
-            // Rounds that became a MILP; a warm row can have none.
-            let samples: Vec<_> = outcome
-                .report
-                .overhead
-                .iter()
-                .filter(|s| s.solver.is_some_and(|a| a.solves > 0))
-                .collect();
-            let activity_over = |range: &[&waterwise_cluster::OverheadSample]| {
-                let mut total = waterwise_cluster::SolverActivity::default();
-                for s in range {
-                    if let Some(a) = &s.solver {
-                        total.accumulate(a);
-                    }
-                }
-                total
-            };
-            let total = activity_over(&samples);
-            // Steady state: skip the warm-up quarter of the rounds.
-            let steady = activity_over(&samples[samples.len() / 4..]);
-            let steady_pivots = steady.pivots_per_solve();
-            // Whole-campaign pivots, cold over hinted: per-solve ratios would
-            // set every cold round against the few hard ones the warm run
-            // still solves.
-            let speedup = match (warm, total.simplex_pivots) {
-                (false, pivots) => {
-                    cold_pivots = pivots;
-                    "-".to_string()
-                }
-                (true, 0) => "no solve".to_string(),
-                (true, pivots) => format!("{:.1}x", cold_pivots as f64 / pivots as f64),
-            };
-            table.row(&[
-                horizon.map_or("capacity".to_string(), |h| h.to_string()),
-                if warm { "warm" } else { "cold" }.to_string(),
-                rounds.to_string(),
-                samples.len().to_string(),
-                fmt2(total.pivots_per_solve()),
-                fmt2(steady_pivots),
-                format!("{:.0}%", total.warm_solve_fraction() * 100.0),
-                fmt2(outcome.summary.mean_decision_time.value() * 1000.0),
-                speedup,
             ]);
         }
     }

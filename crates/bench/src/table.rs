@@ -24,31 +24,9 @@ impl Table {
         self
     }
 
-    /// Append a row of display-able cells.
-    pub fn row_display<T: std::fmt::Display>(&mut self, cells: &[T]) -> &mut Self {
-        self.rows
-            .push(cells.iter().map(|c| c.to_string()).collect());
-        self
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
-    }
-
-    /// The data rows (used by the golden regression tests to read cells
-    /// back without parsing the rendered output).
-    pub fn rows(&self) -> &[Vec<String>] {
-        &self.rows
-    }
-
-    /// One cell by (row, column), or `""` when out of range.
-    pub fn cell(&self, row: usize, col: usize) -> &str {
-        self.rows
-            .get(row)
-            .and_then(|r| r.get(col))
-            .map(String::as_str)
-            .unwrap_or("")
     }
 
     /// `true` if the table has no data rows.
@@ -97,103 +75,6 @@ impl Table {
     pub fn print(&self) {
         println!("{}", self.render());
     }
-
-    /// Serialize the table as a self-contained JSON object:
-    /// `{"title": ..., "header": [...], "rows": [[...], ...]}`.
-    ///
-    /// Cells are emitted as JSON strings exactly as they would print (the
-    /// harness formats numbers — and placeholders for undefined values —
-    /// before they reach the table), so the JSON view is lossless with
-    /// respect to the rendered output. Hand-rolled because the workspace
-    /// vendors a no-op `serde` shim; see the `BENCH_figNN.json` artifacts
-    /// written by [`write_json_report`].
-    ///
-    /// ```
-    /// use waterwise_bench::Table;
-    ///
-    /// let mut t = Table::new("demo", &["region", "carbon"]);
-    /// t.row(&["zurich".into(), "1.25".into()]);
-    /// assert_eq!(
-    ///     t.to_json(),
-    ///     r#"{"title":"demo","header":["region","carbon"],"rows":[["zurich","1.25"]]}"#
-    /// );
-    /// ```
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128);
-        out.push_str("{\"title\":");
-        out.push_str(&json_string(&self.title));
-        out.push_str(",\"header\":");
-        push_string_array(&mut out, &self.header);
-        out.push_str(",\"rows\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_string_array(&mut out, row);
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// `["a","b",...]` into `out`.
-fn push_string_array(out: &mut String, cells: &[String]) {
-    out.push('[');
-    for (i, cell) in cells.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&json_string(cell));
-    }
-    out.push(']');
-}
-
-/// Escape a string for a JSON value position. Public because it is the
-/// workspace's one JSON string writer (compat `serde` is a no-op):
-/// `waterwise-lint` builds its machine-readable report from it too.
-///
-/// ```
-/// assert_eq!(waterwise_bench::json_string("a\"b\n"), r#""a\"b\n""#);
-/// ```
-pub fn json_string(value: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(value.len() + 2);
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Serialize a group of tables (one experiment's output) as
-/// `{"tables":[...]}` with a trailing newline.
-pub fn tables_to_json(tables: &[Table]) -> String {
-    let mut out = String::from("{\"tables\":[");
-    for (i, t) in tables.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&t.to_json());
-    }
-    out.push_str("]}\n");
-    out
-}
-
-/// Write an experiment's tables to `path` as machine-readable JSON (the
-/// `BENCH_figNN.json` artifacts archived by the CI smoke jobs).
-pub fn write_json_report(tables: &[Table], path: &str) -> std::io::Result<()> {
-    std::fs::write(path, tables_to_json(tables))
 }
 
 /// Placeholder rendered for undefined values (for example the savings of a
@@ -256,42 +137,5 @@ mod tests {
             waterwise_cluster::saving_percent(0.0, 5.0).is_nan(),
             "zero baselines feed the placeholder path"
         );
-    }
-
-    #[test]
-    fn row_display_stringifies() {
-        let mut t = Table::new("d", &["a", "b"]);
-        t.row_display(&[1, 2]);
-        assert!(t.render().contains('1'));
-    }
-
-    #[test]
-    fn json_escapes_special_characters_and_groups_tables() {
-        let mut t = Table::new("quo\"te\n", &["a\\b"]);
-        t.row(&["\tx".into()]);
-        assert_eq!(
-            t.to_json(),
-            r#"{"title":"quo\"te\n","header":["a\\b"],"rows":[["\tx"]]}"#
-        );
-        // The placeholder (a non-ASCII char) passes through untouched.
-        let mut p = Table::new("p", &["v"]);
-        p.row(&[PLACEHOLDER.into()]);
-        assert!(p.to_json().contains(PLACEHOLDER));
-        let group = tables_to_json(&[t, p]);
-        assert!(group.starts_with("{\"tables\":["));
-        assert!(group.ends_with("]}\n"));
-        assert_eq!(group.matches("\"title\"").count(), 2);
-    }
-
-    #[test]
-    fn write_json_report_round_trips_through_the_filesystem() {
-        let mut t = Table::new("disk", &["k"]);
-        t.row(&["v".into()]);
-        let path = std::env::temp_dir().join("waterwise_bench_table_json_test.json");
-        let path = path.to_str().unwrap();
-        write_json_report(std::slice::from_ref(&t), path).unwrap();
-        let read = std::fs::read_to_string(path).unwrap();
-        assert_eq!(read, tables_to_json(std::slice::from_ref(&t)));
-        let _ = std::fs::remove_file(path);
     }
 }

@@ -196,29 +196,6 @@ impl SolverActivity {
         self.cache_misses += other.cache_misses;
         self.cache_evictions += other.cache_evictions;
     }
-
-    /// Total solution-cache lookups.
-    pub fn cache_lookups(&self) -> usize {
-        self.cache_exact_hits + self.cache_hint_hits + self.cache_misses
-    }
-
-    /// Fraction of simplex runs that were warm-started.
-    pub fn warm_solve_fraction(&self) -> f64 {
-        if self.solves == 0 {
-            0.0
-        } else {
-            self.warm_solves as f64 / self.solves as f64
-        }
-    }
-
-    /// Mean pivots per simplex run.
-    pub fn pivots_per_solve(&self) -> f64 {
-        if self.solves == 0 {
-            0.0
-        } else {
-            self.simplex_pivots as f64 / self.solves as f64
-        }
-    }
 }
 
 /// A placement policy. Called once per scheduling round.
@@ -325,7 +302,7 @@ mod tests {
     }
 
     #[test]
-    fn solver_activity_deltas_saturate_and_cache_lookups_add_up() {
+    fn solver_activity_deltas_saturate_and_accumulate() {
         let later = SolverActivity {
             solves: 1,
             cache_exact_hits: 2,
@@ -356,8 +333,6 @@ mod tests {
         assert_eq!(acc.dual_restarts, 2);
         assert_eq!(acc.basis_reuse_hits, 2);
         assert_eq!(acc.bound_flips, 7);
-        assert_eq!(later.cache_lookups(), 4);
-        assert_eq!(SolverActivity::default().cache_lookups(), 0);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use rules::{check_file, Finding, RuleId, ScopeMode};
 pub use walk::workspace_files;
 
 use std::path::Path;
-use waterwise_bench::json_string;
+use waterwise_service::wire::json_string;
 
 /// The outcome of linting a file set.
 #[derive(Debug, Default)]
@@ -72,8 +72,8 @@ impl Report {
         self.findings.len() - self.active_count()
     }
 
-    /// Serialize as machine-readable JSON, built with the workspace's
-    /// existing hand-rolled writer ([`waterwise_bench::json_string`]);
+    /// Serialize as machine-readable JSON, built with the workspace's one
+    /// hand-rolled string escaper ([`waterwise_service::wire::json_string`]);
     /// the report is the artifact the CI lint job archives.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"schema\":\"waterwise-lint/1\"");

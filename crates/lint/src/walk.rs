@@ -4,8 +4,7 @@
 //! Skipped subtrees:
 //! - `target/`, `.git/` — build artifacts and VCS metadata;
 //! - `crates/compat/` — vendored API stubs for external crates; their whole
-//!   point is to mimic `criterion`/`rand` behavior (including wall-clock
-//!   reads), not to feed schedules;
+//!   point is to mimic `rand`/`proptest` behavior, not to feed schedules;
 //! - `tests/`, `benches/`, `examples/` directories — test and harness code,
 //!   where `unwrap()` is the correct idiom (in-file `#[cfg(test)]` modules
 //!   are masked separately by the rule engine);

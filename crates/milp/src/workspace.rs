@@ -10,7 +10,7 @@
 //!   workspace records whether it was warm-started (crash basis built from a
 //!   prior solution, phase 1 skipped) or cold (two-phase from the all-slack
 //!   basis), and how many pivots it spent. The cold-vs-warm split is what the
-//!   Fig. 14 overhead experiment and the scheduler's `SolveStats` report.
+//!   scheduler's `SolveStats` reports.
 
 use crate::cache::{CacheStats, ModelFingerprint, SolutionCacheHandle};
 use crate::solution::Solution;

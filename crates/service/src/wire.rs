@@ -400,8 +400,16 @@ pub(crate) fn json_number(value: f64) -> String {
     }
 }
 
-/// Escape a string for embedding in a JSON value position.
-pub(crate) fn json_string(value: &str) -> String {
+/// Escape a string for embedding in a JSON value position. Public because
+/// it is the workspace's one JSON string writer (compat `serde` is a no-op):
+/// `waterwise-lint` builds its machine-readable report from it too.
+///
+/// ```
+/// use waterwise_service::wire::json_string;
+///
+/// assert_eq!(json_string("a\"b\n"), r#""a\"b\n""#);
+/// ```
+pub fn json_string(value: &str) -> String {
     let mut out = String::with_capacity(value.len() + 2);
     out.push('"');
     for c in value.chars() {
@@ -495,6 +503,16 @@ mod tests {
     use super::*;
     use waterwise_cluster::SolverActivity;
     use waterwise_sustain::DecisionProjection;
+
+    #[test]
+    fn string_escaping_covers_quotes_backslashes_and_control_characters() {
+        assert_eq!(json_string(r#"quo"te"#), r#""quo\"te""#);
+        assert_eq!(json_string(r"a\b"), r#""a\\b""#);
+        assert_eq!(json_string("\n\t\r"), r#""\n\t\r""#);
+        assert_eq!(json_string("\u{1f}"), r#""\u001f""#);
+        // Non-ASCII passes through untouched.
+        assert_eq!(json_string("—"), "\"—\"");
+    }
 
     #[test]
     fn parses_a_full_request() {
