@@ -13,10 +13,12 @@
 //! or a live session fed over a channel
 //! ([`Simulator::run_online_sequenced`]) — is dispatched by the one event
 //! loop in the [`online`] submodule over the private `SimState` core. An
-//! offline replay is that loop started with the whole trace already admitted
-//! (its arrivals reach the event queue one at a time, in submit order) and
-//! the arrival source already closed. A round's scheduler solve and every
-//! job's footprint accounting run inline on that loop, one event at a time.
+//! offline replay is that loop started with the whole trace already loaded
+//! and the arrival source already closed. Arrivals are not events: each
+//! round first pulls every admitted job stamped at or before it into the
+//! pending pool, as the paper's controller collects `J ∪ J_delay` once a
+//! slot. A round's scheduler solve and every job's footprint accounting run
+//! inline on that loop, one event at a time.
 
 pub mod clock;
 pub mod online;
@@ -31,9 +33,9 @@ use crate::scheduler::{
     PendingJob, Scheduler, SchedulingContext, SchedulingDecision, SolverActivity,
 };
 use crate::state::{RegionRuntime, RegionView};
-use queue::{Event, EventQueue};
+use queue::{time_key, Event, EventQueue};
 use std::borrow::Cow;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 use std::ops::Range;
 use std::time::Instant;
 use waterwise_sustain::{FootprintEstimator, JobResourceUsage, Seconds};
@@ -112,21 +114,27 @@ pub(crate) struct SimState<'t> {
     /// schedule-affecting may iterate in hash order, and membership checks
     /// cost the same either way.
     seen_ids: BTreeSet<JobId>,
-    /// The preloaded jobs whose arrivals the queue has not been handed yet.
-    /// A preloaded trace is held in arrival order — `jobs[i]` *is* arrival
-    /// `i` — so instead of a second copy of it in the queue, one arrival is
-    /// queued at a time (see [`SimState::handle_arrival`]). Empty in a live
-    /// run.
-    unqueued: Range<usize>,
+    /// The preloaded jobs no round has pulled in yet. A preloaded trace is
+    /// held in arrival order — `jobs[i]` *is* arrival `i` — so a round reads
+    /// its arrivals from the trace with this cursor (see
+    /// [`SimState::pull_arrivals`]). Empty in a live run.
+    unpulled: Range<usize>,
+    /// A live run's injected jobs no round has pulled in yet, as
+    /// `(arrival key, job index)` in ascending key order: the key is the
+    /// stamp's [`time_key`] over the caller's arrival sequence, so a later
+    /// injection that ties a stamp with a smaller sequence sorts ahead.
+    /// Empty in an offline replay.
+    admission: VecDeque<(u128, usize)>,
     regions: Vec<RegionRuntime>,
     /// Slot in `regions` of every participating region, on
     /// [`Region::index`].
     region_slot: [Option<usize>; ALL_REGIONS.len()],
     pub(crate) queue: EventQueue,
-    pub(crate) interval: f64,
+    interval: f64,
     pub(crate) tolerance: f64,
-    /// `runtimes[i]` is job `i`'s bookkeeping, pushed when its arrival is
-    /// queued: an event can only reach a job whose arrival came first.
+    /// `runtimes[i]` is job `i`'s bookkeeping, pushed when a round pulls in a
+    /// preloaded job or when a live run injects one: an event can only reach
+    /// a job that some round has pulled in.
     runtimes: Vec<JobRuntime>,
     /// Pending pool, kept in the form the scheduler sees (received time,
     /// rounds deferred so far) so a round lends it instead of rebuilding it.
@@ -143,16 +151,16 @@ pub(crate) struct SimState<'t> {
     pub(crate) completed: usize,
     pub(crate) last_time: f64,
     first_time: f64,
+    /// The instant of the last round opened.
+    round_at: f64,
 }
 
 impl<'t> SimState<'t> {
     /// An engine state preloaded with a whole trace, replayed in
     /// `(submit time, trace index)` order. A trace already in that order is
     /// borrowed, not copied; any other is copied and the copy stably sorted
-    /// once, here, so every arrival's sequence is its position in that
-    /// order. The regular sequence band is floored at the trace length, so
-    /// on exact timestamp ties every arrival orders ahead of round/decision
-    /// events — the same split a live run makes at `ONLINE_ROUND_SEQ_BASE`.
+    /// once, here, so rounds pull in the jobs in that order. The first round
+    /// is queued at the earliest submit time.
     /// A duplicate id would leave one twin pending forever (assignments are
     /// keyed by job id) and a non-finite submit time has no place in the
     /// event order, so a malformed trace is rejected here with a typed
@@ -190,7 +198,7 @@ impl<'t> SimState<'t> {
         if let Some(i) = non_finite {
             return Err(SimulationError::NonFiniteEventTime {
                 time: submit(&jobs[i]),
-                event: Event::Arrival(i).describe(jobs),
+                event: arrival_of(&jobs[i]),
             });
         }
         let mut state = Self::empty(config);
@@ -204,9 +212,10 @@ impl<'t> SimState<'t> {
             Cow::Owned(sorted)
         };
         state.runtimes = Vec::with_capacity(jobs.len());
-        state.unqueued = 0..jobs.len();
-        state.queue.reserve(jobs.len() as u64);
-        state.queue_next_preloaded()?;
+        state.unpulled = 0..jobs.len();
+        if let Some(first) = state.jobs.first() {
+            state.start_rounds(submit(first))?;
+        }
         Ok(state)
     }
 
@@ -226,7 +235,8 @@ impl<'t> SimState<'t> {
         Self {
             jobs: Cow::Owned(Vec::new()),
             seen_ids: BTreeSet::new(),
-            unqueued: 0..0,
+            unpulled: 0..0,
+            admission: VecDeque::new(),
             views: Vec::with_capacity(regions.len()),
             regions,
             region_slot,
@@ -241,13 +251,14 @@ impl<'t> SimState<'t> {
             completed: 0,
             last_time: 0.0,
             first_time: 0.0,
+            round_at: f64::NEG_INFINITY,
         }
     }
 
-    /// Admit one injected job: validate its id, grow the runtime table, and
-    /// enqueue its arrival with the caller-chosen sequence number (arrivals
-    /// are stamped from a dedicated low sequence band so they order ahead of
-    /// round/decision events on exact timestamp ties).
+    /// Admit one injected job: validate its id and submit time, grow the
+    /// runtime table, and buffer it under the caller-chosen arrival
+    /// sequence, which orders it among the jobs that tie its stamp. The
+    /// first job also starts the round chain at its own submit time.
     pub(crate) fn push_job(
         &mut self,
         spec: JobSpec,
@@ -257,64 +268,101 @@ impl<'t> SimState<'t> {
             return Err(SimulationError::DuplicateJobId { id: spec.id });
         }
         let (index, time) = (self.jobs.len(), spec.submit_time.value());
-        // In the table first, so that a rejected arrival names its job.
+        if !time.is_finite() {
+            return Err(SimulationError::NonFiniteEventTime {
+                time,
+                event: arrival_of(&spec),
+            });
+        }
         self.jobs.to_mut().push(spec);
         self.runtimes.push(JobRuntime::default());
-        self.queue_arrival(index, time, arrival_seq)
+        let key = u128::from(time_key(time)) << 64 | u128::from(arrival_seq);
+        let at = self.admission.partition_point(|&(queued, _)| queued < key);
+        self.admission.insert(at, (key, index));
+        if index == 0 {
+            self.start_rounds(time)?;
+        }
+        Ok(())
     }
 
-    /// Enqueue `event` at `time` with the next sequence number.
-    pub(crate) fn push(&mut self, time: f64, event: Event) -> Result<(), SimulationError> {
-        let seq = self.queue.reserve(1);
-        self.push_with_seq(time, seq, event)
+    /// Queue the first round at the first job's submit time, where the
+    /// campaign's clock starts.
+    fn start_rounds(&mut self, time: f64) -> Result<(), SimulationError> {
+        self.first_time = time;
+        self.last_time = time;
+        self.push(time, Event::Round)
     }
 
-    /// Enqueue `event` at `(time, seq)`. A NaN or infinite `time` fails the
-    /// run with [`SimulationError::NonFiniteEventTime`], naming the job by
-    /// its trace id.
-    fn push_with_seq(&mut self, time: f64, seq: u64, event: Event) -> Result<(), SimulationError> {
-        self.queue.push_with_seq(time, seq, event).map_err(|_| {
-            SimulationError::NonFiniteEventTime {
+    /// Enqueue `event` at `time` with the next sequence number. A NaN or
+    /// infinite `time` fails the run with
+    /// [`SimulationError::NonFiniteEventTime`], naming the job by its trace
+    /// id.
+    fn push(&mut self, time: f64, event: Event) -> Result<(), SimulationError> {
+        self.queue
+            .push(time, event)
+            .map_err(|_| SimulationError::NonFiniteEventTime {
                 time,
                 event: event.describe(&self.jobs),
-            }
-        })
+            })
     }
 
-    /// Enqueue the arrival of job `index`. The first job's arrival also
-    /// bootstraps the periodic round chain at its own submit time.
-    fn queue_arrival(&mut self, index: usize, time: f64, seq: u64) -> Result<(), SimulationError> {
-        self.push_with_seq(time, seq, Event::Arrival(index))?;
-        if index == 0 {
-            self.push(time, Event::Round)?;
-            self.first_time = time;
-            self.last_time = time;
+    /// Queue the round after the one at `now`.
+    pub(crate) fn arm_next_round(&mut self, now: f64) -> Result<(), SimulationError> {
+        self.push(now + self.interval, Event::Round)
+    }
+
+    /// Open the round at `now`: pull in the jobs that arrived by then.
+    ///
+    /// A round at the previous round's instant was re-armed by an interval
+    /// too small to move the clock, and would re-arm there forever, so it
+    /// fails the run instead. It fails as it fires, after the events already
+    /// due at that instant: an earlier error in event order surfaces first.
+    pub(crate) fn open_round(&mut self, now: f64) -> Result<(), SimulationError> {
+        if now.total_cmp(&self.round_at).is_le() {
+            return Err(SimulationError::SchedulingIntervalBelowClockResolution {
+                time: now,
+                interval: self.interval,
+            });
         }
+        self.round_at = now;
+        self.pull_arrivals(now);
         Ok(())
     }
 
-    /// Hand the queue the next arrival of the preloaded trace, if any is
-    /// left.
-    fn queue_next_preloaded(&mut self) -> Result<(), SimulationError> {
-        if let Some(i) = self.unqueued.next() {
+    /// Move every admitted job stamped at or before `now` (in
+    /// [`f64::total_cmp`] order) into the pending pool, in `(stamp,
+    /// sequence)` order: the round at `now` sees each job that arrived by
+    /// then, and a job that ties the round joins it. A preloaded job is read
+    /// from the trace here and gets its runtime row as it joins.
+    fn pull_arrivals(&mut self, now: f64) {
+        let until = time_key(now);
+        let due = self.jobs[self.unpulled.clone()]
+            .iter()
+            .take_while(|job| time_key(job.submit_time.value()) <= until)
+            .count();
+        for i in self.unpulled.start..self.unpulled.start + due {
             self.runtimes.push(JobRuntime::default());
-            self.queue_arrival(i, self.jobs[i].submit_time.value(), i as u64)?;
+            self.join_pool(i);
         }
-        Ok(())
+        self.unpulled.start += due;
+        while let Some(&(key, i)) = self.admission.front() {
+            if (key >> 64) as u64 > until {
+                break;
+            }
+            self.admission.pop_front();
+            self.join_pool(i);
+        }
     }
 
-    /// A job arrived at its home region's decision controller. A preloaded
-    /// arrival is succeeded in the queue by the next one, which by the
-    /// trace's order cannot dispatch before it — the queue sees the trace as
-    /// an ordered stream without ever holding more than its head.
-    pub(crate) fn handle_arrival(&mut self, i: usize, time: f64) -> Result<(), SimulationError> {
+    /// Job `i` joins the pending pool, received at its submit time.
+    fn join_pool(&mut self, i: usize) {
+        let spec = self.jobs[i].clone();
         self.pending.push(PendingJob {
-            spec: self.jobs[i].clone(),
-            received_at: Seconds::new(time),
+            received_at: spec.submit_time,
+            spec,
             deferrals: 0,
         });
         self.pending_index.push(i);
-        self.queue_next_preloaded()
     }
 
     /// The scheduler-visible state for a round: the pending jobs (with
@@ -327,15 +375,12 @@ impl<'t> SimState<'t> {
     }
 
     /// Commit a round's decision: enact the placements, count a deferral for
-    /// every snapshot job left pending, and schedule the next round.
+    /// every job left pending, and schedule the next round.
     ///
-    /// `snapshot_len` is the pending-pool size when the round's snapshot was
-    /// taken and `seq_base` the sequence block reserved at that moment (see
-    /// [`EventQueue::reserve`]). The decision's `Ready` events are stamped
-    /// with `seq_base + k` and the next round with `seq_base + snapshot_len`.
-    /// Assignments are matched against the snapshot prefix of the pending
-    /// pool only: a decision can never reach jobs that arrived after its
-    /// snapshot. A decision that lists its jobs in pool order (every
+    /// Nothing joins the pool between a round's snapshot and its commit, so
+    /// the pool at commit is the snapshot. The decision's `Ready` events are
+    /// queued in the order it lists them, and the next round after them.
+    /// A decision that lists its jobs in pool order (every
     /// baseline, and WaterWise whenever its slack manager keeps the whole
     /// pool) is matched by walking the pool beside it; see
     /// [`SimState::locate`].
@@ -345,16 +390,13 @@ impl<'t> SimState<'t> {
     pub(crate) fn commit_round(
         &mut self,
         decision: &SchedulingDecision,
-        snapshot_len: usize,
-        seq_base: u64,
         now: f64,
         config: &SimulationConfig,
         mut enacted: Option<&mut Vec<EnactedPlacement>>,
     ) -> Result<(), SimulationError> {
         let mut walk = Some(0);
-        let mut placed = 0u64;
         for a in &decision.assignments {
-            let Some(at) = self.locate(a.job, snapshot_len, &mut walk) else {
+            let Some(at) = self.locate(a.job, &mut walk) else {
                 continue; // Unknown or already-scheduled job id: ignore.
             };
             let i = self.pending_index[at];
@@ -375,8 +417,7 @@ impl<'t> SimState<'t> {
             self.runtimes[i].assigned_region = Some(a.region);
             self.runtimes[i].transfer_time = transfer_time;
             self.regions[slot].inbound += 1;
-            self.push_with_seq(now + transfer_time, seq_base + placed, Event::Ready(i))?;
-            placed += 1;
+            self.push(now + transfer_time, Event::Ready(i))?;
             if let Some(enacted) = enacted.as_deref_mut() {
                 enacted.push(EnactedPlacement {
                     job: i,
@@ -387,17 +428,15 @@ impl<'t> SimState<'t> {
             }
         }
         // Drop the assigned jobs from the pool (a pooled job has a region
-        // iff this commit just gave it one); jobs that were *offered* this
-        // round (the snapshot prefix) and stayed count one more deferral.
-        // Arrivals ingested after the snapshot are untouched.
+        // iff this commit just gave it one); every job that stayed was
+        // offered this round and counts one more deferral.
         let runtimes = &self.runtimes;
         let pending_index = &self.pending_index;
         let mut position = 0usize;
         self.pending.retain_mut(|job| {
-            let offered = position < snapshot_len;
             let assigned = runtimes[pending_index[position]].assigned_region.is_some();
             position += 1;
-            if offered && !assigned {
+            if !assigned {
                 job.deferrals += 1;
             }
             !assigned
@@ -405,39 +444,30 @@ impl<'t> SimState<'t> {
         self.pending_index
             .retain(|&i| runtimes[i].assigned_region.is_none());
         if self.completed < self.jobs.len() {
-            self.push_with_seq(
-                now + self.interval,
-                seq_base + snapshot_len as u64,
-                Event::Round,
-            )?;
+            self.arm_next_round(now)?;
         }
         Ok(())
     }
 
-    /// The position of `job` in the first `snapshot_len` jobs of the pool,
-    /// if it is there. `walk` is where the previous lookup left off while a
-    /// decision lists its jobs in pool order: the job is sought from there
-    /// on, so a decision in pool order costs one pass over the pool. At the
-    /// first job not found ahead — listed out of pool order, twice, or not
-    /// offered at all — `walk` becomes `None` and every lookup from then on
-    /// binary-searches the snapshot's `(id, position)` pairs, sorted once
-    /// here. Ids are unique in the pool, so both find the same position.
-    fn locate(
-        &mut self,
-        job: JobId,
-        snapshot_len: usize,
-        walk: &mut Option<usize>,
-    ) -> Option<usize> {
+    /// The position of `job` in the pool, if it is there. `walk` is where
+    /// the previous lookup left off while a decision lists its jobs in pool
+    /// order: the job is sought from there on, so a decision in pool order
+    /// costs one pass over the pool. At the first job not found ahead —
+    /// listed out of pool order, twice, or not offered at all — `walk`
+    /// becomes `None` and every lookup from then on binary-searches the
+    /// pool's `(id, position)` pairs, sorted once here. Ids are unique in
+    /// the pool, so both find the same position.
+    fn locate(&mut self, job: JobId, walk: &mut Option<usize>) -> Option<usize> {
         if let Some(from) = *walk {
-            let ahead = &self.pending[from..snapshot_len];
+            let ahead = &self.pending[from..];
             if let Some(k) = ahead.iter().position(|p| p.spec.id == job) {
                 *walk = Some(from + k + 1);
                 return Some(from + k);
             }
             *walk = None;
-            let snapshot = self.pending[..snapshot_len].iter().enumerate();
+            let pool = self.pending.iter().enumerate();
             self.offered.clear();
-            self.offered.extend(snapshot.map(|(at, p)| (p.spec.id, at)));
+            self.offered.extend(pool.map(|(at, p)| (p.spec.id, at)));
             self.offered.sort_unstable();
         }
         let hit = self
@@ -527,6 +557,11 @@ impl<'t> SimState<'t> {
         };
         (makespan, mean_utilization)
     }
+}
+
+/// How an error names the arrival of `job`: by its trace id.
+fn arrival_of(job: &JobSpec) -> String {
+    format!("arrival of job {}", job.id.0)
 }
 
 /// A job id the trace carries twice, if there is one: a sort and an adjacent
@@ -631,7 +666,7 @@ impl<P: ConditionsProvider> Simulator<P> {
     /// ([`clock::ClockMode`]) and the determinism guarantee (the recorded
     /// trace replays offline to the byte-identical schedule).
     ///
-    /// Each arrival carries a caller-allocated low-band sequence number
+    /// Each arrival carries a caller-allocated sequence number
     /// ([`online::SequencedJob`]) that breaks exact-timestamp ties, so tie
     /// order never depends on which thread's submission happened to reach
     /// the channel first: `waterwise-service` partitions the band per

@@ -11,18 +11,18 @@
 //! operator-facing view.
 //!
 //! An *offline* replay ([`Simulator::run`]) is the same loop started with
-//! the whole trace admitted up front and the source already closed: the
-//! event queue is handed the trace's arrivals one at a time, in submit
-//! order, so it holds the events in flight rather than the trace. There is
-//! no channel, clock or placement sink, every queued event is
+//! the whole trace loaded up front and the source already closed: each
+//! round reads the jobs that arrived by its instant straight from the trace,
+//! so the event queue holds the events in flight rather than the trace.
+//! There is no channel, clock or placement sink, every queued event is
 //! dispatchable — so the loop pops without peeking — and the loop stops at
 //! the same event a live session over the same trace stops at.
 //!
 //! # One solve path
 //!
-//! A round snapshots the pending pool, reserves its decision events' queue
-//! keys (`EventQueue::reserve`), solves inline on the event loop, and
-//! commits. Commits match assignments against the snapshot prefix only, so a
+//! A round admits the jobs that arrived by its instant into the pending
+//! pool, snapshots the pool, solves inline on the event loop, and commits.
+//! Nothing joins the pool between the snapshot and the commit, so a
 //! decision can never reach a job that arrived after its snapshot.
 //!
 //! # The identity discipline
@@ -35,23 +35,24 @@
 //! [`OnlineReport::trace`] for the general case). Three mechanisms enforce
 //! it:
 //!
-//! 1. **Split sequence bands.** In an offline replay every arrival's
-//!    sequence is its position in the trace and the first round's is the
-//!    trace length, so on exact timestamp ties arrivals always order ahead
-//!    of round/decision events. A live run cannot number its arrivals ahead
-//!    of time — they are injected throughout the run — so
-//!    they carry caller-allocated sequences from a dedicated low band
-//!    ([`SequencedJob::seq`]) and the regular band is floored at
-//!    `ONLINE_ROUND_SEQ_BASE` (2^48). Relative order within each band
-//!    matches the offline replay, and the low band wins every cross-band
-//!    tie, exactly as offline.
+//! 1. **Arrivals are admitted, not dispatched.** Arrivals never enter the
+//!    event queue. A round at `T` first moves every job stamped at or before
+//!    `T` (in `f64::total_cmp` order) that no round has taken yet into the
+//!    pending pool, so a job that ties a round joins it, offline and live
+//!    alike. An offline
+//!    replay reads them from its sorted trace, in trace order; a live run
+//!    buffers its injections by `(stamp, caller sequence)`
+//!    ([`SequencedJob::seq`]), which is the trace order of its recorded
+//!    trace whenever the sequences increase in receipt order. The queue
+//!    holds only rounds, transfers and completions, each numbered in push
+//!    order, and both runs push the same events in the same order.
 //! 2. **The watermark rule.** A queued event dispatches only when no
 //!    earlier (or equally-timed) arrival can still be injected:
 //!    [`ClockMode::Discrete`] requires a strictly later injection (or the
 //!    closed source) as proof, [`ClockMode::RealTime`] uses the scaled wall
 //!    clock, whose monotonicity bounds every future stamp from below.
 //! 3. **Monotone stamps.** An injected job's submit time is never allowed
-//!    at or before an already-dispatched round/ready/complete event
+//!    at or before an already-dispatched event
 //!    (`RealTime` nudges the stamp up; `Discrete` rejects the request with
 //!    [`SimulationError::OutOfOrderArrival`]), so the replayed arrival
 //!    cannot land ahead of effects the online run has already committed.
@@ -74,25 +75,18 @@ use waterwise_sustain::Seconds;
 use waterwise_telemetry::{ConditionsProvider, Region};
 use waterwise_traces::{JobId, JobSpec};
 
-/// Floor of the sequence band used for round/decision/completion events in
-/// an online run. Arrivals carry sequences from the low band, so they win
-/// every exact-timestamp tie against the high band — the ordering an
-/// offline replay produces by pushing all arrivals first. 2^48 events is
-/// far beyond any campaign; the bands cannot collide.
-pub(crate) const ONLINE_ROUND_SEQ_BASE: u64 = 1 << 48;
-
-/// Exclusive upper bound of the low (arrival) sequence band of an online
-/// run ([`Simulator::run_online_sequenced`]). Every caller-allocated
-/// arrival sequence must be strictly below this value or the arrival would
-/// collide with the round/decision band and the run is rejected with
-/// [`SimulationError::ArrivalSeqOutOfBand`].
+/// Exclusive upper bound of the arrival sequences of an online run
+/// ([`Simulator::run_online_sequenced`]). Every caller-allocated arrival
+/// sequence must be strictly below this value or the run is rejected with
+/// [`SimulationError::ArrivalSeqOutOfBand`]. Below 2^48 a sequence survives
+/// the admission journal, which writes it as a JSON number, exactly.
 ///
 /// The admission layer in `waterwise-service` partitions this band per
 /// session (`session << 32 | request`), which makes exact-timestamp tie
 /// order a pure function of `(session, request index)` — independent of
 /// the physical interleaving in which concurrent sessions reached the
 /// engine.
-pub const ONLINE_ARRIVAL_SEQ_LIMIT: u64 = ONLINE_ROUND_SEQ_BASE;
+pub const ONLINE_ARRIVAL_SEQ_LIMIT: u64 = 1 << 48;
 
 /// One enacted placement, reported to the online caller as it commits.
 ///
@@ -126,7 +120,7 @@ pub struct PlacementNotice {
 
 /// A job injected into an online run
 /// ([`Simulator::run_online_sequenced`]) together with its caller-allocated
-/// low-band arrival sequence.
+/// arrival sequence.
 ///
 /// The sequence is the exact-timestamp tie-breaker: on equal submit times
 /// the arrival with the smaller `seq` orders first, regardless of the
@@ -138,7 +132,7 @@ pub struct PlacementNotice {
 pub struct SequencedJob {
     /// The injected request.
     pub spec: JobSpec,
-    /// Caller-allocated low-band arrival sequence
+    /// Caller-allocated arrival sequence
     /// (`< ONLINE_ARRIVAL_SEQ_LIMIT`, unique per run).
     pub seq: u64,
 }
@@ -183,8 +177,8 @@ pub(crate) struct OnlineDriver<'a, 't, P> {
     used_seqs: BTreeSet<u64>,
     /// Largest submit time stamped so far — the `Discrete` watermark.
     last_stamp: f64,
-    /// Largest dispatched non-arrival event time: new stamps must exceed it
-    /// or the replay could order the arrival ahead of committed effects.
+    /// Largest dispatched event time: new stamps must exceed it or the
+    /// replay could order the arrival ahead of committed effects.
     committed_time: f64,
     outcomes: Vec<JobOutcome>,
     /// The summary's per-job aggregates, folded as each outcome is pushed.
@@ -212,9 +206,7 @@ impl<'a, 't, P: ConditionsProvider> OnlineDriver<'a, 't, P> {
         placements: SyncSender<PlacementNotice>,
         clock: ClockMode,
     ) -> Self {
-        let mut state = SimState::empty(sim.config());
-        // Floor the regular sequence band; arrivals use the low band.
-        state.queue.reserve(ONLINE_ROUND_SEQ_BASE);
+        let state = SimState::empty(sim.config());
         let clock = match clock.normalized() {
             ClockMode::Discrete => None,
             ClockMode::RealTime { scale } => Some(SimClock::start(scale)),
@@ -246,8 +238,8 @@ impl<'a, 't, P: ConditionsProvider> OnlineDriver<'a, 't, P> {
     }
 
     /// The smallest submit time a new injection may be stamped with:
-    /// strictly after every dispatched non-arrival event (its effects are
-    /// committed) and no earlier than the previous stamp (receipt order
+    /// strictly after every dispatched event (its effects are committed)
+    /// and no earlier than the previous stamp (receipt order
     /// must equal replay order).
     fn stamp_floor(&self) -> f64 {
         let above_committed = if self.committed_time == f64::NEG_INFINITY {
@@ -260,7 +252,7 @@ impl<'a, 't, P: ConditionsProvider> OnlineDriver<'a, 't, P> {
 
     /// Admit one injected job: validate its caller-allocated arrival
     /// sequence (band limit, uniqueness), stamp (or validate) its submit
-    /// time, and enqueue its arrival from the low sequence band.
+    /// time, and buffer it for the round that admits it.
     fn ingest(&mut self, job: SequencedJob) -> Result<(), SimulationError> {
         let SequencedJob { mut spec, seq } = job;
         if seq >= ONLINE_ARRIVAL_SEQ_LIMIT {
@@ -417,10 +409,10 @@ impl<'a, 't, P: ConditionsProvider> OnlineDriver<'a, 't, P> {
         scheduler: &mut dyn Scheduler,
     ) -> Result<(), SimulationError> {
         self.state.last_time = time;
+        self.committed_time = self.committed_time.max(time);
         match event {
-            Event::Arrival(i) => self.state.handle_arrival(i, time)?,
             Event::Round => {
-                self.committed_time = self.committed_time.max(time);
+                self.state.open_round(time)?;
                 if !self.state.pending.is_empty() {
                     self.solve_and_commit(time, scheduler)?;
                 } else if self.state.completed < self.state.jobs.len() {
@@ -428,15 +420,11 @@ impl<'a, 't, P: ConditionsProvider> OnlineDriver<'a, 't, P> {
                     // are incomplete (a fully-drained engine stops or parks
                     // instead), so a recorded trace re-arms identically
                     // when replayed.
-                    self.state.push(time + self.state.interval, Event::Round)?;
+                    self.state.arm_next_round(time)?;
                 }
             }
-            Event::Ready(i) => {
-                self.committed_time = self.committed_time.max(time);
-                self.state.handle_ready(i, time)?;
-            }
+            Event::Ready(i) => self.state.handle_ready(i, time)?,
             Event::Complete(i) => {
-                self.committed_time = self.committed_time.max(time);
                 let runtime = self.state.handle_complete(i, time)?;
                 let outcome =
                     self.sim
@@ -456,7 +444,6 @@ impl<'a, 't, P: ConditionsProvider> OnlineDriver<'a, 't, P> {
         scheduler: &mut dyn Scheduler,
     ) -> Result<(), SimulationError> {
         let batch = self.state.pending.len();
-        let seq_base = self.state.queue.reserve(batch as u64 + 1);
         let (pending, views) = self.state.snapshot();
         let (decision, wall, solver) =
             timed_schedule(scheduler, now, pending, views, self.sim.config());
@@ -469,7 +456,7 @@ impl<'a, 't, P: ConditionsProvider> OnlineDriver<'a, 't, P> {
         // Offline replays have no sink and build no placements or notices.
         let enacted = self.placements.is_some().then_some(&mut self.enacted);
         self.state
-            .commit_round(&decision, batch, seq_base, now, self.sim.config(), enacted)?;
+            .commit_round(&decision, now, self.sim.config(), enacted)?;
         let slot = self.slot;
         self.slot += 1;
         let Some(placements) = &self.placements else {

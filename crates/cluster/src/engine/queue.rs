@@ -2,45 +2,40 @@
 //!
 //! Events dispatch in ascending `(time, sequence)` order — the timestamp
 //! first, the sequence number as the tie-breaker, so events at equal
-//! simulated times dispatch in the order they were scheduled. An offline
-//! replay and a live session must produce *identical* `(time, sequence)`
-//! keys for every event or their replay order (and therefore the whole
-//! campaign) could diverge on exact timestamp ties. Every round
-//! [`EventQueue::reserve`]s a sequence block at its snapshot and stamps the
-//! decision's events with [`EventQueue::push_with_seq`], so the keys depend
-//! on the snapshot alone, not on when the pushes physically happen.
+//! simulated times dispatch in the order they were scheduled. Every event
+//! takes the next sequence number as it is pushed. Arrivals are not events:
+//! a round pulls the jobs stamped at or before it straight into the pending
+//! pool (`SimState::pull_arrivals`), so the queue holds only what the engine
+//! itself schedules, and an offline replay and a live session push the same
+//! events in the same order.
 //!
-//! # Three sources, one order
+//! # Two sources, one order
 //!
 //! Each kind of event reaches the queue in an order of its own, and each is
 //! kept where that order makes it cheap:
 //!
-//! - **Arrivals** come already in dispatch order: an offline replay hands
-//!   them over one at a time from its sorted trace, and a live run's stamps
-//!   are monotone. They go to an ordered stream, a sorted lane (a vector
-//!   consumed from the front) that appends them, and places in order a live
-//!   arrival that ties the last stamp with a smaller sequence.
 //! - **Transfers** (`Ready`) land seconds after the round that decided
-//!   them, and rounds advance, so a round's transfers sort at or near the
-//!   tail of those still in flight. They go to a second sorted lane, placed
-//!   by shifting the few slots that sort after them.
+//!   them, all pushed by that round's commit in the order its decision
+//!   lists them. They are appended to a lane (a vector consumed from the
+//!   front), and the lane's live slots are sorted once, at the next read,
+//!   instead of placing each transfer by its own shifting insert.
 //! - **Rounds and completions** land minutes to hours ahead in no useful
 //!   order, and stay in a min-heap — four children a node, so a pop sifts
 //!   through half the levels of a binary heap. A transfer there would sift
 //!   up to near the root and back down again.
 //!
 //! Keys are unique, each source yields its own events in ascending key
-//! order, and [`EventQueue::pop`] takes the smallest of the three heads: by
+//! order, and [`EventQueue::pop`] takes the smaller of the two heads: by
 //! induction that is the global minimum, i.e. exactly what a single heap
 //! over every event would pop (`split_queue_pops_what_a_single_heap_would`).
 //!
 //! # Integer keys
 //!
-//! Every source holds three-word `Slot`s: the time's bits mapped so that
+//! Both sources hold three-word `Slot`s: the time's bits mapped so that
 //! unsigned order is `f64::total_cmp` order, the sequence, and the event
 //! packed into one word — 24 bytes, compared as one `u128`, so every step of
-//! a sift or a placement is one integer comparison. The map is a bijection on
-//! the bits (`slots_round_trip_the_bits_of_every_finite_time_and_event`) and
+//! a sift or a sort is one integer comparison. The map is a bijection on the
+//! bits (`slots_round_trip_the_bits_of_every_finite_time_and_event`) and
 //! keeps the `(total_cmp, seq)` order (`slot_keys_order_as_total_cmp_then_seq`).
 
 use waterwise_traces::JobSpec;
@@ -49,8 +44,6 @@ use waterwise_traces::JobSpec;
 /// trace (not its [`waterwise_traces::JobId`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Event {
-    /// A job from the trace arrives at its home region's decision controller.
-    Arrival(usize),
     /// A periodic scheduling round.
     Round,
     /// A job's package transfer has completed; it is ready to run in
@@ -68,7 +61,6 @@ impl Event {
     pub(crate) fn describe(self, jobs: &[JobSpec]) -> String {
         let id = |i: usize| jobs[i].id.0;
         match self {
-            Event::Arrival(i) => format!("arrival of job {}", id(i)),
             Event::Round => "scheduling round".to_string(),
             Event::Ready(i) => format!("readiness of job {}", id(i)),
             Event::Complete(i) => format!("completion of job {}", id(i)),
@@ -87,7 +79,7 @@ pub(crate) struct QueuedEvent {
 /// `time`'s bits mapped so that unsigned order is [`f64::total_cmp`] order:
 /// bits with the sign set (`-0.0` included) are inverted whole, any others
 /// get the sign set. A bijection on `u64`; [`time_of`] inverts it.
-fn time_key(time: f64) -> u64 {
+pub(crate) fn time_key(time: f64) -> u64 {
     let bits = time.to_bits();
     let negative = ((bits as i64) >> 63) as u64;
     bits ^ (negative | 1 << 63)
@@ -105,10 +97,9 @@ const INDEX_BITS: u32 = 62;
 /// `event` in one word: the variant in the top two bits, the job index below.
 fn pack(event: Event) -> u64 {
     let (tag, index) = match event {
-        Event::Arrival(i) => (0, i),
-        Event::Round => (1, 0),
-        Event::Ready(i) => (2, i),
-        Event::Complete(i) => (3, i),
+        Event::Round => (0, 0),
+        Event::Ready(i) => (1, i),
+        Event::Complete(i) => (2, i),
     };
     debug_assert!(
         (index as u64) >> INDEX_BITS == 0,
@@ -121,9 +112,8 @@ fn pack(event: Event) -> u64 {
 fn unpack(packed: u64) -> Event {
     let index = (packed & ((1 << INDEX_BITS) - 1)) as usize;
     match packed >> INDEX_BITS {
-        0 => Event::Arrival(index),
-        1 => Event::Round,
-        2 => Event::Ready(index),
+        0 => Event::Round,
+        1 => Event::Ready(index),
         _ => Event::Complete(index),
     }
 }
@@ -181,28 +171,33 @@ pub(crate) struct NonFiniteTime;
 /// Where a queued event waits: by its kind (see the module docs).
 #[derive(Debug, Clone, Copy)]
 enum Source {
-    Arrivals,
     Transfers,
     Heap,
 }
 
-/// A sorted lane: queued slots in ascending key order, consumed from the
-/// front. The live slots are `slots[head..]`; the popped prefix is dropped
-/// when the lane empties, or compacted away once it is at least as long as
-/// what is left, so compaction moves each slot O(1) times.
+/// A lane: queued slots consumed from the front. The live slots are
+/// `slots[head..]`; the popped prefix is dropped when the lane empties, or
+/// compacted away once it is at least as long as what is left, so
+/// compaction moves each slot O(1) times. Pushes append; a push that lands
+/// behind the tail marks the live slots unsorted, and [`Lane::settle`]
+/// sorts them once before the next read.
 #[derive(Debug, Default)]
 struct Lane {
     slots: Vec<Slot>,
     head: usize,
+    /// Whether some live slot sorts after the one behind it.
+    unsorted: bool,
 }
 
 impl Lane {
+    /// The earliest live slot. Only meaningful once settled.
     fn front(&self) -> Option<&Slot> {
+        debug_assert!(!self.unsorted, "read an unsettled lane");
         self.slots.get(self.head)
     }
 
     fn pop_front(&mut self) -> Option<Slot> {
-        let slot = *self.slots.get(self.head)?;
+        let slot = *self.front()?;
         self.head += 1;
         if self.head == self.slots.len() {
             self.slots.clear();
@@ -211,22 +206,30 @@ impl Lane {
         Some(slot)
     }
 
-    /// Place `slot` by shifting the slots that sort after it up one, from
-    /// the tail: a slot lands at or near the tail (an arrival in stamp
-    /// order, a round's transfer behind the earlier ones), so few move.
-    fn insert(&mut self, slot: Slot) {
+    fn push(&mut self, slot: Slot) {
         if self.head > 0 && 2 * self.head >= self.slots.len() {
             self.slots.drain(..self.head);
             self.head = 0;
         }
-        let key = slot.key();
-        let mut at = self.slots.len();
-        self.slots.push(slot);
-        while at > self.head && self.slots[at - 1].key() > key {
-            self.slots[at] = self.slots[at - 1];
-            at -= 1;
+        // A non-empty lane's last slot is live: the lane clears on its last pop.
+        if self
+            .slots
+            .last()
+            .is_some_and(|last| last.key() > slot.key())
+        {
+            self.unsorted = true;
         }
-        self.slots[at] = slot;
+        self.slots.push(slot);
+    }
+
+    /// Sort the live slots if a push left them out of order: one sort for
+    /// the whole of a round's transfers. Keys are unique, so an unstable
+    /// sort has only one result.
+    fn settle(&mut self) {
+        if self.unsorted {
+            self.slots[self.head..].sort_unstable_by_key(Slot::key);
+            self.unsorted = false;
+        }
     }
 }
 
@@ -301,19 +304,17 @@ fn least_of_four(four: [Slot; 4]) -> (usize, u128) {
     (least, keys[least])
 }
 
-/// The event queue: an ordered arrival stream and a sorted transfer lane
-/// merged with a min-heap of rounds and completions, all on (time,
-/// sequence). Non-finite timestamps are rejected at insertion, so no order
-/// can be silently corrupted by a NaN comparing as "equal" to everything.
+/// The event queue: a transfer lane merged with a min-heap of rounds and
+/// completions, both on (time, sequence). Non-finite timestamps are rejected
+/// at insertion, so no order can be silently corrupted by a NaN comparing as
+/// "equal" to everything.
 #[derive(Debug, Default)]
 pub(crate) struct EventQueue {
-    /// Queued `Arrival` events.
-    arrivals: Lane,
     /// Queued `Ready` events: the transfers in flight.
     transfers: Lane,
-    /// Queued `Round` / `Complete` events: what is in flight, not what the
-    /// trace still holds.
+    /// Queued `Round` / `Complete` events.
     heap: QuadHeap,
+    /// The sequence number the next push takes.
     seq: u64,
     /// Queued events that are *not* periodic rounds, maintained at
     /// push/pop so the engine's stop condition
@@ -323,64 +324,41 @@ pub(crate) struct EventQueue {
 }
 
 impl EventQueue {
-    /// Reserve a block of `n` consecutive sequence numbers and return the
-    /// first. A round reserves its block at its snapshot and stamps its
-    /// decision's events with [`EventQueue::push_with_seq`], so their keys
-    /// depend on the snapshot alone; a live run reserves the arrivals' low
-    /// band up front, which floors the regular one.
-    pub(crate) fn reserve(&mut self, n: u64) -> u64 {
-        let first = self.seq;
-        self.seq += n;
-        first
-    }
-
-    /// Enqueue `event` at `time` with an explicitly reserved sequence
-    /// number (see [`EventQueue::reserve`]).
-    pub(crate) fn push_with_seq(
-        &mut self,
-        time: f64,
-        seq: u64,
-        event: Event,
-    ) -> Result<(), NonFiniteTime> {
+    /// Enqueue `event` at `time` with the next sequence number.
+    pub(crate) fn push(&mut self, time: f64, event: Event) -> Result<(), NonFiniteTime> {
         if !time.is_finite() {
             return Err(NonFiniteTime);
         }
         if !matches!(event, Event::Round) {
             self.non_round_events += 1;
         }
+        let seq = self.seq;
+        self.seq += 1;
         let slot = Slot::from(QueuedEvent { time, seq, event });
         match event {
-            Event::Arrival(_) => self.arrivals.insert(slot),
-            Event::Ready(_) => self.transfers.insert(slot),
+            Event::Ready(_) => self.transfers.push(slot),
             Event::Round | Event::Complete(_) => self.heap.push(slot),
         }
         Ok(())
     }
 
     /// The source whose head is the earliest queued event, if anything is
-    /// queued.
-    fn next_source(&self) -> Option<Source> {
+    /// queued. Settles the transfer lane first.
+    fn next_source(&mut self) -> Option<Source> {
+        self.transfers.settle();
         let head = |slot: Option<&Slot>| slot.map_or(u128::MAX, Slot::key);
-        let arrival = head(self.arrivals.front());
         let transfer = head(self.transfers.front());
-        let (source, key) = if arrival < transfer {
-            (Source::Arrivals, arrival)
-        } else {
-            (Source::Transfers, transfer)
-        };
         let in_flight = head(self.heap.peek());
-        let (source, key) = if in_flight < key {
-            (Source::Heap, in_flight)
+        if in_flight < transfer {
+            Some(Source::Heap)
         } else {
-            (source, key)
-        };
-        (key != u128::MAX).then_some(source)
+            (transfer != u128::MAX).then_some(Source::Transfers)
+        }
     }
 
     /// Remove and return the earliest event.
     pub(crate) fn pop(&mut self) -> Option<QueuedEvent> {
         let slot = match self.next_source()? {
-            Source::Arrivals => self.arrivals.pop_front(),
             Source::Transfers => self.transfers.pop_front(),
             Source::Heap => self.heap.pop(),
         }?;
@@ -392,9 +370,8 @@ impl EventQueue {
     }
 
     /// The earliest queued event, without removing it.
-    pub(crate) fn peek(&self) -> Option<QueuedEvent> {
+    pub(crate) fn peek(&mut self) -> Option<QueuedEvent> {
         let slot = match self.next_source()? {
-            Source::Arrivals => self.arrivals.front(),
             Source::Transfers => self.transfers.front(),
             Source::Heap => self.heap.peek(),
         }?;
@@ -414,41 +391,33 @@ mod tests {
     use std::cmp::Ordering;
     use std::collections::BinaryHeap;
 
-    impl EventQueue {
-        /// Enqueue `event` at `time` with the next sequence number.
-        fn push(&mut self, time: f64, event: Event) -> Result<(), NonFiniteTime> {
-            let seq = self.reserve(1);
-            self.push_with_seq(time, seq, event)
-        }
-    }
-
     #[test]
     fn pops_in_time_then_seq_order() {
+        // A commit pushes its transfers in decision order, not time order:
+        // the lane sorts them once, and an equal time keeps push order
+        // across both sources.
         let mut q = EventQueue::default();
-        q.push(2.0, Event::Round).unwrap();
-        q.push(1.0, Event::Arrival(0)).unwrap();
-        q.push(1.0, Event::Arrival(1)).unwrap();
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.event).collect();
+        for (job, time) in [(0, 9.0), (1, 3.0), (2, 7.0), (3, 3.0), (4, 1.0)] {
+            q.push(time, Event::Ready(job)).unwrap();
+        }
+        q.push(3.0, Event::Round).unwrap();
+        q.push(3.0, Event::Complete(5)).unwrap();
+        q.push(3.0, Event::Ready(6)).unwrap();
+        let order: Vec<_> = std::iter::from_fn(|| q.pop())
+            .map(|e| (e.time, e.event))
+            .collect();
         assert_eq!(
             order,
-            vec![Event::Arrival(0), Event::Arrival(1), Event::Round]
-        );
-    }
-
-    #[test]
-    fn reserved_seqs_outrank_later_pushes_on_time_ties() {
-        // A round reserves a block, later events are pushed, and only then
-        // the decision events land with the reserved (smaller) sequence
-        // numbers: on an exact time tie the decision events must win.
-        let mut q = EventQueue::default();
-        let s0 = q.reserve(2);
-        q.push(5.0, Event::Arrival(9)).unwrap();
-        q.push_with_seq(5.0, s0, Event::Ready(1)).unwrap();
-        q.push_with_seq(5.0, s0 + 1, Event::Round).unwrap();
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.event).collect();
-        assert_eq!(
-            order,
-            vec![Event::Ready(1), Event::Round, Event::Arrival(9)]
+            vec![
+                (1.0, Event::Ready(4)),
+                (3.0, Event::Ready(1)),
+                (3.0, Event::Ready(3)),
+                (3.0, Event::Round),
+                (3.0, Event::Complete(5)),
+                (3.0, Event::Ready(6)),
+                (7.0, Event::Ready(2)),
+                (9.0, Event::Ready(0)),
+            ]
         );
     }
 
@@ -456,7 +425,7 @@ mod tests {
     fn non_finite_times_are_rejected() {
         let mut q = EventQueue::default();
         assert!(q.push(f64::NAN, Event::Round).is_err());
-        assert!(q.push(f64::INFINITY, Event::Arrival(0)).is_err());
+        assert!(q.push(f64::INFINITY, Event::Ready(0)).is_err());
         assert!(q.pop().is_none());
     }
 
@@ -475,7 +444,7 @@ mod tests {
         assert!(matches!(q.pop().unwrap().event, Event::Complete(3)));
         assert!(q.only_rounds_left());
         // Rejected (non-finite) pushes must not leak into the counter.
-        assert!(q.push(f64::NAN, Event::Arrival(1)).is_err());
+        assert!(q.push(f64::NAN, Event::Ready(1)).is_err());
         assert!(q.only_rounds_left());
     }
 
@@ -506,8 +475,8 @@ mod tests {
     }
 
     /// The queue this one replaced, kept as the reference model: every
-    /// event, arrivals included, in one min-heap on `(time, seq)` under
-    /// [`ByTotalCmp`].
+    /// event in one min-heap on `(time, seq)` under [`ByTotalCmp`], each
+    /// push taking the next sequence.
     #[derive(Default)]
     struct SingleHeap {
         heap: BinaryHeap<ByTotalCmp>,
@@ -516,19 +485,15 @@ mod tests {
     }
 
     impl SingleHeap {
-        fn reserve(&mut self, n: u64) -> u64 {
-            let first = self.seq;
-            self.seq += n;
-            first
-        }
-
-        fn push_with_seq(&mut self, time: f64, seq: u64, event: Event) -> bool {
+        fn push(&mut self, time: f64, event: Event) -> bool {
             if !time.is_finite() {
                 return false;
             }
             if !matches!(event, Event::Round) {
                 self.non_round_events += 1;
             }
+            let seq = self.seq;
+            self.seq += 1;
             self.heap.push(ByTotalCmp(QueuedEvent { time, seq, event }));
             true
         }
@@ -573,7 +538,6 @@ mod tests {
     #[test]
     fn slots_round_trip_the_bits_of_every_finite_time_and_event() {
         let events = [
-            Event::Arrival(0),
             Event::Round,
             Event::Ready(7),
             Event::Complete((1 << INDEX_BITS) - 1),
@@ -636,94 +600,64 @@ mod tests {
             }
         }
 
-        /// Satellite of the split: any interleaving of pushes, reserved
-        /// blocks landing late, out-of-order arrival sequences, transfers
-        /// placed before, at and after the lane's tail or tying the heap's
-        /// top and the arrival stream's head, rejected pushes, peeks and
-        /// pops leaves the three-source queue and the single heap agreeing
-        /// on every popped `(time, seq, event)`, every peek and every
-        /// `only_rounds_left`.
+        /// Any interleaving of single pushes, rounds committing a batch of
+        /// transfers in ascending, descending or scrambled time order,
+        /// transfers placed before, at and after the lane's tail or tying
+        /// the heap's top, rejected pushes, peeks and pops leaves the
+        /// two-source queue and the single heap agreeing on every popped
+        /// `(time, seq, event)`, every peek and every `only_rounds_left`.
         #[test]
         fn split_queue_pops_what_a_single_heap_would(
-            ops in prop::collection::vec((0usize..12, 0u64..4, 0u64..64), 1..120),
+            ops in prop::collection::vec((0usize..10, 0u64..4, 0u64..64), 1..120),
         ) {
             let mut split = EventQueue::default();
             let mut single = SingleHeap::default();
-            // Arrivals take unique sequences from the low band, in whatever
-            // order the draws name them; everything else the regular band,
-            // floored above it (the live run's layout).
-            let low_band = 64u64;
-            assert_eq!(split.reserve(low_band), single.reserve(low_band));
-            let mut used = [false; 64];
-            let mut reserved: Vec<(u64, u64)> = Vec::new();
-            let push = |split: &mut EventQueue, single: &mut SingleHeap, time, seq, event| {
-                let accepted = split.push_with_seq(time, seq, event).is_ok();
-                assert_eq!(accepted, single.push_with_seq(time, seq, event));
+            let push = |split: &mut EventQueue, single: &mut SingleHeap, time, event| {
+                let accepted = split.push(time, event).is_ok();
+                assert_eq!(accepted, single.push(time, event));
             };
             for (step, &(op, tick, draw)) in ops.iter().enumerate() {
                 // Four distinct timestamps: nearly every comparison is a tie.
                 let time = tick as f64 * 60.0;
                 match op {
-                    // An arrival at an arbitrary stamp and low-band sequence:
-                    // in order, tying the last stamp with a smaller sequence
-                    // (two sessions), or earlier than what is queued.
-                    0..=2 => {
-                        let seq = (0..low_band)
-                            .map(|probe| (draw + probe) % low_band)
-                            .find(|&seq| !used[seq as usize]);
-                        if let Some(seq) = seq {
-                            used[seq as usize] = true;
-                            push(&mut split, &mut single, time, seq, Event::Arrival(step));
-                        }
-                    }
-                    // A regular-band push: round, readiness, completion —
-                    // or an arrival, so that a tie between sources is not
-                    // always the arrival's to win.
-                    3 | 4 => {
-                        let event = match draw % 4 {
+                    // A single push: round, readiness or completion.
+                    0 | 1 => {
+                        let event = match draw % 3 {
                             0 => Event::Round,
                             1 => Event::Ready(step),
-                            2 => Event::Complete(step),
-                            _ => Event::Arrival(step),
+                            _ => Event::Complete(step),
                         };
-                        let seq = split.reserve(1);
-                        assert_eq!(seq, single.reserve(1));
-                        push(&mut split, &mut single, time, seq, event);
+                        push(&mut split, &mut single, time, event);
                     }
-                    // A round reserves its decision's block at the snapshot…
-                    5 => {
-                        let n = 1 + draw % 4;
-                        let first = split.reserve(n);
-                        assert_eq!(first, single.reserve(n));
-                        reserved.push((first, n));
-                    }
-                    // …and its events land after whatever was pushed since:
-                    // `Ready`s, then the next round on the block's last key.
-                    6 => {
-                        if !reserved.is_empty() {
-                            let (first, n) = reserved.remove(draw as usize % reserved.len());
-                            for k in 0..n - 1 {
-                                push(&mut split, &mut single, time, first + k, Event::Ready(step));
-                            }
-                            push(&mut split, &mut single, time + 60.0, first + n - 1, Event::Round);
+                    // A round commits: its transfers, in time order, in
+                    // reverse time order or scrambled (ties included), then
+                    // the next round.
+                    2 | 3 => {
+                        let n = 1 + draw % 8;
+                        for k in 0..n {
+                            let offset = match draw % 3 {
+                                0 => k,
+                                1 => n - 1 - k,
+                                _ => (k * 5 + draw) % 4,
+                            };
+                            push(&mut split, &mut single, time + offset as f64 * 30.0, Event::Ready(step));
                         }
+                        push(&mut split, &mut single, time + 60.0, Event::Round);
                     }
                     // A non-finite push is rejected and changes nothing.
-                    7 => {
+                    4 => {
                         let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][draw as usize % 3];
-                        let event = if tick % 2 == 0 { Event::Arrival(step) } else { Event::Complete(step) };
-                        push(&mut split, &mut single, bad, draw, event);
+                        let event = if tick % 2 == 0 { Event::Ready(step) } else { Event::Complete(step) };
+                        push(&mut split, &mut single, bad, event);
                     }
                     // A transfer against another source's head: the lane's
-                    // tail (most draws), the heap's top or the arrival
-                    // stream's head — a grid step before it, at its time
-                    // (a key tie on time, broken by the fresh sequence) or
-                    // a step after it.
-                    8 | 9 => {
-                        let anchor = match draw % 5 {
+                    // tail (most draws) or the heap's top — a grid step
+                    // before it, at its time (a key tie on time, broken by
+                    // the fresh sequence) or a step after it.
+                    5 | 6 => {
+                        let anchor = match draw % 4 {
                             0..=2 => split.transfers.slots.last(),
-                            3 => split.heap.peek(),
-                            _ => split.arrivals.front(),
+                            _ => split.heap.peek(),
                         };
                         let anchor = anchor.map_or(time, |slot| time_of(slot.time));
                         let time = match tick {
@@ -731,9 +665,7 @@ mod tests {
                             2 => anchor + 60.0,
                             _ => anchor,
                         };
-                        let seq = split.reserve(1);
-                        assert_eq!(seq, single.reserve(1));
-                        push(&mut split, &mut single, time, seq, Event::Ready(step));
+                        push(&mut split, &mut single, time, Event::Ready(step));
                     }
                     _ => {
                         prop_assert_eq!(observed(split.pop()), observed(single.pop()));

@@ -344,7 +344,8 @@ fn a_shuffled_trace_replays_as_its_stable_sorted_twin() {
 fn an_unsorted_trace_is_sorted_once_at_preload_not_by_the_queue() {
     // The worst case for ordered inserts — every arrival ahead of all the
     // ones before it — never reaches the queue: the state's copy of the
-    // trace is sorted at preload and the queue is handed its head alone.
+    // trace is sorted at preload, the queue holds the first round alone, and
+    // that round reads its arrivals from the sorted copy.
     let reversed: Vec<JobSpec> = stable_sorted(&shuffled_trace(53))
         .into_iter()
         .rev()
@@ -354,17 +355,123 @@ fn an_unsorted_trace_is_sorted_once_at_preload_not_by_the_queue() {
     assert!(matches!(state.jobs, Cow::Owned(_)));
     assert_eq!(state.jobs, stable_sorted(&reversed));
     let first = state.jobs[0].submit_time.value();
-    let head = state.queue.pop().unwrap();
-    assert_eq!(
-        (head.time, head.seq, head.event),
-        (first, 0, Event::Arrival(0))
-    );
     let round = state.queue.pop().unwrap();
-    assert_eq!((round.time, round.event), (first, Event::Round));
-    assert!(
-        state.queue.pop().is_none(),
-        "the trace beyond its head was queued"
+    assert_eq!(
+        (round.time, round.seq, round.event),
+        (first, 0, Event::Round)
     );
+    assert!(state.queue.pop().is_none(), "an arrival was queued");
+    assert!(state.pending.is_empty() && state.runtimes.is_empty());
+    // The first round admits exactly the jobs that tie its instant (the
+    // fixture snaps submit times to the round grid), in trace order.
+    state.open_round(round.time).unwrap();
+    let tied = state
+        .jobs
+        .iter()
+        .take_while(|job| job.submit_time.value() == first)
+        .count();
+    assert!(tied > 1, "the fixture must tie the first round");
+    let admitted: Vec<JobId> = state.pending.iter().map(|p| p.spec.id).collect();
+    let expected: Vec<JobId> = state.jobs[..tied].iter().map(|job| job.id).collect();
+    assert_eq!(admitted, expected);
+    assert_eq!(state.runtimes.len(), tied);
+}
+
+#[test]
+fn arrivals_at_a_round_instant_join_that_round() {
+    /// Places every pending job at home, recording the instant of each
+    /// round and the ids it was offered.
+    #[derive(Default)]
+    struct Recorder {
+        rounds: Vec<(f64, Vec<JobId>)>,
+    }
+    impl Scheduler for Recorder {
+        fn name(&self) -> &str {
+            "recorder"
+        }
+        fn schedule(&mut self, ctx: &SchedulingContext<'_>) -> SchedulingDecision {
+            let offered = ctx.pending.iter().map(|p| p.spec.id).collect();
+            self.rounds.push((ctx.now.value(), offered));
+            HomeScheduler.schedule(ctx)
+        }
+    }
+    // A 0.1 s interval: the round instants the engine computes from a
+    // first job at -0.0 are repeated `now + interval`, which drift from the
+    // multiples of the interval, so only a stamp taken the engine's way ties.
+    let interval = 0.1;
+    let mut config = SimulationConfig::paper_default(50, 0.5);
+    config.scheduling_interval = Seconds::new(interval);
+    let sim = Simulator::new(config, SyntheticTelemetry::with_seed(1)).unwrap();
+    let mut instants = vec![-0.0f64];
+    for k in 0..12 {
+        instants.push(instants[k] + interval);
+    }
+    assert!((1..13).any(|k| instants[k] != k as f64 * interval));
+    // A -0.0 / 0.0 pair at the first round: equal under `==`, but 0.0 sorts
+    // after -0.0 in `total_cmp` order, so it waits for the second round.
+    // Then three jobs on every other instant, and one between two rounds.
+    let mut stamps = vec![-0.0, 0.0];
+    for k in (1..12).step_by(2) {
+        stamps.extend([instants[k]; 3]);
+        stamps.push(instants[k] + interval / 2.0);
+    }
+    let jobs: Vec<JobSpec> = stamps
+        .iter()
+        .enumerate()
+        .map(|(i, &stamp)| {
+            let mut job = hand_built_job(stamp, 1.0);
+            job.id = JobId(i as u64);
+            job
+        })
+        .collect();
+    let mut recorder = Recorder::default();
+    let report = sim.run(&jobs, &mut recorder).unwrap();
+    assert_eq!(report.summary.total_jobs, jobs.len());
+    // Each job is offered once, in the first round at or after its stamp in
+    // `total_cmp` order — for a stamp on a round instant, the round it ties.
+    let round_of = |id: JobId| {
+        let offered = recorder.rounds.iter().filter(|(_, ids)| ids.contains(&id));
+        let instants: Vec<u64> = offered.map(|(now, _)| now.to_bits()).collect();
+        assert_eq!(instants.len(), 1, "{id:?} offered in {instants:?}");
+        f64::from_bits(instants[0])
+    };
+    for (job, &stamp) in jobs.iter().zip(&stamps) {
+        let expected = instants
+            .iter()
+            .find(|instant| instant.total_cmp(&stamp).is_ge())
+            .unwrap();
+        assert_eq!(round_of(job.id).to_bits(), expected.to_bits(), "{stamp}");
+    }
+    assert_eq!(round_of(JobId(0)).to_bits(), (-0.0f64).to_bits());
+    assert_eq!(round_of(JobId(1)), interval);
+    // A live session over the same trace admits the same jobs at the same
+    // rounds.
+    let (online, _) =
+        online_driver::run_online_with(&sim, &mut HomeScheduler, &jobs, clock::ClockMode::Discrete);
+    assert_reports_identical(&report, &online.report);
+}
+
+#[test]
+fn an_interval_below_the_clocks_resolution_fails_the_run() {
+    // 1e-300 s is positive, so the configuration validates, but it is far
+    // below half an ulp of any submit time: `now + interval == now`, and
+    // the round would re-arm at the same instant forever.
+    let mut config = SimulationConfig::paper_default(10, 0.5);
+    config.scheduling_interval = Seconds::new(1e-300);
+    let jobs = TraceGenerator::new(TraceConfig::borg(0.01, 3)).generate();
+    let first = jobs[0].submit_time.value();
+    assert!(first > 0.0 && first + 1e-300 == first);
+    let sim = Simulator::new(config, SyntheticTelemetry::with_seed(1)).unwrap();
+    let err = sim.run(&jobs, &mut HomeScheduler).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            SimulationError::SchedulingIntervalBelowClockResolution { time, interval }
+                if time == first && interval == 1e-300
+        ),
+        "{err:?}"
+    );
+    assert!(err.to_string().contains("1e-300"), "{err}");
 }
 
 #[test]
@@ -613,7 +720,7 @@ mod online_driver {
     /// stream is buffered up front, which a bounded channel permits because
     /// the driver drains while running) and collect the report plus every
     /// placement notice.
-    fn run_online_with(
+    pub(super) fn run_online_with(
         sim: &Simulator<SyntheticTelemetry>,
         scheduler: &mut dyn Scheduler,
         jobs: &[JobSpec],
@@ -660,8 +767,9 @@ mod online_driver {
         // Every submit, round, readiness (home placements transfer in zero
         // time) and completion lands on a multiple of the 60 s scheduling
         // interval, and two Oregon servers force queueing: the densest
-        // exact-timestamp ties the two sequence layouts (offline: arrivals
-        // 0..n then rounds; live: low band vs 2^48 floor) must agree on.
+        // exact-timestamp ties the two admission paths (offline: a cursor
+        // over the trace; live: a buffer by stamp and caller sequence) must
+        // agree on.
         let jobs: Vec<JobSpec> = (0..48u64)
             .map(|i| {
                 let mut job = hand_built_job((i / 6) as f64 * 60.0, (1 + i % 4) as f64 * 60.0);

@@ -126,10 +126,8 @@ pub enum SimulationError {
         job: JobId,
     },
     /// A caller-sequenced online injection carried an arrival sequence at
-    /// or above the round/decision band floor
-    /// ([`crate::ONLINE_ARRIVAL_SEQ_LIMIT`]). Admitting it could make the
-    /// arrival lose exact-timestamp ties against decision events — an
-    /// ordering no offline replay can reproduce — so the run is rejected.
+    /// or above [`crate::ONLINE_ARRIVAL_SEQ_LIMIT`], outside the band the
+    /// admission journal records exactly, so the run is rejected.
     ArrivalSeqOutOfBand {
         /// The rejected job.
         job: JobId,
@@ -145,6 +143,15 @@ pub enum SimulationError {
         job: JobId,
         /// The sequence that was already taken.
         seq: u64,
+    },
+    /// The scheduling interval is positive but too small to move the clock:
+    /// the round after the one at `time` was re-armed at `time` itself, and
+    /// the campaign would never advance. The run fails as that round fires.
+    SchedulingIntervalBelowClockResolution {
+        /// The instant the round was re-armed at.
+        time: f64,
+        /// The scheduling interval in seconds.
+        interval: f64,
     },
 }
 
@@ -191,6 +198,13 @@ impl fmt::Display for SimulationError {
                     "sequenced online arrival for {job} reuses arrival sequence {seq}"
                 )
             }
+            SimulationError::SchedulingIntervalBelowClockResolution { time, interval } => {
+                write!(
+                    f,
+                    "scheduling interval {interval:e} s does not advance the clock \
+                     past the round at {time} s"
+                )
+            }
         }
     }
 }
@@ -205,7 +219,8 @@ impl std::error::Error for SimulationError {
             | SimulationError::OutOfOrderArrival { .. }
             | SimulationError::PlacementSinkDisconnected { .. }
             | SimulationError::ArrivalSeqOutOfBand { .. }
-            | SimulationError::ArrivalSeqReused { .. } => None,
+            | SimulationError::ArrivalSeqReused { .. }
+            | SimulationError::SchedulingIntervalBelowClockResolution { .. } => None,
         }
     }
 }

@@ -141,8 +141,8 @@ impl Default for AdmissionConfig {
 /// also the high half of the per-session arrival-sequence band.
 pub(crate) type SessionId = usize;
 
-/// Hard cap on sessions per host run: the arrival band is
-/// `session << 32 | request`, and `2^16 * 2^32` is the whole low band
+/// Hard cap on sessions per host run: an arrival's sequence is
+/// `session << 32 | request`, and `2^16 * 2^32` is the whole arrival band
 /// ([`ONLINE_ARRIVAL_SEQ_LIMIT`] = 2^48).
 const MAX_SESSIONS: usize = 1 << 16;
 /// Requests per session before its band half overflows.

@@ -271,7 +271,7 @@ pub(crate) fn encode_entry(entry: &JournalEntry) -> String {
 fn parse_entry(line: &str) -> Result<JournalEntry, String> {
     let fields = wire::parse_flat_object(line)?;
     let seq = wire::number(&fields, "seq")?.ok_or("missing required field: seq")?;
-    // Sequences are exact u64s in the low arrival band (< 2^48), so the
+    // Sequences are exact u64s below the arrival limit (2^48), so the
     // f64 round trip is lossless for every value the host can emit.
     if seq < 0.0 || seq.fract() != 0.0 || seq >= ONLINE_ARRIVAL_SEQ_LIMIT as f64 {
         return Err(format!(

@@ -5,9 +5,9 @@
 //! The generated streams are adversarial for event ordering: submit times
 //! sit on a coarse grid so
 //! arrivals collide exactly with scheduling rounds, decision `Ready`
-//! events, and completions — the ties where the online driver's split
-//! sequence bands and watermark rule are the only things keeping the
-//! replay identical.
+//! events, and completions — the ties where admitting arrivals at rounds
+//! (a job that ties a round joins it) and the watermark rule are the only
+//! things keeping the replay identical.
 
 use proptest::prelude::*;
 use waterwise_cluster::{
