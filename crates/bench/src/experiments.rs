@@ -140,12 +140,17 @@ pub fn scenario_or_exit(name: &str) -> Scenario {
 }
 
 /// `--scenario <path>` (or `--scenario=<path>`) from the command line, else
-/// `WATERWISE_SCENARIO` from the environment.
+/// `WATERWISE_SCENARIO` from the environment. A trailing `--scenario` with no
+/// path exits 2.
 fn scenario_cli_path() -> Option<PathBuf> {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         if arg == "--scenario" {
-            return args.next().map(PathBuf::from);
+            let Some(path) = args.next() else {
+                eprintln!("--scenario needs a path");
+                std::process::exit(2);
+            };
+            return Some(PathBuf::from(path));
         }
         if let Some(path) = arg.strip_prefix("--scenario=") {
             return Some(PathBuf::from(path));

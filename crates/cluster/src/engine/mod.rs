@@ -577,7 +577,7 @@ fn duplicate_id(jobs: &[JobSpec]) -> Option<JobId> {
 
 /// Run one `Scheduler::schedule` call over a round snapshot, timing it and
 /// attributing the solver work spent during the call (cold vs warm solves,
-/// pivots, nodes, cache traffic): the per-round `OverheadSample::solver`
+/// pivots, nodes): the per-round `OverheadSample::solver`
 /// delta.
 pub(crate) fn timed_schedule(
     scheduler: &mut dyn Scheduler,

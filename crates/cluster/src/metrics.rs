@@ -267,9 +267,8 @@ impl CampaignSummary {
 /// IEEE-754 bit patterns. Two campaigns produce the same digest exactly when
 /// their schedules and accounting are byte-identical, which makes the digest
 /// the one-line form of the workspace's replay contract: warm vs cold
-/// solves, with and without a solution cache, and online ingestion vs
-/// offline replay must all collide on it. Wall-clock
-/// measurements never enter the hash.
+/// solves, online ingestion vs offline replay, and a journal replay must all
+/// collide on it. Wall-clock measurements never enter the hash.
 ///
 /// ```
 /// use waterwise_cluster::schedule_digest;
@@ -509,7 +508,6 @@ mod tests {
                     cache_exact_hits: 1,
                     cache_hint_hits: 1,
                     cache_misses: 0,
-                    cache_evictions: 0,
                 }),
             },
         ];

@@ -142,18 +142,15 @@ pub struct SolverActivity {
     /// Variable bounds moved by dual restarts: always 0; kept for the
     /// frozen ledger (ROADMAP 3a).
     pub bound_flips: usize,
-    /// Solution-cache lookups whose exact fingerprint matched (the solve was
-    /// skipped entirely). Zero for schedulers without a cache.
+    /// Solution-cache hits: always 0, there is no cache; kept for the
+    /// frozen ledger (ROADMAP 3a).
     pub cache_exact_hits: usize,
-    /// Always zero: the solution cache no longer offers warm-start hints (a
-    /// lookup replays a bit-identical model or misses), so nothing
-    /// increments this. The field stays because the frozen perf ledger
-    /// (`benchmark/`) reads it for its `milp.cache` hint-hit column.
+    /// Solution-cache hint hits: always 0; kept for the frozen ledger
+    /// (ROADMAP 3a).
     pub cache_hint_hits: usize,
-    /// Solution-cache lookups that found nothing.
+    /// Solution-cache misses: always 0; kept for the frozen ledger
+    /// (ROADMAP 3a).
     pub cache_misses: usize,
-    /// Cache entries this scheduler's insertions displaced.
-    pub cache_evictions: usize,
 }
 
 impl SolverActivity {
@@ -177,7 +174,6 @@ impl SolverActivity {
                 .saturating_sub(earlier.cache_exact_hits),
             cache_hint_hits: self.cache_hint_hits.saturating_sub(earlier.cache_hint_hits),
             cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
-            cache_evictions: self.cache_evictions.saturating_sub(earlier.cache_evictions),
         }
     }
 
@@ -194,7 +190,6 @@ impl SolverActivity {
         self.cache_exact_hits += other.cache_exact_hits;
         self.cache_hint_hits += other.cache_hint_hits;
         self.cache_misses += other.cache_misses;
-        self.cache_evictions += other.cache_evictions;
     }
 }
 

@@ -45,8 +45,5 @@ pub use scenario::{
 };
 pub use sched::{
     BaselineScheduler, EcovisorScheduler, GreedyObjective, GreedyOptScheduler, LeastLoadScheduler,
-    RoundRobinScheduler, WaterWiseConfig, WaterWiseScheduler,
+    RoundRobinScheduler, SolutionCache, SolutionCacheHandle, WaterWiseConfig, WaterWiseScheduler,
 };
-// Solution-cache handle types, re-exported so a caller can attach a cache to
-// a `WaterWiseScheduler` without depending on `waterwise-milp` directly.
-pub use waterwise_milp::{SolutionCache, SolutionCacheHandle};

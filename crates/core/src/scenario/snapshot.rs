@@ -57,7 +57,7 @@ impl Snapshot {
     ///
     /// Canonicalization reuses [`CampaignSummary::without_wall_clock`] (so
     /// decision timings can never leak into a golden) and leaves out [`CampaignSummary::solver`], which measures
-    /// solver *effort* — a property of warm starts and caches, not of the
+    /// solver *effort* — a property of warm starts, not of the
     /// schedule the snapshot certifies.
     pub fn add_summary(&mut self, prefix: &str, summary: &CampaignSummary) {
         let s = summary.without_wall_clock();

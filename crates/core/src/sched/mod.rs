@@ -17,4 +17,7 @@ pub use ecovisor::{max_wait_budget, EcovisorConfig, EcovisorScheduler};
 pub use greedy_opt::{GreedyObjective, GreedyOptScheduler};
 pub use least_load::LeastLoadScheduler;
 pub use round_robin::RoundRobinScheduler;
-pub use waterwise::{paper_default_scheduler, SolveStats, WaterWiseConfig, WaterWiseScheduler};
+pub use waterwise::{
+    paper_default_scheduler, SolutionCache, SolutionCacheHandle, SolveStats, WaterWiseConfig,
+    WaterWiseScheduler,
+};

@@ -26,8 +26,8 @@ use waterwise_cluster::{
     Assignment, PendingJob, Scheduler, SchedulingContext, SchedulingDecision, SolverActivity,
 };
 use waterwise_milp::{
-    BranchBoundConfig, CacheStats, LinExpr, Model, Sense, SimplexConfig, SolutionCacheHandle,
-    SolverWorkspace, Var, VarKind, WarmStats,
+    BranchBoundConfig, LinExpr, Model, Sense, SimplexConfig, SolverWorkspace, Var, VarKind,
+    WarmStats,
 };
 use waterwise_sustain::{FootprintEstimator, RegionConditions, Seconds};
 use waterwise_telemetry::{ConditionsProvider, Region};
@@ -129,7 +129,7 @@ pub struct SolveStats {
     /// Rounds decided without a model: the hinted assignment passed the
     /// optimality certificate, or the transportation kernel proved its
     /// optimum unique (after proving the hard round infeasible, if it
-    /// softened), so neither solver nor solution cache saw them.
+    /// softened), so the solver never saw them.
     /// `rounds - certified_rounds` is what reached `Model::solve_warm`.
     pub certified_rounds: usize,
     /// Rounds in which the slack manager had to drop jobs.
@@ -140,9 +140,6 @@ pub struct SolveStats {
     pub nodes: usize,
     /// Cold-vs-warm solver split from the shared [`SolverWorkspace`].
     pub warm: WarmStats,
-    /// Solution-cache traffic of this scheduler's workspace (all zero when
-    /// no cache is attached).
-    pub cache: CacheStats,
     /// Wall-clock seconds spent preparing per-job numerics (candidate
     /// footprints, normalizers, objective coefficients) ahead of the solves.
     /// A timing measurement, not deterministic work: it varies run to run.
@@ -389,6 +386,23 @@ fn one_hot(chosen: &[usize], n_regions: usize) -> Vec<f64> {
     dense
 }
 
+/// Not a cache: a unit that [`WaterWiseScheduler::attach_cache`] ignores.
+/// Kept only because the frozen perf ledger names it (ROADMAP standing
+/// rule 1); ROADMAP item 1 deletes the name.
+#[derive(Debug)]
+pub struct SolutionCache;
+
+impl SolutionCache {
+    /// A handle to a new unit. Kept for the ledger, like the type.
+    pub fn shared() -> SolutionCacheHandle {
+        Arc::new(SolutionCache)
+    }
+}
+
+/// A handle to a [`SolutionCache`], which holds nothing. Kept only because
+/// the frozen perf ledger names it (ROADMAP standing rule 1).
+pub type SolutionCacheHandle = Arc<SolutionCache>;
+
 /// The WaterWise scheduler.
 ///
 /// ```
@@ -453,14 +467,10 @@ impl WaterWiseScheduler {
         self.stats
     }
 
-    /// Attach a (possibly shared) solution cache to this scheduler's solver
-    /// workspace. Subsequent solves consult it before cold/warm solving; a
-    /// bit-identical model skips the solve and replays the stored optimum,
-    /// anything else solves as without a cache, so the produced schedule is
-    /// identical with or without it.
-    pub fn attach_cache(&mut self, cache: SolutionCacheHandle) {
-        self.workspace.attach_cache(cache);
-    }
+    /// Does nothing: there is no solution cache, and `cache` is dropped.
+    /// Kept only because the frozen perf ledger calls it (ROADMAP standing
+    /// rule 1); ROADMAP item 1 deletes the name.
+    pub fn attach_cache(&mut self, _cache: SolutionCacheHandle) {}
 
     /// The configuration in use.
     pub fn config(&self) -> &WaterWiseConfig {
@@ -546,10 +556,9 @@ impl WaterWiseScheduler {
     /// Decide the selected jobs' assignment (`soft_penalty` selects Eq. 12/13's
     /// relaxation): hint → [`certified`] → the transportation kernel → only on
     /// a tie or a non-finite cost, [`assignment_model`] → `solve_warm` from the
-    /// hint → one read-back by position, which lets the solution cache replay
-    /// a bit-identical batch under other job ids. A round the kernel proves
-    /// infeasible returns `None` at once. Without `warm_start` every round
-    /// takes the model path, cold: the reference the other two are held to.
+    /// hint → one read-back by position. A round the kernel proves infeasible
+    /// returns `None` at once. Without `warm_start` every round takes the
+    /// model path, cold: the reference the other two are held to.
     fn solve_assignment(
         &mut self,
         ctx: &SchedulingContext<'_>,
@@ -606,7 +615,6 @@ impl WaterWiseScheduler {
         self.stats.simplex_iterations += solution.simplex_iterations;
         self.stats.nodes += solution.nodes_explored;
         self.stats.warm = self.workspace.stats();
-        self.stats.cache = self.workspace.cache_stats();
         if !solution.status.has_solution() {
             return None;
         }
@@ -725,17 +733,13 @@ impl Scheduler for WaterWiseScheduler {
 
     fn solver_activity(&self) -> Option<SolverActivity> {
         let warm = self.workspace.stats();
-        let cache = self.workspace.cache_stats();
         Some(SolverActivity {
             solves: warm.cold_solves + warm.warm_solves,
             warm_solves: warm.warm_solves,
             simplex_pivots: warm.cold_pivots + warm.warm_pivots,
             warm_pivots: warm.warm_pivots,
             nodes: self.stats.nodes,
-            cache_exact_hits: cache.exact_hits,
-            cache_misses: cache.misses,
-            cache_evictions: cache.evictions,
-            // The dual-restart and hint-hit counters: always 0.
+            // The cache, dual-restart and bound-flip counters: always 0.
             ..SolverActivity::default()
         })
     }
@@ -751,7 +755,6 @@ mod tests {
     use super::*;
     use crate::sched::test_support::{context_fixture, ContextFixture};
     use waterwise_telemetry::SyntheticTelemetry;
-    use waterwise_traces::JobId;
 
     fn scheduler() -> WaterWiseScheduler {
         WaterWiseScheduler::with_defaults(Arc::new(SyntheticTelemetry::with_seed(3)))
@@ -774,8 +777,8 @@ mod tests {
     /// `n` jobs received at hour 6 over regions of `servers` slots each. With
     /// few enough slots the cheapest region cannot take every job that wants
     /// it, so a capacity row needs a price: the hint is not certified and the
-    /// round reaches the MILP (and the cache) — what the solver-side tests
-    /// below need now that an unpressured round builds no model.
+    /// round reaches the MILP — what the solver-side tests below need now that
+    /// an unpressured round builds no model.
     fn capacity_bound_fixture(n: usize, seed: u64, servers: usize) -> ContextFixture {
         let mut fixture = context_fixture(n, seed);
         for p in &mut fixture.pending {
@@ -1179,72 +1182,34 @@ mod tests {
     }
 
     #[test]
-    fn attached_cache_never_changes_decisions_and_reports_traffic() {
-        // 15 slots for 14 jobs: a certified round never consults the cache.
-        let fixture = capacity_bound_fixture(14, 29, 3);
-        let provider: Arc<dyn ConditionsProvider> = Arc::new(SyntheticTelemetry::with_seed(3));
-        let mut plain = WaterWiseScheduler::new(
-            provider.clone(),
-            FootprintEstimator::paper_default(),
-            WaterWiseConfig::default(),
-        );
-        let mut cached = WaterWiseScheduler::new(
-            provider,
-            FootprintEstimator::paper_default(),
-            WaterWiseConfig::default(),
-        );
-        cached.attach_cache(waterwise_milp::SolutionCache::shared());
-        for hour in [6.0, 6.25, 6.5, 7.0] {
-            let ctx = ctx_from(&fixture, hour, 0.5);
-            let a = plain.schedule(&ctx);
-            let b = cached.schedule(&ctx);
-            assert_eq!(a, b, "cache changed the schedule at hour {hour}");
-        }
-        assert_eq!(plain.stats().cache, waterwise_milp::CacheStats::default());
-        let stats = cached.stats().cache;
-        assert!(stats.lookups() > 0, "cache was never consulted");
-        assert!(stats.insertions > 0, "optimal solves were never published");
-        let activity = cached.solver_activity().unwrap();
-        assert_eq!(activity.cache_exact_hits, stats.exact_hits);
-        assert_eq!(activity.cache_misses, stats.misses);
-    }
-
-    #[test]
-    fn bit_identical_batches_replay_across_job_ids() {
-        // Two batches with bit-identical numerics but different job ids are
-        // one model to the cache (nothing in it is named): the second is an
-        // exact hit, read back by position onto its own ids. 15 slots for 13
-        // jobs, so that the batch is a model at all (a certified round is
-        // decided before the cache is asked).
+    fn an_attached_cache_changes_nothing() {
+        // 15 slots for 13 jobs: the hour-6 batch reaches `solve_warm`, and
+        // the same round twice is solved twice, attached or not.
         let fixture = capacity_bound_fixture(13, 33, 3);
-        let mut renumbered = capacity_bound_fixture(13, 33, 3);
-        for p in &mut renumbered.pending {
-            p.spec.id = JobId(p.spec.id.0 + 1000);
+        let mut plain = scheduler();
+        let mut attached = scheduler();
+        attached.attach_cache(SolutionCache::shared());
+        for hour in [6.0, 6.0, 6.25, 7.0] {
+            let ctx = ctx_from(&fixture, hour, 0.5);
+            assert_eq!(plain.schedule(&ctx), attached.schedule(&ctx), "hour {hour}");
         }
-        let mut sched = scheduler();
-        sched.attach_cache(waterwise_milp::SolutionCache::shared());
-        let first = sched.schedule(&ctx_from(&fixture, 6.0, 0.5));
-        let pivots = sched.stats().simplex_iterations;
-        assert!(pivots > 0);
-        let other = sched.schedule(&ctx_from(&renumbered, 6.0, 0.5));
-        let cache = sched.stats().cache;
-        assert_eq!((cache.misses, cache.exact_hits), (1, 1), "{cache:?}");
-        assert_eq!(sched.stats().simplex_iterations, pivots, "a replay pivots");
-        let renumbered_first: Vec<Assignment> = first
-            .assignments
-            .iter()
-            .map(|a| Assignment {
-                job: JobId(a.job.0 + 1000),
-                region: a.region,
-            })
-            .collect();
-        assert_eq!(other.assignments, renumbered_first);
-        let again = sched.schedule(&ctx_from(&fixture, 6.0, 0.5));
-        let cache = sched.stats().cache;
-        assert_eq!((cache.misses, cache.exact_hits), (1, 2), "{cache:?}");
-        assert_eq!(sched.stats().soft_fallbacks, 0);
-        assert_eq!(sched.stats().certified_rounds, 0);
-        assert_eq!(first, again);
+        let untimed = |stats: SolveStats| SolveStats {
+            prepare_seconds: 0.0,
+            solve_seconds: 0.0,
+            ..stats
+        };
+        assert_eq!(untimed(plain.stats()), untimed(attached.stats()));
+        let activity = attached.solver_activity().unwrap();
+        assert_eq!(plain.solver_activity().unwrap(), activity);
+        assert_eq!(activity.solves, 2, "both hour-6 rounds solve: {activity:?}");
+        assert_eq!(
+            (
+                activity.cache_exact_hits,
+                activity.cache_hint_hits,
+                activity.cache_misses
+            ),
+            (0, 0, 0)
+        );
     }
 
     #[test]

@@ -113,8 +113,8 @@ const FIRST_CERTIFIED_BUDGET: u64 = 45;
 /// solver workspace. Warm-started from the hint it made 85 and 58 (the dense
 /// hint, a crash basis). A fresh round made 115 before the round's lists were
 /// reused; 123 with a delay row per job (Eq. 11 before it became arc bounds);
-/// 146 with the `assign_{job}` / `cap_{region}` row names the cache key used
-/// to need; 456 with the builder before that (a `String` per variable and
+/// 146 with the `assign_{job}` / `cap_{region}` row names a since-deleted
+/// solution cache keyed on; 456 with the builder before that (a `String` per variable and
 /// row, a `BTreeMap` node per term, every row copied again for the solver).
 const SOLVED_BUDGETS: [u64; 2] = [80, 55];
 

@@ -22,8 +22,6 @@
 //! * [`solution`] — solve status and per-variable value extraction.
 //! * [`workspace`] — reusable allocations and cold/warm solve accounting for
 //!   rolling-horizon (repeated) solves; see [`Model::solve_warm`].
-//! * [`cache`] — a model-fingerprint → solution cache a workspace consults
-//!   before solving; a bit-identical model skips the solve.
 //!
 //! The scheduling MILPs WaterWise builds (binary assignment variables with
 //! per-job equality constraints and per-region capacity constraints) are
@@ -49,7 +47,6 @@
 #![deny(unsafe_code)]
 
 pub mod branch_bound;
-pub mod cache;
 pub mod error;
 pub mod expr;
 pub mod model;
@@ -58,7 +55,6 @@ pub mod solution;
 pub mod workspace;
 
 pub use branch_bound::BranchBoundConfig;
-pub use cache::{CacheStats, ModelFingerprint, SolutionCache, SolutionCacheHandle};
 pub use error::MilpError;
 pub use expr::{LinExpr, Var};
 pub use model::{Model, Sense, VarKind};

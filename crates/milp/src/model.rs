@@ -9,7 +9,6 @@
 //! alongside, at every branch-and-bound node; nothing is rebuilt per solve.
 
 use crate::branch_bound::{self, BranchBoundConfig};
-use crate::cache::ModelFingerprint;
 use crate::error::MilpError;
 use crate::expr::{LinExpr, Var};
 use crate::simplex::{self, LpConstraint, LpProblem, SimplexConfig, SimplexOutcome};
@@ -352,13 +351,6 @@ impl Model {
     /// The returned solution is the same optimum [`Model::solve_with`]
     /// finds — warm starting changes only the amount of work spent.
     ///
-    /// When the workspace carries a [`crate::SolutionCache`], the model is
-    /// fingerprinted and the cache consulted first: a resident fingerprint
-    /// returns the stored solution without solving (the cached entry was
-    /// produced by a bit-identical model and configuration); otherwise the
-    /// solve runs with the caller's `hint`, exactly as without a cache, and
-    /// a solution solved to optimality is published back into the cache.
-    ///
     /// ```
     /// use waterwise_milp::{
     ///     BranchBoundConfig, Model, Sense, SimplexConfig, SolverWorkspace, VarKind,
@@ -394,29 +386,11 @@ impl Model {
         workspace: &mut SolverWorkspace,
     ) -> Result<Solution, MilpError> {
         self.validate()?;
-        let fingerprint = workspace
-            .cache()
-            .is_some()
-            .then(|| ModelFingerprint::of(self, simplex_config, bb_config));
-        if let Some(fingerprint) = fingerprint {
-            if let Some(solution) = workspace.cache_lookup(fingerprint, self.num_vars()) {
-                return Ok(solution);
-            }
-        }
-        let solution = if self.has_integer_vars() {
-            branch_bound::solve_warm(self, simplex_config, bb_config, hint, Some(workspace))?
+        if self.has_integer_vars() {
+            branch_bound::solve_warm(self, simplex_config, bb_config, hint, Some(workspace))
         } else {
-            self.solve_lp(simplex_config, hint, Some(workspace))
-        };
-        if let Some(fingerprint) = fingerprint {
-            // Only certified optima are cached: a budget-limited incumbent
-            // is hint-dependent, and replaying it on an exact hit could
-            // diverge from what a cache-free solve returns.
-            if solution.status == SolveStatus::Optimal {
-                workspace.cache_insert(fingerprint, &solution);
-            }
+            Ok(self.solve_lp(simplex_config, hint, Some(workspace)))
         }
-        Ok(solution)
     }
 
     /// Solve a model without integer variables: its LP, as stored.

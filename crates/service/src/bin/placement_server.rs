@@ -79,14 +79,15 @@ fn exit_with(message: std::fmt::Arguments<'_>) -> ! {
 
 /// `--scenario <path>` / `--scenario=<path>` / `WATERWISE_SCENARIO`, else
 /// `server_default.spec` under `WATERWISE_SCENARIO_DIR` or the workspace
-/// `scenarios/` directory.
+/// `scenarios/` directory. A trailing `--scenario` with no path exits 2.
 fn spec_path() -> PathBuf {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         if arg == "--scenario" {
-            if let Some(path) = args.next() {
-                return PathBuf::from(path);
-            }
+            return match args.next() {
+                Some(path) => PathBuf::from(path),
+                None => exit_with(format_args!("--scenario needs a path")),
+            };
         }
         if let Some(path) = arg.strip_prefix("--scenario=") {
             return PathBuf::from(path);

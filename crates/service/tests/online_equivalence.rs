@@ -250,7 +250,7 @@ fn waterwise_scheduler_is_byte_identical_online() {
         // response enrichment.
         let solved = responses
             .iter()
-            .any(|r| r.solver.is_some_and(|s| s.solves + s.cache_misses > 0));
+            .any(|r| r.solver.is_some_and(|s| s.solves > 0));
         assert_eq!(solved, !config.warm_start);
     }
 }

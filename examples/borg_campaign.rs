@@ -6,16 +6,23 @@
 //! cargo run --release --example borg_campaign
 //! ```
 //!
-//! Set `WATERWISE_DAYS` to lengthen the trace (default 0.1 days).
+//! Set `WATERWISE_DAYS` to lengthen the trace (default 0.1 days); a value
+//! that does not parse exits 2.
 
 use waterwise::core::{Campaign, CampaignConfig, SchedulerKind};
 use waterwise::telemetry::ALL_REGIONS;
 
 fn main() {
-    let days: f64 = std::env::var("WATERWISE_DAYS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.1);
+    let days: f64 = match std::env::var_os("WATERWISE_DAYS") {
+        None => 0.1,
+        Some(raw) => raw
+            .to_str()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| {
+                eprintln!("invalid WATERWISE_DAYS: cannot parse {raw:?}");
+                std::process::exit(2);
+            }),
+    };
     let campaign = Campaign::new(CampaignConfig::paper_default(days, 0.5, 7));
     println!(
         "replaying {} Borg-like jobs across {} regions (50% delay tolerance)\n",
