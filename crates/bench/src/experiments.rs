@@ -618,16 +618,27 @@ pub fn fig12_region_availability(scale: ExperimentScale) -> Vec<Table> {
 // Fig. 13 — decision-making overhead
 // ---------------------------------------------------------------------------
 
+/// Which of `bins` equal windows of `width` from `start` holds `time`:
+/// window `b` is `[start + b·width, start + (b+1)·width)`, except the last,
+/// which also takes everything after its start — the campaign's final round
+/// sits exactly at its end. Times before `start` fall in window 0.
+fn overhead_window(time: f64, start: f64, width: f64, bins: usize) -> usize {
+    (1..bins)
+        .take_while(|&b| time >= start + b as f64 * width)
+        .count()
+}
+
 /// Fig. 13: scheduler decision-making overhead over time, for the Borg-like
 /// and Alibaba-like traces, expressed as a percentage of the mean job
-/// execution time.
+/// execution time. A round takes microseconds, so the decision time is
+/// given in µs and the percentage in scientific notation.
 pub fn fig13_overhead(scale: ExperimentScale) -> Vec<Table> {
     let mut table = Table::new(
         "Fig. 13 — WaterWise decision-making overhead over time",
         &[
             "trace",
             "window (min)",
-            "mean decision time (ms)",
+            "mean decision time (µs)",
             "% of mean execution time",
         ],
     );
@@ -663,23 +674,23 @@ pub fn fig13_overhead(scale: ExperimentScale) -> Vec<Table> {
         let end = samples.last().unwrap().sim_time.value().max(start + 1.0);
         let bins = 6usize;
         let width = (end - start) / bins as f64;
-        for b in 0..bins {
-            let lo = start + b as f64 * width;
-            let hi = lo + width;
-            let in_bin: Vec<f64> = samples
-                .iter()
-                .filter(|s| s.sim_time.value() >= lo && s.sim_time.value() < hi)
-                .map(|s| s.wall_clock.value())
-                .collect();
-            if in_bin.is_empty() {
+        // (total wall clock, rounds) per window.
+        let mut windows = vec![(0.0, 0usize); bins];
+        for sample in samples {
+            let window = &mut windows[overhead_window(sample.sim_time.value(), start, width, bins)];
+            window.0 += sample.wall_clock.value();
+            window.1 += 1;
+        }
+        for (b, &(total, rounds)) in windows.iter().enumerate() {
+            if rounds == 0 {
                 continue;
             }
-            let mean = in_bin.iter().sum::<f64>() / in_bin.len() as f64;
+            let mean = total / rounds as f64;
             table.row(&[
                 label.to_string(),
-                format!("{:.0}", (lo - start) / 60.0),
-                fmt2(mean * 1000.0),
-                format!("{:.4}%", mean / mean_exec * 100.0),
+                format!("{:.0}", b as f64 * width / 60.0),
+                fmt2(mean * 1e6),
+                format!("{:.3e}%", mean / mean_exec * 100.0),
             ]);
         }
     }
@@ -869,6 +880,55 @@ mod tests {
         ExperimentScale {
             days: 0.02,
             seed: 7,
+        }
+    }
+
+    #[test]
+    fn every_overhead_sample_lands_in_exactly_one_window() {
+        // Rounds at uneven gaps from a first one to a last one, plus every
+        // window boundary itself.
+        let rounds: Vec<f64> = (0..400)
+            .map(|i| 37.0 + f64::from(i).powf(1.3) * 61.7)
+            .collect();
+        let (start, end) = (rounds[0], rounds[rounds.len() - 1]);
+        for bins in [1, 2, 6, 7] {
+            let width = (end - start) / bins as f64;
+            let lo = |b: usize| start + b as f64 * width;
+            let boundaries = (0..bins).map(lo);
+            let mut counts = vec![0; bins];
+            for time in rounds.iter().copied().chain(boundaries) {
+                let holding: Vec<usize> = (0..bins)
+                    .filter(|&b| time >= lo(b) && (b + 1 == bins || time < lo(b + 1)))
+                    .collect();
+                assert_eq!(
+                    holding,
+                    [overhead_window(time, start, width, bins)],
+                    "{time} s"
+                );
+                counts[holding[0]] += 1;
+            }
+            assert_eq!(counts.iter().sum::<usize>(), rounds.len() + bins);
+            assert_eq!(
+                overhead_window(end, start, width, bins),
+                bins - 1,
+                "the last round"
+            );
+        }
+    }
+
+    #[test]
+    fn fig13_shows_a_decision_time_in_every_window() {
+        let tables = fig13_overhead(tiny());
+        let rendered = tables[0].render();
+        let rows: Vec<&str> = rendered.lines().skip(3).collect();
+        assert!(!rows.is_empty());
+        for row in rows {
+            // trace, window (min), mean decision time (µs), percentage.
+            let cells: Vec<&str> = row.split_whitespace().collect();
+            let micros: f64 = cells[2].parse().unwrap();
+            assert!(micros > 0.0, "a zero decision time: {row}");
+            let percent: f64 = cells[3].trim_end_matches('%').parse().unwrap();
+            assert!(percent > 0.0, "a zero share of the execution time: {row}");
         }
     }
 

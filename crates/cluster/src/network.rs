@@ -81,13 +81,29 @@ impl TransferModel {
     }
 
     /// Total time to move a package of `bytes` from `from` to `to`
-    /// (zero if the regions are the same).
+    /// (zero if the regions are the same): the pair's
+    /// [`TransferModel::fixed_transfer_time`] plus the package's
+    /// [`TransferModel::wire_time`].
     pub fn transfer_time(&self, from: Region, to: Region, bytes: u64) -> Seconds {
-        if from == to {
-            return Seconds::zero();
+        match self.fixed_transfer_time(from, to) {
+            Some(fixed) => Seconds::new(fixed.value() + self.wire_time(bytes).value()),
+            None => Seconds::zero(),
         }
-        let latency = self.rtt[from.index()][to.index()];
-        Seconds::new(self.setup_overhead + latency + bytes as f64 / self.bandwidth_bytes_per_sec)
+    }
+
+    /// The part of a transfer from `from` to `to` that no package changes:
+    /// setup plus one-way latency. `None` within a region, where nothing
+    /// moves. A caller timing many packages over the same pairs computes it
+    /// once per pair and adds each package's [`TransferModel::wire_time`]:
+    /// the sum is [`TransferModel::transfer_time`]'s, to the bit.
+    pub fn fixed_transfer_time(&self, from: Region, to: Region) -> Option<Seconds> {
+        (from != to).then(|| Seconds::new(self.setup_overhead + self.rtt[from.index()][to.index()]))
+    }
+
+    /// The time `bytes` take on the wire between two distinct regions; it
+    /// depends on the package alone.
+    pub fn wire_time(&self, bytes: u64) -> Seconds {
+        Seconds::new(bytes as f64 / self.bandwidth_bytes_per_sec)
     }
 
     /// Energy consumed by transferring `bytes` between distinct regions.
@@ -134,6 +150,32 @@ mod tests {
                 .value(),
             0.0
         );
+    }
+
+    #[test]
+    fn transfer_time_is_the_fixed_part_plus_the_wire_time() {
+        let m = TransferModel::paper_default();
+        for from in ALL_REGIONS {
+            for to in ALL_REGIONS {
+                for bytes in [0, 1, 200 << 20, 1 << 40, u64::MAX] {
+                    let whole = m.transfer_time(from, to, bytes).value();
+                    let split = match m.fixed_transfer_time(from, to) {
+                        Some(fixed) => fixed.value() + m.wire_time(bytes).value(),
+                        None => 0.0,
+                    };
+                    assert_eq!(whole.to_bits(), split.to_bits(), "{from} → {to}, {bytes} B");
+                    // The sum the model always took: setup + latency + wire.
+                    let literal = if from == to {
+                        0.0
+                    } else {
+                        m.setup_overhead
+                            + m.latency(from, to).value()
+                            + bytes as f64 / m.bandwidth_bytes_per_sec
+                    };
+                    assert_eq!(whole.to_bits(), literal.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

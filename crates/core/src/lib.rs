@@ -19,7 +19,7 @@
 //!     Ecovisor's carbon scaler (home region, no water awareness).
 //! * [`objective`] — the shared candidate-evaluation machinery: estimated
 //!   carbon/water footprint of running job *m* in region *n* right now, and
-//!   the normalization used by the objective function (Eq. 7).
+//!   the weights of the objective function (Eq. 7–8).
 //! * [`experiment`] — campaign configuration and the runner used by the
 //!   examples, integration tests, and the benchmark harness.
 //! * [`scenario`] — declarative scenario specs (`scenarios/*.spec` files

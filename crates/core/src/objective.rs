@@ -5,11 +5,11 @@
 //! footprint would it incur?" — evaluated with the job's *estimated*
 //! execution time and energy (the scheduler never sees the actual values)
 //! and the region's conditions at *t*. This module provides that primitive
-//! plus the per-job normalization of Eq. 7.
+//! and the objective weights of Eq. 7 / Eq. 8.
 
 use serde::{Deserialize, Serialize};
 use waterwise_cluster::PendingJob;
-use waterwise_sustain::{FootprintEstimator, JobResourceUsage, RegionConditions, Seconds};
+use waterwise_sustain::{FootprintEstimator, JobResourceUsage, Seconds};
 use waterwise_telemetry::{ConditionsProvider, Region};
 
 /// The configurable objective weights of Eq. 7 / Eq. 8.
@@ -85,44 +85,32 @@ pub fn candidate_footprints<P: ConditionsProvider + ?Sized>(
     estimator: &FootprintEstimator,
     at: Seconds,
 ) -> Vec<CandidateFootprint> {
-    let conditions = regions.iter().map(|&r| (r, provider.conditions(r, at)));
-    let mut row = Vec::with_capacity(regions.len());
-    footprints_under(job, conditions, estimator, &mut row);
-    row
-}
-
-/// [`candidate_footprints`] against conditions already looked up, written over
-/// `row` — every job of a scheduling round shares the round's instant and its
-/// candidate row, so WaterWise asks the provider once per region (not once per
-/// job × region) and allocates the row once per scheduler.
-pub(crate) fn footprints_under(
-    job: &PendingJob,
-    conditions: impl Iterator<Item = (Region, RegionConditions)>,
-    estimator: &FootprintEstimator,
-    row: &mut Vec<CandidateFootprint>,
-) {
     let usage = JobResourceUsage::new(job.spec.estimated_energy, job.spec.estimated_execution_time);
-    row.clear();
-    row.extend(conditions.map(|(region, conditions)| {
-        let breakdown = estimator.estimate(usage, conditions);
+    let candidate = |&region: &Region| {
+        let breakdown = estimator.estimate(usage, provider.conditions(region, at));
         CandidateFootprint {
             region,
             carbon: breakdown.total_carbon().value(),
             water: breakdown.total_water().value(),
         }
-    }));
+    };
+    regions.iter().map(candidate).collect()
 }
 
 /// Per-job normalization denominators of Eq. 7: the footprint in the *worst*
 /// region, "to ensure that one objective does not skew the optimization".
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Normalizer {
+/// The WaterWise scheduler folds these maxima inside its round pass; this is
+/// the per-job form its tests hold that pass to.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Normalizer {
     /// Maximum carbon over all candidate regions (gCO2).
     pub max_carbon: f64,
     /// Maximum water over all candidate regions (L).
     pub max_water: f64,
 }
 
+#[cfg(test)]
 impl Normalizer {
     /// Compute the normalizer from a candidate set.
     pub fn from_candidates(candidates: &[CandidateFootprint]) -> Self {

@@ -9,17 +9,17 @@
 //!    manager** keeps only the most urgent `Σ cap(n)` jobs, ranked by the
 //!    urgency score of Eq. 14 (ascending — smaller means closer to a
 //!    violation).
-//! 3. Decides Eq. 8–11: the hinted assignment where `certified` shows the
-//!    solver would return it, else the transportation kernel's optimum where
-//!    it proves that optimum unique, else the MILP (`assignment_model`) it
-//!    solves.
+//! 3. Decides Eq. 8–11: the hinted assignment where its certificate
+//!    (`hint_and_certify`) shows the solver would return it, else the
+//!    transportation kernel's optimum where it proves that optimum unique,
+//!    else the MILP (`assignment_model`) it solves.
 //! 4. If the hard-constrained model is infeasible, re-solves with **soft
 //!    constraints** (Eq. 12–13): overshooting a job's delay tolerance costs
 //!    `σ` per unit in the objective instead of being forbidden.
 
 use super::transport::{Transport, Verdict};
 use crate::experiment::Parallelism;
-use crate::objective::{footprints_under, CandidateFootprint, Normalizer, ObjectiveWeights};
+use crate::objective::ObjectiveWeights;
 use std::sync::Arc;
 use std::time::Instant;
 use waterwise_cluster::{
@@ -29,8 +29,10 @@ use waterwise_milp::{
     BranchBoundConfig, LinExpr, Model, Sense, SimplexConfig, SolverWorkspace, Var, VarKind,
     WarmStats,
 };
-use waterwise_sustain::{FootprintEstimator, RegionConditions, Seconds};
-use waterwise_telemetry::{ConditionsProvider, Region};
+use waterwise_sustain::{
+    Co2Grams, FootprintEstimator, KilowattHours, Liters, RegionConditions, Seconds,
+};
+use waterwise_telemetry::{ConditionsProvider, Region, ALL_REGIONS};
 
 /// Configuration of the WaterWise decision controller.
 ///
@@ -140,8 +142,9 @@ pub struct SolveStats {
     pub nodes: usize,
     /// Cold-vs-warm solver split from the shared [`SolverWorkspace`].
     pub warm: WarmStats,
-    /// Wall-clock seconds spent preparing per-job numerics (candidate
-    /// footprints, normalizers, objective coefficients) ahead of the solves.
+    /// Wall-clock seconds spent preparing the round's numerics (footprint
+    /// totals, Eq. 7 maxima, objective coefficients, latency ratios) ahead
+    /// of the solves.
     /// A timing measurement, not deterministic work: it varies run to run.
     pub prepare_seconds: f64,
     /// Wall-clock seconds spent building and solving the MILPs, including
@@ -239,26 +242,65 @@ struct RoundScratch {
     /// hour that contains `ctx.now`).
     regions: Vec<Region>,
     capacities: Vec<usize>,
-    conditions: Vec<(Region, RegionConditions)>,
+    conditions: Vec<RegionConditions>,
     history: Vec<(f64, f64)>,
     /// What `history` was computed for: the telemetry hour `⌊now/3600⌋` and
     /// the regions. `history` is a pure function of this key, so a round
     /// that finds it unchanged keeps `history` as it is.
     history_key: Option<(f64, Vec<Region>)>,
     /// The selected jobs as indices into `ctx.pending`, out of the slack
-    /// manager's `(pool index, urgency)` ranking; their numerics, filled
-    /// through one job's candidate row; their hinted region indices and the
-    /// slots a region keeps under those (`certified`'s `free` after them).
+    /// manager's `(pool index, urgency)` ranking; their numerics, and the
+    /// columns `prepare_numerics` fills them from; their hinted region
+    /// indices, the slots a region keeps under those, and the regions a
+    /// fixed arc priced below the hint needs a free slot in.
     selected: Vec<usize>,
     ranked: Vec<(usize, f64)>,
     numerics: RoundNumerics,
-    candidates: Vec<CandidateFootprint>,
+    prices: PriceColumns,
     hint: Vec<usize>,
     capacity_left: Vec<usize>,
+    tempted: Vec<bool>,
     /// The transportation kernel's working memory.
     transport: Transport,
     /// Whether the round reached `solve_warm` (it is not certified then).
     modelled: bool,
+}
+
+/// `prepare_numerics`' working columns, each computed at the scope it
+/// depends on: per round, per job, or per region × job.
+#[derive(Default)]
+struct PriceColumns {
+    /// Per region: the history reference term
+    /// `λ_ref·(λ_CO2·CO2_ref + λ_H2O·H2O_ref)` of Eq. 8.
+    reference: Vec<f64>,
+    /// Per home region (by [`Region::index`], all of them) × round region:
+    /// the transfer's fixed part, `None` where the job stays home.
+    fixed_transfer: Vec<Option<f64>>,
+    /// Per job: what its row needs that no region changes.
+    jobs: Vec<JobTerms>,
+    /// Per job: the worst-region carbon and water of Eq. 7, folded in
+    /// region order.
+    max_carbon: Vec<f64>,
+    max_water: Vec<f64>,
+    /// Per region × job, region-major: the job's total carbon and water
+    /// there; once the maxima are whole, `carbon` is overwritten with the
+    /// coefficients.
+    carbon: Vec<f64>,
+    water: Vec<f64>,
+}
+
+/// One job's terms that no region changes.
+#[derive(Debug, Clone, Copy)]
+struct JobTerms {
+    /// The estimated energy and the embodied terms of its footprint.
+    energy: KilowattHours,
+    embodied: (Co2Grams, Liters),
+    /// Its package's time on the wire.
+    wire: f64,
+    /// The estimated execution time, at least 1 s: the delay ratios' base.
+    exec: f64,
+    /// Where its home region's row of `fixed_transfer` starts.
+    home_row: usize,
 }
 
 /// The round's MILP over binaries `x[m][n]` (index `m * n_regions + n`):
@@ -306,62 +348,89 @@ fn assignment_model(
     model
 }
 
-/// The hinted assignment, one region index per job into `hint`: each job, in
-/// batch order, to its cheapest feasible region under `capacity_left` (ties to
-/// the lowest index). `false` when some job has none: the round solves cold.
-fn build_hint(
-    numerics: &RoundNumerics,
-    capacities: &[usize],
-    soften: bool,
-    hint: &mut Vec<usize>,
-    capacity_left: &mut Vec<usize>,
-) -> bool {
-    capacities.clone_into(capacity_left);
-    hint.clear();
-    for numbers in numerics.jobs() {
-        let feasible = |&n: &usize| capacity_left[n] > 0 && (soften || numbers.admits(n));
-        let by_cost = |a: &usize, b: &usize| {
-            let order = numbers.coeffs[*a].partial_cmp(&numbers.coeffs[*b]);
-            order.unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(b))
-        };
-        let Some(chosen) = (0..capacities.len()).filter(feasible).min_by(by_cost) else {
-            return false;
-        };
-        capacity_left[chosen] -= 1;
-        hint.push(chosen);
-    }
-    true
+/// What [`hint_and_certify`] found for a round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Hint {
+    /// Some job has no feasible region under the capacity left.
+    Absent,
+    /// A hint, which the solver might not return.
+    Uncertified,
+    /// A hint the solver would return.
+    Certified,
 }
 
-/// Whether solving [`assignment_model`] from the hint `chosen[m]` = job `m`'s
-/// region would return that hint — decided in O(J·R) without the model. The
-/// hint's crash basis is {`x[m][chosen[m]]` in job row `m`, the slack in each
-/// capacity row}, with duals `u_m = cost(m, chosen[m])`, `v_n = 0`: phase 2
-/// first prices `x[m][n]` at `cost(m, n) − cost(m, chosen[m])` against `−tol`,
-/// as here, and no column below it means no pivot. A fixed arc (hard model,
-/// `!admits(n)`) below it only flips at ratio 0 while region `n` keeps a free
-/// slot. A capacity that needs a price goes to the transportation kernel:
-/// `v_n ≠ 0` proves optimality, not *which* tied vertex the solver returns,
-/// so the kernel must also prove there is no tie. A non-finite cost goes to
-/// the solver. `free` is working memory: the slots left under `chosen`.
-fn certified(
+/// The hinted assignment and its certificate, in one walk over the jobs.
+///
+/// The hint, one region index per job into `hint`: each job, in batch order,
+/// to its cheapest feasible region under `capacity_left` (ties to the lowest
+/// index). [`Hint::Absent`] when some job has none: the round solves cold.
+///
+/// The certificate: whether solving [`assignment_model`] from the hint would
+/// return it — decided in O(J·R) without the model. The hint's crash basis is
+/// {`x[m][hint[m]]` in job row `m`, the slack in each capacity row}, with
+/// duals `u_m = cost(m, hint[m])`, `v_n = 0`: phase 2 first prices `x[m][n]`
+/// at `cost(m, n) − cost(m, hint[m])` against `−tol`, as here, and no column
+/// below it means no pivot. A fixed arc (hard model, `!admits(n)`) below it
+/// only flips at ratio 0 while region `n` keeps a free slot, so it marks `n`
+/// in `tempted`, checked against the slots the whole hint leaves free —
+/// `capacity_left` once the walk ends. A capacity that needs a price goes to
+/// the transportation kernel: `v_n ≠ 0` proves optimality, not *which* tied
+/// vertex the solver returns, so the kernel must also prove there is no tie.
+/// A non-finite cost goes to the solver.
+fn hint_and_certify(
     numerics: &RoundNumerics,
     capacities: &[usize],
     soft_penalty: Option<f64>,
-    chosen: &[usize],
     tol: f64,
-    free: &mut Vec<usize>,
-) -> bool {
-    capacities.clone_into(free);
-    chosen.iter().for_each(|&n| free[n] -= 1);
-    numerics.jobs().zip(chosen).all(|(numbers, &hinted)| {
-        let at_hint = numbers.cost(hinted, soft_penalty);
-        (0..capacities.len()).all(|n| {
-            let cost = numbers.cost(n, soft_penalty);
-            let flips = soft_penalty.is_none() && !numbers.admits(n) && free[n] >= 1;
-            cost.is_finite() && (cost - at_hint >= -tol || flips)
-        })
-    })
+    hint: &mut Vec<usize>,
+    capacity_left: &mut Vec<usize>,
+    tempted: &mut Vec<bool>,
+) -> Hint {
+    let n_regions = capacities.len();
+    let soften = soft_penalty.is_some();
+    capacities.clone_into(capacity_left);
+    hint.clear();
+    tempted.clear();
+    tempted.resize(n_regions, false);
+    let mut certified = true;
+    for numbers in numerics.jobs() {
+        // The cheapest feasible region by coefficient, ties (and unordered
+        // pairs) to the lower index: a later region displaces the best so
+        // far only when strictly cheaper.
+        let mut chosen: Option<(usize, f64)> = None;
+        let open = numbers.coeffs.iter().zip(capacity_left.iter()).enumerate();
+        for (n, (&coeff, &left)) in open {
+            let cheaper = chosen.is_none_or(|(_, best)| coeff < best);
+            if cheaper && left > 0 && (soften || numbers.admits(n)) {
+                chosen = Some((n, coeff));
+            }
+        }
+        let Some((chosen, _)) = chosen else {
+            return Hint::Absent;
+        };
+        capacity_left[chosen] -= 1;
+        hint.push(chosen);
+        if !certified {
+            continue;
+        }
+        let at_hint = numbers.cost(chosen, soft_penalty);
+        // With both costs finite their difference is never NaN, so `below`
+        // is exactly "not at or above `−tol`".
+        certified = at_hint.is_finite()
+            && (0..n_regions).all(|n| {
+                let cost = numbers.cost(n, soft_penalty);
+                let below = cost - at_hint < -tol;
+                tempted[n] |= below;
+                cost.is_finite() && !(below && (soften || numbers.admits(n)))
+            });
+    }
+    // A fixed arc below the hint only flips into a region left a free slot.
+    let flips = |(&tempted, &left): (&bool, &usize)| !tempted || left >= 1;
+    if certified && tempted.iter().zip(capacity_left.iter()).all(flips) {
+        Hint::Certified
+    } else {
+        Hint::Uncertified
+    }
 }
 
 /// [`assignment_model`]'s arcs in its layout, for [`Transport::solve`]: each
@@ -511,52 +580,113 @@ impl WaterWiseScheduler {
     }
 
     /// Fill the round's [`RoundNumerics`], one row per selected job, in
-    /// selection order.
+    /// selection order, computing each term at the scope it depends on.
+    /// Per round: one conditions lookup and one history reference term per
+    /// region, and the transfers' fixed parts. Per job: its embodied terms,
+    /// its package's wire time, `exec` and its remaining tolerance. Per
+    /// region, over the jobs' columns: their footprint totals and the
+    /// running worst-region maxima of Eq. 7 (folded in region order from
+    /// `f64::MIN_POSITIVE`); once those are whole, each job's coefficient
+    /// `λ_CO2·c/max_c + λ_H2O·w/max_w + reference` and latency ratio.
     fn prepare_numerics(&self, ctx: &SchedulingContext<'_>, round: &mut RoundScratch) {
         let (estimator, weights) = (&self.estimator, &self.config.weights);
-        // Every job of the round is estimated at `ctx.now`: one lookup per region.
-        let lookup = |&region: &Region| (region, self.provider.conditions(region, ctx.now));
-        round.conditions.clear();
-        round.conditions.extend(round.regions.iter().map(lookup));
         let RoundScratch {
             regions,
             conditions,
             history,
             selected,
             numerics,
-            candidates,
+            prices,
             ..
         } = round;
-        numerics.reset(regions.len());
-        for &pending in selected.iter() {
-            let job = &ctx.pending[pending];
-            // Candidate footprints and the per-job normalizer (Eq. 7).
-            footprints_under(job, conditions.iter().copied(), estimator, candidates);
-            let normalizer = Normalizer::from_candidates(candidates);
-            let exec = job.spec.estimated_execution_time.value().max(1.0);
+        let PriceColumns {
+            reference,
+            fixed_transfer,
+            jobs,
+            max_carbon,
+            max_water,
+            carbon,
+            water,
+        } = prices;
+        let (n_regions, n_jobs) = (regions.len(), selected.len());
+        // Per round. Every job of the round is estimated at `ctx.now`.
+        let lookup = |&region: &Region| self.provider.conditions(region, ctx.now);
+        conditions.clear();
+        conditions.extend(regions.iter().map(lookup));
+        let history_term = |&(carbon_ref, water_ref): &(f64, f64)| {
+            weights.lambda_ref * (weights.lambda_co2 * carbon_ref + weights.lambda_h2o * water_ref)
+        };
+        reference.clear();
+        reference.extend(history.iter().map(history_term));
+        fixed_transfer.clear();
+        for home in ALL_REGIONS {
+            let fixed = |&region: &Region| ctx.transfer.fixed_transfer_time(home, region);
+            fixed_transfer.extend(regions.iter().map(|r| fixed(r).map(Seconds::value)));
+        }
+        // Per job.
+        numerics.reset(n_regions);
+        jobs.clear();
+        for job in selected.iter().map(|&pending| &ctx.pending[pending]) {
+            let spec = &job.spec;
+            let exec = spec.estimated_execution_time.value().max(1.0);
             let waited = job.waiting_time(ctx.now).value();
-            for (n, region) in regions.iter().enumerate() {
-                let mut coefficient = normalizer.objective_term(&candidates[n], weights);
-                // History-learner reference term (normalized trailing means).
-                let (carbon_ref, water_ref) = history[n];
-                coefficient += weights.lambda_ref
-                    * (weights.lambda_co2 * carbon_ref + weights.lambda_h2o * water_ref);
-                numerics.coeffs.push(coefficient);
-                let latency = ctx
-                    .transfer
-                    .transfer_time(job.spec.home_region, *region, job.spec.package_bytes)
-                    .value();
-                numerics.latency_ratio.push(latency / exec);
-            }
             let remaining_tolerance = (ctx.delay_tolerance - waited / exec).max(0.0);
             numerics.remaining_tolerance.push(remaining_tolerance);
+            jobs.push(JobTerms {
+                energy: spec.estimated_energy,
+                embodied: estimator.embodied(spec.estimated_execution_time),
+                wire: ctx.transfer.wire_time(spec.package_bytes).value(),
+                exec,
+                home_row: spec.home_region.index() * n_regions,
+            });
+        }
+        // Per region: the totals and the running maxima ...
+        for maxima in [&mut *max_carbon, &mut *max_water] {
+            maxima.clear();
+            maxima.resize(n_jobs, f64::MIN_POSITIVE);
+        }
+        for totals in [&mut *carbon, &mut *water] {
+            totals.clear();
+            totals.resize(n_jobs * n_regions, 0.0);
+        }
+        let column = |n: usize| n * n_jobs..(n + 1) * n_jobs;
+        for (n, &conditions) in conditions.iter().enumerate() {
+            let cells = carbon[column(n)].iter_mut().zip(&mut water[column(n)]);
+            let maxima = max_carbon.iter_mut().zip(max_water.iter_mut());
+            for ((job, (c, w)), (max_c, max_w)) in jobs.iter().zip(cells).zip(maxima) {
+                (*c, *w) = estimator.totals(job.energy, job.embodied, conditions);
+                *max_c = max_c.max(*c);
+                *max_w = max_w.max(*w);
+            }
+        }
+        // ... then, the maxima whole, the coefficients, written over `carbon` ...
+        for (n, &reference) in reference.iter().enumerate() {
+            let cells = carbon[column(n)].iter_mut().zip(&water[column(n)]);
+            let maxima = max_carbon.iter().zip(max_water.iter());
+            for ((c, &w), (&max_c, &max_w)) in cells.zip(maxima) {
+                *c = weights.lambda_co2 * *c / max_c + weights.lambda_h2o * w / max_w + reference;
+            }
+        }
+        // ... and, job by job, its row: coefficients and latency ratios.
+        numerics.coeffs.resize(n_jobs * n_regions, 0.0);
+        numerics.latency_ratio.resize(n_jobs * n_regions, 0.0);
+        for (m, job) in jobs.iter().enumerate() {
+            let row = m * n_regions..(m + 1) * n_regions;
+            let cells = numerics.coeffs[row.clone()].iter_mut();
+            let cells = cells.zip(&mut numerics.latency_ratio[row]);
+            let fixed = &fixed_transfer[job.home_row..job.home_row + n_regions];
+            for (n, ((coeff, ratio), fixed)) in cells.zip(fixed).enumerate() {
+                *coeff = carbon[n * n_jobs + m];
+                *ratio = fixed.map_or(0.0, |fixed| fixed + job.wire) / job.exec;
+            }
         }
     }
 
     /// Decide the selected jobs' assignment (`soft_penalty` selects Eq. 12/13's
-    /// relaxation): hint → [`certified`] → the transportation kernel → only on
-    /// a tie or a non-finite cost, [`assignment_model`] → `solve_warm` from the
-    /// hint → one read-back by position. A round the kernel proves infeasible
+    /// relaxation): the hint and its certificate ([`hint_and_certify`]) → the
+    /// transportation kernel → only on a tie or a non-finite cost,
+    /// [`assignment_model`] → `solve_warm` from the hint → one read-back by
+    /// position. A round the kernel proves infeasible
     /// returns `None` at once. Without `warm_start` every round takes the
     /// model path, cold: the reference the other two are held to.
     fn solve_assignment(
@@ -571,27 +701,38 @@ impl WaterWiseScheduler {
             capacities,
             hint,
             capacity_left,
+            tempted,
             transport,
             modelled,
             ..
         } = round;
         let n_regions = capacities.len();
-        let soften = soft_penalty.is_some();
         let warm = self.config.warm_start;
-        let hinted = warm && build_hint(numerics, capacities, soften, hint, capacity_left);
         let tol = self.config.simplex.tolerance;
-        let decided =
-            if hinted && certified(numerics, capacities, soft_penalty, hint, tol, capacity_left) {
-                Some(&hint[..])
-            } else if warm {
-                match transport.solve(capacities, arcs(numerics, soft_penalty), tol) {
-                    Verdict::Unique(chosen) => Some(chosen),
-                    Verdict::Tied => None,
-                    Verdict::Infeasible => return None,
-                }
-            } else {
-                None
-            };
+        let hinted = if warm {
+            hint_and_certify(
+                numerics,
+                capacities,
+                soft_penalty,
+                tol,
+                hint,
+                capacity_left,
+                tempted,
+            )
+        } else {
+            Hint::Absent
+        };
+        let decided = if hinted == Hint::Certified {
+            Some(&hint[..])
+        } else if warm {
+            match transport.solve(capacities, arcs(numerics, soft_penalty), tol) {
+                Verdict::Unique(chosen) => Some(chosen),
+                Verdict::Tied => None,
+                Verdict::Infeasible => return None,
+            }
+        } else {
+            None
+        };
         let place = |m: usize, n: usize| Assignment {
             job: ctx.pending[selected[m]].spec.id,
             region: ctx.regions[n].region,
@@ -607,7 +748,7 @@ impl WaterWiseScheduler {
         }
         *modelled = true;
         let model = assignment_model(numerics, capacities, soft_penalty);
-        let dense = hinted.then(|| one_hot(hint, n_regions));
+        let dense = (hinted != Hint::Absent).then(|| one_hot(hint, n_regions));
         let (simplex, branch_bound) = (&self.config.simplex, &self.config.branch_bound);
         let solution = model
             .solve_warm(simplex, branch_bound, dense.as_deref(), &mut self.workspace)
@@ -754,6 +895,7 @@ pub fn paper_default_scheduler(provider: Arc<dyn ConditionsProvider>) -> WaterWi
 mod tests {
     use super::*;
     use crate::sched::test_support::{context_fixture, ContextFixture};
+    use waterwise_cluster::RegionView;
     use waterwise_telemetry::SyntheticTelemetry;
 
     fn scheduler() -> WaterWiseScheduler {
@@ -895,6 +1037,59 @@ mod tests {
         let activity = reference.solver_activity().unwrap();
         assert_eq!((activity.solves, activity.warm_solves), (2, 0));
         assert_eq!(reference.stats().soft_fallbacks, 1);
+    }
+
+    /// The hinted assignment as two passes computed it, the reference
+    /// [`hint_and_certify`] is held to: each job, in batch order, to its
+    /// cheapest feasible region under `capacity_left` (ties to the lowest
+    /// index). `false` when some job has none.
+    fn build_hint(
+        numerics: &RoundNumerics,
+        capacities: &[usize],
+        soften: bool,
+        hint: &mut Vec<usize>,
+        capacity_left: &mut Vec<usize>,
+    ) -> bool {
+        capacities.clone_into(capacity_left);
+        hint.clear();
+        for numbers in numerics.jobs() {
+            let feasible = |&n: &usize| capacity_left[n] > 0 && (soften || numbers.admits(n));
+            let by_cost = |a: &usize, b: &usize| {
+                let order = numbers.coeffs[*a].partial_cmp(&numbers.coeffs[*b]);
+                order.unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(b))
+            };
+            let Some(chosen) = (0..capacities.len()).filter(feasible).min_by(by_cost) else {
+                return false;
+            };
+            capacity_left[chosen] -= 1;
+            hint.push(chosen);
+        }
+        true
+    }
+
+    /// The certificate as a second pass over a given hint `chosen`, the
+    /// reference [`hint_and_certify`] is held to: every arc priced at or
+    /// above `cost(hint) − tol`, or fixed (hard model) into a region the
+    /// hint leaves a free slot in; every cost finite. `free` is working
+    /// memory: the slots left under `chosen`.
+    fn certified(
+        numerics: &RoundNumerics,
+        capacities: &[usize],
+        soft_penalty: Option<f64>,
+        chosen: &[usize],
+        tol: f64,
+        free: &mut Vec<usize>,
+    ) -> bool {
+        capacities.clone_into(free);
+        chosen.iter().for_each(|&n| free[n] -= 1);
+        numerics.jobs().zip(chosen).all(|(numbers, &hinted)| {
+            let at_hint = numbers.cost(hinted, soft_penalty);
+            (0..capacities.len()).all(|n| {
+                let cost = numbers.cost(n, soft_penalty);
+                let flips = soft_penalty.is_none() && !numbers.admits(n) && free[n] >= 1;
+                cost.is_finite() && (cost - at_hint >= -tol || flips)
+            })
+        })
     }
 
     /// A batch in the flat layout, from one `(coeffs, latency_ratio,
@@ -1619,6 +1814,8 @@ mod tests {
 
         /// Certified == solved: whenever the certificate accepts a hint, the
         /// MILP path started from that hint returns exactly the hint.
+        /// (`hint_and_certify_walks_as_the_two_passes` holds the one walk to
+        /// the two-pass reference; this holds it to the solver.)
         #[test]
         fn a_certified_hint_is_what_the_milp_returns(
             shape in (1usize..61, 1usize..9),
@@ -1644,13 +1841,16 @@ mod tests {
             }
             force_ties(&mut batch, ties);
             let tol = SimplexConfig::default().tolerance;
+            let (mut hint, mut left, mut tempted) = (Vec::new(), Vec::new(), Vec::new());
             for soft_penalty in [None, Some(10.0)] {
-                let hint = greedy_hint(&batch, &capacities, soft_penalty.is_some());
-                let Some(hint) = hint else {
+                let verdict = hint_and_certify(
+                    &batch, &capacities, soft_penalty, tol, &mut hint, &mut left, &mut tempted,
+                );
+                if verdict == Hint::Absent {
                     UNHINTED.fetch_add(1, Relaxed);
                     continue;
-                };
-                if !certified(&batch, &capacities, soft_penalty, &hint, tol, &mut Vec::new()) {
+                }
+                if verdict == Hint::Uncertified {
                     REJECTED.fetch_add(1, Relaxed);
                     continue;
                 }
@@ -1791,6 +1991,204 @@ mod tests {
                 let bound = BOUND.load(Relaxed);
                 prop_assert!(3 * bound >= 2 * KERNEL_CASES, "{bound} capacity-bound");
                 prop_assert!(verdicts.iter().all(|&n| n > 0), "unique, tied, infeasible: {verdicts:?}");
+            }
+        }
+    }
+
+    /// Cases of the property below, and how its (case, model) instances fell.
+    const FUSED_CASES: usize = 512;
+    static FUSED: [AtomicUsize; 3] = [const { AtomicUsize::new(0) }; 3];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(FUSED_CASES as u32))]
+
+        /// One walk == two passes: [`hint_and_certify`] returns the hint of
+        /// [`build_hint`] and the verdict of [`certified`] on it, for hard and
+        /// soft models, with roomy, binding and full regions, fixed arcs, tied
+        /// costs, and NaN or ±∞ costs.
+        #[test]
+        fn hint_and_certify_walks_as_the_two_passes(
+            shape in (1usize..61, 1usize..9),
+            loose in 0usize..2,
+            homes in 0usize..4,
+            fill in 0.8f64..2.2,
+            // 0: `fill` × the batch split by `shares`; 1: every region holds
+            // that many; 2: split, and region 0 holds nothing.
+            room in 0usize..3,
+            ties in 0usize..3,
+            // A NaN, +∞ or −∞ cost (kinds 0–2) at a drawn arc; else none.
+            poison in (0usize..6, 0usize..480),
+            draws in prop::collection::vec((0.05f64..1.0, 0.0f64..0.7, 0.0f64..0.3), 60 * 8),
+            shares in prop::collection::vec(0.2f64..1.0, 8),
+        ) {
+            let (n_jobs, n_regions) = shape;
+            let regime = (loose == 1, homes != 0, fill);
+            let (mut batch, mut capacities) =
+                random_round(n_jobs, n_regions, regime, &draws, &shares);
+            match room {
+                1 => capacities.fill((fill * n_jobs as f64).round() as usize),
+                2 => capacities[0] = 0,
+                _ => {}
+            }
+            force_ties(&mut batch, ties);
+            if let Some(&value) = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY].get(poison.0) {
+                let at = poison.1 % batch.coeffs.len();
+                batch.coeffs[at] = value;
+            }
+            let tol = SimplexConfig::default().tolerance;
+            let (mut hint, mut left, mut tempted) = (Vec::new(), Vec::new(), Vec::new());
+            for soft_penalty in [None, Some(10.0)] {
+                let reference = greedy_hint(&batch, &capacities, soft_penalty.is_some())
+                    .map(|expected| {
+                        let free = &mut Vec::new();
+                        let verdict = certified(&batch, &capacities, soft_penalty, &expected, tol, free);
+                        (expected, verdict)
+                    });
+                let fused = hint_and_certify(
+                    &batch, &capacities, soft_penalty, tol, &mut hint, &mut left, &mut tempted,
+                );
+                match reference {
+                    None => prop_assert_eq!(fused, Hint::Absent),
+                    Some((expected, verdict)) => {
+                        prop_assert_eq!(&hint, &expected);
+                        let certified = if verdict { Hint::Certified } else { Hint::Uncertified };
+                        prop_assert_eq!(fused, certified);
+                    }
+                }
+                FUSED[fused as usize].fetch_add(1, Relaxed);
+            }
+            // The last case checks that the generator reached every outcome.
+            let counts = FUSED.each_ref().map(|count| count.load(Relaxed));
+            if counts.iter().sum::<usize>() == 2 * FUSED_CASES {
+                prop_assert!(counts.iter().all(|&n| n >= FUSED_CASES / 8), "absent, uncertified, certified: {counts:?}");
+            }
+        }
+    }
+
+    /// The round's numerics priced job by job, the reference
+    /// [`WaterWiseScheduler::prepare_numerics`] is held to:
+    /// [`candidate_footprints`], the per-job [`Normalizer`], the history term
+    /// added on, `transfer_time / exec`.
+    fn reference_numerics(
+        sched: &WaterWiseScheduler,
+        ctx: &SchedulingContext<'_>,
+        selected: &[usize],
+        history: &[(f64, f64)],
+    ) -> RoundNumerics {
+        use crate::objective::{candidate_footprints, Normalizer};
+        let regions: Vec<Region> = ctx.regions.iter().map(|v| v.region).collect();
+        let weights = &sched.config.weights;
+        let mut batch = RoundNumerics::default();
+        batch.reset(regions.len());
+        for job in selected.iter().map(|&i| &ctx.pending[i]) {
+            let provider = sched.provider.as_ref();
+            let candidates =
+                candidate_footprints(job, &regions, provider, &sched.estimator, ctx.now);
+            let normalizer = Normalizer::from_candidates(&candidates);
+            let exec = job.spec.estimated_execution_time.value().max(1.0);
+            for (candidate, &(carbon_ref, water_ref)) in candidates.iter().zip(history) {
+                let mut coefficient = normalizer.objective_term(candidate, weights);
+                coefficient += weights.lambda_ref
+                    * (weights.lambda_co2 * carbon_ref + weights.lambda_h2o * water_ref);
+                batch.coeffs.push(coefficient);
+                let (home, bytes) = (job.spec.home_region, job.spec.package_bytes);
+                let latency = ctx.transfer.transfer_time(home, candidate.region, bytes);
+                batch.latency_ratio.push(latency.value() / exec);
+            }
+            let waited = job.waiting_time(ctx.now).value();
+            batch
+                .remaining_tolerance
+                .push((ctx.delay_tolerance - waited / exec).max(0.0));
+        }
+        batch
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The region-major pass prices every job as the per-job reference
+        /// does, to the bit, round after round on one scheduler: 1–8 region
+        /// views (a region may repeat), execution times below 1 s, jobs at
+        /// home, packages up to `u64::MAX` bytes, waits past the tolerance,
+        /// and pools the slack manager truncates.
+        #[test]
+        fn the_round_pass_prices_as_the_per_job_reference(
+            picks in prop::collection::vec((0usize..5, 0usize..30), 1..9),
+            jobs in prop::collection::vec(
+                ((0usize..4, 0.0f64..1.0), (0.0f64..5.0, 0usize..5), (0usize..3, 0.0f64..1.0), 0.0f64..1.1),
+                1..40,
+            ),
+            now_hours in 0.0f64..2000.0,
+            tolerance in 0.0f64..1.5,
+        ) {
+            let regions: Vec<RegionView> = picks
+                .iter()
+                .map(|&(region, servers)| RegionView {
+                    region: ALL_REGIONS[region],
+                    total_servers: servers,
+                    busy_servers: 0,
+                    queued_jobs: 0,
+                    inbound_jobs: 0,
+                })
+                .collect();
+            let now = Seconds::from_hours(now_hours);
+            let pending: Vec<PendingJob> = jobs
+                .iter()
+                .enumerate()
+                .map(|(i, &((time, x), (kwh, home), (size, y), received))| {
+                    let exec = match time {
+                        0 => x,
+                        1 => 0.0,
+                        _ => 60.0 + x * 20_000.0,
+                    };
+                    let package_bytes = match size {
+                        0 => (y * 2e9) as u64,
+                        1 => 0,
+                        _ => u64::MAX - (y * 1e18) as u64,
+                    };
+                    PendingJob {
+                        spec: waterwise_traces::JobSpec {
+                            id: waterwise_traces::JobId(i as u64),
+                            benchmark: waterwise_traces::ALL_BENCHMARKS[i % 10],
+                            submit_time: Seconds::zero(),
+                            home_region: ALL_REGIONS[home],
+                            actual_execution_time: Seconds::new(exec),
+                            actual_energy: waterwise_sustain::KilowattHours::new(kwh),
+                            estimated_execution_time: Seconds::new(exec),
+                            estimated_energy: waterwise_sustain::KilowattHours::new(kwh),
+                            package_bytes,
+                        },
+                        // Up to 10 % after `now`: a wait that clamps to zero.
+                        received_at: Seconds::new(now.value() * received),
+                        deferrals: 0,
+                    }
+                })
+                .collect();
+            let transfer = waterwise_cluster::TransferModel::paper_default();
+            let mut sched = scheduler();
+            // The whole pool, then half of it an hour and a half later: the
+            // second round reuses the first one's columns.
+            for (pool, later) in [(&pending[..], 0.0), (&pending[..pending.len().div_ceil(2)], 5400.0)] {
+                let ctx = SchedulingContext {
+                    now: Seconds::new(now.value() + later),
+                    pending: pool,
+                    regions: &regions,
+                    delay_tolerance: tolerance,
+                    transfer: &transfer,
+                };
+                let rounds = sched.stats().rounds;
+                sched.schedule(&ctx);
+                if sched.stats().rounds == rounds {
+                    continue; // No free slot: nothing priced.
+                }
+                let round = &sched.scratch;
+                let reference = reference_numerics(&sched, &ctx, &round.selected, &round.history);
+                let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let ours = &round.numerics;
+                prop_assert_eq!(ours.n_regions, reference.n_regions);
+                prop_assert_eq!(bits(&ours.coeffs), bits(&reference.coeffs));
+                prop_assert_eq!(bits(&ours.latency_ratio), bits(&reference.latency_ratio));
+                prop_assert_eq!(bits(&ours.remaining_tolerance), bits(&reference.remaining_tolerance));
             }
         }
     }

@@ -100,14 +100,16 @@ const BATCHES: [usize; 2] = [13, 120];
 const STEADY_CERTIFIED_BUDGET: u64 = 2;
 
 /// Allocation requests a scheduler's first such round may make, growing the
-/// scratch from empty. Measured: 26 at 13 jobs, 38 at 120 — ten lists, the
-/// flat rows doubling as they are pushed to; nothing of it is per job — and
-/// 40 for a capacity-bound 13-job round, whose kernel grows its own lists.
+/// scratch from empty. Measured: 29 at 13 jobs, 38 at 120 — the round's
+/// lists and the numerics pass's columns, some doubling as they are pushed
+/// to; nothing of it is per job — and 43 for a capacity-bound 13-job round,
+/// whose kernel grows its own lists. (27, 39 and 41 before the numerics
+/// became one region-major pass over per-job columns.)
 const FIRST_CERTIFIED_BUDGET: u64 = 45;
 
 /// Allocation requests a 13-job round that reaches the solver (cold, without
 /// warm starts) may make: `[on a fresh scheduler, on the same scheduler
-/// again]`. Measured: 71 and 49 — a job's assignment row (1 each), the five
+/// again]`. Measured: 73 and 49 — a job's assignment row (1 each), the five
 /// capacity rows, the model's own lists, the solution and the ~25 of a solve
 /// that do not grow with the batch; the first round also grows scratch and
 /// solver workspace. Warm-started from the hint it made 85 and 58 (the dense

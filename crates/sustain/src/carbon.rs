@@ -12,6 +12,7 @@ pub struct OperationalCarbonModel;
 
 impl OperationalCarbonModel {
     /// `CO2_operational = E_j * CI` (Eq. 1, first term).
+    #[inline]
     pub fn emissions(energy: KilowattHours, intensity: CarbonIntensity) -> Co2Grams {
         Co2Grams::new(energy.value() * intensity.value())
     }
@@ -39,6 +40,7 @@ impl EmbodiedCarbonModel {
 
     /// `CO2_embodied(job) = t_j / T_lifetime * CO2_embodied(server)`
     /// (Eq. 1, second term).
+    #[inline]
     pub fn attributed(&self, execution_time: Seconds) -> Co2Grams {
         if self.server_lifetime.value() <= 0.0 {
             return Co2Grams::zero();
@@ -92,6 +94,7 @@ impl CarbonFootprint {
     }
 
     /// Total footprint.
+    #[inline]
     pub fn total(&self) -> Co2Grams {
         self.operational + self.embodied
     }

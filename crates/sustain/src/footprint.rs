@@ -63,11 +63,13 @@ pub struct FootprintBreakdown {
 
 impl FootprintBreakdown {
     /// Total carbon (gCO2).
+    #[inline]
     pub fn total_carbon(&self) -> Co2Grams {
         self.carbon.total()
     }
 
     /// Total effective water (L).
+    #[inline]
     pub fn total_water(&self) -> Liters {
         self.water.total()
     }
@@ -128,18 +130,80 @@ impl FootprintEstimator {
         usage: JobResourceUsage,
         conditions: RegionConditions,
     ) -> FootprintBreakdown {
-        let mut breakdown = self.estimate_operational(usage, conditions);
+        let embodied = self.embodied(usage.execution_time);
+        self.with_embodied(usage.energy, embodied, conditions)
+    }
+
+    /// The embodied carbon and water (Eq. 1 and Eq. 4) attributed to a job
+    /// that runs for `execution_time`: what [`FootprintEstimator::estimate`]
+    /// adds to the operational terms. It depends on the job alone, so a
+    /// caller pricing one job in several regions computes it once.
+    #[inline]
+    pub fn embodied(&self, execution_time: Seconds) -> (Co2Grams, Liters) {
         let server = &self.params.server;
-        breakdown.carbon.embodied = server
-            .embodied_carbon_model()
-            .attributed(usage.execution_time);
-        breakdown.water.embodied = server.embodied_water_attributed(usage.execution_time);
+        let carbon = server.embodied_carbon_model().attributed(execution_time);
+        (carbon, server.embodied_water_attributed(execution_time))
+    }
+
+    /// Total carbon (gCO2) and total effective water (L) of a job using
+    /// `energy`, with the [`FootprintEstimator::embodied`] terms `embodied`,
+    /// under `conditions`: to the bit what `estimate(..).total_carbon()` and
+    /// `estimate(..).total_water()` return for that job.
+    ///
+    /// ```
+    /// use waterwise_sustain::{
+    ///     CarbonIntensity, FootprintEstimator, JobResourceUsage, KilowattHours, LitersPerKwh,
+    ///     RegionConditions, Seconds, WaterScarcityFactor, WaterUsageEffectiveness,
+    /// };
+    ///
+    /// let estimator = FootprintEstimator::paper_default();
+    /// let usage = JobResourceUsage::new(KilowattHours::new(0.5), Seconds::new(600.0));
+    /// let conditions = RegionConditions {
+    ///     carbon_intensity: CarbonIntensity::new(220.0),
+    ///     ewif: LitersPerKwh::new(1.8),
+    ///     wue: WaterUsageEffectiveness::new(0.4),
+    ///     wsf: WaterScarcityFactor::new(0.6),
+    /// };
+    /// let embodied = estimator.embodied(usage.execution_time);
+    /// let (carbon, water) = estimator.totals(usage.energy, embodied, conditions);
+    /// let footprint = estimator.estimate(usage, conditions);
+    /// assert_eq!(carbon.to_bits(), footprint.total_carbon().value().to_bits());
+    /// assert_eq!(water.to_bits(), footprint.total_water().value().to_bits());
+    /// ```
+    #[inline]
+    pub fn totals(
+        &self,
+        energy: KilowattHours,
+        embodied: (Co2Grams, Liters),
+        conditions: RegionConditions,
+    ) -> (f64, f64) {
+        let breakdown = self.with_embodied(energy, embodied, conditions);
+        (
+            breakdown.total_carbon().value(),
+            breakdown.total_water().value(),
+        )
+    }
+
+    /// The operational terms of `energy` under `conditions`, with `embodied`
+    /// as the embodied ones: the one composition `estimate` and `totals`
+    /// share.
+    #[inline]
+    fn with_embodied(
+        &self,
+        energy: KilowattHours,
+        embodied: (Co2Grams, Liters),
+        conditions: RegionConditions,
+    ) -> FootprintBreakdown {
+        let usage = JobResourceUsage::new(energy, Seconds::zero());
+        let mut breakdown = self.estimate_operational(usage, conditions);
+        (breakdown.carbon.embodied, breakdown.water.embodied) = embodied;
         breakdown
     }
 
     /// Operational-only estimate: the embodied terms are zero and never
     /// computed. Used for a migration's transfer footprint and by the
     /// Ecovisor comparator, neither of which accounts embodied footprints.
+    #[inline]
     pub fn estimate_operational(
         &self,
         usage: JobResourceUsage,
@@ -234,11 +298,13 @@ pub struct DecisionProjection {
 
 impl DecisionProjection {
     /// Total projected carbon (execution + transfer), in gCO2.
+    #[inline]
     pub fn total_carbon(&self) -> Co2Grams {
         Co2Grams::new(self.execution.total_carbon().value() + self.transfer.total_carbon().value())
     }
 
     /// Total projected effective water (execution + transfer), in liters.
+    #[inline]
     pub fn total_water(&self) -> Liters {
         Liters::new(self.execution.total_water().value() + self.transfer.total_water().value())
     }
@@ -327,6 +393,55 @@ mod tests {
         let cond = conditions(100.0, 2.0, 3.0, 0.5);
         let wi = est.water_intensity(cond);
         assert!((wi.value() - (3.0 + 1.2 * 2.0) * 1.5).abs() < 1e-9);
+    }
+
+    /// `x`, or the edge value `kind` stands for: zero of either sign, a
+    /// subnormal, `−x`, or a huge value.
+    fn edge(kind: usize, x: f64) -> f64 {
+        match kind {
+            0 => 0.0,
+            1 => -0.0,
+            2 => x * f64::MIN_POSITIVE * 1e-9,
+            3 => -x,
+            4 => x * 1e300,
+            _ => x,
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `embodied` and `totals` split `estimate` by scope without moving a
+        /// bit: zero, subnormal and negative energies and execution times,
+        /// and zero or negative lifetimes included.
+        #[test]
+        fn embodied_and_totals_are_the_estimates_bits(
+            energy in (0usize..10, 0.0f64..50.0),
+            time in (0usize..10, 0.0f64..1e6),
+            lifetime in (0usize..10, 1.0f64..1e9),
+            grid in (0.0f64..900.0, 0.0f64..10.0, 0.0f64..10.0, 0.0f64..1.0),
+            pue in 1.0f64..2.0,
+        ) {
+            let mut params = DataCenterParams::paper_default().with_pue(pue);
+            params.server.lifetime = Seconds::new(edge(lifetime.0, lifetime.1));
+            let est = FootprintEstimator::new(params);
+            let usage = JobResourceUsage::new(
+                KilowattHours::new(edge(energy.0, energy.1)),
+                Seconds::new(edge(time.0, time.1)),
+            );
+            let cond = conditions(grid.0, grid.1, grid.2, grid.3);
+            let full = est.estimate(usage, cond);
+            let embodied = est.embodied(usage.execution_time);
+            prop_assert_eq!(
+                (embodied.0.value().to_bits(), embodied.1.value().to_bits()),
+                (full.carbon.embodied.value().to_bits(), full.water.embodied.value().to_bits())
+            );
+            let (carbon, water) = est.totals(usage.energy, embodied, cond);
+            prop_assert_eq!(carbon.to_bits(), full.total_carbon().value().to_bits());
+            prop_assert_eq!(water.to_bits(), full.total_water().value().to_bits());
+        }
     }
 
     #[test]

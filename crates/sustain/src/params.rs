@@ -47,11 +47,13 @@ impl ServerParams {
     }
 
     /// The embodied-carbon model induced by these parameters.
+    #[inline]
     pub fn embodied_carbon_model(&self) -> EmbodiedCarbonModel {
         EmbodiedCarbonModel::new(self.embodied_carbon, self.lifetime)
     }
 
     /// Embodied water attributed to a job of the given execution time.
+    #[inline]
     pub fn embodied_water_attributed(&self, execution_time: Seconds) -> Liters {
         if self.lifetime.value() <= 0.0 {
             return Liters::zero();

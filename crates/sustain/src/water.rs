@@ -48,6 +48,7 @@ impl WaterScarcityFactor {
     }
 
     /// The multiplier `(1 + WSF)` applied to physical liters.
+    #[inline]
     pub fn multiplier(self) -> f64 {
         1.0 + self.0
     }
@@ -135,6 +136,7 @@ pub struct WaterFootprint {
 
 impl WaterFootprint {
     /// Offsite water footprint (Eq. 2): `PUE * E * EWIF * (1 + WSF)`.
+    #[inline]
     pub fn offsite(
         pue: f64,
         energy: KilowattHours,
@@ -145,6 +147,7 @@ impl WaterFootprint {
     }
 
     /// Onsite water footprint (Eq. 3): `E * WUE * (1 + WSF)`.
+    #[inline]
     pub fn onsite(
         energy: KilowattHours,
         wue: WaterUsageEffectiveness,
@@ -164,6 +167,7 @@ impl WaterFootprint {
     }
 
     /// Total of all components.
+    #[inline]
     pub fn total(&self) -> Liters {
         self.offsite + self.onsite + self.embodied
     }

@@ -106,6 +106,9 @@ impl Default for TelemetryConfig {
 #[derive(Debug, Clone)]
 pub struct SyntheticTelemetry {
     config: TelemetryConfig,
+    /// The length of every series (the horizon in hours), which lookups
+    /// beyond it wrap around.
+    hours: usize,
     regions: Vec<RegionSeries>,
 }
 
@@ -135,8 +138,24 @@ impl SyntheticTelemetry {
                     wue,
                 }
             })
-            .collect();
-        Self { config, regions }
+            .collect::<Vec<_>>();
+        // `conditions` wraps an instant's hour once for every series it reads.
+        for r in &regions {
+            let grid = &r.grid;
+            for series in [
+                &grid.carbon_intensity,
+                &grid.ewif_primary,
+                &grid.ewif_wri,
+                &r.wue,
+            ] {
+                assert_eq!(series.len(), hours, "telemetry series of unequal length");
+            }
+        }
+        Self {
+            config,
+            hours,
+            regions,
+        }
     }
 
     /// Generate with default configuration and a seed.
@@ -185,19 +204,20 @@ impl SyntheticTelemetry {
 }
 
 impl ConditionsProvider for SyntheticTelemetry {
-    // One hour index for the three reads: what each series' `at` would
-    // compute (`conditions_read_each_series_at_the_instant`).
+    // One hour index for the three reads, wrapped once: the series share
+    // one length (`generate` asserts it), so it is the sample each series'
+    // `at` would read (`conditions_read_each_series_at_the_instant`).
     fn conditions(&self, region: Region, at: Seconds) -> RegionConditions {
         let r = &self.regions[region.index()];
-        let hour = HourlySeries::hour_of(at);
+        let hour = HourlySeries::hour_of(at) % self.hours;
         let ewif = match self.config.dataset {
             EwifDataset::Primary => &r.grid.ewif_primary,
             EwifDataset::WorldResourcesInstitute => &r.grid.ewif_wri,
         };
         RegionConditions {
-            carbon_intensity: CarbonIntensity::new(r.grid.carbon_intensity.at_hour(hour)),
-            ewif: LitersPerKwh::new(ewif.at_hour(hour)),
-            wue: WaterUsageEffectiveness::new(r.wue.at_hour(hour)),
+            carbon_intensity: CarbonIntensity::new(r.grid.carbon_intensity.values()[hour]),
+            ewif: LitersPerKwh::new(ewif.values()[hour]),
+            wue: WaterUsageEffectiveness::new(r.wue.values()[hour]),
             wsf: r.wsf,
         }
     }
@@ -495,6 +515,24 @@ mod tests {
 
     #[test]
     fn conditions_read_each_series_at_the_instant() {
+        // Beyond the 48-hour horizon, where `conditions` wraps the hour once
+        // for the three series: at the wrap and around it, several wraps
+        // later, and far out.
+        let hour = 3600.0_f64;
+        let wrapping = [
+            48.0 * hour,
+            (48.0 * hour).next_down(),
+            (48.0 * hour).next_up(),
+            95.5 * hour,
+            97.0 * hour,
+            (480.0 * hour).next_down(),
+            10_000.25 * hour,
+            1e12,
+        ]
+        .map(Seconds::new);
+        assert!(wrapping[1..]
+            .iter()
+            .all(|&at| HourlySeries::hour_of(at) >= 47));
         for dataset in [EwifDataset::Primary, EwifDataset::WorldResourcesInstitute] {
             let telemetry = SyntheticTelemetry::generate(TelemetryConfig {
                 seed: 13,
@@ -503,7 +541,7 @@ mod tests {
                 ..TelemetryConfig::default()
             });
             for region in ALL_REGIONS {
-                for at in edge_instants() {
+                for at in edge_instants().into_iter().chain(wrapping) {
                     let read = telemetry.conditions(region, at);
                     let bits = |c: RegionConditions| {
                         [
