@@ -38,7 +38,7 @@ use std::borrow::Cow;
 use std::collections::{BTreeSet, VecDeque};
 use std::ops::Range;
 use std::time::Instant;
-use waterwise_sustain::{FootprintEstimator, JobResourceUsage, Seconds};
+use waterwise_sustain::{Co2Grams, FootprintEstimator, FootprintTotals, Liters, Seconds};
 use waterwise_telemetry::{ConditionsProvider, Region, ALL_REGIONS};
 use waterwise_traces::{JobId, JobSpec};
 
@@ -75,14 +75,18 @@ pub struct Simulator<P> {
 }
 
 /// Per-job bookkeeping the engine maintains while a job moves through
-/// arrival → assignment → transfer → execution → completion.
+/// arrival → assignment → transfer → execution → completion. The completion
+/// time is not kept: it is the `Complete` event's own time, handed straight
+/// to [`Simulator::record_outcome`].
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct JobRuntime {
     pub(crate) assigned_region: Option<Region>,
     pub(crate) transfer_time: f64,
     pub(crate) start_time: f64,
-    pub(crate) completion_time: f64,
 }
+
+// One per job of the trace: three words, not four.
+const _: () = assert!(std::mem::size_of::<JobRuntime>() <= 24);
 
 /// One placement enacted by [`SimState::commit_round`], reported back to the
 /// driver so the online service can answer the request that produced it.
@@ -162,23 +166,26 @@ impl<'t> SimState<'t> {
     /// once, here, so rounds pull in the jobs in that order. The first round
     /// is queued at the earliest submit time.
     /// A duplicate id would leave one twin pending forever (assignments are
-    /// keyed by job id) and a non-finite submit time has no place in the
-    /// event order, so a malformed trace is rejected here with a typed
-    /// error.
+    /// keyed by job id), a non-finite submit time has no place in the event
+    /// order, and a negative execution time would complete a job before it
+    /// starts, so a malformed trace is rejected here with a typed error.
     pub(crate) fn new(
         config: &SimulationConfig,
         jobs: &'t [JobSpec],
     ) -> Result<Self, SimulationError> {
-        // One pass over the trace for the three facts preloading needs —
+        // One pass over the trace for the four facts preloading needs —
         // ids strictly increase (so none repeats), every submit time is
-        // finite, the trace is in submit order — instead of one pass each.
-        // Only a trace that fails one pays for the search behind it.
+        // finite, no execution time runs backwards, the trace is in submit
+        // order — instead of one pass each. Only a trace that fails one pays
+        // for the search behind it.
         let submit = |job: &JobSpec| job.submit_time.value();
         let mut finite = jobs.first().is_none_or(|job| submit(job).is_finite());
+        let mut forward = jobs.first().is_none_or(|job| !runs_backwards(job));
         let (mut ids_increase, mut in_order) = (true, true);
         for pair in jobs.windows(2) {
             let (a, b) = (&pair[0], &pair[1]);
             finite &= submit(b).is_finite();
+            forward &= !runs_backwards(b);
             ids_increase &= a.id < b.id;
             in_order &= submit(a).total_cmp(&submit(b)).is_le();
         }
@@ -200,6 +207,14 @@ impl<'t> SimState<'t> {
                 time: submit(&jobs[i]),
                 event: arrival_of(&jobs[i]),
             });
+        }
+        let backwards = if forward {
+            None
+        } else {
+            jobs.iter().find(|job| runs_backwards(job))
+        };
+        if let Some(job) = backwards {
+            return Err(negative_execution(job));
         }
         let mut state = Self::empty(config);
         // Checked first: a stable sort allocates its scratch (half the trace)
@@ -255,10 +270,10 @@ impl<'t> SimState<'t> {
         }
     }
 
-    /// Admit one injected job: validate its id and submit time, grow the
-    /// runtime table, and buffer it under the caller-chosen arrival
-    /// sequence, which orders it among the jobs that tie its stamp. The
-    /// first job also starts the round chain at its own submit time.
+    /// Admit one injected job: validate its id, submit time and execution
+    /// time, grow the runtime table, and buffer it under the caller-chosen
+    /// arrival sequence, which orders it among the jobs that tie its stamp.
+    /// The first job also starts the round chain at its own submit time.
     pub(crate) fn push_job(
         &mut self,
         spec: JobSpec,
@@ -273,6 +288,9 @@ impl<'t> SimState<'t> {
                 time,
                 event: arrival_of(&spec),
             });
+        }
+        if runs_backwards(&spec) {
+            return Err(negative_execution(&spec));
         }
         self.jobs.to_mut().push(spec);
         self.runtimes.push(JobRuntime::default());
@@ -507,8 +525,8 @@ impl<'t> SimState<'t> {
         Ok(())
     }
 
-    /// A job finished executing: free the server (or admit the next queued
-    /// job) and return the final runtime footprint accounting needs.
+    /// A job finished executing at `time`: free the server (or admit the
+    /// next queued job) and return the runtime footprint accounting needs.
     pub(crate) fn handle_complete(
         &mut self,
         i: usize,
@@ -516,7 +534,6 @@ impl<'t> SimState<'t> {
     ) -> Result<JobRuntime, SimulationError> {
         let slot = self.assigned_slot(i, "completion")?;
         self.regions[slot].advance_to(time);
-        self.runtimes[i].completion_time = time;
         self.completed += 1;
         // Free the server and admit the next queued job, if any.
         if let Some(next) = self.regions[slot].queue.pop_front() {
@@ -562,6 +579,22 @@ impl<'t> SimState<'t> {
 /// How an error names the arrival of `job`: by its trace id.
 fn arrival_of(job: &JobSpec) -> String {
     format!("arrival of job {}", job.id.0)
+}
+
+/// Whether `job`'s execution time is finite and negative: its completion
+/// would come before its start. A NaN or infinite one is left to the event
+/// queue, which rejects the completion it stamps as non-finite.
+fn runs_backwards(job: &JobSpec) -> bool {
+    let time = job.actual_execution_time.value();
+    time < 0.0 && time.is_finite()
+}
+
+/// The error that rejects `job` for a negative execution time.
+fn negative_execution(job: &JobSpec) -> SimulationError {
+    SimulationError::NegativeExecutionTime {
+        job: job.id,
+        time: job.actual_execution_time.value(),
+    }
 }
 
 /// A job id the trace carries twice, if there is one: a sort and an adjacent
@@ -646,7 +679,8 @@ impl<P: ConditionsProvider> Simulator<P> {
     /// whole trace admitted and the arrival source already closed: no
     /// channel, clock or placement sink exists on this path.
     ///
-    /// Fails if the trace contains duplicate job ids, or if the trace or
+    /// Fails if the trace contains duplicate job ids or a negative execution
+    /// time ([`SimulationError::NegativeExecutionTime`]), or if the trace or
     /// transfer model would produce an event with a non-finite timestamp
     /// (see [`SimulationError::NonFiniteEventTime`]). A panic inside
     /// `scheduler` propagates with its own payload.
@@ -699,14 +733,18 @@ impl<P: ConditionsProvider> Simulator<P> {
         &self.provider
     }
 
-    /// Footprint accounting for one completed job: estimate the execution
-    /// and transfer footprints under the conditions at the job's start time
-    /// and derive the service-time verdicts. Pure with respect to engine
-    /// state.
+    /// Footprint accounting for one job completed at `completion_time`:
+    /// the totals of its execution and transfer footprints under the
+    /// conditions at the job's start time, and the service-time verdicts.
+    /// The totals come from the estimator's split (`embodied` + `totals`,
+    /// with zero embodied terms for the transfer), which carries the bits of
+    /// `estimate` and `estimate_operational` without building either
+    /// breakdown.
     pub(crate) fn record_outcome(
         &self,
         job: &JobSpec,
         runtime: &JobRuntime,
+        completion_time: f64,
         tolerance: f64,
     ) -> Result<JobOutcome, SimulationError> {
         let region = runtime
@@ -717,10 +755,17 @@ impl<P: ConditionsProvider> Simulator<P> {
             })?;
         let start = Seconds::new(runtime.start_time);
         let conditions = self.provider.conditions(region, start);
-        let usage = JobResourceUsage::new(job.actual_energy, job.actual_execution_time);
-        let footprint = self.estimator.estimate(usage, conditions);
+        let totals = |embodied, energy| {
+            let (carbon, water) = self.estimator.totals(energy, embodied, conditions);
+            FootprintTotals {
+                carbon: Co2Grams::new(carbon),
+                water: Liters::new(water),
+            }
+        };
+        let embodied = self.estimator.embodied(job.actual_execution_time);
+        let footprint = totals(embodied, job.actual_energy);
         let transfer_footprint = if region == job.home_region {
-            Default::default()
+            FootprintTotals::default()
         } else {
             let energy =
                 self.config
@@ -728,10 +773,9 @@ impl<P: ConditionsProvider> Simulator<P> {
                     .transfer_energy(job.home_region, region, job.package_bytes);
             // The transfer consumes energy along the path; attribute it to the
             // destination region's conditions and exclude embodied terms.
-            self.estimator
-                .estimate_operational(JobResourceUsage::new(energy, Seconds::zero()), conditions)
+            totals((Co2Grams::zero(), Liters::zero()), energy)
         };
-        let service_time = runtime.completion_time - job.submit_time.value();
+        let service_time = completion_time - job.submit_time.value();
         let allowed = (1.0 + tolerance) * job.actual_execution_time.value();
         Ok(JobOutcome {
             job: job.id,
@@ -739,7 +783,7 @@ impl<P: ConditionsProvider> Simulator<P> {
             executed_region: region,
             submit_time: job.submit_time,
             start_time: start,
-            completion_time: Seconds::new(runtime.completion_time),
+            completion_time: Seconds::new(completion_time),
             execution_time: job.actual_execution_time,
             footprint,
             transfer_footprint,

@@ -426,9 +426,12 @@ impl<'a, 't, P: ConditionsProvider> OnlineDriver<'a, 't, P> {
             Event::Ready(i) => self.state.handle_ready(i, time)?,
             Event::Complete(i) => {
                 let runtime = self.state.handle_complete(i, time)?;
-                let outcome =
-                    self.sim
-                        .record_outcome(&self.state.jobs[i], &runtime, self.state.tolerance)?;
+                let outcome = self.sim.record_outcome(
+                    &self.state.jobs[i],
+                    &runtime,
+                    time,
+                    self.state.tolerance,
+                )?;
                 self.fold.add(&outcome);
                 self.outcomes.push(outcome);
             }

@@ -3,6 +3,7 @@
 
 use super::*;
 use crate::scheduler::Assignment;
+use waterwise_sustain::JobResourceUsage;
 use waterwise_telemetry::SyntheticTelemetry;
 use waterwise_traces::{TraceConfig, TraceGenerator};
 
@@ -122,6 +123,64 @@ fn footprints_are_positive() {
 }
 
 #[test]
+fn recorded_totals_are_the_estimators_bits() {
+    /// Places job `j` in region `j mod 5`: most jobs migrate, some stay.
+    struct Spread;
+    impl Scheduler for Spread {
+        fn name(&self) -> &str {
+            "spread"
+        }
+        fn schedule(&mut self, ctx: &SchedulingContext<'_>) -> SchedulingDecision {
+            SchedulingDecision::from_pairs(
+                ctx.pending
+                    .iter()
+                    .map(|p| (p.spec.id, ALL_REGIONS[p.spec.id.0 as usize % 5])),
+            )
+        }
+    }
+    let jobs = TraceGenerator::new(TraceConfig::borg(0.05, 42)).generate();
+    let sim = simulator(50, 0.5);
+    let report = sim.run(&jobs, &mut Spread).unwrap();
+    assert_eq!(report.outcomes.len(), jobs.len());
+    let bits =
+        |carbon: Co2Grams, water: Liters| (carbon.value().to_bits(), water.value().to_bits());
+    let mut migrated = 0;
+    for o in &report.outcomes {
+        let spec = &jobs[jobs.binary_search_by_key(&o.job, |job| job.id).unwrap()];
+        let conditions = sim.provider().conditions(o.executed_region, o.start_time);
+        let usage = JobResourceUsage::new(spec.actual_energy, o.execution_time);
+        let execution = sim.estimator().estimate(usage, conditions);
+        assert_eq!(
+            bits(o.footprint.total_carbon(), o.footprint.total_water()),
+            bits(execution.total_carbon(), execution.total_water()),
+            "{o:?}"
+        );
+        let transfer = bits(
+            o.transfer_footprint.total_carbon(),
+            o.transfer_footprint.total_water(),
+        );
+        if o.migrated() {
+            migrated += 1;
+            let energy = sim.config().transfer.transfer_energy(
+                o.home_region,
+                o.executed_region,
+                spec.package_bytes,
+            );
+            let usage = JobResourceUsage::new(energy, Seconds::zero());
+            let expected = sim.estimator().estimate_operational(usage, conditions);
+            assert_eq!(
+                transfer,
+                bits(expected.total_carbon(), expected.total_water()),
+                "{o:?}"
+            );
+        } else {
+            assert_eq!(transfer, (0.0f64.to_bits(), 0.0f64.to_bits()), "{o:?}");
+        }
+    }
+    assert!(migrated > 0 && migrated < jobs.len(), "{migrated} migrated");
+}
+
+#[test]
 fn pinning_to_a_tiny_region_queues_jobs_and_stretches_service_time() {
     let jobs = small_trace(11);
     // Only 2 servers per region: pinning everything to Zurich must queue.
@@ -199,6 +258,29 @@ fn non_finite_execution_time_is_rejected_at_insertion() {
             "execution time {bad} should be rejected, got {err:?}"
         );
     }
+}
+
+#[test]
+fn a_negative_execution_time_is_rejected_at_preload() {
+    // Accepted, such a job's completion was dispatched 5000 s before its
+    // start and it came first among the outcomes.
+    let mut jobs = TraceGenerator::new(TraceConfig::borg(0.05, 42)).generate();
+    jobs[3].actual_execution_time = Seconds::new(-5000.0);
+    let err = simulator(50, 0.5)
+        .run(&jobs, &mut HomeScheduler)
+        .unwrap_err();
+    assert_eq!(
+        err,
+        SimulationError::NegativeExecutionTime {
+            job: jobs[3].id,
+            time: -5000.0
+        }
+    );
+    assert!(err.to_string().contains(&jobs[3].id.to_string()), "{err}");
+    // A zero of either sign runs forward.
+    jobs[3].actual_execution_time = Seconds::new(-0.0);
+    let report = simulator(50, 0.5).run(&jobs, &mut HomeScheduler).unwrap();
+    assert_eq!(report.outcomes.len(), jobs.len());
 }
 
 #[test]
@@ -839,6 +921,29 @@ mod online_driver {
             err,
             SimulationError::DuplicateJobId { id: JobId(0) }
         ));
+    }
+
+    #[test]
+    fn a_negative_execution_time_is_rejected_at_injection() {
+        let mut jobs = small_trace(42);
+        jobs[3].actual_execution_time = Seconds::new(-5000.0);
+        let sim = simulator(50, 0.5);
+        let (notice_tx, _notice_rx) = std::sync::mpsc::sync_channel(jobs.len());
+        let err = sim
+            .run_online_sequenced(
+                &mut HomeScheduler,
+                sequenced_stream(&jobs),
+                notice_tx,
+                ClockMode::Discrete,
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SimulationError::NegativeExecutionTime {
+                job: jobs[3].id,
+                time: -5000.0
+            }
+        );
     }
 
     #[test]

@@ -144,6 +144,16 @@ pub enum SimulationError {
         /// The sequence that was already taken.
         seq: u64,
     },
+    /// A job carries a finite negative execution time: its completion would
+    /// be dispatched before its start, running the clock backwards. (A NaN
+    /// or infinite one is [`SimulationError::NonFiniteEventTime`] once the
+    /// job starts.) The job is rejected as it is admitted.
+    NegativeExecutionTime {
+        /// The rejected job.
+        job: JobId,
+        /// The execution time it carried, in seconds.
+        time: f64,
+    },
     /// The scheduling interval is positive but too small to move the clock:
     /// the round after the one at `time` was re-armed at `time` itself, and
     /// the campaign would never advance. The run fails as that round fires.
@@ -198,6 +208,9 @@ impl fmt::Display for SimulationError {
                     "sequenced online arrival for {job} reuses arrival sequence {seq}"
                 )
             }
+            SimulationError::NegativeExecutionTime { job, time } => {
+                write!(f, "{job} has a negative execution time of {time} s")
+            }
             SimulationError::SchedulingIntervalBelowClockResolution { time, interval } => {
                 write!(
                     f,
@@ -220,6 +233,7 @@ impl std::error::Error for SimulationError {
             | SimulationError::PlacementSinkDisconnected { .. }
             | SimulationError::ArrivalSeqOutOfBand { .. }
             | SimulationError::ArrivalSeqReused { .. }
+            | SimulationError::NegativeExecutionTime { .. }
             | SimulationError::SchedulingIntervalBelowClockResolution { .. } => None,
         }
     }

@@ -2,11 +2,23 @@
 
 use crate::scheduler::SolverActivity;
 use serde::{Deserialize, Serialize};
-use waterwise_sustain::{Co2Grams, FootprintBreakdown, Liters, Seconds};
+use waterwise_sustain::{Co2Grams, FootprintTotals, Liters, Seconds};
 use waterwise_telemetry::Region;
 use waterwise_traces::JobId;
 
-/// The recorded outcome of one job execution.
+/// The recorded outcome of one job execution: 88 bytes, one per completed
+/// job in [`crate::SimulationReport::outcomes`].
+///
+/// The footprints are kept as totals, which is all the summary, the
+/// schedule digest and the savings read. The per-component breakdown of a
+/// job's execution footprint is
+/// `estimator.estimate(JobResourceUsage::new(spec.actual_energy, outcome.execution_time),
+/// provider.conditions(outcome.executed_region, outcome.start_time))` with
+/// the simulator's [`crate::Simulator::estimator`] and
+/// [`crate::Simulator::provider`]; its transfer footprint is
+/// `estimate_operational` of the config's `transfer.transfer_energy(home,
+/// executed, spec.package_bytes)` under the same conditions (zero at home).
+/// Both equal the recorded totals to the bit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobOutcome {
     /// Which job.
@@ -23,16 +35,20 @@ pub struct JobOutcome {
     pub completion_time: Seconds,
     /// Actual execution time charged.
     pub execution_time: Seconds,
-    /// Execution footprint (carbon + water) under the conditions at start.
-    pub footprint: FootprintBreakdown,
-    /// Additional footprint caused by the inter-region package transfer
-    /// (zero when the job ran in its home region).
-    pub transfer_footprint: FootprintBreakdown,
+    /// Execution footprint totals (carbon + water) under the conditions at
+    /// start.
+    pub footprint: FootprintTotals,
+    /// Additional footprint totals caused by the inter-region package
+    /// transfer (zero when the job ran in its home region).
+    pub transfer_footprint: FootprintTotals,
     /// Transfer latency incurred (zero when the job ran at home).
     pub transfer_time: Seconds,
     /// Whether the job violated its delay tolerance.
     pub violated_tolerance: bool,
 }
+
+// One per completed job, every pass: it holds footprint totals, not breakdowns.
+const _: () = assert!(std::mem::size_of::<JobOutcome>() <= 88);
 
 impl JobOutcome {
     /// Service time: completion − submission.
@@ -336,7 +352,6 @@ pub fn saving_percent(baseline: f64, candidate: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use waterwise_sustain::{CarbonFootprint, WaterFootprint};
     use waterwise_telemetry::ALL_REGIONS;
 
     fn outcome(job: u64, home: Region, executed: Region, carbon: f64, water: f64) -> JobOutcome {
@@ -348,18 +363,11 @@ mod tests {
             start_time: Seconds::new(10.0),
             completion_time: Seconds::new(110.0),
             execution_time: Seconds::new(100.0),
-            footprint: FootprintBreakdown {
-                carbon: CarbonFootprint {
-                    operational: Co2Grams::new(carbon),
-                    embodied: Co2Grams::zero(),
-                },
-                water: WaterFootprint {
-                    offsite: Liters::new(water),
-                    onsite: Liters::zero(),
-                    embodied: Liters::zero(),
-                },
+            footprint: FootprintTotals {
+                carbon: Co2Grams::new(carbon),
+                water: Liters::new(water),
             },
-            transfer_footprint: FootprintBreakdown::default(),
+            transfer_footprint: FootprintTotals::default(),
             transfer_time: Seconds::zero(),
             violated_tolerance: false,
         }

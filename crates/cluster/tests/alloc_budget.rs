@@ -2,8 +2,10 @@
 //!
 //! The file's only test, because it installs a counting `#[global_allocator]`
 //! for the whole test binary. Counting is per thread, so the harness's own
-//! threads never show up in the number, and it is suspended inside
-//! `Scheduler::schedule`, so the number is the engine's side of a round.
+//! threads never show up in the numbers, and it is suspended inside
+//! `Scheduler::schedule`, so the numbers are the engine's side of a round.
+//! It counts requests and requested bytes (a grow or shrink is one request
+//! for its new size), as the perf ledger's `alloc.*_per_job` columns do.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -13,19 +15,27 @@ use waterwise_cluster::{
 use waterwise_telemetry::SyntheticTelemetry;
 use waterwise_traces::{TraceConfig, TraceGenerator};
 
+/// Allocation requests and requested bytes.
+type Counts = (u64, u64);
+
 thread_local! {
-    /// `Some(n)` while this thread is being counted. Const-initialised and
-    /// without a destructor, so touching it never allocates.
-    static ALLOCATIONS: Cell<Option<u64>> = const { Cell::new(None) };
+    /// `Some(counts)` while this thread is being counted. Const-initialised
+    /// and without a destructor, so touching it never allocates.
+    static ALLOCATIONS: Cell<Option<Counts>> = const { Cell::new(None) };
 }
 
 struct CountingAlloc;
 
 impl CountingAlloc {
-    fn count() {
+    fn count(size: usize) {
         // `try_with`: a thread being torn down may allocate after its
         // thread-locals are gone.
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get().map(|n| n + 1)));
+        let _ = ALLOCATIONS.try_with(|n| {
+            n.set(
+                n.get()
+                    .map(|(count, bytes)| (count + 1, bytes + size as u64)),
+            )
+        });
     }
 }
 
@@ -34,13 +44,13 @@ impl CountingAlloc {
 // and never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::count();
+        Self::count(layout.size());
         // SAFETY: the caller's `layout` is passed through as received.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        Self::count();
+        Self::count(layout.size());
         // SAFETY: the caller's `layout` is passed through as received.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -52,7 +62,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::count();
+        Self::count(new_size);
         // SAFETY: `ptr`/`layout` come from a matching `alloc` on `System`
         // and the caller guarantees `new_size` is valid for `layout.align()`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -62,12 +72,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Allocation requests `f` makes on this thread.
-fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    ALLOCATIONS.with(|n| n.set(Some(0)));
+/// Allocation requests and requested bytes `f` makes on this thread.
+fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, Counts) {
+    ALLOCATIONS.with(|n| n.set(Some((0, 0))));
     let out = f();
-    let count = ALLOCATIONS.with(|n| n.take()).unwrap_or(0);
-    (out, count)
+    let counts = ALLOCATIONS.with(|n| n.take()).unwrap_or_default();
+    (out, counts)
 }
 
 /// Every pending job to its home region, at once — and off the books: the
@@ -89,9 +99,9 @@ impl Scheduler for HomeScheduler {
     }
 }
 
-/// Engine-side allocation requests of one offline Borg replay of `days`
-/// days, and the number of rounds that had work.
-fn replay(days: f64) -> (u64, usize) {
+/// Engine-side allocation requests and bytes of one offline Borg replay of
+/// `days` days, the number of rounds that had work, and the number of jobs.
+fn replay(days: f64) -> (Counts, usize, usize) {
     let jobs = TraceGenerator::new(TraceConfig::borg(days, 42)).generate();
     let simulator = Simulator::new(
         SimulationConfig::paper_default(280, 0.5),
@@ -101,17 +111,25 @@ fn replay(days: f64) -> (u64, usize) {
     let (report, allocations) = allocations_of(|| simulator.run(&jobs, &mut HomeScheduler));
     let report = report.unwrap();
     assert_eq!(report.outcomes.len(), jobs.len(), "every job completes");
-    (allocations, report.overhead.len())
+    (allocations, report.overhead.len(), jobs.len())
 }
 
 /// Allocation requests a whole replay may make on the engine's side.
-/// Measured: 32 for the 70-round replay, 36 for the 550-round one — the job
-/// table, runtimes, outcomes and report buffers sized once from the trace,
+/// Measured: 30 for the 70-round replay, 34 for the 550-round one — the
+/// runtimes, outcomes and report buffers sized once from the trace,
 /// the id scan's scratch, and a few doublings of the heap, the pending pool,
 /// the region queues and the overhead samples. (With a `BTreeMap` of the
 /// pool, a snapshot `Vec` pair and an enacted list per round, and a set
 /// insert and heap slot per preloaded job, the same replays made thousands.)
 const RUN_BUDGET: u64 = 64;
+
+/// Engine-side bytes the 5 470-job replay may request per job. Measured:
+/// 162.7 — the 88-byte outcome and the 24-byte runtime row, the rest the
+/// doublings of the pending pool, the event queue, the region queues and
+/// the overhead samples. (With two 40-byte footprint breakdowns in every outcome and the
+/// completion time in every runtime row it read 218.7; the 537-job replay,
+/// whose fixed costs weigh more, reads 204.7 against 260.7.)
+const BYTES_PER_JOB_BUDGET: f64 = 176.0;
 
 /// Allocation requests eight times the rounds may add: buffer doublings
 /// only, so logarithmic in the run's length. Measured: 4.
@@ -119,8 +137,8 @@ const GROWTH_BUDGET: u64 = 16;
 
 #[test]
 fn the_event_loop_allocates_per_run_not_per_round() {
-    let (short, short_rounds) = replay(0.05);
-    let (long, long_rounds) = replay(0.4);
+    let ((short, _), short_rounds, _) = replay(0.05);
+    let ((long, long_bytes), long_rounds, long_jobs) = replay(0.4);
     assert!(
         short_rounds >= 50 && long_rounds >= 7 * short_rounds,
         "fixture: {short_rounds} and {long_rounds} rounds"
@@ -132,6 +150,12 @@ fn the_event_loop_allocates_per_run_not_per_round() {
              requests, budget {RUN_BUDGET}"
         );
     }
+    let per_job = long_bytes as f64 / long_jobs as f64;
+    assert!(
+        per_job <= BYTES_PER_JOB_BUDGET,
+        "a {long_jobs}-job replay requested {per_job:.1} engine-side bytes a job, \
+         budget {BYTES_PER_JOB_BUDGET}"
+    );
     assert!(
         long <= short + GROWTH_BUDGET,
         "{long_rounds} rounds made {long} allocation requests against {short} for \

@@ -81,6 +81,64 @@ impl FootprintBreakdown {
     }
 }
 
+/// The totals of a [`FootprintBreakdown`] without its components: total
+/// carbon (Eq. 1) and total effective water (Eq. 5), 16 bytes against the
+/// breakdown's 40. It is what a record that is only ever summed keeps (the
+/// simulator's per-job outcome); the components stay one
+/// [`FootprintEstimator::estimate`] call away.
+///
+/// ```
+/// use waterwise_sustain::{
+///     CarbonIntensity, FootprintEstimator, FootprintTotals, JobResourceUsage, KilowattHours,
+///     LitersPerKwh, RegionConditions, Seconds, WaterScarcityFactor, WaterUsageEffectiveness,
+/// };
+///
+/// let estimator = FootprintEstimator::paper_default();
+/// let usage = JobResourceUsage::new(KilowattHours::new(0.5), Seconds::new(600.0));
+/// let conditions = RegionConditions {
+///     carbon_intensity: CarbonIntensity::new(220.0),
+///     ewif: LitersPerKwh::new(1.8),
+///     wue: WaterUsageEffectiveness::new(0.4),
+///     wsf: WaterScarcityFactor::new(0.6),
+/// };
+/// let breakdown = estimator.estimate(usage, conditions);
+/// let totals = FootprintTotals::from(&breakdown);
+/// assert_eq!(totals.total_carbon(), breakdown.total_carbon());
+/// assert_eq!(totals.total_water(), breakdown.total_water());
+/// assert_eq!(std::mem::size_of::<FootprintTotals>(), 16);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+pub struct FootprintTotals {
+    /// Total carbon (gCO2): operational plus embodied.
+    pub carbon: Co2Grams,
+    /// Total effective water (L): offsite plus onsite plus embodied.
+    pub water: Liters,
+}
+
+impl FootprintTotals {
+    /// Total carbon (gCO2).
+    #[inline]
+    pub fn total_carbon(&self) -> Co2Grams {
+        self.carbon
+    }
+
+    /// Total effective water (L).
+    #[inline]
+    pub fn total_water(&self) -> Liters {
+        self.water
+    }
+}
+
+impl From<&FootprintBreakdown> for FootprintTotals {
+    #[inline]
+    fn from(breakdown: &FootprintBreakdown) -> Self {
+        Self {
+            carbon: breakdown.total_carbon(),
+            water: breakdown.total_water(),
+        }
+    }
+}
+
 /// Footprint estimator bound to a data center's parameters (PUE, server
 /// embodied footprints). Evaluating a job in a region is a pure function of
 /// the job's usage and the region's current conditions.
@@ -414,8 +472,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// `embodied` and `totals` split `estimate` by scope without moving a
-        /// bit: zero, subnormal and negative energies and execution times,
-        /// and zero or negative lifetimes included.
+        /// bit, and `totals` with zero embodied terms is what
+        /// `estimate_operational` sums to: zero, subnormal and negative
+        /// energies and execution times, and zero or negative lifetimes
+        /// included. `FootprintTotals::from` keeps the bits of both.
         #[test]
         fn embodied_and_totals_are_the_estimates_bits(
             energy in (0usize..10, 0.0f64..50.0),
@@ -441,6 +501,17 @@ mod tests {
             let (carbon, water) = est.totals(usage.energy, embodied, cond);
             prop_assert_eq!(carbon.to_bits(), full.total_carbon().value().to_bits());
             prop_assert_eq!(water.to_bits(), full.total_water().value().to_bits());
+            let bits = |totals: FootprintTotals| {
+                (totals.total_carbon().value().to_bits(), totals.total_water().value().to_bits())
+            };
+            prop_assert_eq!(
+                bits(FootprintTotals::from(&full)),
+                (carbon.to_bits(), water.to_bits())
+            );
+            let operational = FootprintTotals::from(&est.estimate_operational(usage, cond));
+            let zero = (Co2Grams::zero(), Liters::zero());
+            let (op_carbon, op_water) = est.totals(usage.energy, zero, cond);
+            prop_assert_eq!(bits(operational), (op_carbon.to_bits(), op_water.to_bits()));
         }
     }
 

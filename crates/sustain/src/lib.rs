@@ -37,7 +37,8 @@ pub mod water;
 pub use carbon::{CarbonFootprint, EmbodiedCarbonModel, OperationalCarbonModel};
 pub use energy::{EnergyMix, EnergySource, EwifDataset, ALL_SOURCES};
 pub use footprint::{
-    DecisionProjection, FootprintBreakdown, FootprintEstimator, JobResourceUsage, RegionConditions,
+    DecisionProjection, FootprintBreakdown, FootprintEstimator, FootprintTotals, JobResourceUsage,
+    RegionConditions,
 };
 pub use intensity::{CarbonIntensity, WaterIntensity};
 pub use params::{DataCenterParams, ServerParams};
