@@ -57,9 +57,10 @@ pub fn print_tables(tables: &[Table]) {
 }
 
 /// The `WATERWISE_DAYS` / `WATERWISE_SEED` overrides, `None` where unset.
-/// A variable that is set but does not parse is a startup error: the process
-/// exits with status 2 naming the variable and its value, rather than
-/// silently running the full-scale suite.
+/// A variable that is set but does not parse, or days that break the spec's
+/// `days` rule (finite and > 0), is a startup error: the process exits with
+/// status 2 naming the variable and its value, rather than silently running
+/// the full-scale suite or a clamped one.
 fn env_scale() -> (Option<f64>, Option<u64>) {
     fn env_opt<T: std::str::FromStr>(key: &str) -> Option<T> {
         let raw = std::env::var_os(key)?;
@@ -71,7 +72,12 @@ fn env_scale() -> (Option<f64>, Option<u64>) {
             }
         }
     }
-    (env_opt("WATERWISE_DAYS"), env_opt("WATERWISE_SEED"))
+    let days = env_opt::<f64>("WATERWISE_DAYS");
+    if let Some(days) = days.filter(|days| !(days.is_finite() && *days > 0.0)) {
+        eprintln!("invalid WATERWISE_DAYS: {days} is not a finite number of days > 0");
+        std::process::exit(2);
+    }
+    (days, env_opt("WATERWISE_SEED"))
 }
 
 fn tolerance_label(t: f64) -> String {

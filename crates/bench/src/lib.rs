@@ -21,7 +21,7 @@
 //! so that the full suite completes in minutes. Two environment variables
 //! rescale every experiment:
 //!
-//! * `WATERWISE_DAYS` — trace length in days (default 0.25).
+//! * `WATERWISE_DAYS` — trace length in days (default 0.25; finite and > 0).
 //! * `WATERWISE_SEED` — RNG seed (default 42).
 //!
 //! A variable that is set but does not parse is a startup error: the binary

@@ -94,9 +94,12 @@ pub(crate) struct SimClock {
 
 impl SimClock {
     /// Start the clock now, at simulated time zero.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "DET002: the RealTime clock origin is the wall clock; Discrete mode, the deterministic path, never constructs a SimClock"
+    )]
     pub(crate) fn start(scale: f64) -> Self {
         Self {
-            // lint:allow(DET002: the RealTime clock origin IS the wall clock; Discrete mode — the deterministic path — never constructs a SimClock)
             origin: Instant::now(),
             scale,
         }

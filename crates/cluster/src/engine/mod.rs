@@ -627,7 +627,10 @@ pub(crate) fn timed_schedule(
         transfer: &config.transfer,
     };
     let before = scheduler.solver_activity();
-    // lint:allow(DET002: OverheadSample wall_clock timing capture; scrubbed from schedules by without_wall_clock)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "DET002: OverheadSample wall_clock timing capture; scrubbed from schedules by without_wall_clock"
+    )]
     let started = Instant::now();
     let decision = scheduler.schedule(&ctx);
     let elapsed = started.elapsed().as_secs_f64();

@@ -114,10 +114,13 @@ impl Parallelism {
 /// Cached [`std::thread::available_parallelism`]. On Linux the std call
 /// re-parses cgroup CPU quotas from the filesystem every time, and every
 /// worker-count decision in the process should see the same number.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "DET004: the one permitted call site; OnceLock caches the value so every worker-count decision in the process sees the same number"
+)]
 fn available_workers() -> usize {
     static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *WORKERS.get_or_init(|| {
-        // lint:allow(DET004: the one permitted call site — OnceLock caches the value so every worker-count decision in the process sees the same number)
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
@@ -130,6 +133,10 @@ fn available_workers() -> usize {
 /// a plain serial map
 /// when either the worker count or the task count is 1, so callers never
 /// pay thread-spawn overhead for degenerate inputs.
+#[expect(
+    clippy::expect_used,
+    reason = "DET003: the strided counter hands every index in 0..tasks to exactly one worker, and each worker's results are merged, so a hole is impossible by construction"
+)]
 pub(crate) fn run_indexed<T, F>(tasks: usize, workers: usize, task: F) -> Vec<T>
 where
     T: Send,
@@ -170,7 +177,6 @@ where
     });
     results
         .into_iter()
-        // lint:allow(DET003: the strided counter hands every index in 0..tasks to exactly one worker, and each worker's results are merged above — a hole is impossible by construction)
         .map(|r| r.expect("every indexed task completes"))
         .collect()
 }

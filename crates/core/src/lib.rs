@@ -28,6 +28,16 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+// DET003 (docs/LINTING.md): failures here are typed errors, never panics.
+// In test code the workspace clippy.toml allows `unwrap`, `expect` and `panic!`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod error;
 pub mod experiment;

@@ -231,9 +231,12 @@ pub fn check_snapshot(
 /// Assert that `rendered` matches the stored golden, panicking with the
 /// full diff (naming the `.snap` file) on drift — the `assert_snapshot`
 /// idiom. In bless mode the golden is written instead.
+#[expect(
+    clippy::panic,
+    reason = "DET003: this is the test-harness assert itself; panicking with the diff is the whole point, and non-panicking callers use check_snapshot"
+)]
 pub fn assert_snapshot(dir: &Path, scenario: &str, rendered: &str) {
     if let Err(error) = check_snapshot(dir, scenario, rendered) {
-        // lint:allow(DET003: this is the test-harness assert itself — panicking with the diff is the whole point; non-panicking callers use check_snapshot)
         panic!("{error}");
     }
 }
@@ -269,7 +272,10 @@ pub fn diff_lines(expected: &str, actual: &str) -> String {
                     }
                     (Some(w), None) => out.push_str(&format!("  - {w}\n")),
                     (None, Some(g)) => out.push_str(&format!("  + {g}\n")),
-                    // lint:allow(DET003: every key iterated comes from the union of the two maps, so at least one lookup must succeed)
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "DET003: every key iterated comes from the union of the two maps, so at least one lookup must succeed"
+                    )]
                     (None, None) => unreachable!("key from union of both maps"),
                 }
             }
@@ -334,7 +340,7 @@ pub fn orphaned_snapshots(dir: &Path, expected: &[&str]) -> Result<Vec<String>, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
     use waterwise_cluster::SolverActivity;
     use waterwise_sustain::{Co2Grams, Liters, Seconds};
 
@@ -355,8 +361,8 @@ mod tests {
     }
 
     #[test]
-    fn rendering_is_stable_across_insertion_and_hashmap_order() {
-        let pairs: HashMap<String, String> = (0..16)
+    fn rendering_is_stable_across_insertion_order() {
+        let pairs: BTreeMap<String, String> = (0..16)
             .map(|i| (format!("k{i:02}"), format!("v{i}")))
             .collect();
         let mut forward = Snapshot::new();

@@ -502,7 +502,6 @@ fn store<T>(slot: &mut Option<T>, value: T, key: &str, line: usize) -> Result<()
     Ok(())
 }
 
-#[allow(clippy::too_many_lines)]
 fn set_key(
     raw: &mut RawSpec,
     section: Section,

@@ -43,7 +43,7 @@ impl Scheduler for RoundRobinScheduler {
 mod tests {
     use super::*;
     use crate::sched::test_support::{context_fixture, ContextFixture};
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
     use waterwise_sustain::Seconds;
 
     #[test]
@@ -62,7 +62,7 @@ mod tests {
         };
         let decision = RoundRobinScheduler::new().schedule(&ctx);
         assert_eq!(decision.assignments.len(), 20);
-        let mut counts: HashMap<_, usize> = HashMap::new();
+        let mut counts: BTreeMap<_, usize> = BTreeMap::new();
         for a in &decision.assignments {
             *counts.entry(a.region).or_default() += 1;
         }

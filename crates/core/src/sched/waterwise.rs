@@ -850,13 +850,19 @@ impl Scheduler for WaterWiseScheduler {
         self.slack_select(ctx, &mut round);
         // Eq. 7/8's per-job numerics, over the round's history terms.
         self.history_terms(ctx, &mut round);
-        // lint:allow(DET002: prepare_seconds timing capture; scrubbed from schedules by without_wall_clock)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "DET002: prepare_seconds timing capture; scrubbed from schedules by without_wall_clock"
+        )]
         let prepare_start = Instant::now();
         self.prepare_numerics(ctx, &mut round);
         self.stats.prepare_seconds += prepare_start.elapsed().as_secs_f64();
         // Hard-constrained solve first; soften on infeasibility
         // (Algorithm 1, lines 8–11). The fallback reuses the numerics.
-        // lint:allow(DET002: solve_seconds timing capture; scrubbed from schedules by without_wall_clock)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "DET002: solve_seconds timing capture; scrubbed from schedules by without_wall_clock"
+        )]
         let solve_start = Instant::now();
         round.modelled = false;
         let hard = self.solve_assignment(ctx, &mut round, None);

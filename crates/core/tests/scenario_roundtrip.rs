@@ -17,7 +17,10 @@ use proptest::prelude::*;
 use waterwise_core::{parse_spec, Campaign, SchedulerKind};
 
 /// A spec assembled from sweep-style knobs, in canonical key order.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per sweep knob keeps each generated spec readable at the call site"
+)]
 fn spec_text(
     seed: u64,
     days: f64,

@@ -25,14 +25,26 @@
 //! | `WATERWISE_TOLERANCE` | `[simulation] delay_tolerance` | Delay tolerance (fraction of execution time). |
 //! | `WATERWISE_SEED` | `[scenario] seed` | Trace + telemetry seed. |
 //! | `WATERWISE_SESSIONS` | — | Serve this many sessions in total, then exit. |
-//! | `WATERWISE_MULTI_SESSION` | — | Concurrent sessions per engine run (default 1). |
+//! | `WATERWISE_MULTI_SESSION` | — | Concurrent sessions per engine run (default 1; `0` is a startup error). |
 //! | `WATERWISE_ADMISSION` | — | Drain mode: `streaming` (default) or `gated`; anything else is a startup error. |
-//! | `WATERWISE_TENANT_QUOTA` | — | Per-tenant in-flight quota (default 64). |
-//! | `WATERWISE_DRR_QUANTUM` | — | Deficit-round-robin quantum (default 8). |
+//! | `WATERWISE_TENANT_QUOTA` | — | Per-tenant in-flight quota (default 64; `0` is a startup error). |
+//! | `WATERWISE_DRR_QUANTUM` | — | Deficit-round-robin quantum (default 8; `0` is a startup error). |
 //! | `WATERWISE_JOURNAL` | — | Write each finished run's admission journal to this path. |
 //! | `WATERWISE_JOURNAL_PATH` | — | *Stream* the current run's admission journal to this file as entries are admitted (crash durability). |
 //! | `WATERWISE_RESUME` | — | `1`/`true`: the first run replays a recovered `WATERWISE_JOURNAL_PATH` journal at startup, rebuilding the engine's state before new sessions; `0`/`false` (default): it does not. Anything else is a startup error. |
 
+// DET003 (docs/LINTING.md): a bad override is an exit-2 message, never a
+// panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use waterwise_cluster::ClockMode;
 use waterwise_core::{build_scheduler, parse_clock_mode, Scenario, SchedulerKind};
@@ -163,11 +175,11 @@ fn admission_config(concurrent: usize, gated: bool) -> AdmissionConfig {
         },
         ..AdmissionConfig::default()
     };
-    if let Some(quota) = env_opt::<usize>("WATERWISE_TENANT_QUOTA") {
-        config.tenant_inflight_quota = quota;
+    if let Some(quota) = env_opt::<NonZeroUsize>("WATERWISE_TENANT_QUOTA") {
+        config.tenant_inflight_quota = quota.get();
     }
-    if let Some(quantum) = env_opt::<usize>("WATERWISE_DRR_QUANTUM") {
-        config.drr_quantum = quantum;
+    if let Some(quantum) = env_opt::<NonZeroUsize>("WATERWISE_DRR_QUANTUM") {
+        config.drr_quantum = quantum.get();
     }
     if gated {
         config.mode = AdmissionMode::Gated {
@@ -271,8 +283,8 @@ fn main() {
     }
     let config = ServiceConfig::new(simulation, scenario.config.telemetry).with_clock(clock);
     let addr = std::env::var("WATERWISE_ADDR").unwrap_or_else(|_| "127.0.0.1:7878".to_string());
-    let multi_session = env_opt::<usize>("WATERWISE_MULTI_SESSION");
-    let concurrent = multi_session.unwrap_or(1).max(1);
+    let multi_session = env_opt::<NonZeroUsize>("WATERWISE_MULTI_SESSION");
+    let concurrent = multi_session.map_or(1, NonZeroUsize::get);
     // Naming a concurrency asks for exactly one run of that many sessions;
     // the plain invocation keeps serving clients until killed.
     let sessions: usize = env_opt("WATERWISE_SESSIONS")

@@ -21,7 +21,6 @@
 //! ```
 
 use crate::request::{PlacementRequest, PlacementResponse};
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use waterwise_sustain::{KilowattHours, Seconds};
 use waterwise_telemetry::Region;
@@ -47,14 +46,21 @@ impl Value {
     }
 }
 
+/// A parsed flat object, key → value.
+#[expect(
+    clippy::disallowed_types,
+    reason = "DET001: fields are only looked up by key, never iterated, so hash order reaches no response"
+)]
+pub(crate) type Fields = std::collections::HashMap<String, Value>;
+
 /// Parse one flat JSON object (`{"key": value, ...}` with number / string /
 /// boolean / null values) into a key→value map. Nested objects and arrays
 /// are rejected — the wire format never uses them. Shared with the
 /// admission journal codec (`crate::journal`), which reuses the request
 /// grammar plus `seq`/`tenant` fields.
-pub(crate) fn parse_flat_object(line: &str) -> Result<HashMap<String, Value>, String> {
+pub(crate) fn parse_flat_object(line: &str) -> Result<Fields, String> {
     let mut chars = line.char_indices().peekable();
-    let mut fields = HashMap::new();
+    let mut fields = Fields::new();
 
     fn skip_ws(chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>) {
         while matches!(chars.peek(), Some((_, c)) if c.is_ascii_whitespace()) {
@@ -164,7 +170,7 @@ pub(crate) fn parse_flat_object(line: &str) -> Result<HashMap<String, Value>, St
     Ok(fields)
 }
 
-pub(crate) fn number(fields: &HashMap<String, Value>, key: &str) -> Result<Option<f64>, String> {
+pub(crate) fn number(fields: &Fields, key: &str) -> Result<Option<f64>, String> {
     match fields.get(key) {
         None | Some(Value::Null) => Ok(None),
         // Rust's f64 parser accepts "inf"/"NaN", and a valid-JSON 1e999
@@ -190,10 +196,7 @@ fn non_negative(value: f64, key: &str) -> Result<f64, String> {
     }
 }
 
-pub(crate) fn string<'a>(
-    fields: &'a HashMap<String, Value>,
-    key: &str,
-) -> Result<Option<&'a str>, String> {
+pub(crate) fn string<'a>(fields: &'a Fields, key: &str) -> Result<Option<&'a str>, String> {
     match fields.get(key) {
         None | Some(Value::Null) => Ok(None),
         Some(Value::String(s)) => Ok(Some(s)),
@@ -237,9 +240,7 @@ pub fn parse_tenant_request(line: &str) -> Result<(Option<String>, PlacementRequ
 /// The request grammar over already-parsed fields — shared by
 /// [`parse_request`], [`parse_tenant_request`], and the admission journal
 /// codec.
-pub(crate) fn request_from_fields(
-    fields: &HashMap<String, Value>,
-) -> Result<PlacementRequest, String> {
+pub(crate) fn request_from_fields(fields: &Fields) -> Result<PlacementRequest, String> {
     let id = number(fields, "id")?.ok_or("missing required field: id")?;
     // Ids ride through an f64 (the JSON number type), which is exact only
     // up to 2^53; a larger id would silently round, answering the client
@@ -400,16 +401,10 @@ pub(crate) fn json_number(value: f64) -> String {
     }
 }
 
-/// Escape a string for embedding in a JSON value position. Public because
-/// it is the workspace's one JSON string writer (compat `serde` is a no-op):
-/// `waterwise-lint` builds its machine-readable report from it too.
-///
-/// ```
-/// use waterwise_service::wire::json_string;
-///
-/// assert_eq!(json_string("a\"b\n"), r#""a\"b\n""#);
-/// ```
-pub fn json_string(value: &str) -> String {
+/// Escape a string for embedding in a JSON value position: the workspace's
+/// one JSON string writer (compat `serde` is a no-op), shared by the wire
+/// protocol and the admission journal.
+pub(crate) fn json_string(value: &str) -> String {
     let mut out = String::with_capacity(value.len() + 2);
     out.push('"');
     for c in value.chars() {

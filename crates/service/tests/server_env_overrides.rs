@@ -2,6 +2,11 @@
 //! override, or a `--scenario` with no path, is an operator error (exit
 //! status 2, stderr names the culprit), never a silently applied default.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "DET002: the wall clock only bounds how long a test waits for the server to exit; it never reaches a schedule"
+)]
+
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -42,6 +47,11 @@ fn unparsable_overrides_fail_startup_naming_the_variable() {
     let with_journal = [("WATERWISE_JOURNAL_PATH", journal.as_str())];
     for (key, value, context) in [
         ("WATERWISE_TENANT_QUOTA", "6x4", &[][..]),
+        // Each parses, but names no usable count: a zero quota, quantum or
+        // concurrency is rejected, not raised to 1.
+        ("WATERWISE_TENANT_QUOTA", "0", &[]),
+        ("WATERWISE_DRR_QUANTUM", "0", &[]),
+        ("WATERWISE_MULTI_SESSION", "0", &[]),
         ("WATERWISE_CLOCK", "real-time:abc", &[]),
         ("WATERWISE_CLOCK", "sometimes", &[]),
         // Parses as a number, but no clock runs at that scale: the spec's

@@ -1,6 +1,11 @@
 //! Journal-driven host helpers shared by the restart-identity battery and
 //! the `server_resume` golden test (which includes this file by path).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "DET002: the wall clock only bounds how long a test waits for the journal; it never reaches a schedule"
+)]
+
 use std::fs;
 use std::path::Path;
 use std::time::{Duration, Instant};

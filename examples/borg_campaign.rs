@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Set `WATERWISE_DAYS` to lengthen the trace (default 0.1 days); a value
-//! that does not parse exits 2.
+//! that is not a finite number of days > 0 exits 2.
 
 use waterwise::core::{Campaign, CampaignConfig, SchedulerKind};
 use waterwise::telemetry::ALL_REGIONS;
@@ -18,8 +18,9 @@ fn main() {
         Some(raw) => raw
             .to_str()
             .and_then(|v| v.parse().ok())
+            .filter(|days: &f64| days.is_finite() && *days > 0.0)
             .unwrap_or_else(|| {
-                eprintln!("invalid WATERWISE_DAYS: cannot parse {raw:?}");
+                eprintln!("invalid WATERWISE_DAYS: {raw:?} is not a finite number of days > 0");
                 std::process::exit(2);
             }),
     };
