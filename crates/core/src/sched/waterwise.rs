@@ -120,8 +120,7 @@ impl WaterWiseConfig {
     }
 }
 
-/// Statistics the controller keeps about its own solves (exposed for the
-/// overhead experiment, Fig. 13).
+/// Statistics the controller keeps about its own solves.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SolveStats {
     /// Rounds in which the assignment problem of Eq. 8–11 was decided.
@@ -144,12 +143,15 @@ pub struct SolveStats {
     pub warm: WarmStats,
     /// Wall-clock seconds spent preparing the round's numerics (footprint
     /// totals, Eq. 7 maxima, objective coefficients, latency ratios) ahead
-    /// of the solves.
-    /// A timing measurement, not deterministic work: it varies run to run.
+    /// of the solves, estimated from every 16th round (the first, the
+    /// 17th, …): their sum scaled by `rounds` over the rounds timed, 0.0
+    /// before any round. A timing measurement, not deterministic work: it
+    /// varies run to run. Only the perf ledger reads it.
     pub prepare_seconds: f64,
-    /// Wall-clock seconds spent building and solving the MILPs, including
-    /// the soft-constrained fallback when it engages. Timing, like
-    /// [`SolveStats::prepare_seconds`].
+    /// Wall-clock seconds spent deciding the assignments — certificate,
+    /// kernel, or building and solving the MILPs, the soft-constrained
+    /// fallback included when it engages — estimated from the same rounds
+    /// as [`SolveStats::prepare_seconds`], and timing like it.
     pub solve_seconds: f64,
 }
 
@@ -231,10 +233,10 @@ impl RoundNumerics {
 }
 
 /// Every list a round works on, kept by the scheduler so that a round
-/// allocates nothing but the `Vec<Assignment>` it returns: `schedule` takes
-/// it, each step overwrites its own lists — the history terms only when their
-/// key has changed, as they are a pure function of it — and `schedule` puts
-/// it back. No decision depends on an earlier one.
+/// allocates nothing but the `Vec<Assignment>` it returns: `schedule` lends
+/// it to the round in place, and each step overwrites its own lists — the
+/// history terms only when their key has changed, as they are a pure
+/// function of it. No decision depends on an earlier one.
 #[derive(Default)]
 struct RoundScratch {
     /// Per region, in `ctx.regions` order: its name, free slots, conditions
@@ -486,19 +488,75 @@ pub type SolutionCacheHandle = Arc<SolutionCache>;
 /// assert!(scheduler.config().warm_start);
 /// ```
 pub struct WaterWiseScheduler {
-    provider: Arc<dyn ConditionsProvider>,
-    estimator: FootprintEstimator,
-    config: WaterWiseConfig,
-    stats: SolveStats,
-    /// Reusable solver allocations + warm-start accounting; persists across
-    /// scheduling rounds because the engine reuses the scheduler instance.
-    workspace: SolverWorkspace,
-    /// The round's working lists, reused for the same reason. Every round
+    controller: Controller,
+    /// The round's working lists, kept apart from the controller so that a
+    /// round borrows both in place. Every round
     /// overwrites what it reads, except the history terms, which it keeps
     /// only when their key (hour and regions) is the one they were computed
     /// for — and they are a pure function of that key. So no decision
     /// depends on an earlier one (`memoised_history_decides_as_recomputed`).
     scratch: RoundScratch,
+}
+
+/// Everything of the scheduler but its round's working lists: what a round
+/// reads, and what it counts in.
+struct Controller {
+    provider: Arc<dyn ConditionsProvider>,
+    estimator: FootprintEstimator,
+    config: WaterWiseConfig,
+    stats: SolveStats,
+    /// The phase timings of the rounds that were timed.
+    phases: PhaseSamples,
+    /// Reusable solver allocations + warm-start accounting; persists across
+    /// scheduling rounds because the engine reuses the scheduler instance.
+    workspace: SolverWorkspace,
+}
+
+/// One round in this many has its two phases timed, starting with the
+/// first: a clock read costs about 3 % of a median Borg round, so timing
+/// both phases of every round would cost about a tenth of it.
+const PHASE_SAMPLE_STRIDE: usize = 16;
+
+/// The rounds whose phases were timed, and the sums of their timings.
+#[derive(Default)]
+struct PhaseSamples {
+    rounds: usize,
+    prepare_seconds: f64,
+    solve_seconds: f64,
+}
+
+impl PhaseSamples {
+    /// Whether the `round`-th round (from 1) is timed.
+    fn times(round: usize) -> bool {
+        (round - 1).is_multiple_of(PHASE_SAMPLE_STRIDE)
+    }
+
+    /// Add a timed round's three clock reads: prepare start, the
+    /// prepare/solve boundary, solve end.
+    fn record(&mut self, [start, boundary, end]: [Instant; 3]) {
+        self.rounds += 1;
+        self.prepare_seconds += (boundary - start).as_secs_f64();
+        self.solve_seconds += (end - boundary).as_secs_f64();
+    }
+
+    /// The two sums scaled from the timed rounds to all `rounds`: 0.0 each
+    /// when no round was timed.
+    fn estimate(&self, rounds: usize) -> (f64, f64) {
+        if self.rounds == 0 {
+            return (0.0, 0.0);
+        }
+        let scale = rounds as f64 / self.rounds as f64;
+        (self.prepare_seconds * scale, self.solve_seconds * scale)
+    }
+}
+
+/// A reading of the phase clock.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "DET002: SolveStats phase timing; scrubbed from schedules by without_wall_clock"
+)]
+fn phase_clock() -> Instant {
+    Instant::now()
 }
 
 impl WaterWiseScheduler {
@@ -512,12 +570,16 @@ impl WaterWiseScheduler {
         estimator: FootprintEstimator,
         config: WaterWiseConfig,
     ) -> Self {
-        Self {
+        let controller = Controller {
             provider,
             estimator,
             config,
             stats: SolveStats::default(),
+            phases: PhaseSamples::default(),
             workspace: SolverWorkspace::new(),
+        };
+        Self {
+            controller,
             scratch: RoundScratch::default(),
         }
     }
@@ -533,7 +595,13 @@ impl WaterWiseScheduler {
 
     /// Solver statistics accumulated so far.
     pub fn stats(&self) -> SolveStats {
-        self.stats
+        let Controller { stats, phases, .. } = &self.controller;
+        let (prepare_seconds, solve_seconds) = phases.estimate(stats.rounds);
+        SolveStats {
+            prepare_seconds,
+            solve_seconds,
+            ..*stats
+        }
     }
 
     /// Does nothing: there is no solution cache, and `cache` is dropped.
@@ -543,7 +611,42 @@ impl WaterWiseScheduler {
 
     /// The configuration in use.
     pub fn config(&self) -> &WaterWiseConfig {
-        &self.config
+        &self.controller.config
+    }
+}
+
+impl Controller {
+    /// Decide one round whose pool is not empty and whose regions have a
+    /// free slot, in `round`'s lists.
+    fn decide(&mut self, ctx: &SchedulingContext<'_>, round: &mut RoundScratch) -> Vec<Assignment> {
+        self.stats.rounds += 1;
+        let timed = PhaseSamples::times(self.stats.rounds);
+        let views = ctx.regions.iter();
+        round.regions.clear();
+        round.regions.extend(views.clone().map(|v| v.region));
+        round.capacities.clear();
+        let free = views.map(|v| v.remaining_capacity());
+        round.capacities.extend(free);
+        self.slack_select(ctx, round);
+        // Eq. 7/8's per-job numerics, over the round's history terms.
+        self.history_terms(ctx, round);
+        let start = timed.then(phase_clock);
+        self.prepare_numerics(ctx, round);
+        // Hard-constrained solve first; soften on infeasibility
+        // (Algorithm 1, lines 8–11). The fallback reuses the numerics.
+        let boundary = timed.then(phase_clock);
+        round.modelled = false;
+        let hard = self.solve_assignment(ctx, round, None);
+        let assignments = hard.unwrap_or_else(|| {
+            self.stats.soft_fallbacks += 1;
+            let sigma = Some(self.config.soft_penalty);
+            self.solve_assignment(ctx, round, sigma).unwrap_or_default()
+        });
+        self.stats.certified_rounds += usize::from(!round.modelled);
+        if let (Some(start), Some(boundary)) = (start, boundary) {
+            self.phases.record([start, boundary, phase_clock()]);
+        }
+        assignments
     }
 
     /// Urgency score of Eq. 14 (smaller = more urgent):
@@ -610,9 +713,7 @@ impl WaterWiseScheduler {
         } = prices;
         let (n_regions, n_jobs) = (regions.len(), selected.len());
         // Per round. Every job of the round is estimated at `ctx.now`.
-        let lookup = |&region: &Region| self.provider.conditions(region, ctx.now);
-        conditions.clear();
-        conditions.extend(regions.iter().map(lookup));
+        self.provider.conditions_of(regions, ctx.now, conditions);
         let history_term = |&(carbon_ref, water_ref): &(f64, f64)| {
             weights.lambda_ref * (weights.lambda_co2 * carbon_ref + weights.lambda_h2o * water_ref)
         };
@@ -839,53 +940,25 @@ impl Scheduler for WaterWiseScheduler {
             // No job, or (no region, none free) nothing can start this round.
             return SchedulingDecision::defer_all();
         }
-        self.stats.rounds += 1;
-        let mut round = std::mem::take(&mut self.scratch);
-        let views = ctx.regions.iter();
-        round.regions.clear();
-        round.regions.extend(views.clone().map(|v| v.region));
-        round.capacities.clear();
-        let free = views.map(|v| v.remaining_capacity());
-        round.capacities.extend(free);
-        self.slack_select(ctx, &mut round);
-        // Eq. 7/8's per-job numerics, over the round's history terms.
-        self.history_terms(ctx, &mut round);
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "DET002: prepare_seconds timing capture; scrubbed from schedules by without_wall_clock"
-        )]
-        let prepare_start = Instant::now();
-        self.prepare_numerics(ctx, &mut round);
-        self.stats.prepare_seconds += prepare_start.elapsed().as_secs_f64();
-        // Hard-constrained solve first; soften on infeasibility
-        // (Algorithm 1, lines 8–11). The fallback reuses the numerics.
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "DET002: solve_seconds timing capture; scrubbed from schedules by without_wall_clock"
-        )]
-        let solve_start = Instant::now();
-        round.modelled = false;
-        let hard = self.solve_assignment(ctx, &mut round, None);
-        let assignments = hard.unwrap_or_else(|| {
-            self.stats.soft_fallbacks += 1;
-            let sigma = Some(self.config.soft_penalty);
-            self.solve_assignment(ctx, &mut round, sigma)
-                .unwrap_or_default()
-        });
-        self.stats.certified_rounds += usize::from(!round.modelled);
-        self.stats.solve_seconds += solve_start.elapsed().as_secs_f64();
-        self.scratch = round;
+        let Self {
+            controller,
+            scratch,
+        } = self;
+        let assignments = controller.decide(ctx, scratch);
         SchedulingDecision { assignments }
     }
 
     fn solver_activity(&self) -> Option<SolverActivity> {
-        let warm = self.workspace.stats();
+        let Controller {
+            stats, workspace, ..
+        } = &self.controller;
+        let warm = workspace.stats();
         Some(SolverActivity {
             solves: warm.cold_solves + warm.warm_solves,
             warm_solves: warm.warm_solves,
             simplex_pivots: warm.cold_pivots + warm.warm_pivots,
             warm_pivots: warm.warm_pivots,
-            nodes: self.stats.nodes,
+            nodes: stats.nodes,
             // The cache, dual-restart and bound-flip counters: always 0.
             ..SolverActivity::default()
         })
@@ -1337,6 +1410,40 @@ mod tests {
         let stats = sched.stats();
         assert!(stats.prepare_seconds > 0.0, "prepare phase was never timed");
         assert!(stats.solve_seconds > 0.0, "solve phase was never timed");
+    }
+
+    #[test]
+    fn one_round_in_the_stride_is_timed_and_the_sums_scale_to_all() {
+        let fixture = context_fixture(10, 17);
+        let mut sched = scheduler();
+        for round in 0..40 {
+            let ctx = ctx_from(&fixture, 6.0 + round as f64 / 60.0, 0.5);
+            sched.schedule(&ctx);
+        }
+        let stats = sched.stats();
+        assert_eq!(stats.rounds, 40);
+        // ⌈40 / 16⌉: rounds 1, 17 and 33.
+        assert_eq!(PHASE_SAMPLE_STRIDE, 16);
+        assert_eq!(sched.controller.phases.rounds, 3);
+        for seconds in [stats.prepare_seconds, stats.solve_seconds] {
+            assert!(seconds.is_finite() && seconds > 0.0, "{seconds}");
+        }
+        // A scheduler that never decided a round reports zeros, not NaN.
+        let mut idle = scheduler();
+        let empty = ContextFixture {
+            pending: Vec::new(),
+            ..context_fixture(1, 17)
+        };
+        idle.schedule(&ctx_from(&empty, 6.0, 0.5));
+        let stats = idle.stats();
+        assert_eq!(stats.rounds, 0);
+        assert_eq!(
+            (
+                stats.prepare_seconds.to_bits(),
+                stats.solve_seconds.to_bits()
+            ),
+            (0, 0)
+        );
     }
 
     #[test]
@@ -2072,7 +2179,7 @@ mod tests {
     }
 
     /// The round's numerics priced job by job, the reference
-    /// [`WaterWiseScheduler::prepare_numerics`] is held to:
+    /// [`Controller::prepare_numerics`] is held to:
     /// [`candidate_footprints`], the per-job [`Normalizer`], the history term
     /// added on, `transfer_time / exec`.
     fn reference_numerics(
@@ -2083,13 +2190,18 @@ mod tests {
     ) -> RoundNumerics {
         use crate::objective::{candidate_footprints, Normalizer};
         let regions: Vec<Region> = ctx.regions.iter().map(|v| v.region).collect();
-        let weights = &sched.config.weights;
+        let Controller {
+            provider,
+            estimator,
+            config,
+            ..
+        } = &sched.controller;
+        let weights = &config.weights;
         let mut batch = RoundNumerics::default();
         batch.reset(regions.len());
         for job in selected.iter().map(|&i| &ctx.pending[i]) {
-            let provider = sched.provider.as_ref();
             let candidates =
-                candidate_footprints(job, &regions, provider, &sched.estimator, ctx.now);
+                candidate_footprints(job, &regions, provider.as_ref(), estimator, ctx.now);
             let normalizer = Normalizer::from_candidates(&candidates);
             let exec = job.spec.estimated_execution_time.value().max(1.0);
             for (candidate, &(carbon_ref, water_ref)) in candidates.iter().zip(history) {

@@ -26,6 +26,16 @@ pub trait ConditionsProvider: Send + Sync {
     /// Conditions (CI, EWIF, WUE, WSF) of `region` at simulation time `at`.
     fn conditions(&self, region: Region, at: Seconds) -> RegionConditions;
 
+    /// The conditions of each of `regions` at `at`, in order, written over
+    /// `out`: to the bit what [`ConditionsProvider::conditions`] returns for
+    /// each. The default asks `conditions` once per region, so a wrapper
+    /// that overrides `conditions` alone still sees every lookup; an
+    /// override may share the work the regions have in common.
+    fn conditions_of(&self, regions: &[Region], at: Seconds, out: &mut Vec<RegionConditions>) {
+        out.clear();
+        out.extend(regions.iter().map(|&region| self.conditions(region, at)));
+    }
+
     /// The water scarcity factor of a region (time-invariant in the paper).
     fn wsf(&self, region: Region) -> WaterScarcityFactor {
         self.conditions(region, Seconds::zero()).wsf
@@ -203,13 +213,18 @@ impl SyntheticTelemetry {
     }
 }
 
-impl ConditionsProvider for SyntheticTelemetry {
-    // One hour index for the three reads, wrapped once: the series share
-    // one length (`generate` asserts it), so it is the sample each series'
-    // `at` would read (`conditions_read_each_series_at_the_instant`).
-    fn conditions(&self, region: Region, at: Seconds) -> RegionConditions {
+impl SyntheticTelemetry {
+    /// The index of the hour that contains `at`, wrapped once for all three
+    /// series: they share one length (`generate` asserts it), so it is the
+    /// sample each series' `at` would read
+    /// (`conditions_read_each_series_at_the_instant`).
+    fn wrapped_hour(&self, at: Seconds) -> usize {
+        HourlySeries::hour_of(at) % self.hours
+    }
+
+    /// `region`'s conditions at a wrapped hour index.
+    fn conditions_at_hour(&self, region: Region, hour: usize) -> RegionConditions {
         let r = &self.regions[region.index()];
-        let hour = HourlySeries::hour_of(at) % self.hours;
         let ewif = match self.config.dataset {
             EwifDataset::Primary => &r.grid.ewif_primary,
             EwifDataset::WorldResourcesInstitute => &r.grid.ewif_wri,
@@ -220,6 +235,23 @@ impl ConditionsProvider for SyntheticTelemetry {
             wue: WaterUsageEffectiveness::new(r.wue.values()[hour]),
             wsf: r.wsf,
         }
+    }
+}
+
+impl ConditionsProvider for SyntheticTelemetry {
+    fn conditions(&self, region: Region, at: Seconds) -> RegionConditions {
+        self.conditions_at_hour(region, self.wrapped_hour(at))
+    }
+
+    // One hour index for every region (`conditions_of_is_conditions_per_region`).
+    fn conditions_of(&self, regions: &[Region], at: Seconds, out: &mut Vec<RegionConditions>) {
+        let hour = self.wrapped_hour(at);
+        out.clear();
+        out.extend(
+            regions
+                .iter()
+                .map(|&region| self.conditions_at_hour(region, hour)),
+        );
     }
 
     // The two trailing means read their own series only — one read per
@@ -267,6 +299,10 @@ impl<P: ConditionsProvider + ?Sized> ConditionsProvider for Arc<P> {
 
     // Forwarded, not defaulted: behind an `Arc` — how every scheduler and the
     // simulator hold a provider — the defaults would shadow `P`'s overrides.
+    fn conditions_of(&self, regions: &[Region], at: Seconds, out: &mut Vec<RegionConditions>) {
+        (**self).conditions_of(regions, at, out)
+    }
+
     fn wsf(&self, region: Region) -> WaterScarcityFactor {
         (**self).wsf(region)
     }
@@ -543,15 +579,6 @@ mod tests {
             for region in ALL_REGIONS {
                 for at in edge_instants().into_iter().chain(wrapping) {
                     let read = telemetry.conditions(region, at);
-                    let bits = |c: RegionConditions| {
-                        [
-                            c.carbon_intensity.value(),
-                            c.ewif.value(),
-                            c.wue.value(),
-                            c.wsf.value(),
-                        ]
-                        .map(f64::to_bits)
-                    };
                     let per_series = RegionConditions {
                         carbon_intensity: CarbonIntensity::new(
                             telemetry.carbon_series(region).at(at),
@@ -561,13 +588,125 @@ mod tests {
                         wsf: region.profile().wsf,
                     };
                     assert_eq!(
-                        bits(read),
-                        bits(per_series),
+                        bits(&read),
+                        bits(&per_series),
                         "{dataset:?} {region} at {} s",
                         at.value()
                     );
                 }
             }
+        }
+    }
+
+    /// The four components of `conditions`, as bits.
+    fn bits(c: &RegionConditions) -> [u64; 4] {
+        [
+            c.carbon_intensity.value(),
+            c.ewif.value(),
+            c.wue.value(),
+            c.wsf.value(),
+        ]
+        .map(f64::to_bits)
+    }
+
+    /// Whether `provider.conditions_of(regions, at)` is, to the bit, its
+    /// `conditions` per region, written over whatever `out` held before.
+    fn conditions_of_is_per_region(
+        provider: &dyn ConditionsProvider,
+        regions: &[Region],
+        at: Seconds,
+    ) -> bool {
+        let stale = provider.conditions(Region::Mumbai, Seconds::from_hours(7.0));
+        let mut out = vec![stale; 3];
+        provider.conditions_of(regions, at, &mut out);
+        let per_region = regions
+            .iter()
+            .map(|&region| provider.conditions(region, at));
+        out.len() == regions.len() && out.iter().zip(per_region).all(|(a, b)| bits(a) == bits(&b))
+    }
+
+    /// A wrapper that counts its `conditions` calls and overrides nothing
+    /// else, as a counting wrapper would.
+    struct Counting<P> {
+        inner: P,
+        calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl<P: ConditionsProvider> ConditionsProvider for Counting<P> {
+        fn conditions(&self, region: Region, at: Seconds) -> RegionConditions {
+            self.calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.conditions(region, at)
+        }
+    }
+
+    #[test]
+    fn conditions_of_is_conditions_per_region() {
+        let hour = 3600.0_f64;
+        // On, just below and past hour boundaries, beyond the two-day
+        // horizon (the wrap), and before time zero.
+        let mut instants = edge_instants().to_vec();
+        instants.extend(
+            [
+                hour,
+                hour.next_down(),
+                48.0 * hour,
+                (48.0 * hour).next_down(),
+                (48.0 * hour).next_up(),
+                97.5 * hour,
+                1e12,
+                -0.0,
+                -1.0,
+                -hour,
+                -1e12,
+            ]
+            .map(Seconds::new),
+        );
+        let region_lists: [&[Region]; 4] = [
+            &ALL_REGIONS,
+            &[Region::Milan],
+            &[Region::Zurich, Region::Oregon, Region::Zurich],
+            &[],
+        ];
+        for dataset in [EwifDataset::Primary, EwifDataset::WorldResourcesInstitute] {
+            let telemetry = SyntheticTelemetry::generate(TelemetryConfig {
+                seed: 19,
+                horizon_days: 2,
+                dataset,
+                ..TelemetryConfig::default()
+            });
+            let constant = ConstantConditions::from_profiles(dataset, &CoolingModel::default());
+            let perturbed = PerturbedProvider::new(telemetry.clone(), 1.1, 0.9);
+            let shared = telemetry.clone().shared();
+            let dynamic: Arc<dyn ConditionsProvider> = shared.clone();
+            let providers: [&dyn ConditionsProvider; 5] =
+                [&telemetry, &constant, &perturbed, &shared, &dynamic];
+            for (provider, regions, &at) in providers
+                .iter()
+                .flat_map(|&p| region_lists.iter().map(move |&r| (p, r)))
+                .flat_map(|(p, r)| instants.iter().map(move |at| (p, r, at)))
+            {
+                assert!(
+                    conditions_of_is_per_region(provider, regions, at),
+                    "{dataset:?} {regions:?} at {} s",
+                    at.value()
+                );
+            }
+        }
+        // A wrapper of `conditions` alone sees one call per region, also
+        // behind an `Arc`.
+        let counting = Arc::new(Counting {
+            inner: SyntheticTelemetry::with_seed(19),
+            calls: Default::default(),
+        });
+        let dynamic: Arc<dyn ConditionsProvider> = counting.clone();
+        let mut out = Vec::new();
+        for (n, regions) in region_lists.into_iter().enumerate() {
+            let before = counting.calls.load(std::sync::atomic::Ordering::Relaxed);
+            let provider: &dyn ConditionsProvider = if n % 2 == 0 { &counting } else { &dynamic };
+            provider.conditions_of(regions, Seconds::from_hours(5.5), &mut out);
+            let calls = counting.calls.load(std::sync::atomic::Ordering::Relaxed) - before;
+            assert_eq!(calls, regions.len(), "{regions:?}");
         }
     }
 
@@ -671,6 +810,9 @@ mod tests {
                     wsf: WaterScarcityFactor::new(0.25),
                 }
             }
+            fn conditions_of(&self, _: &[Region], _: Seconds, out: &mut Vec<RegionConditions>) {
+                out.clear();
+            }
             fn wsf(&self, _: Region) -> WaterScarcityFactor {
                 WaterScarcityFactor::new(0.75)
             }
@@ -684,6 +826,9 @@ mod tests {
         let shared: Arc<dyn ConditionsProvider> = Arc::new(Overrides);
         let at = Seconds::from_hours(5.0);
         assert_eq!(shared.conditions(Region::Milan, at).wsf.value(), 0.25);
+        let mut out = Vec::new();
+        shared.conditions_of(&[Region::Milan], at, &mut out);
+        assert!(out.is_empty(), "the default of conditions_of was reached");
         assert_eq!(shared.wsf(Region::Milan).value(), 0.75);
         assert_eq!(shared.trailing_carbon(Region::Milan, at, 10).value(), -2.0);
         assert_eq!(

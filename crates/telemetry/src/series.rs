@@ -53,7 +53,10 @@ impl HourlySeries {
     /// hour 0): what [`HourlySeries::at`] reads at, so that several series
     /// of one clock can be read at one instant by computing it once.
     pub fn hour_of(time: Seconds) -> usize {
-        (time.value().max(0.0) / 3600.0).floor() as usize
+        // The quotient is never negative (NaN clamps to 0 too), and there
+        // `as` — which truncates and saturates — is `floor` without its libm
+        // call (`hour_of_is_the_floored_quotient`).
+        (time.value().max(0.0) / 3600.0) as usize
     }
 
     /// Sample at a simulation time, using the hour that contains it
@@ -156,5 +159,83 @@ mod tests {
     #[should_panic]
     fn empty_series_panics() {
         HourlySeries::new(vec![]);
+    }
+
+    /// What `hour_of` computed with `floor`: the reference it is held to.
+    fn floored_hour(time: f64) -> usize {
+        (time.max(0.0) / 3600.0).floor() as usize
+    }
+
+    #[test]
+    fn hour_of_is_the_floored_quotient_at_the_edges() {
+        let hour = 3600.0_f64;
+        let mut edges = vec![
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE.next_down(),
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+            1.0,
+            hour.next_down(),
+        ];
+        // Exact multiples of an hour and their neighbours, up to where the
+        // index saturates and past it.
+        for k in [
+            1.0,
+            2.0,
+            3.0,
+            24.0,
+            48.0,
+            1e6,
+            2f64.powi(52),
+            2f64.powi(64),
+            1e300,
+        ] {
+            let at = k * hour;
+            edges.extend([at, at.next_down(), at.next_up(), -at]);
+        }
+        for time in edges {
+            assert_eq!(
+                HourlySeries::hour_of(Seconds::new(time)),
+                floored_hour(time),
+                "{time:e} ({:#018x})",
+                time.to_bits()
+            );
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every exponent of both signs — subnormals, NaNs and infinities
+        /// included — with drawn mantissas.
+        #[test]
+        fn hour_of_is_the_floored_quotient(
+            mantissas in prop::collection::vec(0u64..1 << 52, 1..8),
+        ) {
+            for sign in [0u64, 1 << 63] {
+                for exponent in 0u64..2048 {
+                    for &mantissa in &mantissas {
+                        let time = f64::from_bits(sign | exponent << 52 | mantissa);
+                        prop_assert_eq!(
+                            HourlySeries::hour_of(Seconds::new(time)),
+                            floored_hour(time),
+                            "{:e} ({:#018x})",
+                            time,
+                            time.to_bits()
+                        );
+                    }
+                }
+            }
+        }
     }
 }
