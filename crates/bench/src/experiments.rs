@@ -2,7 +2,8 @@
 //! prints so that integration tests can assert on the numbers.
 
 use crate::table::{fmt2, pct, Table};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
+use waterwise_core::scenario::default_spec_path;
 use waterwise_core::{
     Campaign, CampaignConfig, ObjectiveWeights, Parallelism, Scenario, ScenarioError, SchedulerKind,
 };
@@ -21,15 +22,24 @@ pub struct ExperimentScale {
     pub seed: u64,
 }
 
+/// The spec-key overrides the bench binaries honor: `WATERWISE_DAYS` and
+/// `WATERWISE_SEED` rescale every campaign (see
+/// [`Scenario::apply_env`]).
+pub const SCALE_OVERRIDES: [&str; 2] = ["WATERWISE_DAYS", "WATERWISE_SEED"];
+
 impl ExperimentScale {
-    /// Read the scale from the environment. A variable that is set but does
-    /// not parse exits the process with status 2, naming it and its value.
+    /// Read the scale from the environment, through the `days` and `seed`
+    /// keys' rules. A variable that is set but refused exits the process
+    /// with status 2, naming it and its value.
     pub fn from_env() -> Self {
         let defaults = Self::default();
-        let (days, seed) = env_scale();
+        let mut scale = Scenario::paper_default("scale", defaults.days, defaults.seed);
+        scale
+            .apply_env(&SCALE_OVERRIDES)
+            .unwrap_or_else(|err| err.exit());
         Self {
-            days: days.unwrap_or(defaults.days).max(0.01),
-            seed: seed.unwrap_or(defaults.seed),
+            days: scale.days,
+            seed: scale.seed,
         }
     }
 
@@ -56,30 +66,6 @@ pub fn print_tables(tables: &[Table]) {
     }
 }
 
-/// The `WATERWISE_DAYS` / `WATERWISE_SEED` overrides, `None` where unset.
-/// A variable that is set but does not parse, or days that break the spec's
-/// `days` rule (finite and > 0), is a startup error: the process exits with
-/// status 2 naming the variable and its value, rather than silently running
-/// the full-scale suite or a clamped one.
-fn env_scale() -> (Option<f64>, Option<u64>) {
-    fn env_opt<T: std::str::FromStr>(key: &str) -> Option<T> {
-        let raw = std::env::var_os(key)?;
-        match raw.to_str().and_then(|value| value.parse().ok()) {
-            Some(value) => Some(value),
-            None => {
-                eprintln!("invalid {key}: cannot parse {raw:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let days = env_opt::<f64>("WATERWISE_DAYS");
-    if let Some(days) = days.filter(|days| !(days.is_finite() && *days > 0.0)) {
-        eprintln!("invalid WATERWISE_DAYS: {days} is not a finite number of days > 0");
-        std::process::exit(2);
-    }
-    (days, env_opt("WATERWISE_SEED"))
-}
-
 fn tolerance_label(t: f64) -> String {
     format!("{:.0}%", t * 100.0)
 }
@@ -88,81 +74,31 @@ fn tolerance_label(t: f64) -> String {
 // Declarative scenarios (scenarios/*.spec)
 // ---------------------------------------------------------------------------
 
-/// Directory holding the repo's scenario spec files: `WATERWISE_SCENARIO_DIR`
-/// if set, else the workspace-level `scenarios/` directory.
-pub fn scenario_dir() -> PathBuf {
-    std::env::var_os("WATERWISE_SCENARIO_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("..")
-                .join("..")
-                .join("scenarios")
-        })
-}
-
-/// Path of the named scenario's spec file inside [`scenario_dir`].
+/// Path of the named scenario's spec file: `<name>.spec` under
+/// `WATERWISE_SCENARIO_DIR`, else under the workspace `scenarios/`
+/// directory.
 pub fn scenario_spec_path(name: &str) -> PathBuf {
-    scenario_dir().join(format!("{name}.spec"))
+    default_spec_path(name).unwrap_or_else(|err| err.exit())
 }
 
-/// Load the named scenario from [`scenario_dir`], then apply the
-/// `WATERWISE_DAYS` / `WATERWISE_SEED` environment overrides when they are
-/// explicitly set (CI smoke runs rescale every campaign this way).
+/// Load the named scenario from its [`scenario_spec_path`], then apply the
+/// [`SCALE_OVERRIDES`] that are set (CI smoke runs rescale every campaign
+/// this way); one that is refused exits the process with status 2.
 pub fn load_scenario(name: &str) -> Result<Scenario, ScenarioError> {
-    Ok(apply_env_scale(waterwise_core::load_spec(
-        scenario_spec_path(name),
-    )?))
-}
-
-/// Apply explicit `WATERWISE_DAYS` / `WATERWISE_SEED` overrides to a loaded
-/// scenario; unset variables leave the spec untouched, and one that is set
-/// but does not parse exits the process with status 2.
-pub fn apply_env_scale(mut scenario: Scenario) -> Scenario {
-    let (days, seed) = env_scale();
-    if let Some(days) = days {
-        scenario = scenario.with_days(days);
-    }
-    if let Some(seed) = seed {
-        scenario = scenario.with_seed(seed);
-    }
+    let mut scenario = waterwise_core::load_spec(scenario_spec_path(name))?;
     scenario
+        .apply_env(&SCALE_OVERRIDES)
+        .unwrap_or_else(|err| err.exit());
+    Ok(scenario)
 }
 
 /// Resolve a fig binary's scenario: `--scenario <path>` on the command line
 /// (or `WATERWISE_SCENARIO=<path>`) names an explicit spec file; otherwise
-/// the named default under [`scenario_dir`] is loaded. On any read, parse,
-/// or validation failure the process exits with status 2 after printing the
-/// offending `file:line`.
+/// the named default is loaded. On any read, parse, or validation failure
+/// the process exits with status 2 after printing the offending
+/// `file:line`.
 pub fn scenario_or_exit(name: &str) -> Scenario {
-    let path = scenario_cli_path().unwrap_or_else(|| scenario_spec_path(name));
-    match waterwise_core::load_spec(&path) {
-        Ok(scenario) => apply_env_scale(scenario),
-        Err(err) => {
-            eprintln!("{}", err.located(path.display()));
-            std::process::exit(2);
-        }
-    }
-}
-
-/// `--scenario <path>` (or `--scenario=<path>`) from the command line, else
-/// `WATERWISE_SCENARIO` from the environment. A trailing `--scenario` with no
-/// path exits 2.
-fn scenario_cli_path() -> Option<PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--scenario" {
-            let Some(path) = args.next() else {
-                eprintln!("--scenario needs a path");
-                std::process::exit(2);
-            };
-            return Some(PathBuf::from(path));
-        }
-        if let Some(path) = arg.strip_prefix("--scenario=") {
-            return Some(PathBuf::from(path));
-        }
-    }
-    std::env::var_os("WATERWISE_SCENARIO").map(PathBuf::from)
+    waterwise_core::scenario::load_scenario(name, &SCALE_OVERRIDES).unwrap_or_else(|err| err.exit())
 }
 
 /// Validate every spec file a `run_all` sweep will load, returning the first

@@ -24,8 +24,10 @@
 //! * `WATERWISE_DAYS` — trace length in days (default 0.25; finite and > 0).
 //! * `WATERWISE_SEED` — RNG seed (default 42).
 //!
-//! A variable that is set but does not parse is a startup error: the binary
-//! exits with status 2, naming the variable and its value on stderr.
+//! Both are read through the spec keys they override (`[trace] days`,
+//! `[scenario] seed`; see [`experiments::SCALE_OVERRIDES`]). A value the
+//! key refuses is a startup error: the binary exits with status 2, naming
+//! the variable and its value on stderr.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

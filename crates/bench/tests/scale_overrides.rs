@@ -5,6 +5,8 @@
 
 use std::process::{Command, Stdio};
 use std::time::Duration;
+use waterwise_bench::experiments::SCALE_OVERRIDES;
+use waterwise_core::scenario::KEYS;
 
 /// Run `bin` with `args` and the overrides `env`, and demand exit 2 with
 /// every one of `needles` on stderr. A binary that accepted them would run a
@@ -85,4 +87,11 @@ fn a_scenario_flag_without_a_path_exits_2_naming_the_flag() {
         &[("WATERWISE_DAYS", "0.01")],
         &["--scenario"],
     );
+}
+
+#[test]
+fn every_scale_override_overrides_a_key() {
+    for var in SCALE_OVERRIDES {
+        assert!(KEYS.iter().any(|key| key.env == Some(var)), "{var}");
+    }
 }

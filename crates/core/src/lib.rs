@@ -51,7 +51,7 @@ pub use experiment::{
 };
 pub use objective::{CandidateFootprint, ObjectiveWeights};
 pub use scenario::{
-    load_spec, parse_clock_mode, parse_spec, Scenario, ScenarioError, Snapshot, SnapshotError,
+    load_spec, parse_spec, Scenario, ScenarioError, Snapshot, SnapshotError, StartupError,
 };
 pub use sched::{
     BaselineScheduler, EcovisorScheduler, GreedyObjective, GreedyOptScheduler, LeastLoadScheduler,

@@ -15,14 +15,12 @@
 //! panics), and every error carries the offending line number so callers can
 //! report `path:line: message`.
 
-use crate::experiment::{CampaignConfig, Parallelism};
-use crate::objective::ObjectiveWeights;
+use super::keys::{Key, Rejection, KEYS};
+use crate::experiment::CampaignConfig;
 use std::fmt;
 use std::path::Path;
 use waterwise_cluster::{ClockMode, ConfigError};
 use waterwise_sustain::Seconds;
-use waterwise_telemetry::Region;
-use waterwise_traces::{Benchmark, TraceConfig, TraceKind};
 
 /// One parsed scenario: a named, seeded, ready-to-run [`CampaignConfig`]
 /// plus the service clock mode (which only the online paths consume).
@@ -45,152 +43,66 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Rescale the trace duration (the `WATERWISE_DAYS` override), keeping
-    /// the derived telemetry horizon in sync exactly as
+    /// The paper's default scenario ([`CampaignConfig::paper_default`] at a
+    /// 0.5 delay tolerance, discrete clock): what a spec that sets only the
+    /// required keys parses to.
+    pub fn paper_default(name: &str, days: f64, seed: u64) -> Self {
+        Self {
+            name: name.to_string(),
+            seed,
+            days,
+            clock: ClockMode::Discrete,
+            config: CampaignConfig::paper_default(days, 0.5, seed),
+        }
+    }
+
+    /// Rescale the trace duration (the `days` key and `WATERWISE_DAYS`),
+    /// keeping the derived telemetry horizon in sync exactly as
     /// [`CampaignConfig::paper_default`] would: `max(ceil(days) + 2, 3)`
     /// days. An explicit `horizon_days` from the spec is recomputed too —
     /// the override rescales the whole scenario.
     pub fn with_days(mut self, days: f64) -> Self {
-        let days = days.max(0.01);
+        self.set_days(days);
+        self
+    }
+
+    /// Reseed the scenario (the `seed` key and `WATERWISE_SEED`): trace and
+    /// telemetry seeds both follow.
+    pub fn with_seed(mut self, seed: u64) -> Self {
+        self.set_seed(seed);
+        self
+    }
+
+    pub(super) fn set_days(&mut self, days: f64) {
         self.days = days;
         self.config.trace.duration = Seconds::from_hours(days * 24.0);
         self.config.telemetry.horizon_days = (days.ceil() as usize + 2).max(3);
-        self
     }
 
-    /// Reseed the scenario (the `WATERWISE_SEED` override): trace and
-    /// telemetry seeds both follow.
-    pub fn with_seed(mut self, seed: u64) -> Self {
+    pub(super) fn set_seed(&mut self, seed: u64) {
         self.seed = seed;
         self.config.trace.seed = seed;
         self.config.telemetry.seed = seed;
-        self
     }
 
-    /// Render the scenario back to canonical spec text: every key explicit,
-    /// sections in fixed order, floats in shortest-roundtrip form. Parsing
-    /// the result yields an identical scenario (the property the roundtrip
-    /// tests pin).
+    /// Render the scenario back to canonical spec text: every key of
+    /// [`KEYS`] explicit, in table order, floats in shortest-roundtrip form.
+    /// Parsing the result yields an identical scenario (the property the
+    /// roundtrip tests pin).
     pub fn to_spec(&self) -> String {
-        let c = &self.config;
-        let mut out = String::with_capacity(1024);
-        let mut line = |s: String| {
-            out.push_str(&s);
-            out.push('\n');
-        };
-        line(format!(
-            "# WaterWise scenario `{}` (canonical form)",
-            self.name
-        ));
-        line("[scenario]".into());
-        line(format!("name = {}", self.name));
-        line(format!("seed = {}", self.seed));
-        line(String::new());
-        line("[trace]".into());
-        line(format!(
-            "kind = {}",
-            match c.trace.kind {
-                TraceKind::BorgLike => "borg",
-                TraceKind::AlibabaLike => "alibaba",
+        let mut out = format!("# WaterWise scenario `{}` (canonical form)\n", self.name);
+        let mut section = "";
+        for key in KEYS {
+            if key.section != section {
+                if !section.is_empty() {
+                    out.push('\n');
+                }
+                section = key.section;
+                out += &format!("[{section}]\n");
             }
-        ));
-        line(format!("days = {:?}", self.days));
-        line(format!("rate_multiplier = {:?}", c.trace.rate_multiplier));
-        line(format!(
-            "benchmarks = {}",
-            c.trace
-                .benchmarks
-                .iter()
-                .map(|b| b.name())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        line(format!(
-            "regions = {}",
-            c.simulation
-                .regions
-                .iter()
-                .map(|(r, _)| r.name())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        line(String::new());
-        line("[simulation]".into());
-        line(format!(
-            "servers_per_region = {}",
-            c.simulation.regions.first().map_or(0, |(_, n)| *n)
-        ));
-        line(format!(
-            "delay_tolerance = {:?}",
-            c.simulation.delay_tolerance
-        ));
-        line(format!(
-            "scheduling_interval_s = {:?}",
-            c.simulation.scheduling_interval.value()
-        ));
-        line(format!(
-            "clock = {}",
-            match self.clock {
-                ClockMode::Discrete => "discrete".to_string(),
-                ClockMode::RealTime { scale } => format!("real-time:{scale:?}"),
-            }
-        ));
-        line(format!(
-            "embodied_perturbation = {:?}",
-            c.simulation.embodied_perturbation
-        ));
-        line(String::new());
-        line("[telemetry]".into());
-        line(format!(
-            "dataset = {}",
-            match c.telemetry.dataset {
-                waterwise_sustain::EwifDataset::Primary => "primary",
-                waterwise_sustain::EwifDataset::WorldResourcesInstitute => "wri",
-            }
-        ));
-        line(format!("horizon_days = {}", c.telemetry.horizon_days));
-        line(format!("seed = {}", c.telemetry.seed));
-        line(String::new());
-        line("[objective]".into());
-        line(format!("lambda_co2 = {:?}", c.waterwise.weights.lambda_co2));
-        line(format!("lambda_ref = {:?}", c.waterwise.weights.lambda_ref));
-        line(String::new());
-        line("[waterwise]".into());
-        line(format!("warm_start = {}", c.waterwise.warm_start));
-        line(format!(
-            "horizon = {}",
-            c.waterwise
-                .horizon
-                .map_or("capacity".to_string(), |h| h.to_string())
-        ));
-        line(format!(
-            "history_window_hours = {}",
-            c.waterwise.history_window_hours
-        ));
-        line(format!("soft_penalty = {:?}", c.waterwise.soft_penalty));
-        line(String::new());
-        line("[campaign]".into());
-        line(format!(
-            "parallelism = {}",
-            parallelism_label(c.parallelism)
-        ));
-        line(format!(
-            "estimate_carbon_error = {:?}",
-            c.estimate_carbon_error
-        ));
-        line(format!(
-            "estimate_water_error = {:?}",
-            c.estimate_water_error
-        ));
+            out += &format!("{} = {}\n", key.name, (key.render)(self));
+        }
         out
-    }
-}
-
-fn parallelism_label(p: Parallelism) -> String {
-    match p {
-        Parallelism::Serial => "serial".to_string(),
-        Parallelism::Auto => "auto".to_string(),
-        Parallelism::Threads(n) => format!("threads:{n}"),
     }
 }
 
@@ -357,84 +269,17 @@ pub fn load_spec(path: impl AsRef<Path>) -> Result<Scenario, ScenarioError> {
     parse_spec(&text)
 }
 
-// ---------------------------------------------------------------------------
-// Parser
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Section {
-    Scenario,
-    Trace,
-    Simulation,
-    Telemetry,
-    Objective,
-    WaterWise,
-    Campaign,
-}
-
-impl Section {
-    fn name(self) -> &'static str {
-        match self {
-            Section::Scenario => "scenario",
-            Section::Trace => "trace",
-            Section::Simulation => "simulation",
-            Section::Telemetry => "telemetry",
-            Section::Objective => "objective",
-            Section::WaterWise => "waterwise",
-            Section::Campaign => "campaign",
-        }
-    }
-
-    fn from_name(name: &str) -> Option<Section> {
-        match name {
-            "scenario" => Some(Section::Scenario),
-            "trace" => Some(Section::Trace),
-            "simulation" => Some(Section::Simulation),
-            "telemetry" => Some(Section::Telemetry),
-            "objective" => Some(Section::Objective),
-            "waterwise" => Some(Section::WaterWise),
-            "campaign" => Some(Section::Campaign),
-            _ => None,
-        }
-    }
-}
-
-/// Every optional field of a spec, collected before assembly. Required keys
-/// are checked in [`RawSpec::build`].
-#[derive(Default)]
-struct RawSpec {
-    name: Option<String>,
-    seed: Option<u64>,
-    kind: Option<TraceKind>,
-    days: Option<f64>,
-    rate_multiplier: Option<f64>,
-    benchmarks: Option<Vec<Benchmark>>,
-    regions: Option<Vec<Region>>,
-    servers_per_region: Option<usize>,
-    delay_tolerance: Option<f64>,
-    scheduling_interval_s: Option<f64>,
-    clock: Option<ClockMode>,
-    embodied_perturbation: Option<f64>,
-    dataset: Option<waterwise_sustain::EwifDataset>,
-    horizon_days: Option<usize>,
-    telemetry_seed: Option<u64>,
-    lambda_co2: Option<f64>,
-    lambda_ref: Option<f64>,
-    warm_start: Option<bool>,
-    horizon: Option<Option<usize>>,
-    history_window_hours: Option<usize>,
-    soft_penalty: Option<f64>,
-    campaign_parallelism: Option<Parallelism>,
-    estimate_carbon_error: Option<f64>,
-    estimate_water_error: Option<f64>,
-}
-
 /// Parse spec text into a [`Scenario`]. Strict: every line must be blank, a
 /// comment, a known `[section]` header, or a known `key = value` pair with a
 /// well-formed, in-range value; anything else is a typed [`ScenarioError`].
+/// The values apply in [`KEYS`] order onto [`Scenario::paper_default`].
 pub fn parse_spec(text: &str) -> Result<Scenario, ScenarioError> {
-    let mut raw = RawSpec::default();
-    let mut section: Option<Section> = None;
+    // Each value is checked as it is read, on a scratch scenario, so the
+    // first bad line is the one reported; the accepted values then apply in
+    // table order.
+    let mut scratch = Scenario::paper_default("", 1.0, 0);
+    let mut values: Vec<Option<(&str, usize)>> = vec![None; KEYS.len()];
+    let mut section: Option<&'static str> = None;
     for (idx, full_line) in text.lines().enumerate() {
         let line = idx + 1;
         // `#` starts a comment anywhere on the line; no spec value contains
@@ -457,13 +302,13 @@ pub fn parse_spec(text: &str) -> Result<Scenario, ScenarioError> {
                     message: "empty section header `[]`".to_string(),
                 });
             }
-            section =
-                Some(
-                    Section::from_name(name).ok_or_else(|| ScenarioError::UnknownSection {
-                        line,
-                        section: name.to_string(),
-                    })?,
-                );
+            let Some(known) = KEYS.iter().find(|key| key.section == name) else {
+                return Err(ScenarioError::UnknownSection {
+                    line,
+                    section: name.to_string(),
+                });
+            };
+            section = Some(known.section);
             continue;
         }
         let Some((key, value)) = content.split_once('=') else {
@@ -485,540 +330,64 @@ pub fn parse_spec(text: &str) -> Result<Scenario, ScenarioError> {
                 message: format!("key `{key}` before any `[section]` header"),
             });
         };
-        set_key(&mut raw, section, key, value, line)?;
-    }
-    raw.build()
-}
-
-/// `Some(already_set)` → duplicate-key error; otherwise store.
-fn store<T>(slot: &mut Option<T>, value: T, key: &str, line: usize) -> Result<(), ScenarioError> {
-    if slot.is_some() {
-        return Err(ScenarioError::DuplicateKey {
-            line,
-            key: key.to_string(),
-        });
-    }
-    *slot = Some(value);
-    Ok(())
-}
-
-fn set_key(
-    raw: &mut RawSpec,
-    section: Section,
-    key: &str,
-    value: &str,
-    line: usize,
-) -> Result<(), ScenarioError> {
-    match (section, key) {
-        (Section::Scenario, "name") => store(&mut raw.name, parse_name(value, line)?, key, line),
-        (Section::Scenario, "seed") => {
-            store(&mut raw.seed, parse_u64(value, "seed", line)?, key, line)
+        let Some(index) = KEYS
+            .iter()
+            .position(|k| k.section == section && k.name == key)
+        else {
+            return Err(ScenarioError::UnknownKey {
+                line,
+                section,
+                key: key.to_string(),
+            });
+        };
+        set(&KEYS[index], &mut scratch, value, line)?;
+        if values[index].replace((value, line)).is_some() {
+            return Err(ScenarioError::DuplicateKey {
+                line,
+                key: key.to_string(),
+            });
         }
-        (Section::Trace, "kind") => store(
-            &mut raw.kind,
-            match value {
-                "borg" => TraceKind::BorgLike,
-                "alibaba" => TraceKind::AlibabaLike,
-                other => {
-                    return Err(ScenarioError::InvalidValue {
-                        line,
-                        key: "kind",
-                        message: format!("unknown trace kind `{other}` (borg | alibaba)"),
-                    })
-                }
+    }
+    let mut scenario = Scenario::paper_default("", 1.0, 0);
+    for (key, value) in KEYS.iter().zip(values) {
+        match value {
+            Some((value, line)) => set(key, &mut scenario, value, line)?,
+            None if key.required => {
+                return Err(ScenarioError::MissingKey {
+                    section: key.section,
+                    key: key.name,
+                })
+            }
+            None => {}
+        }
+    }
+    // Cross-field validation through the cluster layer, so its typed
+    // `ConfigError`s (no regions, non-positive interval, ...) surface
+    // unchanged.
+    scenario.config.simulation.validate()?;
+    Ok(scenario)
+}
+
+/// Apply `value` to `key` on `scenario`; a refusal is located at `line`
+/// and reported against the key's grammar.
+fn set(key: &Key, scenario: &mut Scenario, value: &str, line: usize) -> Result<(), ScenarioError> {
+    (key.set)(scenario, value).map_err(|rejection| {
+        let expected = format!("expected {}, got `{value}`", key.grammar);
+        let key = key.name;
+        match rejection {
+            Rejection::Malformed => ScenarioError::InvalidValue {
+                line,
+                key,
+                message: expected,
             },
-            key,
-            line,
-        ),
-        (Section::Trace, "days") => {
-            let days = parse_f64(value, "days", line)?;
-            if days <= 0.0 {
-                return Err(ScenarioError::OutOfRange {
-                    line,
-                    key: "days",
-                    message: format!("trace duration must be positive, got {days}"),
-                });
-            }
-            store(&mut raw.days, days, key, line)
-        }
-        (Section::Trace, "rate_multiplier") => {
-            let rate = parse_f64(value, "rate_multiplier", line)?;
-            if rate <= 0.0 {
-                return Err(ScenarioError::OutOfRange {
-                    line,
-                    key: "rate_multiplier",
-                    message: format!("arrival-rate multiplier must be positive, got {rate}"),
-                });
-            }
-            store(&mut raw.rate_multiplier, rate, key, line)
-        }
-        (Section::Trace, "benchmarks") => store(
-            &mut raw.benchmarks,
-            parse_benchmarks(value, line)?,
-            key,
-            line,
-        ),
-        (Section::Trace, "regions") => {
-            store(&mut raw.regions, parse_regions(value, line)?, key, line)
-        }
-        (Section::Simulation, "servers_per_region") => {
-            let servers = parse_usize(value, "servers_per_region", line)?;
-            if servers == 0 {
-                return Err(ScenarioError::OutOfRange {
-                    line,
-                    key: "servers_per_region",
-                    message: "every region needs at least one server".to_string(),
-                });
-            }
-            store(&mut raw.servers_per_region, servers, key, line)
-        }
-        (Section::Simulation, "delay_tolerance") => {
-            let tol = parse_f64(value, "delay_tolerance", line)?;
-            if tol < 0.0 {
-                return Err(ScenarioError::OutOfRange {
-                    line,
-                    key: "delay_tolerance",
-                    message: format!("delay tolerance cannot be negative, got {tol}"),
-                });
-            }
-            store(&mut raw.delay_tolerance, tol, key, line)
-        }
-        (Section::Simulation, "scheduling_interval_s") => store(
-            &mut raw.scheduling_interval_s,
-            // Positivity is deliberately left to `SimulationConfig::validate`
-            // so non-positive intervals surface as the typed cluster
-            // `ConfigError::NonPositiveSchedulingInterval`.
-            parse_f64(value, "scheduling_interval_s", line)?,
-            key,
-            line,
-        ),
-        (Section::Simulation, "clock") => {
-            store(&mut raw.clock, parse_clock(value, line)?, key, line)
-        }
-        (Section::Simulation, "embodied_perturbation") => store(
-            &mut raw.embodied_perturbation,
-            // Positivity via `validate` → `ConfigError::NonPositiveEmbodiedPerturbation`.
-            parse_f64(value, "embodied_perturbation", line)?,
-            key,
-            line,
-        ),
-        (Section::Telemetry, "dataset") => store(
-            &mut raw.dataset,
-            match value {
-                "primary" | "electricity-maps" => waterwise_sustain::EwifDataset::Primary,
-                "wri" | "world-resources-institute" => {
-                    waterwise_sustain::EwifDataset::WorldResourcesInstitute
-                }
-                other => {
-                    return Err(ScenarioError::InvalidValue {
-                        line,
-                        key: "dataset",
-                        message: format!("unknown EWIF dataset `{other}` (primary | wri)"),
-                    })
-                }
+            Rejection::OutOfRange => ScenarioError::OutOfRange {
+                line,
+                key,
+                message: expected,
             },
-            key,
-            line,
-        ),
-        (Section::Telemetry, "horizon_days") => {
-            let days = parse_usize(value, "horizon_days", line)?;
-            if days == 0 {
-                return Err(ScenarioError::OutOfRange {
-                    line,
-                    key: "horizon_days",
-                    message: "telemetry horizon must cover at least one day".to_string(),
-                });
-            }
-            store(&mut raw.horizon_days, days, key, line)
+            Rejection::Entry(message) => ScenarioError::InvalidValue { line, key, message },
         }
-        (Section::Telemetry, "seed") => store(
-            &mut raw.telemetry_seed,
-            parse_u64(value, "seed", line)?,
-            key,
-            line,
-        ),
-        (Section::Objective, "lambda_co2") => {
-            let lambda = parse_f64(value, "lambda_co2", line)?;
-            if !(0.0..=1.0).contains(&lambda) {
-                return Err(ScenarioError::OutOfRange {
-                    line,
-                    key: "lambda_co2",
-                    message: format!(
-                        "carbon weight must lie in [0, 1] (λ_H2O = 1 − λ_CO2), got {lambda}"
-                    ),
-                });
-            }
-            store(&mut raw.lambda_co2, lambda, key, line)
-        }
-        (Section::Objective, "lambda_ref") => {
-            let lambda = parse_f64(value, "lambda_ref", line)?;
-            if lambda < 0.0 {
-                return Err(ScenarioError::OutOfRange {
-                    line,
-                    key: "lambda_ref",
-                    message: format!("reference weight cannot be negative, got {lambda}"),
-                });
-            }
-            store(&mut raw.lambda_ref, lambda, key, line)
-        }
-        (Section::WaterWise, "warm_start") => store(
-            &mut raw.warm_start,
-            parse_bool(value, "warm_start", line)?,
-            key,
-            line,
-        ),
-        (Section::WaterWise, "horizon") => store(
-            &mut raw.horizon,
-            if value == "capacity" {
-                None
-            } else {
-                let h = parse_usize(value, "horizon", line)?;
-                if h == 0 {
-                    return Err(ScenarioError::OutOfRange {
-                        line,
-                        key: "horizon",
-                        message: "a sliding-window horizon must admit at least one job \
-                                  (use `capacity` for the unbounded window)"
-                            .to_string(),
-                    });
-                }
-                Some(h)
-            },
-            key,
-            line,
-        ),
-        (Section::WaterWise, "history_window_hours") => {
-            let hours = parse_usize(value, "history_window_hours", line)?;
-            if hours == 0 {
-                return Err(ScenarioError::OutOfRange {
-                    line,
-                    key: "history_window_hours",
-                    message: "the reference-footprint history window cannot be empty".to_string(),
-                });
-            }
-            store(&mut raw.history_window_hours, hours, key, line)
-        }
-        (Section::WaterWise, "soft_penalty") => {
-            let sigma = parse_f64(value, "soft_penalty", line)?;
-            if sigma <= 0.0 {
-                return Err(ScenarioError::OutOfRange {
-                    line,
-                    key: "soft_penalty",
-                    message: format!("the relaxation penalty σ must be positive, got {sigma}"),
-                });
-            }
-            store(&mut raw.soft_penalty, sigma, key, line)
-        }
-        (Section::Campaign, "parallelism") => store(
-            &mut raw.campaign_parallelism,
-            parse_parallelism(value, line)?,
-            key,
-            line,
-        ),
-        (Section::Campaign, "estimate_carbon_error") => store(
-            &mut raw.estimate_carbon_error,
-            parse_estimate_error(value, "estimate_carbon_error", line)?,
-            key,
-            line,
-        ),
-        (Section::Campaign, "estimate_water_error") => store(
-            &mut raw.estimate_water_error,
-            parse_estimate_error(value, "estimate_water_error", line)?,
-            key,
-            line,
-        ),
-        (section, key) => Err(ScenarioError::UnknownKey {
-            line,
-            section: section.name(),
-            key: key.to_string(),
-        }),
-    }
-}
-
-impl RawSpec {
-    fn build(self) -> Result<Scenario, ScenarioError> {
-        let name = self.name.ok_or(ScenarioError::MissingKey {
-            section: "scenario",
-            key: "name",
-        })?;
-        let seed = self.seed.ok_or(ScenarioError::MissingKey {
-            section: "scenario",
-            key: "seed",
-        })?;
-        let days = self.days.ok_or(ScenarioError::MissingKey {
-            section: "trace",
-            key: "days",
-        })?;
-
-        let mut config =
-            CampaignConfig::paper_default(days, self.delay_tolerance.unwrap_or(0.5), seed);
-        if self.kind == Some(TraceKind::AlibabaLike) {
-            config.trace = TraceConfig::alibaba(days, seed);
-        }
-        if let Some(rate) = self.rate_multiplier {
-            config.trace.rate_multiplier = rate;
-        }
-        if let Some(benchmarks) = self.benchmarks {
-            config.trace.benchmarks = benchmarks;
-        }
-        if let Some(servers) = self.servers_per_region {
-            config = config.with_servers_per_region(servers);
-        }
-        if let Some(interval) = self.scheduling_interval_s {
-            config.simulation.scheduling_interval = Seconds::new(interval);
-        }
-        if let Some(perturbation) = self.embodied_perturbation {
-            config.simulation.embodied_perturbation = perturbation;
-        }
-        if let Some(dataset) = self.dataset {
-            config.telemetry.dataset = dataset;
-        }
-        if let Some(horizon_days) = self.horizon_days {
-            config.telemetry.horizon_days = horizon_days;
-        }
-        if let Some(telemetry_seed) = self.telemetry_seed {
-            config.telemetry.seed = telemetry_seed;
-        }
-        let mut weights =
-            ObjectiveWeights::paper_default().with_carbon_weight(self.lambda_co2.unwrap_or(0.5));
-        if let Some(lambda_ref) = self.lambda_ref {
-            weights.lambda_ref = lambda_ref;
-        }
-        config.waterwise.weights = weights;
-        if let Some(warm) = self.warm_start {
-            config.waterwise.warm_start = warm;
-        }
-        if let Some(horizon) = self.horizon {
-            config.waterwise.horizon = horizon;
-        }
-        if let Some(hours) = self.history_window_hours {
-            config.waterwise.history_window_hours = hours;
-        }
-        if let Some(sigma) = self.soft_penalty {
-            config.waterwise.soft_penalty = sigma;
-        }
-        config.parallelism = self.campaign_parallelism.unwrap_or(Parallelism::Auto);
-        if let Some(error) = self.estimate_carbon_error {
-            config.estimate_carbon_error = error;
-        }
-        if let Some(error) = self.estimate_water_error {
-            config.estimate_water_error = error;
-        }
-        if let Some(regions) = self.regions {
-            config = config.with_regions(&regions);
-        }
-        // Cross-field validation through the cluster layer, so its typed
-        // `ConfigError`s (no regions, non-positive interval, ...) surface
-        // unchanged.
-        config.simulation.validate()?;
-        Ok(Scenario {
-            name,
-            seed,
-            days,
-            clock: self.clock.unwrap_or(ClockMode::Discrete),
-            config,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Value parsers
-// ---------------------------------------------------------------------------
-
-fn parse_name(value: &str, line: usize) -> Result<String, ScenarioError> {
-    let valid = !value.is_empty()
-        && value
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_');
-    if !valid {
-        return Err(ScenarioError::InvalidValue {
-            line,
-            key: "name",
-            message: format!(
-                "`{value}` is not a valid scenario name \
-                 (ASCII letters, digits, `-`, `_`; it names the snapshot file)"
-            ),
-        });
-    }
-    Ok(value.to_string())
-}
-
-fn parse_f64(value: &str, key: &'static str, line: usize) -> Result<f64, ScenarioError> {
-    let number: f64 = value.parse().map_err(|_| ScenarioError::InvalidValue {
-        line,
-        key,
-        message: format!("`{value}` is not a number"),
-    })?;
-    if !number.is_finite() {
-        return Err(ScenarioError::OutOfRange {
-            line,
-            key,
-            message: format!("`{value}` is not finite"),
-        });
-    }
-    Ok(number)
-}
-
-fn parse_u64(value: &str, key: &'static str, line: usize) -> Result<u64, ScenarioError> {
-    value.parse().map_err(|_| ScenarioError::InvalidValue {
-        line,
-        key,
-        message: format!("`{value}` is not an unsigned integer"),
     })
-}
-
-fn parse_usize(value: &str, key: &'static str, line: usize) -> Result<usize, ScenarioError> {
-    value.parse().map_err(|_| ScenarioError::InvalidValue {
-        line,
-        key,
-        message: format!("`{value}` is not an unsigned integer"),
-    })
-}
-
-fn parse_bool(value: &str, key: &'static str, line: usize) -> Result<bool, ScenarioError> {
-    match value {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        other => Err(ScenarioError::InvalidValue {
-            line,
-            key,
-            message: format!("`{other}` is not a boolean (true | false)"),
-        }),
-    }
-}
-
-fn parse_estimate_error(value: &str, key: &'static str, line: usize) -> Result<f64, ScenarioError> {
-    let factor = parse_f64(value, key, line)?;
-    if factor <= 0.0 {
-        return Err(ScenarioError::OutOfRange {
-            line,
-            key,
-            message: format!("a multiplicative estimate error must be positive, got {factor}"),
-        });
-    }
-    Ok(factor)
-}
-
-/// Parse a clock mode in the grammar of the `[simulation] clock` key:
-/// `discrete`, or `real-time:<scale>` (alias `realtime:`) with a finite,
-/// positive scale. `placement_server` reads `WATERWISE_CLOCK` through it, so
-/// the variable and the key accept the same values. A rejection is the
-/// reason, without a location.
-///
-/// ```
-/// use waterwise_cluster::ClockMode;
-/// use waterwise_core::parse_clock_mode;
-///
-/// assert_eq!(parse_clock_mode("realtime:60"), Ok(ClockMode::RealTime { scale: 60.0 }));
-/// assert!(parse_clock_mode("real-time:0").is_err());
-/// ```
-pub fn parse_clock_mode(value: &str) -> Result<ClockMode, String> {
-    parse_clock(value, 0).map_err(|err| err.message())
-}
-
-fn parse_clock(value: &str, line: usize) -> Result<ClockMode, ScenarioError> {
-    if value == "discrete" {
-        return Ok(ClockMode::Discrete);
-    }
-    if let Some(rest) = value
-        .strip_prefix("real-time:")
-        .or_else(|| value.strip_prefix("realtime:"))
-    {
-        let scale = parse_f64(rest, "clock", line)?;
-        if scale <= 0.0 {
-            return Err(ScenarioError::OutOfRange {
-                line,
-                key: "clock",
-                message: format!("real-time scale must be positive, got {scale}"),
-            });
-        }
-        return Ok(ClockMode::RealTime { scale });
-    }
-    Err(ScenarioError::InvalidValue {
-        line,
-        key: "clock",
-        message: format!("unknown clock mode `{value}` (discrete | real-time:<scale>)"),
-    })
-}
-
-fn parse_parallelism(value: &str, line: usize) -> Result<Parallelism, ScenarioError> {
-    match value {
-        "serial" => return Ok(Parallelism::Serial),
-        "auto" => return Ok(Parallelism::Auto),
-        _ => {}
-    }
-    if let Some(rest) = value.strip_prefix("threads:") {
-        let threads = parse_usize(rest, "parallelism", line)?;
-        if threads == 0 {
-            return Err(ScenarioError::OutOfRange {
-                line,
-                key: "parallelism",
-                message: "a thread pool needs at least one worker (or use `serial`)".to_string(),
-            });
-        }
-        return Ok(Parallelism::Threads(threads));
-    }
-    Err(ScenarioError::InvalidValue {
-        line,
-        key: "parallelism",
-        message: format!("unknown parallelism `{value}` (serial | auto | threads:<n>)"),
-    })
-}
-
-fn parse_list<'a>(
-    value: &'a str,
-    key: &'static str,
-    line: usize,
-) -> Result<Vec<&'a str>, ScenarioError> {
-    let items: Vec<&str> = value.split(',').map(str::trim).collect();
-    if items.iter().any(|item| item.is_empty()) {
-        return Err(ScenarioError::InvalidValue {
-            line,
-            key,
-            message: "empty list entry (trailing or doubled comma?)".to_string(),
-        });
-    }
-    Ok(items)
-}
-
-fn parse_benchmarks(value: &str, line: usize) -> Result<Vec<Benchmark>, ScenarioError> {
-    let mut benchmarks = Vec::new();
-    for item in parse_list(value, "benchmarks", line)? {
-        let benchmark = Benchmark::from_name(item).ok_or_else(|| ScenarioError::InvalidValue {
-            line,
-            key: "benchmarks",
-            message: format!("unknown benchmark `{item}`"),
-        })?;
-        if benchmarks.contains(&benchmark) {
-            return Err(ScenarioError::InvalidValue {
-                line,
-                key: "benchmarks",
-                message: format!("duplicate benchmark `{item}` (it would skew the workload mix)"),
-            });
-        }
-        benchmarks.push(benchmark);
-    }
-    Ok(benchmarks)
-}
-
-fn parse_regions(value: &str, line: usize) -> Result<Vec<Region>, ScenarioError> {
-    let mut regions = Vec::new();
-    for item in parse_list(value, "regions", line)? {
-        let region = Region::from_name(item).ok_or_else(|| ScenarioError::InvalidValue {
-            line,
-            key: "regions",
-            message: format!("unknown region `{item}` (Zurich | Madrid | Oregon | Milan | Mumbai)"),
-        })?;
-        if regions.contains(&region) {
-            return Err(ScenarioError::InvalidValue {
-                line,
-                key: "regions",
-                message: format!("duplicate region `{item}`"),
-            });
-        }
-        regions.push(region);
-    }
-    Ok(regions)
 }
 
 #[cfg(test)]
@@ -1077,6 +446,16 @@ mod tests {
             reference.telemetry.horizon_days
         );
         assert_eq!(scenario.config.telemetry.seed, 99);
+    }
+
+    #[test]
+    fn tiny_day_overrides_are_kept_not_raised() {
+        let scenario = parse_spec(MINIMAL).unwrap().with_days(0.005);
+        assert_eq!(scenario.days.to_bits(), 0.005f64.to_bits());
+        assert_eq!(
+            scenario.config.trace.duration.value().to_bits(),
+            Seconds::from_hours(0.005 * 24.0).value().to_bits()
+        );
     }
 
     #[test]

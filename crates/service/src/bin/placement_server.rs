@@ -16,22 +16,27 @@
 //! `WATERWISE_SESSIONS` sessions in total — by default after one run when
 //! `WATERWISE_MULTI_SESSION` is set, never otherwise.
 //!
-//! | Variable | Overrides | Meaning |
-//! |---|---|---|
-//! | `WATERWISE_ADDR` | — | Listen address, default `127.0.0.1:7878` (`:0` for ephemeral). |
-//! | `WATERWISE_SCENARIO` | the whole spec | Path of the scenario spec file. |
-//! | `WATERWISE_CLOCK` | `[simulation] clock` | `discrete` or `real-time:<scale>` (finite, positive scale), as in the spec. |
-//! | `WATERWISE_SERVERS` | `[simulation] servers_per_region` | Servers per region. |
-//! | `WATERWISE_TOLERANCE` | `[simulation] delay_tolerance` | Delay tolerance (fraction of execution time). |
-//! | `WATERWISE_SEED` | `[scenario] seed` | Trace + telemetry seed. |
-//! | `WATERWISE_SESSIONS` | — | Serve this many sessions in total, then exit. |
-//! | `WATERWISE_MULTI_SESSION` | — | Concurrent sessions per engine run (default 1; `0` is a startup error). |
-//! | `WATERWISE_ADMISSION` | — | Drain mode: `streaming` (default) or `gated`; anything else is a startup error. |
-//! | `WATERWISE_TENANT_QUOTA` | — | Per-tenant in-flight quota (default 64; `0` is a startup error). |
-//! | `WATERWISE_DRR_QUANTUM` | — | Deficit-round-robin quantum (default 8; `0` is a startup error). |
-//! | `WATERWISE_JOURNAL` | — | Write each finished run's admission journal to this path. |
-//! | `WATERWISE_JOURNAL_PATH` | — | *Stream* the current run's admission journal to this file as entries are admitted (crash durability). |
-//! | `WATERWISE_RESUME` | — | `1`/`true`: the first run replays a recovered `WATERWISE_JOURNAL_PATH` journal at startup, rebuilding the engine's state before new sessions; `0`/`false` (default): it does not. Anything else is a startup error. |
+//! | Variable | Value | Overrides | Meaning |
+//! |---|---|---|---|
+//! | `WATERWISE_ADDR` | `host:port` | — | Listen address, default `127.0.0.1:7878`; port `0` binds an ephemeral port. |
+//! | `WATERWISE_SCENARIO` | path | the whole spec | Path of the scenario spec file (as `--scenario`). |
+//! | `WATERWISE_CLOCK` | `discrete` \| `real-time:S` (S > 0) | `[simulation] clock` | Clock of the online service (`ClockMode`; alias `realtime:S`); offline campaigns are always discrete. |
+//! | `WATERWISE_SERVERS` | integer ≥ 1 | `[simulation] servers_per_region` | Uniform region capacity. |
+//! | `WATERWISE_TOLERANCE` | float ≥ 0 | `[simulation] delay_tolerance` | Deadline slack as a fraction of execution time. |
+//! | `WATERWISE_SEED` | u64 | `[scenario] seed` | Campaign seed — trace *and* (unless `[telemetry] seed` overrides it) telemetry. |
+//! | `WATERWISE_MULTI_SESSION` | integer ≥ 1 | — | Concurrent sessions per engine run, default 1: each run accepts this many connections, serves them on one engine, and reports when the last one ends. |
+//! | `WATERWISE_SESSIONS` | integer ≥ 0 | — | Serve this many sessions in total, then exit. Default: one run's worth when `WATERWISE_MULTI_SESSION` is set, unlimited otherwise. |
+//! | `WATERWISE_ADMISSION` | `streaming` \| `gated` | — | Drain mode, default `streaming`. |
+//! | `WATERWISE_TENANT_QUOTA` | integer ≥ 1 | — | Per-tenant in-flight admission quota, default 64. |
+//! | `WATERWISE_DRR_QUANTUM` | integer ≥ 1 | — | Deficit-round-robin drain quantum, default 8. |
+//! | `WATERWISE_JOURNAL` | path | — | Write each finished run's admission journal to this file. |
+//! | `WATERWISE_JOURNAL_PATH` | path | — | *Stream* the current run's admission journal to this file as entries are admitted (crash durability); each run restarts the file. |
+//! | `WATERWISE_RESUME` | `1` \| `true` \| `0` \| `false` | — | `1`/`true`: the first run replays the journal recovered at `WATERWISE_JOURNAL_PATH` before new sessions; default `0`/`false`. |
+//!
+//! Each override is read through its spec key's row, so it refuses what the
+//! key refuses. A refused value exits 2 naming the variable and quoting the
+//! value; a trailing `--scenario` with no path exits 2 naming the flag. A
+//! test keeps this table equal to the tables the server reads.
 
 // DET003 (docs/LINTING.md): a bad override is an exit-2 message, never a
 // panic.
@@ -44,114 +49,34 @@
     clippy::unimplemented
 )]
 
-use std::num::NonZeroUsize;
-use std::path::{Path, PathBuf};
-use waterwise_cluster::ClockMode;
-use waterwise_core::{build_scheduler, parse_clock_mode, Scenario, SchedulerKind};
+use std::path::Path;
+use waterwise_core::scenario::load_scenario;
+use waterwise_core::{build_scheduler, Scenario, SchedulerKind};
+use waterwise_service::deployment::SPEC_OVERRIDES;
 use waterwise_service::{
-    AdmissionConfig, AdmissionMode, ClusterHost, HostPersistence, Journal, PlacementService,
-    ServiceConfig, TcpClusterServer,
+    ClusterHost, Deployment, HostPersistence, Journal, PlacementService, ServiceConfig,
+    TcpClusterServer,
 };
 use waterwise_sustain::FootprintEstimator;
 
-/// An environment override: unset keeps the default, a value that does not
-/// parse is a startup error naming the variable — never a silent default.
-fn env_opt<T: std::str::FromStr>(key: &str) -> Option<T> {
-    let raw = std::env::var_os(key)?;
-    match raw.to_str().and_then(|value| value.parse().ok()) {
-        Some(value) => Some(value),
-        None => exit_with(format_args!("invalid {key}: cannot parse {raw:?}")),
-    }
-}
-
-/// An environment switch: unset keeps the default, a value outside
-/// `choices` is a startup error naming the variable.
-fn env_choice<T: Copy>(key: &str, choices: &[(&str, T)]) -> Option<T> {
-    let raw = std::env::var_os(key)?;
-    let value = raw.to_str().unwrap_or_default();
-    match choices.iter().find(|(name, _)| *name == value) {
-        Some(&(_, choice)) => Some(choice),
-        None => {
-            let names: Vec<&str> = choices.iter().map(|(name, _)| *name).collect();
-            exit_with(format_args!(
-                "invalid {key}: expected one of {}, got {raw:?}",
-                names.join(" | ")
-            ))
-        }
-    }
-}
-
 /// Print the failure and exit with the operator-error status. A failed run
 /// is reported and the server keeps going; this is for startup-time
-/// misconfiguration (bad spec, unbindable address, unusable journal).
+/// failures (unbindable address, unusable journal).
 fn exit_with(message: std::fmt::Arguments<'_>) -> ! {
     eprintln!("{message}");
     std::process::exit(2);
 }
 
-/// `--scenario <path>` / `--scenario=<path>` / `WATERWISE_SCENARIO`, else
-/// `server_default.spec` under `WATERWISE_SCENARIO_DIR` or the workspace
-/// `scenarios/` directory. A trailing `--scenario` with no path exits 2.
-fn spec_path() -> PathBuf {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--scenario" {
-            return match args.next() {
-                Some(path) => PathBuf::from(path),
-                None => exit_with(format_args!("--scenario needs a path")),
-            };
-        }
-        if let Some(path) = arg.strip_prefix("--scenario=") {
-            return PathBuf::from(path);
-        }
-    }
-    if let Some(path) = std::env::var_os("WATERWISE_SCENARIO") {
-        return PathBuf::from(path);
-    }
-    std::env::var_os("WATERWISE_SCENARIO_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("..")
-                .join("..")
-                .join("scenarios")
-        })
-        .join("server_default.spec")
-}
-
-fn load_scenario_or_exit() -> Scenario {
-    let path = spec_path();
-    match waterwise_core::load_spec(&path) {
-        Ok(scenario) => scenario,
-        Err(err) => exit_with(format_args!(
-            "invalid scenario spec: {}",
-            err.located(path.display())
-        )),
-    }
-}
-
-/// `WATERWISE_CLOCK`, in the grammar of the spec's `clock` key; a value it
-/// rejects (including a zero, negative or non-finite scale) is a startup
-/// error.
-fn clock_override() -> Option<ClockMode> {
-    let raw = std::env::var_os("WATERWISE_CLOCK")?;
-    match parse_clock_mode(raw.to_str().unwrap_or_default()) {
-        Ok(clock) => Some(clock),
-        Err(reason) => exit_with(format_args!("invalid WATERWISE_CLOCK {raw:?}: {reason}")),
-    }
-}
-
-/// Journal durability from the environment: `WATERWISE_JOURNAL_PATH`
-/// streams the run's admission journal to disk; with `resume` (the first
-/// run under `WATERWISE_RESUME=1`) the run replays whatever journal
-/// survived at that path.
-fn persistence_setup(resume: bool) -> HostPersistence {
+/// Journal durability: `WATERWISE_JOURNAL_PATH` streams the run's
+/// admission journal to disk; with `resume` (the first run under
+/// `WATERWISE_RESUME=1`) the run replays whatever journal survived there.
+fn persistence_setup(journal_path: Option<&Path>, resume: bool) -> HostPersistence {
     let mut persistence = HostPersistence::default();
-    let Some(path) = std::env::var_os("WATERWISE_JOURNAL_PATH").map(PathBuf::from) else {
+    let Some(path) = journal_path else {
         return persistence;
     };
     if resume && path.exists() {
-        match Journal::load(&path) {
+        match Journal::load(path) {
             Ok(journal) => {
                 eprintln!(
                     "resuming: {} admitted entries recovered from {}",
@@ -166,29 +91,6 @@ fn persistence_setup(resume: bool) -> HostPersistence {
     persistence.with_journal_path(path)
 }
 
-/// The admission policy from the environment; `gated` is
-/// `WATERWISE_ADMISSION=gated`.
-fn admission_config(concurrent: usize, gated: bool) -> AdmissionConfig {
-    let mut config = AdmissionConfig {
-        mode: AdmissionMode::Streaming {
-            close_after_sessions: Some(concurrent),
-        },
-        ..AdmissionConfig::default()
-    };
-    if let Some(quota) = env_opt::<NonZeroUsize>("WATERWISE_TENANT_QUOTA") {
-        config.tenant_inflight_quota = quota.get();
-    }
-    if let Some(quantum) = env_opt::<NonZeroUsize>("WATERWISE_DRR_QUANTUM") {
-        config.drr_quantum = quantum.get();
-    }
-    if gated {
-        config.mode = AdmissionMode::Gated {
-            sessions: concurrent,
-        };
-    }
-    config
-}
-
 /// One engine run: host `concurrent` simultaneous sessions on a fresh
 /// [`ClusterHost`] until every one of them has ended, then report. Returns
 /// whether the run's engine finished cleanly.
@@ -196,8 +98,8 @@ fn serve_run(
     server: &TcpClusterServer,
     config: &ServiceConfig,
     scenario: &Scenario,
+    deployment: &Deployment,
     concurrent: usize,
-    gated: bool,
     resume: bool,
 ) -> bool {
     let service = match PlacementService::new(config.clone()) {
@@ -210,8 +112,8 @@ fn serve_run(
         FootprintEstimator::new(service.config().simulation.datacenter),
         &scenario.config.waterwise,
     );
-    let admission = admission_config(concurrent, gated);
-    let persistence = persistence_setup(resume);
+    let admission = deployment.admission(concurrent);
+    let persistence = persistence_setup(deployment.journal_path.as_deref(), resume);
     let host = match ClusterHost::start_persistent(service, admission, scheduler, persistence) {
         Ok(host) => host,
         Err(error) => exit_with(format_args!("failed to start cluster host: {error}")),
@@ -234,12 +136,12 @@ fn serve_run(
                 report.report.summary.total_water.value(),
                 report.schedule_digest(),
             );
-            if let Some(path) = std::env::var_os("WATERWISE_JOURNAL") {
-                match std::fs::write(&path, report.journal.encode()) {
+            if let Some(path) = &deployment.journal {
+                match std::fs::write(path, report.journal.encode()) {
                     Ok(()) => eprintln!(
                         "admission journal ({} entries) written to {}",
                         report.journal.entries.len(),
-                        PathBuf::from(&path).display()
+                        path.display()
                     ),
                     Err(error) => eprintln!("failed to write journal: {error}"),
                 }
@@ -254,44 +156,23 @@ fn serve_run(
 }
 
 fn main() {
-    let mut scenario = load_scenario_or_exit();
-    if let Some(seed) = env_opt::<u64>("WATERWISE_SEED") {
-        scenario = scenario.with_seed(seed);
-    }
-    let mut simulation = scenario.config.simulation.clone();
-    if let Some(servers) = env_opt::<usize>("WATERWISE_SERVERS") {
-        for (_, n) in &mut simulation.regions {
-            *n = servers;
-        }
-    }
-    if let Some(tolerance) = env_opt::<f64>("WATERWISE_TOLERANCE") {
-        simulation.delay_tolerance = tolerance;
-    }
-    let clock = clock_override().unwrap_or(scenario.clock);
-    let gated = env_choice(
-        "WATERWISE_ADMISSION",
-        &[("streaming", false), ("gated", true)],
+    let scenario = load_scenario("server_default", &SPEC_OVERRIDES).unwrap_or_else(|e| e.exit());
+    let deployment = Deployment::from_env().unwrap_or_else(|e| e.exit());
+    let config = ServiceConfig::new(
+        scenario.config.simulation.clone(),
+        scenario.config.telemetry,
     )
-    .unwrap_or(false);
-    let resume = env_choice(
-        "WATERWISE_RESUME",
-        &[("1", true), ("true", true), ("0", false), ("false", false)],
-    )
-    .unwrap_or(false);
-    if let Err(error) = simulation.validate() {
-        exit_with(format_args!("invalid service configuration: {error}"));
-    }
-    let config = ServiceConfig::new(simulation, scenario.config.telemetry).with_clock(clock);
-    let addr = std::env::var("WATERWISE_ADDR").unwrap_or_else(|_| "127.0.0.1:7878".to_string());
-    let multi_session = env_opt::<NonZeroUsize>("WATERWISE_MULTI_SESSION");
-    let concurrent = multi_session.map_or(1, NonZeroUsize::get);
+    .with_clock(scenario.clock);
+    let concurrent = deployment.multi_session.unwrap_or(1);
     // Naming a concurrency asks for exactly one run of that many sessions;
     // the plain invocation keeps serving clients until killed.
-    let sessions: usize = env_opt("WATERWISE_SESSIONS")
-        .or(multi_session.map(|_| concurrent))
+    let sessions = deployment
+        .sessions
+        .or(deployment.multi_session)
         .unwrap_or(usize::MAX);
 
-    let server = match TcpClusterServer::bind(&addr) {
+    let addr = deployment.addr.as_deref().unwrap_or("127.0.0.1:7878");
+    let server = match TcpClusterServer::bind(addr) {
         Ok(server) => server,
         Err(error) => exit_with(format_args!("failed to bind {addr}: {error}")),
     };
@@ -300,7 +181,7 @@ fn main() {
             "placement_server listening on {local}, {concurrent} concurrent session(s) per run \
              (scenario {}, clock {}, seed {})",
             scenario.name,
-            clock.label(),
+            scenario.clock.label(),
             scenario.seed,
         ),
         Err(error) => exit_with(format_args!("listener has no local address: {error}")),
@@ -312,8 +193,8 @@ fn main() {
         let batch = concurrent.min(sessions - served);
         // Runs are independent campaigns over a fresh engine; only the first
         // resumes a recovered journal.
-        let resume_run = resume && served == 0;
-        failed |= !serve_run(&server, &config, &scenario, batch, gated, resume_run);
+        let resume_run = deployment.resume && served == 0;
+        failed |= !serve_run(&server, &config, &scenario, &deployment, batch, resume_run);
         served += batch;
     }
     if failed {

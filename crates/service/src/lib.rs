@@ -54,6 +54,7 @@
 )]
 
 pub mod admission;
+pub mod deployment;
 pub mod error;
 pub mod host;
 pub mod journal;
@@ -64,6 +65,7 @@ pub mod tcp;
 pub mod wire;
 
 pub use admission::{AdmissionConfig, AdmissionMode, TenantId, TenantReport};
+pub use deployment::Deployment;
 pub use error::ServiceError;
 pub use host::{ClusterHost, HostConfig, HostPersistence, HostReport, HostSession};
 pub use journal::{Journal, JournalEntry, JournalWriter, ReplayOutcome};

@@ -59,6 +59,11 @@ fn unparsable_overrides_fail_startup_naming_the_variable() {
         ("WATERWISE_CLOCK", "real-time:0", &[]),
         ("WATERWISE_CLOCK", "real-time:-5", &[]),
         ("WATERWISE_CLOCK", "real-time:inf", &[]),
+        // The spec's `servers_per_region` and `delay_tolerance` rules
+        // refuse these, so the variables naming them do too.
+        ("WATERWISE_SERVERS", "0", &[]),
+        ("WATERWISE_TOLERANCE", "-1", &[]),
+        ("WATERWISE_TOLERANCE", "NaN", &[]),
         ("WATERWISE_ADMISSION", "gatd", &[]),
         ("WATERWISE_RESUME", "yes", &with_journal[..]),
     ] {

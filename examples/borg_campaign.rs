@@ -9,22 +9,15 @@
 //! Set `WATERWISE_DAYS` to lengthen the trace (default 0.1 days); a value
 //! that is not a finite number of days > 0 exits 2.
 
-use waterwise::core::{Campaign, CampaignConfig, SchedulerKind};
+use waterwise::core::{Campaign, Scenario, SchedulerKind};
 use waterwise::telemetry::ALL_REGIONS;
 
 fn main() {
-    let days: f64 = match std::env::var_os("WATERWISE_DAYS") {
-        None => 0.1,
-        Some(raw) => raw
-            .to_str()
-            .and_then(|v| v.parse().ok())
-            .filter(|days: &f64| days.is_finite() && *days > 0.0)
-            .unwrap_or_else(|| {
-                eprintln!("invalid WATERWISE_DAYS: {raw:?} is not a finite number of days > 0");
-                std::process::exit(2);
-            }),
-    };
-    let campaign = Campaign::new(CampaignConfig::paper_default(days, 0.5, 7));
+    let mut scenario = Scenario::paper_default("borg_campaign", 0.1, 7);
+    scenario
+        .apply_env(&["WATERWISE_DAYS"])
+        .unwrap_or_else(|err| err.exit());
+    let campaign = Campaign::new(scenario.config);
     println!(
         "replaying {} Borg-like jobs across {} regions (50% delay tolerance)\n",
         campaign.jobs().len(),
