@@ -12,9 +12,9 @@
 //! goldens; commit the resulting diff. CI guards that the variable is never
 //! set there, so drift can only be accepted deliberately.
 //!
-//! The determinism sweep re-runs each scenario with warm and cold solver
-//! starts and demands a byte-identical rendering from both — "snapshot ==
-//! replay" (ARCHITECTURE.md invariant table).
+//! The determinism sweep re-runs each scenario with `warm_start` on and off
+//! (the all-MILP reference) and demands a byte-identical rendering from
+//! both — "snapshot == replay" (ARCHITECTURE.md invariant table).
 
 #[path = "../../service/tests/support/mod.rs"]
 mod support;
@@ -132,11 +132,12 @@ fn fig14_scenario_matches_golden_and_warm_equals_cold() {
         };
         let cold = run(false);
         let warm = run(true);
-        // The warm-start identity, byte for byte: warm starts accelerate
-        // solves, they must never change a schedule.
+        // The hinted scheduler and the all-MILP reference, byte for byte:
+        // the certificate and the kernel skip solves, they must never
+        // change a schedule.
         assert_eq!(
             cold.report.outcomes, warm.report.outcomes,
-            "warm-started solves changed the {label} schedule"
+            "the hint and the kernel changed the {label} schedule"
         );
         add_outcome(&mut snap, label, &warm);
     }
@@ -447,11 +448,12 @@ fn server_resume_scenario_pins_a_save_restart_resume_cycle() {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism sweep: warm/cold, per scenario
+// Determinism sweep: `warm_start` on and off, per scenario
 // ---------------------------------------------------------------------------
 
-/// Replay the scenario's base campaign with warm and with cold solver starts
-/// and demand a byte-identical snapshot rendering from both — the
+/// Replay the scenario's base campaign with `warm_start` on and off (the
+/// all-MILP reference) and demand a byte-identical snapshot rendering from
+/// both — the
 /// "snapshot == replay" invariant.
 fn sweep_renders_byte_identical(name: &str) {
     let scenario = load(name);

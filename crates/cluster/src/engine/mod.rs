@@ -167,25 +167,27 @@ impl<'t> SimState<'t> {
     /// is queued at the earliest submit time.
     /// A duplicate id would leave one twin pending forever (assignments are
     /// keyed by job id), a non-finite submit time has no place in the event
-    /// order, and a negative execution time would complete a job before it
-    /// starts, so a malformed trace is rejected here with a typed error.
+    /// order, a negative execution time would complete a job before it
+    /// starts, and a non-finite estimate would price every round holding the
+    /// job out of the scheduler's model, so a malformed trace is rejected
+    /// here with a typed error.
     pub(crate) fn new(
         config: &SimulationConfig,
         jobs: &'t [JobSpec],
     ) -> Result<Self, SimulationError> {
         // One pass over the trace for the four facts preloading needs —
         // ids strictly increase (so none repeats), every submit time is
-        // finite, no execution time runs backwards, the trace is in submit
-        // order — instead of one pass each. Only a trace that fails one pays
-        // for the search behind it.
+        // finite, every job is admissible (see `rejection`), the trace is in
+        // submit order — instead of one pass each. Only a trace that fails
+        // one pays for the search behind it.
         let submit = |job: &JobSpec| job.submit_time.value();
         let mut finite = jobs.first().is_none_or(|job| submit(job).is_finite());
-        let mut forward = jobs.first().is_none_or(|job| !runs_backwards(job));
+        let mut admissible = jobs.first().is_none_or(|job| rejection(job).is_none());
         let (mut ids_increase, mut in_order) = (true, true);
         for pair in jobs.windows(2) {
             let (a, b) = (&pair[0], &pair[1]);
             finite &= submit(b).is_finite();
-            forward &= !runs_backwards(b);
+            admissible &= rejection(b).is_none();
             ids_increase &= a.id < b.id;
             in_order &= submit(a).total_cmp(&submit(b)).is_le();
         }
@@ -208,13 +210,13 @@ impl<'t> SimState<'t> {
                 event: arrival_of(&jobs[i]),
             });
         }
-        let backwards = if forward {
+        let rejected = if admissible {
             None
         } else {
-            jobs.iter().find(|job| runs_backwards(job))
+            jobs.iter().find_map(rejection)
         };
-        if let Some(job) = backwards {
-            return Err(negative_execution(job));
+        if let Some(err) = rejected {
+            return Err(err);
         }
         let mut state = Self::empty(config);
         // Checked first: a stable sort allocates its scratch (half the trace)
@@ -270,9 +272,10 @@ impl<'t> SimState<'t> {
         }
     }
 
-    /// Admit one injected job: validate its id, submit time and execution
-    /// time, grow the runtime table, and buffer it under the caller-chosen
-    /// arrival sequence, which orders it among the jobs that tie its stamp.
+    /// Admit one injected job: validate its id, submit time, execution time
+    /// and estimates, grow the runtime table, and buffer it under the
+    /// caller-chosen arrival sequence, which orders it among the jobs that
+    /// tie its stamp.
     /// The first job also starts the round chain at its own submit time.
     pub(crate) fn push_job(
         &mut self,
@@ -289,8 +292,8 @@ impl<'t> SimState<'t> {
                 event: arrival_of(&spec),
             });
         }
-        if runs_backwards(&spec) {
-            return Err(negative_execution(&spec));
+        if let Some(err) = rejection(&spec) {
+            return Err(err);
         }
         self.jobs.to_mut().push(spec);
         self.runtimes.push(JobRuntime::default());
@@ -581,20 +584,32 @@ fn arrival_of(job: &JobSpec) -> String {
     format!("arrival of job {}", job.id.0)
 }
 
-/// Whether `job`'s execution time is finite and negative: its completion
-/// would come before its start. A NaN or infinite one is left to the event
-/// queue, which rejects the completion it stamps as non-finite.
-fn runs_backwards(job: &JobSpec) -> bool {
+/// Why `job` cannot be admitted, if it cannot. A finite negative execution
+/// time would complete it before it starts; a NaN or infinite one is left to
+/// the event queue, which rejects the completion it stamps as non-finite. A
+/// non-finite estimated execution time or energy makes every cost the
+/// scheduler derives from it non-finite, so every round holding the job
+/// would defer its whole batch.
+fn rejection(job: &JobSpec) -> Option<SimulationError> {
     let time = job.actual_execution_time.value();
-    time < 0.0 && time.is_finite()
-}
-
-/// The error that rejects `job` for a negative execution time.
-fn negative_execution(job: &JobSpec) -> SimulationError {
-    SimulationError::NegativeExecutionTime {
-        job: job.id,
-        time: job.actual_execution_time.value(),
+    if time < 0.0 && time.is_finite() {
+        return Some(SimulationError::NegativeExecutionTime { job: job.id, time });
     }
+    let estimates = [
+        (
+            "estimated_execution_time",
+            job.estimated_execution_time.value(),
+        ),
+        ("estimated_energy", job.estimated_energy.value()),
+    ];
+    let (field, value) = estimates
+        .into_iter()
+        .find(|(_, value)| !value.is_finite())?;
+    Some(SimulationError::NonFiniteEstimate {
+        job: job.id,
+        field,
+        value,
+    })
 }
 
 /// A job id the trace carries twice, if there is one: a sort and an adjacent
@@ -609,9 +624,8 @@ fn duplicate_id(jobs: &[JobSpec]) -> Option<JobId> {
 }
 
 /// Run one `Scheduler::schedule` call over a round snapshot, timing it and
-/// attributing the solver work spent during the call (cold vs warm solves,
-/// pivots, nodes): the per-round `OverheadSample::solver`
-/// delta.
+/// attributing the solver work spent during the call (solves, pivots,
+/// nodes): the per-round `OverheadSample::solver` delta.
 pub(crate) fn timed_schedule(
     scheduler: &mut dyn Scheduler,
     now: f64,
@@ -682,8 +696,9 @@ impl<P: ConditionsProvider> Simulator<P> {
     /// whole trace admitted and the arrival source already closed: no
     /// channel, clock or placement sink exists on this path.
     ///
-    /// Fails if the trace contains duplicate job ids or a negative execution
-    /// time ([`SimulationError::NegativeExecutionTime`]), or if the trace or
+    /// Fails if the trace contains duplicate job ids, a negative execution
+    /// time ([`SimulationError::NegativeExecutionTime`]) or a non-finite
+    /// estimate ([`SimulationError::NonFiniteEstimate`]), or if the trace or
     /// transfer model would produce an event with a non-finite timestamp
     /// (see [`SimulationError::NonFiniteEventTime`]). A panic inside
     /// `scheduler` propagates with its own payload.

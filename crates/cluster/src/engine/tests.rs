@@ -246,7 +246,11 @@ fn nan_submit_time_is_rejected_at_insertion() {
 #[test]
 fn non_finite_execution_time_is_rejected_at_insertion() {
     for bad in [f64::NAN, f64::INFINITY] {
-        let jobs = vec![hand_built_job(0.0, bad)];
+        let mut job = hand_built_job(0.0, bad);
+        // Only the actual time is bad: a non-finite estimate is refused at
+        // admission (`a_non_finite_estimate_is_rejected_at_preload`).
+        job.estimated_execution_time = Seconds::new(100.0);
+        let jobs = vec![job];
         let sim = simulator(10, 0.5);
         let err = sim.run(&jobs, &mut HomeScheduler).unwrap_err();
         assert!(
@@ -281,6 +285,41 @@ fn a_negative_execution_time_is_rejected_at_preload() {
     jobs[3].actual_execution_time = Seconds::new(-0.0);
     let report = simulator(50, 0.5).run(&jobs, &mut HomeScheduler).unwrap();
     assert_eq!(report.outcomes.len(), jobs.len());
+}
+
+#[test]
+fn a_non_finite_estimate_is_rejected_at_preload() {
+    // Accepted, such a job priced every WaterWise round holding it out of
+    // the model, and the run deferred that whole batch forever.
+    use waterwise_sustain::KilowattHours;
+    let cases = [
+        ("estimated_execution_time", f64::INFINITY),
+        ("estimated_energy", f64::INFINITY),
+        ("estimated_energy", f64::NAN),
+    ];
+    for (field, value) in cases {
+        let mut jobs = small_trace(42);
+        if field == "estimated_energy" {
+            jobs[3].estimated_energy = KilowattHours::new(value);
+        } else {
+            jobs[3].estimated_execution_time = Seconds::new(value);
+        }
+        let err = simulator(50, 0.5)
+            .run(&jobs, &mut HomeScheduler)
+            .unwrap_err();
+        let message = err.to_string();
+        let SimulationError::NonFiniteEstimate {
+            job,
+            field: named,
+            value: carried,
+        } = err
+        else {
+            panic!("expected NonFiniteEstimate, got {err:?}");
+        };
+        assert_eq!((job, named), (jobs[3].id, field));
+        assert_eq!(carried.to_bits(), value.to_bits());
+        assert!(message.contains(&job.to_string()) && message.contains(field));
+    }
 }
 
 #[test]
@@ -942,6 +981,30 @@ mod online_driver {
             SimulationError::NegativeExecutionTime {
                 job: jobs[3].id,
                 time: -5000.0
+            }
+        );
+    }
+
+    #[test]
+    fn a_non_finite_estimate_is_rejected_at_injection() {
+        let mut jobs = small_trace(42);
+        jobs[3].estimated_execution_time = Seconds::new(f64::INFINITY);
+        let sim = simulator(50, 0.5);
+        let (notice_tx, _notice_rx) = std::sync::mpsc::sync_channel(jobs.len());
+        let err = sim
+            .run_online_sequenced(
+                &mut HomeScheduler,
+                sequenced_stream(&jobs),
+                notice_tx,
+                ClockMode::Discrete,
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SimulationError::NonFiniteEstimate {
+                job: jobs[3].id,
+                field: "estimated_execution_time",
+                value: f64::INFINITY,
             }
         );
     }

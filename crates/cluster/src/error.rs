@@ -154,6 +154,20 @@ pub enum SimulationError {
         /// The execution time it carried, in seconds.
         time: f64,
     },
+    /// A job carries a non-finite estimated execution time or estimated
+    /// energy. Schedulers price a job from its estimates, so a round holding
+    /// it would build non-finite costs and WaterWise would defer the whole
+    /// batch, every round, and the run would never end. The job is rejected
+    /// as it is admitted.
+    NonFiniteEstimate {
+        /// The rejected job.
+        job: JobId,
+        /// The field that is not finite: `estimated_execution_time` or
+        /// `estimated_energy`.
+        field: &'static str,
+        /// The value it carried.
+        value: f64,
+    },
     /// The scheduling interval is positive but too small to move the clock:
     /// the round after the one at `time` was re-armed at `time` itself, and
     /// the campaign would never advance. The run fails as that round fires.
@@ -211,6 +225,9 @@ impl fmt::Display for SimulationError {
             SimulationError::NegativeExecutionTime { job, time } => {
                 write!(f, "{job} has a negative execution time of {time} s")
             }
+            SimulationError::NonFiniteEstimate { job, field, value } => {
+                write!(f, "{job} has a non-finite {field} of {value}")
+            }
             SimulationError::SchedulingIntervalBelowClockResolution { time, interval } => {
                 write!(
                     f,
@@ -234,6 +251,7 @@ impl std::error::Error for SimulationError {
             | SimulationError::ArrivalSeqOutOfBand { .. }
             | SimulationError::ArrivalSeqReused { .. }
             | SimulationError::NegativeExecutionTime { .. }
+            | SimulationError::NonFiniteEstimate { .. }
             | SimulationError::SchedulingIntervalBelowClockResolution { .. } => None,
         }
     }

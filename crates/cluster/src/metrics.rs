@@ -282,8 +282,8 @@ impl CampaignSummary {
 /// violation flag — in outcome order, with floats folded in by their exact
 /// IEEE-754 bit patterns. Two campaigns produce the same digest exactly when
 /// their schedules and accounting are byte-identical, which makes the digest
-/// the one-line form of the workspace's replay contract: warm vs cold
-/// solves, online ingestion vs offline replay, and a journal replay must all
+/// the one-line form of the workspace's replay contract: the default
+/// scheduler vs the all-MILP reference, online ingestion vs offline replay, and a journal replay must all
 /// collide on it. Wall-clock measurements never enter the hash.
 ///
 /// ```

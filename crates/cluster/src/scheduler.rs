@@ -120,18 +120,22 @@ impl SchedulingDecision {
 /// [`Scheduler::solver_activity`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SolverActivity {
-    /// MILP solves: simplex runs performed (across all branch-and-bound
-    /// nodes). A round the scheduler decides without building a model — a
-    /// WaterWise round whose hint is certified, or whose optimum its
-    /// transportation kernel proves unique — adds nothing here or below.
+    /// MILP solves: models solved, each exploring at least one
+    /// branch-and-bound node ([`SolverActivity::nodes`]), so `nodes ==
+    /// solves` when every solve ended at the root. A round the scheduler
+    /// decides without building a model — a WaterWise round whose hint is
+    /// certified, or whose optimum its transportation kernel proves unique —
+    /// adds nothing here or below.
     pub solves: usize,
-    /// Simplex runs that were warm-started (crash basis, phase 1 skipped).
+    /// Warm-started simplex runs: always 0, every solve is cold; kept for
+    /// the frozen ledger, which reads it (ROADMAP standing rule 1).
     pub warm_solves: usize,
     /// Total simplex pivots.
     pub simplex_pivots: usize,
-    /// Pivots spent in warm-started runs.
+    /// Pivots spent in warm-started runs: always 0, like
+    /// [`SolverActivity::warm_solves`].
     pub warm_pivots: usize,
-    /// Branch-and-bound nodes explored.
+    /// Branch-and-bound nodes explored, one simplex run each.
     pub nodes: usize,
     /// Dual-simplex restarts of branch-and-bound nodes: always 0; kept for
     /// the frozen ledger (ROADMAP 3a).

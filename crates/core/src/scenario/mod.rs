@@ -22,8 +22,8 @@
 //!   `UPDATE_SNAPSHOTS=1` bless path ([`assert_snapshot`]).
 //!
 //! Together they enforce the repo's standing determinism invariant:
-//! the schedule a spec produces is byte-identical across warm/cold solver
-//! starts and between its offline and online runs — "snapshot == replay".
+//! the schedule a spec produces is byte-identical with `warm_start` on and
+//! off and between its offline and online runs — "snapshot == replay".
 
 pub mod env;
 pub mod keys;

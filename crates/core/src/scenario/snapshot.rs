@@ -6,8 +6,8 @@
 //! caller) never changes the output. [`Snapshot::of`] renders the
 //! deterministic view of a [`CampaignSummary`] by reusing
 //! [`CampaignSummary::without_wall_clock`] and additionally omitting the
-//! solver-activity counters: solver effort legitimately differs across
-//! warm/cold solves while the *schedule contract* — every
+//! solver-activity counters: solver effort legitimately differs with
+//! `warm_start` on and off while the *schedule contract* — every
 //! other field, plus the [`waterwise_cluster::schedule_digest`] — must stay
 //! byte-identical. That is exactly what a golden snapshot pins.
 //!
@@ -57,8 +57,8 @@ impl Snapshot {
     ///
     /// Canonicalization reuses [`CampaignSummary::without_wall_clock`] (so
     /// decision timings can never leak into a golden) and leaves out [`CampaignSummary::solver`], which measures
-    /// solver *effort* — a property of warm starts, not of the
-    /// schedule the snapshot certifies.
+    /// solver *effort* — a property of the `warm_start` setting, not of
+    /// the schedule the snapshot certifies.
     pub fn add_summary(&mut self, prefix: &str, summary: &CampaignSummary) {
         let s = summary.without_wall_clock();
         self.entry(format!("{prefix}.total_jobs"), s.total_jobs);

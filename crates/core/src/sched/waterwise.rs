@@ -25,10 +25,7 @@ use std::time::Instant;
 use waterwise_cluster::{
     Assignment, PendingJob, Scheduler, SchedulingContext, SchedulingDecision, SolverActivity,
 };
-use waterwise_milp::{
-    BranchBoundConfig, LinExpr, Model, Sense, SimplexConfig, SolverWorkspace, Var, VarKind,
-    WarmStats,
-};
+use waterwise_milp::{BranchBoundConfig, LinExpr, Model, Sense, SimplexConfig, Var, VarKind};
 use waterwise_sustain::{
     Co2Grams, FootprintEstimator, KilowattHours, Liters, RegionConditions, Seconds,
 };
@@ -64,9 +61,10 @@ pub struct WaterWiseConfig {
     /// Hint each slot with the greedy assignment (every job to its cheapest
     /// feasible region under the capacity left): certified rounds return it,
     /// the transportation kernel decides the rest unless their optimum is
-    /// tied, and tied rounds warm-start the MILP from it. Off, every round
-    /// solves cold — the same schedule, more solver work (see
-    /// `SolveStats::{certified_rounds, warm}`).
+    /// tied, and tied rounds solve the MILP. Off, every round solves the
+    /// MILP: the all-MILP reference, the same schedule for more solver work
+    /// (see `SolveStats::certified_rounds` and
+    /// [`Scheduler::solver_activity`]).
     pub warm_start: bool,
     /// Optional sliding-window cap on how many jobs enter one MILP. `None`
     /// bounds the window by the remaining cluster capacity only (the paper's
@@ -96,7 +94,8 @@ impl WaterWiseConfig {
         self
     }
 
-    /// Enable or disable warm-started solves.
+    /// Choose the hint, certificate and kernel (`true`, the default) or the
+    /// all-MILP reference (`false`); see [`WaterWiseConfig::warm_start`].
     pub fn with_warm_start(mut self, warm_start: bool) -> Self {
         self.warm_start = warm_start;
         self
@@ -131,16 +130,19 @@ pub struct SolveStats {
     /// optimality certificate, or the transportation kernel proved its
     /// optimum unique (after proving the hard round infeasible, if it
     /// softened), so the solver never saw them.
-    /// `rounds - certified_rounds` is what reached `Model::solve_warm`.
+    /// `rounds - certified_rounds` is what reached `Model::solve_with`.
     pub certified_rounds: usize,
     /// Rounds in which the slack manager had to drop jobs.
     pub slack_truncations: usize,
+    /// Models solved, hard or soft (a round that softens may solve two),
+    /// that passed `Model::validate`.
+    pub solves: usize,
     /// Total simplex iterations across all solves.
     pub simplex_iterations: usize,
-    /// Total branch-and-bound nodes across all solves.
+    /// Total branch-and-bound nodes across all solves, one simplex run each
+    /// (the assignment model's binaries never branch into an empty box):
+    /// `nodes == solves` when every solve ended at the root.
     pub nodes: usize,
-    /// Cold-vs-warm solver split from the shared [`SolverWorkspace`].
-    pub warm: WarmStats,
     /// Wall-clock seconds spent preparing the round's numerics (footprint
     /// totals, Eq. 7 maxima, objective coefficients, latency ratios) ahead
     /// of the solves, estimated from every 16th round (the first, the
@@ -264,7 +266,7 @@ struct RoundScratch {
     tempted: Vec<bool>,
     /// The transportation kernel's working memory.
     transport: Transport,
-    /// Whether the round reached `solve_warm` (it is not certified then).
+    /// Whether the round reached `solve_with` (it is not certified then).
     modelled: bool,
 }
 
@@ -365,20 +367,22 @@ enum Hint {
 ///
 /// The hint, one region index per job into `hint`: each job, in batch order,
 /// to its cheapest feasible region under `capacity_left` (ties to the lowest
-/// index). [`Hint::Absent`] when some job has none: the round solves cold.
+/// index). [`Hint::Absent`] when some job has none: the kernel decides.
 ///
-/// The certificate: whether solving [`assignment_model`] from the hint would
-/// return it — decided in O(J·R) without the model. The hint's crash basis is
-/// {`x[m][hint[m]]` in job row `m`, the slack in each capacity row}, with
-/// duals `u_m = cost(m, hint[m])`, `v_n = 0`: phase 2 first prices `x[m][n]`
-/// at `cost(m, n) − cost(m, hint[m])` against `−tol`, as here, and no column
-/// below it means no pivot. A fixed arc (hard model, `!admits(n)`) below it
-/// only flips at ratio 0 while region `n` keeps a free slot, so it marks `n`
-/// in `tempted`, checked against the slots the whole hint leaves free —
-/// `capacity_left` once the walk ends. A capacity that needs a price goes to
-/// the transportation kernel: `v_n ≠ 0` proves optimality, not *which* tied
-/// vertex the solver returns, so the kernel must also prove there is no tie.
-/// A non-finite cost goes to the solver.
+/// The certificate: a proof, in O(J·R) without the model, that the hint is
+/// an optimum of [`assignment_model`]. The hint's basis is {`x[m][hint[m]]`
+/// in job row `m`, the slack in each capacity row}, with duals
+/// `u_m = cost(m, hint[m])`, `v_n = 0`: every open `x[m][n]` prices at
+/// `cost(m, n) − cost(m, hint[m])`, and none below `−tol` is the simplex's
+/// own optimality test. A fixed arc (hard model, `!admits(n)`) below it is
+/// held at zero by its bound; it marks `n` in `tempted`, and the round is
+/// certified only if region `n` keeps a free slot once the whole hint is
+/// placed (`capacity_left` once the walk ends) — a conservative line that
+/// leaves the other rounds to the kernel. A capacity that needs a price goes
+/// to the transportation kernel: `v_n ≠ 0` needs duals this walk does not
+/// compute. A non-finite cost goes to the solver. The certificate does not
+/// rule out a tie: where another optimum costs the same, the solver may
+/// return that one instead (`a_certified_hint_is_an_optimum_of_the_milp`).
 fn hint_and_certify(
     numerics: &RoundNumerics,
     capacities: &[usize],
@@ -448,15 +452,6 @@ fn arcs(
     })
 }
 
-/// The assignment `chosen` as the 0/1 point of [`assignment_model`]'s layout.
-fn one_hot(chosen: &[usize], n_regions: usize) -> Vec<f64> {
-    let mut dense = vec![0.0; chosen.len() * n_regions];
-    for (m, &n) in chosen.iter().enumerate() {
-        dense[m * n_regions + n] = 1.0;
-    }
-    dense
-}
-
 /// Not a cache: a unit that [`WaterWiseScheduler::attach_cache`] ignores.
 /// Kept only because the frozen perf ledger names it (ROADMAP standing
 /// rule 1); ROADMAP item 1 deletes the name.
@@ -507,9 +502,6 @@ struct Controller {
     stats: SolveStats,
     /// The phase timings of the rounds that were timed.
     phases: PhaseSamples,
-    /// Reusable solver allocations + warm-start accounting; persists across
-    /// scheduling rounds because the engine reuses the scheduler instance.
-    workspace: SolverWorkspace,
 }
 
 /// One round in this many has its two phases timed, starting with the
@@ -576,7 +568,6 @@ impl WaterWiseScheduler {
             config,
             stats: SolveStats::default(),
             phases: PhaseSamples::default(),
-            workspace: SolverWorkspace::new(),
         };
         Self {
             controller,
@@ -786,10 +777,10 @@ impl Controller {
     /// Decide the selected jobs' assignment (`soft_penalty` selects Eq. 12/13's
     /// relaxation): the hint and its certificate ([`hint_and_certify`]) → the
     /// transportation kernel → only on a tie or a non-finite cost,
-    /// [`assignment_model`] → `solve_warm` from the hint → one read-back by
-    /// position. A round the kernel proves infeasible
-    /// returns `None` at once. Without `warm_start` every round takes the
-    /// model path, cold: the reference the other two are held to.
+    /// [`assignment_model`] → `solve_with` → one read-back by position. A
+    /// round the kernel proves infeasible returns `None` at once. Without
+    /// `warm_start` every round takes the model path: the reference the
+    /// other two are held to.
     fn solve_assignment(
         &mut self,
         ctx: &SchedulingContext<'_>,
@@ -849,14 +840,11 @@ impl Controller {
         }
         *modelled = true;
         let model = assignment_model(numerics, capacities, soft_penalty);
-        let dense = (hinted != Hint::Absent).then(|| one_hot(hint, n_regions));
         let (simplex, branch_bound) = (&self.config.simplex, &self.config.branch_bound);
-        let solution = model
-            .solve_warm(simplex, branch_bound, dense.as_deref(), &mut self.workspace)
-            .ok()?;
+        let solution = model.solve_with(simplex, branch_bound).ok()?;
+        self.stats.solves += 1;
         self.stats.simplex_iterations += solution.simplex_iterations;
         self.stats.nodes += solution.nodes_explored;
-        self.stats.warm = self.workspace.stats();
         if !solution.status.has_solution() {
             return None;
         }
@@ -949,17 +937,13 @@ impl Scheduler for WaterWiseScheduler {
     }
 
     fn solver_activity(&self) -> Option<SolverActivity> {
-        let Controller {
-            stats, workspace, ..
-        } = &self.controller;
-        let warm = workspace.stats();
+        let stats = &self.controller.stats;
         Some(SolverActivity {
-            solves: warm.cold_solves + warm.warm_solves,
-            warm_solves: warm.warm_solves,
-            simplex_pivots: warm.cold_pivots + warm.warm_pivots,
-            warm_pivots: warm.warm_pivots,
+            solves: stats.solves,
+            simplex_pivots: stats.simplex_iterations,
             nodes: stats.nodes,
-            // The cache, dual-restart and bound-flip counters: always 0.
+            // The warm-start, cache, dual-restart and bound-flip counters:
+            // always 0.
             ..SolverActivity::default()
         })
     }
@@ -1301,8 +1285,35 @@ mod tests {
         assert_eq!(warm.stats().certified_rounds, 4);
         assert_eq!(warm.solver_activity().unwrap(), SolverActivity::default());
         assert_eq!(cold.stats().certified_rounds, 0, "no hint, no certificate");
-        let cold_stats = cold.stats().warm;
-        assert_eq!((cold_stats.cold_solves, cold_stats.warm_solves), (4, 0));
+        let cold_activity = cold.solver_activity().unwrap();
+        assert_eq!((cold_activity.solves, cold_activity.warm_solves), (4, 0));
+    }
+
+    #[test]
+    fn a_tied_round_commits_what_the_all_milp_reference_commits() {
+        // Twin jobs, as `force_ties` builds them: every odd job a copy of the
+        // job before it. One slot per region splits each pair of twins
+        // between two regions, where they can swap: the kernel calls the
+        // round `Tied` and the model is solved, as the reference solves it.
+        let mut fixture = capacity_bound_fixture(4, 21, 1);
+        for m in (1..fixture.pending.len()).step_by(2) {
+            let id = fixture.pending[m].spec.id;
+            fixture.pending[m] = fixture.pending[m - 1].clone();
+            fixture.pending[m].spec.id = id;
+        }
+        let provider: Arc<dyn ConditionsProvider> = Arc::new(SyntheticTelemetry::with_seed(3));
+        let mut default = WaterWiseScheduler::with_defaults(provider.clone());
+        let mut reference = WaterWiseScheduler::new(
+            provider,
+            FootprintEstimator::paper_default(),
+            WaterWiseConfig::default().with_warm_start(false),
+        );
+        let ctx = ctx_from(&fixture, 6.0, 0.5);
+        assert_eq!(default.schedule(&ctx), reference.schedule(&ctx));
+        assert_eq!(default.stats().certified_rounds, 0);
+        let activity = default.solver_activity().unwrap();
+        assert!(activity.solves > 0, "the round was not tied: {activity:?}");
+        assert_eq!(activity, reference.solver_activity().unwrap());
     }
 
     /// `SyntheticTelemetry` counting the trailing means it is asked for.
@@ -1491,7 +1502,7 @@ mod tests {
 
     #[test]
     fn an_attached_cache_changes_nothing() {
-        // 15 slots for 13 jobs: the hour-6 batch reaches `solve_warm`, and
+        // 15 slots for 13 jobs: the hour-6 batch reaches `solve_with`, and
         // the same round twice is solved twice, attached or not.
         let fixture = capacity_bound_fixture(13, 33, 3);
         let mut plain = scheduler();
@@ -1548,29 +1559,28 @@ mod tests {
         let activity = reference.solver_activity().unwrap();
         assert_eq!(activity.solves, 2);
         assert!(activity.simplex_pivots > first.simplex_pivots);
-        assert_eq!(
-            activity.simplex_pivots,
-            reference.stats().simplex_iterations,
-            "workspace pivots and solution iterations must agree"
-        );
     }
 
-    /// What the MILP path answers for a hint: [`assignment_model`] solved
-    /// from it on a fresh workspace, as `solve_assignment` would.
-    fn solved_from(
+    /// What the MILP path answers: [`assignment_model`] solved as
+    /// `solve_assignment` solves it.
+    fn solved(
         numerics: &RoundNumerics,
         capacities: &[usize],
         soft_penalty: Option<f64>,
-        chosen: &[usize],
     ) -> waterwise_milp::Solution {
         assignment_model(numerics, capacities, soft_penalty)
-            .solve_warm(
-                &SimplexConfig::default(),
-                &BranchBoundConfig::default(),
-                Some(&one_hot(chosen, capacities.len())),
-                &mut SolverWorkspace::new(),
-            )
+            .solve()
             .unwrap()
+    }
+
+    /// The assignment `chosen` as the 0/1 point of [`assignment_model`]'s
+    /// layout.
+    fn one_hot(chosen: &[usize], n_regions: usize) -> Vec<f64> {
+        let mut dense = vec![0.0; chosen.len() * n_regions];
+        for (m, &n) in chosen.iter().enumerate() {
+            dense[m * n_regions + n] = 1.0;
+        }
+        dense
     }
 
     #[test]
@@ -1581,10 +1591,7 @@ mod tests {
         let verdict = |rival_cost: f64, rival_ratio: f64, soft_penalty: Option<f64>| {
             let job = numerics(&[(&[0.0, rival_cost], &[0.25, rival_ratio], 0.25)]);
             let accepted = certified(&job, &[1, 1], soft_penalty, &[0], tol, &mut Vec::new());
-            (
-                accepted,
-                solved_from(&job, &[1, 1], soft_penalty, &[0]).values,
-            )
+            (accepted, solved(&job, &[1, 1], soft_penalty).values)
         };
         let (stays, moves) = (vec![1.0, 0.0], vec![0.0, 1.0]);
         // The hinted region sits exactly at the tolerance: admitted. A rival
@@ -1611,10 +1618,7 @@ mod tests {
         let free = &mut Vec::new();
         assert!(!certified(&batch, &[1, 1], None, &[1, 0], tol, free));
         assert!(certified(&batch, &[1, 2], None, &[1, 0], tol, free));
-        assert_eq!(
-            solved_from(&batch, &[1, 2], None, &[1, 0]).values,
-            one_hot(&[1, 0], 2)
-        );
+        assert_eq!(solved(&batch, &[1, 2], None).values, one_hot(&[1, 0], 2));
     }
 
     #[test]
@@ -1915,22 +1919,26 @@ mod tests {
         build_hint(batch, capacities, soften, &mut hint, &mut Vec::new()).then_some(hint)
     }
 
-    /// Cases of the property below, and how its (case, model) instances fell.
+    /// Cases of the property below, and how its (case, model) instances fell
+    /// (the certified ones also by whether the kernel proves them unique).
     const CERTIFICATE_CASES: usize = 256;
     static ACCEPTED: AtomicUsize = AtomicUsize::new(0);
     static REJECTED: AtomicUsize = AtomicUsize::new(0);
     static UNHINTED: AtomicUsize = AtomicUsize::new(0);
+    static CERTIFIED_UNIQUE: AtomicUsize = AtomicUsize::new(0);
     use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(CERTIFICATE_CASES as u32))]
 
         /// Certified == solved: whenever the certificate accepts a hint, the
-        /// MILP path started from that hint returns exactly the hint.
+        /// hint is an optimum of the MILP, and where the kernel proves the
+        /// optimum unique the MILP returns exactly the hint. On a tie the
+        /// solver may return another optimum of the same cost.
         /// (`hint_and_certify_walks_as_the_two_passes` holds the one walk to
         /// the two-pass reference; this holds it to the solver.)
         #[test]
-        fn a_certified_hint_is_what_the_milp_returns(
+        fn a_certified_hint_is_an_optimum_of_the_milp(
             shape in (1usize..61, 1usize..9),
             loose in 0usize..2,
             // 0: no zero-latency home region, and a tight hard round has no hint.
@@ -1955,6 +1963,7 @@ mod tests {
             force_ties(&mut batch, ties);
             let tol = SimplexConfig::default().tolerance;
             let (mut hint, mut left, mut tempted) = (Vec::new(), Vec::new(), Vec::new());
+            let mut transport = Transport::default();
             for soft_penalty in [None, Some(10.0)] {
                 let verdict = hint_and_certify(
                     &batch, &capacities, soft_penalty, tol, &mut hint, &mut left, &mut tempted,
@@ -1968,16 +1977,29 @@ mod tests {
                     continue;
                 }
                 ACCEPTED.fetch_add(1, Relaxed);
-                let solution = solved_from(&batch, &capacities, soft_penalty, &hint);
+                let solution = solved(&batch, &capacities, soft_penalty);
                 prop_assert_eq!(solution.status, waterwise_milp::SolveStatus::Optimal);
                 prop_assert_eq!(solution.nodes_explored, 1);
-                prop_assert_eq!(solution.values, one_hot(&hint, n_regions));
+                let cost = |(m, &n): (usize, &usize)| batch.job(m).cost(n, soft_penalty);
+                let objective: f64 = hint.iter().enumerate().map(cost).sum();
+                prop_assert!(
+                    (objective - solution.objective).abs() <= 2.0 * (n_jobs + n_regions) as f64 * tol,
+                    "hint {} vs solver {}", objective, solution.objective
+                );
+                let verdict = transport.solve(&capacities, arcs(&batch, soft_penalty), tol);
+                if let Verdict::Unique(chosen) = verdict {
+                    CERTIFIED_UNIQUE.fetch_add(1, Relaxed);
+                    prop_assert_eq!(chosen, &hint[..]);
+                    prop_assert_eq!(solution.values, one_hot(&hint, n_regions));
+                }
             }
             // The last case checks that the generator exercised both sides.
             let (yes, no) = (ACCEPTED.load(Relaxed), REJECTED.load(Relaxed));
             if yes + no + UNHINTED.load(Relaxed) == 2 * CERTIFICATE_CASES {
                 let third = 2 * CERTIFICATE_CASES / 3;
                 prop_assert!(yes >= third && no >= third, "{yes} certified, {no} hinted but not");
+                let unique = CERTIFIED_UNIQUE.load(Relaxed);
+                prop_assert!(3 * unique >= yes, "{unique} of {yes} certified hints unique");
             }
         }
     }
@@ -2029,8 +2051,7 @@ mod tests {
 
         /// Kernel == solver: on every instance the kernel's optimum costs what
         /// the MILP's does, it is infeasible exactly when the MILP is, and an
-        /// optimum it proves unique is the MILP's assignment — solved from the
-        /// hint, as `solve_assignment` does, and cold.
+        /// optimum it proves unique is the MILP's assignment.
         #[test]
         fn the_priced_kernel_is_what_the_milp_returns(
             shape in (1usize..61, 1usize..9),
@@ -2064,36 +2085,28 @@ mod tests {
                 let (unique, infeasible) =
                     (matches!(verdict, Verdict::Unique(_)), verdict == Verdict::Infeasible);
                 let model = assignment_model(&batch, &capacities, soft_penalty);
-                let hint = greedy_hint(&batch, &capacities, soft_penalty.is_some())
-                    .map(|hint| one_hot(&hint, n_regions));
-                let mut workspace = SolverWorkspace::new();
-                let warm = model
-                    .solve_warm(&simplex, &branch_bound, hint.as_deref(), &mut workspace)
-                    .unwrap();
-                let cold = model.solve().unwrap();
+                let solved = model.solve_with(&simplex, &branch_bound).unwrap();
                 if !infeasible {
                     let point = one_hot(transport.assignment(), n_regions);
                     prop_assert!(model.is_feasible(&point, 0.0), "the kernel placed off the model");
                 }
-                prop_assert_eq!(warm.nodes_explored, 1);
-                prop_assert_eq!(cold.status, warm.status);
-                prop_assert_eq!(infeasible, warm.status == Infeasible, "{:?}", warm.status);
+                prop_assert_eq!(solved.nodes_explored, 1);
+                prop_assert_eq!(infeasible, solved.status == Infeasible, "{:?}", solved.status);
                 if infeasible {
                     INFEASIBLE.fetch_add(1, Relaxed);
                     continue;
                 }
-                prop_assert_eq!(warm.status, Optimal);
+                prop_assert_eq!(solved.status, Optimal);
                 let chosen = transport.assignment();
                 let cost = |(m, &n): (usize, &usize)| batch.job(m).cost(n, soft_penalty);
                 let objective: f64 = chosen.iter().enumerate().map(cost).sum();
                 prop_assert!(
-                    (objective - warm.objective).abs() <= simplex.tolerance,
-                    "kernel {} vs solver {}", objective, warm.objective
+                    (objective - solved.objective).abs() <= simplex.tolerance,
+                    "kernel {} vs solver {}", objective, solved.objective
                 );
                 if unique {
                     UNIQUE.fetch_add(1, Relaxed);
-                    prop_assert_eq!(&warm.values, &one_hot(chosen, n_regions));
-                    prop_assert_eq!(&cold.values, &one_hot(chosen, n_regions));
+                    prop_assert_eq!(&solved.values, &one_hot(chosen, n_regions));
                 } else {
                     TIED.fetch_add(1, Relaxed);
                 }

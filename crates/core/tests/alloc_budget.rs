@@ -107,13 +107,15 @@ const STEADY_CERTIFIED_BUDGET: u64 = 2;
 /// became one region-major pass over per-job columns.)
 const FIRST_CERTIFIED_BUDGET: u64 = 45;
 
-/// Allocation requests a 13-job round that reaches the solver (cold, without
-/// warm starts) may make: `[on a fresh scheduler, on the same scheduler
-/// again]`. Measured: 73 and 49 — a job's assignment row (1 each), the five
-/// capacity rows, the model's own lists, the solution and the ~25 of a solve
-/// that do not grow with the batch; the first round also grows scratch and
-/// solver workspace. Warm-started from the hint it made 85 and 58 (the dense
-/// hint, a crash basis). A fresh round made 115 before the round's lists were
+/// Allocation requests a 13-job round that reaches the solver may make:
+/// `[on a fresh scheduler, on the same scheduler again]`. Every solve is
+/// cold, as a tied round's and the all-MILP reference's are. Measured: 73 and
+/// 50 — a job's assignment row (1 each), the five capacity rows, the model's
+/// own lists, the solution, the tableau and the ~25 of a solve that do not
+/// grow with the batch; the first round also grows the scratch. (73 and 49
+/// while a solver workspace pooled the tableau across solves; 85 and 58
+/// warm-started from the hint, with the dense hint and a crash basis.) A
+/// fresh round made 115 before the round's lists were
 /// reused; 123 with a delay row per job (Eq. 11 before it became arc bounds);
 /// 146 with the `assign_{job}` / `cap_{region}` row names a since-deleted
 /// solution cache keyed on; 456 with the builder before that (a `String` per variable and
@@ -206,8 +208,8 @@ fn one_scheduling_round_stays_within_its_allocation_budget() {
              allocation requests, budget {STEADY_CERTIFIED_BUDGET}"
         );
     }
-    // Without warm starts the capacity-bound round is a MILP — built, solved
-    // cold, read back.
+    // Without `warm_start` the capacity-bound round is a MILP — built,
+    // solved, read back.
     let (solved, certified) = two_rounds(BATCHES[0], 3, false);
     assert_eq!(certified, 0, "a round without a hint was certified");
     assert!(

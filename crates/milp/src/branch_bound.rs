@@ -10,7 +10,6 @@ use crate::error::MilpError;
 use crate::model::{Direction, Model};
 use crate::simplex::{self, BoundedLp, SimplexConfig};
 use crate::solution::{Solution, SolveStatus};
-use crate::workspace::SolverWorkspace;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -40,7 +39,6 @@ impl Default for BranchBoundConfig {
 
 /// A pending node: its own variable bounds (the model's, tightened by the
 /// branching above it) plus the parent LP bound used for best-first ordering.
-/// Its LP is solved cold, or hinted when the hint lies in its bound box.
 #[derive(Debug, Clone)]
 struct Node {
     lower: Vec<f64>,
@@ -74,6 +72,14 @@ impl PartialOrd for Node {
     }
 }
 
+impl Node {
+    /// `true` when branching emptied a variable's box: trivially infeasible,
+    /// and not worth a tableau.
+    fn is_empty(&self) -> bool {
+        self.lower.iter().zip(&self.upper).any(|(lo, hi)| lo > hi)
+    }
+}
+
 /// Solve a MILP by branch & bound. The model's objective direction is handled
 /// by the LP-relaxation solver on [`Model`]; internally everything is a
 /// minimization of the *relaxation objective in the original direction
@@ -82,46 +88,6 @@ pub fn solve(
     model: &Model,
     simplex_config: &SimplexConfig,
     config: &BranchBoundConfig,
-) -> Result<Solution, MilpError> {
-    solve_warm(model, simplex_config, config, None, None)
-}
-
-impl Node {
-    /// `true` when every hint value lies inside the node's bound box.
-    fn contains(&self, hint: &[f64], tol: f64) -> bool {
-        let bounds = self.lower.iter().zip(&self.upper);
-        hint.iter()
-            .zip(bounds)
-            .all(|(&v, (&lo, &hi))| v >= lo - tol && v <= hi + tol)
-    }
-
-    /// `true` when branching emptied a variable's box: trivially infeasible,
-    /// and not worth a tableau.
-    fn is_empty(&self) -> bool {
-        self.lower.iter().zip(&self.upper).any(|(lo, hi)| lo > hi)
-    }
-}
-
-/// Branch & bound with an optional warm start.
-///
-/// `hint` is a candidate point carried over from a previous, similar solve
-/// (e.g. the prior scheduling slot's assignment). When it is feasible for
-/// *this* model it seeds the incumbent — so the very first bound comparison
-/// can prune the tree — and is forwarded to every node's LP solve whose bound
-/// box contains it, letting the simplex crash a basis and skip phase 1.
-///
-/// The returned *objective* is always identical to a cold solve, and so are
-/// the variable values whenever the optimum is unique. The one caveat: if
-/// two vertices tie the optimum exactly, the warm path may return the
-/// hinted one while a cold solve returns the other (phase 2 terminates at
-/// the first optimal basis it reaches). Objectives still agree to the last
-/// bit; only the choice among equally-optimal solutions can differ.
-pub fn solve_warm(
-    model: &Model,
-    simplex_config: &SimplexConfig,
-    config: &BranchBoundConfig,
-    hint: Option<&[f64]>,
-    mut workspace: Option<&mut SolverWorkspace>,
 ) -> Result<Solution, MilpError> {
     let integer_vars = model.integer_var_indices();
     let maximize = matches!(model.objective(), Some((Direction::Maximize, _)));
@@ -148,47 +114,12 @@ pub fn solve_warm(
     // the search can then certify neither optimality nor infeasibility.
     let mut saw_capped_node = false;
 
-    // Only hints that are feasible for this model (constraints, bounds, and
-    // integrality) are usable; anything else is silently dropped.
-    let hint = hint.filter(|h| h.len() == model.num_vars() && model.is_feasible(h, 1e-6));
-    // A hint-seeded incumbent acts as a *bound only*: nodes that merely tie
-    // it are still explored, and the first LP-derived integral solution that
-    // ties or beats it replaces it. This keeps warm solves byte-identical to
-    // cold ones even when alternate optima exist (the hint might be a
-    // different optimal vertex than the one the cold search would return).
-    let mut incumbent_from_hint = false;
-    if let (Some(h), Some((_, objective_expr))) = (hint, model.objective()) {
-        let mut values = h.to_vec();
-        for &vi in &integer_vars {
-            values[vi] = values[vi].round();
-        }
-        let objective = objective_expr.evaluate(&values);
-        incumbent_key = key(objective);
-        incumbent_from_hint = true;
-        incumbent = Some(Solution {
-            status: SolveStatus::Optimal,
-            objective,
-            values,
-            simplex_iterations: 0,
-            nodes_explored: 0,
-        });
-    }
-    // Hint-derived incumbents only prune nodes strictly worse than the hint;
-    // search-derived incumbents also prune ties (the cold behavior).
-    let prune_threshold = |incumbent_key: f64, from_hint: bool| {
-        if from_hint {
-            incumbent_key + config.absolute_gap
-        } else {
-            incumbent_key - config.absolute_gap
-        }
-    };
-
     while let Some(node) = heap.pop() {
         if nodes_explored >= config.max_nodes {
             break;
         }
         // Prune against the incumbent using the parent bound.
-        if node.parent_bound > prune_threshold(incumbent_key, incumbent_from_hint) {
+        if node.parent_bound > incumbent_key - config.absolute_gap {
             continue;
         }
         nodes_explored += 1;
@@ -200,13 +131,7 @@ pub fn solve_warm(
             lower: &node.lower,
             upper: &node.upper,
         };
-        let outcome = simplex::solve_bounded(
-            node_lp,
-            simplex_config,
-            hint.filter(|h| node.contains(h, 1e-9)),
-            workspace.as_deref_mut(),
-        );
-        let relaxation = model.lp_solution(outcome);
+        let relaxation = model.lp_solution(simplex::solve_bounded(node_lp, simplex_config));
         total_iterations += relaxation.simplex_iterations;
         match relaxation.status {
             SolveStatus::Infeasible => continue,
@@ -227,7 +152,7 @@ pub fn solve_warm(
             SolveStatus::Optimal | SolveStatus::Feasible => {}
         }
         let node_key = key(relaxation.objective);
-        if node_key > prune_threshold(incumbent_key, incumbent_from_hint) {
+        if node_key > incumbent_key - config.absolute_gap {
             // Bound dominated by incumbent.
             continue;
         }
@@ -245,13 +170,8 @@ pub fn solve_warm(
         }
         match branch_var {
             None => {
-                // Candidate incumbent. A search-derived solution
-                // that ties a hint-derived incumbent takes precedence so the
-                // returned vertex matches what a cold solve would pick.
-                if node_key < incumbent_key
-                    || (incumbent_from_hint && node_key <= incumbent_key + config.absolute_gap)
-                {
-                    incumbent_from_hint = false;
+                // Candidate incumbent.
+                if node_key < incumbent_key {
                     incumbent_key = node_key;
                     let mut values = relaxation.values.clone();
                     // Snap integer variables to exact integers.
@@ -286,9 +206,6 @@ pub fn solve_warm(
     let work_remaining = !heap.is_empty();
 
     if saw_unbounded_root {
-        // A hint-seeded incumbent cannot rescue an unbounded relaxation: a
-        // feasible point plus an unbounded LP relaxation means the MILP
-        // itself is unbounded, exactly as the cold path reports.
         return Ok(Solution {
             status: SolveStatus::Unbounded,
             objective: f64::NAN,
@@ -333,28 +250,8 @@ mod tests {
 
     #[test]
     fn pure_integer_program() {
-        // max 8x + 11y + 6z + 4w s.t. 5x + 7y + 4z + 3w <= 14, binary.
-        // Known optimum: x=0,y=1,z=1,w=1 => 21.
-        let mut m = Model::new("kp");
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
-        let z = m.add_binary("z");
-        let w = m.add_binary("w");
-        m.add_constraint(
-            "cap",
-            LinExpr::from(x) * 5.0
-                + LinExpr::from(y) * 7.0
-                + LinExpr::from(z) * 4.0
-                + LinExpr::from(w) * 3.0,
-            Sense::LessEqual,
-            14.0,
-        );
-        m.maximize(
-            LinExpr::from(x) * 8.0
-                + LinExpr::from(y) * 11.0
-                + LinExpr::from(z) * 6.0
-                + LinExpr::from(w) * 4.0,
-        );
+        // Known optimum: x=0,y=1,z=1,w=1 => 21, found by branching.
+        let m = knapsack_model();
         let sol = m.solve().unwrap();
         assert!(sol.status.has_solution());
         assert!(
@@ -363,6 +260,7 @@ mod tests {
             sol.objective
         );
         assert!(m.is_feasible(&sol.values, 1e-6));
+        assert!(sol.nodes_explored >= 7, "{} nodes", sol.nodes_explored);
     }
 
     #[test]
@@ -447,6 +345,7 @@ mod tests {
         }
     }
 
+    /// `max 8x + 11y + 6z + 4w  s.t.  5x + 7y + 4z + 3w <= 14` over binaries.
     fn knapsack_model() -> Model {
         let mut m = Model::new("kp");
         let x = m.add_binary("x");
@@ -469,211 +368,6 @@ mod tests {
                 + LinExpr::from(w) * 4.0,
         );
         m
-    }
-
-    #[test]
-    fn warm_start_with_optimal_hint_matches_cold_with_less_work() {
-        let m = knapsack_model();
-        let cold = m.solve().unwrap();
-        let mut ws = crate::workspace::SolverWorkspace::new();
-        let warm = m
-            .solve_warm(
-                &SimplexConfig::default(),
-                &BranchBoundConfig::default(),
-                Some(&cold.values),
-                &mut ws,
-            )
-            .unwrap();
-        assert!(warm.status.has_solution());
-        assert!((warm.objective - cold.objective).abs() < 1e-9);
-        assert_eq!(warm.values, cold.values);
-        assert!(
-            warm.simplex_iterations <= cold.simplex_iterations,
-            "warm {} vs cold {}",
-            warm.simplex_iterations,
-            cold.simplex_iterations
-        );
-        assert!(warm.nodes_explored <= cold.nodes_explored);
-    }
-
-    #[test]
-    fn warm_start_halves_pivots_on_assignment_models() {
-        // The WaterWise shape: per-job equality rows force a phase 1 that
-        // the crash basis skips entirely.
-        let mut m = Model::new("assign");
-        let n_jobs = 8;
-        let n_regions = 4;
-        let cost = |j: usize, r: usize| ((j * 7 + r * 13) % 9) as f64 + 1.0;
-        let mut vars = vec![];
-        for j in 0..n_jobs {
-            for r in 0..n_regions {
-                vars.push(m.add_binary(format!("x_{j}_{r}")));
-            }
-        }
-        let v = |j: usize, r: usize| vars[j * n_regions + r];
-        for j in 0..n_jobs {
-            let expr = LinExpr::sum((0..n_regions).map(|r| LinExpr::from(v(j, r))));
-            m.add_constraint(format!("assign_{j}"), expr, Sense::Equal, 1.0);
-        }
-        for r in 0..n_regions {
-            let expr = LinExpr::sum((0..n_jobs).map(|j| LinExpr::from(v(j, r))));
-            m.add_constraint(format!("cap_{r}"), expr, Sense::LessEqual, 3.0);
-        }
-        let mut obj = LinExpr::zero();
-        for j in 0..n_jobs {
-            for r in 0..n_regions {
-                obj.add_term(v(j, r), cost(j, r));
-            }
-        }
-        m.minimize(obj);
-
-        let cold = m.solve().unwrap();
-        let mut ws = crate::workspace::SolverWorkspace::new();
-        let warm = m
-            .solve_warm(
-                &SimplexConfig::default(),
-                &BranchBoundConfig::default(),
-                Some(&cold.values),
-                &mut ws,
-            )
-            .unwrap();
-        assert!((warm.objective - cold.objective).abs() < 1e-9);
-        assert_eq!(warm.values, cold.values);
-        assert!(
-            warm.simplex_iterations * 2 <= cold.simplex_iterations,
-            "expected >=2x pivot cut, warm {} vs cold {}",
-            warm.simplex_iterations,
-            cold.simplex_iterations
-        );
-        assert!(ws.stats().warm_solves >= 1);
-    }
-
-    #[test]
-    fn warm_start_with_suboptimal_hint_still_finds_the_optimum() {
-        let m = knapsack_model();
-        // Feasible but poor: take only w (value 4, weight 3).
-        let hint = [0.0, 0.0, 0.0, 1.0];
-        let mut ws = crate::workspace::SolverWorkspace::new();
-        let warm = m
-            .solve_warm(
-                &SimplexConfig::default(),
-                &BranchBoundConfig::default(),
-                Some(&hint),
-                &mut ws,
-            )
-            .unwrap();
-        assert!((warm.objective - 21.0).abs() < 1e-6, "{}", warm.objective);
-    }
-
-    #[test]
-    fn infeasible_hint_is_ignored() {
-        let m = knapsack_model();
-        // Violates the capacity constraint (total weight 19 > 14).
-        let hint = [1.0, 1.0, 1.0, 1.0];
-        let mut ws = crate::workspace::SolverWorkspace::new();
-        let warm = m
-            .solve_warm(
-                &SimplexConfig::default(),
-                &BranchBoundConfig::default(),
-                Some(&hint),
-                &mut ws,
-            )
-            .unwrap();
-        assert!((warm.objective - 21.0).abs() < 1e-6, "{}", warm.objective);
-        assert!(m.is_feasible(&warm.values, 1e-6));
-    }
-
-    #[test]
-    fn unique_optimum_ignores_a_suboptimal_alternate_vertex_hint() {
-        // With a *unique* optimum, hinting the other (suboptimal) vertex
-        // must not change the returned solution: the hint only seeds a
-        // bound, and the search-derived optimum replaces it.
-        let mut m = Model::new("unique");
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
-        m.add_constraint("one", LinExpr::from(x) + y, Sense::Equal, 1.0);
-        m.minimize(LinExpr::from(x) * 2.0 + LinExpr::from(y) * 3.0);
-        let cold = m.solve().unwrap();
-        assert_eq!(cold.values, vec![1.0, 0.0]);
-        let mut ws = crate::workspace::SolverWorkspace::new();
-        let warm = m
-            .solve_warm(
-                &SimplexConfig::default(),
-                &BranchBoundConfig::default(),
-                Some(&[0.0, 1.0]),
-                &mut ws,
-            )
-            .unwrap();
-        assert_eq!(warm.values, cold.values);
-        assert!((warm.objective - cold.objective).abs() < 1e-12);
-    }
-
-    #[test]
-    fn exactly_tied_optima_return_an_optimal_vertex_either_way() {
-        // Documented caveat: when two vertices tie the optimum *exactly*,
-        // the warm path may return the hinted one while the cold path
-        // returns the other — both are optimal and the objectives agree to
-        // the last bit. (The WaterWise scheduler's coefficients come from
-        // continuous telemetry, where exact ties do not occur; the campaign
-        // equivalence tests pin byte-identical schedules on real workloads.)
-        let mut m = Model::new("tie");
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
-        m.add_constraint("one", LinExpr::from(x) + y, Sense::Equal, 1.0);
-        m.minimize(LinExpr::from(x) * 2.0 + LinExpr::from(y) * 2.0);
-        let cold = m.solve().unwrap();
-        let other_vertex: Vec<f64> = cold.values.iter().map(|v| 1.0 - v).collect();
-        assert!(m.is_feasible(&other_vertex, 1e-9), "both vertices feasible");
-        let mut ws = crate::workspace::SolverWorkspace::new();
-        let warm = m
-            .solve_warm(
-                &SimplexConfig::default(),
-                &BranchBoundConfig::default(),
-                Some(&other_vertex),
-                &mut ws,
-            )
-            .unwrap();
-        assert!((warm.objective - cold.objective).abs() < 1e-12);
-        assert!(m.is_feasible(&warm.values, 1e-9));
-    }
-
-    #[test]
-    fn unbounded_milp_stays_unbounded_despite_a_feasible_hint() {
-        let mut m = Model::new("unb");
-        let x = m.add_var("x", VarKind::Integer, 0.0, f64::INFINITY);
-        m.add_constraint("c", x * 1.0, Sense::GreaterEqual, 0.0);
-        m.maximize(x * 1.0);
-        let hint = [3.0];
-        let mut ws = crate::workspace::SolverWorkspace::new();
-        let sol = m
-            .solve_warm(
-                &SimplexConfig::default(),
-                &BranchBoundConfig::default(),
-                Some(&hint),
-                &mut ws,
-            )
-            .unwrap();
-        assert_eq!(sol.status, SolveStatus::Unbounded);
-    }
-
-    #[test]
-    fn a_branching_search_ends_holding_one_tableau_buffer() {
-        // Nodes hold bounds only, so however far the search branches the
-        // workspace ends holding the one tableau buffer every node LP took
-        // and put back.
-        let m = knapsack_model();
-        let mut ws = crate::workspace::SolverWorkspace::new();
-        let sol = m
-            .solve_warm(
-                &SimplexConfig::default(),
-                &BranchBoundConfig::default(),
-                None,
-                &mut ws,
-            )
-            .unwrap();
-        assert!(sol.status.has_solution());
-        assert!(sol.nodes_explored >= 7, "{} nodes", sol.nodes_explored);
-        assert_eq!(ws.pooled_buffers(), 1);
     }
 
     /// `max values·x  s.t.  weights·x <= cap` over six binaries.
@@ -726,12 +420,11 @@ mod tests {
             17.0,
         );
         let bb = BranchBoundConfig::default();
-        let mut ws = SolverWorkspace::new();
-        let capped = m.solve_warm(&pivot_cap(6), &bb, None, &mut ws).unwrap();
+        let capped = m.solve_with(&pivot_cap(6), &bb).unwrap();
         assert_eq!(capped.status, SolveStatus::Feasible);
         assert_eq!(capped.objective, 20.0);
         // Uncapped, the same search certifies it.
-        let full = m.solve_warm(&pivot_cap(0), &bb, None, &mut ws).unwrap();
+        let full = m.solve_with(&pivot_cap(0), &bb).unwrap();
         assert_eq!(full.status, SolveStatus::Optimal);
         assert_eq!(full.values, capped.values);
     }

@@ -14,20 +14,24 @@
 //!   simplex reads those rows in place at the root and at every
 //!   branch-and-bound node.
 //! * [`simplex`] — a dense, two-phase primal simplex for the LP relaxation,
-//!   with Bland's-rule anti-cycling, infeasibility/unboundedness detection,
-//!   and warm starts from a prior primal point.
+//!   with Bland's-rule anti-cycling and infeasibility/unboundedness
+//!   detection. Every solve starts cold, from the all-slack basis.
 //! * [`branch_bound`] — best-first branch & bound on fractional integer
 //!   variables, with incumbent pruning and a configurable gap/node budget;
-//!   a node holds only its bounds and solves its LP cold or hinted.
+//!   a node holds only its bounds.
 //! * [`solution`] — solve status and per-variable value extraction.
-//! * [`workspace`] — reusable allocations and cold/warm solve accounting for
-//!   rolling-horizon (repeated) solves; see [`Model::solve_warm`].
 //!
 //! The scheduling MILPs WaterWise builds (binary assignment variables with
 //! per-job equality constraints and per-region capacity constraints) are
 //! transportation problems with integral LP relaxations, so branch & bound
 //! terminates at the root node; the solver nevertheless handles the general
 //! case and is extensively property-tested against brute-force enumeration.
+//!
+//! The scheduler decides almost every round without it: a certified hint or
+//! its transportation kernel proves the optimum. Only a round with tied
+//! optima reaches [`Model::solve_with`]. The all-MILP reference
+//! (`warm_start = false`) solves every round here, and is what the
+//! certificate and the kernel are tested against.
 //!
 //! ```
 //! use waterwise_milp::{Model, Sense, VarKind};
@@ -62,7 +66,6 @@ pub mod expr;
 pub mod model;
 pub mod simplex;
 pub mod solution;
-pub mod workspace;
 
 pub use branch_bound::BranchBoundConfig;
 pub use error::MilpError;
@@ -70,4 +73,3 @@ pub use expr::{LinExpr, Var};
 pub use model::{Model, Sense, VarKind};
 pub use simplex::{LpConstraint, LpProblem, SimplexConfig, SimplexOutcome};
 pub use solution::{Solution, SolveStatus};
-pub use workspace::{SolverWorkspace, WarmStats};

@@ -13,7 +13,6 @@ use crate::error::MilpError;
 use crate::expr::{LinExpr, Var};
 use crate::simplex::{self, LpConstraint, LpProblem, SimplexConfig, SimplexOutcome};
 use crate::solution::{Solution, SolveStatus};
-use crate::workspace::SolverWorkspace;
 use serde::{Deserialize, Serialize};
 
 /// The kind of a decision variable.
@@ -339,68 +338,8 @@ impl Model {
         if self.has_integer_vars() {
             branch_bound::solve(self, simplex_config, bb_config)
         } else {
-            Ok(self.solve_lp(simplex_config, None, None))
+            Ok(self.lp_solution(simplex::solve(&self.lp, simplex_config)))
         }
-    }
-
-    /// Solve with a warm start: `hint` is a prior solution for a similar
-    /// model (seeds the branch-and-bound incumbent and the simplex crash
-    /// basis when feasible; ignored otherwise), and `workspace` carries
-    /// reusable allocations plus cold/warm statistics across solves.
-    ///
-    /// The returned solution is the same optimum [`Model::solve_with`]
-    /// finds — warm starting changes only the amount of work spent.
-    ///
-    /// ```
-    /// use waterwise_milp::{
-    ///     BranchBoundConfig, Model, Sense, SimplexConfig, SolverWorkspace, VarKind,
-    /// };
-    ///
-    /// // minimize 2x + y  s.t.  x + y = 1, binary x, y — the shape of one
-    /// // WaterWise assignment row (equality constraints are where phase-1
-    /// // skipping pays).
-    /// let mut model = Model::new("warm-example");
-    /// let x = model.add_var("x", VarKind::Binary, 0.0, 1.0);
-    /// let y = model.add_var("y", VarKind::Binary, 0.0, 1.0);
-    /// model.add_constraint("assign", x + y, Sense::Equal, 1.0);
-    /// model.minimize(x * 2.0 + y * 1.0);
-    ///
-    /// let mut workspace = SolverWorkspace::new();
-    /// let simplex = SimplexConfig::default();
-    /// let bb = BranchBoundConfig::default();
-    /// // First solve is cold; the second reuses the first solution as a
-    /// // warm-start hint (same optimum, less work).
-    /// let cold = model.solve_warm(&simplex, &bb, None, &mut workspace).unwrap();
-    /// let warm = model
-    ///     .solve_warm(&simplex, &bb, Some(&cold.values), &mut workspace)
-    ///     .unwrap();
-    /// assert_eq!(cold.objective, warm.objective);
-    /// assert_eq!(workspace.stats().cold_solves, 1);
-    /// assert_eq!(workspace.stats().warm_solves, 1);
-    /// ```
-    pub fn solve_warm(
-        &self,
-        simplex_config: &SimplexConfig,
-        bb_config: &BranchBoundConfig,
-        hint: Option<&[f64]>,
-        workspace: &mut SolverWorkspace,
-    ) -> Result<Solution, MilpError> {
-        self.validate()?;
-        if self.has_integer_vars() {
-            branch_bound::solve_warm(self, simplex_config, bb_config, hint, Some(workspace))
-        } else {
-            Ok(self.solve_lp(simplex_config, hint, Some(workspace)))
-        }
-    }
-
-    /// Solve a model without integer variables: its LP, as stored.
-    fn solve_lp(
-        &self,
-        config: &SimplexConfig,
-        hint: Option<&[f64]>,
-        workspace: Option<&mut SolverWorkspace>,
-    ) -> Solution {
-        self.lp_solution(simplex::solve_with_hint(&self.lp, config, hint, workspace))
     }
 
     /// Map a simplex outcome back into model space (objective re-evaluated

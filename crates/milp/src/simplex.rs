@@ -23,23 +23,9 @@
 //! Entering-variable selection uses Dantzig's rule with an automatic switch
 //! to Bland's rule after a stall, which guarantees termination on degenerate
 //! problems.
-//!
-//! # Warm starts
-//!
-//! [`solve_with_hint`] accepts a prior primal point (e.g. the previous
-//! scheduling slot's solution). The solver uses it to build a *crash basis*:
-//! guided steps bring the hint's support columns into the basis (or to their
-//! upper bound) under the ratio test, so primal feasibility of the extended
-//! problem is preserved, preferring to evict artificial variables on ties.
-//! When the crash drives every artificial to zero, phase 1 is skipped
-//! entirely and phase 2 starts at (or next to) the hinted vertex; otherwise
-//! the solver falls back to a normal phase 1 from the crashed basis. The
-//! result is always the same optimum a cold solve finds — only the pivot
-//! path differs.
 
 use crate::expr::evaluate_terms;
 use crate::model::Sense;
-use crate::workspace::SolverWorkspace;
 use serde::{Deserialize, Serialize};
 
 /// A constraint in "model form" for the LP solver.
@@ -299,9 +285,10 @@ impl Tableau {
 
     /// Move non-basic column `col` to its other bound: substitute
     /// `y = upper - y'`, after which `y'` is the non-basic at zero.
-    fn complement_column(&mut self, col: usize, obj_row: Option<&mut [f64]>) {
+    fn complement_column(&mut self, col: usize, obj_row: &mut [f64]) {
         let (cols, upper) = (self.cols, self.upper[col]);
-        for target in self.a.chunks_exact_mut(self.stride).chain(obj_row) {
+        let rows = self.a.chunks_exact_mut(self.stride);
+        for target in rows.chain(std::iter::once(obj_row)) {
             target[cols] -= upper * target[col];
             target[col] = -target[col];
         }
@@ -324,32 +311,15 @@ impl Tableau {
     }
 }
 
-/// Solve a linear program with the two-phase primal simplex (cold start).
+/// Solve a linear program with the two-phase primal simplex.
 pub fn solve(problem: &LpProblem, config: &SimplexConfig) -> SimplexOutcome {
-    solve_with_hint(problem, config, None, None)
+    solve_bounded(problem.into(), config)
 }
 
-/// Solve a linear program, optionally warm-started from a prior primal point
-/// (`hint`, in original-variable space) and reusing allocations from a
-/// [`SolverWorkspace`]. Cold/warm pivot counts are recorded on the workspace.
-pub fn solve_with_hint(
-    problem: &LpProblem,
-    config: &SimplexConfig,
-    hint: Option<&[f64]>,
-    workspace: Option<&mut SolverWorkspace>,
-) -> SimplexOutcome {
-    solve_bounded(problem.into(), config, hint, workspace)
-}
-
-/// The entry every cold or hinted solve goes through: [`solve_with_hint`]
-/// under the caller's own bounds.
-pub(crate) fn solve_bounded(
-    lp: BoundedLp<'_>,
-    config: &SimplexConfig,
-    hint: Option<&[f64]>,
-    workspace: Option<&mut SolverWorkspace>,
-) -> SimplexOutcome {
-    Solver::new(lp, config, hint, workspace).run()
+/// The entry every solve goes through: [`solve`] under the caller's own
+/// bounds.
+pub(crate) fn solve_bounded(lp: BoundedLp<'_>, config: &SimplexConfig) -> SimplexOutcome {
+    Solver::new(lp, config).run_phases()
 }
 
 struct Solver<'a> {
@@ -359,17 +329,10 @@ struct Solver<'a> {
     tableau: Tableau,
     /// Costs on solver columns in their uncomplemented form (for phase 2).
     solver_costs: Vec<f64>,
-    structural_cols: usize,
     num_artificials: usize,
     /// Pivots plus bound flips performed so far.
     iterations: usize,
     max_iterations: usize,
-    hint: Option<&'a [f64]>,
-    workspace: Option<&'a mut SolverWorkspace>,
-    /// Whether the crash basis eliminated every artificial (phase 1 skipped).
-    warm_applied: bool,
-    /// Whether a hint was offered but the crash failed to clear phase 1.
-    hint_rejected: bool,
 }
 
 /// What stops an entering variable on its way up from zero.
@@ -383,12 +346,7 @@ enum Step {
 }
 
 impl<'a> Solver<'a> {
-    fn new(
-        lp: BoundedLp<'a>,
-        config: &SimplexConfig,
-        hint: Option<&'a [f64]>,
-        mut workspace: Option<&'a mut SolverWorkspace>,
-    ) -> Self {
+    fn new(lp: BoundedLp<'a>, config: &SimplexConfig) -> Self {
         let problem = lp.problem;
         // --- 1. Map original variables to solver variables resting at 0. ---
         let (var_map, structural_cols) = map_variables(lp);
@@ -419,12 +377,9 @@ impl<'a> Solver<'a> {
         let non_artificial_cols = structural_cols + num_slack;
         let total_cols = non_artificial_cols + num_artificial;
 
-        // --- 3. Write the sparse rows straight into the pooled tableau. ---
+        // --- 3. Write the sparse rows straight into the tableau. ---
         let stride = total_cols + 1;
-        let mut a = match workspace.as_deref_mut() {
-            Some(ws) => ws.take_buffer(m * stride),
-            None => vec![0.0; m * stride],
-        };
+        let mut a = vec![0.0; m * stride];
         let mut basis = vec![0usize; m];
         let mut slack_cursor = structural_cols;
         let mut artificial_cursor = non_artificial_cols;
@@ -472,14 +427,9 @@ impl<'a> Solver<'a> {
             solver_costs: build_solver_costs(problem, &var_map, total_cols),
             var_map,
             tableau,
-            structural_cols,
             num_artificials: num_artificial,
             iterations: 0,
             max_iterations: config.max_iterations,
-            hint,
-            workspace,
-            warm_applied: false,
-            hint_rejected: false,
         };
         if config.max_iterations == 0 {
             solver.max_iterations = 2_000 + 40 * solver.logical_size();
@@ -501,42 +451,14 @@ impl<'a> Solver<'a> {
         self.tableau.upper.iter().any(|&u| u < 0.0)
     }
 
-    fn run(mut self) -> SimplexOutcome {
-        let outcome = self.run_phases();
-        if let Some(ws) = self.workspace.take() {
-            ws.record_solve(self.warm_applied, self.iterations);
-            if self.hint_rejected {
-                ws.record_rejected_hint();
-            }
-            ws.recycle_buffer(self.tableau.a);
-        }
-        outcome
-    }
-
     fn run_phases(&mut self) -> SimplexOutcome {
         if self.has_empty_box() {
             return SimplexOutcome::Infeasible { iterations: 0 };
         }
         let tol = self.config.tolerance;
 
-        // ---- Phase 0: crash a basis from the warm-start hint, if any. ----
-        // Only worth doing when artificial variables exist: the payoff of
-        // the crash is skipping phase 1. Without artificials the all-slack
-        // basis is already feasible and the cold path is optimal work.
-        let mut skip_phase1 = false;
-        if self.num_artificials > 0 {
-            if let Some(hint) = self.hint {
-                if self.warm_crash(hint) {
-                    self.warm_applied = true;
-                    skip_phase1 = true;
-                } else {
-                    self.hint_rejected = true;
-                }
-            }
-        }
-
         // ---- Phase 1: minimize the sum of artificial variables. ----
-        if self.num_artificials > 0 && !skip_phase1 {
+        if self.num_artificials > 0 {
             let cols = self.tableau.cols;
             let mut phase1_costs = vec![0.0; cols];
             phase1_costs[self.tableau.non_artificial_cols..].fill(1.0);
@@ -570,62 +492,6 @@ impl<'a> Solver<'a> {
         }
     }
 
-    /// Build a crash basis from a prior primal point: bring the hint's
-    /// support columns into the basis (or onto their upper bound) with
-    /// ratio-test steps (feasibility of the extended problem is preserved
-    /// throughout), preferring to evict artificial variables on ties.
-    /// Returns `true` when every artificial ended at zero, i.e. phase 1 can
-    /// be skipped.
-    fn warm_crash(&mut self, hint: &[f64]) -> bool {
-        let tol = self.config.tolerance;
-        // Map the hint into solver-variable space.
-        let mut y = vec![0.0; self.tableau.cols];
-        for (i, map) in self.var_map.iter().enumerate() {
-            let x = hint.get(i).copied().unwrap_or(0.0);
-            match *map {
-                VarMap::Shifted { col, lower } => y[col] = (x - lower).max(0.0),
-                VarMap::Mirrored { col, upper } => y[col] = (upper - x).max(0.0),
-                VarMap::Split { pos, neg } => {
-                    y[pos] = x.max(0.0);
-                    y[neg] = (-x).max(0.0);
-                }
-            }
-        }
-        let mut support: Vec<usize> = (0..self.structural_cols).filter(|&c| y[c] > tol).collect();
-        // Largest hint values first: they are the most likely basic columns.
-        support.sort_by(|&a, &b| {
-            y[b].partial_cmp(&y[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        let mut in_basis = vec![false; self.tableau.cols];
-        for &b in &self.tableau.basis {
-            in_basis[b] = true;
-        }
-        for col in support {
-            if in_basis[col] || self.iterations >= self.max_iterations {
-                continue;
-            }
-            // Ties prefer evicting an artificial, then the smallest basis
-            // column index (Bland) for determinism.
-            if let Some(step) = self.ratio_test(col, true) {
-                if let Step::Pivot { row, .. } = step {
-                    in_basis[self.tableau.basis[row]] = false;
-                    in_basis[col] = true;
-                }
-                self.apply(col, step, None);
-            }
-        }
-        // Only called when artificials exist (see `run_phases`).
-        debug_assert!(self.num_artificials > 0);
-        if self.tableau.artificial_sum() <= 1e-6 {
-            self.evict_basic_artificials(tol);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Phase-2 costs on the columns as currently held: a complemented
     /// column `y = upper - y'` prices `y'` at the negated cost.
     fn phase2_costs(&self) -> Vec<f64> {
@@ -654,14 +520,13 @@ impl<'a> Solver<'a> {
     /// basic variable falling to zero, (b) a basic variable rising to its
     /// upper bound, (c) the entering variable reaching its own upper bound.
     /// Ties go to the smallest rank of the variable that would leave (in
-    /// (b) and (c) that is the complement), after artificial basics when
-    /// `prefer_artificial` is set. `None` means nothing stops the variable.
-    fn ratio_test(&self, col: usize, prefer_artificial: bool) -> Option<Step> {
+    /// (b) and (c) that is the complement). `None` means nothing stops the
+    /// variable.
+    fn ratio_test(&self, col: usize) -> Option<Step> {
         struct Stop {
             ratio: f64,
             step: Step,
             rank: usize,
-            artificial: bool,
         }
         let t = &self.tableau;
         let tol = self.config.tolerance;
@@ -679,24 +544,19 @@ impl<'a> Solver<'a> {
                 ratio,
                 step: Step::Pivot { row, at_upper },
                 rank: t.rank(basic, at_upper),
-                artificial: prefer_artificial && basic >= t.non_artificial_cols,
             })
         });
         let own_bound = t.upper[col].is_finite().then(|| Stop {
             ratio: t.upper[col],
             step: Step::Flip,
             rank: t.rank(col, true),
-            artificial: false,
         });
         let mut best: Option<Stop> = None;
         for stop in rows.chain(own_bound) {
             let better = match &best {
                 None => true,
                 Some(b) if stop.ratio < b.ratio - tol => true,
-                Some(b) if stop.ratio < b.ratio + tol => {
-                    (stop.artificial && !b.artificial)
-                        || (stop.artificial == b.artificial && stop.rank < b.rank)
-                }
+                Some(b) if stop.ratio < b.ratio + tol => stop.rank < b.rank,
                 Some(_) => false,
             };
             if better {
@@ -708,7 +568,7 @@ impl<'a> Solver<'a> {
 
     /// Carry out a ratio-test verdict for entering column `col`. A bound
     /// flip counts toward the pivot budget like a pivot.
-    fn apply(&mut self, col: usize, step: Step, obj_row: Option<&mut [f64]>) {
+    fn apply(&mut self, col: usize, step: Step, obj_row: &mut [f64]) {
         match step {
             Step::Pivot { row, at_upper } => {
                 // Leaving at the upper bound is leaving at zero once the
@@ -716,7 +576,7 @@ impl<'a> Solver<'a> {
                 if at_upper {
                     self.tableau.complement_basic(row);
                 }
-                self.tableau.pivot(row, col, obj_row);
+                self.tableau.pivot(row, col, Some(obj_row));
             }
             Step::Flip => self.tableau.complement_column(col, obj_row),
         }
@@ -754,10 +614,10 @@ impl<'a> Solver<'a> {
             let Some(col) = entering else {
                 return LoopResult::Optimal;
             };
-            let Some(step) = self.ratio_test(col, false) else {
+            let Some(step) = self.ratio_test(col) else {
                 return LoopResult::Unbounded;
             };
-            self.apply(col, step, Some(obj_row));
+            self.apply(col, step, obj_row);
             if (obj_row[z] - last_obj).abs() <= tol {
                 stall += 1;
             } else {
@@ -1033,105 +893,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn warm_hint_reaches_the_same_optimum_with_fewer_pivots() {
-        // The Eq.9-shaped structure: equalities force artificials, so a cold
-        // solve pays a full phase 1 that the warm crash skips.
-        let n = 6usize;
-        let p = LpProblem {
-            num_vars: 2 * n,
-            costs: (0..2 * n).map(|i| 1.0 + ((i * 7) % 5) as f64).collect(),
-            lower: vec![0.0; 2 * n],
-            upper: vec![1.0; 2 * n],
-            constraints: (0..n)
-                .map(|j| constraint(&[(2 * j, 1.0), (2 * j + 1, 1.0)], Sense::Equal, 1.0))
-                .collect(),
-        };
-        let config = SimplexConfig::default();
-        let SimplexOutcome::Optimal {
-            objective: cold_obj,
-            values: cold_values,
-            iterations: cold_iters,
-        } = solve(&p, &config)
-        else {
-            panic!("cold solve must be optimal")
-        };
-        let mut ws = SolverWorkspace::new();
-        let SimplexOutcome::Optimal {
-            objective: warm_obj,
-            values: warm_values,
-            iterations: warm_iters,
-        } = solve_with_hint(&p, &config, Some(&cold_values), Some(&mut ws))
-        else {
-            panic!("warm solve must be optimal")
-        };
-        assert!((warm_obj - cold_obj).abs() < 1e-9);
-        for (c, w) in cold_values.iter().zip(&warm_values) {
-            assert!((c - w).abs() < 1e-9);
-        }
-        assert!(
-            warm_iters < cold_iters,
-            "warm {warm_iters} pivots should beat cold {cold_iters}"
-        );
-        let stats = ws.stats();
-        assert_eq!(stats.warm_solves, 1);
-        assert_eq!(stats.cold_solves, 0);
-        assert_eq!(stats.warm_pivots, warm_iters);
-    }
-
-    #[test]
-    fn infeasible_hint_support_falls_back_to_cold_phase_one() {
-        // Hint pointing at an infeasible corner: crash pivots cannot satisfy
-        // the >= row, so phase 1 must still run and the hint is rejected —
-        // but the answer is unchanged.
-        let p = LpProblem {
-            num_vars: 2,
-            costs: vec![2.0, 3.0],
-            lower: vec![0.0, 0.0],
-            upper: vec![f64::INFINITY, f64::INFINITY],
-            constraints: vec![
-                constraint(&[(0, 1.0), (1, 1.0)], Sense::Equal, 10.0),
-                constraint(&[(0, 1.0)], Sense::GreaterEqual, 3.0),
-            ],
-        };
-        let mut ws = SolverWorkspace::new();
-        let bogus_hint = [0.0, 0.0];
-        match solve_with_hint(
-            &p,
-            &SimplexConfig::default(),
-            Some(&bogus_hint),
-            Some(&mut ws),
-        ) {
-            SimplexOutcome::Optimal { objective, .. } => {
-                assert!((objective - 20.0).abs() < 1e-6)
-            }
-            other => panic!("expected optimal, got {other:?}"),
-        }
-        assert_eq!(ws.stats().rejected_hints, 1);
-        assert_eq!(ws.stats().cold_solves, 1);
-    }
-
-    #[test]
-    fn workspace_buffer_is_reused_across_solves() {
-        let p = LpProblem {
-            num_vars: 2,
-            costs: vec![-3.0, -5.0],
-            lower: vec![0.0, 0.0],
-            upper: vec![f64::INFINITY, f64::INFINITY],
-            constraints: vec![
-                constraint(&[(0, 1.0)], Sense::LessEqual, 4.0),
-                constraint(&[(1, 2.0)], Sense::LessEqual, 12.0),
-                constraint(&[(0, 3.0), (1, 2.0)], Sense::LessEqual, 18.0),
-            ],
-        };
-        let mut ws = SolverWorkspace::new();
-        let first = solve_with_hint(&p, &SimplexConfig::default(), None, Some(&mut ws));
-        assert_eq!(ws.pooled_buffers(), 1, "the tableau must be recycled");
-        let second = solve_with_hint(&p, &SimplexConfig::default(), None, Some(&mut ws));
-        assert_eq!(first, second, "workspace reuse must not change results");
-        assert_eq!(ws.stats().cold_solves, 2);
-    }
-
     /// A 3-variable knapsack LP over the unit box, with a `>=` row that
     /// needs an artificial.
     fn bounded_fixture() -> LpProblem {
@@ -1158,7 +919,7 @@ mod tests {
             upper: vec![3.0, 4.0],
             constraints: vec![constraint(&[(0, 1.0), (1, 1.0)], Sense::LessEqual, 10.0)],
         };
-        let mut solver = Solver::new((&p).into(), &SimplexConfig::default(), None, None);
+        let mut solver = Solver::new((&p).into(), &SimplexConfig::default());
         let outcome = solver.run_phases();
         let SimplexOutcome::Optimal {
             objective,
@@ -1211,7 +972,7 @@ mod tests {
             upper: vec![1.0; jobs * regions],
             constraints,
         };
-        let mut solver = Solver::new((&p).into(), &SimplexConfig::default(), None, None);
+        let mut solver = Solver::new((&p).into(), &SimplexConfig::default());
         let outcome = solver.run_phases();
         let SimplexOutcome::Optimal { values, .. } = outcome else {
             panic!("expected optimal, got {outcome:?}");
@@ -1233,7 +994,7 @@ mod tests {
         // artificial); the budget must scale with that, not with the 2 x 6
         // tableau actually held.
         let p = bounded_fixture();
-        let cold = Solver::new((&p).into(), &SimplexConfig::default(), None, None);
+        let cold = Solver::new((&p).into(), &SimplexConfig::default());
         assert_eq!((cold.tableau.rows(), cold.tableau.cols), (2, 6));
         assert_eq!(cold.max_iterations, 2_000 + 40 * (5 + 9));
     }

@@ -5,7 +5,7 @@
 //! feasibility checking for LPs) and verify the solver agrees.
 
 use proptest::prelude::*;
-use waterwise_milp::{LinExpr, Model, Sense, SolveStatus, SolverWorkspace};
+use waterwise_milp::{LinExpr, Model, Sense, SolveStatus};
 
 /// Build a random binary minimization problem: `n` binary variables, a
 /// single knapsack-style capacity constraint, and a cost vector.
@@ -177,55 +177,6 @@ proptest! {
                     }
                 }
             }
-        }
-    }
-
-    /// Warm-starting from any feasible point returns the same LP optimum as
-    /// a cold solve (the hint may change the pivot path, never the result).
-    #[test]
-    fn warm_start_matches_cold_on_random_lps(
-        costs in prop::collection::vec(-4.0f64..4.0, 3),
-        rows in prop::collection::vec(
-            (prop::collection::vec(0.05f64..2.0, 3), 1.0f64..15.0), 1..4),
-        eq_total in 0.5f64..3.0,
-        hint_frac in prop::collection::vec(0.0f64..1.0, 3),
-    ) {
-        // Include an equality row so the cold path must run a phase 1 — the
-        // case the crash basis exists to skip.
-        let mut m = Model::new("prop-warm");
-        let vars: Vec<_> = (0..3)
-            .map(|i| m.add_var(format!("x{i}"), waterwise_milp::VarKind::Continuous, 0.0, 10.0))
-            .collect();
-        for (r, (coeffs, rhs)) in rows.iter().enumerate() {
-            let mut expr = LinExpr::zero();
-            for (i, &v) in vars.iter().enumerate() {
-                expr.add_term(v, coeffs[i]);
-            }
-            m.add_constraint(format!("r{r}"), expr, Sense::LessEqual, *rhs);
-        }
-        let sum = LinExpr::sum(vars.iter().map(|&v| LinExpr::from(v)));
-        m.add_constraint("total", sum, Sense::Equal, eq_total);
-        let mut obj = LinExpr::zero();
-        for (i, &v) in vars.iter().enumerate() {
-            obj.add_term(v, costs[i]);
-        }
-        m.minimize(obj);
-        let cold = m.solve().unwrap();
-        // A hint that is usually infeasible for the equality row: the solver
-        // must treat it as advisory only.
-        let hint: Vec<f64> = hint_frac.iter().map(|f| f * eq_total).collect();
-        let mut ws = SolverWorkspace::new();
-        let warm = m.solve_warm(
-            &waterwise_milp::SimplexConfig::default(),
-            &waterwise_milp::BranchBoundConfig::default(),
-            Some(&hint),
-            &mut ws,
-        ).unwrap();
-        prop_assert_eq!(cold.status, warm.status);
-        if cold.status == SolveStatus::Optimal {
-            prop_assert!((cold.objective - warm.objective).abs() < 1e-6,
-                "cold {} vs warm {}", cold.objective, warm.objective);
-            prop_assert!(m.is_feasible(&warm.values, 1e-6));
         }
     }
 

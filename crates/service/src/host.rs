@@ -3,7 +3,7 @@
 //! A [`ClusterHost`] keeps **one** engine run alive across its sessions —
 //! a single client is simply a one-session host: it owns the persistent
 //! [`crate::PlacementService`] (simulated cluster, telemetry, and — via
-//! the engine — the scheduler and its solver workspace) and multiplexes
+//! the engine — the scheduler) and multiplexes
 //! sessions onto it through a shared
 //! [`crate::AdmissionConfig`]-governed admission queue. Sessions submit
 //! concurrently; requests drain tenant-fairly into a single

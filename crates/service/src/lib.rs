@@ -6,7 +6,7 @@
 //! The batch crates replay a whole trace and report a campaign summary;
 //! this crate turns the same engine into a *servable system*. There is one
 //! serving shape: a [`ClusterHost`] keeps one engine run alive (one
-//! scheduler, one solver workspace) and multiplexes sessions onto it
+//! scheduler) and multiplexes sessions onto it
 //! through a shared admission queue with per-tenant in-flight quotas
 //! ([`ServiceError::AdmissionRejected`] in-band when exceeded) and
 //! deficit-round-robin fairness. Sessions are opened in-process

@@ -208,7 +208,7 @@ proptest! {
     }
 }
 
-/// The full WaterWise scheduler (MILP + warm starts) through the service:
+/// The full WaterWise scheduler (hint, kernel and MILP) through the service:
 /// expensive, so a fixed stream rather than a property, but it covers the
 /// solver plus a stateful scheduler end-to-end.
 #[test]

@@ -261,10 +261,11 @@ fn parallel_run_all_is_byte_identical_to_serial() {
 
 #[test]
 fn warm_started_rolling_horizon_matches_cold_solves_exactly() {
-    // The tentpole invariant: warm starting (carried-forward assignments +
-    // crash bases + incumbent seeding) is a pure performance optimization.
-    // Schedules must be byte-identical and the accounted footprints equal to
-    // within 1e-9, while the solver does measurably less pivot work.
+    // The tentpole invariant: the hint, its certificate and the
+    // transportation kernel are a pure performance optimization over the
+    // all-MILP reference. Schedules must be byte-identical and the accounted
+    // footprints equal to within 1e-9, while the solver does measurably less
+    // work.
     let mut cold_config = CampaignConfig::small_demo(42);
     cold_config.waterwise.warm_start = false;
     let mut warm_config = CampaignConfig::small_demo(42);
@@ -278,7 +279,7 @@ fn warm_started_rolling_horizon_matches_cold_solves_exactly() {
 
     assert_eq!(
         cold.report.outcomes, warm.report.outcomes,
-        "warm-started schedules must be byte-identical to cold solves"
+        "hinted schedules must be byte-identical to the all-MILP reference"
     );
     assert!((cold.summary.total_carbon.value() - warm.summary.total_carbon.value()).abs() < 1e-9);
     assert!((cold.summary.total_water.value() - warm.summary.total_water.value()).abs() < 1e-9);
@@ -286,7 +287,7 @@ fn warm_started_rolling_horizon_matches_cold_solves_exactly() {
     // The performance side of the contract: the cold reference solves every
     // round, the warm pass none — each of its rounds is decided by the
     // certified hint or by the transportation kernel's unique optimum (a
-    // tied round would be solved, warm-started from the hint).
+    // tied round would be solved, as the reference solves it).
     let warm_solver = warm.summary.solver;
     let cold_solver = cold.summary.solver;
     assert_eq!(cold_solver.warm_solves, 0);
@@ -342,7 +343,7 @@ fn warm_start_equivalence_holds_under_parallel_campaigns() {
         assert_eq!(sc.report.outcomes, pc.report.outcomes);
         assert_eq!(
             sc.report.outcomes, pw.report.outcomes,
-            "warm-started parallel campaign diverged from the serial cold reference"
+            "hinted parallel campaign diverged from the serial all-MILP reference"
         );
         assert!((sc.summary.total_carbon.value() - pw.summary.total_carbon.value()).abs() < 1e-9);
         assert!((sc.summary.total_water.value() - pw.summary.total_water.value()).abs() < 1e-9);
