@@ -1,11 +1,12 @@
-//! One function per paper table/figure. Every function returns the tables it
-//! prints so that integration tests can assert on the numbers.
+//! One function per paper table/figure. Every function takes the
+//! [`Scenario`] it runs at and returns the tables it prints, so that the
+//! claims of [`crate::figures::FIGURES`] are checked on the printed numbers.
 
 use crate::table::{fmt2, pct, Table};
 use std::path::PathBuf;
 use waterwise_core::scenario::default_spec_path;
 use waterwise_core::{
-    Campaign, CampaignConfig, ObjectiveWeights, Parallelism, Scenario, ScenarioError, SchedulerKind,
+    Campaign, CampaignConfig, ObjectiveWeights, Parallelism, Scenario, SchedulerKind,
 };
 use waterwise_sustain::{EwifDataset, FootprintEstimator, Seconds};
 use waterwise_telemetry::{
@@ -13,51 +14,10 @@ use waterwise_telemetry::{
 };
 use waterwise_traces::ALL_BENCHMARKS;
 
-/// Shared scale knobs for all experiments, read from the environment.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExperimentScale {
-    /// Borg-like trace duration in days (`WATERWISE_DAYS`, default 0.25).
-    pub days: f64,
-    /// RNG seed (`WATERWISE_SEED`, default 42).
-    pub seed: u64,
-}
-
-/// The spec-key overrides the bench binaries honor: `WATERWISE_DAYS` and
+/// The spec-key overrides the `figures` binary honors: `WATERWISE_DAYS` and
 /// `WATERWISE_SEED` rescale every campaign (see
 /// [`Scenario::apply_env`]).
 pub const SCALE_OVERRIDES: [&str; 2] = ["WATERWISE_DAYS", "WATERWISE_SEED"];
-
-impl ExperimentScale {
-    /// Read the scale from the environment, through the `days` and `seed`
-    /// keys' rules. A variable that is set but refused exits the process
-    /// with status 2, naming it and its value.
-    pub fn from_env() -> Self {
-        let defaults = Self::default();
-        let mut scale = Scenario::paper_default("scale", defaults.days, defaults.seed);
-        scale
-            .apply_env(&SCALE_OVERRIDES)
-            .unwrap_or_else(|err| err.exit());
-        Self {
-            days: scale.days,
-            seed: scale.seed,
-        }
-    }
-
-    /// The Alibaba trace carries ~8.5× the jobs; scale its duration down so
-    /// the experiment finishes in comparable time.
-    pub fn alibaba_days(&self) -> f64 {
-        (self.days / 4.0).max(0.02)
-    }
-}
-
-impl Default for ExperimentScale {
-    fn default() -> Self {
-        Self {
-            days: 0.25,
-            seed: 42,
-        }
-    }
-}
 
 /// Print a set of tables.
 pub fn print_tables(tables: &[Table]) {
@@ -66,14 +26,6 @@ pub fn print_tables(tables: &[Table]) {
     }
 }
 
-fn tolerance_label(t: f64) -> String {
-    format!("{:.0}%", t * 100.0)
-}
-
-// ---------------------------------------------------------------------------
-// Declarative scenarios (scenarios/*.spec)
-// ---------------------------------------------------------------------------
-
 /// Path of the named scenario's spec file: `<name>.spec` under
 /// `WATERWISE_SCENARIO_DIR`, else under the workspace `scenarios/`
 /// directory.
@@ -81,30 +33,8 @@ pub fn scenario_spec_path(name: &str) -> PathBuf {
     default_spec_path(name).unwrap_or_else(|err| err.exit())
 }
 
-/// Load the named scenario from its [`scenario_spec_path`], then apply the
-/// [`SCALE_OVERRIDES`] that are set (CI smoke runs rescale every campaign
-/// this way); one that is refused exits the process with status 2.
-pub fn load_scenario(name: &str) -> Result<Scenario, ScenarioError> {
-    let mut scenario = waterwise_core::load_spec(scenario_spec_path(name))?;
-    scenario
-        .apply_env(&SCALE_OVERRIDES)
-        .unwrap_or_else(|err| err.exit());
-    Ok(scenario)
-}
-
-/// Resolve a fig binary's scenario: `--scenario <path>` on the command line
-/// (or `WATERWISE_SCENARIO=<path>`) names an explicit spec file; otherwise
-/// the named default is loaded. On any read, parse, or validation failure
-/// the process exits with status 2 after printing the offending
-/// `file:line`.
-pub fn scenario_or_exit(name: &str) -> Scenario {
-    waterwise_core::scenario::load_scenario(name, &SCALE_OVERRIDES).unwrap_or_else(|err| err.exit())
-}
-
-/// Validate every spec file a `run_all` sweep will load, returning the first
-/// failure as a ready-to-print `file:line: message` string. Called up front
-/// so a malformed spec fails the whole suite immediately instead of dying
-/// mid-sweep after the earlier figures have already burned their runtime.
+/// Validate the named spec files, returning the first failure as a
+/// ready-to-print `file:line: message` string.
 pub fn validate_scenarios(names: &[&str]) -> Result<(), String> {
     for name in names {
         let path = scenario_spec_path(name);
@@ -115,9 +45,9 @@ pub fn validate_scenarios(names: &[&str]) -> Result<(), String> {
     Ok(())
 }
 
-/// The golden-snapshotted scenarios: the fig binaries' defaults in fig
-/// order, plus the multi-session host scenario pinned over live TCP and
-/// the journal stop→resume scenario.
+/// The golden-snapshotted scenarios: the specs of the figures that have one,
+/// in figure order, plus the multi-session host scenario pinned over live
+/// TCP and the journal stop→resume scenario.
 pub const SCENARIO_NAMES: [&str; 6] = [
     "fig05",
     "fig08",
@@ -127,12 +57,84 @@ pub const SCENARIO_NAMES: [&str; 6] = [
     "server_resume",
 ];
 
-// ---------------------------------------------------------------------------
-// Fig. 1 — carbon intensity and EWIF per energy source
-// ---------------------------------------------------------------------------
+/// The delay tolerances of Figs. 5, 6, 9 and Table 2.
+const TOLERANCES: [f64; 4] = [0.25, 0.50, 0.75, 1.00];
+
+/// WaterWise and the two greedy oracles it is weighed against.
+const ORACLES_AND_WATERWISE: [SchedulerKind; 3] = [
+    SchedulerKind::CarbonGreedyOpt,
+    SchedulerKind::WaterGreedyOpt,
+    SchedulerKind::WaterWise,
+];
+
+fn tolerance_label(t: f64) -> String {
+    format!("{:.0}%", t * 100.0)
+}
+
+/// `scenario`'s campaign at delay tolerance `tolerance`.
+fn at_tolerance(scenario: &Scenario, tolerance: f64) -> CampaignConfig {
+    scenario.config.clone().with_delay_tolerance(tolerance)
+}
+
+/// `scenario`'s campaign on the Alibaba-like trace at delay tolerance
+/// `tolerance`. That trace carries ~8.5× the jobs, so it runs a quarter of
+/// the scenario's days (at least 0.02) to finish in comparable time.
+fn alibaba_at_tolerance(scenario: &Scenario, tolerance: f64) -> CampaignConfig {
+    let days = (scenario.days / 4.0).max(0.02);
+    scenario
+        .clone()
+        .with_days(days)
+        .config
+        .with_alibaba_trace(days, scenario.seed)
+        .with_delay_tolerance(tolerance)
+}
+
+/// A savings table: each cell is a row label (the `keys` columns) and a
+/// campaign. Every cell runs the baseline plus `kinds`, all cells
+/// concurrently ([`Campaign::savings_matrix`]), and each scheduler gets a
+/// row of its carbon and water savings over its cell's baseline — with a
+/// `scheduler` column when `kinds` has more than one.
+fn savings_table(
+    title: &str,
+    keys: &[&str],
+    cells: Vec<(Vec<String>, CampaignConfig)>,
+    kinds: &[SchedulerKind],
+) -> Table {
+    let named = kinds.len() > 1;
+    let mut header = keys.to_vec();
+    header.extend(named.then_some("scheduler"));
+    header.extend(["carbon saving", "water saving"]);
+    let mut table = Table::new(title, &header);
+    let (labels, configs): (Vec<_>, Vec<_>) = cells.into_iter().unzip();
+    let matrix =
+        Campaign::savings_matrix(&configs, kinds, Parallelism::Auto).expect("campaign must run");
+    for (label, rows) in labels.iter().zip(matrix) {
+        for (kind, carbon, water) in rows {
+            let mut row = label.clone();
+            row.extend(named.then(|| kind.label().to_string()));
+            row.extend([pct(carbon), pct(water)]);
+            table.row(&row);
+        }
+    }
+    table
+}
+
+/// A [`savings_table`] with one cell per delay tolerance.
+fn tolerance_sweep(
+    title: &str,
+    tolerances: &[f64],
+    config: impl Fn(f64) -> CampaignConfig,
+    kinds: &[SchedulerKind],
+) -> Table {
+    let cells = tolerances
+        .iter()
+        .map(|&tol| (vec![tolerance_label(tol)], config(tol)))
+        .collect();
+    savings_table(title, &["delay tolerance"], cells, kinds)
+}
 
 /// Fig. 1: carbon intensity and water requirement (EWIF) per energy source.
-pub fn fig01_energy_sources() -> Vec<Table> {
+pub fn fig01_energy_sources(_scenario: &Scenario) -> Vec<Table> {
     let mut t = Table::new(
         "Fig. 1 — per-source carbon intensity and EWIF",
         &[
@@ -159,15 +161,11 @@ pub fn fig01_energy_sources() -> Vec<Table> {
     vec![t]
 }
 
-// ---------------------------------------------------------------------------
-// Fig. 2 — regional factors and temporal variation
-// ---------------------------------------------------------------------------
-
 /// Fig. 2: regional averages of carbon intensity, EWIF, WUE, WSF (a–d) and
 /// the temporal variation of carbon/water intensity in Oregon (e).
-pub fn fig02_regional_factors(scale: ExperimentScale) -> Vec<Table> {
+pub fn fig02_regional_factors(scenario: &Scenario) -> Vec<Table> {
     let telemetry = SyntheticTelemetry::generate(TelemetryConfig {
-        seed: scale.seed,
+        seed: scenario.seed,
         horizon_days: 60,
         ..TelemetryConfig::default()
     });
@@ -225,79 +223,22 @@ pub fn fig02_regional_factors(scale: ExperimentScale) -> Vec<Table> {
     vec![regional, temporal]
 }
 
-// ---------------------------------------------------------------------------
-// Generic savings sweeps (used by several figures)
-// ---------------------------------------------------------------------------
-
-/// Run the baseline plus `kinds` over every configuration concurrently (one
-/// worker per core via [`Campaign::savings_matrix`]) and return, per
-/// configuration, each scheduler's carbon/water savings over the baseline.
-fn matrix_savings(
-    configs: Vec<CampaignConfig>,
-    kinds: &[SchedulerKind],
-) -> Vec<Vec<(SchedulerKind, f64, f64)>> {
-    Campaign::savings_matrix(&configs, kinds, Parallelism::Auto).expect("campaign must run")
-}
-
-/// Run `kinds` against the baseline for each delay tolerance and tabulate
-/// carbon/water savings. The tolerance campaigns run concurrently.
-fn savings_sweep(
-    title: &str,
-    base_config: impl Fn(f64) -> CampaignConfig,
-    tolerances: &[f64],
-    kinds: &[SchedulerKind],
-) -> Table {
-    let mut table = Table::new(
-        title,
-        &[
-            "delay tolerance",
-            "scheduler",
-            "carbon saving",
-            "water saving",
-        ],
-    );
-    let configs: Vec<CampaignConfig> = tolerances.iter().map(|&tol| base_config(tol)).collect();
-    for (&tol, rows) in tolerances.iter().zip(matrix_savings(configs, kinds)) {
-        for (kind, carbon, water) in rows {
-            table.row(&[
-                tolerance_label(tol),
-                kind.label().to_string(),
-                pct(carbon),
-                pct(water),
-            ]);
-        }
-    }
-    table
-}
-
-// ---------------------------------------------------------------------------
-// Fig. 3 — greedy-optimal opportunity and job distribution
-// ---------------------------------------------------------------------------
-
 /// Fig. 3: (a) savings of the greedy-optimal single-objective schemes across
 /// delay tolerances; (b) job distribution across regions at 10% tolerance.
-pub fn fig03_greedy_opportunity(scale: ExperimentScale) -> Vec<Table> {
-    let tolerances = [0.01, 0.10, 1.00, 10.0];
-    let savings = savings_sweep(
+pub fn fig03_greedy_opportunity(scenario: &Scenario) -> Vec<Table> {
+    let oracles = &ORACLES_AND_WATERWISE[..2];
+    let savings = tolerance_sweep(
         "Fig. 3(a) — Carbon/Water-Greedy-Opt savings vs delay tolerance",
-        |tol| CampaignConfig::paper_default(scale.days, tol, scale.seed),
-        &tolerances,
-        &[
-            SchedulerKind::CarbonGreedyOpt,
-            SchedulerKind::WaterGreedyOpt,
-        ],
+        &[0.01, 0.10, 1.00, 10.0],
+        |tol| at_tolerance(scenario, tol),
+        oracles,
     );
-
-    let campaign = Campaign::new(CampaignConfig::paper_default(scale.days, 0.10, scale.seed));
     let mut distribution = Table::new(
         "Fig. 3(b) — job distribution across regions (10% delay tolerance)",
         &["scheduler", "Zurich", "Madrid", "Oregon", "Milan", "Mumbai"],
     );
-    let outcomes = campaign
-        .run_all(&[
-            SchedulerKind::CarbonGreedyOpt,
-            SchedulerKind::WaterGreedyOpt,
-        ])
+    let outcomes = Campaign::new(at_tolerance(scenario, 0.10))
+        .run_all(oracles)
         .expect("campaign must run");
     for outcome in outcomes {
         let dist = outcome.summary.region_distribution();
@@ -308,257 +249,160 @@ pub fn fig03_greedy_opportunity(scale: ExperimentScale) -> Vec<Table> {
     vec![savings, distribution]
 }
 
-// ---------------------------------------------------------------------------
-// Fig. 5 — WaterWise vs greedy-optimal on the Borg-like trace
-// ---------------------------------------------------------------------------
-
 /// Fig. 5: carbon and water savings of WaterWise and the greedy oracles over
 /// the baseline, for delay tolerances 25–100%, on the Borg-like trace.
 ///
 /// The workload comes from `scenarios/fig05.spec`; the sweep re-runs the
 /// scenario at each delay tolerance.
 pub fn fig05_waterwise_google(scenario: &Scenario) -> Vec<Table> {
-    vec![savings_sweep(
+    vec![tolerance_sweep(
         "Fig. 5 — savings vs baseline (Borg-like trace, Electricity-Maps-style data)",
-        |tol| scenario.config.clone().with_delay_tolerance(tol),
-        &[0.25, 0.50, 0.75, 1.00],
-        &[
-            SchedulerKind::CarbonGreedyOpt,
-            SchedulerKind::WaterGreedyOpt,
-            SchedulerKind::WaterWise,
-        ],
+        &TOLERANCES,
+        |tol| at_tolerance(scenario, tol),
+        &ORACLES_AND_WATERWISE,
     )]
 }
 
-// ---------------------------------------------------------------------------
-// Fig. 6 — World Resources Institute dataset
-// ---------------------------------------------------------------------------
-
 /// Fig. 6: the same comparison with the WRI-style per-source water dataset.
-pub fn fig06_wri_dataset(scale: ExperimentScale) -> Vec<Table> {
-    vec![savings_sweep(
+/// WaterWise still saves on both axes.
+pub fn fig06_wri_dataset(scenario: &Scenario) -> Vec<Table> {
+    vec![tolerance_sweep(
         "Fig. 6 — savings vs baseline (WRI-style water dataset)",
+        &TOLERANCES,
         |tol| {
-            let mut config = CampaignConfig::paper_default(scale.days, tol, scale.seed);
+            let mut config = at_tolerance(scenario, tol);
             config.telemetry.dataset = EwifDataset::WorldResourcesInstitute;
             config
         },
-        &[0.25, 0.50, 0.75, 1.00],
-        &[
-            SchedulerKind::CarbonGreedyOpt,
-            SchedulerKind::WaterGreedyOpt,
-            SchedulerKind::WaterWise,
-        ],
+        &ORACLES_AND_WATERWISE,
     )]
 }
 
-// ---------------------------------------------------------------------------
-// Fig. 7 — Ecovisor comparison
-// ---------------------------------------------------------------------------
-
 /// Fig. 7: WaterWise vs the Ecovisor-style carbon-only comparator under both
 /// water datasets.
-pub fn fig07_ecovisor(scale: ExperimentScale) -> Vec<Table> {
-    let mut table = Table::new(
-        "Fig. 7 — Ecovisor vs WaterWise (savings vs baseline, 50% tolerance)",
-        &["dataset", "scheduler", "carbon saving", "water saving"],
-    );
-    let datasets = [
+pub fn fig07_ecovisor(scenario: &Scenario) -> Vec<Table> {
+    let cells = [
         ("electricity-maps", EwifDataset::Primary),
         ("wri", EwifDataset::WorldResourcesInstitute),
-    ];
-    let configs: Vec<CampaignConfig> = datasets
-        .iter()
-        .map(|&(_, dataset)| {
-            let mut config = CampaignConfig::paper_default(scale.days, 0.5, scale.seed);
-            config.telemetry.dataset = dataset;
-            config
-        })
-        .collect();
-    let per_config = matrix_savings(
-        configs,
+    ]
+    .map(|(label, dataset)| {
+        let mut config = at_tolerance(scenario, 0.5);
+        config.telemetry.dataset = dataset;
+        (vec![label.to_string()], config)
+    });
+    vec![savings_table(
+        "Fig. 7 — Ecovisor vs WaterWise (savings vs baseline, 50% tolerance)",
+        &["dataset"],
+        cells.into(),
         &[SchedulerKind::Ecovisor, SchedulerKind::WaterWise],
-    );
-    for ((label, _), rows) in datasets.iter().zip(per_config) {
-        for (kind, carbon, water) in rows {
-            table.row(&[
-                label.to_string(),
-                kind.label().to_string(),
-                pct(carbon),
-                pct(water),
-            ]);
-        }
-    }
-    vec![table]
+    )]
 }
-
-// ---------------------------------------------------------------------------
-// Fig. 8 — objective-weight sensitivity
-// ---------------------------------------------------------------------------
 
 /// Fig. 8: WaterWise savings when λ_CO2 is 0.3 / 0.5 / 0.7 (50% tolerance).
 ///
 /// The workload comes from `scenarios/fig08.spec`; the sweep re-weights the
 /// scenario's objective at each λ_CO2.
 pub fn fig08_weight_sensitivity(scenario: &Scenario) -> Vec<Table> {
-    let mut table = Table::new(
+    let cells = [0.3, 0.5, 0.7].map(|lambda: f64| {
+        let weights = ObjectiveWeights::paper_default().with_carbon_weight(lambda);
+        (
+            vec![format!("{lambda:.1}")],
+            scenario.config.clone().with_weights(weights),
+        )
+    });
+    vec![savings_table(
         "Fig. 8 — weight sensitivity (50% delay tolerance)",
-        &["lambda_co2", "carbon saving", "water saving"],
-    );
-    let lambdas = [0.3, 0.5, 0.7];
-    let configs: Vec<CampaignConfig> = lambdas
-        .iter()
-        .map(|&lambda| {
-            scenario
-                .config
-                .clone()
-                .with_weights(ObjectiveWeights::paper_default().with_carbon_weight(lambda))
-        })
-        .collect();
-    let per_config = matrix_savings(configs, &[SchedulerKind::WaterWise]);
-    for (&lambda, rows) in lambdas.iter().zip(per_config) {
-        let (_, carbon, water) = rows[0];
-        table.row(&[format!("{lambda:.1}"), pct(carbon), pct(water)]);
-    }
-    vec![table]
+        &["lambda_co2"],
+        cells.into(),
+        &[SchedulerKind::WaterWise],
+    )]
 }
 
-// ---------------------------------------------------------------------------
-// Fig. 9 — Alibaba trace
-// ---------------------------------------------------------------------------
-
-/// Fig. 9: the Fig. 5 comparison repeated with the Alibaba-like trace.
-pub fn fig09_alibaba(scale: ExperimentScale) -> Vec<Table> {
-    vec![savings_sweep(
+/// Fig. 9: the Fig. 5 comparison repeated with the Alibaba-like trace, on a
+/// quarter of the scenario's days. WaterWise still saves on both axes.
+pub fn fig09_alibaba(scenario: &Scenario) -> Vec<Table> {
+    vec![tolerance_sweep(
         "Fig. 9 — savings vs baseline (Alibaba-like trace)",
-        |tol| {
-            CampaignConfig::paper_default(scale.alibaba_days(), tol, scale.seed)
-                .with_alibaba_trace(scale.alibaba_days(), scale.seed)
-                .with_delay_tolerance(tol)
-        },
-        &[0.25, 0.50, 0.75, 1.00],
+        &TOLERANCES,
+        |tol| alibaba_at_tolerance(scenario, tol),
+        &ORACLES_AND_WATERWISE,
+    )]
+}
+
+/// Fig. 10: WaterWise vs Round-Robin and Least-Load (50% tolerance).
+pub fn fig10_loadbalancers(scenario: &Scenario) -> Vec<Table> {
+    vec![savings_table(
+        "Fig. 10 — savings vs baseline of load balancers and WaterWise",
+        &[],
+        vec![(Vec::new(), at_tolerance(scenario, 0.5))],
         &[
-            SchedulerKind::CarbonGreedyOpt,
-            SchedulerKind::WaterGreedyOpt,
+            SchedulerKind::RoundRobin,
+            SchedulerKind::LeastLoad,
             SchedulerKind::WaterWise,
         ],
     )]
 }
 
-// ---------------------------------------------------------------------------
-// Fig. 10 — load-balancer comparison
-// ---------------------------------------------------------------------------
-
-/// Fig. 10: WaterWise vs Round-Robin and Least-Load (50% tolerance).
-pub fn fig10_loadbalancers(scale: ExperimentScale) -> Vec<Table> {
-    let campaign = Campaign::new(CampaignConfig::paper_default(scale.days, 0.5, scale.seed));
-    let mut table = Table::new(
-        "Fig. 10 — savings vs baseline of load balancers and WaterWise",
-        &["scheduler", "carbon saving", "water saving"],
-    );
-    let rows = campaign
-        .savings_vs_baseline(&[
-            SchedulerKind::RoundRobin,
-            SchedulerKind::LeastLoad,
-            SchedulerKind::WaterWise,
-        ])
-        .expect("campaign must run");
-    for (kind, carbon, water) in rows {
-        table.row(&[kind.label().to_string(), pct(carbon), pct(water)]);
-    }
-    vec![table]
-}
-
-// ---------------------------------------------------------------------------
-// Fig. 11 — utilization sensitivity
-// ---------------------------------------------------------------------------
-
-/// Fig. 11: savings at roughly 5%, 15%, and 25% average utilization
-/// (obtained by changing the number of available servers per region).
-pub fn fig11_utilization(scale: ExperimentScale) -> Vec<Table> {
+/// Fig. 11: savings as the average utilization rises (obtained by cutting
+/// the number of servers per region); WaterWise saves on both axes at every
+/// level. Each row prints the mean utilization its campaign measured: at
+/// 0.25 days, seed 42, 2.4 % / 7.3 % / 12.1 % at 840 / 280 / 168 servers, so
+/// capacity binds only in the last level (ROADMAP item 9 retunes them).
+pub fn fig11_utilization(scenario: &Scenario) -> Vec<Table> {
     let mut table = Table::new(
         "Fig. 11 — utilization sensitivity (50% delay tolerance)",
         &[
             "servers/region",
-            "target util",
+            "mean util",
             "scheduler",
             "carbon saving",
             "water saving",
         ],
     );
-    let levels = [(840usize, "5%"), (280, "15%"), (168, "25%")];
-    let configs: Vec<CampaignConfig> = levels
+    let servers = [840usize, 280, 168];
+    let configs: Vec<CampaignConfig> = servers
         .iter()
-        .map(|&(servers, _)| {
-            CampaignConfig::paper_default(scale.days, 0.5, scale.seed)
-                .with_servers_per_region(servers)
-        })
+        .map(|&servers| at_tolerance(scenario, 0.5).with_servers_per_region(servers))
         .collect();
-    let per_config = matrix_savings(
-        configs,
-        &[
-            SchedulerKind::CarbonGreedyOpt,
-            SchedulerKind::WaterGreedyOpt,
-            SchedulerKind::WaterWise,
-        ],
-    );
-    for (&(servers, util), rows) in levels.iter().zip(per_config) {
-        for (kind, carbon, water) in rows {
+    let mut kinds = vec![SchedulerKind::Baseline];
+    kinds.extend(ORACLES_AND_WATERWISE);
+    let matrix =
+        Campaign::run_matrix(&configs, &kinds, Parallelism::Auto).expect("campaign must run");
+    for (&servers, row) in servers.iter().zip(&matrix) {
+        let (baseline, others) = row.split_first().expect("the baseline runs first");
+        for outcome in others {
             table.row(&[
                 servers.to_string(),
-                util.to_string(),
-                kind.label().to_string(),
-                pct(carbon),
-                pct(water),
+                pct(outcome.summary.mean_utilization * 100.0),
+                outcome.kind.label().to_string(),
+                pct(outcome.carbon_saving_vs(baseline)),
+                pct(outcome.water_saving_vs(baseline)),
             ]);
         }
     }
     vec![table]
 }
 
-// ---------------------------------------------------------------------------
-// Fig. 12 — region availability
-// ---------------------------------------------------------------------------
-
 /// Fig. 12: WaterWise savings when only a subset of regions is available.
-pub fn fig12_region_availability(scale: ExperimentScale) -> Vec<Table> {
-    let subsets: [(&str, &[Region]); 3] = [
-        (
-            "Zurich-Madrid-Oregon-Milan",
-            &[
-                Region::Zurich,
-                Region::Madrid,
-                Region::Oregon,
-                Region::Milan,
-            ],
-        ),
-        (
-            "Zurich-Milan-Mumbai",
-            &[Region::Zurich, Region::Milan, Region::Mumbai],
-        ),
-        ("Zurich-Oregon", &[Region::Zurich, Region::Oregon]),
+pub fn fig12_region_availability(scenario: &Scenario) -> Vec<Table> {
+    use Region::{Madrid, Milan, Mumbai, Oregon, Zurich};
+    let subsets: [&[Region]; 3] = [
+        &[Zurich, Madrid, Oregon, Milan],
+        &[Zurich, Milan, Mumbai],
+        &[Zurich, Oregon],
     ];
-    let mut table = Table::new(
+    let cells = subsets.map(|regions| {
+        let names: Vec<&str> = regions.iter().map(|r| r.name()).collect();
+        let config = at_tolerance(scenario, 0.5).with_regions(regions);
+        (vec![names.join("-")], config)
+    });
+    vec![savings_table(
         "Fig. 12 — sensitivity to region availability (50% tolerance)",
-        &["available regions", "carbon saving", "water saving"],
-    );
-    let configs: Vec<CampaignConfig> = subsets
-        .iter()
-        .map(|&(_, regions)| {
-            CampaignConfig::paper_default(scale.days, 0.5, scale.seed).with_regions(regions)
-        })
-        .collect();
-    let per_config = matrix_savings(configs, &[SchedulerKind::WaterWise]);
-    for ((label, _), rows) in subsets.iter().zip(per_config) {
-        let (_, carbon, water) = rows[0];
-        table.row(&[label.to_string(), pct(carbon), pct(water)]);
-    }
-    vec![table]
+        &["available regions"],
+        cells.into(),
+        &[SchedulerKind::WaterWise],
+    )]
 }
-
-// ---------------------------------------------------------------------------
-// Fig. 13 — decision-making overhead
-// ---------------------------------------------------------------------------
 
 /// Which of `bins` equal windows of `width` from `start` holds `time`:
 /// window `b` is `[start + b·width, start + (b+1)·width)`, except the last,
@@ -574,7 +418,7 @@ fn overhead_window(time: f64, start: f64, width: f64, bins: usize) -> usize {
 /// and Alibaba-like traces, expressed as a percentage of the mean job
 /// execution time. A round takes microseconds, so the decision time is
 /// given in µs and the percentage in scientific notation.
-pub fn fig13_overhead(scale: ExperimentScale) -> Vec<Table> {
+pub fn fig13_overhead(scenario: &Scenario) -> Vec<Table> {
     let mut table = Table::new(
         "Fig. 13 — WaterWise decision-making overhead over time",
         &[
@@ -585,16 +429,8 @@ pub fn fig13_overhead(scale: ExperimentScale) -> Vec<Table> {
         ],
     );
     for (label, config) in [
-        (
-            "google-borg",
-            CampaignConfig::paper_default(scale.days, 0.5, scale.seed),
-        ),
-        (
-            "alibaba-vm",
-            CampaignConfig::paper_default(scale.alibaba_days(), 0.5, scale.seed)
-                .with_alibaba_trace(scale.alibaba_days(), scale.seed)
-                .with_delay_tolerance(0.5),
-        ),
+        ("google-borg", at_tolerance(scenario, 0.5)),
+        ("alibaba-vm", alibaba_at_tolerance(scenario, 0.5)),
     ] {
         let campaign = Campaign::new(config);
         let outcome = campaign
@@ -639,13 +475,9 @@ pub fn fig13_overhead(scale: ExperimentScale) -> Vec<Table> {
     vec![table]
 }
 
-// ---------------------------------------------------------------------------
-// Table 2 — service time and violations
-// ---------------------------------------------------------------------------
-
 /// Table 2: average service time (normalized to execution time) and the
 /// fraction of jobs violating their delay tolerance.
-pub fn table2_service_time(scale: ExperimentScale) -> Vec<Table> {
+pub fn table2_service_time(scenario: &Scenario) -> Vec<Table> {
     let mut table = Table::new(
         "Table 2 — service time (normalized) and delay-tolerance violations",
         &[
@@ -655,23 +487,12 @@ pub fn table2_service_time(scale: ExperimentScale) -> Vec<Table> {
             "% jobs violating",
         ],
     );
-    let tolerances = [0.25, 0.50, 0.75, 1.00];
-    let configs: Vec<CampaignConfig> = tolerances
-        .iter()
-        .map(|&tol| CampaignConfig::paper_default(scale.days, tol, scale.seed))
-        .collect();
-    let matrix = Campaign::run_matrix(
-        &configs,
-        &[
-            SchedulerKind::Baseline,
-            SchedulerKind::CarbonGreedyOpt,
-            SchedulerKind::WaterGreedyOpt,
-            SchedulerKind::WaterWise,
-        ],
-        Parallelism::Auto,
-    )
-    .expect("campaign must run");
-    for (&tol, row) in tolerances.iter().zip(&matrix) {
+    let configs = TOLERANCES.map(|tol| at_tolerance(scenario, tol));
+    let mut kinds = vec![SchedulerKind::Baseline];
+    kinds.extend(ORACLES_AND_WATERWISE);
+    let matrix =
+        Campaign::run_matrix(&configs, &kinds, Parallelism::Auto).expect("campaign must run");
+    for (&tol, row) in TOLERANCES.iter().zip(&matrix) {
         for outcome in row {
             table.row(&[
                 tolerance_label(tol),
@@ -684,14 +505,10 @@ pub fn table2_service_time(scale: ExperimentScale) -> Vec<Table> {
     vec![table]
 }
 
-// ---------------------------------------------------------------------------
-// Table 3 — communication overhead
-// ---------------------------------------------------------------------------
-
 /// Table 3: average carbon/water overhead of transferring a job from Oregon
 /// to each remote region, as a percentage of the execution footprint.
-pub fn table3_comm_overhead(scale: ExperimentScale) -> Vec<Table> {
-    let telemetry = SyntheticTelemetry::with_seed(scale.seed);
+pub fn table3_comm_overhead(scenario: &Scenario) -> Vec<Table> {
+    let telemetry = SyntheticTelemetry::with_seed(scenario.seed);
     let estimator = FootprintEstimator::paper_default();
     let transfer = waterwise_cluster::TransferModel::paper_default();
     let mut table = Table::new(
@@ -752,78 +569,52 @@ pub fn table3_comm_overhead(scale: ExperimentScale) -> Vec<Table> {
     vec![table]
 }
 
-// ---------------------------------------------------------------------------
-// Sensitivity studies (Sec. 6 text)
-// ---------------------------------------------------------------------------
-
 /// Sec. 6: ±10% error in the scheduler's carbon / water-intensity estimates
 /// (50% delay tolerance).
-pub fn sens_perturbation(scale: ExperimentScale) -> Vec<Table> {
-    let mut table = Table::new(
-        "Sensitivity — ±10% estimate error (50% delay tolerance)",
-        &[
-            "carbon estimate error",
-            "water estimate error",
-            "carbon saving",
-            "water saving",
-        ],
-    );
+///
+/// The error is one factor on every region's estimate, and Eq. 7 divides
+/// each round's carbon and water by the round's maxima, so the factor mostly
+/// cancels: at 0.25 days, seed 42, every error row prints the accurate row's
+/// savings (WaterWise's schedule is the same; it first moves at a (2, 0.5)
+/// error). The table therefore shows invariance to a uniform error, not
+/// robustness to a per-region one, which would be a new experiment
+/// (ROADMAP items 9 and 14(a)).
+pub fn sens_perturbation(scenario: &Scenario) -> Vec<Table> {
     let errors = [(1.0, 1.0), (1.1, 1.0), (0.9, 1.0), (1.0, 1.1), (1.0, 0.9)];
-    let configs: Vec<CampaignConfig> = errors
-        .iter()
-        .map(|&(carbon_err, water_err)| {
-            let mut config = CampaignConfig::paper_default(scale.days, 0.5, scale.seed);
-            config.estimate_carbon_error = carbon_err;
-            config.estimate_water_error = water_err;
-            config
-        })
-        .collect();
-    let per_config = matrix_savings(configs, &[SchedulerKind::WaterWise]);
-    for (&(carbon_err, water_err), rows) in errors.iter().zip(per_config) {
-        let (_, carbon, water) = rows[0];
-        table.row(&[
-            format!("{:+.0}%", (carbon_err - 1.0) * 100.0),
-            format!("{:+.0}%", (water_err - 1.0) * 100.0),
-            pct(carbon),
-            pct(water),
-        ]);
-    }
-    vec![table]
+    let cells = errors.map(|(carbon_err, water_err): (f64, f64)| {
+        let mut config = at_tolerance(scenario, 0.5);
+        config.estimate_carbon_error = carbon_err;
+        config.estimate_water_error = water_err;
+        let label = |err: f64| format!("{:+.0}%", (err - 1.0) * 100.0);
+        (vec![label(carbon_err), label(water_err)], config)
+    });
+    vec![savings_table(
+        "Sensitivity — ±10% estimate error (50% delay tolerance)",
+        &["carbon estimate error", "water estimate error"],
+        cells.into(),
+        &[SchedulerKind::WaterWise],
+    )]
 }
 
-/// Sec. 6: doubling the Borg request rate (50% delay tolerance).
-pub fn sens_request_rate(scale: ExperimentScale) -> Vec<Table> {
-    let mut table = Table::new(
+/// Sec. 6: doubling the Borg request rate (50% delay tolerance). WaterWise
+/// still saves on both axes.
+pub fn sens_request_rate(scenario: &Scenario) -> Vec<Table> {
+    let cells = [1.0, 2.0].map(|multiplier: f64| {
+        let mut config = at_tolerance(scenario, 0.5);
+        config.trace = config.trace.clone().with_rate_multiplier(multiplier);
+        (vec![format!("{multiplier:.1}x")], config)
+    });
+    vec![savings_table(
         "Sensitivity — request-rate scaling (50% delay tolerance)",
-        &["rate multiplier", "carbon saving", "water saving"],
-    );
-    let multipliers = [1.0, 2.0];
-    let configs: Vec<CampaignConfig> = multipliers
-        .iter()
-        .map(|&multiplier| {
-            let mut config = CampaignConfig::paper_default(scale.days, 0.5, scale.seed);
-            config.trace = config.trace.clone().with_rate_multiplier(multiplier);
-            config
-        })
-        .collect();
-    let per_config = matrix_savings(configs, &[SchedulerKind::WaterWise]);
-    for (&multiplier, rows) in multipliers.iter().zip(per_config) {
-        let (_, carbon, water) = rows[0];
-        table.row(&[format!("{multiplier:.1}x"), pct(carbon), pct(water)]);
-    }
-    vec![table]
+        &["rate multiplier"],
+        cells.into(),
+        &[SchedulerKind::WaterWise],
+    )]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny() -> ExperimentScale {
-        ExperimentScale {
-            days: 0.02,
-            seed: 7,
-        }
-    }
 
     #[test]
     fn every_overhead_sample_lands_in_exactly_one_window() {
@@ -856,56 +647,5 @@ mod tests {
                 "the last round"
             );
         }
-    }
-
-    #[test]
-    fn fig13_shows_a_decision_time_in_every_window() {
-        let tables = fig13_overhead(tiny());
-        let rendered = tables[0].render();
-        let rows: Vec<&str> = rendered.lines().skip(3).collect();
-        assert!(!rows.is_empty());
-        for row in rows {
-            // trace, window (min), mean decision time (µs), percentage.
-            let cells: Vec<&str> = row.split_whitespace().collect();
-            let micros: f64 = cells[2].parse().unwrap();
-            assert!(micros > 0.0, "a zero decision time: {row}");
-            let percent: f64 = cells[3].trim_end_matches('%').parse().unwrap();
-            assert!(percent > 0.0, "a zero share of the execution time: {row}");
-        }
-    }
-
-    #[test]
-    fn fig01_lists_all_nine_sources() {
-        let tables = fig01_energy_sources();
-        assert_eq!(tables[0].len(), 9);
-    }
-
-    #[test]
-    fn fig02_orders_regions_by_carbon() {
-        let tables = fig02_regional_factors(tiny());
-        assert_eq!(tables[0].len(), 5);
-        assert_eq!(tables[1].len(), 2);
-    }
-
-    #[test]
-    fn fig10_produces_three_rows() {
-        let tables = fig10_loadbalancers(tiny());
-        assert_eq!(tables[0].len(), 3);
-    }
-
-    #[test]
-    fn table3_has_four_destinations() {
-        let tables = table3_comm_overhead(tiny());
-        assert_eq!(tables[0].len(), 4);
-        // Overhead must be well under 5% of the execution footprint.
-        let rendered = tables[0].render();
-        assert!(!rendered.contains("inf"));
-    }
-
-    #[test]
-    fn scale_from_env_defaults() {
-        let scale = ExperimentScale::default();
-        assert!(scale.days > 0.0);
-        assert!(scale.alibaba_days() > 0.0);
     }
 }

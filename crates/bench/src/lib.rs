@@ -6,20 +6,24 @@
 //! committed scenario specs. Performance is measured by the perf ledger
 //! (`bash benchmark/run.sh`), not here.
 //!
-//! Each paper artifact has a dedicated binary (see `src/bin/`); all binaries
-//! share the machinery in [`experiments`] and print fixed-width tables whose
-//! rows correspond to the series plotted in the paper. Absolute numbers are
-//! not expected to match the paper (the substrate here is a simulator seeded
+//! [`figures::FIGURES`] lists them once: one row per paper artifact, naming
+//! the [`experiments`] function that regenerates it and the claims its
+//! printed numbers must show. The one `figures` binary runs rows of it
+//! (`figures fig09`, `figures all`) and prints fixed-width tables whose rows
+//! correspond to the series plotted in the paper. Absolute numbers are not
+//! expected to match the paper (the substrate here is a simulator seeded
 //! with synthetic telemetry, not the authors' AWS deployment); the *shape* —
 //! who wins, by roughly what factor, and how trends move with delay
 //! tolerance, weights, utilization, and region availability — is the
-//! reproduction target.
+//! reproduction target, and each row's claims state it.
 //!
 //! ## Scaling experiments
 //!
-//! By default the campaigns replay a fraction of a day of Borg-like arrivals
-//! so that the full suite completes in minutes. Two environment variables
-//! rescale every experiment:
+//! A figure with a committed spec (`fig05`, `fig08`) runs it; every other
+//! figure runs the paper's default scenario at [`figures::DAYS`] days of
+//! Borg-like arrivals and seed [`figures::SEED`], so that the full suite
+//! completes in about a second in release. Two environment variables rescale
+//! every experiment:
 //!
 //! * `WATERWISE_DAYS` — trace length in days (default 0.25; finite and > 0).
 //! * `WATERWISE_SEED` — RNG seed (default 42).
@@ -33,7 +37,8 @@
 #![deny(unsafe_code)]
 
 pub mod experiments;
+pub mod figures;
 pub mod table;
 
-pub use experiments::ExperimentScale;
+pub use figures::{Claim, Figure, FIGURES};
 pub use table::Table;

@@ -24,14 +24,22 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
+    /// The table's title.
+    pub(crate) fn title(&self) -> &str {
+        &self.title
     }
 
-    /// `true` if the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+    /// Whether a column is headed `name`.
+    pub(crate) fn has_column(&self, name: &str) -> bool {
+        self.header.iter().any(|h| h == name)
+    }
+
+    /// The data rows, each readable by column header.
+    pub(crate) fn records(&self) -> impl Iterator<Item = Record<'_>> {
+        self.rows.iter().map(|cells| Record {
+            header: &self.header,
+            cells,
+        })
     }
 
     /// Render the table as a string.
@@ -77,6 +85,45 @@ impl Table {
     }
 }
 
+/// One data row of a [`Table`], read back by column header.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Record<'t> {
+    header: &'t [String],
+    cells: &'t [String],
+}
+
+impl<'t> Record<'t> {
+    /// The printed cell under `column`.
+    ///
+    /// # Panics
+    ///
+    /// If the table has no column headed `column`: a claim that names a
+    /// column its figure does not print is a bug in the claim.
+    pub(crate) fn cell(&self, column: &str) -> &'t str {
+        let index = self
+            .header
+            .iter()
+            .position(|h| h == column)
+            .unwrap_or_else(|| panic!("no column {column:?} in {:?}", self.header));
+        self.cells.get(index).map_or("", String::as_str)
+    }
+
+    /// The row's printed cells, in column order.
+    pub(crate) fn cells(&self) -> &'t [String] {
+        self.cells
+    }
+
+    /// The number printed under `column`: `17.0%` reads 17.0, `1.068x`
+    /// reads 1.068, and [`PLACEHOLDER`] or any other text reads NaN, which
+    /// no ordering holds for.
+    pub(crate) fn value(&self, column: &str) -> f64 {
+        let cell = self.cell(column);
+        cell.trim_end_matches(['%', 'x'])
+            .parse()
+            .unwrap_or(f64::NAN)
+    }
+}
+
 /// Placeholder rendered for undefined values (for example the savings of a
 /// zero-job campaign, which [`waterwise_cluster::saving_percent`] reports as
 /// NaN).
@@ -115,8 +162,20 @@ mod tests {
         assert!(s.contains("demo"));
         assert!(s.contains("zurich"));
         assert!(s.contains("700"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+    }
+
+    #[test]
+    fn records_read_cells_and_printed_numbers_back() {
+        let mut t = Table::new("demo", &["scheduler", "saving", "stretch"]);
+        t.row(&["waterwise".into(), pct(21.456), "1.068x".into()]);
+        t.row(&["oracle".into(), pct(f64::NAN), "2.582e-7%".into()]);
+        let records: Vec<Record> = t.records().collect();
+        assert_eq!(records[0].cell("scheduler"), "waterwise");
+        assert_eq!(records[0].value("saving"), 21.5);
+        assert_eq!(records[0].value("stretch"), 1.068);
+        assert!(records[1].value("saving").is_nan());
+        assert_eq!(records[1].value("stretch"), 2.582e-7);
+        assert_eq!(t.title(), "demo");
     }
 
     #[test]

@@ -34,9 +34,9 @@ fn snapshots_dir() -> PathBuf {
 }
 
 /// Load a scenario at its spec scale. Deliberately *not*
-/// `experiments::load_scenario`: goldens are pinned at the committed spec's
-/// own days/seed, immune to `WATERWISE_DAYS`/`WATERWISE_SEED` in the
-/// environment.
+/// `waterwise_core::scenario::load_scenario`: goldens are pinned at the
+/// committed spec's own days/seed, immune to `WATERWISE_DAYS`/`WATERWISE_SEED`
+/// in the environment.
 fn load(name: &str) -> Scenario {
     load_spec(scenario_spec_path(name)).expect("committed scenario spec must load")
 }

@@ -205,8 +205,9 @@ pub struct CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// The paper's default setup: Borg-like trace, all five regions, PUE 1.2,
-    /// ~15% utilization, equal objective weights.
+    /// The paper's default setup: Borg-like trace, all five regions with 280
+    /// servers each, PUE 1.2, equal objective weights. That is ~7% mean
+    /// utilization (7.3% measured at 0.25 days, seed 42; Fig. 11 prints it).
     pub fn paper_default(days: f64, delay_tolerance: f64, seed: u64) -> Self {
         Self {
             trace: TraceConfig::borg(days, seed),

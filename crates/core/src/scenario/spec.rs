@@ -4,7 +4,7 @@
 //! workload trace shape, the simulated cluster, synthetic telemetry,
 //! objective weights, the WaterWise solver knobs, and the service clock
 //! mode. Specs live in `scenarios/*.spec` at the repository root
-//! and are loaded by the bench binaries (`--scenario` / `WATERWISE_SCENARIO`)
+//! and are loaded by the `figures` binary (`--scenario` / `WATERWISE_SCENARIO`)
 //! and by `placement_server`; see `docs/SCENARIOS.md` for the grammar and a
 //! worked example.
 //!
@@ -226,7 +226,7 @@ impl ScenarioError {
     }
 
     /// Render as `path:line: message` (or `path: message` for errors without
-    /// a line), the fail-fast format `run_all` prints before exiting.
+    /// a line), the fail-fast format `figures` prints before exiting.
     pub fn located(&self, path: impl fmt::Display) -> String {
         match self.line() {
             Some(line) => format!("{path}:{line}: {}", self.message()),
