@@ -155,13 +155,13 @@ pub const FIGURES: &[Figure] = &[
         claims: &[
             Claim {
                 states: "WaterWise saves > 5 % carbon and > 0 % water at every tolerance.",
-                source: "moved from test `waterwise_saves_carbon_and_water_vs_baseline`",
+                source: "copied from test `waterwise_saves_carbon_and_water_vs_baseline`",
                 check: |t| saves(t, 5.0, 0.0),
             },
             Claim {
                 states: "WaterWise's carbon saving at 100 % tolerance is at most 5 points \
                          below its saving at 25 %.",
-                source: "moved from test `higher_delay_tolerance_does_not_hurt_savings`",
+                source: "copied from test `higher_delay_tolerance_does_not_hurt_savings`",
                 check: |t| {
                     let at = |tolerance| {
                         let keys = [("delay tolerance", tolerance), WATERWISE];

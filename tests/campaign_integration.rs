@@ -1,8 +1,9 @@
 //! Integration tests spanning every crate: telemetry + traces + simulator +
 //! schedulers running end-to-end campaigns through the public `waterwise`
-//! API. The qualitative results the paper reports are claims on each
-//! figure's own tables (`tests/figures.rs`); what stays here are the
-//! identities, typed errors and the assertions a table cannot express.
+//! API. Most qualitative results the paper reports are claims on each
+//! figure's own tables (`tests/figures.rs`); what stays here are Fig. 5's
+//! headline savings on their own seeds, the identities, typed errors and
+//! the assertions a table cannot express.
 
 use waterwise::core::{Campaign, CampaignConfig, Parallelism, SchedulerKind, WaterWiseError};
 use waterwise::telemetry::Region;
@@ -23,6 +24,39 @@ fn every_scheduler_completes_every_job() {
         assert!(outcome.summary.total_water.value() > 0.0);
         assert!(outcome.summary.mean_service_stretch >= 1.0);
     }
+}
+
+#[test]
+fn waterwise_saves_carbon_and_water_vs_baseline() {
+    // The headline result (Fig. 5): positive savings on both axes.
+    let campaign = Campaign::new(CampaignConfig::paper_default(0.1, 0.5, 3));
+    let baseline = campaign.run(SchedulerKind::Baseline).unwrap();
+    let waterwise = campaign.run(SchedulerKind::WaterWise).unwrap();
+    let carbon = waterwise.carbon_saving_vs(&baseline);
+    let water = waterwise.water_saving_vs(&baseline);
+    assert!(carbon > 5.0, "carbon saving too small: {carbon:.1}%");
+    assert!(water > 0.0, "water saving not positive: {water:.1}%");
+}
+
+#[test]
+fn higher_delay_tolerance_does_not_hurt_savings() {
+    // Fig. 5 trend: savings improve (or at least do not collapse) as the
+    // delay tolerance grows.
+    let seed = 9;
+    let low = Campaign::new(CampaignConfig::paper_default(0.08, 0.25, seed));
+    let high = Campaign::new(CampaignConfig::paper_default(0.08, 1.0, seed));
+    let low_rows = low
+        .savings_vs_baseline(&[SchedulerKind::WaterWise])
+        .unwrap();
+    let high_rows = high
+        .savings_vs_baseline(&[SchedulerKind::WaterWise])
+        .unwrap();
+    let (_, low_carbon, _low_water) = low_rows[0];
+    let (_, high_carbon, _high_water) = high_rows[0];
+    assert!(
+        high_carbon >= low_carbon - 5.0,
+        "carbon saving degraded badly with higher tolerance: {low_carbon:.1}% -> {high_carbon:.1}%"
+    );
 }
 
 #[test]
