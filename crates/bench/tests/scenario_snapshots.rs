@@ -12,9 +12,9 @@
 //! goldens; commit the resulting diff. CI guards that the variable is never
 //! set there, so drift can only be accepted deliberately.
 //!
-//! The determinism sweep re-runs each scenario with `warm_start` on and off
-//! (the all-MILP reference) and demands a byte-identical rendering from
-//! both — "snapshot == replay" (ARCHITECTURE.md invariant table).
+//! That each scenario renders alike with `warm_start` on and off (the
+//! all-MILP reference) is the `default_equals_all_milp` row of the root
+//! `tests/invariants.rs`.
 
 #[path = "../../service/tests/support/mod.rs"]
 mod support;
@@ -118,28 +118,16 @@ fn fig08_scenario_matches_golden_snapshot() {
 }
 
 #[test]
-fn fig14_scenario_matches_golden_and_warm_equals_cold() {
+fn fig14_scenario_matches_golden_snapshot() {
     let scenario = load("fig14");
     let mut snap = Snapshot::new();
     for (horizon, label) in [(Some(16), "h16"), (None, "hcap")] {
-        let run = |warm: bool| {
-            let mut config = scenario.config.clone();
-            config.waterwise.warm_start = warm;
-            config.waterwise.horizon = horizon;
-            Campaign::new(config)
-                .run(SchedulerKind::WaterWise)
-                .expect("campaign must run")
-        };
-        let cold = run(false);
-        let warm = run(true);
-        // The hinted scheduler and the all-MILP reference, byte for byte:
-        // the certificate and the kernel skip solves, they must never
-        // change a schedule.
-        assert_eq!(
-            cold.report.outcomes, warm.report.outcomes,
-            "the hint and the kernel changed the {label} schedule"
-        );
-        add_outcome(&mut snap, label, &warm);
+        let mut config = scenario.config.clone();
+        config.waterwise.horizon = horizon;
+        let outcome = Campaign::new(config)
+            .run(SchedulerKind::WaterWise)
+            .expect("campaign must run");
+        add_outcome(&mut snap, label, &outcome);
     }
     assert_snapshot(&snapshots_dir(), "fig14", &snap.render());
 }
@@ -445,48 +433,6 @@ fn server_resume_scenario_pins_a_save_restart_resume_cycle() {
     snap.add_schedule("resumed", &resumed.report.outcomes);
     assert_snapshot(&snapshots_dir(), "server_resume", &snap.render());
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-// ---------------------------------------------------------------------------
-// Determinism sweep: `warm_start` on and off, per scenario
-// ---------------------------------------------------------------------------
-
-/// Replay the scenario's base campaign with `warm_start` on and off (the
-/// all-MILP reference) and demand a byte-identical snapshot rendering from
-/// both — the
-/// "snapshot == replay" invariant.
-fn sweep_renders_byte_identical(name: &str) {
-    let scenario = load(name);
-    let render = |warm: bool| {
-        let mut config = scenario.config.clone();
-        config.waterwise.warm_start = warm;
-        let outcome = Campaign::new(config)
-            .run(SchedulerKind::WaterWise)
-            .expect("campaign must run");
-        let mut snap = Snapshot::new();
-        add_outcome(&mut snap, "waterwise", &outcome);
-        snap.render()
-    };
-    assert_eq!(
-        render(true),
-        render(false),
-        "scenario {name}: cold starts rendered differently from warm ones"
-    );
-}
-
-#[test]
-fn fig05_sweep_is_byte_identical_warm_and_cold() {
-    sweep_renders_byte_identical("fig05");
-}
-
-#[test]
-fn fig08_sweep_is_byte_identical_warm_and_cold() {
-    sweep_renders_byte_identical("fig08");
-}
-
-#[test]
-fn fig14_sweep_is_byte_identical_warm_and_cold() {
-    sweep_renders_byte_identical("fig14");
 }
 
 // ---------------------------------------------------------------------------

@@ -57,9 +57,11 @@
 //!    [`SimulationError::OutOfOrderArrival`]), so the replayed arrival
 //!    cannot land ahead of effects the online run has already committed.
 //!
-//! The guarantee is property-tested in `waterwise-service`
-//! (`tests/online_equivalence.rs`) and asserted again over the TCP path by
-//! the `fig17` golden-snapshot test in `waterwise-bench`.
+//! The guarantee is the `online_equals_offline` and
+//! `real_time_replays_its_recorded_trace` rows of the workspace's root
+//! `tests/invariants.rs` (tie-heavy streams through a one-session host),
+//! and is asserted again over the TCP path by the `fig17` golden-snapshot
+//! test in `waterwise-bench`.
 
 use super::clock::{ClockMode, SimClock};
 use super::queue::{Event, QueuedEvent};

@@ -629,29 +629,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_run_all_matches_serial_byte_for_byte() {
-        let serial_campaign =
-            Campaign::new(CampaignConfig::small_demo(42).with_parallelism(Parallelism::Serial));
-        let parallel_campaign =
-            Campaign::new(CampaignConfig::small_demo(42).with_parallelism(Parallelism::Threads(4)));
-        let serial = serial_campaign.run_all(&SchedulerKind::ALL).unwrap();
-        let parallel = parallel_campaign.run_all(&SchedulerKind::ALL).unwrap();
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.kind, p.kind, "merge must preserve input order");
-            // Everything except wall-clock overhead timing is deterministic,
-            // so the summaries must match byte for byte.
-            assert_eq!(
-                format!("{:?}", s.summary.without_wall_clock()),
-                format!("{:?}", p.summary.without_wall_clock()),
-                "{:?} diverged between serial and parallel run_all",
-                s.kind
-            );
-            assert_eq!(s.report.outcomes, p.report.outcomes);
-        }
-    }
-
-    #[test]
     fn run_matrix_preserves_config_and_kind_order() {
         let configs = vec![CampaignConfig::small_demo(1), CampaignConfig::small_demo(2)];
         let kinds = [SchedulerKind::Baseline, SchedulerKind::RoundRobin];
@@ -675,22 +652,6 @@ mod tests {
             matrix[0][0].summary.total_jobs, 0,
             "matrix campaigns must actually run jobs"
         );
-    }
-
-    #[test]
-    fn cold_solves_commit_what_the_default_scheduler_commits() {
-        // Solved cold, the schedule is the one the default scheduler (hint,
-        // kernel) commits — which on this campaign reaches no solver.
-        let mut config = CampaignConfig::small_demo(9);
-        config.waterwise.warm_start = false;
-        let campaign = Campaign::new(config);
-        let outcome = campaign.run(SchedulerKind::WaterWise).unwrap();
-        assert!(outcome.summary.solver.solves > 0);
-        let plain = Campaign::new(CampaignConfig::small_demo(9))
-            .run(SchedulerKind::WaterWise)
-            .unwrap();
-        assert_eq!(plain.report.outcomes, outcome.report.outcomes);
-        assert_eq!(plain.summary.solver.solves, 0);
     }
 
     #[test]

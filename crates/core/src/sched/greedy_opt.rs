@@ -33,13 +33,14 @@ impl GreedyObjective {
     }
 }
 
+/// Granularity of the future start-time search: 30 minutes, in seconds.
+const SEARCH_STEP_S: f64 = 1800.0;
+
 /// The greedy-optimal oracle scheduler.
 pub struct GreedyOptScheduler {
     objective: GreedyObjective,
     provider: Arc<dyn ConditionsProvider>,
     estimator: FootprintEstimator,
-    /// Granularity of the future start-time search.
-    search_step: Seconds,
 }
 
 impl GreedyOptScheduler {
@@ -53,14 +54,7 @@ impl GreedyOptScheduler {
             objective,
             provider,
             estimator,
-            search_step: Seconds::from_minutes(30.0),
         }
-    }
-
-    /// Override the future-search granularity (default 30 minutes).
-    pub fn with_search_step(mut self, step: Seconds) -> Self {
-        self.search_step = Seconds::new(step.value().max(60.0));
-        self
     }
 
     fn objective_of(&self, carbon: f64, water: f64) -> f64 {
@@ -83,13 +77,12 @@ impl GreedyOptScheduler {
     fn best_choice(&self, job: &PendingJob, ctx: &SchedulingContext<'_>) -> Option<Region> {
         let regions = ctx.region_list();
         let slack = self.remaining_slack(job, ctx);
-        let step = self.search_step.value();
-        let round_interval = step.min(300.0);
+        let round_interval = SEARCH_STEP_S.min(300.0);
 
         let mut best_now: Option<(f64, Region)> = None;
         let mut best_later: Option<f64> = None;
 
-        // Candidate start delays: 0, step, 2*step, ... bounded by the slack.
+        // Candidate start delays: 0, 30 min, 60 min, ... bounded by the slack.
         let mut delay = 0.0;
         while delay <= slack.max(0.0) {
             let at = Seconds::new(ctx.now.value() + delay);
@@ -113,10 +106,7 @@ impl GreedyOptScheduler {
                     best_later = Some(value);
                 }
             }
-            if step <= 0.0 {
-                break;
-            }
-            delay += step;
+            delay += SEARCH_STEP_S;
         }
 
         match (best_now, best_later) {

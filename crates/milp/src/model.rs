@@ -208,11 +208,6 @@ impl Model {
         self.lp.constraints.len()
     }
 
-    /// Variable metadata.
-    pub fn var_info(&self, var: Var) -> &VarInfo {
-        &self.vars[var.index()]
-    }
-
     /// All variables.
     pub fn vars(&self) -> &[VarInfo] {
         &self.vars

@@ -376,9 +376,7 @@ impl AdmissionQueue {
         let slot = slot.unwrap_or(0);
         if state.seen_ids.contains(&spec.id) {
             state.rejected += 1;
-            if let Some(t) = state.tenants.get_mut(tenant) {
-                t.rejected += 1;
-            }
+            state.tenants.entry(tenant.clone()).or_default().rejected += 1;
             return Err(ServiceError::DuplicateRequest { id: spec.id });
         }
         let quota = self.config.tenant_inflight_quota.max(1);
@@ -858,6 +856,26 @@ mod tests {
             queue.submit(s, &tenant, spec(7, 1.0)),
             Err(ServiceError::DuplicateRequest { id: JobId(7) })
         ));
+    }
+
+    #[test]
+    fn a_duplicate_is_counted_under_the_tenant_that_sent_it() {
+        // Tenant `b`'s first request reuses tenant `a`'s id: `b` gets a
+        // report, and the per-tenant rejections add up to the host's.
+        let queue = AdmissionQueue::new(AdmissionConfig::default());
+        let s = queue.open_session(sink()).unwrap();
+        let (a, b) = (TenantId::from("a"), TenantId::from("b"));
+        queue.submit(s, &a, spec(7, 0.0)).unwrap();
+        assert!(matches!(
+            queue.submit(s, &b, spec(7, 0.0)),
+            Err(ServiceError::DuplicateRequest { id: JobId(7) })
+        ));
+        let (_, _, rejected, _, tenants) = queue.take_report_parts();
+        assert_eq!(tenants[&b].rejected, 1);
+        assert_eq!(
+            tenants.values().map(|t| t.rejected).sum::<usize>(),
+            rejected
+        );
     }
 
     #[test]

@@ -238,10 +238,11 @@ impl ClusterHost {
     /// before anything new drains. The engine orders work purely by
     /// `(time, sequence)` event keys, so the resumed run's combined
     /// schedule is byte-identical to a never-interrupted run over the same
-    /// submissions (the `restart_identity` battery pins this). New
-    /// sessions allocate sequence bands above every recovered band, the
-    /// recovered stamps seed the watermark, and recovered job ids stay
-    /// duplicate-rejected across the restart.
+    /// submissions (the `resume_equals_uninterrupted` row of the root
+    /// `tests/invariants.rs` pins this). New sessions allocate sequence
+    /// bands above every recovered band, the recovered stamps seed the
+    /// watermark, and recovered job ids stay duplicate-rejected across the
+    /// restart.
     ///
     /// Resuming requires a configuration that can reproduce the original
     /// event keys: streaming admission (a gated host's one-shot canonical

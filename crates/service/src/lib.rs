@@ -30,13 +30,15 @@
 //! one-session run records its admitted jobs as a trace
 //! ([`HostReport::trace`]), and replaying that trace offline through
 //! [`waterwise_cluster::Simulator::run`] reproduces the exact same
-//! schedule — under either [`waterwise_cluster::ClockMode`] (`tests/online_equivalence.rs`, and
-//! over TCP `tests/tcp_multi_session.rs` plus the `fig17` golden-snapshot
-//! test in `waterwise-bench`). Multi-session runs extend the discipline:
-//! tie order is pinned by per-session sequence bands, and replaying the
-//! admission journal offline ([`Journal::replay`]) reproduces the live
-//! schedule byte-identically regardless of how the session threads
-//! interleaved (`tests/multi_session_equivalence.rs`). See
+//! schedule — under either [`waterwise_cluster::ClockMode`] (the
+//! `online_equals_offline` and `real_time_replays_its_recorded_trace` rows
+//! of the workspace's root `tests/invariants.rs`, and over TCP
+//! `tests/tcp_multi_session.rs` plus the `fig17` golden-snapshot test in
+//! `waterwise-bench`). Multi-session runs extend the discipline: tie order
+//! is pinned by per-session sequence bands, and replaying the admission
+//! journal offline ([`Journal::replay`]) reproduces the live schedule
+//! byte-identically regardless of how the session threads interleaved (the
+//! `journal_equals_replay` row). See
 //! `docs/ONLINE_SERVICE.md` for the operator-facing picture (wire format,
 //! tenancy, clock modes, shutdown).
 

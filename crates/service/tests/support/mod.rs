@@ -1,5 +1,6 @@
-//! Journal-driven host helpers shared by the restart-identity battery and
-//! the `server_resume` golden test (which includes this file by path).
+//! Journal-driven host helpers shared by the `resume_equals_uninterrupted`
+//! row of the root `tests/invariants.rs` and the `server_resume` golden
+//! test (both include this file by path).
 
 #![expect(
     clippy::disallowed_methods,

@@ -198,15 +198,6 @@ impl EnergyMix {
         self.shares.is_empty()
     }
 
-    /// Fraction of generation coming from renewable sources.
-    pub fn renewable_fraction(&self) -> f64 {
-        self.shares
-            .iter()
-            .filter(|(s, _)| s.is_renewable())
-            .map(|(_, share)| share)
-            .sum()
-    }
-
     /// Share-weighted average carbon intensity of the mix (gCO2/kWh).
     pub fn carbon_intensity(&self) -> CarbonIntensity {
         CarbonIntensity::new(
@@ -299,7 +290,6 @@ mod tests {
     #[test]
     fn single_source_mix() {
         let mix = EnergyMix::single(EnergySource::Solar);
-        assert_eq!(mix.renewable_fraction(), 1.0);
         assert_eq!(
             mix.carbon_intensity().value(),
             EnergySource::Solar.carbon_intensity().value()
@@ -330,15 +320,5 @@ mod tests {
         let mix = EnergyMix::new([]);
         assert!(mix.is_empty());
         assert_eq!(mix.carbon_intensity().value(), 0.0);
-    }
-
-    #[test]
-    fn renewable_fraction_mixed() {
-        let mix = EnergyMix::new([
-            (EnergySource::Coal, 0.25),
-            (EnergySource::Gas, 0.25),
-            (EnergySource::Hydro, 0.5),
-        ]);
-        assert!((mix.renewable_fraction() - 0.5).abs() < 1e-12);
     }
 }

@@ -198,14 +198,6 @@ impl Seconds {
     }
 }
 
-impl Hours {
-    /// Convert to seconds.
-    #[inline]
-    pub fn to_seconds(self) -> Seconds {
-        Seconds(self.0 * 3600.0)
-    }
-}
-
 impl Watts {
     /// Energy consumed when drawing this power for the given duration.
     #[inline]

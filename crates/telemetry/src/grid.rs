@@ -37,9 +37,6 @@ pub struct GridSeries {
     pub ewif_primary: HourlySeries,
     /// Hourly regional EWIF (L/kWh) under the WRI-style dataset.
     pub ewif_wri: HourlySeries,
-    /// Hourly renewable fraction (0–1), useful for diagnostics and the
-    /// Ecovisor-style carbon scaler.
-    pub renewable_fraction: HourlySeries,
 }
 
 impl GridModel {
@@ -107,7 +104,6 @@ impl GridModel {
         let mut ci = Vec::with_capacity(hours);
         let mut ewif_p = Vec::with_capacity(hours);
         let mut ewif_w = Vec::with_capacity(hours);
-        let mut renew = Vec::with_capacity(hours);
         for hour in 0..hours.max(1) {
             let mix = self.mix_at_hour(hour, &noise);
             // Grid-level volatility multiplier (imports/exports, demand, and
@@ -117,13 +113,11 @@ impl GridModel {
             ci.push(mix.carbon_intensity().value() * volatility);
             ewif_p.push(mix.ewif(EwifDataset::Primary).value());
             ewif_w.push(mix.ewif(EwifDataset::WorldResourcesInstitute).value());
-            renew.push(mix.renewable_fraction());
         }
         GridSeries {
             carbon_intensity: HourlySeries::new(ci),
             ewif_primary: HourlySeries::new(ewif_p),
             ewif_wri: HourlySeries::new(ewif_w),
-            renewable_fraction: HourlySeries::new(renew),
         }
     }
 }
@@ -235,8 +229,6 @@ mod tests {
             assert!(s.carbon_intensity.max() < 1600.0);
             assert!(s.ewif_primary.min() >= 0.0);
             assert!(s.ewif_primary.max() < 25.0);
-            assert!(s.renewable_fraction.min() >= 0.0);
-            assert!(s.renewable_fraction.max() <= 1.0 + 1e-9);
         }
     }
 

@@ -201,11 +201,6 @@ impl SyntheticTelemetry {
         }
     }
 
-    /// The generated hourly renewable-fraction series of a region.
-    pub fn renewable_series(&self, region: Region) -> &HourlySeries {
-        &self.regions[region.index()].grid.renewable_fraction
-    }
-
     /// Wrap this telemetry in an [`Arc`] for sharing across schedulers and
     /// the simulator.
     pub fn shared(self) -> Arc<Self> {

@@ -1,9 +1,11 @@
 //! Integration tests spanning every crate: telemetry + traces + simulator +
 //! schedulers running end-to-end campaigns through the public `waterwise`
 //! API. Most qualitative results the paper reports are claims on each
-//! figure's own tables (`tests/figures.rs`); what stays here are Fig. 5's
-//! headline savings on their own seeds, the identities, typed errors and
-//! the assertions a table cannot express.
+//! figure's own tables (`tests/figures.rs`) and the run-pair identities are
+//! rows of `tests/invariants.rs`; what stays here are Fig. 5's headline
+//! savings on their own seeds, typed errors, the assertions neither table
+//! expresses, and two run-pair checks kept beside the rows: one seed run
+//! twice, and serial all-MILP == parallel default across a `run_matrix`.
 
 use waterwise::core::{Campaign, CampaignConfig, Parallelism, SchedulerKind, WaterWiseError};
 use waterwise::telemetry::Region;
@@ -132,129 +134,32 @@ fn a_region_restricted_campaign_runs_only_in_its_regions() {
 fn campaigns_are_deterministic_for_a_fixed_seed() {
     let a = small_campaign(33).run(SchedulerKind::WaterWise).unwrap();
     let b = small_campaign(33).run(SchedulerKind::WaterWise).unwrap();
-    assert_eq!(a.summary.total_jobs, b.summary.total_jobs);
-    assert!((a.summary.total_carbon.value() - b.summary.total_carbon.value()).abs() < 1e-6);
-    assert!((a.summary.total_water.value() - b.summary.total_water.value()).abs() < 1e-6);
-    assert_eq!(a.summary.jobs_per_region, b.summary.jobs_per_region);
-}
-
-#[test]
-fn same_seed_produces_byte_identical_summaries_across_runs() {
-    // Two independently prepared campaigns with the same seed must agree on
-    // every summary field except wall-clock decision timings, byte for byte.
-    for kind in [SchedulerKind::Baseline, SchedulerKind::WaterWise] {
-        let a = small_campaign(77).run(kind).unwrap();
-        let b = small_campaign(77).run(kind).unwrap();
-        assert_eq!(
-            format!("{:?}", a.summary.without_wall_clock()),
-            format!("{:?}", b.summary.without_wall_clock()),
-            "{kind:?} summary diverged between two identically seeded runs"
-        );
-        assert_eq!(a.report.outcomes, b.report.outcomes);
-    }
-}
-
-#[test]
-fn parallel_run_all_is_byte_identical_to_serial() {
-    // The Parallelism knob must not change any result: same input order,
-    // same per-job outcomes, byte-identical summaries (modulo wall clock).
-    let serial =
-        Campaign::new(CampaignConfig::small_demo(55).with_parallelism(Parallelism::Serial))
-            .run_all(&SchedulerKind::ALL)
-            .unwrap();
-    let parallel =
-        Campaign::new(CampaignConfig::small_demo(55).with_parallelism(Parallelism::Threads(7)))
-            .run_all(&SchedulerKind::ALL)
-            .unwrap();
-    assert_eq!(serial.len(), parallel.len());
-    for (s, p) in serial.iter().zip(&parallel) {
-        assert_eq!(s.kind, p.kind);
-        assert_eq!(
-            format!("{:?}", s.summary.without_wall_clock()),
-            format!("{:?}", p.summary.without_wall_clock()),
-            "{:?} diverged between serial and parallel run_all",
-            s.kind
-        );
-        assert_eq!(s.report.outcomes, p.report.outcomes);
-        assert_eq!(s.report.makespan, p.report.makespan);
-    }
-}
-
-#[test]
-fn warm_started_rolling_horizon_matches_cold_solves_exactly() {
-    // The tentpole invariant: the hint, its certificate and the
-    // transportation kernel are a pure performance optimization over the
-    // all-MILP reference. Schedules must be byte-identical and the accounted
-    // footprints equal to within 1e-9, while the solver does measurably less
-    // work.
-    let mut cold_config = CampaignConfig::small_demo(42);
-    cold_config.waterwise.warm_start = false;
-    let mut warm_config = CampaignConfig::small_demo(42);
-    warm_config.waterwise.warm_start = true;
-    let cold = Campaign::new(cold_config)
-        .run(SchedulerKind::WaterWise)
-        .unwrap();
-    let warm = Campaign::new(warm_config)
-        .run(SchedulerKind::WaterWise)
-        .unwrap();
-
+    assert_eq!(a.report.outcomes, b.report.outcomes);
     assert_eq!(
-        cold.report.outcomes, warm.report.outcomes,
-        "hinted schedules must be byte-identical to the all-MILP reference"
-    );
-    assert!((cold.summary.total_carbon.value() - warm.summary.total_carbon.value()).abs() < 1e-9);
-    assert!((cold.summary.total_water.value() - warm.summary.total_water.value()).abs() < 1e-9);
-
-    // The performance side of the contract: the cold reference solves every
-    // round, the warm pass none — each of its rounds is decided by the
-    // certified hint or by the transportation kernel's unique optimum (a
-    // tied round would be solved, as the reference solves it).
-    let warm_solver = warm.summary.solver;
-    let cold_solver = cold.summary.solver;
-    assert_eq!(cold_solver.warm_solves, 0);
-    assert_eq!(cold_solver.solves, cold.report.overhead.len());
-    assert!(cold_solver.simplex_pivots > 0);
-    assert_eq!(
-        warm_solver,
-        waterwise::cluster::SolverActivity::default(),
-        "the warm pass reached the solver"
+        format!("{:?}", a.summary.without_wall_clock()),
+        format!("{:?}", b.summary.without_wall_clock())
     );
 }
 
 #[test]
 fn warm_start_equivalence_holds_under_parallel_campaigns() {
-    // The same invariant through the parallel sweep machinery: a serial
-    // cold run, a parallel cold run, and a parallel warm run of the same
-    // matrix must agree on every outcome.
-    let make_configs = |warm: bool, parallelism: Parallelism| -> Vec<CampaignConfig> {
-        [3u64, 9u64]
+    // Both run pairs at once through the parallel sweep: a serial all-MILP
+    // matrix, the same matrix in parallel, and the default scheduler's
+    // matrix in parallel must agree on every outcome.
+    let run = |warm: bool, parallelism: Parallelism| {
+        let configs: Vec<CampaignConfig> = [3u64, 9]
             .iter()
             .map(|&seed| {
                 let mut config = CampaignConfig::small_demo(seed).with_parallelism(parallelism);
                 config.waterwise.warm_start = warm;
                 config
             })
-            .collect()
+            .collect();
+        Campaign::run_matrix(&configs, &[SchedulerKind::WaterWise], parallelism).unwrap()
     };
-    let kinds = [SchedulerKind::WaterWise];
-    let serial_cold = Campaign::run_matrix(
-        &make_configs(false, Parallelism::Serial),
-        &kinds,
-        Parallelism::Serial,
-    )
-    .unwrap();
-    let parallel_cold = Campaign::run_matrix(
-        &make_configs(false, Parallelism::Auto),
-        &kinds,
-        Parallelism::Auto,
-    )
-    .unwrap();
-    let parallel_warm = Campaign::run_matrix(
-        &make_configs(true, Parallelism::Auto),
-        &kinds,
-        Parallelism::Auto,
-    )
-    .unwrap();
+    let serial_cold = run(false, Parallelism::Serial);
+    let parallel_cold = run(false, Parallelism::Auto);
+    let parallel_warm = run(true, Parallelism::Auto);
     for ((sc, pc), pw) in serial_cold
         .iter()
         .flatten()
@@ -339,37 +244,23 @@ fn run_waterwise(
 
 #[test]
 fn certified_rounds_commit_what_the_all_milp_reference_commits() {
-    // Certified == solved on the ledger's configurations (Borg, seed 42): the
-    // default scheduler decides a round without a model when the hint is
-    // certified or the transportation kernel proves its optimum unique, the
-    // `warm_start: false` reference builds and solves every round, and the
-    // two must commit the same schedule — where the hint decides nearly every
-    // round (`campaign_tight`: 2 days, tolerance 0.10) and where capacity
-    // needs a price in nearly every round, so the kernel does
-    // (`campaign_pressure`: 30 servers per region, its hard model infeasible
-    // in most rounds; one day of it, the second costs a debug build half a
-    // minute). Pressured has one round with tied optima, which is solved.
+    // How many rounds the default scheduler decides without a model on the
+    // ledger's configurations (Borg, seed 42): the hint is certified or the
+    // transportation kernel proves its optimum unique. The hint decides every
+    // round of `campaign_tight` (2 days, tolerance 0.10); capacity needs a
+    // price in nearly every round of `campaign_pressure` (30 servers per
+    // region, its hard model infeasible in most rounds; one day of it), so
+    // the kernel decides them, all but one round with tied optima, which is
+    // solved. That these rounds commit what the all-MILP reference commits,
+    // in as many rounds with as many soft fallbacks, is the
+    // `default_equals_all_milp` row of `tests/invariants.rs`.
     let tight = CampaignConfig::paper_default(2.0, 0.10, 42);
     let pressured = CampaignConfig::paper_default(1.0, 0.5, 42).with_servers_per_region(30);
     for (name, config, (certified, rounds)) in [
         ("tight", tight, (2_789, 2_789)),
         ("pressured", pressured, (1_876, 1_877)),
     ] {
-        let mut reference = config.clone();
-        reference.waterwise.warm_start = false;
         let (report, stats) = run_waterwise(config);
-        let (solved, all_milp) = run_waterwise(reference);
-        assert_eq!(
-            report.outcomes, solved.outcomes,
-            "{name}: certified rounds changed the schedule"
-        );
-        assert_eq!(stats.rounds, all_milp.rounds, "{name}");
-        // The kernel proves a hard round infeasible exactly when the solver does.
-        assert_eq!(stats.soft_fallbacks, all_milp.soft_fallbacks, "{name}");
-        assert_eq!(
-            all_milp.certified_rounds, 0,
-            "{name}: no hint, no certificate"
-        );
         let solver = report.summary.solver;
         assert!(
             solver.solves >= stats.rounds - stats.certified_rounds,
