@@ -10,7 +10,7 @@
 //! # One loop, one solve path
 //!
 //! Every run — an offline replay of a preloaded trace ([`Simulator::run`])
-//! or a live session fed over a channel
+//! or a live session fed by an arrival source
 //! ([`Simulator::run_online_sequenced`]) — is dispatched by the one event
 //! loop in the [`online`] submodule over the private `SimState` core. An
 //! offline replay is that loop started with the whole trace already loaded
@@ -694,7 +694,7 @@ impl<P: ConditionsProvider> Simulator<P> {
     ///
     /// This is the engine's one event loop ([`online`]) started with the
     /// whole trace admitted and the arrival source already closed: no
-    /// channel, clock or placement sink exists on this path.
+    /// source, clock or placement sink exists on this path.
     ///
     /// Fails if the trace contains duplicate job ids, a negative execution
     /// time ([`SimulationError::NegativeExecutionTime`]) or a non-finite
@@ -712,30 +712,34 @@ impl<P: ConditionsProvider> Simulator<P> {
     }
 
     /// Run a campaign against a *live* arrival source instead of a
-    /// preloaded trace: jobs received over `arrivals` are injected into the
-    /// running event loop, and every enacted placement is reported over
-    /// `placements` as it commits. See [`online`] for the pacing rules
-    /// ([`clock::ClockMode`]) and the determinism guarantee (the recorded
-    /// trace replays offline to the byte-identical schedule).
+    /// preloaded trace: jobs taken from `arrivals` are injected into the
+    /// running event loop, and every enacted placement is handed to
+    /// `placements` as it commits, on the caller's thread. See [`online`]
+    /// for the pacing rules ([`clock::ClockMode`]) and the determinism
+    /// guarantee (the recorded trace replays offline to the byte-identical
+    /// schedule).
     ///
     /// Each arrival carries a caller-allocated sequence number
     /// ([`online::SequencedJob`]) that breaks exact-timestamp ties, so tie
     /// order never depends on which thread's submission happened to reach
-    /// the channel first: `waterwise-service` partitions the band per
+    /// the source first: `waterwise-service` partitions the band per
     /// session (`session << 32 | request index`), and the identical
     /// schedule is reproduced by re-injecting the journaled `(spec, seq)`
-    /// pairs in any order. A single feeder simply numbers its arrivals
-    /// `0, 1, 2, …` in receipt order.
+    /// pairs in any order. A single-stream caller simply numbers its
+    /// arrivals `0, 1, 2, …` in receipt order.
     ///
     /// Sequences must be unique and strictly below
     /// [`online::ONLINE_ARRIVAL_SEQ_LIMIT`]; violations fail the run with
     /// [`SimulationError::ArrivalSeqOutOfBand`] /
-    /// [`SimulationError::ArrivalSeqReused`].
+    /// [`SimulationError::ArrivalSeqReused`]. A sink that returns `false`
+    /// fails the run with [`SimulationError::PlacementSinkDisconnected`]
+    /// (no caller in this workspace does: the host delivers or drops each
+    /// response itself, and a journal replay collects every notice).
     pub fn run_online_sequenced(
         &self,
         scheduler: &mut dyn Scheduler,
-        arrivals: std::sync::mpsc::Receiver<online::SequencedJob>,
-        placements: std::sync::mpsc::SyncSender<online::PlacementNotice>,
+        arrivals: &mut dyn online::ArrivalSource,
+        placements: &mut dyn FnMut(online::PlacementNotice) -> bool,
         clock: clock::ClockMode,
     ) -> Result<online::OnlineReport, SimulationError> {
         let (report, trace) =

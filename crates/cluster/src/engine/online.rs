@@ -2,19 +2,20 @@
 //!
 //! A *live* run ([`Simulator::run_online_sequenced`]) starts from an empty
 //! job table and *injects* jobs while the campaign runs: an
-//! `mpsc::Receiver<SequencedJob>` is the arrival source, every enacted
-//! placement is reported over a bounded [`PlacementNotice`] channel as it
-//! commits, and the run ends when the source closes and every admitted job
-//! has completed. `waterwise-service` builds the request/response
-//! front-end (the multi-session host and its line-delimited-JSON TCP
-//! listener) on top of it; see `docs/ONLINE_SERVICE.md` for the
+//! [`ArrivalSource`] yields them, every enacted placement is handed to the
+//! caller's placement sink as it commits, and the run ends when the source
+//! closes and every admitted job has completed. `waterwise-service` builds
+//! the request/response front-end (the multi-session host and its
+//! line-delimited-JSON TCP listener) on top of it: its admission queue is
+//! the source and its sink answers the session that asked, both on the
+//! engine's own thread. See `docs/ONLINE_SERVICE.md` for the
 //! operator-facing view.
 //!
 //! An *offline* replay ([`Simulator::run`]) is the same loop started with
 //! the whole trace loaded up front and the source already closed: each
 //! round reads the jobs that arrived by its instant straight from the trace,
 //! so the event queue holds the events in flight rather than the trace.
-//! There is no channel, clock or placement sink, every queued event is
+//! There is no source, clock or placement sink, every queued event is
 //! dispatchable — so the loop pops without peeking — and the loop stops at
 //! the same event a live session over the same trace stops at.
 //!
@@ -71,7 +72,6 @@ use crate::metrics::{JobOutcome, OutcomeFold, OverheadSample};
 use crate::scheduler::{Scheduler, SolverActivity};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::time::Duration;
 use waterwise_sustain::Seconds;
 use waterwise_telemetry::{ConditionsProvider, Region};
@@ -139,6 +139,38 @@ pub struct SequencedJob {
     pub seq: u64,
 }
 
+/// One take from an [`ArrivalSource`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Arrival {
+    /// The next injected job.
+    Job(SequencedJob),
+    /// Nothing arrived within the wait; the source is still open.
+    Idle,
+    /// The source will never yield another job.
+    Closed,
+}
+
+/// Where a live run's arrivals come from
+/// ([`Simulator::run_online_sequenced`]).
+///
+/// The engine takes one arrival at a time, waiting as `wait` says: `None`
+/// blocks until a job arrives or the source closes, `Some(limit)` waits at
+/// most `limit` (`Duration::ZERO` polls without blocking). Returning
+/// [`Arrival::Idle`] early is always allowed: the engine re-checks its
+/// watermark and asks again.
+pub trait ArrivalSource {
+    /// Take the next arrival.
+    fn next_arrival(&mut self, wait: Option<Duration>) -> Arrival;
+}
+
+/// A list of jobs is a source that is closed once it is taken: a replay
+/// of a recorded stream.
+impl ArrivalSource for std::vec::IntoIter<SequencedJob> {
+    fn next_arrival(&mut self, _wait: Option<Duration>) -> Arrival {
+        Iterator::next(self).map_or(Arrival::Closed, Arrival::Job)
+    }
+}
+
 /// The result of one online campaign.
 #[derive(Debug, Clone)]
 pub struct OnlineReport {
@@ -168,9 +200,9 @@ pub(crate) struct OnlineDriver<'a, 't, P> {
     state: SimState<'t>,
     /// The live arrival source while it can still produce requests; `None`
     /// once it has closed, and from the start for an offline replay.
-    arrivals: Option<Receiver<SequencedJob>>,
+    arrivals: Option<&'a mut dyn ArrivalSource>,
     /// Where enacted placements are reported; `None` for an offline replay.
-    placements: Option<SyncSender<PlacementNotice>>,
+    placements: Option<&'a mut dyn FnMut(PlacementNotice) -> bool>,
     /// A started clock for [`ClockMode::RealTime`], `None` otherwise.
     clock: Option<SimClock>,
     /// Caller-allocated sequences seen so far: a reused sequence would
@@ -204,8 +236,8 @@ impl<'a, 't, P: ConditionsProvider> OnlineDriver<'a, 't, P> {
     /// A driver over an empty job table fed by `arrivals`.
     pub(crate) fn live(
         sim: &'a Simulator<P>,
-        arrivals: Receiver<SequencedJob>,
-        placements: SyncSender<PlacementNotice>,
+        arrivals: &'a mut dyn ArrivalSource,
+        placements: &'a mut dyn FnMut(PlacementNotice) -> bool,
         clock: ClockMode,
     ) -> Self {
         let state = SimState::empty(sim.config());
@@ -219,8 +251,8 @@ impl<'a, 't, P: ConditionsProvider> OnlineDriver<'a, 't, P> {
     fn over(
         sim: &'a Simulator<P>,
         state: SimState<'t>,
-        arrivals: Option<Receiver<SequencedJob>>,
-        placements: Option<SyncSender<PlacementNotice>>,
+        arrivals: Option<&'a mut dyn ArrivalSource>,
+        placements: Option<&'a mut dyn FnMut(PlacementNotice) -> bool>,
         clock: Option<SimClock>,
     ) -> Self {
         Self {
@@ -287,35 +319,21 @@ impl<'a, 't, P: ConditionsProvider> OnlineDriver<'a, 't, P> {
         Ok(())
     }
 
-    /// Ingest every request currently sitting in the channel without
-    /// blocking. Notices the source closing.
-    fn drain_injections(&mut self) -> Result<(), SimulationError> {
-        while let Some(arrivals) = &self.arrivals {
-            match arrivals.try_recv() {
-                Ok(job) => self.ingest(job)?,
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => self.arrivals = None,
+    /// Take one arrival from the source, waiting as `wait` says
+    /// ([`ArrivalSource`]): ingest a job, or note the source closing.
+    /// Returns whether a job was ingested.
+    fn pull(&mut self, wait: Option<Duration>) -> Result<bool, SimulationError> {
+        let Some(arrivals) = self.arrivals.as_mut() else {
+            return Ok(false);
+        };
+        match arrivals.next_arrival(wait) {
+            Arrival::Job(job) => self.ingest(job).map(|()| true),
+            Arrival::Idle => Ok(false),
+            Arrival::Closed => {
+                self.arrivals = None;
+                Ok(false)
             }
         }
-        Ok(())
-    }
-
-    /// Block until the source produces a request (ingested), closes, or —
-    /// when `limit` is given — that much wall time has passed.
-    fn await_source(&mut self, limit: Option<Duration>) -> Result<(), SimulationError> {
-        let Some(arrivals) = &self.arrivals else {
-            return Ok(());
-        };
-        let received = match limit {
-            None => arrivals.recv().map_err(|_| RecvTimeoutError::Disconnected),
-            Some(limit) => arrivals.recv_timeout(limit),
-        };
-        match received {
-            Ok(job) => self.ingest(job)?,
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => self.arrivals = None,
-        }
-        Ok(())
     }
 
     /// Whether an event at `time` is safe to dispatch: no earlier (or
@@ -336,29 +354,36 @@ impl<'a, 't, P: ConditionsProvider> OnlineDriver<'a, 't, P> {
     /// proves it dispatchable; `None` after waiting on the source instead,
     /// so that the loop looks again.
     fn next_live_event(&mut self) -> Result<Option<QueuedEvent>, SimulationError> {
-        self.drain_injections()?;
-        // Every admitted job fully processed and only trailing rounds
-        // queued: a closed source means done, an open one means idle. The
-        // trailing rounds are never popped in either case, so a live session
-        // and the replay of its recorded trace report the same makespan.
-        let time = match self.state.queue.peek() {
-            Some(top) if !self.state.should_stop() => top.time,
-            _ => {
-                // A no-op if the drain saw the source close.
-                self.await_source(None)?;
-                return Ok(None);
+        loop {
+            // Every admitted job fully processed and only trailing rounds
+            // queued: a closed source means done, an open one means idle.
+            // The trailing rounds are never popped in either case, so a live
+            // session and the replay of its recorded trace report the same
+            // makespan.
+            let top = match self.state.queue.peek() {
+                Some(top) if !self.state.should_stop() => Some(top.time),
+                _ => None,
+            };
+            // Ingest what the source holds without blocking, but only until
+            // the top is dispatchable: a job taken after that is stamped
+            // above the top, so it cannot join or reorder it, and the event
+            // need not wait behind the rest of a burst. The peek proved the
+            // queue non-empty; an empty pop just re-enters the watermark
+            // wait (DET003).
+            if top.is_some_and(|time| self.dispatchable(time)) {
+                return Ok(self.state.queue.pop());
             }
-        };
-        if !self.dispatchable(time) {
-            // `Discrete` waits for a strictly later injection, `RealTime` at
-            // most until the wall clock reaches `time`.
-            let limit = self.clock.as_ref().map(|clock| clock.wall_until(time));
-            self.await_source(limit)?;
+            if self.pull(Some(Duration::ZERO))? {
+                continue;
+            }
+            // The source is empty (or has just closed, which makes this
+            // pull a no-op). `Discrete` waits for a strictly later
+            // injection, `RealTime` at most until the wall clock reaches the
+            // top.
+            let clock = self.clock.as_ref();
+            self.pull(top.and_then(|time| clock.map(|clock| clock.wall_until(time))))?;
             return Ok(None);
         }
-        // The peek above proved the queue is non-empty; an empty pop just
-        // re-enters the watermark wait (DET003).
-        Ok(self.state.queue.pop())
     }
 
     /// The one event-dispatch loop: run the campaign to completion under
@@ -464,7 +489,7 @@ impl<'a, 't, P: ConditionsProvider> OnlineDriver<'a, 't, P> {
             .commit_round(&decision, now, self.sim.config(), enacted)?;
         let slot = self.slot;
         self.slot += 1;
-        let Some(placements) = &self.placements else {
+        let Some(placements) = self.placements.as_mut() else {
             return Ok(());
         };
         for placement in self.enacted.drain(..) {
@@ -480,9 +505,9 @@ impl<'a, 't, P: ConditionsProvider> OnlineDriver<'a, 't, P> {
                 deferrals: placement.deferrals,
                 solver,
             };
-            placements
-                .send(notice)
-                .map_err(|_| SimulationError::PlacementSinkDisconnected { job: spec.id })?;
+            if !placements(notice) {
+                return Err(SimulationError::PlacementSinkDisconnected { job: spec.id });
+            }
         }
         Ok(())
     }

@@ -821,25 +821,24 @@ mod online_driver {
     use super::*;
     use crate::engine::clock::ClockMode;
     use crate::engine::online::{OnlineReport, PlacementNotice, SequencedJob};
-    use std::sync::mpsc::Receiver;
 
-    /// Buffer `jobs` as a closed arrival stream, each sequenced by its
-    /// receipt index — what a single feeder hands the driver.
-    fn sequenced_stream(jobs: &[JobSpec]) -> Receiver<SequencedJob> {
-        let (tx, rx) = std::sync::mpsc::sync_channel(jobs.len().max(1));
-        for (index, spec) in jobs.iter().cloned().enumerate() {
-            tx.send(SequencedJob {
+    /// `jobs` as a closed arrival stream, each sequenced by its receipt
+    /// index — what a single session hands the driver.
+    fn sequenced_stream(jobs: &[JobSpec]) -> std::vec::IntoIter<SequencedJob> {
+        let stream: Vec<SequencedJob> = jobs
+            .iter()
+            .cloned()
+            .enumerate()
+            .map(|(index, spec)| SequencedJob {
                 spec,
                 seq: index as u64,
             })
-            .unwrap();
-        }
-        rx
+            .collect();
+        stream.into_iter()
     }
 
     /// Feed `jobs` through the online driver in submission order (the whole
-    /// stream is buffered up front, which a bounded channel permits because
-    /// the driver drains while running) and collect the report plus every
+    /// stream is buffered up front) and collect the report plus every
     /// placement notice.
     pub(super) fn run_online_with(
         sim: &Simulator<SyntheticTelemetry>,
@@ -847,12 +846,24 @@ mod online_driver {
         jobs: &[JobSpec],
         clock: ClockMode,
     ) -> (OnlineReport, Vec<PlacementNotice>) {
-        let (notice_tx, notice_rx) = std::sync::mpsc::sync_channel(jobs.len() + 4);
+        let mut notices = Vec::new();
         let report = sim
-            .run_online_sequenced(scheduler, sequenced_stream(jobs), notice_tx, clock)
+            .run_online_sequenced(
+                scheduler,
+                &mut sequenced_stream(jobs),
+                &mut |notice| {
+                    notices.push(notice);
+                    true
+                },
+                clock,
+            )
             .unwrap();
-        let notices: Vec<_> = notice_rx.iter().collect();
         (report, notices)
+    }
+
+    /// A placement sink that accepts and drops every notice.
+    fn discard(_: PlacementNotice) -> bool {
+        true
     }
 
     #[test]
@@ -913,25 +924,33 @@ mod online_driver {
     #[test]
     fn discrete_rejects_out_of_order_and_duplicate_injections() {
         let sim = simulator(10, 0.5);
-        let (notice_tx, _notice_rx) = std::sync::mpsc::sync_channel(4);
         let mut early = hand_built_job(100.0, 60.0);
         early.id = JobId(1);
         let mut late = hand_built_job(50.0, 60.0);
         late.id = JobId(2);
-        let rx = sequenced_stream(&[early, late]);
+        let mut rx = sequenced_stream(&[early, late]);
         let err = sim
-            .run_online_sequenced(&mut HomeScheduler, rx, notice_tx, ClockMode::Discrete)
+            .run_online_sequenced(
+                &mut HomeScheduler,
+                &mut rx,
+                &mut discard,
+                ClockMode::Discrete,
+            )
             .unwrap_err();
         assert!(matches!(
             err,
             SimulationError::OutOfOrderArrival { job: JobId(2), .. }
         ));
 
-        let (notice_tx, _notice_rx) = std::sync::mpsc::sync_channel(4);
         // Both hand-built jobs carry JobId(0).
-        let rx = sequenced_stream(&[hand_built_job(10.0, 60.0), hand_built_job(20.0, 60.0)]);
+        let mut rx = sequenced_stream(&[hand_built_job(10.0, 60.0), hand_built_job(20.0, 60.0)]);
         let err = sim
-            .run_online_sequenced(&mut HomeScheduler, rx, notice_tx, ClockMode::Discrete)
+            .run_online_sequenced(
+                &mut HomeScheduler,
+                &mut rx,
+                &mut discard,
+                ClockMode::Discrete,
+            )
             .unwrap_err();
         assert!(matches!(
             err,
@@ -944,12 +963,11 @@ mod online_driver {
         let mut jobs = small_trace(42);
         jobs[3].actual_execution_time = Seconds::new(-5000.0);
         let sim = simulator(50, 0.5);
-        let (notice_tx, _notice_rx) = std::sync::mpsc::sync_channel(jobs.len());
         let err = sim
             .run_online_sequenced(
                 &mut HomeScheduler,
-                sequenced_stream(&jobs),
-                notice_tx,
+                &mut sequenced_stream(&jobs),
+                &mut discard,
                 ClockMode::Discrete,
             )
             .unwrap_err();
@@ -967,12 +985,11 @@ mod online_driver {
         let mut jobs = small_trace(42);
         jobs[3].estimated_execution_time = Seconds::new(f64::INFINITY);
         let sim = simulator(50, 0.5);
-        let (notice_tx, _notice_rx) = std::sync::mpsc::sync_channel(jobs.len());
         let err = sim
             .run_online_sequenced(
                 &mut HomeScheduler,
-                sequenced_stream(&jobs),
-                notice_tx,
+                &mut sequenced_stream(&jobs),
+                &mut discard,
                 ClockMode::Discrete,
             )
             .unwrap_err();
@@ -988,12 +1005,16 @@ mod online_driver {
 
     #[test]
     fn dropped_notice_receiver_is_a_typed_error() {
+        // A sink that refuses a notice (its receiver is gone) fails the run.
         let sim = simulator(10, 0.5);
-        let (notice_tx, notice_rx) = std::sync::mpsc::sync_channel(4);
-        drop(notice_rx);
-        let rx = sequenced_stream(&[hand_built_job(10.0, 60.0)]);
+        let mut rx = sequenced_stream(&[hand_built_job(10.0, 60.0)]);
         let err = sim
-            .run_online_sequenced(&mut HomeScheduler, rx, notice_tx, ClockMode::Discrete)
+            .run_online_sequenced(
+                &mut HomeScheduler,
+                &mut rx,
+                &mut |_| false,
+                ClockMode::Discrete,
+            )
             .unwrap_err();
         assert!(matches!(
             err,
@@ -1004,12 +1025,11 @@ mod online_driver {
     #[test]
     fn empty_online_run_produces_an_empty_report() {
         let sim = simulator(10, 0.5);
-        let (notice_tx, _notice_rx) = std::sync::mpsc::sync_channel(1);
         let online = sim
             .run_online_sequenced(
                 &mut HomeScheduler,
-                sequenced_stream(&[]),
-                notice_tx,
+                &mut sequenced_stream(&[]),
+                &mut discard,
                 ClockMode::Discrete,
             )
             .unwrap();

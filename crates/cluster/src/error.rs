@@ -116,7 +116,7 @@ pub enum SimulationError {
         /// The smallest admissible submit time at the point of injection.
         watermark: f64,
     },
-    /// The online caller dropped the placement-notice receiver while the
+    /// The online caller's placement sink refused a notice while the
     /// campaign was still placing jobs. Placements are the service's
     /// responses; silently discarding them would strand the requests they
     /// answer, so the run fails with the job whose notice could not be

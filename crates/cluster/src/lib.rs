@@ -44,7 +44,9 @@ pub mod state;
 
 pub use config::{EngineMode, SimulationConfig};
 pub use engine::clock::ClockMode;
-pub use engine::online::{OnlineReport, PlacementNotice, SequencedJob, ONLINE_ARRIVAL_SEQ_LIMIT};
+pub use engine::online::{
+    Arrival, ArrivalSource, OnlineReport, PlacementNotice, SequencedJob, ONLINE_ARRIVAL_SEQ_LIMIT,
+};
 pub use engine::{SimulationReport, Simulator};
 pub use error::{ConfigError, SimulationError};
 pub use metrics::{saving_percent, schedule_digest, CampaignSummary, JobOutcome, OverheadSample};

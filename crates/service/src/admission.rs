@@ -1,17 +1,20 @@
 //! Multi-tenant admission control for the persistent cluster host.
 //!
 //! Every session thread of a [`crate::ClusterHost`] funnels its requests
-//! through one shared admission queue. Admission is where the
-//! multi-tenant policy lives:
+//! through one shared admission queue, and the host's engine thread pulls
+//! them straight out of it: the queue is the engine's
+//! [`ArrivalSource`]. Admission is where the multi-tenant policy lives:
 //!
 //! - **Per-tenant in-flight quotas.** A tenant may hold at most
 //!   [`AdmissionConfig::tenant_inflight_quota`] requests that are queued or
 //!   awaiting placement; excess submissions are shed *at submit* with a
 //!   typed [`ServiceError::AdmissionRejected`] (reported in-band on TCP),
 //!   so no tenant can monopolize the engine or starve the queue.
-//! - **Deficit-round-robin drain.** Admitted requests drain into the
-//!   engine tenant-by-tenant, [`AdmissionConfig::drr_quantum`] requests
-//!   per visit, so a flooding tenant interleaves fairly with light ones.
+//! - **Deficit-round-robin drain.** Each take pops the next request
+//!   tenant-by-tenant, [`AdmissionConfig::drr_quantum`] requests per
+//!   visit, so a flooding tenant interleaves fairly with light ones. A
+//!   resumed host's recovered head and a gated host's released batch sit
+//!   in one ready queue that every take empties before any DRR pop.
 //! - **Deterministic sequencing.** Each drained request carries an arrival
 //!   sequence from its session's band (`session << 32 | request index`),
 //!   so exact-timestamp tie order in the engine is a pure function of
@@ -21,7 +24,10 @@
 //!   engine's own discrete-clock floor.
 //! - **Journaling.** Every drained request is appended to the admission
 //!   journal ([`crate::Journal`]) with its sequence and tenant; replaying
-//!   the journal offline reproduces the byte-identical schedule.
+//!   the journal offline reproduces the byte-identical schedule. A request
+//!   the journal could not record exactly (an id at or above 2^53, an
+//!   empty tenant, a `package_bytes` the JSON number would round) is
+//!   refused at submit.
 //!
 //! [`AdmissionMode::Gated`] trades liveness for full run-level
 //! determinism: nothing drains until every expected session has ended its
@@ -33,12 +39,14 @@
 use crate::error::ServiceError;
 use crate::journal::{Journal, JournalEntry, JournalWriter};
 use crate::request::PlacementResponse;
-use crate::sync::{lock_clean, wait_clean};
+use crate::sync::{lock_clean, wait_clean, wait_timeout_clean};
+use crate::wire;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::sync::mpsc::SyncSender;
+use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Condvar, Mutex};
-use waterwise_cluster::SequencedJob;
+use std::time::Duration;
+use waterwise_cluster::{Arrival, ArrivalSource, SequencedJob};
 use waterwise_sustain::Seconds;
 use waterwise_traces::{JobId, JobSpec};
 
@@ -147,27 +155,21 @@ pub(crate) type SessionId = usize;
 const MAX_SESSIONS: usize = 1 << 16;
 /// Requests per session before its band half overflows.
 const MAX_SESSION_REQUESTS: u64 = 1 << 32;
-
-/// One submitted-but-not-yet-drained request.
-#[derive(Debug)]
-struct QueuedRequest {
-    band_seq: u64,
-    spec: JobSpec,
-}
+/// Responses a session's outbox holds before delivery blocks the engine.
+const OUTBOX_DEPTH: usize = 256;
 
 /// Per-tenant accounting.
 #[derive(Debug, Default)]
 struct TenantState {
-    queue: VecDeque<QueuedRequest>,
+    /// Submitted, not yet taken, each with its band sequence.
+    queue: VecDeque<SequencedJob>,
     /// Drained into the engine, placement not yet delivered.
     in_flight: usize,
     /// Remaining deficit of the current DRR visit.
     deficit: usize,
     /// Whether the tenant is in the DRR active list.
     in_active: bool,
-    accepted: usize,
-    rejected: usize,
-    served: usize,
+    report: TenantReport,
 }
 
 /// Per-session bookkeeping.
@@ -194,7 +196,7 @@ pub(crate) struct DeliveryRoute {
 }
 
 /// Final per-tenant admission statistics, reported by
-/// [`crate::HostReport::tenants`].
+/// [`crate::HostReport::tenants`]. The host's totals are their sum.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TenantReport {
     /// Requests admitted into the engine.
@@ -203,6 +205,16 @@ pub struct TenantReport {
     pub rejected: usize,
     /// Placement responses delivered.
     pub served: usize,
+}
+
+impl<'a> std::iter::Sum<&'a TenantReport> for TenantReport {
+    fn sum<I: Iterator<Item = &'a TenantReport>>(reports: I) -> Self {
+        reports.fold(Self::default(), |total, report| Self {
+            accepted: total.accepted + report.accepted,
+            rejected: total.rejected + report.rejected,
+            served: total.served + report.served,
+        })
+    }
 }
 
 #[derive(Default)]
@@ -227,20 +239,17 @@ struct AdmissionState {
     seen_ids: BTreeSet<JobId>,
     /// Largest submit-time stamp drained so far (the discrete watermark).
     watermark: f64,
-    /// Gated mode: the canonically-ordered batch, once released.
-    release: VecDeque<SequencedJob>,
-    gate_released: bool,
-    /// No further sessions or submissions (shutdown, auto-close, or an
-    /// engine failure).
+    /// Already stamped and journaled, taken before any DRR pop: a resumed
+    /// host's recovered head, or a gated host's released batch.
+    ready: VecDeque<SequencedJob>,
+    /// No further sessions or submissions (shutdown, auto-close, a gate
+    /// release, or an engine failure).
     closed: bool,
     journal: Vec<JournalEntry>,
     /// Streams every journal entry to disk as it is recorded (under this
     /// lock, so the file order is exactly the drain order). Dropped on a
     /// write failure: durability degrades, the host does not die mid-run.
     sink: Option<JournalWriter>,
-    accepted: usize,
-    rejected: usize,
-    served: usize,
 }
 
 impl AdmissionState {
@@ -252,37 +261,27 @@ impl AdmissionState {
 }
 
 /// The shared admission queue of one [`crate::ClusterHost`]. All methods
-/// are `&self` and thread-safe; session threads submit, the host's feeder
-/// thread drains, the host's router thread delivers.
+/// are `&self` and thread-safe; session threads submit, and the host's
+/// engine thread takes (through [`ArrivalSource`]) and delivers.
 pub(crate) struct AdmissionQueue {
     config: AdmissionConfig,
     state: Mutex<AdmissionState>,
-    /// Signals the feeder (work queued, gate released, closed) — and
-    /// anything waiting on session lifecycle edges.
-    ready: Condvar,
+    /// Wakes the engine waiting in a take: work queued, gate released,
+    /// admission closed.
+    signal: Condvar,
 }
 
 impl AdmissionQueue {
-    pub(crate) fn new(config: AdmissionConfig) -> Self {
-        Self {
-            config,
-            state: Mutex::new(AdmissionState {
-                watermark: f64::NEG_INFINITY,
-                ..AdmissionState::default()
-            }),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Build a queue resuming from a recovered journal: the recovered
-    /// entries become the journal prefix, their job ids are pre-seen
-    /// (host-wide duplicate detection spans the restart), the watermark
-    /// continues from the last recovered stamp, and new sessions allocate
-    /// sequence bands strictly above every recovered band. When a disk
-    /// sink is given, the recovered prefix is rewritten through it first —
-    /// repairing any torn tail the crash left — then new entries stream
-    /// as they drain.
-    pub(crate) fn with_recovery(
+    /// Build a queue, resuming from a recovered journal when it has
+    /// entries: they become the journal prefix and the head of the ready
+    /// queue (same specs, same sequences, same order as the interrupted
+    /// run), their job ids are pre-seen (host-wide duplicate detection
+    /// spans the restart), the watermark continues from the last recovered
+    /// stamp, and new sessions allocate sequence bands strictly above
+    /// every recovered band. When a disk sink is given, the recovered
+    /// prefix is rewritten through it first — repairing any torn tail the
+    /// crash left — then new entries stream as they drain.
+    pub(crate) fn new(
         config: AdmissionConfig,
         recovered: &[JournalEntry],
         mut sink: Option<JournalWriter>,
@@ -301,27 +300,35 @@ impl AdmissionQueue {
             }
             writer.sync()?;
         }
+        let ready = recovered
+            .iter()
+            .map(|entry| SequencedJob {
+                spec: entry.spec.clone(),
+                seq: entry.seq,
+            })
+            .collect();
         Ok(Self {
             config,
             state: Mutex::new(AdmissionState {
                 watermark,
                 session_base,
                 seen_ids,
+                ready,
                 journal: recovered.to_vec(),
                 sink,
                 ..AdmissionState::default()
             }),
-            ready: Condvar::new(),
+            signal: Condvar::new(),
         })
     }
 
-    /// Open a session, registering its response outbox. Fails once the
-    /// host is closed, the expected session count was reached, or the
-    /// session band space is exhausted.
+    /// Open a session with its bounded response outbox, returning the
+    /// session id and the outbox's receiving end. Fails once the host is
+    /// closed, the expected session count was reached, or the session band
+    /// space is exhausted.
     pub(crate) fn open_session(
         &self,
-        sink: SyncSender<PlacementResponse>,
-    ) -> Result<SessionId, ServiceError> {
+    ) -> Result<(SessionId, Receiver<PlacementResponse>), ServiceError> {
         let mut state = lock_clean(&self.state);
         if state.closed {
             return Err(ServiceError::ServiceStopped);
@@ -338,6 +345,7 @@ impl AdmissionQueue {
         if state.session_base + opened >= MAX_SESSIONS || expected.is_some_and(|n| opened >= n) {
             return Err(ServiceError::SessionLimit { sessions: opened });
         }
+        let (sink, responses) = std::sync::mpsc::sync_channel(OUTBOX_DEPTH);
         state.sessions.push(SessionState {
             sink: Some(sink),
             outstanding: 0,
@@ -345,7 +353,7 @@ impl AdmissionQueue {
             ended: false,
         });
         state.sessions_open += 1;
-        Ok(state.session_base + opened)
+        Ok((state.session_base + opened, responses))
     }
 
     /// Submit one request under `tenant`. Fail-fast (never blocks): quota
@@ -357,7 +365,7 @@ impl AdmissionQueue {
         tenant: &TenantId,
         spec: JobSpec,
     ) -> Result<(), ServiceError> {
-        validate_spec(&spec)?;
+        recordable(tenant, &spec)?;
         let mut state = lock_clean(&self.state);
         if state.closed {
             return Err(ServiceError::ServiceStopped);
@@ -374,29 +382,27 @@ impl AdmissionQueue {
         // Checked non-None just above; the unwrap-free fallback cannot
         // fire (DET003).
         let slot = slot.unwrap_or(0);
-        if state.seen_ids.contains(&spec.id) {
-            state.rejected += 1;
-            state.tenants.entry(tenant.clone()).or_default().rejected += 1;
-            return Err(ServiceError::DuplicateRequest { id: spec.id });
-        }
+        let duplicate = state.seen_ids.contains(&spec.id);
         let quota = self.config.tenant_inflight_quota.max(1);
         let tenant_state = state.tenants.entry(tenant.clone()).or_default();
+        if duplicate {
+            tenant_state.report.rejected += 1;
+            return Err(ServiceError::DuplicateRequest { id: spec.id });
+        }
         let in_flight = tenant_state.queue.len() + tenant_state.in_flight;
         if in_flight >= quota {
-            tenant_state.rejected += 1;
-            state.rejected += 1;
+            tenant_state.report.rejected += 1;
             return Err(ServiceError::AdmissionRejected {
                 tenant: tenant.as_str().to_string(),
                 in_flight,
                 quota,
             });
         }
-        tenant_state.accepted += 1;
+        tenant_state.report.accepted += 1;
         if !tenant_state.in_active {
             tenant_state.in_active = true;
             state.active.push_back(tenant.clone());
         }
-        state.accepted += 1;
         state.seen_ids.insert(spec.id);
         state
             .routes
@@ -406,13 +412,11 @@ impl AdmissionQueue {
         state.sessions[slot].outstanding += 1;
         // The band's high half is the *public* id, so bands stay unique
         // across a resume chain.
-        let band_seq = ((session as u64) << 32) | k;
+        let seq = ((session as u64) << 32) | k;
         if let Some(tenant_state) = state.tenants.get_mut(tenant) {
-            tenant_state
-                .queue
-                .push_back(QueuedRequest { band_seq, spec });
+            tenant_state.queue.push_back(SequencedJob { spec, seq });
         }
-        self.ready.notify_all();
+        self.signal.notify_all();
         Ok(())
     }
 
@@ -438,7 +442,7 @@ impl AdmissionQueue {
         let all_ended = state.sessions_open == 0;
         match self.config.mode {
             AdmissionMode::Gated { sessions } => {
-                if all_ended && opened >= sessions && !state.gate_released {
+                if all_ended && opened >= sessions && !state.closed {
                     release_gate(&mut state);
                 }
             }
@@ -453,7 +457,7 @@ impl AdmissionQueue {
                 close_after_sessions: None,
             } => {}
         }
-        self.ready.notify_all();
+        self.signal.notify_all();
     }
 
     /// A session died without being answered (its writer failed): drop its
@@ -475,13 +479,11 @@ impl AdmissionQueue {
     /// engine can finish and report.
     pub(crate) fn close(&self) {
         let mut state = lock_clean(&self.state);
-        if let AdmissionMode::Gated { .. } = self.config.mode {
-            if !state.gate_released {
-                release_gate(&mut state);
-            }
+        if matches!(self.config.mode, AdmissionMode::Gated { .. }) && !state.closed {
+            release_gate(&mut state);
         }
         state.closed = true;
-        self.ready.notify_all();
+        self.signal.notify_all();
     }
 
     /// Drop every session outbox (the engine ended — with a report or an
@@ -492,40 +494,7 @@ impl AdmissionQueue {
         for session in &mut state.sessions {
             session.sink = None;
         }
-        self.ready.notify_all();
-    }
-
-    /// Block until the next request is ready to enter the engine; `None`
-    /// when admission is closed and everything queued has drained — the
-    /// engine's end-of-source. Called by the host's feeder thread.
-    ///
-    /// This is where the deficit-round-robin policy and the watermark
-    /// stamping run, and where the journal entry is written: the journal
-    /// records exactly the `(spec, seq)` stream the engine sees, in the
-    /// order it sees it.
-    pub(crate) fn next_job(&self) -> Option<SequencedJob> {
-        let quantum = self.config.drr_quantum.max(1);
-        let mut state = lock_clean(&self.state);
-        loop {
-            if let AdmissionMode::Gated { .. } = self.config.mode {
-                if state.gate_released {
-                    return state.release.pop_front();
-                }
-                // Closed without a release: the engine died before the
-                // gate; nothing will ever drain.
-                if state.closed {
-                    return None;
-                }
-            } else {
-                if let Some(job) = drr_pop(&mut state, quantum) {
-                    return Some(job);
-                }
-                if state.closed {
-                    return None;
-                }
-            }
-            state = wait_clean(&self.ready, state);
-        }
+        self.signal.notify_all();
     }
 
     /// Look up where `job`'s placement routes back to. `None` for unknown
@@ -555,11 +524,8 @@ impl AdmissionQueue {
         if let Some(t) = state.tenants.get_mut(tenant) {
             t.in_flight = t.in_flight.saturating_sub(1);
             if sent {
-                t.served += 1;
+                t.report.served += 1;
             }
-        }
-        if sent {
-            state.served += 1;
         }
         if let Some(s) = state
             .slot(session)
@@ -574,7 +540,6 @@ impl AdmissionQueue {
                 s.sink = None;
             }
         }
-        self.ready.notify_all();
     }
 
     /// Sessions opened over the host's lifetime.
@@ -584,16 +549,9 @@ impl AdmissionQueue {
 
     /// Consume the admission bookkeeping into the host report's
     /// ingredients: the journal (entries in drain order) and the
-    /// counters. Called once at shutdown, after the engine has returned.
-    pub(crate) fn take_report_parts(
-        &self,
-    ) -> (
-        Journal,
-        usize,
-        usize,
-        usize,
-        BTreeMap<TenantId, TenantReport>,
-    ) {
+    /// per-tenant counters. Called once at shutdown, after the engine has
+    /// returned.
+    pub(crate) fn take_report_parts(&self) -> (Journal, BTreeMap<TenantId, TenantReport>) {
         let mut state = lock_clean(&self.state);
         if let Some(writer) = state.sink.as_mut() {
             // Final flush of the on-disk journal; best-effort, as the
@@ -603,53 +561,58 @@ impl AdmissionQueue {
         let journal = Journal {
             entries: std::mem::take(&mut state.journal),
         };
-        let tenants = state
-            .tenants
-            .iter()
-            .map(|(tenant, t)| {
-                (
-                    tenant.clone(),
-                    TenantReport {
-                        accepted: t.accepted,
-                        rejected: t.rejected,
-                        served: t.served,
-                    },
-                )
-            })
+        let tenants = (state.tenants.iter())
+            .map(|(tenant, t)| (tenant.clone(), t.report.clone()))
             .collect();
-        (
-            journal,
-            state.accepted,
-            state.rejected,
-            state.served,
-            tenants,
-        )
+        (journal, tenants)
+    }
+}
+
+/// The engine's arrival source: each take pops the ready queue (stamped
+/// and journaled already), then the DRR rotation (never before a gated
+/// host's release), stamping and journaling what that pops — so the
+/// journal records exactly the `(spec, seq)` stream the engine sees, in
+/// the order it sees it. A take on a closed, drained queue is
+/// [`Arrival::Closed`].
+impl ArrivalSource for &AdmissionQueue {
+    fn next_arrival(&mut self, mut wait: Option<Duration>) -> Arrival {
+        let quantum = self.config.drr_quantum.max(1);
+        let gated = matches!(self.config.mode, AdmissionMode::Gated { .. });
+        let mut state = lock_clean(&self.state);
+        loop {
+            let popped = match state.ready.pop_front() {
+                None if gated => None,
+                None => drr_pop(&mut state, quantum),
+                job => job,
+            };
+            if let Some(job) = popped {
+                return Arrival::Job(job);
+            }
+            if state.closed {
+                return Arrival::Closed;
+            }
+            match wait {
+                None => state = wait_clean(&self.signal, state),
+                Some(limit) if limit.is_zero() => return Arrival::Idle,
+                Some(limit) => {
+                    // One timed wait, then one more look: whatever woke it,
+                    // the engine re-checks its watermark and asks again.
+                    state = wait_timeout_clean(&self.signal, state, limit);
+                    wait = Some(Duration::ZERO);
+                }
+            }
+        }
     }
 }
 
 /// In-process submissions bypass the wire grammar, so re-check here what
-/// the wire codec enforces: a non-finite or negative numeric would kill
-/// the whole persistent engine run instead of failing one request.
-fn validate_spec(spec: &JobSpec) -> Result<(), ServiceError> {
-    let checks = [
-        ("submit_time", spec.submit_time.value()),
-        ("actual_execution_time", spec.actual_execution_time.value()),
-        (
-            "estimated_execution_time",
-            spec.estimated_execution_time.value(),
-        ),
-        ("actual_energy", spec.actual_energy.value()),
-        ("estimated_energy", spec.estimated_energy.value()),
-    ];
-    for (key, value) in checks {
-        if !value.is_finite() || value < 0.0 {
-            return Err(ServiceError::MalformedRequest {
-                line: 0,
-                message: format!("{key} must be finite and non-negative, got {value}"),
-            });
-        }
-    }
-    Ok(())
+/// the journal's grammar accepts ([`wire::check_recordable`]): a
+/// non-finite or negative numeric would kill the whole persistent engine
+/// run instead of failing one request, and a request the journal cannot
+/// record exactly would break its replay and any resume.
+fn recordable(tenant: &TenantId, spec: &JobSpec) -> Result<(), ServiceError> {
+    wire::check_recordable(tenant.as_str(), spec)
+        .map_err(|message| ServiceError::MalformedRequest { line: 0, message })
 }
 
 /// Pop the next request under deficit round-robin, stamping and
@@ -685,12 +648,7 @@ fn drr_pop(state: &mut AdmissionState, quantum: usize) -> Option<SequencedJob> {
                 state.active.push_back(tenant.clone());
             }
         }
-        return Some(stamp_and_journal(
-            state,
-            tenant,
-            request.spec,
-            request.band_seq,
-        ));
+        return Some(stamp_and_journal(state, tenant, request));
     }
 }
 
@@ -703,8 +661,7 @@ fn drr_pop(state: &mut AdmissionState, quantum: usize) -> Option<SequencedJob> {
 fn stamp_and_journal(
     state: &mut AdmissionState,
     tenant: TenantId,
-    mut spec: JobSpec,
-    seq: u64,
+    SequencedJob { mut spec, seq }: SequencedJob,
 ) -> SequencedJob {
     let stamp = spec.submit_time.value().max(state.watermark);
     state.watermark = stamp;
@@ -728,10 +685,11 @@ fn stamp_and_journal(
 
 /// Gated release: order the whole batch canonically by
 /// `(submit_time, tenant, id)` — every key independent of submission
-/// races — and assign contiguous sequences in that order. Runs under the
-/// state lock; also closes admission (the gate is one-shot).
+/// races — assign contiguous sequences in that order, and queue it ready.
+/// Runs under the state lock; also closes admission (the gate is
+/// one-shot).
 fn release_gate(state: &mut AdmissionState) {
-    let mut batch: Vec<(TenantId, QueuedRequest)> = Vec::new();
+    let mut batch: Vec<(TenantId, SequencedJob)> = Vec::new();
     let tenants: Vec<TenantId> = state.tenants.keys().cloned().collect();
     for tenant in tenants {
         if let Some(t) = state.tenants.get_mut(&tenant) {
@@ -753,10 +711,13 @@ fn release_gate(state: &mut AdmissionState) {
             .then_with(|| a.spec.id.cmp(&b.spec.id))
     });
     for (seq, (tenant, request)) in batch.into_iter().enumerate() {
-        let job = stamp_and_journal(state, tenant, request.spec, seq as u64);
-        state.release.push_back(job);
+        let job = SequencedJob {
+            spec: request.spec,
+            seq: seq as u64,
+        };
+        let job = stamp_and_journal(state, tenant, job);
+        state.ready.push_back(job);
     }
-    state.gate_released = true;
     state.closed = true;
 }
 
@@ -782,19 +743,33 @@ mod tests {
         }
     }
 
-    fn sink() -> SyncSender<PlacementResponse> {
-        // The receiver is dropped: admission never sends on sinks itself.
-        std::sync::mpsc::sync_channel(1).0
+    fn new_queue(config: AdmissionConfig) -> AdmissionQueue {
+        AdmissionQueue::new(config, &[], None).unwrap()
+    }
+
+    /// Open a session, dropping its outbox: admission never sends on it.
+    fn open(queue: &AdmissionQueue) -> SessionId {
+        queue.open_session().unwrap().0
+    }
+
+    /// A blocking take: the next job, or `None` once the queue is closed
+    /// and drained.
+    fn take(mut queue: &AdmissionQueue) -> Option<SequencedJob> {
+        match queue.next_arrival(None) {
+            Arrival::Job(job) => Some(job),
+            Arrival::Closed => None,
+            Arrival::Idle => panic!("a blocking take returned idle"),
+        }
     }
 
     #[test]
     fn drr_interleaves_a_flooding_tenant_with_a_light_one() {
-        let queue = AdmissionQueue::new(AdmissionConfig {
+        let queue = new_queue(AdmissionConfig {
             tenant_inflight_quota: 1000,
             drr_quantum: 2,
             mode: AdmissionMode::default(),
         });
-        let s = queue.open_session(sink()).unwrap();
+        let s = open(&queue);
         let flood = TenantId::from("flood");
         let light = TenantId::from("light");
         for id in 0..6 {
@@ -805,7 +780,7 @@ mod tests {
         }
         queue.close();
         let mut order = Vec::new();
-        while let Some(job) = queue.next_job() {
+        while let Some(job) = take(&queue) {
             order.push(job.spec.id.0);
         }
         // Quantum 2: two flood, then light gets its visit, not starved
@@ -815,12 +790,12 @@ mod tests {
 
     #[test]
     fn quota_sheds_with_a_typed_error_and_frees_on_delivery() {
-        let queue = AdmissionQueue::new(AdmissionConfig {
+        let queue = new_queue(AdmissionConfig {
             tenant_inflight_quota: 2,
             drr_quantum: 8,
             mode: AdmissionMode::default(),
         });
-        let s = queue.open_session(sink()).unwrap();
+        let s = open(&queue);
         let tenant = TenantId::from("t");
         queue.submit(s, &tenant, spec(1, 0.0)).unwrap();
         queue.submit(s, &tenant, spec(2, 0.0)).unwrap();
@@ -833,23 +808,23 @@ mod tests {
             other => panic!("expected AdmissionRejected, got {other:?}"),
         }
         // Drain one into the engine and deliver it: the quota slot frees.
-        let job = queue.next_job().unwrap();
+        let job = take(&queue).unwrap();
         assert!(queue.route(job.spec.id).is_some());
         queue.delivered(&tenant, s, true);
         queue.submit(s, &tenant, spec(3, 0.0)).unwrap();
-        let (journal, accepted, rejected, served, tenants) = queue.take_report_parts();
+        let (journal, tenants) = queue.take_report_parts();
         assert_eq!(journal.entries.len(), 1);
-        assert_eq!((accepted, rejected, served), (3, 1, 1));
-        assert_eq!(tenants[&tenant].rejected, 1);
+        let t = &tenants[&tenant];
+        assert_eq!((t.accepted, t.rejected, t.served), (3, 1, 1));
     }
 
     #[test]
     fn duplicates_are_rejected_host_wide_even_after_delivery() {
-        let queue = AdmissionQueue::new(AdmissionConfig::default());
-        let s = queue.open_session(sink()).unwrap();
+        let queue = new_queue(AdmissionConfig::default());
+        let s = open(&queue);
         let tenant = TenantId::from("t");
         queue.submit(s, &tenant, spec(7, 0.0)).unwrap();
-        let job = queue.next_job().unwrap();
+        let job = take(&queue).unwrap();
         assert!(queue.route(job.spec.id).is_some());
         queue.delivered(&tenant, s, true);
         assert!(matches!(
@@ -861,35 +836,42 @@ mod tests {
     #[test]
     fn a_duplicate_is_counted_under_the_tenant_that_sent_it() {
         // Tenant `b`'s first request reuses tenant `a`'s id: `b` gets a
-        // report, and the per-tenant rejections add up to the host's.
-        let queue = AdmissionQueue::new(AdmissionConfig::default());
-        let s = queue.open_session(sink()).unwrap();
+        // report, and the host's totals are the per-tenant sums.
+        let queue = new_queue(AdmissionConfig::default());
+        let s = open(&queue);
         let (a, b) = (TenantId::from("a"), TenantId::from("b"));
         queue.submit(s, &a, spec(7, 0.0)).unwrap();
         assert!(matches!(
             queue.submit(s, &b, spec(7, 0.0)),
             Err(ServiceError::DuplicateRequest { id: JobId(7) })
         ));
-        let (_, _, rejected, _, tenants) = queue.take_report_parts();
+        let job = take(&queue).unwrap();
+        let route = queue.route(job.spec.id).unwrap();
+        queue.delivered(&route.tenant, route.session, true);
+        let (_, tenants) = queue.take_report_parts();
         assert_eq!(tenants[&b].rejected, 1);
-        assert_eq!(
-            tenants.values().map(|t| t.rejected).sum::<usize>(),
-            rejected
-        );
+        assert_eq!(tenants[&b].accepted, 0);
+        let total: TenantReport = tenants.values().sum();
+        let expected = TenantReport {
+            accepted: 1,
+            rejected: 1,
+            served: 1,
+        };
+        assert_eq!(total, expected);
     }
 
     #[test]
     fn band_sequences_encode_session_and_request_index() {
-        let queue = AdmissionQueue::new(AdmissionConfig::default());
-        let s0 = queue.open_session(sink()).unwrap();
-        let s1 = queue.open_session(sink()).unwrap();
+        let queue = new_queue(AdmissionConfig::default());
+        let s0 = open(&queue);
+        let s1 = open(&queue);
         let tenant = TenantId::from("t");
         queue.submit(s0, &tenant, spec(1, 0.0)).unwrap();
         queue.submit(s1, &tenant, spec(2, 0.0)).unwrap();
         queue.submit(s1, &tenant, spec(3, 0.0)).unwrap();
         queue.close();
         let mut seqs = BTreeMap::new();
-        while let Some(job) = queue.next_job() {
+        while let Some(job) = take(&queue) {
             seqs.insert(job.spec.id.0, job.seq);
         }
         assert_eq!(seqs[&1], 0);
@@ -900,13 +882,13 @@ mod tests {
 
     #[test]
     fn gated_release_orders_canonically_and_stamps_monotonically() {
-        let queue = AdmissionQueue::new(AdmissionConfig {
+        let queue = new_queue(AdmissionConfig {
             tenant_inflight_quota: 64,
             drr_quantum: 8,
             mode: AdmissionMode::Gated { sessions: 2 },
         });
-        let s0 = queue.open_session(sink()).unwrap();
-        let s1 = queue.open_session(sink()).unwrap();
+        let s0 = open(&queue);
+        let s1 = open(&queue);
         let a = TenantId::from("a");
         let b = TenantId::from("b");
         // Interleaved submission order deliberately disagrees with the
@@ -920,7 +902,7 @@ mod tests {
         queue.end_session(s1);
         let mut order = Vec::new();
         let mut stamps = Vec::new();
-        while let Some(job) = queue.next_job() {
+        while let Some(job) = take(&queue) {
             order.push(job.spec.id.0);
             stamps.push(job.spec.submit_time.value());
             assert_eq!(job.seq, (order.len() - 1) as u64);
@@ -936,15 +918,15 @@ mod tests {
 
     #[test]
     fn session_limits_and_non_finite_specs_are_typed_errors() {
-        let queue = AdmissionQueue::new(AdmissionConfig {
+        let queue = new_queue(AdmissionConfig {
             mode: AdmissionMode::Streaming {
                 close_after_sessions: Some(1),
             },
             ..AdmissionConfig::default()
         });
-        let s = queue.open_session(sink()).unwrap();
+        let s = open(&queue);
         assert!(matches!(
-            queue.open_session(sink()),
+            queue.open_session(),
             Err(ServiceError::SessionLimit { sessions: 1 })
         ));
         let mut bad = spec(1, 0.0);
@@ -955,10 +937,111 @@ mod tests {
         ));
         // Ending the only expected session auto-closes the host.
         queue.end_session(s);
-        assert!(queue.next_job().is_none());
+        assert!(take(&queue).is_none());
         assert!(matches!(
             queue.submit(s, &TenantId::from("t"), spec(2, 0.0)),
             Err(ServiceError::ServiceStopped)
         ));
+    }
+
+    #[test]
+    fn a_take_that_finds_nothing_is_idle_until_closed_then_closed() {
+        let queue = new_queue(AdmissionConfig::default());
+        let mut source = &queue;
+        // A non-blocking take on an open empty queue.
+        assert_eq!(source.next_arrival(Some(Duration::ZERO)), Arrival::Idle);
+        // A timed take returns at its limit.
+        assert_eq!(
+            source.next_arrival(Some(Duration::from_millis(5))),
+            Arrival::Idle
+        );
+        let s = open(&queue);
+        queue.submit(s, &TenantId::from("t"), spec(1, 0.0)).unwrap();
+        queue.close();
+        // Closed, but not yet drained: the queued job still comes out.
+        assert!(matches!(
+            source.next_arrival(Some(Duration::ZERO)),
+            Arrival::Job(_)
+        ));
+        for wait in [None, Some(Duration::ZERO), Some(Duration::from_millis(5))] {
+            assert_eq!(source.next_arrival(wait), Arrival::Closed);
+        }
+    }
+
+    #[test]
+    fn a_blocking_take_wakes_on_submit() {
+        let queue = new_queue(AdmissionConfig::default());
+        let s = open(&queue);
+        std::thread::scope(|scope| {
+            let taker = scope.spawn(|| take(&queue));
+            queue.submit(s, &TenantId::from("t"), spec(7, 0.0)).unwrap();
+            let job = taker.join().unwrap().unwrap();
+            assert_eq!(job.spec.id, JobId(7));
+        });
+    }
+
+    #[test]
+    fn the_recovered_head_and_the_gated_batch_pop_before_any_drr_pop() {
+        let recovered: Vec<JournalEntry> = [(1, 5.0), (2, 9.0)]
+            .into_iter()
+            .map(|(id, submit)| JournalEntry {
+                seq: id - 1,
+                tenant: TenantId::from("before"),
+                spec: spec(id, submit),
+            })
+            .collect();
+        let queue = AdmissionQueue::new(AdmissionConfig::default(), &recovered, None).unwrap();
+        // Submitted before the first take, stamped behind the head.
+        let s = open(&queue);
+        queue.submit(s, &TenantId::from("t"), spec(3, 0.0)).unwrap();
+        queue.close();
+        let mut popped = Vec::new();
+        while let Some(job) = take(&queue) {
+            popped.push((job.spec.id.0, job.seq, job.spec.submit_time.value()));
+        }
+        // The new session's band starts above the recovered one, and its
+        // stamp continues from the recovered watermark.
+        assert_eq!(popped, vec![(1, 0, 5.0), (2, 1, 9.0), (3, 1 << 32, 9.0)]);
+
+        let gated = new_queue(AdmissionConfig {
+            mode: AdmissionMode::Gated { sessions: 1 },
+            ..AdmissionConfig::default()
+        });
+        let s = open(&gated);
+        gated.submit(s, &TenantId::from("t"), spec(4, 0.0)).unwrap();
+        // Before the gate nothing pops, even though a tenant is active.
+        assert_eq!((&gated).next_arrival(Some(Duration::ZERO)), Arrival::Idle);
+        gated.end_session(s);
+        assert_eq!(take(&gated).map(|job| job.seq), Some(0));
+        assert_eq!(take(&gated), None);
+    }
+
+    #[test]
+    fn a_request_the_journal_cannot_record_is_refused_at_submit() {
+        let queue = new_queue(AdmissionConfig::default());
+        let s = open(&queue);
+        let t = TenantId::from("t");
+        let refused =
+            |tenant: &TenantId, spec: JobSpec, field: &str| match queue.submit(s, tenant, spec) {
+                Err(ServiceError::MalformedRequest { line: 0, message }) => {
+                    assert!(message.contains(field), "{message}");
+                }
+                other => panic!("expected a refused {field}, got {other:?}"),
+            };
+        refused(&t, spec(1 << 53, 0.0), "id");
+        refused(&TenantId::from(""), spec(1, 0.0), "tenant");
+        let mut rounding = spec(2, 0.0);
+        rounding.package_bytes = (1 << 53) + 1;
+        refused(&t, rounding, "package_bytes");
+        // The largest exact values are admitted, and what is admitted
+        // survives the journal's text round trip unchanged.
+        let mut edge = spec((1 << 53) - 1, 0.0);
+        edge.package_bytes = 1 << 53;
+        queue.submit(s, &t, edge).unwrap();
+        queue.close();
+        assert!(take(&queue).is_some());
+        let (journal, tenants) = queue.take_report_parts();
+        assert_eq!(Journal::parse(&journal.encode()).unwrap(), journal);
+        assert_eq!(tenants[&t].accepted, 1);
     }
 }

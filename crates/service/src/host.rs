@@ -3,25 +3,22 @@
 //! A [`ClusterHost`] keeps **one** engine run alive across its sessions —
 //! a single client is simply a one-session host: it owns the persistent
 //! [`crate::PlacementService`] (simulated cluster, telemetry, and — via
-//! the engine — the scheduler) and multiplexes
-//! sessions onto it through a shared
-//! [`crate::AdmissionConfig`]-governed admission queue. Sessions submit
-//! concurrently; requests drain tenant-fairly into a single
-//! `run_online_sequenced` engine call; placements route back to the
-//! session that asked.
+//! the engine — the scheduler) and multiplexes sessions onto it through a
+//! shared [`crate::AdmissionConfig`]-governed admission queue. Sessions
+//! submit concurrently from their own threads; the host owns exactly one
+//! thread, the **engine**, which runs the simulator's online driver for
+//! the whole host lifetime:
 //!
-//! Three host-owned threads do the multiplexing:
-//!
-//! - the **feeder** blocks on the admission queue and forwards each
-//!   drained request (already stamped, sequenced, and journaled) into the
-//!   engine's bounded arrival channel;
-//! - the **engine** thread runs the simulator's online driver for the
-//!   whole host lifetime — one persistent run, so one scheduling round
-//!   batches whatever the admission queue drained from *all* tenants since
-//!   the last round;
-//! - the **router** receives placement notices, enriches them into
-//!   [`crate::PlacementResponse`]s, and delivers each to its session's
-//!   bounded outbox.
+//! - it takes admitted requests straight from the admission queue (its
+//!   arrival source): a resumed host's recovered head and a gated host's
+//!   released batch first, then deficit round-robin across tenants, each
+//!   request stamped, sequenced and journaled as it is taken — so one
+//!   scheduling round batches whatever all tenants submitted since the
+//!   last round;
+//! - it answers each placement inline as the round commits it: route the
+//!   notice to the session that asked, enrich it into a
+//!   [`crate::PlacementResponse`], put it in that session's bounded
+//!   outbox, and free the tenant's quota slot.
 //!
 //! Determinism: the engine breaks exact-time ties by arrival sequence,
 //! and every sequence is allocated from its session's private band
@@ -30,57 +27,26 @@
 //! admission journal ([`HostReport::journal`]) replays offline to the
 //! byte-identical schedule ([`crate::Journal::replay`]).
 //!
-//! Backpressure: every channel is bounded. A session that stops draining
-//! its outbox eventually stalls the router and then the engine — on TCP
-//! the per-connection writer thread always drains (a dead socket fails
-//! the write, which drops the outbox). In-process callers should drain
-//! [`HostSession::take_responses`] promptly or size
-//! [`crate::ServiceConfig::notice_queue`] generously.
+//! Backpressure: each session's outbox is bounded. A session that stops
+//! draining it stalls the engine once the outbox is full — on TCP the
+//! per-connection writer thread always drains (a dead socket fails the
+//! write, which drops the outbox). In-process callers should drain
+//! [`HostSession::take_responses`] concurrently with submitting.
 
 use crate::admission::{AdmissionConfig, AdmissionMode, AdmissionQueue, TenantId, TenantReport};
 use crate::error::ServiceError;
 use crate::journal::{Journal, JournalWriter};
 use crate::request::PlacementResponse;
-use crate::service::{PlacementService, ServiceConfig};
-use crate::sync::{join_or_resume, join_owned_or_resume, lock_clean};
+use crate::service::PlacementService;
+use crate::sync::{join_owned_or_resume, lock_clean};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use waterwise_cluster::{
-    ClockMode, OnlineReport, PlacementNotice, Scheduler, SequencedJob, SimulationReport,
-};
+use waterwise_cluster::{ClockMode, OnlineReport, PlacementNotice, Scheduler, SimulationReport};
 use waterwise_traces::JobSpec;
-
-/// Configuration of a [`ClusterHost`]: the underlying service (cluster,
-/// telemetry, clock, queue depths) plus the multi-tenant admission
-/// policy.
-#[derive(Debug, Clone)]
-pub struct HostConfig {
-    /// The persistent service the host runs sessions against.
-    pub service: ServiceConfig,
-    /// Tenant quotas, fairness, and drain mode.
-    pub admission: AdmissionConfig,
-}
-
-impl HostConfig {
-    /// Host the given service with the default admission policy
-    /// (streaming drain, quota 64, quantum 8, no auto-close).
-    pub fn new(service: ServiceConfig) -> Self {
-        Self {
-            service,
-            admission: AdmissionConfig::default(),
-        }
-    }
-
-    /// Override the admission policy.
-    pub fn with_admission(mut self, admission: AdmissionConfig) -> Self {
-        self.admission = admission;
-        self
-    }
-}
 
 /// Durability knobs of a [`ClusterHost`]: where the admission journal
 /// streams to, and the recovered journal to resume from. See
@@ -128,11 +94,14 @@ pub struct HostReport {
     /// ([`crate::Journal::replay`]) reproduces `report`'s schedule
     /// byte-identically.
     pub journal: Journal,
-    /// Requests admitted into the engine.
+    /// Requests admitted into the engine: the sum over
+    /// [`HostReport::tenants`].
     pub accepted: usize,
-    /// Requests shed before the engine (duplicates, quota).
+    /// Requests shed before the engine (duplicates, quota): the sum over
+    /// [`HostReport::tenants`].
     pub rejected: usize,
-    /// Placement responses delivered to sessions.
+    /// Placement responses delivered to sessions: the sum over
+    /// [`HostReport::tenants`].
     pub served: usize,
     /// Sessions opened over the host's lifetime.
     pub sessions: usize,
@@ -149,32 +118,32 @@ impl HostReport {
 }
 
 /// A long-lived multi-session placement server over one persistent
-/// engine run. See the module docs for the thread topology.
+/// engine run. See the module docs for its one thread.
 ///
 /// ```
 /// use waterwise_core::{build_scheduler, SchedulerKind, WaterWiseConfig};
 /// use waterwise_service::{
-///     AdmissionConfig, AdmissionMode, ClusterHost, HostConfig, ServiceConfig,
+///     AdmissionConfig, AdmissionMode, ClusterHost, PlacementService, ServiceConfig,
 /// };
 /// use waterwise_sustain::FootprintEstimator;
 /// use waterwise_sustain::{KilowattHours, Seconds};
 /// use waterwise_telemetry::Region;
 /// use waterwise_traces::{Benchmark, JobId, JobSpec};
 ///
-/// let config = HostConfig::new(ServiceConfig::small_demo(42)).with_admission(AdmissionConfig {
+/// let service = PlacementService::new(ServiceConfig::small_demo(42)).unwrap();
+/// let scheduler = build_scheduler(
+///     SchedulerKind::WaterWise,
+///     service.telemetry(),
+///     FootprintEstimator::new(service.config().simulation.datacenter),
+///     &WaterWiseConfig::default(),
+/// );
+/// let admission = AdmissionConfig {
 ///     // Auto-close once both expected sessions end their streams, so
 ///     // the engine drains and `shutdown` can report.
 ///     mode: AdmissionMode::Streaming { close_after_sessions: Some(2) },
 ///     ..AdmissionConfig::default()
-/// });
-/// let service = waterwise_service::PlacementService::new(config.service.clone()).unwrap();
-/// let scheduler = build_scheduler(
-///     SchedulerKind::WaterWise,
-///     service.telemetry(),
-///     FootprintEstimator::new(config.service.simulation.datacenter),
-///     &WaterWiseConfig::default(),
-/// );
-/// let host = ClusterHost::start_with_service(service, config.admission, scheduler).unwrap();
+/// };
+/// let host = ClusterHost::start_with_service(service, admission, scheduler).unwrap();
 ///
 /// let spec = |id: u64, t: f64| JobSpec {
 ///     id: JobId(id),
@@ -205,37 +174,26 @@ pub struct ClusterHost {
     service: Arc<PlacementService>,
     admission: Arc<AdmissionQueue>,
     engine: JoinHandle<Result<OnlineReport, ServiceError>>,
-    outbox_depth: usize,
 }
 
 impl ClusterHost {
-    /// Build the service and start the host's engine run.
-    pub fn start(config: HostConfig, scheduler: Box<dyn Scheduler>) -> Result<Self, ServiceError> {
-        let service = PlacementService::new(config.service)?;
-        Self::start_with_service(service, config.admission, scheduler)
-    }
-
-    /// Start the host over an already-built service (useful when the
-    /// caller needs the service's telemetry to build the scheduler).
+    /// Start the host's engine run over a built service (the caller needs
+    /// the service's telemetry to build the scheduler), without a journal
+    /// file or a resume.
     pub fn start_with_service(
         service: PlacementService,
         admission: AdmissionConfig,
         scheduler: Box<dyn Scheduler>,
     ) -> Result<Self, ServiceError> {
-        Self::start_inner(
-            service,
-            AdmissionQueue::new(admission),
-            scheduler,
-            Vec::new(),
-        )
+        Self::start_persistent(service, admission, scheduler, HostPersistence::default())
     }
 
     /// Start the host with durability: stream the admission journal to
     /// disk and/or resume from a recovered one.
     ///
     /// Resume re-feeds the recovered entries — same specs, same
-    /// sequences, same order — as the **head** of the fresh engine run,
-    /// before anything new drains. The engine orders work purely by
+    /// sequences, same order — as the **head** of the fresh engine run:
+    /// the admission queue hands them out before anything new drains. The engine orders work purely by
     /// `(time, sequence)` event keys, so the resumed run's combined
     /// schedule is byte-identical to a never-interrupted run over the same
     /// submissions (the `resume_equals_uninterrupted` row of the root
@@ -253,13 +211,13 @@ impl ClusterHost {
     ///
     /// Recovered jobs were admitted by a previous process, so their
     /// placements have no live session to route to and are discarded at
-    /// the router; the report's admission counters likewise cover this
+    /// delivery; the report's admission counters likewise cover this
     /// process's sessions only, while [`HostReport::journal`] and
     /// [`HostReport::trace`] span the combined run.
     pub fn start_persistent(
         service: PlacementService,
         admission: AdmissionConfig,
-        scheduler: Box<dyn Scheduler>,
+        mut scheduler: Box<dyn Scheduler>,
         persistence: HostPersistence,
     ) -> Result<Self, ServiceError> {
         let resume = persistence.resume.unwrap_or_default();
@@ -284,101 +242,41 @@ impl ClusterHost {
             .as_deref()
             .map(JournalWriter::create)
             .transpose()?;
-        let queue = AdmissionQueue::with_recovery(admission, &resume.entries, sink)?;
-        let recovered = resume
-            .entries
-            .into_iter()
-            .map(|entry| SequencedJob {
-                spec: entry.spec,
-                seq: entry.seq,
-            })
-            .collect();
-        Self::start_inner(service, queue, scheduler, recovered)
-    }
-
-    /// Shared startup: spawn the engine thread with its feeder/router
-    /// scope. `recovered` is fed to the engine before the admission queue
-    /// drains anything new.
-    fn start_inner(
-        service: PlacementService,
-        admission: AdmissionQueue,
-        mut scheduler: Box<dyn Scheduler>,
-        recovered: Vec<SequencedJob>,
-    ) -> Result<Self, ServiceError> {
+        let admission = Arc::new(AdmissionQueue::new(admission, &resume.entries, sink)?);
         let service = Arc::new(service);
-        let admission = Arc::new(admission);
-        let outbox_depth = service.config().notice_queue.max(1);
-        let ingest_depth = service.config().ingest_queue.max(1);
         let clock = service.config().clock;
         let engine = std::thread::spawn({
             let service = service.clone();
             let admission = admission.clone();
             move || -> Result<OnlineReport, ServiceError> {
-                let (job_tx, job_rx) = std::sync::mpsc::sync_channel(ingest_depth);
-                let (notice_tx, notice_rx) =
-                    std::sync::mpsc::sync_channel::<PlacementNotice>(outbox_depth);
-                let result = std::thread::scope(|scope| {
-                    let admission = &admission;
-                    let service = &service;
-                    let feeder = scope.spawn(move || {
-                        // A resumed host replays the recovered journal as
-                        // the head of the live stream: same specs, same
-                        // sequences, same order as the interrupted run.
-                        for job in recovered {
-                            if job_tx.send(job).is_err() {
-                                return;
-                            }
-                        }
-                        while let Some(job) = admission.next_job() {
-                            if job_tx.send(job).is_err() {
-                                // The engine bailed; its error is the story.
-                                break;
-                            }
-                        }
-                    });
-                    let router = scope.spawn(move || {
-                        for notice in notice_rx.iter() {
-                            let Some(route) = admission.route(notice.job) else {
-                                continue;
-                            };
-                            let response = service.enrich(notice, &route.spec);
-                            // A dead session's responses are discarded;
-                            // the host stays healthy.
-                            let sent = match route.sink {
-                                Some(sink) => sink.send(response).is_ok(),
-                                None => false,
-                            };
-                            admission.delivered(&route.tenant, route.session, sent);
-                        }
-                    });
-                    let report = service.simulator().run_online_sequenced(
-                        scheduler.as_mut(),
-                        job_rx,
-                        notice_tx,
-                        clock,
-                    );
-                    // On an engine failure the feeder may still be blocked
-                    // in the admission queue: close it (without releasing
-                    // a pending gate) so the feeder exits. On the normal
-                    // path admission is already closed and drained.
-                    if report.is_err() {
-                        admission.hang_up_sessions();
+                let mut deliver = |notice: PlacementNotice| {
+                    if let Some(route) = admission.route(notice.job) {
+                        let response = service.enrich(notice, &route.spec);
+                        // A dead session's responses are discarded; the
+                        // host stays healthy.
+                        let sent = route.sink.is_some_and(|sink| sink.send(response).is_ok());
+                        admission.delivered(&route.tenant, route.session, sent);
                     }
-                    join_or_resume(feeder);
-                    join_or_resume(router);
-                    report
-                });
+                    true
+                };
+                let mut source: &AdmissionQueue = &admission;
+                let report = service.simulator().run_online_sequenced(
+                    scheduler.as_mut(),
+                    &mut source,
+                    &mut deliver,
+                    clock,
+                );
                 // No further responses can ever flow: unblock every
-                // session still draining its outbox.
+                // session still draining its outbox, and refuse new work
+                // after an engine failure.
                 admission.hang_up_sessions();
-                result.map_err(ServiceError::from)
+                report.map_err(ServiceError::from)
             }
         });
         Ok(Self {
             service,
             admission,
             engine,
-            outbox_depth,
         })
     }
 
@@ -392,8 +290,7 @@ impl ClusterHost {
     /// submissions). Sessions are cheap; open one per connection or per
     /// logical request stream.
     pub fn open_session(&self, tenant: impl Into<TenantId>) -> Result<HostSession, ServiceError> {
-        let (sink, responses) = std::sync::mpsc::sync_channel(self.outbox_depth);
-        let id = self.admission.open_session(sink)?;
+        let (id, responses) = self.admission.open_session()?;
         Ok(HostSession {
             admission: self.admission.clone(),
             id,
@@ -410,7 +307,8 @@ impl ClusterHost {
     pub fn shutdown(self) -> Result<HostReport, ServiceError> {
         self.admission.close();
         let report = join_owned_or_resume(self.engine)?;
-        let (mut journal, accepted, rejected, served, tenants) = self.admission.take_report_parts();
+        let (mut journal, tenants) = self.admission.take_report_parts();
+        let total: TenantReport = tenants.values().sum();
         // Under the real-time clock the engine stamps arrivals itself at
         // ingestion; backfill the journal from the trace (both are in
         // engine receipt order) so a replay re-derives the same event
@@ -425,9 +323,9 @@ impl ClusterHost {
             report: report.report,
             trace: report.trace,
             journal,
-            accepted,
-            rejected,
-            served,
+            accepted: total.accepted,
+            rejected: total.rejected,
+            served: total.served,
             sessions: self.admission.sessions_opened(),
             tenants,
         })

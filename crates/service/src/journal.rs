@@ -23,7 +23,6 @@ use crate::admission::TenantId;
 use crate::error::ServiceError;
 use crate::request::PlacementResponse;
 use crate::service::PlacementService;
-use crate::sync::join_or_resume;
 use crate::wire;
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -110,12 +109,12 @@ impl Journal {
         Self::parse(complete)
     }
 
-    /// Replay the journal offline: feed every entry, in order, through a
-    /// fresh engine run with the journaled sequences under the discrete
-    /// clock, and collect the placements. The replay's
-    /// [`ReplayOutcome::schedule_digest`] must equal the live run's — that
-    /// identity is what the multi-session test harness and the CI smoke
-    /// job enforce.
+    /// Replay the journal offline: its entries, in order, are a closed
+    /// arrival source for a fresh engine run with the journaled sequences
+    /// under the discrete clock, and every placement is collected. The
+    /// replay's [`ReplayOutcome::schedule_digest`] must equal the live
+    /// run's — that identity is what the multi-session test harness and
+    /// the CI smoke job enforce.
     ///
     /// Always replays under [`ClockMode::Discrete`]: a real-time live
     /// run's journal carries the engine-stamped submit times (backfilled
@@ -130,35 +129,22 @@ impl Journal {
         for entry in &self.entries {
             routes.insert(entry.spec.id, (entry.tenant.clone(), entry.spec.clone()));
         }
-        let queue = self.entries.len().max(1);
-        let (job_tx, job_rx) = std::sync::mpsc::sync_channel(queue);
-        let (notice_tx, notice_rx) = std::sync::mpsc::sync_channel(queue);
-        let report = std::thread::scope(|scope| {
-            let entries = &self.entries;
-            let feeder = scope.spawn(move || {
-                for entry in entries {
-                    let job = SequencedJob {
-                        spec: entry.spec.clone(),
-                        seq: entry.seq,
-                    };
-                    if job_tx.send(job).is_err() {
-                        // The engine bailed early; its error is the story.
-                        break;
-                    }
-                }
-            });
-            let collector = scope.spawn(move || notice_rx.iter().collect::<Vec<_>>());
-            let report = service.simulator().run_online_sequenced(
-                scheduler,
-                job_rx,
-                notice_tx,
-                ClockMode::Discrete,
-            );
-            join_or_resume(feeder);
-            let notices = join_or_resume(collector);
-            report.map(|report| (report, notices))
-        });
-        let (report, notices) = report?;
+        let jobs: Vec<SequencedJob> = (self.entries.iter())
+            .map(|entry| SequencedJob {
+                spec: entry.spec.clone(),
+                seq: entry.seq,
+            })
+            .collect();
+        let mut notices = Vec::new();
+        let report = service.simulator().run_online_sequenced(
+            scheduler,
+            &mut jobs.into_iter(),
+            &mut |notice| {
+                notices.push(notice);
+                true
+            },
+            ClockMode::Discrete,
+        )?;
         let mut responses: BTreeMap<TenantId, Vec<PlacementResponse>> = BTreeMap::new();
         for notice in notices {
             if let Some((tenant, spec)) = routes.get(&notice.job) {
@@ -279,9 +265,7 @@ fn parse_entry(line: &str) -> Result<JournalEntry, String> {
         ));
     }
     let tenant = wire::string(&fields, "tenant")?.ok_or("missing required field: tenant")?;
-    if tenant.is_empty() {
-        return Err("tenant must be a non-empty string".to_string());
-    }
+    let tenant = wire::check_tenant(tenant)?;
     let request = wire::request_from_fields(&fields)?;
     Ok(JournalEntry {
         seq: seq as u64,

@@ -20,9 +20,11 @@
 //! Some(1)`). Every admitted request is journaled ([`Journal`]) with its
 //! arrival sequence.
 //!
-//! Every channel in the path is bounded; admission itself never blocks — a
-//! tenant over its quota is shed in-band and may resubmit once placements
-//! drain its in-flight window.
+//! The host owns one thread, the engine's: it takes admitted requests
+//! straight from the admission queue and delivers each placement to its
+//! session's bounded outbox as the round commits it.
+//! Admission itself never blocks — a tenant over its quota is shed in-band
+//! and may resubmit once placements drain its in-flight window.
 //!
 //! ## Determinism
 //!
@@ -69,7 +71,7 @@ pub mod wire;
 pub use admission::{AdmissionConfig, AdmissionMode, TenantId, TenantReport};
 pub use deployment::Deployment;
 pub use error::ServiceError;
-pub use host::{ClusterHost, HostConfig, HostPersistence, HostReport, HostSession};
+pub use host::{ClusterHost, HostPersistence, HostReport, HostSession};
 pub use journal::{Journal, JournalEntry, JournalWriter, ReplayOutcome};
 pub use request::{PlacementRequest, PlacementResponse};
 pub use service::{PlacementService, ServiceConfig};

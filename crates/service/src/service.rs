@@ -1,5 +1,7 @@
 //! The placement service: the simulated cluster, its telemetry, and the
 //! response enrichment a [`crate::ClusterHost`] serves sessions against.
+//! The host's engine thread runs the simulator and enriches each placement
+//! notice into its response inline, as the round commits it.
 
 use crate::error::ServiceError;
 use crate::request::PlacementResponse;
@@ -21,26 +23,15 @@ pub struct ServiceConfig {
     /// The time authority: [`ClockMode::Discrete`] for deterministic
     /// replay, [`ClockMode::RealTime`] for live pacing.
     pub clock: ClockMode,
-    /// Bounded depth of the arrival channel into the engine. A full
-    /// channel blocks the host's feeder thread; admitted requests then
-    /// wait in the admission queue.
-    pub ingest_queue: usize,
-    /// Bounded depth of the engine→router notice channel and of each
-    /// session's response outbox. A full channel blocks the engine's
-    /// commit step, which backpressures the whole pipeline.
-    pub notice_queue: usize,
 }
 
 impl ServiceConfig {
-    /// A service over the given cluster with the default knobs: discrete
-    /// clock, 256-deep bounded queues.
+    /// A service over the given cluster with the discrete clock.
     pub fn new(simulation: SimulationConfig, telemetry: TelemetryConfig) -> Self {
         Self {
             simulation,
             telemetry,
             clock: ClockMode::Discrete,
-            ingest_queue: 256,
-            notice_queue: 256,
         }
     }
 
@@ -106,8 +97,8 @@ impl PlacementService {
         self.simulator.estimator()
     }
 
-    /// The simulator backing the service — the host drives its engine
-    /// run (and journal replays) through this.
+    /// The simulator backing the service — the host's engine thread (and
+    /// a journal replay) runs it.
     pub(crate) fn simulator(&self) -> &Simulator<Arc<SyntheticTelemetry>> {
         &self.simulator
     }

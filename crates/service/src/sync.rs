@@ -1,7 +1,7 @@
 //! Poison-recovering synchronization helpers.
 //!
-//! The service shares small maps and the admission state across its
-//! ingestion/enrichment/session threads behind mutexes. A panicking holder
+//! The service shares the admission state across its engine and session
+//! threads behind a mutex. A panicking holder
 //! poisons the lock, and the default `.lock().expect(...)` response turns
 //! that one panic into a cascade that takes the whole host down with an
 //! unrelated message — the DET003 failure class the workspace lint bans in
@@ -14,6 +14,7 @@
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{JoinHandle, ScopedJoinHandle};
+use std::time::Duration;
 
 /// Lock `mutex`, recovering the guard from a poisoned lock. Callers must
 /// only protect state that stays consistent across a panicking holder (see
@@ -26,6 +27,19 @@ pub(crate) fn lock_clean<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// lock.
 pub(crate) fn wait_clean<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     condvar.wait(guard).unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Wait on `condvar` for at most `limit`, recovering the re-acquired guard
+/// from a poisoned lock. The caller re-checks its condition either way.
+pub(crate) fn wait_timeout_clean<'a, T>(
+    condvar: &Condvar,
+    guard: MutexGuard<'a, T>,
+    limit: Duration,
+) -> MutexGuard<'a, T> {
+    match condvar.wait_timeout(guard, limit) {
+        Ok((guard, _)) => guard,
+        Err(poisoned) => poisoned.into_inner().0,
+    }
 }
 
 /// Join a scoped thread, propagating its panic — if any — with the

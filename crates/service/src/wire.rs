@@ -231,8 +231,7 @@ pub fn parse_tenant_request(line: &str) -> Result<(Option<String>, PlacementRequ
     let fields = parse_flat_object(line)?;
     let tenant = match string(&fields, "tenant")? {
         None => None,
-        Some("") => return Err("tenant must be a non-empty string".to_string()),
-        Some(name) => Some(name.to_string()),
+        Some(name) => Some(check_tenant(name)?.to_string()),
     };
     Ok((tenant, request_from_fields(&fields)?))
 }
@@ -249,11 +248,8 @@ pub(crate) fn request_from_fields(fields: &Fields) -> Result<PlacementRequest, S
     // `>=` because a wire value of 2^53 + 1 has already rounded *onto*
     // 2^53 by the time it is checked — at the boundary the original
     // digits are unrecoverable.
-    const MAX_EXACT_ID: f64 = (1u64 << 53) as f64;
-    if id < 0.0 || id.fract() != 0.0 || id >= MAX_EXACT_ID {
-        return Err(format!(
-            "id must be a non-negative integer below 2^53, got {id}"
-        ));
+    if id < 0.0 || id.fract() != 0.0 || id >= MAX_EXACT_ID as f64 {
+        return Err(id_error(id));
     }
     let benchmark_name = string(fields, "benchmark")?.ok_or("missing required field: benchmark")?;
     let benchmark = Benchmark::from_name(benchmark_name)
@@ -312,6 +308,58 @@ pub(crate) fn request_from_fields(fields: &Fields) -> Result<PlacementRequest, S
         estimated_energy: KilowattHours::new(estimated_energy),
         package_bytes,
     }))
+}
+
+/// Ids are exact in the JSON number (an f64) only below this bound.
+const MAX_EXACT_ID: u64 = 1 << 53;
+
+fn id_error(id: impl std::fmt::Display) -> String {
+    format!("id must be a non-negative integer below 2^53, got {id}")
+}
+
+/// A tenant name as the grammar accepts it: any non-empty string.
+pub(crate) fn check_tenant(name: &str) -> Result<&str, String> {
+    match name {
+        "" => Err("tenant must be a non-empty string".to_string()),
+        name => Ok(name),
+    }
+}
+
+/// Whether a spec built in-process would survive the journal's text form
+/// (one [`request_fields`] line plus `tenant`) unchanged: the checks the
+/// grammar makes on a parsed line, made on the spec itself. Every time and
+/// energy finite and non-negative, a non-empty tenant, an id below 2^53,
+/// and a `package_bytes` the f64 JSON number holds exactly — 2^53 + 1
+/// would parse back as 2^53.
+pub(crate) fn check_recordable(tenant: &str, spec: &JobSpec) -> Result<(), String> {
+    check_tenant(tenant)?;
+    if spec.id.0 >= MAX_EXACT_ID {
+        return Err(id_error(spec.id.0));
+    }
+    let numbers = [
+        ("submit_time", spec.submit_time.value()),
+        ("actual_execution_time", spec.actual_execution_time.value()),
+        (
+            "estimated_execution_time",
+            spec.estimated_execution_time.value(),
+        ),
+        ("actual_energy", spec.actual_energy.value()),
+        ("estimated_energy", spec.estimated_energy.value()),
+    ];
+    for (key, value) in numbers {
+        if !value.is_finite() || value < 0.0 {
+            return Err(format!(
+                "{key} must be finite and non-negative, got {value}"
+            ));
+        }
+    }
+    let bytes = spec.package_bytes;
+    if bytes as f64 as u64 != bytes {
+        return Err(format!(
+            "package_bytes must be exact in a JSON number (an f64), got {bytes}"
+        ));
+    }
+    Ok(())
 }
 
 /// Encode a job spec as a request line (without the trailing newline) —

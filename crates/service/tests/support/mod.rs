@@ -35,14 +35,14 @@ pub fn wait_for_journal_lines(path: &Path, lines: usize) -> String {
 /// Submit one wave through one session and hand back the session's
 /// response outbox. Each submission is serialized against the journal
 /// file (submit, wait for its line, submit the next): the admission
-/// queue's deficit-round-robin drains whatever is queued *when the feeder
-/// looks*, so un-serialized concurrent submissions would make the drain
+/// queue's deficit-round-robin drains whatever is queued *when the engine
+/// takes*, so un-serialized concurrent submissions would make the drain
 /// order — and with it the watermark stamping — timing-dependent. The
 /// identity under test is "same admitted stream ⇒ same schedule", so the
 /// test pins the stream. `base_lines` is how many entries the journal
-/// already held. The default queue depth (256) holds a wave of up to 256
-/// requests, so the responses can be collected after shutdown without
-/// backpressure.
+/// already held. A wave must fit in the session's bounded outbox (see
+/// `docs/ONLINE_SERVICE.md` §Backpressure), so its responses can be
+/// collected after shutdown without backpressure.
 pub fn submit_wave(
     host: &ClusterHost,
     wave: &[(TenantId, JobSpec)],

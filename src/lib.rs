@@ -12,7 +12,7 @@
 //! * [`cluster`] — discrete-event geo-distributed data-center simulator.
 //! * [`core`] — the WaterWise scheduler, baselines, and experiment runner.
 //! * [`service`] — online placement front-end: live request ingestion into
-//!   the engine over in-process channels or line-delimited-JSON TCP.
+//!   the engine from in-process sessions or line-delimited-JSON TCP.
 //!
 //! # Quickstart
 //!

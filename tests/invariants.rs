@@ -807,8 +807,8 @@ fn sorted_by<T: Clone, K: Ord>(items: &[T], key: impl FnMut(&T) -> K) -> Vec<T> 
 /// The live run's schedule and responses are the other run's, and so is
 /// its stamped trace: in receipt order against a replay, which receives in
 /// journal order, and in id order against another live run (receipt order
-/// is the feeder's race between sessions, which the sequence bands make
-/// irrelevant), whose journal must hold the same entries by sequence. The
+/// is the race between sessions to the admission queue, which the sequence
+/// bands make irrelevant), whose journal must hold the same entries by sequence. The
 /// live run's admission accounting adds up, tenant by tenant, and its
 /// journal survives the text round trip.
 fn journal_pins_the_schedule(case: &Case, live: &Run, other: &Run) {
