@@ -19,6 +19,16 @@
 //! pending pool, as the paper's controller collects `J ∪ J_delay` once a
 //! slot. A round's scheduler solve and every job's footprint accounting run
 //! inline on that loop, one event at a time.
+//!
+//! # What the engine keeps
+//!
+//! Besides the job table and the outcomes it reports, the engine keeps only
+//! what a round works on: the pending pool and the jobs in flight. A job's
+//! runtime row ([`JobRuntime`]) lives in a slot of the in-flight table from
+//! the commit that places it to its completion, which frees the slot for a
+//! later placement; the `Ready` and `Complete` events and the region queues
+//! carry the slot. The table is as long as the most jobs in flight at once,
+//! not as the trace.
 
 pub mod clock;
 pub mod online;
@@ -74,19 +84,64 @@ pub struct Simulator<P> {
     estimator: FootprintEstimator,
 }
 
-/// Per-job bookkeeping the engine maintains while a job moves through
-/// arrival → assignment → transfer → execution → completion. The completion
-/// time is not kept: it is the `Complete` event's own time, handed straight
-/// to [`Simulator::record_outcome`].
-#[derive(Debug, Clone, Copy, Default)]
+/// The runtime row of one placed job, from the commit that places it
+/// through transfer and execution to its completion. The completion time is
+/// not kept: it is the `Complete` event's own time, `start_time +
+/// execution_time`.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct JobRuntime {
-    pub(crate) assigned_region: Option<Region>,
+    /// The job's index in the job table.
+    pub(crate) job: usize,
     pub(crate) transfer_time: f64,
+    /// NaN until the job takes a server.
     pub(crate) start_time: f64,
+    /// The region the commit placed the job in.
+    pub(crate) region: Region,
+    /// That region's position in `SimState::regions`.
+    pool: u8,
 }
 
-// One per job of the trace: three words, not four.
-const _: () = assert!(std::mem::size_of::<JobRuntime>() <= 24);
+// One per job in flight: four words.
+const _: () = assert!(std::mem::size_of::<JobRuntime>() <= 32);
+
+/// The runtime rows of the jobs in flight, each in a slot that a commit
+/// takes ([`InFlight::insert`]) and a completion frees
+/// ([`InFlight::remove`]). A freed slot is the next one taken, so the table
+/// grows only while more jobs are in flight than ever before.
+#[derive(Debug, Default)]
+pub(crate) struct InFlight {
+    rows: Vec<JobRuntime>,
+    /// Slots of `rows` that hold no job.
+    free: Vec<usize>,
+}
+
+impl InFlight {
+    /// Take a slot for `row`.
+    fn insert(&mut self, row: JobRuntime) -> usize {
+        match self.free.pop() {
+            Some(slot) => {
+                self.rows[slot] = row;
+                slot
+            }
+            None => {
+                self.rows.push(row);
+                self.rows.len() - 1
+            }
+        }
+    }
+
+    /// Free `slot`, returning its row.
+    fn remove(&mut self, slot: usize) -> JobRuntime {
+        self.free.push(slot);
+        self.rows[slot]
+    }
+
+    /// The jobs in flight.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len() - self.free.len()
+    }
+}
 
 /// One placement enacted by [`SimState::commit_round`], reported back to the
 /// driver so the online service can answer the request that produced it.
@@ -106,7 +161,9 @@ pub(crate) struct EnactedPlacement {
 /// The engine core: event queue, region/job bookkeeping, and the slot
 /// commit logic. The one event loop ([`online`]) drives exactly this state
 /// machine, offline or live, so every state transition a run may take
-/// lives here.
+/// lives here. Of what it holds, only the job table and a live run's
+/// admitted ids grow with the trace; the pending pool, the in-flight table
+/// and the event queue hold what a round works on.
 pub(crate) struct SimState<'t> {
     /// The job table. An offline replay borrows a trace that is already in
     /// submit order and owns a sorted copy of any other; a live run owns the
@@ -130,27 +187,28 @@ pub(crate) struct SimState<'t> {
     /// Empty in an offline replay.
     admission: VecDeque<(u128, usize)>,
     regions: Vec<RegionRuntime>,
-    /// Slot in `regions` of every participating region, on
+    /// Position in `regions` of every participating region, on
     /// [`Region::index`].
-    region_slot: [Option<usize>; ALL_REGIONS.len()],
+    region_slot: [Option<u8>; ALL_REGIONS.len()],
     pub(crate) queue: EventQueue,
     interval: f64,
     pub(crate) tolerance: f64,
-    /// `runtimes[i]` is job `i`'s bookkeeping, pushed when a round pulls in a
-    /// preloaded job or when a live run injects one: an event can only reach
-    /// a job that some round has pulled in.
-    runtimes: Vec<JobRuntime>,
+    /// The runtime rows of the placed jobs not yet completed; `Ready` and
+    /// `Complete` events and the region queues carry a row's slot.
+    pub(crate) in_flight: InFlight,
     /// Pending pool, kept in the form the scheduler sees (received time,
     /// rounds deferred so far) so a round lends it instead of rebuilding it.
     pub(crate) pending: Vec<PendingJob>,
     /// `pending[k]`'s index in the job table.
     pending_index: Vec<usize>,
     /// Per-round scratch, reused so a round allocates nothing: the region
-    /// views lent to the scheduler, and the snapshot's `(job id, pool
-    /// position)` pairs sorted by id, for a decision that does not list its
-    /// jobs in pool order (see [`SimState::locate`]).
+    /// views lent to the scheduler, the snapshot's `(job id, pool position)`
+    /// pairs sorted by id, for a decision that does not list its jobs in
+    /// pool order (see [`SimState::locate`]), and whether the commit placed
+    /// the job at each pool position.
     views: Vec<RegionView>,
     offered: Vec<(JobId, usize)>,
+    placed: Vec<bool>,
     pub(crate) overhead: Vec<OverheadSample>,
     pub(crate) completed: usize,
     pub(crate) last_time: f64,
@@ -228,7 +286,6 @@ impl<'t> SimState<'t> {
             sorted.sort_by(|a, b| submit(a).total_cmp(&submit(b)));
             Cow::Owned(sorted)
         };
-        state.runtimes = Vec::with_capacity(jobs.len());
         state.unpulled = 0..jobs.len();
         if let Some(first) = state.jobs.first() {
             state.start_rounds(submit(first))?;
@@ -246,8 +303,10 @@ impl<'t> SimState<'t> {
             .map(|(r, servers)| RegionRuntime::new(*r, *servers))
             .collect();
         let mut region_slot = [None; ALL_REGIONS.len()];
-        for (slot, r) in regions.iter().enumerate() {
-            region_slot[r.region.index()] = Some(slot);
+        // A validated configuration lists each of the five regions at most
+        // once, so every position fits a byte.
+        for (position, r) in regions.iter().enumerate() {
+            region_slot[r.region.index()] = Some(position as u8);
         }
         Self {
             jobs: Cow::Owned(Vec::new()),
@@ -260,10 +319,11 @@ impl<'t> SimState<'t> {
             queue: EventQueue::default(),
             interval: config.scheduling_interval.value(),
             tolerance: config.delay_tolerance,
-            runtimes: Vec::new(),
+            in_flight: InFlight::default(),
             pending: Vec::new(),
             pending_index: Vec::new(),
             offered: Vec::new(),
+            placed: Vec::new(),
             overhead: Vec::new(),
             completed: 0,
             last_time: 0.0,
@@ -273,7 +333,7 @@ impl<'t> SimState<'t> {
     }
 
     /// Admit one injected job: validate its id, submit time, execution time
-    /// and estimates, grow the runtime table, and buffer it under the
+    /// and estimates, append it to the job table, and buffer it under the
     /// caller-chosen arrival sequence, which orders it among the jobs that
     /// tie its stamp.
     /// The first job also starts the round chain at its own submit time.
@@ -296,7 +356,6 @@ impl<'t> SimState<'t> {
             return Err(err);
         }
         self.jobs.to_mut().push(spec);
-        self.runtimes.push(JobRuntime::default());
         let key = u128::from(time_key(time)) << 64 | u128::from(arrival_seq);
         let at = self.admission.partition_point(|&(queued, _)| queued < key);
         self.admission.insert(at, (key, index));
@@ -323,7 +382,7 @@ impl<'t> SimState<'t> {
             .push(time, event)
             .map_err(|_| SimulationError::NonFiniteEventTime {
                 time,
-                event: event.describe(&self.jobs),
+                event: event.describe(|slot| self.jobs[self.in_flight.rows[slot].job].id),
             })
     }
 
@@ -354,7 +413,7 @@ impl<'t> SimState<'t> {
     /// [`f64::total_cmp`] order) into the pending pool, in `(stamp,
     /// sequence)` order: the round at `now` sees each job that arrived by
     /// then, and a job that ties the round joins it. A preloaded job is read
-    /// from the trace here and gets its runtime row as it joins.
+    /// from the trace here.
     fn pull_arrivals(&mut self, now: f64) {
         let until = time_key(now);
         let due = self.jobs[self.unpulled.clone()]
@@ -362,7 +421,6 @@ impl<'t> SimState<'t> {
             .take_while(|job| time_key(job.submit_time.value()) <= until)
             .count();
         for i in self.unpulled.start..self.unpulled.start + due {
-            self.runtimes.push(JobRuntime::default());
             self.join_pool(i);
         }
         self.unpulled.start += due;
@@ -396,7 +454,9 @@ impl<'t> SimState<'t> {
     }
 
     /// Commit a round's decision: enact the placements, count a deferral for
-    /// every job left pending, and schedule the next round.
+    /// every job left pending, and schedule the next round. Each placement
+    /// takes a slot of the in-flight table for the job's runtime row, and its
+    /// `Ready` event carries that slot.
     ///
     /// Nothing joins the pool between a round's snapshot and its commit, so
     /// the pool at commit is the snapshot. The decision's `Ready` events are
@@ -416,17 +476,20 @@ impl<'t> SimState<'t> {
         mut enacted: Option<&mut Vec<EnactedPlacement>>,
     ) -> Result<(), SimulationError> {
         let mut walk = Some(0);
+        self.placed.clear();
+        self.placed.resize(self.pending.len(), false);
         for a in &decision.assignments {
             let Some(at) = self.locate(a.job, &mut walk) else {
                 continue; // Unknown or already-scheduled job id: ignore.
             };
-            let i = self.pending_index[at];
-            let Some(slot) = self.region_slot[a.region.index()] else {
+            let Some(pool) = self.region_slot[a.region.index()] else {
                 continue; // Not a participating region.
             };
-            if self.runtimes[i].assigned_region.is_some() {
-                continue;
+            if self.placed[at] {
+                continue; // Listed twice: the first placement stands.
             }
+            self.placed[at] = true;
+            let i = self.pending_index[at];
             let transfer_time = config
                 .transfer
                 .transfer_time(
@@ -435,10 +498,15 @@ impl<'t> SimState<'t> {
                     self.jobs[i].package_bytes,
                 )
                 .value();
-            self.runtimes[i].assigned_region = Some(a.region);
-            self.runtimes[i].transfer_time = transfer_time;
-            self.regions[slot].inbound += 1;
-            self.push(now + transfer_time, Event::Ready(i))?;
+            let slot = self.in_flight.insert(JobRuntime {
+                job: i,
+                transfer_time,
+                start_time: f64::NAN,
+                region: a.region,
+                pool,
+            });
+            self.regions[usize::from(pool)].inbound += 1;
+            self.push(now + transfer_time, Event::Ready(slot))?;
             if let Some(enacted) = enacted.as_deref_mut() {
                 enacted.push(EnactedPlacement {
                     job: i,
@@ -448,22 +516,18 @@ impl<'t> SimState<'t> {
                 });
             }
         }
-        // Drop the assigned jobs from the pool (a pooled job has a region
-        // iff this commit just gave it one); every job that stayed was
+        // Drop the placed jobs from the pool; every job that stayed was
         // offered this round and counts one more deferral.
-        let runtimes = &self.runtimes;
-        let pending_index = &self.pending_index;
-        let mut position = 0usize;
+        let mut placed = self.placed.iter();
         self.pending.retain_mut(|job| {
-            let assigned = runtimes[pending_index[position]].assigned_region.is_some();
-            position += 1;
-            if !assigned {
+            let stays = placed.next() == Some(&false);
+            if stays {
                 job.deferrals += 1;
             }
-            !assigned
+            stays
         });
-        self.pending_index
-            .retain(|&i| runtimes[i].assigned_region.is_none());
+        let mut placed = self.placed.iter();
+        self.pending_index.retain(|_| placed.next() == Some(&false));
         if self.completed < self.jobs.len() {
             self.arm_next_round(now)?;
         }
@@ -498,55 +562,48 @@ impl<'t> SimState<'t> {
         Some(self.offered[hit].1)
     }
 
-    /// The `regions` slot of the region job `i` was assigned to, or the
-    /// typed error for an `event` that reached a job without one, naming the
-    /// job by its trace id.
-    fn assigned_slot(&self, i: usize, event: &str) -> Result<usize, SimulationError> {
-        self.runtimes[i]
-            .assigned_region
-            .and_then(|region| self.region_slot[region.index()])
-            .ok_or_else(|| SimulationError::UnassignedJob {
-                job: self.jobs[i].id,
-                event: format!("{event} of job {}", self.jobs[i].id.0),
-            })
+    /// The job in flight in `slot` takes a server at `time`: its completion
+    /// is queued at `time + execution time`.
+    fn start(&mut self, slot: usize, time: f64) -> Result<(), SimulationError> {
+        let row = &mut self.in_flight.rows[slot];
+        row.start_time = time;
+        let done = time + self.jobs[row.job].actual_execution_time.value();
+        self.push(done, Event::Complete(slot))
     }
 
-    /// A job's package transfer completed: start it or queue it in its
-    /// assigned region.
-    pub(crate) fn handle_ready(&mut self, i: usize, time: f64) -> Result<(), SimulationError> {
-        let slot = self.assigned_slot(i, "readiness")?;
-        self.regions[slot].advance_to(time);
-        self.regions[slot].inbound = self.regions[slot].inbound.saturating_sub(1);
-        if self.regions[slot].busy < self.regions[slot].servers {
-            self.regions[slot].busy += 1;
-            self.runtimes[i].start_time = time;
-            let done = time + self.jobs[i].actual_execution_time.value();
-            self.push(done, Event::Complete(i))?;
+    /// The package transfer of the job in flight in `slot` completed: start
+    /// it or queue it in its assigned region.
+    pub(crate) fn handle_ready(&mut self, slot: usize, time: f64) -> Result<(), SimulationError> {
+        let region = &mut self.regions[usize::from(self.in_flight.rows[slot].pool)];
+        region.advance_to(time);
+        region.inbound = region.inbound.saturating_sub(1);
+        if region.busy < region.servers {
+            region.busy += 1;
+            self.start(slot, time)
         } else {
-            self.regions[slot].queue.push_back(i);
+            region.queue.push_back(slot);
+            Ok(())
         }
-        Ok(())
     }
 
-    /// A job finished executing at `time`: free the server (or admit the
-    /// next queued job) and return the runtime footprint accounting needs.
+    /// The job in flight in `slot` finished executing at `time`: free the
+    /// server (or admit the next queued job) and the slot, and return the
+    /// job's runtime row for footprint accounting.
     pub(crate) fn handle_complete(
         &mut self,
-        i: usize,
+        slot: usize,
         time: f64,
     ) -> Result<JobRuntime, SimulationError> {
-        let slot = self.assigned_slot(i, "completion")?;
-        self.regions[slot].advance_to(time);
+        let row = self.in_flight.remove(slot);
+        let region = &mut self.regions[usize::from(row.pool)];
+        region.advance_to(time);
         self.completed += 1;
         // Free the server and admit the next queued job, if any.
-        if let Some(next) = self.regions[slot].queue.pop_front() {
-            self.runtimes[next].start_time = time;
-            let done = time + self.jobs[next].actual_execution_time.value();
-            self.push(done, Event::Complete(next))?;
-        } else {
-            self.regions[slot].busy -= 1;
+        match region.queue.pop_front() {
+            Some(next) => self.start(next, time)?,
+            None => region.busy -= 1,
         }
-        Ok(self.runtimes[i])
+        Ok(row)
     }
 
     /// Whether the campaign is finished: every job completed, nothing
@@ -731,15 +788,15 @@ impl<P: ConditionsProvider> Simulator<P> {
     /// Sequences must be unique and strictly below
     /// [`online::ONLINE_ARRIVAL_SEQ_LIMIT`]; violations fail the run with
     /// [`SimulationError::ArrivalSeqOutOfBand`] /
-    /// [`SimulationError::ArrivalSeqReused`]. A sink that returns `false`
-    /// fails the run with [`SimulationError::PlacementSinkDisconnected`]
-    /// (no caller in this workspace does: the host delivers or drops each
-    /// response itself, and a journal replay collects every notice).
+    /// [`SimulationError::ArrivalSeqReused`]. The sink cannot refuse a
+    /// notice: what becomes of it — delivered, dropped with a dead session,
+    /// collected by a journal replay — is the caller's business, and the run
+    /// goes on either way.
     pub fn run_online_sequenced(
         &self,
         scheduler: &mut dyn Scheduler,
         arrivals: &mut dyn online::ArrivalSource,
-        placements: &mut dyn FnMut(online::PlacementNotice) -> bool,
+        placements: &mut dyn FnMut(online::PlacementNotice),
         clock: clock::ClockMode,
     ) -> Result<online::OnlineReport, SimulationError> {
         let (report, trace) =
@@ -755,26 +812,22 @@ impl<P: ConditionsProvider> Simulator<P> {
         &self.provider
     }
 
-    /// Footprint accounting for one job completed at `completion_time`:
-    /// the totals of its execution and transfer footprints under the
-    /// conditions at the job's start time, and the service-time verdicts.
-    /// The totals come from the estimator's split (`embodied` + `totals`,
-    /// with zero embodied terms for the transfer), which carries the bits of
-    /// `estimate` and `estimate_operational` without building either
-    /// breakdown.
+    /// Footprint accounting for one job whose `Complete` event fired at
+    /// `completion_time`: the totals of its execution and transfer
+    /// footprints under the conditions at the job's start time, and the
+    /// service-time verdict. The totals come from the estimator's split
+    /// (`embodied` + `totals`, with zero embodied terms for the transfer),
+    /// which carries the bits of `estimate` and `estimate_operational`
+    /// without building either breakdown. The outcome keeps no completion
+    /// time: [`JobOutcome::completion_time`] derives the event's.
     pub(crate) fn record_outcome(
         &self,
         job: &JobSpec,
         runtime: &JobRuntime,
         completion_time: f64,
         tolerance: f64,
-    ) -> Result<JobOutcome, SimulationError> {
-        let region = runtime
-            .assigned_region
-            .ok_or_else(|| SimulationError::UnassignedJob {
-                job: job.id,
-                event: format!("outcome of job {}", job.id.0),
-            })?;
+    ) -> JobOutcome {
+        let region = runtime.region;
         let start = Seconds::new(runtime.start_time);
         let conditions = self.provider.conditions(region, start);
         let totals = |embodied, energy| {
@@ -797,20 +850,26 @@ impl<P: ConditionsProvider> Simulator<P> {
             // destination region's conditions and exclude embodied terms.
             totals((Co2Grams::zero(), Liters::zero()), energy)
         };
-        let service_time = completion_time - job.submit_time.value();
-        let allowed = (1.0 + tolerance) * job.actual_execution_time.value();
-        Ok(JobOutcome {
+        let mut outcome = JobOutcome {
             job: job.id,
             home_region: job.home_region,
             executed_region: region,
             submit_time: job.submit_time,
             start_time: start,
-            completion_time: Seconds::new(completion_time),
             execution_time: job.actual_execution_time,
             footprint,
             transfer_footprint,
             transfer_time: Seconds::new(runtime.transfer_time),
-            violated_tolerance: service_time > allowed + 1e-6,
-        })
+            violated_tolerance: false,
+        };
+        debug_assert_eq!(
+            outcome.completion_time().value().to_bits(),
+            completion_time.to_bits(),
+            "job {} completed off its start + execution time",
+            job.id.0
+        );
+        let allowed = (1.0 + tolerance) * job.actual_execution_time.value();
+        outcome.violated_tolerance = outcome.service_time().value() > allowed + 1e-6;
+        outcome
     }
 }

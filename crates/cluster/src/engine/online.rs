@@ -197,12 +197,12 @@ pub struct OnlineReport {
 /// contracts and [`self`] (module docs) for the identity discipline.
 pub(crate) struct OnlineDriver<'a, 't, P> {
     sim: &'a Simulator<P>,
-    state: SimState<'t>,
+    pub(super) state: SimState<'t>,
     /// The live arrival source while it can still produce requests; `None`
     /// once it has closed, and from the start for an offline replay.
     arrivals: Option<&'a mut dyn ArrivalSource>,
     /// Where enacted placements are reported; `None` for an offline replay.
-    placements: Option<&'a mut dyn FnMut(PlacementNotice) -> bool>,
+    placements: Option<&'a mut dyn FnMut(PlacementNotice)>,
     /// A started clock for [`ClockMode::RealTime`], `None` otherwise.
     clock: Option<SimClock>,
     /// Caller-allocated sequences seen so far: a reused sequence would
@@ -237,7 +237,7 @@ impl<'a, 't, P: ConditionsProvider> OnlineDriver<'a, 't, P> {
     pub(crate) fn live(
         sim: &'a Simulator<P>,
         arrivals: &'a mut dyn ArrivalSource,
-        placements: &'a mut dyn FnMut(PlacementNotice) -> bool,
+        placements: &'a mut dyn FnMut(PlacementNotice),
         clock: ClockMode,
     ) -> Self {
         let state = SimState::empty(sim.config());
@@ -252,7 +252,7 @@ impl<'a, 't, P: ConditionsProvider> OnlineDriver<'a, 't, P> {
         sim: &'a Simulator<P>,
         state: SimState<'t>,
         arrivals: Option<&'a mut dyn ArrivalSource>,
-        placements: Option<&'a mut dyn FnMut(PlacementNotice) -> bool>,
+        placements: Option<&'a mut dyn FnMut(PlacementNotice)>,
         clock: Option<SimClock>,
     ) -> Self {
         Self {
@@ -395,28 +395,36 @@ impl<'a, 't, P: ConditionsProvider> OnlineDriver<'a, 't, P> {
         mut self,
         scheduler: &mut dyn Scheduler,
     ) -> Result<(SimulationReport, Cow<'t, [JobSpec]>), SimulationError> {
+        while let Some(next) = self.next_event()? {
+            self.dispatch(next, scheduler)?;
+        }
+        self.finish(scheduler)
+    }
+
+    /// The next event to dispatch, or `None` once the run is over.
+    pub(super) fn next_event(&mut self) -> Result<Option<QueuedEvent>, SimulationError> {
         loop {
-            let next = if self.arrivals.is_none() {
+            if self.arrivals.is_none() {
                 // A closed source — every offline replay — leaves no
                 // watermark to consult: every queued event is
                 // dispatchable, so the loop pops without peeking, and stops
                 // where the open path would.
                 if self.state.should_stop() {
-                    break;
+                    return Ok(None);
                 }
-                match self.state.queue.pop() {
-                    Some(next) => next,
-                    None => break,
-                }
-            } else {
-                match self.next_live_event()? {
-                    Some(next) => next,
-                    None => continue,
-                }
-            };
-            self.dispatch(next, scheduler)?;
+                return Ok(self.state.queue.pop());
+            }
+            if let Some(next) = self.next_live_event()? {
+                return Ok(Some(next));
+            }
         }
+    }
 
+    /// Close the run: its report, and the job table it replayed.
+    fn finish(
+        mut self,
+        scheduler: &dyn Scheduler,
+    ) -> Result<(SimulationReport, Cow<'t, [JobSpec]>), SimulationError> {
         let (makespan, mean_utilization) = self.state.finalize();
         let summary = self.fold.summary(&self.state.overhead, mean_utilization);
         let report = SimulationReport {
@@ -430,7 +438,7 @@ impl<'a, 't, P: ConditionsProvider> OnlineDriver<'a, 't, P> {
     }
 
     /// Dispatch one popped event.
-    fn dispatch(
+    pub(super) fn dispatch(
         &mut self,
         QueuedEvent { time, event, .. }: QueuedEvent,
         scheduler: &mut dyn Scheduler,
@@ -450,15 +458,15 @@ impl<'a, 't, P: ConditionsProvider> OnlineDriver<'a, 't, P> {
                     self.state.arm_next_round(time)?;
                 }
             }
-            Event::Ready(i) => self.state.handle_ready(i, time)?,
-            Event::Complete(i) => {
-                let runtime = self.state.handle_complete(i, time)?;
+            Event::Ready(slot) => self.state.handle_ready(slot, time)?,
+            Event::Complete(slot) => {
+                let runtime = self.state.handle_complete(slot, time)?;
                 let outcome = self.sim.record_outcome(
-                    &self.state.jobs[i],
+                    &self.state.jobs[runtime.job],
                     &runtime,
                     time,
                     self.state.tolerance,
-                )?;
+                );
                 self.fold.add(&outcome);
                 self.outcomes.push(outcome);
             }
@@ -505,9 +513,7 @@ impl<'a, 't, P: ConditionsProvider> OnlineDriver<'a, 't, P> {
                 deferrals: placement.deferrals,
                 solver,
             };
-            if !placements(notice) {
-                return Err(SimulationError::PlacementSinkDisconnected { job: spec.id });
-            }
+            placements(notice);
         }
         Ok(())
     }

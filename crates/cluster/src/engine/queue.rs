@@ -38,10 +38,11 @@
 //! bits (`slots_round_trip_the_bits_of_every_finite_time_and_event`) and
 //! keeps the `(total_cmp, seq)` order (`slot_keys_order_as_total_cmp_then_seq`).
 
-use waterwise_traces::JobSpec;
+use waterwise_traces::JobId;
 
-/// A simulation event. The payload is the index of the job in the campaign's
-/// trace (not its [`waterwise_traces::JobId`]).
+/// A simulation event. The payload is the slot of the job's runtime row in
+/// the engine's in-flight table (not its [`waterwise_traces::JobId`], nor its
+/// index in the trace).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Event {
     /// A periodic scheduling round.
@@ -55,15 +56,13 @@ pub(crate) enum Event {
 
 impl Event {
     /// Human-readable description used in error reports. Names the job by
-    /// its trace id, looked up in the engine's job table `jobs`, not by the
-    /// table index the event carries — the two only coincide for `0..n`
-    /// traces.
-    pub(crate) fn describe(self, jobs: &[JobSpec]) -> String {
-        let id = |i: usize| jobs[i].id.0;
+    /// its trace id, which `job` looks up from the in-flight slot the event
+    /// carries.
+    pub(crate) fn describe(self, job: impl Fn(usize) -> JobId) -> String {
         match self {
             Event::Round => "scheduling round".to_string(),
-            Event::Ready(i) => format!("readiness of job {}", id(i)),
-            Event::Complete(i) => format!("completion of job {}", id(i)),
+            Event::Ready(slot) => format!("readiness of job {}", job(slot).0),
+            Event::Complete(slot) => format!("completion of job {}", job(slot).0),
         }
     }
 }
@@ -91,10 +90,10 @@ fn time_of(key: u64) -> f64 {
     f64::from_bits(key ^ (was_negative | 1 << 63))
 }
 
-/// Bits of a packed event below its variant tag: the job index.
+/// Bits of a packed event below its variant tag: the in-flight slot.
 const INDEX_BITS: u32 = 62;
 
-/// `event` in one word: the variant in the top two bits, the job index below.
+/// `event` in one word: the variant in the top two bits, the slot below.
 fn pack(event: Event) -> u64 {
     let (tag, index) = match event {
         Event::Round => (0, 0),
@@ -103,7 +102,7 @@ fn pack(event: Event) -> u64 {
     };
     debug_assert!(
         (index as u64) >> INDEX_BITS == 0,
-        "job index {index} overflows"
+        "in-flight slot {index} overflows"
     );
     tag << INDEX_BITS | index as u64
 }

@@ -105,7 +105,7 @@ fn service_time_is_at_least_execution_time() {
     let report = simulator(50, 0.5).run(&jobs, &mut HomeScheduler).unwrap();
     for o in &report.outcomes {
         assert!(o.service_time().value() >= o.execution_time.value() - 1e-6);
-        assert!(o.completion_time.value() > o.start_time.value());
+        assert!(o.completion_time().value() > o.start_time.value());
         assert!(o.start_time.value() >= o.submit_time.value());
     }
 }
@@ -482,7 +482,7 @@ fn an_unsorted_trace_is_sorted_once_at_preload_not_by_the_queue() {
         (first, 0, Event::Round)
     );
     assert!(state.queue.pop().is_none(), "an arrival was queued");
-    assert!(state.pending.is_empty() && state.runtimes.is_empty());
+    assert!(state.pending.is_empty() && state.in_flight.rows.is_empty());
     // The first round admits exactly the jobs that tie its instant (the
     // fixture snaps submit times to the round grid), in trace order.
     state.open_round(round.time).unwrap();
@@ -495,7 +495,11 @@ fn an_unsorted_trace_is_sorted_once_at_preload_not_by_the_queue() {
     let admitted: Vec<JobId> = state.pending.iter().map(|p| p.spec.id).collect();
     let expected: Vec<JobId> = state.jobs[..tied].iter().map(|job| job.id).collect();
     assert_eq!(admitted, expected);
-    assert_eq!(state.runtimes.len(), tied);
+    // Admitted is not placed: no job has a runtime row before a commit.
+    assert!(
+        state.in_flight.rows.is_empty(),
+        "a pending job got a runtime row"
+    );
 }
 
 #[test]
@@ -820,7 +824,7 @@ fn scheduler_panic_keeps_its_payload() {
 mod online_driver {
     use super::*;
     use crate::engine::clock::ClockMode;
-    use crate::engine::online::{OnlineReport, PlacementNotice, SequencedJob};
+    use crate::engine::online::{OnlineDriver, OnlineReport, PlacementNotice, SequencedJob};
 
     /// `jobs` as a closed arrival stream, each sequenced by its receipt
     /// index — what a single session hands the driver.
@@ -851,19 +855,28 @@ mod online_driver {
             .run_online_sequenced(
                 scheduler,
                 &mut sequenced_stream(jobs),
-                &mut |notice| {
-                    notices.push(notice);
-                    true
-                },
+                &mut |notice| notices.push(notice),
                 clock,
             )
             .unwrap();
         (report, notices)
     }
 
-    /// A placement sink that accepts and drops every notice.
-    fn discard(_: PlacementNotice) -> bool {
-        true
+    /// A placement sink that drops every notice.
+    fn discard(_: PlacementNotice) {}
+
+    /// Every submit, round, readiness (home placements transfer in zero
+    /// time) and completion lands on a multiple of the 60 s scheduling
+    /// interval: the densest exact-timestamp ties. Run on two servers a
+    /// region, it queues jobs too.
+    fn tie_heavy_jobs() -> Vec<JobSpec> {
+        (0..48u64)
+            .map(|i| {
+                let mut job = hand_built_job((i / 6) as f64 * 60.0, (1 + i % 4) as f64 * 60.0);
+                job.id = JobId(1000 - i);
+                job
+            })
+            .collect()
     }
 
     #[test]
@@ -896,19 +909,11 @@ mod online_driver {
 
     #[test]
     fn offline_replay_is_the_live_loop_over_a_closed_source() {
-        // Every submit, round, readiness (home placements transfer in zero
-        // time) and completion lands on a multiple of the 60 s scheduling
-        // interval, and two Oregon servers force queueing: the densest
-        // exact-timestamp ties the two admission paths (offline: a cursor
-        // over the trace; live: a buffer by stamp and caller sequence) must
-        // agree on.
-        let jobs: Vec<JobSpec> = (0..48u64)
-            .map(|i| {
-                let mut job = hand_built_job((i / 6) as f64 * 60.0, (1 + i % 4) as f64 * 60.0);
-                job.id = JobId(1000 - i);
-                job
-            })
-            .collect();
+        // The densest exact-timestamp ties the two admission paths
+        // (offline: a cursor over the trace; live: a buffer by stamp and
+        // caller sequence) must agree on, with two Oregon servers forcing
+        // queueing.
+        let jobs = tie_heavy_jobs();
         let sim = simulator(2, 0.5);
         let offline = sim.run(&jobs, &mut HomeScheduler).unwrap();
         let (online, notices) =
@@ -1003,23 +1008,43 @@ mod online_driver {
         );
     }
 
+    /// Dispatch `driver`'s run to its end, checking after every event that
+    /// the in-flight table holds a row for exactly the jobs placed and not
+    /// yet completed, and that it has grown only to the most of them in
+    /// flight at once. Returns that peak and the jobs completed.
+    fn dispatch_checking_in_flight(
+        mut driver: OnlineDriver<'_, '_, SyntheticTelemetry>,
+    ) -> (usize, usize) {
+        let mut peak = 0;
+        while let Some(next) = driver.next_event().unwrap() {
+            driver.dispatch(next, &mut HomeScheduler).unwrap();
+            let state = &driver.state;
+            let joined = state.jobs.len() - state.unpulled.len() - state.admission.len();
+            let placed = joined - state.pending.len();
+            assert_eq!(state.in_flight.len(), placed - state.completed);
+            peak = peak.max(state.in_flight.len());
+            assert_eq!(
+                state.in_flight.rows.len(),
+                peak,
+                "a free slot was passed over"
+            );
+        }
+        assert_eq!(driver.state.in_flight.len(), 0, "a row outlived its job");
+        (peak, driver.state.completed)
+    }
+
     #[test]
-    fn dropped_notice_receiver_is_a_typed_error() {
-        // A sink that refuses a notice (its receiver is gone) fails the run.
-        let sim = simulator(10, 0.5);
-        let mut rx = sequenced_stream(&[hand_built_job(10.0, 60.0)]);
-        let err = sim
-            .run_online_sequenced(
-                &mut HomeScheduler,
-                &mut rx,
-                &mut |_| false,
-                ClockMode::Discrete,
-            )
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            SimulationError::PlacementSinkDisconnected { job: JobId(0) }
-        ));
+    fn the_in_flight_table_holds_the_placed_jobs_until_they_complete() {
+        let jobs = tie_heavy_jobs();
+        let sim = simulator(2, 0.5);
+        let offline = OnlineDriver::offline(&sim, &jobs).unwrap();
+        let (mut stream, mut sink) = (sequenced_stream(&jobs), discard);
+        let live = OnlineDriver::live(&sim, &mut stream, &mut sink, ClockMode::Discrete);
+        for driver in [offline, live] {
+            let (peak, completed) = dispatch_checking_in_flight(driver);
+            assert_eq!(completed, jobs.len());
+            assert!(peak < jobs.len(), "no slot was reused: {peak} rows");
+        }
     }
 
     #[test]

@@ -82,16 +82,6 @@ pub enum SimulationError {
         /// Which event carried it (for example `arrival of job 17`).
         event: String,
     },
-    /// A readiness/completion event was dispatched for a job that has no
-    /// assigned region. This is an engine-invariant violation (events are
-    /// only scheduled after assignment); reporting it as an error fails the
-    /// one affected campaign instead of panicking the whole parallel run.
-    UnassignedJob {
-        /// The job the event referenced.
-        job: JobId,
-        /// Which event was being dispatched (for example `readiness of job 3`).
-        event: String,
-    },
     /// The trace contains two jobs with the same id. Assignments are keyed
     /// by job id, so a duplicate would leave one of the twins unschedulable
     /// forever (the campaign would never terminate); the engine rejects the
@@ -115,15 +105,6 @@ pub enum SimulationError {
         time: f64,
         /// The smallest admissible submit time at the point of injection.
         watermark: f64,
-    },
-    /// The online caller's placement sink refused a notice while the
-    /// campaign was still placing jobs. Placements are the service's
-    /// responses; silently discarding them would strand the requests they
-    /// answer, so the run fails with the job whose notice could not be
-    /// delivered.
-    PlacementSinkDisconnected {
-        /// The placed job whose notice had no receiver.
-        job: JobId,
     },
     /// A caller-sequenced online injection carried an arrival sequence at
     /// or above [`crate::ONLINE_ARRIVAL_SEQ_LIMIT`], outside the band the
@@ -186,9 +167,6 @@ impl fmt::Display for SimulationError {
             SimulationError::NonFiniteEventTime { time, event } => {
                 write!(f, "non-finite event time {time} for {event}")
             }
-            SimulationError::UnassignedJob { job, event } => {
-                write!(f, "{event}: {job} has no assigned region")
-            }
             SimulationError::DuplicateJobId { id } => {
                 write!(f, "trace contains duplicate id {id}")
             }
@@ -201,12 +179,6 @@ impl fmt::Display for SimulationError {
                     f,
                     "out-of-order online arrival: {job} submitted at {time} s, \
                      but the discrete watermark already passed {watermark} s"
-                )
-            }
-            SimulationError::PlacementSinkDisconnected { job } => {
-                write!(
-                    f,
-                    "placement sink hung up before accepting the notice for {job}"
                 )
             }
             SimulationError::ArrivalSeqOutOfBand { job, seq } => {
@@ -244,10 +216,8 @@ impl std::error::Error for SimulationError {
         match self {
             SimulationError::Config(e) => Some(e),
             SimulationError::NonFiniteEventTime { .. }
-            | SimulationError::UnassignedJob { .. }
             | SimulationError::DuplicateJobId { .. }
             | SimulationError::OutOfOrderArrival { .. }
-            | SimulationError::PlacementSinkDisconnected { .. }
             | SimulationError::ArrivalSeqOutOfBand { .. }
             | SimulationError::ArrivalSeqReused { .. }
             | SimulationError::NegativeExecutionTime { .. }
@@ -303,15 +273,9 @@ mod tests {
     #[test]
     fn event_dispatch_errors_name_the_job() {
         use std::error::Error;
-        let unassigned = SimulationError::UnassignedJob {
-            job: JobId(17),
-            event: "readiness of job 17".into(),
-        };
-        assert!(unassigned.to_string().contains("job-17"));
-        assert!(unassigned.to_string().contains("no assigned region"));
-        assert!(unassigned.source().is_none());
         let duplicate = SimulationError::DuplicateJobId { id: JobId(4) };
         assert!(duplicate.to_string().contains("job-4"));
         assert!(duplicate.to_string().contains("duplicate"));
+        assert!(duplicate.source().is_none());
     }
 }

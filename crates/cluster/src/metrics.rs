@@ -6,7 +6,7 @@ use waterwise_sustain::{Co2Grams, FootprintTotals, Liters, Seconds};
 use waterwise_telemetry::Region;
 use waterwise_traces::JobId;
 
-/// The recorded outcome of one job execution: 88 bytes, one per completed
+/// The recorded outcome of one job execution: 80 bytes, one per completed
 /// job in [`crate::SimulationReport::outcomes`].
 ///
 /// The footprints are kept as totals, which is all the summary, the
@@ -31,8 +31,6 @@ pub struct JobOutcome {
     pub submit_time: Seconds,
     /// Time the job started executing.
     pub start_time: Seconds,
-    /// Time the job finished.
-    pub completion_time: Seconds,
     /// Actual execution time charged.
     pub execution_time: Seconds,
     /// Execution footprint totals (carbon + water) under the conditions at
@@ -47,13 +45,21 @@ pub struct JobOutcome {
     pub violated_tolerance: bool,
 }
 
-// One per completed job, every pass: it holds footprint totals, not breakdowns.
-const _: () = assert!(std::mem::size_of::<JobOutcome>() <= 88);
+// One per completed job, every pass: it holds footprint totals, not
+// breakdowns, and no completion time.
+const _: () = assert!(std::mem::size_of::<JobOutcome>() <= 80);
 
 impl JobOutcome {
+    /// Time the job finished: `start_time + execution_time`, the sum the
+    /// engine stamps the job's completion event with, so it carries that
+    /// event's bits.
+    pub fn completion_time(&self) -> Seconds {
+        self.start_time + self.execution_time
+    }
+
     /// Service time: completion − submission.
     pub fn service_time(&self) -> Seconds {
-        Seconds::new(self.completion_time.value() - self.submit_time.value())
+        self.completion_time() - self.submit_time
     }
 
     /// Service time normalized to the execution time (1.0 = no stretch), the
@@ -307,7 +313,7 @@ pub fn schedule_digest(outcomes: &[JobOutcome]) -> u64 {
         for t in [
             o.submit_time,
             o.start_time,
-            o.completion_time,
+            o.completion_time(),
             o.execution_time,
             o.transfer_time,
         ] {
@@ -361,7 +367,6 @@ mod tests {
             executed_region: executed,
             submit_time: Seconds::new(0.0),
             start_time: Seconds::new(10.0),
-            completion_time: Seconds::new(110.0),
             execution_time: Seconds::new(100.0),
             footprint: FootprintTotals {
                 carbon: Co2Grams::new(carbon),
@@ -434,7 +439,7 @@ mod tests {
                     scale / 0.7,
                 );
                 o.execution_time = Seconds::new(3.0 + scale);
-                o.completion_time = Seconds::new(17.0 + 2.3 * scale);
+                o.start_time = Seconds::new(14.0 + 1.3 * scale);
                 o.violated_tolerance = i % 3 == 0;
                 o
             })

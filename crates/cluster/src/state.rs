@@ -61,7 +61,8 @@ pub(crate) struct RegionRuntime {
     pub busy: usize,
     /// Jobs currently in flight to this region.
     pub inbound: usize,
-    /// FIFO queue of job indices waiting for a free server.
+    /// FIFO queue of the in-flight slots of the jobs waiting for a free
+    /// server.
     pub queue: VecDeque<usize>,
     /// Accumulated busy server-seconds (for utilization accounting).
     pub busy_server_seconds: f64,

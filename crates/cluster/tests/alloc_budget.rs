@@ -115,24 +115,27 @@ fn replay(days: f64) -> (Counts, usize, usize) {
 }
 
 /// Allocation requests a whole replay may make on the engine's side.
-/// Measured: 30 for the 70-round replay, 34 for the 550-round one — the
-/// runtimes, outcomes and report buffers sized once from the trace,
-/// the id scan's scratch, and a few doublings of the heap, the pending pool,
-/// the region queues and the overhead samples. (With a `BTreeMap` of the
-/// pool, a snapshot `Vec` pair and an enacted list per round, and a set
-/// insert and heap slot per preloaded job, the same replays made thousands.)
+/// Measured: 46 for the 70-round replay, 52 for the 550-round one — the
+/// outcome and report buffers sized once from the trace, the id scan's
+/// scratch, and the doublings of the in-flight table and its free list, the
+/// heap, the pending pool and the commit's marks over it, the region queues
+/// and the overhead samples. (With a `BTreeMap` of the pool, a snapshot
+/// `Vec` pair and an enacted list per round, and a set insert and heap slot
+/// per preloaded job, the same replays made thousands.)
 const RUN_BUDGET: u64 = 64;
 
 /// Engine-side bytes the 5 470-job replay may request per job. Measured:
-/// 162.7 — the 88-byte outcome and the 24-byte runtime row, the rest the
-/// doublings of the pending pool, the event queue, the region queues and
-/// the overhead samples. (With two 40-byte footprint breakdowns in every outcome and the
-/// completion time in every runtime row it read 218.7; the 537-job replay,
-/// whose fixed costs weigh more, reads 204.7 against 260.7.)
-const BYTES_PER_JOB_BUDGET: f64 = 176.0;
+/// 138.1 — the 80-byte outcome, the rest the doublings of the in-flight
+/// table, the pending pool, the event queue, the region queues and the
+/// overhead samples. (With a 24-byte runtime row for every job of the trace
+/// and the completion time in every outcome it read 162.7; with two 40-byte
+/// footprint breakdowns in every outcome and a 32-byte row, 218.7. The
+/// 537-job replay, on which the fixed costs and the in-flight table weigh
+/// more, reads 210.6 against 204.7 and 260.7.)
+const BYTES_PER_JOB_BUDGET: f64 = 150.0;
 
 /// Allocation requests eight times the rounds may add: buffer doublings
-/// only, so logarithmic in the run's length. Measured: 4.
+/// only, so logarithmic in the run's length. Measured: 6.
 const GROWTH_BUDGET: u64 = 16;
 
 #[test]

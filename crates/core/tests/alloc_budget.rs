@@ -219,18 +219,15 @@ fn one_scheduling_round_stays_within_its_allocation_budget() {
     );
 }
 
-/// Bytes of the engine's per-job runtime row (`JobRuntime`: a region and
-/// three times).
-const RUNTIME_ROW_BYTES: usize = 32;
-
 #[test]
 fn a_sorted_trace_is_replayed_without_a_copy() {
-    // What a run must allocate per job is its outcome and its runtime row. A
-    // trace already in submit order is borrowed; a copy of it would add
-    // `size_of::<JobSpec>()` a job on top of everything else. Measured
-    // beyond the two tables: 43 B a job (11 588 jobs in 360 rounds) — the
-    // decisions' assignments, the overhead samples, the pending pool's and
-    // the heap's doublings — against 64 B a job for the copy.
+    // What a run must allocate per job is its outcome: a job's runtime row
+    // lives only while it is in flight. A trace already in submit order is
+    // borrowed; a copy of it would add `size_of::<JobSpec>()` a job on top of
+    // everything else. Measured beyond the outcomes: 51 B a job (11 588 jobs
+    // in 360 rounds) — the decisions' assignments, the overhead samples, the
+    // in-flight table's, the pending pool's and the heap's doublings —
+    // against 64 B a job for the copy.
     let trace = TraceConfig::borg(0.25, 42).with_rate_multiplier(4.0);
     let jobs = TraceGenerator::new(trace).generate();
     let telemetry = SyntheticTelemetry::with_seed(42);
@@ -241,12 +238,12 @@ fn a_sorted_trace_is_replayed_without_a_copy() {
     let (report, (_, bytes)) = allocated_by(|| simulator.run(&jobs, &mut scheduler));
     let n = report.unwrap().outcomes.len();
     assert_eq!(n, jobs.len(), "every job completes");
-    let tables = n * (std::mem::size_of::<JobOutcome>() + RUNTIME_ROW_BYTES);
-    let beyond = (bytes as usize).saturating_sub(tables);
+    let outcomes = n * std::mem::size_of::<JobOutcome>();
+    let beyond = (bytes as usize).saturating_sub(outcomes);
     let copy = n * std::mem::size_of::<JobSpec>();
     assert!(
         beyond < copy,
-        "a {n}-job run allocated {beyond} B beyond its outcome and runtime tables, \
+        "a {n}-job run allocated {beyond} B beyond its outcomes, \
          as much as a copy of the trace ({copy} B)"
     );
 }

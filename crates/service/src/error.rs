@@ -19,7 +19,7 @@ pub enum ServiceError {
     Config(ConfigError),
     /// The engine failed while replaying the live stream (duplicate ids
     /// that slipped past validation, out-of-order discrete arrivals, a
-    /// dropped placement sink, …).
+    /// reused arrival sequence, …).
     Simulation(SimulationError),
     /// A transport-level I/O failure (TCP accept/read/write). The inner
     /// string is the I/O error's message (`std::io::Error` is not `Clone`,

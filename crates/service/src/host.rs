@@ -257,7 +257,6 @@ impl ClusterHost {
                         let sent = route.sink.is_some_and(|sink| sink.send(response).is_ok());
                         admission.delivered(&route.tenant, route.session, sent);
                     }
-                    true
                 };
                 let mut source: &AdmissionQueue = &admission;
                 let report = service.simulator().run_online_sequenced(

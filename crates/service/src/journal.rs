@@ -139,10 +139,7 @@ impl Journal {
         let report = service.simulator().run_online_sequenced(
             scheduler,
             &mut jobs.into_iter(),
-            &mut |notice| {
-                notices.push(notice);
-                true
-            },
+            &mut |notice| notices.push(notice),
             ClockMode::Discrete,
         )?;
         let mut responses: BTreeMap<TenantId, Vec<PlacementResponse>> = BTreeMap::new();
