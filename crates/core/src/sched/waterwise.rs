@@ -9,10 +9,15 @@
 //!    manager** keeps only the most urgent `Σ cap(n)` jobs, ranked by the
 //!    urgency score of Eq. 14 (ascending — smaller means closer to a
 //!    violation).
-//! 3. Decides Eq. 8–11: the hinted assignment where its certificate
-//!    (`hint_and_certify`) shows the solver would return it, else the
-//!    transportation kernel's optimum where it proves that optimum unique,
-//!    else the MILP (`assignment_model`) it solves.
+//! 3. Decides Eq. 8–11: the hinted assignment where its certificate shows
+//!    the solver would return it, else the transportation kernel's optimum
+//!    where it proves that optimum unique, else the MILP
+//!    (`assignment_model`) it solves. A hard round's hint is folded in the
+//!    region-major pass that prices it and certified by a second pass over
+//!    those columns (`certify_columns`); only where some job has no pick or
+//!    some region more picks than free slots — and for the soft model, the
+//!    kernel and the MILP — are the job-major rows built, and the hint is
+//!    then walked job by job (`hint_and_certify`).
 //! 4. If the hard-constrained model is infeasible, re-solves with **soft
 //!    constraints** (Eq. 12–13): overshooting a job's delay tolerance costs
 //!    `σ` per unit in the objective instead of being forbidden.
@@ -197,8 +202,11 @@ impl JobNumerics<'_> {
     }
 }
 
-/// A round's numerics, flat: job `m`'s row is `[m·R, (m+1)·R)` of `coeffs` and
-/// `latency_ratio` (`R = n_regions`), its tolerance `remaining_tolerance[m]`.
+/// A round's numerics, job-major and flat: job `m`'s row is `[m·R, (m+1)·R)`
+/// of `coeffs` and `latency_ratio` (`R = n_regions`), its tolerance
+/// `remaining_tolerance[m]`. `prepare_numerics` fills the tolerances; the
+/// rows are transposed from its [`PriceColumns`] only for a round the
+/// columns do not decide (see [`RoundNumerics::build_rows`]).
 #[derive(Debug, Clone, Default)]
 struct RoundNumerics {
     n_regions: usize,
@@ -208,7 +216,8 @@ struct RoundNumerics {
 }
 
 impl RoundNumerics {
-    /// Forget the last round's rows; the next ones span `n_regions`.
+    /// Forget the last round's rows and tolerances; the next rows span
+    /// `n_regions`.
     fn reset(&mut self, n_regions: usize) {
         self.n_regions = n_regions;
         self.coeffs.clear();
@@ -218,6 +227,31 @@ impl RoundNumerics {
 
     fn len(&self) -> usize {
         self.remaining_tolerance.len()
+    }
+
+    /// Whether every job's row is here: not yet after `reset`, unless the
+    /// round has no job or no region.
+    fn has_rows(&self) -> bool {
+        self.coeffs.len() == self.len() * self.n_regions
+    }
+
+    /// Transpose the region-major `coeffs` and `latency_ratio` columns (one
+    /// per region, a cell per job) into the rows, unless they are here.
+    fn build_rows(&mut self, coeffs: &[f64], latency_ratio: &[f64]) {
+        if self.has_rows() {
+            return;
+        }
+        let (n_jobs, n_regions) = (self.len(), self.n_regions);
+        self.coeffs.resize(n_jobs * n_regions, 0.0);
+        self.latency_ratio.resize(n_jobs * n_regions, 0.0);
+        for (m, (coeff_row, ratio_row)) in (self.coeffs.chunks_exact_mut(n_regions))
+            .zip(self.latency_ratio.chunks_exact_mut(n_regions))
+            .enumerate()
+        {
+            for (n, (coeff, ratio)) in coeff_row.iter_mut().zip(ratio_row).enumerate() {
+                (*coeff, *ratio) = (coeffs[n * n_jobs + m], latency_ratio[n * n_jobs + m]);
+            }
+        }
     }
 
     fn job(&self, m: usize) -> JobNumerics<'_> {
@@ -253,15 +287,19 @@ struct RoundScratch {
     /// that finds it unchanged keeps `history` as it is.
     history_key: Option<(f64, Vec<Region>)>,
     /// The selected jobs as indices into `ctx.pending`, out of the slack
-    /// manager's `(pool index, urgency)` ranking; their numerics, and the
-    /// columns `prepare_numerics` fills them from; their hinted region
-    /// indices, the slots a region keeps under those, and the regions a
-    /// fixed arc priced below the hint needs a free slot in.
+    /// manager's `(pool index, urgency)` ranking; the region-major columns
+    /// `prepare_numerics` prices them in, and their tolerances and (built
+    /// only when a round needs them) job-major rows; their hinted region
+    /// indices and each hinted arc's cost (the picks `prepare_numerics`
+    /// folds, or the walk's hint), the slots a region keeps under those,
+    /// and the regions a fixed arc priced below the hint needs a free slot
+    /// in.
     selected: Vec<usize>,
     ranked: Vec<(usize, f64)>,
-    numerics: RoundNumerics,
     prices: PriceColumns,
+    numerics: RoundNumerics,
     hint: Vec<usize>,
+    at_hint: Vec<f64>,
     capacity_left: Vec<usize>,
     tempted: Vec<bool>,
     /// The transportation kernel's working memory.
@@ -271,7 +309,10 @@ struct RoundScratch {
 }
 
 /// `prepare_numerics`' working columns, each computed at the scope it
-/// depends on: per round, per job, or per region × job.
+/// depends on: per round, per job, or per region × job. The last two are
+/// the round's pricing, region-major: a certified hard round is decided in
+/// them ([`certify_columns`]), and every other round transposes them into
+/// its [`RoundNumerics`] rows.
 #[derive(Default)]
 struct PriceColumns {
     /// Per region: the history reference term
@@ -286,11 +327,33 @@ struct PriceColumns {
     /// region order.
     max_carbon: Vec<f64>,
     max_water: Vec<f64>,
-    /// Per region × job, region-major: the job's total carbon and water
-    /// there; once the maxima are whole, `carbon` is overwritten with the
-    /// coefficients.
+    /// Per region × job, region-major (region `n`'s column is
+    /// `[n·J, (n+1)·J)`): the job's total carbon and water there; once the
+    /// maxima are whole, each cell of `carbon` is overwritten with the
+    /// coefficient and then the cell of `water` with the latency ratio.
     carbon: Vec<f64>,
     water: Vec<f64>,
+}
+
+impl PriceColumns {
+    /// The priced columns, with the jobs' `remaining_tolerance`.
+    fn columns<'a>(&'a self, remaining_tolerance: &'a [f64]) -> Columns<'a> {
+        Columns {
+            coeffs: &self.carbon,
+            latency_ratio: &self.water,
+            remaining_tolerance,
+        }
+    }
+}
+
+/// A round's numerics, region-major: region `n`'s column is `[n·J, (n+1)·J)`
+/// of `coeffs` and `latency_ratio`, with `J = remaining_tolerance.len()`.
+/// The cells are [`RoundNumerics`]' rows, transposed.
+#[derive(Debug, Clone, Copy)]
+struct Columns<'a> {
+    coeffs: &'a [f64],
+    latency_ratio: &'a [f64],
+    remaining_tolerance: &'a [f64],
 }
 
 /// One job's terms that no region changes.
@@ -363,7 +426,9 @@ enum Hint {
     Certified,
 }
 
-/// The hinted assignment and its certificate, in one walk over the jobs.
+/// The hinted assignment and its certificate, in one walk over the job
+/// rows: the soft model's, and the hard model's where [`certify_columns`]
+/// declines (and that pass's test reference).
 ///
 /// The hint, one region index per job into `hint`: each job, in batch order,
 /// to its cheapest feasible region under `capacity_left` (ties to the lowest
@@ -430,13 +495,94 @@ fn hint_and_certify(
                 cost.is_finite() && !(below && (soften || numbers.admits(n)))
             });
     }
-    // A fixed arc below the hint only flips into a region left a free slot.
-    let flips = |(&tempted, &left): (&bool, &usize)| !tempted || left >= 1;
-    if certified && tempted.iter().zip(capacity_left.iter()).all(flips) {
+    if certified && fixed_arcs_only_flip(tempted, capacity_left) {
         Hint::Certified
     } else {
         Hint::Uncertified
     }
+}
+
+/// The certificate's last line: a fixed arc below the hint only flips into
+/// a region the hint leaves a free slot.
+fn fixed_arcs_only_flip(tempted: &[bool], capacity_left: &[usize]) -> bool {
+    let flips = |(&tempted, &left): (&bool, &usize)| !tempted || left >= 1;
+    tempted.iter().zip(capacity_left).all(flips)
+}
+
+/// A job's pick before any region is offered to it.
+const UNPICKED: usize = usize::MAX;
+
+/// Offer region `n`, admissible and with a free slot, at `coeff` to a job
+/// whose pick so far is `pick` at `at_pick`: offered in region order, the
+/// pick is [`hint_and_certify`]'s choice with the capacity test left out —
+/// a later region displaces the pick only when strictly cheaper, so ties
+/// (and unordered pairs) go to the lower index.
+fn offer(pick: &mut usize, at_pick: &mut f64, n: usize, coeff: f64) {
+    if *pick == UNPICKED || coeff < *at_pick {
+        (*pick, *at_pick) = (n, coeff);
+    }
+}
+
+/// [`hint_and_certify`]'s verdict on the hard model, in two passes over the
+/// region-major columns: `hint` and `at_hint` are each job's pick and its
+/// coefficient, as `prepare_numerics` folded them with [`offer`].
+///
+/// `None` (declined) when some job has no pick or some region more picks
+/// than free slots: the walk's capacity test may bind there, so the walk
+/// decides. Otherwise it cannot: a region keeps a free slot until the last
+/// job that picks it, so the walk sees every pick's region open, and a
+/// region it finds full is one the job did not pick. Dropping such regions
+/// keeps the lowest-index cheapest one cheapest, so the picks *are* the
+/// walk's hint, counted into `capacity_left` they are its free slots, and
+/// the verdict is its verdict. Only a NaN coefficient, which no order
+/// ranks, can make the two pick differently; it fails the certificate in
+/// both, so neither certifies (the walk may then find no hint at all).
+///
+/// The certificate is the walk's, region by region: every arc priced at
+/// `cost − at_hint ≥ −tol` or fixed (its region marked in `tempted`), every
+/// cost finite (the hinted ones among them), and each marked region left a
+/// free slot.
+fn certify_columns(
+    columns: Columns<'_>,
+    capacities: &[usize],
+    tol: f64,
+    hint: &[usize],
+    at_hint: &[f64],
+    capacity_left: &mut Vec<usize>,
+    tempted: &mut Vec<bool>,
+) -> Option<Hint> {
+    capacities.clone_into(capacity_left);
+    for &n in hint {
+        // `UNPICKED` indexes no region.
+        let left = capacity_left.get_mut(n)?;
+        *left = left.checked_sub(1)?;
+    }
+    let n_jobs = hint.len();
+    tempted.clear();
+    tempted.resize(capacities.len(), false);
+    for (n, tempted) in tempted.iter_mut().enumerate() {
+        let column = n * n_jobs..(n + 1) * n_jobs;
+        let arcs = columns.coeffs[column.clone()]
+            .iter()
+            .zip(&columns.latency_ratio[column]);
+        let jobs = at_hint.iter().zip(columns.remaining_tolerance);
+        let mut certified = true;
+        for ((&cost, &ratio), (&at_hint, &tolerance)) in arcs.zip(jobs) {
+            // With both costs finite their difference is never NaN, so
+            // `below` is exactly "not at or above `−tol`".
+            let below = cost - at_hint < -tol;
+            *tempted |= below;
+            certified &= cost.is_finite() && !(below && ratio <= tolerance);
+        }
+        if !certified {
+            return Some(Hint::Uncertified);
+        }
+    }
+    Some(if fixed_arcs_only_flip(tempted, capacity_left) {
+        Hint::Certified
+    } else {
+        Hint::Uncertified
+    })
 }
 
 /// [`assignment_model`]'s arcs in its layout, for [`Transport::solve`]: each
@@ -673,24 +819,31 @@ impl Controller {
         selected.extend(ranked[..limit].iter().map(|&(i, _)| i));
     }
 
-    /// Fill the round's [`RoundNumerics`], one row per selected job, in
-    /// selection order, computing each term at the scope it depends on.
-    /// Per round: one conditions lookup and one history reference term per
-    /// region, and the transfers' fixed parts. Per job: its embodied terms,
-    /// its package's wire time, `exec` and its remaining tolerance. Per
-    /// region, over the jobs' columns: their footprint totals and the
-    /// running worst-region maxima of Eq. 7 (folded in region order from
-    /// `f64::MIN_POSITIVE`); once those are whole, each job's coefficient
-    /// `λ_CO2·c/max_c + λ_H2O·w/max_w + reference` and latency ratio.
+    /// Price the selected jobs, in selection order, into the round's
+    /// [`PriceColumns`] (and their tolerances into its [`RoundNumerics`]),
+    /// computing each term at the scope it depends on. Per round: one
+    /// conditions lookup and one history reference term per region, and the
+    /// transfers' fixed parts. Per job: its embodied terms, its package's
+    /// wire time, `exec` and its remaining tolerance. Per region, over the
+    /// jobs' columns: their footprint totals and the running worst-region
+    /// maxima of Eq. 7 (folded in region order from `f64::MIN_POSITIVE`);
+    /// once those are whole, each job's coefficient
+    /// `λ_CO2·c/max_c + λ_H2O·w/max_w + reference` and latency ratio — and,
+    /// with `warm_start`, the job's pick: every admissible region with a
+    /// free slot is [`offer`]ed to it as its cell is written, which folds
+    /// the hard model's hint for [`certify_columns`]. No row is built here.
     fn prepare_numerics(&self, ctx: &SchedulingContext<'_>, round: &mut RoundScratch) {
         let (estimator, weights) = (&self.estimator, &self.config.weights);
         let RoundScratch {
             regions,
+            capacities,
             conditions,
             history,
             selected,
             numerics,
             prices,
+            hint,
+            at_hint,
             ..
         } = round;
         let PriceColumns {
@@ -751,32 +904,40 @@ impl Controller {
                 *max_w = max_w.max(*w);
             }
         }
-        // ... then, the maxima whole, the coefficients, written over `carbon` ...
-        for (n, &reference) in reference.iter().enumerate() {
-            let cells = carbon[column(n)].iter_mut().zip(&water[column(n)]);
+        // ... then, the maxima whole, the coefficients over `carbon` and the
+        // latency ratios over `water`, each job offered the region.
+        hint.clear();
+        hint.resize(n_jobs, UNPICKED);
+        at_hint.clear();
+        at_hint.resize(n_jobs, 0.0);
+        let picking = self.config.warm_start;
+        for (n, (&reference, &free)) in reference.iter().zip(capacities.iter()).enumerate() {
+            let offered = picking && free > 0;
+            let cells = carbon[column(n)].iter_mut().zip(&mut water[column(n)]);
             let maxima = max_carbon.iter().zip(max_water.iter());
-            for ((c, &w), (&max_c, &max_w)) in cells.zip(maxima) {
-                *c = weights.lambda_co2 * *c / max_c + weights.lambda_h2o * w / max_w + reference;
-            }
-        }
-        // ... and, job by job, its row: coefficients and latency ratios.
-        numerics.coeffs.resize(n_jobs * n_regions, 0.0);
-        numerics.latency_ratio.resize(n_jobs * n_regions, 0.0);
-        for (m, job) in jobs.iter().enumerate() {
-            let row = m * n_regions..(m + 1) * n_regions;
-            let cells = numerics.coeffs[row.clone()].iter_mut();
-            let cells = cells.zip(&mut numerics.latency_ratio[row]);
-            let fixed = &fixed_transfer[job.home_row..job.home_row + n_regions];
-            for (n, ((coeff, ratio), fixed)) in cells.zip(fixed).enumerate() {
-                *coeff = carbon[n * n_jobs + m];
-                *ratio = fixed.map_or(0.0, |fixed| fixed + job.wire) / job.exec;
+            let picks = hint.iter_mut().zip(at_hint.iter_mut());
+            let terms = jobs.iter().zip(&numerics.remaining_tolerance);
+            for (((c, w), (&max_c, &max_w)), ((job, &tolerance), (pick, at_pick))) in
+                cells.zip(maxima).zip(terms.zip(picks))
+            {
+                let coeff =
+                    weights.lambda_co2 * *c / max_c + weights.lambda_h2o * *w / max_w + reference;
+                let fixed = fixed_transfer[job.home_row + n];
+                let ratio = fixed.map_or(0.0, |fixed| fixed + job.wire) / job.exec;
+                (*c, *w) = (coeff, ratio);
+                // `JobNumerics::admits`' comparison.
+                if offered && ratio <= tolerance {
+                    offer(pick, at_pick, n, coeff);
+                }
             }
         }
     }
 
     /// Decide the selected jobs' assignment (`soft_penalty` selects Eq. 12/13's
-    /// relaxation): the hint and its certificate ([`hint_and_certify`]) → the
-    /// transportation kernel → only on a tie or a non-finite cost,
+    /// relaxation): the hint and its certificate (the hard model's in the
+    /// columns, [`certify_columns`]; where those decline, and for the soft
+    /// model, [`hint_and_certify`] over the rows) → the transportation
+    /// kernel → only on a tie or a non-finite cost,
     /// [`assignment_model`] → `solve_with` → one read-back by position. A
     /// round the kernel proves infeasible returns `None` at once. Without
     /// `warm_start` every round takes the model path: the reference the
@@ -789,9 +950,11 @@ impl Controller {
     ) -> Option<Vec<Assignment>> {
         let RoundScratch {
             selected,
+            prices,
             numerics,
             capacities,
             hint,
+            at_hint,
             capacity_left,
             tempted,
             transport,
@@ -801,8 +964,28 @@ impl Controller {
         let n_regions = capacities.len();
         let warm = self.config.warm_start;
         let tol = self.config.simplex.tolerance;
-        let hinted = if warm {
-            hint_and_certify(
+        // The hard model's hint is decided in the columns where the picks
+        // fit their regions; every other round needs the rows.
+        let in_columns = if warm && soft_penalty.is_none() {
+            let columns = prices.columns(&numerics.remaining_tolerance);
+            certify_columns(
+                columns,
+                capacities,
+                tol,
+                hint,
+                at_hint,
+                capacity_left,
+                tempted,
+            )
+        } else {
+            None
+        };
+        if in_columns != Some(Hint::Certified) {
+            numerics.build_rows(&prices.carbon, &prices.water);
+        }
+        let hinted = match in_columns {
+            Some(verdict) => verdict,
+            None if warm => hint_and_certify(
                 numerics,
                 capacities,
                 soft_penalty,
@@ -810,9 +993,8 @@ impl Controller {
                 hint,
                 capacity_left,
                 tempted,
-            )
-        } else {
-            Hint::Absent
+            ),
+            None => Hint::Absent,
         };
         let decided = if hinted == Hint::Certified {
             Some(&hint[..])
@@ -2191,6 +2373,178 @@ mod tests {
         }
     }
 
+    /// `batch`'s coefficients and latency ratios as region-major columns.
+    fn columns_of(batch: &RoundNumerics) -> [Vec<f64>; 2] {
+        let (n_jobs, n_regions) = (batch.len(), batch.n_regions);
+        let transpose = |rows: &[f64]| -> Vec<f64> {
+            let cell = |n| (0..n_jobs).map(move |m| rows[m * n_regions + n]);
+            (0..n_regions).flat_map(cell).collect()
+        };
+        [transpose(&batch.coeffs), transpose(&batch.latency_ratio)]
+    }
+
+    /// The picks `prepare_numerics` folds as it writes the columns: each
+    /// admissible region with a free slot [`offer`]ed to each job, region by
+    /// region. Each job's pick (or [`UNPICKED`]) and its coefficient.
+    fn column_picks(columns: Columns<'_>, capacities: &[usize]) -> (Vec<usize>, Vec<f64>) {
+        let n_jobs = columns.remaining_tolerance.len();
+        let (mut hint, mut at_hint) = (vec![UNPICKED; n_jobs], vec![0.0; n_jobs]);
+        for n in (0..capacities.len()).filter(|&n| capacities[n] > 0) {
+            for (m, &tolerance) in columns.remaining_tolerance.iter().enumerate() {
+                let cell = n * n_jobs + m;
+                if columns.latency_ratio[cell] <= tolerance {
+                    offer(&mut hint[m], &mut at_hint[m], n, columns.coeffs[cell]);
+                }
+            }
+        }
+        (hint, at_hint)
+    }
+
+    /// [`certify_columns`] on `batch`'s hard model, over its columns: the
+    /// verdict, the picks and the free slots they leave.
+    fn column_verdict(
+        batch: &RoundNumerics,
+        capacities: &[usize],
+        tol: f64,
+    ) -> (Option<Hint>, Vec<usize>, Vec<usize>) {
+        let [coeffs, latency_ratio] = columns_of(batch);
+        let columns = Columns {
+            coeffs: &coeffs,
+            latency_ratio: &latency_ratio,
+            remaining_tolerance: &batch.remaining_tolerance,
+        };
+        let (hint, at_hint) = column_picks(columns, capacities);
+        let (mut left, mut tempted) = (Vec::new(), Vec::new());
+        let verdict = certify_columns(
+            columns,
+            capacities,
+            tol,
+            &hint,
+            &at_hint,
+            &mut left,
+            &mut tempted,
+        );
+        (verdict, hint, left)
+    }
+
+    /// Cases of the property below, and how they fell: declined,
+    /// uncertified, certified.
+    const COLUMN_CASES: usize = 512;
+    static COLUMN: [AtomicUsize; 3] = [const { AtomicUsize::new(0) }; 3];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(COLUMN_CASES as u32))]
+
+        /// Columns == walk: on the hard model, wherever [`certify_columns`]
+        /// gives a verdict it is [`hint_and_certify`]'s, on the same hint and
+        /// free slots when certified; where it declines, the walk finds no
+        /// hint or some region was picked more often than it has free slots.
+        /// Roomy, binding, full and empty regions, fixed arcs, tied costs,
+        /// NaN or ±∞ costs; every outcome exercised.
+        #[test]
+        fn the_column_certificate_decides_as_the_walk_does(
+            shape in (1usize..61, 1usize..9),
+            loose in 0usize..2,
+            homes in 0usize..4,
+            fill in 0.8f64..2.2,
+            // 0: `fill` × the batch split by `shares`; 1: every region holds
+            // that many; 2: split, and region 0 holds nothing.
+            room in 0usize..3,
+            ties in 0usize..3,
+            // A NaN, +∞ or −∞ cost (kinds 0–2) at a drawn arc; else none.
+            poison in (0usize..6, 0usize..480),
+            draws in prop::collection::vec((0.05f64..1.0, 0.0f64..0.7, 0.0f64..0.3), 60 * 8),
+            shares in prop::collection::vec(0.2f64..1.0, 8),
+        ) {
+            let (n_jobs, n_regions) = shape;
+            let regime = (loose == 1, homes != 0, fill);
+            let (mut batch, mut capacities) =
+                random_round(n_jobs, n_regions, regime, &draws, &shares);
+            match room {
+                1 => capacities.fill((fill * n_jobs as f64).round() as usize),
+                2 => capacities[0] = 0,
+                _ => {}
+            }
+            force_ties(&mut batch, ties);
+            if let Some(&value) = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY].get(poison.0) {
+                let at = poison.1 % batch.coeffs.len();
+                batch.coeffs[at] = value;
+            }
+            let tol = SimplexConfig::default().tolerance;
+            let (verdict, picks, left) = column_verdict(&batch, &capacities, tol);
+            let (mut hint, mut walk_left, mut tempted) = (Vec::new(), Vec::new(), Vec::new());
+            let walk = hint_and_certify(
+                &batch, &capacities, None, tol, &mut hint, &mut walk_left, &mut tempted,
+            );
+            let outcome = match verdict {
+                None => {
+                    let mut picked = vec![0; n_regions];
+                    picks.iter().filter(|&&n| n != UNPICKED).for_each(|&n| picked[n] += 1);
+                    let overfilled = picked.iter().zip(&capacities).any(|(p, c)| p > c);
+                    prop_assert!(walk == Hint::Absent || overfilled, "declined a {walk:?} round");
+                    0
+                }
+                Some(Hint::Certified) => {
+                    prop_assert_eq!(walk, Hint::Certified);
+                    prop_assert_eq!(&picks, &hint);
+                    prop_assert_eq!(&left, &walk_left);
+                    2
+                }
+                Some(verdict) => {
+                    // A NaN ranks below no region, so a full region may make
+                    // the walk pick differently and run out of regions later.
+                    let nan = batch.coeffs.iter().any(|c| c.is_nan());
+                    prop_assert!(walk == verdict || (nan && walk == Hint::Absent), "{verdict:?} vs the walk's {walk:?}");
+                    1
+                }
+            };
+            COLUMN[outcome].fetch_add(1, Relaxed);
+            // The last case checks that the generator reached every outcome.
+            let counts = COLUMN.each_ref().map(|count| count.load(Relaxed));
+            if counts.iter().sum::<usize>() == COLUMN_CASES {
+                prop_assert!(counts.iter().all(|&n| n >= COLUMN_CASES / 8), "declined, uncertified, certified: {counts:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_nan_behind_a_full_region_leaves_both_certificates_uncertified() {
+        let tol = SimplexConfig::default().tolerance;
+        // Job 0 fills region 0. Job 1 finds region 0, its first admissible
+        // one, full in the walk, which then picks region 1's NaN (nothing
+        // ranks below it); the columns fold region 0 and then the cheaper
+        // region 2. Job 2 is admitted only in region 1.
+        let (open, far) = (&[0.0, 0.0, 0.0][..], &[0.0, 0.9, 0.0][..]);
+        let rows = [
+            (&[0.1, 0.5, 0.9][..], far, 0.5),
+            (&[0.5, f64::NAN, 0.3][..], open, 0.5),
+            (&[0.2, 0.4, 0.6][..], &[0.9, 0.0, 0.9][..], 0.5),
+        ];
+        let walk_of = |batch: &RoundNumerics| {
+            let (mut hint, mut left, mut tempted) = (Vec::new(), Vec::new(), Vec::new());
+            let walk = hint_and_certify(
+                batch,
+                &[1, 1, 1],
+                None,
+                tol,
+                &mut hint,
+                &mut left,
+                &mut tempted,
+            );
+            (walk, hint)
+        };
+        // Two jobs: the hints differ, and neither is certified.
+        let two = numerics(&rows[..2]);
+        let (verdict, picks, _) = column_verdict(&two, &[1, 1, 1], tol);
+        assert_eq!((verdict, picks), (Some(Hint::Uncertified), vec![0, 2]));
+        assert_eq!(walk_of(&two), (Hint::Uncertified, vec![0, 1]));
+        // Three: the walk's region 1 is gone when job 2 needs it.
+        let three = numerics(&rows);
+        let (verdict, picks, _) = column_verdict(&three, &[1, 1, 1], tol);
+        assert_eq!((verdict, picks), (Some(Hint::Uncertified), vec![0, 2, 1]));
+        assert_eq!(walk_of(&three).0, Hint::Absent);
+    }
+
     /// The round's numerics priced job by job, the reference
     /// [`Controller::prepare_numerics`] is held to:
     /// [`candidate_footprints`], the per-job [`Normalizer`], the history term
@@ -2241,7 +2595,10 @@ mod tests {
         /// does, to the bit, round after round on one scheduler: 1–8 region
         /// views (a region may repeat), execution times below 1 s, jobs at
         /// home, packages up to `u64::MAX` bytes, waits past the tolerance,
-        /// and pools the slack manager truncates.
+        /// and pools the slack manager truncates. Its columns are the
+        /// reference's rows transposed; a round that builds rows (a
+        /// capacity-bound one among them) builds the reference's, and a round
+        /// decided in the columns returns the picks they fold.
         #[test]
         fn the_round_pass_prices_as_the_per_job_reference(
             picks in prop::collection::vec((0usize..5, 0usize..30), 1..9),
@@ -2297,13 +2654,23 @@ mod tests {
                 .collect();
             let transfer = waterwise_cluster::TransferModel::paper_default();
             let mut sched = scheduler();
-            // The whole pool, then half of it an hour and a half later: the
-            // second round reuses the first one's columns.
-            for (pool, later) in [(&pending[..], 0.0), (&pending[..pending.len().div_ceil(2)], 5400.0)] {
+            // A capacity-bound round: the first view twice, one server each.
+            // Every job prices alike in both, so two jobs pick the first (or
+            // neither), the columns decline and the round builds its rows.
+            let twice = [RegionView { total_servers: 1, ..regions[0] }; 2];
+            // The whole pool, then half of it an hour and a half later (the
+            // second round reuses the first one's columns), then the bound one.
+            let half = &pending[..pending.len().div_ceil(2)];
+            let rounds = [
+                (&pending[..], 0.0, &regions[..], false),
+                (half, 5400.0, &regions[..], false),
+                (&pending[..], 10800.0, &twice[..], true),
+            ];
+            for (pool, later, regions, bound) in rounds {
                 let ctx = SchedulingContext {
                     now: Seconds::new(now.value() + later),
                     pending: pool,
-                    regions: &regions,
+                    regions,
                     delay_tolerance: tolerance,
                     transfer: &transfer,
                 };
@@ -2315,11 +2682,24 @@ mod tests {
                 let round = &sched.scratch;
                 let reference = reference_numerics(&sched, &ctx, &round.selected, &round.history);
                 let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                let ours = &round.numerics;
-                prop_assert_eq!(ours.n_regions, reference.n_regions);
-                prop_assert_eq!(bits(&ours.coeffs), bits(&reference.coeffs));
-                prop_assert_eq!(bits(&ours.latency_ratio), bits(&reference.latency_ratio));
+                let [coeffs, latency_ratio] = columns_of(&reference);
+                let (prices, ours) = (&round.prices, &round.numerics);
+                prop_assert_eq!(bits(&prices.carbon), bits(&coeffs));
+                prop_assert_eq!(bits(&prices.water), bits(&latency_ratio));
                 prop_assert_eq!(bits(&ours.remaining_tolerance), bits(&reference.remaining_tolerance));
+                prop_assert_eq!(ours.n_regions, reference.n_regions);
+                if ours.has_rows() {
+                    prop_assert_eq!(bits(&ours.coeffs), bits(&reference.coeffs));
+                    prop_assert_eq!(bits(&ours.latency_ratio), bits(&reference.latency_ratio));
+                } else {
+                    // Decided in the columns: the hint is the fused fold's.
+                    let columns = prices.columns(&ours.remaining_tolerance);
+                    let capacities: Vec<usize> = regions.iter().map(|v| v.remaining_capacity()).collect();
+                    prop_assert_eq!(&round.hint, &column_picks(columns, &capacities).0);
+                }
+                if bound {
+                    prop_assert!(ours.has_rows() || round.selected.len() < 2, "a bound round built no rows");
+                }
             }
         }
     }

@@ -100,19 +100,23 @@ const BATCHES: [usize; 2] = [13, 120];
 const STEADY_CERTIFIED_BUDGET: u64 = 2;
 
 /// Allocation requests a scheduler's first such round may make, growing the
-/// scratch from empty. Measured: 29 at 13 jobs, 38 at 120 — the round's
+/// scratch from empty. Measured: 26 at 13 jobs, 32 at 120 — the round's
 /// lists and the numerics pass's columns, some doubling as they are pushed
-/// to; nothing of it is per job — and 43 for a capacity-bound 13-job round,
-/// whose kernel grows its own lists. (27, 39 and 41 before the numerics
-/// became one region-major pass over per-job columns.)
+/// to; nothing of it is per job, and a round its columns certify builds no
+/// job-major rows — and 42 for a capacity-bound 13-job round, which builds
+/// them and whose kernel grows its own lists. (29, 38 and 43 while every
+/// round built its rows; 27, 39 and 41 before the numerics became one
+/// region-major pass over per-job columns.)
 const FIRST_CERTIFIED_BUDGET: u64 = 45;
 
 /// Allocation requests a 13-job round that reaches the solver may make:
 /// `[on a fresh scheduler, on the same scheduler again]`. Every solve is
-/// cold, as a tied round's and the all-MILP reference's are. Measured: 73 and
+/// cold, as a tied round's and the all-MILP reference's are. Measured: 75 and
 /// 50 — a job's assignment row (1 each), the five capacity rows, the model's
 /// own lists, the solution, the tableau and the ~25 of a solve that do not
-/// grow with the batch; the first round also grows the scratch. (73 and 49
+/// grow with the batch; the first round also grows the scratch, the two
+/// lists of picks the pricing pass folds among it, unused here (73 before
+/// it folded them). (73 and 49
 /// while a solver workspace pooled the tableau across solves; 85 and 58
 /// warm-started from the hint, with the dense hint and a crash basis.) A
 /// fresh round made 115 before the round's lists were

@@ -218,86 +218,6 @@ fn decision_overhead_is_negligible() {
     );
 }
 
-/// WaterWise over the campaign's trace, on a scheduler the test keeps so that
-/// its `SolveStats` (rounds, certified rounds) can be read after the run —
-/// what `Campaign::run(SchedulerKind::WaterWise)` does with a boxed one.
-fn run_waterwise(
-    config: CampaignConfig,
-) -> (
-    waterwise::cluster::SimulationReport,
-    waterwise::core::sched::SolveStats,
-) {
-    use waterwise::cluster::Simulator;
-    use waterwise::core::WaterWiseScheduler;
-    use waterwise::sustain::FootprintEstimator;
-    let campaign = Campaign::new(config.clone());
-    let simulator =
-        Simulator::new(config.simulation.clone(), campaign.telemetry().clone()).unwrap();
-    let mut scheduler = WaterWiseScheduler::new(
-        campaign.telemetry().clone(),
-        FootprintEstimator::new(config.simulation.datacenter),
-        config.waterwise,
-    );
-    let report = simulator.run(campaign.jobs(), &mut scheduler).unwrap();
-    (report, scheduler.stats())
-}
-
-#[test]
-fn certified_rounds_commit_what_the_all_milp_reference_commits() {
-    // How many rounds the default scheduler decides without a model on the
-    // ledger's configurations (Borg, seed 42): the hint is certified or the
-    // transportation kernel proves its optimum unique. The hint decides every
-    // round of `campaign_tight` (2 days, tolerance 0.10); capacity needs a
-    // price in nearly every round of `campaign_pressure` (30 servers per
-    // region, its hard model infeasible in most rounds; one day of it), so
-    // the kernel decides them, all but one round with tied optima, which is
-    // solved. That these rounds commit what the all-MILP reference commits,
-    // in as many rounds with as many soft fallbacks, is the
-    // `default_equals_all_milp` row of `tests/invariants.rs`.
-    let tight = CampaignConfig::paper_default(2.0, 0.10, 42);
-    let pressured = CampaignConfig::paper_default(1.0, 0.5, 42).with_servers_per_region(30);
-    for (name, config, (certified, rounds)) in [
-        ("tight", tight, (2_789, 2_789)),
-        ("pressured", pressured, (1_876, 1_877)),
-    ] {
-        let (report, stats) = run_waterwise(config);
-        let solver = report.summary.solver;
-        assert!(
-            solver.solves >= stats.rounds - stats.certified_rounds,
-            "{name}: an uncertified round reached no solver: {stats:?} {solver:?}"
-        );
-        assert_eq!(
-            (stats.certified_rounds, stats.rounds),
-            (certified, rounds),
-            "{name}: rounds decided without a model"
-        );
-    }
-}
-
-#[test]
-fn every_round_of_the_tight_tolerance_campaign_is_root_integral() {
-    // The ledger's `campaign_tight` (Borg, 2 days, tolerance 0.10, seed 42):
-    // with Eq. 11 written as one weighted row per job this trace explored
-    // 37 022 nodes in its 2 789 rounds and hit the 10 000-node cap in three.
-    // As arc bounds the model is a transportation problem, so each solve —
-    // hard, or hard then soft — ends at the root of branch-and-bound.
-    // `warm_start` is off so that all 2 789 rounds are solved: by default
-    // ~96 % of them are certified from the hint and never become a model
-    // (this test used to assume every round solves).
-    let mut config = CampaignConfig::paper_default(2.0, 0.10, 42);
-    config.waterwise.warm_start = false;
-    let max_nodes = config.waterwise.branch_bound.max_nodes;
-    let outcome = Campaign::new(config).run(SchedulerKind::WaterWise).unwrap();
-    let total = outcome.summary.solver;
-    assert!(total.solves > 2_000, "{total:?}");
-    assert_eq!(total.nodes, total.solves, "a solve branched: {total:?}");
-    for (round, sample) in outcome.report.overhead.iter().enumerate() {
-        let solver = sample.solver.expect("WaterWise reports solver activity");
-        assert_eq!(solver.nodes, solver.solves, "round {round}: {solver:?}");
-        assert!(solver.nodes < max_nodes, "round {round} hit the node cap");
-    }
-}
-
 #[test]
 fn malformed_trace_fails_with_a_typed_error_not_a_panic() {
     use waterwise::cluster::{SimulationConfig, SimulationError, Simulator};
