@@ -27,7 +27,9 @@
 //!   harness that pins their results byte-for-byte.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+// One `unsafe` block is waived: the pricing pass's call into its AVX2 lane
+// body (docs/LINTING.md). Like any other, it must say why it is sound.
+#![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
 // DET003 (docs/LINTING.md): failures here are typed errors, never panics.
 // In test code the workspace clippy.toml allows `unwrap`, `expect` and `panic!`.
 #![deny(

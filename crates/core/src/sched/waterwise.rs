@@ -25,6 +25,7 @@
 use super::transport::{Transport, Verdict};
 use crate::experiment::Parallelism;
 use crate::objective::ObjectiveWeights;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 use waterwise_cluster::{
@@ -321,8 +322,12 @@ struct PriceColumns {
     /// Per home region (by [`Region::index`], all of them) × round region:
     /// the transfer's fixed part, `None` where the job stays home.
     fixed_transfer: Vec<Option<f64>>,
-    /// Per job: what its row needs that no region changes.
-    jobs: Vec<JobTerms>,
+    /// Per job, what its cells need that no region changes: the
+    /// [`JOB_COLUMNS`] `f64` columns of [`JobColumns`], one after the other
+    /// in one buffer sized once a round, and each job's home region (by
+    /// [`Region::index`]).
+    jobs: Vec<f64>,
+    homes: Vec<usize>,
     /// Per job: the worst-region carbon and water of Eq. 7, folded in
     /// region order.
     max_carbon: Vec<f64>,
@@ -356,18 +361,421 @@ struct Columns<'a> {
     remaining_tolerance: &'a [f64],
 }
 
-/// One job's terms that no region changes.
+/// How many `f64` columns [`PriceColumns::jobs`] holds.
+const JOB_COLUMNS: usize = 5;
+
+/// A round's per-job terms, a column each, one cell per job in selection
+/// order (`J = home.len()`).
 #[derive(Debug, Clone, Copy)]
-struct JobTerms {
-    /// The estimated energy and the embodied terms of its footprint.
-    energy: KilowattHours,
-    embodied: (Co2Grams, Liters),
+struct JobColumns<'a> {
+    /// The estimated energy (kWh) and the embodied carbon (g) and water (L)
+    /// of its footprint.
+    energy: &'a [f64],
+    embodied_carbon: &'a [f64],
+    embodied_water: &'a [f64],
     /// Its package's time on the wire.
-    wire: f64,
+    wire: &'a [f64],
     /// The estimated execution time, at least 1 s: the delay ratios' base.
-    exec: f64,
-    /// Where its home region's row of `fixed_transfer` starts.
-    home_row: usize,
+    exec: &'a [f64],
+    /// Its home region, by [`Region::index`].
+    home: &'a [usize],
+    remaining_tolerance: &'a [f64],
+}
+
+impl<'a> JobColumns<'a> {
+    /// The columns of `jobs` (as [`PriceColumns::jobs`] holds them) and
+    /// `home`, with the jobs' `remaining_tolerance`.
+    fn of(jobs: &'a [f64], home: &'a [usize], remaining_tolerance: &'a [f64]) -> Self {
+        let n_jobs = home.len();
+        let [energy, embodied_carbon, embodied_water, wire, exec]: [&[f64]; JOB_COLUMNS] =
+            std::array::from_fn(|i| &jobs[i * n_jobs..(i + 1) * n_jobs]);
+        Self {
+            energy,
+            embodied_carbon,
+            embodied_water,
+            wire,
+            exec,
+            home,
+            remaining_tolerance,
+        }
+    }
+
+    /// The cells of `jobs` alone.
+    #[inline]
+    fn range(self, jobs: Range<usize>) -> Self {
+        Self {
+            energy: &self.energy[jobs.clone()],
+            embodied_carbon: &self.embodied_carbon[jobs.clone()],
+            embodied_water: &self.embodied_water[jobs.clone()],
+            wire: &self.wire[jobs.clone()],
+            exec: &self.exec[jobs.clone()],
+            home: &self.home[jobs.clone()],
+            remaining_tolerance: &self.remaining_tolerance[jobs],
+        }
+    }
+}
+
+/// `buffer` cut into `N` consecutive columns of `len` cells each.
+fn columns_mut<const N: usize>(mut buffer: &mut [f64], len: usize) -> [&mut [f64]; N] {
+    std::array::from_fn(|_| {
+        let (column, rest) = std::mem::take(&mut buffer).split_at_mut(len);
+        buffer = rest;
+        column
+    })
+}
+
+/// Proof that this CPU runs AVX2 code: only [`Avx2::detect`] makes one.
+#[derive(Debug, Clone, Copy)]
+#[cfg_attr(
+    not(target_arch = "x86_64"),
+    expect(dead_code, reason = "only an x86-64 CPU is asked for AVX2")
+)]
+struct Avx2(());
+
+impl Avx2 {
+    /// `Some` where the CPU has AVX2 (asked at run time).
+    #[cfg(target_arch = "x86_64")]
+    fn detect() -> Option<Self> {
+        std::arch::is_x86_feature_detected!("avx2").then_some(Self(()))
+    }
+
+    /// Never: the lane body is compiled for x86-64 alone.
+    #[cfg(not(target_arch = "x86_64"))]
+    fn detect() -> Option<Self> {
+        None
+    }
+}
+
+/// The jobs the lane body takes at a time: four iterations of its vector
+/// loop, of AVX2's four `f64` lanes each. Only whole blocks go to the lanes;
+/// the jobs past the last one, and so every job of a smaller round, go to
+/// the fused loop. The pricing pass alone runs faster in lanes from 8 jobs
+/// on, but with blocks of 8 `campaign_borg`'s rounds (12 jobs at the
+/// median) did not read faster in the ledger.
+const LANE_BLOCK: usize = 4 * 4;
+
+/// How many home regions a job's transfer may start from.
+const HOMES: usize = ALL_REGIONS.len();
+
+/// One pricing of a round's region-major columns: what `prepare_numerics`
+/// computed per round and per job, and the columns, Eq. 7 maxima and hard
+/// model's picks it writes (`J = hint.len()` jobs, one column per region).
+/// Two bodies compute the same cells: the fused loop, one job at a time,
+/// and the lane body, branch-free, compiled for AVX2. Each cell is the same
+/// elementwise IEEE `+ − × ÷`, `f64::max` and comparisons in both, with no
+/// sum across jobs and no contracted multiply-add, so both write the same
+/// bits (`the_lane_body_prices_as_the_fused_loop`).
+struct Pricing<'a> {
+    estimator: &'a FootprintEstimator,
+    weights: &'a ObjectiveWeights,
+    /// Per region: its conditions, its history reference term and its free
+    /// slots.
+    conditions: &'a [RegionConditions],
+    reference: &'a [f64],
+    capacities: &'a [usize],
+    /// [`PriceColumns::fixed_transfer`].
+    fixed_transfer: &'a [Option<f64>],
+    jobs: JobColumns<'a>,
+    /// Whether the hard model's picks are folded (`warm_start`).
+    picking: bool,
+    max_carbon: &'a mut [f64],
+    max_water: &'a mut [f64],
+    /// [`PriceColumns::carbon`] and [`PriceColumns::water`], zeroed.
+    carbon: &'a mut [f64],
+    water: &'a mut [f64],
+    /// Each job's pick, [`UNPICKED`] so far, and its coefficient.
+    hint: &'a mut [usize],
+    at_hint: &'a mut [f64],
+}
+
+impl Pricing<'_> {
+    /// Price every job: its whole blocks in the lane body where `lanes`
+    /// proves AVX2, the rest in the fused loop.
+    fn price(&mut self, lanes: Option<Avx2>) {
+        let n_jobs = self.hint.len();
+        let blocks = n_jobs - n_jobs % LANE_BLOCK;
+        let tail = match lanes {
+            Some(avx2) if blocks > 0 => {
+                self.in_lanes(avx2, 0..blocks);
+                blocks
+            }
+            _ => 0,
+        };
+        self.price_jobs(tail..n_jobs, totals_column, price_column::<false>);
+    }
+
+    /// Both passes over `jobs`, region by region: every region's column
+    /// through `totals`, and then, the maxima whole, through `price`.
+    #[inline(always)]
+    fn price_jobs(
+        &mut self,
+        jobs: Range<usize>,
+        mut totals: impl FnMut(
+            ColumnRegion<'_>,
+            JobColumns<'_>,
+            &mut [f64],
+            &mut [f64],
+            &mut [f64],
+            &mut [f64],
+        ),
+        mut price: impl FnMut(
+            ColumnRegion<'_>,
+            JobColumns<'_>,
+            (&[f64], &[f64]),
+            &mut [f64],
+            &mut [f64],
+            &mut [usize],
+            &mut [f64],
+        ),
+    ) {
+        let n_jobs = self.hint.len();
+        let terms = self.jobs.range(jobs.clone());
+        let Pricing {
+            estimator,
+            weights,
+            conditions,
+            reference,
+            capacities,
+            fixed_transfer,
+            picking,
+            max_carbon,
+            max_water,
+            carbon,
+            water,
+            hint,
+            at_hint,
+            ..
+        } = self;
+        let (estimator, weights, fixed_transfer) = (*estimator, *weights, *fixed_transfer);
+        let picking = *picking;
+        let region = |(n, (&conditions, (&reference, &free))): (usize, _)| ColumnRegion {
+            estimator,
+            weights,
+            n,
+            conditions,
+            reference,
+            offered: picking && free > 0,
+            fixed_transfer,
+        };
+        let regions = conditions
+            .iter()
+            .zip(reference.iter().zip(capacities.iter()));
+        let regions = regions.enumerate().map(region);
+        let (max_carbon, max_water) = (&mut max_carbon[jobs.clone()], &mut max_water[jobs.clone()]);
+        let (hint, at_hint) = (&mut hint[jobs.clone()], &mut at_hint[jobs.clone()]);
+        let column = |n: usize| n * n_jobs + jobs.start..n * n_jobs + jobs.end;
+        for region in regions.clone() {
+            let (carbon, water) = (&mut carbon[column(region.n)], &mut water[column(region.n)]);
+            totals(region, terms, carbon, water, max_carbon, max_water);
+        }
+        for region in regions {
+            let (carbon, water) = (&mut carbon[column(region.n)], &mut water[column(region.n)]);
+            let maxima = (&*max_carbon, &*max_water);
+            price(region, terms, maxima, carbon, water, hint, at_hint);
+        }
+    }
+
+    /// Both passes over `jobs` in the lane body: each region's columns in
+    /// [`totals_avx2`] and [`price_avx2`].
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn lanes_avx2(&mut self, jobs: Range<usize>) {
+        self.price_jobs(
+            jobs,
+            |region, terms, carbon, water, max_carbon, max_water| {
+                totals_avx2(region, terms, carbon, water, max_carbon, max_water)
+            },
+            |region, terms, maxima, carbon, water, hint, at_hint| {
+                price_avx2(region, terms, maxima, carbon, water, hint, at_hint)
+            },
+        );
+    }
+
+    /// `jobs` in the AVX2 lane body.
+    #[cfg(target_arch = "x86_64")]
+    #[expect(
+        unsafe_code,
+        reason = "the one call into AVX2 code, which needs a CPU that has it"
+    )]
+    fn in_lanes(&mut self, _avx2: Avx2, jobs: Range<usize>) {
+        // SAFETY: an `Avx2` exists only where `is_x86_feature_detected!("avx2")`
+        // returned true (`Avx2::detect`), so this CPU runs AVX2 code.
+        unsafe { self.lanes_avx2(jobs) }
+    }
+
+    /// Never called: no `Avx2` exists off x86-64.
+    #[cfg(not(target_arch = "x86_64"))]
+    fn in_lanes(&mut self, _avx2: Avx2, jobs: Range<usize>) {
+        self.price_jobs(jobs, totals_column, price_column::<false>);
+    }
+}
+
+/// What a pricing pass reads of region `n` of a round: its conditions and
+/// history reference term, whether its column folds picks (a free slot,
+/// with `warm_start`), and the round's terms all regions share.
+#[derive(Clone, Copy)]
+struct ColumnRegion<'a> {
+    estimator: &'a FootprintEstimator,
+    weights: &'a ObjectiveWeights,
+    n: usize,
+    conditions: RegionConditions,
+    reference: f64,
+    offered: bool,
+    /// [`PriceColumns::fixed_transfer`].
+    fixed_transfer: &'a [Option<f64>],
+}
+
+/// The first pass over one region's column: each job's footprint totals
+/// there, folded into its running worst-region maxima of Eq. 7 (in region
+/// order from `f64::MIN_POSITIVE`). Branch-free, so both bodies share it.
+#[inline(always)]
+fn totals_column(
+    region: ColumnRegion<'_>,
+    terms: JobColumns<'_>,
+    carbon: &mut [f64],
+    water: &mut [f64],
+    max_carbon: &mut [f64],
+    max_water: &mut [f64],
+) {
+    let cells = carbon.iter_mut().zip(water.iter_mut());
+    let maxima = max_carbon.iter_mut().zip(max_water.iter_mut());
+    let embodied = terms.embodied_carbon.iter().zip(terms.embodied_water);
+    let footprint = terms.energy.iter().zip(embodied);
+    for (((c, w), (max_c, max_w)), (&energy, (&carbon, &water))) in cells.zip(maxima).zip(footprint)
+    {
+        let (energy, embodied) = (
+            KilowattHours::new(energy),
+            (Co2Grams::new(carbon), Liters::new(water)),
+        );
+        (*c, *w) = region.estimator.totals(energy, embodied, region.conditions);
+        *max_c = max_c.max(*c);
+        *max_w = max_w.max(*w);
+    }
+}
+
+/// The second pass over one region's column, the maxima whole: each cell
+/// of `carbon` is overwritten with the coefficient and the cell of `water`
+/// with the latency ratio, and the region, if admissible and offered, is
+/// offered to the job as its cell is written, which folds the hard model's
+/// hint for [`certify_columns`].
+///
+/// `LANES` picks how a cell's latency ratio and offer are written. The
+/// fused loop (`false`) takes one job at a time: it looks the home's fixed
+/// transfer up and branches into [`offer`]. The lane body (`true`) is
+/// branch-free, so that a vector loop takes four jobs at a time: the home's
+/// fixed transfer is a compare-select over the homes, and the offer is
+/// `take = offered & admitted & (unpicked | cheaper)`, applied as two
+/// selects. It is compiled only into [`price_avx2`]: built for the SSE2
+/// baseline it is slower than the fused loop.
+#[inline(always)]
+fn price_column<const LANES: bool>(
+    region: ColumnRegion<'_>,
+    terms: JobColumns<'_>,
+    (max_carbon, max_water): (&[f64], &[f64]),
+    carbon: &mut [f64],
+    water: &mut [f64],
+    hint: &mut [usize],
+    at_hint: &mut [f64],
+) {
+    let ColumnRegion {
+        weights,
+        n,
+        reference,
+        offered,
+        fixed_transfer,
+        ..
+    } = region;
+    let n_regions = fixed_transfer.len() / HOMES;
+    // For the lanes, per home: the fixed transfer into region `n`, and
+    // whether there is one (the job leaves home).
+    let (mut fixed, mut leaves) = ([0.0; HOMES], [false; HOMES]);
+    if LANES {
+        for (home, (fixed, leaves)) in fixed.iter_mut().zip(&mut leaves).enumerate() {
+            if let Some(time) = fixed_transfer[home * n_regions + n] {
+                (*fixed, *leaves) = (time, true);
+            }
+        }
+    }
+    let cells = carbon.iter_mut().zip(water.iter_mut());
+    let maxima = max_carbon.iter().zip(max_water);
+    let picks = hint.iter_mut().zip(at_hint.iter_mut());
+    let transfer = terms.home.iter().zip(terms.wire.iter().zip(terms.exec));
+    let terms = transfer.zip(terms.remaining_tolerance);
+    for (((c, w), (&max_c, &max_w)), (((&home, (&wire, &exec)), &tolerance), (pick, at_pick))) in
+        cells.zip(maxima).zip(terms.zip(picks))
+    {
+        let coeff = coefficient(weights, (*c, *w), (max_c, max_w), reference);
+        if LANES {
+            let (mut from_home, mut away) = (0.0, false);
+            for (at, (&fixed, &leaves)) in fixed.iter().zip(&leaves).enumerate() {
+                let here = home == at;
+                from_home = if here { fixed } else { from_home };
+                away |= here & leaves;
+            }
+            let moved = if away { from_home + wire } else { 0.0 };
+            let ratio = moved / exec;
+            (*c, *w) = (coeff, ratio);
+            let cheaper = (*pick == UNPICKED) | (coeff < *at_pick);
+            let take = offered & (ratio <= tolerance) & cheaper;
+            *pick = if take { n } else { *pick };
+            *at_pick = if take { coeff } else { *at_pick };
+        } else {
+            let fixed = fixed_transfer[home * n_regions + n];
+            let ratio = fixed.map_or(0.0, |fixed| fixed + wire) / exec;
+            (*c, *w) = (coeff, ratio);
+            // `JobNumerics::admits`' comparison.
+            if offered && ratio <= tolerance {
+                offer(pick, at_pick, n, coeff);
+            }
+        }
+    }
+}
+
+/// [`totals_column`], compiled for AVX2. A function of its own, never
+/// inlined, so that the compiler knows the lists it writes overlap nothing
+/// else: the loop is then vectorised with no run-time overlap checks, which
+/// kept the lanes scalar below 24 jobs.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline(never)]
+fn totals_avx2(
+    region: ColumnRegion<'_>,
+    terms: JobColumns<'_>,
+    carbon: &mut [f64],
+    water: &mut [f64],
+    max_carbon: &mut [f64],
+    max_water: &mut [f64],
+) {
+    totals_column(region, terms, carbon, water, max_carbon, max_water);
+}
+
+/// [`price_column`]'s lane body, compiled for AVX2 and never inlined, as
+/// [`totals_avx2`] is.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline(never)]
+fn price_avx2(
+    region: ColumnRegion<'_>,
+    terms: JobColumns<'_>,
+    maxima: (&[f64], &[f64]),
+    carbon: &mut [f64],
+    water: &mut [f64],
+    hint: &mut [usize],
+    at_hint: &mut [f64],
+) {
+    price_column::<true>(region, terms, maxima, carbon, water, hint, at_hint);
+}
+
+/// Eq. 8's coefficient of a cell whose totals are `c` and `w`, under its
+/// job's maxima and its region's reference term.
+#[inline(always)]
+fn coefficient(
+    weights: &ObjectiveWeights,
+    (c, w): (f64, f64),
+    (max_c, max_w): (f64, f64),
+    reference: f64,
+) -> f64 {
+    weights.lambda_co2 * c / max_c + weights.lambda_h2o * w / max_w + reference
 }
 
 /// The round's MILP over binaries `x[m][n]` (index `m * n_regions + n`):
@@ -648,6 +1056,9 @@ struct Controller {
     stats: SolveStats,
     /// The phase timings of the rounds that were timed.
     phases: PhaseSamples,
+    /// Whether this CPU prices a round's whole blocks of jobs in the AVX2
+    /// lane body ([`Pricing::price`]), asked once per scheduler.
+    lanes: Option<Avx2>,
 }
 
 /// One round in this many has its two phases timed, starting with the
@@ -714,6 +1125,7 @@ impl WaterWiseScheduler {
             config,
             stats: SolveStats::default(),
             phases: PhaseSamples::default(),
+            lanes: Avx2::detect(),
         };
         Self {
             controller,
@@ -824,14 +1236,13 @@ impl Controller {
     /// computing each term at the scope it depends on. Per round: one
     /// conditions lookup and one history reference term per region, and the
     /// transfers' fixed parts. Per job: its embodied terms, its package's
-    /// wire time, `exec` and its remaining tolerance. Per region, over the
-    /// jobs' columns: their footprint totals and the running worst-region
-    /// maxima of Eq. 7 (folded in region order from `f64::MIN_POSITIVE`);
-    /// once those are whole, each job's coefficient
-    /// `λ_CO2·c/max_c + λ_H2O·w/max_w + reference` and latency ratio — and,
-    /// with `warm_start`, the job's pick: every admissible region with a
-    /// free slot is [`offer`]ed to it as its cell is written, which folds
-    /// the hard model's hint for [`certify_columns`]. No row is built here.
+    /// wire time, `exec` and its remaining tolerance, a column each. Per
+    /// region, over the jobs' columns ([`Pricing`]): their footprint totals
+    /// and the running worst-region maxima of Eq. 7; once those are whole,
+    /// each job's coefficient `λ_CO2·c/max_c + λ_H2O·w/max_w + reference`
+    /// and latency ratio — and, with `warm_start`, the job's pick, which
+    /// folds the hard model's hint for [`certify_columns`]. No row is built
+    /// here.
     fn prepare_numerics(&self, ctx: &SchedulingContext<'_>, round: &mut RoundScratch) {
         let (estimator, weights) = (&self.estimator, &self.config.weights);
         let RoundScratch {
@@ -850,6 +1261,7 @@ impl Controller {
             reference,
             fixed_transfer,
             jobs,
+            homes,
             max_carbon,
             max_water,
             carbon,
@@ -871,21 +1283,28 @@ impl Controller {
         // Per job.
         numerics.reset(n_regions);
         jobs.clear();
-        for job in selected.iter().map(|&pending| &ctx.pending[pending]) {
+        jobs.resize(JOB_COLUMNS * n_jobs, 0.0);
+        homes.clear();
+        homes.extend(
+            selected
+                .iter()
+                .map(|&pending| ctx.pending[pending].spec.home_region.index()),
+        );
+        let [energy, embodied_carbon, embodied_water, wire, exec] =
+            columns_mut::<JOB_COLUMNS>(jobs, n_jobs);
+        let pool = selected.iter().map(|&pending| &ctx.pending[pending]);
+        for (m, job) in pool.enumerate() {
             let spec = &job.spec;
-            let exec = spec.estimated_execution_time.value().max(1.0);
+            exec[m] = spec.estimated_execution_time.value().max(1.0);
             let waited = job.waiting_time(ctx.now).value();
-            let remaining_tolerance = (ctx.delay_tolerance - waited / exec).max(0.0);
+            let remaining_tolerance = (ctx.delay_tolerance - waited / exec[m]).max(0.0);
             numerics.remaining_tolerance.push(remaining_tolerance);
-            jobs.push(JobTerms {
-                energy: spec.estimated_energy,
-                embodied: estimator.embodied(spec.estimated_execution_time),
-                wire: ctx.transfer.wire_time(spec.package_bytes).value(),
-                exec,
-                home_row: spec.home_region.index() * n_regions,
-            });
+            energy[m] = spec.estimated_energy.value();
+            let (carbon, water) = estimator.embodied(spec.estimated_execution_time);
+            (embodied_carbon[m], embodied_water[m]) = (carbon.value(), water.value());
+            wire[m] = ctx.transfer.wire_time(spec.package_bytes).value();
         }
-        // Per region: the totals and the running maxima ...
+        // Per region, over the columns.
         for maxima in [&mut *max_carbon, &mut *max_water] {
             maxima.clear();
             maxima.resize(n_jobs, f64::MIN_POSITIVE);
@@ -894,43 +1313,27 @@ impl Controller {
             totals.clear();
             totals.resize(n_jobs * n_regions, 0.0);
         }
-        let column = |n: usize| n * n_jobs..(n + 1) * n_jobs;
-        for (n, &conditions) in conditions.iter().enumerate() {
-            let cells = carbon[column(n)].iter_mut().zip(&mut water[column(n)]);
-            let maxima = max_carbon.iter_mut().zip(max_water.iter_mut());
-            for ((job, (c, w)), (max_c, max_w)) in jobs.iter().zip(cells).zip(maxima) {
-                (*c, *w) = estimator.totals(job.energy, job.embodied, conditions);
-                *max_c = max_c.max(*c);
-                *max_w = max_w.max(*w);
-            }
-        }
-        // ... then, the maxima whole, the coefficients over `carbon` and the
-        // latency ratios over `water`, each job offered the region.
         hint.clear();
         hint.resize(n_jobs, UNPICKED);
         at_hint.clear();
         at_hint.resize(n_jobs, 0.0);
-        let picking = self.config.warm_start;
-        for (n, (&reference, &free)) in reference.iter().zip(capacities.iter()).enumerate() {
-            let offered = picking && free > 0;
-            let cells = carbon[column(n)].iter_mut().zip(&mut water[column(n)]);
-            let maxima = max_carbon.iter().zip(max_water.iter());
-            let picks = hint.iter_mut().zip(at_hint.iter_mut());
-            let terms = jobs.iter().zip(&numerics.remaining_tolerance);
-            for (((c, w), (&max_c, &max_w)), ((job, &tolerance), (pick, at_pick))) in
-                cells.zip(maxima).zip(terms.zip(picks))
-            {
-                let coeff =
-                    weights.lambda_co2 * *c / max_c + weights.lambda_h2o * *w / max_w + reference;
-                let fixed = fixed_transfer[job.home_row + n];
-                let ratio = fixed.map_or(0.0, |fixed| fixed + job.wire) / job.exec;
-                (*c, *w) = (coeff, ratio);
-                // `JobNumerics::admits`' comparison.
-                if offered && ratio <= tolerance {
-                    offer(pick, at_pick, n, coeff);
-                }
-            }
+        Pricing {
+            estimator,
+            weights,
+            conditions,
+            reference,
+            capacities,
+            fixed_transfer,
+            jobs: JobColumns::of(jobs, homes, &numerics.remaining_tolerance),
+            picking: self.config.warm_start,
+            max_carbon,
+            max_water,
+            carbon,
+            water,
+            hint,
+            at_hint,
         }
+        .price(self.lanes);
     }
 
     /// Decide the selected jobs' assignment (`soft_penalty` selects Eq. 12/13's
@@ -2507,6 +2910,175 @@ mod tests {
         }
     }
 
+    /// A round's pricing inputs, drawn from `batch` and its `capacities`:
+    /// job `m`'s terms are cells of its row, region `n` is
+    /// `ALL_REGIONS[n % HOMES]` (a job whose home that is stays there), and
+    /// its conditions and reference term scale with `shares[n]`.
+    struct PricingInputs {
+        conditions: Vec<RegionConditions>,
+        reference: Vec<f64>,
+        capacities: Vec<usize>,
+        fixed_transfer: Vec<Option<f64>>,
+        jobs: Vec<f64>,
+        homes: Vec<usize>,
+        remaining_tolerance: Vec<f64>,
+        picking: bool,
+    }
+
+    impl PricingInputs {
+        fn of(batch: &RoundNumerics, capacities: Vec<usize>, shares: &[f64]) -> Self {
+            use waterwise_sustain::{
+                CarbonIntensity, WaterScarcityFactor, WaterUsageEffectiveness,
+            };
+            let (n_jobs, n_regions) = (batch.len(), batch.n_regions);
+            let conditions = shares[..n_regions]
+                .iter()
+                .map(|&s| RegionConditions {
+                    carbon_intensity: CarbonIntensity::new(100.0 + 500.0 * s),
+                    ewif: waterwise_sustain::LitersPerKwh::new(0.5 + 3.0 * s),
+                    wue: WaterUsageEffectiveness::new(0.2 + s),
+                    wsf: WaterScarcityFactor::new(s),
+                })
+                .collect();
+            let reference = shares[..n_regions].iter().map(|s| 0.05 * s).collect();
+            let fixed_transfer = (0..HOMES)
+                .flat_map(|home| {
+                    let fixed =
+                        move |n: usize| (n % HOMES != home).then(|| 900.0 * shares[(home + n) % 8]);
+                    (0..n_regions).map(fixed)
+                })
+                .collect();
+            // Job `m`'s energy, embodied carbon and water, wire time and
+            // execution time, from cells of its row.
+            let cell = |m: usize, k: usize| m * n_regions + k % n_regions;
+            let terms: [&dyn Fn(usize) -> f64; JOB_COLUMNS] = [
+                &|m| batch.coeffs[cell(m, 0)],
+                &|m| 40.0 * batch.coeffs[cell(m, 1)],
+                &|m| 0.5 * batch.latency_ratio[cell(m, 2)],
+                &|m| 600.0 * batch.latency_ratio[cell(m, 0)],
+                &|m| 1.0 + 4000.0 * batch.coeffs[cell(m, 3)],
+            ];
+            Self {
+                conditions,
+                reference,
+                capacities,
+                fixed_transfer,
+                jobs: terms
+                    .iter()
+                    .flat_map(|term| (0..n_jobs).map(term))
+                    .collect(),
+                homes: (0..n_jobs).map(|m| m * 3 % HOMES).collect(),
+                remaining_tolerance: batch.remaining_tolerance.clone(),
+                picking: true,
+            }
+        }
+
+        /// What [`Pricing::price`] writes for these inputs, with `lanes`:
+        /// the coefficient and latency-ratio columns, the two maxima, the
+        /// picks and their coefficients.
+        fn price(&self, lanes: Option<Avx2>) -> ([Vec<f64>; 4], Vec<usize>, Vec<f64>) {
+            let (n_jobs, n_regions) = (self.homes.len(), self.conditions.len());
+            let mut maxima = [(); 2].map(|()| vec![f64::MIN_POSITIVE; n_jobs]);
+            let mut cells = [(); 2].map(|()| vec![0.0; n_jobs * n_regions]);
+            let (mut hint, mut at_hint) = (vec![UNPICKED; n_jobs], vec![0.0; n_jobs]);
+            let ([max_carbon, max_water], [carbon, water]) = (&mut maxima, &mut cells);
+            let estimator = FootprintEstimator::paper_default();
+            Pricing {
+                estimator: &estimator,
+                weights: &ObjectiveWeights::paper_default(),
+                conditions: &self.conditions,
+                reference: &self.reference,
+                capacities: &self.capacities,
+                fixed_transfer: &self.fixed_transfer,
+                jobs: JobColumns::of(&self.jobs, &self.homes, &self.remaining_tolerance),
+                picking: self.picking,
+                max_carbon,
+                max_water,
+                carbon,
+                water,
+                hint: &mut hint,
+                at_hint: &mut at_hint,
+            }
+            .price(lanes);
+            let [carbon, water] = cells;
+            let [max_carbon, max_water] = maxima;
+            ([carbon, water, max_carbon, max_water], hint, at_hint)
+        }
+    }
+
+    /// Whether `a` and `b` hold the same bits, or a NaN each.
+    fn same_cells(a: &[f64], b: &[f64]) -> bool {
+        let same = |(x, y): (&f64, &f64)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+        a.len() == b.len() && a.iter().zip(b).all(same)
+    }
+
+    /// Says once, on a CPU without AVX2, that the lane body was not compared.
+    static NO_LANES: std::sync::Once = std::sync::Once::new();
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Lanes == fused: the AVX2 lane body over a round's whole blocks and
+        /// then the fused loop over the rest write the columns, maxima, picks
+        /// and picked coefficients the fused loop writes alone, to the bit (a
+        /// NaN only NaN on both sides). Every size from none to two blocks
+        /// and one job, so the block/tail boundary is crossed; roomy, binding
+        /// and full regions, no picking at all, tied regions and twin jobs,
+        /// and a NaN or ±∞ job term.
+        #[test]
+        fn the_lane_body_prices_as_the_fused_loop(
+            n_regions in 1usize..9,
+            loose in 0usize..2,
+            homes in 0usize..4,
+            fill in 0.8f64..2.2,
+            // 0: `fill` × the batch split by `shares`; 1: every region holds
+            // that many; 2: split, and region 0 holds nothing; 3: split, and
+            // nothing is picked (no `warm_start`).
+            room in 0usize..4,
+            ties in 0usize..3,
+            // A NaN, +∞ or −∞ job term (kinds 0–2) at a drawn cell; else none.
+            poison in (0usize..6, 0usize..480),
+            draws in prop::collection::vec((0.05f64..1.0, 0.0f64..0.7, 0.0f64..0.3), 60 * 8),
+            shares in prop::collection::vec(0.2f64..1.0, 8),
+        ) {
+            let Some(avx2) = Avx2::detect() else {
+                NO_LANES.call_once(|| eprintln!("no AVX2 on this CPU: the lane body was not compared"));
+                return;
+            };
+            // Tied costs: regions on a coarse grid price alike.
+            let shares: Vec<f64> = match ties {
+                0 => shares,
+                _ => shares.iter().map(|s| (s * 4.0).round() / 4.0).collect(),
+            };
+            let regime = (loose == 1, homes != 0, fill);
+            for n_jobs in 0..=2 * LANE_BLOCK + 1 {
+                let (mut batch, mut capacities) =
+                    random_round(n_jobs, n_regions, regime, &draws, &shares);
+                match room {
+                    1 => capacities.fill((fill * n_jobs as f64).round() as usize),
+                    2 => capacities[0] = 0,
+                    _ => {}
+                }
+                force_ties(&mut batch, ties);
+                let mut inputs = PricingInputs::of(&batch, capacities, &shares);
+                inputs.picking = room != 3;
+                let poisoned = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY].get(poison.0);
+                if let (Some(&value), false) = (poisoned, inputs.jobs.is_empty()) {
+                    let at = poison.1 % inputs.jobs.len();
+                    inputs.jobs[at] = value;
+                }
+                let (lanes, lane_hint, lane_at_hint) = inputs.price(Some(avx2));
+                let (fused, hint, at_hint) = inputs.price(None);
+                let names = ["coefficients", "latency ratios", "carbon maxima", "water maxima"];
+                for ((name, lanes), fused) in names.iter().zip(&lanes).zip(&fused) {
+                    prop_assert!(same_cells(lanes, fused), "{n_jobs} jobs: the {name} differ:\n{lanes:?}\n{fused:?}");
+                }
+                prop_assert_eq!(&lane_hint, &hint, "{} jobs: the picks differ", n_jobs);
+                prop_assert!(same_cells(&lane_at_hint, &at_hint), "{n_jobs} jobs: the picked coefficients differ");
+            }
+        }
+    }
+
     #[test]
     fn a_nan_behind_a_full_region_leaves_both_certificates_uncertified() {
         let tol = SimplexConfig::default().tolerance;
@@ -2598,7 +3170,9 @@ mod tests {
         /// and pools the slack manager truncates. Its columns are the
         /// reference's rows transposed; a round that builds rows (a
         /// capacity-bound one among them) builds the reference's, and a round
-        /// decided in the columns returns the picks they fold.
+        /// decided in the columns returns the picks they fold. Pools past
+        /// [`LANE_BLOCK`] jobs reach the lane body where the CPU has AVX2;
+        /// every case also runs on the fused loop alone.
         #[test]
         fn the_round_pass_prices_as_the_per_job_reference(
             picks in prop::collection::vec((0usize..5, 0usize..30), 1..9),
@@ -2653,52 +3227,57 @@ mod tests {
                 })
                 .collect();
             let transfer = waterwise_cluster::TransferModel::paper_default();
-            let mut sched = scheduler();
-            // A capacity-bound round: the first view twice, one server each.
-            // Every job prices alike in both, so two jobs pick the first (or
-            // neither), the columns decline and the round builds its rows.
-            let twice = [RegionView { total_servers: 1, ..regions[0] }; 2];
-            // The whole pool, then half of it an hour and a half later (the
-            // second round reuses the first one's columns), then the bound one.
-            let half = &pending[..pending.len().div_ceil(2)];
-            let rounds = [
-                (&pending[..], 0.0, &regions[..], false),
-                (half, 5400.0, &regions[..], false),
-                (&pending[..], 10800.0, &twice[..], true),
-            ];
-            for (pool, later, regions, bound) in rounds {
-                let ctx = SchedulingContext {
-                    now: Seconds::new(now.value() + later),
-                    pending: pool,
-                    regions,
-                    delay_tolerance: tolerance,
-                    transfer: &transfer,
-                };
-                let rounds = sched.stats().rounds;
-                sched.schedule(&ctx);
-                if sched.stats().rounds == rounds {
-                    continue; // No free slot: nothing priced.
-                }
-                let round = &sched.scratch;
-                let reference = reference_numerics(&sched, &ctx, &round.selected, &round.history);
-                let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                let [coeffs, latency_ratio] = columns_of(&reference);
-                let (prices, ours) = (&round.prices, &round.numerics);
-                prop_assert_eq!(bits(&prices.carbon), bits(&coeffs));
-                prop_assert_eq!(bits(&prices.water), bits(&latency_ratio));
-                prop_assert_eq!(bits(&ours.remaining_tolerance), bits(&reference.remaining_tolerance));
-                prop_assert_eq!(ours.n_regions, reference.n_regions);
-                if ours.has_rows() {
-                    prop_assert_eq!(bits(&ours.coeffs), bits(&reference.coeffs));
-                    prop_assert_eq!(bits(&ours.latency_ratio), bits(&reference.latency_ratio));
-                } else {
-                    // Decided in the columns: the hint is the fused fold's.
-                    let columns = prices.columns(&ours.remaining_tolerance);
-                    let capacities: Vec<usize> = regions.iter().map(|v| v.remaining_capacity()).collect();
-                    prop_assert_eq!(&round.hint, &column_picks(columns, &capacities).0);
-                }
-                if bound {
-                    prop_assert!(ours.has_rows() || round.selected.len() < 2, "a bound round built no rows");
+            // Both pricing paths: the lane body where the CPU has AVX2, and
+            // the fused loop alone.
+            for lanes in [Avx2::detect(), None] {
+                let mut sched = scheduler();
+                sched.controller.lanes = lanes;
+                // A capacity-bound round: the first view twice, one server each.
+                // Every job prices alike in both, so two jobs pick the first (or
+                // neither), the columns decline and the round builds its rows.
+                let twice = [RegionView { total_servers: 1, ..regions[0] }; 2];
+                // The whole pool, then half of it an hour and a half later (the
+                // second round reuses the first one's columns), then the bound one.
+                let half = &pending[..pending.len().div_ceil(2)];
+                let rounds = [
+                    (&pending[..], 0.0, &regions[..], false),
+                    (half, 5400.0, &regions[..], false),
+                    (&pending[..], 10800.0, &twice[..], true),
+                ];
+                for (pool, later, regions, bound) in rounds {
+                    let ctx = SchedulingContext {
+                        now: Seconds::new(now.value() + later),
+                        pending: pool,
+                        regions,
+                        delay_tolerance: tolerance,
+                        transfer: &transfer,
+                    };
+                    let rounds = sched.stats().rounds;
+                    sched.schedule(&ctx);
+                    if sched.stats().rounds == rounds {
+                        continue; // No free slot: nothing priced.
+                    }
+                    let round = &sched.scratch;
+                    let reference = reference_numerics(&sched, &ctx, &round.selected, &round.history);
+                    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    let [coeffs, latency_ratio] = columns_of(&reference);
+                    let (prices, ours) = (&round.prices, &round.numerics);
+                    prop_assert_eq!(bits(&prices.carbon), bits(&coeffs));
+                    prop_assert_eq!(bits(&prices.water), bits(&latency_ratio));
+                    prop_assert_eq!(bits(&ours.remaining_tolerance), bits(&reference.remaining_tolerance));
+                    prop_assert_eq!(ours.n_regions, reference.n_regions);
+                    if ours.has_rows() {
+                        prop_assert_eq!(bits(&ours.coeffs), bits(&reference.coeffs));
+                        prop_assert_eq!(bits(&ours.latency_ratio), bits(&reference.latency_ratio));
+                    } else {
+                        // Decided in the columns: the hint is the fused fold's.
+                        let columns = prices.columns(&ours.remaining_tolerance);
+                        let capacities: Vec<usize> = regions.iter().map(|v| v.remaining_capacity()).collect();
+                        prop_assert_eq!(&round.hint, &column_picks(columns, &capacities).0);
+                    }
+                    if bound {
+                        prop_assert!(ours.has_rows() || round.selected.len() < 2, "a bound round built no rows");
+                    }
                 }
             }
         }
