@@ -24,7 +24,7 @@
 //!
 //! Besides the job table and the outcomes it reports, the engine keeps only
 //! what a round works on: the pending pool and the jobs in flight. A job's
-//! runtime row ([`JobRuntime`]) lives in a slot of the in-flight table from
+//! runtime row (`JobRuntime`) lives in a slot of the in-flight table from
 //! the commit that places it to its completion, which frees the slot for a
 //! later placement; the `Ready` and `Complete` events and the region queues
 //! carry the slot. The table is as long as the most jobs in flight at once,

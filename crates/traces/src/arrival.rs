@@ -6,6 +6,11 @@
 //! profile. Both are modeled as doubly-stochastic processes: a deterministic
 //! diurnal base rate modulated by an auto-correlated burst factor, sampled
 //! with exponential inter-arrival gaps.
+//!
+//! An [`ArrivalModel`] draws from its own seeded stream and reads nothing
+//! else, so [`TraceGenerator::generate`](crate::TraceGenerator::generate)
+//! runs it on a thread of its own, beside the job attributes, and sizes
+//! both threads' buffers from the model's mean count.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -107,8 +112,41 @@ impl ArrivalModel {
     }
 
     /// Generate all arrivals within `duration`.
+    ///
+    /// # Panics
+    ///
+    /// If `duration` or the rate multiplier is not finite: no arrival ever
+    /// passes a NaN or infinite duration, and an infinite rate makes every
+    /// gap zero, so the loop would never end.
     pub fn arrivals_within(&mut self, duration: Seconds) -> Vec<Seconds> {
-        let mut out = Vec::new();
+        let out = Vec::with_capacity(room_for(self.mean_count_within(duration)));
+        self.extend_within(duration, out)
+    }
+
+    /// The arrivals within `duration` from now at the mean rate, the base
+    /// rate times the multiplier. Long traces hold fewer (a seed-42 Borg
+    /// trace of 16 days holds 82 % of it, an Alibaba one of half a day 89 %),
+    /// short ones more or fewer with the hour they end in. Panics as
+    /// [`arrivals_within`](Self::arrivals_within) does, before any draw.
+    pub(crate) fn mean_count_within(&self, duration: Seconds) -> f64 {
+        assert!(
+            duration.value().is_finite() && self.rate_multiplier.is_finite(),
+            "arrivals need a finite duration and rate multiplier, got {} s at ×{}",
+            duration.value(),
+            self.rate_multiplier
+        );
+        self.kind.base_rate()
+            * self.rate_multiplier
+            * (duration.value() - self.current_time).max(0.0)
+    }
+
+    /// Append the arrivals within `duration` to `out` and hand it back. The
+    /// trace generator sizes `out` on the calling thread and moves it here.
+    pub(crate) fn extend_within(
+        &mut self,
+        duration: Seconds,
+        mut out: Vec<Seconds>,
+    ) -> Vec<Seconds> {
         loop {
             let t = self.next_arrival();
             if t.value() > duration.value() {
@@ -118,6 +156,13 @@ impl ArrivalModel {
         }
         out
     }
+}
+
+/// Buffer room for the arrivals of a trace whose mean count is `mean`: a
+/// quarter more and a few, for the diurnal peak and the bursts.
+pub(crate) fn room_for(mean: f64) -> usize {
+    // Saturating: `as` maps an overflow to `usize::MAX`.
+    ((mean * 1.25) as usize).saturating_add(16)
 }
 
 #[cfg(test)]
@@ -176,6 +221,19 @@ mod tests {
             .arrivals_within(Seconds::from_hours(6.0));
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    #[should_panic(expected = "arrivals need a finite duration and rate multiplier")]
+    fn a_nan_duration_is_refused_before_the_first_draw() {
+        ArrivalModel::new(TraceKind::BorgLike, 1.0, 1).arrivals_within(Seconds::new(f64::NAN));
+    }
+
+    #[test]
+    #[should_panic(expected = "arrivals need a finite duration and rate multiplier")]
+    fn an_infinite_rate_is_refused_before_the_first_draw() {
+        ArrivalModel::new(TraceKind::AlibabaLike, f64::INFINITY, 1)
+            .arrivals_within(Seconds::from_hours(1.0));
     }
 
     #[test]
