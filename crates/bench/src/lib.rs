@@ -2,8 +2,9 @@
 //!
 //! The experiment harness that regenerates every table and figure of the
 //! WaterWise paper's evaluation (Figs. 1–13, Tables 2–3 and the Sec. 6
-//! sensitivity studies), and the golden-snapshot tests that pin the
-//! committed scenario specs. Performance is measured by the perf ledger
+//! sensitivity studies), and the scenario names and spec paths the root
+//! package's golden-snapshot tests (`tests/scenario_snapshots.rs`) pin.
+//! Performance is measured by the perf ledger
 //! (`bash benchmark/run.sh`), not here.
 //!
 //! [`figures::FIGURES`] lists them once: one row per paper artifact, naming

@@ -9,15 +9,12 @@
 //!    manager** keeps only the most urgent `Σ cap(n)` jobs, ranked by the
 //!    urgency score of Eq. 14 (ascending — smaller means closer to a
 //!    violation).
-//! 3. Decides Eq. 8–11: the hinted assignment where its certificate shows
-//!    the solver would return it, else the transportation kernel's optimum
-//!    where it proves that optimum unique, else the MILP
-//!    (`assignment_model`) it solves. A hard round's hint is folded in the
-//!    region-major pass that prices it and certified by a second pass over
-//!    those columns (`certify_columns`); only where some job has no pick or
-//!    some region more picks than free slots — and for the soft model, the
-//!    kernel and the MILP — are the job-major rows built, and the hint is
-//!    then walked job by job (`hint_and_certify`).
+//! 3. Decides Eq. 8–11 in the region-major columns that price the round:
+//!    the hard model's picks, folded as the columns are written, where a
+//!    second pass over the columns proves them an optimum
+//!    (`certify_columns`); else the transportation kernel's optimum where
+//!    it proves that optimum unique; else the MILP (`assignment_model`) it
+//!    solves. A soft round goes straight to the kernel.
 //! 4. If the hard-constrained model is infeasible, re-solves with **soft
 //!    constraints** (Eq. 12–13): overshooting a job's delay tolerance costs
 //!    `σ` per unit in the objective instead of being forbidden.
@@ -64,13 +61,13 @@ pub struct WaterWiseConfig {
     pub simplex: SimplexConfig,
     /// Branch-and-bound configuration forwarded to the solver.
     pub branch_bound: BranchBoundConfig,
-    /// Hint each slot with the greedy assignment (every job to its cheapest
-    /// feasible region under the capacity left): certified rounds return it,
-    /// the transportation kernel decides the rest unless their optimum is
-    /// tied, and tied rounds solve the MILP. Off, every round solves the
-    /// MILP: the all-MILP reference, the same schedule for more solver work
-    /// (see `SolveStats::certified_rounds` and
-    /// [`Scheduler::solver_activity`]).
+    /// Pick each job's cheapest admissible region with a free slot as the
+    /// hard model is priced: a round whose picks are certified optimal
+    /// returns them, the transportation kernel decides the rest (and every
+    /// soft round) unless their optimum is tied, and tied rounds solve the
+    /// MILP. Off, every round solves the MILP: the all-MILP reference, the
+    /// same schedule for more solver work (see
+    /// `SolveStats::certified_rounds` and [`Scheduler::solver_activity`]).
     pub warm_start: bool,
     /// Optional sliding-window cap on how many jobs enter one MILP. `None`
     /// bounds the window by the remaining cluster capacity only (the paper's
@@ -100,7 +97,7 @@ impl WaterWiseConfig {
         self
     }
 
-    /// Choose the hint, certificate and kernel (`true`, the default) or the
+    /// Choose the picks, certificate and kernel (`true`, the default) or the
     /// all-MILP reference (`false`); see [`WaterWiseConfig::warm_start`].
     pub fn with_warm_start(mut self, warm_start: bool) -> Self {
         self.warm_start = warm_start;
@@ -132,7 +129,7 @@ pub struct SolveStats {
     pub rounds: usize,
     /// Rounds that required the soft-constrained fallback.
     pub soft_fallbacks: usize,
-    /// Rounds decided without a model: the hinted assignment passed the
+    /// Rounds decided without a model: the hard model's picks passed the
     /// optimality certificate, or the transportation kernel proved its
     /// optimum unique (after proving the hard round infeasible, if it
     /// softened), so the solver never saw them.
@@ -163,112 +160,6 @@ pub struct SolveStats {
     pub solve_seconds: f64,
 }
 
-/// Everything the MILP needs to know about one job in one slot: objective
-/// coefficients (Eq. 7/8 plus the history-learner reference term), the
-/// latency/execution ratios of the delay constraint (Eq. 11), and the
-/// remaining delay tolerance after time already spent waiting. Job `m`'s row
-/// of a [`RoundNumerics`], borrowed; a pure function of `(job, slot context)`.
-#[derive(Debug, Clone, Copy)]
-struct JobNumerics<'a> {
-    /// Objective coefficient per region (the cost of `x[m][n] = 1`).
-    coeffs: &'a [f64],
-    /// `transfer_latency / execution_time` per region (Eq. 11 lhs).
-    latency_ratio: &'a [f64],
-    /// `TOL% − waited/exec`, clamped at zero (Eq. 11 rhs).
-    remaining_tolerance: f64,
-}
-
-impl JobNumerics<'_> {
-    /// Whether region `n` satisfies Eq. 11 for this job: the one comparison
-    /// bounds, costs and hint all read, so they cannot disagree by an ulp.
-    fn admits(&self, n: usize) -> bool {
-        self.latency_ratio[n] <= self.remaining_tolerance
-    }
-
-    /// By how much region `n` overshoots the job's remaining tolerance (what
-    /// Eq. 13 forces on `P[m]` there); zero exactly where it is admitted.
-    fn violation(&self, n: usize) -> f64 {
-        if self.admits(n) {
-            0.0
-        } else {
-            self.latency_ratio[n] - self.remaining_tolerance
-        }
-    }
-
-    /// The cost of `x[m][n]`: Eq. 8's coefficient, plus Eq. 12's `σ·P[m]`
-    /// folded in when soft. The one expression model and certificate share.
-    fn cost(&self, n: usize, soft_penalty: Option<f64>) -> f64 {
-        let coeff = self.coeffs[n];
-        soft_penalty.map_or(coeff, |sigma| coeff + sigma * self.violation(n))
-    }
-}
-
-/// A round's numerics, job-major and flat: job `m`'s row is `[m·R, (m+1)·R)`
-/// of `coeffs` and `latency_ratio` (`R = n_regions`), its tolerance
-/// `remaining_tolerance[m]`. `prepare_numerics` fills the tolerances; the
-/// rows are transposed from its [`PriceColumns`] only for a round the
-/// columns do not decide (see [`RoundNumerics::build_rows`]).
-#[derive(Debug, Clone, Default)]
-struct RoundNumerics {
-    n_regions: usize,
-    coeffs: Vec<f64>,
-    latency_ratio: Vec<f64>,
-    remaining_tolerance: Vec<f64>,
-}
-
-impl RoundNumerics {
-    /// Forget the last round's rows and tolerances; the next rows span
-    /// `n_regions`.
-    fn reset(&mut self, n_regions: usize) {
-        self.n_regions = n_regions;
-        self.coeffs.clear();
-        self.latency_ratio.clear();
-        self.remaining_tolerance.clear();
-    }
-
-    fn len(&self) -> usize {
-        self.remaining_tolerance.len()
-    }
-
-    /// Whether every job's row is here: not yet after `reset`, unless the
-    /// round has no job or no region.
-    fn has_rows(&self) -> bool {
-        self.coeffs.len() == self.len() * self.n_regions
-    }
-
-    /// Transpose the region-major `coeffs` and `latency_ratio` columns (one
-    /// per region, a cell per job) into the rows, unless they are here.
-    fn build_rows(&mut self, coeffs: &[f64], latency_ratio: &[f64]) {
-        if self.has_rows() {
-            return;
-        }
-        let (n_jobs, n_regions) = (self.len(), self.n_regions);
-        self.coeffs.resize(n_jobs * n_regions, 0.0);
-        self.latency_ratio.resize(n_jobs * n_regions, 0.0);
-        for (m, (coeff_row, ratio_row)) in (self.coeffs.chunks_exact_mut(n_regions))
-            .zip(self.latency_ratio.chunks_exact_mut(n_regions))
-            .enumerate()
-        {
-            for (n, (coeff, ratio)) in coeff_row.iter_mut().zip(ratio_row).enumerate() {
-                (*coeff, *ratio) = (coeffs[n * n_jobs + m], latency_ratio[n * n_jobs + m]);
-            }
-        }
-    }
-
-    fn job(&self, m: usize) -> JobNumerics<'_> {
-        let row = m * self.n_regions..(m + 1) * self.n_regions;
-        JobNumerics {
-            coeffs: &self.coeffs[row.clone()],
-            latency_ratio: &self.latency_ratio[row],
-            remaining_tolerance: self.remaining_tolerance[m],
-        }
-    }
-
-    fn jobs(&self) -> impl Iterator<Item = JobNumerics<'_>> {
-        (0..self.len()).map(|m| self.job(m))
-    }
-}
-
 /// Every list a round works on, kept by the scheduler so that a round
 /// allocates nothing but the `Vec<Assignment>` it returns: `schedule` lends
 /// it to the round in place, and each step overwrites its own lists — the
@@ -289,16 +180,13 @@ struct RoundScratch {
     history_key: Option<(f64, Vec<Region>)>,
     /// The selected jobs as indices into `ctx.pending`, out of the slack
     /// manager's `(pool index, urgency)` ranking; the region-major columns
-    /// `prepare_numerics` prices them in, and their tolerances and (built
-    /// only when a round needs them) job-major rows; their hinted region
-    /// indices and each hinted arc's cost (the picks `prepare_numerics`
-    /// folds, or the walk's hint), the slots a region keeps under those,
-    /// and the regions a fixed arc priced below the hint needs a free slot
-    /// in.
+    /// `prepare_numerics` prices them in; the hard model's pick of each
+    /// (a region index, or [`UNPICKED`]) and its coefficient, as those
+    /// columns fold them; the slots a region keeps under the picks, and the
+    /// regions a fixed arc priced below a pick needs a free slot in.
     selected: Vec<usize>,
     ranked: Vec<(usize, f64)>,
     prices: PriceColumns,
-    numerics: RoundNumerics,
     hint: Vec<usize>,
     at_hint: Vec<f64>,
     capacity_left: Vec<usize>,
@@ -311,9 +199,8 @@ struct RoundScratch {
 
 /// `prepare_numerics`' working columns, each computed at the scope it
 /// depends on: per round, per job, or per region × job. The last two are
-/// the round's pricing, region-major: a certified hard round is decided in
-/// them ([`certify_columns`]), and every other round transposes them into
-/// its [`RoundNumerics`] rows.
+/// the round's numerics, region-major: every round is decided in them
+/// ([`PriceColumns::columns`]).
 #[derive(Default)]
 struct PriceColumns {
     /// Per region: the history reference term
@@ -324,10 +211,12 @@ struct PriceColumns {
     fixed_transfer: Vec<Option<f64>>,
     /// Per job, what its cells need that no region changes: the
     /// [`JOB_COLUMNS`] `f64` columns of [`JobColumns`], one after the other
-    /// in one buffer sized once a round, and each job's home region (by
-    /// [`Region::index`]).
+    /// in one buffer sized once a round, each job's home region (by
+    /// [`Region::index`]), and its remaining delay tolerance
+    /// `TOL% − waited/exec`, clamped at zero (Eq. 11 rhs).
     jobs: Vec<f64>,
     homes: Vec<usize>,
+    remaining_tolerance: Vec<f64>,
     /// Per job: the worst-region carbon and water of Eq. 7, folded in
     /// region order.
     max_carbon: Vec<f64>,
@@ -341,24 +230,60 @@ struct PriceColumns {
 }
 
 impl PriceColumns {
-    /// The priced columns, with the jobs' `remaining_tolerance`.
-    fn columns<'a>(&'a self, remaining_tolerance: &'a [f64]) -> Columns<'a> {
+    /// The priced columns.
+    fn columns(&self) -> Columns<'_> {
         Columns {
             coeffs: &self.carbon,
             latency_ratio: &self.water,
-            remaining_tolerance,
+            remaining_tolerance: &self.remaining_tolerance,
         }
     }
 }
 
-/// A round's numerics, region-major: region `n`'s column is `[n·J, (n+1)·J)`
-/// of `coeffs` and `latency_ratio`, with `J = remaining_tolerance.len()`.
-/// The cells are [`RoundNumerics`]' rows, transposed.
+/// Everything the MILP needs to know about a round, region-major: region
+/// `n`'s column is `[n·J, (n+1)·J)` of `coeffs` (the objective coefficients
+/// of Eq. 7/8 plus the history-learner reference term) and `latency_ratio`
+/// (`transfer_latency / execution_time`, Eq. 11 lhs), and job `m`'s
+/// remaining delay tolerance is `remaining_tolerance[m]`
+/// (`J = remaining_tolerance.len()`).
 #[derive(Debug, Clone, Copy)]
 struct Columns<'a> {
     coeffs: &'a [f64],
     latency_ratio: &'a [f64],
     remaining_tolerance: &'a [f64],
+}
+
+impl Columns<'_> {
+    fn n_jobs(&self) -> usize {
+        self.remaining_tolerance.len()
+    }
+
+    fn n_regions(&self) -> usize {
+        self.coeffs.len() / self.n_jobs().max(1)
+    }
+
+    /// Whether region `n` satisfies Eq. 11 for job `m`: the one comparison
+    /// bounds, costs and picks all read, so they cannot disagree by an ulp.
+    fn admits(&self, m: usize, n: usize) -> bool {
+        self.latency_ratio[n * self.n_jobs() + m] <= self.remaining_tolerance[m]
+    }
+
+    /// By how much region `n` overshoots job `m`'s remaining tolerance (what
+    /// Eq. 13 forces on `P[m]` there); zero exactly where it is admitted.
+    fn violation(&self, m: usize, n: usize) -> f64 {
+        if self.admits(m, n) {
+            0.0
+        } else {
+            self.latency_ratio[n * self.n_jobs() + m] - self.remaining_tolerance[m]
+        }
+    }
+
+    /// The cost of `x[m][n]`: Eq. 8's coefficient, plus Eq. 12's `σ·P[m]`
+    /// folded in when soft. The one expression model and kernel share.
+    fn cost(&self, m: usize, n: usize, soft_penalty: Option<f64>) -> f64 {
+        let coeff = self.coeffs[n * self.n_jobs() + m];
+        soft_penalty.map_or(coeff, |sigma| coeff + sigma * self.violation(m, n))
+    }
 }
 
 /// How many `f64` columns [`PriceColumns::jobs`] holds.
@@ -723,7 +648,7 @@ fn price_column<const LANES: bool>(
             let fixed = fixed_transfer[home * n_regions + n];
             let ratio = fixed.map_or(0.0, |fixed| fixed + wire) / exec;
             (*c, *w) = (coeff, ratio);
-            // `JobNumerics::admits`' comparison.
+            // `Columns::admits`' comparison.
             if offered && ratio <= tolerance {
                 offer(pick, at_pick, n, coeff);
             }
@@ -782,30 +707,30 @@ fn coefficient(
 /// Eq. 8's cost, Eq. 9 (one equality per job), Eq. 10 (one unit-coefficient
 /// capacity row per region). Under Eq. 9 exactly one `x[m][·]` is one, so
 /// Eq. 11 (`Σ_n ratio[m][n]·x[m][n] ≤ tol[m]`) only says `x[m][n] = 0`
-/// wherever [`JobNumerics::admits`] fails — the hard model (`soft_penalty`
+/// wherever [`Columns::admits`] fails — the hard model (`soft_penalty`
 /// `None`) fixes those by their upper bound — and Eq. 13 makes `P[m]` the
-/// chosen region's [`JobNumerics::violation`], so the soft model adds
+/// chosen region's [`Columns::violation`], so the soft model adds
 /// `σ·violation` to each `x[m][n]`'s cost (Eq. 12). What is left is a
 /// transportation problem: every vertex of its relaxation is integral and
 /// branch-and-bound ends at the root. Nothing is named (faults cite indices).
 fn assignment_model(
-    numerics: &RoundNumerics,
+    columns: Columns<'_>,
     capacities: &[usize],
     soft_penalty: Option<f64>,
 ) -> Model {
-    let n_regions = capacities.len();
-    let n_x = numerics.len() * n_regions;
+    let (n_jobs, n_regions) = (columns.n_jobs(), capacities.len());
+    let n_x = n_jobs * n_regions;
     let x = |m: usize, n: usize| Var::from_index(m * n_regions + n);
     let mut model = Model::new("waterwise-assignment");
-    model.reserve(n_x, numerics.len() + n_regions);
+    model.reserve(n_x, n_jobs + n_regions);
     let mut objective = LinExpr::with_capacity(n_x);
-    for (cost, open) in arcs(numerics, soft_penalty) {
+    for (cost, open) in arcs(columns, soft_penalty) {
         let var = model.add_var("", VarKind::Binary, 0.0, if open { 1.0 } else { 0.0 });
         objective.add_term(var, cost);
     }
     model.minimize(objective);
     // Eq. 9: each job is assigned to exactly one region.
-    for m in 0..numerics.len() {
+    for m in 0..n_jobs {
         let mut expr = LinExpr::with_capacity(n_regions);
         for n in 0..n_regions {
             expr.add_term(x(m, n), 1.0);
@@ -814,8 +739,8 @@ fn assignment_model(
     }
     // Eq. 10: regional capacity.
     for (n, &capacity) in capacities.iter().enumerate() {
-        let mut expr = LinExpr::with_capacity(numerics.len());
-        for m in 0..numerics.len() {
+        let mut expr = LinExpr::with_capacity(n_jobs);
+        for m in 0..n_jobs {
             expr.add_term(x(m, n), 1.0);
         }
         model.add_constraint("", expr, Sense::LessEqual, capacity as f64);
@@ -823,91 +748,15 @@ fn assignment_model(
     model
 }
 
-/// What [`hint_and_certify`] found for a round.
+/// What [`certify_columns`] proved about the hard model's picks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Hint {
-    /// Some job has no feasible region under the capacity left.
-    Absent,
-    /// A hint, which the solver might not return.
+    /// No proof: the kernel decides.
     Uncertified,
-    /// A hint the solver would return.
+    /// The picks are an optimum of [`assignment_model`]. Not always the only
+    /// one: where another optimum costs the same, the solver may return that
+    /// one instead (`a_certified_hint_is_an_optimum_of_the_milp`).
     Certified,
-}
-
-/// The hinted assignment and its certificate, in one walk over the job
-/// rows: the soft model's, and the hard model's where [`certify_columns`]
-/// declines (and that pass's test reference).
-///
-/// The hint, one region index per job into `hint`: each job, in batch order,
-/// to its cheapest feasible region under `capacity_left` (ties to the lowest
-/// index). [`Hint::Absent`] when some job has none: the kernel decides.
-///
-/// The certificate: a proof, in O(J·R) without the model, that the hint is
-/// an optimum of [`assignment_model`]. The hint's basis is {`x[m][hint[m]]`
-/// in job row `m`, the slack in each capacity row}, with duals
-/// `u_m = cost(m, hint[m])`, `v_n = 0`: every open `x[m][n]` prices at
-/// `cost(m, n) − cost(m, hint[m])`, and none below `−tol` is the simplex's
-/// own optimality test. A fixed arc (hard model, `!admits(n)`) below it is
-/// held at zero by its bound; it marks `n` in `tempted`, and the round is
-/// certified only if region `n` keeps a free slot once the whole hint is
-/// placed (`capacity_left` once the walk ends) — a conservative line that
-/// leaves the other rounds to the kernel. A capacity that needs a price goes
-/// to the transportation kernel: `v_n ≠ 0` needs duals this walk does not
-/// compute. A non-finite cost goes to the solver. The certificate does not
-/// rule out a tie: where another optimum costs the same, the solver may
-/// return that one instead (`a_certified_hint_is_an_optimum_of_the_milp`).
-fn hint_and_certify(
-    numerics: &RoundNumerics,
-    capacities: &[usize],
-    soft_penalty: Option<f64>,
-    tol: f64,
-    hint: &mut Vec<usize>,
-    capacity_left: &mut Vec<usize>,
-    tempted: &mut Vec<bool>,
-) -> Hint {
-    let n_regions = capacities.len();
-    let soften = soft_penalty.is_some();
-    capacities.clone_into(capacity_left);
-    hint.clear();
-    tempted.clear();
-    tempted.resize(n_regions, false);
-    let mut certified = true;
-    for numbers in numerics.jobs() {
-        // The cheapest feasible region by coefficient, ties (and unordered
-        // pairs) to the lower index: a later region displaces the best so
-        // far only when strictly cheaper.
-        let mut chosen: Option<(usize, f64)> = None;
-        let open = numbers.coeffs.iter().zip(capacity_left.iter()).enumerate();
-        for (n, (&coeff, &left)) in open {
-            let cheaper = chosen.is_none_or(|(_, best)| coeff < best);
-            if cheaper && left > 0 && (soften || numbers.admits(n)) {
-                chosen = Some((n, coeff));
-            }
-        }
-        let Some((chosen, _)) = chosen else {
-            return Hint::Absent;
-        };
-        capacity_left[chosen] -= 1;
-        hint.push(chosen);
-        if !certified {
-            continue;
-        }
-        let at_hint = numbers.cost(chosen, soft_penalty);
-        // With both costs finite their difference is never NaN, so `below`
-        // is exactly "not at or above `−tol`".
-        certified = at_hint.is_finite()
-            && (0..n_regions).all(|n| {
-                let cost = numbers.cost(n, soft_penalty);
-                let below = cost - at_hint < -tol;
-                tempted[n] |= below;
-                cost.is_finite() && !(below && (soften || numbers.admits(n)))
-            });
-    }
-    if certified && fixed_arcs_only_flip(tempted, capacity_left) {
-        Hint::Certified
-    } else {
-        Hint::Uncertified
-    }
 }
 
 /// The certificate's last line: a fixed arc below the hint only flips into
@@ -921,35 +770,38 @@ fn fixed_arcs_only_flip(tempted: &[bool], capacity_left: &[usize]) -> bool {
 const UNPICKED: usize = usize::MAX;
 
 /// Offer region `n`, admissible and with a free slot, at `coeff` to a job
-/// whose pick so far is `pick` at `at_pick`: offered in region order, the
-/// pick is [`hint_and_certify`]'s choice with the capacity test left out —
-/// a later region displaces the pick only when strictly cheaper, so ties
-/// (and unordered pairs) go to the lower index.
+/// whose pick so far is `pick` at `at_pick`. Offered in region order, the
+/// pick is the job's cheapest such region: a later region displaces the
+/// pick only when strictly cheaper, so ties (and unordered pairs) go to the
+/// lower index.
 fn offer(pick: &mut usize, at_pick: &mut f64, n: usize, coeff: f64) {
     if *pick == UNPICKED || coeff < *at_pick {
         (*pick, *at_pick) = (n, coeff);
     }
 }
 
-/// [`hint_and_certify`]'s verdict on the hard model, in two passes over the
-/// region-major columns: `hint` and `at_hint` are each job's pick and its
-/// coefficient, as `prepare_numerics` folded them with [`offer`].
+/// Whether the hard model's picks are an optimum of [`assignment_model`],
+/// in two passes over the region-major columns: `hint` and `at_hint` are
+/// each job's pick and its coefficient, as `prepare_numerics` folded them
+/// with [`offer`].
 ///
 /// `None` (declined) when some job has no pick or some region more picks
-/// than free slots: the walk's capacity test may bind there, so the walk
-/// decides. Otherwise it cannot: a region keeps a free slot until the last
-/// job that picks it, so the walk sees every pick's region open, and a
-/// region it finds full is one the job did not pick. Dropping such regions
-/// keeps the lowest-index cheapest one cheapest, so the picks *are* the
-/// walk's hint, counted into `capacity_left` they are its free slots, and
-/// the verdict is its verdict. Only a NaN coefficient, which no order
-/// ranks, can make the two pick differently; it fails the certificate in
-/// both, so neither certifies (the walk may then find no hint at all).
+/// than free slots: the picks are then no assignment, and the kernel
+/// decides. Otherwise they are one, and `capacity_left` holds the free
+/// slots they leave.
 ///
-/// The certificate is the walk's, region by region: every arc priced at
-/// `cost − at_hint ≥ −tol` or fixed (its region marked in `tempted`), every
-/// cost finite (the hinted ones among them), and each marked region left a
-/// free slot.
+/// The certificate: a proof, in O(J·R) without the model, that the picks
+/// are an optimum. Their basis is {`x[m][hint[m]]` in job row `m`, the slack
+/// in each capacity row}, with duals `u_m = cost(m, hint[m])`, `v_n = 0`:
+/// every open `x[m][n]` prices at `cost(m, n) − cost(m, hint[m])`, and none
+/// below `−tol` is the simplex's own optimality test. A fixed arc
+/// (`!admits(m, n)`) below it is held at zero by its bound; it marks `n` in
+/// `tempted`, and the round is certified only if region `n` keeps a free
+/// slot under the picks — a conservative line that leaves the other rounds
+/// to the kernel. A capacity that needs a price goes to the kernel too:
+/// `v_n ≠ 0` needs duals this pass does not compute. A non-finite cost is
+/// never certified; the kernel then calls the round tied, and the solver's
+/// validation refuses it.
 fn certify_columns(
     columns: Columns<'_>,
     capacities: &[usize],
@@ -993,16 +845,14 @@ fn certify_columns(
     })
 }
 
-/// [`assignment_model`]'s arcs in its layout, for [`Transport::solve`]: each
-/// `x[m][n]`'s cost, and whether its upper bound is 1 rather than 0.
-fn arcs(
-    numerics: &RoundNumerics,
-    soft_penalty: Option<f64>,
-) -> impl Iterator<Item = (f64, bool)> + '_ {
+/// [`assignment_model`]'s arcs in its layout, job by job, for
+/// [`Transport::solve`]: each `x[m][n]`'s cost, and whether its upper bound
+/// is 1 rather than 0.
+fn arcs(columns: Columns<'_>, soft_penalty: Option<f64>) -> impl Iterator<Item = (f64, bool)> + '_ {
     let soften = soft_penalty.is_some();
-    numerics.jobs().flat_map(move |numbers| {
-        let arc = move |n| (numbers.cost(n, soft_penalty), soften || numbers.admits(n));
-        (0..numerics.n_regions).map(arc)
+    (0..columns.n_jobs()).flat_map(move |m| {
+        let open = move |n| soften || columns.admits(m, n);
+        (0..columns.n_regions()).map(move |n| (columns.cost(m, n, soft_penalty), open(n)))
     })
 }
 
@@ -1232,8 +1082,7 @@ impl Controller {
     }
 
     /// Price the selected jobs, in selection order, into the round's
-    /// [`PriceColumns`] (and their tolerances into its [`RoundNumerics`]),
-    /// computing each term at the scope it depends on. Per round: one
+    /// [`PriceColumns`], computing each term at the scope it depends on. Per round: one
     /// conditions lookup and one history reference term per region, and the
     /// transfers' fixed parts. Per job: its embodied terms, its package's
     /// wire time, `exec` and its remaining tolerance, a column each. Per
@@ -1241,8 +1090,7 @@ impl Controller {
     /// and the running worst-region maxima of Eq. 7; once those are whole,
     /// each job's coefficient `λ_CO2·c/max_c + λ_H2O·w/max_w + reference`
     /// and latency ratio — and, with `warm_start`, the job's pick, which
-    /// folds the hard model's hint for [`certify_columns`]. No row is built
-    /// here.
+    /// folds the hard model's picks for [`certify_columns`].
     fn prepare_numerics(&self, ctx: &SchedulingContext<'_>, round: &mut RoundScratch) {
         let (estimator, weights) = (&self.estimator, &self.config.weights);
         let RoundScratch {
@@ -1251,7 +1099,6 @@ impl Controller {
             conditions,
             history,
             selected,
-            numerics,
             prices,
             hint,
             at_hint,
@@ -1262,6 +1109,7 @@ impl Controller {
             fixed_transfer,
             jobs,
             homes,
+            remaining_tolerance,
             max_carbon,
             max_water,
             carbon,
@@ -1281,7 +1129,7 @@ impl Controller {
             fixed_transfer.extend(regions.iter().map(|r| fixed(r).map(Seconds::value)));
         }
         // Per job.
-        numerics.reset(n_regions);
+        remaining_tolerance.clear();
         jobs.clear();
         jobs.resize(JOB_COLUMNS * n_jobs, 0.0);
         homes.clear();
@@ -1297,8 +1145,7 @@ impl Controller {
             let spec = &job.spec;
             exec[m] = spec.estimated_execution_time.value().max(1.0);
             let waited = job.waiting_time(ctx.now).value();
-            let remaining_tolerance = (ctx.delay_tolerance - waited / exec[m]).max(0.0);
-            numerics.remaining_tolerance.push(remaining_tolerance);
+            remaining_tolerance.push((ctx.delay_tolerance - waited / exec[m]).max(0.0));
             energy[m] = spec.estimated_energy.value();
             let (carbon, water) = estimator.embodied(spec.estimated_execution_time);
             (embodied_carbon[m], embodied_water[m]) = (carbon.value(), water.value());
@@ -1324,7 +1171,7 @@ impl Controller {
             reference,
             capacities,
             fixed_transfer,
-            jobs: JobColumns::of(jobs, homes, &numerics.remaining_tolerance),
+            jobs: JobColumns::of(jobs, homes, remaining_tolerance),
             picking: self.config.warm_start,
             max_carbon,
             max_water,
@@ -1337,14 +1184,12 @@ impl Controller {
     }
 
     /// Decide the selected jobs' assignment (`soft_penalty` selects Eq. 12/13's
-    /// relaxation): the hint and its certificate (the hard model's in the
-    /// columns, [`certify_columns`]; where those decline, and for the soft
-    /// model, [`hint_and_certify`] over the rows) → the transportation
-    /// kernel → only on a tie or a non-finite cost,
-    /// [`assignment_model`] → `solve_with` → one read-back by position. A
-    /// round the kernel proves infeasible returns `None` at once. Without
-    /// `warm_start` every round takes the model path: the reference the
-    /// other two are held to.
+    /// relaxation): the hard model's picks where [`certify_columns`] proves
+    /// them an optimum → else the transportation kernel → only on a tie or a
+    /// non-finite cost, [`assignment_model`] → `solve_with` → one read-back
+    /// by position. A round the kernel proves infeasible returns `None` at
+    /// once. Without `warm_start` every round takes the model path: the
+    /// reference the other two are held to.
     fn solve_assignment(
         &mut self,
         ctx: &SchedulingContext<'_>,
@@ -1354,7 +1199,6 @@ impl Controller {
         let RoundScratch {
             selected,
             prices,
-            numerics,
             capacities,
             hint,
             at_hint,
@@ -1367,11 +1211,10 @@ impl Controller {
         let n_regions = capacities.len();
         let warm = self.config.warm_start;
         let tol = self.config.simplex.tolerance;
-        // The hard model's hint is decided in the columns where the picks
-        // fit their regions; every other round needs the rows.
-        let in_columns = if warm && soft_penalty.is_none() {
-            let columns = prices.columns(&numerics.remaining_tolerance);
-            certify_columns(
+        let columns = prices.columns();
+        let certified = warm
+            && soft_penalty.is_none()
+            && certify_columns(
                 columns,
                 capacities,
                 tol,
@@ -1379,30 +1222,11 @@ impl Controller {
                 at_hint,
                 capacity_left,
                 tempted,
-            )
-        } else {
-            None
-        };
-        if in_columns != Some(Hint::Certified) {
-            numerics.build_rows(&prices.carbon, &prices.water);
-        }
-        let hinted = match in_columns {
-            Some(verdict) => verdict,
-            None if warm => hint_and_certify(
-                numerics,
-                capacities,
-                soft_penalty,
-                tol,
-                hint,
-                capacity_left,
-                tempted,
-            ),
-            None => Hint::Absent,
-        };
-        let decided = if hinted == Hint::Certified {
+            ) == Some(Hint::Certified);
+        let decided = if certified {
             Some(&hint[..])
         } else if warm {
-            match transport.solve(capacities, arcs(numerics, soft_penalty), tol) {
+            match transport.solve(capacities, arcs(columns, soft_penalty), tol) {
                 Verdict::Unique(chosen) => Some(chosen),
                 Verdict::Tied => None,
                 Verdict::Infeasible => return None,
@@ -1424,7 +1248,7 @@ impl Controller {
             );
         }
         *modelled = true;
-        let model = assignment_model(numerics, capacities, soft_penalty);
+        let model = assignment_model(columns, capacities, soft_penalty);
         let (simplex, branch_bound) = (&self.config.simplex, &self.config.branch_bound);
         let solution = model.solve_with(simplex, branch_bound).ok()?;
         self.stats.solves += 1;
@@ -1546,6 +1370,158 @@ mod tests {
     use waterwise_cluster::RegionView;
     use waterwise_telemetry::SyntheticTelemetry;
 
+    /// One job's row of a [`RoundNumerics`], borrowed: its objective
+    /// coefficient and latency ratio per region, and its remaining delay
+    /// tolerance. [`Columns::admits`], [`Columns::violation`] and
+    /// [`Columns::cost`] over a row.
+    #[derive(Debug, Clone, Copy)]
+    struct JobNumerics<'a> {
+        coeffs: &'a [f64],
+        latency_ratio: &'a [f64],
+        remaining_tolerance: f64,
+    }
+
+    impl JobNumerics<'_> {
+        fn admits(&self, n: usize) -> bool {
+            self.latency_ratio[n] <= self.remaining_tolerance
+        }
+
+        fn violation(&self, n: usize) -> f64 {
+            if self.admits(n) {
+                0.0
+            } else {
+                self.latency_ratio[n] - self.remaining_tolerance
+            }
+        }
+
+        fn cost(&self, n: usize, soft_penalty: Option<f64>) -> f64 {
+            let coeff = self.coeffs[n];
+            soft_penalty.map_or(coeff, |sigma| coeff + sigma * self.violation(n))
+        }
+    }
+
+    /// A round's numerics in the row form the fixtures draw: job `m`'s row is
+    /// `[m·R, (m+1)·R)` of `coeffs` and `latency_ratio` (`R = n_regions`), its
+    /// tolerance `remaining_tolerance[m]`. [`priced`] turns it into the
+    /// columns the scheduler decides in.
+    #[derive(Debug, Clone, Default)]
+    struct RoundNumerics {
+        n_regions: usize,
+        coeffs: Vec<f64>,
+        latency_ratio: Vec<f64>,
+        remaining_tolerance: Vec<f64>,
+    }
+
+    impl RoundNumerics {
+        fn reset(&mut self, n_regions: usize) {
+            self.n_regions = n_regions;
+            self.coeffs.clear();
+            self.latency_ratio.clear();
+            self.remaining_tolerance.clear();
+        }
+
+        fn len(&self) -> usize {
+            self.remaining_tolerance.len()
+        }
+
+        fn job(&self, m: usize) -> JobNumerics<'_> {
+            let row = m * self.n_regions..(m + 1) * self.n_regions;
+            JobNumerics {
+                coeffs: &self.coeffs[row.clone()],
+                latency_ratio: &self.latency_ratio[row],
+                remaining_tolerance: self.remaining_tolerance[m],
+            }
+        }
+
+        fn jobs(&self) -> impl Iterator<Item = JobNumerics<'_>> {
+            (0..self.len()).map(|m| self.job(m))
+        }
+    }
+
+    /// `batch`'s coefficients and latency ratios as region-major columns.
+    fn columns_of(batch: &RoundNumerics) -> [Vec<f64>; 2] {
+        let (n_jobs, n_regions) = (batch.len(), batch.n_regions);
+        let transpose = |rows: &[f64]| -> Vec<f64> {
+            let cell = |n| (0..n_jobs).map(move |m| rows[m * n_regions + n]);
+            (0..n_regions).flat_map(cell).collect()
+        };
+        [transpose(&batch.coeffs), transpose(&batch.latency_ratio)]
+    }
+
+    /// `batch` as `prepare_numerics` leaves a round: its [`PriceColumns`],
+    /// whose [`PriceColumns::columns`] the model, kernel and certificate read.
+    fn priced(batch: &RoundNumerics) -> PriceColumns {
+        let [carbon, water] = columns_of(batch);
+        PriceColumns {
+            carbon,
+            water,
+            remaining_tolerance: batch.remaining_tolerance.clone(),
+            ..PriceColumns::default()
+        }
+    }
+
+    /// The hinted assignment and its certificate in one walk over the job
+    /// rows, the reference [`certify_columns`] is held to. `None` when some
+    /// job has no feasible region under `capacity_left`.
+    ///
+    /// The hint, one region index per job into `hint`: each job, in batch
+    /// order, to its cheapest feasible region under `capacity_left` (ties to
+    /// the lowest index). The certificate is [`certify_columns`]' over that
+    /// hint, for the soft model too (where every arc is open), with
+    /// `capacity_left` once the walk ends as the slots the hint leaves.
+    fn hint_and_certify(
+        numerics: &RoundNumerics,
+        capacities: &[usize],
+        soft_penalty: Option<f64>,
+        tol: f64,
+        hint: &mut Vec<usize>,
+        capacity_left: &mut Vec<usize>,
+        tempted: &mut Vec<bool>,
+    ) -> Option<Hint> {
+        let n_regions = capacities.len();
+        let soften = soft_penalty.is_some();
+        capacities.clone_into(capacity_left);
+        hint.clear();
+        tempted.clear();
+        tempted.resize(n_regions, false);
+        let mut certified = true;
+        for numbers in numerics.jobs() {
+            // The cheapest feasible region by coefficient, ties (and unordered
+            // pairs) to the lower index: a later region displaces the best so
+            // far only when strictly cheaper.
+            let mut chosen: Option<(usize, f64)> = None;
+            let open = numbers.coeffs.iter().zip(capacity_left.iter()).enumerate();
+            for (n, (&coeff, &left)) in open {
+                let cheaper = chosen.is_none_or(|(_, best)| coeff < best);
+                if cheaper && left > 0 && (soften || numbers.admits(n)) {
+                    chosen = Some((n, coeff));
+                }
+            }
+            let (chosen, _) = chosen?;
+            capacity_left[chosen] -= 1;
+            hint.push(chosen);
+            if !certified {
+                continue;
+            }
+            let at_hint = numbers.cost(chosen, soft_penalty);
+            // With both costs finite their difference is never NaN, so
+            // `below` is exactly "not at or above `−tol`".
+            certified = at_hint.is_finite()
+                && (0..n_regions).all(|n| {
+                    let cost = numbers.cost(n, soft_penalty);
+                    let below = cost - at_hint < -tol;
+                    tempted[n] |= below;
+                    cost.is_finite() && !(below && (soften || numbers.admits(n)))
+                });
+        }
+        let certified = certified && fixed_arcs_only_flip(tempted, capacity_left);
+        Some(if certified {
+            Hint::Certified
+        } else {
+            Hint::Uncertified
+        })
+    }
+
     fn scheduler() -> WaterWiseScheduler {
         WaterWiseScheduler::with_defaults(Arc::new(SyntheticTelemetry::with_seed(3)))
     }
@@ -1665,9 +1641,9 @@ mod tests {
         // The soft model still assigns the jobs (at a penalty).
         assert_eq!(decision.assignments.len(), 6);
         assert!(sched.stats().soft_fallbacks >= 1);
-        // No job has a feasible region, so the hard round has no hint, and the
-        // kernel proves it infeasible without a model. The soft hint is then
-        // certified: the round never reaches the solver.
+        // No job has a feasible region, so the columns decline the hard round,
+        // and the kernel proves it infeasible without a model. It then proves
+        // the soft round's optimum unique: the round never reaches the solver.
         assert_eq!(sched.stats().certified_rounds, 1);
         assert_eq!(sched.solver_activity().unwrap(), SolverActivity::default());
         assert!(decision
@@ -1762,10 +1738,9 @@ mod tests {
         // Three equally cheap regions, none admissible: only the folded
         // penalty `σ·violation` tells them apart.
         let batch = numerics(&[(&[0.4, 0.4, 0.4], &[0.9, 0.3, 0.6], 0.1)]);
-        let job = batch.job(0);
-        assert!((0..3).all(|n| !job.admits(n)));
+        assert!((0..3).all(|n| !priced(&batch).columns().admits(0, n)));
         let sigma = WaterWiseConfig::default().soft_penalty;
-        let solution = assignment_model(&batch, &[1, 1, 1], Some(sigma))
+        let solution = assignment_model(priced(&batch).columns(), &[1, 1, 1], Some(sigma))
             .solve()
             .unwrap();
         assert_eq!(solution.status, waterwise_milp::SolveStatus::Optimal);
@@ -1780,13 +1755,14 @@ mod tests {
         // hard model, no penalty in the soft one — even when a pricier
         // penalty-free region competes with a cheaper violating one.
         let batch = numerics(&[(&[0.5, 0.2], &[0.25, 0.26], 0.25)]);
-        let job = batch.job(0);
-        assert!(job.admits(0) && !job.admits(1));
-        assert_eq!(job.violation(0), 0.0);
-        let hard = assignment_model(&batch, &[1, 1], None);
+        let prices = priced(&batch);
+        let job = prices.columns();
+        assert!(job.admits(0, 0) && !job.admits(0, 1));
+        assert_eq!(job.violation(0, 0), 0.0);
+        let hard = assignment_model(job, &[1, 1], None);
         assert_eq!(hard.bounds(Var::from_index(0)), (0.0, 1.0));
         assert_eq!(hard.bounds(Var::from_index(1)), (0.0, 0.0));
-        let soft = assignment_model(&batch, &[1, 1], Some(100.0));
+        let soft = assignment_model(job, &[1, 1], Some(100.0));
         assert_eq!(soft.bounds(Var::from_index(1)), (0.0, 1.0));
         assert_eq!(soft.solve().unwrap().values, [1.0, 0.0]);
     }
@@ -1799,12 +1775,12 @@ mod tests {
         let free = (&[0.3, 0.6][..], &[0.0, 0.2][..], 0.5);
         let stuck = (&[0.3, 0.6][..], &[0.7, 0.9][..], 0.5);
         let batch = numerics(&[free, stuck]);
-        let hard = assignment_model(&batch, &[2, 2], None);
+        let hard = assignment_model(priced(&batch).columns(), &[2, 2], None);
         assert_eq!((hard.num_vars(), hard.num_constraints()), (4, 2 + 2));
         let solution = hard.solve().unwrap();
         assert_eq!(solution.status, waterwise_milp::SolveStatus::Infeasible);
         assert_eq!(solution.nodes_explored, 1);
-        let soft = assignment_model(&batch, &[2, 2], Some(10.0))
+        let soft = assignment_model(priced(&batch).columns(), &[2, 2], Some(10.0))
             .solve()
             .unwrap();
         assert_eq!(soft.values, [1.0, 0.0, 1.0, 0.0]);
@@ -2153,7 +2129,7 @@ mod tests {
         capacities: &[usize],
         soft_penalty: Option<f64>,
     ) -> waterwise_milp::Solution {
-        assignment_model(numerics, capacities, soft_penalty)
+        assignment_model(priced(numerics).columns(), capacities, soft_penalty)
             .solve()
             .unwrap()
     }
@@ -2220,7 +2196,7 @@ mod tests {
                         !certified(&batch, &[2, 2], soft_penalty, &[0], tol, &mut Vec::new()),
                         "{poison} at region {at} (ratio {ratio}, soft {soft_penalty:?}) certified"
                     );
-                    let model = assignment_model(&batch, &[2, 2], soft_penalty);
+                    let model = assignment_model(priced(&batch).columns(), &[2, 2], soft_penalty);
                     assert!(matches!(
                         model.validate(),
                         Err(waterwise_milp::MilpError::NonFiniteCoefficient { .. })
@@ -2445,7 +2421,7 @@ mod tests {
             for soft_penalty in [None, Some(10.0)] {
                 // Integral at the root at every size ...
                 let (batch, capacities) = random_round(n_jobs, n_regions, regime, &draws, &shares);
-                let model = assignment_model(&batch, &capacities, soft_penalty);
+                let model = assignment_model(priced(&batch).columns(), &capacities, soft_penalty);
                 prop_assert_eq!(model.num_vars(), n_jobs * n_regions);
                 prop_assert_eq!(model.num_constraints(), n_jobs + n_regions);
                 let solution = model.solve().unwrap();
@@ -2458,7 +2434,7 @@ mod tests {
                 // capacity, so the oracle sees the first ORACLE_JOBS jobs.
                 let n_jobs = n_jobs.min(ORACLE_JOBS);
                 let (batch, capacities) = random_round(n_jobs, n_regions, regime, &draws, &shares);
-                let ours = assignment_model(&batch, &capacities, soft_penalty).solve().unwrap();
+                let ours = assignment_model(priced(&batch).columns(), &capacities, soft_penalty).solve().unwrap();
                 prop_assert_eq!(ours.nodes_explored, 1);
                 let literal = paper_literal_model(&batch, &capacities, soft_penalty);
                 let theirs = literal.solve_with(&simplex, &to_optimality).unwrap();
@@ -2504,29 +2480,28 @@ mod tests {
         build_hint(batch, capacities, soften, &mut hint, &mut Vec::new()).then_some(hint)
     }
 
-    /// Cases of the property below, and how its (case, model) instances fell
-    /// (the certified ones also by whether the kernel proves them unique).
+    /// Cases of the property below, and how they fell: certified, and not
+    /// (declined or uncertified); the certified ones also by whether the
+    /// kernel proves them unique.
     const CERTIFICATE_CASES: usize = 256;
     static ACCEPTED: AtomicUsize = AtomicUsize::new(0);
     static REJECTED: AtomicUsize = AtomicUsize::new(0);
-    static UNHINTED: AtomicUsize = AtomicUsize::new(0);
     static CERTIFIED_UNIQUE: AtomicUsize = AtomicUsize::new(0);
     use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(CERTIFICATE_CASES as u32))]
 
-        /// Certified == solved: whenever the certificate accepts a hint, the
-        /// hint is an optimum of the MILP, and where the kernel proves the
-        /// optimum unique the MILP returns exactly the hint. On a tie the
-        /// solver may return another optimum of the same cost.
-        /// (`hint_and_certify_walks_as_the_two_passes` holds the one walk to
-        /// the two-pass reference; this holds it to the solver.)
+        /// Certified == solved: whenever [`certify_columns`] accepts the hard
+        /// model's picks, which the scheduler then commits, they are an
+        /// optimum of the MILP, and where the kernel proves the optimum
+        /// unique the MILP returns exactly the picks. On a tie the solver
+        /// may return another optimum of the same cost.
         #[test]
         fn a_certified_hint_is_an_optimum_of_the_milp(
             shape in (1usize..61, 1usize..9),
             loose in 0usize..2,
-            // 0: no zero-latency home region, and a tight hard round has no hint.
+            // 0: no zero-latency home region, and a tight round has no hint.
             homes in 0usize..4,
             fill in 0.8f64..2.2,
             // 0: `fill` × the batch is the total, split by `shares` (some
@@ -2547,44 +2522,35 @@ mod tests {
             }
             force_ties(&mut batch, ties);
             let tol = SimplexConfig::default().tolerance;
-            let (mut hint, mut left, mut tempted) = (Vec::new(), Vec::new(), Vec::new());
-            let mut transport = Transport::default();
-            for soft_penalty in [None, Some(10.0)] {
-                let verdict = hint_and_certify(
-                    &batch, &capacities, soft_penalty, tol, &mut hint, &mut left, &mut tempted,
-                );
-                if verdict == Hint::Absent {
-                    UNHINTED.fetch_add(1, Relaxed);
-                    continue;
-                }
-                if verdict == Hint::Uncertified {
-                    REJECTED.fetch_add(1, Relaxed);
-                    continue;
-                }
+            let (verdict, picks, _) = column_verdict(&batch, &capacities, tol);
+            if verdict == Some(Hint::Certified) {
                 ACCEPTED.fetch_add(1, Relaxed);
-                let solution = solved(&batch, &capacities, soft_penalty);
+                let solution = solved(&batch, &capacities, None);
                 prop_assert_eq!(solution.status, waterwise_milp::SolveStatus::Optimal);
                 prop_assert_eq!(solution.nodes_explored, 1);
-                let cost = |(m, &n): (usize, &usize)| batch.job(m).cost(n, soft_penalty);
-                let objective: f64 = hint.iter().enumerate().map(cost).sum();
+                let cost = |(m, &n): (usize, &usize)| batch.job(m).cost(n, None);
+                let objective: f64 = picks.iter().enumerate().map(cost).sum();
                 prop_assert!(
                     (objective - solution.objective).abs() <= 2.0 * (n_jobs + n_regions) as f64 * tol,
-                    "hint {} vs solver {}", objective, solution.objective
+                    "picks {} vs solver {}", objective, solution.objective
                 );
-                let verdict = transport.solve(&capacities, arcs(&batch, soft_penalty), tol);
+                let mut transport = Transport::default();
+                let verdict = transport.solve(&capacities, arcs(priced(&batch).columns(), None), tol);
                 if let Verdict::Unique(chosen) = verdict {
                     CERTIFIED_UNIQUE.fetch_add(1, Relaxed);
-                    prop_assert_eq!(chosen, &hint[..]);
-                    prop_assert_eq!(solution.values, one_hot(&hint, n_regions));
+                    prop_assert_eq!(chosen, &picks[..]);
+                    prop_assert_eq!(solution.values, one_hot(&picks, n_regions));
                 }
+            } else {
+                REJECTED.fetch_add(1, Relaxed);
             }
             // The last case checks that the generator exercised both sides.
             let (yes, no) = (ACCEPTED.load(Relaxed), REJECTED.load(Relaxed));
-            if yes + no + UNHINTED.load(Relaxed) == 2 * CERTIFICATE_CASES {
-                let third = 2 * CERTIFICATE_CASES / 3;
-                prop_assert!(yes >= third && no >= third, "{yes} certified, {no} hinted but not");
+            if yes + no == CERTIFICATE_CASES {
+                let third = CERTIFICATE_CASES / 3;
+                prop_assert!(yes >= third && no >= third, "{yes} certified, {no} not");
                 let unique = CERTIFIED_UNIQUE.load(Relaxed);
-                prop_assert!(3 * unique >= yes, "{unique} of {yes} certified hints unique");
+                prop_assert!(3 * unique >= yes, "{unique} of {yes} certified picks unique");
             }
         }
     }
@@ -2666,10 +2632,10 @@ mod tests {
                 if capacity_bound(&batch, &capacities, soft_penalty) {
                     BOUND.fetch_add(1, Relaxed);
                 }
-                let verdict = transport.solve(&capacities, arcs(&batch, soft_penalty), simplex.tolerance);
+                let verdict = transport.solve(&capacities, arcs(priced(&batch).columns(), soft_penalty), simplex.tolerance);
                 let (unique, infeasible) =
                     (matches!(verdict, Verdict::Unique(_)), verdict == Verdict::Infeasible);
-                let model = assignment_model(&batch, &capacities, soft_penalty);
+                let model = assignment_model(priced(&batch).columns(), &capacities, soft_penalty);
                 let solved = model.solve_with(&simplex, &branch_bound).unwrap();
                 if !infeasible {
                     let point = one_hot(transport.assignment(), n_regions);
@@ -2709,6 +2675,11 @@ mod tests {
     /// Cases of the property below, and how its (case, model) instances fell.
     const FUSED_CASES: usize = 512;
     static FUSED: [AtomicUsize; 3] = [const { AtomicUsize::new(0) }; 3];
+
+    /// An index per verdict: no hint (or declined), uncertified, certified.
+    fn outcome(verdict: Option<Hint>) -> usize {
+        verdict.map_or(0, |hint| hint as usize + 1)
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(FUSED_CASES as u32))]
@@ -2759,14 +2730,14 @@ mod tests {
                     &batch, &capacities, soft_penalty, tol, &mut hint, &mut left, &mut tempted,
                 );
                 match reference {
-                    None => prop_assert_eq!(fused, Hint::Absent),
+                    None => prop_assert_eq!(fused, None),
                     Some((expected, verdict)) => {
                         prop_assert_eq!(&hint, &expected);
                         let certified = if verdict { Hint::Certified } else { Hint::Uncertified };
-                        prop_assert_eq!(fused, certified);
+                        prop_assert_eq!(fused, Some(certified));
                     }
                 }
-                FUSED[fused as usize].fetch_add(1, Relaxed);
+                FUSED[outcome(fused)].fetch_add(1, Relaxed);
             }
             // The last case checks that the generator reached every outcome.
             let counts = FUSED.each_ref().map(|count| count.load(Relaxed));
@@ -2774,16 +2745,6 @@ mod tests {
                 prop_assert!(counts.iter().all(|&n| n >= FUSED_CASES / 8), "absent, uncertified, certified: {counts:?}");
             }
         }
-    }
-
-    /// `batch`'s coefficients and latency ratios as region-major columns.
-    fn columns_of(batch: &RoundNumerics) -> [Vec<f64>; 2] {
-        let (n_jobs, n_regions) = (batch.len(), batch.n_regions);
-        let transpose = |rows: &[f64]| -> Vec<f64> {
-            let cell = |n| (0..n_jobs).map(move |m| rows[m * n_regions + n]);
-            (0..n_regions).flat_map(cell).collect()
-        };
-        [transpose(&batch.coeffs), transpose(&batch.latency_ratio)]
     }
 
     /// The picks `prepare_numerics` folds as it writes the columns: each
@@ -2810,12 +2771,8 @@ mod tests {
         capacities: &[usize],
         tol: f64,
     ) -> (Option<Hint>, Vec<usize>, Vec<usize>) {
-        let [coeffs, latency_ratio] = columns_of(batch);
-        let columns = Columns {
-            coeffs: &coeffs,
-            latency_ratio: &latency_ratio,
-            remaining_tolerance: &batch.remaining_tolerance,
-        };
+        let prices = priced(batch);
+        let columns = prices.columns();
         let (hint, at_hint) = column_picks(columns, capacities);
         let (mut left, mut tempted) = (Vec::new(), Vec::new());
         let verdict = certify_columns(
@@ -2879,33 +2836,147 @@ mod tests {
             let walk = hint_and_certify(
                 &batch, &capacities, None, tol, &mut hint, &mut walk_left, &mut tempted,
             );
-            let outcome = match verdict {
+            match verdict {
                 None => {
                     let mut picked = vec![0; n_regions];
                     picks.iter().filter(|&&n| n != UNPICKED).for_each(|&n| picked[n] += 1);
                     let overfilled = picked.iter().zip(&capacities).any(|(p, c)| p > c);
-                    prop_assert!(walk == Hint::Absent || overfilled, "declined a {walk:?} round");
-                    0
+                    prop_assert!(walk.is_none() || overfilled, "declined a {walk:?} round");
                 }
                 Some(Hint::Certified) => {
-                    prop_assert_eq!(walk, Hint::Certified);
+                    prop_assert_eq!(walk, verdict);
                     prop_assert_eq!(&picks, &hint);
                     prop_assert_eq!(&left, &walk_left);
-                    2
                 }
-                Some(verdict) => {
+                Some(Hint::Uncertified) => {
                     // A NaN ranks below no region, so a full region may make
                     // the walk pick differently and run out of regions later.
                     let nan = batch.coeffs.iter().any(|c| c.is_nan());
-                    prop_assert!(walk == verdict || (nan && walk == Hint::Absent), "{verdict:?} vs the walk's {walk:?}");
-                    1
+                    prop_assert!(walk == verdict || (nan && walk.is_none()), "{verdict:?} vs the walk's {walk:?}");
                 }
-            };
-            COLUMN[outcome].fetch_add(1, Relaxed);
+            }
+            COLUMN[outcome(verdict)].fetch_add(1, Relaxed);
             // The last case checks that the generator reached every outcome.
             let counts = COLUMN.each_ref().map(|count| count.load(Relaxed));
             if counts.iter().sum::<usize>() == COLUMN_CASES {
                 prop_assert!(counts.iter().all(|&n| n >= COLUMN_CASES / 8), "declined, uncertified, certified: {counts:?}");
+            }
+        }
+    }
+
+    /// Cases of the property below, and how its (case, model) instances fell:
+    /// certified in the columns; passed to the kernel by the walk too; certified
+    /// by the walk where the kernel proves the optimum unique; and certified
+    /// by the walk where the kernel calls the round tied, the MILP then
+    /// returning the walk's hint or another optimum.
+    const ORDER_CASES: usize = 512;
+    static ORDER: [AtomicUsize; 5] = [const { AtomicUsize::new(0) }; 5];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(ORDER_CASES as u32))]
+
+        /// Kernel == walk then kernel: with the walk gone from in front of the
+        /// kernel, every round commits what it did, hard and soft, on
+        /// [`the_column_certificate_decides_as_the_walk_does`]' generator. Both
+        /// orders hand the kernel the same arcs, to the bit. They differ only
+        /// where the walk certified a hint and the kernel calls the round
+        /// tied: the MILP now decides it, and the hint and the MILP's answer
+        /// are optima of [`assignment_model`] at one cost within the kernel's
+        /// margin `2·(J+R)·tol`.
+        #[test]
+        fn without_the_walk_a_round_commits_what_it_did(
+            shape in (1usize..61, 1usize..9),
+            loose in 0usize..2,
+            homes in 0usize..4,
+            fill in 0.8f64..2.2,
+            // 0: `fill` × the batch split by `shares`; 1: every region holds
+            // that many; 2: split, and region 0 holds nothing.
+            room in 0usize..3,
+            ties in 0usize..3,
+            // A NaN, +∞ or −∞ cost (kinds 0–2) at a drawn arc; else none.
+            poison in (0usize..6, 0usize..480),
+            draws in prop::collection::vec((0.05f64..1.0, 0.0f64..0.7, 0.0f64..0.3), 60 * 8),
+            shares in prop::collection::vec(0.2f64..1.0, 8),
+        ) {
+            use waterwise_milp::SolveStatus::Optimal;
+            let (n_jobs, n_regions) = shape;
+            let regime = (loose == 1, homes != 0, fill);
+            let (mut batch, mut capacities) =
+                random_round(n_jobs, n_regions, regime, &draws, &shares);
+            match room {
+                1 => capacities.fill((fill * n_jobs as f64).round() as usize),
+                2 => capacities[0] = 0,
+                _ => {}
+            }
+            force_ties(&mut batch, ties);
+            if let Some(&value) = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY].get(poison.0) {
+                let at = poison.1 % batch.coeffs.len();
+                batch.coeffs[at] = value;
+            }
+            let tol = SimplexConfig::default().tolerance;
+            let margin = 2.0 * (n_jobs + n_regions) as f64 * tol;
+            let prices = priced(&batch);
+            let (mut hint, mut left, mut tempted) = (Vec::new(), Vec::new(), Vec::new());
+            let mut transport = Transport::default();
+            for soft_penalty in [None, Some(10.0)] {
+                let soften = soft_penalty.is_some();
+                let row_arc = |numbers: JobNumerics<'_>, n: usize| {
+                    (numbers.cost(n, soft_penalty), soften || numbers.admits(n))
+                };
+                let rows: Vec<(f64, bool)> = batch
+                    .jobs()
+                    .flat_map(|numbers| (0..n_regions).map(move |n| row_arc(numbers, n)))
+                    .collect();
+                let columns: Vec<(f64, bool)> = arcs(prices.columns(), soft_penalty).collect();
+                let split = |arcs: &[(f64, bool)]| -> (Vec<f64>, Vec<bool>) { arcs.iter().copied().unzip() };
+                let ((row_costs, row_open), (costs, open)) = (split(&rows), split(&columns));
+                prop_assert!(same_cells(&row_costs, &costs), "the rows and columns price the arcs apart");
+                prop_assert_eq!(row_open, open);
+                if !soften && column_verdict(&batch, &capacities, tol).0 == Some(Hint::Certified) {
+                    ORDER[0].fetch_add(1, Relaxed);
+                    continue;
+                }
+                let walk = hint_and_certify(
+                    &batch, &capacities, soft_penalty, tol, &mut hint, &mut left, &mut tempted,
+                );
+                if walk != Some(Hint::Certified) {
+                    ORDER[1].fetch_add(1, Relaxed);
+                    continue;
+                }
+                match transport.solve(&capacities, columns, tol) {
+                    Verdict::Unique(chosen) => {
+                        prop_assert_eq!(chosen, &hint[..], "the kernel and the walk commit apart");
+                        ORDER[2].fetch_add(1, Relaxed);
+                    }
+                    Verdict::Infeasible => prop_assert!(false, "the kernel found a hinted round infeasible"),
+                    Verdict::Tied => {
+                        let model = assignment_model(prices.columns(), &capacities, soft_penalty);
+                        let solution = model.solve().unwrap();
+                        prop_assert_eq!(solution.status, Optimal);
+                        let hinted = one_hot(&hint, n_regions);
+                        prop_assert!(model.is_feasible(&hinted, 0.0), "the hint placed off the model");
+                        let cost = |(m, &n): (usize, &usize)| batch.job(m).cost(n, soft_penalty);
+                        let objective: f64 = hint.iter().enumerate().map(cost).sum();
+                        prop_assert!(
+                            (objective - solution.objective).abs() <= margin,
+                            "hint {} vs solver {}", objective, solution.objective
+                        );
+                        let same = solution.values == hinted;
+                        ORDER[if same { 3 } else { 4 }].fetch_add(1, Relaxed);
+                    }
+                }
+            }
+            // The last case says how the instances fell, and checks that the
+            // generator reached every class (the walk's tied hints together).
+            let counts = ORDER.each_ref().map(|count| count.load(Relaxed));
+            if counts.iter().sum::<usize>() == 2 * ORDER_CASES {
+                eprintln!(
+                    "columns {}, kernel in both orders {}, walk and kernel unique {}, \
+                     walk and kernel tied: the MILP returns the hint {}, another optimum {}",
+                    counts[0], counts[1], counts[2], counts[3], counts[4]
+                );
+                let tied = counts[3] + counts[4];
+                prop_assert!(counts[..3].iter().all(|&n| n >= ORDER_CASES / 32) && tied > 0, "{counts:?}");
             }
         }
     }
@@ -3109,12 +3180,12 @@ mod tests {
         let two = numerics(&rows[..2]);
         let (verdict, picks, _) = column_verdict(&two, &[1, 1, 1], tol);
         assert_eq!((verdict, picks), (Some(Hint::Uncertified), vec![0, 2]));
-        assert_eq!(walk_of(&two), (Hint::Uncertified, vec![0, 1]));
+        assert_eq!(walk_of(&two), (Some(Hint::Uncertified), vec![0, 1]));
         // Three: the walk's region 1 is gone when job 2 needs it.
         let three = numerics(&rows);
         let (verdict, picks, _) = column_verdict(&three, &[1, 1, 1], tol);
         assert_eq!((verdict, picks), (Some(Hint::Uncertified), vec![0, 2, 1]));
-        assert_eq!(walk_of(&three).0, Hint::Absent);
+        assert_eq!(walk_of(&three).0, None);
     }
 
     /// The round's numerics priced job by job, the reference
@@ -3168,9 +3239,8 @@ mod tests {
         /// views (a region may repeat), execution times below 1 s, jobs at
         /// home, packages up to `u64::MAX` bytes, waits past the tolerance,
         /// and pools the slack manager truncates. Its columns are the
-        /// reference's rows transposed; a round that builds rows (a
-        /// capacity-bound one among them) builds the reference's, and a round
-        /// decided in the columns returns the picks they fold. Pools past
+        /// reference's rows transposed, its picks are the ones they fold, and
+        /// the columns decline a capacity-bound round. Pools past
         /// [`LANE_BLOCK`] jobs reach the lane body where the CPU has AVX2;
         /// every case also runs on the fused loop alone.
         #[test]
@@ -3234,7 +3304,7 @@ mod tests {
                 sched.controller.lanes = lanes;
                 // A capacity-bound round: the first view twice, one server each.
                 // Every job prices alike in both, so two jobs pick the first (or
-                // neither), the columns decline and the round builds its rows.
+                // neither), and the columns decline the round.
                 let twice = [RegionView { total_servers: 1, ..regions[0] }; 2];
                 // The whole pool, then half of it an hour and a half later (the
                 // second round reuses the first one's columns), then the bound one.
@@ -3261,22 +3331,19 @@ mod tests {
                     let reference = reference_numerics(&sched, &ctx, &round.selected, &round.history);
                     let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                     let [coeffs, latency_ratio] = columns_of(&reference);
-                    let (prices, ours) = (&round.prices, &round.numerics);
+                    let (prices, columns) = (&round.prices, round.prices.columns());
                     prop_assert_eq!(bits(&prices.carbon), bits(&coeffs));
                     prop_assert_eq!(bits(&prices.water), bits(&latency_ratio));
-                    prop_assert_eq!(bits(&ours.remaining_tolerance), bits(&reference.remaining_tolerance));
-                    prop_assert_eq!(ours.n_regions, reference.n_regions);
-                    if ours.has_rows() {
-                        prop_assert_eq!(bits(&ours.coeffs), bits(&reference.coeffs));
-                        prop_assert_eq!(bits(&ours.latency_ratio), bits(&reference.latency_ratio));
-                    } else {
-                        // Decided in the columns: the hint is the fused fold's.
-                        let columns = prices.columns(&ours.remaining_tolerance);
-                        let capacities: Vec<usize> = regions.iter().map(|v| v.remaining_capacity()).collect();
-                        prop_assert_eq!(&round.hint, &column_picks(columns, &capacities).0);
-                    }
-                    if bound {
-                        prop_assert!(ours.has_rows() || round.selected.len() < 2, "a bound round built no rows");
+                    prop_assert_eq!(bits(&prices.remaining_tolerance), bits(&reference.remaining_tolerance));
+                    prop_assert_eq!(columns.n_regions(), reference.n_regions);
+                    let capacities: Vec<usize> = regions.iter().map(|v| v.remaining_capacity()).collect();
+                    let (picks, at_picks) = column_picks(columns, &capacities);
+                    prop_assert_eq!(&round.hint, &picks);
+                    prop_assert_eq!(bits(&round.at_hint), bits(&at_picks));
+                    if bound && round.selected.len() >= 2 {
+                        let (mut left, mut tempted) = (Vec::new(), Vec::new());
+                        let verdict = certify_columns(columns, &capacities, SimplexConfig::default().tolerance, &picks, &at_picks, &mut left, &mut tempted);
+                        prop_assert_eq!(verdict, None, "a bound round was not declined");
                     }
                 }
             }

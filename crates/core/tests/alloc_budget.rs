@@ -103,22 +103,24 @@ const STEADY_CERTIFIED_BUDGET: u64 = 2;
 /// scratch from empty. Measured: 25 at 13 jobs, 28 at 120 — the round's
 /// lists and the numerics pass's columns, some doubling as they are pushed
 /// to; nothing of it is per job (the per-job terms are one buffer sized once
-/// and a list of homes), and a round its columns certify builds no job-major
-/// rows — and 41 for a capacity-bound 13-job round, which builds them and
-/// whose kernel grows its own lists. (26, 32 and 42 while the per-job terms
-/// were a list of rows pushed to; 29, 38 and 43 while every round built its
-/// rows; 27, 39 and 41 before the numerics became one region-major pass over
-/// per-job columns.)
+/// and a list of homes), and no round builds job-major rows — and 38 for a
+/// capacity-bound 13-job round, whose kernel grows its own lists. (41 for
+/// that round while the rounds the columns declined built job-major rows;
+/// 26, 32 and 42 while the per-job terms were a list of rows pushed to; 29,
+/// 38 and 43 while every round built its rows; 27, 39 and 41 before the
+/// numerics became one region-major pass over per-job columns.)
 const FIRST_CERTIFIED_BUDGET: u64 = 45;
 
 /// Allocation requests a 13-job round that reaches the solver may make:
 /// `[on a fresh scheduler, on the same scheduler again]`. Every solve is
-/// cold, as a tied round's and the all-MILP reference's are. Measured: 74 and
+/// cold, as a tied round's and the all-MILP reference's are. Measured: 72 and
 /// 50 — a job's assignment row (1 each), the five capacity rows, the model's
 /// own lists, the solution, the tableau and the ~25 of a solve that do not
 /// grow with the batch; the first round also grows the scratch, the two
-/// lists of picks the pricing pass folds among it, unused here (73 before
-/// it folded them, 75 while the per-job terms were rows pushed to). (73 and 49
+/// lists of picks the pricing pass folds among it, unused here (74 while
+/// the model read job-major rows transposed from the columns, 73 before
+/// the pricing pass folded the picks, 75 while the per-job terms were rows
+/// pushed to). (73 and 49
 /// while a solver workspace pooled the tableau across solves; 85 and 58
 /// warm-started from the hint, with the dense hint and a crash basis.) A
 /// fresh round made 115 before the round's lists were
@@ -230,10 +232,11 @@ fn a_sorted_trace_is_replayed_without_a_copy() {
     // What a run must allocate per job is its outcome: a job's runtime row
     // lives only while it is in flight. A trace already in submit order is
     // borrowed; a copy of it would add `size_of::<JobSpec>()` a job on top of
-    // everything else. Measured beyond the outcomes: 51 B a job (11 588 jobs
-    // in 360 rounds) — the decisions' assignments, the overhead samples, the
-    // in-flight table's, the pending pool's and the heap's doublings —
-    // against 64 B a job for the copy.
+    // everything else. Measured beyond the outcomes: 50 B a job (11 588 jobs
+    // in 360 rounds; 51 while the rounds the columns declined built job-major
+    // rows) — the decisions' assignments, the overhead samples, the in-flight
+    // table's, the pending pool's and the heap's doublings — against 64 B a
+    // job for the copy.
     let trace = TraceConfig::borg(0.25, 42).with_rate_multiplier(4.0);
     let jobs = TraceGenerator::new(trace).generate();
     let telemetry = SyntheticTelemetry::with_seed(42);

@@ -18,17 +18,25 @@ use waterwise_traces::JobSpec;
 /// the crash point of an interrupted run.
 pub fn wait_for_journal_lines(path: &Path, lines: usize) -> String {
     let deadline = Instant::now() + Duration::from_secs(30);
+    // The file is read again only once its length has changed: a wave's
+    // submissions each wait here for their own line, which the engine
+    // writes within a millisecond or two, so the poll is short.
+    let (mut read_at, mut text) = (None, String::new());
     loop {
-        let text = fs::read_to_string(path).unwrap_or_default();
-        if text.bytes().filter(|b| *b == b'\n').count() >= lines {
-            return text;
+        let len = fs::metadata(path).map(|meta| meta.len()).ok();
+        if len != read_at {
+            read_at = len;
+            text = fs::read_to_string(path).unwrap_or_default();
+            if text.bytes().filter(|b| *b == b'\n').count() >= lines {
+                return text;
+            }
         }
         assert!(
             Instant::now() < deadline,
             "journal {} never reached {lines} entries (has: {text:?})",
             path.display(),
         );
-        std::thread::sleep(Duration::from_millis(10));
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
 

@@ -8,15 +8,15 @@
 //! schedule or summary drift fails with a line-level diff naming the
 //! drifted snapshot file.
 //!
-//! Blessing: `UPDATE_SNAPSHOTS=1 cargo test -p waterwise-bench` rewrites the
-//! goldens; commit the resulting diff. CI guards that the variable is never
-//! set there, so drift can only be accepted deliberately.
+//! Blessing: `UPDATE_SNAPSHOTS=1 cargo test --test scenario_snapshots`
+//! rewrites the goldens; commit the resulting diff. CI guards that the
+//! variable is never set there, so drift can only be accepted deliberately.
 //!
 //! That each scenario renders alike with `warm_start` on and off (the
 //! all-MILP reference) is the `default_equals_all_milp` row of the root
 //! `tests/invariants.rs`.
 
-#[path = "../../service/tests/support/mod.rs"]
+#[path = "../crates/service/tests/support/mod.rs"]
 mod support;
 
 use std::path::PathBuf;
