@@ -48,11 +48,12 @@ pub fn validate_scenarios(names: &[&str]) -> Result<(), String> {
 /// The golden-snapshotted scenarios: the specs of the figures that have one,
 /// in figure order, plus the multi-session host scenario pinned over live
 /// TCP and the journal stop→resume scenario.
-pub const SCENARIO_NAMES: [&str; 6] = [
+pub const SCENARIO_NAMES: [&str; 7] = [
     "fig05",
     "fig08",
     "fig14",
     "fig17",
+    "history",
     "server_multi",
     "server_resume",
 ];

@@ -7,9 +7,10 @@
 
 use std::fmt;
 use waterwise_telemetry::Region;
-use waterwise_traces::JobId;
+use waterwise_traces::{JobId, TraceConfigError};
 
-/// A [`crate::SimulationConfig`] failed validation.
+/// A [`crate::SimulationConfig`], or the trace configuration a campaign
+/// draws its workload from, failed validation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
     /// The region list is empty.
@@ -40,6 +41,9 @@ pub enum ConfigError {
         /// The offending factor.
         factor: f64,
     },
+    /// The trace cannot be generated: [`waterwise_traces::TraceConfig::validate`]
+    /// names the field and its value.
+    Trace(TraceConfigError),
 }
 
 impl fmt::Display for ConfigError {
@@ -61,6 +65,7 @@ impl fmt::Display for ConfigError {
             ConfigError::NonPositiveEmbodiedPerturbation { factor } => {
                 write!(f, "embodied perturbation must be positive, got {factor}")
             }
+            ConfigError::Trace(refused) => write!(f, "{refused}"),
         }
     }
 }

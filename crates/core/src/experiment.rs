@@ -16,7 +16,8 @@ use crate::sched::{
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use waterwise_cluster::{
-    CampaignSummary, EngineMode, Scheduler, SimulationConfig, SimulationReport, Simulator,
+    CampaignSummary, ConfigError, EngineMode, Scheduler, SimulationConfig, SimulationReport,
+    Simulator,
 };
 use waterwise_sustain::FootprintEstimator;
 use waterwise_telemetry::{
@@ -214,7 +215,13 @@ impl CampaignConfig {
             simulation: SimulationConfig::paper_default(280, delay_tolerance),
             telemetry: TelemetryConfig {
                 seed,
-                horizon_days: (days.ceil() as usize + 2).max(3),
+                // A non-finite `days` is refused when the campaign runs
+                // (`TraceConfig::validate`); its telemetry keeps the minimum.
+                horizon_days: if days.is_finite() {
+                    (days.ceil() as usize).saturating_add(2).max(3)
+                } else {
+                    3
+                },
                 ..TelemetryConfig::default()
             },
             waterwise: WaterWiseConfig::default(),
@@ -320,10 +327,16 @@ pub struct Campaign {
 }
 
 impl Campaign {
-    /// Generate the telemetry and trace for a campaign.
+    /// Generate the telemetry and trace for a campaign. A trace
+    /// configuration that [`TraceConfig::validate`] refuses draws no jobs,
+    /// and every run of the campaign returns that refusal as a
+    /// [`ConfigError::Trace`].
     pub fn new(config: CampaignConfig) -> Self {
         let telemetry = SyntheticTelemetry::generate(config.telemetry).shared();
-        let jobs = TraceGenerator::new(config.trace.clone()).generate();
+        let jobs = match config.trace.validate() {
+            Ok(()) => TraceGenerator::new(config.trace.clone()).generate(),
+            Err(_) => Vec::new(),
+        };
         Self {
             config,
             telemetry,
@@ -379,6 +392,7 @@ impl Campaign {
 
     /// Run the campaign with one scheduler.
     pub fn run(&self, kind: SchedulerKind) -> Result<CampaignOutcome, WaterWiseError> {
+        self.config.trace.validate().map_err(ConfigError::Trace)?;
         let simulator = Simulator::new(self.config.simulation.clone(), self.telemetry.clone())?;
         let mut scheduler = self.build_scheduler(kind);
         let report = simulator.run(&self.jobs, scheduler.as_mut())?;
@@ -548,6 +562,7 @@ fn savings_rows(baseline: &CampaignOutcome, outcomes: Vec<CampaignOutcome>) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
+    use waterwise_traces::TraceConfigError;
 
     #[test]
     fn small_demo_campaign_runs_every_scheduler() {
@@ -657,14 +672,17 @@ mod tests {
     #[test]
     fn a_failing_cell_does_not_poison_a_matrix() {
         // One cell with a broken config fails with a typed error; every
-        // other cell of the same matrix completes normally.
+        // other cell of the same matrix completes normally. A trace that
+        // cannot be drawn fails the same way, without a panic.
         let mut bad = CampaignConfig::small_demo(6);
         bad.simulation.delay_tolerance = -1.0;
+        let endless = CampaignConfig::paper_default(f64::NAN, 0.5, 8);
 
         let results: Vec<_> = [
             CampaignConfig::small_demo(5),
             bad,
             CampaignConfig::small_demo(7),
+            endless.clone(),
         ]
         .into_iter()
         .map(|config| Campaign::new(config).run(SchedulerKind::Baseline))
@@ -681,6 +699,48 @@ mod tests {
             ok.summary.total_jobs,
             Campaign::new(CampaignConfig::small_demo(7)).jobs().len()
         );
+        let nan_duration = |err: Option<&WaterWiseError>| {
+            matches!(
+                err,
+                Some(WaterWiseError::Config(ConfigError::Trace(TraceConfigError::NonFinite {
+                    field: "duration",
+                    value,
+                }))) if value.is_nan()
+            )
+        };
+        let err = results[3].as_ref().err();
+        assert!(nan_duration(err), "{err:?}");
+        let matrix = Campaign::run_matrix(
+            &[CampaignConfig::small_demo(5), endless],
+            &[SchedulerKind::Baseline],
+            Parallelism::Threads(2),
+        );
+        assert!(nan_duration(matrix.as_ref().err()));
+    }
+
+    #[test]
+    fn a_trace_that_cannot_be_drawn_is_a_typed_config_error() {
+        let demo = CampaignConfig::small_demo;
+        let mut fast = demo(1);
+        fast.trace = fast.trace.with_rate_multiplier(f64::INFINITY);
+        let refused = [
+            (
+                demo(1).with_alibaba_trace(f64::INFINITY, 1),
+                "duration = inf",
+            ),
+            (fast, "rate_multiplier = inf"),
+            (demo(1).with_regions(&[]), "region_weights summing to 0"),
+        ];
+        for (config, named) in refused {
+            let campaign = Campaign::new(config);
+            assert!(campaign.jobs().is_empty());
+            let err = campaign.run(SchedulerKind::WaterWise).unwrap_err();
+            assert!(
+                matches!(err, WaterWiseError::Config(ConfigError::Trace(_))),
+                "{err:?}"
+            );
+            assert!(err.to_string().contains(named), "{err}");
+        }
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //!    violation).
 //! 3. Decides Eq. 8–11 in the region-major columns that price the round:
 //!    the hard model's picks, folded as the columns are written, where a
-//!    second pass over the columns proves them an optimum
-//!    (`certify_columns`); else the transportation kernel's optimum where
-//!    it proves that optimum unique; else the MILP (`assignment_model`) it
-//!    solves. A soft round goes straight to the kernel.
+//!    count of the picks and the columns of the regions they fill prove
+//!    them an optimum (`certify_columns`); else the transportation
+//!    kernel's optimum where it proves that optimum unique; else the MILP
+//!    (`assignment_model`) it solves. A soft round goes straight to the
+//!    kernel.
 //! 4. If the hard-constrained model is infeasible, re-solves with **soft
 //!    constraints** (Eq. 12–13): overshooting a job's delay tolerance costs
 //!    `σ` per unit in the objective instead of being forbidden.
@@ -182,15 +183,13 @@ struct RoundScratch {
     /// manager's `(pool index, urgency)` ranking; the region-major columns
     /// `prepare_numerics` prices them in; the hard model's pick of each
     /// (a region index, or [`UNPICKED`]) and its coefficient, as those
-    /// columns fold them; the slots a region keeps under the picks, and the
-    /// regions a fixed arc priced below a pick needs a free slot in.
+    /// columns fold them; and the slots a region keeps under the picks.
     selected: Vec<usize>,
     ranked: Vec<(usize, f64)>,
     prices: PriceColumns,
     hint: Vec<usize>,
     at_hint: Vec<f64>,
     capacity_left: Vec<usize>,
-    tempted: Vec<bool>,
     /// The transportation kernel's working memory.
     transport: Transport,
     /// Whether the round reached `solve_with` (it is not certified then).
@@ -759,13 +758,6 @@ enum Hint {
     Certified,
 }
 
-/// The certificate's last line: a fixed arc below the hint only flips into
-/// a region the hint leaves a free slot.
-fn fixed_arcs_only_flip(tempted: &[bool], capacity_left: &[usize]) -> bool {
-    let flips = |(&tempted, &left): (&bool, &usize)| !tempted || left >= 1;
-    tempted.iter().zip(capacity_left).all(flips)
-}
-
 /// A job's pick before any region is offered to it.
 const UNPICKED: usize = usize::MAX;
 
@@ -781,27 +773,39 @@ fn offer(pick: &mut usize, at_pick: &mut f64, n: usize, coeff: f64) {
 }
 
 /// Whether the hard model's picks are an optimum of [`assignment_model`],
-/// in two passes over the region-major columns: `hint` and `at_hint` are
-/// each job's pick and its coefficient, as `prepare_numerics` folded them
-/// with [`offer`].
+/// from a count of the picks and the columns of the regions they fill:
+/// `hint` and `at_hint` are each job's pick and its coefficient, as
+/// `prepare_numerics` folded them with [`offer`] over the regions with a
+/// free slot in `capacities`.
 ///
 /// `None` (declined) when some job has no pick or some region more picks
 /// than free slots: the picks are then no assignment, and the kernel
 /// decides. Otherwise they are one, and `capacity_left` holds the free
 /// slots they leave.
 ///
-/// The certificate: a proof, in O(J·R) without the model, that the picks
-/// are an optimum. Their basis is {`x[m][hint[m]]` in job row `m`, the slack
-/// in each capacity row}, with duals `u_m = cost(m, hint[m])`, `v_n = 0`:
+/// The certificate: a proof, without the model, that the picks are an
+/// optimum. Their basis is {`x[m][hint[m]]` in job row `m`, the slack in
+/// each capacity row}, with duals `u_m = cost(m, hint[m])`, `v_n = 0`:
 /// every open `x[m][n]` prices at `cost(m, n) − cost(m, hint[m])`, and none
 /// below `−tol` is the simplex's own optimality test. A fixed arc
-/// (`!admits(m, n)`) below it is held at zero by its bound; it marks `n` in
-/// `tempted`, and the round is certified only if region `n` keeps a free
-/// slot under the picks — a conservative line that leaves the other rounds
-/// to the kernel. A capacity that needs a price goes to the kernel too:
-/// `v_n ≠ 0` needs duals this pass does not compute. A non-finite cost is
-/// never certified; the kernel then calls the round tied, and the solver's
-/// validation refuses it.
+/// (`!admits(m, n)`) below it is held at zero by its bound, and only flips
+/// into its region where that region keeps a free slot under the picks; in
+/// a region the picks fill, any cell below its job's pick refutes them — a
+/// conservative line that leaves those rounds to the kernel. A capacity
+/// that needs a price goes to the kernel too: `v_n ≠ 0` needs duals this
+/// pass does not compute. A non-finite cost is never certified; the kernel
+/// then calls the round tied, and the solver's validation refuses it.
+///
+/// So only a region the picks fill can refute them, when `tol ≥ 0` and
+/// every cost is finite: in a region that keeps a free slot, every
+/// admissible cell was offered to its job, so it is at or above the pick,
+/// and a fixed arc below the pick only flips. The certificate therefore
+/// counts the picks, reads every coefficient once for finiteness, and
+/// scans only the columns of the regions left with no free slot (those
+/// that had none at the start included). A negative or NaN `tol` scans
+/// every column, where an admissible cell below its job's pick refutes
+/// the picks anywhere. The full scan of every cell is the test reference
+/// (`the_saturated_columns_decide_as_the_full_scan`).
 fn certify_columns(
     columns: Columns<'_>,
     capacities: &[usize],
@@ -809,7 +813,6 @@ fn certify_columns(
     hint: &[usize],
     at_hint: &[f64],
     capacity_left: &mut Vec<usize>,
-    tempted: &mut Vec<bool>,
 ) -> Option<Hint> {
     capacities.clone_into(capacity_left);
     for &n in hint {
@@ -817,32 +820,40 @@ fn certify_columns(
         let left = capacity_left.get_mut(n)?;
         *left = left.checked_sub(1)?;
     }
+    if !all_finite(columns.coeffs) {
+        return Some(Hint::Uncertified);
+    }
+    // `false` for a NaN `tol` too.
+    let skip_free = tol >= 0.0;
     let n_jobs = hint.len();
-    tempted.clear();
-    tempted.resize(capacities.len(), false);
-    for (n, tempted) in tempted.iter_mut().enumerate() {
+    for (n, &left) in capacity_left.iter().enumerate() {
+        let full = left == 0;
+        if skip_free && !full {
+            continue;
+        }
         let column = n * n_jobs..(n + 1) * n_jobs;
-        let arcs = columns.coeffs[column.clone()]
+        let cells = columns.coeffs[column.clone()]
             .iter()
             .zip(&columns.latency_ratio[column]);
         let jobs = at_hint.iter().zip(columns.remaining_tolerance);
-        let mut certified = true;
-        for ((&cost, &ratio), (&at_hint, &tolerance)) in arcs.zip(jobs) {
-            // With both costs finite their difference is never NaN, so
-            // `below` is exactly "not at or above `−tol`".
-            let below = cost - at_hint < -tol;
-            *tempted |= below;
-            certified &= cost.is_finite() && !(below && ratio <= tolerance);
-        }
-        if !certified {
-            return Some(Hint::Uncertified);
+        for ((&cost, &ratio), (&at_hint, &tolerance)) in cells.zip(jobs) {
+            // Below its job's pick: refuting in a full region, elsewhere
+            // only if admissible (a fixed arc there only flips).
+            if cost - at_hint < -tol && (full || ratio <= tolerance) {
+                return Some(Hint::Uncertified);
+            }
         }
     }
-    Some(if fixed_arcs_only_flip(tempted, capacity_left) {
-        Hint::Certified
-    } else {
-        Hint::Uncertified
-    })
+    Some(Hint::Certified)
+}
+
+/// Whether every value is finite: branch-free over blocks of eight, which
+/// the compiler unrolls and vectorises.
+fn all_finite(values: &[f64]) -> bool {
+    let finite = |finite: bool, value: &f64| finite & value.is_finite();
+    let blocks = values.chunks_exact(8);
+    let tail = blocks.remainder().iter().fold(true, finite);
+    blocks.fold(tail, |all, block| all & block.iter().fold(true, finite))
 }
 
 /// [`assignment_model`]'s arcs in its layout, job by job, for
@@ -1203,7 +1214,6 @@ impl Controller {
             hint,
             at_hint,
             capacity_left,
-            tempted,
             transport,
             modelled,
             ..
@@ -1214,15 +1224,8 @@ impl Controller {
         let columns = prices.columns();
         let certified = warm
             && soft_penalty.is_none()
-            && certify_columns(
-                columns,
-                capacities,
-                tol,
-                hint,
-                at_hint,
-                capacity_left,
-                tempted,
-            ) == Some(Hint::Certified);
+            && certify_columns(columns, capacities, tol, hint, at_hint, capacity_left)
+                == Some(Hint::Certified);
         let decided = if certified {
             Some(&hint[..])
         } else if warm {
@@ -1516,6 +1519,59 @@ mod tests {
         }
         let certified = certified && fixed_arcs_only_flip(tempted, capacity_left);
         Some(if certified {
+            Hint::Certified
+        } else {
+            Hint::Uncertified
+        })
+    }
+
+    /// The certificate's last line: a fixed arc below the hint only flips
+    /// into a region the hint leaves a free slot.
+    fn fixed_arcs_only_flip(tempted: &[bool], capacity_left: &[usize]) -> bool {
+        let flips = |(&tempted, &left): (&bool, &usize)| !tempted || left >= 1;
+        tempted.iter().zip(capacity_left).all(flips)
+    }
+
+    /// The column certificate as a full scan, the reference
+    /// [`certify_columns`] is held to: the same count of the picks, then
+    /// every cell of every column read. A cell below its job's pick by more
+    /// than `tol` marks its region in `tempted`; the picks are refuted by
+    /// such a cell that is admissible, by a marked region they fill, or by a
+    /// non-finite cost.
+    fn full_scan_certificate(
+        columns: Columns<'_>,
+        capacities: &[usize],
+        tol: f64,
+        hint: &[usize],
+        at_hint: &[f64],
+        capacity_left: &mut Vec<usize>,
+        tempted: &mut Vec<bool>,
+    ) -> Option<Hint> {
+        capacities.clone_into(capacity_left);
+        for &n in hint {
+            let left = capacity_left.get_mut(n)?;
+            *left = left.checked_sub(1)?;
+        }
+        let n_jobs = hint.len();
+        tempted.clear();
+        tempted.resize(capacities.len(), false);
+        for (n, tempted) in tempted.iter_mut().enumerate() {
+            let column = n * n_jobs..(n + 1) * n_jobs;
+            let arcs = columns.coeffs[column.clone()]
+                .iter()
+                .zip(&columns.latency_ratio[column]);
+            let jobs = at_hint.iter().zip(columns.remaining_tolerance);
+            let mut certified = true;
+            for ((&cost, &ratio), (&at_hint, &tolerance)) in arcs.zip(jobs) {
+                let below = cost - at_hint < -tol;
+                *tempted |= below;
+                certified &= cost.is_finite() && !(below && ratio <= tolerance);
+            }
+            if !certified {
+                return Some(Hint::Uncertified);
+            }
+        }
+        Some(if fixed_arcs_only_flip(tempted, capacity_left) {
             Hint::Certified
         } else {
             Hint::Uncertified
@@ -2774,16 +2830,8 @@ mod tests {
         let prices = priced(batch);
         let columns = prices.columns();
         let (hint, at_hint) = column_picks(columns, capacities);
-        let (mut left, mut tempted) = (Vec::new(), Vec::new());
-        let verdict = certify_columns(
-            columns,
-            capacities,
-            tol,
-            &hint,
-            &at_hint,
-            &mut left,
-            &mut tempted,
-        );
+        let mut left = Vec::new();
+        let verdict = certify_columns(columns, capacities, tol, &hint, &at_hint, &mut left);
         (verdict, hint, left)
     }
 
@@ -2860,6 +2908,108 @@ mod tests {
             let counts = COLUMN.each_ref().map(|count| count.load(Relaxed));
             if counts.iter().sum::<usize>() == COLUMN_CASES {
                 prop_assert!(counts.iter().all(|&n| n >= COLUMN_CASES / 8), "declined, uncertified, certified: {counts:?}");
+            }
+        }
+    }
+
+    /// Cases of the property below, and how they fell: declined; a
+    /// non-finite cost in a column the certificate scans, or only in columns
+    /// it skips; and, every cost finite, no column scanned or some.
+    const SCAN_CASES: usize = 512;
+    static SCAN: [AtomicUsize; 5] = [const { AtomicUsize::new(0) }; 5];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(SCAN_CASES as u32))]
+
+        /// Saturated columns == full scan: [`certify_columns`] returns
+        /// [`full_scan_certificate`]'s verdict and free slots on every round
+        /// whose picks `prepare_numerics` folds. Regions the picks fill
+        /// exactly, regions with no free slot from the start, NaN and ±∞
+        /// costs in skipped and scanned columns, and `tol` of 0, 1e-9,
+        /// −1e-9 and NaN; every class exercised.
+        #[test]
+        fn the_saturated_columns_decide_as_the_full_scan(
+            shape in (1usize..61, 1usize..9),
+            loose in 0usize..2,
+            homes in 0usize..4,
+            fill in 0.8f64..2.2,
+            // 0: `fill` × the batch split by `shares`; 1: every region holds
+            // that many; 2–3: either, and region 0 holds nothing.
+            room in 0usize..4,
+            ties in 0usize..3,
+            // 0–2: capacities as drawn; 3: the regions of `mask` hold exactly
+            // the picks they draw; 4: every picked region does.
+            exact in (0usize..5, 0u32..256),
+            // A NaN, +∞ or −∞ cost (kinds 0–2) at a drawn (region, job); else
+            // none.
+            poison in (0usize..7, 0usize..8, 0usize..60),
+            tol in 0usize..4,
+            draws in prop::collection::vec((0.05f64..1.0, 0.0f64..0.7, 0.0f64..0.3), 60 * 8),
+            shares in prop::collection::vec(0.2f64..1.0, 8),
+        ) {
+            let (n_jobs, n_regions) = shape;
+            let regime = (loose == 1, homes != 0, fill);
+            let (mut batch, mut capacities) =
+                random_round(n_jobs, n_regions, regime, &draws, &shares);
+            if room % 2 == 1 {
+                capacities.fill((fill * n_jobs as f64).round() as usize);
+            }
+            if room >= 2 {
+                capacities[0] = 0;
+            }
+            force_ties(&mut batch, ties);
+            if let Some(&value) = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY].get(poison.0) {
+                let (n, m) = (poison.1 % n_regions, poison.2 % n_jobs);
+                batch.coeffs[m * n_regions + n] = value;
+            }
+            let prices = priced(&batch);
+            let columns = prices.columns();
+            let (hint, at_hint) = column_picks(columns, &capacities);
+            // A region offered (it has a free slot) keeps offering however
+            // many slots it has, so the picks stand.
+            let (mode, mask) = exact;
+            for (n, capacity) in capacities.iter_mut().enumerate() {
+                let picked = hint.iter().filter(|&&pick| pick == n).count();
+                let filled = mode == 4 || (mode == 3 && mask & (1 << n) != 0);
+                if filled && picked > 0 {
+                    *capacity = picked;
+                }
+            }
+            let (still, at_still) = column_picks(columns, &capacities);
+            prop_assert!(still == hint && same_cells(&at_still, &at_hint), "the filled regions moved a pick");
+            let tol = [0.0, 1e-9, -1e-9, f64::NAN][tol];
+            let (mut left, mut reference_left, mut tempted) = (Vec::new(), Vec::new(), Vec::new());
+            let verdict = certify_columns(columns, &capacities, tol, &hint, &at_hint, &mut left);
+            let reference = full_scan_certificate(
+                columns, &capacities, tol, &hint, &at_hint, &mut reference_left, &mut tempted,
+            );
+            prop_assert_eq!(verdict, reference);
+            prop_assert_eq!(&left, &reference_left);
+            let class = if verdict.is_none() {
+                0
+            } else {
+                let scanned = |n: usize| left[n] == 0 || tol.is_nan() || tol < 0.0;
+                let non_finite = |n: usize| {
+                    prices.carbon[n * n_jobs..(n + 1) * n_jobs].iter().any(|c| !c.is_finite())
+                };
+                match (0..n_regions).filter(|&n| non_finite(n)).any(scanned) {
+                    true => 1,
+                    false if (0..n_regions).any(non_finite) => 2,
+                    false if (0..n_regions).any(scanned) => 4,
+                    false => 3,
+                }
+            };
+            SCAN[class].fetch_add(1, Relaxed);
+            // The last case says how the cases fell, and checks that the
+            // generator reached every class.
+            let counts = SCAN.each_ref().map(|count| count.load(Relaxed));
+            if counts.iter().sum::<usize>() == SCAN_CASES {
+                eprintln!(
+                    "declined {}, non-finite in a scanned column {}, only in skipped ones {}, \
+                     no column scanned {}, some scanned {}",
+                    counts[0], counts[1], counts[2], counts[3], counts[4]
+                );
+                prop_assert!(counts.iter().all(|&n| n >= 16), "{counts:?}");
             }
         }
     }
@@ -3341,8 +3491,7 @@ mod tests {
                     prop_assert_eq!(&round.hint, &picks);
                     prop_assert_eq!(bits(&round.at_hint), bits(&at_picks));
                     if bound && round.selected.len() >= 2 {
-                        let (mut left, mut tempted) = (Vec::new(), Vec::new());
-                        let verdict = certify_columns(columns, &capacities, SimplexConfig::default().tolerance, &picks, &at_picks, &mut left, &mut tempted);
+                        let verdict = certify_columns(columns, &capacities, SimplexConfig::default().tolerance, &picks, &at_picks, &mut Vec::new());
                         prop_assert_eq!(verdict, None, "a bound round was not declined");
                     }
                 }

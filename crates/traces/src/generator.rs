@@ -18,6 +18,7 @@ use crate::workload::{Benchmark, ALL_BENCHMARKS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::fmt;
 use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
@@ -91,7 +92,60 @@ impl TraceConfig {
         self.rate_multiplier = multiplier;
         self
     }
+
+    /// Whether [`TraceGenerator::generate`] can draw this trace: the first
+    /// field it would refuse, if any.
+    pub fn validate(&self) -> Result<(), TraceConfigError> {
+        let non_finite = [
+            ("duration", self.duration.value()),
+            ("rate_multiplier", self.rate_multiplier),
+        ];
+        if let Some(&(field, value)) = non_finite.iter().find(|(_, value)| !value.is_finite()) {
+            return Err(TraceConfigError::NonFinite { field, value });
+        }
+        let total: f64 = self.region_weights.iter().sum();
+        if total.is_nan() || total <= 0.0 {
+            return Err(TraceConfigError::NoRegionWeight { total });
+        }
+        Ok(())
+    }
 }
+
+/// A [`TraceConfig`] field that [`TraceGenerator::generate`] refuses.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TraceConfigError {
+    /// `duration` (in seconds) or `rate_multiplier` is not finite: the
+    /// arrival loop would never end.
+    NonFinite {
+        /// The field's name in [`TraceConfig`].
+        field: &'static str,
+        /// Its value.
+        value: f64,
+    },
+    /// No entry of `region_weights` is positive, so no home region can be
+    /// drawn.
+    NoRegionWeight {
+        /// The weights' sum.
+        total: f64,
+    },
+}
+
+impl fmt::Display for TraceConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TraceConfigError::NonFinite { field, value } => write!(
+                f,
+                "trace duration and rate multiplier must be finite, got {field} = {value}"
+            ),
+            TraceConfigError::NoRegionWeight { total } => write!(
+                f,
+                "at least one region weight must be positive, got region_weights summing to {total}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for TraceConfigError {}
 
 /// Generates [`JobSpec`] traces from a [`TraceConfig`].
 ///
@@ -130,23 +184,17 @@ impl TraceGenerator {
     ///
     /// # Panics
     ///
-    /// If the duration or the rate multiplier is not finite (an arrival
-    /// loop would never end), or if no region weight is positive. Both are
-    /// checked before any thread starts. A panic on the arrival thread
-    /// resurfaces here with its own payload.
+    /// If [`TraceConfig::validate`] refuses the configuration: the duration
+    /// or the rate multiplier is not finite (an arrival loop would never
+    /// end), or no region weight is positive. It is checked before any
+    /// thread starts. A panic on the arrival thread resurfaces here with its
+    /// own payload.
     pub fn generate(&self) -> Vec<JobSpec> {
         let cfg = &self.config;
-        assert!(
-            cfg.duration.value().is_finite() && cfg.rate_multiplier.is_finite(),
-            "trace duration and rate multiplier must be finite, got {} s at ×{}",
-            cfg.duration.value(),
-            cfg.rate_multiplier
-        );
+        if let Err(refused) = cfg.validate() {
+            panic!("{refused}");
+        }
         let total_weight: f64 = cfg.region_weights.iter().sum();
-        assert!(
-            total_weight > 0.0,
-            "at least one region weight must be positive"
-        );
         let mut attributes = Attributes {
             rng: StdRng::seed_from_u64(cfg.seed ^ 0x7AC3_0001_4E4E),
             benchmarks: if cfg.benchmarks.is_empty() {

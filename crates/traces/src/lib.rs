@@ -33,7 +33,7 @@ pub mod stats;
 pub mod workload;
 
 pub use arrival::{ArrivalModel, TraceKind};
-pub use generator::{TraceConfig, TraceGenerator};
+pub use generator::{TraceConfig, TraceConfigError, TraceGenerator};
 pub use job::{JobId, JobSpec};
 pub use stats::TraceStatistics;
 pub use workload::{Benchmark, WorkloadProfile, ALL_BENCHMARKS};

@@ -132,6 +132,43 @@ fn fig14_scenario_matches_golden_snapshot() {
     assert_snapshot(&snapshots_dir(), "fig14", &snap.render());
 }
 
+/// Eq. 8's history term: the spec's trace outlasts `history_window_hours`,
+/// and WaterWise runs at `lambda_ref` 0, at the spec's value and at 1, so
+/// a change to the reference term, or to the spec's weight of it, drifts
+/// this golden.
+#[test]
+fn history_scenario_matches_golden_snapshot() {
+    let scenario = load("history");
+    let spec_ref = scenario.config.waterwise.weights.lambda_ref;
+    let levels = [(0.0, "ref0"), (spec_ref, "spec"), (1.0, "ref1")];
+    let configs: Vec<_> = levels
+        .iter()
+        .map(|&(lambda_ref, _)| {
+            let mut config = scenario.config.clone();
+            config.waterwise.weights.lambda_ref = lambda_ref;
+            config
+        })
+        .collect();
+    let matrix = Campaign::run_matrix(
+        &configs,
+        &[SchedulerKind::Baseline, SchedulerKind::WaterWise],
+        Parallelism::Auto,
+    )
+    .expect("campaign must run");
+    let mut snap = Snapshot::new();
+    snap.entry("spec.lambda_ref", spec_ref);
+    for ((_, label), row) in levels.iter().zip(&matrix) {
+        for outcome in row {
+            add_outcome(
+                &mut snap,
+                &format!("{label}.{}", outcome.kind.label()),
+                outcome,
+            );
+        }
+    }
+    assert_snapshot(&snapshots_dir(), "history", &snap.render());
+}
+
 #[test]
 fn fig17_scenario_online_sessions_match_offline_golden() {
     use std::io::{BufRead, BufReader, Write};
